@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -438,6 +439,24 @@ func BenchmarkFusionPlanning(b *testing.B) {
 			_ = fuse.New(circ, 4)
 		}
 	})
+}
+
+// BenchmarkCompileAuto is the cold-compile witness of the auto target:
+// profile (every candidate width priced by fuse's cost-only scheduler),
+// select, then one materialised fusion plan per gate segment. B/op is the
+// number to watch — a planner that multiplies out candidate runs it then
+// discards shows up as a 1 MiB matrix per 8-wide run.
+func BenchmarkCompileAuto(b *testing.B) {
+	for _, w := range experiments.CompileAutoWorkloads() {
+		b.Run(fmt.Sprintf("%s/gates=%d", w.Name, w.Circuit.Len()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := backend.Compile(w.Circuit, backend.Target{Auto: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkMathFuncEmulation(b *testing.B) {

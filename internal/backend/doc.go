@@ -38,7 +38,11 @@
 //     circuit as a Profile: width, depth, diagonal fraction, recognised
 //     regions by kind, a sparsity (branching) estimate, and the fusion
 //     planner's estimated sweep units for the residual gate segments at
-//     every candidate width.
+//     every candidate width. Profile prices, compile materialises once:
+//     the estimates come from fuse.Cost, the planner's scheduler without
+//     its matrix-building step, so the pass allocates no block unitary;
+//     pass 4 then builds one fuse.Plan per gate segment, at the width
+//     that won.
 //   - select — SelectTarget prices a fixed candidate list (fused at
 //     several widths, generic, sparse, cluster) with the calibrated
 //     constants of internal/perfmodel and picks the cheapest; for each

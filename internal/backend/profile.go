@@ -111,7 +111,7 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 			r := RegionProfile{
 				Kind: seg.Op.Kind(), Lo: seg.Lo, Hi: seg.Hi,
 				SupportWidth: uint(len(seg.Op.Support())),
-				GateUnits:    unitsPerWidth(c.NumQubits, gs),
+				GateUnits:    unitsPerWidth(gs),
 				op:           seg.Op,
 			}
 			if q, ok := seg.Op.QFT(); ok {
@@ -121,23 +121,25 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 			p.RecognizedGates += seg.Hi - seg.Lo
 			continue
 		}
-		units := unitsPerWidth(c.NumQubits, gs)
+		units := unitsPerWidth(gs)
 		for i := range p.ResidualUnits {
 			p.ResidualUnits[i] += units[i]
 		}
-		segCirc := &circuit.Circuit{NumQubits: c.NumQubits, Gates: gs}
-		p.GateByGateUnits += fuse.New(segCirc, 1).Stats().EstGateByGate
+		for _, g := range gs {
+			p.GateByGateUnits += fuse.GateCost(g)
+		}
 	}
 	return p, plan
 }
 
-// unitsPerWidth plans the gate slice at every candidate fusion width and
-// returns the model's sweep-unit cost of each schedule.
-func unitsPerWidth(n uint, gs []gates.Gate) []float64 {
+// unitsPerWidth prices the gate slice at every candidate fusion width:
+// the model's sweep-unit cost of each schedule, from fuse's cost-only
+// scheduler — no block matrix is built until Compile fuses the segment at
+// the width that won.
+func unitsPerWidth(gs []gates.Gate) []float64 {
 	out := make([]float64, len(AutoFuseWidths))
-	seg := &circuit.Circuit{NumQubits: n, Gates: gs}
 	for i, w := range AutoFuseWidths {
-		out[i] = fuse.New(seg, w).Stats().EstChosen
+		out[i] = fuse.Cost(gs, w)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,5 +100,52 @@ func TestSelectionReport(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
+	}
+}
+
+// TestSelectBenchAutoPinned pins, for the two BENCH_auto.json circuits,
+// everything the cost-only profile feeds the selector and what comes out:
+// the per-width sweep units, the chosen target and every region verdict
+// are the values the matrix-building planner produced before the profile
+// pass stopped materialising plans.
+func TestSelectBenchAutoPinned(t *testing.T) {
+	near := func(got, want []float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+
+	p, _ := backend.ProfileCircuit(qft.CircuitNoSwap(16))
+	sel := backend.SelectTarget(p, perfmodel.Default())
+	if sel.Chosen.Kind != backend.Fused || sel.Chosen.FuseWidth != 1 {
+		t.Errorf("qft-noswap-n16 chose %s w=%d, want fused w=1", sel.Chosen.Kind, sel.Chosen.FuseWidth)
+	}
+	if len(sel.Verdicts) != 1 || sel.Verdicts[0].Lo != 0 || sel.Verdicts[0].Hi != 136 || !sel.Verdicts[0].Emulate {
+		t.Errorf("qft-noswap-n16 verdicts %+v, want one emulated region [0,136)", sel.Verdicts)
+	}
+	if len(p.Regions) != 1 || !near(p.Regions[0].GateUnits, []float64{68, 67.92, 54.72, 39.2}) {
+		t.Errorf("qft-noswap-n16 region units %+v, want [68 67.92 54.72 39.2]", p.Regions)
+	}
+	if !near(p.ResidualUnits, []float64{0, 0, 0, 0}) || p.GateByGateUnits != 0 {
+		t.Errorf("qft-noswap-n16 residual %v / %v, want zeros", p.ResidualUnits, p.GateByGateUnits)
+	}
+
+	p, _ = backend.ProfileCircuit(experiments.TiledAnsatz(12, 4, 3, 1, 5))
+	sel = backend.SelectTarget(p, perfmodel.Default())
+	if sel.Chosen.Kind != backend.Fused || sel.Chosen.FuseWidth != 4 {
+		t.Errorf("tiled-n12 chose %s w=%d, want fused w=4", sel.Chosen.Kind, sel.Chosen.FuseWidth)
+	}
+	if len(sel.Verdicts) != 0 {
+		t.Errorf("tiled-n12 verdicts %+v, want none", sel.Verdicts)
+	}
+	if !near(p.ResidualUnits, []float64{47.34, 37.08, 25.8, 36.54}) || math.Abs(p.GateByGateUnits-76.14) > 1e-9 {
+		t.Errorf("tiled-n12 residual %v gate-by-gate %v, want [47.34 37.08 25.8 36.54] and 76.14",
+			p.ResidualUnits, p.GateByGateUnits)
 	}
 }

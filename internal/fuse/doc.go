@@ -32,17 +32,45 @@
 // gate they jump over, which keeps the rewrite exactly equivalent — the
 // property test in fuse_test.go verifies amplitude-level agreement.
 //
-// Forming a block and executing it densely are separate decisions. Once a
-// run is closed the scheduler lowers it to the cheapest of three forms
-// under a calibrated cost model (see gateCost and denseBlockCost):
+// Planning is two steps, and only the second one multiplies matrices.
 //
-//   - a diagonal sweep, when the accumulated matrix is diagonal (runs of
-//     phase gates) — one multiply per amplitude via statevec.ApplyDiagN;
+// Scheduling forms the runs and decides, from structure alone — support
+// masks, per-gate diagonality, GateCost and denseBlockCost — how each one
+// executes. A closed run is lowered to the cheapest of three forms:
+//
+//   - a diagonal sweep (one multiply per amplitude via
+//     statevec.ApplyDiagN), when the run is structurally diagonal and the
+//     sweep beats the replay;
 //   - a dense 2^w sweep via statevec.ApplyMatrixN, when the absorbed run
 //     amortises the 2^w multiplies per amplitude the dense kernel costs;
 //   - a gate-by-gate replay with same-target runs pre-merged (the paper's
-//     classic fusion), recursively re-planned at width-1 first so a wide
+//     classic fusion), recursively re-scheduled at width-1 first so a wide
 //     unprofitable region can still yield narrower profitable tiles.
+//
+// The structural diagonality rule: uncontrolled single-qubit gates on one
+// qubit commute with every gate of the run that does not touch that
+// qubit, so they are multiplied into one 2x2 per qubit, closed when a
+// controlled gate touches the qubit or the run ends; the run is diagonal
+// iff every such product and every controlled gate is diagonal on the
+// state. Runs of phase/Rz/CR gates qualify, and so do H·H or H·X·H on one
+// qubit with foreign gates in between. A product that is diagonal only
+// through cancelling entangling gates (H·CX·H = CZ) does not: it is priced
+// as the dense block the scheduler saw.
+//
+// Materialisation then builds the execution form of each block of the
+// final schedule, once: the merged replay sequence, the 2^w diagonal
+// (straight from the diagonal factors, O(2^w) per gate, never through a
+// matrix), or the dense 2^w x 2^w product (O(4^w) per gate). A run that
+// was re-tiled or replayed never had a matrix. A dense product that comes
+// out numerically diagonal executes through the diagonal kernel, but its
+// planned cost — and Stats().EstChosen — stays the dense one, so cost is a
+// function of the schedule alone.
+//
+// New is schedule + materialise. Cost is the same scheduler with the
+// second step left out: it returns exactly New(c, w).Stats().EstChosen,
+// bit for bit, allocating the gate stream and scan scratch only. Callers
+// that compare widths (the auto backend's profile pass) price every
+// candidate through Cost and call New once, at the width that won.
 //
 // The fallback chain means a plan never regresses measurably below the
 // classic Fuse path: fusion only engages where the model predicts a win,

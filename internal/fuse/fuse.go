@@ -2,7 +2,8 @@ package fuse
 
 import (
 	"fmt"
-	"math/cmplx"
+	"math"
+	"math/bits"
 
 	"repro/internal/bitops"
 	"repro/internal/circuit"
@@ -32,15 +33,15 @@ var (
 	// denseBlockCost[w] is one 2^w-block sweep (w=2 runs the tuned
 	// ApplyMatrix4; wider runs the generic gather/scatter kernel, whose
 	// cost roughly doubles per extra qubit).
-	denseBlockCost = map[int]float64{2: 1.7, 3: 5.4, 4: 8.6, 5: 16.5, 6: 33, 7: 66, 8: 132}
+	denseBlockCost = [MaxWidth + 1]float64{2: 1.7, 3: 5.4, 4: 8.6, 5: 16.5, 6: 33, 7: 66, 8: 132}
 	// diagBlockCost is one statevec.ApplyDiagN sweep, width-independent.
 	diagBlockCost = 1.0
 )
 
-// gateCost estimates one gate-by-gate application through the specialised
-// kernels (statevec.ApplyGate). Controls cut the touched fraction of the
-// state, which the controlled kernels exploit.
-func gateCost(g gates.Gate) float64 {
+// GateCost estimates one gate-by-gate application through the specialised
+// kernels (statevec.ApplyGate), in sweep units. Controls cut the touched
+// fraction of the state, which the controlled kernels exploit.
+func GateCost(g gates.Gate) float64 {
 	nc := len(g.Controls)
 	ctrl := 1.0
 	switch {
@@ -79,9 +80,10 @@ type Block struct {
 	// Matrix is the dense row-major 2^w x 2^w unitary of the fused run,
 	// nil for unfused runs and diagonal blocks.
 	Matrix []complex128
-	// Diag holds the 2^w diagonal when the fused run turned out diagonal
-	// (a run of phase/Rz/CR gates); the executor then applies it with one
-	// multiply per amplitude instead of the dense kernel.
+	// Diag holds the 2^w diagonal of a diagonal block — a run whose gates
+	// are all diagonal on the state (phase/Rz/CR), or a dense run whose
+	// product came out numerically diagonal; the executor then applies it
+	// with one multiply per amplitude instead of the dense kernel.
 	Diag []complex128
 	// Gates lists the original gates of the block in execution order, for
 	// introspection and statistics.
@@ -138,7 +140,7 @@ func (p *Plan) Stats() Stats {
 		b := &p.Blocks[i]
 		st.Gates += len(b.Gates)
 		for _, g := range b.Gates {
-			st.EstGateByGate += gateCost(g)
+			st.EstGateByGate += GateCost(g)
 		}
 		st.EstChosen += b.cost
 		switch {
@@ -165,18 +167,31 @@ func (st Stats) String() string {
 		st.Gates, st.Blocks, st.Dense, st.Diagonal, st.Unfused, st.MaxRun, speedup)
 }
 
-// item pairs a gate with its precomputed support mask.
+// item is one gate of the scheduler's stream together with the two facts
+// every scheduling decision reads: its support mask and whether its full
+// matrix (controls included) is diagonal. g points into the caller's gate
+// slice, which the scheduler never writes.
 type item struct {
-	g    gates.Gate
+	g    *gates.Gate
 	mask uint64
+	diag bool
+}
+
+// itemsOf builds the scheduler's stream for a gate slice.
+func itemsOf(gs []gates.Gate) []item {
+	queue := make([]item, len(gs))
+	for i := range gs {
+		g := &gs[i]
+		queue[i] = item{g: g, mask: bitops.ControlMask(g.Controls) | 1<<g.Target, diag: g.IsDiagonalOnState()}
+	}
+	return queue
 }
 
 // commutes is a sufficient (not necessary) commutation test: gates on
 // disjoint qubit sets always commute, and gates whose full matrices are
 // diagonal (controls included) commute regardless of support.
 func commutes(a, b item) bool {
-	return a.mask&b.mask == 0 ||
-		(a.g.IsDiagonalOnState() && b.g.IsDiagonalOnState())
+	return a.mask&b.mask == 0 || (a.diag && b.diag)
 }
 
 // commutesWithAll reports whether g commutes with every deferred gate.
@@ -187,6 +202,37 @@ func commutesWithAll(g item, deferred []item) bool {
 		}
 	}
 	return true
+}
+
+// blockKind is the scheduler's verdict on how a run executes.
+type blockKind uint8
+
+const (
+	replayKind blockKind = iota // gate by gate, same-target runs merged
+	denseKind                   // one 2^w x 2^w sweep
+	diagKind                    // one diagonal sweep
+)
+
+// scheduler is one scheduling pass: where its blocks go, and the scan's
+// scratch. Re-planning a run recurses to strictly narrower widths, so each
+// width level owns a run and a deferred buffer, and a closed run stays
+// intact while the levels below re-tile it.
+type scheduler struct {
+	// emit receives the blocks in execution order: the verdict, the run's
+	// gates, their combined support and the model cost. run aliases the
+	// scratch below and is valid only for the duration of the call.
+	emit    func(kind blockKind, run []item, support uint64, cost float64)
+	scratch [MaxWidth + 1]struct{ run, deferred []item }
+}
+
+func clampWidth(width int) int {
+	if width < 1 {
+		return 1
+	}
+	if width > MaxWidth {
+		return MaxWidth
+	}
+	return width
 }
 
 // New builds a fused schedule for c with the given fusion width. Width is
@@ -200,48 +246,69 @@ func commutesWithAll(g item, deferred []item) bool {
 // closed. Deferred gates re-enter the stream right after the block, so a
 // hoisted diagonal tail can seed or join the next block.
 //
-// Each closed block is then lowered to whatever the cost model says is
-// cheapest: a diagonal sweep when the accumulated matrix is diagonal, a
-// dense 2^w sweep when it absorbs enough work to amortise 2^w multiplies
-// per amplitude, or — when neither pays, e.g. a run of two cheap gates on
-// far-apart qubits — a gate-by-gate replay with same-target runs merged,
-// recursively re-planned at width-1 first so a 5-wide region can still
-// yield profitable 2- and 3-wide tiles. A plan therefore never does worse
-// than the classic fusion path by more than the model's estimation error.
+// Each closed run is lowered, from its structure alone, to whatever the
+// cost model says is cheapest: a diagonal sweep when the run is
+// structurally diagonal (see diagonalFactors), a dense 2^w sweep when the
+// run absorbs enough work to amortise 2^w multiplies per amplitude, or —
+// when neither pays, e.g. a run of two cheap gates on far-apart qubits — a
+// gate-by-gate replay with same-target runs merged, recursively re-planned
+// at width-1 first so a 5-wide region can still yield profitable 2- and
+// 3-wide tiles. A plan therefore never does worse than the classic fusion
+// path by more than the model's estimation error. Only then are the
+// surviving blocks materialised: one matrix (or 2^w diagonal vector) per
+// fused block of the final schedule, none for runs that ended up narrower
+// or replayed.
 //
-// Planning is O(len(gates) * maxDeferred) worst case, linear in practice.
+// A block's scan reads its run, at most maxDeferred hoisted gates and the
+// gate that closed it, and writes back only the hoisted ones; a gate that
+// fits the block is also compared with every gate deferred so far. Per
+// re-planning level (at most MaxWidth-1, over disjoint runs) scheduling is
+// therefore O(len(gates) * maxDeferred) while blocks defer few gates —
+// every circuit family in the tests — and O(len(gates) * maxDeferred^2)
+// worst case. Materialisation adds O(4^w) per gate of a dense block and
+// O(2^w) per gate of a diagonal one.
 func New(c *circuit.Circuit, width int) *Plan {
-	if width < 1 {
-		width = 1
-	}
-	if width > MaxWidth {
-		width = MaxWidth
-	}
-	queue := make([]item, len(c.Gates))
-	for i, g := range c.Gates {
-		queue[i] = item{g: g, mask: bitops.ControlMask(g.Qubits())}
-	}
-	return &Plan{Width: width, Blocks: schedule(queue, width)}
+	p := &Plan{Width: clampWidth(width)}
+	s := scheduler{emit: func(kind blockKind, run []item, support uint64, cost float64) {
+		p.Blocks = append(p.Blocks, materialise(kind, run, support, cost))
+	}}
+	s.schedule(itemsOf(c.Gates), p.Width)
+	return p
 }
 
-// schedule is the greedy block-forming scan over an item stream.
-func schedule(queue []item, width int) []Block {
-	var blocks []Block
-	for len(queue) > 0 {
-		head := queue[0]
+// Cost is the cost-only entry point: the model's sweep-unit estimate of
+// executing gs under a width-wide fused schedule. It runs the same
+// scheduler as New and skips materialisation, so it builds no matrix and
+// returns exactly New(c, width).Stats().EstChosen for a circuit c over gs.
+func Cost(gs []gates.Gate, width int) float64 {
+	total := 0.0
+	s := scheduler{emit: func(_ blockKind, _ []item, _ uint64, cost float64) { total += cost }}
+	s.schedule(itemsOf(gs), clampWidth(width))
+	return total
+}
+
+// schedule is the greedy block-forming scan over an item stream. It works
+// in place behind a cursor: when a block closes, everything between the
+// cursor and the scan position is either in the run or deferred, so the
+// deferred gates are written back just before the scan position and the
+// cursor resumes there — the gates the scan never reached do not move.
+func (s *scheduler) schedule(queue []item, width int) {
+	buf := &s.scratch[width]
+	for pos := 0; pos < len(queue); {
+		head := queue[pos]
 		if bitops.PopCount(head.mask) > width {
-			blocks = append(blocks, replayBlock([]item{head}))
-			queue = queue[1:]
+			s.lowerRun(queue[pos:pos+1], head.mask)
+			pos++
 			continue
 		}
-		run := []item{head}
+		buf.run = append(buf.run[:0], head)
+		buf.deferred = buf.deferred[:0]
 		support := head.mask
-		var deferred []item
-		i := 1
-		for i < len(queue) && len(deferred) < maxDeferred {
+		i := pos + 1
+		for i < len(queue) && len(buf.deferred) < maxDeferred {
 			it := queue[i]
-			if union := support | it.mask; bitops.PopCount(union) <= width && commutesWithAll(it, deferred) {
-				run = append(run, it)
+			if union := support | it.mask; bitops.PopCount(union) <= width && commutesWithAll(it, buf.deferred) {
+				buf.run = append(buf.run, it)
 				support = union
 				i++
 				continue
@@ -252,71 +319,59 @@ func schedule(queue []item, width int) []Block {
 			// later block additions jumping over it. Only defer gates with
 			// a chance of staying out of the block's way, so the scan
 			// doesn't stall collecting unfuseable gates.
-			if it.g.IsDiagonalOnState() || it.mask&support == 0 {
-				deferred = append(deferred, it)
+			if it.diag || it.mask&support == 0 {
+				buf.deferred = append(buf.deferred, it)
 				i++
 				continue
 			}
 			break
 		}
-		blocks = append(blocks, lowerRun(run, support, width)...)
-		rest := queue[i:]
-		if len(deferred) == 0 {
-			queue = rest
-			continue
-		}
-		next := make([]item, 0, len(deferred)+len(rest))
-		next = append(next, deferred...)
-		next = append(next, rest...)
-		queue = next
+		s.lowerRun(buf.run, support)
+		pos = i - len(buf.deferred)
+		copy(queue[pos:i], buf.deferred)
 	}
-	return blocks
 }
 
-// lowerRun turns one scheduled run into execution blocks, choosing the
-// cheapest of diagonal sweep, dense sweep, narrower re-planning, or
-// gate-by-gate replay.
-func lowerRun(run []item, support uint64, width int) []Block {
+// lowerRun decides how one scheduled run executes — diagonal sweep, dense
+// sweep, narrower re-planning, or gate-by-gate replay — from the run's
+// structure and the cost model alone; no block matrix is built here.
+func (s *scheduler) lowerRun(run []item, support uint64) {
 	w := bitops.PopCount(support)
-	if len(run) == 1 || w < 2 {
-		return []Block{replayBlock(run)}
-	}
-	rb := replayBlock(run)
-	qubits, m := accumulate(run, support, w)
-	if d, ok := diagonalOf(m, 1<<w); ok {
-		if diagBlockCost < rb.cost {
-			return []Block{{Qubits: qubits, Diag: d, Gates: rb.Gates, cost: diagBlockCost}}
+	replay := mergeReplay(run, nil)
+	switch {
+	case len(run) == 1 || w < 2:
+		// Nothing to fuse.
+	case diagonalFactors(run, nil):
+		// Narrower tiles of a diagonal run would each cost the same
+		// diagonal sweep, so a run it does not pay for is replayed.
+		if diagBlockCost < replay {
+			s.emit(diagKind, run, support, diagBlockCost)
+			return
 		}
-		return []Block{rb}
-	}
-	if denseBlockCost[w] < rb.cost {
-		return []Block{{Qubits: qubits, Matrix: m, Gates: rb.Gates, cost: denseBlockCost[w]}}
-	}
-	if w > 2 {
+	case denseBlockCost[w] < replay:
+		s.emit(denseKind, run, support, denseBlockCost[w])
+		return
+	case w > 2:
 		// The wide block does not pay; narrower tiles of the same run
 		// might (e.g. a 5-qubit region that splits into rich 2-qubit
 		// pairs). Each recursive level strictly shrinks the width, and
-		// every sub-block again falls back to replay at worst.
-		return schedule(run, w-1)
+		// every sub-block again falls back to replay at worst. The inner
+		// scan reorders run in place, which is scratch from here on.
+		s.schedule(run, w-1)
+		return
 	}
-	return []Block{rb}
+	s.emit(replayKind, run, support, replay)
 }
 
-// replayBlock builds the unfused form of a run: the original gates kept
-// for introspection, plus the executor's sequence with maximal same-target
-// uncontrolled single-qubit runs merged into single gates — the paper's
-// classic fusion, so an unfused block is never slower than the Fuse
-// option of the simulator. cost is the model estimate of the merged
-// sequence.
-func replayBlock(run []item) Block {
-	originals := make([]gates.Gate, len(run))
-	for i, it := range run {
-		originals[i] = it.g
-	}
-	merged := make([]gates.Gate, 0, len(run))
+// mergeReplay walks the unfused form of a run — the original gates with
+// maximal same-target uncontrolled single-qubit runs merged into single
+// gates, the paper's classic fusion, so an unfused block is never slower
+// than the Fuse option of the simulator — and returns the model estimate
+// of that sequence. When out is non-nil the sequence is appended to it.
+func mergeReplay(run []item, out *[]gates.Gate) float64 {
 	cost := 0.0
 	for i := 0; i < len(run); {
-		g := run[i].g
+		g := *run[i].g
 		j := i + 1
 		if len(g.Controls) == 0 {
 			m := g.Matrix
@@ -328,33 +383,144 @@ func replayBlock(run []item) Block {
 				g = gates.Gate{Name: "fused", Matrix: m, Target: g.Target}
 			}
 		}
-		merged = append(merged, g)
-		cost += gateCost(g)
+		if out != nil {
+			*out = append(*out, g)
+		}
+		cost += GateCost(g)
 		i = j
 	}
-	return Block{Gates: originals, replay: merged, cost: cost}
+	return cost
 }
 
-// accumulate multiplies the run's gates into one dense 2^w matrix over the
-// ascending support qubits.
-func accumulate(run []item, support uint64, w int) ([]uint, []complex128) {
-	qubits := make([]uint, 0, w)
+// diagonalFactors is the structural diagonality rule. Uncontrolled
+// single-qubit gates on one qubit commute with everything in the run that
+// does not touch that qubit, so they are multiplied into one pending 2x2
+// per qubit, closed when a controlled gate touches the qubit or the run
+// ends. The run is a diagonal block iff every closed product and every
+// controlled gate is diagonal on the state: phase/Rz/CR runs, and also
+// H·H or H·X·H on one qubit with foreign gates in between. Products of
+// entangling gates that happen to cancel (H·CX·H) are not recognised;
+// such a run is priced as dense. When out is non-nil the diagonal factors,
+// whose product is the run's, are appended to it.
+func diagonalFactors(run []item, out *[]gates.Gate) bool {
+	var pending [64]gates.Matrix2
+	var open uint64 // qubits with a pending product
+	closeQubits := func(mask uint64) bool {
+		for m := mask & open; m != 0; m &= m - 1 {
+			q := uint(bits.TrailingZeros64(m))
+			g := gates.Gate{Name: "fused", Matrix: pending[q], Target: q}
+			if !g.IsDiagonalOnState() {
+				return false
+			}
+			if out != nil {
+				*out = append(*out, g)
+			}
+		}
+		open &^= mask
+		return true
+	}
+	for _, it := range run {
+		if q := it.g.Target; len(it.g.Controls) == 0 {
+			if open&(1<<q) != 0 {
+				pending[q] = it.g.Matrix.Mul(pending[q])
+			} else {
+				pending[q] = it.g.Matrix
+				open |= 1 << q
+			}
+			continue
+		}
+		if !it.diag || !closeQubits(it.mask) {
+			return false
+		}
+		if out != nil {
+			*out = append(*out, *it.g)
+		}
+	}
+	return closeQubits(open)
+}
+
+// materialise builds the execution form of one scheduled block: the
+// original gates kept for introspection, plus the replay sequence, the
+// 2^w diagonal or the dense matrix the verdict calls for. A dense block
+// whose product turns out numerically diagonal (H·X·H) executes through
+// the cheaper diagonal kernel; its cost stays the planned one.
+func materialise(kind blockKind, run []item, support uint64, cost float64) Block {
+	b := Block{Gates: make([]gates.Gate, len(run)), cost: cost}
+	for i, it := range run {
+		b.Gates[i] = *it.g
+	}
+	if kind == replayKind {
+		b.replay = make([]gates.Gate, 0, len(run))
+		mergeReplay(run, &b.replay)
+		return b
+	}
 	var pos [64]uint
 	for q := uint(0); q < 64; q++ {
 		if support&(1<<q) != 0 {
-			pos[q] = uint(len(qubits))
-			qubits = append(qubits, q)
+			pos[q] = uint(len(b.Qubits))
+			b.Qubits = append(b.Qubits, q)
 		}
 	}
-	dim := 1 << w
+	dim := 1 << len(b.Qubits)
+	if kind == diagKind {
+		factors := make([]gates.Gate, 0, len(run))
+		diagonalFactors(run, &factors)
+		b.Diag = diagonalProduct(factors, dim, &pos)
+		return b
+	}
+	m := accumulate(run, dim, &pos)
+	if d, ok := diagonalOf(m, dim); ok {
+		b.Diag = d
+	} else {
+		b.Matrix = m
+	}
+	return b
+}
+
+// localMasks returns g's target bit and control mask in the block's local
+// 2^w index space.
+func localMasks(g *gates.Gate, pos *[64]uint) (tb, cm int) {
+	for _, c := range g.Controls {
+		cm |= 1 << pos[c]
+	}
+	return 1 << pos[g.Target], cm
+}
+
+// diagonalProduct multiplies a sequence of state-diagonal gates straight
+// into the block's 2^w diagonal: entry i picks up each gate's |0> or |1>
+// phase by i's target bit wherever i satisfies the gate's controls.
+func diagonalProduct(seq []gates.Gate, dim int, pos *[64]uint) []complex128 {
+	d := make([]complex128, dim)
+	for i := range d {
+		d[i] = 1
+	}
+	for k := range seq {
+		g := &seq[k]
+		tb, cm := localMasks(g, pos)
+		for i := range d {
+			switch {
+			case i&cm != cm:
+			case i&tb == 0:
+				d[i] *= g.Matrix[0]
+			default:
+				d[i] *= g.Matrix[3]
+			}
+		}
+	}
+	return d
+}
+
+// accumulate multiplies the run's gates into one dense dim x dim matrix
+// over the ascending support qubits.
+func accumulate(run []item, dim int, pos *[64]uint) []complex128 {
 	m := make([]complex128, dim*dim)
 	for i := 0; i < dim; i++ {
 		m[i*dim+i] = 1
 	}
 	for _, it := range run {
-		mulInto(m, dim, it.g, &pos)
+		mulInto(m, dim, it.g, pos)
 	}
-	return qubits, m
+	return m
 }
 
 // mulInto left-multiplies the local embedding of gate g into the
@@ -362,12 +528,8 @@ func accumulate(run []item, support uint64, w int) ([]uint, []complex128) {
 // treated as a 2^w state vector and g is applied to it exactly as the
 // state kernels apply it to the global vector: rows whose control bits are
 // not all set are untouched, satisfied row pairs get the 2x2.
-func mulInto(m []complex128, dim int, g gates.Gate, pos *[64]uint) {
-	tb := 1 << pos[g.Target]
-	cm := 0
-	for _, c := range g.Controls {
-		cm |= 1 << pos[c]
-	}
+func mulInto(m []complex128, dim int, g *gates.Gate, pos *[64]uint) {
+	tb, cm := localMasks(g, pos)
 	for r0 := 0; r0 < dim; r0++ {
 		if r0&tb != 0 || r0&cm != cm {
 			continue
@@ -383,17 +545,18 @@ func mulInto(m []complex128, dim int, g gates.Gate, pos *[64]uint) {
 }
 
 // diagonalOf extracts the diagonal of m when every off-diagonal entry is
-// negligible, reporting ok=false otherwise.
+// negligible (both components within diagEps), reporting ok=false
+// otherwise.
 func diagonalOf(m []complex128, dim int) ([]complex128, bool) {
 	for r := 0; r < dim; r++ {
-		for c := 0; c < dim; c++ {
-			if r != c && cmplx.Abs(m[r*dim+c]) > diagEps {
+		for c, v := range m[r*dim : r*dim+dim] {
+			if r != c && (math.Abs(real(v)) > diagEps || math.Abs(imag(v)) > diagEps) {
 				return nil, false
 			}
 		}
 	}
 	d := make([]complex128, dim)
-	for i := 0; i < dim; i++ {
+	for i := range d {
 		d[i] = m[i*dim+i]
 	}
 	return d, true
