@@ -398,12 +398,21 @@ func Fingerprint(c *circuit.Circuit, t Target) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	w := binio.NewWriter(nil)
+	// The encoding streams into the hash through one small buffer,
+	// flushed per gate: a long circuit's key costs no buffer of its size.
+	h := sha256.New()
+	var scratch [512]byte
+	w := binio.NewWriter(scratch[:0])
+	flush := func() {
+		h.Write(w.Bytes())
+		w.Reset()
+	}
 	t.Workers = 0
 	encodeTarget(w, t)
 	w.U32(uint32(len(c.Gates)))
 	for _, g := range c.Gates {
 		encodeGate(w, g)
+		flush()
 	}
 	w.U32(uint32(len(c.Regions)))
 	for _, r := range c.Regions {
@@ -433,6 +442,6 @@ func Fingerprint(c *circuit.Circuit, t Target) (string, error) {
 			w.F64(gn.Ch.P)
 		}
 	}
-	sum := sha256.Sum256(w.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	flush()
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

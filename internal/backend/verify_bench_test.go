@@ -71,8 +71,8 @@ func BenchmarkDecodeVerify(b *testing.B) {
 // Best-of-N minima are compared — the minimum is the stable estimator of
 // a deterministic code path's cost under scheduler noise.
 func TestVerifyOverheadBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
+	if testing.Short() || purePass {
+		t.Skip("timing guard skipped in -short mode and in the pure-Go second pass")
 	}
 	data := serveArtifact(t, 18)
 

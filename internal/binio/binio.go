@@ -39,6 +39,10 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
+// Reset empties the writer, keeping its buffer for reuse. Slices
+// previously returned by Bytes are overwritten by later writes.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 

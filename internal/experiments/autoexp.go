@@ -118,18 +118,25 @@ func autoWorkload(name string, c *circuit.Circuit) (AutoRow, error) {
 	return row, nil
 }
 
-// Auto runs the auto-vs-manual sweep: a QFT workload (emulation should
+// autoWorkloads is the sweep's circuits: a QFT workload (emulation should
 // win) and a dense-tile ansatz (block fusion should win).
-func Auto(cfg AutoConfig) ([]AutoRow, error) {
-	var rows []AutoRow
-	workloads := []struct {
+func autoWorkloads(cfg AutoConfig) []struct {
+	name string
+	c    *circuit.Circuit
+} {
+	return []struct {
 		name string
 		c    *circuit.Circuit
 	}{
 		{fmt.Sprintf("qft-noswap-n%d", cfg.QFTQubits), qft.CircuitNoSwap(cfg.QFTQubits)},
 		{fmt.Sprintf("tiled-n%d", cfg.TileQubits), TiledAnsatz(cfg.TileQubits, 4, cfg.TileReps, 1, 5)},
 	}
-	for _, w := range workloads {
+}
+
+// Auto runs the auto-vs-manual sweep over autoWorkloads.
+func Auto(cfg AutoConfig) ([]AutoRow, error) {
+	var rows []AutoRow
+	for _, w := range autoWorkloads(cfg) {
 		row, err := autoWorkload(w.name, w.c)
 		if err != nil {
 			return rows, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"repro/internal/circuit"
@@ -66,6 +67,43 @@ func TiledAnsatz(n, tile uint, reps, passes int, seed uint64) *circuit.Circuit {
 				for q := lo; q+1 < lo+tile; q++ {
 					c.Append(gates.CNOT(q, q+1))
 				}
+			}
+		}
+	}
+	return c
+}
+
+// GateSweep rebuilds the circuit of the benchmark's gate-sweep workload
+// (benchmark/gen.go, genGateSweep — a module of its own, so it cannot be
+// imported): layers of one random rotation per qubit followed by CNOT/CZ
+// between the low and the high half of the register under a random
+// bijection. Axes, pairs and entangler kinds come from the benchmark's
+// fixed shape stream, angles from seed, so the plan of GateSweep(20, 10,
+// seed) is the plan the benchmark's fuse.blocks_per_gate and
+// fuse.dense_share read, whatever the seed.
+func GateSweep(n uint, layers int, seed uint64) *circuit.Circuit {
+	stream := func(seed uint64, purpose string) *rng.Source {
+		h := fnv.New64a()
+		h.Write([]byte(purpose))
+		return rng.New(seed*0x9e3779b97f4a7c15 ^ h.Sum64())
+	}
+	shape, src := stream(1, "gate-sweep-shape"), stream(seed, "gate-sweep")
+	c := circuit.New(n)
+	half := int(n) / 2
+	for l := 0; l < layers; l++ {
+		for q := uint(0); q < n; q++ {
+			theta := 0.1 + src.Float64()*(2*math.Pi-0.2)
+			c.Append([]func(uint, float64) gates.Gate{gates.Rx, gates.Ry, gates.Rz}[shape.Intn(3)](q, theta))
+		}
+		for lo, hi := range shape.Perm(half) {
+			a, b := uint(lo), uint(half+hi)
+			if shape.Intn(2) == 0 {
+				a, b = b, a
+			}
+			if shape.Intn(2) == 0 {
+				c.Append(gates.CNOT(a, b))
+			} else {
+				c.Append(gates.CZ(a, b))
 			}
 		}
 	}

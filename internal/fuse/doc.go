@@ -78,5 +78,5 @@
 // dense block must win on arithmetic rather than memory traffic.
 //
 // Execution lives in the sim package (Options.FuseWidth) on top of the
-// statevec.ApplyMatrixN / ApplyControlledMatrixN / ApplyDiagN kernels.
+// statevec.ApplyMatrixN / ApplyDiagN kernels.
 package fuse

@@ -1,12 +1,12 @@
 package qasm
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -64,9 +64,46 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 
 // ParseSource is Parse plus the SourceMap of the accepted input.
 func ParseSource(r io.Reader) (*circuit.Circuit, *SourceMap, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("qasm: %v", err)
+	}
+	return parseText(string(data))
+}
+
+// appendFields is strings.Fields appending into dst, so a line's tokens
+// land in the caller's scratch instead of a fresh slice.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// parseText parses a whole source text. It walks the lines of src in
+// place — tokens are substrings, the token list and the per-line gate
+// list are reused scratch — and reserves the gate list from the line
+// count, so parsing allocates little beyond the circuit it returns.
+func parseText(src string) (*circuit.Circuit, *SourceMap, error) {
 	sm := &SourceMap{}
-	sc := bufio.NewScanner(r)
 	var circ *circuit.Circuit
+	// A gate takes a line of at least four bytes ("h 0\n"); the second
+	// bound keeps a text of bare newlines from reserving 100x its size.
+	maxGates := min(strings.Count(src, "\n")+1, len(src)/4+1)
+	var fieldBuf [8]string
+	var gateBuf [3]gates.Gate
 	lineNo := 0
 	type openRegion struct {
 		name string
@@ -75,13 +112,15 @@ func ParseSource(r io.Reader) (*circuit.Circuit, *SourceMap, error) {
 		line int
 	}
 	var region *openRegion
-	for sc.Scan() {
+	for src != "" {
 		lineNo++
-		line := sc.Text()
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		fields := strings.Fields(strings.ToLower(line))
+		// ToLower returns its argument when there is nothing to lower.
+		fields := appendFields(fieldBuf[:0], strings.ToLower(line))
 		if len(fields) == 0 {
 			continue
 		}
@@ -97,6 +136,8 @@ func ParseSource(r io.Reader) (*circuit.Circuit, *SourceMap, error) {
 				return nil, nil, fmt.Errorf("qasm: line %d: bad qubit count %q", lineNo, fields[1])
 			}
 			circ = circuit.New(uint(n))
+			circ.Gates = make([]gates.Gate, 0, maxGates)
+			sm.GateLine = make([]int, 0, maxGates)
 			sm.QubitsLine = lineNo
 			continue
 		}
@@ -212,12 +253,14 @@ func ParseSource(r io.Reader) (*circuit.Circuit, *SourceMap, error) {
 				return nil, nil, fmt.Errorf("qasm: line %d: ctrl prefix without gate", lineNo)
 			}
 		}
-		gs, err := parseGate(fields, circ.NumQubits)
+		gs, err := parseGate(gateBuf[:0], fields, circ.NumQubits)
 		if err != nil {
 			return nil, nil, fmt.Errorf("qasm: line %d: %v", lineNo, err)
 		}
-		for _, g := range gs {
-			full := g.WithControls(extraControls...)
+		for _, full := range gs {
+			if len(extraControls) > 0 {
+				full = full.WithControls(extraControls...)
+			}
 			// Reject control == target and duplicated controls here, with
 			// the line number, instead of letting the state-vector kernels
 			// panic deep inside a run.
@@ -227,9 +270,6 @@ func ParseSource(r io.Reader) (*circuit.Circuit, *SourceMap, error) {
 			circ.Append(full)
 			sm.GateLine = append(sm.GateLine, lineNo)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("qasm: %v", err)
 	}
 	if region != nil {
 		return nil, nil, fmt.Errorf("qasm: line %d: region %q never closed", region.line, region.name)
@@ -246,7 +286,8 @@ func ParseSource(r io.Reader) (*circuit.Circuit, *SourceMap, error) {
 // silently pass duplicates at indices >= 64 (shifts of >= 64 drop out).
 func validateGateQubits(g gates.Gate) error {
 	var seen [4]uint64
-	for _, q := range g.Qubits() {
+	seen[g.Target>>6] = 1 << (g.Target & 63)
+	for _, q := range g.Controls {
 		w, b := q>>6, uint64(1)<<(q&63)
 		if seen[w]&b != 0 {
 			return fmt.Errorf("duplicate qubit %d in gate (target and controls must be distinct)", q)
@@ -258,7 +299,8 @@ func validateGateQubits(g gates.Gate) error {
 
 // ParseString parses a circuit from a string.
 func ParseString(s string) (*circuit.Circuit, error) {
-	return Parse(strings.NewReader(s))
+	c, _, err := parseText(s)
+	return c, err
 }
 
 func parseQubit(s string, n uint) (uint, error) {
@@ -310,40 +352,34 @@ func parseAngle(s string) (float64, error) {
 	return v, nil
 }
 
-func parseGate(fields []string, n uint) ([]gates.Gate, error) {
+// parseGate appends the gate(s) of one gate line to out.
+func parseGate(out []gates.Gate, fields []string, n uint) ([]gates.Gate, error) {
 	name := fields[0]
 	args := fields[1:]
-	qubitArgs := func(count int) ([]uint, error) {
+	// No gate takes more than three qubits, so the parsed arguments come
+	// back by value.
+	qubitArgs := func(count int) (qs [3]uint, err error) {
 		if len(args) != count {
-			return nil, fmt.Errorf("%s expects %d qubit argument(s), got %d", name, count, len(args))
+			return qs, fmt.Errorf("%s expects %d qubit argument(s), got %d", name, count, len(args))
 		}
-		out := make([]uint, count)
 		for i, a := range args {
-			q, err := parseQubit(a, n)
-			if err != nil {
-				return nil, err
+			if qs[i], err = parseQubit(a, n); err != nil {
+				return qs, err
 			}
-			out[i] = q
 		}
-		return out, nil
+		return qs, nil
 	}
-	qubitAngleArgs := func(count int) ([]uint, float64, error) {
+	qubitAngleArgs := func(count int) (qs [3]uint, theta float64, err error) {
 		if len(args) != count+1 {
-			return nil, 0, fmt.Errorf("%s expects %d qubit(s) and an angle", name, count)
+			return qs, 0, fmt.Errorf("%s expects %d qubit(s) and an angle", name, count)
 		}
-		qs := make([]uint, count)
 		for i := 0; i < count; i++ {
-			q, err := parseQubit(args[i], n)
-			if err != nil {
-				return nil, 0, err
+			if qs[i], err = parseQubit(args[i], n); err != nil {
+				return qs, 0, err
 			}
-			qs[i] = q
 		}
-		theta, err := parseAngle(args[count])
-		if err != nil {
-			return nil, 0, err
-		}
-		return qs, theta, nil
+		theta, err = parseAngle(args[count])
+		return qs, theta, err
 	}
 
 	switch name {
@@ -352,103 +388,103 @@ func parseGate(fields []string, n uint) ([]gates.Gate, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.X(q[0])}, nil
+		return append(out, gates.X(q[0])), nil
 	case "y":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Y(q[0])}, nil
+		return append(out, gates.Y(q[0])), nil
 	case "z":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Z(q[0])}, nil
+		return append(out, gates.Z(q[0])), nil
 	case "h":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.H(q[0])}, nil
+		return append(out, gates.H(q[0])), nil
 	case "s":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.S(q[0])}, nil
+		return append(out, gates.S(q[0])), nil
 	case "t":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.T(q[0])}, nil
+		return append(out, gates.T(q[0])), nil
 	case "sdg":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.S(q[0]).Dagger()}, nil
+		return append(out, gates.S(q[0]).Dagger()), nil
 	case "tdg":
 		q, err := qubitArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.T(q[0]).Dagger()}, nil
+		return append(out, gates.T(q[0]).Dagger()), nil
 	case "rx":
 		q, theta, err := qubitAngleArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Rx(q[0], theta)}, nil
+		return append(out, gates.Rx(q[0], theta)), nil
 	case "ry":
 		q, theta, err := qubitAngleArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Ry(q[0], theta)}, nil
+		return append(out, gates.Ry(q[0], theta)), nil
 	case "rz":
 		q, theta, err := qubitAngleArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Rz(q[0], theta)}, nil
+		return append(out, gates.Rz(q[0], theta)), nil
 	case "phase", "r":
 		q, theta, err := qubitAngleArgs(1)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Phase(q[0], theta)}, nil
+		return append(out, gates.Phase(q[0], theta)), nil
 	case "cnot", "cx":
 		q, err := qubitArgs(2)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.CNOT(q[0], q[1])}, nil
+		return append(out, gates.CNOT(q[0], q[1])), nil
 	case "cz":
 		q, err := qubitArgs(2)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.CZ(q[0], q[1])}, nil
+		return append(out, gates.CZ(q[0], q[1])), nil
 	case "cr", "cphase":
 		q, theta, err := qubitAngleArgs(2)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.CR(q[0], q[1], theta)}, nil
+		return append(out, gates.CR(q[0], q[1], theta)), nil
 	case "toffoli", "ccx", "ccnot":
 		q, err := qubitArgs(3)
 		if err != nil {
 			return nil, err
 		}
-		return []gates.Gate{gates.Toffoli(q[0], q[1], q[2])}, nil
+		return append(out, gates.Toffoli(q[0], q[1], q[2])), nil
 	case "swap":
 		q, err := qubitArgs(2)
 		if err != nil {
 			return nil, err
 		}
-		return gates.Swap(q[0], q[1]), nil
+		return append(out, gates.Swap(q[0], q[1])...), nil
 	default:
 		return nil, fmt.Errorf("unknown gate %q", name)
 	}

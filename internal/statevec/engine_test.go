@@ -35,7 +35,7 @@ func TestPooledKernelsMatchSerial(t *testing.T) {
 			ser.ApplyGate(g)
 		}
 		// A generic 3-qubit block through the gather/scatter sweep.
-		blk := randomUnitary3(src)
+		blk := randomUnitary(src, 3)
 		qs := []uint{1, 5, 9}
 		par.ApplyMatrixN(blk, qs)
 		ser.ApplyMatrixN(blk, qs)
@@ -85,11 +85,13 @@ func TestPooledKernelsMatchSerial(t *testing.T) {
 	}
 }
 
-// randomUnitary3 builds a Haar-ish random 8x8 unitary by orthonormalising
-// random columns (Gram-Schmidt); exact unitarity is not required for the
-// parity check, but keeps the state well-conditioned.
-func randomUnitary3(src *rng.Source) []complex128 {
-	const d = 8
+// randomUnitary builds a Haar-ish random 2^w x 2^w unitary by
+// orthonormalising random columns (Gram-Schmidt); exact unitarity is not
+// required for the parity checks, but keeps the state well-conditioned —
+// and out of the denormal range when a benchmark applies it thousands of
+// times.
+func randomUnitary(src *rng.Source, w uint) []complex128 {
+	d := 1 << w
 	cols := make([][]complex128, d)
 	for c := range cols {
 		v := make([]complex128, d)

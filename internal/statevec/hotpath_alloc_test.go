@@ -18,6 +18,16 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	s.ApplyHadamard(0) // spread some mass so collapse paths stay legal
 	controls := []uint{3, 4}
 	m4 := &[16]complex128{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
+	// Identity blocks of widths 2..4 and the qubits they act on.
+	var blocks [5][]complex128
+	for w := 2; w <= 4; w++ {
+		blocks[w] = make([]complex128, 1<<(2*w))
+		for i := 0; i < 1<<w; i++ {
+			blocks[w][i<<w|i] = 1
+		}
+	}
+	qubits := []uint{6, 0, 3, 5}
+	ones := []complex128{1, 1, 1, 1, 1, 1, 1, 1}
 	cases := []struct {
 		name string
 		run  func()
@@ -31,6 +41,10 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyHadamard", func() { s.ApplyHadamard(1) }},
 		{"ApplyMatrix4", func() { s.ApplyMatrix4(m4, 1, 2) }},
 		{"ApplySwap", func() { s.ApplySwap(1, 2) }},
+		{"ApplyMatrixN/w=2", func() { s.ApplyMatrixN(blocks[2], qubits[:2]) }},
+		{"ApplyMatrixN/w=3", func() { s.ApplyMatrixN(blocks[3], qubits[:3]) }},
+		{"ApplyMatrixN/w=4", func() { s.ApplyMatrixN(blocks[4], qubits[:4]) }},
+		{"ApplyDiagN", func() { s.ApplyDiagN(ones, qubits[:3]) }},
 		{"collapseScaled", func() { s.collapseScaled(0, 0, 1) }},
 	}
 	for _, c := range cases {

@@ -2,7 +2,7 @@ package statevec
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/bitops"
 )
@@ -56,53 +56,21 @@ func (s *State) checkMatrixN(m []complex128, qubits []uint) uint {
 // neighbourhoods. Cost per amplitude is 2^w complex multiplies, so wider
 // blocks only pay off when they absorb enough gates; the scheduler makes
 // that call, the kernel just executes it.
+//
+//qemu:hotpath
 func (s *State) ApplyMatrixN(m []complex128, qubits []uint) {
-	w := s.checkMatrixN(m, qubits)
-	switch w {
+	switch s.checkMatrixN(m, qubits) {
 	case 1:
 		// Delegate to the tuned pair kernel.
 		s.ApplyMatrix2([4]complex128{m[0], m[1], m[2], m[3]}, qubits[0])
-		return
 	case 2:
-		// Delegate to the tuned two-qubit kernel, which is ~2x faster than
-		// the generic gather/scatter sweep at this width. Its local value
-		// convention (bit of q1 << 1 | bit of q0) matches bit j = qubits[j].
-		var m4 [16]complex128
-		copy(m4[:], m)
-		s.ApplyMatrix4(&m4, qubits[0], qubits[1])
-		return
+		// The two-qubit kernel picks the body at this width. Its local
+		// value convention (bit of q1 << 1 | bit of q0) matches bit j =
+		// qubits[j].
+		s.matrix4((*[16]complex128)(m), qubits[0], qubits[1])
+	default:
+		s.denseSweep(m, qubits)
 	}
-	s.applyMatrixN(m, qubits, nil)
-}
-
-// ApplyControlledMatrixN applies the 2^w x 2^w block m to qubits on the
-// subspace where every control qubit reads 1. Controls must be disjoint
-// from qubits. Groups whose controls are not satisfied are skipped without
-// touching their amplitudes, so a controlled block costs 1/2^c of the
-// uncontrolled sweep in memory traffic, exactly like the specialised
-// controlled single-qubit kernels.
-func (s *State) ApplyControlledMatrixN(m []complex128, qubits []uint, controls []uint) {
-	if len(controls) == 0 {
-		s.ApplyMatrixN(m, qubits)
-		return
-	}
-	if s.checkMatrixN(m, qubits) == 1 {
-		s.ApplyControlledMatrix2([4]complex128{m[0], m[1], m[2], m[3]}, qubits[0], controls)
-		return
-	}
-	var qmask uint64
-	for _, q := range qubits {
-		qmask |= 1 << q
-	}
-	for _, c := range controls {
-		if c >= s.n {
-			panic("statevec: control qubit out of range")
-		}
-		if qmask&(1<<c) != 0 {
-			panic("statevec: control overlaps block qubit")
-		}
-	}
-	s.applyMatrixN(m, qubits, controls)
 }
 
 // ApplyDiagN multiplies each amplitude by d[x], where x is the local
@@ -110,20 +78,31 @@ func (s *State) ApplyControlledMatrixN(m []complex128, qubits []uint, controls [
 // the diagonal special case of ApplyMatrixN: one multiply per amplitude in
 // a single sweep regardless of how many phase gates were folded into d, so
 // a fused run of CR/Rz/T gates costs what a single diagonal gate costs.
+//
+//qemu:hotpath
 func (s *State) ApplyDiagN(d []complex128, qubits []uint) {
 	s.checkDiagN(d, qubits)
-	w := uint(len(qubits))
-	sorted, offs := localLayout(qubits)
-	dim := 1 << w
-	groups := s.Dim() >> w
+	lay := s.layoutFor(qubits)
+	groups := s.Dim() >> lay.w
+	if s.parallelism(groups) <= 1 {
+		diagBlockChunk(s.amp, d, lay, 0, groups)
+		return
+	}
 	s.parallelRange(groups, func(start, end uint64) {
-		for c := start; c < end; c++ {
-			base := bitops.InsertZeroBits(c, sorted...)
-			for x := 0; x < dim; x++ {
-				s.amp[base|offs[x]] *= d[x]
-			}
-		}
+		diagBlockChunk(s.amp, d, lay, start, end)
 	})
+}
+
+// diagBlockChunk scales the amplitudes of groups [start, end) by d.
+func diagBlockChunk(amp, d []complex128, lay *blockLayout, start, end uint64) {
+	offs := lay.offs[:len(d)]
+	base := lay.groupBase(start)
+	for c := start; c < end; c++ {
+		for x, o := range offs {
+			amp[base|o] *= d[x]
+		}
+		base = lay.nextGroup(base)
+	}
 }
 
 // checkDiagN panics unless d and qubits describe a valid diagonal
@@ -151,67 +130,119 @@ func (s *State) checkDiagN(d []complex128, qubits []uint) {
 	}
 }
 
-// localLayout returns the ascending copy of qubits (the InsertZeroBits
-// insertion points) and the offset table offs, where offs[x] is the
-// global-index offset of local basis state x: bit j of x maps to qubit
-// qubits[j]. Precomputing it turns the kernels' gather/scatter into
-// base|offs[x] with no per-amplitude bit fiddling.
-func localLayout(qubits []uint) (sorted []uint, offs []uint64) {
-	sorted = append([]uint(nil), qubits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	offs = make([]uint64, 1<<uint(len(qubits)))
-	for x := 1; x < len(offs); x++ {
-		j := uint(0)
-		for (x>>j)&1 == 0 {
-			j++
-		}
-		offs[x] = offs[x&(x-1)] | 1<<qubits[j]
-	}
-	return sorted, offs
+// blockLayout is the addressing of one 2^w block over the register,
+// computed once per kernel call and shared by every chunk: the amplitudes
+// of a group are amp[base|offs[x]], where base has zeros at the block's
+// qubits and x is the local basis state. It is State-owned scratch, so a
+// block kernel allocates nothing in steady state.
+type blockLayout struct {
+	w     uint
+	qmask uint64 // the block's qubits as an index mask
+	// offs[x] is the global-index offset of local basis state x: bit j of
+	// x maps to qubit qubits[j]. Only the first 2^w entries are live.
+	offs [1 << MaxMatrixNQubits]uint64
 }
 
-// applyMatrixN is the shared sweep. qubits is the caller's (validated)
-// local-bit order; controls may be nil.
-func (s *State) applyMatrixN(m []complex128, qubits []uint, controls []uint) {
-	w := uint(len(qubits))
-	dim := 1 << w
-	sorted, offs := localLayout(qubits)
-	cmask := bitops.ControlMask(controls)
-	groups := s.Dim() >> w
+// layoutFor fills the State's block layout for a validated qubit list.
+func (s *State) layoutFor(qubits []uint) *blockLayout {
+	if s.block == nil {
+		s.block = new(blockLayout)
+	}
+	lay := s.block
+	lay.w = uint(len(qubits))
+	lay.qmask = 0
+	for _, q := range qubits {
+		lay.qmask |= 1 << q
+	}
+	for x := 1; x < 1<<lay.w; x++ {
+		lay.offs[x] = lay.offs[x&(x-1)] | 1<<qubits[bits.TrailingZeros(uint(x))]
+	}
+	return lay
+}
+
+// groupBase returns the base index of group c: c spread around the
+// block's qubits, which read zero.
+func (lay *blockLayout) groupBase(c uint64) uint64 {
+	for m := lay.qmask; m != 0; m &= m - 1 {
+		c = bitops.InsertZeroBit(c, uint(bits.TrailingZeros64(m)))
+	}
+	return c
+}
+
+// nextGroup steps a group base to the following group's: with the block's
+// qubits filled in, adding one carries across them, and clearing them
+// again leaves the incremented counter spread around the holes. A chunk
+// pays groupBase once and this per group.
+func (lay *blockLayout) nextGroup(base uint64) uint64 {
+	return ((base | lay.qmask) + 1) &^ lay.qmask
+}
+
+// denseSweep is the shared dense block sweep behind ApplyMatrixN and
+// ApplyMatrix4. Callers have validated (m, qubits) against the register
+// (checkMatrixN / checkQubitPair): that validation, together with the
+// chunk bounds parallelRange hands out (disjoint, within [0, groups)), is
+// the whole memory-safety argument of the assembly body, which checks
+// nothing itself.
+func (s *State) denseSweep(m []complex128, qubits []uint) {
+	lay := s.layoutFor(qubits)
+	groups := s.Dim() >> lay.w
+	if s.parallelism(groups) <= 1 {
+		denseChunk(s.amp, m, lay, 0, groups)
+		return
+	}
 	s.parallelRange(groups, func(start, end uint64) {
-		// Per-worker scratch: the gathered local vector and its indices.
-		vec := make([]complex128, dim)
-		idx := make([]uint64, dim)
-		for c := start; c < end; c++ {
-			base := bitops.InsertZeroBits(c, sorted...)
-			if base&cmask != cmask {
-				continue
-			}
-			for x := 0; x < dim; x++ {
-				idx[x] = base | offs[x]
-				vec[x] = s.amp[idx[x]]
-			}
-			// Four rows at a time: independent accumulators break the
-			// multiply-add dependency chain that otherwise serialises the
-			// mat-vec at complex-FMA latency (dim >= 4 always holds here:
-			// w=1 delegates to ApplyMatrix2).
-			for r := 0; r < dim; r += 4 {
-				r0 := m[(r+0)*dim : (r+1)*dim]
-				r1 := m[(r+1)*dim : (r+2)*dim]
-				r2 := m[(r+2)*dim : (r+3)*dim]
-				r3 := m[(r+3)*dim : (r+4)*dim]
-				var a0, a1, a2, a3 complex128
-				for x, v := range vec {
-					a0 += r0[x] * v
-					a1 += r1[x] * v
-					a2 += r2[x] * v
-					a3 += r3[x] * v
-				}
-				s.amp[idx[r+0]] = a0
-				s.amp[idx[r+1]] = a1
-				s.amp[idx[r+2]] = a2
-				s.amp[idx[r+3]] = a3
-			}
-		}
+		denseChunk(s.amp, m, lay, start, end)
 	})
+}
+
+// denseChunk applies m to groups [start, end) of lay through whichever
+// body this host runs. The range check is the last guard in front of the
+// unchecked assembly; a violation is a bug in the chunk planner.
+func denseChunk(amp, m []complex128, lay *blockLayout, start, end uint64) {
+	if start > end || end > uint64(len(amp))>>lay.w {
+		panic("statevec: dense block chunk out of range")
+	}
+	if useDenseAsm {
+		denseChunkAsm(amp, m, lay, start, end)
+	} else {
+		denseChunkGo(amp, m, lay, start, end)
+	}
+}
+
+// denseChunkGo is the pure-Go body: the fallback on hosts without
+// AVX2/FMA and the oracle the assembly is tested against. Gather the
+// group, multiply four rows at a time, scatter in place.
+func denseChunkGo(amp, m []complex128, lay *blockLayout, start, end uint64) {
+	dim := 1 << lay.w
+	offs := lay.offs[:dim]
+	var tile [1 << MaxMatrixNQubits]complex128
+	vec := tile[:dim]
+	base := lay.groupBase(start)
+	for c := start; c < end; c++ {
+		for x, o := range offs {
+			vec[x] = amp[base|o]
+		}
+		// Four rows at a time: independent accumulators break the
+		// multiply-add dependency chain that otherwise serialises the
+		// mat-vec at complex-FMA latency (dim >= 4 always holds here:
+		// w=1 delegates to ApplyMatrix2).
+		for r := 0; r < dim; r += 4 {
+			r0 := m[(r+0)*dim : (r+1)*dim]
+			r1 := m[(r+1)*dim : (r+2)*dim]
+			r2 := m[(r+2)*dim : (r+3)*dim]
+			r3 := m[(r+3)*dim : (r+4)*dim]
+			var a0, a1, a2, a3 complex128
+			for x, v := range vec {
+				a0 += r0[x] * v
+				a1 += r1[x] * v
+				a2 += r2[x] * v
+				a3 += r3[x] * v
+			}
+			amp[base|offs[r+0]] = a0
+			amp[base|offs[r+1]] = a1
+			amp[base|offs[r+2]] = a2
+			amp[base|offs[r+3]] = a3
+		}
+		base = lay.nextGroup(base)
+	}
 }

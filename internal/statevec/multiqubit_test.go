@@ -119,39 +119,12 @@ func TestApplyMatrixNAgreesWithMatrix4(t *testing.T) {
 	}
 }
 
-func TestApplyControlledMatrixNMatchesControlledGates(t *testing.T) {
-	src := rng.New(987)
-	for trial := 0; trial < 10; trial++ {
-		n := uint(6)
-		qubits := []uint{1, 4}
-		controls := []uint{0, 3}
-		g0 := gates.Rx(1, src.Float64()*2).WithControls(controls...)
-		g1 := gates.Ry(4, src.Float64()*2).WithControls(controls...)
-		// Controlled block = block of the uncontrolled pair, controls lifted
-		// outside via ApplyControlledMatrixN.
-		dim := 4
-		block := mulN(
-			embedGate(gates.Gate{Matrix: g1.Matrix, Target: g1.Target}, qubits),
-			embedGate(gates.Gate{Matrix: g0.Matrix, Target: g0.Target}, qubits), dim)
-
-		ref := NewRandom(n, src)
-		got := ref.Clone()
-		ref.ApplyGate(g0)
-		ref.ApplyGate(g1)
-		got.ApplyControlledMatrixN(block, qubits, controls)
-		if d := got.MaxDiff(ref); d > 1e-12 {
-			t.Fatalf("trial %d: controlled block differs by %g", trial, d)
-		}
-	}
-}
-
 func TestApplyMatrixNPanicsOnBadInput(t *testing.T) {
 	s := New(3)
 	for name, fn := range map[string]func(){
 		"duplicate qubit": func() { s.ApplyMatrixN(make([]complex128, 16), []uint{1, 1}) },
 		"out of range":    func() { s.ApplyMatrixN(make([]complex128, 4), []uint{7}) },
 		"wrong size":      func() { s.ApplyMatrixN(make([]complex128, 9), []uint{0, 1}) },
-		"control overlap": func() { s.ApplyControlledMatrixN(make([]complex128, 4), []uint{0}, []uint{0}) },
 		"no qubits":       func() { s.ApplyMatrixN(nil, nil) },
 	} {
 		func() {

@@ -26,6 +26,43 @@
 // by the State; slices previously obtained from Amplitudes may therefore
 // be recycled as scratch storage after a permutation.
 //
+// # Kernel bodies
+//
+// The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyMatrix4 —
+// has two bodies. On amd64 hosts whose CPU reports AVX2 and FMA3 and whose
+// OS saves the YMM state (CPUID leaves 1 and 7 plus XGETBV, checked once
+// at package init, dense_amd64.go) it runs denseSweepAVX2
+// (dense_amd64.s); everywhere else, and as the oracle in tests, it runs
+// the pure-Go chunk functions (denseChunkGo, and the tuned matrix4Chunk at
+// w=2). Nothing else selects a body: no option, environment variable or
+// build tag beyond the GOARCH constraint.
+//
+// The assembly keeps the interleaved [re, im] layout and puts two groups
+// in one YMM register, one per 128-bit lane (two 128-bit loads, so qubit 0
+// inside the block is no special case). A complex multiply-add is two
+// FMAs: the broadcast real part times [re, im] and the broadcast imaginary
+// part times the swapped pair, in separate accumulators that one
+// VADDSUBPD folds per row; four rows at a time give eight independent
+// chains. The gathered tile is copied to the frame, so the in-place
+// scatter cannot clobber inputs; the matrix is read as the caller passed
+// it. The group loop is inside the assembly and steps the group base with
+// ((base | qmask) + 1) &^ qmask — the same blockLayout arithmetic the
+// pure-Go bodies and ApplyDiagN use — and every width from 2 to
+// MaxMatrixNQubits goes through the one body, its bounds being data.
+//
+// The assembly checks no bounds. Its memory safety is exactly: the
+// checkMatrixN / checkQubitPair validation every exported entry runs
+// before the first amplitude access (distinct in-range qubits, a matrix of
+// 4^w entries), plus chunk ranges inside [0, 2^(n-w)) — parallelRange's
+// partition, re-checked by denseChunk in front of the call. Goroutine
+// preemption cannot interrupt assembly, so one call sweeps at most
+// denseAsmSlice groups.
+//
+// Tests reach the pure-Go body by flipping the unexported useDenseAsm
+// (withDenseBody in bench_test.go); the statevec, fuse and backend suites
+// run a second pass with it off (their TestMain), so a host without AVX2
+// runs code that passed the same tests.
+//
 // # Validation contract
 //
 // Kernels panic on structurally invalid arguments — target or control
@@ -60,6 +97,9 @@ type State struct {
 	// scratch is the out-of-place buffer ApplyPermutation swaps with amp;
 	// nil until the first permutation.
 	scratch []complex128
+	// block is the layout scratch of the 2^w block kernels (ApplyMatrixN,
+	// ApplyMatrix4, ApplyDiagN); nil until the first block.
+	block *blockLayout
 	// pool is the persistent worker pool; nil until the first kernel large
 	// enough to go parallel.
 	pool *workerPool

@@ -26,6 +26,18 @@ func (s *State) ApplyMatrix4(m *[16]complex128, q0, q1 uint) {
 		panic("statevec: ApplyMatrix4 requires distinct qubits")
 	}
 	s.checkQubitPair(q0, q1)
+	s.matrix4(m, q0, q1)
+}
+
+// matrix4 is the width-2 dense sweep behind ApplyMatrix4 and
+// ApplyMatrixN, for a validated pair of distinct qubits: the shared
+// assembly sweep where it runs, the tuned pure-Go butterfly otherwise.
+func (s *State) matrix4(m *[16]complex128, q0, q1 uint) {
+	if useDenseAsm {
+		qubits := [2]uint{q0, q1}
+		s.denseSweep(m[:], qubits[:])
+		return
+	}
 	lo, hi := q0, q1
 	if lo > hi {
 		lo, hi = hi, lo
@@ -42,8 +54,8 @@ func (s *State) ApplyMatrix4(m *[16]complex128, q0, q1 uint) {
 	})
 }
 
-// matrix4Chunk runs the dense 4x4 butterfly over flat indices
-// [start, end); lo < hi are the insertion positions, b0/b1 the qubit
+// matrix4Chunk is the pure-Go body at width 2: the dense 4x4 butterfly
+// over flat indices [start, end); lo < hi are the insertion positions, b0/b1 the qubit
 // bit masks.
 func matrix4Chunk(amp []complex128, m *[16]complex128, lo, hi uint, b0, b1, start, end uint64) {
 	for c := start; c < end; c++ {
