@@ -73,40 +73,72 @@ func TiledAnsatz(n, tile uint, reps, passes int, seed uint64) *circuit.Circuit {
 	return c
 }
 
-// GateSweep rebuilds the circuit of the benchmark's gate-sweep workload
-// (benchmark/gen.go, genGateSweep — a module of its own, so it cannot be
-// imported): layers of one random rotation per qubit followed by CNOT/CZ
-// between the low and the high half of the register under a random
-// bijection. Axes, pairs and entangler kinds come from the benchmark's
-// fixed shape stream, angles from seed, so the plan of GateSweep(20, 10,
-// seed) is the plan the benchmark's fuse.blocks_per_gate and
-// fuse.dense_share read, whatever the seed.
-func GateSweep(n uint, layers int, seed uint64) *circuit.Circuit {
-	stream := func(seed uint64, purpose string) *rng.Source {
-		h := fnv.New64a()
-		h.Write([]byte(purpose))
-		return rng.New(seed*0x9e3779b97f4a7c15 ^ h.Sum64())
+// The two circuits below rebuild workloads of the benchmark
+// (benchmark/gen.go — a module of its own, so it cannot be imported) for
+// the tests that pin what its per-layer counters read. Which gate sits
+// where comes from the benchmark's fixed shape streams and only the
+// angles from seed, so plans and communication schedules are the
+// benchmark's whatever the seed.
+
+// benchStream is the benchmark's per-(seed, purpose) random stream.
+func benchStream(seed uint64, purpose string) *rng.Source {
+	h := fnv.New64a()
+	h.Write([]byte(purpose))
+	return rng.New(seed*0x9e3779b97f4a7c15 ^ h.Sum64())
+}
+
+// benchRotationLayer appends one rotation per qubit: axis from shape,
+// angle from src.
+func benchRotationLayer(c *circuit.Circuit, shape, src *rng.Source) {
+	for q := uint(0); q < c.NumQubits; q++ {
+		theta := 0.1 + src.Float64()*(2*math.Pi-0.2)
+		c.Append([]func(uint, float64) gates.Gate{gates.Rx, gates.Ry, gates.Rz}[shape.Intn(3)](q, theta))
 	}
-	shape, src := stream(1, "gate-sweep-shape"), stream(seed, "gate-sweep")
+}
+
+// benchEntangler is CNOT or CZ on (a, b), drawn from shape.
+func benchEntangler(shape *rng.Source, a, b uint) gates.Gate {
+	if shape.Intn(2) == 0 {
+		return gates.CNOT(a, b)
+	}
+	return gates.CZ(a, b)
+}
+
+// GateSweep is the gate-sweep workload's circuit (genGateSweep): layers
+// of one random rotation per qubit followed by CNOT/CZ between the low and
+// the high half of the register under a random bijection. The benchmark
+// runs GateSweep(20, 10, seed) at Fused w=4.
+func GateSweep(n uint, layers int, seed uint64) *circuit.Circuit {
+	shape, src := benchStream(1, "gate-sweep-shape"), benchStream(seed, "gate-sweep")
 	c := circuit.New(n)
 	half := int(n) / 2
 	for l := 0; l < layers; l++ {
-		for q := uint(0); q < n; q++ {
-			theta := 0.1 + src.Float64()*(2*math.Pi-0.2)
-			c.Append([]func(uint, float64) gates.Gate{gates.Rx, gates.Ry, gates.Rz}[shape.Intn(3)](q, theta))
-		}
+		benchRotationLayer(c, shape, src)
 		for lo, hi := range shape.Perm(half) {
 			a, b := uint(lo), uint(half+hi)
 			if shape.Intn(2) == 0 {
 				a, b = b, a
 			}
-			if shape.Intn(2) == 0 {
-				c.Append(gates.CNOT(a, b))
-			} else {
-				c.Append(gates.CZ(a, b))
-			}
+			c.Append(benchEntangler(shape, a, b))
 		}
 	}
+	return c
+}
+
+// ClusterShard is the cluster-shard workload's circuit (genClusterShard):
+// brickwork — rotation layers with CNOT/CZ on neighbouring pairs in
+// alternating offsets — followed by a full-register QFT. The benchmark
+// runs ClusterShard(20, 6, seed) on 4 nodes at w=4 with emulation on.
+func ClusterShard(n uint, layers int, seed uint64) *circuit.Circuit {
+	shape, src := benchStream(1, "cluster-shard-shape"), benchStream(seed, "cluster-shard")
+	c := circuit.New(n)
+	for l := 0; l < layers; l++ {
+		benchRotationLayer(c, shape, src)
+		for q := uint(l % 2); q+1 < n; q += 2 {
+			c.Append(benchEntangler(shape, q, q+1))
+		}
+	}
+	c.Extend(qft.Circuit(n))
 	return c
 }
 

@@ -72,6 +72,22 @@
 // that compare widths (the auto backend's profile pass) price every
 // candidate through Cost and call New once, at the width that won.
 //
+// Where the prices come from. GateCost and diagBlockCost are hand
+// calibrations of the specialised kernels against an ApplyMatrix2 sweep.
+// denseBlockCost is measured: it is the "sweeps" column of statevec's
+// BenchmarkDenseBlock for the AVX2/FMA assembly body of the dense sweep —
+// 0.8 / 1.1 / 1.9 sweeps at w = 2 / 3 / 4, where the scalar pure-Go body
+// costs 1.75 / 5.7 / 10 — and the array's comment carries the numbers.
+// There is one table for every host, so a plan, and with it an
+// Executable's bytes and fingerprint, does not depend on where it was
+// compiled. A host that falls back to the pure-Go body (no AVX2/FMA, or
+// not amd64) therefore runs plans that are correct but fuse wider than its
+// own kernel would want: at w=3 and above its dense sweep is about 5x
+// dearer than priced. Per-host prices are the perfmodel table's job (ROADMAP
+// item 3), as is a placement term: on the cluster engine a dense block
+// needs its whole support node-local, so cheaper dense blocks buy fewer
+// sweeps with more remap rounds, which these prices do not see.
+//
 // The fallback chain means a plan never regresses measurably below the
 // classic Fuse path: fusion only engages where the model predicts a win,
 // which matters on machines where the state still fits in cache and a

@@ -24,16 +24,30 @@ const maxDeferred = 256
 const diagEps = 1e-14
 
 // Cost model. All costs are in "sweep units": 1.0 is one full dense-2x2
-// sweep of the state vector (statevec.ApplyMatrix2), the unit the kernel
-// microbenchmarks in bench_test.go are normalised to. The constants were
-// calibrated on a single-core x86-64 box; they only need to be right in
-// ratio for the scheduler to pick the cheaper of replaying a run gate by
-// gate versus collapsing it into one dense or diagonal block sweep.
+// sweep of the state vector (statevec.ApplyMatrix2). The constants only
+// need to be right in ratio for the scheduler to pick the cheaper of
+// replaying a run gate by gate versus collapsing it into one dense or
+// diagonal block sweep.
 var (
-	// denseBlockCost[w] is one 2^w-block sweep (w=2 runs the tuned
-	// ApplyMatrix4; wider runs the generic gather/scatter kernel, whose
-	// cost roughly doubles per extra qubit).
-	denseBlockCost = [MaxWidth + 1]float64{2: 1.7, 3: 5.4, 4: 8.6, 5: 16.5, 6: 33, 7: 66, 8: 132}
+	// denseBlockCost[w] is one dense 2^w-block sweep through the body
+	// that runs it where this repository is measured: statevec's AVX2/FMA
+	// assembly. The numbers are the "sweeps" column of
+	//
+	//	go test -run xxx -bench BenchmarkDenseBlock ./internal/statevec/
+	//
+	// (median of five runs, 2 vCPUs; the sweep's time over an
+	// ApplyMatrix2 sweep of the same state), per width the dearer of the
+	// cache-resident n=12 and the n=20 reading, so a block that is chosen
+	// pays in both regimes: n=12 0.80 / 1.10 / 1.90 / 3.49 / 7.0 / 13.1 /
+	// 25.7 for w = 2..8, n=20 0.77 / 0.89 / 1.64 / 3.08 for w = 2..5.
+	// Before the assembly body the table read 1.7 / 5.4 / 8.6 / 16.5 / 33
+	// / 66 / 132, which is still what the pure-Go body costs (1.75 / 5.7 /
+	// 10 / 19 / 32 / 71 / 134 at n=12). There is one table on every
+	// host, so plans, fingerprints and pins do not depend on where they
+	// were compiled; a host without AVX2 runs these plans correctly but
+	// over-fused — per-host prices belong to the perfmodel table
+	// (ROADMAP item 3).
+	denseBlockCost = [MaxWidth + 1]float64{2: 0.8, 3: 1.1, 4: 1.9, 5: 3.5, 6: 7.0, 7: 13, 8: 26}
 	// diagBlockCost is one statevec.ApplyDiagN sweep, width-independent.
 	diagBlockCost = 1.0
 )

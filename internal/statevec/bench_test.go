@@ -58,8 +58,10 @@ func BenchmarkDenseBlock(b *testing.B) {
 				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				// The unit — a dense 2x2 sweep of the same state — is
 				// timed right behind the measured loop, so a disturbed
-				// host skews both sides of the ratio alike.
-				reps := min(b.N, 64)
+				// host skews both sides of the ratio alike, and for
+				// about 20 ms, so a small state is not timed at the
+				// clock's resolution.
+				reps := 8 + int(1e7/amps)
 				t0 := time.Now()
 				for i := 0; i < reps; i++ {
 					st.ApplyMatrix2(gates.MatH, n/2)

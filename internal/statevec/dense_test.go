@@ -152,7 +152,7 @@ func TestDenseBodiesAgree(t *testing.T) {
 	}
 	// Registers with enough groups to reach the worker pool, and more
 	// groups per chunk than one assembly call takes.
-	for _, big := range []struct{ n, w uint }{{14, 2}, {15, 3}, {16, 4}, {15, 2}} {
+	for _, big := range []struct{ n, w uint }{{14, 2}, {15, 3}, {16, 4}, {17, 4}} {
 		cases(big.n, big.w, []int{1, 2, 3})
 	}
 }

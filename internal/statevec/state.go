@@ -55,8 +55,8 @@
 // before the first amplitude access (distinct in-range qubits, a matrix of
 // 4^w entries), plus chunk ranges inside [0, 2^(n-w)) — parallelRange's
 // partition, re-checked by denseChunk in front of the call. Goroutine
-// preemption cannot interrupt assembly, so one call sweeps at most
-// denseAsmSlice groups.
+// preemption cannot interrupt assembly, so one call does at most
+// denseAsmWork multiply-adds.
 //
 // Tests reach the pure-Go body by flipping the unexported useDenseAsm
 // (withDenseBody in bench_test.go); the statevec, fuse and backend suites
