@@ -120,14 +120,8 @@ func autoWorkload(name string, c *circuit.Circuit) (AutoRow, error) {
 
 // autoWorkloads is the sweep's circuits: a QFT workload (emulation should
 // win) and a dense-tile ansatz (block fusion should win).
-func autoWorkloads(cfg AutoConfig) []struct {
-	name string
-	c    *circuit.Circuit
-} {
-	return []struct {
-		name string
-		c    *circuit.Circuit
-	}{
+func autoWorkloads(cfg AutoConfig) []CompileWorkload {
+	return []CompileWorkload{
 		{fmt.Sprintf("qft-noswap-n%d", cfg.QFTQubits), qft.CircuitNoSwap(cfg.QFTQubits)},
 		{fmt.Sprintf("tiled-n%d", cfg.TileQubits), TiledAnsatz(cfg.TileQubits, 4, cfg.TileReps, 1, 5)},
 	}
@@ -137,7 +131,7 @@ func autoWorkloads(cfg AutoConfig) []struct {
 func Auto(cfg AutoConfig) ([]AutoRow, error) {
 	var rows []AutoRow
 	for _, w := range autoWorkloads(cfg) {
-		row, err := autoWorkload(w.name, w.c)
+		row, err := autoWorkload(w.Name, w.Circuit)
 		if err != nil {
 			return rows, err
 		}

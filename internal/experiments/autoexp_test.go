@@ -20,7 +20,7 @@ import (
 func TestAutoWithinBudget(t *testing.T) {
 	want := map[string]string{"qft-noswap-n16": "fused w=1", "tiled-n12": "fused w=4"}
 	for _, w := range autoWorkloads(QuickAuto()) {
-		p, _ := backend.ProfileCircuit(w.c)
+		p, _ := backend.ProfileCircuit(w.Circuit)
 		sel := backend.SelectTarget(p, perfmodel.Default())
 		cheapest, dearest := math.Inf(1), 0.0
 		for _, cand := range sel.Candidates {
@@ -32,14 +32,14 @@ func TestAutoWithinBudget(t *testing.T) {
 		}
 		if sel.Cost > 1.15*cheapest {
 			t.Errorf("%s: chosen %s priced %.3g, cheapest candidate %.3g, budget 1.15x",
-				w.name, backend.DescribeTarget(sel.Chosen), sel.Cost, cheapest)
+				w.Name, backend.DescribeTarget(sel.Chosen), sel.Cost, cheapest)
 		}
 		if sel.Cost >= dearest {
 			t.Errorf("%s: chosen %s priced %.3g does not beat the dearest candidate %.3g",
-				w.name, backend.DescribeTarget(sel.Chosen), sel.Cost, dearest)
+				w.Name, backend.DescribeTarget(sel.Chosen), sel.Cost, dearest)
 		}
-		if got := backend.DescribeTarget(sel.Chosen); got != want[w.name] {
-			t.Errorf("%s: chose %s, want %s", w.name, got, want[w.name])
+		if got := backend.DescribeTarget(sel.Chosen); got != want[w.Name] {
+			t.Errorf("%s: chose %s, want %s", w.Name, got, want[w.Name])
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"repro/internal/rng"
 )
 
-// CompileWorkload is one circuit of the auto-target compile witnesses.
+// CompileWorkload is one named circuit of the auto-target witnesses: the
+// compile benchmarks here and the auto sweep of autoexp.go.
 type CompileWorkload struct {
 	Name    string
 	Circuit *circuit.Circuit

@@ -92,7 +92,14 @@ func benchStream(seed uint64, purpose string) *rng.Source {
 func benchRotationLayer(c *circuit.Circuit, shape, src *rng.Source) {
 	for q := uint(0); q < c.NumQubits; q++ {
 		theta := 0.1 + src.Float64()*(2*math.Pi-0.2)
-		c.Append([]func(uint, float64) gates.Gate{gates.Rx, gates.Ry, gates.Rz}[shape.Intn(3)](q, theta))
+		switch shape.Intn(3) {
+		case 0:
+			c.Append(gates.Rx(q, theta))
+		case 1:
+			c.Append(gates.Ry(q, theta))
+		default:
+			c.Append(gates.Rz(q, theta))
+		}
 	}
 }
 

@@ -150,10 +150,7 @@ func (s *State) layoutFor(qubits []uint) *blockLayout {
 	}
 	lay := s.block
 	lay.w = uint(len(qubits))
-	lay.qmask = 0
-	for _, q := range qubits {
-		lay.qmask |= 1 << q
-	}
+	lay.qmask = bitops.ControlMask(qubits)
 	for x := 1; x < 1<<lay.w; x++ {
 		lay.offs[x] = lay.offs[x&(x-1)] | 1<<qubits[bits.TrailingZeros(uint(x))]
 	}

@@ -3,60 +3,8 @@ package statevec
 import (
 	"testing"
 
-	"repro/internal/gates"
 	"repro/internal/rng"
 )
-
-// embedGate expands a (controlled) single-qubit gate into a dense 2^w x 2^w
-// block over the local qubit order `qubits` (bit j of the local index is
-// qubits[j]). Reference implementation for the kernel tests.
-func embedGate(g gates.Gate, qubits []uint) []complex128 {
-	w := len(qubits)
-	dim := 1 << w
-	pos := make(map[uint]uint, w)
-	for j, q := range qubits {
-		pos[q] = uint(j)
-	}
-	tb := uint64(1) << pos[g.Target]
-	var cm uint64
-	for _, c := range g.Controls {
-		cm |= 1 << pos[c]
-	}
-	m := make([]complex128, dim*dim)
-	for col := 0; col < dim; col++ {
-		x := uint64(col)
-		if x&cm != cm {
-			m[col*dim+col] = 1
-			continue
-		}
-		x0, x1 := x&^tb, x|tb
-		if x&tb == 0 {
-			m[int(x0)*dim+col] += g.Matrix[0]
-			m[int(x1)*dim+col] += g.Matrix[2]
-		} else {
-			m[int(x0)*dim+col] += g.Matrix[1]
-			m[int(x1)*dim+col] += g.Matrix[3]
-		}
-	}
-	return m
-}
-
-// mulN returns a*b for dense 2^w blocks.
-func mulN(a, b []complex128, dim int) []complex128 {
-	out := make([]complex128, dim*dim)
-	for i := 0; i < dim; i++ {
-		for k := 0; k < dim; k++ {
-			aik := a[i*dim+k]
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < dim; j++ {
-				out[i*dim+j] += aik * b[k*dim+j]
-			}
-		}
-	}
-	return out
-}
 
 func TestApplyMatrixNMatchesGateByGate(t *testing.T) {
 	src := rng.New(321)
@@ -69,26 +17,9 @@ func TestApplyMatrixNMatchesGateByGate(t *testing.T) {
 		for j := range qubits {
 			qubits[j] = uint(perm[j])
 		}
-		// Random sequence of (controlled) gates supported on the block.
-		var seq []gates.Gate
-		for i := 0; i < 6; i++ {
-			g := gates.Ry(qubits[src.Intn(w)], src.Float64()*3)
-			if w > 1 && src.Intn(2) == 0 {
-				c := qubits[src.Intn(w)]
-				if c != g.Target {
-					g = g.WithControls(c)
-				}
-			}
-			seq = append(seq, g)
-		}
-		dim := 1 << w
-		block := make([]complex128, dim*dim)
-		for i := 0; i < dim; i++ {
-			block[i*dim+i] = 1
-		}
-		for _, g := range seq {
-			block = mulN(embedGate(g, qubits), block, dim)
-		}
+		// A random sequence of (controlled) gates supported on the block,
+		// multiplied into one block (gateProduct, dense_test.go).
+		block, seq := gateProduct(src, qubits, 6)
 
 		ref := NewRandom(n, src)
 		got := ref.Clone()

@@ -55,8 +55,8 @@ func (s *State) matrix4(m *[16]complex128, q0, q1 uint) {
 }
 
 // matrix4Chunk is the pure-Go body at width 2: the dense 4x4 butterfly
-// over flat indices [start, end); lo < hi are the insertion positions, b0/b1 the qubit
-// bit masks.
+// over flat indices [start, end); lo < hi are the insertion positions,
+// b0/b1 the qubit bit masks.
 func matrix4Chunk(amp []complex128, m *[16]complex128, lo, hi uint, b0, b1, start, end uint64) {
 	for c := start; c < end; c++ {
 		// Spread the counter around both qubit positions (ascending).
