@@ -124,7 +124,7 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 		// [0, width); every node then transforms its own fibres.
 		c.remapFieldLocal(q.Pos, q.Width)
 		c.eachNode(func(p int) {
-			q.Plan.TransformField(c.shard(p), 0, q.Inverse)
+			q.Plan.TransformField(c.shard(p), 0, q.Inverse, 1)
 		})
 		if !q.Inverse && q.NoSwap {
 			c.reverseFieldPlacement(q.Pos, q.Width)

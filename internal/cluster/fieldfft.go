@@ -52,7 +52,7 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 	// at physical positions [0, n1); the fibres are then stride-1.
 	c.remapFieldLocal(pos+n2, n1)
 	c.eachNode(func(p int) {
-		planHigh.TransformField(c.shard(p), 0, inverse)
+		planHigh.TransformField(c.shard(p), 0, inverse, 1)
 	})
 
 	// Step 2: twiddle. The high sub-field now holds the transform index
@@ -72,7 +72,7 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 	// Step 3: FFT the low sub-field (the j2 axis).
 	c.remapFieldLocal(pos, n2)
 	c.eachNode(func(p int) {
-		planLow.TransformField(c.shard(p), 0, inverse)
+		planLow.TransformField(c.shard(p), 0, inverse, 1)
 	})
 
 	// Step 4: four-step output order is k = k1 + N1 k2 — the sub-fields

@@ -48,7 +48,7 @@ func TestFieldFFTParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan.TransformField(st.Amplitudes(), tc.pos, tc.inverse)
+		plan.TransformField(st.Amplitudes(), tc.pos, tc.inverse, st.Workers())
 		if d := c.Gather().MaxDiff(st); d > 1e-10 {
 			t.Errorf("n=%d p=%d pos=%d w=%d inverse=%v: max diff %g vs single-node field transform",
 				tc.n, tc.p, tc.pos, tc.w, tc.inverse, d)

@@ -30,7 +30,6 @@ import (
 type Emulator struct {
 	state *statevec.State
 	sim   *sim.Simulator
-	plans map[uint64]*fft.Plan // FFT plans cached per transform size
 }
 
 // New returns an emulator with the register initialised to |0...0>.
@@ -41,11 +40,7 @@ func New(n uint) *Emulator {
 
 // Wrap returns an emulator operating on an existing state.
 func Wrap(st *statevec.State) *Emulator {
-	return &Emulator{
-		state: st,
-		sim:   sim.Wrap(st, sim.DefaultOptions()),
-		plans: make(map[uint64]*fft.Plan),
-	}
+	return &Emulator{state: st, sim: sim.Wrap(st, sim.DefaultOptions())}
 }
 
 // State returns the backing state vector.
@@ -193,19 +188,14 @@ func (e *Emulator) qftRange(pos, width uint, inverse bool) {
 	if width == 0 {
 		return
 	}
-	e.plan(uint64(1)<<width).TransformField(e.state.Amplitudes(), pos, inverse)
-}
-
-func (e *Emulator) plan(size uint64) *fft.Plan {
-	if p, ok := e.plans[size]; ok {
-		return p
-	}
-	p, err := fft.NewPlan(size)
+	// Plans are shared process-wide by size (fft.NewPlan), so repeated
+	// transforms — phase estimation applies the QFT many times — build
+	// their tables once.
+	p, err := fft.NewPlan(uint64(1) << width)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	e.plans[size] = p
-	return p
+	p.TransformField(e.state.Amplitudes(), pos, inverse, e.state.Workers())
 }
 
 // --- Section 3.4: measurement ----------------------------------------------

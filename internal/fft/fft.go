@@ -1,11 +1,73 @@
 // Package fft implements the classical fast Fourier transform the emulator
-// substitutes for the quantum Fourier transform circuit (paper Section 3.2).
+// substitutes for the quantum Fourier transform circuit (paper Section 3.2,
+// Eq. 5): a recognised QFT costs one bandwidth-bound transform instead of
+// O(n²) gate sweeps.
 //
-// Everything is handwritten on complex128 slices: an iterative radix-2
-// decimation-in-time transform with a precomputed twiddle table and
-// parallel butterfly stages, plus the Bailey four-step variant whose three
-// transposition steps model the three all-to-all exchanges of a distributed
-// 1-D FFT (the paper's Eq. 5).
+// # Network
+//
+// The transform is an iterative, in-place butterfly network on complex128
+// slices, tiled into the fewest passes over the vector: a radix-2 or
+// radix-4 head that absorbs log2(size) mod 3, then radix-8 groups (three
+// fused radix-2 stages, every element read and written once per group).
+// The decimation-in-time network consumes bit-reversed input and produces
+// natural order; the decimation-in-frequency network is its transpose and
+// runs the groups backwards. Groups whose span fits a cache-resident block
+// are run block by block (blockLog), so the small-span half of the network
+// costs one trip through memory instead of one per group.
+//
+// # Twiddles
+//
+// Each radix-8 group owns one table laid out in the order its butterflies
+// read it (twiddle.go): for each pair of adjacent offsets j, j+1 the four
+// factors a butterfly cannot derive — w1, w2a, w3a, w3b — lie in one
+// 128-byte run, and consecutive butterflies read consecutive runs. The
+// other three factors of a radix-8 butterfly are exact quarter-turn
+// rotations of those and are applied as a swap and a sign; the inverse
+// direction conjugates in the butterfly instead of keeping a second
+// table. A plan's tables total 4/7·size entries (9.1 MiB at size 2^20,
+// against 16 MiB for a forward/inverse pair of half-length strided
+// tables), built with math.Sincos, one exact evaluation per entry.
+//
+// # Reversal
+//
+// The natural-order entry points put one reordering pass in front of the
+// DIT network: bitReverse (bitrev.go), which exchanges 2^q x 2^q tiles
+// through two stack buffers so that memory is only ever touched in
+// contiguous runs, in parallel over tiles. The *BitReversed entry points
+// skip it — they are the operators of the QFT circuit without its final
+// swaps.
+//
+// # Sharing
+//
+// NewPlan hands out one shared, immutable plan per size up to
+// maxEagerSize, from a mutex-guarded table that lives as long as the
+// process: the first request for a size builds its tables, every later one
+// is a map lookup, so compiling a circuit with a Fourier region builds
+// nothing after the first. The table retains at most one plan per size, in
+// total under 2·4/7·maxEagerSize entries (18.3 MiB if every size up to
+// 2^20 has been asked for). Larger plans are private to their caller and
+// build their tables on the first transform, so a compile pass that only
+// wants a plan's shape stays O(log size) and nothing above 16 MiB is
+// retained.
+//
+// # Bodies
+//
+// The radix-8 butterflies at spans of two or more have two bodies. On
+// amd64 hosts whose CPU reports AVX2 and FMA3 and whose OS saves the YMM
+// state (decided once at package init, butterfly_amd64.go) they run the
+// assembly in butterfly_amd64.s, vectorised over adjacent offsets: two
+// complexes per YMM register, a complex multiply as one VMULPD and one
+// VFMADDSUB. Everywhere else, and as the oracle in tests, they run the
+// pure-Go butterflies of butterfly.go. The span-one head group is pure Go
+// on every host: its two lanes would come from different butterflies,
+// which is a different body. Nothing else selects a body: no option,
+// environment variable or build tag beyond the GOARCH constraint.
+//
+// # Workers
+//
+// Every entry point that takes a worker count runs on exactly that many
+// goroutines, the caller's included; one worker starts none. Forward and
+// Inverse use GOMAXPROCS, ForwardSerial and InverseSerial one.
 //
 // Sign convention: Forward uses exp(+2*pi*i*k*l/N), matching the QFT
 // definition in the paper's Eq. 4; Unitary additionally scales by
@@ -15,144 +77,103 @@ package fft
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitops"
 )
 
-// Plan precomputes twiddle factors for transforms of a fixed length,
-// amortising the table across repeated transforms (the emulator applies
-// the QFT many times in phase estimation).
-//
-// Above maxEagerSize the tables are built lazily, on the first
-// transform: a plan also serves as the *description* of a transform —
-// the recognition pass attaches one to every matched Fourier region, and
-// compile-time work (profiling, selection, fingerprinting) never
-// transforms anything. At width 30 the tables are 2^29 entries x two
-// directions (16 GiB, half a minute of cmplx.Exp); building them when
-// only a compile pass wanted the plan's shape would dominate
-// compilation. At or below maxEagerSize NewPlan builds the tables
-// immediately, so the cost stays in the compile phase rather than
-// leaking into the first (often timed, often latency-sensitive) run.
+// Plan holds the stage tiling and twiddle tables of transforms of one
+// length. It is immutable once built and safe for concurrent use; plans
+// up to maxEagerSize are shared process-wide (see NewPlan).
 type Plan struct {
-	n       uint // log2(size)
-	size    uint64
-	once    sync.Once
-	forward []complex128 // exp(+2 pi i j / size) for j in [0, size/2)
-	inverse []complex128 // conjugates
-	groups  []stageGroup // stage tiling, fixed by n; computed once here
+	n      uint // log2(size)
+	size   uint64
+	once   sync.Once
+	groups []stageGroup // stage tiling with its tables, fixed by n
 }
 
-// maxEagerSize is the largest transform whose twiddle tables NewPlan
-// builds up front (a 2^19-entry table pair, 16 MiB, ~tens of ms).
-// Larger plans defer the build to the first transform so that
-// compile-only passes — profiling a width-30 Fourier field prices the
-// transform without ever running it — stay O(log size).
+// maxEagerSize is the largest transform whose plan NewPlan shares and
+// whose twiddle tables it builds up front (9.1 MiB at this size, ~10 ms
+// once per process). Larger plans defer the build to the first transform
+// so that compile-only passes — profiling a width-30 Fourier field prices
+// the transform without ever running it — stay O(log size).
 const maxEagerSize = 1 << 20
 
-// NewPlan builds a plan for transforms of the given power-of-two size.
-// Up to maxEagerSize the twiddle tables are built here; beyond that they
-// are deferred to the first transform and NewPlan is O(log size).
+// shared is the process-wide plan table, one entry per size up to
+// maxEagerSize.
+var shared struct {
+	sync.Mutex
+	plans [21]*Plan // indexed by log2(size); 21 = log2(maxEagerSize)+1
+}
+
+// NewPlan returns a plan for transforms of the given power-of-two size.
+// Up to maxEagerSize every caller gets the same plan, with its twiddle
+// tables built; beyond that the plan is the caller's own, its tables are
+// deferred to the first transform and NewPlan is O(log size).
 func NewPlan(size uint64) (*Plan, error) {
 	if !bitops.IsPowerOfTwo(size) {
 		return nil, fmt.Errorf("fft: size %d is not a power of two", size)
 	}
-	p := &Plan{n: bitops.Log2(size), size: size}
-	p.groups = p.stageGroups()
-	if size <= maxEagerSize {
-		p.tables()
+	n := bitops.Log2(size)
+	if size > maxEagerSize {
+		return newPlan(n), nil
 	}
+	shared.Lock()
+	p := shared.plans[n]
+	if p == nil {
+		p = newPlan(n)
+		shared.plans[n] = p
+	}
+	shared.Unlock()
+	// Outside the lock: a first request for 2^20 does not hold up a
+	// request for 2^4, and concurrent first requests for one size wait on
+	// the plan's own once.
+	p.build(1)
 	return p, nil
 }
 
-// tables returns the (forward, inverse) twiddle tables, building them on
-// first use. The build is parallelised: each worker owns a contiguous
-// block and computes exact per-element exponentials, so the values are
-// independent of the worker count.
-func (p *Plan) tables() (fw, inv []complex128) {
-	p.once.Do(func() {
-		half := p.size / 2
-		if half == 0 {
-			half = 1
-		}
-		p.forward = make([]complex128, half)
-		p.inverse = make([]complex128, half)
-		workers := uint64(runtime.GOMAXPROCS(0))
-		if workers > half {
-			workers = 1
-		}
-		var wg sync.WaitGroup
-		chunk := (half + workers - 1) / workers
-		for w := uint64(0); w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > half {
-				hi = half
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi uint64) {
-				defer wg.Done()
-				for j := lo; j < hi; j++ {
-					theta := 2 * math.Pi * float64(j) / float64(p.size)
-					t := cmplx.Exp(complex(0, theta))
-					p.forward[j] = t
-					p.inverse[j] = cmplx.Conj(t)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	})
-	return p.forward, p.inverse
+func newPlan(n uint) *Plan {
+	return &Plan{n: n, size: 1 << n, groups: stageGroups(n)}
 }
 
 // Size returns the transform length.
 func (p *Plan) Size() uint64 { return p.size }
 
 // Forward computes the unnormalised transform with the +i sign convention,
-// in place. len(data) must equal the plan size.
+// in place, on GOMAXPROCS workers. len(data) must equal the plan size.
 func (p *Plan) Forward(data []complex128) {
-	fw, _ := p.tables()
-	p.transform(data, fw, true, 1)
+	p.transform(data, false, 1, runtime.GOMAXPROCS(0))
 }
 
 // Inverse computes the unnormalised transform with the -i sign convention,
-// in place. Inverse(Forward(x)) == N*x.
+// in place, on GOMAXPROCS workers. Inverse(Forward(x)) == N*x.
 func (p *Plan) Inverse(data []complex128) {
-	_, inv := p.tables()
-	p.transform(data, inv, true, 1)
+	p.transform(data, true, 1, runtime.GOMAXPROCS(0))
 }
 
 // ForwardSerial is Forward restricted to the calling goroutine. The
 // cluster back-end uses it so each emulated node stays single-threaded.
-func (p *Plan) ForwardSerial(data []complex128) {
-	fw, _ := p.tables()
-	p.transform(data, fw, false, 1)
-}
+func (p *Plan) ForwardSerial(data []complex128) { p.transform(data, false, 1, 1) }
 
 // InverseSerial is Inverse restricted to the calling goroutine.
-func (p *Plan) InverseSerial(data []complex128) {
-	_, inv := p.tables()
-	p.transform(data, inv, false, 1)
-}
+func (p *Plan) InverseSerial(data []complex128) { p.transform(data, true, 1, 1) }
 
-// Unitary computes the unitary (QFT) transform: Forward scaled by
-// 1/sqrt(N). Applying it to a state vector performs the paper's Eq. 4.
-// The scaling is folded into the final butterfly stage, not a separate
-// pass over the data.
-func (p *Plan) Unitary(data []complex128) {
-	fw, _ := p.tables()
-	p.transform(data, fw, true, complex(1/math.Sqrt(float64(p.size)), 0))
+// unitaryScale is the 1/sqrt(N) of the unitary transforms. It is folded
+// into the head group's butterflies, not a separate pass over the data.
+func (p *Plan) unitaryScale() float64 { return 1 / math.Sqrt(float64(p.size)) }
+
+// Unitary computes the unitary (QFT) transform on the given number of
+// workers: Forward scaled by 1/sqrt(N). Applying it to a state vector
+// performs the paper's Eq. 4.
+func (p *Plan) Unitary(data []complex128, workers int) {
+	p.transform(data, false, p.unitaryScale(), workers)
 }
 
 // UnitaryInverse computes the inverse QFT: Inverse scaled by 1/sqrt(N).
-func (p *Plan) UnitaryInverse(data []complex128) {
-	_, inv := p.tables()
-	p.transform(data, inv, true, complex(1/math.Sqrt(float64(p.size)), 0))
+func (p *Plan) UnitaryInverse(data []complex128, workers int) {
+	p.transform(data, true, p.unitaryScale(), workers)
 }
 
 // UnitaryBitReversed computes the unitary transform composed with the
@@ -162,496 +183,174 @@ func (p *Plan) UnitaryInverse(data []complex128) {
 // the operator of the QFT circuit without its final reversal swaps
 // (qft.CircuitNoSwap), which is why the emulation dispatcher wants it as
 // a primitive.
-func (p *Plan) UnitaryBitReversed(data []complex128) {
-	fw, _ := p.tables()
-	p.transformDIF(data, fw, true, complex(1/math.Sqrt(float64(p.size)), 0))
+func (p *Plan) UnitaryBitReversed(data []complex128, workers int) {
+	p.check(data)
+	p.network(data, true, false, p.unitaryScale(), workers)
 }
 
 // UnitaryInverseFromBitReversed computes F⁻¹·S: the inverse unitary
 // transform consuming bit-reversed input — the decimation-in-time stages
 // with the reordering pass elided. It is the exact inverse of
 // UnitaryBitReversed and the operator of qft.CircuitNoSwap.Dagger().
-func (p *Plan) UnitaryInverseFromBitReversed(data []complex128) {
-	_, inv := p.tables()
-	p.transformDIT(data, inv, true, complex(1/math.Sqrt(float64(p.size)), 0))
+func (p *Plan) UnitaryInverseFromBitReversed(data []complex128, workers int) {
+	p.check(data)
+	p.network(data, false, true, p.unitaryScale(), workers)
 }
 
-// transform runs the decimation-in-time butterfly network. Stages are
-// executed in radix-4 pairs — two radix-2 stages fused so the 16·N bytes
-// of amplitudes are read and written once per pair instead of once per
-// stage, which is what the memory-bound large transforms are limited by —
-// with a lone radix-2 stage first when the stage count is odd. The output
-// scale factor (1/sqrt(N) for the unitary transforms) is applied by the
-// final stage's butterflies for the same reason.
-func (p *Plan) transform(data []complex128, tw []complex128, parallel bool, scale complex128) {
+func (p *Plan) check(data []complex128) {
 	if uint64(len(data)) != p.size {
 		panic(fmt.Sprintf("fft: data length %d does not match plan size %d", len(data), p.size))
 	}
-	if p.size == 1 {
-		if scale != 1 {
-			data[0] *= scale
-		}
-		return
-	}
-	bitReverse(data, p.n)
-	p.transformDIT(data, tw, parallel, scale)
 }
 
-// stageGroup is one fused execution unit of the butterfly network: radix
-// 2, 4 or 8, consuming log2(radix) consecutive radix-2 stages starting at
-// stage s.
-type stageGroup struct {
-	s     uint
-	radix int
-}
-
-// stageGroups tiles the n stages into the fewest full-vector passes: a
-// radix-2 or radix-4 head to fix the residue, then radix-8 groups. The
-// tiling depends only on n, so NewPlan computes it once into p.groups
-// and the transform drivers stay allocation-free per call.
-func (p *Plan) stageGroups() []stageGroup {
-	var gs []stageGroup
-	s := uint(0)
-	switch p.n % 3 {
-	case 1:
-		gs = append(gs, stageGroup{0, 2})
-		s = 1
-	case 2:
-		gs = append(gs, stageGroup{0, 4})
-		s = 2
-	}
-	for ; s < p.n; s += 3 {
-		gs = append(gs, stageGroup{s, 8})
-	}
-	return gs
-}
-
-func (p *Plan) runGroupDIT(data, tw []complex128, g stageGroup, parallel bool, scale complex128) {
-	switch g.radix {
-	case 2:
-		p.runStage2(data, tw, g.s, parallel, scale)
-	case 4:
-		p.runStage4(data, tw, g.s, parallel, scale)
-	default:
-		p.runStage8(data, tw, g.s, parallel, scale)
-	}
-}
-
-func (p *Plan) runGroupDIF(data, tw []complex128, g stageGroup, parallel bool, scale complex128) {
-	switch g.radix {
-	case 2:
-		p.runStage2DIF(data, tw, g.s, parallel, scale)
-	case 4:
-		p.runStage4DIF(data, tw, g.s, parallel, scale)
-	default:
-		p.runStage8DIF(data, tw, g.s, parallel, scale)
-	}
-}
-
-// transformDIT runs the DIT stage network over already bit-reversed
-// input, producing natural-order output.
-func (p *Plan) transformDIT(data []complex128, tw []complex128, parallel bool, scale complex128) {
-	if uint64(len(data)) != p.size {
-		panic(fmt.Sprintf("fft: data length %d does not match plan size %d", len(data), p.size))
-	}
-	if p.size == 1 {
-		if scale != 1 {
-			data[0] *= scale
-		}
-		return
-	}
-	for i, g := range p.groups {
-		sc := complex128(1)
-		if i == len(p.groups)-1 {
-			sc = scale
-		}
-		p.runGroupDIT(data, tw, g, parallel, sc)
-	}
-}
-
-// transformDIF runs the decimation-in-frequency network: the transpose of
-// the DIT flow graph, consuming natural-order input and producing
-// bit-reversed output — the same fused groups with transposed butterflies
-// in reverse order, the scale again folded into the final pass.
-func (p *Plan) transformDIF(data []complex128, tw []complex128, parallel bool, scale complex128) {
-	if uint64(len(data)) != p.size {
-		panic(fmt.Sprintf("fft: data length %d does not match plan size %d", len(data), p.size))
-	}
-	if p.size == 1 {
-		if scale != 1 {
-			data[0] *= scale
-		}
-		return
-	}
-	for i := len(p.groups) - 1; i >= 0; i-- {
-		sc := complex128(1)
-		if i == 0 {
-			sc = scale
-		}
-		p.runGroupDIF(data, tw, p.groups[i], parallel, sc)
-	}
-}
-
-// useParallel reports whether a stage should dispatch chunks to
-// goroutines. The serial branch of each stage driver calls its
-// butterfly directly — building the chunk closure only on the parallel
-// branch keeps the serial path allocation-free, since a closure handed
-// to parallelFor escapes to the heap. Kernels decode (block, offset)
-// from the flat butterfly index with a shift and a mask, so there is
-// no per-block call overhead even when blocks are tiny.
-func (p *Plan) useParallel(parallel bool) bool {
-	return parallel && p.size >= minParallel
-}
-
-// runStage2 executes one radix-2 DIT stage s over the whole vector.
-//
-//qemu:hotpath
-func (p *Plan) runStage2(data, tw []complex128, s uint, parallel bool, scale complex128) {
-	wstep := p.size >> (s + 1)
-	if !p.useParallel(parallel) {
-		butterfly2Flat(data, tw, s, 0, p.size/2, wstep, scale, false)
-		return
-	}
-	parallelFor(p.size/2, func(lo, hi uint64) {
-		butterfly2Flat(data, tw, s, lo, hi, wstep, scale, false)
-	})
-}
-
-// runStage2DIF executes one radix-2 DIF stage s over the whole vector.
-//
-//qemu:hotpath
-func (p *Plan) runStage2DIF(data, tw []complex128, s uint, parallel bool, scale complex128) {
-	wstep := p.size >> (s + 1)
-	if !p.useParallel(parallel) {
-		butterfly2Flat(data, tw, s, 0, p.size/2, wstep, scale, true)
-		return
-	}
-	parallelFor(p.size/2, func(lo, hi uint64) {
-		butterfly2Flat(data, tw, s, lo, hi, wstep, scale, true)
-	})
-}
-
-// runStage4 executes the fused DIT pair of stages (s, s+1).
-//
-//qemu:hotpath
-func (p *Plan) runStage4(data, tw []complex128, s uint, parallel bool, scale complex128) {
-	w1step := p.size >> (s + 1)
-	w2step := p.size >> (s + 2)
-	if !p.useParallel(parallel) {
-		butterfly4Flat(data, tw, s, 0, p.size/4, w1step, w2step, scale)
-		return
-	}
-	parallelFor(p.size/4, func(lo, hi uint64) {
-		butterfly4Flat(data, tw, s, lo, hi, w1step, w2step, scale)
-	})
-}
-
-// runStage4DIF executes the fused DIF pair of stages (s+1, s) — the
-// transpose of runStage4.
-//
-//qemu:hotpath
-func (p *Plan) runStage4DIF(data, tw []complex128, s uint, parallel bool, scale complex128) {
-	w1step := p.size >> (s + 1)
-	w2step := p.size >> (s + 2)
-	if !p.useParallel(parallel) {
-		butterfly4DIFFlat(data, tw, s, 0, p.size/4, w1step, w2step, scale)
-		return
-	}
-	parallelFor(p.size/4, func(lo, hi uint64) {
-		butterfly4DIFFlat(data, tw, s, lo, hi, w1step, w2step, scale)
-	})
-}
-
-// runStage8 executes the fused DIT triple of stages (s, s+1, s+2).
-//
-//qemu:hotpath
-func (p *Plan) runStage8(data, tw []complex128, s uint, parallel bool, scale complex128) {
-	w1step := p.size >> (s + 1)
-	w2step := p.size >> (s + 2)
-	w3step := p.size >> (s + 3)
-	if !p.useParallel(parallel) {
-		butterfly8Flat(data, tw, s, 0, p.size/8, w1step, w2step, w3step, scale)
-		return
-	}
-	parallelFor(p.size/8, func(lo, hi uint64) {
-		butterfly8Flat(data, tw, s, lo, hi, w1step, w2step, w3step, scale)
-	})
-}
-
-// runStage8DIF executes the fused DIF triple of stages (s+2, s+1, s).
-//
-//qemu:hotpath
-func (p *Plan) runStage8DIF(data, tw []complex128, s uint, parallel bool, scale complex128) {
-	w1step := p.size >> (s + 1)
-	w2step := p.size >> (s + 2)
-	w3step := p.size >> (s + 3)
-	if !p.useParallel(parallel) {
-		butterfly8DIFFlat(data, tw, s, 0, p.size/8, w1step, w2step, w3step, scale)
-		return
-	}
-	parallelFor(p.size/8, func(lo, hi uint64) {
-		butterfly8DIFFlat(data, tw, s, lo, hi, w1step, w2step, w3step, scale)
-	})
-}
-
-// butterfly2Flat performs the radix-2 butterflies with flat index t in
-// [lo, hi): block t>>s, offset j = t&(2^s-1). DIT:
-// (x0, x1) <- (u + w t1, u - w t1); DIF (the transpose):
-// (x0, x1) <- (x0 + x1, (x0 - x1)·w), with w = tw[j*wstep] and both
-// outputs scaled by `scale` (1 outside the final stage).
-func butterfly2Flat(data, tw []complex128, s uint, lo, hi, wstep uint64, scale complex128, dif bool) {
-	h := uint64(1) << s
-	hm := h - 1
-	for t := lo; t < hi; t++ {
-		j := t & hm
-		i0 := (t&^hm)<<1 | j
-		i1 := i0 + h
-		w := tw[j*wstep]
-		var o0, o1 complex128
-		if dif {
-			u0 := data[i0]
-			u1 := data[i1]
-			o0 = u0 + u1
-			o1 = (u0 - u1) * w
-		} else {
-			tt := w * data[i1]
-			u := data[i0]
-			o0 = u + tt
-			o1 = u - tt
-		}
-		if scale != 1 {
-			o0, o1 = scale*o0, scale*o1
-		}
-		data[i0], data[i1] = o0, o1
-	}
-}
-
-// butterfly4Flat fuses two DIT stages (spans h, 2h) within one 4h block:
-// the span-h stage on the pairs (0,1) and (2,3), then the span-2h stage
-// on (0,2) and (1,3), every element read and written once. The inner
-// stage uses tw[j*w1step] for both pairs, the outer tw[j*w2step] and
-// tw[(j+h)*w2step].
-func butterfly4Flat(data, tw []complex128, s uint, lo, hi, w1step, w2step uint64, scale complex128) {
-	h := uint64(1) << s
-	hm := h - 1
-	for t := lo; t < hi; t++ {
-		j := t & hm
-		i0 := (t&^hm)<<2 | j
-		i1 := i0 + h
-		i2 := i1 + h
-		i3 := i2 + h
-		w1 := tw[j*w1step]
-		w2a := tw[j*w2step]
-		w2b := tw[(j+h)*w2step]
-		t1 := w1 * data[i1]
-		u0 := data[i0]
-		a := u0 + t1
-		b := u0 - t1
-		t2 := w1 * data[i3]
-		u2 := data[i2]
-		c := u2 + t2
-		d := u2 - t2
-		t3 := w2a * c
-		t4 := w2b * d
-		o0 := a + t3
-		o2 := a - t3
-		o1 := b + t4
-		o3 := b - t4
-		if scale != 1 {
-			o0, o1, o2, o3 = scale*o0, scale*o1, scale*o2, scale*o3
-		}
-		data[i0], data[i1], data[i2], data[i3] = o0, o1, o2, o3
-	}
-}
-
-// butterfly4DIFFlat is the transpose of butterfly4Flat: the DIF pair of
-// stages spanning 2h then h, with the same twiddle indexing.
-func butterfly4DIFFlat(data, tw []complex128, s uint, lo, hi, w1step, w2step uint64, scale complex128) {
-	h := uint64(1) << s
-	hm := h - 1
-	for t := lo; t < hi; t++ {
-		j := t & hm
-		i0 := (t&^hm)<<2 | j
-		i1 := i0 + h
-		i2 := i1 + h
-		i3 := i2 + h
-		w1 := tw[j*w1step]
-		w2a := tw[j*w2step]
-		w2b := tw[(j+h)*w2step]
-		x0, x1, x2, x3 := data[i0], data[i1], data[i2], data[i3]
-		a := x0 + x2
-		c := (x0 - x2) * w2a
-		b := x1 + x3
-		d := (x1 - x3) * w2b
-		o0 := a + b
-		o1 := (a - b) * w1
-		o2 := c + d
-		o3 := (c - d) * w1
-		if scale != 1 {
-			o0, o1, o2, o3 = scale*o0, scale*o1, scale*o2, scale*o3
-		}
-		data[i0], data[i1], data[i2], data[i3] = o0, o1, o2, o3
-	}
-}
-
-// butterfly8Flat fuses three DIT stages (spans h, 2h, 4h) within one 8h
-// block; twiddle indexing follows butterfly4Flat one level deeper.
-func butterfly8Flat(data, tw []complex128, s uint, lo, hi, w1step, w2step, w3step uint64, scale complex128) {
-	h := uint64(1) << s
-	hm := h - 1
-	for t := lo; t < hi; t++ {
-		j := t & hm
-		i0 := (t&^hm)<<3 | j
-		i1 := i0 + h
-		i2 := i1 + h
-		i3 := i2 + h
-		i4 := i3 + h
-		i5 := i4 + h
-		i6 := i5 + h
-		i7 := i6 + h
-		w1 := tw[j*w1step]
-		w2a := tw[j*w2step]
-		w2b := tw[(j+h)*w2step]
-		w3a := tw[j*w3step]
-		w3b := tw[(j+h)*w3step]
-		w3c := tw[(j+2*h)*w3step]
-		w3d := tw[(j+3*h)*w3step]
-		// Span-h stage on pairs (0,1) (2,3) (4,5) (6,7).
-		tt := w1 * data[i1]
-		u := data[i0]
-		a0, a1 := u+tt, u-tt
-		tt = w1 * data[i3]
-		u = data[i2]
-		a2, a3 := u+tt, u-tt
-		tt = w1 * data[i5]
-		u = data[i4]
-		a4, a5 := u+tt, u-tt
-		tt = w1 * data[i7]
-		u = data[i6]
-		a6, a7 := u+tt, u-tt
-		// Span-2h stage on (0,2) (1,3) (4,6) (5,7).
-		tt = w2a * a2
-		b0, b2 := a0+tt, a0-tt
-		tt = w2b * a3
-		b1, b3 := a1+tt, a1-tt
-		tt = w2a * a6
-		b4, b6 := a4+tt, a4-tt
-		tt = w2b * a7
-		b5, b7 := a5+tt, a5-tt
-		// Span-4h stage on (0,4) (1,5) (2,6) (3,7).
-		tt = w3a * b4
-		c0, c4 := b0+tt, b0-tt
-		tt = w3b * b5
-		c1, c5 := b1+tt, b1-tt
-		tt = w3c * b6
-		c2, c6 := b2+tt, b2-tt
-		tt = w3d * b7
-		c3, c7 := b3+tt, b3-tt
-		if scale != 1 {
-			c0, c1, c2, c3 = scale*c0, scale*c1, scale*c2, scale*c3
-			c4, c5, c6, c7 = scale*c4, scale*c5, scale*c6, scale*c7
-		}
-		data[i0], data[i1], data[i2], data[i3] = c0, c1, c2, c3
-		data[i4], data[i5], data[i6], data[i7] = c4, c5, c6, c7
-	}
-}
-
-// butterfly8DIFFlat is the transpose of butterfly8Flat: the three DIF
-// stages spanning 4h, 2h then h within one 8h block.
-func butterfly8DIFFlat(data, tw []complex128, s uint, lo, hi, w1step, w2step, w3step uint64, scale complex128) {
-	h := uint64(1) << s
-	hm := h - 1
-	for t := lo; t < hi; t++ {
-		j := t & hm
-		i0 := (t&^hm)<<3 | j
-		i1 := i0 + h
-		i2 := i1 + h
-		i3 := i2 + h
-		i4 := i3 + h
-		i5 := i4 + h
-		i6 := i5 + h
-		i7 := i6 + h
-		w1 := tw[j*w1step]
-		w2a := tw[j*w2step]
-		w2b := tw[(j+h)*w2step]
-		w3a := tw[j*w3step]
-		w3b := tw[(j+h)*w3step]
-		w3c := tw[(j+2*h)*w3step]
-		w3d := tw[(j+3*h)*w3step]
-		x0, x1, x2, x3 := data[i0], data[i1], data[i2], data[i3]
-		x4, x5, x6, x7 := data[i4], data[i5], data[i6], data[i7]
-		// Span-4h stage on (0,4) (1,5) (2,6) (3,7).
-		a0 := x0 + x4
-		a4 := (x0 - x4) * w3a
-		a1 := x1 + x5
-		a5 := (x1 - x5) * w3b
-		a2 := x2 + x6
-		a6 := (x2 - x6) * w3c
-		a3 := x3 + x7
-		a7 := (x3 - x7) * w3d
-		// Span-2h stage on (0,2) (1,3) (4,6) (5,7).
-		b0 := a0 + a2
-		b2 := (a0 - a2) * w2a
-		b1 := a1 + a3
-		b3 := (a1 - a3) * w2b
-		b4 := a4 + a6
-		b6 := (a4 - a6) * w2a
-		b5 := a5 + a7
-		b7 := (a5 - a7) * w2b
-		// Span-h stage on (0,1) (2,3) (4,5) (6,7).
-		c0 := b0 + b1
-		c1 := (b0 - b1) * w1
-		c2 := b2 + b3
-		c3 := (b2 - b3) * w1
-		c4 := b4 + b5
-		c5 := (b4 - b5) * w1
-		c6 := b6 + b7
-		c7 := (b6 - b7) * w1
-		if scale != 1 {
-			c0, c1, c2, c3 = scale*c0, scale*c1, scale*c2, scale*c3
-			c4, c5, c6, c7 = scale*c4, scale*c5, scale*c6, scale*c7
-		}
-		data[i0], data[i1], data[i2], data[i3] = c0, c1, c2, c3
-		data[i4], data[i5], data[i6], data[i7] = c4, c5, c6, c7
-	}
-}
-
-// bitReverse permutes data into bit-reversed order in place.
-func bitReverse(data []complex128, n uint) {
-	size := uint64(len(data))
-	for i := uint64(0); i < size; i++ {
-		j := bitops.ReverseBits(i, n)
-		if j > i {
-			data[i], data[j] = data[j], data[i]
-		}
-	}
+// transform is the natural-order transform: the reordering pass, then the
+// decimation-in-time network.
+func (p *Plan) transform(data []complex128, inverse bool, scale float64, workers int) {
+	p.check(data)
+	bitReverse(data, p.n, p.effective(workers))
+	p.network(data, false, inverse, scale, workers)
 }
 
 // minParallel is the smallest transform that benefits from goroutines.
 const minParallel = 1 << 14
 
-// parallelFor invokes fn over disjoint chunks of [0, size).
-func parallelFor(size uint64, fn func(lo, hi uint64)) {
-	w := uint64(runtime.GOMAXPROCS(0))
-	if size < 1024 || w <= 1 {
-		fn(0, size)
+// effective clamps a requested worker count to what this plan's passes
+// can use: one below minParallel.
+func (p *Plan) effective(workers int) int {
+	if workers < 1 || p.size < minParallel {
+		return 1
+	}
+	return workers
+}
+
+// blockLog is log2 of the block the small-span groups run in: 2^11
+// amplitudes are 32 KiB, an L1-resident working set, so a group whose
+// span fits re-reads what the previous group left in cache.
+const blockLog = 11
+
+// network runs the butterfly network over data: decimation in time
+// (bit-reversed input, natural output, groups in order) or, with dif, its
+// transpose, decimation in frequency (natural input, bit-reversed output,
+// groups backwards). The groups whose span fits a 2^blockLog block run
+// block by block in one parallel pass — first in DIT, last in DIF — and
+// the rest one full pass each.
+func (p *Plan) network(data []complex128, dif, inverse bool, scale float64, workers int) {
+	if p.size == 1 {
+		data[0] *= complex(scale, 0)
 		return
 	}
-	if w > size/512 {
-		w = size / 512
+	workers = p.effective(workers)
+	p.build(workers)
+	gs := p.groups
+	inner := 0 // groups [0, inner) fit a block
+	for inner < len(gs) && gs[inner].s+gs[inner].stages() <= blockLog {
+		inner++
+	}
+	c := call{data: data, gs: gs, dif: dif, inverse: inverse, scale: scale}
+	if dif {
+		for i := len(gs) - 1; i >= inner; i-- {
+			c.lo, c.hi = i, i+1
+			c.run(p.size, workers)
+		}
+	}
+	if inner > 0 {
+		c.lo, c.hi = 0, inner
+		c.run(p.size, workers)
+	}
+	if !dif {
+		for i := inner; i < len(gs); i++ {
+			c.lo, c.hi = i, i+1
+			c.run(p.size, workers)
+		}
+	}
+}
+
+// call is one pass over the vector: groups gs[lo:hi] of one network
+// direction. With more than one group the pass goes block by block (the
+// groups' spans all fit 2^blockLog).
+type call struct {
+	data         []complex128
+	gs           []stageGroup
+	lo, hi       int
+	dif, inverse bool
+	scale        float64
+}
+
+// run executes the pass over all size amplitudes on the given workers.
+//
+//qemu:hotpath
+func (c *call) run(size uint64, workers int) {
+	if workers <= 1 {
+		c.chunk(0, size)
+		return
+	}
+	cc := *c
+	parallelFor(workers, size>>chunkLog(size), func(lo, hi uint64) {
+		shift := chunkLog(size)
+		cc.chunk(lo<<shift, hi<<shift)
+	})
+}
+
+// chunkLog is log2 of the unit a pass is split across workers in: a
+// block, or the whole of a vector smaller than one.
+func chunkLog(size uint64) uint {
+	if size < 1<<blockLog {
+		return bitops.Log2(size)
+	}
+	return blockLog
+}
+
+// chunk runs the pass over amplitudes [from, to), a whole number of
+// blocks. A butterfly of group g has flat index t = i >> g.stages() for
+// any amplitude i of its first leg's block position, so an amplitude range
+// aligned to the group's span maps to the flat range of the same
+// proportion.
+func (c *call) chunk(from, to uint64) {
+	if c.hi-c.lo == 1 {
+		g := &c.gs[c.lo]
+		g.run(c.data, from>>g.stages(), to>>g.stages(), c.dif, c.inverse, c.scale)
+		return
+	}
+	for b := from; b < to; b += 1 << blockLog {
+		e := min(b+1<<blockLog, to)
+		if c.dif {
+			for i := c.hi - 1; i >= c.lo; i-- {
+				g := &c.gs[i]
+				g.run(c.data, b>>g.stages(), e>>g.stages(), true, c.inverse, c.scale)
+			}
+		} else {
+			for i := c.lo; i < c.hi; i++ {
+				g := &c.gs[i]
+				g.run(c.data, b>>g.stages(), e>>g.stages(), false, c.inverse, c.scale)
+			}
+		}
+	}
+}
+
+// spawned counts the goroutines parallelFor has started. Tests read it to
+// pin that one worker means the calling goroutine and no other.
+var spawned atomic.Int64
+
+// parallelFor invokes fn over disjoint contiguous chunks of [0, count) on
+// workers goroutines, the caller's included, and waits for them.
+func parallelFor(workers int, count uint64, fn func(lo, hi uint64)) {
+	w := uint64(workers)
+	if w > count {
+		w = count
+	}
+	if w <= 1 {
+		fn(0, count)
+		return
 	}
 	var wg sync.WaitGroup
-	chunk := (size + w - 1) / w
-	for start := uint64(0); start < size; start += chunk {
-		end := start + chunk
-		if end > size {
-			end = size
-		}
-		wg.Add(1)
+	wg.Add(int(w) - 1)
+	spawned.Add(int64(w) - 1)
+	for k := uint64(1); k < w; k++ {
 		go func(lo, hi uint64) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(start, end)
+		}(k*count/w, (k+1)*count/w)
 	}
+	fn(0, count/w)
 	wg.Wait()
 }

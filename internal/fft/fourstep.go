@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
 
 	"repro/internal/bitops"
 )
@@ -18,7 +19,8 @@ import (
 // The three explicit transpositions are precisely the three all-to-all
 // exchanges of a distributed 1-D FFT that the paper's Eq. 5 charges
 // 3 * 16N/Bnet for; the cluster back-end runs this same factorisation with
-// the transposes realised as network exchanges.
+// the transposes realised as network exchanges. Like Forward, it runs on
+// GOMAXPROCS workers.
 func FourStep(data []complex128, sign int) error {
 	size := uint64(len(data))
 	if !bitops.IsPowerOfTwo(size) {
@@ -43,6 +45,7 @@ func FourStep(data []complex128, sign int) error {
 	rows := uint64(1) << n1 // N1
 	cols := uint64(1) << n2 // N2
 
+	workers := runtime.GOMAXPROCS(0)
 	scratch := make([]complex128, size)
 	planRows, err := NewPlan(rows)
 	if err != nil {
@@ -54,7 +57,7 @@ func FourStep(data []complex128, sign int) error {
 	}
 
 	// Step 1: transpose the N1 x N2 matrix (row-major, row r = data[r*cols ...]).
-	transpose(scratch, data, rows, cols)
+	transpose(scratch, data, rows, cols, workers)
 	// Step 2: N2 independent FFTs of length N1 (now the rows of scratch).
 	for c := uint64(0); c < cols; c++ {
 		row := scratch[c*rows : (c+1)*rows]
@@ -66,7 +69,7 @@ func FourStep(data []complex128, sign int) error {
 	}
 	// Step 3: twiddle multiply: element (r, c) of the original matrix picks
 	// up exp(sign * 2 pi i * r * c / N).
-	parallelFor(size, func(lo, hi uint64) {
+	parallelFor(workers, size, func(lo, hi uint64) {
 		for i := lo; i < hi; i++ {
 			c := i / rows
 			r := i % rows
@@ -78,7 +81,7 @@ func FourStep(data []complex128, sign int) error {
 		}
 	})
 	// Step 4: transpose back to N1 x N2.
-	transpose(data, scratch, cols, rows)
+	transpose(data, scratch, cols, rows, workers)
 	// Step 5: N1 independent FFTs of length N2 (the rows of data).
 	for r := uint64(0); r < rows; r++ {
 		row := data[r*cols : (r+1)*cols]
@@ -90,16 +93,16 @@ func FourStep(data []complex128, sign int) error {
 	}
 	// Step 6: final transpose so output index k1*N1 + k0 lands at
 	// position k (standard four-step output ordering).
-	transpose(scratch, data, rows, cols)
+	transpose(scratch, data, rows, cols, workers)
 	copy(data, scratch)
 	return nil
 }
 
 // transpose writes the rows x cols matrix src (row-major) into dst as its
 // cols x rows transpose, using cache-friendly blocking.
-func transpose(dst, src []complex128, rows, cols uint64) {
+func transpose(dst, src []complex128, rows, cols uint64, workers int) {
 	const block = 32
-	parallelFor((rows+block-1)/block, func(lo, hi uint64) {
+	parallelFor(workers, (rows+block-1)/block, func(lo, hi uint64) {
 		for bi := lo; bi < hi; bi++ {
 			r0 := bi * block
 			r1 := r0 + block

@@ -181,7 +181,7 @@ func Calibrate() Measured {
 	for i := range data {
 		data[i] = complex(float64(i%7)*0.1, 0.2)
 	}
-	m.FFTNs = perAmpNs(bestOf(budget, func() { plan.Unitary(data) })) / float64(n)
+	m.FFTNs = perAmpNs(bestOf(budget, func() { plan.Unitary(data, st.Workers()) })) / float64(n)
 
 	cl, err := cluster.New(n, 2)
 	if err != nil {

@@ -166,17 +166,8 @@ func scatter(i uint64, bits []uint, v uint64) uint64 {
 // run these once per amplitude, so the difference is the difference
 // between ~3 and ~3·w word ops per basis state.
 func fieldIO(bits []uint) (read func(uint64) uint64, write func(uint64, uint64) uint64) {
-	w := uint(len(bits))
-	contiguous := w > 0
-	for j, b := range bits {
-		if b != bits[0]+uint(j) {
-			contiguous = false
-			break
-		}
-	}
-	if contiguous {
-		pos := bits[0]
-		mask := bitops.Mask(w)
+	if pos, ok := contiguous(bits); ok {
+		mask := bitops.Mask(uint(len(bits)))
 		return func(i uint64) uint64 { return (i >> pos) & mask },
 			func(i, v uint64) uint64 { return (i &^ (mask << pos)) | ((v & mask) << pos) }
 	}
@@ -190,7 +181,14 @@ func (op *Op) Apply(st *statevec.State) {
 	switch op.kind {
 	case opQFT:
 		op.applyQFT(st)
-	case opAdd, opSub, opAddc, opMul, opDiv:
+	case opAdd, opSub, opAddc:
+		if add, ok := op.fieldAdd(st.NumQubits()); ok {
+			st.ApplyFieldAdd(add)
+			return
+		}
+		f, _ := op.Permutation()
+		st.ApplyPermutation(f)
+	case opMul, opDiv:
 		f, _ := op.Permutation()
 		st.ApplyPermutation(f)
 	case opDiag:
@@ -198,10 +196,7 @@ func (op *Op) Apply(st *statevec.State) {
 			st.ApplyDiagN(op.diag, op.qubits)
 			return
 		}
-		qs, d := op.qubits, op.diag
-		st.ApplyDiagonalFunc(func(i uint64) complex128 {
-			return d[gather(i, qs)]
-		})
+		st.ApplyDiagTable(op.diag, op.qubits)
 	case opPhaseFlip:
 		op.applyPhaseFlip(st)
 	case opReflect:
@@ -220,38 +215,66 @@ func (op *Op) Apply(st *statevec.State) {
 	}
 }
 
+// contiguous reports whether bits is a run of consecutive positions and
+// returns its first.
+func contiguous(bits []uint) (pos uint, ok bool) {
+	if len(bits) == 0 {
+		return 0, false
+	}
+	for j, b := range bits {
+		if b != bits[0]+uint(j) {
+			return 0, false
+		}
+	}
+	return bits[0], true
+}
+
+// fieldAdd returns the closure-free kernel form of an add, sub or addc
+// whose registers are contiguous fields of an n-qubit register; ok is
+// false for any other placement — and for a decoded op whose registers
+// overlap, which decoding does not rule out — and the op keeps the
+// general permutation path.
+func (op *Op) fieldAdd(n uint) (statevec.FieldAdd, bool) {
+	aPos, aOK := contiguous(op.regA)
+	bPos, bOK := contiguous(op.regB)
+	if !aOK || !bOK || len(op.regA) != len(op.regB) {
+		return statevec.FieldAdd{}, false
+	}
+	add := statevec.FieldAdd{
+		APos: aPos, BPos: bPos, Width: uint(len(op.regB)),
+		CarryIn:  op.carry,
+		CarryOut: op.bz, HasCarryOut: op.kind == opAddc,
+		Subtract: op.kind == opSub,
+	}
+	return add, add.Check(n) == nil
+}
+
 func (op *Op) applyQFT(st *statevec.State) {
+	amps, workers := st.Amplitudes(), st.Workers()
+	full := op.pos == 0 && op.width == st.NumQubits()
+	// CircuitNoSwap is the reversal swaps composed after the exact QFT
+	// (the swap network is an involution), so the noswap variants are the
+	// transform with the field bit reversal composed on the output side.
+	// On the full register that is the plan's bit-reversed-order entry
+	// points, which run the butterfly network with no reordering pass.
+	if full && op.noswap {
+		if op.inverse {
+			op.plan.UnitaryInverseFromBitReversed(amps, workers)
+		} else {
+			op.plan.UnitaryBitReversed(amps, workers)
+		}
+		return
+	}
 	reverse := func() {
 		w := op.width
 		st.MapRegister(op.pos, w, func(field, rest uint64) uint64 {
 			return bitops.ReverseBits(field, w)
 		})
 	}
-	// CircuitNoSwap is the reversal swaps composed after the exact QFT
-	// (the swap network is an involution), so the noswap variants are the
-	// transform with the field bit reversal composed on the output side.
-	if op.pos == 0 && op.width == st.NumQubits() {
-		// Full-register fast path: the bit-reversed-order plan entry
-		// points skip the reordering pass entirely for the noswap
-		// variants, and the with-swaps variants reorder through the
-		// state's out-of-place permutation instead of in-place swaps.
-		if op.inverse {
-			if !op.noswap {
-				reverse()
-			}
-			op.plan.UnitaryInverseFromBitReversed(st.Amplitudes())
-		} else {
-			op.plan.UnitaryBitReversed(st.Amplitudes())
-			if !op.noswap {
-				reverse()
-			}
-		}
-		return
-	}
 	if op.noswap && op.inverse {
 		reverse()
 	}
-	op.plan.TransformField(st.Amplitudes(), op.pos, op.inverse)
+	op.plan.TransformField(st.Amplitudes(), op.pos, op.inverse, workers)
 	if op.noswap && !op.inverse {
 		reverse()
 	}

@@ -45,6 +45,10 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyMatrixN/w=3", func() { s.ApplyMatrixN(blocks[3], qubits[:3]) }},
 		{"ApplyMatrixN/w=4", func() { s.ApplyMatrixN(blocks[4], qubits[:4]) }},
 		{"ApplyDiagN", func() { s.ApplyDiagN(ones, qubits[:3]) }},
+		{"ApplyDiagTable", func() { s.ApplyDiagTable(ones, []uint{0, 3, 4}) }},
+		{"ApplyFieldAdd", func() {
+			s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6, CarryOut: 7, HasCarryOut: true})
+		}},
 		{"collapseScaled", func() { s.collapseScaled(0, 0, 1) }},
 	}
 	for _, c := range cases {

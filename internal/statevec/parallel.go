@@ -41,10 +41,7 @@ func newWorkerPool(size int) *workerPool {
 // ensurePool returns the State's pool, creating it on first use.
 func (s *State) ensurePool() *workerPool {
 	if s.pool == nil {
-		w := s.maxWorkers
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
+		w := s.Workers()
 		if w < 2 {
 			w = 2 // runChunks only dispatches when there is >1 chunk
 		}
@@ -70,13 +67,21 @@ func (s *State) SetParallelism(w int) {
 	s.maxWorkers = w
 }
 
+// Workers returns the most goroutines a kernel on this State runs on: the
+// SetParallelism cap, or GOMAXPROCS without one. Code that works on the
+// amplitude slice outside the kernels (the emulated Fourier transform)
+// takes its worker count from here, so one setting governs both.
+func (s *State) Workers() int {
+	if s.maxWorkers > 0 {
+		return s.maxWorkers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // parallelism returns the number of chunks a loop over size items should
 // split into.
 func (s *State) parallelism(size uint64) int {
-	w := s.maxWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := s.Workers()
 	if w <= 1 || size < parallelThreshold {
 		return 1
 	}

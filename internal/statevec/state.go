@@ -100,6 +100,8 @@ type State struct {
 	// block is the layout scratch of the 2^w block kernels (ApplyMatrixN,
 	// ApplyMatrix4, ApplyDiagN); nil until the first block.
 	block *blockLayout
+	// runs is the index scratch of ApplyDiagTable; nil until the first.
+	runs *[MaxQubits]diagRun
 	// pool is the persistent worker pool; nil until the first kernel large
 	// enough to go parallel.
 	pool *workerPool
