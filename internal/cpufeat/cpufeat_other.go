@@ -1,0 +1,6 @@
+//go:build !amd64
+
+package cpufeat
+
+// HasAVX2FMA is false off amd64.
+func HasAVX2FMA() bool { return false }

@@ -46,10 +46,7 @@ func BenchmarkFFTStages(b *testing.B) {
 		}
 		b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/amps, "ns/amp")
 	}
-	inner := 0
-	for inner < len(p.groups) && p.groups[inner].s+p.groups[inner].stages() <= blockLog {
-		inner++
-	}
+	inner := p.blocked()
 	for _, workers := range []int{1, 2} {
 		st.SetParallelism(workers)
 		b.Run(fmt.Sprintf("hadamard/workers=%d", workers), func(b *testing.B) {
@@ -71,16 +68,16 @@ func BenchmarkFFTStages(b *testing.B) {
 					if dif {
 						dir = "dif"
 					}
-					c := call{data: data, gs: p.groups, dif: dif}
+					ps := pass{data: data, dif: dif, scale: 1}
 					for i, g := range p.groups {
 						b.Run(fmt.Sprintf("%s/%s/s=%d/radix=%d/workers=%d", body.name, dir, g.s, g.radix, workers), func(b *testing.B) {
-							c.lo, c.hi = i, i+1
-							report(b, func() { c.run(p.size, workers) })
+							ps.gs = p.groups[i : i+1]
+							report(b, func() { ps.run(workers) })
 						})
 					}
 					b.Run(fmt.Sprintf("%s/%s/blocked-s<%d/workers=%d", body.name, dir, p.groups[inner].s, workers), func(b *testing.B) {
-						c.lo, c.hi = 0, inner
-						report(b, func() { c.run(p.size, workers) })
+						ps.gs = p.groups[:inner]
+						report(b, func() { ps.run(workers) })
 					})
 				}
 				b.Run(fmt.Sprintf("%s/unitary/workers=%d", body.name, workers), func(b *testing.B) {

@@ -90,7 +90,7 @@ func butterfly8Go(data, tw []complex128, s uint, lo, hi uint64, dif, inverse boo
 		i5 := i4 + h
 		i6 := i5 + h
 		i7 := i6 + h
-		run := tw[j>>1*twRun+j&1:]
+		run := runOf(tw, j)
 		w1, w2, w3a, w3b := run[twW1], run[twW2a], run[twW3a], run[twW3b]
 		if inverse {
 			w1 = complex(real(w1), -imag(w1))

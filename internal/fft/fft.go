@@ -54,7 +54,7 @@
 //
 // The radix-8 butterflies at spans of two or more have two bodies. On
 // amd64 hosts whose CPU reports AVX2 and FMA3 and whose OS saves the YMM
-// state (decided once at package init, butterfly_amd64.go) they run the
+// state (internal/cpufeat, asked once at package init) they run the
 // assembly in butterfly_amd64.s, vectorised over adjacent offsets: two
 // complexes per YMM register, a complex multiply as one VMULPD and one
 // VFMADDSUB. Everywhere else, and as the oracle in tests, they run the
@@ -95,8 +95,8 @@ type Plan struct {
 }
 
 // maxEagerSize is the largest transform whose plan NewPlan shares and
-// whose twiddle tables it builds up front (9.1 MiB at this size, ~10 ms
-// once per process). Larger plans defer the build to the first transform
+// whose twiddle tables it builds up front (9.1 MiB at this size, 10-20 ms
+// on one core, once per process). Larger plans defer the build to the first transform
 // so that compile-only passes — profiling a width-30 Fourier field prices
 // the transform without ever running it — stay O(log size).
 const maxEagerSize = 1 << 20
@@ -228,12 +228,22 @@ func (p *Plan) effective(workers int) int {
 // span fits re-reads what the previous group left in cache.
 const blockLog = 11
 
+// blocked returns how many of the plan's groups, from the head, have
+// spans that fit a 2^blockLog block.
+func (p *Plan) blocked() int {
+	k := 0
+	for k < len(p.groups) && p.groups[k].s+p.groups[k].stages() <= blockLog {
+		k++
+	}
+	return k
+}
+
 // network runs the butterfly network over data: decimation in time
 // (bit-reversed input, natural output, groups in order) or, with dif, its
 // transpose, decimation in frequency (natural input, bit-reversed output,
 // groups backwards). The groups whose span fits a 2^blockLog block run
-// block by block in one parallel pass — first in DIT, last in DIF — and
-// the rest one full pass each.
+// block by block in one pass — first in DIT, last in DIF — and the rest
+// one full pass each.
 func (p *Plan) network(data []complex128, dif, inverse bool, scale float64, workers int) {
 	if p.size == 1 {
 		data[0] *= complex(scale, 0)
@@ -241,88 +251,74 @@ func (p *Plan) network(data []complex128, dif, inverse bool, scale float64, work
 	}
 	workers = p.effective(workers)
 	p.build(workers)
-	gs := p.groups
-	inner := 0 // groups [0, inner) fit a block
-	for inner < len(gs) && gs[inner].s+gs[inner].stages() <= blockLog {
-		inner++
-	}
-	c := call{data: data, gs: gs, dif: dif, inverse: inverse, scale: scale}
+	k := p.blocked()
+	inner, outer := p.groups[:k], p.groups[k:]
+	ps := pass{data: data, dif: dif, inverse: inverse, scale: scale}
 	if dif {
-		for i := len(gs) - 1; i >= inner; i-- {
-			c.lo, c.hi = i, i+1
-			c.run(p.size, workers)
+		for i := len(outer) - 1; i >= 0; i-- {
+			ps.gs = outer[i : i+1]
+			ps.run(workers)
 		}
 	}
-	if inner > 0 {
-		c.lo, c.hi = 0, inner
-		c.run(p.size, workers)
+	if len(inner) > 0 {
+		ps.gs = inner
+		ps.run(workers)
 	}
 	if !dif {
-		for i := inner; i < len(gs); i++ {
-			c.lo, c.hi = i, i+1
-			c.run(p.size, workers)
+		for i := range outer {
+			ps.gs = outer[i : i+1]
+			ps.run(workers)
 		}
 	}
 }
 
-// call is one pass over the vector: groups gs[lo:hi] of one network
-// direction. With more than one group the pass goes block by block (the
-// groups' spans all fit 2^blockLog).
-type call struct {
+// pass is one trip over the vector: the groups gs of one network
+// direction. More than one group go block by block, each block through
+// all of them (their spans all fit 2^blockLog).
+type pass struct {
 	data         []complex128
 	gs           []stageGroup
-	lo, hi       int
 	dif, inverse bool
 	scale        float64
 }
 
-// run executes the pass over all size amplitudes on the given workers.
+// run executes the pass on the given workers, sharing the vector out in
+// blocks. More than one worker needs a vector of at least one block each,
+// which minParallel guarantees.
 //
 //qemu:hotpath
-func (c *call) run(size uint64, workers int) {
+func (ps *pass) run(workers int) {
+	size := uint64(len(ps.data))
 	if workers <= 1 {
-		c.chunk(0, size)
+		ps.chunk(0, size)
 		return
 	}
-	cc := *c
-	parallelFor(workers, size>>chunkLog(size), func(lo, hi uint64) {
-		shift := chunkLog(size)
-		cc.chunk(lo<<shift, hi<<shift)
+	c := *ps
+	parallelFor(workers, size>>blockLog, func(lo, hi uint64) {
+		c.chunk(lo<<blockLog, hi<<blockLog)
 	})
 }
 
-// chunkLog is log2 of the unit a pass is split across workers in: a
-// block, or the whole of a vector smaller than one.
-func chunkLog(size uint64) uint {
-	if size < 1<<blockLog {
-		return bitops.Log2(size)
-	}
-	return blockLog
-}
-
-// chunk runs the pass over amplitudes [from, to), a whole number of
-// blocks. A butterfly of group g has flat index t = i >> g.stages() for
-// any amplitude i of its first leg's block position, so an amplitude range
-// aligned to the group's span maps to the flat range of the same
-// proportion.
-func (c *call) chunk(from, to uint64) {
-	if c.hi-c.lo == 1 {
-		g := &c.gs[c.lo]
-		g.run(c.data, from>>g.stages(), to>>g.stages(), c.dif, c.inverse, c.scale)
+// chunk runs the pass over amplitudes [from, to), whole blocks of a vector
+// of at least one block or else all of it. A group of radix 2^k numbers
+// its butterflies so that those of one span-aligned amplitude range
+// [from, to) are exactly [from>>k, to>>k) — which also makes any
+// block-aligned split of a wider-span group's pass a split of its
+// butterflies, though not into ranges of amplitudes.
+func (ps *pass) chunk(from, to uint64) {
+	if len(ps.gs) == 1 {
+		g := &ps.gs[0]
+		g.run(ps.data, from>>g.stages(), to>>g.stages(), ps.dif, ps.inverse, ps.scale)
 		return
 	}
 	for b := from; b < to; b += 1 << blockLog {
 		e := min(b+1<<blockLog, to)
-		if c.dif {
-			for i := c.hi - 1; i >= c.lo; i-- {
-				g := &c.gs[i]
-				g.run(c.data, b>>g.stages(), e>>g.stages(), true, c.inverse, c.scale)
+		for i := range ps.gs {
+			g := &ps.gs[i]
+			if ps.dif {
+				g = &ps.gs[len(ps.gs)-1-i]
 			}
-		} else {
-			for i := c.lo; i < c.hi; i++ {
-				g := &c.gs[i]
-				g.run(c.data, b>>g.stages(), e>>g.stages(), false, c.inverse, c.scale)
-			}
+			g.run(ps.data, b>>g.stages(), e>>g.stages(), ps.dif, ps.inverse, ps.scale)
 		}
 	}
 }

@@ -412,7 +412,7 @@ func TestPackedTwiddlesMatchStrided(t *testing.T) {
 			}
 			w1step, w2step, w3step := p.size>>(g.s+1), p.size>>(g.s+2), p.size>>(g.s+3)
 			for j := uint64(0); j < h; j++ {
-				run := g.tw[j>>1*twRun+j&1:]
+				run := runOf(g.tw, j)
 				for _, c := range []struct {
 					name      string
 					got, want complex128
@@ -567,12 +567,8 @@ func TestWorkerCountIsExact(t *testing.T) {
 	}
 	before = spawned.Load()
 	p.Unitary(x, 3)
-	passes := int64(1) // the reordering pass
-	inner := 0
-	for inner < len(p.groups) && p.groups[inner].s+p.groups[inner].stages() <= blockLog {
-		inner++
-	}
-	passes += 1 + int64(len(p.groups)-inner)
+	// The reordering pass, the blocked pass, and one per remaining group.
+	passes := int64(2 + len(p.groups) - p.blocked())
 	if got := spawned.Load() - before; got != 2*passes {
 		t.Errorf("three workers over %d passes started %d goroutines, want %d", passes, got, 2*passes)
 	}

@@ -58,6 +58,12 @@ const (
 	twRun = 8 // complexes per pair of offsets
 )
 
+// runOf returns the run of table tw that serves offset j, starting at
+// j's own lane: the tw* constants index it.
+func runOf(tw []complex128, j uint64) []complex128 {
+	return tw[j>>1*twRun+j&1:]
+}
+
 // packed builds the access-ordered table of the radix-8 group at stage s
 // for offsets j in [lo, hi) of its h = 2^s. With W_m = exp(2 pi i / m),
 // the butterfly at offset j multiplies by
@@ -81,7 +87,7 @@ func packed(tw []complex128, s uint, lo, hi uint64) {
 		return complex(cos, sin)
 	}
 	for j := lo; j < hi; j++ {
-		run := tw[j>>1*twRun+j&1:]
+		run := runOf(tw, j)
 		run[twW1] = root(4 * j)
 		run[twW2a] = root(2 * j)
 		run[twW3a] = root(j)

@@ -181,14 +181,11 @@ func (op *Op) Apply(st *statevec.State) {
 	switch op.kind {
 	case opQFT:
 		op.applyQFT(st)
-	case opAdd, opSub, opAddc:
+	case opAdd, opSub, opAddc, opMul, opDiv:
 		if add, ok := op.fieldAdd(st.NumQubits()); ok {
 			st.ApplyFieldAdd(add)
 			return
 		}
-		f, _ := op.Permutation()
-		st.ApplyPermutation(f)
-	case opMul, opDiv:
 		f, _ := op.Permutation()
 		st.ApplyPermutation(f)
 	case opDiag:
@@ -231,13 +228,13 @@ func contiguous(bits []uint) (pos uint, ok bool) {
 
 // fieldAdd returns the closure-free kernel form of an add, sub or addc
 // whose registers are contiguous fields of an n-qubit register; ok is
-// false for any other placement — and for a decoded op whose registers
-// overlap, which decoding does not rule out — and the op keeps the
-// general permutation path.
+// false for mul and div, for any other placement, and for a decoded op
+// whose registers overlap (which decoding does not rule out): those keep
+// the general permutation path.
 func (op *Op) fieldAdd(n uint) (statevec.FieldAdd, bool) {
 	aPos, aOK := contiguous(op.regA)
 	bPos, bOK := contiguous(op.regB)
-	if !aOK || !bOK || len(op.regA) != len(op.regB) {
+	if op.kind == opMul || op.kind == opDiv || !aOK || !bOK || len(op.regA) != len(op.regB) {
 		return statevec.FieldAdd{}, false
 	}
 	add := statevec.FieldAdd{

@@ -31,7 +31,7 @@
 // The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyMatrix4 —
 // has two bodies. On amd64 hosts whose CPU reports AVX2 and FMA3 and whose
 // OS saves the YMM state (CPUID leaves 1 and 7 plus XGETBV, checked once
-// at package init, dense_amd64.go) it runs denseSweepAVX2
+// at package init, internal/cpufeat) it runs denseSweepAVX2
 // (dense_amd64.s); everywhere else, and as the oracle in tests, it runs
 // the pure-Go chunk functions (denseChunkGo, and the tuned matrix4Chunk at
 // w=2). Nothing else selects a body: no option, environment variable or
