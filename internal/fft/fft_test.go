@@ -381,18 +381,10 @@ func TestButterflyAsmRejectsBadRanges(t *testing.T) {
 
 // TestPackedTwiddlesMatchStrided checks the access-ordered tables entry by
 // entry against the single strided table they replace — tw[k] =
-// exp(2 pi i k / size) read at j*(size>>(stage+1)) — to one ulp, and the
-// derived factors against the entries they stand in for.
+// exp(2 pi i k / size) read at j*(size>>(stage+1)) — which they must equal
+// bit for bit (the angles are the same floats), and the derived factors
+// against the entries they stand in for.
 func TestPackedTwiddlesMatchStrided(t *testing.T) {
-	ulps := func(a, b float64) float64 {
-		if a == b {
-			return 0
-		}
-		return math.Abs(a-b) / (math.Nextafter(math.Abs(a), math.Inf(1)) - math.Abs(a))
-	}
-	near := func(a, b complex128) bool {
-		return ulps(real(a), real(b)) <= 1 && ulps(imag(a), imag(b)) <= 1
-	}
 	for _, n := range []uint{3, 4, 5, 9, 10, 11, 14} {
 		p := mustPlan(t, 1<<n)
 		strided := func(k uint64) complex128 {
@@ -422,7 +414,7 @@ func TestPackedTwiddlesMatchStrided(t *testing.T) {
 					{"w3a", run[twW3a], strided(j * w3step)},
 					{"w3b", run[twW3b], strided((j + h) * w3step)},
 				} {
-					if !near(c.got, c.want) {
+					if c.got != c.want {
 						t.Fatalf("n=%d s=%d j=%d %s: packed %v, strided %v", n, g.s, j, c.name, c.got, c.want)
 					}
 				}
