@@ -302,6 +302,10 @@ func runTrajectories(numQubits int, x *repro.Executable, trajs, workers int, see
 	rate := float64(trajs) / res.Wall.Seconds()
 	fmt.Printf("trajectories: %d run over %d noise insertion points, %d noise jumps sampled\n",
 		trajs, res.Points, res.Jumps)
+	// A unit runs whole unless a jump fires inside it; then its gates are
+	// replayed one by one. The share says what the noise cost in fusion.
+	fmt.Printf("  %d units per trajectory, %d struck and replayed gate by gate (%.1f%% of executed gates)\n",
+		len(x.Units), res.StruckUnits, 100*float64(res.ReplayedGates)/float64(max(1, trajs*x.NumGates)))
 	fmt.Printf("  wall %v (%.0f trajectories/s), seed %d\n", res.Wall, rate, seed)
 
 	counts := res.Counts()

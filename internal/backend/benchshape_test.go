@@ -1,12 +1,17 @@
 package backend_test
 
 import (
+	"bufio"
+	"fmt"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/experiments"
+	"repro/internal/noise"
 	"repro/internal/qasm"
 	"repro/internal/recognize"
 	"repro/internal/rng"
@@ -93,5 +98,90 @@ func TestClusterShardCommPinned(t *testing.T) {
 	if res.Comm.Rounds != 11 || res.PlannedRemaps != 6 || res.Comm.BytesSent != 1<<27 {
 		t.Errorf("rounds %d, planned remaps %d, bytes sent %d; want 11, 6, %d",
 			res.Comm.Rounds, res.PlannedRemaps, res.Comm.BytesSent, 1<<27)
+	}
+}
+
+// noiseTrajTarget is the noise-traj workload's compile target.
+var noiseTrajTarget = backend.Target{NumQubits: 12, Kind: backend.Fused, FuseWidth: 4, Emulate: recognize.Off, Workers: 1}
+
+// TestNoiseTrajShapePinned pins what the spacing rule makes of the
+// benchmark's noise-traj circuit (12 qubits, 452 gates, depolarizing
+// 0.001 after every gate — 810 insertion points): the numbers behind its
+// noise.units_per_traj and the reason a trajectory costs what the ideal
+// plan does. Through PR 18 every point cut a unit: 452 one-gate units, no
+// fused block. The rule (NoisePlan) closes a unit where its expected
+// replay cost reaches one sweep, ~24 gates here, and a struck unit costs
+// its gates replayed — so "replayed gates / executed gates" is the number
+// that says the spacing still matches the traffic: it is ~(units' gate
+// count) x (fire probability per gate) = 24 x 0.0018 = 4%, and would pass
+// 10% only if units grew past what the rule allows.
+func TestNoiseTrajShapePinned(t *testing.T) {
+	c := experiments.NoiseTraj(12, 3)
+	x, err := backend.Compile(c, noiseTrajTarget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.NumGates != 452 || len(x.Noise.Points) != 810 {
+		t.Fatalf("%d gates, %d points; the workload has 452 and 810", x.NumGates, len(x.Noise.Points))
+	}
+	if len(x.Units) > 40 || x.FusedBlocks == 0 {
+		t.Errorf("%d units, %d fused blocks; want at most 40 units and fused blocks in them", len(x.Units), x.FusedBlocks)
+	}
+	const trajectories = 400
+	res, err := noise.Run(x, noise.Options{Trajectories: trajectories, Seed: 3 << 20, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := uint64(trajectories * x.NumGates)
+	t.Logf("%d units, %d fused blocks; %d jumps, %d struck units, %d of %d gates replayed (%.1f%%)",
+		len(x.Units), x.FusedBlocks, res.Jumps, res.StruckUnits, res.ReplayedGates, executed,
+		100*float64(res.ReplayedGates)/float64(executed))
+	if res.StruckUnits == 0 || 10*res.ReplayedGates > executed {
+		t.Errorf("%d struck units replayed %d of %d gates; want some, and at most 10%%", res.StruckUnits, res.ReplayedGates, executed)
+	}
+}
+
+// TestNoiseTrajOutcomesMatchParent holds the runner to the outcomes the
+// cut-everywhere runner of PR 18 produced for the noise-traj shape: the
+// first 400 trajectories at circuit seeds 1 and 7, recorded in testdata by
+// that commit. The draw stream is the contract — one variate per point in
+// plan order — so moving unit boundaries must not move one outcome. A
+// fused block and its gates differ in the last ulp; if that ever flips a
+// draw this test names the trajectory, and the answer is to explain that
+// index, not to compare histograms instead.
+func TestNoiseTrajOutcomesMatchParent(t *testing.T) {
+	for _, seed := range []uint64{1, 7} {
+		f, err := os.Open(fmt.Sprintf("testdata/noise_traj_seed%d.txt", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for sc := bufio.NewScanner(f); sc.Scan(); {
+			if strings.HasPrefix(sc.Text(), "#") {
+				continue
+			}
+			v, err := strconv.ParseUint(sc.Text(), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, v)
+		}
+		f.Close()
+		x, err := backend.Compile(experiments.NoiseTraj(12, seed), noiseTrajTarget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := noise.Run(x, noise.Options{Trajectories: len(want), Seed: seed << 20, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 400 {
+			t.Fatalf("seed %d: testdata holds %d outcomes, want 400", seed, len(want))
+		}
+		for i := range want {
+			if res.Outcomes[i] != want[i] {
+				t.Errorf("seed %d: trajectory %d sampled %d, the parent commit %d", seed, i, res.Outcomes[i], want[i])
+			}
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 //	magic "QEXE" | version u16 | crc32 u32 (of everything after this field)
 //	target       (register width, kind, fusion width, nodes, emulation mode, cost model)
 //	source key   (the compile-time Fingerprint — the serving cache's key; v3)
-//	noise plan   (unit-aligned channel insertion points; count 0 = ideal; v4)
+//	noise plan   (channel insertion points in plan order; count 0 = ideal; v4)
 //	gate count   | skipped-region list
 //	unit index   (count, then per unit: type byte + payload size)
 //	unit payloads
@@ -46,8 +46,13 @@ import (
 // CodecVersion] is rejected and a cache warm-start simply recompiles,
 // which is always correct.
 const (
-	codecMagic   = "QEXE"
-	CodecVersion = 4 // v4: NoisePlan section after the source key
+	codecMagic = "QEXE"
+	// v5 has v4's layout; the number moved because the noise pass did: a
+	// v5 noisy artifact holds soft points inside its gate units, which a v4
+	// reader's verifier would refuse, so it refuses the version instead
+	// and recompiles. v4 artifacts (a unit boundary at every point) are a
+	// special case of v5 and run unchanged.
+	CodecVersion = 5
 	// codecMinVersion is the oldest artifact layout Decode still reads:
 	// v2 predates the SourceKey (v3) and NoisePlan (v4) sections.
 	codecMinVersion = 2

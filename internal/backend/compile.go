@@ -19,9 +19,11 @@ type Unit struct {
 	// [Lo, Hi); Substrate names how it executes on the target.
 	Op        *recognize.Op
 	Substrate string
-	// Gates is the segment's gate slice (aliasing the source circuit) for
-	// gate-by-gate kinds; Fused its fusion plan (Fused and Cluster kinds);
-	// Sched its communication schedule (Cluster kind).
+	// Gates is the segment's gate slice (aliasing the source circuit): what
+	// the gate-by-gate kinds execute, and on every kind what the trajectory
+	// runner replays one gate at a time when a noise point strikes inside
+	// the unit. Fused is its fusion plan (Fused and Cluster kinds); Sched
+	// its communication schedule (Cluster kind).
 	Gates []gates.Gate
 	Fused *fuse.Plan
 	Sched *cluster.Schedule
@@ -49,9 +51,11 @@ type Executable struct {
 	// their own collective rounds at run time.
 	PlannedRounds int
 	// Noise is the compiled insertion-point plan of the source circuit's
-	// noise model, aligned to the unit schedule (every point's gate closes
-	// its unit); nil for ideal circuits. Run ignores it — the trajectory
-	// runner (internal/noise) replays units and strikes between them.
+	// noise model, aligned to the unit schedule (a hard point's gate closes
+	// its unit, a soft point lies inside a gate unit or closes any unit —
+	// see NoisePlan); nil for ideal circuits. Run ignores it — the
+	// trajectory runner (internal/noise) runs a unit whole and strikes
+	// after it, or replays the unit's gates when a point fires inside.
 	Noise *NoisePlan
 	// SourceKey is the Fingerprint of the (circuit, target) pair this
 	// executable was compiled from — the serving cache's key. It rides in
@@ -159,16 +163,15 @@ func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {
 func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Selection) (*Executable, error) {
 	x := &Executable{NumQubits: c.NumQubits, NumGates: c.Len(), Target: t, Selection: sel}
 
-	// Noise pass: resolve the circuit's error model into insertion points
-	// and force a unit boundary after every struck gate. A recognised op
-	// with a strike strictly inside its range returns to gate level — a
-	// monolithic shortcut cannot host a mid-range Kraus jump — while ops
-	// and segments between strikes keep their shortcuts and fuse plans.
+	// Noise pass: resolve the circuit's error model into insertion points.
+	// A recognised op with a point before its last gate returns to gate
+	// level — a monolithic shortcut has no gates to replay a mid-range
+	// strike through — and its gates then fuse like any other segment;
+	// ops struck only after their last gate keep their shortcuts.
 	noise := resolveNoise(c)
-	cuts := noise.cuts()
-	if len(cuts) > 0 {
+	if noise != nil {
 		plan = plan.Filter(func(op *recognize.Op) bool {
-			return !hasInteriorCut(cuts, op.Lo, op.Hi)
+			return len(noise.PointsIn(op.Lo, op.Hi-1)) == 0
 		}, "noise insertion inside the region; gate-level")
 	}
 
@@ -182,8 +185,10 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 	}
 	x.Skipped = plan.Skipped
 
-	// Passes 4+5: fusion and placement scheduling per gate segment, with
-	// gate segments split at the noise boundaries.
+	// Passes 4+5: fusion and placement scheduling per gate unit, gate
+	// segments split where the noise plan asks (NoisePlan.splitSegment:
+	// after every hard point, and where a unit's expected replay cost
+	// reaches one sweep).
 	for _, seg := range plan.Segments {
 		if seg.Op != nil {
 			sub := substrateLocal
@@ -193,7 +198,7 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 			x.addOpUnit(seg.Op, sub, seg.Lo, seg.Hi)
 			continue
 		}
-		err := splitAtCuts(cuts, seg.Lo, seg.Hi, func(lo, hi int) error {
+		err := noise.splitSegment(seg.Lo, seg.Hi, func(lo, hi int) error {
 			return x.addGateUnit(c.Gates[lo:hi], lo, hi)
 		})
 		if err != nil {

@@ -15,17 +15,44 @@ type NoisePoint struct {
 	Ch    circuit.Channel
 }
 
+// Hard reports whether the point's branch depends on the state it
+// strikes. The damping channels are hard: their jump probability is
+// γ·P(q=1) and their no-jump branch applies the non-unitary K₀ every
+// time, so the state must be exactly "after gate Gate" when the point is
+// reached and the point closes its unit. The Pauli channels (x, y, z,
+// depolarizing) are soft: the branch is a function of the drawn variate
+// alone, so whether the point fires is known before its unit runs and it
+// may sit anywhere inside a gate unit.
+func (pt NoisePoint) Hard() bool {
+	return pt.Ch.Kind == circuit.AmplitudeDamping || pt.Ch.Kind == circuit.PhaseDamping
+}
+
 // NoisePlan is the compiled form of a circuit's NoiseModel: every
 // insertion point expanded (global channels unrolled over each gate's
 // support, per-gate channels carried verbatim) and sorted by gate index.
-// Compile aligns the executable's unit boundaries with the plan — every
-// point's gate is the last gate of its unit — so the trajectory runner
-// replays units whole and strikes between them, and the noise-free
-// stretches keep their emulation shortcuts and fusion plans intact.
+//
+// Compile aligns the unit schedule with the plan by two rules. A hard
+// point's gate is the last gate of its unit, always. Soft points force
+// no boundary by themselves; a gate unit that holds them in its interior
+// (before its last gate) is one the trajectory runner runs whole when
+// none of them fires and replays gate by gate when one does, so the
+// compiler closes an open gate unit where the expected cost of that
+// replay reaches one sweep of the state — the price of a boundary. With
+// S the sum of the fire probabilities of the soft points on the k gates
+// a unit already holds, the unit closes before the gate that would make
+// S·(k+1) >= 1: P(some interior point fires) <= S and a replay costs
+// about one sweep per gate held. Units are ~24 gates at depolarizing
+// 0.001 with 1.8 points per gate, 7 at 0.01, one gate as p -> 1, whole
+// segments at p = 0; a damping-only plan has S = 0 throughout and cuts
+// only at its points. Recognised ops carry no gates to replay, so an op
+// with any point before its last gate returns to gate level. Artifacts
+// that cut more often than the rule asks (every artifact older than
+// codec v5 closes a unit at every point) run unchanged.
 //
 // The expansion order is part of the plan's contract: trajectories draw
 // one uniform variate per point in plan order, so two executables with
-// equal plans replay identical noise realisations from equal seeds.
+// equal plans replay identical noise realisations from equal seeds —
+// wherever their unit boundaries fall.
 type NoisePlan struct {
 	Points []NoisePoint
 }
@@ -55,55 +82,44 @@ func resolveNoise(c *circuit.Circuit) *NoisePlan {
 	return plan
 }
 
-// cuts returns the sorted, deduplicated unit boundaries the plan forces:
-// a point after gate g means the executing unit must end at g+1 so the
-// runner can strike before the next unit begins.
-func (p *NoisePlan) cuts() []int {
-	if p == nil {
-		return nil
-	}
-	out := make([]int, 0, len(p.Points))
-	for _, pt := range p.Points {
-		b := pt.Gate + 1
-		if len(out) == 0 || out[len(out)-1] != b {
-			out = append(out, b)
+// splitSegment yields the gate units of the gate segment [lo, hi) in
+// order, calling fn(unitLo, unitHi) for each: a boundary after every gate
+// that carries a hard point, and one before the gate at which the open
+// unit's expected replay cost would reach one sweep (see NoisePlan). A
+// nil plan yields the segment whole.
+func (p *NoisePlan) splitSegment(lo, hi int, fn func(lo, hi int) error) error {
+	pts := p.PointsIn(lo, hi)
+	start, fire := lo, 0.0 // fire: summed fire probability of the soft points on gates [start, g)
+	for g := lo; g < hi; g++ {
+		if g > start && fire*float64(g+1-start) >= 1 {
+			if err := fn(start, g); err != nil {
+				return err
+			}
+			start, fire = g, 0
+		}
+		hard := false
+		for ; len(pts) > 0 && pts[0].Gate == g; pts = pts[1:] {
+			if pts[0].Hard() {
+				hard = true
+			} else {
+				fire += pts[0].Ch.P
+			}
+		}
+		if hard {
+			if err := fn(start, g+1); err != nil {
+				return err
+			}
+			start, fire = g+1, 0
 		}
 	}
-	return out
-}
-
-// hasInteriorCut reports whether any boundary falls strictly inside
-// (lo, hi) — the test that sends a recognised op back to gate level: a
-// monolithic shortcut cannot host a mid-range noise strike. A boundary at
-// hi is fine (the strike lands after the whole op).
-func hasInteriorCut(cuts []int, lo, hi int) bool {
-	i := sort.SearchInts(cuts, lo+1)
-	return i < len(cuts) && cuts[i] < hi
-}
-
-// splitAtCuts yields the sub-ranges of [lo, hi) delimited by the cut
-// boundaries, calling fn(subLo, subHi) for each in order.
-func splitAtCuts(cuts []int, lo, hi int, fn func(lo, hi int) error) error {
-	start := lo
-	for _, b := range cuts {
-		if b <= lo {
-			continue
-		}
-		if b >= hi {
-			break
-		}
-		if err := fn(start, b); err != nil {
-			return err
-		}
-		start = b
+	if start < hi {
+		return fn(start, hi)
 	}
-	return fn(start, hi)
+	return nil
 }
 
 // PointsIn returns the slice of plan points whose gate index falls in
 // [lo, hi). Points are sorted by gate, so this is two binary searches.
-// The trajectory runner uses it to pair each unit with the strikes that
-// land at its closing gate.
 func (p *NoisePlan) PointsIn(lo, hi int) []NoisePoint {
 	if p == nil {
 		return nil
@@ -115,9 +131,11 @@ func (p *NoisePlan) PointsIn(lo, hi int) []NoisePoint {
 
 // verifyNoisePlan checks the executable's noise plan against the register
 // and its unit schedule: channel parameters in [0,1] with known kinds,
-// points sorted by gate with in-range supports, and every point aligned
-// to the end of its unit (the coverage invariant the trajectory runner
-// replays by).
+// points sorted by gate with in-range supports, every hard point on the
+// last gate of its unit, and no point of either class strictly inside a
+// recognised op (the invariants the trajectory runner replays by; a soft
+// point inside a gate unit is legal — the unit carries the gates a
+// struck replay needs).
 func verifyNoisePlan(x *Executable) error {
 	p := x.Noise
 	if p == nil {
@@ -142,15 +160,21 @@ func verifyNoisePlan(x *Executable) error {
 		}
 		lastGate = pt.Gate
 	}
-	// Alignment: a point's gate must close its unit, or the runner would
-	// have to strike mid-unit — inside a fused block or an emulated op.
 	ui := 0
 	for _, pt := range p.Points {
 		for ui < len(x.Units) && x.Units[ui].Hi <= pt.Gate {
 			ui++
 		}
-		if ui >= len(x.Units) || pt.Gate != x.Units[ui].Hi-1 {
-			return fmt.Errorf("backend: verify: noise point after gate %d is not aligned to a unit boundary", pt.Gate)
+		if ui >= len(x.Units) {
+			return fmt.Errorf("backend: verify: noise point after gate %d lies outside every unit", pt.Gate)
+		}
+		if u := &x.Units[ui]; pt.Gate != u.Hi-1 {
+			if pt.Hard() {
+				return fmt.Errorf("backend: verify: %s point after gate %d is not aligned to a unit boundary", pt.Ch.Kind, pt.Gate)
+			}
+			if u.Op != nil {
+				return fmt.Errorf("backend: verify: noise point after gate %d falls inside the recognised op [%d,%d)", pt.Gate, u.Lo, u.Hi)
+			}
 		}
 	}
 	return nil

@@ -113,19 +113,22 @@ func TestVerifyMutationCorpus(t *testing.T) {
 			x.Units[i].Gates[0].Matrix[3] = 0
 		}},
 		// A planted noise point at an interior gate is valid wire bytes —
-		// sorted, in range, probability in [0,1] — but breaks the
-		// unit-boundary alignment the trajectory runner replays by.
-		{"noise point off unit boundary", local, func(t *testing.T, x *backend.Executable) {
-			for i := range x.Units {
-				if x.Units[i].Hi-x.Units[i].Lo >= 2 {
-					x.Noise = &backend.NoisePlan{Points: []backend.NoisePoint{{
-						Gate: x.Units[i].Hi - 2, Qubit: 0,
-						Ch: circuit.Channel{Kind: circuit.FlipX, P: 0.5},
-					}}}
-					return
-				}
-			}
-			t.Skip("workload compiled to single-gate units only")
+		// sorted, in range, probability in [0,1]. Whether it is a valid
+		// plan depends on its class and on the unit it lands in: a damping
+		// point must close its unit (its branch needs the state at its own
+		// gate), and no point may fall inside a recognised op (there are no
+		// gates to replay a strike through).
+		{"damping point off its unit's last gate", local, func(t *testing.T, x *backend.Executable) {
+			i := findUnit(t, x, "multi-gate gate-level", func(u *backend.Unit) bool { return u.Op == nil && u.Hi-u.Lo >= 2 })
+			plantNoise(x, x.Units[i].Hi-2, circuit.AmplitudeDamping)
+		}},
+		{"soft point strictly inside an op", local, func(t *testing.T, x *backend.Executable) {
+			i := findUnit(t, x, "multi-gate op", func(u *backend.Unit) bool { return u.Op != nil && u.Hi-u.Lo >= 2 })
+			plantNoise(x, x.Units[i].Hi-2, circuit.FlipX)
+		}},
+		{"soft point strictly inside an op on a cluster target", clustered, func(t *testing.T, x *backend.Executable) {
+			i := findUnit(t, x, "multi-gate op", func(u *backend.Unit) bool { return u.Op != nil && u.Hi-u.Lo >= 2 })
+			plantNoise(x, x.Units[i].Lo, circuit.Depolarizing)
 		}},
 	}
 
@@ -163,7 +166,44 @@ func TestVerifyMutationCorpus(t *testing.T) {
 		if err := backend.VerifyExecutable(y); err != nil {
 			t.Fatalf("%s: clean round-trip fails verification: %v", tgt.Kind, err)
 		}
+
+		// The other half of the noise cases above: the same planted points
+		// where they are legal. A soft point inside a gate unit (the unit
+		// carries the gates a struck replay needs), and either class on a
+		// unit's last gate, op or not.
+		for _, ok := range []struct {
+			name string
+			kind circuit.ChannelKind
+			unit func(u *backend.Unit) bool
+			back int // the point sits on gate Hi-back
+		}{
+			{"soft point inside a gate unit", circuit.FlipX, func(u *backend.Unit) bool { return u.Op == nil && u.Hi-u.Lo >= 2 }, 2},
+			{"damping point closing a gate unit", circuit.PhaseDamping, func(u *backend.Unit) bool { return u.Op == nil }, 1},
+			{"damping point closing an op", circuit.AmplitudeDamping, func(u *backend.Unit) bool { return u.Op != nil }, 1},
+		} {
+			x := verifyWorkload(t, tgt)
+			plantNoise(x, x.Units[findUnit(t, x, ok.name, ok.unit)].Hi-ok.back, ok.kind)
+			data, err := x.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := backend.Decode(data)
+			if err != nil {
+				t.Fatalf("%s/%s: decode: %v", tgt.Kind, ok.name, err)
+			}
+			if err := backend.VerifyExecutable(y); err != nil {
+				t.Errorf("%s/%s: rejected: %v", tgt.Kind, ok.name, err)
+			}
+		}
 	}
+}
+
+// plantNoise replaces x's noise plan by one point of the given kind after
+// gate g, on qubit 0.
+func plantNoise(x *backend.Executable, g int, kind circuit.ChannelKind) {
+	x.Noise = &backend.NoisePlan{Points: []backend.NoisePoint{{
+		Gate: g, Qubit: 0, Ch: circuit.Channel{Kind: kind, P: 0.5},
+	}}}
 }
 
 // TestVerifyRejectsDirect exercises the invariants the codec masks: these

@@ -73,7 +73,7 @@ func TiledAnsatz(n, tile uint, reps, passes int, seed uint64) *circuit.Circuit {
 	return c
 }
 
-// The two circuits below rebuild workloads of the benchmark
+// The three circuits below rebuild workloads of the benchmark
 // (benchmark/gen.go — a module of its own, so it cannot be imported) for
 // the tests that pin what its per-layer counters read. Which gate sits
 // where comes from the benchmark's fixed shape streams and only the
@@ -87,11 +87,17 @@ func benchStream(seed uint64, purpose string) *rng.Source {
 	return rng.New(seed*0x9e3779b97f4a7c15 ^ h.Sum64())
 }
 
+// benchAngle is the benchmark's rotation angle: away from 0 and 2π, so no
+// rotation collapses to the identity.
+func benchAngle(src *rng.Source) float64 {
+	return 0.1 + src.Float64()*(2*math.Pi-0.2)
+}
+
 // benchRotationLayer appends one rotation per qubit: axis from shape,
 // angle from src.
 func benchRotationLayer(c *circuit.Circuit, shape, src *rng.Source) {
 	for q := uint(0); q < c.NumQubits; q++ {
-		theta := 0.1 + src.Float64()*(2*math.Pi-0.2)
+		theta := benchAngle(src)
 		switch shape.Intn(3) {
 		case 0:
 			c.Append(gates.Rx(q, theta))
@@ -147,6 +153,26 @@ func ClusterShard(n uint, layers int, seed uint64) *circuit.Circuit {
 	}
 	c.Extend(qft.Circuit(n))
 	return c
+}
+
+// NoiseTraj is the noise-traj workload's circuit (genNoiseTraj): (a
+// rotation layer, a QFT, a CNOT/Ry ladder, the inverse QFT) twice, no
+// region annotated, under a global depolarizing channel of probability
+// 0.001. Axes and angles both come from seed. The benchmark runs
+// NoiseTraj(12, seed) at Fused w=4 with emulation off — 452 gates, 810
+// insertion points.
+func NoiseTraj(n uint, seed uint64) *circuit.Circuit {
+	src := benchStream(seed, "noise-traj")
+	c := circuit.New(n)
+	for rep := 0; rep < 2; rep++ {
+		benchRotationLayer(c, src, src)
+		c.Append(qft.Circuit(n).Gates...)
+		for q := uint(0); q+1 < n; q++ {
+			c.Append(gates.CNOT(q, q+1), gates.Ry(q+1, benchAngle(src)))
+		}
+		c.Append(qft.InverseCircuit(n).Gates...)
+	}
+	return c.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: 0.001})
 }
 
 // RandomCircuit draws count gates uniformly over dense rotations, phase

@@ -2,81 +2,17 @@ package fuse
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
-
-// The generated-input families of the planner's property test. Each
-// stresses one scheduler decision: brickwork the dense/re-tile choice, QFT
-// ladders the deferral of diagonal tails, phase runs with far-apart
-// interrupters the diagonal rule under hoisting, over-wide controlled
-// gates the passthrough path.
-
-func genBrickwork(src *rng.Source, n uint, layers int) *circuit.Circuit {
-	c := circuit.New(n)
-	for l := 0; l < layers; l++ {
-		for q := uint(0); q < n; q++ {
-			c.Append(gates.Rx(q, src.Float64()*math.Pi), gates.Rz(q, src.Float64()*math.Pi))
-		}
-		for q := uint(l % 2); q+1 < n; q += 2 {
-			c.Append(gates.CNOT(q, q+1))
-		}
-	}
-	return c
-}
-
-func genQFTLadders(src *rng.Source, n uint, reps int) *circuit.Circuit {
-	c := circuit.New(n)
-	for r := 0; r < reps; r++ {
-		lo := uint(src.Intn(int(n) - 2))
-		for q := lo; q < n; q++ {
-			c.Append(gates.H(q))
-			for j := q + 1; j < n; j++ {
-				c.Append(gates.CR(j, q, math.Pi/float64(uint(1)<<(j-q))))
-			}
-		}
-	}
-	return c
-}
-
-func genInterruptedPhaseRuns(src *rng.Source, n uint, runs int) *circuit.Circuit {
-	c := circuit.New(n)
-	for r := 0; r < runs; r++ {
-		q := uint(src.Intn(int(n) - 1))
-		far := (q + n/2) % n
-		c.Append(gates.T(q), gates.CR(q+1, q, src.Float64()*2))
-		// A diagonal gate reaching a far qubit, a dense gate on a disjoint
-		// one, and an H·H pair split by both: all three must stay out of
-		// the pair's diagonal run without breaking it.
-		c.Append(gates.H(q), gates.CR(q, far, src.Float64()), gates.Ry(far, src.Float64()*2), gates.H(q))
-		c.Append(gates.Rz(q+1, src.Float64()*3), gates.CR(q, q+1, src.Float64()*2), gates.S(q+1))
-	}
-	return c
-}
-
-func genWideControlled(src *rng.Source, n uint, reps int) *circuit.Circuit {
-	c := circuit.New(n)
-	controls := make([]uint, n-1)
-	for i := range controls {
-		controls[i] = uint(i) + 1
-	}
-	for r := 0; r < reps; r++ {
-		for q := uint(0); q < n; q++ {
-			c.Append(gates.Ry(q, src.Float64()*2))
-		}
-		c.Append(gates.X(0).WithControls(controls...)) // n-1 controls: wider than any budget
-		c.Append(gates.CR(n-2, n-1, src.Float64()), gates.Z(0).WithControls(controls[:4]...))
-	}
-	return c
-}
 
 // hxhRun is the pinned pair of numerically diagonal runs: H·X·H on qubit 0
 // split by phase gates on qubit 1 (structurally diagonal — the three gates
@@ -126,10 +62,10 @@ func TestPlannerProperties(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		n := uint(5 + src.Intn(6)) // 5..10
 		cases = append(cases,
-			gen{fmt.Sprintf("brickwork-n%d", n), genBrickwork(src, n, 4+src.Intn(6))},
-			gen{fmt.Sprintf("qft-ladders-n%d", n), genQFTLadders(src, n, 1+src.Intn(3))},
-			gen{fmt.Sprintf("phase-runs-n%d", n), genInterruptedPhaseRuns(src, n, 6+src.Intn(10))},
-			gen{fmt.Sprintf("wide-controlled-n%d", n), genWideControlled(src, n, 2+src.Intn(4))},
+			gen{fmt.Sprintf("brickwork-n%d", n), circgen.Brickwork(src, n, 4+src.Intn(6))},
+			gen{fmt.Sprintf("qft-ladders-n%d", n), circgen.QFTLadders(src, n, 1+src.Intn(3))},
+			gen{fmt.Sprintf("phase-runs-n%d", n), circgen.InterruptedPhaseRuns(src, n, 6+src.Intn(10))},
+			gen{fmt.Sprintf("wide-controlled-n%d", n), circgen.WideControlled(src, n, 2+src.Intn(4))},
 			gen{fmt.Sprintf("random-n%d", n), randomCircuit(src, n, 100)},
 		)
 	}
@@ -195,8 +131,8 @@ func TestCostAllocatesTheStreamOnly(t *testing.T) {
 		c     *circuit.Circuit
 		width int
 	}{
-		{"brickwork", genBrickwork(rng.New(5), 10, 24), MaxWidth},
-		{"qft ladders", genQFTLadders(rng.New(6), 10, 60), 2},
+		{"brickwork", circgen.Brickwork(rng.New(5), 10, 24), MaxWidth},
+		{"qft ladders", circgen.QFTLadders(rng.New(6), 10, 60), 2},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

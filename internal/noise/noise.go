@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -35,6 +36,12 @@ type Result struct {
 	// Jumps counts the non-identity Kraus branches sampled across the
 	// batch — the error events the noise model injected.
 	Jumps uint64
+	// StruckUnits counts the units, across the batch, that a Pauli jump
+	// fired inside and that were therefore replayed gate by gate instead
+	// of run whole; ReplayedGates counts the gates of those units. Like
+	// Jumps, both are functions of (Seed, plan, unit schedule) alone.
+	StruckUnits   uint64
+	ReplayedGates uint64
 	// Points is the number of noise insertion points per trajectory
 	// (zero for an ideal executable).
 	Points int
@@ -51,40 +58,22 @@ func (r *Result) Counts() map[uint64]int {
 	return h
 }
 
-// strike pairs a unit boundary with the noise points that fire there:
-// the runner executes units [prev, UnitHi), then applies Pts in order.
-type strike struct {
-	unitHi int
-	pts    []backend.NoisePoint
-}
-
-// schedule precomputes the strike points of an executable once; it is
-// shared read-only by every trajectory worker.
-func schedule(x *backend.Executable) []strike {
-	if x.Noise == nil {
-		return nil
-	}
-	var out []strike
-	for i := range x.Units {
-		if pts := x.Noise.PointsIn(x.Units[i].Lo, x.Units[i].Hi); len(pts) > 0 {
-			out = append(out, strike{unitHi: i + 1, pts: pts})
-		}
-	}
-	return out
-}
-
 // Run evolves opts.Trajectories stochastic wavefunctions of the compiled
 // executable and samples one measurement outcome from each. All
 // trajectories replay the same executable — compiled once, run many — so
 // a served batch costs one compilation regardless of its size.
 //
-// Each trajectory resets a backend to |0…0>, replays the unit schedule,
-// and at every noise insertion point draws exactly one uniform variate
-// to select a Kraus branch (identity, a Pauli jump, or a damping jump),
-// applying and renormalising the non-identity branches. The one-draw
-// contract is what makes the batch seed-deterministic: the draw sequence
-// of trajectory t depends only on (Seed, t) and the noise plan, never on
-// branch outcomes, worker count or backend parallelism.
+// Each trajectory resets a backend to |0…0> and walks the unit schedule.
+// Per unit it first draws one uniform variate for every noise point the
+// unit holds, in plan order; a Pauli point's branch is a function of its
+// variate alone, so the draws say whether any point fires before the
+// unit's last gate. If none does the unit runs whole — fused blocks,
+// schedule and all — and its closing points strike after it; if one does
+// the unit's gates are replayed one at a time with every point striking
+// after its own gate. The one-draw-per-point contract is what makes the
+// batch seed-deterministic: the draw sequence of trajectory t depends
+// only on (Seed, t) and the noise plan, never on branch outcomes, unit
+// boundaries, worker count or backend parallelism.
 //
 // Ideal executables (no noise plan) are legal: the batch degenerates to
 // repeated runs sampled with per-trajectory seeds.
@@ -113,18 +102,17 @@ func Run(x *backend.Executable, opts Options) (*Result, error) {
 		seeds[i] = master.Uint64()
 	}
 
-	sched := schedule(x)
-	points := 0
+	var pts []backend.NoisePoint
 	if x.Noise != nil {
-		points = len(x.Noise.Points)
+		pts = x.Noise.Points
 	}
+	widest := maxUnitPoints(x)
 
-	outcomes := make([]uint64, n)
+	res := &Result{Outcomes: make([]uint64, n), Points: len(pts)}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		jumps    uint64
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -145,20 +133,20 @@ func Run(x *backend.Executable, opts Options) (*Result, error) {
 				return
 			}
 			defer b.Close()
-			var local uint64
+			wk := worker{b: b, x: x, pts: pts, u: make([]float64, widest)}
 			// Striped assignment: worker w owns trajectories w, w+W, …
 			// Workers write disjoint outcome slots, so no lock is held on
 			// the hot path.
 			for t := w; t < n; t += workers {
-				j, err := trajectory(b, x, sched, seeds[t], &outcomes[t])
-				if err != nil {
+				if res.Outcomes[t], err = wk.trajectory(seeds[t]); err != nil {
 					fail(err)
 					return
 				}
-				local += j
 			}
 			mu.Lock()
-			jumps += local
+			res.Jumps += wk.jumps
+			res.StruckUnits += wk.struck
+			res.ReplayedGates += wk.replayed
 			mu.Unlock()
 		}(w)
 	}
@@ -166,49 +154,111 @@ func Run(x *backend.Executable, opts Options) (*Result, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res := &Result{Outcomes: outcomes, Jumps: jumps, Points: points}
 	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
 	res.Wall = time.Since(start)
 	return res, nil
 }
 
-// trajectory evolves one stochastic wavefunction: reset, replay units,
-// strike at each insertion point, sample. It returns the number of
-// non-identity jumps it drew.
-func trajectory(b backend.Backend, x *backend.Executable, sched []strike, seed uint64, out *uint64) (uint64, error) {
-	b.Reset()
-	src := rng.New(seed)
-	var jumps uint64
-	prev := 0
-	for _, s := range sched {
-		if err := b.RunUnits(x, prev, s.unitHi); err != nil {
-			return jumps, err
+// maxUnitPoints returns the largest number of plan points any one unit of
+// x holds — the size of a worker's variate buffer.
+func maxUnitPoints(x *backend.Executable) int {
+	widest := 0
+	for i := range x.Units {
+		widest = max(widest, len(x.Noise.PointsIn(x.Units[i].Lo, x.Units[i].Hi)))
+	}
+	return widest
+}
+
+// worker is one trajectory worker: a backend of the executable's shape,
+// the stream it reseeds for every trajectory, and the variates of the
+// unit in hand. Everything is allocated when the batch starts; a
+// trajectory allocates nothing.
+type worker struct {
+	b   backend.Backend
+	x   *backend.Executable
+	pts []backend.NoisePoint // the plan's points, nil for an ideal executable
+	src rng.Source
+	u   []float64 // one variate per point of the unit in hand, plan order
+
+	jumps, struck, replayed uint64
+}
+
+// errStruckOp is what a trajectory returns when a point fires inside a
+// recognised op: the op carries no gates to replay. Compile never emits
+// such a unit and VerifyExecutable rejects it.
+var errStruckOp = errors.New("noise: a noise point lies inside a recognised op (executable not verified)")
+
+// trajectory evolves one stochastic wavefunction — reset, then per unit
+// draw, run or replay, strike — and samples its outcome.
+//
+//qemu:hotpath
+func (w *worker) trajectory(seed uint64) (uint64, error) {
+	w.b.Reset()
+	w.src.Seed(seed)
+	rest := w.pts
+	for i := range w.x.Units {
+		unit := &w.x.Units[i]
+		n := 0 // the unit's points: the plan is sorted by gate
+		for n < len(rest) && rest[n].Gate < unit.Hi {
+			n++
 		}
-		prev = s.unitHi
-		for _, pt := range s.pts {
-			if applyChannel(b, pt, src) {
-				jumps++
+		pts, u := rest[:n], w.u[:n]
+		rest = rest[n:]
+
+		// Draw first. A point before the unit's last gate that fires — or
+		// a damping point there, which only a hand-built executable has
+		// and whose branch needs the state at its own gate — sends the
+		// unit to the replay path.
+		struck := false
+		for k := range pts {
+			u[k] = w.src.Float64()
+			if pts[k].Gate < unit.Hi-1 && (pts[k].Hard() || u[k] < pts[k].Ch.P) {
+				struck = true
+			}
+		}
+
+		if !struck {
+			if err := w.b.RunUnits(w.x, i, i+1); err != nil {
+				return 0, err
+			}
+			// The closing points, and interior ones that drew identity.
+			for k := range pts {
+				if applyChannel(w.b, pts[k], u[k]) {
+					w.jumps++
+				}
+			}
+			continue
+		}
+		if unit.Op != nil {
+			return 0, errStruckOp
+		}
+		w.struck++
+		w.replayed += uint64(len(unit.Gates))
+		k := 0
+		for j := range unit.Gates {
+			w.b.ApplyGate(unit.Gates[j])
+			for ; k < n && pts[k].Gate == unit.Lo+j; k++ {
+				if applyChannel(w.b, pts[k], u[k]) {
+					w.jumps++
+				}
 			}
 		}
 	}
-	if err := b.RunUnits(x, prev, len(x.Units)); err != nil {
-		return jumps, err
-	}
-	*out = b.Sample(src)
-	return jumps, nil
+	return w.b.Sample(&w.src), nil
 }
 
-// applyChannel draws one Kraus branch of pt's channel and applies it,
-// reporting whether a non-identity jump fired. Exactly one uniform
-// variate is consumed per call, on every path — the draw-count
+// applyChannel applies the Kraus branch of pt's channel that the variate
+// u selects, reporting whether a non-identity jump fired. Every point
+// consumes exactly one variate whatever branch it takes — the draw-count
 // invariance the batch's determinism contract rests on.
 //
 // Branch probabilities follow the standard Monte-Carlo wavefunction
 // rules: state-independent for the unitary (Pauli) channels, and
 // ‖K_jump·ψ‖² = γ·P(q=1) for the damping channels, whose no-jump branch
 // applies the non-unitary K₀ = diag(1, √(1−γ)) and renormalises.
-func applyChannel(b backend.Backend, pt backend.NoisePoint, src *rng.Source) bool {
-	u := src.Float64()
+//
+//qemu:hotpath
+func applyChannel(b backend.Backend, pt backend.NoisePoint, u float64) bool {
 	p := pt.Ch.P
 	q := pt.Qubit
 	switch pt.Ch.Kind {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/noise/densref"
+	"repro/internal/rng"
 )
 
 // compile compiles c for a fused target.
@@ -18,6 +19,61 @@ func compile(t *testing.T, c *circuit.Circuit) *backend.Executable {
 		t.Fatalf("Compile: %v", err)
 	}
 	return x
+}
+
+// referenceRun is the oracle every runner test compares against, and it
+// knows nothing about units, fusion or pre-drawn variates: on the Generic
+// backend it applies c's gates one by one and, after gate g, every plan
+// point of g in plan order, drawing one Float64 per point the moment it is
+// reached. Its sub-seeds come off the master stream the way Run documents.
+func referenceRun(t testing.TB, c *circuit.Circuit, plan *backend.NoisePlan, trajectories int, seed uint64) (outcomes []uint64, jumps uint64) {
+	t.Helper()
+	b, err := backend.New(backend.Target{NumQubits: c.NumQubits, Kind: backend.Generic})
+	if err != nil {
+		t.Fatalf("reference backend: %v", err)
+	}
+	defer b.Close()
+	// damp applies one damping channel: the jump with probability
+	// γ·P(q=1), else K₀ = diag(1, √(1−γ)).
+	damp := func(jump gates.Matrix2, pt backend.NoisePoint, u float64) bool {
+		if u < pt.Ch.P*b.Probability(pt.Qubit) {
+			b.ApplyKraus(jump, pt.Qubit)
+			return true
+		}
+		b.ApplyKraus(gates.Matrix2{1, 0, 0, complex(math.Sqrt(1-pt.Ch.P), 0)}, pt.Qubit)
+		return false
+	}
+	master := rng.New(seed)
+	for i := 0; i < trajectories; i++ {
+		src := rng.New(master.Uint64())
+		b.Reset()
+		for g, gate := range c.Gates {
+			b.ApplyGate(gate)
+			for _, pt := range plan.PointsIn(g, g+1) {
+				u, p, q := src.Float64(), pt.Ch.P, pt.Qubit
+				fired := u < p // the Pauli kinds; the damping kinds overwrite it
+				root := complex(math.Sqrt(p), 0)
+				switch {
+				case pt.Ch.Kind == circuit.AmplitudeDamping:
+					fired = damp(gates.Matrix2{0, root, 0, 0}, pt, u)
+				case pt.Ch.Kind == circuit.PhaseDamping:
+					fired = damp(gates.Matrix2{0, 0, 0, root}, pt, u)
+				case !fired:
+				case pt.Ch.Kind == circuit.FlipX, pt.Ch.Kind == circuit.Depolarizing && u < p/3:
+					b.ApplyGate(gates.X(q))
+				case pt.Ch.Kind == circuit.FlipY, pt.Ch.Kind == circuit.Depolarizing && u < 2*p/3:
+					b.ApplyGate(gates.Y(q))
+				default:
+					b.ApplyGate(gates.Z(q))
+				}
+				if fired {
+					jumps++
+				}
+			}
+		}
+		outcomes = append(outcomes, b.Sample(src))
+	}
+	return outcomes, jumps
 }
 
 // checkHistogram compares the empirical outcome distribution against the

@@ -10,10 +10,18 @@ type Source struct {
 	s [4]uint64
 }
 
-// New returns a Source seeded deterministically from seed using splitmix64,
-// which guarantees the four state words are well mixed even for small seeds.
+// New returns a Source seeded deterministically from seed; see Seed.
 func New(seed uint64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed restarts src as the stream New(seed) returns, in place — a loop
+// that runs one stream per item reuses one Source. The state comes from
+// splitmix64, which guarantees the four words are well mixed even for
+// small seeds.
+func (src *Source) Seed(seed uint64) {
 	sm := seed
 	for i := range src.s {
 		sm += 0x9e3779b97f4a7c15
@@ -22,7 +30,6 @@ func New(seed uint64) *Source {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		src.s[i] = z ^ (z >> 31)
 	}
-	return &src
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

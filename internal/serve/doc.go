@@ -36,12 +36,19 @@
 // is replayed N times, each replay drawing a fresh seed-deterministic
 // noise realisation from the artifact's compiled NoisePlan, and the
 // response's samples field carries one measured outcome per trajectory
-// (plus trajectories, noise_points and jumps counters). The circuit's
-// noise comes either from qasm "noise" directives or from the request's
-// "noise" field — a global after-each-gate channel spec like
-// "depolarizing:0.001" attached before fingerprinting, so the channel
-// is part of the cache key. The whole batch is served from ONE cache
-// entry and ONE compile, however large N is; the batch's parallel
+// (plus trajectories, noise_points and jumps counters). A trajectory
+// runs the artifact's units whole — at the speed of the same circuit
+// without noise — except the few a Pauli jump fires inside, which it
+// replays gate by gate; the samples are the same either way, a function
+// of (seed, trajectory, plan) alone, and the wire format does not say
+// which happened. The circuit's noise comes either from qasm "noise"
+// directives or from the request's "noise" field — a global
+// after-each-gate channel spec like "depolarizing:0.001" attached before
+// fingerprinting, so the channel is part of the cache key. Artifacts
+// persist as codec v5; a daemon built before it that shares the cache
+// directory refuses the version and recompiles, rather than meeting a
+// unit with noise points inside it. The whole batch is served from ONE
+// cache entry and ONE compile, however large N is; the batch's parallel
 // trajectory workers ("workers" field) each pin a transient session
 // state, which is accounted against the same session-memory budget as
 // the cache's resident artifacts for the duration of the batch.

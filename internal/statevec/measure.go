@@ -26,14 +26,24 @@ func (s *State) conditionalMass(k uint, outcome uint64) float64 {
 		sel = stride
 	}
 	half := s.Dim() >> 1
+	if s.parallelism(half) <= 1 {
+		return massChunk(s.amp, k, sel, 0, half)
+	}
 	return parallelReduce(s, half, func(start, end uint64) float64 {
-		var acc float64
-		for c := start; c < end; c++ {
-			a := s.amp[bitops.InsertZeroBit(c, k)|sel]
-			acc += real(a)*real(a) + imag(a)*imag(a)
-		}
-		return acc
+		return massChunk(s.amp, k, sel, start, end)
 	}, addFloat)
+}
+
+// massChunk sums |amp|² over the branch indices [start, end) of qubit k
+// with the selected bit pattern. The serial caller reaches it without
+// building a closure.
+func massChunk(amp []complex128, k uint, sel, start, end uint64) float64 {
+	var acc float64
+	for c := start; c < end; c++ {
+		a := amp[bitops.InsertZeroBit(c, k)|sel]
+		acc += real(a)*real(a) + imag(a)*imag(a)
+	}
+	return acc
 }
 
 // Probability returns the probability that measuring qubit k yields 1.

@@ -217,6 +217,14 @@ func (s *State) Scale(v complex128) {
 	if v == 1 {
 		return
 	}
+	if s.parallelism(s.Dim()) <= 1 {
+		// No closure on the serial path: the trajectory runner rescales a
+		// small state after every damping point.
+		for i := range s.amp {
+			s.amp[i] *= v
+		}
+		return
+	}
 	s.parallelRange(s.Dim(), func(start, end uint64) {
 		for i := start; i < end; i++ {
 			s.amp[i] *= v

@@ -275,8 +275,9 @@ type NoiseModel = circuit.NoiseModel
 // count, master seed, parallel workers. See internal/noise.
 type TrajectoryOptions = noise.Options
 
-// TrajectoryResult carries a batch's per-trajectory outcomes and jump
-// counts.
+// TrajectoryResult carries a batch's per-trajectory outcomes, its jump
+// count, and how many units a jump fired inside (those are replayed gate
+// by gate; every other unit runs whole, fused).
 type TrajectoryResult = noise.Result
 
 // WithNoise attaches a global after-each-gate channel, given as a
