@@ -185,17 +185,6 @@ func (c *Cluster) identityPlacement() bool {
 	return true
 }
 
-// logicalIndex maps a physical global amplitude index (shard offset plus
-// node id shifted by L) back to the logical basis-state index under the
-// current placement.
-func (c *Cluster) logicalIndex(phys uint64) uint64 {
-	var l uint64
-	for q, p := range c.pos {
-		l |= ((phys >> p) & 1) << uint(q)
-	}
-	return l
-}
-
 // LoadState scatters a full state vector across the shards and resets the
 // placement to the identity.
 func (c *Cluster) LoadState(st *statevec.State) error {
@@ -215,24 +204,17 @@ func (c *Cluster) LoadState(st *statevec.State) error {
 
 // Gather assembles the distributed state into a single state vector in
 // logical qubit order, whatever the current placement (testing and
-// small-scale verification only).
+// small-scale verification only): logical index bit q reads physical
+// position pos[q], a move like any other, into the flat buffer.
 func (c *Cluster) Gather() *statevec.State {
 	st := statevec.NewZero(c.NumQubits())
 	amps := st.Amplitudes()
 	local := c.LocalSize()
-	if c.identityPlacement() {
-		c.eachNode(func(p int) {
-			copy(amps[uint64(p)*local:(uint64(p)+1)*local], c.shard(p))
-		})
-		return st
+	flat := make([][]complex128, c.P)
+	for p := range flat {
+		flat[p] = amps[uint64(p)*local : (uint64(p)+1)*local]
 	}
-	c.eachNode(func(p int) {
-		base := uint64(p) << c.L
-		shard := c.shard(p)
-		for i, a := range shard {
-			amps[c.logicalIndex(base|uint64(i))] = a
-		}
-	})
+	c.moveBits(flat, c.pos)
 	return st
 }
 

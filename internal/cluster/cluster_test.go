@@ -44,6 +44,18 @@ func TestGatherLoadRoundTrip(t *testing.T) {
 	if d := c.Gather().MaxDiff(st); d > 0 {
 		t.Errorf("gather/load round trip differs by %g", d)
 	}
+	// A remap moves amplitudes, not the logical state: Gather must undo
+	// whatever placement it finds, bit for bit.
+	for _, placement := range [][]uint{
+		{7, 6, 5, 4, 3, 2, 1, 0},
+		{0, 1, 7, 3, 4, 5, 6, 2},
+		{3, 5, 0, 7, 1, 6, 2, 4},
+	} {
+		c.Remap(placement)
+		if d := c.Gather().MaxDiff(st); d > 0 {
+			t.Errorf("gather under placement %v differs by %g", placement, d)
+		}
+	}
 }
 
 // TestDistributedMatchesLocal is the substrate's core correctness claim:

@@ -30,15 +30,41 @@
 //
 // # Exchange contracts
 //
-// All collectives gather into a retired scratch buffer set and swap it
-// with the live shards (statevec.AdoptAmplitudes), so steady-state
-// communication allocates nothing. A remap moves each amplitude exactly
-// once, coalesced into one message per communicating (src, dst) pair;
-// accounting charges BytesSent for every amplitude that changes nodes,
-// Messages per coalesced pair, AllToAlls per collective and Rounds per
-// communication superstep. The pairwise exchange of the naive engine
-// charges both shards' bytes, two messages and one Exchange per pair, and
-// one Round per gate.
+// Every collective that moves the state — a placement remap (Remap,
+// Canonicalize, the field remaps of the Fourier lowerings), each of the
+// four-step FFT's three transposes (transposing a 2^a x 2^b row-major
+// matrix is the index-bit rotation by b), Gather under a drifted
+// placement — is a permutation of index bits, and one kernel performs
+// them all (move.go): "destination position p reads source position
+// srcOf[p]". It has two regimes, chosen from the bit map alone:
+//
+//   - the low k >= 2 positions are unchanged: the state moves in runs of
+//     2^k contiguous amplitudes, one source-index computation and one
+//     copy per run — a whole shard per copy when only node positions
+//     move. The scheduler's remaps exchange node positions with a few
+//     local ones and mostly have this shape;
+//   - otherwise (a no-swap QFT's bit reversal, the transposes): a tiled
+//     pass in the manner of fft's blocked bit reversal. A tile spans the
+//     destination's low 5 positions and the destination positions that
+//     feed the source's low 5, so both sides touch memory in contiguous
+//     512-byte rows and the scattered accesses land in a 16 KiB buffer on
+//     the stack; tiles are visited in an order that keeps neighbours
+//     close on both sides.
+//
+// Either way each amplitude is read once and written once, at a small
+// multiple of what copying the shards costs (BenchmarkMoveBits beside
+// cluster.exchange_ns_per_amp). Collectives gather into a retired scratch
+// buffer set and swap it with the live shards (statevec.AdoptAmplitudes),
+// so steady-state communication allocates nothing but the move's index
+// tables. Accounting is computed from the bit map, not counted per
+// amplitude (moveTraffic): a source node bit fed by a local destination
+// position takes both values inside every destination shard, one fed by a
+// node position is fixed per destination node, which gives the senders
+// and the volume per (src, dst) pair in closed form. BytesSent is charged
+// for every amplitude that changes nodes, Messages once per communicating
+// pair, AllToAlls per collective and Rounds per communication superstep.
+// The pairwise exchange of the naive engine charges both shards' bytes,
+// two messages and one Exchange per pair, and one Round per gate.
 //
 // # Measurement, sampling, expectation
 //
@@ -72,8 +98,13 @@
 //     remap makes the field node-local;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
 //     shortcut, one all-to-all for the whole subroutine;
-//   - diagonal ops multiply shards in place (ApplyDiagonalFunc), and the
-//     Grover diffusion (ReflectUniform) needs one scalar allreduce.
+//   - diagonal ops multiply shards in place: a diagonal run goes through
+//     its table exactly as a fused diagonal block does (node-selecting
+//     members fix a reduced table per node, the shard applies it with
+//     ApplyDiagN or ApplyDiagTable), a phase flip negates the matching
+//     amplitudes, and ApplyDiagonalFunc remains for diagonals given as a
+//     formula (the field FFT's twiddle); the Grover diffusion
+//     (ReflectUniform) needs one scalar allreduce.
 //
 // The permutation and FFT collectives speak the canonical layout and
 // restore it (one extra remap round at most) when the gate engine left

@@ -23,8 +23,10 @@ import (
 //     width;
 //   - arithmetic ops (add, sub, addc, mul, div) run as one cluster-wide
 //     basis permutation — a single all-to-all, the paper's Section 4.2;
-//   - diagonal ops (fused diagonal runs, phase flips) multiply each shard
-//     in place, communication-free under any placement;
+//   - diagonal ops multiply each shard in place, communication-free under
+//     any placement: diagonal runs through their table (applyDiagTable,
+//     the lowering fused diagonal blocks use), phase flips by negating
+//     the matching amplitudes;
 //   - the Grover diffusion needs one scalar allreduce (P partial sums).
 
 // Substrate names reported for each lowering, surfaced through the
@@ -132,8 +134,12 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 	case SubstrateReflect:
 		c.ReflectUniform()
 	case SubstrateDiagonal:
-		f, _ := op.Diagonal()
-		c.ApplyDiagonalFunc(f)
+		if d, qubits, ok := op.DiagTable(); ok {
+			c.applyDiagTable(d, qubits)
+		} else {
+			qubits, value, _ := op.PhaseFlip()
+			c.applyPhaseFlip(qubits, value)
+		}
 	case SubstratePermutation:
 		f, _ := op.Permutation()
 		c.ApplyPermutation(f)
@@ -181,13 +187,16 @@ func (c *Cluster) remapFieldLocal(pos, w uint) {
 		newPos[displaced], owner[freed] = freed, displaced
 		newPos[q], owner[j] = j, q
 	}
-	c.applyRemap(newPos)
+	c.Remap(newPos)
 }
 
 // ApplyDiagonalFunc multiplies every amplitude by phase(i), with i the
 // logical basis index — communication-free under any placement. The
 // physical→logical translation is table-driven (one lookup+OR per byte of
-// index), the identity placement specialising to a shift.
+// index), the identity placement specialising to a shift. It is the
+// lowering for diagonals given as a formula (the field FFT's twiddle);
+// ones given as a table go through applyDiagTable, at a fraction of the
+// per-amplitude cost.
 func (c *Cluster) ApplyDiagonalFunc(phase func(uint64) complex128) {
 	idx := c.logicalIndexer()
 	c.eachNode(func(p int) {
@@ -232,37 +241,16 @@ func (c *Cluster) ReflectUniform() {
 
 // logicalIndexer returns the translator from physical global amplitude
 // indices (shard offset | node<<L) to logical basis indices under the
-// current placement, using the same byte-chunked scatter tables as
-// applyRemap. The identity placement returns a pass-through.
+// current placement, through the byte-chunked scatter tables the mover
+// uses. The identity placement returns a pass-through.
 func (c *Cluster) logicalIndexer() func(uint64) uint64 {
 	if c.identityPlacement() {
 		return func(i uint64) uint64 { return i }
 	}
-	n := c.NumQubits()
-	logOf := make([]uint, n) // physical position -> logical qubit
-	for q := uint(0); q < n; q++ {
-		logOf[c.pos[q]] = q
+	logOf := make([]uint, c.NumQubits()) // physical position -> logical qubit
+	for q, p := range c.pos {
+		logOf[p] = uint(q)
 	}
-	nchunks := int(n+7) / 8
-	tabs := make([][256]uint64, nchunks)
-	for k := 0; k < nchunks; k++ {
-		for b := 0; b < 256; b++ {
-			var v uint64
-			for t := 0; t < 8; t++ {
-				if b&(1<<t) != 0 {
-					if p := uint(8*k + t); p < n {
-						v |= uint64(1) << logOf[p]
-					}
-				}
-			}
-			tabs[k][b] = v
-		}
-	}
-	return func(x uint64) uint64 {
-		var v uint64
-		for k := 0; k < nchunks; k++ {
-			v |= tabs[k][(x>>(8*k))&255]
-		}
-		return v
-	}
+	tabs := scatterTables(logOf)
+	return func(x uint64) uint64 { return scatterBits(tabs, x) }
 }

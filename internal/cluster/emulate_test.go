@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cluster"
+	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/revlib"
@@ -156,4 +157,95 @@ func TestClusterPermutationAndDiagonalLowerings(t *testing.T) {
 		t.Fatalf("reflect region not lowered: %d ops", len(ops))
 	}
 	applyOpBoth(t, ops[0], statevec.NewRandom(6, src), 2, cluster.SubstrateReflect)
+}
+
+// shuffledPlacement returns a random logical→physical placement.
+func shuffledPlacement(n uint, src *rng.Source) []uint {
+	pos := make([]uint, n)
+	for q := range pos {
+		pos[q] = uint(q)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := src.Intn(int(i + 1))
+		pos[i], pos[j] = pos[j], pos[i]
+	}
+	return pos
+}
+
+// TestClusterDiagonalOpsAnyPlacement holds the table lowering of
+// recognised diagonal runs — narrow ones (the ApplyDiagN kernel) and ones
+// wider than MaxMatrixNQubits (ApplyDiagTable) — and the phase-flip
+// lowering to Gather + Op.Apply, under the identity placement and under
+// drifted ones that put support qubits on node-selecting positions in
+// scrambled order.
+func TestClusterDiagonalOpsAnyPlacement(t *testing.T) {
+	const n = 12
+	src := rng.New(33)
+	var ops []*recognize.Op
+	for _, support := range [][]uint{
+		{3},
+		{0, 1, 2, 3},
+		{1, 4, 6, 10, 11},
+		{0, 2, 3, 5, 7, 8, 9, 11},
+		{0, 1, 2, 3, 4, 5, 6, 8, 10, 11},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+	} {
+		run := circuit.New(n)
+		for i, q := range support {
+			run.Append(gates.Rz(q, 0.3+src.Float64()), gates.T(q))
+			if i > 0 {
+				run.Append(gates.CR(support[i-1], q, src.Float64()))
+			}
+		}
+		run.Append(gates.S(support[0]), gates.Phase(support[0], src.Float64()))
+		op := planOps(t, run, recognize.Auto)[0]
+		if got := op.Support(); op.Kind() != "diagonal" || len(got) != len(support) {
+			t.Fatalf("matched %v on %v, want a diagonal run on %v", op, got, support)
+		}
+		ops = append(ops, op)
+
+		// The same support as a phase flip of a random pattern; the gates
+		// under the annotation do not matter to an unverified lowering.
+		flip := circuit.New(n)
+		flip.Append(gates.H(0))
+		args := []uint64{uint64(len(support))}
+		for _, q := range support {
+			args = append(args, uint64(q))
+		}
+		args = append(args, uint64(src.Intn(1<<len(support))))
+		flip.Annotate(circuit.Region{Name: "phaseflip", Args: args, Lo: 0, Hi: 1})
+		flips := recognize.Analyze(flip, recognize.Options{Mode: recognize.Annotated}).Ops()
+		if len(flips) != 1 || flips[0].Kind() != "phaseflip" {
+			t.Fatalf("phaseflip region on %v not lowered", support)
+		}
+		ops = append(ops, flips[0])
+	}
+	for _, p := range []int{1, 2, 4, 8} {
+		cl, err := cluster.New(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ident := cl.Placement()
+		for _, placement := range [][]uint{ident, shuffledPlacement(n, src), shuffledPlacement(n, src)} {
+			for _, op := range ops {
+				init := statevec.NewRandom(n, src)
+				if err := cl.LoadState(init); err != nil {
+					t.Fatal(err)
+				}
+				cl.Remap(placement)
+				cl.ResetStats()
+				if sub, err := cl.ApplyOp(op); err != nil || sub != cluster.SubstrateDiagonal {
+					t.Fatalf("%v lowered to %q, %v", op, sub, err)
+				}
+				if st := cl.Stats.Snapshot(); st != (cluster.StatsSnapshot{}) {
+					t.Errorf("%v on P=%d communicated: %+v", op, p, st)
+				}
+				ref := init.Clone()
+				op.Apply(ref)
+				if d := cl.Gather().MaxDiff(ref); d > 1e-12 {
+					t.Errorf("%v on P=%d placement %v diverges by %g", op, p, placement, d)
+				}
+			}
+		}
+	}
 }

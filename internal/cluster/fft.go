@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 
 	"repro/internal/fft"
@@ -62,7 +63,12 @@ func (c *Cluster) distributedFFT(sign int, unitary bool) error {
 	// global index c2*rows + r1 picks up exp(sign 2 pi i r1 c2 / N).
 	// Within a run of fixed c2 the factor advances by a constant rotation,
 	// so a multiplicative recurrence replaces the per-element exponential;
-	// it is re-anchored periodically to stop roundoff drift.
+	// it is re-anchored periodically to stop roundoff drift. The unitary
+	// 1/sqrt(N) rides on the anchors, saving a sweep of its own.
+	scale := complex(1, 0)
+	if unitary {
+		scale = complex(1/math.Sqrt(float64(size)), 0)
+	}
 	local := c.LocalSize()
 	c.eachNode(func(p int) {
 		shard := c.shard(p)
@@ -81,10 +87,10 @@ func (c *Cluster) distributedFFT(sign int, unitary bool) error {
 				theta = -theta
 			}
 			step := cmplx.Exp(complex(0, theta))
-			w := cmplx.Exp(complex(0, theta*float64(r1)))
+			w := scale * cmplx.Exp(complex(0, theta*float64(r1)))
 			for j := uint64(0); j < runLen; j++ {
 				if j&255 == 0 && j > 0 {
-					w = cmplx.Exp(complex(0, theta*float64(r1+j)))
+					w = scale * cmplx.Exp(complex(0, theta*float64(r1+j)))
 				}
 				shard[i+j] *= w
 				w *= step
@@ -108,55 +114,21 @@ func (c *Cluster) distributedFFT(sign int, unitary bool) error {
 	})
 	// Step 6: final all-to-all transpose for standard output ordering.
 	c.allToAllTranspose(rows, cols)
-	if unitary {
-		scale := complex(1/math.Sqrt(float64(size)), 0)
-		c.eachNode(func(p int) {
-			shard := c.shard(p)
-			for i := range shard {
-				shard[i] *= scale
-			}
-		})
-	}
 	return nil
 }
 
 // allToAllTranspose transposes the distributed rows x cols row-major
-// matrix: every node sends to every other node the sub-block of its rows
-// that lands in the destination's row range — one collective all-to-all,
-// accounted as such.
+// matrix — one collective all-to-all, accounted as such. Element (r', c')
+// of the cols x rows result is source element (c', r'): the low log2(rows)
+// index bits move to the top and the rest slide down, an index-bit
+// rotation by log2(cols) for permuteBits. With at least one row and one
+// column per node, every node sends each other node 1/P of its shard.
 func (c *Cluster) allToAllTranspose(rows, cols uint64) {
-	p64 := uint64(c.P)
-	rowsPerNode := rows / p64
-	colsPerNode := cols / p64
-	// Build all destination shards, then swap them in: each destination
-	// element (r', c') of the transposed cols x rows matrix equals source
-	// (c', r'). Work is done per destination node, in parallel; bytes are
-	// charged for every element that crosses a node boundary.
-	// Every destination element is assigned below, so the reused buffers
-	// need no clearing.
-	next := c.grabScratch(false)
-	c.eachNode(func(dst int) {
-		out := next[dst]
-		// Destination node dst owns transposed rows [dst*colsPerNode,
-		// (dst+1)*colsPerNode) — each of length `rows`.
-		base := uint64(dst) * colsPerNode
-		for tr := uint64(0); tr < colsPerNode; tr++ {
-			srcCol := base + tr // column of the source matrix
-			for srcRow := uint64(0); srcRow < rows; srcRow++ {
-				srcNode := srcRow / rowsPerNode
-				srcOff := (srcRow%rowsPerNode)*cols + srcCol
-				out[tr*rows+srcRow] = c.shard(int(srcNode))[srcOff]
-			}
-		}
-	})
-	c.installShards(next)
-	// Accounting: each node keeps its diagonal rowsPerNode x colsPerNode
-	// block (size/P elements in total stay local); everything else crosses
-	// the network: size * (P-1)/P elements of 16 bytes.
-	size := rows * cols
-	cross := size / p64 * (p64 - 1)
-	c.Stats.BytesSent.Add(cross * 16)
-	c.Stats.Messages.Add(p64 * (p64 - 1))
-	c.Stats.AllToAlls.Add(1)
-	c.Stats.Rounds.Add(1)
+	n := c.NumQubits()
+	n2 := uint(bits.TrailingZeros64(cols))
+	srcOf := make([]uint, n)
+	for p := range srcOf {
+		srcOf[p] = (uint(p) + n2) % n
+	}
+	c.permuteBits(srcOf)
 }

@@ -1,27 +1,22 @@
 package cluster
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// applyRemap installs a new logical→physical placement with one batched
-// all-to-all: every destination node gathers its new shard directly from
-// the source shards (each amplitude is read and written exactly once), the
-// gathered buffers are swapped in via the retired-scratch set, and the
-// network is charged for every amplitude that changed nodes, coalesced
-// into one message per communicating (src, dst) pair. This is the
-// communication-avoiding primitive: however many remote-qubit gates the
-// scheduler batched behind this remap, the cost is one round.
-func (c *Cluster) applyRemap(newPos []uint) {
+// Remap installs a new logical→physical placement with one batched
+// all-to-all (permuteBits): each amplitude is read and written exactly
+// once, and the network is charged for every amplitude that changed
+// nodes, coalesced into one message per communicating (src, dst) pair.
+// This is the communication-avoiding primitive: however many
+// remote-qubit gates the scheduler batched behind this remap, the cost is
+// one round. A placement equal to the current one costs nothing.
+func (c *Cluster) Remap(newPos []uint) {
 	n := c.NumQubits()
 	if uint(len(newPos)) != n {
 		panic(fmt.Sprintf("cluster: remap placement has %d entries, want %d", len(newPos), n))
 	}
-	// revMap inverts the placement change per physical position: the bit
-	// at destination position newPos[q] comes from source position
-	// pos[q]. Unchanged positions map to themselves.
-	revMap := make([]uint, n)
+	// The bit at destination position newPos[q] comes from source
+	// position pos[q].
+	srcOf := make([]uint, n)
 	var seen uint64
 	changed := false
 	for q := uint(0); q < n; q++ {
@@ -33,7 +28,7 @@ func (c *Cluster) applyRemap(newPos []uint) {
 			panic("cluster: remap placement is not a permutation")
 		}
 		seen |= 1 << p
-		revMap[p] = c.pos[q]
+		srcOf[p] = c.pos[q]
 		if c.pos[q] != p {
 			changed = true
 		}
@@ -41,87 +36,8 @@ func (c *Cluster) applyRemap(newPos []uint) {
 	if !changed {
 		return
 	}
-
-	// The source index of destination index j is the bit scatter
-	// i = Σ bit(j, p) << revMap[p]. Precomputed byte tables turn that into
-	// one lookup+OR per 8 bits; the node-id bits are constant per
-	// destination shard, so the inner loop only scatters the L local bits.
-	nchunks := int(n+7) / 8
-	tabs := make([][256]uint64, nchunks)
-	for k := 0; k < nchunks; k++ {
-		for b := 0; b < 256; b++ {
-			var v uint64
-			for t := 0; t < 8; t++ {
-				if b&(1<<t) != 0 {
-					if pos := uint(8*k + t); pos < n {
-						v |= uint64(1) << revMap[pos]
-					}
-				}
-			}
-			tabs[k][b] = v
-		}
-	}
-	scatter := func(x uint64) uint64 {
-		var v uint64
-		for k := 0; k < nchunks; k++ {
-			v |= tabs[k][(x>>(8*k))&255]
-		}
-		return v
-	}
-	localChunks := int(c.L+7) / 8
-
-	next := c.grabScratch(false) // every destination element is assigned
-	words := (c.P + 63) / 64
-	crossing := make([]uint64, c.P)
-	srcSeen := make([][]uint64, c.P)
-	c.eachNode(func(dst int) {
-		seen := make([]uint64, words)
-		crossing[dst] = c.gatherShard(next[dst], dst, scatter(uint64(dst)<<c.L), tabs, localChunks, seen)
-		srcSeen[dst] = seen
-	})
-	c.installShards(next)
+	c.permuteBits(srcOf)
 	copy(c.pos, newPos)
-
-	var totalCross, pairs uint64
-	for dst := 0; dst < c.P; dst++ {
-		totalCross += crossing[dst]
-		for _, w := range srcSeen[dst] {
-			pairs += uint64(bits.OnesCount64(w))
-		}
-	}
-	c.Stats.BytesSent.Add(totalCross * 16)
-	c.Stats.Messages.Add(pairs)
-	c.Stats.AllToAlls.Add(1)
-	c.Stats.Rounds.Add(1)
-}
-
-// gatherShard fills destination node dst's next shard in one pass:
-// out[jl] receives the source amplitude of destination index
-// (dst<<L)|jl, where the source index is the byte-table scatter
-// baseContrib | Σ tabs[k][byte k of jl]. It returns how many
-// amplitudes crossed nodes and sets the bit of every source node
-// touched in seen — the per-pair message accounting applyRemap
-// coalesces afterwards. This loop moves the entire state once per
-// remap round, so it must not allocate; the planning tables are built
-// by the caller.
-//
-//qemu:hotpath
-func (c *Cluster) gatherShard(out []complex128, dst int, baseContrib uint64, tabs [][256]uint64, localChunks int, seen []uint64) uint64 {
-	local := c.LocalSize()
-	var cross uint64
-	for jl := uint64(0); jl < local; jl++ {
-		i := baseContrib
-		for k := 0; k < localChunks; k++ {
-			i |= tabs[k][(jl>>(8*k))&255]
-		}
-		src := int(i >> c.L)
-		out[jl] = c.shard(src)[i&(local-1)]
-		if src != dst {
-			cross++
-			seen[src>>6] |= 1 << (uint(src) & 63)
-		}
-	}
-	return cross
 }
 
 // Canonicalize restores the identity placement (logical qubit q at
@@ -136,5 +52,5 @@ func (c *Cluster) Canonicalize() {
 	for q := range ident {
 		ident[q] = uint(q)
 	}
-	c.applyRemap(ident)
+	c.Remap(ident)
 }

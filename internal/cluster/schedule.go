@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitops"
 	"repro/internal/circuit"
@@ -310,7 +309,7 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 	for i := range s.Steps {
 		step := &s.Steps[i]
 		if step.Remap != nil {
-			c.applyRemap(step.Remap)
+			c.Remap(step.Remap)
 		}
 		for _, op := range step.Ops {
 			if op.Block != nil {
@@ -367,7 +366,7 @@ func (c *Cluster) RunScheduled(circ *circuit.Circuit, fuseWidth int) error {
 func (c *Cluster) applyBlock(b *fuse.Block) {
 	c.Stats.Gates.Add(uint64(len(b.Gates)))
 	if b.Diag != nil && c.DiagonalOptimization {
-		c.applyDiagBlock(b)
+		c.applyDiagTable(b.Diag, b.Qubits)
 		return
 	}
 	phys := make([]uint, len(b.Qubits))
@@ -386,70 +385,4 @@ func (c *Cluster) applyBlock(b *fuse.Block) {
 		return
 	}
 	c.eachNode(func(p int) { c.nodes[p].ApplyMatrixN(b.Matrix, phys) })
-}
-
-// applyDiagBlock applies a fused diagonal block with any mix of local and
-// node-selecting member qubits, communication-free. For node p the
-// node-selecting members fix a partial index into the 2^w diagonal; the
-// local members select within the reduced 2^(w_local) diagonal, shared by
-// all nodes with the same fixed part.
-func (c *Cluster) applyDiagBlock(b *fuse.Block) {
-	type member struct {
-		bit  uint // bit index within the block's 2^w local index
-		phys uint // physical position (shard bit or node bit)
-	}
-	var localM, nodeM []member
-	for i, q := range b.Qubits {
-		if q >= c.NumQubits() {
-			panic("cluster: qubit out of range")
-		}
-		p := c.pos[q]
-		if p < c.L {
-			localM = append(localM, member{bit: uint(i), phys: p})
-		} else {
-			nodeM = append(nodeM, member{bit: uint(i), phys: p - c.L})
-		}
-	}
-	if len(nodeM) == 0 {
-		phys := make([]uint, len(localM))
-		for i, m := range localM {
-			phys[i] = m.phys
-		}
-		c.eachNode(func(p int) { c.nodes[p].ApplyDiagN(b.Diag, phys) })
-		return
-	}
-
-	// Reduced diagonals are shared across nodes with equal fixed parts:
-	// build each lazily, guarded by the fixed-part key.
-	var mu sync.Mutex
-	reduced := make(map[uint64][]complex128)
-	localPhys := make([]uint, len(localM))
-	for i, m := range localM {
-		localPhys[i] = m.phys
-	}
-	c.eachNode(func(p int) {
-		var fixed uint64
-		for _, m := range nodeM {
-			fixed |= bitops.Bit(uint64(p), m.phys) << m.bit
-		}
-		if len(localM) == 0 {
-			c.nodes[p].Scale(b.Diag[fixed])
-			return
-		}
-		mu.Lock()
-		d, ok := reduced[fixed]
-		if !ok {
-			d = make([]complex128, 1<<len(localM))
-			for k := range d {
-				idx := fixed
-				for i, m := range localM {
-					idx |= (uint64(k) >> uint(i) & 1) << m.bit
-				}
-				d[k] = b.Diag[idx]
-			}
-			reduced[fixed] = d
-		}
-		mu.Unlock()
-		c.nodes[p].ApplyDiagN(d, localPhys)
-	})
 }

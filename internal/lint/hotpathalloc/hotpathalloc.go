@@ -1,9 +1,9 @@
 // Package hotpathalloc enforces the zero-steady-state-allocation
 // contract on functions annotated with a //qemu:hotpath directive: the
-// statevec kernels, fuse block replay, the cluster gather kernel and
-// the fft stage drivers. PR 2 bought those paths their allocation-free
-// sweeps; this analyzer makes the property structural instead of
-// benchmark-archaeological.
+// statevec kernels, fuse block replay, the cluster bit-permutation mover
+// and the fft stage drivers. PR 2 bought those paths their
+// allocation-free sweeps; this analyzer makes the property structural
+// instead of benchmark-archaeological.
 //
 // Inside an annotated function the analyzer rejects the allocating
 // constructs that creep back in during refactors: make, new and append

@@ -127,6 +127,27 @@ func (op *Op) Diagonal() (func(uint64) complex128, bool) {
 	return nil, false
 }
 
+// DiagTable returns the table of a diagonal-run op: amplitude i picks up
+// d[x], where bit j of x is bit qubits[j] of i and qubits ascend. ok is
+// false for every other kind, phase flips included (see PhaseFlip). The
+// slices are the op's own and must not be modified.
+func (op *Op) DiagTable() (d []complex128, qubits []uint, ok bool) {
+	if op.kind != opDiag {
+		return nil, nil, false
+	}
+	return op.diag, op.qubits, true
+}
+
+// PhaseFlip returns the pattern of a phase-flip op: the amplitudes whose
+// bits at qubits (ascending, LSB first) spell value change sign. ok is
+// false for every other kind. The slice is the op's own.
+func (op *Op) PhaseFlip() (qubits []uint, value uint64, ok bool) {
+	if op.kind != opPhaseFlip {
+		return nil, 0, false
+	}
+	return op.qubits, op.value, true
+}
+
 // ReflectUniform reports whether the op is the whole-register Householder
 // reflection about the uniform state (the Grover diffusion shortcut).
 func (op *Op) ReflectUniform() bool { return op.kind == opReflect }
