@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fuse"
 	"repro/internal/statevec"
 )
 
@@ -89,6 +90,9 @@ type Cluster struct {
 	// bits inside a shard, positions L..n-1 select the node. The identity
 	// placement (pos[q] == q) is the layout LoadState and Gather speak.
 	pos []uint
+	// blockPhys is applyBlock's scratch: the physical positions of the
+	// block being executed.
+	blockPhys [fuse.MaxWidth]uint
 
 	// Stats tracks communication; reset with ResetStats.
 	Stats Stats

@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/fuse"
+	"repro/internal/gates"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -158,6 +162,52 @@ func TestMoverDoesNotAllocate(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocs per fill, want 0", sh.name, allocs)
 		}
+	}
+}
+
+// TestApplyBlockAddsNoAllocation pins the //qemu:hotpath contract on the
+// per-block step of RunSchedule: a dense and a diagonal block allocate no
+// more than fanning one capturing closure out over the nodes allocates
+// (eachNode's goroutines), so nothing of their own — the positions live in
+// the Cluster's scratch, the kernels in the shards' layouts.
+func TestApplyBlockAddsNoAllocation(t *testing.T) {
+	c, err := New(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.DiagonalOptimization = false // the diagonal block takes the ApplyDiagN arm
+	circ := circuit.New(12)
+	for q := uint(0); q < 4; q++ {
+		circ.Append(gates.H(q), gates.Ry(q, 0.3))
+	}
+	circ.Append(gates.CNOT(0, 1), gates.CNOT(2, 3), gates.CNOT(1, 2))
+	for q := uint(4); q < 8; q++ {
+		circ.Append(gates.Rz(q, 0.2), gates.T(q))
+	}
+	circ.Append(gates.CZ(4, 5), gates.CZ(6, 7), gates.CZ(5, 6))
+	var visited atomic.Int64
+	fanOut := testing.AllocsPerRun(50, func() {
+		c.eachNode(func(p int) { visited.Add(int64(p)) })
+	})
+	kinds := map[string]bool{}
+	plan := fuse.New(circ, 4)
+	for i := range plan.Blocks {
+		b := &plan.Blocks[i]
+		switch {
+		case b.Diag != nil:
+			kinds["diag"] = true
+		case b.Matrix != nil:
+			kinds["dense"] = true
+		default:
+			continue
+		}
+		c.applyBlock(b) // first use allocates the shards' block layouts
+		if allocs := testing.AllocsPerRun(50, func() { c.applyBlock(b) }); allocs > fanOut {
+			t.Errorf("block on %v: %v allocs per applyBlock, the node fan-out alone takes %v", b.Qubits, allocs, fanOut)
+		}
+	}
+	if !kinds["diag"] || !kinds["dense"] {
+		t.Fatalf("plan held block kinds %v, want a dense and a diagonal one", kinds)
 	}
 }
 

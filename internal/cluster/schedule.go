@@ -362,15 +362,30 @@ func (c *Cluster) RunScheduled(circ *circuit.Circuit, fuseWidth int) error {
 // Diagonal blocks never communicate: node-selecting members contribute a
 // fixed sub-index per node, local members a reduced diagonal applied
 // through ApplyDiagN. Dense blocks require every member qubit node-local
-// (the scheduler guarantees it).
+// (the scheduler guarantees it). The block adds no allocation to the node
+// fan-out's own.
+//
+//qemu:hotpath
 func (c *Cluster) applyBlock(b *fuse.Block) {
 	c.Stats.Gates.Add(uint64(len(b.Gates)))
 	if b.Diag != nil && c.DiagonalOptimization {
 		c.applyDiagTable(b.Diag, b.Qubits)
 		return
 	}
-	phys := make([]uint, len(b.Qubits))
-	for i, q := range b.Qubits {
+	phys := c.localPositions(b.Qubits)
+	if b.Diag != nil {
+		c.eachNode(func(p int) { c.nodes[p].ApplyDiagN(b.Diag, phys) })
+		return
+	}
+	c.eachNode(func(p int) { c.nodes[p].ApplyMatrixN(b.Matrix, phys) })
+}
+
+// localPositions returns the physical positions of a block's qubits, all
+// of which must be node-local, in the Cluster's block scratch: the slice
+// is valid until the next block.
+func (c *Cluster) localPositions(qubits []uint) []uint {
+	phys := c.blockPhys[:len(qubits)]
+	for i, q := range qubits {
 		if q >= c.NumQubits() {
 			panic("cluster: qubit out of range")
 		}
@@ -380,9 +395,5 @@ func (c *Cluster) applyBlock(b *fuse.Block) {
 		}
 		phys[i] = p
 	}
-	if b.Diag != nil {
-		c.eachNode(func(p int) { c.nodes[p].ApplyDiagN(b.Diag, phys) })
-		return
-	}
-	c.eachNode(func(p int) { c.nodes[p].ApplyMatrixN(b.Matrix, phys) })
+	return phys
 }

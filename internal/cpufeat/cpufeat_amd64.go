@@ -2,7 +2,10 @@
 
 package cpufeat
 
-var avx2fma = probeAVX2FMA()
+var (
+	avx2fma = probeAVX2FMA()
+	avx512  = avx2fma && probeAVX512F()
+)
 
 // HasAVX2FMA reports whether AVX2 and FMA3 instructions may run: the CPU
 // implements both, and the OS saves the YMM state (OSXSAVE set and XCR0
@@ -23,6 +26,26 @@ func probeAVX2FMA() bool {
 	const avx2 = 1 << 5
 	_, b, _, _ := cpuid(7, 0)
 	return b&avx2 != 0
+}
+
+// HasAVX512 reports whether AVX-512 Foundation instructions may run, and
+// AVX2/FMA3 beside them (the ZMM kernel bodies leave their tails to the YMM
+// ones): HasAVX2FMA holds, the CPU implements AVX512F, and XCR0 enables
+// the opmask registers and both halves of the ZMM state on top of SSE and
+// AVX. The answer is fixed at package init.
+func HasAVX512() bool { return avx512 }
+
+// probeAVX512F is only called once probeAVX2FMA has passed: leaf 7 exists
+// and XGETBV may run.
+func probeAVX512F() bool {
+	const sse, avx, opmask, zmmHi256, hi16ZMM = 1 << 1, 1 << 2, 1 << 5, 1 << 6, 1 << 7
+	const state = sse | avx | opmask | zmmHi256 | hi16ZMM
+	if xgetbv0()&state != state {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx512f != 0
 }
 
 // cpuid executes CPUID with EAX=leaf, ECX=sub.

@@ -29,9 +29,9 @@ const diagEps = 1e-14
 // replaying a run gate by gate versus collapsing it into one dense or
 // diagonal block sweep.
 var (
-	// denseBlockCost[w] is one dense 2^w-block sweep through the body
-	// that runs it where this repository is measured: statevec's AVX2/FMA
-	// assembly. The numbers are the "sweeps" column of
+	// denseBlockCost[w] is one dense 2^w-block sweep through statevec's
+	// AVX2/FMA assembly body, as read when that body landed. The numbers
+	// are the "sweeps" column of
 	//
 	//	go test -run xxx -bench BenchmarkDenseBlock ./internal/statevec/
 	//
@@ -41,12 +41,21 @@ var (
 	// pays in both regimes: n=12 0.80 / 1.10 / 1.90 / 3.49 / 7.0 / 13.1 /
 	// 25.7 for w = 2..8, n=20 0.77 / 0.89 / 1.64 / 3.08 for w = 2..5.
 	// Before the assembly body the table read 1.7 / 5.4 / 8.6 / 16.5 / 33
-	// / 66 / 132, which is still what the pure-Go body costs (1.75 / 5.7 /
-	// 10 / 19 / 32 / 71 / 134 at n=12). There is one table on every
-	// host, so plans, fingerprints and pins do not depend on where they
-	// were compiled; a host without AVX2 runs these plans correctly but
-	// over-fused — per-host prices belong to the perfmodel table
-	// (ROADMAP item 3).
+	// / 66 / 132, which is still what the pure-Go body costs (1.7 / 5.2 /
+	// 10 / 17 / 32 / 76 / 121 at n=12).
+	//
+	// Read again with the AVX-512 body beside it (same command, its
+	// from=1 rows, median of five): AVX-512 n=12 0.45 / 0.46 / 0.82 / 1.65
+	// / 2.8 / 4.7 / 9.0, n=20 0.42 / 0.53 / 0.81 / 1.36; AVX2 n=12 0.67 /
+	// 0.81 / 1.65 / 3.1 / 6.8 / 9.5 / 25, n=20 0.61 / 0.88 / 1.37 / 2.50.
+	// A host that runs the ZMM body therefore pays about half these
+	// prices from w = 3 up. The prices were deliberately not moved with
+	// that body: plans, fingerprints, artifacts and pins stay byte for
+	// byte what they were, so the whole gain is the kernel's, and the new
+	// readings are data for the perfmodel table (ROADMAP item 3), where
+	// per-host prices belong. There is one table on every host, so plans
+	// do not depend on where they were compiled; a host without AVX2 runs
+	// them correctly but over-fused.
 	denseBlockCost = [MaxWidth + 1]float64{2: 0.8, 3: 1.1, 4: 1.9, 5: 3.5, 6: 7.0, 7: 13, 8: 26}
 	// diagBlockCost is one statevec.ApplyDiagN sweep, width-independent.
 	diagBlockCost = 1.0

@@ -4,32 +4,56 @@ package statevec
 
 import "repro/internal/cpufeat"
 
-// useDenseAsm selects the body of the dense block sweep: the AVX2/FMA
-// assembly when the CPU and the OS support it, the pure-Go chunk
-// functions otherwise. It is decided once, here; tests flip it to run the
-// two bodies side by side.
-var useDenseAsm = cpufeat.HasAVX2FMA()
+// denseBody is decided once, here, from CPUID/XGETBV alone; tests run the
+// bodies below the host's choice side by side (withDenseBody).
+var denseBody = hostDenseBody()
 
-// denseSweepAVX2 is the assembly body (dense_amd64.s). It checks no
-// bounds: callers go through denseChunkAsm.
+func hostDenseBody() denseBodyKind {
+	switch {
+	case cpufeat.HasAVX512():
+		return bodyAVX512
+	case cpufeat.HasAVX2FMA():
+		return bodyAVX2
+	}
+	return bodyGo
+}
+
+// denseSweepAVX2 is the two-groups-per-YMM assembly body (dense_amd64.s):
+// any count >= 1. It checks no bounds: callers go through denseChunkAsm.
 //
 //go:noescape
 func denseSweepAVX2(amp, m *complex128, offs *uint64, dim, qmask, base, count uint64)
+
+// denseSweepAVX512 is the four-groups-per-ZMM assembly body
+// (dense512_amd64.s): count must be a positive multiple of 4. It checks no
+// bounds either.
+//
+//go:noescape
+func denseSweepAVX512(amp, m *complex128, offs *uint64, dim, qmask, base, count uint64)
 
 // denseAsmWork bounds one assembly call, in complex multiply-adds (4^w
 // per group). Assembly has no preemption points, so the bound is how long
 // a chunk can hold off a stop-the-world — a few hundred microseconds at
 // any width — while keeping the call overhead far below the work. The
-// group count it yields is even at every width, so only a chunk's last
-// call can end on the single-group tail.
+// group count it yields is a multiple of 4 at every width (16 at w = 8),
+// so only a chunk's last groups can be left over for a narrower body.
 const denseAsmWork = 1 << 20
 
-// denseChunkAsm runs the assembly body over groups [start, end) of lay.
+// denseChunkAsm runs the host's assembly body over groups [start, end) of
+// lay. The ZMM body has no tail code: it takes the multiple of 4 in each
+// call's share, and the 0-3 groups left over at the end of the chunk go to
+// the YMM body, which handles any count.
 func denseChunkAsm(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	dim := uint64(1) << lay.w
 	for start < end {
 		count := min(end-start, denseAsmWork>>(2*lay.w))
-		denseSweepAVX2(&amp[0], &m[0], &lay.offs[0], dim, lay.qmask, lay.groupBase(start), count)
+		base := lay.groupBase(start)
+		if quads := count &^ 3; denseBody == bodyAVX512 && quads != 0 {
+			count = quads
+			denseSweepAVX512(&amp[0], &m[0], &lay.offs[0], dim, lay.qmask, base, count)
+		} else {
+			denseSweepAVX2(&amp[0], &m[0], &lay.offs[0], dim, lay.qmask, base, count)
+		}
 		start += count
 	}
 }

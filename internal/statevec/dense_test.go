@@ -3,6 +3,7 @@ package statevec
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -11,17 +12,24 @@ import (
 	"repro/internal/rng"
 )
 
-// TestMain runs the package's tests twice on a host that runs the
-// assembly body of the dense block sweep: once as shipped, once with the
-// sweep forced onto the pure-Go body, so the fallback other hosts run
-// passes the same suite. Benchmark, fuzz and profiling invocations get one
-// pass.
+// TestMain runs the package's tests once per body of the dense block
+// sweep this host can run — the host's own first, then each narrower one
+// down to pure Go — so an AVX-512 host still executes the AVX2 body and
+// the fallback other hosts run, under the same suite, and prints which.
+// Benchmark, fuzz and profiling invocations get the host's body only.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 && useDenseAsm && plainTestRun() {
-		useDenseAsm = false
-		fmt.Println("second pass: dense block sweep on the pure-Go body")
-		code = m.Run()
+	flag.Parse()
+	bodies := availableBodies()
+	if !plainTestRun() {
+		bodies = bodies[:1]
+	}
+	code := 0
+	for i, body := range bodies {
+		denseBody = body
+		fmt.Printf("pass %d of %d: dense block sweep on the %s body\n", i+1, len(bodies), body)
+		if code = m.Run(); code != 0 {
+			break
+		}
 	}
 	os.Exit(code)
 }
@@ -97,93 +105,176 @@ func gateProduct(src *rng.Source, qubits []uint, count int) ([]complex128, []gat
 	return block, seq
 }
 
-// TestDenseBodiesAgree is the property test of the dense block sweep: over
-// every width, every register size from a single group up, serial and
-// pooled, and every qubit layout of qubitOrders, the assembly body and the
-// pure-Go body agree to 1e-12 on random dense blocks, and both agree to
-// 1e-10 with applying a block's gates one by one.
-func TestDenseBodiesAgree(t *testing.T) {
-	if !useDenseAsm {
-		t.Skip("the dense block sweep has one body on this host")
+// eachDenseBody runs f as one sub-test per body, widest first. A body the
+// CPU lacks is a skip with a message, so a log shows what a host
+// exercised. The comparisons below run every body themselves, so they run
+// in TestMain's first pass only.
+func eachDenseBody(t *testing.T, f func(t *testing.T, body denseBodyKind)) {
+	if denseBody != hostBody {
+		t.Skipf("compares the bodies itself: ran in the %s pass", hostBody)
 	}
-	src := rng.New(2016)
-	check := func(name string, init *State, qubits []uint, m []complex128, seq []gates.Gate, workers int) {
-		t.Helper()
-		n := init.NumQubits()
-		asm, pure := init.Clone(), init.Clone()
-		asm.SetParallelism(workers)
-		pure.SetParallelism(workers)
-		asm.ApplyMatrixN(m, qubits)
-		withDenseBody(false, func() { pure.ApplyMatrixN(m, qubits) })
-		if d := asm.MaxDiff(pure); d > 1e-12 {
-			t.Fatalf("%s n=%d qubits=%v workers=%d: bodies differ by %g", name, n, qubits, workers, d)
-		}
-		if seq == nil {
-			return
-		}
-		pure.CopyFrom(init)
-		for _, g := range seq {
-			pure.ApplyGate(g)
-		}
-		if d := asm.MaxDiff(pure); d > 1e-10 {
-			t.Fatalf("%s n=%d qubits=%v workers=%d: block differs from its gates by %g", name, n, qubits, workers, d)
-		}
-	}
-	cases := func(n, w uint, workers []int) {
-		init := NewRandom(n, src)
-		for _, qubits := range qubitOrders(src, n, w) {
-			random := make([]complex128, 1<<(2*w))
-			for i := range random {
-				random[i] = src.Complex()
+	for _, body := range []denseBodyKind{bodyAVX512, bodyAVX2, bodyGo} {
+		t.Run("body="+body.String(), func(t *testing.T) {
+			if body > hostBody {
+				t.Skipf("this CPU lacks the %s body", body)
 			}
-			sparse, sparseSeq := gateProduct(src, qubits, 2)
-			dense, denseSeq := gateProduct(src, qubits, 3*int(w))
-			for _, k := range workers {
-				check("random", init, qubits, random, nil, k)
-				check("sparse", init, qubits, sparse, sparseSeq, k)
-				check("dense", init, qubits, dense, denseSeq, k)
-			}
-		}
-	}
-	for w := uint(1); w <= MaxMatrixNQubits; w++ {
-		for n := w; n <= 12; n++ {
-			cases(n, w, []int{1})
-		}
-	}
-	// Registers with enough groups to reach the worker pool, and more
-	// groups per chunk than one assembly call takes.
-	for _, big := range []struct{ n, w uint }{{14, 2}, {15, 3}, {16, 4}, {17, 4}} {
-		cases(big.n, big.w, []int{1, 2, 3})
+			f(t, body)
+		})
 	}
 }
 
-// TestDenseChunkRanges drives the chunk function directly over ranges the
-// chunk planner never produces for a power-of-two group count — odd
-// starts, odd lengths, a single group — so the assembly's one-group tail
-// and its start-index spread are exercised at every width.
-func TestDenseChunkRanges(t *testing.T) {
-	if !useDenseAsm {
-		t.Skip("the dense block sweep has one body on this host")
+// sameBits reports whether two states hold identical amplitudes bit for
+// bit (signed zeros and all), and the first index where they do not.
+func sameBits(a, b *State) (uint64, bool) {
+	for i, x := range a.amp {
+		y := b.amp[i]
+		if math.Float64bits(real(x)) != math.Float64bits(real(y)) || math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+			return uint64(i), false
+		}
 	}
-	src := rng.New(77)
-	for w := uint(2); w <= 5; w++ {
-		n := w + 5 // 32 groups
-		for _, qubits := range qubitOrders(src, n, w) {
-			m := make([]complex128, 1<<(2*w))
-			for i := range m {
-				m[i] = src.Complex()
+	return 0, true
+}
+
+// compareBodies holds got, computed on body, against want, computed on a
+// narrower one: the two assembly bodies do the same operations in the
+// same order with the same roundings, so they must agree exactly; pure Go
+// rounds each product before adding, so it agrees to 1e-12.
+func compareBodies(t *testing.T, what string, body, oracle denseBodyKind, got, want *State) {
+	t.Helper()
+	if oracle != bodyGo {
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("%s: %s and %s differ at amplitude %d: %v vs %v", what, body, oracle, i, got.amp[i], want.amp[i])
+		}
+	} else if d := got.MaxDiff(want); d > 1e-12 {
+		t.Fatalf("%s: %s and %s differ by %g", what, body, oracle, d)
+	}
+}
+
+// TestDenseBodiesAgree is the property test of the dense block sweep: over
+// every width, every register size from a single group up, serial and
+// pooled, and every qubit layout of qubitOrders, each body agrees with
+// every narrower one the host runs on random dense blocks — bit for bit
+// between the two assembly bodies, to 1e-12 against pure Go — and to 1e-10
+// with applying a block's gates one by one.
+func TestDenseBodiesAgree(t *testing.T) {
+	eachDenseBody(t, func(t *testing.T, body denseBodyKind) {
+		src := rng.New(2016)
+		got, want := New(1), New(1)
+		check := func(name string, init *State, qubits []uint, m []complex128, seq []gates.Gate, workers int) {
+			t.Helper()
+			what := fmt.Sprintf("%s n=%d qubits=%v workers=%d", name, init.NumQubits(), qubits, workers)
+			if got.NumQubits() != init.NumQubits() {
+				got, want = init.Clone(), init.Clone()
 			}
-			for _, r := range [][2]uint64{{0, 1}, {31, 32}, {3, 4}, {1, 8}, {5, 32}, {0, 31}, {7, 7}} {
-				asm := NewRandom(n, src)
-				pure := asm.Clone()
-				denseChunkAsm(asm.amp, m, asm.layoutFor(qubits), r[0], r[1])
-				denseChunkGo(pure.amp, m, pure.layoutFor(qubits), r[0], r[1])
-				if d := asm.MaxDiff(pure); d > 1e-12 {
-					t.Fatalf("w=%d qubits=%v groups [%d,%d): bodies differ by %g", w, qubits, r[0], r[1], d)
+			got.SetParallelism(workers)
+			want.SetParallelism(workers)
+			got.CopyFrom(init)
+			withDenseBody(body, func() { got.ApplyMatrixN(m, qubits) })
+			for oracle := body; oracle > bodyGo; {
+				oracle--
+				want.CopyFrom(init)
+				withDenseBody(oracle, func() { want.ApplyMatrixN(m, qubits) })
+				compareBodies(t, what, body, oracle, got, want)
+			}
+			if seq == nil {
+				return
+			}
+			want.CopyFrom(init)
+			for _, g := range seq {
+				want.ApplyGate(g)
+			}
+			if d := got.MaxDiff(want); d > 1e-10 {
+				t.Fatalf("%s: the %s block differs from its gates by %g", what, body, d)
+			}
+		}
+		cases := func(n, w uint, workers []int) {
+			init := NewRandom(n, src)
+			for _, qubits := range qubitOrders(src, n, w) {
+				random := make([]complex128, 1<<(2*w))
+				for i := range random {
+					random[i] = src.Complex()
+				}
+				sparse, sparseSeq := gateProduct(src, qubits, 2)
+				dense, denseSeq := gateProduct(src, qubits, 3*int(w))
+				for _, k := range workers {
+					check("random", init, qubits, random, nil, k)
+					check("sparse", init, qubits, sparse, sparseSeq, k)
+					check("dense", init, qubits, dense, denseSeq, k)
 				}
 			}
 		}
-	}
+		for w := uint(1); w <= MaxMatrixNQubits; w++ {
+			for n := w; n <= 12; n++ {
+				cases(n, w, []int{1})
+			}
+		}
+		// Registers with enough groups to reach the worker pool, and more
+		// groups per chunk than one assembly call takes.
+		for _, big := range []struct{ n, w uint }{{14, 2}, {15, 3}, {16, 4}, {17, 4}} {
+			cases(big.n, big.w, []int{1, 2, 3})
+		}
+	})
+}
+
+// TestDenseChunkRanges drives the chunk function directly over ranges the
+// chunk planner never produces for a power-of-two group count — lengths of
+// every residue mod 4, starts that are not multiples of 4, a single group,
+// none — so the ZMM body's hand-over of its 0-3 left-over groups, the YMM
+// body's one-group tail and the start-index spread are exercised from the
+// smallest tile (w=2) to the largest (w=8). The layouts add, to
+// qubitOrders, blocks holding qubit 0 alone, qubit 1 alone, both and
+// neither of the two: four consecutive groups are one cache line exactly
+// in the last case, and the gather is a different one.
+func TestDenseChunkRanges(t *testing.T) {
+	eachDenseBody(t, func(t *testing.T, body denseBodyKind) {
+		if body == bodyGo {
+			t.Skip("the pure-Go body is the oracle here")
+		}
+		src := rng.New(77)
+		for w := uint(2); w <= MaxMatrixNQubits; w++ {
+			n := w + 5 // 32 groups
+			layouts := qubitOrders(src, n, w)
+			for _, low := range [][]uint{{0}, {1}, {0, 1}, {}} {
+				qubits := append([]uint{}, low...)
+				for q := n - 1; uint(len(qubits)) < w; q-- {
+					qubits = append(qubits, q)
+				}
+				layouts = append(layouts, qubits)
+			}
+			for _, qubits := range layouts {
+				m := make([]complex128, 1<<(2*w))
+				for i := range m {
+					m[i] = src.Complex()
+				}
+				// chunk runs groups [lo, hi) of st through one body.
+				chunk := func(body denseBodyKind, st *State, lo, hi uint64) {
+					if body == bodyGo {
+						denseChunkGo(st.amp, m, st.layoutFor(qubits), lo, hi)
+						return
+					}
+					withDenseBody(body, func() { denseChunkAsm(st.amp, m, st.layoutFor(qubits), lo, hi) })
+				}
+				for _, r := range [][2]uint64{
+					{0, 1}, {31, 32}, {3, 4}, {7, 7}, // one group, none
+					{0, 32}, {2, 6}, {8, 20}, // lengths 0 mod 4
+					{4, 9}, {3, 8}, // 1 mod 4
+					{8, 14}, {1, 31}, // 2 mod 4
+					{1, 8}, {5, 32}, {0, 31}, // 3 mod 4
+				} {
+					init := NewRandom(n, src)
+					got := init.Clone()
+					chunk(body, got, r[0], r[1])
+					what := fmt.Sprintf("w=%d qubits=%v groups [%d,%d)", w, qubits, r[0], r[1])
+					for oracle := body; oracle > bodyGo; {
+						oracle--
+						want := init.Clone()
+						chunk(oracle, want, r[0], r[1])
+						compareBodies(t, what, body, oracle, got, want)
+					}
+				}
+			}
+		}
+	})
 	s := New(6)
 	lay := s.layoutFor([]uint{0, 3})
 	for _, r := range [][2]uint64{{3, 2}, {0, 17}} {
@@ -222,7 +313,7 @@ func TestChunkPlanPartitions(t *testing.T) {
 
 // TestBlockKernelValidation holds every validation panic of the block
 // kernels to its message and to firing before any amplitude moves, under
-// both bodies (TestMain's second pass).
+// every body (TestMain's passes).
 func TestBlockKernelValidation(t *testing.T) {
 	src := rng.New(5)
 	s := NewRandom(4, src)
@@ -267,7 +358,8 @@ func TestBlockKernelValidation(t *testing.T) {
 // FuzzApplyMatrixN draws the register size, the qubit list and the block
 // from the input: a list checkMatrixN rejects must panic with a statevec
 // message and leave the state alone; an accepted one must run without a
-// fault and identically (1e-12) through both bodies.
+// fault through every body the host has, identically bit for bit through
+// the assembly bodies and to 1e-12 through pure Go.
 func FuzzApplyMatrixN(f *testing.F) {
 	f.Add(uint8(4), uint64(1), []byte{0, 1})
 	f.Add(uint8(3), uint64(2), []byte{2, 1, 0})    // n = w: one group
@@ -277,6 +369,8 @@ func FuzzApplyMatrixN(f *testing.F) {
 	f.Add(uint8(5), uint64(6), []byte{1, 200}) // out of range
 	f.Add(uint8(5), uint64(7), []byte{})
 	f.Add(uint8(11), uint64(8), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(10), uint64(9), []byte{9, 5, 2})    // qubits 0 and 1 outside: contiguous quads
+	f.Add(uint8(6), uint64(10), []byte{1, 4, 3, 5}) // 4 groups, qubit 1 inside
 	f.Fuzz(func(t *testing.T, nRaw uint8, seed uint64, qs []byte) {
 		n := 1 + uint(nRaw)%11
 		if len(qs) > MaxMatrixNQubits+1 {
@@ -299,31 +393,31 @@ func FuzzApplyMatrixN(f *testing.F) {
 			m[i] = src.Complex()
 		}
 		init := NewRandom(n, src)
-		asm, pure := init.Clone(), init.Clone()
-		run := func(s *State) (msg any) {
-			defer func() { msg = recover() }()
-			s.ApplyMatrixN(m, qubits)
-			return nil
-		}
-		msgAsm := run(asm)
-		var msgPure any
-		withDenseBody(false, func() { msgPure = run(pure) })
-		if !valid {
-			for _, msg := range []any{msgAsm, msgPure} {
+		what := fmt.Sprintf("n=%d qubits=%v", n, qubits)
+		var wider *State
+		for _, body := range availableBodies() {
+			got := init.Clone()
+			var msg any
+			withDenseBody(body, func() {
+				defer func() { msg = recover() }()
+				got.ApplyMatrixN(m, qubits)
+			})
+			if !valid {
 				if text, ok := msg.(string); !ok || !strings.HasPrefix(text, "statevec: ") {
-					t.Fatalf("n=%d qubits=%v: want a statevec validation panic, got %v", n, qubits, msg)
+					t.Fatalf("%s, %s body: want a statevec validation panic, got %v", what, body, msg)
 				}
+				if _, ok := sameBits(got, init); !ok {
+					t.Fatalf("%s, %s body: a rejected block moved amplitudes", what, body)
+				}
+				continue
 			}
-			if asm.MaxDiff(init) != 0 || pure.MaxDiff(init) != 0 {
-				t.Fatalf("n=%d qubits=%v: a rejected block moved amplitudes", n, qubits)
+			if msg != nil {
+				t.Fatalf("%s, %s body: valid block panicked: %v", what, body, msg)
 			}
-			return
-		}
-		if msgAsm != nil || msgPure != nil {
-			t.Fatalf("n=%d qubits=%v: valid block panicked: %v / %v", n, qubits, msgAsm, msgPure)
-		}
-		if d := asm.MaxDiff(pure); d > 1e-12 {
-			t.Fatalf("n=%d qubits=%v: bodies differ by %g", n, qubits, d)
+			if wider != nil {
+				compareBodies(t, what, body+1, body, wider, got)
+			}
+			wider = got
 		}
 	})
 }

@@ -192,22 +192,38 @@ func (s *State) denseSweep(m []complex128, qubits []uint) {
 	})
 }
 
-// denseChunk applies m to groups [start, end) of lay through whichever
-// body this host runs. The range check is the last guard in front of the
-// unchecked assembly; a violation is a bug in the chunk planner.
+// denseBodyKind names a body of the dense block sweep. The order is the
+// order of what a host needs: every body below the host's own also runs
+// there (the ZMM body's tails are the YMM body's), which is what lets the
+// test suites count down from denseBody.
+type denseBodyKind uint8
+
+const (
+	bodyGo     denseBodyKind = iota // denseChunkGo, matrix4Chunk: any host
+	bodyAVX2                        // denseSweepAVX2: AVX2 and FMA3
+	bodyAVX512                      // denseSweepAVX512: AVX-512F as well
+)
+
+func (b denseBodyKind) String() string {
+	return [...]string{"go", "avx2", "avx512"}[b]
+}
+
+// denseChunk applies m to groups [start, end) of lay through the body
+// this host runs (denseBody). The range check is the last guard in front
+// of the unchecked assembly; a violation is a bug in the chunk planner.
 func denseChunk(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	if start > end || end > uint64(len(amp))>>lay.w {
 		panic("statevec: dense block chunk out of range")
 	}
-	if useDenseAsm {
-		denseChunkAsm(amp, m, lay, start, end)
-	} else {
+	if denseBody == bodyGo {
 		denseChunkGo(amp, m, lay, start, end)
+	} else {
+		denseChunkAsm(amp, m, lay, start, end)
 	}
 }
 
 // denseChunkGo is the pure-Go body: the fallback on hosts without
-// AVX2/FMA and the oracle the assembly is tested against. Gather the
+// AVX2/FMA and the oracle the assembly bodies are tested against. Gather the
 // group, multiply four rows at a time, scatter in place.
 func denseChunkGo(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	dim := 1 << lay.w

@@ -29,26 +29,43 @@
 // # Kernel bodies
 //
 // The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyMatrix4 —
-// has two bodies. On amd64 hosts whose CPU reports AVX2 and FMA3 and whose
-// OS saves the YMM state (CPUID leaves 1 and 7 plus XGETBV, checked once
-// at package init, internal/cpufeat) it runs denseSweepAVX2
-// (dense_amd64.s); everywhere else, and as the oracle in tests, it runs
-// the pure-Go chunk functions (denseChunkGo, and the tuned matrix4Chunk at
-// w=2). Nothing else selects a body: no option, environment variable or
-// build tag beyond the GOARCH constraint.
+// has three bodies, and one value, denseBody, decided once at package init
+// from CPUID and XGETBV alone (internal/cpufeat), says which one runs:
+// denseSweepAVX512 (dense512_amd64.s) on amd64 hosts whose CPU reports
+// AVX512F and whose OS saves the opmask and ZMM state; denseSweepAVX2
+// (dense_amd64.s) on amd64 hosts with AVX2 and FMA3 and the YMM state
+// saved — CI runners, most desktops; the pure-Go chunk functions
+// (denseChunkGo, and the tuned matrix4Chunk at w=2) everywhere else, and
+// as the oracle in tests. Nothing else selects a body: no option,
+// environment variable or build tag beyond the GOARCH constraint.
 //
-// The assembly keeps the interleaved [re, im] layout and puts two groups
-// in one YMM register, one per 128-bit lane (two 128-bit loads, so qubit 0
-// inside the block is no special case). A complex multiply-add is two
-// FMAs: the broadcast real part times [re, im] and the broadcast imaginary
-// part times the swapped pair, in separate accumulators that one
-// VADDSUBPD folds per row; four rows at a time give eight independent
-// chains. The gathered tile is copied to the frame, so the in-place
-// scatter cannot clobber inputs; the matrix is read as the caller passed
-// it. The group loop is inside the assembly and steps the group base with
-// ((base | qmask) + 1) &^ qmask — the same blockLayout arithmetic the
-// pure-Go bodies and ApplyDiagN use — and every width from 2 to
-// MaxMatrixNQubits goes through the one body, its bounds being data.
+// Both assembly bodies keep the interleaved [re, im] layout and put one
+// group in each 128-bit lane of a vector register — two per YMM, four per
+// ZMM — gathered with 128-bit loads, so qubit 0 inside the block is no
+// special case. A complex multiply-add is two FMAs, the broadcast real
+// part and the broadcast imaginary part of the matrix entry each times the
+// gathered pair, in separate accumulators that are folded once per row
+// (re = A.re - B.im, im = A.im + B.re); four rows at a time give eight
+// independent chains. The gathered tile is copied to the frame, so the
+// in-place scatter cannot clobber inputs; the matrix is read as the caller
+// passed it. The group loop is inside the assembly and steps the group
+// base with ((base | qmask) + 1) &^ qmask — the same blockLayout
+// arithmetic the pure-Go bodies and ApplyDiagN use — and every width from
+// 2 to MaxMatrixNQubits goes through the one body, its bounds being data.
+//
+// The two differ where the instruction sets do. The YMM body swaps the
+// gathered pair at every column and folds with VADDSUBPD; EVEX has no
+// VADDSUBPD, so the ZMM body takes the matrix entries as embedded
+// broadcasts, swaps the imaginary accumulator once per row, and folds with
+// VFMADDSUB231PD against a register of ones: an exact product and one
+// rounding, the same sums of the same products, so the two bodies agree
+// bit for bit (the tests hold them to that; pure Go rounds each product
+// and agrees to 1e-12). When qubits 0 and 1 are both outside the block,
+// the four groups of a ZMM pass are one 64-byte run of the vector, and
+// gather and scatter are single moves. The ZMM body has no tail code:
+// denseChunkAsm hands it the multiple of 4 in a chunk and leaves the last
+// 0-3 groups to the YMM body, whose own odd group runs with both lanes on
+// it.
 //
 // The assembly checks no bounds. Its memory safety is exactly: the
 // checkMatrixN / checkQubitPair validation every exported entry runs
@@ -58,10 +75,12 @@
 // preemption cannot interrupt assembly, so one call does at most
 // denseAsmWork multiply-adds.
 //
-// Tests reach the pure-Go body by flipping the unexported useDenseAsm
-// (withDenseBody in bench_test.go); the statevec, fuse and backend suites
-// run a second pass with it off (their TestMain), so a host without AVX2
-// runs code that passed the same tests.
+// A host runs every body below its own, and the tests use that: they move
+// the unexported denseBody (withDenseBody in bench_test.go), the statevec,
+// fuse and backend suites run one pass per available body (their
+// TestMain), and the comparison tests hold every body against every
+// narrower one, so an AVX-512 host still executes the code an AVX2-only or
+// a plain host runs.
 //
 // # Validation contract
 //

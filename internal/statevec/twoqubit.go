@@ -31,9 +31,9 @@ func (s *State) ApplyMatrix4(m *[16]complex128, q0, q1 uint) {
 
 // matrix4 is the width-2 dense sweep behind ApplyMatrix4 and
 // ApplyMatrixN, for a validated pair of distinct qubits: the shared
-// assembly sweep where it runs, the tuned pure-Go butterfly otherwise.
+// assembly sweep where one runs, the tuned pure-Go butterfly otherwise.
 func (s *State) matrix4(m *[16]complex128, q0, q1 uint) {
-	if useDenseAsm {
+	if denseBody != bodyGo {
 		qubits := [2]uint{q0, q1}
 		s.denseSweep(m[:], qubits[:])
 		return
