@@ -200,6 +200,9 @@ func run(path, backendName string, fuseWidth int, emulate string, nodes, shots, 
 	if err != nil {
 		return err
 	}
+	if x.FusedBlocks > 0 {
+		fmt.Printf("fusion: %v\n", x.FusionStats())
+	}
 	if trajs > 0 {
 		return runTrajectories(int(circ.NumQubits), x, trajs, workers, seed, top)
 	}

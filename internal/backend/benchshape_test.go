@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circuit"
 	"repro/internal/experiments"
 	"repro/internal/noise"
 	"repro/internal/qasm"
@@ -21,10 +22,14 @@ import (
 // gate-sweep shape — parse, Compile, Reset, Run, SampleMany(1024) of the
 // 20-qubit 300-gate circuit at Fused w=4 on a warm backend — leaves on the
 // heap. The collector never runs inside that workload's ten seconds, so
-// its peak RSS is the state plus solves x this number; the budget keeps
-// the wider plans of the AVX2-priced planner (one 4 KiB matrix per w=4
-// block is intrinsic) below what the narrow plans used to allocate
-// (485 KiB).
+// its peak RSS is the state plus solves x this number. A solve read
+// 485 KiB under the narrow plans of the scalar prices and 338 KiB
+// (346 320 B) while every w=4 dense block carried a 4 KiB matrix; the 45
+// of 50 blocks that are Kronecker products now carry two 256-byte factors,
+// the same again in the ZMM body's order and 128 bytes of tables —
+// about 1.5 KiB a block — and a solve reads 232 272 B on the AVX-512
+// body, 238 128 B on AVX2 and 239 472 B in pure Go. The budget is the
+// first reading plus 5%.
 func TestSolveAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 20-qubit circuit twice")
@@ -59,11 +64,45 @@ func TestSolveAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	solve()
 	runtime.ReadMemStats(&after)
-	const budget = 360 << 10
+	const budget = 238 << 10
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("one solve allocated %d B", got)
 	if got > budget {
 		t.Errorf("one solve allocated %d B, budget %d", got, budget)
+	}
+}
+
+// TestFactoredBlocksPinned pins how many of the benchmark's dense blocks
+// run as Kronecker factors (fuse.Block.Factors), the share of a workload
+// the in-tile factored sweep speeds up: 45 of gate-sweep's 50 (multiplies
+// per amplitude 5 x 16 + 45 x 8 against 50 x 16 multiplied out) and 21 of
+// the 28 in cluster-shard's brickwork half (5 of 5 in the 23-gate unit
+// ahead of a recognised four-gate region, 16 of 23 in the 146-gate unit
+// behind it). The shapes are fixed by the generators' shape streams, not
+// by the seed.
+func TestFactoredBlocksPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		c                      *circuit.Circuit
+		target                 backend.Target
+		dense, factored        int
+		mulsDense, mulsRunning int
+	}{
+		{"gate-sweep", experiments.GateSweep(20, 10, 3),
+			backend.Target{NumQubits: 20, Kind: backend.Fused, FuseWidth: 4, Emulate: recognize.Off, Workers: 2},
+			50, 45, 800, 440},
+		{"cluster-shard", experiments.ClusterShard(20, 6, 3),
+			backend.Target{NumQubits: 20, Kind: backend.Cluster, Nodes: 4, FuseWidth: 4, Emulate: recognize.Auto, Workers: 2},
+			28, 21, 448, 280},
+	} {
+		x, err := backend.Compile(tc.c, tc.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := x.FusionStats(); st.Dense != tc.dense || st.Factored != tc.factored || st.MulsDense != tc.mulsDense || st.MulsRun != tc.mulsRunning {
+			t.Errorf("%s: %d dense blocks, %d factored, %d of %d multiplies per amplitude; want %d, %d, %d of %d",
+				tc.name, st.Dense, st.Factored, st.MulsRun, st.MulsDense, tc.dense, tc.factored, tc.mulsRunning, tc.mulsDense)
+		}
 	}
 }
 

@@ -71,6 +71,18 @@ type Executable struct {
 	Selection *Selection
 }
 
+// FusionStats sums the fusion plans' statistics over the executable's
+// gate units: what the planner made of everything that is not emulated.
+func (x *Executable) FusionStats() fuse.Stats {
+	var st fuse.Stats
+	for i := range x.Units {
+		if p := x.Units[i].Fused; p != nil {
+			st.Add(p.Stats())
+		}
+	}
+	return st
+}
+
 // substrateLocal names the single-node execution substrate of a
 // recognised op (the statevec shortcuts of internal/recognize).
 const substrateLocal = "statevec"

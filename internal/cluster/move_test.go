@@ -166,8 +166,8 @@ func TestMoverDoesNotAllocate(t *testing.T) {
 }
 
 // TestApplyBlockAddsNoAllocation pins the //qemu:hotpath contract on the
-// per-block step of RunSchedule: a dense and a diagonal block allocate no
-// more than fanning one capturing closure out over the nodes allocates
+// per-block step of RunSchedule: a dense, a factored and a diagonal block
+// allocate no more than fanning one capturing closure out over the nodes allocates
 // (eachNode's goroutines), so nothing of their own — the positions live in
 // the Cluster's scratch, the kernels in the shards' layouts.
 func TestApplyBlockAddsNoAllocation(t *testing.T) {
@@ -185,17 +185,25 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 		circ.Append(gates.Rz(q, 0.2), gates.T(q))
 	}
 	circ.Append(gates.CZ(4, 5), gates.CZ(6, 7), gates.CZ(5, 6))
+	// Two pairs nothing joins: a block of two Kronecker factors.
+	pairs := circuit.New(12)
+	for q := uint(0); q < 4; q++ {
+		pairs.Append(gates.H(q), gates.Ry(q, 0.4))
+	}
+	pairs.Append(gates.CNOT(0, 1), gates.CNOT(2, 3), gates.Ry(1, 0.1), gates.Ry(3, 0.1))
 	var visited atomic.Int64
 	fanOut := testing.AllocsPerRun(50, func() {
 		c.eachNode(func(p int) { visited.Add(int64(p)) })
 	})
 	kinds := map[string]bool{}
-	plan := fuse.New(circ, 4)
-	for i := range plan.Blocks {
-		b := &plan.Blocks[i]
+	blocks := append(fuse.New(circ, 4).Blocks, fuse.New(pairs, 4).Blocks...)
+	for i := range blocks {
+		b := &blocks[i]
 		switch {
 		case b.Diag != nil:
 			kinds["diag"] = true
+		case b.Factors != nil:
+			kinds["factored"] = true
 		case b.Matrix != nil:
 			kinds["dense"] = true
 		default:
@@ -206,8 +214,8 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 			t.Errorf("block on %v: %v allocs per applyBlock, the node fan-out alone takes %v", b.Qubits, allocs, fanOut)
 		}
 	}
-	if !kinds["diag"] || !kinds["dense"] {
-		t.Fatalf("plan held block kinds %v, want a dense and a diagonal one", kinds)
+	if !kinds["diag"] || !kinds["dense"] || !kinds["factored"] {
+		t.Fatalf("plan held block kinds %v, want a dense, a factored and a diagonal one", kinds)
 	}
 }
 

@@ -361,9 +361,11 @@ func (c *Cluster) RunScheduled(circ *circuit.Circuit, fuseWidth int) error {
 // applyBlock executes one fused block under the current placement.
 // Diagonal blocks never communicate: node-selecting members contribute a
 // fixed sub-index per node, local members a reduced diagonal applied
-// through ApplyDiagN. Dense blocks require every member qubit node-local
-// (the scheduler guarantees it). The block adds no allocation to the node
-// fan-out's own.
+// through ApplyDiagN. Every other fused block requires every member qubit
+// node-local (the scheduler guarantees it) and runs on each shard through
+// Block.Sweep over the qubits' physical positions — which is why a
+// factored block names its factors by block-local bits, not by qubit. The
+// block adds no allocation to the node fan-out's own.
 //
 //qemu:hotpath
 func (c *Cluster) applyBlock(b *fuse.Block) {
@@ -373,11 +375,7 @@ func (c *Cluster) applyBlock(b *fuse.Block) {
 		return
 	}
 	phys := c.localPositions(b.Qubits)
-	if b.Diag != nil {
-		c.eachNode(func(p int) { c.nodes[p].ApplyDiagN(b.Diag, phys) })
-		return
-	}
-	c.eachNode(func(p int) { c.nodes[p].ApplyMatrixN(b.Matrix, phys) })
+	c.eachNode(func(p int) { b.Sweep(c.nodes[p], phys) })
 }
 
 // localPositions returns the physical positions of a block's qubits, all

@@ -41,8 +41,13 @@
 //   - a diagonal sweep (one multiply per amplitude via
 //     statevec.ApplyDiagN), when the run is structurally diagonal and the
 //     sweep beats the replay;
-//   - a dense 2^w sweep via statevec.ApplyMatrixN, when the absorbed run
-//     amortises the 2^w multiplies per amplitude the dense kernel costs;
+//   - a dense 2^w sweep, when the absorbed run amortises the 2^w
+//     multiplies per amplitude it is priced at. It runs through
+//     statevec.ApplyMatrixN when the run's gates connect all w qubits, and
+//     through statevec.ApplyFactored — the same single sweep at the sum of
+//     the factors' 2^k multiplies — when they fall into groups on disjoint
+//     qubits and the block is the Kronecker product of the groups (see
+//     Block.Factors). The price does not know the difference yet;
 //   - a gate-by-gate replay with same-target runs pre-merged (the paper's
 //     classic fusion), recursively re-scheduled at width-1 first so a wide
 //     unprofitable region can still yield narrower profitable tiles.
@@ -60,11 +65,21 @@
 // Materialisation then builds the execution form of each block of the
 // final schedule, once: the merged replay sequence, the 2^w diagonal
 // (straight from the diagonal factors, O(2^w) per gate, never through a
-// matrix), or the dense 2^w x 2^w product (O(4^w) per gate). A run that
-// was re-tiled or replayed never had a matrix. A dense product that comes
-// out numerically diagonal executes through the diagonal kernel, but its
-// planned cost — and Stats().EstChosen — stays the dense one, so cost is a
-// function of the schedule alone.
+// matrix), or the dense form. For that the run's interaction graph — a
+// gate joins its controls and its target — is split into connected
+// components over the block's local bits; single-qubit components are
+// paired, an odd one joins the narrowest other part, and when two or more
+// parts remain the block keeps one 2^k x 2^k matrix per part (Factors)
+// instead of their 2^w x 2^w product: 45 of the 50 dense blocks of the
+// benchmark's gate-sweep circuit are such products, two 4x4 factors each.
+// A connected run is the one-factor case, a single Matrix (O(4^w) per
+// gate); Block.Dense multiplies the factors out for tests. A run that was
+// re-tiled or replayed never had a matrix. A dense product that comes out
+// numerically diagonal — every factor diagonal — executes through the
+// diagonal kernel, but its planned cost — and Stats().EstChosen — stays
+// the dense one, so cost is a function of the schedule alone. Executors
+// do not switch on the form: Block.Sweep does, for Plan.Apply and for
+// internal/cluster alike.
 //
 // New is schedule + materialise. Cost is the same scheduler with the
 // second step left out: it returns exactly New(c, w).Stats().EstChosen,
@@ -94,5 +109,5 @@
 // dense block must win on arithmetic rather than memory traffic.
 //
 // Execution lives in the sim package (Options.FuseWidth) on top of the
-// statevec.ApplyMatrixN / ApplyDiagN kernels.
+// statevec.ApplyMatrixN / ApplyFactored / ApplyDiagN kernels.
 package fuse

@@ -56,6 +56,23 @@ var (
 	// per-host prices belong. There is one table on every host, so plans
 	// do not depend on where they were compiled; a host without AVX2 runs
 	// them correctly but over-fused.
+	//
+	// A factored block (Block.Factors) is priced as the dense block it
+	// replaces, and runs for less. The same command's f= rows (median of
+	// five, from=1 / from=2, on a busy box: the dense rows beside them read
+	// w = 4 / 5 / 6 at 0.72 / 1.73 / 3.18 at n=12 and 1.13 / 1.79 at n=20):
+	// AVX-512, one in-tile sweep, n=12 f=2+2 0.94 / 0.60, f=2+3 1.06 /
+	// 0.64, f=2+2+2 0.91 / 0.82; n=20 0.67 / 0.66, 0.80 / 0.65, 0.90 / 0.88
+	// (ns/amp at n=20: 1.30 / 0.86 against dense w=4's 1.48 / 1.22, 1.45 /
+	// 1.44 against w=5's 2.56 / 2.65, 2.06 / 1.46 for f=2+2+2). AVX2, a
+	// sweep per factor, n=20: 1.42 / 1.36, 1.32 / 1.53, 1.99 / 2.58 against
+	// dense 1.78 and 2.38 at w = 4 and 5. Pure Go, n=20 from=1: 3.7 / 6.7 /
+	// 5.5 against 9.4 / 18 and, at n=12, 36. A five- or six-qubit block of
+	// two- and three-qubit factors therefore costs what a dense three- or
+	// four-qubit one does, where the table charges 3.5 and 7.0: with a
+	// factored price (a fixed part plus the sum of the factors' 2^k) plans
+	// would widen past w = 4. That price is ROADMAP item 3's; none moved
+	// here, so plans are what they were.
 	denseBlockCost = [MaxWidth + 1]float64{2: 0.8, 3: 1.1, 4: 1.9, 5: 3.5, 6: 7.0, 7: 13, 8: 26}
 	// diagBlockCost is one statevec.ApplyDiagN sweep, width-independent.
 	diagBlockCost = 1.0
@@ -100,9 +117,17 @@ type Block struct {
 	// 2^w index of Matrix/Diag corresponds to Qubits[j], matching the
 	// convention of statevec.ApplyMatrixN. Nil for an unfused run.
 	Qubits []uint
-	// Matrix is the dense row-major 2^w x 2^w unitary of the fused run,
-	// nil for unfused runs and diagonal blocks.
+	// Matrix is the dense row-major 2^w x 2^w unitary of a fused run whose
+	// gates connect all its qubits. It is nil for unfused runs, diagonal
+	// blocks and factored blocks.
 	Matrix []complex128
+	// Factors is the form of a dense block whose gates fall into groups on
+	// disjoint qubits: the Kronecker factors, each a unitary on some of the
+	// block's local bit positions (bit j is Qubits[j]), that Matrix would
+	// have multiplied out. The kernel applies them one after the other to
+	// each gathered group of amplitudes, at the sum of the factors' 2^k
+	// multiplies per amplitude instead of 2^w. Dense returns the product.
+	Factors *statevec.Factored
 	// Diag holds the 2^w diagonal of a diagonal block — a run whose gates
 	// are all diagonal on the state (phase/Rz/CR), or a dense run whose
 	// product came out numerically diagonal; the executor then applies it
@@ -121,7 +146,38 @@ type Block struct {
 
 // Fused reports whether the block is a merged multi-gate unitary rather
 // than a replayed run.
-func (b *Block) Fused() bool { return b.Matrix != nil || b.Diag != nil }
+func (b *Block) Fused() bool { return b.Matrix != nil || b.Factors != nil || b.Diag != nil }
+
+// Dense returns the 2^w x 2^w row-major unitary of a dense block — Matrix,
+// or the product of Factors, multiplied out on each call — and nil for a
+// diagonal or unfused block. It is for tests and introspection: executors
+// call Sweep.
+func (b *Block) Dense() []complex128 {
+	if b.Factors != nil {
+		return b.Factors.Dense()
+	}
+	return b.Matrix
+}
+
+// Sweep executes a fused block on s in one pass over the state. qubits
+// lists where the block's qubits sit in s, position for position with
+// Qubits: b.Qubits itself for a whole-register state, the remapped
+// node-local positions for a shard of internal/cluster. It is the one
+// place that knows the forms a fused block takes.
+//
+//qemu:hotpath
+func (b *Block) Sweep(s *statevec.State, qubits []uint) {
+	switch {
+	case b.Diag != nil:
+		s.ApplyDiagN(b.Diag, qubits)
+	case b.Factors != nil:
+		s.ApplyFactored(b.Factors, qubits)
+	case b.Matrix != nil:
+		s.ApplyMatrixN(b.Matrix, qubits)
+	default:
+		panic("fuse: Sweep on an unfused block")
+	}
+}
 
 // Replay returns the executor's gate sequence for an unfused block: the
 // original gates with maximal same-target single-qubit runs merged. It is
@@ -144,10 +200,15 @@ type Plan struct {
 type Stats struct {
 	Gates    int // original gates across all blocks
 	Blocks   int // execution units in the plan
-	Dense    int // dense fused blocks
+	Dense    int // dense fused blocks, factored ones included
+	Factored int // dense blocks run as Kronecker factors
 	Diagonal int // diagonal fused blocks
 	Unfused  int // blocks replayed gate by gate (same-target runs merged)
 	MaxRun   int // largest number of gates folded into one fused block
+	// MulsDense and MulsRun are the complex multiplies per amplitude of the
+	// plan's dense blocks: 2^w a block as if each were multiplied out, and
+	// what the kernels do — the sum of its factors' 2^k for a factored one.
+	MulsDense, MulsRun int
 	// EstGateByGate and EstChosen are the model's sweep-unit costs of
 	// applying every original gate individually versus the chosen
 	// schedule; their ratio is the predicted fusion speedup.
@@ -169,8 +230,17 @@ func (p *Plan) Stats() Stats {
 		switch {
 		case b.Diag != nil:
 			st.Diagonal++
+		case b.Factors != nil:
+			st.Dense++
+			st.Factored++
+			st.MulsDense += 1 << len(b.Qubits)
+			for i := 0; i < b.Factors.Len(); i++ {
+				st.MulsRun += 1 << len(b.Factors.Factor(i).Bits)
+			}
 		case b.Matrix != nil:
 			st.Dense++
+			st.MulsDense += 1 << len(b.Qubits)
+			st.MulsRun += 1 << len(b.Qubits)
 		default:
 			st.Unfused++
 		}
@@ -181,13 +251,29 @@ func (p *Plan) Stats() Stats {
 	return st
 }
 
+// Add folds the statistics of another plan — another gate segment of the
+// same circuit — into st: counts and costs add, MaxRun is the larger.
+func (st *Stats) Add(o Stats) {
+	st.Gates += o.Gates
+	st.Blocks += o.Blocks
+	st.Dense += o.Dense
+	st.Factored += o.Factored
+	st.Diagonal += o.Diagonal
+	st.Unfused += o.Unfused
+	st.MaxRun = max(st.MaxRun, o.MaxRun)
+	st.MulsDense += o.MulsDense
+	st.MulsRun += o.MulsRun
+	st.EstGateByGate += o.EstGateByGate
+	st.EstChosen += o.EstChosen
+}
+
 func (st Stats) String() string {
 	speedup := 1.0
 	if st.EstChosen > 0 {
 		speedup = st.EstGateByGate / st.EstChosen
 	}
-	return fmt.Sprintf("%d gates -> %d blocks (%d dense, %d diagonal, %d unfused, max run %d, est. %.2fx)",
-		st.Gates, st.Blocks, st.Dense, st.Diagonal, st.Unfused, st.MaxRun, speedup)
+	return fmt.Sprintf("%d gates -> %d blocks (%d dense, %d of them factored: %d of %d multiplies/amp; %d diagonal, %d unfused, max run %d, est. %.2fx)",
+		st.Gates, st.Blocks, st.Dense, st.Factored, st.MulsRun, st.MulsDense, st.Diagonal, st.Unfused, st.MaxRun, speedup)
 }
 
 // item is one gate of the scheduler's stream together with the two facts
@@ -491,13 +577,91 @@ func materialise(kind blockKind, run []item, support uint64, cost float64) Block
 		b.Diag = diagonalProduct(factors, dim, &pos)
 		return b
 	}
-	m := accumulate(run, dim, &pos)
-	if d, ok := diagonalOf(m, dim); ok {
+	parts, n := factorBits(run, &pos)
+	if n < 2 {
+		m := accumulate(run, support, dim, &pos)
+		if d, ok := diagonalOf(m, dim); ok {
+			b.Diag = d
+		} else {
+			b.Matrix = m
+		}
+		return b
+	}
+	// One matrix per part, over the part's own bits: pos is re-pointed at
+	// the position inside the part, a part at a time — accumulate reads it
+	// for the part's gates only.
+	factors := make([]statevec.Factor, n)
+	local := make([]uint, 0, len(b.Qubits))
+	for i, part := range parts[:n] {
+		var sup uint64
+		first := len(local)
+		for m := part; m != 0; m &= m - 1 {
+			bit := uint(bits.TrailingZeros(m))
+			pos[b.Qubits[bit]] = uint(len(local) - first)
+			sup |= 1 << b.Qubits[bit]
+			local = append(local, bit)
+		}
+		factors[i] = statevec.Factor{Bits: local[first:], Matrix: accumulate(run, sup, 1<<(len(local)-first), &pos)}
+	}
+	if d, ok := diagonalOfFactors(factors, dim); ok {
 		b.Diag = d
 	} else {
-		b.Matrix = m
+		b.Factors = statevec.NewFactored(uint(len(b.Qubits)), factors)
 	}
 	return b
+}
+
+// factorBits splits a dense block's local bit positions into the parts its
+// run is a Kronecker product over: the connected components of the gates'
+// interaction graph (a gate joins its controls and its target), with
+// single-bit components paired up and an odd one out joined to the
+// narrowest other part, because the block kernels start at two qubits.
+// pos maps a qubit to its local bit. Fewer than two parts means the block
+// is one dense matrix.
+func factorBits(run []item, pos *[64]uint) (parts [MaxWidth / 2]uint, n int) {
+	var comps [MaxWidth]uint
+	nc := 0
+	for _, it := range run {
+		var touched uint
+		for m := it.mask; m != 0; m &= m - 1 {
+			touched |= 1 << pos[bits.TrailingZeros64(m)]
+		}
+		kept := 0
+		for _, c := range comps[:nc] {
+			if c&touched != 0 {
+				touched |= c
+			} else {
+				comps[kept] = c
+				kept++
+			}
+		}
+		comps[kept] = touched
+		nc = kept + 1
+	}
+	var single uint
+	for _, c := range comps[:nc] {
+		switch {
+		case c&(c-1) != 0:
+			parts[n] = c
+			n++
+		case single == 0:
+			single = c
+		default:
+			parts[n] = single | c
+			n++
+			single = 0
+		}
+	}
+	if single != 0 && n > 0 {
+		narrowest := 0
+		for i := 1; i < n; i++ {
+			if bits.OnesCount(parts[i]) < bits.OnesCount(parts[narrowest]) {
+				narrowest = i
+			}
+		}
+		parts[narrowest] |= single
+	}
+	return parts, n
 }
 
 // localMasks returns g's target bit and control mask in the block's local
@@ -533,15 +697,18 @@ func diagonalProduct(seq []gates.Gate, dim int, pos *[64]uint) []complex128 {
 	return d
 }
 
-// accumulate multiplies the run's gates into one dense dim x dim matrix
-// over the ascending support qubits.
-func accumulate(run []item, dim int, pos *[64]uint) []complex128 {
+// accumulate multiplies the run's gates on the qubits of support — the
+// whole block's, or one factor's: a gate lies inside a factor or outside
+// it — into one dense dim x dim matrix over the local bits pos gives them.
+func accumulate(run []item, support uint64, dim int, pos *[64]uint) []complex128 {
 	m := make([]complex128, dim*dim)
 	for i := 0; i < dim; i++ {
 		m[i*dim+i] = 1
 	}
 	for _, it := range run {
-		mulInto(m, dim, it.g, pos)
+		if it.mask&support != 0 {
+			mulInto(m, dim, it.g, pos)
+		}
 	}
 	return m
 }
@@ -585,6 +752,32 @@ func diagonalOf(m []complex128, dim int) ([]complex128, bool) {
 	return d, true
 }
 
+// diagonalOfFactors is diagonalOf for a block in factors: the product is
+// diagonal exactly when every factor is, and entry x of its diagonal is
+// the product of the factors' entries at the bits of x each one owns.
+func diagonalOfFactors(factors []statevec.Factor, dim int) ([]complex128, bool) {
+	var diags [MaxWidth / 2][]complex128
+	for i, f := range factors {
+		fd, ok := diagonalOf(f.Matrix, 1<<len(f.Bits))
+		if !ok {
+			return nil, false
+		}
+		diags[i] = fd
+	}
+	d := make([]complex128, dim)
+	for x := range d {
+		d[x] = 1
+		for i, f := range factors {
+			y := 0
+			for j, bit := range f.Bits {
+				y |= x >> bit & 1 << j
+			}
+			d[x] *= diags[i][y]
+		}
+	}
+	return d, true
+}
+
 // Apply executes the plan against a state vector: fused blocks through the
 // generic (or diagonal) multi-qubit kernels, unfused runs through apply,
 // which the caller points at its preferred single-gate path.
@@ -593,15 +786,12 @@ func diagonalOf(m []complex128, dim int) ([]complex128, bool) {
 func (p *Plan) Apply(s *statevec.State, apply func(gates.Gate)) {
 	for i := range p.Blocks {
 		b := &p.Blocks[i]
-		switch {
-		case b.Diag != nil:
-			s.ApplyDiagN(b.Diag, b.Qubits)
-		case b.Matrix != nil:
-			s.ApplyMatrixN(b.Matrix, b.Qubits)
-		default:
-			for _, g := range b.replay {
-				apply(g)
-			}
+		if b.Fused() {
+			b.Sweep(s, b.Qubits)
+			continue
+		}
+		for _, g := range b.replay {
+			apply(g)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestGateSweepPlanPinned(t *testing.T) {
 			t.Errorf("seed %d: plan %v (cost %v), want 300 gates in 59 blocks: 50 dense, 9 replays, cost 99.5", seed, st, st.EstChosen)
 		}
 		for i := range plan.Blocks {
-			if b := &plan.Blocks[i]; b.Matrix != nil && len(b.Qubits) != 4 {
+			if b := &plan.Blocks[i]; b.Dense() != nil && len(b.Qubits) != 4 {
 				t.Errorf("seed %d: dense block %d spans %v, want every dense block at w=4", seed, i, b.Qubits)
 			}
 		}

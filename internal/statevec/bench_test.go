@@ -37,7 +37,8 @@ func availableBodies() []denseBodyKind {
 }
 
 // BenchmarkDenseBlock is where fuse.denseBlockCost comes from: one dense
-// 2^w block sweep (and the diagonal sweep beside it) on an L1/L2-resident
+// 2^w block sweep (the diagonal sweep beside it, and at w = 4, 5 and 6 the
+// same width as a factored block of two- and three-qubit factors) on an L1/L2-resident
 // state below the parallel threshold (n=12), an L2-resident one the pool
 // splits (n=16) and an out-of-L2 one (n=20), through every body the host
 // runs, reported as ns per amplitude, as ns per amplitude per worker — the
@@ -62,9 +63,9 @@ func BenchmarkDenseBlock(b *testing.B) {
 		st := NewRandom(n, src)
 		amps := float64(st.Dim())
 		for w := uint(2); w <= MaxMatrixNQubits; w++ {
-			if n > 12 && w > 5 {
-				continue // minutes of pure Go for widths no plan reaches
-			}
+			// Above n=12 the dense and diagonal rows stop at w=5: minutes of
+			// pure Go for widths no plan reaches. The factored rows go on.
+			dense := n == 12 || w <= 5
 			// Norm-preserving inputs: a block that shrinks the state
 			// walks it into the denormal range within one benchmark run.
 			m := randomUnitary(src, w)
@@ -96,6 +97,25 @@ func BenchmarkDenseBlock(b *testing.B) {
 				b.ReportMetric(ns/amps*workers, "ns/amp/worker")
 				b.ReportMetric(ns/unit, "sweeps")
 			}
+			// The factored rows: the same width as Kronecker factors on
+			// neighbouring block bits, the shape a brickwork layer fuses to.
+			var factored *Factored
+			shape := map[uint]struct {
+				name   string
+				widths []uint
+			}{4: {"f=2+2", []uint{2, 2}}, 5: {"f=2+3", []uint{2, 3}}, 6: {"f=2+2+2", []uint{2, 2, 2}}}[w]
+			if shape.widths != nil {
+				var factors []Factor
+				bit := uint(0)
+				for _, k := range shape.widths {
+					f := Factor{Matrix: randomUnitary(src, k)}
+					for ; uint(len(f.Bits)) < k; bit++ {
+						f.Bits = append(f.Bits, bit)
+					}
+					factors = append(factors, f)
+				}
+				factored = NewFactored(w, factors)
+			}
 			for _, from := range []uint{1, 2} {
 				qubits := make([]uint, w)
 				for j := range qubits {
@@ -105,11 +125,18 @@ func BenchmarkDenseBlock(b *testing.B) {
 					if from == 2 && body == bodyGo {
 						continue
 					}
-					b.Run(fmt.Sprintf("n=%d/w=%d/from=%d/%s", n, w, from, body), func(b *testing.B) {
-						withDenseBody(body, func() { report(b, func() { st.ApplyMatrixN(m, qubits) }) })
-					})
+					if dense {
+						b.Run(fmt.Sprintf("n=%d/w=%d/from=%d/%s", n, w, from, body), func(b *testing.B) {
+							withDenseBody(body, func() { report(b, func() { st.ApplyMatrixN(m, qubits) }) })
+						})
+					}
+					if factored != nil {
+						b.Run(fmt.Sprintf("n=%d/w=%d/%s/from=%d/%s", n, w, shape.name, from, body), func(b *testing.B) {
+							withDenseBody(body, func() { report(b, func() { st.ApplyFactored(factored, qubits) }) })
+						})
+					}
 				}
-				if from == 1 {
+				if from == 1 && dense {
 					b.Run(fmt.Sprintf("n=%d/w=%d/from=%d/diag", n, w, from), func(b *testing.B) {
 						report(b, func() { st.ApplyDiagN(d, qubits) })
 					})

@@ -57,3 +57,28 @@ func denseChunkAsm(amp, m []complex128, lay *blockLayout, start, end uint64) {
 		start += count
 	}
 }
+
+// factorSweepAVX512 is the ZMM body of the factored block sweep
+// (factor512_amd64.s): count must be a positive multiple of 4, the passes
+// must be factorPasses' for the layout offs, dim and qmask describe, and
+// lanes must be nonzero unless the quads are 64-byte runs. It checks no
+// bounds: callers go through factorChunkAsm.
+//
+//go:noescape
+func factorSweepAVX512(amp *complex128, offs *uint64, passes *factorPass, npasses, dim, qmask, base, count, lanes uint64)
+
+// factorChunkAsm runs the ZMM body over groups [start, end) of lay, a
+// multiple of 4 of them, in calls bounded like the dense sweep's (a
+// factored group costs fewer multiply-adds than the dense 4^w).
+func factorChunkAsm(amp []complex128, npasses int, sc *factorScratch, lay *blockLayout, start, end uint64) {
+	for start < end {
+		count := min(end-start, denseAsmWork>>(2*lay.w))
+		base := lay.groupBase(start)
+		passes, lanes := &sc.runs[0], uint64(0)
+		if (lay.qmask|base)&3 != 0 {
+			passes, lanes = &sc.lanes[0], 1
+		}
+		factorSweepAVX512(&amp[0], &lay.offs[0], passes, uint64(npasses), 1<<lay.w, lay.qmask, base, count, lanes)
+		start += count
+	}
+}

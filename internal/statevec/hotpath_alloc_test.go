@@ -27,6 +27,11 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		}
 	}
 	qubits := []uint{6, 0, 3, 5}
+	// The width-4 identity as two factors of two, over lists with and
+	// without qubits 0 and 1: the lane gather, and the run path that reads
+	// and writes the vector in place.
+	factored := NewFactored(4, []Factor{{Bits: []uint{0, 2}, Matrix: blocks[2]}, {Bits: []uint{3, 1}, Matrix: blocks[2]}})
+	high := []uint{7, 2, 5, 4}
 	ones := []complex128{1, 1, 1, 1, 1, 1, 1, 1}
 	cases := []struct {
 		name string
@@ -44,6 +49,8 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyMatrixN/w=2", func() { s.ApplyMatrixN(blocks[2], qubits[:2]) }},
 		{"ApplyMatrixN/w=3", func() { s.ApplyMatrixN(blocks[3], qubits[:3]) }},
 		{"ApplyMatrixN/w=4", func() { s.ApplyMatrixN(blocks[4], qubits[:4]) }},
+		{"ApplyFactored/lanes", func() { s.ApplyFactored(factored, qubits) }},
+		{"ApplyFactored/runs", func() { s.ApplyFactored(factored, high) }},
 		{"ApplyDiagN", func() { s.ApplyDiagN(ones, qubits[:3]) }},
 		{"ApplyDiagTable", func() { s.ApplyDiagTable(ones, []uint{0, 3, 4}) }},
 		{"ApplyFieldAdd", func() {

@@ -29,17 +29,23 @@ func (s *State) checkMatrixN(m []complex128, qubits []uint) uint {
 	if len(m) != dim*dim {
 		panic(fmt.Sprintf("statevec: matrix has %d entries, want %d for %d qubits", len(m), dim*dim, w))
 	}
+	s.checkBlockQubits(qubits, "ApplyMatrixN")
+	return w
+}
+
+// checkBlockQubits panics unless a block kernel's qubit list names
+// distinct in-range qubits; kernel is the entry named in the message.
+func (s *State) checkBlockQubits(qubits []uint, kernel string) {
 	var seen uint64
 	for _, q := range qubits {
 		if q >= s.n {
 			panic("statevec: qubit out of range")
 		}
 		if seen&(1<<q) != 0 {
-			panic("statevec: duplicate qubit in ApplyMatrixN")
+			panic("statevec: duplicate qubit in " + kernel)
 		}
 		seen |= 1 << q
 	}
-	return w
 }
 
 // ApplyMatrixN applies a dense 2^w x 2^w unitary m (row-major) to the w
@@ -118,16 +124,7 @@ func (s *State) checkDiagN(d []complex128, qubits []uint) {
 	if len(d) != 1<<w {
 		panic(fmt.Sprintf("statevec: diagonal has %d entries, want %d", len(d), 1<<w))
 	}
-	var seen uint64
-	for _, q := range qubits {
-		if q >= s.n {
-			panic("statevec: qubit out of range")
-		}
-		if seen&(1<<q) != 0 {
-			panic("statevec: duplicate qubit in ApplyDiagN")
-		}
-		seen |= 1 << q
-	}
+	s.checkBlockQubits(qubits, "ApplyDiagN")
 }
 
 // blockLayout is the addressing of one 2^w block over the register,

@@ -28,8 +28,8 @@
 //
 // # Kernel bodies
 //
-// The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyMatrix4 —
-// has three bodies, and one value, denseBody, decided once at package init
+// The dense 2^w block sweep — ApplyMatrixN at w >= 2, ApplyMatrix4 and
+// ApplyFactored — has three bodies, and one value, denseBody, decided once at package init
 // from CPUID and XGETBV alone (internal/cpufeat), says which one runs:
 // denseSweepAVX512 (dense512_amd64.s) on amd64 hosts whose CPU reports
 // AVX512F and whose OS saves the opmask and ZMM state; denseSweepAVX2
@@ -67,11 +67,43 @@
 // 0-3 groups to the YMM body, whose own odd group runs with both lanes on
 // it.
 //
+// A dense block whose gates fall into groups on disjoint qubits is a
+// Kronecker product, and ApplyFactored runs it as one: a Factored holds
+// the factors — each a 2^k x 2^k unitary on k >= 2 of the block's local
+// bit positions — and the sweep costs the sum of the factors' 2^k
+// multiplies per amplitude where the multiplied-out block costs 2^w. On
+// the ZMM body (factorSweepAVX512, factor512_amd64.s) it is still one pass
+// over the state: a quad of groups becomes a tile of 2^w ZMM slots, and
+// each factor makes one pass over the tile in L1 — for every assignment of
+// the block's other bits, the factor's 2^k slots in, the dense body's row
+// block on them, 2^k slots out into a second tile, so no row block
+// clobbers the inputs of the next. The slots a pass touches come from two
+// small byte-offset tables per factor (rest and in), built by
+// newFactorStep when the Factored is made and by nothing else. Because a
+// factor's row block is only 2^k columns long, the instructions around
+// its multiply-adds are cut to fit: the factor's matrix is packed in the
+// order the chains consume it, columns go four at a time off one table
+// load and the factor's two lowest strides, and a row block's first
+// column is a multiply. When a quad is one 64-byte run per local state —
+// the case the dense body gathers with single moves — there is no gather
+// and no scatter at all: the first factor reads the amplitude array in
+// place and the last writes it back, through the same tables translated
+// to amplitude offsets once per call (factorPasses). Otherwise the quad is
+// gathered lane by lane as in the dense body. The ZMM body has no tail
+// here either: a chunk's last 0-3 groups go to factorChunkGo, the pure-Go
+// in-tile body that is also its oracle. On the AVX2 and pure-Go bodies
+// ApplyFactored runs each factor as its own narrower dense sweep through
+// the body the host has — no new assembly there, and already cheaper than
+// the one wide sweep (n=20, two w=2 sweeps against one w=4: 1.4 sweep
+// units against 1.8 on AVX2, 3.7 against 9.4 in pure Go).
+//
 // The assembly checks no bounds. Its memory safety is exactly: the
-// checkMatrixN / checkQubitPair validation every exported entry runs
-// before the first amplitude access (distinct in-range qubits, a matrix of
-// 4^w entries), plus chunk ranges inside [0, 2^(n-w)) — parallelRange's
-// partition, re-checked by denseChunk in front of the call. Goroutine
+// checkMatrixN / checkQubitPair / checkFactored validation every exported
+// entry runs before the first amplitude access (distinct in-range qubits,
+// a matrix of 4^w entries, or a Factored, whose constructor has checked
+// that the factors partition the block's bits and sized every table), plus
+// chunk ranges inside [0, 2^(n-w)) — parallelRange's partition,
+// re-checked by denseChunk and factorChunk in front of the call. Goroutine
 // preemption cannot interrupt assembly, so one call does at most
 // denseAsmWork multiply-adds.
 //
@@ -119,6 +151,9 @@ type State struct {
 	// block is the layout scratch of the 2^w block kernels (ApplyMatrixN,
 	// ApplyMatrix4, ApplyDiagN); nil until the first block.
 	block *blockLayout
+	// factor is the pass scratch of ApplyFactored's AVX-512 body; nil
+	// until the first factored block there.
+	factor *factorScratch
 	// runs is the index scratch of ApplyDiagTable; nil until the first.
 	runs *[MaxQubits]diagRun
 	// pool is the persistent worker pool; nil until the first kernel large
