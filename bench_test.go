@@ -1,8 +1,8 @@
-// Benchmarks regenerating every figure and table of the paper's evaluation
-// (run `go test -bench=. -benchmem`), plus ablation benches for the design
-// choices DESIGN.md calls out. The qemu-bench command prints the same
-// content as formatted tables with paper-style sweeps; these benches give
-// the per-operation numbers under the standard Go harness.
+// Ablation and engine benchmarks under the standard Go harness (run
+// `go test -bench=. -benchmem`): the design choices the paper's ablations
+// call out, cold compiles, and the non-gate hot paths. The paper's figures
+// and tables have one implementation each, in internal/experiments, printed
+// by the qemu-bench command.
 package repro_test
 
 import (
@@ -11,258 +11,17 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fft"
 	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/ising"
-	"repro/internal/linalg"
 	"repro/internal/qft"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
-
-// --- Figure 1: multiplication ----------------------------------------------
-
-func BenchmarkFig1MultiplySimulation(b *testing.B) {
-	for _, m := range []uint{3, 4, 5} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			l := revlib.NewMultiplierLayout(m)
-			circ := revlib.BuildMultiplier(l)
-			st := superposed(l.NumQubits(), 2*m)
-			work := st.Clone()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(st)
-				sim.Wrap(work, sim.DefaultOptions()).Run(circ)
-			}
-		})
-	}
-}
-
-func BenchmarkFig1MultiplyEmulation(b *testing.B) {
-	for _, m := range []uint{3, 4, 5, 7} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			l := revlib.NewMultiplierLayout(m)
-			st := superposed(l.NumQubits(), 2*m)
-			work := st.Clone()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(st)
-				core.Wrap(work).Multiply(0, m, 2*m, m)
-			}
-		})
-	}
-}
-
-// --- Figure 2: division ------------------------------------------------------
-
-func BenchmarkFig2DivideSimulation(b *testing.B) {
-	for _, m := range []uint{2, 3, 4} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			l := revlib.NewDividerLayout(m)
-			circ := revlib.BuildDivider(l)
-			st := superposed(l.NumQubits(), m) // dividend register
-			work := st.Clone()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(st)
-				sim.Wrap(work, sim.DefaultOptions()).Run(circ)
-			}
-		})
-	}
-}
-
-func BenchmarkFig2DivideEmulation(b *testing.B) {
-	for _, m := range []uint{2, 3, 4, 5} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			l := revlib.NewDividerLayout(m)
-			st := superposed(l.NumQubits(), m)
-			work := st.Clone()
-			layout := core.DivideLayout{M: m, RPos: 0, BPos: 2 * m, QPos: 3 * m}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(st)
-				core.Wrap(work).Divide(layout)
-			}
-		})
-	}
-}
-
-// --- Figure 3: distributed QFT simulation vs FFT emulation -----------------
-
-func BenchmarkFig3QFTSimulationCluster(b *testing.B) {
-	for _, p := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchCluster(b, p, true, func(c *cluster.Cluster, circ *circuit.Circuit) {
-				c.Run(circ)
-			})
-		})
-	}
-}
-
-func BenchmarkFig3FFTEmulationCluster(b *testing.B) {
-	for _, p := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchCluster(b, p, true, func(c *cluster.Cluster, _ *circuit.Circuit) {
-				if err := c.EmulateQFT(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		})
-	}
-}
-
-// --- Figure 4: diagonal-gate communication optimisation --------------------
-
-func BenchmarkFig4OurSimulatorCluster(b *testing.B) {
-	benchCluster(b, 8, true, func(c *cluster.Cluster, circ *circuit.Circuit) { c.Run(circ) })
-}
-
-func BenchmarkFig4QHipsterClassCluster(b *testing.B) {
-	benchCluster(b, 8, false, func(c *cluster.Cluster, circ *circuit.Circuit) { c.Run(circ) })
-}
-
-// --- Figure 5: single-node QFT across back-ends -----------------------------
-
-func BenchmarkFig5QFT(b *testing.B) {
-	const n = 16
-	circ := qft.Circuit(n)
-	init := statevec.NewRandom(n, rng.New(5))
-	run := func(b *testing.B, backend func(*statevec.State) circuit.Runner) {
-		work := init.Clone()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			work.CopyFrom(init)
-			circ.Run(backend(work))
-		}
-	}
-	b.Run("ours", func(b *testing.B) {
-		run(b, func(s *statevec.State) circuit.Runner { return sim.Wrap(s, sim.DefaultOptions()) })
-	})
-	b.Run("qhipster-class", func(b *testing.B) {
-		run(b, func(s *statevec.State) circuit.Runner { return sim.WrapGeneric(s) })
-	})
-	b.Run("liquid-class", func(b *testing.B) {
-		run(b, func(s *statevec.State) circuit.Runner { return sim.WrapSparseMatrix(s) })
-	})
-}
-
-// --- Figure 6: entangling operation across back-ends ------------------------
-
-func BenchmarkFig6Entangler(b *testing.B) {
-	const n = 18
-	circ := qft.Entangler(n)
-	init := statevec.NewRandom(n, rng.New(6))
-	run := func(b *testing.B, backend func(*statevec.State) circuit.Runner) {
-		work := init.Clone()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			work.CopyFrom(init)
-			circ.Run(backend(work))
-		}
-	}
-	b.Run("ours", func(b *testing.B) {
-		run(b, func(s *statevec.State) circuit.Runner { return sim.Wrap(s, sim.DefaultOptions()) })
-	})
-	b.Run("qhipster-class", func(b *testing.B) {
-		run(b, func(s *statevec.State) circuit.Runner { return sim.WrapGeneric(s) })
-	})
-	b.Run("liquid-class", func(b *testing.B) {
-		run(b, func(s *statevec.State) circuit.Runner { return sim.WrapSparseMatrix(s) })
-	})
-}
-
-// --- Table 2: QPE cost components -------------------------------------------
-
-func BenchmarkTable2ApplyU(b *testing.B) {
-	for _, n := range []uint{8, 10} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			circ := ising.TrotterStep(n, ising.DefaultParams())
-			st := statevec.NewRandom(n, rng.New(7))
-			backend := sim.Wrap(st, sim.DefaultOptions())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				backend.Run(circ)
-			}
-		})
-	}
-}
-
-func BenchmarkTable2ConstructDenseU(b *testing.B) {
-	for _, n := range []uint{6, 8} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			circ := ising.TrotterStep(n, ising.DefaultParams())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = sim.DenseUnitary(circ)
-			}
-		})
-	}
-}
-
-func BenchmarkTable2Gemm(b *testing.B) {
-	for _, n := range []uint{6, 8} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			u := sim.DenseUnitary(ising.TrotterStep(n, ising.DefaultParams()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = u.Mul(u)
-			}
-		})
-	}
-}
-
-func BenchmarkTable2Strassen(b *testing.B) {
-	for _, n := range []uint{6, 8} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			u := sim.DenseUnitary(ising.TrotterStep(n, ising.DefaultParams()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = u.Strassen(u)
-			}
-		})
-	}
-}
-
-func BenchmarkTable2Eigendecomposition(b *testing.B) {
-	for _, n := range []uint{6, 8} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			u := sim.DenseUnitary(ising.TrotterStep(n, ising.DefaultParams()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := linalg.Eig(u); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Section 3.4: measurement shortcut --------------------------------------
-
-func BenchmarkMeasureExactExpectation(b *testing.B) {
-	st := statevec.NewRandom(18, rng.New(8))
-	obs := func(i uint64) float64 { return float64(i % 7) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = st.ExpectationDiagonal(obs)
-	}
-}
-
-func BenchmarkMeasureSampledExpectation(b *testing.B) {
-	st := statevec.NewRandom(18, rng.New(8))
-	obs := func(i uint64) float64 { return float64(i % 7) }
-	src := rng.New(9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = st.EstimateDiagonal(obs, 10000, src)
-	}
-}
 
 // --- Ablations ---------------------------------------------------------------
 
@@ -273,10 +32,16 @@ func BenchmarkAblationKernelSpecialization(b *testing.B) {
 	for _, spec := range []bool{true, false} {
 		b.Run(fmt.Sprintf("specialize=%v", spec), func(b *testing.B) {
 			work := init.Clone()
+			apply := work.ApplyGate
+			if !spec {
+				apply = work.ApplyGateGeneric
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				work.CopyFrom(init)
-				sim.Wrap(work, sim.Options{Specialize: spec}).Run(circ)
+				for _, g := range circ.Gates {
+					apply(g)
+				}
 			}
 		})
 	}
@@ -292,16 +57,32 @@ func BenchmarkAblationGateFusion(b *testing.B) {
 		}
 	}
 	init := statevec.NewRandom(n, rng.New(11))
-	for _, fuse := range []bool{true, false} {
-		b.Run(fmt.Sprintf("fuse=%v", fuse), func(b *testing.B) {
-			work := init.Clone()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(init)
-				sim.Wrap(work, sim.Options{Specialize: true, Fuse: fuse}).Run(circ)
+	b.Run("fuse=true", func(b *testing.B) {
+		// The paper's same-target fusion: a width-1 plan, compiled once.
+		eng, err := backend.New(backend.Target{NumQubits: n, Kind: backend.Fused})
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := backend.Compile(circ, eng.Target())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.State().CopyFrom(init)
+			if _, err := eng.Run(x); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("fuse=false", func(b *testing.B) {
+		work := init.Clone()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			work.CopyFrom(init)
+			circ.Run(work)
+		}
+	})
 }
 
 func BenchmarkAblationFFTAlgorithm(b *testing.B) {
@@ -333,7 +114,7 @@ func BenchmarkAblationFFTAlgorithm(b *testing.B) {
 }
 
 func BenchmarkAblationQPESquaringVsStrassen(b *testing.B) {
-	u := sim.DenseUnitary(ising.TrotterStep(8, ising.DefaultParams()))
+	u := core.DenseUnitary(ising.TrotterStep(8, ising.DefaultParams()))
 	psi := make([]complex128, 1<<8)
 	psi[0] = 1
 	for _, mode := range []core.Mode{core.RepeatedSquaring, core.RepeatedSquaringStrassen} {
@@ -365,73 +146,14 @@ func BenchmarkAblationCircuitLowering(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				work.CopyFrom(init)
-				sim.Wrap(work, sim.DefaultOptions()).Run(cfg.c)
+				cfg.c.Run(work)
 			}
 		})
 	}
 }
 
-// --- Multi-qubit gate fusion -------------------------------------------------
-//
-// The fusion benches compare, on deep >= 20-qubit circuits, gate-by-gate
-// execution (nofuse), the paper's same-target single-qubit fusion (fuse1)
-// and the internal/fuse block scheduler at widths 2..5. The acceptance
-// target is width >= 3 beating fuse1 on deep single/two-qubit circuits;
-// planning cost is included (Run plans on every call).
-
-// benchFusionModes runs circ under every fusion configuration.
-func benchFusionModes(b *testing.B, circ *circuit.Circuit, n uint) {
-	b.Helper()
-	init := statevec.NewRandom(n, rng.New(2016))
-	modes := []struct {
-		name string
-		opts sim.Options
-	}{
-		{"nofuse", sim.Options{Specialize: true}},
-		{"fuse1", sim.DefaultOptions()},
-		{"fuse-w2", sim.WideFusionOptions(2)},
-		{"fuse-w3", sim.WideFusionOptions(3)},
-		{"fuse-w4", sim.WideFusionOptions(4)},
-		{"fuse-w5", sim.WideFusionOptions(5)},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			work := init.Clone()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(init)
-				sim.Wrap(work, m.opts).Run(circ)
-			}
-		})
-	}
-}
-
-func BenchmarkFusionDeepQFT(b *testing.B) {
-	const n = 20
-	benchFusionModes(b, experiments.DeepQFT(n, 3), n) // 630 gates
-}
-
-func BenchmarkFusionBrickwork(b *testing.B) {
-	const n = 20
-	benchFusionModes(b, experiments.Brickwork(n, 16, 42), n) // ~950 gates
-}
-
-func BenchmarkFusionTiledAnsatz(b *testing.B) {
-	const n = 20
-	benchFusionModes(b, experiments.TiledAnsatz(n, 4, 3, 3, 44), n) // ~600 gates
-}
-
-func BenchmarkFusionRandom(b *testing.B) {
-	const n = 20
-	benchFusionModes(b, experiments.RandomCircuit(n, 600, 43), n)
-}
-
-func BenchmarkFusionGrover(b *testing.B) {
-	const n = 20
-	benchFusionModes(b, experiments.GroverGateLevel(n, 0xB2C5A, 6), n) // ~630 gates
-}
-
-// BenchmarkFusionPlanning isolates the scheduler cost Run pays per call.
+// BenchmarkFusionPlanning isolates the scheduler cost Compile pays per
+// gate segment.
 func BenchmarkFusionPlanning(b *testing.B) {
 	circ := experiments.Brickwork(24, 16, 42)
 	b.Run(fmt.Sprintf("gates=%d/w4", circ.Len()), func(b *testing.B) {
@@ -456,18 +178,6 @@ func BenchmarkCompileAuto(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkMathFuncEmulation(b *testing.B) {
-	// Section 3.1 extension: emulated fixed-point sin oracle.
-	const m = 10
-	st := superposed(2*m, m)
-	em := core.Wrap(st)
-	f := func(a uint64) uint64 { return (a*a + 3) & ((1 << m) - 1) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		em.ApplyUnaryFunc(0, m, m, m, f)
 	}
 }
 
@@ -542,29 +252,4 @@ func superposed(n, h uint) *statevec.State {
 		st.ApplyGate(gates.H(q))
 	}
 	return st
-}
-
-func benchCluster(b *testing.B, p int, diag bool, run func(*cluster.Cluster, *circuit.Circuit)) {
-	b.Helper()
-	local := uint(12)
-	n := local
-	for q := 1; q < p; q *= 2 {
-		n++
-	}
-	circ := qft.CircuitNoSwap(n)
-	init := statevec.NewRandom(n, rng.New(13))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := cluster.New(n, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.DiagonalOptimization = diag
-		if err := c.LoadState(init); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		run(c, circ)
-	}
 }

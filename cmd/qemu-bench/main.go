@@ -3,422 +3,213 @@
 //
 // Usage:
 //
-//	qemu-bench [-experiment all|fig1|...|fig6|table2|measure|mathfunc|fusion|cluster|cluster-emulate|auto|serve|noise]
+//	qemu-bench [-experiment all|fig1|...|fig6|table2|measure|mathfunc|fusion|emulate|cluster|cluster-emulate|auto|serve|noise]
 //	           [-quick] [-max-sim-m M] [-max-emu-m M] [-local-qubits L]
 //	           [-max-nodes P] [-max-qubits N] [-max-measured-n N] [-fuse-width K]
 //
 // Each experiment prints an aligned table with the same rows/series the
 // paper reports; absolute times are machine-dependent, the shape (who
 // wins, by what factor, where cross-overs fall) is the reproduction target.
-//
-// With -json FILE, every timed point is additionally written as a
-// machine-readable record (experiment, circuit, series, qubits, ns/op,
-// bytes/op) so CI can archive the run as a BENCH_*.json perf-trajectory
-// artifact and diff it across commits.
+// Timed series run through backend.Compile and Backend.Run, the path
+// qemu-run and qemu-serve execute (see internal/experiments). Regressions
+// are gated by the repository benchmark (BENCHMARK.json, benchmark/), not
+// by these tables.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
-	"repro/internal/benchjson"
 	"repro/internal/experiments"
 	"repro/internal/perfmodel"
 )
 
-// collector accumulates benchjson records across the experiments that ran.
-type collector struct {
-	records []benchjson.Record
+// overrides are the command-line size overrides; zero means "not given".
+type overrides struct {
+	maxSimM, maxEmuM, localQubits, maxQubits, maxMeasuredN uint
+	maxNodes, fuseWidth                                    int
 }
 
-func (c *collector) add(experiment, circuit, series string, qubits uint, seconds float64, bytes uint64) {
-	if seconds == 0 {
-		return // skipped configuration (e.g. simulation beyond MaxSimM)
-	}
-	c.records = append(c.records, benchjson.Record{
-		Experiment: experiment,
-		Circuit:    circuit,
-		Series:     series,
-		Qubits:     qubits,
-		NsPerOp:    seconds * 1e9,
-		BytesPerOp: bytes,
-	})
+// experiment is what qemu-bench knows about one sweep: the name
+// -experiment selects it by and a function that sizes it (default or quick,
+// then the overrides it honours), runs it and returns the printed table.
+type experiment struct {
+	name string
+	run  func(quick bool, o overrides) string
 }
 
-func (c *collector) addArith(experiment, circuit string, rows []experiments.ArithRow) {
-	for _, r := range rows {
-		c.add(experiment, fmt.Sprintf("%s-m%d", circuit, r.M), "simulation", r.NQubits, r.TSim, 0)
-		c.add(experiment, fmt.Sprintf("%s-m%d", circuit, r.M), "emulation", r.NQubits, r.TEmu, 0)
-	}
-}
-
-func (c *collector) addWeakScaling(experiment, emuSeries string, rows []experiments.WeakScalingRow) {
-	for _, r := range rows {
-		circuit := fmt.Sprintf("qft-p%d", r.Nodes)
-		c.add(experiment, circuit, "simulation", r.Qubits, r.TSim, r.SimBytes)
-		c.add(experiment, circuit, emuSeries, r.Qubits, r.TEmu, r.EmuBytes)
-	}
-}
-
-func (c *collector) addSingleNode(experiment, circuit string, rows []experiments.SingleNodeRow) {
-	for _, r := range rows {
-		c.add(experiment, circuit, "ours", r.Qubits, r.TOurs, 0)
-		c.add(experiment, circuit, "qhipster-class", r.Qubits, r.TGeneric, 0)
-		c.add(experiment, circuit, "liquid-class", r.Qubits, r.TSparse, 0)
-	}
-}
-
-func (c *collector) addFusion(rows []experiments.FusionRow) {
-	for _, r := range rows {
-		c.add("fusion", r.Name, "nofuse", r.Qubits, r.TNoFuse, 0)
-		c.add("fusion", r.Name, "fuse1", r.Qubits, r.TFuse1, 0)
-		for i, t := range r.TWidth {
-			c.add("fusion", r.Name, fmt.Sprintf("width%d", i+2), r.Qubits, t, 0)
+var table = []experiment{
+	{"fig1", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultFig1()
+		if quick {
+			cfg.MaxSimM, cfg.MaxEmuM = 4, 5
 		}
-	}
-}
-
-func (c *collector) addCluster(rows []experiments.ClusterRow) {
-	for _, r := range rows {
-		circuit := fmt.Sprintf("%s-p%d", r.Circuit, r.Nodes)
-		c.records = append(c.records,
-			benchjson.Record{Experiment: "cluster", Circuit: circuit, Series: "naive",
-				Qubits: r.Qubits, NsPerOp: r.TNaive * 1e9, BytesPerOp: r.NaiveBytes, Rounds: r.NaiveRounds},
-			benchjson.Record{Experiment: "cluster", Circuit: circuit, Series: "scheduled",
-				Qubits: r.Qubits, NsPerOp: r.TSched * 1e9, BytesPerOp: r.SchedBytes, Rounds: r.SchedRounds},
-		)
-	}
-}
-
-func (c *collector) addClusterEmulate(rows []experiments.ClusterEmulateRow) {
-	for _, r := range rows {
-		circuit := fmt.Sprintf("%s-p%d", r.Circuit, r.Nodes)
-		c.records = append(c.records,
-			benchjson.Record{Experiment: "cluster-emulate", Circuit: circuit, Series: "gate-scheduled",
-				Qubits: r.Qubits, NsPerOp: r.TGate * 1e9, BytesPerOp: r.GateBytes, Rounds: r.GateRounds},
-			benchjson.Record{Experiment: "cluster-emulate", Circuit: circuit, Series: "emulated",
-				Qubits: r.Qubits, NsPerOp: r.TEmu * 1e9, BytesPerOp: r.EmuBytes, Rounds: r.EmuRounds},
-		)
-	}
-}
-
-func (c *collector) addEmulate(rows []experiments.EmulateRow) {
-	for _, r := range rows {
-		c.add("emulate", r.Name, "simulation", r.Qubits, r.TSim, 0)
-		c.add("emulate", r.Name, "emulation", r.Qubits, r.TEmu, 0)
-	}
-}
-
-func (c *collector) addServe(rows []experiments.ServeRow) {
-	for _, r := range rows {
-		c.add("serve", r.Name, "cold-compile", r.Qubits, r.TColdCompile, 0)
-		c.add("serve", r.Name, "cache-hit", r.Qubits, r.TCacheHit, 0)
-		c.add("serve", r.Name, "per-request", r.Qubits, r.TPerRequest, 0)
-		c.add("serve", r.Name, "batched", r.Qubits, r.TBatched, 0)
-	}
-}
-
-func (c *collector) addNoise(rows []experiments.NoiseRow) {
-	for _, r := range rows {
-		c.add("noise", r.Name, "per-request", r.Qubits, r.TPerRequest, 0)
-		c.add("noise", r.Name, "batched", r.Qubits, r.TBatched, 0)
-	}
-}
-
-func (c *collector) addAuto(rows []experiments.AutoRow) {
-	for _, r := range rows {
-		c.add("auto", r.Name, "auto", r.Qubits, r.TAuto, 0)
-		c.add("auto", r.Name, "best-manual", r.Qubits, r.TBest, 0)
-		c.add("auto", r.Name, "worst-manual", r.Qubits, r.TWorst, 0)
-	}
-}
-
-func (c *collector) addMeasure(rows []experiments.MeasureRow) {
-	for i, r := range rows {
-		if i == 0 {
-			// TExact is shared by every shots row; record it once.
-			c.add("measure", "diagonal-expectation", "exact", r.Qubits, r.TExact, 0)
+		cfg.MaxSimM, cfg.MaxEmuM = cmp.Or(o.maxSimM, cfg.MaxSimM), cmp.Or(o.maxEmuM, cfg.MaxEmuM)
+		return experiments.FormatArith(
+			"Figure 1: multiplication of two m-bit numbers (n = 3m+1 qubits)", experiments.Fig1(cfg))
+	}},
+	{"fig2", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultFig2()
+		if quick {
+			cfg.MaxSimM, cfg.MaxEmuM = 3, 4
 		}
-		c.add("measure", fmt.Sprintf("diagonal-expectation-shots%d", r.Shots), "sampled", r.Qubits, r.TSample, 0)
-	}
+		cfg.MaxSimM, cfg.MaxEmuM = cmp.Or(o.maxSimM, cfg.MaxSimM), cmp.Or(o.maxEmuM, cfg.MaxEmuM)
+		return experiments.FormatArith(
+			"Figure 2: division of two m-bit numbers (n = 4m+2 qubits incl. work)", experiments.Fig2(cfg))
+	}},
+	{"fig3", func(quick bool, o overrides) string {
+		return experiments.FormatFig3(experiments.Fig3(weakScaling(quick, o))) + "\n" + modelTable()
+	}},
+	{"fig4", func(quick bool, o overrides) string {
+		return experiments.FormatFig4(experiments.Fig4(weakScaling(quick, o)))
+	}},
+	{"fig5", func(quick bool, o overrides) string {
+		return experiments.FormatSingleNode("Figure 5: single-node QFT across simulator back-ends",
+			experiments.Fig5(singleNode(experiments.DefaultFig5(), quick, o)))
+	}},
+	{"fig6", func(quick bool, o overrides) string {
+		return experiments.FormatSingleNode("Figure 6: single-node entangling operation across back-ends",
+			experiments.Fig6(singleNode(experiments.DefaultFig6(), quick, o)))
+	}},
+	{"table2", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultTable2()
+		if quick {
+			cfg.MaxMeasuredN = 7
+		}
+		cfg.MaxMeasuredN = cmp.Or(o.maxMeasuredN, cfg.MaxMeasuredN)
+		return experiments.FormatTable2(experiments.Table2(cfg))
+	}},
+	{"measure", func(quick bool, _ overrides) string {
+		n := uint(20)
+		if quick {
+			n = 14
+		}
+		return experiments.FormatMeasure(experiments.Measure34(n, []int{100, 10000, 1000000}))
+	}},
+	{"mathfunc", func(quick bool, _ overrides) string {
+		maxM := uint(12)
+		if quick {
+			maxM = 8
+		}
+		return experiments.FormatMathFunc(experiments.MathFunc(4, maxM))
+	}},
+	{"fusion", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultFusion()
+		if quick {
+			cfg.Qubits, cfg.MaxWidth = 16, 4
+		}
+		cfg.MaxWidth = cmp.Or(o.fuseWidth, cfg.MaxWidth)
+		return experiments.FormatFusion(experiments.Fusion(cfg))
+	}},
+	{"emulate", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultEmulate()
+		if quick {
+			cfg = experiments.QuickEmulate()
+		}
+		cfg.FuseWidth = cmp.Or(o.fuseWidth, cfg.FuseWidth)
+		return experiments.FormatEmulate(experiments.Emulate(cfg))
+	}},
+	{"cluster", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultCluster()
+		if quick {
+			cfg.LocalQubits = 12
+		}
+		cfg.LocalQubits, cfg.MaxNodes = cmp.Or(o.localQubits, cfg.LocalQubits), cmp.Or(o.maxNodes, cfg.MaxNodes)
+		cfg.FuseWidth = cmp.Or(o.fuseWidth, cfg.FuseWidth)
+		return experiments.FormatCluster(experiments.Cluster(cfg))
+	}},
+	{"cluster-emulate", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultClusterEmulate()
+		if quick {
+			cfg.LocalQubits = 12
+		}
+		cfg.LocalQubits, cfg.MaxNodes = cmp.Or(o.localQubits, cfg.LocalQubits), cmp.Or(o.maxNodes, cfg.MaxNodes)
+		cfg.FuseWidth = cmp.Or(o.fuseWidth, cfg.FuseWidth)
+		return experiments.FormatClusterEmulate(experiments.ClusterEmulate(cfg))
+	}},
+	{"auto", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultAuto()
+		if quick {
+			cfg = experiments.QuickAuto()
+		}
+		cfg.QFTQubits = cmp.Or(o.maxQubits, cfg.QFTQubits)
+		return experiments.FormatAuto(experiments.Auto(cfg))
+	}},
+	{"serve", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultServe()
+		if quick {
+			cfg = experiments.QuickServe()
+		}
+		cfg.Qubits, cfg.FuseWidth = cmp.Or(o.maxQubits, cfg.Qubits), cmp.Or(o.fuseWidth, cfg.FuseWidth)
+		return experiments.FormatServe(experiments.Serve(cfg))
+	}},
+	{"noise", func(quick bool, o overrides) string {
+		cfg := experiments.DefaultNoise()
+		if quick {
+			cfg = experiments.QuickNoise()
+		}
+		cfg.Qubits, cfg.FuseWidth = cmp.Or(o.maxQubits, cfg.Qubits), cmp.Or(o.fuseWidth, cfg.FuseWidth)
+		return experiments.FormatNoise(experiments.Noise(cfg))
+	}},
 }
 
-func (c *collector) write(path string) error {
-	// Experiments without a collector mapping (table2, mathfunc) still
-	// produce a valid JSON array, not `null` — benchjson.Write handles it.
-	return benchjson.Write(path, c.records)
+// weakScaling sizes the fig3/fig4 sweep.
+func weakScaling(quick bool, o overrides) experiments.WeakScalingConfig {
+	cfg := experiments.DefaultWeakScaling()
+	if quick {
+		cfg.LocalQubits, cfg.MaxNodes = 12, 8
+	}
+	cfg.LocalQubits, cfg.MaxNodes = cmp.Or(o.localQubits, cfg.LocalQubits), cmp.Or(o.maxNodes, cfg.MaxNodes)
+	return cfg
+}
+
+// singleNode sizes the fig5/fig6 sweep from its default.
+func singleNode(cfg experiments.SingleNodeConfig, quick bool, o overrides) experiments.SingleNodeConfig {
+	if quick {
+		cfg.MinQubits, cfg.MaxQubits = 12, 16
+	}
+	cfg.MaxQubits = cmp.Or(o.maxQubits, cfg.MaxQubits)
+	return cfg
+}
+
+// names lists what -experiment accepts.
+func names() string {
+	all := []string{"all"}
+	for _, e := range table {
+		all = append(all, e.name)
+	}
+	return strings.Join(all, ", ")
 }
 
 func main() {
-	var (
-		experiment   = flag.String("experiment", "all", "which experiment to run (all, fig1, fig2, fig3, fig4, fig5, fig6, table2, measure, mathfunc, fusion, emulate, cluster, cluster-emulate, auto, serve, noise)")
-		quick        = flag.Bool("quick", false, "shrink every sweep for a fast smoke run")
-		maxSimM      = flag.Uint("max-sim-m", 0, "override: largest simulated operand width for fig1/fig2")
-		maxEmuM      = flag.Uint("max-emu-m", 0, "override: largest emulated operand width for fig1/fig2")
-		localQubits  = flag.Uint("local-qubits", 0, "override: per-node qubits for fig3/fig4")
-		maxNodes     = flag.Int("max-nodes", 0, "override: largest emulated node count for fig3/fig4")
-		maxQubits    = flag.Uint("max-qubits", 0, "override: largest register for fig5/fig6")
-		maxMeasuredN = flag.Uint("max-measured-n", 0, "override: largest measured size for table2")
-		fuseWidth    = flag.Int("fuse-width", 0, "override: largest fusion width for the fusion sweep")
-		jsonPath     = flag.String("json", "", "also write machine-readable results (circuit, qubits, ns/op, bytes/op) to this file")
-	)
+	var o overrides
+	which := flag.String("experiment", "all", "which experiment to run ("+names()+")")
+	quick := flag.Bool("quick", false, "shrink every sweep for a fast smoke run")
+	flag.UintVar(&o.maxSimM, "max-sim-m", 0, "override: largest simulated operand width for fig1/fig2")
+	flag.UintVar(&o.maxEmuM, "max-emu-m", 0, "override: largest emulated operand width for fig1/fig2")
+	flag.UintVar(&o.localQubits, "local-qubits", 0, "override: per-node qubits for fig3/fig4")
+	flag.IntVar(&o.maxNodes, "max-nodes", 0, "override: largest emulated node count for fig3/fig4")
+	flag.UintVar(&o.maxQubits, "max-qubits", 0, "override: largest register for fig5/fig6")
+	flag.UintVar(&o.maxMeasuredN, "max-measured-n", 0, "override: largest measured size for table2")
+	flag.IntVar(&o.fuseWidth, "fuse-width", 0, "override: largest fusion width for the fusion sweep")
 	flag.Parse()
-	var col collector
 
 	fmt.Printf("qemu-bench: %d hardware threads (GOMAXPROCS)\n\n", runtime.GOMAXPROCS(0))
-
-	run := func(name string) bool { return *experiment == "all" || *experiment == name }
 	ran := false
-
-	if run("fig1") {
-		ran = true
-		cfg := experiments.DefaultFig1()
-		if *quick {
-			cfg.MaxSimM, cfg.MaxEmuM = 4, 5
+	for _, e := range table {
+		if *which == "all" || *which == e.name {
+			ran = true
+			fmt.Println(e.run(*quick, o))
 		}
-		if *maxSimM > 0 {
-			cfg.MaxSimM = *maxSimM
-		}
-		if *maxEmuM > 0 {
-			cfg.MaxEmuM = *maxEmuM
-		}
-		rows := experiments.Fig1(cfg)
-		col.addArith("fig1", "multiplier", rows)
-		fmt.Println(experiments.FormatArith(
-			"Figure 1: multiplication of two m-bit numbers (n = 3m+1 qubits)", rows))
-	}
-	if run("fig2") {
-		ran = true
-		cfg := experiments.DefaultFig2()
-		if *quick {
-			cfg.MaxSimM, cfg.MaxEmuM = 3, 4
-		}
-		if *maxSimM > 0 {
-			cfg.MaxSimM = *maxSimM
-		}
-		if *maxEmuM > 0 {
-			cfg.MaxEmuM = *maxEmuM
-		}
-		rows := experiments.Fig2(cfg)
-		col.addArith("fig2", "divider", rows)
-		fmt.Println(experiments.FormatArith(
-			"Figure 2: division of two m-bit numbers (n = 4m+2 qubits incl. work)", rows))
-	}
-	if run("fig3") {
-		ran = true
-		cfg := experiments.DefaultWeakScaling()
-		if *quick {
-			cfg.LocalQubits, cfg.MaxNodes = 12, 8
-		}
-		applyWeak(&cfg, *localQubits, *maxNodes)
-		rows := experiments.Fig3(cfg)
-		col.addWeakScaling("fig3", "fft-emulation", rows)
-		fmt.Println(experiments.FormatFig3(rows))
-		fmt.Println(modelTable())
-	}
-	if run("fig4") {
-		ran = true
-		cfg := experiments.DefaultWeakScaling()
-		if *quick {
-			cfg.LocalQubits, cfg.MaxNodes = 12, 8
-		}
-		applyWeak(&cfg, *localQubits, *maxNodes)
-		rows := experiments.Fig4(cfg)
-		col.addWeakScaling("fig4", "qhipster-class", rows)
-		fmt.Println(experiments.FormatFig4(rows))
-	}
-	if run("fig5") {
-		ran = true
-		cfg := experiments.DefaultFig5()
-		if *quick {
-			cfg.MinQubits, cfg.MaxQubits = 12, 16
-		}
-		if *maxQubits > 0 {
-			cfg.MaxQubits = *maxQubits
-		}
-		rows := experiments.Fig5(cfg)
-		col.addSingleNode("fig5", "qft", rows)
-		fmt.Println(experiments.FormatSingleNode(
-			"Figure 5: single-node QFT across simulator back-ends", rows))
-	}
-	if run("fig6") {
-		ran = true
-		cfg := experiments.DefaultFig6()
-		if *quick {
-			cfg.MinQubits, cfg.MaxQubits = 12, 16
-		}
-		if *maxQubits > 0 {
-			cfg.MaxQubits = *maxQubits
-		}
-		rows := experiments.Fig6(cfg)
-		col.addSingleNode("fig6", "entangler", rows)
-		fmt.Println(experiments.FormatSingleNode(
-			"Figure 6: single-node entangling operation across back-ends", rows))
-	}
-	if run("table2") {
-		ran = true
-		cfg := experiments.DefaultTable2()
-		if *quick {
-			cfg.MaxMeasuredN = 7
-		}
-		if *maxMeasuredN > 0 {
-			cfg.MaxMeasuredN = *maxMeasuredN
-		}
-		fmt.Println(experiments.FormatTable2(experiments.Table2(cfg)))
-	}
-	if run("measure") {
-		ran = true
-		n := uint(20)
-		if *quick {
-			n = 14
-		}
-		rows := experiments.Measure34(n, []int{100, 10000, 1000000})
-		col.addMeasure(rows)
-		fmt.Println(experiments.FormatMeasure(rows))
-	}
-	if run("mathfunc") {
-		ran = true
-		maxM := uint(12)
-		if *quick {
-			maxM = 8
-		}
-		fmt.Println(experiments.FormatMathFunc(experiments.MathFunc(4, maxM)))
-	}
-	if run("fusion") {
-		ran = true
-		cfg := experiments.DefaultFusion()
-		if *quick {
-			cfg.Qubits, cfg.MaxWidth = 16, 4
-		}
-		if *fuseWidth > 0 {
-			cfg.MaxWidth = *fuseWidth
-		}
-		rows := experiments.Fusion(cfg)
-		col.addFusion(rows)
-		fmt.Println(experiments.FormatFusion(rows))
-	}
-	if run("emulate") {
-		ran = true
-		cfg := experiments.DefaultEmulate()
-		if *quick {
-			cfg = experiments.QuickEmulate()
-		}
-		if *fuseWidth > 0 {
-			cfg.FuseWidth = *fuseWidth
-		}
-		rows := experiments.Emulate(cfg)
-		col.addEmulate(rows)
-		fmt.Println(experiments.FormatEmulate(rows))
-	}
-	if run("cluster") {
-		ran = true
-		cfg := experiments.DefaultCluster()
-		if *quick {
-			cfg.LocalQubits = 12
-		}
-		if *localQubits > 0 {
-			cfg.LocalQubits = *localQubits
-		}
-		if *maxNodes > 0 {
-			cfg.MaxNodes = *maxNodes
-		}
-		if *fuseWidth > 0 {
-			cfg.FuseWidth = *fuseWidth
-		}
-		rows := experiments.Cluster(cfg)
-		col.addCluster(rows)
-		fmt.Println(experiments.FormatCluster(rows))
-	}
-	if run("cluster-emulate") {
-		ran = true
-		cfg := experiments.DefaultClusterEmulate()
-		if *quick {
-			cfg.LocalQubits = 12
-		}
-		if *localQubits > 0 {
-			cfg.LocalQubits = *localQubits
-		}
-		if *maxNodes > 0 {
-			cfg.MaxNodes = *maxNodes
-		}
-		if *fuseWidth > 0 {
-			cfg.FuseWidth = *fuseWidth
-		}
-		rows := experiments.ClusterEmulate(cfg)
-		col.addClusterEmulate(rows)
-		fmt.Println(experiments.FormatClusterEmulate(rows))
-	}
-	if run("auto") {
-		ran = true
-		cfg := experiments.DefaultAuto()
-		if *quick {
-			cfg = experiments.QuickAuto()
-		}
-		if *maxQubits > 0 {
-			cfg.QFTQubits = *maxQubits
-		}
-		rows, err := experiments.Auto(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "auto experiment: %v\n", err)
-			os.Exit(1)
-		}
-		col.addAuto(rows)
-		fmt.Println(experiments.FormatAuto(rows))
-	}
-	if run("serve") {
-		ran = true
-		cfg := experiments.DefaultServe()
-		if *quick {
-			cfg = experiments.QuickServe()
-		}
-		if *maxQubits > 0 {
-			cfg.Qubits = *maxQubits
-		}
-		if *fuseWidth > 0 {
-			cfg.FuseWidth = *fuseWidth
-		}
-		rows := experiments.Serve(cfg)
-		col.addServe(rows)
-		fmt.Println(experiments.FormatServe(rows))
-	}
-	if run("noise") {
-		ran = true
-		cfg := experiments.DefaultNoise()
-		if *quick {
-			cfg = experiments.QuickNoise()
-		}
-		if *maxQubits > 0 {
-			cfg.Qubits = *maxQubits
-		}
-		if *fuseWidth > 0 {
-			cfg.FuseWidth = *fuseWidth
-		}
-		rows := experiments.Noise(cfg)
-		col.addNoise(rows)
-		fmt.Println(experiments.FormatNoise(rows))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (have: %s)\n", *which, names())
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *jsonPath != "" {
-		if err := col.write(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d bench records to %s\n", len(col.records), *jsonPath)
-	}
-}
-
-func applyWeak(cfg *experiments.WeakScalingConfig, local uint, nodes int) {
-	if local > 0 {
-		cfg.LocalQubits = local
-	}
-	if nodes > 0 {
-		cfg.MaxNodes = nodes
 	}
 }
 

@@ -11,8 +11,8 @@
 // Exit status is 0 when the tree is clean, 1 when any analyzer
 // reported a finding, 2 on load/usage errors. The -json mode emits a
 // machine-readable findings array (file/line/col/analyzer/message) so
-// tooling can diff lint trajectories between commits the same way
-// qemu-perfgate diffs benchmark baselines; a clean tree emits [].
+// tooling can diff lint trajectories between commits; a clean tree emits
+// [].
 package main
 
 import (

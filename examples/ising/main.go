@@ -18,7 +18,6 @@ import (
 	"repro/internal/ising"
 	"repro/internal/linalg"
 	"repro/internal/qpe"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -31,7 +30,7 @@ func main() {
 
 	// Build the dense operator and pick an eigenvector as the input state,
 	// so every method should recover its eigenphase.
-	u := sim.DenseUnitary(circ)
+	u := core.DenseUnitary(circ)
 	eig, err := linalg.Eig(u)
 	if err != nil {
 		panic(err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/recognize"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // prep returns a circuit opening with unannotated single-qubit structure
@@ -241,39 +240,6 @@ func TestBaselinesRejectEmulation(t *testing.T) {
 	}
 }
 
-// TestDistributedDelegateMatchesOpenCostModel: the deprecated
-// sim-delegate path and the unified backend must make the same dispatch
-// decision on a sub-cutoff diagonal run (both keep it fused).
-func TestDistributedDelegateMatchesOpenCostModel(t *testing.T) {
-	c := circuit.New(8)
-	for q := uint(0); q < 8; q++ {
-		c.Append(gates.H(q))
-	}
-	for i := 0; i < 3; i++ {
-		c.Append(gates.Phase(0, 0.2), gates.CR(0, 1, 0.3))
-	}
-	x, err := backend.Compile(c, backend.Target{
-		NumQubits: 8, Kind: backend.Cluster, Nodes: 2, FuseWidth: 4, Emulate: recognize.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range x.Units {
-		if u.Op != nil {
-			t.Fatalf("Open path dispatched %s despite the cutoff", u.Op.Kind())
-		}
-	}
-	d, err := sim.NewDistributed(8, sim.Options{Nodes: 2, FuseWidth: 4, Emulate: sim.EmulateAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(c)
-	// The diagonal run stayed gate-level on the delegate too: every gate
-	// was executed (emulated ops skip their gates entirely).
-	if got := d.Cluster().Stats.Gates.Load(); got != uint64(c.Len()) {
-		t.Fatalf("delegate executed %d of %d gates — cost-model decision diverged", got, c.Len())
-	}
-}
-
 // TestDiagonalCostModel checks the cutoff stub: a short diagonal run
 // whose support fits the fusion width stays on the gate path by default,
 // dispatches when the cutoff is disabled, and produces the same state
@@ -289,52 +255,57 @@ func TestDiagonalCostModel(t *testing.T) {
 		c.Append(gates.Phase(0, 0.2), gates.CR(0, 1, 0.3))
 	}
 
-	def := backend.Target{NumQubits: 6, FuseWidth: 4, Emulate: recognize.Auto}
-	x, err := backend.Compile(c, def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range x.Units {
-		if u.Op != nil && u.Op.Kind() == "diagonal" {
-			t.Fatalf("default cost model dispatched a %d-gate diagonal run", u.Op.GateCount())
+	// The same decision on the single-node and the distributed target.
+	for _, def := range []backend.Target{
+		{NumQubits: 6, FuseWidth: 4, Emulate: recognize.Auto},
+		{NumQubits: 6, Kind: backend.Cluster, Nodes: 2, FuseWidth: 4, Emulate: recognize.Auto},
+	} {
+		x, err := backend.Compile(c, def)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	skipped := false
-	for _, s := range x.Skipped {
-		if s.Name == "diagonal" {
-			skipped = true
+		for _, u := range x.Units {
+			if u.Op != nil && u.Op.Kind() == "diagonal" {
+				t.Fatalf("default cost model dispatched a %d-gate diagonal run", u.Op.GateCount())
+			}
 		}
-	}
-	if !skipped {
-		t.Fatalf("cost-model drop not recorded in Skipped: %+v", x.Skipped)
-	}
+		skipped := false
+		for _, s := range x.Skipped {
+			if s.Name == "diagonal" {
+				skipped = true
+			}
+		}
+		if !skipped {
+			t.Fatalf("cost-model drop not recorded in Skipped: %+v", x.Skipped)
+		}
 
-	forced := def
-	forced.DiagMinGates = -1
-	xf, err := backend.Compile(c, forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dispatched := false
-	for _, u := range xf.Units {
-		if u.Op != nil && u.Op.Kind() == "diagonal" {
-			dispatched = true
+		forced := def
+		forced.DiagMinGates = -1
+		xf, err := backend.Compile(c, forced)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !dispatched {
-		t.Fatal("disabled cutoff still dropped the diagonal run")
-	}
+		dispatched := false
+		for _, u := range xf.Units {
+			if u.Op != nil && u.Op.Kind() == "diagonal" {
+				dispatched = true
+			}
+		}
+		if !dispatched {
+			t.Fatal("disabled cutoff still dropped the diagonal run")
+		}
 
-	b1, _ := backend.New(def)
-	b2, _ := backend.New(forced)
-	if _, err := b1.Run(x); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b2.Run(xf); err != nil {
-		t.Fatal(err)
-	}
-	if d := b1.State().MaxDiff(b2.State()); d > 1e-12 {
-		t.Fatalf("cost-model choice changed the state by %g", d)
+		b1, _ := backend.New(def)
+		b2, _ := backend.New(forced)
+		if _, err := b1.Run(x); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b2.Run(xf); err != nil {
+			t.Fatal(err)
+		}
+		if d := b1.State().MaxDiff(b2.State()); d > 1e-12 {
+			t.Fatalf("cost-model choice changed the state by %g", d)
+		}
 	}
 }
 

@@ -1,20 +1,22 @@
-package sim_test
+package backend_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
+	"repro/internal/cluster"
 	"repro/internal/gates"
 	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/statevec"
 )
 
-// randomCircuit draws a circuit mixing dense rotations, Hadamards,
-// diagonal gates, CNOTs, controlled rotations and Toffolis — the circuit
-// family of the distributed-agreement property tests, deliberately heavy
-// on controlled and multi-controlled gates.
-func randomCircuit(n uint, count int, seed uint64) *circuit.Circuit {
+// controlledHeavyCircuit draws a circuit mixing dense rotations,
+// Hadamards, diagonal gates, CNOTs, controlled rotations and Toffolis —
+// the circuit family of the distributed-agreement property tests,
+// deliberately heavy on controlled and multi-controlled gates.
+func controlledHeavyCircuit(n uint, count int, seed uint64) *circuit.Circuit {
 	src := rng.New(seed)
 	c := circuit.New(n)
 	distinct := func(q uint) uint {
@@ -54,6 +56,42 @@ func randomCircuit(n uint, count int, seed uint64) *circuit.Circuit {
 	return c
 }
 
+// clusterOf reaches the emulated machine under a cluster backend, for the
+// reductions the Backend interface does not carry.
+func clusterOf(b backend.Backend) *cluster.Cluster {
+	return b.(interface{ Cluster() *cluster.Cluster }).Cluster()
+}
+
+// runDistributed executes circ on a fresh cluster backend and returns it
+// with the underlying machine, beside the gate-by-gate single-node state.
+// Every run must pay exactly the communication rounds its schedules planned.
+func runDistributed(t *testing.T, circ *circuit.Circuit, p, width int) (backend.Backend, *cluster.Cluster, *statevec.State) {
+	t.Helper()
+	d, err := backend.New(backend.Target{
+		NumQubits: circ.NumQubits, Kind: backend.Cluster, Nodes: p, FuseWidth: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := backend.Compile(circ, d.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := 0
+	for _, u := range x.Units {
+		planned += u.Sched.Rounds
+	}
+	if res.Comm.Rounds != uint64(planned) {
+		t.Fatalf("p=%d width=%d: run used %d rounds, schedules planned %d", p, width, res.Comm.Rounds, planned)
+	}
+	ref := statevec.New(circ.NumQubits)
+	circ.Run(ref)
+	return d, clusterOf(d), ref
+}
+
 // TestDistributedMatchesSingleNode is the acceptance property: over P in
 // {2, 4, 8} simulated nodes, random circuits (controlled gates included)
 // run through the communication-avoiding engine — with and without fused
@@ -63,20 +101,11 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		for _, width := range []int{0, 3, 4} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				circ := randomCircuit(n, 250, seed*31+uint64(p))
-				opts := sim.Options{Specialize: true, Fuse: true, FuseWidth: width, Nodes: p}
-				d, err := sim.NewDistributed(n, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.Run(circ)
-
-				ref := sim.NewWithOptions(n, sim.Options{Specialize: true, Fuse: true, FuseWidth: width})
-				ref.Run(circ)
-
-				if d := d.State().MaxDiff(ref.State()); d > 1e-10 {
+				circ := controlledHeavyCircuit(n, 250, seed*31+uint64(p))
+				d, _, ref := runDistributed(t, circ, p, width)
+				if diff := d.State().MaxDiff(ref); diff > 1e-10 {
 					t.Errorf("p=%d width=%d seed=%d: distributed differs from single-node by %g",
-						p, width, seed, d)
+						p, width, seed, diff)
 				}
 			}
 		}
@@ -89,18 +118,9 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 func TestDistributedMeasurementMatchesSingleNode(t *testing.T) {
 	const n = uint(9)
 	for _, p := range []int{2, 4, 8} {
-		circ := randomCircuit(n, 200, 5+uint64(p))
-		d, err := sim.NewDistributed(n, sim.Options{Nodes: p, FuseWidth: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Run(circ)
-		ref := sim.NewWithOptions(n, sim.WideFusionOptions(3))
-		ref.Run(circ)
-
-		cl := d.Cluster()
+		d, cl, ref := runDistributed(t, controlledHeavyCircuit(n, 200, 5+uint64(p)), p, 3)
 		for q := uint(0); q < n; q++ {
-			got, want := cl.Probability(q), ref.State().Probability(q)
+			got, want := d.Probability(q), ref.Probability(q)
 			if math.Abs(got-want) > 1e-10 {
 				t.Errorf("p=%d: P(q%d=1) = %g distributed, %g single-node", p, q, got, want)
 			}
@@ -110,13 +130,13 @@ func TestDistributedMeasurementMatchesSingleNode(t *testing.T) {
 		// identical RNG streams; outcomes and collapsed states must track.
 		srcD, srcR := rng.New(99), rng.New(99)
 		for _, q := range []uint{0, n - 1, 3, n - 2} {
-			gotBit := cl.Measure(q, srcD)
-			wantBit := ref.State().Measure(q, srcR)
+			gotBit := d.Measure(q, srcD)
+			wantBit := ref.Measure(q, srcR)
 			if gotBit != wantBit {
 				t.Fatalf("p=%d: measuring q%d gave %d distributed, %d single-node", p, q, gotBit, wantBit)
 			}
 		}
-		if diff := cl.Gather().MaxDiff(ref.State()); diff > 1e-10 {
+		if diff := d.State().MaxDiff(ref); diff > 1e-10 {
 			t.Errorf("p=%d: post-measurement states differ by %g", p, diff)
 		}
 		if nrm := cl.Norm(); math.Abs(nrm-1) > 1e-10 {
@@ -131,24 +151,15 @@ func TestDistributedMeasurementMatchesSingleNode(t *testing.T) {
 func TestDistributedSamplingMatchesSingleNode(t *testing.T) {
 	const n = uint(9)
 	for _, p := range []int{2, 4, 8} {
-		circ := randomCircuit(n, 180, 17+uint64(p))
-		d, err := sim.NewDistributed(n, sim.Options{Nodes: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Run(circ)
-		ref := sim.NewWithOptions(n, sim.DefaultOptions())
-		ref.Run(circ)
-
-		got := d.Cluster().SampleMany(300, rng.New(7))
-		want := ref.State().SampleMany(300, rng.New(7))
+		d, _, ref := runDistributed(t, controlledHeavyCircuit(n, 180, 17+uint64(p)), p, 0)
+		got := d.SampleMany(300, rng.New(7))
+		want := ref.SampleMany(300, rng.New(7))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("p=%d: sample %d is |%d> distributed, |%d> single-node", p, i, got[i], want[i])
 			}
 		}
-
-		if g, w := d.Cluster().Sample(rng.New(41)), ref.State().Sample(rng.New(41)); g != w {
+		if g, w := d.Sample(rng.New(41)), ref.Sample(rng.New(41)); g != w {
 			t.Errorf("p=%d: single draw |%d> distributed, |%d> single-node", p, g, w)
 		}
 	}
@@ -160,17 +171,8 @@ func TestDistributedExpectationMatchesSingleNode(t *testing.T) {
 	const n = uint(8)
 	obs := func(i uint64) float64 { return float64(i%17) - 8 }
 	for _, p := range []int{2, 8} {
-		circ := randomCircuit(n, 150, 23+uint64(p))
-		d, err := sim.NewDistributed(n, sim.Options{Nodes: p, FuseWidth: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Run(circ)
-		ref := sim.NewWithOptions(n, sim.WideFusionOptions(2))
-		ref.Run(circ)
-
-		got := d.Cluster().ExpectationDiagonal(obs)
-		want := ref.State().ExpectationDiagonal(obs)
+		_, cl, ref := runDistributed(t, controlledHeavyCircuit(n, 150, 23+uint64(p)), p, 2)
+		got, want := cl.ExpectationDiagonal(obs), ref.ExpectationDiagonal(obs)
 		if math.Abs(got-want) > 1e-10 {
 			t.Errorf("p=%d: <obs> = %g distributed, %g single-node", p, got, want)
 		}
@@ -196,7 +198,7 @@ func TestDistributedValidationContract(t *testing.T) {
 		}()
 		fn()
 	}
-	d, err := sim.NewDistributed(8, sim.Options{Nodes: 4})
+	d, err := backend.New(backend.Target{NumQubits: 8, Kind: backend.Cluster, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +216,19 @@ func TestDistributedValidationContract(t *testing.T) {
 	}
 }
 
-// TestMaxLocalQubitsSizesNodeCount: the MaxLocalQubits option must raise
-// the node count until shards fit.
+// TestMaxLocalQubitsSizesNodeCount: Target.MaxLocalQubits must raise the
+// node count until shards fit.
 func TestMaxLocalQubitsSizesNodeCount(t *testing.T) {
-	d, err := sim.NewDistributed(10, sim.Options{Nodes: 2, MaxLocalQubits: 7})
+	d, err := backend.New(backend.Target{
+		NumQubits: 10, Kind: backend.Cluster, Nodes: 2, MaxLocalQubits: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Cluster().P != 8 || d.Cluster().L != 7 {
-		t.Fatalf("got P=%d L=%d, want P=8 L=7", d.Cluster().P, d.Cluster().L)
+	cl := clusterOf(d)
+	if cl.P != 8 || cl.L != 7 {
+		t.Fatalf("got P=%d L=%d, want P=8 L=7", cl.P, cl.L)
 	}
-	if _, err := sim.NewDistributed(10, sim.Options{Nodes: 3}); err == nil {
+	if _, err := backend.New(backend.Target{NumQubits: 10, Kind: backend.Cluster, Nodes: 3}); err == nil {
 		t.Error("non-power-of-two node count accepted")
 	}
 }

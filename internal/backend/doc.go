@@ -92,7 +92,7 @@
 // Four backend kinds exist, selected by Target.Kind:
 //
 //   - Fused — the paper's simulator: structure-specialised kernels plus
-//     same-target or multi-qubit block fusion (internal/sim, statevec).
+//     same-target or multi-qubit block fusion (internal/fuse, statevec).
 //   - Generic — the qHiPSTER-class structure-blind baseline: every gate
 //     through the dense 2x2 kernel.
 //   - Sparse — the LIQUi|>-class baseline: explicit sparse matrix-vector

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gates"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -34,8 +33,7 @@ func newLocalBackend(t Target) (Backend, error) {
 	case Generic:
 		b.apply = st.ApplyGateGeneric
 	case Sparse:
-		sp := sim.WrapSparseMatrix(st)
-		b.apply = sp.ApplyGate
+		b.apply = st.ApplyGateSparse
 	default:
 		return nil, fmt.Errorf("backend: %s is not a local kind", t.Kind)
 	}

@@ -1,0 +1,105 @@
+package backend_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/backend"
+	"repro/internal/circgen"
+	"repro/internal/circuit"
+	"repro/internal/recognize"
+	"repro/internal/rng"
+	"repro/internal/statevec"
+)
+
+// parityCircuit decodes one fuzz input into a generated circuit: the
+// family, a width of 5..10 qubits and the family's size parameter.
+func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
+	src := rng.New(seed)
+	n := 5 + uint(width%6)
+	switch family % 4 {
+	case 0:
+		return fmt.Sprintf("brickwork-n%d-s%d", n, seed), circgen.Brickwork(src, n, 2+int(size%6))
+	case 1:
+		return fmt.Sprintf("ladders-n%d-s%d", n, seed), circgen.QFTLadders(src, n, 1+int(size%3))
+	case 2:
+		return fmt.Sprintf("phaseruns-n%d-s%d", n, seed), circgen.InterruptedPhaseRuns(src, n, 4+int(size%8))
+	default:
+		return fmt.Sprintf("widectl-n%d-s%d", n, seed), circgen.WideControlled(src, n, 2+int(size%3))
+	}
+}
+
+// parityTarget is one named execution shape.
+type parityTarget struct {
+	name string
+	t    backend.Target
+}
+
+// parityTargets is every execution shape Compile can produce for an
+// n-qubit register, in a fixed order so a failing input reports the same
+// first failure on every replay: the two baselines, the auto target, and
+// the fused engine at four widths and both cluster sizes with emulation
+// off and on.
+func parityTargets(n uint) []parityTarget {
+	ts := []parityTarget{
+		{"generic", backend.Target{NumQubits: n, Kind: backend.Generic}},
+		{"sparse", backend.Target{NumQubits: n, Kind: backend.Sparse}},
+		{"auto", backend.Target{NumQubits: n, Auto: true}},
+	}
+	for _, mode := range []recognize.Mode{recognize.Off, recognize.Auto} {
+		for _, w := range []int{1, 2, 4, 8} {
+			ts = append(ts, parityTarget{fmt.Sprintf("fused-w%d-%v", w, mode), backend.Target{
+				NumQubits: n, Kind: backend.Fused, FuseWidth: w, Emulate: mode}})
+		}
+		for _, p := range []int{2, 4} {
+			ts = append(ts, parityTarget{fmt.Sprintf("cluster-p%d-%v", p, mode), backend.Target{
+				NumQubits: n, Kind: backend.Cluster, Nodes: p, FuseWidth: 3, Emulate: mode}})
+		}
+	}
+	return ts
+}
+
+// FuzzCompileParity is the one-path safety net: whatever Compile builds
+// for a target — fused blocks, recognised shortcuts, placement schedules,
+// the selector's pick — running it must equal the circuit applied gate by
+// gate to 1e-10, and sample draw for draw like it under one seed.
+func FuzzCompileParity(f *testing.F) {
+	// Every family at three widths, sizes spread over the decoded range.
+	for i := 0; i < 12; i++ {
+		f.Add(uint64(2300+i), uint8(i), uint8(i/4*2+i%2), uint8(3*i))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, family, width, size uint8) {
+		name, c := parityCircuit(seed, family, width, size)
+		ref := statevec.New(c.NumQubits)
+		c.Run(ref)
+		const draws = 64
+		want := ref.SampleMany(draws, rng.New(seed))
+		for _, pt := range parityTargets(c.NumQubits) {
+			tname, target := pt.name, pt.t
+			x, err := backend.Compile(c, target)
+			if err != nil {
+				t.Fatalf("%s/%s: Compile: %v", name, tname, err)
+			}
+			if err := backend.VerifyExecutable(x); err != nil {
+				t.Fatalf("%s/%s: compiled executable fails verification: %v", name, tname, err)
+			}
+			b, err := backend.New(target)
+			if err != nil {
+				t.Fatalf("%s/%s: New: %v", name, tname, err)
+			}
+			t.Cleanup(func() { b.Close() })
+			if _, err := b.Run(x); err != nil {
+				t.Fatalf("%s/%s: Run: %v", name, tname, err)
+			}
+			if d := b.State().MaxDiff(ref); d > 1e-10 {
+				t.Fatalf("%s/%s: differs from the gate-by-gate state by %g", name, tname, d)
+			}
+			got := b.SampleMany(draws, rng.New(seed))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: draw %d is |%d>, gate by gate |%d>", name, tname, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}

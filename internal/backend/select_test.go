@@ -103,9 +103,10 @@ func TestSelectionReport(t *testing.T) {
 	}
 }
 
-// TestSelectBenchAutoPinned pins, for the two BENCH_auto.json circuits,
-// everything the cost-only profile feeds the selector and what comes out:
-// the per-width sweep units, the chosen target and every region verdict.
+// TestSelectBenchAutoPinned pins, for the two circuits of the auto
+// experiment (qemu-bench -quick -experiment auto), everything the cost-only
+// profile feeds the selector and what comes out: the per-width sweep units,
+// the chosen target and every region verdict.
 //
 // The units at widths 2, 4 and 8 were re-pinned when fuse.denseBlockCost
 // followed the AVX2/FMA dense body (ISSUE 16: 1.7 / 8.6 / 132 sweep units

@@ -12,8 +12,8 @@ import (
 	"repro/internal/recognize"
 )
 
-// serveArtifact mirrors the BENCH_serve workload (qemu-bench -experiment
-// serve): an n-qubit H+phase prep layer feeding a recognised QFT,
+// serveArtifact mirrors the workload of the serve experiment (qemu-bench
+// -experiment serve): an n-qubit H+phase prep layer feeding a recognised QFT,
 // compiled at fuse width 4 — the artifact shape a warm-starting cache
 // decodes.
 func serveArtifact(tb testing.TB, n uint) []byte {
@@ -72,8 +72,8 @@ func BenchmarkDecodeVerify(b *testing.B) {
 const verifyAllocBudget = 32
 
 // TestVerifyOverheadBudget guards what wiring the verifier into warm
-// starts costs, by what is deterministic about it: on the BENCH_serve
-// workload VerifyExecutable allocates a bounded number of objects and
+// starts costs, by what is deterministic about it: on the serve
+// experiment's workload VerifyExecutable allocates a bounded number of objects and
 // leaves the executable byte-identical under Encode. The two timings it
 // used to compare — decode alone against decode+verify, a ratio of two
 // wall clocks on a shared box — are logged in the host-body pass, asserted

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -69,7 +68,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := loadRandom(t, c, src)
-		local := sim.Wrap(st.Clone(), sim.DefaultOptions())
+		local := st.Clone()
 
 		gs := []gates.Gate{
 			gates.H(0), gates.H(7), gates.X(6), gates.CNOT(2, 7),
@@ -81,7 +80,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			c.ApplyGate(g)
 			local.ApplyGate(g)
 		}
-		if d := c.Gather().MaxDiff(local.State()); d > 1e-10 {
+		if d := c.Gather().MaxDiff(local); d > 1e-10 {
 			t.Fatalf("p=%d: distributed differs from local by %g", p, d)
 		}
 	}
@@ -118,12 +117,12 @@ func TestGenericModeStillCorrect(t *testing.T) {
 	c, _ := cluster.New(n, 4)
 	c.DiagonalOptimization = false
 	st := loadRandom(t, c, src)
-	local := sim.Wrap(st.Clone(), sim.DefaultOptions())
+	local := st.Clone()
 	for _, g := range []gates.Gate{gates.CR(0, 6, 1.1), gates.H(5), gates.CNOT(6, 5), gates.Z(6)} {
 		c.ApplyGate(g)
 		local.ApplyGate(g)
 	}
-	if d := c.Gather().MaxDiff(local.State()); d > 1e-10 {
+	if d := c.Gather().MaxDiff(local); d > 1e-10 {
 		t.Fatalf("generic cluster differs from local by %g", d)
 	}
 }
@@ -167,7 +166,7 @@ func TestEmulatedQFTMatchesCircuitQFT(t *testing.T) {
 
 		// Reference: gate-level QFT on one node.
 		want := st.Clone()
-		sim.Wrap(want, sim.DefaultOptions()).Run(qft.Circuit(n))
+		qft.Circuit(n).Run(want)
 
 		if d := got.MaxDiff(want); d > 1e-9 {
 			t.Fatalf("p=%d: distributed FFT differs from QFT circuit by %g", p, d)

@@ -87,8 +87,7 @@
 //
 // Recognised subroutines (internal/recognize ops) lower onto the cluster
 // through Lowerable/ApplyOp — the distributed half of the emulation
-// dispatch the unified backend (internal/backend) and sim.Distributed
-// run:
+// dispatch the unified backend (internal/backend) runs:
 //
 //   - a full-register Fourier op executes as the distributed four-step
 //     FFT (three all-to-all transposition rounds — Eq. 5's "3"),

@@ -339,8 +339,8 @@ func (c *Cluster) RunPlan(p *fuse.Plan) error {
 // ClampFuseWidth bounds a fusion width to a cluster's per-node shard
 // capacity: a dense 2^w block can only execute when all w qubits fit in
 // the L local positions. Width < 1 degenerates to same-target fusion
-// (width 1). Every caller planning fusion for a distributed run — the
-// engine itself, sim.Distributed, qemu-run — must clamp with this.
+// (width 1). Every caller planning fusion for BuildSchedule must clamp with
+// this.
 func ClampFuseWidth(w int, localQubits uint) int {
 	if w > int(localQubits) {
 		w = int(localQubits)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -196,9 +195,9 @@ func TestScheduleDiagOffConstrains(t *testing.T) {
 		t.Error("diag-off schedule of node-qubit diagonal gates used 0 rounds")
 	}
 	c.RunSchedule(s)
-	ref := sim.NewWithOptions(n, sim.DefaultOptions())
-	ref.Run(circ)
-	if d := c.Gather().MaxDiff(ref.State()); d > 1e-10 {
+	ref := statevec.New(n)
+	circ.Run(ref)
+	if d := c.Gather().MaxDiff(ref); d > 1e-10 {
 		t.Errorf("diag-off scheduled state differs from reference by %g", d)
 	}
 }
@@ -227,9 +226,9 @@ func TestScheduledFusedBlocksMatchReference(t *testing.T) {
 		for _, width := range []int{2, 3, 4} {
 			for _, p := range []int{2, 4, 8} {
 				cl := runScheduled(t, n, p, circ, width)
-				ref := sim.NewWithOptions(n, sim.WideFusionOptions(width))
-				ref.Run(circ)
-				if d := cl.Gather().MaxDiff(ref.State()); d > 1e-10 {
+				ref := statevec.New(n)
+				circ.Run(ref)
+				if d := cl.Gather().MaxDiff(ref); d > 1e-10 {
 					t.Errorf("seed %d width %d p=%d: distributed fused run differs by %g",
 						seed, width, p, d)
 				}

@@ -22,14 +22,12 @@ import (
 	"repro/internal/fft"
 	"repro/internal/gates"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
 // Emulator is a quantum-computer emulator over an n-qubit register.
 type Emulator struct {
 	state *statevec.State
-	sim   *sim.Simulator
 }
 
 // New returns an emulator with the register initialised to |0...0>.
@@ -40,7 +38,7 @@ func New(n uint) *Emulator {
 
 // Wrap returns an emulator operating on an existing state.
 func Wrap(st *statevec.State) *Emulator {
-	return &Emulator{state: st, sim: sim.Wrap(st, sim.DefaultOptions())}
+	return &Emulator{state: st}
 }
 
 // State returns the backing state vector.
@@ -49,12 +47,12 @@ func (e *Emulator) State() *statevec.State { return e.state }
 // NumQubits returns the register width.
 func (e *Emulator) NumQubits() uint { return e.state.NumQubits() }
 
-// ApplyGate executes a single elementary gate (delegated to the optimised
-// simulator kernels; emulation has no shortcut for a lone gate).
-func (e *Emulator) ApplyGate(g gates.Gate) { e.sim.ApplyGate(g) }
+// ApplyGate executes a single elementary gate through the specialised
+// kernels; emulation has no shortcut for a lone gate.
+func (e *Emulator) ApplyGate(g gates.Gate) { e.state.ApplyGate(g) }
 
-// Run executes a gate-level circuit on the state.
-func (e *Emulator) Run(c *circuit.Circuit) { e.sim.Run(c) }
+// Run executes a gate-level circuit on the state, gate by gate.
+func (e *Emulator) Run(c *circuit.Circuit) { c.Run(e.state) }
 
 // --- Section 3.1: classical functions -------------------------------------
 

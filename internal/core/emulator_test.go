@@ -8,7 +8,6 @@ import (
 	"repro/internal/qft"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -44,7 +43,7 @@ func TestEmulatedMultiplyMatchesSimulatedCircuit(t *testing.T) {
 
 		st := randomOnSubspace(src, n, []uint{l.CarryAnc})
 		simulated := st.Clone()
-		sim.Wrap(simulated, sim.DefaultOptions()).Run(circ)
+		circ.Run(simulated)
 
 		emulated := st.Clone()
 		em := Wrap(emulated)
@@ -72,7 +71,7 @@ func TestEmulatedDivideMatchesSimulatedCircuit(t *testing.T) {
 	src := rng.New(13)
 	st := randomOnSubspace(src, n, []uint{l.BZ, l.CarryAnc})
 	simulated := st.Clone()
-	sim.Wrap(simulated, sim.DefaultOptions()).Run(circ)
+	circ.Run(simulated)
 
 	emulated := st.Clone()
 	em := Wrap(emulated)
@@ -125,7 +124,7 @@ func TestEmulatedQFTMatchesCircuit(t *testing.T) {
 	for _, n := range []uint{1, 2, 3, 5, 8} {
 		st := statevec.NewRandom(n, src)
 		simulated := st.Clone()
-		sim.Wrap(simulated, sim.DefaultOptions()).Run(qft.Circuit(n))
+		qft.Circuit(n).Run(simulated)
 
 		emulated := st.Clone()
 		Wrap(emulated).QFT()
@@ -158,7 +157,6 @@ func TestQFTRangeSubRegister(t *testing.T) {
 	simulated := st.Clone()
 	circ := qft.Circuit(width)
 	// Shift the circuit onto qubits [pos, pos+width).
-	backend := sim.Wrap(simulated, sim.DefaultOptions())
 	for _, g := range circ.Gates {
 		sg := g
 		sg.Target += pos
@@ -166,7 +164,7 @@ func TestQFTRangeSubRegister(t *testing.T) {
 		for _, c := range g.Controls {
 			sg.Controls = append(sg.Controls, c+pos)
 		}
-		backend.ApplyGate(sg)
+		simulated.ApplyGate(sg)
 	}
 
 	emulated := st.Clone()

@@ -5,8 +5,28 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/circuit"
 	"repro/internal/linalg"
+	"repro/internal/statevec"
 )
+
+// DenseUnitary builds the full 2^n x 2^n matrix of a circuit by running it
+// on every computational basis state: column i is C|i>. Cost O(G * 2^(2n)),
+// exactly the "T_construction of dense U" step of Table 2. QPE consumes the
+// result.
+func DenseUnitary(c *circuit.Circuit) *linalg.Matrix {
+	n := c.NumQubits
+	dim := 1 << n
+	u := linalg.NewMatrix(dim, dim)
+	for col := 0; col < dim; col++ {
+		st := statevec.NewBasis(n, uint64(col))
+		c.Run(st)
+		for row, a := range st.Amplitudes() {
+			u.Set(row, col, a)
+		}
+	}
+	return u
+}
 
 // PhaseEstimate is the result of an emulated quantum phase estimation.
 type PhaseEstimate struct {

@@ -5,9 +5,13 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"repro/internal/circgen"
+	"repro/internal/circuit"
+	"repro/internal/gates"
 	"repro/internal/ising"
 	"repro/internal/linalg"
-	"repro/internal/sim"
+	"repro/internal/rng"
+	"repro/internal/statevec"
 )
 
 // diagonalUnitary builds diag(e^{2 pi i theta_k}) for given phases.
@@ -121,7 +125,7 @@ func TestQPEWeightsSplit(t *testing.T) {
 func TestQPEOnIsingMatchesTrueEigenphase(t *testing.T) {
 	n := uint(3)
 	circ := ising.TrotterStep(n, ising.DefaultParams())
-	u := sim.DenseUnitary(circ)
+	u := DenseUnitary(circ)
 	eig, err := linalg.Eig(u)
 	if err != nil {
 		t.Fatal(err)
@@ -182,5 +186,47 @@ func TestQPEKernelProperties(t *testing.T) {
 	}
 	if qpeKernel(0, size) != float64(size*size) {
 		t.Error("kernel peak wrong")
+	}
+}
+
+func TestDenseUnitaryOfCNOT(t *testing.T) {
+	c := circuit.New(2)
+	c.Append(gates.CNOT(0, 1))
+	u := DenseUnitary(c)
+	// CNOT with control q0, target q1: |01> <-> |11>, i.e. columns 1 and 3
+	// swapped relative to identity.
+	want := [][]complex128{
+		{1, 0, 0, 0},
+		{0, 0, 0, 1},
+		{0, 0, 1, 0},
+		{0, 1, 0, 0},
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if u.At(i, j) != want[i][j] {
+				t.Fatalf("U[%d][%d] = %v, want %v", i, j, u.At(i, j), want[i][j])
+			}
+		}
+	}
+}
+
+func TestDenseUnitaryIsUnitary(t *testing.T) {
+	src := rng.New(707)
+	c := circgen.Brickwork(src, 4, 4)
+	c.Extend(circgen.QFTLadders(src, 4, 2))
+	u := DenseUnitary(c)
+	if !u.IsUnitary(1e-9) {
+		t.Error("circuit unitary is not unitary")
+	}
+	// And it must act like the circuit on a random state.
+	st := statevec.NewRandom(4, src)
+	viaMatrix := u.MatVec(st.Amplitudes())
+	viaGates := st.Clone()
+	c.Run(viaGates)
+	for i, v := range viaMatrix {
+		d := v - viaGates.Amplitude(uint64(i))
+		if math.Hypot(real(d), imag(d)) > 1e-9 {
+			t.Fatalf("matrix path differs at %d", i)
+		}
 	}
 }

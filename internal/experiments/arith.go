@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gates"
 	"repro/internal/revlib"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -61,9 +60,8 @@ func Fig1(cfg Fig1Config) []ArithRow {
 			// recursively lowered), exactly what quantum hardware runs.
 			circ := revlib.BuildMultiplier(l).Lower(1)
 			row.Gates = circ.Len()
-			row.TSim = timeIt(shortTime, reset, func() {
-				sim.Wrap(st, sim.DefaultOptions()).Run(circ)
-			})
+			reset()
+			row.TSim, _ = timeTarget(circ, oursTarget(n), st)
 		}
 		row.TEmu = timeIt(shortTime, reset, func() {
 			core.Wrap(st).Multiply(0, m, 2*m, m)
@@ -87,6 +85,16 @@ type Fig2Config struct {
 // DefaultFig2 mirrors the paper's m <= 7 limit scaled to one process.
 func DefaultFig2() Fig2Config { return Fig2Config{MinM: 2, MaxSimM: 4, MaxEmuM: 6} }
 
+// prepDivInput superposes the dividend and divisor registers.
+func prepDivInput(st *statevec.State, m uint) {
+	for q := uint(0); q < m; q++ {
+		st.ApplyGate(gates.H(q)) // low half of R = dividend
+	}
+	for q := 2 * m; q < 3*m; q++ {
+		st.ApplyGate(gates.H(q)) // divisor
+	}
+}
+
 // Fig2 runs the division sweep (paper Figure 2): restoring-divider circuit
 // vs word-level emulation.
 func Fig2(cfg Fig2Config) []ArithRow {
@@ -99,21 +107,14 @@ func Fig2(cfg Fig2Config) []ArithRow {
 		var st *statevec.State
 		reset := func() {
 			st = statevec.New(n)
-			// Superpose dividend and divisor registers.
-			for q := uint(0); q < m; q++ {
-				st.ApplyGate(gates.H(q)) // low half of R = dividend
-			}
-			for q := 2 * m; q < 3*m; q++ {
-				st.ApplyGate(gates.H(q)) // divisor
-			}
+			prepDivInput(st, m)
 		}
 		if m <= cfg.MaxSimM {
 			// Lowered to the 1-2 qubit gate set, as in Fig1.
 			circ := revlib.BuildDivider(l).Lower(1)
 			row.Gates = circ.Len()
-			row.TSim = timeIt(shortTime, reset, func() {
-				sim.Wrap(st, sim.DefaultOptions()).Run(circ)
-			})
+			reset()
+			row.TSim, _ = timeTarget(circ, oursTarget(n), st)
 		}
 		row.TEmu = timeIt(shortTime, reset, func() {
 			core.Wrap(st).Divide(core.DivideLayout{M: m, RPos: 0, BPos: 2 * m, QPos: 3 * m})
@@ -148,6 +149,6 @@ func FormatArith(title string, rows []ArithRow) string {
 		})
 	}
 	return out + Table(
-		[]string{"m bits", "qubits", "gates", "t_sim", "t_emu", "speedup"},
+		[]string{"m bits", "qubits", "gates", oursHeader("t_sim"), "t_emu", "speedup"},
 		table)
 }

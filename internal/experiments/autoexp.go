@@ -13,8 +13,8 @@ import (
 // against hand-picked configurations: for each workload it times the
 // auto-chosen target next to every manual candidate a user would
 // plausibly pick and reports auto, best-manual and worst-manual. The
-// perf gate tracks the three series; the selection property tests pin
-// the contract (auto within 15% of best, strictly ahead of worst).
+// selection property tests pin the contract (auto within 15% of best,
+// strictly ahead of worst).
 
 // AutoRow is one workload of the auto-vs-manual sweep.
 type AutoRow struct {
@@ -63,50 +63,20 @@ func autoManualCandidates(n uint) []struct {
 	}
 }
 
-// timeTarget compiles c for t once and times Run on a fresh backend
-// (compilation excluded; one warm-up run first).
-func timeTarget(c *circuit.Circuit, t backend.Target) (float64, *backend.Result, error) {
-	x, err := backend.Compile(c, t)
-	if err != nil {
-		return 0, nil, err
-	}
-	b, err := backend.New(t)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer b.Close()
-	res, err := b.Run(x)
-	if err != nil {
-		return 0, nil, err
-	}
-	sec := timeIt(shortTime, nil, func() {
-		if _, err := b.Run(x); err != nil {
-			panic(fmt.Sprintf("experiments: auto run: %v", err))
-		}
-	})
-	return sec, res, nil
-}
-
 // autoWorkload times the auto target and every manual candidate on one
 // circuit.
-func autoWorkload(name string, c *circuit.Circuit) (AutoRow, error) {
+func autoWorkload(name string, c *circuit.Circuit) AutoRow {
 	n := c.NumQubits
 	row := AutoRow{Name: name, Qubits: n}
 
-	tAuto, res, err := timeTarget(c, backend.Target{NumQubits: n, Auto: true})
-	if err != nil {
-		return row, err
-	}
-	row.TAuto = tAuto
+	var res *backend.Result
+	row.TAuto, res = timeTarget(c, backend.Target{NumQubits: n, Auto: true}, nil)
 	if res.Selection != nil {
 		row.Chosen = fmt.Sprintf("%s w=%d", res.Selection.Chosen.Kind, res.Selection.Chosen.FuseWidth)
 	}
 
 	for _, cand := range autoManualCandidates(n) {
-		sec, _, err := timeTarget(c, cand.t)
-		if err != nil {
-			return row, err
-		}
+		sec, _ := timeTarget(c, cand.t, nil)
 		if row.TBest == 0 || sec < row.TBest {
 			row.TBest, row.Best = sec, cand.name
 		}
@@ -115,7 +85,7 @@ func autoWorkload(name string, c *circuit.Circuit) (AutoRow, error) {
 		}
 	}
 	row.VsBest = row.TAuto / row.TBest
-	return row, nil
+	return row
 }
 
 // autoWorkloads is the sweep's circuits: a QFT workload (emulation should
@@ -128,16 +98,12 @@ func autoWorkloads(cfg AutoConfig) []CompileWorkload {
 }
 
 // Auto runs the auto-vs-manual sweep over autoWorkloads.
-func Auto(cfg AutoConfig) ([]AutoRow, error) {
+func Auto(cfg AutoConfig) []AutoRow {
 	var rows []AutoRow
 	for _, w := range autoWorkloads(cfg) {
-		row, err := autoWorkload(w.Name, w.Circuit)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
+		rows = append(rows, autoWorkload(w.Name, w.Circuit))
 	}
-	return rows, nil
+	return rows
 }
 
 // FormatAuto renders the auto-vs-manual sweep.

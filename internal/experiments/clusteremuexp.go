@@ -8,6 +8,8 @@ import (
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/revlib"
+	"repro/internal/rng"
+	"repro/internal/statevec"
 )
 
 // ClusterEmulateRow is one point of the distributed emulation-dispatch
@@ -58,6 +60,7 @@ func ClusterEmulate(cfg ClusterEmulateConfig) []ClusterEmulateRow {
 	if cfg.MinNodes < 2 {
 		cfg.MinNodes = 2
 	}
+	src := rng.New(2025)
 	var rows []ClusterEmulateRow
 	for p := cfg.MinNodes; p <= cfg.MaxNodes; p *= 2 {
 		n := cfg.LocalQubits + uint(log2(p))
@@ -78,45 +81,13 @@ func ClusterEmulate(cfg ClusterEmulateConfig) []ClusterEmulateRow {
 			emuT := gateT
 			emuT.Emulate = recognize.Annotated
 
-			gx, err := backend.Compile(w.c, gateT)
-			if err != nil {
-				panic(err)
-			}
-			ex, err := backend.Compile(w.c, emuT)
-			if err != nil {
-				panic(err)
-			}
-			row := ClusterEmulateRow{Circuit: w.name, Qubits: nq, Nodes: p,
-				Gates: w.c.Len(), GateRemaps: gx.PlannedRemaps, EmuRemaps: ex.PlannedRemaps}
-
-			// Fresh |0...0> backends per measured run; construction is
-			// excluded from timing by timeIt's setup hook. Both engines do
-			// input-independent work, so the basis start state is fair.
-			var b backend.Backend
-			mk := func(t backend.Target) func() {
-				return func() {
-					var err error
-					b, err = backend.New(t)
-					if err != nil {
-						panic(err)
-					}
-				}
-			}
-			row.TGate = timeIt(shortTime, mk(gateT), func() {
-				if _, err := b.Run(gx); err != nil {
-					panic(err)
-				}
-			})
-			gs := b.Stats()
-			row.GateRounds, row.GateBytes = gs.Rounds, gs.BytesSent
-
-			row.TEmu = timeIt(shortTime, mk(emuT), func() {
-				if _, err := b.Run(ex); err != nil {
-					panic(err)
-				}
-			})
-			es := b.Stats()
-			row.EmuRounds, row.EmuBytes = es.Rounds, es.BytesSent
+			row := ClusterEmulateRow{Circuit: w.name, Qubits: nq, Nodes: p, Gates: w.c.Len()}
+			init := statevec.NewRandom(nq, src)
+			var res *backend.Result
+			row.TGate, res = timeTarget(w.c, gateT, init)
+			row.GateRounds, row.GateBytes, row.GateRemaps = res.Comm.Rounds, res.Comm.BytesSent, res.PlannedRemaps
+			row.TEmu, res = timeTarget(w.c, emuT, init)
+			row.EmuRounds, row.EmuBytes, row.EmuRemaps = res.Comm.Rounds, res.Comm.BytesSent, res.PlannedRemaps
 
 			if row.TEmu > 0 {
 				row.Speedup = row.TGate / row.TEmu

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
-	"repro/internal/fuse"
 	"repro/internal/qft"
 	"repro/internal/rng"
 	"repro/internal/statevec"
@@ -71,30 +71,21 @@ func Cluster(cfg ClusterConfig) []ClusterRow {
 		}
 		for _, w := range workloads {
 			init := statevec.NewRandom(n, src)
-			local := n - uint(log2(p))
-			plan := fuse.New(w.c, cluster.ClampFuseWidth(cfg.FuseWidth, local))
-			sched, err := cluster.BuildSchedule(plan, n, local, true)
-			if err != nil {
-				panic(err)
-			}
+			row := ClusterRow{Circuit: w.name, Qubits: n, Nodes: p, Gates: w.c.Len()}
 
+			// The naive per-gate engine is the raw baseline, outside
+			// Compile; the scheduled engine is the compiled cluster target.
 			var c *cluster.Cluster
-			reset := func() {
-				c, _ = cluster.New(n, p)
-				if err := c.LoadState(init); err != nil {
-					panic(err)
-				}
-			}
-			row := ClusterRow{Circuit: w.name, Qubits: n, Nodes: p, Gates: w.c.Len(),
-				SchedRemaps: sched.Remaps, SchedExchanges: sched.ExchangeGates}
-
-			row.TNaive = timeIt(shortTime, reset, func() { c.Run(w.c) })
+			row.TNaive = timeIt(shortTime, func() { c = loadedCluster(init, p) }, func() { c.Run(w.c) })
 			row.NaiveRounds = c.Stats.Rounds.Load()
 			row.NaiveBytes = c.Stats.BytesSent.Load()
 
-			row.TSched = timeIt(shortTime, reset, func() { c.RunSchedule(sched) })
-			row.SchedRounds = c.Stats.Rounds.Load()
-			row.SchedBytes = c.Stats.BytesSent.Load()
+			var res *backend.Result
+			row.TSched, res = timeTarget(w.c, backend.Target{NumQubits: n, Kind: backend.Cluster,
+				Nodes: p, FuseWidth: cfg.FuseWidth}, init)
+			row.SchedRounds, row.SchedBytes = res.Comm.Rounds, res.Comm.BytesSent
+			row.SchedRemaps = res.PlannedRemaps
+			row.SchedExchanges = int(res.Comm.Rounds) - res.PlannedRemaps
 
 			rows = append(rows, row)
 		}

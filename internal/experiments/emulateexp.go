@@ -1,21 +1,25 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
 // EmulateRow is one workload of the emulation-dispatch sweep: the same
-// computation through the best fused gate-level path versus through
-// sim.Options.Emulate, which lowers recognised subroutines to the paper's
-// Section 3 shortcuts.
+// computation through the best fused gate-level target versus the same
+// engine with Target.Emulate on, which lowers recognised subroutines to
+// the paper's Section 3 shortcuts.
 type EmulateRow struct {
 	Name   string
 	Qubits uint
@@ -24,7 +28,7 @@ type EmulateRow struct {
 	// arithmetic rows the simulator runs the hardware-level lowering of
 	// the same unitary, so the counts differ).
 	SimGates, EmuGates int
-	// Recognized summarises what the dispatcher found.
+	// Recognized summarises what the emulating executable dispatched.
 	Recognized string
 	TSim       float64 // best fused gate-level path
 	TEmu       float64 // emulation dispatch
@@ -49,7 +53,7 @@ func DefaultEmulate() EmulateConfig {
 }
 
 // QuickEmulate keeps the 20+ qubit QFT and multiply rows (the headline
-// comparison the perf gate tracks) and drops the smaller warm-up sizes.
+// comparison) and drops the smaller warm-up sizes.
 func QuickEmulate() EmulateConfig {
 	return EmulateConfig{QFTQubits: []uint{20}, MulBits: []uint{7},
 		GroverQubits: 20, GroverIters: 4, FuseWidth: 4}
@@ -64,25 +68,38 @@ func QuickEmulate() EmulateConfig {
 func emulateWorkload(name string, simC, emuC *circuit.Circuit, widths []int) EmulateRow {
 	n := simC.NumQubits
 	row := EmulateRow{Name: name, Qubits: n, SimGates: simC.Len(), EmuGates: emuC.Len()}
-	plan := recognize.Analyze(emuC, recognize.DefaultOptions(recognize.Auto))
-	row.Recognized = plan.Stats().String()
-	src := rng.New(4242)
-	init := statevec.NewRandom(n, src)
-	var st *statevec.State
-	reset := func() { st = init.Clone() }
+	init := statevec.NewRandom(n, rng.New(4242))
 	for _, w := range widths {
-		t := timeIt(shortTime, reset, func() {
-			sim.Wrap(st, sim.WideFusionOptions(w)).Run(simC)
-		})
+		t, _ := timeTarget(simC, backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: w}, init)
 		if row.TSim == 0 || t < row.TSim {
 			row.TSim = t
 		}
 	}
-	row.TEmu = timeIt(shortTime, reset, func() {
-		sim.Wrap(st, sim.Options{Specialize: true, Fuse: true}).RunEmulationPlan(emuC, plan)
-	})
+	var res *backend.Result
+	row.TEmu, res = timeTarget(emuC, backend.Target{NumQubits: n, Kind: backend.Fused,
+		FuseWidth: widths[0], Emulate: recognize.Auto}, init)
+	row.Recognized = recognised(res)
 	row.Speedup = row.TSim / row.TEmu
 	return row
+}
+
+// recognised is the sweep's last column: what the run replaced by
+// shortcuts, by kind, and how many regions it returned to gate level.
+func recognised(res *backend.Result) string {
+	byKind := map[string]int{}
+	for _, r := range res.Emulated {
+		byKind[r.Kind]++
+	}
+	var kinds []string
+	for _, k := range slices.Sorted(maps.Keys(byKind)) {
+		kinds = append(kinds, fmt.Sprintf("%d %s", byKind[k], k))
+	}
+	s := fmt.Sprintf("%d/%d gates emulated via %d shortcuts (%s)",
+		res.EmulatedGates, res.TotalGates, len(res.Emulated), cmp.Or(strings.Join(kinds, ", "), "none"))
+	if len(res.Skipped) > 0 {
+		s += fmt.Sprintf(", %d regions skipped", len(res.Skipped))
+	}
+	return s
 }
 
 // Emulate runs the emulation-dispatch sweep: QFT, Shor-style multiply and

@@ -6,28 +6,34 @@
 // ablation (Section 3.4).
 //
 // Each experiment returns typed rows plus a formatted table, so the
-// qemu-bench command, the root benchmarks and the tests all share one
-// implementation.
+// qemu-bench command and the tests share one implementation. Every timed
+// series runs through backend.Compile and Backend.Run (timeTarget) — the
+// path qemu-run and qemu-serve execute — except the raw-kernel baselines
+// the paper's ablations name: gate-by-gate statevec loops (fusion's
+// nofuse) and the naive per-gate cluster engine (Figure 4's
+// qHiPSTER-class series, the cluster sweep's naive series).
 package experiments
 
 import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/backend"
+	"repro/internal/circuit"
+	"repro/internal/cluster"
+	"repro/internal/statevec"
 )
 
 // timeIt measures the wall time of one execution of fn, repeating the
-// setup+run pair until minDuration has elapsed so short operations are
-// resolved accurately, and reports the BEST (minimum) run. The minimum is
-// the standard robust estimator for benchmark gating: a GC pause or
-// scheduler spike inflates the mean of a handful of runs by tens of
-// percent, but the fastest run reflects what the code actually costs —
-// the perf-trajectory gate (cmd/qemu-perfgate) depends on this
-// stability. setup (which may be nil) is excluded from timing.
+// setup+run pair until minDuration has elapsed (at most 1000 times) so
+// short operations are resolved accurately, and reports the BEST (minimum)
+// run: a GC pause or scheduler spike inflates the mean of a handful of
+// runs by tens of percent, but the fastest run reflects what the code
+// actually costs. setup (which may be nil) is excluded from timing.
 func timeIt(minDuration time.Duration, setup func(), fn func()) float64 {
 	var total, best time.Duration
-	runs := 0
-	for total < minDuration || runs < 1 {
+	for runs := 0; runs < 1000 && (runs == 0 || total < minDuration); runs++ {
 		if setup != nil {
 			setup()
 		}
@@ -38,16 +44,66 @@ func timeIt(minDuration time.Duration, setup func(), fn func()) float64 {
 		if runs == 0 || elapsed < best {
 			best = elapsed
 		}
-		runs++
-		if runs >= 1 && total >= minDuration {
-			break
-		}
-		if runs >= 1000 {
-			break
-		}
 	}
 	return best.Seconds()
 }
+
+// timeTarget compiles c for t once and times Run on one backend of that
+// target — the path qemu-run and qemu-serve execute — returning the best
+// run and its Result (compilation excluded). With init non-nil every run
+// starts from a copy of it, loaded outside the timed region; with nil each
+// run continues from the state the last one left, which is all the auto
+// target allows: its engine exists only once a Run has resolved it, so one
+// untimed Run goes first and no timed one pays for creating it. The sweeps
+// compile generated circuits for targets they chose, so an error here is a
+// bug and panics.
+func timeTarget(c *circuit.Circuit, t backend.Target, init *statevec.State) (float64, *backend.Result) {
+	x, err := backend.Compile(c, t)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: compile for %+v: %v", t, err))
+	}
+	b, err := backend.New(t)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: open %+v: %v", t, err))
+	}
+	defer b.Close()
+	var load func()
+	if init != nil {
+		load = func() { b.State().CopyFrom(init) }
+		if cb, ok := b.(interface{ Cluster() *cluster.Cluster }); ok {
+			// LoadState also resets the placement, so no run pays for
+			// canonicalising the layout the previous one ended in.
+			load = func() {
+				if err := cb.Cluster().LoadState(init); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	var res *backend.Result
+	run := func() {
+		if res, err = b.Run(x); err != nil {
+			panic(fmt.Sprintf("experiments: run on %+v: %v", t, err))
+		}
+	}
+	if init == nil {
+		run()
+	}
+	return timeIt(shortTime, load, run), res
+}
+
+// oursWidth is the block-fusion width every "ours" series compiles at: the
+// width all of BENCHMARK.json's explicit-target workloads serve at.
+const oursWidth = 4
+
+// oursTarget is the paper's simulator as served: the fused engine at
+// oursWidth, emulation off.
+func oursTarget(n uint) backend.Target {
+	return backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: oursWidth}
+}
+
+// oursHeader labels a column timed on oursTarget with the width it ran at.
+func oursHeader(name string) string { return fmt.Sprintf("%s (fused w=%d)", name, oursWidth) }
 
 // shortTime is the default resolution floor for per-operation timings.
 const shortTime = 30 * time.Millisecond

@@ -5,12 +5,12 @@ import (
 	"hash/fnv"
 	"math"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -277,7 +277,7 @@ type FusionRow struct {
 	Qubits uint
 	Gates  int
 	// TNoFuse executes gate by gate, TFuse1 with the paper's same-target
-	// fusion; TWidth[i] is block fusion at width 2+i.
+	// fusion (a width-1 plan); TWidth[i] is block fusion at width 2+i.
 	TNoFuse float64
 	TFuse1  float64
 	TWidth  []float64
@@ -315,19 +315,18 @@ func Fusion(cfg FusionConfig) []FusionRow {
 	for _, w := range workloads {
 		init := statevec.NewRandom(n, src)
 		row := FusionRow{Name: w.name, Qubits: n, Gates: w.c.Len()}
-		var st *statevec.State
-		reset := func() { st = init.Clone() }
-		row.TNoFuse = timeIt(shortTime, reset, func() {
-			sim.Wrap(st, sim.Options{Specialize: true}).Run(w.c)
-		})
-		row.TFuse1 = timeIt(shortTime, reset, func() {
-			sim.Wrap(st, sim.DefaultOptions()).Run(w.c)
-		})
+		// nofuse is the raw-kernel baseline: the specialised kernels gate
+		// by gate, no Compile. Every fused series is a compiled target.
+		st := init.Clone()
+		row.TNoFuse = timeIt(shortTime, func() { st.CopyFrom(init) }, func() { w.c.Run(st) })
+		fused := func(width int) float64 {
+			sec, _ := timeTarget(w.c, backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: width}, init)
+			return sec
+		}
+		row.TFuse1 = fused(1)
 		for width := 2; width <= cfg.MaxWidth; width++ {
 			row.Plans = append(row.Plans, fuse.New(w.c, width).Stats())
-			row.TWidth = append(row.TWidth, timeIt(shortTime, reset, func() {
-				sim.Wrap(st, sim.WideFusionOptions(width)).Run(w.c)
-			}))
+			row.TWidth = append(row.TWidth, fused(width))
 		}
 		rows = append(rows, row)
 	}

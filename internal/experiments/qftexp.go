@@ -3,12 +3,13 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
 	"repro/internal/perfmodel"
 	"repro/internal/qft"
+	"repro/internal/recognize"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -39,8 +40,17 @@ func DefaultWeakScaling() WeakScalingConfig {
 	return WeakScalingConfig{LocalQubits: 16, MaxNodes: 64}
 }
 
+// clusterTarget is the distributed engine as served: p emulated nodes,
+// the communication-avoiding scheduler planning at oursWidth.
+func clusterTarget(n uint, p int, mode recognize.Mode) backend.Target {
+	return backend.Target{NumQubits: n, Kind: backend.Cluster, Nodes: p,
+		FuseWidth: oursWidth, Emulate: mode}
+}
+
 // Fig3 runs the QFT-simulation vs FFT-emulation weak scaling (paper
-// Figure 3) on the emulated cluster, and attaches the Eq. 5/6 model
+// Figure 3) on the emulated cluster — the same circuit compiled with
+// emulation off (scheduled gate engine) and on (the recognised QFT lowers
+// to the four-step distributed FFT) — and attaches the Eq. 5/6 model
 // predictions at the paper's 28..36-qubit scale.
 func Fig3(cfg WeakScalingConfig) []WeakScalingRow {
 	machine := perfmodel.Stampede()
@@ -51,22 +61,12 @@ func Fig3(cfg WeakScalingConfig) []WeakScalingRow {
 		circ := qft.CircuitNoSwap(n)
 		init := statevec.NewRandom(n, src)
 
-		var c *cluster.Cluster
-		reset := func() {
-			c, _ = cluster.New(n, p)
-			if err := c.LoadState(init); err != nil {
-				panic(err)
-			}
-		}
 		row := WeakScalingRow{Qubits: n, Nodes: p}
-		row.TSim = timeIt(shortTime, reset, func() { c.Run(circ) })
-		row.SimBytes = c.Stats.BytesSent.Load()
-		row.TEmu = timeIt(shortTime, reset, func() {
-			if err := c.EmulateQFT(); err != nil {
-				panic(err)
-			}
-		})
-		row.EmuBytes = c.Stats.BytesSent.Load()
+		var res *backend.Result
+		row.TSim, res = timeTarget(circ, clusterTarget(n, p, recognize.Off), init)
+		row.SimBytes = res.Comm.BytesSent
+		row.TEmu, res = timeTarget(circ, clusterTarget(n, p, recognize.Auto), init)
+		row.EmuBytes = res.Comm.BytesSent
 		row.Speedup = row.TSim / row.TEmu
 		paperN := uint(28 + log2(p))
 		row.ModelTSim = machine.TQFT(paperN, p)
@@ -77,9 +77,10 @@ func Fig3(cfg WeakScalingConfig) []WeakScalingRow {
 }
 
 // Fig4 compares our communication-avoiding distributed simulator against
-// the qHiPSTER-class configuration (exchanges for every node-qubit gate,
-// including diagonal ones) on the same weak-scaling QFT (paper Figure 4).
-// TSim is ours, TEmu the baseline; Speedup = baseline/ours.
+// the qHiPSTER-class configuration — the naive per-gate cluster engine
+// exchanging for every node-qubit gate, diagonal ones included, a raw
+// baseline outside Compile — on the same weak-scaling QFT (paper Figure
+// 4). TSim is ours, TEmu the baseline; Speedup = baseline/ours.
 func Fig4(cfg WeakScalingConfig) []WeakScalingRow {
 	src := rng.New(4321)
 	var rows []WeakScalingRow
@@ -88,25 +89,34 @@ func Fig4(cfg WeakScalingConfig) []WeakScalingRow {
 		circ := qft.CircuitNoSwap(n)
 		init := statevec.NewRandom(n, src)
 
-		var c *cluster.Cluster
-		mk := func(diag bool) func() {
-			return func() {
-				c, _ = cluster.New(n, p)
-				c.DiagonalOptimization = diag
-				if err := c.LoadState(init); err != nil {
-					panic(err)
-				}
-			}
-		}
 		row := WeakScalingRow{Qubits: n, Nodes: p}
-		row.TSim = timeIt(shortTime, mk(true), func() { c.Run(circ) })
-		row.SimBytes = c.Stats.BytesSent.Load()
-		row.TEmu = timeIt(shortTime, mk(false), func() { c.Run(circ) })
+		var res *backend.Result
+		row.TSim, res = timeTarget(circ, clusterTarget(n, p, recognize.Off), init)
+		row.SimBytes = res.Comm.BytesSent
+
+		var c *cluster.Cluster
+		row.TEmu = timeIt(shortTime, func() {
+			c = loadedCluster(init, p)
+			c.DiagonalOptimization = false
+		}, func() { c.Run(circ) })
 		row.EmuBytes = c.Stats.BytesSent.Load()
 		row.Speedup = row.TEmu / row.TSim
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// loadedCluster returns a fresh p-node machine holding init — the setup of
+// the naive-engine baselines, which run outside backend.Compile.
+func loadedCluster(init *statevec.State, p int) *cluster.Cluster {
+	c, err := cluster.New(init.NumQubits(), p)
+	if err != nil {
+		panic(err)
+	}
+	if err := c.LoadState(init); err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // FormatFig3 renders the Figure 3 table.
@@ -123,7 +133,7 @@ func FormatFig3(rows []WeakScalingRow) string {
 			fmt.Sprintf("%.1fx", r.ModelTSim/r.ModelTEmu),
 		})
 	}
-	return "Figure 3: QFT simulation vs FFT emulation, weak scaling (scaled down)\n" +
+	return fmt.Sprintf("Figure 3: QFT simulation vs FFT emulation, weak scaling (scaled down; cluster engine, w=%d)\n", oursWidth) +
 		Table([]string{"qubits", "nodes", "t_QFTsim", "t_FFTemu", "speedup",
 			"comm sim/emu", "model speedup @28+log2(p)q"}, table)
 }
@@ -141,7 +151,7 @@ func FormatFig4(rows []WeakScalingRow) string {
 			fmt.Sprintf("%d / %d MB", r.SimBytes>>20, r.EmuBytes>>20),
 		})
 	}
-	return "Figure 4: our simulator vs qHiPSTER-class baseline, distributed QFT\n" +
+	return fmt.Sprintf("Figure 4: our simulator (scheduled cluster engine, w=%d) vs qHiPSTER-class per-gate baseline, distributed QFT\n", oursWidth) +
 		Table([]string{"qubits", "nodes", "t_ours", "t_baseline", "speedup",
 			"comm ours/baseline"}, table)
 }
@@ -192,18 +202,10 @@ func singleNode(cfg SingleNodeConfig, build func(n uint) *circuit.Circuit) []Sin
 		init := statevec.NewRandom(n, src)
 		row := SingleNodeRow{Qubits: n}
 
-		var st *statevec.State
-		reset := func() { st = init.Clone() }
-		row.TOurs = timeIt(shortTime, reset, func() {
-			sim.Wrap(st, sim.DefaultOptions()).Run(circ)
-		})
-		row.TGeneric = timeIt(shortTime, reset, func() {
-			sim.WrapGeneric(st).Run(circ)
-		})
+		row.TOurs, _ = timeTarget(circ, oursTarget(n), init)
+		row.TGeneric, _ = timeTarget(circ, backend.Target{NumQubits: n, Kind: backend.Generic}, init)
 		if n <= sparseMax {
-			row.TSparse = timeIt(shortTime, reset, func() {
-				sim.WrapSparseMatrix(st).Run(circ)
-			})
+			row.TSparse, _ = timeTarget(circ, backend.Target{NumQubits: n, Kind: backend.Sparse}, init)
 		}
 		rows = append(rows, row)
 	}
@@ -229,7 +231,7 @@ func FormatSingleNode(title string, rows []SingleNodeRow) string {
 		})
 	}
 	return title + "\n" + Table(
-		[]string{"qubits", "t_ours", "t_qhipster", "t_liquid", "speedup vs qH", "speedup vs LIQUi"},
+		[]string{"qubits", oursHeader("t_ours"), "t_qhipster", "t_liquid", "speedup vs qH", "speedup vs LIQUi"},
 		table)
 }
 

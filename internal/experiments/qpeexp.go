@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ising"
 	"repro/internal/linalg"
 	"repro/internal/perfmodel"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -48,15 +48,11 @@ func Table2(cfg Table2Config) []Table2Row {
 		init := statevec.NewRandom(n, src)
 		row := Table2Row{NQubits: n, Gates: circ.Len()}
 
-		var st *statevec.State
-		reset := func() { st = init.Clone() }
-		row.TApply = timeIt(shortTime, reset, func() {
-			sim.Wrap(st, sim.DefaultOptions()).Run(circ)
-		})
+		row.TApply, _ = timeTarget(circ, oursTarget(n), init)
 
 		var u *linalg.Matrix
 		row.TConstruct = timeIt(shortTime, nil, func() {
-			u = sim.DenseUnitary(circ)
+			u = core.DenseUnitary(circ)
 		})
 		row.TGemm = timeIt(shortTime, nil, func() { _ = u.Mul(u) })
 		row.TStrassen = timeIt(shortTime, nil, func() { _ = u.Strassen(u) })
@@ -134,7 +130,7 @@ func FormatTable2(rows []Table2Row) string {
 		})
 	}
 	return "Table 2: QPE on the 1-D transverse-field Ising model (* = extrapolated)\n" +
-		Table([]string{"n", "G", "T_apply", "T_construct", "T_gemm", "T_strassen",
+		Table([]string{"n", "G", oursHeader("T_apply"), "T_construct", "T_gemm", "T_strassen",
 			"T_eig", "xover_sq", "xover_eig"}, table)
 }
 

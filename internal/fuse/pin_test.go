@@ -10,9 +10,9 @@ import (
 	"repro/internal/fuse"
 )
 
-// TestBenchFusionPlansPinned pins the schedules of the four BENCH_fusion.json
-// circuits (the -quick sizes) at the widths that baseline times: block
-// counts by kind and the model cost.
+// TestBenchFusionPlansPinned pins the schedules of the four circuits of the
+// fusion experiment (qemu-bench -experiment fusion, the -quick sizes) at the
+// widths it times: block counts by kind and the model cost.
 //
 // Re-pinned when denseBlockCost followed the AVX2/FMA dense body (ISSUE
 // 16): a 2^w sweep went from 1.7 / 5.4 / 8.6 sweep units (w = 2, 3, 4) to

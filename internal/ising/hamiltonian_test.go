@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -95,7 +95,7 @@ func TestTrotterConvergesToExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trotter := sim.DenseUnitary(TrotterStep(n, p))
+		trotter := core.DenseUnitary(TrotterStep(n, p))
 		return trotter.Sub(exact).FrobeniusNorm()
 	}
 	e1 := errAt(0.2)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fft"
 	"repro/internal/gates"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -170,8 +169,7 @@ func Calibrate() Measured {
 		st.ApplyPermutation(func(i uint64) uint64 { return i ^ 1 })
 	}))
 
-	sp := sim.WrapSparseMatrix(st)
-	m.SparseNs = perAmpNs(bestOf(budget, func() { sp.ApplyGate(dense) }))
+	m.SparseNs = perAmpNs(bestOf(budget, func() { st.ApplyGateSparse(dense) }))
 
 	plan, err := fft.NewPlan(uint64(1) << n)
 	if err != nil {

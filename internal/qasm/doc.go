@@ -21,7 +21,7 @@
 // region/endregion pairs mark the enclosed gates as a named subroutine
 // (circuit.Region); the emulation dispatcher of internal/recognize lowers
 // recognised names (qft, add, mul, div, phaseflip, reflect-uniform, ...)
-// to classical shortcuts when sim.Options.Emulate is on. Unknown names
+// to classical shortcuts when Target.Emulate is on. Unknown names
 // are carried along untouched. Regions cannot nest.
 //
 // Parse is the only entry point: it reads a description from an io.Reader

@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -203,8 +202,8 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 		}
 		init := statevec.NewRandom(n, src)
 		a, b := init.Clone(), init.Clone()
-		sim.Wrap(a, sim.DefaultOptions()).Run(c)
-		sim.Wrap(b, sim.DefaultOptions()).Run(c2)
+		c.Run(a)
+		c2.Run(b)
 		if d := a.MaxDiff(b); d > 1e-10 {
 			t.Fatalf("trial %d: round-tripped circuit acts differently: %g\n%s", trial, d, sb.String())
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -92,8 +91,8 @@ func TestRoundTrip(t *testing.T) {
 	st := statevec.NewRandom(n, src)
 	a := st.Clone()
 	b := st.Clone()
-	sim.Wrap(a, sim.DefaultOptions()).Run(c)
-	sim.Wrap(b, sim.DefaultOptions()).Run(c2)
+	c.Run(a)
+	c2.Run(b)
 	if d := a.MaxDiff(b); d > 1e-10 {
 		t.Fatalf("round-tripped circuit acts differently: %g", d)
 	}
@@ -108,7 +107,7 @@ func TestSwapExpansion(t *testing.T) {
 		t.Fatalf("swap expanded to %d gates", c.Len())
 	}
 	st := statevec.NewBasis(2, 1)
-	sim.Wrap(st, sim.DefaultOptions()).Run(c)
+	c.Run(st)
 	if st.Amplitude(2) != 1 {
 		t.Fatal("swap did not exchange the qubits")
 	}
@@ -122,7 +121,7 @@ func TestDaggerGates(t *testing.T) {
 	st := statevec.New(1)
 	st.ApplyHadamard(0)
 	orig := st.Clone()
-	sim.Wrap(st, sim.DefaultOptions()).Run(c)
+	c.Run(st)
 	if d := st.MaxDiff(orig); d > 1e-12 {
 		t.Fatal("t tdg s sdg is not identity")
 	}

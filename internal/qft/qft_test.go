@@ -8,7 +8,6 @@ import (
 	"repro/internal/bitops"
 	"repro/internal/qft"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -18,7 +17,7 @@ func TestCircuitMatchesDFTMatrix(t *testing.T) {
 		dim := uint64(1) << n
 		for x := uint64(0); x < dim; x++ {
 			st := statevec.NewBasis(n, x)
-			sim.Wrap(st, sim.DefaultOptions()).Run(qft.Circuit(n))
+			qft.Circuit(n).Run(st)
 			scale := 1 / math.Sqrt(float64(dim))
 			for y := uint64(0); y < dim; y++ {
 				want := complex(scale, 0) *
@@ -38,9 +37,9 @@ func TestNoSwapIsBitReversed(t *testing.T) {
 	src := rng.New(3)
 	st := statevec.NewRandom(n, src)
 	full := st.Clone()
-	sim.Wrap(full, sim.DefaultOptions()).Run(qft.Circuit(n))
+	qft.Circuit(n).Run(full)
 	ns := st.Clone()
-	sim.Wrap(ns, sim.DefaultOptions()).Run(qft.CircuitNoSwap(n))
+	qft.CircuitNoSwap(n).Run(ns)
 	for i := uint64(0); i < st.Dim(); i++ {
 		rev := bitops.ReverseBits(i, n)
 		if cmplx.Abs(ns.Amplitude(rev)-full.Amplitude(i)) > 1e-10 {
@@ -54,9 +53,8 @@ func TestInverseCircuit(t *testing.T) {
 	src := rng.New(4)
 	st := statevec.NewRandom(n, src)
 	orig := st.Clone()
-	backend := sim.Wrap(st, sim.DefaultOptions())
-	backend.Run(qft.Circuit(n))
-	backend.Run(qft.InverseCircuit(n))
+	qft.Circuit(n).Run(st)
+	qft.InverseCircuit(n).Run(st)
 	if d := st.MaxDiff(orig); d > 1e-9 {
 		t.Fatalf("QFT inverse round trip error %g", d)
 	}
@@ -87,7 +85,7 @@ func TestEntangler(t *testing.T) {
 	// qft.Entangler prepares the GHZ state (|0...0> + |1...1>)/sqrt2.
 	for _, n := range []uint{2, 5, 10} {
 		st := statevec.New(n)
-		sim.Wrap(st, sim.DefaultOptions()).Run(qft.Entangler(n))
+		qft.Entangler(n).Run(st)
 		w := 1 / math.Sqrt2
 		if cmplx.Abs(st.Amplitude(0)-complex(w, 0)) > 1e-12 ||
 			cmplx.Abs(st.Amplitude(st.Dim()-1)-complex(w, 0)) > 1e-12 {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -41,9 +40,8 @@ func PrepareSystem(n, extra uint, psi []complex128) *statevec.State {
 func Coherent(circ *circuit.Circuit, psi []complex128, b uint) []float64 {
 	n := circ.NumQubits
 	st := PrepareSystem(n, b, psi)
-	backend := sim.Wrap(st, sim.DefaultOptions())
 	for i := uint(0); i < b; i++ {
-		backend.ApplyGate(gates.H(n + i))
+		st.ApplyGate(gates.H(n + i))
 	}
 	// Controlled powers: ancilla i controls U^(2^i), realised by 2^i
 	// repetitions of the controlled circuit.
@@ -51,12 +49,12 @@ func Coherent(circ *circuit.Circuit, psi []complex128, b uint) []float64 {
 		controlled := circ.Controlled(n + i)
 		reps := uint64(1) << i
 		for r := uint64(0); r < reps; r++ {
-			backend.Run(controlled)
+			controlled.Run(st)
 		}
 	}
 	// Inverse QFT on the ancilla block, simulated gate by gate. The
 	// ancilla-local QFT circuit is built on the ancilla indices directly.
-	backend.Run(InverseQFTOn(n, b, n+b))
+	InverseQFTOn(n, b, n+b).Run(st)
 	// Marginalise out the system register.
 	dist := make([]float64, uint64(1)<<b)
 	dim := uint64(1) << n
@@ -115,35 +113,28 @@ func Iterative(circ *circuit.Circuit, psi []complex128, b uint, src *rng.Source)
 	n := circ.NumQubits
 	anc := n // single ancilla qubit index
 	st := PrepareSystem(n, 1, psi)
-	backend := sim.Wrap(st, sim.DefaultOptions())
 	controlled := circ.Controlled(anc)
 
 	bits := make([]uint64, b)
 	phi := 0.0 // accumulated phase estimate of the lower bits
 	for j := int(b) - 1; j >= 0; j-- {
-		backend.ApplyGate(gates.H(anc))
+		st.ApplyGate(gates.H(anc))
 		reps := uint64(1) << uint(j)
 		for r := uint64(0); r < reps; r++ {
-			backend.Run(controlled)
+			controlled.Run(st)
 		}
 		// Feedback: rotate out the contribution of already-measured bits.
 		if phi != 0 {
-			backend.ApplyGate(gates.Phase(anc, -2*math.Pi*phi*float64(reps)))
+			st.ApplyGate(gates.Phase(anc, -2*math.Pi*phi*float64(reps)))
 		}
-		backend.ApplyGate(gates.H(anc))
+		st.ApplyGate(gates.H(anc))
 		bit := st.Measure(anc, src)
 		bits[j] = bit
 		phi += float64(bit) / float64(reps*2)
 		if bit == 1 {
 			// Reset the ancilla to |0> for the next round.
-			backend.ApplyGate(gates.X(anc))
+			st.ApplyGate(gates.X(anc))
 		}
 	}
 	return IterativeResult{Phase: phi, Bits: bits}
-}
-
-// ApplyOnce runs one application of circ on a fresh random-ish state and
-// is the T_applyU measurement kernel of Table 2.
-func ApplyOnce(backend sim.Backend, circ *circuit.Circuit) {
-	backend.Run(circ)
 }

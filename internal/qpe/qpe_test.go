@@ -9,7 +9,6 @@ import (
 	"repro/internal/gates"
 	"repro/internal/ising"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // phaseCircuit returns a 1-qubit circuit whose unitary is diag(1, e^{2 pi i
@@ -43,7 +42,7 @@ func TestCoherentExactPhase(t *testing.T) {
 func TestCoherentMatchesEmulated(t *testing.T) {
 	n := uint(2)
 	circ := ising.TrotterStep(n, ising.DefaultParams())
-	u := sim.DenseUnitary(circ)
+	u := core.DenseUnitary(circ)
 	src := rng.New(42)
 	psi := make([]complex128, 1<<n)
 	var norm float64

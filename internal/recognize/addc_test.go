@@ -7,7 +7,6 @@ import (
 	"repro/internal/recognize"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -50,8 +49,8 @@ func TestAdderWithCarryOutRecognition(t *testing.T) {
 			src := rng.New(uint64(100*w) + 7)
 			init := statevec.NewRandom(c.NumQubits, src)
 			ref, emu := init.Clone(), init.Clone()
-			sim.Wrap(ref, sim.DefaultOptions()).Run(c)
-			sim.Wrap(emu, sim.DefaultOptions()).RunEmulationPlan(c, plan)
+			c.Run(ref)
+			runPlan(c, plan, emu)
 			if d := ref.MaxDiff(emu); d > eps {
 				t.Fatalf("w=%d %s: addc shortcut diverges from gates by %g", w, tc.name, d)
 			}

@@ -3,6 +3,7 @@ package recognize_test
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/experiments"
 	"repro/internal/gates"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/recognize"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -24,13 +24,26 @@ func runBoth(t *testing.T, c *circuit.Circuit, mode recognize.Mode, seed uint64)
 	src := rng.New(seed)
 	init := statevec.NewRandom(c.NumQubits, src)
 	ref := init.Clone()
-	sim.Wrap(ref, sim.DefaultOptions()).Run(c)
+	c.Run(ref)
 
 	plan := recognize.Analyze(c, recognize.DefaultOptions(mode))
 	got := init.Clone()
-	s := sim.Wrap(got, sim.Options{Specialize: true, Fuse: true})
-	s.RunEmulationPlan(c, plan)
+	runPlan(c, plan, got)
 	return ref.MaxDiff(got), plan
+}
+
+// runPlan executes c through p on st: recognised ops apply their shortcut,
+// the gates between them run one by one.
+func runPlan(c *circuit.Circuit, p *recognize.Plan, st *statevec.State) {
+	for _, seg := range p.Segments {
+		if seg.Op != nil {
+			seg.Op.Apply(st)
+			continue
+		}
+		for _, g := range c.Gates[seg.Lo:seg.Hi] {
+			st.ApplyGate(g)
+		}
+	}
 }
 
 // requireOps asserts the plan recognised exactly the given kind counts.
@@ -314,9 +327,9 @@ func TestEmbeddedShortcutsInRandomContext(t *testing.T) {
 	}
 }
 
-func TestSimOptionsEmulateEndToEnd(t *testing.T) {
-	// The Options.Emulate wiring: deep QFT through the facade-level
-	// simulator with fusion enabled under emulation dispatch.
+func TestTargetEmulateEndToEnd(t *testing.T) {
+	// The Target.Emulate wiring: deep QFT through the fused backend with
+	// block fusion enabled under emulation dispatch.
 	n := uint(8)
 	c := circuit.New(n)
 	for i := 0; i < 3; i++ {
@@ -325,16 +338,21 @@ func TestSimOptionsEmulateEndToEnd(t *testing.T) {
 	src := rng.New(3)
 	init := statevec.NewRandom(n, src)
 	ref := init.Clone()
-	sim.Wrap(ref, sim.DefaultOptions()).Run(c)
-	for _, mode := range []sim.EmulateMode{sim.EmulateAnnotated, sim.EmulateAuto} {
-		got := init.Clone()
-		s := sim.Wrap(got, sim.Options{Specialize: true, Fuse: true, FuseWidth: 4, Emulate: mode})
-		s.Run(c)
-		if d := ref.MaxDiff(got); d > eps {
+	c.Run(ref)
+	for _, mode := range []recognize.Mode{recognize.Annotated, recognize.Auto} {
+		b, err := backend.New(backend.Target{NumQubits: n, FuseWidth: 4, Emulate: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.State().CopyFrom(init)
+		if _, err := backend.Execute(b, c); err != nil {
+			t.Fatal(err)
+		}
+		if d := ref.MaxDiff(b.State()); d > eps {
 			t.Fatalf("mode %v: emulated run diverges by %g", mode, d)
 		}
 	}
-	plan := sim.PlanEmulation(c, sim.EmulateAnnotated)
+	plan := recognize.Analyze(c, recognize.DefaultOptions(recognize.Annotated))
 	if st := plan.Stats(); st.ByKind["qft"] != 3 || st.GatesEmulated != c.Len() {
 		t.Fatalf("deep QFT not fully recognised: %v", st)
 	}
@@ -366,24 +384,5 @@ func TestWideRegistersStayGateLevel(t *testing.T) {
 	}
 	if len(plan.Segments) != 1 || plan.Segments[0].Op != nil {
 		t.Fatalf("expected one gate-level segment, got %+v", plan.Segments)
-	}
-}
-
-// TestDistributedHonoursEmulate: the former Emulate-rejection special
-// case is gone — the distributed backend consumes recognition plans,
-// lowering recognised regions to the cluster substrates and matching the
-// single-node emulating simulator exactly.
-func TestDistributedHonoursEmulate(t *testing.T) {
-	const n = 8
-	c := qft.Circuit(n)
-	d, err := sim.NewDistributed(n, sim.Options{Nodes: 2, Emulate: sim.EmulateAuto})
-	if err != nil {
-		t.Fatalf("NewDistributed rejected Options.Emulate: %v", err)
-	}
-	d.Run(c)
-	ref := sim.NewWithOptions(n, sim.Options{Specialize: true, Fuse: true, Emulate: sim.EmulateAuto})
-	ref.Run(c)
-	if diff := d.State().MaxDiff(ref.State()); diff > eps {
-		t.Fatalf("distributed emulation diverges from single-node by %g", diff)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/revlib"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -16,8 +15,7 @@ import (
 func runOnBasis(t *testing.T, circ *circuit.Circuit, in uint64) uint64 {
 	t.Helper()
 	st := statevec.NewBasis(circ.NumQubits, in)
-	backend := sim.Wrap(st, sim.DefaultOptions())
-	backend.Run(circ)
+	circ.Run(st)
 	out := uint64(0)
 	found := false
 	for i, a := range st.Amplitudes() {
@@ -254,8 +252,7 @@ func TestArithmeticOnSuperposition(t *testing.T) {
 		return a | ((a+b)&7)<<w
 	})
 	got := st.Clone()
-	backend := sim.Wrap(got, sim.DefaultOptions())
-	backend.Run(circ)
+	circ.Run(got)
 	if d := got.MaxDiff(want); d > 1e-10 {
 		t.Fatalf("superposition add differs from classical permutation: %g", d)
 	}

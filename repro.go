@@ -40,34 +40,17 @@
 //     the cluster engine), phase estimation becomes dense linear algebra,
 //     and measurement statistics are read off exactly.
 //
-// # Migration from the constructor zoo
-//
-// The pre-Open constructors remain as thin deprecated delegates:
-//
-//	NewSimulator(n)                  -> Open(n)
-//	NewSimulatorWithOptions(n, o)    -> Open(n, WithFusion(o.FuseWidth), WithWorkers(o.Workers), ...)
-//	NewEmulatingSimulator(n)         -> Open(n, WithEmulation(EmulateAuto))
-//	NewDistributedSimulator(n, o)    -> Open(n, WithNodes(o.Nodes), WithFusion(o.FuseWidth), ...)
-//	NewEmulator(n)                   -> Open(n, WithEmulation(EmulateAuto)); the imperative
-//	                                    shortcut methods stay on core.Emulator
-//	NewCluster(n, p)                 -> Open(n, WithNodes(p)); the raw machine stays
-//	                                    available via internal/cluster
-//
-// The full API lives in the internal packages (backend, core, sim,
-// recognize, fuse, statevec, circuit, gates, qasm, qft, qpe, revlib,
-// cluster, linalg, fft, perfmodel).
+// The full API lives in the internal packages (backend, core, recognize,
+// fuse, statevec, circuit, gates, qasm, qft, qpe, revlib, cluster, linalg,
+// fft, perfmodel).
 package repro
 
 import (
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/noise"
 	"repro/internal/recognize"
-	"repro/internal/sim"
 	"repro/internal/statevec"
 )
 
@@ -299,14 +282,6 @@ func RunTrajectories(x *Executable, opts TrajectoryOptions) (*TrajectoryResult, 
 	return noise.Run(x, opts)
 }
 
-// Emulator is the paper's primary contribution; see internal/core. Its
-// imperative shortcut methods (Multiply, ApplyPhaseOracle, QFTRange, ...)
-// complement the circuit-level dispatch of Open's backends.
-type Emulator = core.Emulator
-
-// Simulator is the optimised gate-level simulator; see internal/sim.
-type Simulator = sim.Simulator
-
 // Circuit is an ordered gate sequence; see internal/circuit.
 type Circuit = circuit.Circuit
 
@@ -316,122 +291,24 @@ type Gate = gates.Gate
 // State is the dense 2^n-amplitude wavefunction; see internal/statevec.
 type State = statevec.State
 
-// Cluster is the emulated distributed machine; see internal/cluster.
-type Cluster = cluster.Cluster
-
-// ClusterStats is a point-in-time copy of a cluster's communication
-// counters (bytes, messages, exchange and remap rounds).
-type ClusterStats = cluster.StatsSnapshot
-
-// DistributedSimulator runs circuits sharded across emulated cluster
-// nodes through the communication-avoiding placement scheduler; see
-// internal/sim and internal/cluster.
-type DistributedSimulator = sim.Distributed
-
-// ClusterSchedule is a communication plan batching remote-qubit work into
-// all-to-all remap rounds; see internal/cluster.
-type ClusterSchedule = cluster.Schedule
-
-// SimOptions selects the simulator's optimisations (kernel specialisation,
-// same-target fusion, multi-qubit block fusion); see internal/sim.
-type SimOptions = sim.Options
-
-// FusionPlan is a fused execution schedule produced by the
-// commutation-aware gate-fusion scheduler; see internal/fuse.
-type FusionPlan = fuse.Plan
-
 // EmulateMode selects the emulation-dispatch behaviour: EmulateOff
 // (default), EmulateAnnotated (trust circuit region annotations) or
 // EmulateAuto (also pattern-match unannotated QFT ladders, revlib
 // arithmetic shapes, phase oracles and diagonal runs). See
 // internal/recognize.
-type EmulateMode = sim.EmulateMode
+type EmulateMode = recognize.Mode
 
-// Emulation-dispatch modes for WithEmulation and SimOptions.Emulate.
+// Emulation-dispatch modes for WithEmulation.
 const (
-	EmulateOff       = sim.EmulateOff
-	EmulateAnnotated = sim.EmulateAnnotated
-	EmulateAuto      = sim.EmulateAuto
+	EmulateOff       = recognize.Off
+	EmulateAnnotated = recognize.Annotated
+	EmulateAuto      = recognize.Auto
 )
-
-// EmulationPlan is a dispatch schedule interleaving recognised emulator
-// shortcuts with gate-level segments; see internal/recognize.
-type EmulationPlan = recognize.Plan
 
 // Region annotates a circuit gate range as a named subroutine the
 // emulation dispatcher can lower; see internal/recognize for the
 // vocabulary.
 type Region = circuit.Region
 
-// NewEmulator returns an emulator over a fresh |0...0> register of n
-// qubits.
-//
-// Deprecated: for circuit-level programs use Open(n,
-// WithEmulation(EmulateAuto)); NewEmulator remains for the imperative
-// shortcut methods of core.Emulator.
-func NewEmulator(n uint) *Emulator { return core.New(n) }
-
-// NewSimulator returns the optimised gate-level simulator over a fresh
-// register of n qubits.
-//
-// Deprecated: use Open(n).
-func NewSimulator(n uint) *Simulator { return sim.New(n) }
-
-// NewSimulatorWithOptions returns a simulator with explicit optimisation
-// settings, e.g. SimOptions{Specialize: true, FuseWidth: 4} for
-// multi-qubit block fusion.
-//
-// Deprecated: use Open(n, WithFusion(w), WithWorkers(k), ...).
-func NewSimulatorWithOptions(n uint, opts SimOptions) *Simulator {
-	return sim.NewWithOptions(n, opts)
-}
-
-// PlanFusion builds a width-k fused execution schedule for c, reusable
-// across runs via Simulator.RunPlan; see internal/fuse. Open's backends
-// plan fusion through Compile instead.
-func PlanFusion(c *Circuit, width int) *FusionPlan { return fuse.New(c, width) }
-
-// NewEmulatingSimulator returns a simulator with emulation dispatch in
-// Auto mode on top of the default optimisations.
-//
-// Deprecated: use Open(n, WithEmulation(EmulateAuto)).
-func NewEmulatingSimulator(n uint) *Simulator {
-	return sim.NewWithOptions(n, sim.Options{Specialize: true, Fuse: true, Emulate: sim.EmulateAuto})
-}
-
-// PlanEmulation analyses a circuit for emulatable subroutines at the
-// given mode; the plan is reusable across runs via
-// Simulator.RunEmulationPlan. Open's backends run the same analysis as
-// the first pass of Compile.
-func PlanEmulation(c *Circuit, mode EmulateMode) *EmulationPlan {
-	return sim.PlanEmulation(c, mode)
-}
-
 // NewCircuit returns an empty circuit over n qubits.
 func NewCircuit(n uint) *Circuit { return circuit.New(n) }
-
-// NewCluster returns a p-node emulated distributed machine holding an
-// n-qubit register.
-//
-// Deprecated: use Open(n, WithNodes(p)); the raw machine remains
-// available via internal/cluster for placement-level work.
-func NewCluster(n uint, p int) (*Cluster, error) { return cluster.New(n, p) }
-
-// NewDistributedSimulator returns a simulator whose register is sharded
-// across emulated cluster nodes, e.g. SimOptions{Nodes: 8, FuseWidth: 4}.
-// Emulation dispatch (Options.Emulate) is honoured: recognised regions
-// lower to the distributed substrates.
-//
-// Deprecated: use Open(n, WithNodes(p), WithFusion(w),
-// WithEmulation(mode)).
-func NewDistributedSimulator(n uint, opts SimOptions) (*DistributedSimulator, error) {
-	return sim.NewDistributed(n, opts)
-}
-
-// PlanCluster builds the distributed communication schedule for a fusion
-// plan on a (n, localQubits) cluster shape without executing it — the way
-// to inspect how many remap rounds a circuit needs before committing to a
-// node count. Compile does this per gate segment for distributed targets.
-func PlanCluster(p *FusionPlan, n, localQubits uint) (*ClusterSchedule, error) {
-	return cluster.BuildSchedule(p, n, localQubits, true)
-}

@@ -5,108 +5,9 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/gates"
 	"repro/internal/qft"
-	"repro/internal/revlib"
-	"repro/internal/rng"
-	"repro/internal/statevec"
 )
-
-// TestFacadeEndToEnd drives the public facade through a small program
-// mixing gate-level execution and every emulation shortcut.
-func TestFacadeEndToEnd(t *testing.T) {
-	e := repro.NewEmulator(6)
-	for q := uint(0); q < 4; q++ {
-		e.ApplyGate(gates.H(q))
-	}
-	e.Multiply(0, 2, 4, 2)
-	e.QFTRange(0, 4)
-	e.InverseQFTRange(0, 4)
-	e.ApplyPhaseOracle(func(x uint64) complex128 { return 1 })
-	var sum float64
-	for _, p := range e.Probabilities() {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-}
-
-// TestSimulatorEmulatorEquivalence is the repository-level statement of the
-// paper's premise: for any program expressible both ways, simulator and
-// emulator agree bit-for-bit (up to floating-point roundoff).
-func TestSimulatorEmulatorEquivalence(t *testing.T) {
-	const m = 3
-	l := revlib.NewMultiplierLayout(m)
-	n := l.NumQubits()
-
-	s := repro.NewSimulator(n)
-	e := repro.NewEmulator(n)
-	for q := uint(0); q < 2*m; q++ {
-		s.ApplyGate(gates.H(q))
-		e.ApplyGate(gates.H(q))
-	}
-	s.Run(revlib.BuildMultiplier(l))
-	e.Multiply(0, m, 2*m, m)
-
-	s.Run(qft.Circuit(n))
-	e.QFT()
-
-	if d := s.State().MaxDiff(e.State()); d > 1e-9 {
-		t.Fatalf("simulator and emulator diverge by %g", d)
-	}
-}
-
-// TestClusterFacade exercises the distributed substrate through the facade.
-func TestClusterFacade(t *testing.T) {
-	c, err := repro.NewCluster(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(1)
-	st := statevec.NewRandom(8, src)
-	if err := c.LoadState(st); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(qft.CircuitNoSwap(8))
-	if err := c.EmulateInverseQFT(); err != nil {
-		t.Fatal(err)
-	}
-	// CircuitNoSwap output is bit-reversed, so the inverse FFT does not
-	// undo it; just verify the norm survived the round trip.
-	if d := math.Abs(c.Gather().Norm() - 1); d > 1e-9 {
-		t.Fatalf("cluster norm drifted by %g", d)
-	}
-}
-
-// TestDistributedFacade drives the distributed simulator and schedule
-// planner through the facade.
-func TestDistributedFacade(t *testing.T) {
-	circ := qft.Circuit(9)
-	d, err := repro.NewDistributedSimulator(9, repro.SimOptions{Nodes: 4, FuseWidth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(circ)
-
-	ref := repro.NewSimulator(9)
-	ref.Run(circ)
-	if diff := d.State().MaxDiff(ref.State()); diff > 1e-10 {
-		t.Fatalf("distributed facade diverges from simulator by %g", diff)
-	}
-
-	sched, err := repro.PlanCluster(repro.PlanFusion(circ, 3), 9, d.Cluster().L)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Rounds == 0 {
-		t.Fatal("QFT on 4 nodes scheduled with zero communication rounds")
-	}
-	if got := d.Cluster().Stats.Rounds.Load(); got != uint64(sched.Rounds) {
-		t.Fatalf("run used %d rounds, schedule planned %d", got, sched.Rounds)
-	}
-}
 
 // TestOpenFacade drives the unified entrypoint: one constructor for the
 // fused simulator, the baselines and the distributed engine, all running
@@ -195,31 +96,19 @@ func TestOpenDistributedEmulationNoLongerErrors(t *testing.T) {
 func TestCircuitFacade(t *testing.T) {
 	c := repro.NewCircuit(3)
 	c.Append(gates.H(0), gates.CNOT(0, 1), gates.Toffoli(0, 1, 2))
-	s := repro.NewSimulator(3)
-	s.Run(c)
-	p := s.State().Probabilities()
+	b, err := repro.Open(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := repro.Compile(c, b.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(x); err != nil {
+		t.Fatal(err)
+	}
+	p := b.State().Probabilities()
 	if math.Abs(p[0]-0.5) > 1e-12 || math.Abs(p[7]-0.5) > 1e-12 {
 		t.Fatalf("GHZ-like state wrong: %v", p)
-	}
-}
-
-// TestDivideFacade checks the division shortcut through the facade.
-func TestDivideFacade(t *testing.T) {
-	const m = 3
-	e := repro.NewEmulator(4*m + 2)
-	// a = 7, b = 3 -> q = 2, r = 1.
-	e.ApplyClassicalFunc(func(i uint64) uint64 {
-		switch i {
-		case 0:
-			return 7 | 3<<(2*m)
-		case 7 | 3<<(2*m):
-			return 0
-		}
-		return i
-	})
-	e.Divide(core.DivideLayout{M: m, RPos: 0, BPos: 2 * m, QPos: 3 * m})
-	want := uint64(1) | 3<<(2*m) | 2<<(3*m)
-	if p := e.Probabilities()[want]; math.Abs(p-1) > 1e-12 {
-		t.Fatalf("7/3 readout wrong (p=%v at expected index)", p)
 	}
 }
