@@ -11,13 +11,13 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fft"
 	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/ising"
 	"repro/internal/qft"
+	"repro/internal/qpe"
 	"repro/internal/revlib"
 	"repro/internal/rng"
 	"repro/internal/statevec"
@@ -114,13 +114,13 @@ func BenchmarkAblationFFTAlgorithm(b *testing.B) {
 }
 
 func BenchmarkAblationQPESquaringVsStrassen(b *testing.B) {
-	u := core.DenseUnitary(ising.TrotterStep(8, ising.DefaultParams()))
+	u := qpe.DenseUnitary(ising.TrotterStep(8, ising.DefaultParams()))
 	psi := make([]complex128, 1<<8)
 	psi[0] = 1
-	for _, mode := range []core.Mode{core.RepeatedSquaring, core.RepeatedSquaringStrassen} {
+	for _, mode := range []qpe.Mode{qpe.RepeatedSquaring, qpe.RepeatedSquaringStrassen} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.QPE(u, psi, 4, mode); err != nil {
+				if _, err := qpe.QPE(u, psi, 4, mode); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,12 +194,17 @@ func BenchmarkMeasurePermutationPipeline(b *testing.B) {
 	// Make qubit 0 deterministic so the repeated collapse below stays valid.
 	st.Collapse(0, 1)
 	const mask = uint64(1)<<8 - 1
-	bump := func(field, rest uint64) uint64 { return (field + ((rest >> 16) & mask) + 1) & mask }
+	// The byte at bit 8 takes the byte at bit 16 plus one: a bijection of the
+	// field for every setting of the rest, so a permutation of the register.
+	bump := func(i uint64) uint64 {
+		field := (i>>8 + i>>16 + 1) & mask
+		return i&^(mask<<8) | field<<8
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = st.Probability(0)
 		st.Collapse(0, 1)
-		st.MapRegister(8, 8, bump)
+		st.ApplyPermutation(bump)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/gates"
 	"repro/internal/ising"
 	"repro/internal/linalg"
@@ -30,7 +29,7 @@ func main() {
 
 	// Build the dense operator and pick an eigenvector as the input state,
 	// so every method should recover its eigenphase.
-	u := core.DenseUnitary(circ)
+	u := qpe.DenseUnitary(circ)
 	eig, err := linalg.Eig(u)
 	if err != nil {
 		panic(err)
@@ -93,7 +92,7 @@ func main() {
 
 	// Method 2: emulation by repeated squaring (b-1 dense products).
 	t0 = time.Now()
-	sq, err := core.QPE(u, psi, bits, core.RepeatedSquaring)
+	sq, err := qpe.QPE(u, psi, bits, qpe.RepeatedSquaring)
 	if err != nil {
 		panic(err)
 	}
@@ -101,7 +100,7 @@ func main() {
 
 	// Method 3: emulation by eigendecomposition (closed-form readout).
 	t0 = time.Now()
-	ed, err := core.QPE(u, psi, bits, core.Eigendecomposition)
+	ed, err := qpe.QPE(u, psi, bits, qpe.Eigendecomposition)
 	if err != nil {
 		panic(err)
 	}

@@ -17,15 +17,17 @@ import (
 func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
 	src := rng.New(seed)
 	n := 5 + uint(width%6)
-	switch family % 4 {
+	switch family % 5 {
 	case 0:
 		return fmt.Sprintf("brickwork-n%d-s%d", n, seed), circgen.Brickwork(src, n, 2+int(size%6))
 	case 1:
 		return fmt.Sprintf("ladders-n%d-s%d", n, seed), circgen.QFTLadders(src, n, 1+int(size%3))
 	case 2:
 		return fmt.Sprintf("phaseruns-n%d-s%d", n, seed), circgen.InterruptedPhaseRuns(src, n, 4+int(size%8))
-	default:
+	case 3:
 		return fmt.Sprintf("widectl-n%d-s%d", n, seed), circgen.WideControlled(src, n, 2+int(size%3))
+	default:
+		return fmt.Sprintf("arithmetic-n%d-s%d", n, seed), circgen.Arithmetic(src, n, 1+int(size%3))
 	}
 }
 
@@ -59,14 +61,52 @@ func parityTargets(n uint) []parityTarget {
 	return ts
 }
 
+// paritySeeds is the checked-in corpus: every family at three widths, sizes
+// spread over the decoded range, then arithmetic inputs at every width so
+// that between them every permutation-family op kind is recognised
+// (TestParitySeedsReachEveryArithmeticOp), multipliers on contiguous
+// registers — the widened field-add sweep — among them.
+func paritySeeds() [][4]uint64 {
+	var seeds [][4]uint64
+	for i := uint64(0); i < 15; i++ {
+		seeds = append(seeds, [4]uint64{2300 + i, i, i/5*2 + i%2, 3 * i})
+	}
+	for i := uint64(0); i < 6; i++ {
+		seeds = append(seeds, [4]uint64{2400 + i, 4, i, 2})
+	}
+	return seeds
+}
+
+// TestParitySeedsReachEveryArithmeticOp keeps the corpus honest: compiled
+// with recognition on, its arithmetic inputs hold an op of each kind.
+func TestParitySeedsReachEveryArithmeticOp(t *testing.T) {
+	reached := map[string]int{}
+	for _, s := range paritySeeds() {
+		_, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		x, err := backend.Compile(c, backend.Target{FuseWidth: 4, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x.Units {
+			if op := x.Units[i].Op; op != nil {
+				reached[op.Kind()]++
+			}
+		}
+	}
+	for _, kind := range []string{"add", "sub", "addc", "mul", "div"} {
+		if reached[kind] == 0 {
+			t.Errorf("no seed compiles to a %s op (ops reached: %v)", kind, reached)
+		}
+	}
+}
+
 // FuzzCompileParity is the one-path safety net: whatever Compile builds
 // for a target — fused blocks, recognised shortcuts, placement schedules,
 // the selector's pick — running it must equal the circuit applied gate by
 // gate to 1e-10, and sample draw for draw like it under one seed.
 func FuzzCompileParity(f *testing.F) {
-	// Every family at three widths, sizes spread over the decoded range.
-	for i := 0; i < 12; i++ {
-		f.Add(uint64(2300+i), uint8(i), uint8(i/4*2+i%2), uint8(3*i))
+	for _, s := range paritySeeds() {
+		f.Add(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, family, width, size uint8) {
 		name, c := parityCircuit(seed, family, width, size)

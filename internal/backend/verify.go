@@ -25,10 +25,6 @@ const (
 	verifyUnitaryEps = 1e-9
 	// verifyModulusEps bounds | |d_i| − 1 | per diagonal table entry.
 	verifyModulusEps = 1e-6
-	// verifyMaxDiagQubits caps the diagonal-table sweep; recognition
-	// builds tables up to MaxDiagQubits (16) wide, so in practice every
-	// table is fully checked.
-	verifyMaxDiagQubits = 16
 	// verifyMaxWorkers is the sanity ceiling on the target's worker cap —
 	// far above any real machine, low enough to catch a scrambled field.
 	verifyMaxWorkers = 1 << 20
@@ -268,28 +264,15 @@ func verifyOpUnit(x *Executable, i int, u *Unit) error {
 	} else if u.Substrate != substrateLocal {
 		return fmt.Errorf("backend: verify: unit %d substrate %q on a single-node target", i, u.Substrate)
 	}
-	if f, ok := op.Diagonal(); ok {
-		qs := op.Support()
-		if len(qs) <= verifyMaxDiagQubits {
-			for j := uint64(0); j < uint64(1)<<len(qs); j++ {
-				if m := cmplx.Abs(f(depositBits(j, qs))); math.Abs(m-1) > verifyModulusEps {
-					return fmt.Errorf("backend: verify: unit %d diagonal entry %d has modulus %g (phase tables must be unit modulus)", i, j, m)
-				}
+	// A phase flip is ±1 by construction; a diagonal run carries its table.
+	if d, _, ok := op.DiagTable(); ok {
+		for j, v := range d {
+			if m := cmplx.Abs(v); math.Abs(m-1) > verifyModulusEps {
+				return fmt.Errorf("backend: verify: unit %d diagonal entry %d has modulus %g (phase tables must be unit modulus)", i, j, m)
 			}
 		}
 	}
 	return nil
-}
-
-// depositBits spreads the low bits of v onto the (sorted) qubit
-// positions qs, building the full-register basis index whose support
-// pattern is v.
-func depositBits(v uint64, qs []uint) uint64 {
-	var out uint64
-	for k, q := range qs {
-		out |= ((v >> k) & 1) << q
-	}
-	return out
 }
 
 // validFingerprint reports whether s looks like a Fingerprint: 64

@@ -1,13 +1,18 @@
 package backend_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/binio"
 	"repro/internal/circuit"
 	"repro/internal/qft"
 	"repro/internal/recognize"
+	"repro/internal/revlib"
 )
 
 // verifyWorkload compiles the representative serve artifact — gate-level
@@ -150,6 +155,59 @@ func TestVerifyMutationCorpus(t *testing.T) {
 		})
 	}
 
+	// An op's registers are not reachable in memory, so these mutants are
+	// made on the wire: the second register's qubit list is overwritten
+	// with the first's and the crc recomputed. Range and shape still hold;
+	// the op's map on basis indices is no longer a bijection, which the
+	// permutation kernels assume. The op payload check is shared by Decode
+	// and the verifier, so the mutant may stop at either — before the fix
+	// it passed both and ran.
+	arith := backend.Target{FuseWidth: 3, Emulate: recognize.Annotated}
+	first, second := revlib.Seq(0, 2), revlib.Seq(2, 2)
+	for _, tc := range []struct {
+		kind  string
+		n     uint
+		build func(c *circuit.Circuit)
+	}{
+		{"add", 5, func(c *circuit.Circuit) { revlib.Adder(c, first, second, 4) }},
+		{"sub", 5, func(c *circuit.Circuit) { revlib.Subtractor(c, first, second, 4) }},
+		{"addc", 6, func(c *circuit.Circuit) { revlib.AdderWithCarryOut(c, first, second, 4, 5) }},
+		{"mul", 7, func(c *circuit.Circuit) { revlib.Multiplier(c, first, second, revlib.Seq(4, 2), 6) }},
+		{"div", 6, func(c *circuit.Circuit) {
+			revlib.Divider(c, revlib.DividerLayout{M: 1, R: first, B: revlib.Seq(2, 1), Q: revlib.Seq(3, 1), BZ: 4, CarryAnc: 5})
+		}},
+	} {
+		t.Run("overlapping "+tc.kind+" registers", func(t *testing.T) {
+			c := circuit.New(tc.n)
+			tc.build(c)
+			x, err := backend.Compile(c, arith)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := findUnit(t, x, "op", isOp); x.Units[i].Op.Kind() != tc.kind {
+				t.Fatalf("compiled a %s op, want %s", x.Units[i].Op.Kind(), tc.kind)
+			}
+			data, err := x.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The divider's first register is twice the width of its
+			// others: its mutant makes the quotient the divisor.
+			from, to := []uint(second), []uint(first)
+			if tc.kind == "div" {
+				from, to = []uint{3}, []uint{2}
+			}
+			data = overwriteQubits(t, data, from, to)
+			y, err := backend.Decode(data)
+			if err != nil {
+				return
+			}
+			if err := backend.VerifyExecutable(y); err == nil {
+				t.Fatal("Decode and the verifier both accepted an op whose registers overlap")
+			}
+		})
+	}
+
 	// The control: the unmutated artifact round-trips and verifies clean
 	// under both targets — the corpus rejections above are not the
 	// verifier rejecting everything.
@@ -196,6 +254,25 @@ func TestVerifyMutationCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// overwriteQubits replaces the one occurrence of the wire form of the
+// qubit list from in an encoded artifact with that of to (of the same
+// length) and recomputes the container checksum.
+func overwriteQubits(t *testing.T, data []byte, from, to []uint) []byte {
+	t.Helper()
+	wire := func(qs []uint) []byte {
+		w := binio.NewWriter(nil)
+		w.Uints(qs)
+		return w.Bytes()
+	}
+	if n := bytes.Count(data, wire(from)); n != 1 {
+		t.Fatalf("artifact holds the qubit list %v %d times, want once", from, n)
+	}
+	data = bytes.Replace(data, wire(from), wire(to), 1)
+	// magic (4) | version (2) | crc32 of the rest (4)
+	binary.LittleEndian.PutUint32(data[6:10], crc32.ChecksumIEEE(data[10:]))
+	return data
 }
 
 // plantNoise replaces x's noise plan by one point of the given kind after

@@ -5,7 +5,9 @@
 // the diagonal rule under hoisting, over-wide controlled gates the
 // passthrough path — which makes them the circuits on which a unit run
 // whole differs most from its gates replayed one by one: what the
-// trajectory runner's parity tests (internal/noise) need.
+// trajectory runner's parity tests (internal/noise) need. One more holds
+// annotated reversible arithmetic, the circuits the emulator replaces with
+// a permutation of the state.
 //
 // A family is a pure function of (stream, width, size): equal streams give
 // equal circuits.
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/revlib"
 	"repro/internal/rng"
 )
 
@@ -83,4 +86,100 @@ func WideControlled(src *rng.Source, n uint, reps int) *circuit.Circuit {
 		c.Append(gates.CR(n-2, n-1, src.Float64()), gates.Z(0).WithControls(controls[:4]...))
 	}
 	return c
+}
+
+// arithmeticKinds are the revlib circuits Arithmetic draws from: each
+// one's register widths in units of the operand width, its count of single
+// ancilla qubits, and its builder.
+var arithmeticKinds = []struct {
+	regs  []uint
+	aux   uint
+	build func(c *circuit.Circuit, r []revlib.Register, aux []uint)
+}{
+	{[]uint{1, 1}, 1, func(c *circuit.Circuit, r []revlib.Register, aux []uint) { revlib.Adder(c, r[0], r[1], aux[0]) }},
+	{[]uint{1, 1}, 1, func(c *circuit.Circuit, r []revlib.Register, aux []uint) { revlib.Subtractor(c, r[0], r[1], aux[0]) }},
+	{[]uint{1, 1}, 2, func(c *circuit.Circuit, r []revlib.Register, aux []uint) {
+		revlib.AdderWithCarryOut(c, r[0], r[1], aux[0], aux[1])
+	}},
+	{[]uint{1, 1, 1}, 1, func(c *circuit.Circuit, r []revlib.Register, aux []uint) {
+		revlib.Multiplier(c, r[0], r[1], r[2], aux[0])
+	}},
+	{[]uint{2, 1, 1}, 2, func(c *circuit.Circuit, r []revlib.Register, aux []uint) {
+		revlib.Divider(c, revlib.DividerLayout{M: r[1].Width(), R: r[0], B: r[1], Q: r[2], BZ: aux[0], CarryAnc: aux[1]})
+	}},
+}
+
+// Arithmetic is a rotation layer on every qubit — so every ancilla is
+// dirty — followed by ops of revlib's annotated circuits: adders,
+// subtractors, carry-out adders, multipliers and, where 4w+2 <= n,
+// dividers, at every operand width that fits, on registers that are runs
+// of consecutive qubits or scattered ones. n >= 5.
+func Arithmetic(src *rng.Source, n uint, ops int) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Ry(q, src.Float64()*2), gates.Rz(q, src.Float64()*3))
+	}
+	for i := 0; i < ops; {
+		kind := arithmeticKinds[src.Intn(len(arithmeticKinds))]
+		var unit uint
+		for _, r := range kind.regs {
+			unit += r
+		}
+		maxW := (n - kind.aux) / unit
+		if maxW == 0 {
+			continue // the divider on five qubits: draw again
+		}
+		i++
+		w := 1 + uint(src.Intn(int(maxW)))
+		widths := make([]uint, len(kind.regs))
+		for j, r := range kind.regs {
+			widths[j] = r * w
+		}
+		regs, aux := Registers(src, n, widths, kind.aux, src.Intn(2) == 0)
+		kind.build(c, regs, aux)
+	}
+	return c
+}
+
+// Registers places disjoint registers of the given widths and aux single
+// qubits on n qubits: the registers on runs of consecutive qubits in a
+// random order with the free qubits spread between them, or — not
+// contiguous — every qubit drawn from a shuffle.
+func Registers(src *rng.Source, n uint, widths []uint, aux uint, contiguous bool) ([]revlib.Register, []uint) {
+	regs := make([]revlib.Register, len(widths))
+	singles := make([]uint, aux)
+	if !contiguous {
+		perm := src.Perm(int(n))
+		for i, w := range widths {
+			for _, q := range perm[:w] {
+				regs[i] = append(regs[i], uint(q))
+			}
+			perm = perm[w:]
+		}
+		for i := range singles {
+			singles[i] = uint(perm[i])
+		}
+		return regs, singles
+	}
+	// Blocks 0..len(widths)-1 are the registers, the rest single qubits;
+	// laid out left to right in shuffled order.
+	free := n
+	for _, w := range widths {
+		free -= w
+	}
+	var spare []uint
+	pos := uint(0)
+	for _, b := range src.Perm(len(widths) + int(free)) {
+		if b < len(widths) {
+			regs[b] = revlib.Seq(pos, widths[b])
+			pos += widths[b]
+			continue
+		}
+		spare = append(spare, pos)
+		pos++
+	}
+	for i, j := range src.Perm(len(spare))[:aux] {
+		singles[i] = spare[j]
+	}
+	return regs, singles
 }

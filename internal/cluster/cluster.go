@@ -223,20 +223,15 @@ func (c *Cluster) Gather() *statevec.State {
 }
 
 // grabScratch returns a full set of per-node destination buffers for a
-// collective, reusing the retired set when one exists. zero clears the
-// buffers first (writers that skip zero amplitudes need it); a fresh
-// allocation is already zero.
-func (c *Cluster) grabScratch(zero bool) [][]complex128 {
+// collective, reusing the retired set when one exists. The contents are
+// whatever the last collective left: every user assigns each element.
+func (c *Cluster) grabScratch() [][]complex128 {
 	if c.scratch == nil {
 		c.scratch = make([][]complex128, c.P)
 		local := c.LocalSize()
 		for i := range c.scratch {
 			c.scratch[i] = make([]complex128, local)
 		}
-		return c.scratch
-	}
-	if zero {
-		c.eachNode(func(p int) { clear(c.scratch[p]) })
 	}
 	return c.scratch
 }

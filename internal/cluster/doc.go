@@ -96,14 +96,16 @@
 //   - a Fourier field of width <= L executes shard-locally after one
 //     remap makes the field node-local;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
-//     shortcut, one all-to-all for the whole subroutine;
+//     shortcut, one all-to-all for the whole subroutine: every node
+//     writes each of its amplitudes once, straight to its destination,
+//     and the traffic charged is the count of indices whose node changes;
 //   - diagonal ops multiply shards in place: a diagonal run goes through
 //     its table exactly as a fused diagonal block does (node-selecting
 //     members fix a reduced table per node, the shard applies it with
-//     ApplyDiagN or ApplyDiagTable), a phase flip negates the matching
-//     amplitudes, and ApplyDiagonalFunc remains for diagonals given as a
-//     formula (the field FFT's twiddle); the Grover diffusion
-//     (ReflectUniform) needs one scalar allreduce.
+//     ApplyDiagN or ApplyDiagTable), as does the field FFT's twiddle (one
+//     entry per field value), and a phase flip negates the matching
+//     amplitudes; the Grover diffusion (ReflectUniform) needs one scalar
+//     allreduce.
 //
 // The permutation and FFT collectives speak the canonical layout and
 // restore it (one extra remap round at most) when the gate engine left

@@ -69,7 +69,10 @@ func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 	if op.ReflectUniform() {
 		return SubstrateReflect, true
 	}
-	if _, ok := op.Diagonal(); ok {
+	if _, _, ok := op.DiagTable(); ok {
+		return SubstrateDiagonal, true
+	}
+	if _, _, ok := op.PhaseFlip(); ok {
 		return SubstrateDiagonal, true
 	}
 	if _, ok := op.Permutation(); ok {
@@ -190,24 +193,6 @@ func (c *Cluster) remapFieldLocal(pos, w uint) {
 	c.Remap(newPos)
 }
 
-// ApplyDiagonalFunc multiplies every amplitude by phase(i), with i the
-// logical basis index — communication-free under any placement. The
-// physical→logical translation is table-driven (one lookup+OR per byte of
-// index), the identity placement specialising to a shift. It is the
-// lowering for diagonals given as a formula (the field FFT's twiddle);
-// ones given as a table go through applyDiagTable, at a fraction of the
-// per-amplitude cost.
-func (c *Cluster) ApplyDiagonalFunc(phase func(uint64) complex128) {
-	idx := c.logicalIndexer()
-	c.eachNode(func(p int) {
-		base := uint64(p) << c.L
-		shard := c.shard(p)
-		for i := range shard {
-			shard[i] *= phase(idx(base | uint64(i)))
-		}
-	})
-}
-
 // ReflectUniform applies the Householder reflection I - 2|s><s| about the
 // uniform state to the whole register: a' = a - 2(Σa)/N. The global sum is
 // one scalar allreduce (P partial sums); the update is shard-local. Both
@@ -237,20 +222,4 @@ func (c *Cluster) ReflectUniform() {
 	c.Stats.BytesSent.Add(16 * p64 * (p64 - 1))
 	c.Stats.Messages.Add(p64 * (p64 - 1))
 	c.Stats.Rounds.Add(1)
-}
-
-// logicalIndexer returns the translator from physical global amplitude
-// indices (shard offset | node<<L) to logical basis indices under the
-// current placement, through the byte-chunked scatter tables the mover
-// uses. The identity placement returns a pass-through.
-func (c *Cluster) logicalIndexer() func(uint64) uint64 {
-	if c.identityPlacement() {
-		return func(i uint64) uint64 { return i }
-	}
-	logOf := make([]uint, c.NumQubits()) // physical position -> logical qubit
-	for q, p := range c.pos {
-		logOf[p] = uint(q)
-	}
-	tabs := scatterTables(logOf)
-	return func(x uint64) uint64 { return scatterBits(tabs, x) }
 }

@@ -57,17 +57,21 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 
 	// Step 2: twiddle. The high sub-field now holds the transform index
 	// k1, the low sub-field still the input index f2; element (k1, f2)
-	// picks up exp(sign 2 pi i k1 f2 / W). Placement-independent: the
-	// diagonal reads logical indices.
-	W := uint64(1) << w
+	// picks up exp(sign 2 pi i k1 f2 / W) — a diagonal over the field's
+	// qubits with one entry per field value, applied like every other
+	// table diagonal, whatever the placement.
 	mask2 := uint64(1)<<n2 - 1
-	theta := sign * 2 * math.Pi / float64(W)
-	c.ApplyDiagonalFunc(func(i uint64) complex128 {
-		v := (i >> pos) & (W - 1)
-		k1 := v >> n2
-		f2 := v & mask2
-		return cmplx.Exp(complex(0, theta*float64(k1*f2)))
-	})
+	theta := sign * 2 * math.Pi / float64(uint64(1)<<w)
+	twiddle := make([]complex128, uint64(1)<<w)
+	for v := range twiddle {
+		k1, f2 := uint64(v)>>n2, uint64(v)&mask2
+		twiddle[v] = cmplx.Exp(complex(0, theta*float64(k1*f2)))
+	}
+	field := make([]uint, w)
+	for j := range field {
+		field[j] = pos + uint(j)
+	}
+	c.applyDiagTable(twiddle, field)
 
 	// Step 3: FFT the low sub-field (the j2 axis).
 	c.remapFieldLocal(pos, n2)

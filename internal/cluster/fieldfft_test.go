@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/fft"
+	"repro/internal/qft"
+	"repro/internal/recognize"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -14,13 +16,17 @@ import (
 // directions. At P=4 the widths above L exercise the mid-width gap the
 // substrate exists for; at P=2 every sub-register field is narrower than
 // the shard, so the test drives the factorisation itself rather than the
-// Lowerable selection.
+// Lowerable selection. The drifted cases run a full-register qft-noswap
+// first, which leaves the placement bit-reversed: the twiddle table is then
+// indexed by field qubits that sit on node-selecting positions, in
+// descending physical order.
 func TestFieldFFTParity(t *testing.T) {
 	cases := []struct {
 		n       uint
 		p       int
 		pos, w  uint
 		inverse bool
+		drifted bool
 	}{
 		{n: 8, p: 2, pos: 0, w: 5},
 		{n: 8, p: 2, pos: 2, w: 6, inverse: true},
@@ -29,6 +35,9 @@ func TestFieldFFTParity(t *testing.T) {
 		{n: 8, p: 4, pos: 1, w: 7, inverse: true}, // mid-width, inverse
 		{n: 10, p: 4, pos: 2, w: 8},               // even split, interior field
 		{n: 10, p: 4, pos: 0, w: 9, inverse: true},
+		{n: 8, p: 4, pos: 0, w: 7, drifted: true},
+		{n: 9, p: 2, pos: 1, w: 7, inverse: true, drifted: true},
+		{n: 10, p: 4, pos: 2, w: 8, drifted: true},
 	}
 	for _, tc := range cases {
 		c, err := New(tc.n, tc.p)
@@ -40,6 +49,16 @@ func TestFieldFFTParity(t *testing.T) {
 		if err := c.LoadState(st); err != nil {
 			t.Fatal(err)
 		}
+		if tc.drifted {
+			noswap := recognize.Analyze(qft.CircuitNoSwap(tc.n), recognize.DefaultOptions(recognize.Annotated)).Ops()[0]
+			if _, err := c.ApplyOp(noswap); err != nil {
+				t.Fatal(err)
+			}
+			if c.identityPlacement() {
+				t.Fatalf("n=%d p=%d: qft-noswap left the placement canonical", tc.n, tc.p)
+			}
+			noswap.Apply(st)
+		}
 		if err := c.distributedFFTField(tc.pos, tc.w, tc.inverse); err != nil {
 			t.Fatalf("n=%d p=%d pos=%d w=%d: %v", tc.n, tc.p, tc.pos, tc.w, err)
 		}
@@ -50,8 +69,8 @@ func TestFieldFFTParity(t *testing.T) {
 		}
 		plan.TransformField(st.Amplitudes(), tc.pos, tc.inverse, st.Workers())
 		if d := c.Gather().MaxDiff(st); d > 1e-10 {
-			t.Errorf("n=%d p=%d pos=%d w=%d inverse=%v: max diff %g vs single-node field transform",
-				tc.n, tc.p, tc.pos, tc.w, tc.inverse, d)
+			t.Errorf("n=%d p=%d pos=%d w=%d inverse=%v drifted=%v: max diff %g vs single-node field transform",
+				tc.n, tc.p, tc.pos, tc.w, tc.inverse, tc.drifted, d)
 		}
 	}
 }

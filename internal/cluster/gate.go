@@ -118,7 +118,7 @@ func (c *Cluster) applyNodeDiagonal(g gates.Gate, tbit uint, localControls []uin
 func (c *Cluster) applyNodeTargetExchange(g gates.Gate, tbit uint, localControls []uint, nodeControlMask uint64) {
 	cmask := bitops.ControlMask(localControls)
 	local := c.LocalSize()
-	bufs := c.grabScratch(false)
+	bufs := c.grabScratch()
 	var wg sync.WaitGroup
 	for p0 := 0; p0 < c.P; p0++ {
 		if bitops.Bit(uint64(p0), tbit) == 1 {

@@ -297,7 +297,7 @@ func (c *Cluster) moveBits(dst [][]complex128, srcOf []uint) {
 // coalesced into one message per communicating (src, dst) pair — one
 // round, however the bits moved.
 func (c *Cluster) permuteBits(srcOf []uint) {
-	next := c.grabScratch(false) // every destination element is assigned
+	next := c.grabScratch() // every destination element is assigned
 	c.moveBits(next, srcOf)
 	c.installShards(next)
 	crossing, pairs := moveTraffic(srcOf, c.L)

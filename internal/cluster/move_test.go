@@ -156,7 +156,7 @@ func TestMoverDoesNotAllocate(t *testing.T) {
 		if tiled := plan.rows > 0; tiled != (sh.name == "tiled") {
 			t.Fatalf("%s: plan chose the other regime", sh.name)
 		}
-		dst, src := c.grabScratch(false), c.liveShards()
+		dst, src := c.grabScratch(), c.liveShards()
 		if allocs := testing.AllocsPerRun(50, func() {
 			plan.fill(dst, src, 1, c.P)
 		}); allocs != 0 {

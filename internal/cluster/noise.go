@@ -51,7 +51,7 @@ func (c *Cluster) ApplyKraus(m gates.Matrix2, q uint) float64 {
 // mass of what it wrote. One communication round.
 func (c *Cluster) applyNodeKrausExchange(m gates.Matrix2, tbit uint) float64 {
 	local := c.LocalSize()
-	bufs := c.grabScratch(false)
+	bufs := c.grabScratch()
 	masses := make([]float64, c.P)
 	var wg sync.WaitGroup
 	for p0 := 0; p0 < c.P; p0++ {

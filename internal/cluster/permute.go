@@ -1,11 +1,5 @@
 package cluster
 
-import (
-	"sync"
-
-	"repro/internal/bitops"
-)
-
 // ApplyPermutation relabels basis states across the whole distributed
 // register: the amplitude at global index i moves to f(i). This is the
 // paper's Section 4.2 observation made executable: arithmetic on registers
@@ -14,69 +8,38 @@ import (
 // the (distributed) state vector" — a single all-to-all, instead of
 // thousands of gate applications each potentially communicating.
 //
-// f must be a bijection on [0, 2^n).
+// f must be a bijection on [0, 2^n) and safe for concurrent calls. Every
+// source node writes its amplitudes straight to their destinations; a
+// bijection sends no two of them to one element, so the nodes need no
+// ordering between them. The traffic counted is every amplitude whose node
+// changes, a function of f alone.
 func (c *Cluster) ApplyPermutation(f func(uint64) uint64) {
 	// f speaks logical basis indices; restore the canonical layout first.
 	c.Canonicalize()
-	local := c.LocalSize()
-	p64 := uint64(c.P)
-	// The routing loop below skips zero amplitudes, so the reused
-	// destination buffers must start cleared.
-	next := c.grabScratch(true)
-	// Each source node routes its amplitudes to destination shards. The
-	// destination slices are disjointly owned per destination *element*,
-	// but two sources may target the same destination shard, so routing is
-	// organised per destination node: every node scans all source shards
-	// for entries that map into its range. This keeps writes race-free at
-	// the cost of P scans — the same O(N·P) vs O(N) trade a real MPI
-	// implementation avoids with true point-to-point sends; the byte
-	// accounting below reflects the communicated volume, not the scan.
-	var crossing []uint64
-	var mu sync.Mutex
-	c.eachNode(func(dst int) {
-		lo := uint64(dst) * local
-		hi := lo + local
-		out := next[dst]
-		var myCross uint64
-		for src := 0; src < c.P; src++ {
-			base := uint64(src) * local
-			shard := c.shard(src)
-			for i, a := range shard {
-				if a == 0 {
-					continue
-				}
-				g := f(base + uint64(i))
-				if g >= lo && g < hi {
-					out[g-lo] = a
-					if src != dst {
-						myCross++
-					}
-				}
+	L, mask := c.L, c.LocalSize()-1
+	next := c.grabScratch()
+	crossing := make([]uint64, c.P)
+	c.eachNode(func(src int) {
+		base := uint64(src) << L
+		var cross uint64
+		for i, a := range c.shard(src) {
+			g := f(base | uint64(i))
+			dst := g >> L
+			next[dst][g&mask] = a
+			if dst != uint64(src) {
+				cross++
 			}
 		}
-		mu.Lock()
-		crossing = append(crossing, myCross)
-		mu.Unlock()
+		crossing[src] = cross
 	})
 	c.installShards(next)
-	var totalCross uint64
+	var total uint64
 	for _, x := range crossing {
-		totalCross += x
+		total += x
 	}
-	c.Stats.BytesSent.Add(totalCross * 16)
+	p64 := uint64(c.P)
+	c.Stats.BytesSent.Add(total * 16)
 	c.Stats.Messages.Add(p64 * (p64 - 1))
 	c.Stats.AllToAlls.Add(1)
 	c.Stats.Rounds.Add(1)
-}
-
-// EmulateMultiply performs the Figure 1 arithmetic shortcut on the
-// distributed register: the m-bit field at cPos becomes c + a*b mod 2^m.
-func (c *Cluster) EmulateMultiply(aPos, bPos, cPos, m uint) {
-	mask := bitops.Mask(m)
-	c.ApplyPermutation(func(i uint64) uint64 {
-		a := (i >> aPos) & mask
-		b := (i >> bPos) & mask
-		v := (i >> cPos) & mask
-		return bitops.DepositBits(i, cPos, m, v+a*b)
-	})
 }

@@ -3,9 +3,11 @@ package cluster_test
 import (
 	"testing"
 
+	"repro/internal/bitops"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/gates"
+	"repro/internal/recognize"
+	"repro/internal/revlib"
 	"repro/internal/rng"
 )
 
@@ -48,36 +50,69 @@ func TestDistributedPermutationOneAllToAll(t *testing.T) {
 	}
 }
 
-func TestDistributedMultiplyMatchesEmulator(t *testing.T) {
-	// The Figure 1 shortcut on the cluster must equal the single-node
-	// emulator: (a, b, c) -> (a, b, c + a*b mod 2^m) on a superposition.
-	const m = uint(3)
-	n := 3 * m
-	src := rng.New(23)
-	c, err := cluster.New(n, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestDistributedPermutationTraffic pins the accounting and the scatter
+// together: every source node writes straight into every destination's
+// buffer (bit reversal sends each node's amplitudes to all P nodes, so under
+// -race all P goroutines write every buffer at once), the result equals the
+// single-node permutation, and the bytes and messages charged are a function
+// of the map alone — 16 bytes per index whose node changes, the same from
+// |0...0> as from a dense state.
+func TestDistributedPermutationTraffic(t *testing.T) {
+	const n = 10
+	mulOp := planOps(t, revlib.BuildMultiplier(revlib.NewMultiplierLayout(3)), recognize.Annotated)[0]
+	mul, _ := mulOp.Permutation()
+	maps := map[string]func(uint64) uint64{
+		"bit-reversal": func(i uint64) uint64 { return bitops.ReverseBits(i, n) },
+		"rotate":       func(i uint64) uint64 { return (i + 37) % (1 << n) },
+		"multiplier":   mul,
+		"identity":     func(i uint64) uint64 { return i },
 	}
-	st := loadRandom(t, c, src)
-	c.EmulateMultiply(0, m, 2*m, m)
-
-	want := st.Clone()
-	core.Wrap(want).Multiply(0, m, 2*m, m)
-	if d := c.Gather().MaxDiff(want); d > 0 {
-		t.Fatalf("distributed multiply differs by %g", d)
+	src := rng.New(24)
+	for name, f := range maps {
+		for _, p := range []int{2, 4, 8} {
+			c, err := cluster.New(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want uint64
+			for i := uint64(0); i < 1<<n; i++ {
+				if f(i)>>c.L != i>>c.L {
+					want += 16
+				}
+			}
+			c.ApplyPermutation(f) // from |0...0>
+			fromZero := c.Stats.Snapshot()
+			st := loadRandom(t, c, src)
+			c.ResetStats()
+			c.ApplyPermutation(f)
+			dense := c.Stats.Snapshot()
+			if fromZero != dense {
+				t.Errorf("%s p=%d: counters depend on the state: %+v from |0>, %+v dense", name, p, fromZero, dense)
+			}
+			if dense.BytesSent != want || dense.Messages != uint64(p*(p-1)) || dense.AllToAlls != 1 || dense.Rounds != 1 {
+				t.Errorf("%s p=%d: %+v, want %d bytes in %d messages, one all-to-all round", name, p, dense, want, p*(p-1))
+			}
+			st.ApplyPermutation(f)
+			if d := c.Gather().MaxDiff(st); d != 0 {
+				t.Errorf("%s p=%d: distributed permutation differs by %g", name, p, d)
+			}
+		}
 	}
 }
 
 func TestDistributedMultiplyAfterGates(t *testing.T) {
 	// Mixing distributed gate execution and distributed emulation on the
 	// same register.
-	const m = uint(2)
-	n := 3 * m
-	c, _ := cluster.New(n, 2)
+	l := revlib.NewMultiplierLayout(2)
+	m := l.M
+	c, _ := cluster.New(l.NumQubits(), 2)
 	for q := uint(0); q < 2*m; q++ {
 		c.ApplyGate(gates.H(q))
 	}
-	c.EmulateMultiply(0, m, 2*m, m)
+	op := planOps(t, revlib.BuildMultiplier(l), recognize.Annotated)[0]
+	if _, err := c.ApplyOp(op); err != nil {
+		t.Fatal(err)
+	}
 	st := c.Gather()
 	// Check P(a=3, b=2, c=3*2 mod 4=2) = 1/16.
 	idx := uint64(3) | 2<<m | 2<<(2*m)

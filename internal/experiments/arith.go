@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/backend"
+	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/recognize"
 	"repro/internal/revlib"
 	"repro/internal/statevec"
 )
@@ -31,6 +33,15 @@ type Fig1Config struct {
 // DefaultFig1 keeps the sweep under a minute on a laptop-class machine.
 func DefaultFig1() Fig1Config { return Fig1Config{MinM: 2, MaxSimM: 5, MaxEmuM: 8} }
 
+// emulatedTarget is oursTarget with annotated regions dispatched to their
+// shortcuts: compiled for it, revlib's multiplier or divider is one op
+// unit, the one qemu-run and qemu-serve would execute.
+func emulatedTarget(n uint) backend.Target {
+	t := oursTarget(n)
+	t.Emulate = recognize.Annotated
+	return t
+}
+
 // prepMulInput loads a uniform superposition over the a and b registers —
 // the "all inputs in parallel" workload of Section 3.1.
 func prepMulInput(st *statevec.State, m uint) {
@@ -39,39 +50,40 @@ func prepMulInput(st *statevec.State, m uint) {
 	}
 }
 
-// Fig1 runs the multiplication sweep (paper Figure 1): simulate the
-// shift-and-add Toffoli network vs emulate the classical multiply.
-func Fig1(cfg Fig1Config) []ArithRow {
+// arithSweep times one arithmetic circuit family over operand widths
+// minM..maxEmuM: the circuit lowered to one- and two-qubit gates (Toffolis
+// expanded to the 15-gate Clifford+T network, multi-controls recursively
+// lowered — the paper's Section 2 setting, what quantum hardware runs) on
+// the simulator up to maxSimM, and its annotated form on the emulating
+// target; every run starts from the superposition prep loads.
+func arithSweep(minM, maxSimM, maxEmuM uint, build func(m uint) *circuit.Circuit, prep func(st *statevec.State, m uint)) []ArithRow {
 	var rows []ArithRow
-	for m := cfg.MinM; m <= cfg.MaxEmuM; m++ {
-		l := revlib.NewMultiplierLayout(m)
-		n := l.NumQubits()
+	for m := minM; m <= maxEmuM; m++ {
+		circ := build(m)
+		n := circ.NumQubits
 		row := ArithRow{M: m, NQubits: n}
-
-		var st *statevec.State
-		reset := func() {
-			st = statevec.New(n)
-			prepMulInput(st, m)
+		st := statevec.New(n)
+		prep(st, m)
+		if m <= maxSimM {
+			lowered := circ.Lower(1)
+			row.Gates = lowered.Len()
+			row.TSim, _ = timeTarget(lowered, oursTarget(n), st)
 		}
-		if m <= cfg.MaxSimM {
-			// The paper's Section 2 setting: the simulator executes the
-			// circuit decomposed into one- and two-qubit gates (Toffolis
-			// expanded to the 15-gate Clifford+T network, multi-controls
-			// recursively lowered), exactly what quantum hardware runs.
-			circ := revlib.BuildMultiplier(l).Lower(1)
-			row.Gates = circ.Len()
-			reset()
-			row.TSim, _ = timeTarget(circ, oursTarget(n), st)
-		}
-		row.TEmu = timeIt(shortTime, reset, func() {
-			core.Wrap(st).Multiply(0, m, 2*m, m)
-		})
+		row.TEmu, _ = timeTarget(circ, emulatedTarget(n), st)
 		if row.TSim > 0 {
 			row.Speedup = row.TSim / row.TEmu
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// Fig1 runs the multiplication sweep (paper Figure 1): simulate the
+// shift-and-add Toffoli network vs emulate the classical multiply.
+func Fig1(cfg Fig1Config) []ArithRow {
+	return arithSweep(cfg.MinM, cfg.MaxSimM, cfg.MaxEmuM, func(m uint) *circuit.Circuit {
+		return revlib.BuildMultiplier(revlib.NewMultiplierLayout(m))
+	}, prepMulInput)
 }
 
 // Fig2Config scopes the division sweep; the divider needs 4m+2 qubits
@@ -98,33 +110,9 @@ func prepDivInput(st *statevec.State, m uint) {
 // Fig2 runs the division sweep (paper Figure 2): restoring-divider circuit
 // vs word-level emulation.
 func Fig2(cfg Fig2Config) []ArithRow {
-	var rows []ArithRow
-	for m := cfg.MinM; m <= cfg.MaxEmuM; m++ {
-		l := revlib.NewDividerLayout(m)
-		n := l.NumQubits()
-		row := ArithRow{M: m, NQubits: n}
-
-		var st *statevec.State
-		reset := func() {
-			st = statevec.New(n)
-			prepDivInput(st, m)
-		}
-		if m <= cfg.MaxSimM {
-			// Lowered to the 1-2 qubit gate set, as in Fig1.
-			circ := revlib.BuildDivider(l).Lower(1)
-			row.Gates = circ.Len()
-			reset()
-			row.TSim, _ = timeTarget(circ, oursTarget(n), st)
-		}
-		row.TEmu = timeIt(shortTime, reset, func() {
-			core.Wrap(st).Divide(core.DivideLayout{M: m, RPos: 0, BPos: 2 * m, QPos: 3 * m})
-		})
-		if row.TSim > 0 {
-			row.Speedup = row.TSim / row.TEmu
-		}
-		rows = append(rows, row)
-	}
-	return rows
+	return arithSweep(cfg.MinM, cfg.MaxSimM, cfg.MaxEmuM, func(m uint) *circuit.Circuit {
+		return revlib.BuildDivider(revlib.NewDividerLayout(m))
+	}, prepDivInput)
 }
 
 // FormatArith renders Figure 1/2 rows.

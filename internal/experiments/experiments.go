@@ -10,8 +10,9 @@
 // series runs through backend.Compile and Backend.Run (timeTarget) — the
 // path qemu-run and qemu-serve execute — except the raw-kernel baselines
 // the paper's ablations name: gate-by-gate statevec loops (fusion's
-// nofuse) and the naive per-gate cluster engine (Figure 4's
-// qHiPSTER-class series, the cluster sweep's naive series).
+// nofuse), the naive per-gate cluster engine (Figure 4's qHiPSTER-class
+// series, the cluster sweep's naive series) and the sin oracle, a
+// function with no circuit to compile, timed as a raw ApplyPermutation.
 package experiments
 
 import (
@@ -53,10 +54,13 @@ func timeIt(minDuration time.Duration, setup func(), fn func()) float64 {
 // run and its Result (compilation excluded). With init non-nil every run
 // starts from a copy of it, loaded outside the timed region; with nil each
 // run continues from the state the last one left, which is all the auto
-// target allows: its engine exists only once a Run has resolved it, so one
-// untimed Run goes first and no timed one pays for creating it. The sweeps
-// compile generated circuits for targets they chose, so an error here is a
-// bug and panics.
+// target allows: its engine exists only once a Run has resolved it. Where
+// the first Run sets something up for the rest — that engine, or what
+// recognised ops build on first use: transform tables and the permutation
+// scratch buffer, whose first touch costs several times the sweep — one
+// untimed Run goes first, or a row slow enough to be timed once would report
+// the set-up. The sweeps compile generated circuits for targets they chose,
+// so an error here is a bug and panics.
 func timeTarget(c *circuit.Circuit, t backend.Target, init *statevec.State) (float64, *backend.Result) {
 	x, err := backend.Compile(c, t)
 	if err != nil {
@@ -86,7 +90,10 @@ func timeTarget(c *circuit.Circuit, t backend.Target, init *statevec.State) (flo
 			panic(fmt.Sprintf("experiments: run on %+v: %v", t, err))
 		}
 	}
-	if init == nil {
+	if init == nil || x.EmulatedGates > 0 {
+		if load != nil {
+			load()
+		}
 		run()
 	}
 	return timeIt(shortTime, load, run), res

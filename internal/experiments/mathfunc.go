@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/gates"
 	"repro/internal/statevec"
 )
@@ -25,9 +24,12 @@ type MathFuncRow struct {
 
 // MathFunc emulates |a>|c> -> |a>|c XOR sin(a)| on superposed input for a
 // range of fixed-point widths, where sin is evaluated in m-bit fixed point
-// over [0, 2 pi). The simulator estimate assumes a CORDIC-style reversible
-// evaluation with ~2m intermediate registers (rotation accumulators),
-// i.e. 2m + 2m*m qubits total.
+// over [0, 2 pi). No circuit stands behind the function, so nothing is
+// compiled: the timed call is statevec.ApplyPermutation with the oracle's
+// closure, the raw kernel a recognised op falls back to. The simulator
+// estimate assumes a CORDIC-style reversible evaluation with ~2m
+// intermediate registers (rotation accumulators), i.e. 2m + 2m*m qubits
+// total.
 func MathFunc(minM, maxM uint) []MathFuncRow {
 	var rows []MathFuncRow
 	for m := minM; m <= maxM; m++ {
@@ -36,17 +38,19 @@ func MathFunc(minM, maxM uint) []MathFuncRow {
 		for q := uint(0); q < m; q++ {
 			st.ApplyGate(gates.H(q))
 		}
-		em := core.Wrap(st)
 		scale := float64(uint64(1) << m)
-		f := func(a uint64) uint64 {
-			x := 2 * math.Pi * float64(a) / scale
+		mask := uint64(1)<<m - 1
+		// The out-of-place oracle: a in the low field, sin(a) XORed into
+		// the high one — a permutation although sin is not invertible.
+		oracle := func(i uint64) uint64 {
+			x := 2 * math.Pi * float64(i&mask) / scale
 			// sin in [-1,1] mapped to m-bit two's-complement-ish fixed point.
-			return uint64(int64(math.Sin(x)*(scale/2-1))) & ((1 << m) - 1)
+			return i ^ (uint64(int64(math.Sin(x)*(scale/2-1)))&mask)<<m
 		}
 		row := MathFuncRow{M: m, NQubits: n}
 		row.TEmu = timeIt(shortTime, nil, func() {
-			em.ApplyUnaryFunc(0, m, m, m, f)
-			em.ApplyUnaryFunc(0, m, m, m, f) // uncompute to keep state reusable
+			st.ApplyPermutation(oracle)
+			st.ApplyPermutation(oracle) // uncompute to keep state reusable
 		})
 		row.TEmu /= 2 // per single application
 		row.SimQubits = 2*m + 2*m*m

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ising"
 	"repro/internal/linalg"
 	"repro/internal/perfmodel"
+	"repro/internal/qpe"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -52,7 +52,7 @@ func Table2(cfg Table2Config) []Table2Row {
 
 		var u *linalg.Matrix
 		row.TConstruct = timeIt(shortTime, nil, func() {
-			u = core.DenseUnitary(circ)
+			u = qpe.DenseUnitary(circ)
 		})
 		row.TGemm = timeIt(shortTime, nil, func() { _ = u.Mul(u) })
 		row.TStrassen = timeIt(shortTime, nil, func() { _ = u.Strassen(u) })

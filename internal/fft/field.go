@@ -11,9 +11,10 @@ import (
 // for every setting of the bits outside the field, the 2^width amplitudes
 // addressed by the field bits form one fibre that is transformed in place,
 // the fibres shared out over the given number of workers. This is the
-// QFT-on-a-register-field shortcut of the paper's Section 3.2; both the
-// emulator (core.Emulator.QFTRange) and the recognition dispatcher
-// (internal/recognize) execute their Fourier regions through it.
+// QFT-on-a-register-field shortcut of the paper's Section 3.2: the
+// recognition dispatcher (internal/recognize), the cluster's per-shard
+// transforms and the emulated phase estimation (internal/qpe) execute
+// their Fourier regions through it.
 //
 // With pos = 0 a fibre is a contiguous run of amps and is transformed
 // where it lies; otherwise each worker gathers its fibres through one

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/qpe"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -95,7 +95,7 @@ func TestTrotterConvergesToExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trotter := core.DenseUnitary(TrotterStep(n, p))
+		trotter := qpe.DenseUnitary(TrotterStep(n, p))
 		return trotter.Sub(exact).FrobeniusNorm()
 	}
 	e1 := errAt(0.2)

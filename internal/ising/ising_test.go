@@ -5,8 +5,8 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/qpe"
 )
 
 func TestGateCountMatchesTable2(t *testing.T) {
@@ -23,7 +23,7 @@ func TestGateCountMatchesTable2(t *testing.T) {
 }
 
 func TestTrotterStepIsUnitary(t *testing.T) {
-	u := core.DenseUnitary(TrotterStep(4, DefaultParams()))
+	u := qpe.DenseUnitary(TrotterStep(4, DefaultParams()))
 	if !u.IsUnitary(1e-9) {
 		t.Error("Trotter step not unitary")
 	}
@@ -34,7 +34,7 @@ func TestTrotterMatchesExactEvolutionSmallDt(t *testing.T) {
 	// eigenphases against the exact TFIM spectrum for n=2, where
 	// H = -J Z0 Z1 - h(X0 + X1) diagonalises analytically.
 	p := Params{J: 0.8, H: 0.5, Dt: 0.01}
-	u := core.DenseUnitary(TrotterStep(2, p))
+	u := qpe.DenseUnitary(TrotterStep(2, p))
 	vals, err := linalg.Eigenvalues(u)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +64,8 @@ func TestTrotterMatchesExactEvolutionSmallDt(t *testing.T) {
 
 func TestEvolutionComposes(t *testing.T) {
 	// Evolution(steps) must equal applying the step circuit repeatedly.
-	u1 := core.DenseUnitary(TrotterStep(3, DefaultParams()))
-	u3 := core.DenseUnitary(Evolution(3, DefaultParams(), 3))
+	u1 := qpe.DenseUnitary(TrotterStep(3, DefaultParams()))
+	u3 := qpe.DenseUnitary(Evolution(3, DefaultParams(), 3))
 	want := u1.Mul(u1).Mul(u1)
 	if d := u3.MaxAbsDiff(want); d > 1e-9 {
 		t.Errorf("3-step evolution differs from U^3 by %g", d)

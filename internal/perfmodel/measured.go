@@ -22,7 +22,7 @@ type Measured struct {
 	// (statevec.ApplyMatrix2 via the specialised kernels) — fuse's 1.0.
 	SweepNs float64 `json:"sweep_ns"`
 	// DiagNs is ns per amplitude of a diagonal sweep (phase kernels,
-	// ApplyDiagonalFunc).
+	// ApplyDiagN, ApplyDiagTable).
 	DiagNs float64 `json:"diag_ns"`
 	// PermNs is ns per amplitude of a basis-state permutation
 	// (gather/scatter through the scratch buffer) — the arithmetic

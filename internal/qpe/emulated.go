@@ -1,11 +1,13 @@
-package core
+package qpe
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
 
 	"repro/internal/circuit"
+	"repro/internal/fft"
 	"repro/internal/linalg"
 	"repro/internal/statevec"
 )
@@ -89,10 +91,10 @@ func RepeatedSquares(u *linalg.Matrix, b uint, strassen bool) []*linalg.Matrix {
 // would need 2^b-fold repetition to estimate.
 func QPE(u *linalg.Matrix, psi []complex128, b uint, mode Mode) (*PhaseEstimate, error) {
 	if u.Rows != u.Cols {
-		return nil, fmt.Errorf("core: QPE operator is %dx%d, not square", u.Rows, u.Cols)
+		return nil, fmt.Errorf("qpe: QPE operator is %dx%d, not square", u.Rows, u.Cols)
 	}
 	if len(psi) != u.Rows {
-		return nil, fmt.Errorf("core: state length %d does not match operator dim %d", len(psi), u.Rows)
+		return nil, fmt.Errorf("qpe: state length %d does not match operator dim %d", len(psi), u.Rows)
 	}
 	switch mode {
 	case Eigendecomposition:
@@ -100,7 +102,7 @@ func QPE(u *linalg.Matrix, psi []complex128, b uint, mode Mode) (*PhaseEstimate,
 	case RepeatedSquaring, RepeatedSquaringStrassen:
 		return qpeSquaring(u, psi, b, mode == RepeatedSquaringStrassen)
 	default:
-		return nil, fmt.Errorf("core: unknown QPE mode %v", mode)
+		return nil, fmt.Errorf("qpe: unknown QPE mode %v", mode)
 	}
 }
 
@@ -113,13 +115,12 @@ func qpeSquaring(u *linalg.Matrix, psi []complex128, b uint, strassen bool) (*Ph
 		n++
 	}
 	if (1 << n) != u.Rows {
-		return nil, fmt.Errorf("core: operator dim %d is not a power of two", u.Rows)
+		return nil, fmt.Errorf("qpe: operator dim %d is not a power of two", u.Rows)
 	}
 	powers := RepeatedSquares(u, b, strassen)
 
 	// Joint register: system on qubits [0,n), ancillas on [n, n+b).
-	em := New(n + b)
-	joint := em.State().Amplitudes()
+	joint := make([]complex128, uint64(1)<<(n+b))
 	// Ancillas after Hadamards: uniform superposition; system: psi.
 	// Combined amplitude: psi[s] / sqrt(2^b) at index (x << n) | s.
 	norm := complex(1/math.Sqrt(float64(uint64(1)<<b)), 0)
@@ -144,8 +145,15 @@ func qpeSquaring(u *linalg.Matrix, psi []complex128, b uint, strassen bool) (*Ph
 			copy(block, scratch)
 		}
 	}
-	// Inverse QFT on the ancilla field, then marginalise the system out.
-	em.InverseQFTRange(n, b)
+	// Inverse QFT on the ancilla field as an FFT along it, then
+	// marginalise the system out.
+	if b > 0 {
+		plan, err := fft.NewPlan(uint64(1) << b)
+		if err != nil {
+			return nil, fmt.Errorf("qpe: inverse QFT on %d ancillas: %w", b, err)
+		}
+		plan.TransformField(joint, n, true, runtime.GOMAXPROCS(0))
+	}
 	dist := make([]float64, uint64(1)<<b)
 	for x := uint64(0); x < uint64(1)<<b; x++ {
 		var acc float64

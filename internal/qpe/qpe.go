@@ -1,8 +1,10 @@
-// Package qpe implements the gate-level simulation paths for quantum phase
-// estimation — the expensive baselines the emulated QPE of package core is
-// measured against in Table 2.
+// Package qpe implements quantum phase estimation both ways Table 2
+// compares: the emulated QPE of the paper's Section 3.3 (emulated.go: the
+// dense operator, repeated squaring or eigendecomposition, the exact
+// readout distribution) and the gate-level simulation paths it is measured
+// against.
 //
-// Two textbook variants are provided:
+// Two textbook gate-level variants are provided:
 //
 //   - Coherent QPE: b ancilla qubits, controlled-U^(2^i) realised by
 //     repeating the controlled circuit of U 2^i times, then an inverse QFT

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gates"
 	"repro/internal/ising"
 	"repro/internal/rng"
@@ -42,7 +41,7 @@ func TestCoherentExactPhase(t *testing.T) {
 func TestCoherentMatchesEmulated(t *testing.T) {
 	n := uint(2)
 	circ := ising.TrotterStep(n, ising.DefaultParams())
-	u := core.DenseUnitary(circ)
+	u := DenseUnitary(circ)
 	src := rng.New(42)
 	psi := make([]complex128, 1<<n)
 	var norm float64
@@ -57,7 +56,7 @@ func TestCoherentMatchesEmulated(t *testing.T) {
 
 	b := uint(4)
 	simDist := Coherent(circ, psi, b)
-	est, err := core.QPE(u, psi, b, core.RepeatedSquaring)
+	est, err := QPE(u, psi, b, RepeatedSquaring)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,6 +164,12 @@ func (op *Op) validateDecoded(n uint) error {
 		if !shapeOK {
 			return fmt.Errorf("recognize: %s register shape inconsistent with m=%d", op.kind, op.m)
 		}
+		// Overlapping registers would make the op's map on basis indices
+		// something other than a bijection, which the permutation kernels
+		// assume (each destination written once, by one worker).
+		if !distinctQubits(op.support()) {
+			return fmt.Errorf("recognize: %s registers and ancillas overlap", op.kind)
+		}
 	case opDiag:
 		if err := checkBits("diagonal", op.qubits); err != nil {
 			return err

@@ -27,8 +27,7 @@
 // match can cost performance but never correctness. Larger regions are
 // accepted on the strength of the exact structural match (or, for
 // annotations, trusted as asserted — an annotation that lies about a
-// large region is the caller's bug, exactly like calling core.Emulator
-// methods with the wrong layout).
+// large region is the caller's bug, like any wrong argument).
 //
 // # Region vocabulary
 //

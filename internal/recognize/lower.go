@@ -19,8 +19,9 @@ import (
 //   - Permutation: the arithmetic family (add, sub, addc, mul, div) as one
 //     classical bijection on basis indices — on a cluster, a single
 //     all-to-all (the paper's Section 4.2 observation).
-//   - Diagonal: the diagonal family (fused diagonal runs, phase flips) as
-//     a phase function of the basis index — communication-free anywhere.
+//   - DiagTable, PhaseFlip: the diagonal family as a table over the
+//     support qubits or one sign-flipped pattern — communication-free
+//     anywhere.
 //   - ReflectUniform: the Grover diffusion I - 2|s><s|, which needs only a
 //     global amplitude sum (one scalar allreduce).
 
@@ -100,29 +101,18 @@ func (op *Op) Permutation() (func(uint64) uint64, bool) {
 			return i ^ (((s >> w) & 1) << carryOut)
 		}, true
 	case opMul:
-		return op.mulFunc(), true
+		// revlib.Multiplier's controlled adders of shrinking width sum to
+		// c + a·(b + carry) mod 2^m on every basis state, a set carry
+		// ancilla included.
+		readA, _ := fieldIO(op.regA)
+		readB, _ := fieldIO(op.regB)
+		readC, writeC := fieldIO(op.regC)
+		carry := op.carry
+		return func(i uint64) uint64 {
+			return writeC(i, readC(i)+readA(i)*(readB(i)+((i>>carry)&1)))
+		}, true
 	case opDiv:
 		return op.divFunc(), true
-	}
-	return nil, false
-}
-
-// Diagonal returns the phase function of a diagonal-family op (diagonal
-// runs, phase flips): the factor amplitude i picks up. ok is false for
-// every other kind. The closure is safe for concurrent calls.
-func (op *Op) Diagonal() (func(uint64) complex128, bool) {
-	switch op.kind {
-	case opDiag:
-		qs, d := op.qubits, op.diag
-		return func(i uint64) complex128 { return d[gather(i, qs)] }, true
-	case opPhaseFlip:
-		qs, v := op.qubits, op.value
-		return func(i uint64) complex128 {
-			if gather(i, qs) == v {
-				return -1
-			}
-			return 1
-		}, true
 	}
 	return nil, false
 }
@@ -158,34 +148,6 @@ func (op *Op) Support() []uint { return op.support() }
 // GateCount returns the number of circuit gates the op replaces.
 func (op *Op) GateCount() int { return op.Hi - op.Lo }
 
-// mulFunc returns the shift-and-add product permutation, replaying
-// revlib.Multiplier's exact word-level action.
-func (op *Op) mulFunc() func(uint64) uint64 {
-	m := op.m
-	readA, _ := fieldIO(op.regA)
-	readB, _ := fieldIO(op.regB)
-	readC, writeC := fieldIO(op.regC)
-	carry := op.carry
-	return func(i uint64) uint64 {
-		av := readA(i)
-		bv := readB(i)
-		cv := readC(i)
-		cin := (i >> carry) & 1
-		// For each set bit k of a, the controlled width-(m-k) Cuccaro adder
-		// adds b's low bits plus the carry-in into c's top field.
-		for k := uint(0); k < m; k++ {
-			if (av>>k)&1 == 0 {
-				continue
-			}
-			mask := bitops.Mask(m - k)
-			hi := (cv >> k) & mask
-			hi = (hi + (bv & mask) + cin) & mask
-			cv = (cv &^ (mask << k)) | (hi << k)
-		}
-		return writeC(i, cv)
-	}
-}
-
 // divFunc returns the restoring-division permutation.
 func (op *Op) divFunc() func(uint64) uint64 {
 	m := op.m
@@ -196,18 +158,18 @@ func (op *Op) divFunc() func(uint64) uint64 {
 	maskWin := bitops.Mask(m + 1)
 	return func(i uint64) uint64 {
 		rv := readR(i)
-		bExt := readB(i) | (((i >> bzBit) & 1) << m)
 		qv := readQ(i)
-		cin := (i >> carry) & 1
+		// What each step subtracts: the divisor zero-extended by its
+		// ancilla, plus the adder's carry-in ancilla.
+		sub := (readB(i) | ((i>>bzBit)&1)<<m) + (i>>carry)&1
 		for step := int(m) - 1; step >= 0; step-- {
 			sh := uint(step)
 			window := (rv >> sh) & maskWin
-			window = (window - bExt - cin) & maskWin
+			window = (window - sub) & maskWin
 			qi := (qv >> sh) & 1
 			qi ^= window >> m // copy the sign bit
-			if qi&1 == 1 {
-				window = (window + bExt + cin) & maskWin
-			}
+			// The restore, conditioned on q_i: add sub back or zero.
+			window = (window + sub&-qi) & maskWin
 			qi ^= 1
 			qv = bitops.DepositBits(qv, sh, 1, qi)
 			rv = bitops.DepositBits(rv, sh, m+1, window)

@@ -182,7 +182,7 @@ func (op *Op) Apply(st *statevec.State) {
 	case opQFT:
 		op.applyQFT(st)
 	case opAdd, opSub, opAddc, opMul, opDiv:
-		if add, ok := op.fieldAdd(st.NumQubits()); ok {
+		if add, ok := op.fieldAdd(); ok {
 			st.ApplyFieldAdd(add)
 			return
 		}
@@ -226,24 +226,29 @@ func contiguous(bits []uint) (pos uint, ok bool) {
 	return bits[0], true
 }
 
-// fieldAdd returns the closure-free kernel form of an add, sub or addc
-// whose registers are contiguous fields of an n-qubit register; ok is
-// false for mul and div, for any other placement, and for a decoded op
-// whose registers overlap (which decoding does not rule out): those keep
-// the general permutation path.
-func (op *Op) fieldAdd(n uint) (statevec.FieldAdd, bool) {
+// fieldAdd returns the closure-free kernel form of an add, sub, addc or
+// mul whose registers are contiguous fields; ok is false for div and for
+// any other placement, which keep the general permutation path.
+func (op *Op) fieldAdd() (statevec.FieldAdd, bool) {
 	aPos, aOK := contiguous(op.regA)
 	bPos, bOK := contiguous(op.regB)
-	if op.kind == opMul || op.kind == opDiv || !aOK || !bOK || len(op.regA) != len(op.regB) {
+	if op.kind == opDiv || !aOK || !bOK {
 		return statevec.FieldAdd{}, false
 	}
-	add := statevec.FieldAdd{
-		APos: aPos, BPos: bPos, Width: uint(len(op.regB)),
+	if op.kind == opMul {
+		// C += A·(B + carry): B is the addend, A scales it.
+		cPos, cOK := contiguous(op.regC)
+		return statevec.FieldAdd{
+			APos: bPos, BPos: cPos, Width: op.m, CarryIn: op.carry,
+			MulPos: aPos, HasMul: true,
+		}, cOK
+	}
+	return statevec.FieldAdd{
+		APos: aPos, BPos: bPos, Width: op.m,
 		CarryIn:  op.carry,
 		CarryOut: op.bz, HasCarryOut: op.kind == opAddc,
 		Subtract: op.kind == opSub,
-	}
-	return add, add.Check(n) == nil
+	}, true
 }
 
 func (op *Op) applyQFT(st *statevec.State) {
@@ -263,9 +268,10 @@ func (op *Op) applyQFT(st *statevec.State) {
 		return
 	}
 	reverse := func() {
-		w := op.width
-		st.MapRegister(op.pos, w, func(field, rest uint64) uint64 {
-			return bitops.ReverseBits(field, w)
+		pos, w := op.pos, op.width
+		mask := bitops.Mask(w) << pos
+		st.ApplyPermutation(func(i uint64) uint64 {
+			return i&^mask | bitops.ReverseBits(i&mask>>pos, w)<<pos
 		})
 	}
 	if op.noswap && op.inverse {

@@ -9,9 +9,9 @@ import (
 // This file holds the kernels behind the emulator's classical shortcuts
 // that have enough structure to run without a per-amplitude callback:
 // register arithmetic on contiguous fields (the structured case of
-// ApplyPermutation) and table-driven diagonals of any width (the
-// structured case of ApplyDiagonalFunc). The callback kernels stay the
-// general path.
+// ApplyPermutation) and table-driven diagonals of any width.
+// ApplyPermutation is the one callback kernel that stays, as the general
+// path of the permutation family.
 
 // FieldAdd describes in-place addition between two register fields:
 //
@@ -20,13 +20,17 @@ import (
 // where A = [APos, APos+Width) and B = [BPos, BPos+Width) are disjoint
 // contiguous qubit fields and c is the bit at CarryIn. With HasCarryOut
 // (addition only) the carry out of the top bit is XORed into the qubit
-// CarryOut.
+// CarryOut. With HasMul the addend is scaled by a third disjoint field
+// M = [MulPos, MulPos+Width) — B <- B ± M·(A + c), the shift-and-add
+// multiplier's action — and there is no carry-out form.
 type FieldAdd struct {
 	APos, BPos, Width uint
 	CarryIn           uint
 	CarryOut          uint
 	HasCarryOut       bool
 	Subtract          bool
+	MulPos            uint
+	HasMul            bool
 }
 
 // Check reports why op is not a field addition on an n-qubit register —
@@ -37,7 +41,18 @@ func (op FieldAdd) Check(n uint) error {
 		return fmt.Errorf("statevec: field add of width %d at %d and %d exceeds %d qubits", op.Width, op.APos, op.BPos, n)
 	}
 	fields := bitops.Mask(op.Width)<<op.APos | bitops.Mask(op.Width)<<op.BPos
-	if bitops.PopCount(fields) != int(2*op.Width) {
+	count := 2 * op.Width
+	if op.HasMul {
+		if op.MulPos+op.Width > n {
+			return fmt.Errorf("statevec: field add multiplier of width %d at %d exceeds %d qubits", op.Width, op.MulPos, n)
+		}
+		if op.HasCarryOut {
+			return fmt.Errorf("statevec: field multiply-add has no carry-out form")
+		}
+		fields |= bitops.Mask(op.Width) << op.MulPos
+		count += op.Width
+	}
+	if bitops.PopCount(fields) != int(count) {
 		return fmt.Errorf("statevec: field add registers overlap")
 	}
 	if op.CarryIn >= n || fields>>op.CarryIn&1 != 0 {
@@ -85,8 +100,9 @@ func (s *State) ApplyFieldAdd(op FieldAdd) {
 }
 
 // fieldAddChunk moves amp[i] to out[f(i)] for i in [start, end), f being
-// op's map: B's field replaced by B ± (A + c), and in the carry-out form
-// the carry of that sum XORed into its qubit.
+// op's map: B's field replaced by B ± (A + c), the addend scaled by M in
+// the multiplier form, and in the carry-out form the carry of that sum
+// XORed into its qubit.
 //
 //qemu:hotpath
 func fieldAddChunk(out, amp []complex128, op FieldAdd, start, end uint64) {
@@ -99,6 +115,20 @@ func fieldAddChunk(out, amp []complex128, op FieldAdd, start, end uint64) {
 	}
 	if op.HasCarryOut {
 		coutBit = 1 << op.CarryOut
+	}
+	if op.HasMul {
+		// Masking the shift counts — Check bounds every position below the
+		// register width — spares each variable shift its guard: 1.3x on the
+		// cache-resident registers multipliers fit in. The loop below keeps
+		// its guards: without them emulate-mix's 2^20-amplitude adder read
+		// 10% slower, on this host at least.
+		aPos, bPos, cin, mPos := aPos&63, bPos&63, cin&63, op.MulPos&63
+		for i := start; i < end; i++ {
+			av := ((i>>aPos)&mask + (i>>cin)&1) * ((i >> mPos) & mask)
+			sum := (i>>bPos)&mask + (av ^ neg) + neg&1
+			out[i&^(mask<<bPos)|(sum&mask)<<bPos] = amp[i]
+		}
+		return
 	}
 	for i := start; i < end; i++ {
 		av := (i>>aPos)&mask + (i>>cin)&1

@@ -13,6 +13,9 @@ import (
 func fieldAddReference(op FieldAdd) func(uint64) uint64 {
 	return func(i uint64) uint64 {
 		a := bitops.ExtractBits(i, op.APos, op.Width) + bitops.Bit(i, op.CarryIn)
+		if op.HasMul {
+			a *= bitops.ExtractBits(i, op.MulPos, op.Width)
+		}
 		b := bitops.ExtractBits(i, op.BPos, op.Width)
 		if op.Subtract {
 			return bitops.DepositBits(i, op.BPos, op.Width, (b-a)&bitops.Mask(op.Width))
@@ -27,7 +30,7 @@ func fieldAddReference(op FieldAdd) func(uint64) uint64 {
 }
 
 // randomFieldAdd draws a valid field addition on n qubits: field width,
-// both placements in either order, and the carry qubits among the rest.
+// the placements in any order, and the carry qubits among the rest.
 func randomFieldAdd(src *rng.Source, n uint) FieldAdd {
 	for {
 		w := 1 + uint(src.Intn(int(n-2)/2))
@@ -35,11 +38,14 @@ func randomFieldAdd(src *rng.Source, n uint) FieldAdd {
 			Width: w, APos: uint(src.Intn(int(n - w + 1))), BPos: uint(src.Intn(int(n - w + 1))),
 			CarryIn: uint(src.Intn(int(n))), CarryOut: uint(src.Intn(int(n))),
 		}
-		switch src.Intn(3) {
+		switch src.Intn(5) {
 		case 1:
 			op.Subtract = true
 		case 2:
 			op.HasCarryOut = true
+		case 3, 4:
+			op.HasMul, op.MulPos = true, uint(src.Intn(int(n-w+1)))
+			op.Subtract = src.Intn(2) == 1
 		}
 		if op.Check(n) == nil {
 			return op
@@ -53,7 +59,7 @@ func randomFieldAdd(src *rng.Source, n uint) FieldAdd {
 // where the reference bijection through ApplyPermutation does.
 func TestFieldAddMatchesPermutation(t *testing.T) {
 	src := rng.New(41)
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 500; trial++ {
 		n := 4 + uint(src.Intn(7))
 		workers := 1
 		if trial%10 == 0 {
@@ -83,6 +89,10 @@ func TestFieldAddValidation(t *testing.T) {
 		"carry-out is carry": {APos: 0, BPos: 2, Width: 2, CarryIn: 4, CarryOut: 4, HasCarryOut: true},
 		"carry-out oob":      {APos: 0, BPos: 2, Width: 2, CarryIn: 4, CarryOut: 5, HasCarryOut: true},
 		"subtract carry-out": {APos: 0, BPos: 2, Width: 2, CarryIn: 4, CarryOut: 3, HasCarryOut: true, Subtract: true},
+		"multiplier oob":     {APos: 0, BPos: 1, Width: 1, CarryIn: 2, MulPos: 5, HasMul: true},
+		"multiplier overlap": {APos: 0, BPos: 1, Width: 1, CarryIn: 2, MulPos: 1, HasMul: true},
+		"multiplier carry":   {APos: 0, BPos: 1, Width: 1, CarryIn: 2, MulPos: 2, HasMul: true},
+		"multiply carry-out": {APos: 0, BPos: 1, Width: 1, CarryIn: 2, MulPos: 3, HasMul: true, CarryOut: 4, HasCarryOut: true},
 	}
 	for name, op := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -131,10 +141,18 @@ func randomPhases(src *rng.Source, w uint) []complex128 {
 	return d
 }
 
+// applyDiagonalFunc multiplies amplitude i by phase(i): the reference the
+// table kernel is held to beyond ApplyDiagN's width.
+func (s *State) applyDiagonalFunc(phase func(uint64) complex128) {
+	for i := range s.amp {
+		s.amp[i] *= phase(uint64(i))
+	}
+}
+
 // TestDiagTableMatchesDiagN checks the run-indexed diagonal against the
 // block-layout kernel where both apply (widths up to MaxMatrixNQubits) and
-// against the callback kernel beyond (widths 9 to 16), on qubit lists of
-// one, two and three runs, serial and parallel.
+// against the per-amplitude reference beyond (widths 9 to 16), on qubit
+// lists of one, two and three runs, serial and parallel.
 func TestDiagTableMatchesDiagN(t *testing.T) {
 	src := rng.New(43)
 	const n = 18
@@ -147,7 +165,7 @@ func TestDiagTableMatchesDiagN(t *testing.T) {
 			if w <= MaxMatrixNQubits {
 				want.ApplyDiagN(d, qs)
 			} else {
-				want.ApplyDiagonalFunc(func(i uint64) complex128 {
+				want.applyDiagonalFunc(func(i uint64) complex128 {
 					var x uint64
 					for j, q := range qs {
 						x |= bitops.Bit(i, q) << uint(j)

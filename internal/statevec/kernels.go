@@ -364,27 +364,3 @@ func (s *State) ApplyPermutation(f func(uint64) uint64) {
 	}
 	s.amp, s.scratch = out, s.amp
 }
-
-// ApplyDiagonalFunc multiplies amplitude i by phase(i). Emulated diagonal
-// unitaries (e.g. e^{i f(x)} oracles) use it.
-func (s *State) ApplyDiagonalFunc(phase func(uint64) complex128) {
-	s.parallelRange(s.Dim(), func(start, end uint64) {
-		for i := start; i < end; i++ {
-			s.amp[i] *= phase(i)
-		}
-	})
-}
-
-// MapRegister applies an in-register classical map: the field of width
-// `width` bits starting at bit `pos` is replaced by f(old field, rest)
-// where rest is the index with the field zeroed. f must be a bijection of
-// the field value for every fixed rest, which keeps the whole map a
-// permutation. This expresses e.g. (a,b,0) -> (a,b,a*b) directly.
-func (s *State) MapRegister(pos, width uint, f func(field, rest uint64) uint64) {
-	mask := bitops.Mask(width) << pos
-	s.ApplyPermutation(func(i uint64) uint64 {
-		field := (i & mask) >> pos
-		rest := i &^ mask
-		return rest | ((f(field, rest) << pos) & mask)
-	})
-}

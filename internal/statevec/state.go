@@ -21,7 +21,7 @@
 // (one State per node, as internal/cluster does per shard) should use it.
 //
 // A State also carries a reusable scratch vector: ApplyPermutation and
-// MapRegister write into it and swap it with the live amplitude slice
+// ApplyFieldAdd write into it and swap it with the live amplitude slice
 // instead of allocating 16*2^n bytes per call. The scratch buffer is owned
 // by the State; slices previously obtained from Amplitudes may therefore
 // be recycled as scratch storage after a permutation.

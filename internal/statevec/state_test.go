@@ -195,39 +195,6 @@ func TestApplyPermutation(t *testing.T) {
 	}
 }
 
-func TestMapRegister(t *testing.T) {
-	src := rng.New(44)
-	s := NewRandom(6, src)
-	orig := s.Clone()
-	// Add 5 mod 8 to the 3-bit field at position 2.
-	s.MapRegister(2, 3, func(field, rest uint64) uint64 { return field + 5 })
-	for i := uint64(0); i < 64; i++ {
-		f := (i >> 2) & 7
-		j := (i &^ (7 << 2)) | (((f + 5) & 7) << 2)
-		if cmplx.Abs(s.Amplitude(j)-orig.Amplitude(i)) > eps {
-			t.Fatalf("MapRegister misplaced index %d", i)
-		}
-	}
-}
-
-func TestApplyDiagonalFunc(t *testing.T) {
-	src := rng.New(55)
-	s := NewRandom(5, src)
-	orig := s.Clone()
-	s.ApplyDiagonalFunc(func(i uint64) complex128 {
-		return cmplx.Exp(complex(0, float64(i)*0.1))
-	})
-	if math.Abs(s.Norm()-1) > eps {
-		t.Error("diagonal func broke normalisation")
-	}
-	for i := uint64(0); i < s.Dim(); i++ {
-		want := orig.Amplitude(i) * cmplx.Exp(complex(0, float64(i)*0.1))
-		if cmplx.Abs(s.Amplitude(i)-want) > eps {
-			t.Fatalf("phase wrong at %d", i)
-		}
-	}
-}
-
 func TestInnerAndFidelity(t *testing.T) {
 	s := New(2)
 	o := NewBasis(2, 1)

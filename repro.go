@@ -40,7 +40,7 @@
 //     the cluster engine), phase estimation becomes dense linear algebra,
 //     and measurement statistics are read off exactly.
 //
-// The full API lives in the internal packages (backend, core, recognize,
+// The full API lives in the internal packages (backend, recognize,
 // fuse, statevec, circuit, gates, qasm, qft, qpe, revlib, cluster, linalg,
 // fft, perfmodel).
 package repro
