@@ -2,7 +2,7 @@
 // (Eqs. 5 and 6) at full paper scale, printing the Figure 3 weak-scaling
 // prediction and the asymptotic QPE cross-over bounds of Section 3.3 —
 // and, next to the analytic columns, the calibrated measured model the
-// auto-backend selector prices candidates with.
+// auto-target selector prices candidates with.
 //
 // Usage:
 //
@@ -11,10 +11,10 @@
 //
 // -calibrate runs the micro-benchmarks of internal/perfmodel against the
 // live kernels (about a second) and writes the constants to the
-// calibration cache, where `repro.Open(n, WithAuto())` and `qemu-run
-// -backend auto` pick them up. -calibration-path overrides the cache
-// location (equivalent to setting QEMU_CALIBRATION_FILE); CI uses it to
-// keep headless runs out of the user cache directory.
+// calibration cache, where every Compile for an auto target (`qemu-run
+// -backend auto` among them) picks them up. -calibration-path overrides
+// the cache location (equivalent to setting QEMU_CALIBRATION_FILE); CI
+// uses it to keep headless runs out of the user cache directory.
 package main
 
 import (

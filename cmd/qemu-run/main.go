@@ -1,10 +1,11 @@
 // Command qemu-run executes a circuit file (the qasm text format of
 // internal/qasm) on a chosen back-end and reports the resulting state or
-// measurement statistics. It is a thin shell over the repro.Open unified
-// backend API: every configuration — fused simulator, structure-blind and
-// sparse baselines, emulation dispatch, the distributed engine — opens
-// through the same constructor, compiles through the same pass pipeline,
-// and reports the same Result.
+// measurement statistics. It is a thin shell over the repro facade: the
+// flags name a Target (fused simulator, structure-blind and sparse
+// baselines, emulation dispatch, the distributed engine, or auto), the
+// circuit compiles for it through the one pass pipeline, repro.OpenFor
+// opens the backend the executable runs on, and every configuration
+// reports the same Result.
 //
 // Usage:
 //
@@ -13,13 +14,14 @@
 //	         [-seed S] [-noise kind:p -trajectories N [-workers W]] circuit.qc
 //
 // -backend auto hands the whole configuration to the profile-driven
-// selector: the compiler profiles the circuit, prices every engine
-// (fused at several widths, generic, sparse, cluster) with the
-// calibrated cost model and runs the cheapest, printing the full
-// selection report — chosen target, candidate costs, per-region
-// emulate-vs-fuse verdicts. `-emulate auto` with no -fuse-width or
-// -nodes pins routes through the same selector; add pins to keep the
-// classic behaviour (emulation dispatch on the shape you chose).
+// selector: Compile profiles the circuit, prices every engine (fused at
+// several widths, generic, sparse, cluster) with the calibrated cost
+// model and resolves the auto target to the cheapest; the backend is
+// opened for that shape, and the full selection report is printed —
+// chosen target, candidate costs, per-region emulate-vs-fuse verdicts.
+// `-emulate auto` with no -fuse-width or -nodes pins routes through the
+// same selector; add pins to keep the classic behaviour (emulation
+// dispatch on the shape you chose).
 //
 // -fuse-width K enables multi-qubit block fusion: consecutive gates whose
 // combined support fits in K qubits are merged into one dense 2^K block
@@ -91,9 +93,11 @@ func main() {
 	}
 }
 
-// options translates the flag surface into Open options.
-func options(backendName string, fuseWidth int, emulate string, nodes int) ([]repro.OpenOption, error) {
-	var opts []repro.OpenOption
+// target translates the flag surface into the Target the circuit is
+// compiled for: the Open options' shape, or an auto target.
+func target(n uint, backendName string, fuseWidth int, emulate string, nodes int) (repro.Target, error) {
+	t := repro.Target{NumQubits: n}
+	set := func(o repro.OpenOption) { o(&t) }
 	baseline := false
 	emulatorBackend := false
 	switch backendName {
@@ -101,66 +105,68 @@ func options(backendName string, fuseWidth int, emulate string, nodes int) ([]re
 		// Fully profile-driven: the compiler picks engine kind, fusion
 		// width and node count, so shape pins contradict it.
 		if fuseWidth >= 2 {
-			return nil, fmt.Errorf("-fuse-width contradicts -backend auto (auto picks the width)")
+			return t, fmt.Errorf("-fuse-width contradicts -backend auto (auto picks the width)")
 		}
 		if nodes > 1 {
-			return nil, fmt.Errorf("-nodes contradicts -backend auto (auto picks the node count)")
+			return t, fmt.Errorf("-nodes contradicts -backend auto (auto picks the node count)")
 		}
 		if emulate == "off" || emulate == "annotated" {
-			return nil, fmt.Errorf("-emulate %s contradicts -backend auto (auto decides per region)", emulate)
+			return t, fmt.Errorf("-emulate %s contradicts -backend auto (auto decides per region)", emulate)
 		}
-		return []repro.OpenOption{repro.WithAuto()}, nil
+		t.Auto = true
+		return t, nil
 	case "ours", "":
 		// -emulate auto with no shape pins means "decide for me": route
 		// through the profile-driven selector so the report explains the
 		// choice instead of silently defaulting the engine shape.
 		if emulate == "auto" && fuseWidth < 2 && nodes <= 1 {
-			return []repro.OpenOption{repro.WithAuto()}, nil
+			t.Auto = true
+			return t, nil
 		}
 	case "emulator":
 		emulatorBackend = true
 	case "generic":
-		opts = append(opts, repro.WithGenericKernels())
+		set(repro.WithGenericKernels())
 		baseline = true
 	case "sparse":
-		opts = append(opts, repro.WithSparseKernels())
+		set(repro.WithSparseKernels())
 		baseline = true
 	default:
-		return nil, fmt.Errorf("unknown backend %q (auto, ours, generic, sparse, emulator)", backendName)
+		return t, fmt.Errorf("unknown backend %q (auto, ours, generic, sparse, emulator)", backendName)
 	}
 	if fuseWidth >= 2 {
 		if baseline {
-			return nil, fmt.Errorf("-fuse-width applies to the ours back-end, not %q", backendName)
+			return t, fmt.Errorf("-fuse-width applies to the ours back-end, not %q", backendName)
 		}
-		opts = append(opts, repro.WithFusion(fuseWidth))
+		set(repro.WithFusion(fuseWidth))
 	}
 	if emulate != "" && baseline {
-		return nil, fmt.Errorf("-emulate applies to the ours back-end, not %q", backendName)
+		return t, fmt.Errorf("-emulate applies to the ours back-end, not %q", backendName)
 	}
 	switch emulate {
 	case "":
 		// -backend emulator is emulation; default its mode to auto.
 		if emulatorBackend {
-			opts = append(opts, repro.WithEmulation(repro.EmulateAuto))
+			set(repro.WithEmulation(repro.EmulateAuto))
 		}
 	case "off":
 		if emulatorBackend {
-			return nil, fmt.Errorf("-backend emulator contradicts -emulate off (use -backend ours)")
+			return t, fmt.Errorf("-backend emulator contradicts -emulate off (use -backend ours)")
 		}
 	case "annotated":
-		opts = append(opts, repro.WithEmulation(repro.EmulateAnnotated))
+		set(repro.WithEmulation(repro.EmulateAnnotated))
 	case "auto":
-		opts = append(opts, repro.WithEmulation(repro.EmulateAuto))
+		set(repro.WithEmulation(repro.EmulateAuto))
 	default:
-		return nil, fmt.Errorf("unknown -emulate mode %q (off, annotated, auto)", emulate)
+		return t, fmt.Errorf("unknown -emulate mode %q (off, annotated, auto)", emulate)
 	}
 	if nodes > 1 {
 		if baseline {
-			return nil, fmt.Errorf("-nodes applies to the ours back-end, not %q", backendName)
+			return t, fmt.Errorf("-nodes applies to the ours back-end, not %q", backendName)
 		}
-		opts = append(opts, repro.WithNodes(nodes))
+		set(repro.WithNodes(nodes))
 	}
-	return opts, nil
+	return t, nil
 }
 
 func run(path, backendName string, fuseWidth int, emulate string, nodes, shots, top int, seed uint64, noiseSpec string, trajs, workers int) error {
@@ -186,17 +192,11 @@ func run(path, backendName string, fuseWidth int, emulate string, nodes, shots, 
 	fmt.Printf("circuit: %d qubits, %d gates, depth %d\n",
 		circ.NumQubits, circ.Len(), circ.Depth())
 
-	opts, err := options(backendName, fuseWidth, emulate, nodes)
+	t, err := target(circ.NumQubits, backendName, fuseWidth, emulate, nodes)
 	if err != nil {
 		return err
 	}
-	b, err := repro.Open(circ.NumQubits, opts...)
-	if err != nil {
-		return err
-	}
-	defer b.Close()
-
-	x, err := repro.Compile(circ, b.Target())
+	x, err := repro.Compile(circ, t)
 	if err != nil {
 		return err
 	}
@@ -206,8 +206,12 @@ func run(path, backendName string, fuseWidth int, emulate string, nodes, shots, 
 	if trajs > 0 {
 		return runTrajectories(int(circ.NumQubits), x, trajs, workers, seed, top)
 	}
-	t := b.Target()
-	if t.Nodes > 1 {
+	b, err := repro.OpenFor(x)
+	if err != nil {
+		return err
+	}
+	defer b.Close()
+	if t := x.Target; t.Nodes > 1 {
 		fmt.Printf("cluster: %d nodes x 2^%d amplitudes; gate schedule: %d planned rounds (%d remaps) for %d gates\n",
 			t.Nodes, t.LocalQubits(), x.PlannedRounds, x.PlannedRemaps, x.NumGates-x.EmulatedGates)
 	}

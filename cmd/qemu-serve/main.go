@@ -12,7 +12,7 @@
 //	           [-no-auto]
 //
 // By default (no -fuse-width, no -nodes, -emulate auto) the daemon
-// compiles every circuit through the profile-driven auto backend: each
+// compiles every circuit for the profile-driven auto target: each
 // artifact gets the engine the cost model picks for that circuit, so
 // mixed clients don't share one compromise shape. Pin -fuse-width or
 // -nodes (or pass -no-auto) to compile everything for one fixed target.

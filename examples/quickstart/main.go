@@ -1,9 +1,9 @@
-// Quickstart: open a backend through repro.Open (the single entrypoint
-// for every engine), build a GHZ state, inspect the exact measurement
+// Quickstart: open a backend through repro.Open (the constructor for a
+// hand-configured engine), build a GHZ state, inspect the exact measurement
 // distribution (the emulator's Section 3.4 shortcut), draw hardware-style
-// samples, and verify the explicit gate-level backend and the
-// profile-driven auto backend (WithAuto: Compile picks the engine)
-// agree gate-for-gate.
+// samples, and verify the explicit gate-level backend and the backend
+// opened for an auto-compiled executable (Compile picks the engine,
+// repro.OpenFor opens it) agree gate-for-gate.
 package main
 
 import (
@@ -38,16 +38,17 @@ func main() {
 		panic(err)
 	}
 
-	// The same program through the auto backend: Compile profiles the
+	// The same program compiled for the auto target: Compile profiles the
 	// circuit, prices every engine with the calibrated cost model and
 	// picks the cheapest — engine kind, fusion width and node count are
-	// all decided for you (this tiny circuit has nothing recognisable,
-	// so both paths execute the same kernels — which is the check).
-	e, err := repro.Open(n, repro.WithAuto())
+	// all decided for you — and OpenFor opens a backend of the chosen
+	// shape (this tiny circuit has nothing recognisable, so both paths
+	// execute the same kernels — which is the check).
+	ex, err := repro.Compile(circ, repro.Target{NumQubits: n, Auto: true})
 	if err != nil {
 		panic(err)
 	}
-	ex, err := repro.Compile(circ, e.Target())
+	e, err := repro.OpenFor(ex)
 	if err != nil {
 		panic(err)
 	}

@@ -2,10 +2,11 @@
 // case for emulation (Section 3, "the most famous application"). The
 // modular exponentiation |x>|1> -> |x>|a^x mod N>, which a simulator would
 // have to run as an enormous reversible circuit, is emulated as a single
-// classical permutation on the repro.Open backend's state; the inverse
-// QFT on the counting register runs as a circuit the profile-driven auto
-// backend (repro.WithAuto) chooses to lower to the FFT; the final
-// readout uses the exact distribution plus continued fractions.
+// classical permutation on the backend's state; the inverse QFT on the
+// counting register runs as a circuit compiled for the profile-driven auto
+// target, which chooses to lower it to the FFT (repro.OpenFor opens the
+// backend of the chosen shape); the final readout uses the exact
+// distribution plus continued fractions.
 package main
 
 import (
@@ -36,11 +37,19 @@ func factorOnce(N, a uint64) {
 	total := t + w
 	fmt.Printf("  %d counting qubits + %d work qubits = %d total\n", t, w, total)
 
-	// The auto backend: Compile profiles the inverse-QFT circuit below,
-	// prices every engine and picks the shape itself — here a fused
-	// engine with the Fourier region dispatched to the FFT, the same
-	// choice WithEmulation(EmulateAnnotated) used to hard-code.
-	b, err := repro.Open(total, repro.WithAuto())
+	// Inverse QFT on the counting register: the gate-level circuit carries
+	// an "iqft" region. Compiled for the auto target, Compile profiles it,
+	// prices every engine and picks the shape itself — here a fused engine
+	// with the Fourier region dispatched to the FFT, the same choice
+	// WithEmulation(EmulateAnnotated) used to hard-code — and the state is
+	// prepared on the backend opened for that shape.
+	iqft := repro.NewCircuit(total)
+	iqft.Extend(qft.Circuit(t).Dagger())
+	x, err := repro.Compile(iqft, repro.Target{NumQubits: total, Auto: true})
+	if err != nil {
+		panic(err)
+	}
+	b, err := repro.OpenFor(x)
 	if err != nil {
 		panic(err)
 	}
@@ -64,14 +73,7 @@ func factorOnce(N, a uint64) {
 		return (i &^ (wMask << t)) | nv<<t
 	})
 
-	// Inverse QFT on the counting register: the gate-level circuit carries
-	// an "iqft" region the backend's compiler replaces with the FFT.
-	iqft := repro.NewCircuit(total)
-	iqft.Extend(qft.Circuit(t).Dagger())
-	x, err := repro.Compile(iqft, b.Target())
-	if err != nil {
-		panic(err)
-	}
+	// The compiled inverse QFT runs on the prepared state.
 	res, err := b.Run(x)
 	if err != nil {
 		panic(err)

@@ -1,24 +1,26 @@
 package backend_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
+	"repro/internal/circuit"
 	"repro/internal/cluster"
+	"repro/internal/perfmodel"
 	"repro/internal/qft"
 	"repro/internal/recognize"
+	"repro/internal/rng"
 )
 
-// TestAutoCompileEndToEnd runs the whole auto pipeline: Compile resolves
-// the auto target to a concrete one and attaches the selection report,
-// Run materialises the selected engine, and the final state matches a
-// hand-configured emulating backend exactly.
-func TestAutoCompileEndToEnd(t *testing.T) {
-	c := prep(16)
-	c.Extend(qft.Circuit(16))
-	autoT := backend.Target{NumQubits: 16, Auto: true}
-
-	x, err := backend.Compile(c, autoT)
+// runAuto is the one idiom for an auto target: Compile resolves it to a
+// concrete shape and attaches the selection report, and the backend is
+// opened for the executable's Target. touch runs on the fresh backend
+// before the Run (nil for none).
+func runAuto(t *testing.T, c *circuit.Circuit, touch func(backend.Backend)) (backend.Backend, *backend.Result) {
+	t.Helper()
+	x, err := backend.Compile(c, backend.Target{NumQubits: c.NumQubits, Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,24 +35,29 @@ func TestAutoCompileEndToEnd(t *testing.T) {
 	if ch := x.Selection.Chosen; ch.Kind != x.Target.Kind || ch.FuseWidth != x.Target.FuseWidth {
 		t.Fatalf("selection chose %+v but executable targets %+v", ch, x.Target)
 	}
-
-	b, err := backend.New(autoT)
+	b, err := backend.New(x.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	t.Cleanup(func() { b.Close() })
+	if touch != nil {
+		touch(b)
+	}
 	res, err := b.Run(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Selection == nil {
-		t.Fatal("auto Result has no selection report")
+	if res.Selection == nil || !strings.HasPrefix(res.Selection.Report(), "auto backend: chose") {
+		t.Fatalf("auto Result carries no selection report: %+v", res.Selection)
 	}
-	if res.Selection.Report() == "" {
-		t.Fatal("empty selection report")
-	}
+	return b, res
+}
 
-	ref, err := backend.New(backend.Target{NumQubits: 16, Emulate: recognize.Auto})
+// checkAgainstEmulating runs c on a hand-configured emulating backend and
+// requires b's state to match it.
+func checkAgainstEmulating(t *testing.T, c *circuit.Circuit, b backend.Backend) {
+	t.Helper()
+	ref, err := backend.New(backend.Target{NumQubits: c.NumQubits, Emulate: recognize.Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,26 +70,51 @@ func TestAutoCompileEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAutoExecuteViaBackend pins the Execute path: opening an auto
-// backend and handing it a raw circuit must compile through the auto
-// pipeline (b.Target() keeps the Auto bit) and report the selection.
+// TestAutoCompileEndToEnd runs the whole auto pipeline: Compile resolves
+// the auto target to a concrete one and attaches the selection report,
+// the backend opened for it runs the executable, and the final state
+// matches a hand-configured emulating backend. A backend touched before
+// its first Run still runs: on 16-qubit brickwork the selector picks
+// block fusion, which a backend that pinned a default engine on that
+// first touch would have rejected.
+func TestAutoCompileEndToEnd(t *testing.T) {
+	c := prep(16)
+	c.Extend(qft.Circuit(16))
+	b, _ := runAuto(t, c, nil)
+	checkAgainstEmulating(t, c, b)
+
+	brick := circgen.Brickwork(rng.New(1), 16, 6)
+	prof, _ := backend.ProfileCircuit(brick)
+	if sel := backend.SelectTarget(prof, perfmodel.Default()); sel.Chosen.FuseWidth < 2 {
+		t.Fatalf("brickwork selects %+v; the scenario needs block fusion", sel.Chosen)
+	}
+	b, _ = runAuto(t, brick, func(b backend.Backend) { b.Probability(0) })
+	checkAgainstEmulating(t, brick, b)
+}
+
+// TestAutoExecuteViaBackend pins the served path on a QFT ladder: compile
+// for the auto target, open x.Target, Run — the selection report lists
+// its candidates and the state matches a hand-configured emulating
+// backend.
 func TestAutoExecuteViaBackend(t *testing.T) {
 	c := prep(12)
 	c.Extend(qft.CircuitNoSwap(12))
-	b, err := backend.New(backend.Target{NumQubits: 12, Auto: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	res, err := backend.Execute(b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Selection == nil {
-		t.Fatal("Execute on an auto backend produced no selection report")
-	}
+	b, res := runAuto(t, c, nil)
 	if len(res.Selection.Candidates) == 0 {
 		t.Fatal("selection report lists no candidates")
+	}
+	checkAgainstEmulating(t, c, b)
+}
+
+// TestNewRejectsAutoTarget: an auto target names no engine, so New
+// refuses it and says what to open instead.
+func TestNewRejectsAutoTarget(t *testing.T) {
+	_, err := backend.New(backend.Target{NumQubits: 8, Auto: true})
+	if err == nil {
+		t.Fatal("New opened an auto target")
+	}
+	if !strings.Contains(err.Error(), "Compile") {
+		t.Fatalf("error does not say to compile first: %v", err)
 	}
 }
 

@@ -55,7 +55,9 @@ type Target struct {
 	// emulate-vs-fuse decisions all come from the model. When set, the
 	// fields below (except Workers) are ignored and normalize clears
 	// them, so every auto target of a given width has one canonical form
-	// (and one artifact fingerprint).
+	// (and one artifact fingerprint). Only Compile takes an auto target;
+	// the executable it returns carries the resolved concrete Target, and
+	// that is what New opens.
 	Auto bool
 	// Kind selects the engine.
 	Kind Kind
@@ -173,37 +175,28 @@ func (t Target) LocalQubits() uint { return t.NumQubits - nodeBits(t.Nodes) }
 // nodeBits returns log2(p) for a power-of-two p.
 func nodeBits(p int) uint { return uint(bits.TrailingZeros(uint(p))) }
 
-// sameShape reports whether an executable compiled for a can run on b.
-func sameShape(a, b Target) bool {
-	return a.NumQubits == b.NumQubits && a.Kind == b.Kind && a.Nodes == b.Nodes &&
-		a.effectiveFuseWidth() == b.effectiveFuseWidth()
+// checkShape returns nil when an executable compiled for x can run on a
+// backend opened for b, and otherwise an error naming both shapes.
+func checkShape(x, b Target) error {
+	if x.NumQubits == b.NumQubits && x.Kind == b.Kind && x.Nodes == b.Nodes &&
+		x.effectiveFuseWidth() == b.effectiveFuseWidth() {
+		return nil
+	}
+	return fmt.Errorf("backend: executable compiled for %s, backend is %s", x.shape(), b.shape())
 }
 
-// Stats is the unified counter snapshot every backend reports. Single-node
-// backends leave the communication counters at zero.
-type Stats struct {
-	// Gates counts gates executed gate-level (fused blocks counted by
-	// their original gates); EmulatedOps counts recognised shortcuts
-	// executed instead of their gates.
-	Gates       uint64
-	EmulatedOps uint64
-	// Rounds, Messages, BytesSent and AllToAlls are the distributed
-	// engine's communication counters (see cluster.Stats).
-	Rounds    uint64
-	Messages  uint64
-	BytesSent uint64
-	AllToAlls uint64
+// shape renders the fields checkShape compares.
+func (t Target) shape() string {
+	return fmt.Sprintf("%s P=%d w=%d/%d qubits", t.Kind, t.Nodes, t.effectiveFuseWidth(), t.NumQubits)
 }
 
-// Backend is the uniform execution interface over every engine: the local
-// fused simulator, the structure-blind and sparse baselines, and the
-// distributed cluster engine. All backends execute the same Executables;
-// Run is pure dispatch.
+// Backend is the one execution interface, implemented by two engines: the
+// local state vector (the Fused, Generic and Sparse kinds) and the
+// distributed cluster. Both execute the same Executables; Run is pure
+// dispatch.
 type Backend interface {
-	// NumQubits returns the register width.
-	NumQubits() uint
-	// Target returns the backend's (normalized) execution shape — what
-	// Compile needs to build an Executable this backend accepts.
+	// Target returns the backend's (normalized, concrete) execution shape
+	// — what Compile needs to build an Executable this backend accepts.
 	Target() Target
 	// Run executes a compiled Executable and reports what happened.
 	Run(x *Executable) (*Result, error)
@@ -226,15 +219,11 @@ type Backend interface {
 	State() *statevec.State
 	// Probability returns P(qubit q reads 1) without collapsing.
 	Probability(q uint) float64
-	// Measure projectively measures qubit q, collapsing the state.
-	Measure(q uint, src *rng.Source) uint64
 	// Sample draws one full-register outcome without collapsing.
 	Sample(src *rng.Source) uint64
 	// SampleMany draws k independent outcomes; identical RNG streams give
 	// draw-for-draw identical samples on every backend.
 	SampleMany(k int, src *rng.Source) []uint64
-	// Stats returns the cumulative execution counters.
-	Stats() Stats
 	// Close releases backend resources. Close is idempotent and safe to
 	// call concurrently with itself and with in-flight Runs: every call
 	// returns nil, Runs already executing complete normally, and Runs
@@ -248,16 +237,18 @@ type Backend interface {
 var ErrClosed = errors.New("backend: closed")
 
 // New opens a backend of the target's kind over a fresh |0...0> register.
+// An auto target names no engine: Compile resolves it, and the backend to
+// open is New(x.Target) of the executable it returns.
 func New(t Target) (Backend, error) {
+	if t.Auto {
+		return nil, errors.New("backend: an auto target has no engine; Compile the circuit first and open the executable's Target")
+	}
 	t, err := t.normalize(t.NumQubits)
 	if err != nil {
 		return nil, err
 	}
 	if t.NumQubits == 0 {
 		return nil, fmt.Errorf("backend: target needs a register width")
-	}
-	if t.Auto {
-		return newAutoBackend(t), nil
 	}
 	if t.Kind == Cluster {
 		return newClusterBackend(t)

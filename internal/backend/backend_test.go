@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -114,7 +115,7 @@ func TestDistributedEmulationParity(t *testing.T) {
 	}
 }
 
-// TestDistributedQFTRunsAsFourStepFFT asserts, via Result/Stats, that a
+// TestDistributedQFTRunsAsFourStepFFT asserts, via the Result, that a
 // recognised full-register QFT region executes as the four-step
 // distributed FFT — and that the emulated executable plans strictly fewer
 // placement-remap rounds than the gate-level schedule of the same
@@ -165,7 +166,7 @@ func TestDistributedQFTRunsAsFourStepFFT(t *testing.T) {
 			t.Fatalf("P=%d: expected >= 3 all-to-alls from the FFT, got %d", p, res.Comm.AllToAlls)
 		}
 		// The emulated path skips the region's gates entirely.
-		if got := b.Stats().Gates; got >= uint64(c.Len()) {
+		if got := res.TotalGates - res.EmulatedGates; got >= c.Len() {
 			t.Fatalf("P=%d: emulated run still executed %d of %d gates", p, got, c.Len())
 		}
 	}
@@ -195,6 +196,16 @@ func TestExecutableReuseAndShapeCheck(t *testing.T) {
 	wrong, _ := backend.New(backend.Target{NumQubits: 8, Kind: backend.Cluster, Nodes: 2})
 	if _, err := wrong.Run(x); err == nil {
 		t.Fatal("cluster backend accepted a local executable")
+	}
+	// Same kind and register, another fusion width: the message must
+	// tell the two sides apart.
+	narrow, _ := backend.New(backend.Target{NumQubits: 8, Emulate: recognize.Auto})
+	_, err = narrow.Run(x)
+	if err == nil {
+		t.Fatal("fused w=1 backend accepted a w=3 executable")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "w=3") || !strings.Contains(msg, "w=1") {
+		t.Fatalf("shape mismatch message does not name both fusion widths: %q", msg)
 	}
 }
 
@@ -309,8 +320,9 @@ func TestDiagonalCostModel(t *testing.T) {
 	}
 }
 
-// TestBackendMeasurement drives Probability/Measure/Sample through both a
-// local and a distributed backend on a GHZ state.
+// TestBackendMeasurement drives Probability/Sample through both a local
+// and a distributed backend on a GHZ state, collapsing it with the
+// engine's own Measure in between.
 func TestBackendMeasurement(t *testing.T) {
 	ghz := qft.Entangler(6)
 	for _, tgt := range []backend.Target{
@@ -328,7 +340,12 @@ func TestBackendMeasurement(t *testing.T) {
 			t.Fatalf("%v: GHZ P(q3=1) = %v", tgt.Kind, p)
 		}
 		src := rng.New(5)
-		bit := b.Measure(0, src)
+		var bit uint64
+		if tgt.Kind == backend.Cluster {
+			bit = clusterOf(b).Measure(0, src)
+		} else {
+			bit = b.State().Measure(0, src)
+		}
 		for q := uint(1); q < 6; q++ {
 			if got := b.Probability(q); math.Abs(got-float64(bit)) > 1e-12 {
 				t.Fatalf("%v: after measuring %d, P(q%d) = %v", tgt.Kind, bit, q, got)

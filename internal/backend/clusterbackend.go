@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 type clusterBackend struct {
 	t      Target
 	c      *cluster.Cluster
-	em     uint64 // emulated ops executed
 	closed atomic.Bool
 }
 
@@ -32,10 +30,10 @@ func newClusterBackend(t Target) (Backend, error) {
 	return &clusterBackend{t: t, c: c}, nil
 }
 
-func (b *clusterBackend) NumQubits() uint { return b.t.NumQubits }
-func (b *clusterBackend) Target() Target  { return b.t }
+func (b *clusterBackend) Target() Target { return b.t }
 
-// Cluster exposes the underlying machine (placement, raw counters).
+// Cluster exposes the underlying machine (placement, raw counters,
+// Measure, LoadState).
 func (b *clusterBackend) Cluster() *cluster.Cluster { return b.c }
 
 // State gathers the shards into one state vector — verification at small
@@ -45,22 +43,9 @@ func (b *clusterBackend) State() *statevec.State { return b.c.Gather() }
 func (b *clusterBackend) Probability(q uint) float64 { return b.c.Probability(q) }
 func (b *clusterBackend) ApplyGate(g gates.Gate)     { b.c.ApplyGate(g) }
 
-func (b *clusterBackend) Measure(q uint, src *rng.Source) uint64 { return b.c.Measure(q, src) }
-func (b *clusterBackend) Sample(src *rng.Source) uint64          { return b.c.Sample(src) }
+func (b *clusterBackend) Sample(src *rng.Source) uint64 { return b.c.Sample(src) }
 func (b *clusterBackend) SampleMany(k int, src *rng.Source) []uint64 {
 	return b.c.SampleMany(k, src)
-}
-
-func (b *clusterBackend) Stats() Stats {
-	s := b.c.Stats.Snapshot()
-	return Stats{
-		Gates:       s.Gates,
-		EmulatedOps: b.em,
-		Rounds:      s.Rounds,
-		Messages:    s.Messages,
-		BytesSent:   s.BytesSent,
-		AllToAlls:   s.AllToAlls,
-	}
 }
 
 // Close implements the Backend contract: idempotent, returns nil, and
@@ -88,9 +73,8 @@ func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	if !sameShape(x.Target, b.t) {
-		return fmt.Errorf("backend: executable compiled for %s P=%d/%d qubits, backend is %s P=%d/%d",
-			x.Target.Kind, x.Target.Nodes, x.Target.NumQubits, b.t.Kind, b.t.Nodes, b.t.NumQubits)
+	if err := checkShape(x.Target, b.t); err != nil {
+		return err
 	}
 	for i := lo; i < hi; i++ {
 		u := &x.Units[i]
@@ -98,7 +82,6 @@ func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
 			if _, err := b.c.ApplyOp(u.Op); err != nil {
 				return err
 			}
-			b.em++
 			continue
 		}
 		b.c.RunSchedule(u.Sched)

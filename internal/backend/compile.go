@@ -63,9 +63,9 @@ type Executable struct {
 	// under the filename it was loaded from: crc32 catches bit rot, the
 	// key catches a renamed or swapped artifact.
 	SourceKey string
-	// Selection records the auto backend's target search when the
-	// executable was compiled for an Auto target (Target above is then
-	// the resolved concrete shape). It is report metadata, not execution
+	// Selection records the target search when the executable was
+	// compiled for an Auto target (Target above is then the resolved
+	// concrete shape, the one to open). It is report metadata, not execution
 	// state, and is not serialized by the artifact codec — a decoded
 	// executable runs identically without it.
 	Selection *Selection

@@ -130,7 +130,7 @@ func TestDistributedMeasurementMatchesSingleNode(t *testing.T) {
 		// identical RNG streams; outcomes and collapsed states must track.
 		srcD, srcR := rng.New(99), rng.New(99)
 		for _, q := range []uint{0, n - 1, 3, n - 2} {
-			gotBit := d.Measure(q, srcD)
+			gotBit := cl.Measure(q, srcD)
 			wantBit := ref.Measure(q, srcR)
 			if gotBit != wantBit {
 				t.Fatalf("p=%d: measuring q%d gave %d distributed, %d single-node", p, q, gotBit, wantBit)

@@ -1,6 +1,6 @@
 // Package backend is the unified execution layer of the repository: one
-// Backend interface over every engine, and one explicit compile pipeline
-// turning circuits into Executables any backend can run.
+// Backend interface, two engines behind it, and one explicit compile
+// pipeline turning circuits into Executables either engine can run.
 //
 // The paper's central claim (Häner, Steiger, Smelyanskiy & Troyer, SC
 // 2016) is that a single system should decide, per subroutine, between
@@ -83,13 +83,19 @@
 // predicted cost, per-region verdicts — rides along on Executable and
 // Result so a choice is always explainable (qemu-run prints it).
 //
+// Compile is the only place an auto target is resolved: New rejects one,
+// and the backend for an auto-compiled executable is New(x.Target) —
+// the idiom qemu-run, the serving cache and the trajectory runner share.
+//
 // The resulting Executable is immutable and reusable across runs and
 // across backends of the same Target shape. Backends are deliberately
 // thin: per-engine Run logic is dispatch over the Executable's units —
 // recognised ops apply their shortcut (locally via Op.Apply, distributed
 // via Cluster.ApplyOp), gate segments run their fused plan or schedule.
 //
-// Four backend kinds exist, selected by Target.Kind:
+// One interface, two engines: the local state vector runs the first
+// three of the four kinds Target.Kind selects, the distributed cluster
+// the fourth:
 //
 //   - Fused — the paper's simulator: structure-specialised kernels plus
 //     same-target or multi-qubit block fusion (internal/fuse, statevec).
@@ -106,6 +112,6 @@
 // Every Run returns a Result with the same shape everywhere: which
 // regions were emulated (and on what substrate), how much was fused, the
 // communication paid (rounds, messages, bytes — zero on single-node
-// backends), and wall time. The repro facade's Open constructor is the
-// public entry point; this package is the machinery behind it.
+// backends), and wall time. The repro facade's Open, Compile and OpenFor
+// are the public entry points; this package is the machinery behind them.
 package backend

@@ -17,7 +17,6 @@ type local struct {
 	t      Target
 	st     *statevec.State
 	apply  func(gates.Gate)
-	stats  Stats
 	closed atomic.Bool
 }
 
@@ -40,11 +39,10 @@ func newLocalBackend(t Target) (Backend, error) {
 	return b, nil
 }
 
-func (b *local) NumQubits() uint            { return b.t.NumQubits }
 func (b *local) Target() Target             { return b.t }
 func (b *local) State() *statevec.State     { return b.st }
-func (b *local) Stats() Stats               { return b.stats }
 func (b *local) Probability(q uint) float64 { return b.st.Probability(q) }
+func (b *local) ApplyGate(g gates.Gate)     { b.apply(g) }
 
 // Close implements the Backend contract: idempotent, returns nil, and
 // never fences in-flight Runs — the state vector is garbage-collected, so
@@ -54,13 +52,7 @@ func (b *local) Close() error {
 	return nil
 }
 
-func (b *local) ApplyGate(g gates.Gate) {
-	b.stats.Gates++
-	b.apply(g)
-}
-
-func (b *local) Measure(q uint, src *rng.Source) uint64 { return b.st.Measure(q, src) }
-func (b *local) Sample(src *rng.Source) uint64          { return b.st.Sample(src) }
+func (b *local) Sample(src *rng.Source) uint64 { return b.st.Sample(src) }
 func (b *local) SampleMany(k int, src *rng.Source) []uint64 {
 	return b.st.SampleMany(k, src)
 }
@@ -84,18 +76,15 @@ func (b *local) RunUnits(x *Executable, lo, hi int) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	if !sameShape(x.Target, b.t) {
-		return fmt.Errorf("backend: executable compiled for %s/%d qubits, backend is %s/%d",
-			x.Target.Kind, x.Target.NumQubits, b.t.Kind, b.t.NumQubits)
+	if err := checkShape(x.Target, b.t); err != nil {
+		return err
 	}
 	for i := lo; i < hi; i++ {
 		u := &x.Units[i]
 		if u.Op != nil {
 			u.Op.Apply(b.st)
-			b.stats.EmulatedOps++
 			continue
 		}
-		b.stats.Gates += uint64(u.Hi - u.Lo)
 		if u.Fused != nil {
 			u.Fused.Apply(b.st, b.apply)
 			continue

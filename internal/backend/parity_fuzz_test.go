@@ -123,7 +123,7 @@ func FuzzCompileParity(f *testing.F) {
 			if err := backend.VerifyExecutable(x); err != nil {
 				t.Fatalf("%s/%s: compiled executable fails verification: %v", name, tname, err)
 			}
-			b, err := backend.New(target)
+			b, err := backend.New(x.Target)
 			if err != nil {
 				t.Fatalf("%s/%s: New: %v", name, tname, err)
 			}

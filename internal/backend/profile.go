@@ -10,7 +10,7 @@ import (
 	"repro/internal/recognize"
 )
 
-// The profiling pass: the first half of the profile-driven auto backend
+// The profiling pass: the first half of the profile-driven auto target
 // (ROADMAP "Profile-driven auto-backend"). It runs recognition once and
 // distils the circuit into the features the selection model (select.go)
 // scores candidate targets with — register width, depth, structural gate
@@ -88,7 +88,7 @@ func (p *Profile) String() string {
 }
 
 // ProfileCircuit runs the profiling pass: one recognition analysis (in
-// Auto mode — the auto backend always pattern-matches) plus the feature
+// Auto mode — the auto target always pattern-matches) plus the feature
 // extraction above. The returned plan is the recognition result the
 // caller can Filter with the selector's verdicts, so compilation never
 // re-runs the expensive recognition/verification passes.

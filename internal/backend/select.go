@@ -9,18 +9,18 @@ import (
 	"repro/internal/recognize"
 )
 
-// The selection pass: the second half of the profile-driven auto backend.
+// The selection pass: the second half of the profile-driven auto target.
 // SelectTarget scores every candidate execution shape — the fused engine
 // at each fusion width, the structure-blind and sparse baselines, and the
 // distributed engine — against a circuit Profile using the calibrated
 // constants of internal/perfmodel, and returns the cheapest together with
 // the full scoring table and the per-region emulate-vs-fuse verdicts that
-// replace the static WithDiagonalCutoff threshold. The pass is pure:
-// costs come from the Measured constants handed in (perfmodel.Active()
-// reads a cache, never a clock), so equal profiles always select the
-// same target and the detrng contract holds.
+// replace the static DiagMinGates/DiagMaxWidth cutoff of explicit targets.
+// The pass is pure: costs come from the Measured constants handed in
+// (perfmodel.Active() reads a cache, never a clock), so equal profiles
+// always select the same target and the detrng contract holds.
 
-// DefaultAutoMaxLocalQubits is the auto backend's per-node capacity
+// DefaultAutoMaxLocalQubits is the auto target's per-node capacity
 // policy: registers needing more than 2^28 amplitudes per node (4 GiB of
 // complex128) shard across the distributed engine. Below it, single-node
 // candidates compete on predicted time alone.
@@ -49,9 +49,9 @@ type RegionVerdict struct {
 	Reason      string
 }
 
-// Selection is the explainable output of the auto backend's target
-// search: the chosen shape, its predicted cost, every candidate's score,
-// and the per-region verdicts applied during compilation.
+// Selection is the explainable output of the auto target's search: the
+// chosen shape, its predicted cost, every candidate's score, and the
+// per-region verdicts applied during compilation.
 type Selection struct {
 	Chosen     Target
 	Cost       float64

@@ -8,7 +8,7 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// TestAutoWithinBudget pins the auto backend's acceptance contract on the
+// TestAutoWithinBudget pins the auto target's acceptance contract on the
 // workloads of the auto sweep, deterministically: under the model of
 // record the selector's pick is priced within 15% of the cheapest priced
 // candidate, strictly below the dearest, and is the pinned target. The

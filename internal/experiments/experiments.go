@@ -49,26 +49,26 @@ func timeIt(minDuration time.Duration, setup func(), fn func()) float64 {
 	return best.Seconds()
 }
 
-// timeTarget compiles c for t once and times Run on one backend of that
-// target — the path qemu-run and qemu-serve execute — returning the best
-// run and its Result (compilation excluded). With init non-nil every run
-// starts from a copy of it, loaded outside the timed region; with nil each
-// run continues from the state the last one left, which is all the auto
-// target allows: its engine exists only once a Run has resolved it. Where
-// the first Run sets something up for the rest — that engine, or what
-// recognised ops build on first use: transform tables and the permutation
-// scratch buffer, whose first touch costs several times the sweep — one
-// untimed Run goes first, or a row slow enough to be timed once would report
-// the set-up. The sweeps compile generated circuits for targets they chose,
-// so an error here is a bug and panics.
+// timeTarget compiles c for t once and times Run on one backend opened for
+// the executable — the path qemu-run and qemu-serve execute, auto targets
+// included — returning the best run and its Result (compilation excluded).
+// With init non-nil every run starts from a copy of it, loaded outside the
+// timed region; with nil each run continues from the state the last one
+// left. Where the first Run sets something up for the rest — the fresh
+// state's pages when nothing was loaded, or what recognised ops build on
+// first use: transform tables and the permutation scratch buffer, whose
+// first touch costs several times the sweep — one untimed Run goes first,
+// or a row slow enough to be timed once would report the set-up. The
+// sweeps compile generated circuits for targets they chose, so an error
+// here is a bug and panics.
 func timeTarget(c *circuit.Circuit, t backend.Target, init *statevec.State) (float64, *backend.Result) {
 	x, err := backend.Compile(c, t)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: compile for %+v: %v", t, err))
 	}
-	b, err := backend.New(t)
+	b, err := backend.New(x.Target)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: open %+v: %v", t, err))
+		panic(fmt.Sprintf("experiments: open %+v: %v", x.Target, err))
 	}
 	defer b.Close()
 	var load func()

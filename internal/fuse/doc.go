@@ -84,7 +84,7 @@
 // New is schedule + materialise. Cost is the same scheduler with the
 // second step left out: it returns exactly New(c, w).Stats().EstChosen,
 // bit for bit, allocating the gate stream and scan scratch only. Callers
-// that compare widths (the auto backend's profile pass) price every
+// that compare widths (the auto target's profile pass) price every
 // candidate through Cost and call New once, at the width that won.
 //
 // Where the prices come from. GateCost and diagBlockCost are hand

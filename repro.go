@@ -5,30 +5,39 @@
 //
 // # The entrypoint
 //
-// Open is the single constructor for every execution engine:
+// Open is the constructor for every execution engine you configure by
+// hand:
 //
-//	b, err := repro.Open(n, repro.WithAuto())                  // profile-driven: the system picks
 //	b, err := repro.Open(n)                                    // the paper's fused simulator
 //	b, err := repro.Open(n, repro.WithFusion(4))               // multi-qubit block fusion
 //	b, err := repro.Open(n, repro.WithEmulation(repro.EmulateAuto)) // emulation dispatch
 //	b, err := repro.Open(n, repro.WithNodes(8),                // distributed engine,
 //	    repro.WithEmulation(repro.EmulateAuto))                //   emulating subroutines
 //
-// WithAuto is the paper's thesis as an API: Compile profiles the circuit,
-// scores every candidate engine with the calibrated cost model
-// (internal/perfmodel) and picks kind, node count, fusion width and the
-// per-region emulate-vs-fuse decisions itself; Result.Selection reports
-// the choice, every candidate's predicted cost, and the per-region
-// verdicts.
+// The auto target is the paper's thesis as an API, and Compile is the
+// one place it is resolved: compiling for Target{NumQubits: n, Auto:
+// true} profiles the circuit, scores every candidate engine with the
+// calibrated cost model (internal/perfmodel), picks kind, node count,
+// fusion width and the per-region emulate-vs-fuse decisions itself, and
+// stamps the chosen concrete shape on the Executable. OpenFor opens the
+// backend an executable runs on, whatever target it was compiled for:
 //
-// Every backend speaks the same interface (Run, ApplyGate,
-// Sample/Measure, State, Stats, Close) and executes the same compiled
-// Executables: Compile runs the explicit pass pipeline — recognize
-// emulation regions, apply the cost model, fuse residual gate runs,
-// schedule placement remaps on distributed targets — and Run is pure
-// dispatch, returning a unified Result (emulated regions, fused blocks,
-// communication rounds/bytes, wall time). See internal/backend for the
-// pipeline contract.
+//	x, err := repro.Compile(c, repro.Target{NumQubits: n, Auto: true})
+//	b, err := repro.OpenFor(x)
+//	res, err := b.Run(x) // res.Selection explains the choice
+//
+// Result.Selection reports the chosen shape, every candidate's predicted
+// cost, and the per-region verdicts.
+//
+// One interface, two engines: the local state vector (the fused
+// simulator and both baselines) and the distributed cluster speak the
+// same Backend interface (Run, RunUnits, ApplyGate, Probability, Sample,
+// State, Close) and execute the same compiled Executables: Compile runs
+// the explicit pass pipeline — recognize emulation regions, apply the
+// cost model, fuse residual gate runs, schedule placement remaps on
+// distributed targets — and Run is pure dispatch, returning a unified
+// Result (emulated regions, fused blocks, communication rounds/bytes,
+// wall time). See internal/backend for the pipeline contract.
 //
 // Two execution models are provided over the same 2^n state vector:
 //
@@ -54,9 +63,9 @@ import (
 	"repro/internal/statevec"
 )
 
-// Backend is the uniform execution interface over every engine: the local
-// fused simulator, the qhipster-class and sparse baselines, and the
-// distributed cluster engine. See internal/backend.
+// Backend is the one execution interface over both engines: the local
+// state vector (fused simulator, qhipster-class and sparse baselines) and
+// the distributed cluster. See internal/backend.
 type Backend = backend.Backend
 
 // Target is a backend's execution shape — what Compile needs to build an
@@ -72,16 +81,13 @@ type Executable = backend.Executable
 // substrates), fused blocks, communication rounds/bytes, wall time.
 type Result = backend.Result
 
-// BackendStats is the cumulative counter snapshot every backend reports.
-type BackendStats = backend.Stats
-
-// Selection is the auto backend's explainable output: the chosen target,
+// Selection is the auto target's explainable output: the chosen target,
 // its predicted cost, every candidate's score, and the per-region
 // emulate-vs-fuse verdicts. Result.Selection carries it on runs compiled
 // for an auto target.
 type Selection = backend.Selection
 
-// Candidate is one execution shape the auto backend scored.
+// Candidate is one execution shape the auto selector scored.
 type Candidate = backend.Candidate
 
 // RegionVerdict is the cost model's per-region emulate-vs-fuse decision.
@@ -89,19 +95,6 @@ type RegionVerdict = backend.RegionVerdict
 
 // OpenOption configures Open.
 type OpenOption func(*backend.Target)
-
-// WithAuto delegates engine choice to the profile-driven selector: at
-// Compile time the circuit is profiled (width, depth, diagonal fraction,
-// recognised-region coverage, per-width fused sweep counts) and the
-// calibrated cost model picks kind, node count, fusion width and the
-// per-region emulate-vs-fuse verdicts — no user thresholds. Other shape
-// options (WithFusion, WithNodes, WithEmulation, WithDiagonalCutoff,
-// kernel selectors) are ignored on an auto target; WithWorkers still
-// applies. Calibrate the model once with `qemu-model -calibrate` to
-// score with this machine's constants instead of the baked-in defaults.
-func WithAuto() OpenOption {
-	return func(t *backend.Target) { t.Auto = true }
-}
 
 // WithFusion enables multi-qubit block fusion at the given width (>= 2);
 // 0 or 1 keeps the classic same-target fusion. On distributed backends
@@ -160,23 +153,9 @@ func WithSparseKernels() OpenOption {
 	return func(t *backend.Target) { t.Kind = backend.Sparse }
 }
 
-// WithDiagonalCutoff is the manual override of the emulation cost model:
-// a recognised diagonal run with fewer than minGates gates whose support
-// fits in maxWidth qubits stays on the fused gate path (which executes it
-// in the same single sweep). Zero values pick the defaults; a negative
-// minGates disables the cutoff so every recognised run dispatches. Under
-// WithAuto the static cutoff is replaced by per-region model verdicts
-// and this option is ignored.
-func WithDiagonalCutoff(minGates int, maxWidth uint) OpenOption {
-	return func(t *backend.Target) {
-		t.DiagMinGates = minGates
-		t.DiagMaxWidth = maxWidth
-	}
-}
-
 // Open returns a Backend over a fresh |0...0> register of n qubits,
-// configured by the options. It is the single entrypoint for every
-// engine; see the package comment for the option-to-engine mapping.
+// configured by the options; see the package comment for the
+// option-to-engine mapping.
 func Open(n uint, opts ...OpenOption) (Backend, error) {
 	t := backend.Target{NumQubits: n, Kind: backend.Fused}
 	for _, o := range opts {
@@ -185,10 +164,15 @@ func Open(n uint, opts ...OpenOption) (Backend, error) {
 	return backend.New(t)
 }
 
-// Compile runs the pass pipeline (recognize -> cost model -> fuse ->
-// placement) over a circuit for a backend's Target, returning an
-// Executable reusable across runs: b.Run(x) executes it. Use
-// backend.Execute (or b.Run(must(Compile(...)))) for one-shot runs.
+// OpenFor returns a Backend over a fresh |0...0> register shaped for x:
+// the concrete target x was compiled for, or resolved to when it was
+// compiled for an auto target.
+func OpenFor(x *Executable) (Backend, error) { return backend.New(x.Target) }
+
+// Compile runs the pass pipeline (profile -> select on auto targets, then
+// recognize -> cost model -> fuse -> placement) over a circuit for a
+// Target, returning an Executable reusable across runs: b.Run(x) executes
+// it on a backend of b.Target() or on OpenFor(x).
 func Compile(c *Circuit, t Target) (*Executable, error) {
 	return backend.Compile(c, t)
 }

@@ -67,6 +67,24 @@ func TestOpenFacade(t *testing.T) {
 			t.Fatalf("%s: Close failed: %v", tc.name, err)
 		}
 	}
+
+	// The auto target: compiled first, then the backend opened for the
+	// executable's resolved shape.
+	ax, err := repro.Compile(circ, repro.Target{NumQubits: n, Auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := repro.OpenFor(ax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if res, err := b.Run(ax); err != nil || res.Selection == nil {
+		t.Fatalf("auto: Run = %v, %v; want a selection report", res, err)
+	}
+	if d := b.State().MaxDiff(ref.State()); d > 1e-10 {
+		t.Fatalf("auto: diverges from the reference backend by %g", d)
+	}
 }
 
 // TestOpenDistributedEmulationNoLongerErrors pins the acceptance
