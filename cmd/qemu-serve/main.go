@@ -44,6 +44,16 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. A client that trickles its request headers, or
+// holds a keep-alive connection open without a next request, ties up a
+// socket and a goroutine for nothing. There is no ReadTimeout or
+// WriteTimeout: a long trajectory batch legitimately runs for minutes, and
+// bounding it is a per-request deadline's job, not the socket's.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8451", "listen address")
@@ -99,7 +109,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
 	kind := tgt.Kind.String()

@@ -265,9 +265,10 @@ func verifyOpUnit(x *Executable, i int, u *Unit) error {
 		return fmt.Errorf("backend: verify: unit %d substrate %q on a single-node target", i, u.Substrate)
 	}
 	// A phase flip is ±1 by construction; a diagonal run carries its table.
+	// The test is written so that a NaN entry fails it.
 	if d, _, ok := op.DiagTable(); ok {
 		for j, v := range d {
-			if m := cmplx.Abs(v); math.Abs(m-1) > verifyModulusEps {
+			if m := cmplx.Abs(v); !(math.Abs(m-1) <= verifyModulusEps) {
 				return fmt.Errorf("backend: verify: unit %d diagonal entry %d has modulus %g (phase tables must be unit modulus)", i, j, m)
 			}
 		}

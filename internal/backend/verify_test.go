@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/binio"
 	"repro/internal/circuit"
+	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/revlib"
@@ -21,6 +23,23 @@ func verifyWorkload(t *testing.T, tgt backend.Target) *backend.Executable {
 	t.Helper()
 	c := prep(8)
 	c.Extend(qft.Circuit(8))
+	tgt.NumQubits = 8
+	x, err := backend.Compile(c, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// diagWorkload compiles gate-level prep plus a diagonal run over six
+// qubits, wider than the target's fusion width, so it compiles to a
+// diagonal op unit.
+func diagWorkload(t *testing.T, tgt backend.Target) *backend.Executable {
+	t.Helper()
+	c := prep(8)
+	for q := uint(0); q < 6; q++ {
+		c.Append(gates.T(q), gates.CR(q, q+1, 0.3+float64(q)))
+	}
 	tgt.NumQubits = 8
 	x, err := backend.Compile(c, tgt)
 	if err != nil {
@@ -137,23 +156,43 @@ func TestVerifyMutationCorpus(t *testing.T) {
 		}},
 	}
 
+	requireRejected := func(t *testing.T, x *backend.Executable) {
+		data, err := x.Encode()
+		if err != nil {
+			t.Fatalf("mutant failed to encode: %v", err)
+		}
+		y, err := backend.Decode(data)
+		if err != nil {
+			t.Fatalf("mutant rejected by Decode — the crc accepted it, so this case belongs to the codec tests, not here: %v", err)
+		}
+		if err := backend.VerifyExecutable(y); err == nil {
+			t.Fatal("verifier accepted a semantically corrupt artifact")
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			x := verifyWorkload(t, tc.target)
 			tc.mutate(t, x)
-			data, err := x.Encode()
-			if err != nil {
-				t.Fatalf("mutant failed to encode: %v", err)
-			}
-			y, err := backend.Decode(data)
-			if err != nil {
-				t.Fatalf("mutant rejected by Decode — the crc accepted it, so this case belongs to the codec tests, not here: %v", err)
-			}
-			if err := backend.VerifyExecutable(y); err == nil {
-				t.Fatal("verifier accepted a semantically corrupt artifact")
-			}
+			requireRejected(t, x)
 		})
 	}
+
+	// The workload above holds no diagonal op, so this mutant gets its own:
+	// a NaN in the table must fail the modulus test, not compare as "not
+	// larger" than its tolerance.
+	t.Run("NaN diagonal entry", func(t *testing.T) {
+		x := diagWorkload(t, local)
+		i := findUnit(t, x, "diagonal op", func(u *backend.Unit) bool {
+			if u.Op == nil {
+				return false
+			}
+			_, _, ok := u.Op.DiagTable()
+			return ok
+		})
+		d, _, _ := x.Units[i].Op.DiagTable()
+		d[len(d)/2] = complex(math.NaN(), 0)
+		requireRejected(t, x)
+	})
 
 	// An op's registers are not reachable in memory, so these mutants are
 	// made on the wire: the second register's qubit list is overwritten

@@ -2,7 +2,7 @@ package recognize
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitops"
 	"repro/internal/fft"
@@ -57,7 +57,7 @@ type Op struct {
 	// rather than the pattern matchers.
 	Annotated bool
 	// Verified is true when the op's unitary was cross-checked against
-	// the brute-force unitary of the gates it replaces.
+	// the exact unitary of the gates it replaces, on every basis input.
 	Verified bool
 
 	kind opKind
@@ -123,8 +123,9 @@ func (op *Op) support() []uint {
 	var qs []uint
 	switch op.kind {
 	case opQFT:
-		for q := op.pos; q < op.pos+op.width; q++ {
-			qs = append(qs, q)
+		qs = make([]uint, op.width)
+		for i := range qs {
+			qs[i] = op.pos + uint(i)
 		}
 		return qs
 	case opAdd, opSub:
@@ -138,8 +139,7 @@ func (op *Op) support() []uint {
 	case opDiag, opPhaseFlip, opReflect:
 		qs = append(qs, op.qubits...)
 	}
-	qs = append([]uint(nil), qs...)
-	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
+	slices.Sort(qs)
 	return qs
 }
 

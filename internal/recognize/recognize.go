@@ -39,11 +39,14 @@ type Options struct {
 	// Mode selects annotation-only or annotation+pattern recognition.
 	Mode Mode
 	// Verify cross-checks every recognised region whose support is at
-	// most MaxVerifyQubits against the brute-force unitary of its own
-	// gates, dropping the region on mismatch.
+	// most MaxVerifyQubits against the exact unitary of its own gates,
+	// column by column, dropping the region on mismatch.
 	Verify bool
-	// MaxVerifyQubits bounds the support width verification can afford
-	// (cost grows as gates * 4^w).
+	// MaxVerifyQubits bounds the support width verification can afford:
+	// 2^w columns, each costing the sum over the gates of 2^|branched|,
+	// the qubits the gates have put into superposition so far (O(gates)
+	// for arithmetic and diagonal runs, about 4·2^w for a QFT, gates·2^w
+	// at worst), plus one application of the shortcut.
 	MaxVerifyQubits uint
 	// MaxDiagQubits bounds the support of a matched diagonal run (the
 	// precomputed table holds 2^w entries).

@@ -1,6 +1,8 @@
 package recognize_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -256,6 +258,22 @@ func TestLyingAnnotationFallsBackToGates(t *testing.T) {
 	}
 	if st := plan.Stats(); st.Ops != 0 || st.Skipped != 1 {
 		t.Fatalf("lying annotation was not rejected: %v", st)
+	}
+}
+
+func TestNaNDiagonalRunFailsVerification(t *testing.T) {
+	// A NaN angle inside a diagonal run folds into a NaN table entry; the
+	// check must reject the run rather than compare NaN as "not larger"
+	// than its tolerance.
+	c := circuit.New(6)
+	c.Append(gates.T(0), gates.CR(1, 2, 0.7), gates.Rz(3, math.NaN()), gates.S(1),
+		gates.CZ(0, 3), gates.Phase(2, -0.4))
+	plan := recognize.Analyze(c, recognize.DefaultOptions(recognize.Auto))
+	if st := plan.Stats(); st.Ops != 0 || len(plan.Skipped) != 1 {
+		t.Fatalf("NaN diagonal run was not rejected: %v\n%s", st, plan.Describe())
+	}
+	if sk := plan.Skipped[0]; sk.Name != "diagonal" || !strings.Contains(sk.Reason, "unitary verification failed") {
+		t.Fatalf("skipped %s for %q, want the diagonal run for failed verification", sk.Name, sk.Reason)
 	}
 }
 
