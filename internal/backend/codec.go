@@ -386,10 +386,42 @@ func decodeGate(r *binio.Reader, n uint) (gates.Gate, error) {
 	if err := r.Err(); err != nil {
 		return g, err
 	}
-	if g.MaxQubit() >= n {
-		return g, fmt.Errorf("gate %s touches qubit %d of a %d-qubit register", g.Name, g.MaxQubit(), n)
+	// Decode plans the gate next, before any verifier runs.
+	return g, checkGateQubits(g, n)
+}
+
+// GateQubitError reports a gate that names a qubit outside the register,
+// or one qubit twice: a control equal to the target, or a repeated control.
+// The kernels take a gate's qubits to be distinct and in range, so Compile,
+// Decode and VerifyExecutable refuse such a gate before anything plans or
+// runs it.
+type GateQubitError struct {
+	Gate      string // the gate's name
+	Qubit     uint   // the qubit out of range or named twice
+	NumQubits uint
+}
+
+func (e *GateQubitError) Error() string {
+	if e.Qubit >= e.NumQubits {
+		return fmt.Sprintf("gate %s touches qubit %d of a %d-qubit register", e.Gate, e.Qubit, e.NumQubits)
 	}
-	return g, nil
+	return fmt.Sprintf("gate %s repeats qubit %d", e.Gate, e.Qubit)
+}
+
+// checkGateQubits returns a *GateQubitError unless g's target and controls
+// are distinct qubits of an n-qubit register (n <= 64).
+func checkGateQubits(g gates.Gate, n uint) error {
+	if q := g.MaxQubit(); q >= n {
+		return &GateQubitError{Gate: g.Name, Qubit: q, NumQubits: n}
+	}
+	seen := uint64(1) << g.Target
+	for _, q := range g.Controls {
+		if seen&(1<<q) != 0 {
+			return &GateQubitError{Gate: g.Name, Qubit: q, NumQubits: n}
+		}
+		seen |= 1 << q
+	}
+	return nil
 }
 
 // Fingerprint returns the canonical cache key of compiling c for t: a

@@ -1,11 +1,13 @@
 package backend_test
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/qft"
@@ -260,6 +262,69 @@ func TestCodecVersionSkew(t *testing.T) {
 	if _, err := backend.Decode([]byte("nope")); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic reported as %v", err)
+	}
+}
+
+// TestRepeatedQubitGatesRejected: a gate whose control is its target, or
+// whose controls name one qubit twice, is refused with a *GateQubitError
+// wherever it can enter — by Compile from a hand-built circuit (Append
+// checks only the register bound), by Decode from a crc-valid artifact
+// before it plans the gate, and by the verifier in memory — under a fused
+// w=8 target, whose block matrices are built by sweeping a plan through
+// the state kernels, as well as the narrow and distributed shapes.
+func TestRepeatedQubitGatesRejected(t *testing.T) {
+	targets := []backend.Target{
+		{Kind: backend.Fused, FuseWidth: 8},
+		{FuseWidth: 3, Emulate: recognize.Auto},
+		{Kind: backend.Cluster, Nodes: 2, FuseWidth: 4, Emulate: recognize.Auto},
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(g *gates.Gate)
+	}{
+		{"control equals target", func(g *gates.Gate) { g.Controls = []uint{g.Target} }},
+		{"repeated control", func(g *gates.Gate) { g.Controls = []uint{g.Controls[0], g.Controls[0]} }},
+	} {
+		for _, tgt := range targets {
+			name := tc.name + "/" + tgt.Kind.String()
+			tgt.NumQubits = 8
+			requireQubitError := func(what string, err error) {
+				t.Helper()
+				var qe *backend.GateQubitError
+				if !errors.As(err, &qe) {
+					t.Fatalf("%s: %s returned %v, want a *GateQubitError", name, what, err)
+				}
+			}
+			// The gate to mutate: a CNOT in the middle of the circuit.
+			c := circgen.Brickwork(rng.New(27), 8, 20)
+			k := c.Len() / 2
+			for len(c.Gates[k].Controls) != 1 {
+				k++
+			}
+
+			bad := &circuit.Circuit{NumQubits: 8, Gates: append([]gates.Gate(nil), c.Gates...)}
+			bad.Gates[k].Controls = append([]uint(nil), bad.Gates[k].Controls...)
+			tc.mutate(&bad.Gates[k])
+			_, err := backend.Compile(bad, tgt)
+			requireQubitError("Compile", err)
+
+			x, err := backend.Compile(c, tgt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range x.Units {
+				if u := &x.Units[i]; u.Op == nil && u.Lo <= k && k < u.Hi {
+					tc.mutate(&u.Gates[k-u.Lo])
+				}
+			}
+			requireQubitError("VerifyExecutable", backend.VerifyExecutable(x))
+			data, err := x.Encode()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			_, err = backend.Decode(data)
+			requireQubitError("Decode", err)
+		}
 	}
 }
 

@@ -104,6 +104,13 @@ func Compile(c *circuit.Circuit, t Target) (*Executable, error) {
 	if err := c.Noise.Validate(c.NumQubits, c.Len()); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
+	// circuit.Append checks the register bound only; a hand-built circuit
+	// can still hold a gate that repeats a qubit.
+	for i, g := range c.Gates {
+		if err := checkGateQubits(g, c.NumQubits); err != nil {
+			return nil, fmt.Errorf("backend: gate %d: %w", i, err)
+		}
+	}
 	// The cache key is fingerprinted from the *requested* target (auto
 	// targets included), matching what internal/serve computes before it
 	// ever calls Compile — so the key stamped into the artifact is the

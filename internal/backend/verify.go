@@ -148,16 +148,8 @@ func verifyGateUnit(x *Executable, i int, u *Unit) error {
 		return fmt.Errorf("backend: verify: unit %d holds %d gates for range [%d,%d)", i, len(u.Gates), u.Lo, u.Hi)
 	}
 	for j, g := range u.Gates {
-		if g.MaxQubit() >= x.NumQubits {
-			return fmt.Errorf("backend: verify: unit %d gate %d (%s) touches qubit %d of a %d-qubit register",
-				i, j, g.Name, g.MaxQubit(), x.NumQubits)
-		}
-		var seen uint64
-		for _, q := range g.Qubits() {
-			if seen&(1<<q) != 0 {
-				return fmt.Errorf("backend: verify: unit %d gate %d (%s) repeats qubit %d", i, j, g.Name, q)
-			}
-			seen |= 1 << q
+		if err := checkGateQubits(g, x.NumQubits); err != nil {
+			return fmt.Errorf("backend: verify: unit %d gate %d: %w", i, j, err)
 		}
 		if !g.Matrix.IsUnitary(verifyUnitaryEps) {
 			return fmt.Errorf("backend: verify: unit %d gate %d (%s) matrix is not unitary", i, j, g.Name)

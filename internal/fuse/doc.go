@@ -72,8 +72,14 @@
 // parts remain the block keeps one 2^k x 2^k matrix per part (Factors)
 // instead of their 2^w x 2^w product: 45 of the 50 dense blocks of the
 // benchmark's gate-sweep circuit are such products, two 4x4 factors each.
-// A connected run is the one-factor case, a single Matrix (O(4^w) per
-// gate); Block.Dense multiplies the factors out for tests. A run that was
+// A connected run is the one-factor case, a single Matrix; Block.Dense
+// multiplies the factors out for tests. A matrix of up to four qubits is
+// built one gate at a time, O(4^w) per gate. A wider one is built the way
+// the package runs a state, because it is one: the 2^w x 2^w matrix,
+// starting at the identity, is a 2w-qubit state whose high w bits are the
+// row, and the run's gates, moved onto those bits, are planned at w=4 and
+// swept over it by the same dense kernels — a fused sweep of 16
+// multiplies per entry in place of a pass per gate. A run that was
 // re-tiled or replayed never had a matrix. A dense product that comes out
 // numerically diagonal — every factor diagonal — executes through the
 // diagonal kernel, but its planned cost — and Stats().EstChosen — stays

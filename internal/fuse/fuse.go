@@ -374,8 +374,10 @@ func clampWidth(width int) int {
 // re-planning level (at most MaxWidth-1, over disjoint runs) scheduling is
 // therefore O(len(gates) * maxDeferred) while blocks defer few gates —
 // every circuit family in the tests — and O(len(gates) * maxDeferred^2)
-// worst case. Materialisation adds O(4^w) per gate of a dense block and
-// O(2^w) per gate of a diagonal one.
+// worst case. Materialisation adds O(2^w) per gate of a diagonal block and,
+// for a dense one, O(4^w) per gate up to w = 4; a wider matrix is built by
+// a w=4 plan of the run swept over the 4^w entries (see accumulate), about
+// O(4^w * 16) per fused sweep of that plan and O(4^w) per replayed gate.
 func New(c *circuit.Circuit, width int) *Plan {
 	p := &Plan{Width: clampWidth(width)}
 	s := scheduler{emit: func(kind blockKind, run []item, support uint64, cost float64) {
@@ -697,20 +699,61 @@ func diagonalProduct(seq []gates.Gate, dim int, pos *[64]uint) []complex128 {
 	return d
 }
 
+// buildWidth is the widest matrix accumulate builds one gate at a time, and
+// the width of the plan it runs over a wider one. A block of at most 4
+// qubits is a few hundred entries, where mulInto's O(4^w) per gate costs
+// less than planning; past it, one gate is a pass over 4^w entries and a
+// fused w=4 sweep folds many gates into one. The build plan is priced like
+// any other, so on the pure-Go dense body, whose w=4 sweep costs about five
+// times its price (see the package comment), it over-fuses too: there an
+// X/CX/CCX-heavy run builds slower than gate by gate (BenchmarkMaterialise).
+const buildWidth = 4
+
 // accumulate multiplies the run's gates on the qubits of support — the
 // whole block's, or one factor's: a gate lies inside a factor or outside
 // it — into one dense dim x dim matrix over the local bits pos gives them.
+//
+// Up to buildWidth qubits it applies the gates one by one (mulInto).
+// Wider, it does to the matrix what the package does to a state: the
+// row-major matrix, starting at the identity, is a 2w-qubit state whose
+// low w bits are the column and whose high w bits are the row, so left
+// multiplying by a gate on local bit j is applying it to qubit w+j. The
+// run's gates, moved onto qubits w..2w-1, are planned at buildWidth and
+// the plan applied through Block.Sweep — the dense kernel bodies — with
+// replays through statevec.ApplyGate. Its blocks are at most buildWidth
+// wide, so the recursion stops one level down. The scratch state runs on
+// the calling goroutine: a compile starts no worker pool.
 func accumulate(run []item, support uint64, dim int, pos *[64]uint) []complex128 {
 	m := make([]complex128, dim*dim)
 	for i := 0; i < dim; i++ {
 		m[i*dim+i] = 1
 	}
-	for _, it := range run {
-		if it.mask&support != 0 {
-			mulInto(m, dim, it.g, pos)
+	if dim <= 1<<buildWidth {
+		for _, it := range run {
+			if it.mask&support != 0 {
+				mulInto(m, dim, it.g, pos)
+			}
 		}
+		return m
 	}
-	return m
+	w := uint(bits.TrailingZeros(uint(dim)))
+	rows := &circuit.Circuit{NumQubits: 2 * w}
+	for _, it := range run {
+		if it.mask&support == 0 {
+			continue
+		}
+		g := *it.g
+		g.Target = w + pos[g.Target]
+		g.Controls = make([]uint, len(it.g.Controls))
+		for k, c := range it.g.Controls {
+			g.Controls[k] = w + pos[c]
+		}
+		rows.Gates = append(rows.Gates, g)
+	}
+	s, _ := statevec.FromAmplitudes(m) // dim is a power of two
+	s.SetParallelism(1)
+	New(rows, buildWidth).Apply(s, s.ApplyGate)
+	return s.Amplitudes()
 }
 
 // mulInto left-multiplies the local embedding of gate g into the
