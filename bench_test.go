@@ -12,7 +12,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/experiments"
-	"repro/internal/fft"
 	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/ising"
@@ -85,34 +84,6 @@ func BenchmarkAblationGateFusion(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationFFTAlgorithm(b *testing.B) {
-	const n = 18
-	src := rng.New(12)
-	data := make([]complex128, 1<<n)
-	for i := range data {
-		data[i] = src.Complex()
-	}
-	b.Run("radix2", func(b *testing.B) {
-		plan, _ := fft.NewPlan(1 << n)
-		work := make([]complex128, len(data))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(work, data)
-			plan.Forward(work)
-		}
-	})
-	b.Run("fourstep", func(b *testing.B) {
-		work := make([]complex128, len(data))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(work, data)
-			if err := fft.FourStep(work, +1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkAblationQPESquaringVsStrassen(b *testing.B) {
 	u := qpe.DenseUnitary(ising.TrotterStep(8, ising.DefaultParams()))
 	psi := make([]complex128, 1<<8)
@@ -181,18 +152,16 @@ func BenchmarkCompileAuto(b *testing.B) {
 	}
 }
 
-// --- Measurement / permutation engine ---------------------------------------
+// --- Probability / permutation engine ---------------------------------------
 //
 // The execution-engine benches exercise the non-gate hot paths: probability
-// reads, collapses and basis-state permutations, which Shor-style and Monte
-// Carlo workloads hit between every block of gates. ApplyPermutation must
-// report zero allocations per op (the state swaps with its scratch buffer).
+// reads and basis-state permutations, which Shor-style and Monte Carlo
+// workloads hit between every block of gates. ApplyPermutation must report
+// zero allocations per op (the state swaps with its scratch buffer).
 
-func BenchmarkMeasurePermutationPipeline(b *testing.B) {
+func BenchmarkProbabilityPermutationPipeline(b *testing.B) {
 	const n = 22
 	st := statevec.NewRandom(n, rng.New(14))
-	// Make qubit 0 deterministic so the repeated collapse below stays valid.
-	st.Collapse(0, 1)
 	const mask = uint64(1)<<8 - 1
 	// The byte at bit 8 takes the byte at bit 16 plus one: a bijection of the
 	// field for every setting of the rest, so a permutation of the register.
@@ -203,7 +172,6 @@ func BenchmarkMeasurePermutationPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = st.Probability(0)
-		st.Collapse(0, 1)
 		st.ApplyPermutation(bump)
 	}
 }
@@ -223,15 +191,9 @@ func BenchmarkApplyPermutation(b *testing.B) {
 func BenchmarkReductions(b *testing.B) {
 	const n = 22
 	st := statevec.NewRandom(n, rng.New(16))
-	other := statevec.NewRandom(n, rng.New(17))
 	b.Run("Norm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = st.Norm()
-		}
-	})
-	b.Run("Inner", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = st.Inner(other)
 		}
 	})
 	b.Run("ExpectationDiagonal", func(b *testing.B) {

@@ -137,10 +137,7 @@ func vetFile(path string, withResources bool) (fileReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		src := &circvet.Source{File: path, DeclLine: sm.QubitsLine,
-			GateLine: sm.GateLine, RegionLine: sm.RegionLine,
-			GlobalNoiseLine: sm.GlobalNoiseLine, GateNoiseLine: sm.GateNoiseLine}
-		findings, err := circvet.Run(c, src, circvet.Analyzers())
+		findings, err := circvet.Run(c, path, sm, circvet.Analyzers())
 		if err != nil {
 			return rep, err
 		}

@@ -321,8 +321,8 @@ func TestDiagonalCostModel(t *testing.T) {
 }
 
 // TestBackendMeasurement drives Probability/Sample through both a local
-// and a distributed backend on a GHZ state, collapsing it with the
-// engine's own Measure in between.
+// and a distributed backend on a GHZ state: every qubit reads 1 with
+// probability 1/2, and every draw is all zeros or all ones.
 func TestBackendMeasurement(t *testing.T) {
 	ghz := qft.Entangler(6)
 	for _, tgt := range []backend.Target{
@@ -336,23 +336,24 @@ func TestBackendMeasurement(t *testing.T) {
 		if _, err := backend.Execute(b, ghz); err != nil {
 			t.Fatal(err)
 		}
-		if p := b.Probability(3); math.Abs(p-0.5) > 1e-12 {
-			t.Fatalf("%v: GHZ P(q3=1) = %v", tgt.Kind, p)
-		}
-		src := rng.New(5)
-		var bit uint64
-		if tgt.Kind == backend.Cluster {
-			bit = clusterOf(b).Measure(0, src)
-		} else {
-			bit = b.State().Measure(0, src)
-		}
-		for q := uint(1); q < 6; q++ {
-			if got := b.Probability(q); math.Abs(got-float64(bit)) > 1e-12 {
-				t.Fatalf("%v: after measuring %d, P(q%d) = %v", tgt.Kind, bit, q, got)
+		for q := uint(0); q < 6; q++ {
+			if got := b.Probability(q); math.Abs(got-0.5) > 1e-12 {
+				t.Fatalf("%v: GHZ P(q%d=1) = %v", tgt.Kind, q, got)
 			}
 		}
-		if s := b.Sample(src); s != bit*(1<<6-1) {
-			t.Fatalf("%v: collapsed GHZ sampled %b", tgt.Kind, s)
+		src := rng.New(5)
+		var ones int
+		for i := 0; i < 64; i++ {
+			switch s := b.Sample(src); s {
+			case 0:
+			case 1<<6 - 1:
+				ones++
+			default:
+				t.Fatalf("%v: GHZ sampled %b", tgt.Kind, s)
+			}
+		}
+		if ones == 0 || ones == 64 {
+			t.Fatalf("%v: 64 GHZ draws all read %d", tgt.Kind, ones/64)
 		}
 		if err := b.Close(); err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circgen"
 	"repro/internal/circuit"
+	"repro/internal/noise"
 	"repro/internal/recognize"
 	"repro/internal/rng"
 	"repro/internal/statevec"
@@ -103,7 +104,8 @@ func TestParitySeedsReachEveryArithmeticOp(t *testing.T) {
 // FuzzCompileParity is the one-path safety net: whatever Compile builds
 // for a target — fused blocks, recognised shortcuts, placement schedules,
 // the selector's pick — running it must equal the circuit applied gate by
-// gate to 1e-10, and sample draw for draw like it under one seed.
+// gate to 1e-10, and sample draw for draw like it under one seed. Its last
+// row turns noise on at p = 0, which must be noise off (checkNoiseParity).
 func FuzzCompileParity(f *testing.F) {
 	for _, s := range paritySeeds() {
 		f.Add(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
@@ -141,5 +143,57 @@ func FuzzCompileParity(f *testing.F) {
 				}
 			}
 		}
+		checkNoiseParity(t, name, c, ref, seed, draws)
 	})
+}
+
+// checkNoiseParity is FuzzCompileParity's noise row: c under a global
+// depolarizing channel with p = 0, compiled at fused w=4 with recognition
+// on. A point after every gate sends every recognised op back to gate
+// level, so this is the row where they return. The executable's units must
+// leave the gate-by-gate state ref to 1e-10, and draws trajectories of
+// noise.Run must sample like ref draw for draw: trajectory t seeds its
+// stream from the batch seed's master stream and draws one variate per
+// noise point before it samples.
+func checkNoiseParity(t *testing.T, name string, c *circuit.Circuit, ref *statevec.State, seed uint64, draws int) {
+	t.Helper()
+	noisy := circuit.New(c.NumQubits).Extend(c)
+	noisy.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: 0})
+	x, err := backend.Compile(noisy, backend.Target{
+		NumQubits: c.NumQubits, Kind: backend.Fused, FuseWidth: 4, Emulate: recognize.Auto})
+	if err != nil {
+		t.Fatalf("%s/noise-p0: Compile: %v", name, err)
+	}
+	if err := backend.VerifyExecutable(x); err != nil {
+		t.Fatalf("%s/noise-p0: compiled executable fails verification: %v", name, err)
+	}
+	b, err := backend.New(x.Target)
+	if err != nil {
+		t.Fatalf("%s/noise-p0: New: %v", name, err)
+	}
+	t.Cleanup(func() { b.Close() })
+	if err := b.RunUnits(x, 0, len(x.Units)); err != nil {
+		t.Fatalf("%s/noise-p0: RunUnits: %v", name, err)
+	}
+	if d := b.State().MaxDiff(ref); d > 1e-10 {
+		t.Fatalf("%s/noise-p0: differs from the gate-by-gate state by %g", name, d)
+	}
+
+	res, err := noise.Run(x, noise.Options{Trajectories: draws, Seed: seed})
+	if err != nil {
+		t.Fatalf("%s/noise-p0: noise.Run: %v", name, err)
+	}
+	if res.Points == 0 || res.Jumps != 0 || res.StruckUnits != 0 {
+		t.Fatalf("%s/noise-p0: %d points, %d jumps, %d struck units; want points and no jumps", name, res.Points, res.Jumps, res.StruckUnits)
+	}
+	master := rng.New(seed)
+	for i, got := range res.Outcomes {
+		src := rng.New(master.Uint64())
+		for range res.Points {
+			src.Float64()
+		}
+		if want := ref.Sample(src); got != want {
+			t.Fatalf("%s/noise-p0: trajectory %d sampled |%d>, gate by gate |%d>", name, i, got, want)
+		}
+	}
 }

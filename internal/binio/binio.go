@@ -49,15 +49,6 @@ func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 // Raw appends b verbatim, with no length prefix.
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
-// Bool appends a bool as one byte (0 or 1).
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
 // U16 appends a uint16.
 func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
 
@@ -158,19 +149,6 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// Bool reads one byte, failing on values other than 0 and 1.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail(errors.New("binio: invalid bool encoding"))
-		return false
-	}
 }
 
 // U16 reads a uint16.

@@ -29,11 +29,6 @@ func SetBit(x uint64, k uint, v uint64) uint64 {
 	return (x &^ (uint64(1) << k)) | (v << k)
 }
 
-// FlipBit returns x with bit k inverted.
-func FlipBit(x uint64, k uint) uint64 {
-	return x ^ (uint64(1) << k)
-}
-
 // InsertZeroBit spreads x so that a zero bit appears at position k and the
 // bits at positions >= k shift up by one. It maps a (n-1)-bit counter to the
 // n-bit index whose bit k is 0; ORing 1<<k yields the partner index. This is
@@ -51,12 +46,6 @@ func InsertZeroBits(x uint64, ks ...uint) uint64 {
 		x = InsertZeroBit(x, k)
 	}
 	return x
-}
-
-// ExtractBits gathers the bits of x at positions [pos, pos+width) into the
-// low bits of the result.
-func ExtractBits(x uint64, pos, width uint) uint64 {
-	return (x >> pos) & Mask(width)
 }
 
 // DepositBits returns x with the field [pos, pos+width) replaced by the low
@@ -91,19 +80,6 @@ func IsPowerOfTwo(x uint64) bool {
 	return x != 0 && x&(x-1) == 0
 }
 
-// NextPowerOfTwo returns the smallest power of two >= x, for x >= 1.
-func NextPowerOfTwo(x uint64) uint64 {
-	if x <= 1 {
-		return 1
-	}
-	return uint64(1) << (64 - uint(bits.LeadingZeros64(x-1)))
-}
-
-// AllControlsSet reports whether every bit of x selected by controlMask is 1.
-func AllControlsSet(x, controlMask uint64) bool {
-	return x&controlMask == controlMask
-}
-
 // ControlMask builds a mask with a bit set for each listed qubit.
 func ControlMask(qubits []uint) uint64 {
 	var m uint64
@@ -111,10 +87,4 @@ func ControlMask(qubits []uint) uint64 {
 		m |= uint64(1) << q
 	}
 	return m
-}
-
-// GrayCode returns the i-th Gray code value. Successive values differ in a
-// single bit, which multi-controlled gate decompositions exploit.
-func GrayCode(i uint64) uint64 {
-	return i ^ (i >> 1)
 }

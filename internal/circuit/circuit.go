@@ -159,37 +159,6 @@ func (c *Circuit) Controlled(controls ...uint) *Circuit {
 	return cc
 }
 
-// Stats summarises the cost profile of a circuit — the quantities the
-// paper's analysis (gate count G, Toffoli count, diagonal fraction) uses.
-type Stats struct {
-	Total        int            // all gates
-	ByName       map[string]int // count per gate name
-	Controlled   int            // gates with >= 1 control
-	Toffoli      int            // gates with >= 2 controls
-	Diagonal     int            // gates whose full matrix is diagonal
-	TwoQubitPlus int            // gates touching >= 2 qubits
-}
-
-// Statistics scans the circuit once and reports its cost profile.
-func (c *Circuit) Statistics() Stats {
-	st := Stats{ByName: make(map[string]int)}
-	for _, g := range c.Gates {
-		st.Total++
-		st.ByName[g.Name]++
-		if len(g.Controls) > 0 {
-			st.Controlled++
-			st.TwoQubitPlus++
-		}
-		if len(g.Controls) >= 2 {
-			st.Toffoli++
-		}
-		if g.IsDiagonalOnState() {
-			st.Diagonal++
-		}
-	}
-	return st
-}
-
 // Depth returns the circuit depth under the standard as-soon-as-possible
 // schedule: gates sharing no qubit may run in the same layer.
 func (c *Circuit) Depth() int {

@@ -103,27 +103,6 @@ func TestControlledCircuit(t *testing.T) {
 	}
 }
 
-func TestStatistics(t *testing.T) {
-	c := New(3)
-	c.Append(gates.H(0), gates.CNOT(0, 1), gates.Toffoli(0, 1, 2), gates.CR(0, 2, 0.5), gates.Z(1))
-	st := c.Statistics()
-	if st.Total != 5 {
-		t.Errorf("Total = %d", st.Total)
-	}
-	if st.Controlled != 3 {
-		t.Errorf("Controlled = %d", st.Controlled)
-	}
-	if st.Toffoli != 1 {
-		t.Errorf("Toffoli = %d", st.Toffoli)
-	}
-	if st.Diagonal != 2 { // CR and Z
-		t.Errorf("Diagonal = %d", st.Diagonal)
-	}
-	if st.ByName["X"] != 2 {
-		t.Errorf("ByName[X] = %d", st.ByName["X"])
-	}
-}
-
 func TestDepth(t *testing.T) {
 	c := New(4)
 	// Two disjoint gates: depth 1.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/qasm"
 )
 
 // Analyzer is one diagnostic pass over a circuit. The shape deliberately
@@ -35,7 +36,7 @@ type Finding struct {
 	// Analyzer names the pass that produced the finding.
 	Analyzer string
 	// File and Line locate the finding in the circuit's source text when
-	// a Source map was provided; Line is 0 otherwise.
+	// a source map was provided; Line is 0 otherwise.
 	File string
 	Line int
 	// Gate is the gate index the finding anchors to, -1 when it anchors
@@ -94,62 +95,6 @@ func (p *Pass) Report(format string, args ...any) {
 		Message: fmt.Sprintf(format, args...)})
 }
 
-// Source maps IR anchors back to source-text lines — the qasm frontend's
-// qasm.SourceMap, mirrored here as plain data so the analyses stay usable
-// on builder-made circuits that never had source text.
-type Source struct {
-	// File names the source for findings.
-	File string
-	// DeclLine is the register declaration's line — the fallback anchor
-	// for circuit-level findings.
-	DeclLine int
-	// GateLine[i] is the 1-based source line of gate i; RegionLine[i] of
-	// region annotation i. Either may be nil or short (builder circuits,
-	// multi-gate source lines are repeated per gate).
-	GateLine   []int
-	RegionLine []int
-	// GlobalNoiseLine[i] is the source line of the i-th global noise
-	// directive (parallels NoiseModel.Global); GateNoiseLine[i] of the
-	// i-th per-gate attachment (parallels NoiseModel.PerGate).
-	GlobalNoiseLine []int
-	GateNoiseLine   []int
-}
-
-func (s *Source) gateLine(i int) int {
-	if s == nil || i < 0 || i >= len(s.GateLine) {
-		return s.declLine()
-	}
-	return s.GateLine[i]
-}
-
-func (s *Source) regionLine(i int) int {
-	if s == nil || i < 0 || i >= len(s.RegionLine) {
-		return s.declLine()
-	}
-	return s.RegionLine[i]
-}
-
-func (s *Source) declLine() int {
-	if s == nil {
-		return 0
-	}
-	return s.DeclLine
-}
-
-func (s *Source) globalNoiseLine(i int) int {
-	if s == nil || i < 0 || i >= len(s.GlobalNoiseLine) {
-		return s.declLine()
-	}
-	return s.GlobalNoiseLine[i]
-}
-
-func (s *Source) gateNoiseLine(i int) int {
-	if s == nil || i < 0 || i >= len(s.GateNoiseLine) {
-		return s.declLine()
-	}
-	return s.GateNoiseLine[i]
-}
-
 // Analyzers returns the full diagnostic suite in a fixed order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -161,28 +106,28 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Run executes the given analyzers over one circuit, resolving anchors
-// through src (which may be nil), and returns the findings sorted by
-// line, gate, region, then analyzer. The error return reports an
-// analyzer that failed to run, not the presence of findings.
-func Run(c *circuit.Circuit, src *Source, analyzers []*Analyzer) ([]Finding, error) {
+// Run executes the given analyzers over one circuit, naming file in the
+// findings and resolving their anchors through sm, and returns the
+// findings sorted by line, gate, region, then analyzer. A circuit built
+// in code has no source text: pass "" and a nil map, and every finding
+// has Line 0. The error return reports an analyzer that failed to run,
+// not the presence of findings.
+func Run(c *circuit.Circuit, file string, sm *qasm.SourceMap, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
 		p := &Pass{Analyzer: a, Circuit: c, report: func(f Finding) {
-			if src != nil {
-				f.File = src.File
-			}
+			f.File = file
 			switch {
 			case f.Gate >= 0:
-				f.Line = src.gateLine(f.Gate)
+				f.Line = sm.Line(qasm.AnchorGate, f.Gate)
 			case f.Region >= 0:
-				f.Line = src.regionLine(f.Region)
+				f.Line = sm.Line(qasm.AnchorRegion, f.Region)
 			case f.GlobalNoise >= 0:
-				f.Line = src.globalNoiseLine(f.GlobalNoise)
+				f.Line = sm.Line(qasm.AnchorGlobalNoise, f.GlobalNoise)
 			case f.GateNoise >= 0:
-				f.Line = src.gateNoiseLine(f.GateNoise)
+				f.Line = sm.Line(qasm.AnchorGateNoise, f.GateNoise)
 			default:
-				f.Line = src.declLine()
+				f.Line = sm.Line(qasm.AnchorGate, -1)
 			}
 			out = append(out, f)
 		}}

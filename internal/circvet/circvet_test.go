@@ -73,10 +73,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			src := &circvet.Source{File: file, DeclLine: sm.QubitsLine,
-				GateLine: sm.GateLine, RegionLine: sm.RegionLine,
-				GlobalNoiseLine: sm.GlobalNoiseLine, GateNoiseLine: sm.GateNoiseLine}
-			findings, err := circvet.Run(c, src, circvet.Analyzers())
+			findings, err := circvet.Run(c, file, sm, circvet.Analyzers())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +104,7 @@ func TestRunWithoutSource(t *testing.T) {
 	// A bare QFT from |0…0⟩: every controlled phase has a stuck control
 	// (its control qubit gets its Hadamard only later).
 	c := qft.Circuit(4)
-	findings, err := circvet.Run(c, nil, circvet.Analyzers())
+	findings, err := circvet.Run(c, "", nil, circvet.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +123,7 @@ func TestRunWithoutSource(t *testing.T) {
 
 	// The same QFT after GHZ preparation is clean.
 	prepped := qft.Entangler(4).Extend(qft.Circuit(4))
-	findings, err = circvet.Run(prepped, nil, circvet.Analyzers())
+	findings, err = circvet.Run(prepped, "", nil, circvet.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +146,8 @@ func TestEstimateResources(t *testing.T) {
 	if len(r.Regions) != 1 || r.Regions[0].Kind != "qft" {
 		t.Errorf("expected one recognised qft region, got %+v", r.Regions)
 	}
-	if r.RecognizedGates != qft.GateCount(6) {
-		t.Errorf("recognized gates = %d, want %d", r.RecognizedGates, qft.GateCount(6))
+	if want := qft.Circuit(6).Len(); r.RecognizedGates != want {
+		t.Errorf("recognized gates = %d, want %d", r.RecognizedGates, want)
 	}
 	if r.Chosen == "" || r.PredictedSecs <= 0 {
 		t.Errorf("estimate carries no selection: %+v", r)
@@ -173,7 +170,7 @@ func TestNoisecheckBuilderCircuit(t *testing.T) {
 			{Gate: 0, Qubit: 7, Ch: circuit.Channel{Kind: circuit.AmplitudeDamping, P: 0.1}},
 		},
 	}
-	findings, err := circvet.Run(c, nil, circvet.Analyzers())
+	findings, err := circvet.Run(c, "", nil, circvet.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +194,7 @@ func TestNoisecheckBuilderCircuit(t *testing.T) {
 	// is clean.
 	clean := qft.Entangler(3)
 	clean.AttachNoise(clean.Len()-1, 2, circuit.Channel{Kind: circuit.PhaseDamping, P: 0.2})
-	findings, err = circvet.Run(clean, nil, circvet.Analyzers())
+	findings, err = circvet.Run(clean, "", nil, circvet.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ type Cluster struct {
 	// block being executed.
 	blockPhys [fuse.MaxWidth]uint
 
-	// Stats tracks communication; reset with ResetStats.
+	// Stats tracks communication since New; callers diff Snapshots.
 	Stats Stats
 }
 
@@ -140,11 +140,6 @@ func (c *Cluster) NumQubits() uint { return c.L + c.NodeBits }
 // LocalSize returns the per-node amplitude count 2^L.
 func (c *Cluster) LocalSize() uint64 { return uint64(1) << c.L }
 
-// Node returns node p's shard state (2^L amplitudes). The slice identity
-// of its Amplitudes may change across collectives; callers must not hold
-// it across engine operations.
-func (c *Cluster) Node(p int) *statevec.State { return c.nodes[p] }
-
 // shard returns node p's amplitude slice.
 func (c *Cluster) shard(p int) []complex128 { return c.nodes[p].Amplitudes() }
 
@@ -158,26 +153,12 @@ func (c *Cluster) SetNodeParallelism(w int) {
 	}
 }
 
-// ResetStats zeroes the communication counters.
-func (c *Cluster) ResetStats() {
-	c.Stats.BytesSent.Store(0)
-	c.Stats.Messages.Store(0)
-	c.Stats.Exchanges.Store(0)
-	c.Stats.AllToAlls.Store(0)
-	c.Stats.Rounds.Store(0)
-	c.Stats.Gates.Store(0)
-}
-
 // Placement returns a copy of the current logical→physical qubit map.
 // pos[q] < L means logical qubit q is node-local; pos[q] >= L means it is
 // a node-selecting (remote) qubit.
 func (c *Cluster) Placement() []uint {
 	return append([]uint(nil), c.pos...)
 }
-
-// IsLocal reports whether logical qubit q currently sits in a node-local
-// position.
-func (c *Cluster) IsLocal(q uint) bool { return c.pos[q] < c.L }
 
 // identityPlacement reports whether logical and physical qubits coincide.
 func (c *Cluster) identityPlacement() bool {

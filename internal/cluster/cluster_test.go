@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gates"
 	"repro/internal/qft"
+	"repro/internal/recognize"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -18,6 +19,17 @@ func loadRandom(t *testing.T, c *cluster.Cluster, src *rng.Source) *statevec.Sta
 		t.Fatal(err)
 	}
 	return st
+}
+
+// applyInverseQFT runs the inverse QFT of the whole register on c as the
+// backend does: the recognised op of the inverse QFT circuit through
+// ApplyOp, on the four-step FFT.
+func applyInverseQFT(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	op := planOps(t, qft.Circuit(c.NumQubits()).Dagger(), recognize.Annotated)[0]
+	if sub, err := c.ApplyOp(op); err != nil || sub != cluster.SubstrateFourStepFFT {
+		t.Fatalf("inverse QFT lowered to %q, %v", sub, err)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -181,9 +193,7 @@ func TestEmulatedQFTInverseRoundTrip(t *testing.T) {
 	if err := c.EmulateQFT(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EmulateInverseQFT(); err != nil {
-		t.Fatal(err)
-	}
+	applyInverseQFT(t, c)
 	if d := c.Gather().MaxDiff(st); d > 1e-9 {
 		t.Fatalf("distributed FFT round trip error %g", d)
 	}
@@ -226,9 +236,7 @@ func TestNormPreservedAcrossCluster(t *testing.T) {
 	c, _ := cluster.New(8, 8)
 	loadRandom(t, c, src)
 	c.Run(qft.Circuit(8))
-	if err := c.EmulateInverseQFT(); err != nil {
-		t.Fatal(err)
-	}
+	applyInverseQFT(t, c)
 	if d := math.Abs(c.Gather().Norm() - 1); d > 1e-9 {
 		t.Errorf("norm drifted by %g", d)
 	}

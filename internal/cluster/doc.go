@@ -18,7 +18,7 @@
 //
 // The naive engine (ApplyGate / Run) pays for each such gate immediately
 // with one pairwise shard-exchange round — the qHiPSTER-class behaviour.
-// The scheduled engine (BuildSchedule / RunSchedule / RunScheduled)
+// The scheduled engine (BuildSchedule / RunSchedule)
 // instead walks the circuit post-fusion (consuming internal/fuse plans:
 // fused blocks whole, unfused runs gate by gate), and whenever the stream
 // blocks on remote qubits it plans ONE all-to-all placement remap whose
@@ -66,12 +66,12 @@
 // The pairwise exchange of the naive engine charges both shards' bytes,
 // two messages and one Exchange per pair, and one Round per gate.
 //
-// # Measurement, sampling, expectation
+// # Probability and sampling
 //
-// Norm, Probability, Measure, Collapse, Sample, SampleMany and
-// ExpectationDiagonal run cluster-wide without gathering: every node
-// reduces its shard on its own worker pool (the statevec parallelReduce
-// machinery), and only the P partial scalars cross node boundaries.
+// Probability, Sample and SampleMany run cluster-wide without gathering:
+// every node reduces its shard on its own worker pool (the statevec
+// parallelReduce machinery), and only the P partial scalars cross node
+// boundaries.
 // Sampling canonicalises the placement so outcomes are logical basis
 // indices resolved in the same CDF order as the single-node sampler.
 //

@@ -102,9 +102,7 @@ func TestClusterQFTAfterDriftedPlacement(t *testing.T) {
 	}
 	// Drift the placement with a scheduled run of a remote-target circuit.
 	pre := qft.Circuit(n).Dagger()
-	if err := cl.RunScheduled(pre, 3); err != nil {
-		t.Fatal(err)
-	}
+	schedule(t, cl, pre, 3)
 	if _, err := cl.ApplyOp(op); err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,6 @@ import (
 // path on the cluster substrate.
 func (c *Cluster) EmulateQFT() error { return c.distributedFFT(+1, true) }
 
-// EmulateInverseQFT performs the inverse transform.
-func (c *Cluster) EmulateInverseQFT() error { return c.distributedFFT(-1, true) }
-
 // distributedFFT runs the four-step factorisation N = N1 * N2 with the
 // state viewed as an N1 x N2 row-major matrix distributed by row blocks.
 // The emulation speaks the canonical (identity) layout, so a drifted

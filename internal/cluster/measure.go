@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/bitops"
@@ -16,16 +15,6 @@ func nodeReduce(c *Cluster, fn func(p int) float64) []float64 {
 	res := make([]float64, c.P)
 	c.eachNode(func(p int) { res[p] = fn(p) })
 	return res
-}
-
-// Norm returns the 2-norm of the distributed amplitude vector, reduced
-// node-locally in parallel and folded in node order.
-func (c *Cluster) Norm() float64 {
-	var total float64
-	for _, m := range nodeReduce(c, func(p int) float64 { return c.nodes[p].Mass() }) {
-		total += m
-	}
-	return math.Sqrt(total)
 }
 
 // Probability returns the probability that measuring logical qubit q
@@ -64,60 +53,6 @@ func (c *Cluster) conditionalMass(q uint, outcome uint64) float64 {
 		total += m
 	}
 	return total
-}
-
-// Collapse projects logical qubit q onto the given outcome (0 or 1) and
-// renormalises across the whole cluster. It panics if the outcome has zero
-// probability, with the statevec kernel message.
-func (c *Cluster) Collapse(q uint, outcome uint64) {
-	if q >= c.NumQubits() {
-		panic("cluster: qubit out of range")
-	}
-	keep := c.conditionalMass(q, outcome&1)
-	if keep == 0 {
-		panic("cluster: collapse onto zero-probability outcome")
-	}
-	c.collapseScaled(q, outcome&1, keep)
-}
-
-// Measure performs a projective measurement of logical qubit q, collapsing
-// the distributed state and renormalising. It returns the observed bit.
-// Like the single-node path, the branch mass already computed for the draw
-// is reused for the rescale, so the collapse is one sweep per shard.
-func (c *Cluster) Measure(q uint, src *rng.Source) uint64 {
-	p1 := c.Probability(q)
-	if src.Float64() < p1 {
-		c.collapseScaled(q, 1, p1)
-		return 1
-	}
-	keep := c.conditionalMass(q, 0)
-	if keep == 0 {
-		panic("cluster: collapse onto zero-probability outcome")
-	}
-	c.collapseScaled(q, 0, keep)
-	return 0
-}
-
-// collapseScaled zeroes the branch where logical qubit q differs from
-// outcome and rescales the kept branch by 1/sqrt(keep). A node-local qubit
-// collapses inside every shard (statevec.CollapseScaled, one fused sweep);
-// a node-selecting qubit zeroes whole shards on the discarded side and
-// rescales the others — no communication in either case.
-func (c *Cluster) collapseScaled(q uint, outcome uint64, keep float64) {
-	t := c.pos[q]
-	if t < c.L {
-		c.eachNode(func(p int) { c.nodes[p].CollapseScaled(t, outcome, keep) })
-		return
-	}
-	tb := t - c.L
-	inv := complex(1/math.Sqrt(keep), 0)
-	c.eachNode(func(p int) {
-		if bitops.Bit(uint64(p), tb) == outcome {
-			c.nodes[p].Scale(inv)
-		} else {
-			clear(c.shard(p))
-		}
-	})
 }
 
 // lastSupported returns the highest logical basis index with nonzero
@@ -204,25 +139,4 @@ func (c *Cluster) sampleSorted(rs []float64, out []uint64) {
 			out[i] = last
 		}
 	}
-}
-
-// ExpectationDiagonal returns the exact expectation of a diagonal
-// observable with eigenvalue obs(i) on logical basis state i, reduced
-// shard-locally (each shard's pass runs on its worker pool via
-// statevec.ExpectationDiagonal) and folded in node order. Like the
-// samplers, it canonicalises a drifted placement first (one remap round
-// at most) so the hot reduction translates indices with a shift instead
-// of an O(n) bit gather per amplitude. obs must be safe for concurrent
-// calls.
-func (c *Cluster) ExpectationDiagonal(obs func(uint64) float64) float64 {
-	c.Canonicalize()
-	parts := nodeReduce(c, func(p int) float64 {
-		base := uint64(p) << c.L
-		return c.nodes[p].ExpectationDiagonal(func(i uint64) float64 { return obs(base | i) })
-	})
-	var total float64
-	for _, v := range parts {
-		total += v
-	}
-	return total
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitops"
-	"repro/internal/circuit"
 	"repro/internal/fuse"
 	"repro/internal/gates"
 )
@@ -324,38 +323,6 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 	if d := s.Gates - s.countedGates; d > 0 {
 		c.Stats.Gates.Add(uint64(d))
 	}
-}
-
-// RunPlan builds and executes the schedule for a fusion plan.
-func (c *Cluster) RunPlan(p *fuse.Plan) error {
-	s, err := BuildSchedule(p, c.NumQubits(), c.L, c.DiagonalOptimization)
-	if err != nil {
-		return err
-	}
-	c.RunSchedule(s)
-	return nil
-}
-
-// ClampFuseWidth bounds a fusion width to a cluster's per-node shard
-// capacity: a dense 2^w block can only execute when all w qubits fit in
-// the L local positions. Width < 1 degenerates to same-target fusion
-// (width 1). Every caller planning fusion for BuildSchedule must clamp with
-// this.
-func ClampFuseWidth(w int, localQubits uint) int {
-	if w > int(localQubits) {
-		w = int(localQubits)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// RunScheduled plans fusion at the given width (clamped to the node-local
-// capacity; width < 2 degenerates to same-target fusion) and executes the
-// circuit through the communication-avoiding engine.
-func (c *Cluster) RunScheduled(circ *circuit.Circuit, fuseWidth int) error {
-	return c.RunPlan(fuse.New(circ, ClampFuseWidth(fuseWidth, c.L)))
 }
 
 // applyBlock executes one fused block under the current placement.

@@ -14,6 +14,17 @@ import (
 	"repro/internal/statevec"
 )
 
+// schedule runs circ on c the way the backend runs a gate segment: a
+// fusion plan at width, BuildSchedule for c's shape, RunSchedule.
+func schedule(t *testing.T, c *cluster.Cluster, circ *circuit.Circuit, width int) {
+	t.Helper()
+	s, err := cluster.BuildSchedule(fuse.New(circ, width), c.NumQubits(), c.L, c.DiagonalOptimization)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunSchedule(s)
+}
+
 // runScheduled executes circ on a fresh cluster through the scheduled
 // engine and returns the cluster.
 func runScheduled(t *testing.T, n uint, p int, circ *circuit.Circuit, width int) *cluster.Cluster {
@@ -22,9 +33,7 @@ func runScheduled(t *testing.T, n uint, p int, circ *circuit.Circuit, width int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunScheduled(circ, width); err != nil {
-		t.Fatal(err)
-	}
+	schedule(t, c, circ, width)
 	return c
 }
 
@@ -237,8 +246,8 @@ func TestScheduledFusedBlocksMatchReference(t *testing.T) {
 	}
 }
 
-// TestScheduleReuseAcrossRuns: one schedule, many executions (the
-// RunPlan-amortisation contract) — results must be identical.
+// TestScheduleReuseAcrossRuns: one schedule, many executions (a compiled
+// unit runs its schedule on every Run) — results must be identical.
 func TestScheduleReuseAcrossRuns(t *testing.T) {
 	n := uint(8)
 	circ := experiments.RandomCircuit(n, 120, 5)

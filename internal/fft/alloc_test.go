@@ -14,7 +14,7 @@ func TestTransformDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := make([]complex128, p.Size())
+		data := make([]complex128, p.size)
 		data[1] = 1
 		for name, run := range map[string]func([]complex128){
 			"ForwardSerial":      p.ForwardSerial,
@@ -53,10 +53,10 @@ func BenchmarkForward(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([]complex128, p.Size())
+	data := make([]complex128, p.size)
 	data[1] = 1
 	b.ReportAllocs()
-	b.SetBytes(int64(16 * p.Size()))
+	b.SetBytes(int64(16 * p.size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(data)

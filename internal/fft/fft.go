@@ -66,8 +66,8 @@
 // # Workers
 //
 // Every entry point that takes a worker count runs on exactly that many
-// goroutines, the caller's included; one worker starts none. Forward and
-// Inverse use GOMAXPROCS, ForwardSerial and InverseSerial one.
+// goroutines, the caller's included; one worker starts none. Forward uses
+// GOMAXPROCS, ForwardSerial and InverseSerial one.
 //
 // Sign convention: Forward uses exp(+2*pi*i*k*l/N), matching the QFT
 // definition in the paper's Eq. 4; Unitary additionally scales by
@@ -138,26 +138,19 @@ func newPlan(n uint) *Plan {
 	return &Plan{n: n, size: 1 << n, groups: stageGroups(n)}
 }
 
-// Size returns the transform length.
-func (p *Plan) Size() uint64 { return p.size }
-
 // Forward computes the unnormalised transform with the +i sign convention,
 // in place, on GOMAXPROCS workers. len(data) must equal the plan size.
 func (p *Plan) Forward(data []complex128) {
 	p.transform(data, false, 1, runtime.GOMAXPROCS(0))
 }
 
-// Inverse computes the unnormalised transform with the -i sign convention,
-// in place, on GOMAXPROCS workers. Inverse(Forward(x)) == N*x.
-func (p *Plan) Inverse(data []complex128) {
-	p.transform(data, true, 1, runtime.GOMAXPROCS(0))
-}
-
 // ForwardSerial is Forward restricted to the calling goroutine. The
 // cluster back-end uses it so each emulated node stays single-threaded.
 func (p *Plan) ForwardSerial(data []complex128) { p.transform(data, false, 1, 1) }
 
-// InverseSerial is Inverse restricted to the calling goroutine.
+// InverseSerial computes the unnormalised transform with the -i sign
+// convention, in place, on the calling goroutine: InverseSerial(Forward(x))
+// == N*x.
 func (p *Plan) InverseSerial(data []complex128) { p.transform(data, true, 1, 1) }
 
 // unitaryScale is the 1/sqrt(N) of the unitary transforms. It is folded
@@ -169,11 +162,6 @@ func (p *Plan) unitaryScale() float64 { return 1 / math.Sqrt(float64(p.size)) }
 // performs the paper's Eq. 4.
 func (p *Plan) Unitary(data []complex128, workers int) {
 	p.transform(data, false, p.unitaryScale(), workers)
-}
-
-// UnitaryInverse computes the inverse QFT: Inverse scaled by 1/sqrt(N).
-func (p *Plan) UnitaryInverse(data []complex128, workers int) {
-	p.transform(data, true, p.unitaryScale(), workers)
 }
 
 // UnitaryBitReversed computes the unitary transform composed with the

@@ -56,6 +56,34 @@ func maxDiff(a, b []complex128) float64 {
 
 func clone(v []complex128) []complex128 { return append([]complex128(nil), v...) }
 
+// DFT computes the O(N^2) discrete Fourier transform directly: the
+// reference the fast paths are validated against.
+func DFT(data []complex128, sign int) []complex128 {
+	size := len(data)
+	out := make([]complex128, size)
+	for l := 0; l < size; l++ {
+		var acc complex128
+		for k := 0; k < size; k++ {
+			theta := 2 * math.Pi * float64(k) * float64(l) / float64(size)
+			if sign < 0 {
+				theta = -theta
+			}
+			acc += data[k] * cmplx.Exp(complex(0, theta))
+		}
+		out[l] = acc
+	}
+	return out
+}
+
+// inverse runs the unnormalised transform with the -i sign convention, in
+// natural order, on two workers: inverse(Forward(x)) == N*x.
+func inverse(p *Plan, data []complex128) { p.transform(data, true, 1, 2) }
+
+// unitaryInverse is the inverse QFT: inverse scaled by 1/sqrt(N).
+func unitaryInverse(p *Plan, data []complex128, workers int) {
+	p.transform(data, true, p.unitaryScale(), workers)
+}
+
 func mustPlan(t testing.TB, size uint64) *Plan {
 	t.Helper()
 	p, err := NewPlan(size)
@@ -84,7 +112,7 @@ func TestForwardMatchesDFT(t *testing.T) {
 			t.Errorf("size %d: forward differs from DFT by %g", size, d)
 		}
 		gotInv := clone(x)
-		p.Inverse(gotInv)
+		inverse(p, gotInv)
 		if d := maxDiff(gotInv, DFT(x, -1)); d > 1e-9*float64(size) {
 			t.Errorf("size %d: inverse differs from DFT by %g", size, d)
 		}
@@ -98,7 +126,7 @@ func TestRoundTrip(t *testing.T) {
 		x := randomVector(src, int(size))
 		got := clone(x)
 		p.Forward(got)
-		p.Inverse(got)
+		inverse(p, got)
 		scale := complex(1/float64(size), 0)
 		for i := range got {
 			got[i] *= scale
@@ -127,9 +155,9 @@ func TestUnitaryPreservesNorm(t *testing.T) {
 	if math.Abs(normOut-normIn) > 1e-8*normIn {
 		t.Errorf("unitary FFT changed norm: %v -> %v", normIn, normOut)
 	}
-	p.UnitaryInverse(x, 2)
+	unitaryInverse(p, x, 2)
 	if d := maxDiff(x, orig); d > 1e-12 {
-		t.Errorf("UnitaryInverse does not undo Unitary: %g", d)
+		t.Errorf("the inverse QFT does not undo Unitary: %g", d)
 	}
 }
 
@@ -155,48 +183,6 @@ func TestDeltaTransform(t *testing.T) {
 	for i, v := range x {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("delta transform wrong at %d: %v", i, v)
-		}
-	}
-}
-
-func TestFourStepMatchesDirect(t *testing.T) {
-	src := rng.New(5)
-	for _, n := range []uint{2, 3, 5, 8, 11} {
-		size := uint64(1) << n
-		x := randomVector(src, int(size))
-		p := mustPlan(t, size)
-		want := clone(x)
-		p.Forward(want)
-		got := clone(x)
-		if err := FourStep(got, +1); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxDiff(got, want); d > 1e-8*float64(size) {
-			t.Errorf("n=%d: four-step differs from direct by %g", n, d)
-		}
-		gotInv := clone(x)
-		if err := FourStep(gotInv, -1); err != nil {
-			t.Fatal(err)
-		}
-		wantInv := clone(x)
-		p.Inverse(wantInv)
-		if d := maxDiff(gotInv, wantInv); d > 1e-8*float64(size) {
-			t.Errorf("n=%d: inverse four-step differs by %g", n, d)
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	src := rng.New(6)
-	rows, cols := uint64(8), uint64(16)
-	m := randomVector(src, int(rows*cols))
-	tr := make([]complex128, rows*cols)
-	transpose(tr, m, rows, cols, 2)
-	for r := uint64(0); r < rows; r++ {
-		for c := uint64(0); c < cols; c++ {
-			if tr[c*rows+r] != m[r*cols+c] {
-				t.Fatalf("transpose wrong at (%d,%d)", r, c)
-			}
 		}
 	}
 }
@@ -434,11 +420,11 @@ func TestPackedTwiddlesMatchStrided(t *testing.T) {
 			}
 		}
 	}
-	// The inverse direction is the conjugate: Inverse(x) = conj(Forward(conj(x))).
+	// The inverse direction is the conjugate: inverse(x) = conj(Forward(conj(x))).
 	p := mustPlan(t, 1<<12)
 	x := randomVector(rng.New(12), 1<<12)
 	inv := clone(x)
-	p.Inverse(inv)
+	inverse(p, inv)
 	fw := make([]complex128, len(x))
 	for i, v := range x {
 		fw[i] = cmplx.Conj(v)
@@ -549,7 +535,7 @@ func TestWorkerCountIsExact(t *testing.T) {
 	p.ForwardSerial(x)
 	p.InverseSerial(x)
 	p.Unitary(x, 1)
-	p.UnitaryInverse(x, 1)
+	unitaryInverse(p, x, 1)
 	p.UnitaryBitReversed(x, 1)
 	p.UnitaryInverseFromBitReversed(x, 1)
 	field.TransformField(x, 0, false, 1)
@@ -583,7 +569,7 @@ func TestTransformField(t *testing.T) {
 					fibre[k] = want[rest|uint64(k)<<pos]
 				}
 				if inverse {
-					p.UnitaryInverse(fibre, 1)
+					unitaryInverse(p, fibre, 1)
 				} else {
 					p.Unitary(fibre, 1)
 				}
@@ -629,9 +615,9 @@ func FuzzTransform(f *testing.F) {
 			do, undo transform
 			factor   float64
 		}{
-			{p.Forward, p.Inverse, float64(p.size)},
+			{p.Forward, func(d []complex128) { inverse(p, d) }, float64(p.size)},
 			{p.InverseSerial, p.ForwardSerial, float64(p.size)},
-			{func(d []complex128) { p.Unitary(d, w) }, func(d []complex128) { p.UnitaryInverse(d, w) }, 1},
+			{func(d []complex128) { p.Unitary(d, w) }, func(d []complex128) { unitaryInverse(p, d, w) }, 1},
 			{func(d []complex128) { p.UnitaryBitReversed(d, w) }, func(d []complex128) { p.UnitaryInverseFromBitReversed(d, w) }, 1},
 			{func(d []complex128) { p.TransformField(d, 0, false, w) }, func(d []complex128) { p.TransformField(d, 0, true, w) }, 1},
 		}

@@ -148,17 +148,6 @@ type Block struct {
 // than a replayed run.
 func (b *Block) Fused() bool { return b.Matrix != nil || b.Factors != nil || b.Diag != nil }
 
-// Dense returns the 2^w x 2^w row-major unitary of a dense block — Matrix,
-// or the product of Factors, multiplied out on each call — and nil for a
-// diagonal or unfused block. It is for tests and introspection: executors
-// call Sweep.
-func (b *Block) Dense() []complex128 {
-	if b.Factors != nil {
-		return b.Factors.Dense()
-	}
-	return b.Matrix
-}
-
 // Sweep executes a fused block on s in one pass over the state. qubits
 // lists where the block's qubits sit in s, position for position with
 // Qubits: b.Qubits itself for a whole-register state, the remapped

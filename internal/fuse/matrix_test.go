@@ -10,6 +10,16 @@ import (
 	"repro/internal/statevec"
 )
 
+// Dense returns the 2^w x 2^w row-major unitary of a dense block — Matrix,
+// or the product of Factors, multiplied out on each call — and nil for a
+// diagonal or unfused block. Executors call Sweep instead.
+func (b *Block) Dense() []complex128 {
+	if b.Factors != nil {
+		return b.Factors.Dense()
+	}
+	return b.Matrix
+}
+
 // accumulatePerGate is how accumulate built every matrix before it swept a
 // plan over the wide ones, kept as their oracle: each gate multiplied into
 // the matrix in turn (mulInto), O(4^w) per gate at any width.

@@ -98,11 +98,6 @@ func (m Matrix2) IsUnitary(eps float64) bool {
 		cmplx.Abs(p[2]) < eps && cmplx.Abs(p[3]-1) < eps
 }
 
-// Apply multiplies m into the amplitude pair (a0, a1).
-func (m Matrix2) Apply(a0, a1 complex128) (complex128, complex128) {
-	return m[0]*a0 + m[1]*a1, m[2]*a0 + m[3]*a1
-}
-
 // Gate is a single-qubit gate: a named unitary applied to a target qubit,
 // optionally conditioned on control qubits (all of which must read 1).
 // Multi-qubit standard gates (CNOT, CR, Toffoli) are represented as a
@@ -271,10 +266,4 @@ func Toffoli(c0, c1, target uint) Gate {
 // Swap returns the three CNOTs that exchange qubits a and b.
 func Swap(a, b uint) []Gate {
 	return []Gate{CNOT(a, b), CNOT(b, a), CNOT(a, b)}
-}
-
-// Fredkin returns a controlled swap of a and b, built from a Toffoli
-// conjugated by CNOTs.
-func Fredkin(control, a, b uint) []Gate {
-	return []Gate{CNOT(b, a), Toffoli(control, a, b), CNOT(b, a)}
 }

@@ -141,10 +141,3 @@ func TestDaggerOfControlled(t *testing.T) {
 		t.Error("dagger lost controls")
 	}
 }
-
-func TestApply(t *testing.T) {
-	a0, a1 := MatX.Apply(complex(0.6, 0), complex(0.8, 0))
-	if cmplx.Abs(a0-complex(0.8, 0)) > eps || cmplx.Abs(a1-complex(0.6, 0)) > eps {
-		t.Errorf("X apply: %v %v", a0, a1)
-	}
-}

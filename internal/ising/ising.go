@@ -43,15 +43,5 @@ func TrotterStep(n uint, p Params) *circuit.Circuit {
 	return c
 }
 
-// Evolution returns steps repetitions of the Trotter step.
-func Evolution(n uint, p Params, steps int) *circuit.Circuit {
-	c := circuit.New(n)
-	step := TrotterStep(n, p)
-	for i := 0; i < steps; i++ {
-		c.Extend(step)
-	}
-	return c
-}
-
 // GateCount returns the Table 2 gate count G = 4n - 3 for one step.
 func GateCount(n uint) int { return 4*int(n) - 3 }

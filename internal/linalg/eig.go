@@ -46,27 +46,9 @@ func Eig(a *Matrix) (*Eigen, error) {
 	return &Eigen{Values: values, Vectors: vectors}, nil
 }
 
-// Eigenvalues computes only the spectrum (skipping eigenvector
-// accumulation saves roughly half the work).
-func Eigenvalues(a *Matrix) ([]complex128, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: Eigenvalues requires a square matrix")
-	}
-	h := a.Clone()
-	hessenberg(h, nil)
-	if err := schur(h, nil); err != nil {
-		return nil, err
-	}
-	values := make([]complex128, a.Rows)
-	for i := range values {
-		values[i] = h.At(i, i)
-	}
-	return values, nil
-}
-
 // hessenberg reduces h to upper Hessenberg form in place with Householder
-// reflectors, accumulating the similarity transform into q when non-nil
-// (so original = q * h * q†).
+// reflectors, accumulating the similarity transform into q (so original =
+// q * h * q†).
 func hessenberg(h, q *Matrix) {
 	n := h.Rows
 	v := make([]complex128, n)
@@ -125,22 +107,20 @@ func hessenberg(h, q *Matrix) {
 				}
 			}
 		})
-		if q != nil {
-			// q <- q P (accumulate the same right-side update).
-			parallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					row := q.Row(i)
-					var dot complex128
-					for j := col + 1; j < n; j++ {
-						dot += row[j] * v[j]
-					}
-					dot *= tau
-					for j := col + 1; j < n; j++ {
-						row[j] -= dot * cmplx.Conj(v[j])
-					}
+		// q <- q P (accumulate the same right-side update).
+		parallelFor(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				row := q.Row(i)
+				var dot complex128
+				for j := col + 1; j < n; j++ {
+					dot += row[j] * v[j]
 				}
-			})
-		}
+				dot *= tau
+				for j := col + 1; j < n; j++ {
+					row[j] -= dot * cmplx.Conj(v[j])
+				}
+			}
+		})
 		// Zero the annihilated entries exactly.
 		h.Set(col+1, col, alpha)
 		for i := col + 2; i < n; i++ {
@@ -151,7 +131,7 @@ func hessenberg(h, q *Matrix) {
 
 // schur reduces the upper-Hessenberg h to upper-triangular (Schur) form in
 // place via the explicit single-shift QR iteration with Wilkinson shifts,
-// accumulating the unitary transform into q when non-nil.
+// accumulating the unitary transform into q.
 func schur(h, q *Matrix) error {
 	n := h.Rows
 	if n <= 1 {
@@ -284,13 +264,11 @@ func qrStep(h, q *Matrix, lo, hi int, shift complex128) {
 			row[i] = x*cmplx.Conj(g.ca) + y*cmplx.Conj(g.cb)
 			row[i+1] = -x*g.cb + y*g.ca
 		}
-		if q != nil {
-			for r := 0; r < n; r++ {
-				row := q.Row(r)
-				x, y := row[i], row[i+1]
-				row[i] = x*cmplx.Conj(g.ca) + y*cmplx.Conj(g.cb)
-				row[i+1] = -x*g.cb + y*g.ca
-			}
+		for r := 0; r < n; r++ {
+			row := q.Row(r)
+			x, y := row[i], row[i+1]
+			row[i] = x*cmplx.Conj(g.ca) + y*cmplx.Conj(g.cb)
+			row[i+1] = -x*g.cb + y*g.ca
 		}
 	}
 	// Restore the shift.

@@ -114,18 +114,18 @@ func TestExpmSkewHermitianIsUnitary(t *testing.T) {
 		t.Error("exp(-iH) not unitary")
 	}
 	// Eigenphases of U must be -eigenvalues of H (mod 2 pi).
-	hv, err := Eigenvalues(hh)
+	hv, err := Eig(hh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uv, err := Eigenvalues(u)
+	uv, err := Eig(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lam := range hv {
+	for _, lam := range hv.Values {
 		want := cmplx.Exp(complex(0, -real(lam)))
 		best := math.Inf(1)
-		for _, mu := range uv {
+		for _, mu := range uv.Values {
 			if d := cmplx.Abs(mu - want); d < best {
 				best = d
 			}

@@ -49,25 +49,6 @@ func mulInto(out, a, b *Matrix) {
 	})
 }
 
-// NaiveMul is the textbook i-j-k product kept as the correctness reference
-// for Mul and Strassen in tests.
-func (m *Matrix) NaiveMul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic("linalg: NaiveMul dimension mismatch")
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < other.Cols; j++ {
-			var acc complex128
-			for l := 0; l < m.Cols; l++ {
-				acc += m.At(i, l) * other.At(l, j)
-			}
-			out.Set(i, j, acc)
-		}
-	}
-	return out
-}
-
 // strassenCutoff is the dimension below which Strassen recursion falls back
 // to the blocked kernel; below this the seven-multiplication bookkeeping
 // costs more than it saves.
@@ -156,33 +137,6 @@ func (m *Matrix) setQuadrant(r0, c0 int, q *Matrix) {
 	for i := 0; i < q.Rows; i++ {
 		copy(m.Row(r0 + i)[c0:c0+q.Cols], q.Row(i))
 	}
-}
-
-// PowerBySquaring returns m^e via binary powering: O(log e) multiplies.
-// The emulated QPE needs the sequence U^(2^i), which callers obtain more
-// cheaply by iterated Squaring, but examples use arbitrary powers too.
-func (m *Matrix) PowerBySquaring(e uint64, useStrassen bool) *Matrix {
-	if m.Rows != m.Cols {
-		panic("linalg: power of non-square matrix")
-	}
-	result := Identity(m.Rows)
-	base := m.Clone()
-	mul := func(a, b *Matrix) *Matrix {
-		if useStrassen {
-			return a.Strassen(b)
-		}
-		return a.Mul(b)
-	}
-	for e > 0 {
-		if e&1 == 1 {
-			result = mul(result, base)
-		}
-		e >>= 1
-		if e > 0 {
-			base = mul(base, base)
-		}
-	}
-	return result
 }
 
 // parallelFor splits [0, n) across GOMAXPROCS goroutines.

@@ -7,7 +7,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -89,34 +88,6 @@ func (m *Matrix) Scale(s complex128) *Matrix {
 		out.Data[i] = s * v
 	}
 	return out
-}
-
-// MatVec returns m*x for a column vector x.
-func (m *Matrix) MatVec(x []complex128) []complex128 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MatVec dimension mismatch: %d cols vs %d", m.Cols, len(x)))
-	}
-	y := make([]complex128, m.Rows)
-	parallelFor(m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			var acc complex128
-			for j, v := range row {
-				acc += v * x[j]
-			}
-			y[i] = acc
-		}
-	})
-	return y
-}
-
-// FrobeniusNorm returns sqrt(sum |a_ij|^2).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var acc float64
-	for _, v := range m.Data {
-		acc += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(acc)
 }
 
 // MaxAbsDiff returns the largest entrywise |m - other|.

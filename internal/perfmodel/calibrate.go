@@ -26,7 +26,7 @@ import (
 //
 //  1. the JSON cache at Path() (env QEMU_CALIBRATION_FILE, else
 //     <user cache dir>/qemu-repro/calibration.json), written by a prior
-//     EnsureCalibrated or `qemu-model -calibrate`;
+//     `qemu-model -calibrate`;
 //  2. the baked-in Default() reference constants.
 //
 // Calibration is never implicit: first use on a fresh box runs on the
@@ -114,18 +114,6 @@ func Active() Measured {
 	return Default()
 }
 
-// EnsureCalibrated returns cached constants, running and caching a fresh
-// calibration when none exist. The save error is returned alongside the
-// (still usable) measurement so headless environments without a writable
-// cache degrade to per-process calibration.
-func EnsureCalibrated() (Measured, error) {
-	if m, ok := Load(); ok {
-		return m, nil
-	}
-	m := Calibrate()
-	return m, m.Save()
-}
-
 // bestOf times fn repeatedly until budget has elapsed and returns the
 // fastest run in seconds — the same robust minimum estimator qemu-bench
 // uses (a GC pause inflates a mean, not a minimum).
@@ -148,7 +136,7 @@ func bestOf(budget time.Duration, fn func()) float64 {
 
 // Calibrate measures every constant of the model against the live kernels
 // at 2^18 amplitudes and returns the result (it does not save; see
-// EnsureCalibrated). It runs in roughly a second.
+// Measured.Save). It runs in roughly a second.
 func Calibrate() Measured {
 	const n = calibrateQubits
 	N := float64(uint64(1) << n)

@@ -74,29 +74,3 @@ func TestCalibrateProducesPlausibleConstants(t *testing.T) {
 		t.Errorf("calibration produced implausible constants: %+v", m)
 	}
 }
-
-// TestEnsureCalibratedCaches checks EnsureCalibrated writes the cache and
-// that a second call returns it without re-measuring (Source survives a
-// round trip, and the file exists where Path points).
-func TestEnsureCalibratedCaches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing: skipped with -short")
-	}
-	p := filepath.Join(t.TempDir(), "calibration.json")
-	t.Setenv(envCalibrationFile, p)
-
-	m, err := EnsureCalibrated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("EnsureCalibrated did not write the cache: %v", err)
-	}
-	again, err := EnsureCalibrated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != m {
-		t.Fatalf("second EnsureCalibrated re-measured: %+v != %+v", again, m)
-	}
-}

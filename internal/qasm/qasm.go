@@ -28,27 +28,31 @@ type SourceMap struct {
 	GateNoiseLine   []int
 }
 
-// Line resolves a gate index to its source line, falling back to the
-// qubits directive for circuit-level positions (index < 0 or out of
-// range).
-func (m *SourceMap) Line(gate int) int {
-	if m == nil {
-		return 0
-	}
-	if gate >= 0 && gate < len(m.GateLine) {
-		return m.GateLine[gate]
-	}
-	return m.QubitsLine
-}
+// Anchor names the table of a SourceMap a position indexes.
+type Anchor int
 
-// NoiseLine resolves an index into circuit.Noise.PerGate to the source
-// line of the noise directive that created it, falling back like Line.
-func (m *SourceMap) NoiseLine(i int) int {
+// The anchors a diagnostic can point at: a gate, a region annotation, a
+// global noise channel (circuit.Noise.Global) and a per-gate noise
+// attachment (circuit.Noise.PerGate).
+const (
+	AnchorGate Anchor = iota
+	AnchorRegion
+	AnchorGlobalNoise
+	AnchorGateNoise
+)
+
+// Line resolves entry i of an anchor's table to its source line, falling
+// back to the qubits directive for circuit-level positions (i < 0 or out
+// of range). A nil map — a builder-made circuit with no source text —
+// resolves every position to 0.
+func (m *SourceMap) Line(a Anchor, i int) int {
 	if m == nil {
 		return 0
 	}
-	if i >= 0 && i < len(m.GateNoiseLine) {
-		return m.GateNoiseLine[i]
+	lines := [...][]int{AnchorGate: m.GateLine, AnchorRegion: m.RegionLine,
+		AnchorGlobalNoise: m.GlobalNoiseLine, AnchorGateNoise: m.GateNoiseLine}[a]
+	if i >= 0 && i < len(lines) {
+		return lines[i]
 	}
 	return m.QubitsLine
 }

@@ -1,8 +1,9 @@
 // Package qft generates the quantum Fourier transform circuit — the
 // O(n^2) Hadamard + conditional-phase-shift network of Section 3.2 that a
 // simulator must execute gate by gate — together with the entangling
-// benchmark circuit of Figure 6. The emulated path (classical FFT) lives in
-// package core; tests assert the two produce identical states.
+// benchmark circuit of Figure 6. The emulated path (the classical FFT) is
+// package recognize's qft op; tests assert the two produce identical
+// states.
 package qft
 
 import (
@@ -53,12 +54,6 @@ func CircuitNoSwap(n uint) *circuit.Circuit {
 // InverseCircuit returns the inverse QFT circuit.
 func InverseCircuit(n uint) *circuit.Circuit {
 	return Circuit(n).Dagger()
-}
-
-// GateCount returns the gate count of the QFT circuit on n qubits
-// (Hadamards + phase shifts + the CNOTs of the reversal swaps).
-func GateCount(n uint) int {
-	return int(n) + int(n*(n-1)/2) + 3*int(n/2)
 }
 
 // Entangler returns the entangling benchmark operation of Figure 6: a

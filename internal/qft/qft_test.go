@@ -61,23 +61,28 @@ func TestInverseCircuit(t *testing.T) {
 }
 
 func TestGateCount(t *testing.T) {
+	// n Hadamards, n(n-1)/2 phase shifts and the three CNOTs of each of the
+	// floor(n/2) reversal swaps.
 	for _, n := range []uint{1, 2, 5, 10} {
-		c := qft.Circuit(n)
-		if c.Len() != qft.GateCount(n) {
-			t.Errorf("n=%d: Len=%d qft.GateCount=%d", n, c.Len(), qft.GateCount(n))
+		if got, want := qft.Circuit(n).Len(), int(n+n*(n-1)/2+3*(n/2)); got != want {
+			t.Errorf("n=%d: Len=%d, want %d", n, got, want)
 		}
 	}
-	// The paper's complexity claim: n Hadamards + n(n-1)/2 phase shifts.
-	c := qft.CircuitNoSwap(10)
-	st := c.Statistics()
-	if st.ByName["H"] != 10 {
-		t.Errorf("H count %d", st.ByName["H"])
+	// The paper's complexity claim: n Hadamards + n(n-1)/2 phase shifts,
+	// every one of them diagonal.
+	var h, cr int
+	for _, g := range qft.CircuitNoSwap(10).Gates {
+		switch {
+		case g.Name == "H":
+			h++
+		case g.Name == "R" && g.IsDiagonalOnState():
+			cr++
+		default:
+			t.Errorf("unexpected gate %v", g)
+		}
 	}
-	if st.ByName["R"] != 45 {
-		t.Errorf("CR count %d", st.ByName["R"])
-	}
-	if st.Diagonal != 45 {
-		t.Errorf("diagonal count %d: every CR must be diagonal", st.Diagonal)
+	if h != 10 || cr != 45 {
+		t.Errorf("H count %d, diagonal CR count %d; want 10 and 45", h, cr)
 	}
 }
 

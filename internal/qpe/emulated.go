@@ -221,24 +221,6 @@ func qpeKernel(d float64, size uint64) float64 {
 	return r * r
 }
 
-// Top returns the most probable readout and its probability.
-func (p *PhaseEstimate) Top() (uint64, float64) {
-	best := uint64(0)
-	bp := -1.0
-	for y, pr := range p.Distribution {
-		if pr > bp {
-			bp = pr
-			best = uint64(y)
-		}
-	}
-	return best, bp
-}
-
-// PhaseOf converts a readout to its phase estimate y / 2^b in [0, 1).
-func (p *PhaseEstimate) PhaseOf(y uint64) float64 {
-	return float64(y) / float64(uint64(1)<<p.Bits)
-}
-
 // matVecInto computes y = m*x without allocating.
 func matVecInto(y []complex128, m *linalg.Matrix, x []complex128) {
 	for i := 0; i < m.Rows; i++ {

@@ -8,7 +8,43 @@ import (
 	"repro/internal/gates"
 	"repro/internal/ising"
 	"repro/internal/rng"
+	"repro/internal/statevec"
 )
+
+// coherent simulates the b-ancilla QPE of the unitary given by circ
+// (acting on n system qubits) applied to input state psi, gate by gate,
+// and returns the ancilla readout distribution: the gate-level oracle the
+// emulated QPE is checked against. The ancillas occupy qubits [n, n+b);
+// ancilla i controls U^(2^i), realised by 2^i repetitions of the
+// controlled circuit, and the inverse QFT runs gate by gate.
+func coherent(circ *circuit.Circuit, psi []complex128, b uint) []float64 {
+	n := circ.NumQubits
+	st := statevec.NewZero(n + b)
+	amps := st.Amplitudes()
+	copy(amps[:len(psi)], psi)
+	for i := uint(0); i < b; i++ {
+		st.ApplyGate(gates.H(n + i))
+	}
+	for i := uint(0); i < b; i++ {
+		controlled := circ.Controlled(n + i)
+		for r := uint64(0); r < uint64(1)<<i; r++ {
+			controlled.Run(st)
+		}
+	}
+	InverseQFTOn(n, b, n+b).Run(st)
+	// Marginalise out the system register.
+	dist := make([]float64, uint64(1)<<b)
+	dim := uint64(1) << n
+	for x := range dist {
+		var acc float64
+		for s := uint64(0); s < dim; s++ {
+			a := amps[uint64(x)<<n|s]
+			acc += real(a)*real(a) + imag(a)*imag(a)
+		}
+		dist[x] = acc
+	}
+	return dist
+}
 
 // phaseCircuit returns a 1-qubit circuit whose unitary is diag(1, e^{2 pi i
 // theta}); |1> is an eigenvector with eigenphase theta.
@@ -22,7 +58,7 @@ func TestCoherentExactPhase(t *testing.T) {
 	theta := 0.625 // 0.101 binary
 	c := phaseCircuit(theta)
 	psi := []complex128{0, 1} // |1>
-	dist := Coherent(c, psi, 3)
+	dist := coherent(c, psi, 3)
 	want := uint64(5) // 0.101 * 8
 	for y, p := range dist {
 		if uint64(y) == want {
@@ -55,7 +91,7 @@ func TestCoherentMatchesEmulated(t *testing.T) {
 	}
 
 	b := uint(4)
-	simDist := Coherent(circ, psi, b)
+	simDist := coherent(circ, psi, b)
 	est, err := QPE(u, psi, b, RepeatedSquaring)
 	if err != nil {
 		t.Fatal(err)
@@ -65,75 +101,5 @@ func TestCoherentMatchesEmulated(t *testing.T) {
 			t.Fatalf("simulated vs emulated QPE differ at %d: %v vs %v",
 				y, simDist[y], est.Distribution[y])
 		}
-	}
-}
-
-func TestIterativeExactPhase(t *testing.T) {
-	// With an exactly representable phase the iterative QPE must return it
-	// deterministically, run after run.
-	theta := 0.3125 // 0.0101 binary (4 bits)
-	c := phaseCircuit(theta)
-	psi := []complex128{0, 1}
-	src := rng.New(7)
-	for trial := 0; trial < 10; trial++ {
-		res := Iterative(c, psi, 4, src)
-		if math.Abs(res.Phase-theta) > 1e-12 {
-			t.Fatalf("trial %d: phase %v, want %v", trial, res.Phase, theta)
-		}
-	}
-}
-
-func TestIterativeStatisticalPhase(t *testing.T) {
-	// Inexact phase: the 3-bit estimate must land on one of the two
-	// neighbouring grid points most of the time.
-	theta := 0.4 // between 3/8 and 4/8
-	c := phaseCircuit(theta)
-	psi := []complex128{0, 1}
-	src := rng.New(11)
-	good := 0
-	const runs = 200
-	for i := 0; i < runs; i++ {
-		res := Iterative(c, psi, 3, src)
-		if math.Abs(res.Phase-0.375) < 1e-12 || math.Abs(res.Phase-0.5) < 1e-12 {
-			good++
-		}
-	}
-	// The two nearest grid points carry > 80% of the mass for b=3.
-	if good < runs*60/100 {
-		t.Errorf("only %d/%d runs near the true phase", good, runs)
-	}
-}
-
-func TestIterativeMatchesCoherentDistribution(t *testing.T) {
-	// Histogram of iterative runs must match the coherent distribution.
-	theta := 0.23
-	c := phaseCircuit(theta)
-	psi := []complex128{0, 1}
-	b := uint(3)
-	dist := Coherent(c, psi, b)
-	src := rng.New(13)
-	const runs = 3000
-	counts := make([]float64, 1<<b)
-	for i := 0; i < runs; i++ {
-		res := Iterative(c, psi, b, src)
-		counts[uint64(res.Phase*float64(uint64(1)<<b)+0.5)%uint64(1<<b)]++
-	}
-	for y := range dist {
-		got := counts[y] / runs
-		tol := 4*math.Sqrt(dist[y]*(1-dist[y])/runs) + 5e-3
-		if math.Abs(got-dist[y]) > tol {
-			t.Errorf("readout %d: sampled %v, coherent %v", y, got, dist[y])
-		}
-	}
-}
-
-func TestPrepareSystem(t *testing.T) {
-	psi := []complex128{0, 1, 0, 0}
-	st := PrepareSystem(2, 3, psi)
-	if st.NumQubits() != 5 {
-		t.Fatalf("width %d", st.NumQubits())
-	}
-	if st.Amplitude(1) != 1 {
-		t.Fatal("system state misplaced")
 	}
 }

@@ -149,13 +149,6 @@ func ControlledAdder(circ *circuit.Circuit, a, b Register, carryAnc uint, contro
 	circ.Extend(sub.Controlled(controls...))
 }
 
-// ControlledSubtractor appends b -= a conditioned on the controls.
-func ControlledSubtractor(circ *circuit.Circuit, a, b Register, carryAnc uint, controls ...uint) {
-	sub := circuit.New(circ.NumQubits)
-	Subtractor(sub, a, b, carryAnc)
-	circ.Extend(sub.Controlled(controls...))
-}
-
 // Multiplier appends the repeated-addition-and-shift product circuit
 // computing c += a*b (mod 2^m), the construction the paper benchmarks in
 // Figure 1. Registers a, b, c all have width m; carryAnc is one clean
@@ -291,42 +284,4 @@ func BuildDivider(l DividerLayout) *circuit.Circuit {
 	circ := circuit.New(l.NumQubits())
 	Divider(circ, l)
 	return circ
-}
-
-// Comparator appends a circuit flipping target iff a < b (unsigned), using
-// the carry of the subtraction a - b computed into a borrowed (m+1)-bit
-// scratch evaluation: it computes a - b via X(a); a += b; the carry out
-// indicates ~a + b >= 2^m i.e. b > a. The comparison is then uncomputed so
-// a and b are restored. Requires a clean carry ancilla.
-func Comparator(circ *circuit.Circuit, a, b Register, carryAnc, target uint) {
-	w := a.Width()
-	if b.Width() != w {
-		panic("revlib: comparator operand widths differ")
-	}
-	// Compute: X-conjugate a, run MAJ sweep of Adder(b, a') to expose the
-	// carry-out in b[w-1]... Cuccaro trick: the high-bit carry of
-	// ~a + b equals (a < b) ... carry(~a + b) = 1 iff ~a + b >= 2^w iff
-	// (2^w - 1 - a) + b >= 2^w iff b >= a + 1 iff a < b.
-	for _, q := range a {
-		circ.Append(gates.X(q))
-	}
-	carry := carryAnc
-	var chain []uint
-	for i := uint(0); i < w; i++ {
-		maj(circ, carry, b[i], a[i])
-		chain = append(chain, carry)
-		carry = a[i]
-	}
-	cnot(circ, a[w-1], target)
-	// Uncompute the MAJ sweep (exact inverse, not UMA: we do not want the
-	// sum written into b).
-	for i := int(w) - 1; i >= 0; i-- {
-		prev := chain[i]
-		ccx(circ, prev, b[uint(i)], a[uint(i)])
-		cnot(circ, a[uint(i)], prev)
-		cnot(circ, a[uint(i)], b[uint(i)])
-	}
-	for _, q := range a {
-		circ.Append(gates.X(q))
-	}
 }

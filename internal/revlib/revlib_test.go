@@ -209,26 +209,6 @@ func TestDividerWorkQubitsClean(t *testing.T) {
 	}
 }
 
-func TestComparatorExhaustive(t *testing.T) {
-	w := uint(3)
-	// Layout: a[3] b[3] anc target.
-	circ := circuit.New(2*w + 2)
-	revlib.Comparator(circ, revlib.Seq(0, w), revlib.Seq(w, w), 2*w, 2*w+1)
-	for av := uint64(0); av < 1<<w; av++ {
-		for bv := uint64(0); bv < 1<<w; bv++ {
-			in := av | bv<<w
-			out := runOnBasis(t, circ, in)
-			want := in
-			if av < bv {
-				want |= 1 << (2*w + 1)
-			}
-			if out != want {
-				t.Fatalf("cmp(%d,%d): got %b want %b", av, bv, out, want)
-			}
-		}
-	}
-}
-
 func TestArithmeticOnSuperposition(t *testing.T) {
 	// The adder must act linearly: running it on a random superposition
 	// must equal permuting the amplitudes classically.

@@ -9,7 +9,7 @@
 // New(seed) returns a Source; the draw methods mirror math/rand (Uint64,
 // Intn, Float64, Perm) plus NormFloat64/Complex for Haar-ish random state
 // vectors and Uint64n via Lemire rejection for unbiased bounded draws.
-// Fork splits off a statistically independent stream so parallel workers
-// keep determinism regardless of scheduling. A Source is not safe for
-// concurrent use; fork instead of sharing.
+// A Source is not safe for concurrent use: parallel workers each get
+// their own, seeded from draws of one master stream taken before any
+// worker starts, which keeps them deterministic regardless of scheduling.
 package rng

@@ -106,10 +106,3 @@ func (src *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork returns a new Source whose stream is statistically independent of
-// src. Each parallel worker gets its own fork so sampling remains
-// deterministic regardless of scheduling.
-func (src *Source) Fork() *Source {
-	return New(src.Uint64() ^ 0xd1b54a32d192ed03)
-}

@@ -93,20 +93,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	src := New(5)
-	fork := src.Fork()
-	agree := 0
-	for i := 0; i < 100; i++ {
-		if src.Uint64() == fork.Uint64() {
-			agree++
-		}
-	}
-	if agree > 2 {
-		t.Errorf("forked stream agrees on %d/100 draws", agree)
-	}
-}
-
 func TestUint64nSmallRange(t *testing.T) {
 	src := New(9)
 	for i := 0; i < 1000; i++ {

@@ -102,13 +102,6 @@ func (s *Service) admitDecoded(key string, x *backend.Executable) error {
 	return nil
 }
 
-// Cache exposes the artifact cache (stats, tests).
-func (s *Service) Cache() *Cache { return s.cache }
-
-// Compiles returns how many times the pass pipeline actually ran —
-// the counter the cache-hit tests pin at 1 across repeated requests.
-func (s *Service) Compiles() uint64 { return s.compiles.Load() }
-
 // CompileResult reports one compile (or cache hit) to the client.
 type CompileResult struct {
 	Key           string `json:"key"`

@@ -608,8 +608,6 @@ func TestBlockKernelValidation(t *testing.T) {
 			func() { s.ApplyMatrixN(make([]complex128, 65), []uint{0, 1, 2}) }},
 		{"out of range", "statevec: qubit out of range", func() { s.ApplyMatrixN(make([]complex128, 64), []uint{0, 4, 2}) }},
 		{"duplicate", "statevec: duplicate qubit in ApplyMatrixN", func() { s.ApplyMatrixN(make([]complex128, 64), []uint{3, 1, 3}) }},
-		{"matrix4 same qubit", "statevec: ApplyMatrix4 requires distinct qubits", func() { s.ApplyMatrix4(m4, 2, 2) }},
-		{"matrix4 out of range", "statevec: qubit out of range", func() { s.ApplyMatrix4(m4, 1, 4) }},
 		{"diag width", "statevec: ApplyDiagN width out of range", func() { s.ApplyDiagN(nil, nil) }},
 		{"diag size", "statevec: diagonal has 3 entries, want 4", func() { s.ApplyDiagN(make([]complex128, 3), []uint{0, 1}) }},
 		{"diag out of range", "statevec: qubit out of range", func() { s.ApplyDiagN(make([]complex128, 4), []uint{0, 9}) }},

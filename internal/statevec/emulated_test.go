@@ -12,11 +12,11 @@ import (
 // inline kernel is checked against through ApplyPermutation.
 func fieldAddReference(op FieldAdd) func(uint64) uint64 {
 	return func(i uint64) uint64 {
-		a := bitops.ExtractBits(i, op.APos, op.Width) + bitops.Bit(i, op.CarryIn)
+		a := (i>>op.APos)&bitops.Mask(op.Width) + bitops.Bit(i, op.CarryIn)
 		if op.HasMul {
-			a *= bitops.ExtractBits(i, op.MulPos, op.Width)
+			a *= (i >> op.MulPos) & bitops.Mask(op.Width)
 		}
-		b := bitops.ExtractBits(i, op.BPos, op.Width)
+		b := (i >> op.BPos) & bitops.Mask(op.Width)
 		if op.Subtract {
 			return bitops.DepositBits(i, op.BPos, op.Width, (b-a)&bitops.Mask(op.Width))
 		}

@@ -127,9 +127,6 @@ func NewFactored(w uint, factors []Factor) *Factored {
 	return fd
 }
 
-// Width returns the block width w.
-func (f *Factored) Width() uint { return f.w }
-
 // Len returns the number of factors.
 func (f *Factored) Len() int { return len(f.steps) }
 

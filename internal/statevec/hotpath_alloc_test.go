@@ -15,9 +15,7 @@ import (
 func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	s := NewZero(8)
 	s.SetParallelism(1)
-	s.ApplyHadamard(0) // spread some mass so collapse paths stay legal
 	controls := []uint{3, 4}
-	m4 := &[16]complex128{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
 	// Identity blocks of widths 2..4 and the qubits they act on.
 	var blocks [5][]complex128
 	for w := 2; w <= 4; w++ {
@@ -44,8 +42,6 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyDiag", func() { s.ApplyDiag(1, -1, 1) }},
 		{"ApplyControlledDiag", func() { s.ApplyControlledDiag(1, -1, 1, controls) }},
 		{"ApplyHadamard", func() { s.ApplyHadamard(1) }},
-		{"ApplyMatrix4", func() { s.ApplyMatrix4(m4, 1, 2) }},
-		{"ApplySwap", func() { s.ApplySwap(1, 2) }},
 		{"ApplyMatrixN/w=2", func() { s.ApplyMatrixN(blocks[2], qubits[:2]) }},
 		{"ApplyMatrixN/w=3", func() { s.ApplyMatrixN(blocks[3], qubits[:3]) }},
 		{"ApplyMatrixN/w=4", func() { s.ApplyMatrixN(blocks[4], qubits[:4]) }},
@@ -56,7 +52,6 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyFieldAdd", func() {
 			s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6, CarryOut: 7, HasCarryOut: true})
 		}},
-		{"collapseScaled", func() { s.collapseScaled(0, 0, 1) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.run); n != 0 {

@@ -75,84 +75,6 @@ func (s *State) Probabilities() []float64 {
 	return p
 }
 
-// Measure performs a projective measurement of qubit k, collapsing the
-// state and renormalising. It returns the observed bit.
-func (s *State) Measure(k uint, src *rng.Source) uint64 {
-	p1 := s.Probability(k)
-	if src.Float64() < p1 {
-		// The branch mass is already known: zero the other branch and
-		// rescale this one in a single fused sweep.
-		s.collapseScaled(k, 1, p1)
-		return 1
-	}
-	s.Collapse(k, 0)
-	return 0
-}
-
-// Collapse projects qubit k onto the given outcome (0 or 1) and
-// renormalises. It panics if the outcome has zero probability.
-//
-// The old three-pass implementation (zero the discarded branch, re-read
-// the whole vector for the norm, re-read to rescale) is fused: one
-// half-vector reduction for the kept branch's mass, then one sweep that
-// zeroes and rescales together.
-func (s *State) Collapse(k uint, outcome uint64) {
-	s.checkQubit(k)
-	keep := s.conditionalMass(k, outcome&1)
-	if keep == 0 {
-		panic("statevec: collapse onto zero-probability outcome")
-	}
-	s.collapseScaled(k, outcome&1, keep)
-}
-
-// CollapseScaled projects qubit k onto the given outcome like Collapse,
-// but rescales by an externally supplied branch mass instead of the
-// shard's own: the kept branch is multiplied by 1/sqrt(keep). Sharded
-// owners (internal/cluster) need this because a single shard's local
-// branch mass is not the global one — the caller reduces masses across
-// shards first and hands every shard the same keep.
-func (s *State) CollapseScaled(k uint, outcome uint64, keep float64) {
-	s.checkQubit(k)
-	if keep == 0 {
-		panic("statevec: collapse onto zero-probability outcome")
-	}
-	s.collapseScaled(k, outcome&1, keep)
-}
-
-// collapseScaled zeroes the branch where qubit k differs from outcome and
-// multiplies the kept branch by 1/sqrt(keep), in one parallel sweep.
-//
-//qemu:hotpath
-func (s *State) collapseScaled(k uint, outcome uint64, keep float64) {
-	stride := uint64(1) << k
-	inv := complex(1/math.Sqrt(keep), 0)
-	half := s.Dim() >> 1
-	keepOne := outcome == 1
-	if s.parallelism(half) <= 1 {
-		collapseChunk(s.amp, k, stride, inv, keepOne, 0, half)
-		return
-	}
-	s.parallelRange(half, func(start, end uint64) {
-		collapseChunk(s.amp, k, stride, inv, keepOne, start, end)
-	})
-}
-
-// collapseChunk zeroes the discarded branch and rescales the kept one
-// over flat indices [start, end).
-func collapseChunk(amp []complex128, k uint, stride uint64, inv complex128, keepOne bool, start, end uint64) {
-	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		i1 := i0 | stride
-		if keepOne {
-			amp[i0] = 0
-			amp[i1] *= inv
-		} else {
-			amp[i0] *= inv
-			amp[i1] = 0
-		}
-	}
-}
-
 // massChunks computes the per-chunk probability masses of the amplitude
 // vector under the State's chunk plan — the parallel prefix-sum skeleton
 // the inverse-CDF samplers walk — and their total.
@@ -384,12 +306,6 @@ func (s *State) sampleManyChunked(ts []float64, out []uint64) {
 			out[i] = s.lastNonzero()
 		}
 	}
-}
-
-// ExpectationZ returns <Z_k>, the expectation of the Pauli-Z observable on
-// qubit k, computed exactly from the distribution (no sampling).
-func (s *State) ExpectationZ(k uint) float64 {
-	return 1 - 2*s.Probability(k)
 }
 
 // ExpectationDiagonal returns the exact expectation of a diagonal

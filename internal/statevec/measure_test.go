@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/gates"
@@ -32,40 +33,161 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 	}
 }
 
-func TestCollapse(t *testing.T) {
+// TestBranchMass: the outcome-1 branch is Probability, the two branches
+// partition the mass of an unnormalised state, and only the outcome's low
+// bit selects the branch.
+func TestBranchMass(t *testing.T) {
+	for _, ws := range workerSettings {
+		t.Run(ws.name, func(t *testing.T) {
+			src := rng.New(912)
+			s := NewRandom(engineN, src)
+			s.Scale(complex(0.6, -0.3))
+			s.SetParallelism(ws.workers)
+			mass := s.Mass()
+			for q := uint(0); q < engineN; q++ {
+				m0, m1 := s.BranchMass(q, 0), s.BranchMass(q, 1)
+				if m1 != s.Probability(q) {
+					t.Errorf("q%d: BranchMass(1) = %v, Probability = %v", q, m1, s.Probability(q))
+				}
+				if math.Abs(m0+m1-mass) > 1e-12 {
+					t.Errorf("q%d: branches %v + %v, total mass %v", q, m0, m1, mass)
+				}
+				if got := s.BranchMass(q, 2); got != m0 {
+					t.Errorf("q%d: BranchMass(2) = %v, want the outcome-0 mass %v", q, got, m0)
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("BranchMass on an out-of-range qubit did not panic")
+					}
+				}()
+				s.BranchMass(engineN, 0)
+			}()
+		})
+	}
+}
+
+// zObservable is the eigenvalue of Z on each listed qubit, multiplied: +1
+// when an even number of them read 1, -1 otherwise.
+func zObservable(qubits ...uint) func(uint64) float64 {
+	return func(i uint64) float64 {
+		v := 1.0
+		for _, q := range qubits {
+			if i>>q&1 == 1 {
+				v = -v
+			}
+		}
+		return v
+	}
+}
+
+func TestExpectationDiagonalZ(t *testing.T) {
+	s := New(2)
+	if got := s.ExpectationDiagonal(zObservable(0)); math.Abs(got-1) > eps {
+		t.Errorf("<Z> on |0> = %v, want 1", got)
+	}
+	s.ApplyX(0)
+	if got := s.ExpectationDiagonal(zObservable(0)); math.Abs(got+1) > eps {
+		t.Errorf("<Z> on |1> = %v, want -1", got)
+	}
+	s.ApplyHadamard(0)
+	if got := s.ExpectationDiagonal(zObservable(0)); math.Abs(got) > eps {
+		t.Errorf("<Z> on |-> = %v, want 0", got)
+	}
+	// On any state <Z_q> = 1 - 2 P(q = 1).
+	r := NewRandom(6, rng.New(913))
+	for q := uint(0); q < 6; q++ {
+		got, want := r.ExpectationDiagonal(zObservable(q)), 1-2*r.Probability(q)
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("q%d: <Z> = %v, 1 - 2P = %v", q, got, want)
+		}
+	}
+}
+
+// TestExpectationDiagonalGHZCorrelations: on (|0000> + |1111>)/sqrt2 every
+// single <Z_i> and odd product vanishes while every even product is 1.
+func TestExpectationDiagonalGHZCorrelations(t *testing.T) {
+	const n = 4
+	s := New(n)
+	s.ApplyGate(gates.H(0))
+	for q := uint(1); q < n; q++ {
+		s.ApplyGate(gates.CNOT(0, q))
+	}
+	for _, c := range []struct {
+		qubits []uint
+		want   float64
+	}{
+		{[]uint{0}, 0}, {[]uint{3}, 0}, {[]uint{0, 1, 2}, 0},
+		{[]uint{0, 1}, 1}, {[]uint{1, 3}, 1}, {[]uint{0, 1, 2, 3}, 1},
+	} {
+		if got := s.ExpectationDiagonal(zObservable(c.qubits...)); math.Abs(got-c.want) > eps {
+			t.Errorf("<Z%v> = %v, want %v", c.qubits, got, c.want)
+		}
+	}
+}
+
+// TestSampleBellCorrelations: every draw from a Bell pair reads 00 or 11,
+// and both occur.
+func TestSampleBellCorrelations(t *testing.T) {
 	s := New(2)
 	s.ApplyGate(gates.H(0))
 	s.ApplyGate(gates.CNOT(0, 1))
-	s.Collapse(0, 1)
-	// Bell state collapsed on qubit 0 = 1 must be |11>.
-	if math.Abs(real(s.Amplitude(3))-1) > eps {
-		t.Fatalf("collapse gave %v", s.Amplitudes())
-	}
-	if math.Abs(s.Norm()-1) > eps {
-		t.Error("collapse broke normalisation")
-	}
-}
-
-func TestCollapseZeroProbabilityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("collapse onto zero-probability outcome did not panic")
-		}
-	}()
-	New(2).Collapse(0, 1) // |00> has P(q0=1) = 0
-}
-
-func TestMeasureBellCorrelations(t *testing.T) {
 	src := rng.New(2024)
-	for trial := 0; trial < 50; trial++ {
-		s := New(2)
-		s.ApplyGate(gates.H(0))
-		s.ApplyGate(gates.CNOT(0, 1))
-		b0 := s.Measure(0, src)
-		b1 := s.Measure(1, src)
-		if b0 != b1 {
-			t.Fatal("Bell measurement decorrelated")
-		}
+	var seen [4]int
+	for i := 0; i < 50; i++ {
+		seen[s.Sample(src)]++
+	}
+	for _, x := range s.SampleMany(200, src) {
+		seen[x]++
+	}
+	if seen[1] != 0 || seen[2] != 0 {
+		t.Fatalf("Bell samples decorrelated: counts %v", seen)
+	}
+	if seen[0] == 0 || seen[3] == 0 {
+		t.Fatalf("Bell samples missed an outcome: counts %v", seen)
+	}
+}
+
+// TestResolveCDFFirstExceedingIndex checks ResolveCDF against a linear
+// scan: each sorted target selects the first index whose running mass
+// exceeds it, and a target at or past the total mass clamps to the last
+// supported index (here not Dim-1: the top amplitudes are zero).
+func TestResolveCDFFirstExceedingIndex(t *testing.T) {
+	for _, ws := range workerSettings {
+		t.Run(ws.name, func(t *testing.T) {
+			src := rng.New(914)
+			s := NewRandom(engineN, src)
+			amps := s.Amplitudes()
+			last := uint64(len(amps) - 20)
+			for i := last + 1; i < uint64(len(amps)); i++ {
+				amps[i] = 0
+			}
+			s.SetParallelism(ws.workers)
+			mass := s.Mass()
+			ts := make([]float64, 300)
+			for i := range ts {
+				ts[i] = src.Float64() * mass
+			}
+			ts = append(ts, 0, mass, 2*mass)
+			sort.Float64s(ts)
+			out := make([]uint64, len(ts))
+			s.ResolveCDF(ts, out)
+			for j, target := range ts {
+				want := last
+				var acc float64
+				for i, a := range amps {
+					acc += real(a)*real(a) + imag(a)*imag(a)
+					if target < acc {
+						want = uint64(i)
+						break
+					}
+				}
+				if out[j] != want && !(target >= mass*(1-1e-12) && out[j] == last) {
+					t.Fatalf("target %v: resolved %d, want %d", target, out[j], want)
+				}
+			}
+		})
 	}
 }
 
@@ -100,21 +222,6 @@ func TestSampleManyMatchesDistribution(t *testing.T) {
 		if math.Abs(got-p) > tol {
 			t.Errorf("state %d: sampled %v, exact %v (tol %v)", i, got, p, tol)
 		}
-	}
-}
-
-func TestExpectationZ(t *testing.T) {
-	s := New(2)
-	if got := s.ExpectationZ(0); math.Abs(got-1) > eps {
-		t.Errorf("<Z> on |0> = %v, want 1", got)
-	}
-	s.ApplyX(0)
-	if got := s.ExpectationZ(0); math.Abs(got+1) > eps {
-		t.Errorf("<Z> on |1> = %v, want -1", got)
-	}
-	s.ApplyHadamard(0)
-	if got := s.ExpectationZ(0); math.Abs(got) > eps {
-		t.Errorf("<Z> on |-> = %v, want 0", got)
 	}
 }
 

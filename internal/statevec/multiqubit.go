@@ -51,8 +51,8 @@ func (s *State) checkBlockQubits(qubits []uint, kernel string) {
 // ApplyMatrixN applies a dense 2^w x 2^w unitary m (row-major) to the w
 // qubits listed in qubits, in a single parallel sweep of the state vector.
 // Bit j of the local 2^w-dimensional index corresponds to qubits[j], so the
-// qubit order chooses the basis convention of the block; ApplyMatrix2 and
-// ApplyMatrix4 are the w=1,2 special cases of this kernel.
+// qubit order chooses the basis convention of the block; at w=1 it is
+// ApplyMatrix2, at w=2 the tuned pair kernel (matrix4).
 //
 // This is the execution half of multi-qubit gate fusion (internal/fuse):
 // a run of gates whose combined support fits in w qubits is folded into one
@@ -171,9 +171,9 @@ func (lay *blockLayout) nextGroup(base uint64) uint64 {
 	return ((base | lay.qmask) + 1) &^ lay.qmask
 }
 
-// denseSweep is the shared dense block sweep behind ApplyMatrixN and
-// ApplyMatrix4. Callers have validated (m, qubits) against the register
-// (checkMatrixN / checkQubitPair): that validation, together with the
+// denseSweep is the shared dense block sweep behind ApplyMatrixN.
+// Callers have validated (m, qubits) against the register
+// (checkMatrixN): that validation, together with the
 // chunk bounds parallelRange hands out (disjoint, within [0, groups)), is
 // the whole memory-safety argument of the assembly body, which checks
 // nothing itself.

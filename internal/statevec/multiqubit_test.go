@@ -33,23 +33,6 @@ func TestApplyMatrixNMatchesGateByGate(t *testing.T) {
 	}
 }
 
-func TestApplyMatrixNAgreesWithMatrix4(t *testing.T) {
-	src := rng.New(654)
-	var m4 [16]complex128
-	for i := range m4 {
-		m4[i] = src.Complex()
-	}
-	a := NewRandom(5, src)
-	b := a.Clone()
-	// ApplyMatrix4 acts on local value (bit of q1 << 1) | bit of q0, which
-	// matches ApplyMatrixN with qubit order [q0, q1].
-	a.ApplyMatrix4(&m4, 3, 1)
-	b.ApplyMatrixN(m4[:], []uint{3, 1})
-	if d := a.MaxDiff(b); d > 1e-13 {
-		t.Fatalf("ApplyMatrixN(w=2) disagrees with ApplyMatrix4 by %g", d)
-	}
-}
-
 func TestApplyMatrixNPanicsOnBadInput(t *testing.T) {
 	s := New(3)
 	for name, fn := range map[string]func(){

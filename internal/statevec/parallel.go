@@ -184,8 +184,7 @@ func parallelReduce[A any](s *State, size uint64, fn func(start, end uint64) A, 
 	return acc
 }
 
-func addFloat(a, b float64) float64         { return a + b }
-func addComplex(a, b complex128) complex128 { return a + b }
+func addFloat(a, b float64) float64 { return a + b }
 func maxFloat(a, b float64) float64 {
 	if b > a {
 		return b

@@ -12,13 +12,12 @@
 // Every kernel and reduction runs through one engine (parallel.go): a
 // persistent worker pool created lazily per State and sized from
 // GOMAXPROCS, fed cache-line-aligned chunks of the amplitude vector.
-// Gate kernels use parallelRange; Norm, Inner, MaxDiff, Probability,
-// ExpectationDiagonal, ExpectationPauli and the sampling prefix sums use
-// parallelReduce with per-worker partial accumulators folded in chunk
-// order (deterministic for a fixed parallelism setting). Collapse fuses
-// its zero + norm + rescale passes into a single sweep. SetParallelism(1)
-// forces the single-threaded variants; callers that shard work themselves
-// (one State per node, as internal/cluster does per shard) should use it.
+// Gate kernels use parallelRange; Norm, MaxDiff, Probability,
+// ExpectationDiagonal and the sampling prefix sums use parallelReduce with
+// per-worker partial accumulators folded in chunk order (deterministic for
+// a fixed parallelism setting). SetParallelism(1) forces the
+// single-threaded variants; callers that shard work themselves (one State
+// per node, as internal/cluster does per shard) should use it.
 //
 // A State also carries a reusable scratch vector: ApplyPermutation and
 // ApplyFieldAdd write into it and swap it with the live amplitude slice
@@ -28,8 +27,8 @@
 //
 // # Kernel bodies
 //
-// The dense 2^w block sweep — ApplyMatrixN at w >= 2, ApplyMatrix4 and
-// ApplyFactored — has three bodies, and one value, denseBody, decided once at package init
+// The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyFactored —
+// has three bodies, and one value, denseBody, decided once at package init
 // from CPUID and XGETBV alone (internal/cpufeat), says which one runs:
 // denseSweepAVX512 (dense512_amd64.s) on amd64 hosts whose CPU reports
 // AVX512F and whose OS saves the opmask and ZMM state; denseSweepAVX2
@@ -98,8 +97,8 @@
 // units against 1.8 on AVX2, 3.7 against 9.4 in pure Go).
 //
 // The assembly checks no bounds. Its memory safety is exactly: the
-// checkMatrixN / checkQubitPair / checkFactored validation every exported
-// entry runs before the first amplitude access (distinct in-range qubits,
+// checkMatrixN / checkFactored validation every exported entry runs
+// before the first amplitude access (distinct in-range qubits,
 // a matrix of 4^w entries, or a Factored, whose constructor has checked
 // that the factors partition the block's bits and sized every table), plus
 // chunk ranges inside [0, 2^(n-w)) — parallelRange's partition,
@@ -149,7 +148,7 @@ type State struct {
 	// nil until the first permutation.
 	scratch []complex128
 	// block is the layout scratch of the 2^w block kernels (ApplyMatrixN,
-	// ApplyMatrix4, ApplyDiagN); nil until the first block.
+	// ApplyDiagN); nil until the first block.
 	block *blockLayout
 	// factor is the pass scratch of ApplyFactored's AVX-512 body; nil
 	// until the first factored block there.
@@ -325,28 +324,6 @@ func (s *State) Normalize() {
 	})
 }
 
-// Inner returns <s|other>.
-func (s *State) Inner(other *State) complex128 {
-	if s.n != other.n {
-		panic("statevec: Inner dimension mismatch")
-	}
-	amps, oamps := s.amp, other.amp
-	return parallelReduce(s, s.Dim(), func(start, end uint64) complex128 {
-		var acc complex128
-		o := oamps[start:end]
-		for i, a := range amps[start:end] {
-			acc += cmplx.Conj(a) * o[i]
-		}
-		return acc
-	}, addComplex)
-}
-
-// Fidelity returns |<s|other>|^2.
-func (s *State) Fidelity(other *State) float64 {
-	ip := s.Inner(other)
-	return real(ip)*real(ip) + imag(ip)*imag(ip)
-}
-
 // MaxDiff returns the largest absolute amplitude difference between s and
 // other, the metric the cross-validation tests use.
 func (s *State) MaxDiff(other *State) float64 {
@@ -363,11 +340,4 @@ func (s *State) MaxDiff(other *State) float64 {
 		}
 		return m
 	}, maxFloat)
-}
-
-// ApproxEqual reports whether every amplitude of s is within eps of other,
-// ignoring any global phase difference is NOT done here: states must match
-// exactly up to eps. Use FidelityClose for phase-insensitive comparison.
-func (s *State) ApproxEqual(other *State, eps float64) bool {
-	return s.MaxDiff(other) <= eps
 }

@@ -128,6 +128,109 @@ func TestNormPreservation(t *testing.T) {
 	}
 }
 
+// TestScaleAndMass: Scale multiplies every amplitude by v, so the mass
+// scales by |v|^2 — a phase leaves it alone — and Mass is Norm squared.
+func TestScaleAndMass(t *testing.T) {
+	for _, ws := range workerSettings {
+		t.Run(ws.name, func(t *testing.T) {
+			s := NewRandom(engineN, rng.New(915))
+			s.SetParallelism(ws.workers)
+			orig := s.Clone()
+			v := complex(0.3, -1.2)
+			s.Scale(v)
+			for i := uint64(0); i < s.Dim(); i++ {
+				if s.Amplitude(i) != orig.Amplitude(i)*v {
+					t.Fatalf("amplitude %d: %v, want %v", i, s.Amplitude(i), orig.Amplitude(i)*v)
+				}
+			}
+			if got, want := s.Mass(), real(v)*real(v)+imag(v)*imag(v); math.Abs(got-want) > 1e-12 {
+				t.Errorf("mass after scaling = %v, want %v", got, want)
+			}
+			if n := s.Norm(); math.Abs(s.Mass()-n*n) > 1e-12 {
+				t.Errorf("Mass %v is not Norm^2 = %v", s.Mass(), n*n)
+			}
+			s.Scale(cmplx.Exp(complex(0, 0.9)) / v)
+			if math.Abs(s.Mass()-1) > 1e-12 {
+				t.Errorf("undoing the scale up to a phase left mass %v, want 1", s.Mass())
+			}
+		})
+	}
+}
+
+// TestNormalize: Normalize brings any nonzero vector to unit norm without
+// changing its direction, and refuses the zero vector.
+func TestNormalize(t *testing.T) {
+	s := NewRandom(5, rng.New(916))
+	want := s.Clone()
+	s.Scale(complex(-3.5, 2))
+	s.Normalize()
+	if math.Abs(s.Norm()-1) > eps {
+		t.Errorf("norm after Normalize = %v", s.Norm())
+	}
+	phase := s.Amplitude(0) / want.Amplitude(0)
+	want.Scale(phase)
+	if d := s.MaxDiff(want); d > eps {
+		t.Errorf("Normalize changed the direction by %g", d)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("normalising the zero vector did not panic")
+		}
+	}()
+	NewZero(3).Normalize()
+}
+
+// TestCopyFrom: CopyFrom overwrites the amplitudes in place and refuses a
+// register of another width.
+func TestCopyFrom(t *testing.T) {
+	src := rng.New(917)
+	dst, other := NewRandom(4, src), NewRandom(4, src)
+	before := &dst.Amplitudes()[0]
+	dst.CopyFrom(other)
+	if d := dst.MaxDiff(other); d != 0 {
+		t.Errorf("CopyFrom left a difference of %g", d)
+	}
+	if &dst.Amplitudes()[0] != before {
+		t.Error("CopyFrom replaced the backing array")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyFrom across widths did not panic")
+		}
+	}()
+	dst.CopyFrom(New(5))
+}
+
+// TestAdoptAmplitudes: the adopted slice becomes the state, the retired
+// one is handed back unchanged, and a slice of the wrong length is
+// refused.
+func TestAdoptAmplitudes(t *testing.T) {
+	s := NewRandom(3, rng.New(918))
+	orig := s.Clone()
+	buf := make([]complex128, 8)
+	buf[6] = 1
+	old := s.AdoptAmplitudes(buf)
+	if &s.Amplitudes()[0] != &buf[0] {
+		t.Fatal("AdoptAmplitudes did not install the given slice")
+	}
+	if s.MaxDiff(NewBasis(3, 6)) != 0 {
+		t.Errorf("adopted state is %v, want |110>", s.Amplitudes())
+	}
+	back, err := FromAmplitudes(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.MaxDiff(orig) != 0 {
+		t.Error("retired slice does not hold the previous amplitudes")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("adopting a slice of the wrong length did not panic")
+		}
+	}()
+	s.AdoptAmplitudes(make([]complex128, 4))
+}
+
 func TestApplyXBasis(t *testing.T) {
 	s := New(3) // |000>
 	s.ApplyX(1)
@@ -192,16 +295,5 @@ func TestApplyPermutation(t *testing.T) {
 	s.ApplyPermutation(func(i uint64) uint64 { return (i + 13) % 16 })
 	if s.MaxDiff(orig) > eps {
 		t.Error("inverse permutation did not restore the state")
-	}
-}
-
-func TestInnerAndFidelity(t *testing.T) {
-	s := New(2)
-	o := NewBasis(2, 1)
-	if cmplx.Abs(s.Inner(o)) > eps {
-		t.Error("orthogonal basis states have nonzero inner product")
-	}
-	if math.Abs(s.Fidelity(s.Clone())-1) > eps {
-		t.Error("self fidelity != 1")
 	}
 }
