@@ -1,21 +1,21 @@
 // Command qemu-run executes a circuit file (the qasm text format of
 // internal/qasm) on a chosen back-end and reports the resulting state or
 // measurement statistics. It is a thin shell over the repro facade: the
-// flags name a Target (fused simulator, structure-blind and sparse
-// baselines, emulation dispatch, the distributed engine, or auto), the
+// flags name a Target (fused simulator, the structure-blind baseline,
+// emulation dispatch, the distributed engine, or auto), the
 // circuit compiles for it through the one pass pipeline, repro.OpenFor
 // opens the backend the executable runs on, and every configuration
 // reports the same Result.
 //
 // Usage:
 //
-//	qemu-run [-backend auto|ours|generic|sparse|emulator] [-fuse-width K]
+//	qemu-run [-backend auto|ours|generic|emulator] [-fuse-width K]
 //	         [-emulate off|annotated|auto] [-nodes P] [-shots K] [-top N]
 //	         [-seed S] [-noise kind:p -trajectories N [-workers W]] circuit.qc
 //
 // -backend auto hands the whole configuration to the profile-driven
-// selector: Compile profiles the circuit, prices every engine (fused at
-// several widths, generic, sparse, cluster) with the calibrated cost
+// selector: Compile profiles the circuit, prices the engines it serves
+// (fused at each width of its ladder, cluster) with the calibrated cost
 // model and resolves the auto target to the cheapest; the backend is
 // opened for that shape, and the full selection report is printed —
 // chosen target, candidate costs, per-region emulate-vs-fuse verdicts.
@@ -70,7 +70,7 @@ import (
 
 func main() {
 	var (
-		backendName = flag.String("backend", "ours", "back-end: auto, ours, generic, sparse, emulator")
+		backendName = flag.String("backend", "ours", "back-end: auto, ours, generic, emulator")
 		fuseWidth   = flag.Int("fuse-width", 0, "multi-qubit fusion width (0 = classic same-target fusion)")
 		emulate     = flag.String("emulate", "", "emulation dispatch: off, annotated, auto (default off; -backend emulator implies auto)")
 		nodes       = flag.Int("nodes", 0, "shard the register across this many emulated cluster nodes (power of two)")
@@ -128,11 +128,8 @@ func target(n uint, backendName string, fuseWidth int, emulate string, nodes int
 	case "generic":
 		set(repro.WithGenericKernels())
 		baseline = true
-	case "sparse":
-		set(repro.WithSparseKernels())
-		baseline = true
 	default:
-		return t, fmt.Errorf("unknown backend %q (auto, ours, generic, sparse, emulator)", backendName)
+		return t, fmt.Errorf("unknown backend %q (auto, ours, generic, emulator)", backendName)
 	}
 	if fuseWidth >= 2 {
 		if baseline {

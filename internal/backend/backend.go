@@ -20,10 +20,9 @@ const (
 	// Fused is the paper's simulator: structure-specialised kernels with
 	// same-target fusion, optionally multi-qubit block fusion.
 	Fused Kind = iota
-	// Generic is the qHiPSTER-class structure-blind baseline.
+	// Generic is the qHiPSTER-class structure-blind baseline: the
+	// gate-by-gate reference.
 	Generic
-	// Sparse is the LIQUi|>-class sparse matrix-product baseline.
-	Sparse
 	// Cluster is the distributed engine of internal/cluster.
 	Cluster
 )
@@ -34,8 +33,6 @@ func (k Kind) String() string {
 		return "fused"
 	case Generic:
 		return "generic"
-	case Sparse:
-		return "sparse"
 	case Cluster:
 		return "cluster"
 	}
@@ -63,43 +60,26 @@ type Target struct {
 	Kind Kind
 	// FuseWidth >= 2 enables multi-qubit block fusion at that width
 	// (clamped to the shard capacity on Cluster targets); 0 or 1 keeps the
-	// classic same-target fusion. Ignored by Generic and Sparse.
+	// classic same-target fusion. Ignored by Generic.
 	FuseWidth int
 	// Workers caps the state-vector kernel parallelism (per shard on
 	// Cluster targets); 0 uses the GOMAXPROCS default.
 	Workers int
 	// Nodes is the Cluster node count (power of two). Ignored otherwise.
 	Nodes int
-	// MaxLocalQubits, when non-zero on a Cluster target, raises the node
-	// count (beyond Nodes if needed) until every shard holds at most
-	// 2^MaxLocalQubits amplitudes.
-	MaxLocalQubits uint
 	// Emulate selects the recognition pass mode: Off (everything gate
 	// level), Annotated (trust circuit.Region markers) or Auto (also
-	// pattern-match unannotated structure). The Generic and Sparse
-	// baseline kinds reject it — they exist to measure structure-blind
-	// execution.
+	// pattern-match unannotated structure). The Generic baseline rejects
+	// it — it exists to measure structure-blind execution. On explicit
+	// targets a recognised diagonal run shorter than
+	// recognize.DefaultDiagCutoffGates whose support fits the effective
+	// fusion width stays on the fused gate path, which folds it into one
+	// ApplyDiagN sweep anyway.
 	Emulate recognize.Mode
-	// DiagMinGates and DiagMaxWidth are the emulation cost-model cutoff: a
-	// recognised diagonal run with fewer than DiagMinGates gates whose
-	// support fits in DiagMaxWidth qubits stays on the fused gate path,
-	// which folds it into one ApplyDiagN sweep anyway — dispatching it
-	// would pay recognition bookkeeping and split the surrounding fusion
-	// blocks for no kernel win. Zero values pick the defaults
-	// (DefaultDiagMinGates and the effective fusion width); a negative
-	// DiagMinGates disables the cutoff.
-	DiagMinGates int
-	DiagMaxWidth uint
 }
 
-// DefaultDiagMinGates is the default cost-model cutoff: diagonal runs
-// shorter than this stay gate-level when their support fits the fusion
-// width. See recognize.DefaultDiagCutoffGates for the rationale.
-const DefaultDiagMinGates = recognize.DefaultDiagCutoffGates
-
 // normalize resolves defaults and validates the target against a register
-// width, returning the effective shape (node count grown to honour
-// MaxLocalQubits, cost-model defaults filled in).
+// width, returning the effective shape.
 func (t Target) normalize(n uint) (Target, error) {
 	if t.NumQubits == 0 {
 		t.NumQubits = n
@@ -112,15 +92,13 @@ func (t Target) normalize(n uint) (Target, error) {
 		// register width and worker cap. Clearing the rest here means
 		// equivalent auto targets compare and fingerprint identically.
 		return Target{NumQubits: t.NumQubits, Auto: true, Workers: t.Workers,
-			Emulate: recognize.Auto, DiagMinGates: -1}, nil
+			Emulate: recognize.Auto}, nil
 	}
-	if t.Kind == Generic || t.Kind == Sparse {
-		// The baselines exist to measure structure-blind execution;
-		// letting them run emulation shortcuts would silently turn a
-		// qHiPSTER/LIQUi|>-class measurement into an emulator one.
-		if t.Emulate != recognize.Off {
-			return t, fmt.Errorf("backend: the %s baseline does not support emulation dispatch", t.Kind)
-		}
+	if t.Kind == Generic && t.Emulate != recognize.Off {
+		// The baseline exists to measure structure-blind execution; letting
+		// it run emulation shortcuts would silently turn a qHiPSTER-class
+		// measurement into an emulator one.
+		return t, fmt.Errorf("backend: the %s baseline does not support emulation dispatch", t.Kind)
 	}
 	if t.Kind != Cluster {
 		if t.Nodes > 1 {
@@ -134,21 +112,10 @@ func (t Target) normalize(n uint) (Target, error) {
 		if t.Nodes&(t.Nodes-1) != 0 {
 			return t, fmt.Errorf("backend: node count %d is not a power of two", t.Nodes)
 		}
-		if t.MaxLocalQubits > 0 {
-			for nodeBits(t.Nodes) < n && n-nodeBits(t.Nodes) > t.MaxLocalQubits {
-				t.Nodes *= 2
-			}
-		}
 		if nodeBits(t.Nodes) > n {
 			return t, fmt.Errorf("backend: %d nodes need at least %d qubits, have %d",
 				t.Nodes, nodeBits(t.Nodes), n)
 		}
-	}
-	if t.DiagMinGates == 0 {
-		t.DiagMinGates = DefaultDiagMinGates
-	}
-	if t.DiagMaxWidth == 0 {
-		t.DiagMaxWidth = t.effectiveFuseWidth()
 	}
 	return t, nil
 }
@@ -191,7 +158,7 @@ func (t Target) shape() string {
 }
 
 // Backend is the one execution interface, implemented by two engines: the
-// local state vector (the Fused, Generic and Sparse kinds) and the
+// local state vector (the Fused and Generic kinds) and the
 // distributed cluster. Both execute the same Executables; Run is pure
 // dispatch.
 type Backend interface {

@@ -209,9 +209,8 @@ func TestExecutableReuseAndShapeCheck(t *testing.T) {
 	}
 }
 
-// TestBackendKindsAgree runs one circuit through the fused, generic and
-// sparse kinds and the distributed engine; all must produce the same
-// state.
+// TestBackendKindsAgree runs one circuit through the fused and generic
+// kinds and the distributed engine; all must produce the same state.
 func TestBackendKindsAgree(t *testing.T) {
 	c := prep(8)
 	c.Extend(qft.Circuit(8))
@@ -222,7 +221,7 @@ func TestBackendKindsAgree(t *testing.T) {
 	if _, err := backend.Execute(ref, c); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []backend.Kind{backend.Generic, backend.Sparse, backend.Cluster} {
+	for _, k := range []backend.Kind{backend.Generic, backend.Cluster} {
 		tgt := backend.Target{NumQubits: 8, Kind: k}
 		if k == backend.Cluster {
 			tgt.Nodes = 4
@@ -240,21 +239,19 @@ func TestBackendKindsAgree(t *testing.T) {
 	}
 }
 
-// TestBaselinesRejectEmulation: the structure-blind baselines exist to
-// measure gate-by-gate execution; combining them with emulation dispatch
+// TestBaselinesRejectEmulation: the structure-blind baseline exists to
+// measure gate-by-gate execution; combining it with emulation dispatch
 // must fail loudly instead of silently running the shortcuts.
 func TestBaselinesRejectEmulation(t *testing.T) {
-	for _, k := range []backend.Kind{backend.Generic, backend.Sparse} {
-		if _, err := backend.New(backend.Target{NumQubits: 6, Kind: k, Emulate: recognize.Auto}); err == nil {
-			t.Fatalf("%v baseline accepted emulation dispatch", k)
-		}
+	if _, err := backend.New(backend.Target{NumQubits: 6, Kind: backend.Generic, Emulate: recognize.Auto}); err == nil {
+		t.Fatal("generic baseline accepted emulation dispatch")
 	}
 }
 
-// TestDiagonalCostModel checks the cutoff stub: a short diagonal run
-// whose support fits the fusion width stays on the gate path by default,
-// dispatches when the cutoff is disabled, and produces the same state
-// either way.
+// TestDiagonalCostModel checks the cutoff: a short diagonal run whose
+// support fits the fusion width stays on the gate path, dispatches on a
+// target whose fusion width is narrower than its support, and produces
+// the same state either way.
 func TestDiagonalCostModel(t *testing.T) {
 	c := circuit.New(6)
 	for q := uint(0); q < 6; q++ {
@@ -291,7 +288,7 @@ func TestDiagonalCostModel(t *testing.T) {
 		}
 
 		forced := def
-		forced.DiagMinGates = -1
+		forced.FuseWidth = 1
 		xf, err := backend.Compile(c, forced)
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +300,7 @@ func TestDiagonalCostModel(t *testing.T) {
 			}
 		}
 		if !dispatched {
-			t.Fatal("disabled cutoff still dropped the diagonal run")
+			t.Fatal("a run wider than the fusion width was still dropped")
 		}
 
 		b1, _ := backend.New(def)

@@ -19,9 +19,9 @@ import (
 // reader can validate structure before touching any payload:
 //
 //	magic "QEXE" | version u16 | crc32 u32 (of everything after this field)
-//	target       (register width, kind, fusion width, nodes, emulation mode, cost model)
-//	source key   (the compile-time Fingerprint — the serving cache's key; v3)
-//	noise plan   (channel insertion points in plan order; count 0 = ideal; v4)
+//	target       (register width, auto bit, kind, fusion width, workers, nodes, emulation mode)
+//	source key   (the compile-time Fingerprint — the serving cache's key)
+//	noise plan   (channel insertion points in plan order; count 0 = ideal)
 //	gate count   | skipped-region list
 //	unit index   (count, then per unit: type byte + payload size)
 //	unit payloads
@@ -38,24 +38,15 @@ import (
 // Version bump policy: CodecVersion changes whenever the wire layout of
 // any section changes — including the recognize.Op payload and the opKind
 // numbering — or when pass semantics change such that a rebuilt plan
-// would diverge from the encoded summary. Encode always writes the
-// current version; Decode additionally reads the strictly-additive older
-// layouts back to codecMinVersion (a missing section decodes to its zero
-// value: no SourceKey, no NoisePlan ⇒ ideal), so a persisted cache
-// survives a version bump. Anything outside [codecMinVersion,
-// CodecVersion] is rejected and a cache warm-start simply recompiles,
-// which is always correct.
+// would diverge from the encoded summary. Encode writes and Decode reads
+// exactly one layout: an artifact of any other version is rejected, and a
+// cache warm-start deletes it and recompiles, which is always correct.
 const (
 	codecMagic = "QEXE"
-	// v5 has v4's layout; the number moved because the noise pass did: a
-	// v5 noisy artifact holds soft points inside its gate units, which a v4
-	// reader's verifier would refuse, so it refuses the version instead
-	// and recompiles. v4 artifacts (a unit boundary at every point) are a
-	// special case of v5 and run unchanged.
-	CodecVersion = 5
-	// codecMinVersion is the oldest artifact layout Decode still reads:
-	// v2 predates the SourceKey (v3) and NoisePlan (v4) sections.
-	codecMinVersion = 2
+	// CodecVersion is the one layout Encode writes and Decode reads.
+	CodecVersion = 6
+	// codecMinVersion is the oldest artifact layout Decode reads.
+	codecMinVersion = CodecVersion
 )
 
 // unit type tags of the encoded index.
@@ -166,46 +157,41 @@ func Decode(data []byte) (*Executable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("backend: decoded target invalid: %w", err)
 	}
-	x := &Executable{NumQubits: t.NumQubits, Target: t}
-	if v >= 3 {
-		x.SourceKey = br.String()
+	x := &Executable{NumQubits: t.NumQubits, Target: t, SourceKey: br.String()}
+	nPts := int(br.U32())
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("backend: decoding noise plan: %w", err)
 	}
-	if v >= 4 {
-		nPts := int(br.U32())
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("backend: decoding noise plan: %w", err)
-		}
-		// 25 bytes per encoded point bounds the count before allocating.
-		if nPts < 0 || nPts*25 > br.Remaining() {
-			return nil, fmt.Errorf("backend: noise plan count %d exceeds artifact", nPts)
-		}
-		if nPts > 0 {
-			plan := &NoisePlan{Points: make([]NoisePoint, nPts)}
-			for i := range plan.Points {
-				pt := &plan.Points[i]
-				pt.Gate = int(br.I64())
-				pt.Qubit = uint(br.U64())
-				pt.Ch.Kind = circuit.ChannelKind(br.U8())
-				pt.Ch.P = br.F64()
-				if err := br.Err(); err != nil {
-					return nil, fmt.Errorf("backend: decoding noise plan: %w", err)
-				}
-				if err := pt.Ch.Validate(); err != nil {
-					return nil, fmt.Errorf("backend: noise point %d: %v", i, err)
-				}
-				if pt.Gate < 0 {
-					return nil, fmt.Errorf("backend: noise point %d at negative gate %d", i, pt.Gate)
-				}
-				if pt.Qubit >= t.NumQubits {
-					return nil, fmt.Errorf("backend: noise point %d touches qubit %d of a %d-qubit register",
-						i, pt.Qubit, t.NumQubits)
-				}
-				if i > 0 && plan.Points[i-1].Gate > pt.Gate {
-					return nil, fmt.Errorf("backend: noise plan not sorted at point %d", i)
-				}
+	// 25 bytes per encoded point bounds the count before allocating.
+	if nPts < 0 || nPts*25 > br.Remaining() {
+		return nil, fmt.Errorf("backend: noise plan count %d exceeds artifact", nPts)
+	}
+	if nPts > 0 {
+		plan := &NoisePlan{Points: make([]NoisePoint, nPts)}
+		for i := range plan.Points {
+			pt := &plan.Points[i]
+			pt.Gate = int(br.I64())
+			pt.Qubit = uint(br.U64())
+			pt.Ch.Kind = circuit.ChannelKind(br.U8())
+			pt.Ch.P = br.F64()
+			if err := br.Err(); err != nil {
+				return nil, fmt.Errorf("backend: decoding noise plan: %w", err)
 			}
-			x.Noise = plan
+			if err := pt.Ch.Validate(); err != nil {
+				return nil, fmt.Errorf("backend: noise point %d: %v", i, err)
+			}
+			if pt.Gate < 0 {
+				return nil, fmt.Errorf("backend: noise point %d at negative gate %d", i, pt.Gate)
+			}
+			if pt.Qubit >= t.NumQubits {
+				return nil, fmt.Errorf("backend: noise point %d touches qubit %d of a %d-qubit register",
+					i, pt.Qubit, t.NumQubits)
+			}
+			if i > 0 && plan.Points[i-1].Gate > pt.Gate {
+				return nil, fmt.Errorf("backend: noise plan not sorted at point %d", i)
+			}
 		}
+		x.Noise = plan
 	}
 	x.NumGates = int(br.I64())
 	nSkip := int(br.U32())
@@ -236,6 +222,10 @@ func Decode(data []byte) (*Executable, error) {
 	nUnits := int(br.U32())
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("backend: decoding unit index: %w", err)
+	}
+	// 9 bytes per index entry bound the count before allocating.
+	if nUnits*9 > br.Remaining() {
+		return nil, fmt.Errorf("backend: unit count %d exceeds artifact", nUnits)
 	}
 	type indexEntry struct {
 		kind uint8
@@ -291,6 +281,9 @@ func Decode(data []byte) (*Executable, error) {
 		if nGates != hi-lo {
 			return nil, fmt.Errorf("backend: unit %d holds %d gates for range [%d,%d)", i, nGates, lo, hi)
 		}
+		if nGates*minGateBytes > ur.Remaining() {
+			return nil, fmt.Errorf("backend: unit %d gate count %d exceeds its payload", i, nGates)
+		}
 		gs := make([]gates.Gate, nGates)
 		for j := range gs {
 			g, err := decodeGate(ur, t.NumQubits)
@@ -332,10 +325,7 @@ func encodeTarget(w *binio.Writer, t Target) {
 	w.I64(int64(t.FuseWidth))
 	w.I64(int64(t.Workers))
 	w.I64(int64(t.Nodes))
-	w.U64(uint64(t.MaxLocalQubits))
 	w.U8(uint8(t.Emulate))
-	w.I64(int64(t.DiagMinGates))
-	w.U64(uint64(t.DiagMaxWidth))
 }
 
 func decodeTarget(r *binio.Reader) (Target, error) {
@@ -346,10 +336,7 @@ func decodeTarget(r *binio.Reader) (Target, error) {
 	t.FuseWidth = int(r.I64())
 	t.Workers = int(r.I64())
 	t.Nodes = int(r.I64())
-	t.MaxLocalQubits = uint(r.U64())
 	t.Emulate = recognize.Mode(r.U8())
-	t.DiagMinGates = int(r.I64())
-	t.DiagMaxWidth = uint(r.U64())
 	if err := r.Err(); err != nil {
 		return t, fmt.Errorf("backend: decoding target: %w", err)
 	}
@@ -364,6 +351,10 @@ func decodeTarget(r *binio.Reader) (Target, error) {
 	}
 	return t, nil
 }
+
+// minGateBytes is the smallest encoded gate: an empty name, the 2x2
+// matrix, the target and an empty control list.
+const minGateBytes = 4 + 4*16 + 8 + 4
 
 // encodeGate writes one gate (name, 2x2 matrix, target, controls).
 func encodeGate(w *binio.Writer, g gates.Gate) {

@@ -20,7 +20,7 @@ type Unit struct {
 	Op        *recognize.Op
 	Substrate string
 	// Gates is the segment's gate slice (aliasing the source circuit): what
-	// the gate-by-gate kinds execute, and on every kind what the trajectory
+	// the Generic kind executes, and on every kind what the trajectory
 	// runner replays one gate at a time when a noise point strikes inside
 	// the unit. Fused is its fusion plan (Fused and Cluster kinds); Sched
 	// its communication schedule (Cluster kind).
@@ -59,7 +59,7 @@ type Executable struct {
 	Noise *NoisePlan
 	// SourceKey is the Fingerprint of the (circuit, target) pair this
 	// executable was compiled from — the serving cache's key. It rides in
-	// the artifact (codec v3) so a decoded .qexe can prove it belongs
+	// the artifact so a decoded .qexe can prove it belongs
 	// under the filename it was loaded from: crc32 catches bit rot, the
 	// key catches a renamed or swapped artifact.
 	SourceKey string
@@ -128,8 +128,8 @@ func Compile(c *circuit.Circuit, t Target) (*Executable, error) {
 
 		// Pass 2: cost model — small diagonal runs the fused kernels already
 		// execute in one sweep stay on the gate path.
-		if t.Emulate != recognize.Off && t.DiagMinGates > 0 {
-			plan = plan.Filter(recognize.KeepAboveDiagCutoff(t.DiagMinGates, t.DiagMaxWidth),
+		if t.Emulate != recognize.Off {
+			plan = plan.Filter(recognize.KeepAboveDiagCutoff(recognize.DefaultDiagCutoffGates, t.effectiveFuseWidth()),
 				"cost model: below the dispatch cutoff, the fused kernel runs it in one sweep")
 		}
 		x, err = finishCompile(c, t, plan, nil)
@@ -157,21 +157,15 @@ func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {
 		return nil, err
 	}
 
-	if resolved.Emulate == recognize.Off {
-		// A structure-blind baseline won; regions run gate-level.
-		plan = plan.Filter(func(*recognize.Op) bool { return false },
-			"auto cost model: structure-blind baseline predicted faster")
-	} else {
-		// Per-region verdicts replace the static diagonal cutoff. Match
-		// by gate range: the verdicts were computed from this same plan.
-		emulate := make(map[[2]int]bool, len(sel.Verdicts))
-		for _, v := range sel.Verdicts {
-			emulate[[2]int{v.Lo, v.Hi}] = v.Emulate
-		}
-		plan = plan.Filter(func(op *recognize.Op) bool {
-			return emulate[[2]int{op.Lo, op.Hi}]
-		}, "auto cost model: fused gate path predicted faster")
+	// Per-region verdicts replace the static diagonal cutoff. Match by gate
+	// range: the verdicts were computed from this same plan.
+	emulate := make(map[[2]int]bool, len(sel.Verdicts))
+	for _, v := range sel.Verdicts {
+		emulate[[2]int{v.Lo, v.Hi}] = v.Emulate
 	}
+	plan = plan.Filter(func(op *recognize.Op) bool {
+		return emulate[[2]int{op.Lo, op.Hi}]
+	}, "auto cost model: fused gate path predicted faster")
 	return finishCompile(c, resolved, plan, &sel)
 }
 
@@ -262,8 +256,8 @@ func (x *Executable) addGateUnit(gs []gates.Gate, lo, hi int) error {
 			x.PlannedRemaps += sched.Remaps
 			x.PlannedRounds += sched.Rounds
 		}
-	case Generic, Sparse:
-		// Structure-blind baselines replay the raw gate stream.
+	case Generic:
+		// The structure-blind baseline replays the raw gate stream.
 	}
 	x.Units = append(x.Units, u)
 	return nil

@@ -185,11 +185,10 @@ func TestDistributedValidationContract(t *testing.T) {
 	}
 }
 
-// TestMaxLocalQubitsSizesNodeCount: Target.MaxLocalQubits must raise the
-// node count until shards fit.
-func TestMaxLocalQubitsSizesNodeCount(t *testing.T) {
-	d, err := backend.New(backend.Target{
-		NumQubits: 10, Kind: backend.Cluster, Nodes: 2, MaxLocalQubits: 7})
+// TestClusterNodeCount: a cluster target opens with exactly the node
+// count it names, which must be a power of two the register can hold.
+func TestClusterNodeCount(t *testing.T) {
+	d, err := backend.New(backend.Target{NumQubits: 10, Kind: backend.Cluster, Nodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,9 @@ func TestMaxLocalQubitsSizesNodeCount(t *testing.T) {
 	if cl.P != 8 || cl.L != 7 {
 		t.Fatalf("got P=%d L=%d, want P=8 L=7", cl.P, cl.L)
 	}
-	if _, err := backend.New(backend.Target{NumQubits: 10, Kind: backend.Cluster, Nodes: 3}); err == nil {
-		t.Error("non-power-of-two node count accepted")
+	for _, nodes := range []int{3, 2048} {
+		if _, err := backend.New(backend.Target{NumQubits: 10, Kind: backend.Cluster, Nodes: nodes}); err == nil {
+			t.Errorf("%d nodes accepted for a 10-qubit register", nodes)
+		}
 	}
 }

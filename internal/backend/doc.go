@@ -16,9 +16,10 @@
 //     QFT ladders, reversible arithmetic, phase oracles, diagonal runs),
 //     each verified against its own gates where the support is small.
 //  2. cost model — recognised regions are priced against their gate-level
-//     alternative. On explicit targets this is the Target's diagonal
-//     gate-count/width cutoff; on auto targets (Target.Auto, below) it is
-//     a per-region verdict from the calibrated cost model.
+//     alternative. On explicit targets this is a fixed diagonal cutoff
+//     (recognize.DefaultDiagCutoffGates gates, the effective fusion
+//     width); on auto targets (Target.Auto, below) it is a per-region
+//     verdict from the calibrated cost model.
 //  3. lowerability — on distributed targets, ops without a cluster
 //     substrate (see internal/cluster.Lowerable) fall back to gate level,
 //     recorded in the plan's Skipped list.
@@ -63,7 +64,7 @@
 //
 //   - profile — ProfileCircuit runs recognition once and summarises the
 //     circuit as a Profile: width, depth, diagonal fraction, recognised
-//     regions by kind, a sparsity (branching) estimate, and the fusion
+//     regions by kind, a branching-gate count, and the fusion
 //     planner's estimated sweep units for the residual gate segments at
 //     every candidate width. Profile prices, compile materialises once:
 //     the estimates come from fuse.Cost, the planner's scheduler without
@@ -71,10 +72,11 @@
 //     pass 4 then builds one fuse.Plan per gate segment, at the width
 //     that won.
 //   - select — SelectTarget prices a fixed candidate list (fused at
-//     several widths, generic, sparse, cluster) with the calibrated
-//     constants of internal/perfmodel and picks the cheapest; for each
-//     recognised region it also rules emulate-vs-fuse by predicted time,
-//     replacing the static diagonal cutoff.
+//     each AutoFuseWidths rung, cluster) with the calibrated constants of
+//     internal/perfmodel and picks the cheapest; for each recognised
+//     region it also rules emulate-vs-fuse by predicted time, replacing
+//     the static diagonal cutoff. The Generic baseline is never a
+//     candidate: it is the reference the engines are measured against.
 //
 // Both passes are deterministic — pure functions of the circuit and the
 // model constants (perfmodel.Active never times anything; calibration is
@@ -93,16 +95,14 @@
 // recognised ops apply their shortcut (locally via Op.Apply, distributed
 // via Cluster.ApplyOp), gate segments run their fused plan or schedule.
 //
-// One interface, two engines: the local state vector runs the first
-// three of the four kinds Target.Kind selects, the distributed cluster
-// the fourth:
+// One interface, two engines: the local state vector runs the first two
+// of the three kinds Target.Kind selects, the distributed cluster the
+// third:
 //
 //   - Fused — the paper's simulator: structure-specialised kernels plus
 //     same-target or multi-qubit block fusion (internal/fuse, statevec).
 //   - Generic — the qHiPSTER-class structure-blind baseline: every gate
-//     through the dense 2x2 kernel.
-//   - Sparse — the LIQUi|>-class baseline: explicit sparse matrix-vector
-//     products.
+//     through the dense 2x2 kernel, the gate-by-gate reference.
 //   - Cluster — the distributed engine: the register sharded across
 //     emulated nodes, gate segments through the communication-avoiding
 //     placement scheduler, recognised ops through the distributed

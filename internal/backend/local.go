@@ -11,8 +11,8 @@ import (
 )
 
 // local is the single-address-space backend family: one state vector,
-// with the gate kernel chosen by the target kind (specialised, generic
-// dense, or sparse matrix products).
+// with the gate kernel chosen by the target kind (specialised or generic
+// dense).
 type local struct {
 	t      Target
 	st     *statevec.State
@@ -31,8 +31,6 @@ func newLocalBackend(t Target) (Backend, error) {
 		b.apply = st.ApplyGate
 	case Generic:
 		b.apply = st.ApplyGateGeneric
-	case Sparse:
-		b.apply = st.ApplyGateSparse
 	default:
 		return nil, fmt.Errorf("backend: %s is not a local kind", t.Kind)
 	}

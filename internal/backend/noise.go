@@ -45,9 +45,8 @@ func (pt NoisePoint) Hard() bool {
 // 0.001 with 1.8 points per gate, 7 at 0.01, one gate as p -> 1, whole
 // segments at p = 0; a damping-only plan has S = 0 throughout and cuts
 // only at its points. Recognised ops carry no gates to replay, so an op
-// with any point before its last gate returns to gate level. Artifacts
-// that cut more often than the rule asks (every artifact older than
-// codec v5 closes a unit at every point) run unchanged.
+// with any point before its last gate returns to gate level. Units cut
+// more often than the rule asks still run unchanged.
 //
 // The expansion order is part of the plan's contract: trajectories draw
 // one uniform variate per point in plan order, so two executables with

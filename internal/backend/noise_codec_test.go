@@ -3,14 +3,16 @@ package backend_test
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/noise"
 	"repro/internal/qft"
 	"repro/internal/recognize"
+	"repro/internal/serve"
 )
 
 // noisyWorkload is prep+QFT with one per-gate damping channel on gate 0 —
@@ -115,7 +117,7 @@ func TestCompileNoisePlan(t *testing.T) {
 	})
 }
 
-// TestCodecNoiseRoundTrip: the noise section (v4 on) survives Encode/Decode
+// TestCodecNoiseRoundTrip: the noise section survives Encode/Decode
 // byte-exactly, for both local and cluster shapes.
 func TestCodecNoiseRoundTrip(t *testing.T) {
 	c := noisyWorkload()
@@ -147,191 +149,55 @@ func TestCodecNoiseRoundTrip(t *testing.T) {
 	}
 }
 
-// downgrade rewrites a v4/v5 ideal artifact into the v3 or v2 wire layout
-// by deleting the sections those versions predate, pinning the layout
-// constants the codec documents: 10-byte header, 59-byte target, then
-// the length-prefixed 64-char source key, then the u32 noise count.
-func downgrade(t *testing.T, data []byte, version uint16) []byte {
-	t.Helper()
-	const header, target = 10, 59
-	body := append([]byte(nil), data[header:]...)
-	keyLen := 4 + int(binary.LittleEndian.Uint32(body[target:]))
-	if n := binary.LittleEndian.Uint32(body[target+keyLen:]); n != 0 {
-		t.Fatalf("downgrade wants an ideal artifact; found %d noise points", n)
-	}
-	switch version {
-	case 3: // drop the noise count
-		body = append(body[:target+keyLen], body[target+keyLen+4:]...)
-	case 2: // drop the source key too
-		body = append(body[:target], body[target+keyLen+4:]...)
-	default:
-		t.Fatalf("downgrade to unsupported version %d", version)
-	}
-	out := make([]byte, 0, header+len(body))
-	out = append(out, "QEXE"...)
-	out = binary.LittleEndian.AppendUint16(out, version)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crc32.MakeTable(crc32.IEEE)))
-	return append(out, body...)
-}
-
-// TestCodecVersionMatrix is the compatibility contract: v5 encodes; v2/v3
-// artifacts — which predate the noise plan and (for v2) the source key —
-// still decode to ideal executables that verify and run; and a v4 noisy
-// artifact, whose every point closes a unit, replays the trajectories a
-// fresh v5 compile does.
-func TestCodecVersionMatrix(t *testing.T) {
+// TestCodecRejectsV5: Decode reads one layout. A v5 artifact — this
+// executable with the three target fields v6 dropped — is refused with the
+// version error, and a cache warm start deletes it rather than serving it
+// (recompiling on the next request is always correct).
+func TestCodecRejectsV5(t *testing.T) {
 	c := prep(8)
 	c.Extend(qft.Circuit(8))
-	tgt := backend.Target{NumQubits: 8, FuseWidth: 3, Emulate: recognize.Auto}
-	x, err := backend.Compile(c, tgt)
+	x, err := backend.Compile(c, backend.Target{NumQubits: 8, FuseWidth: 3, Emulate: recognize.Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v5, err := x.Encode()
+	v6, err := x.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(v5[4:]); v != 5 || backend.CodecVersion != 5 {
-		t.Fatalf("Encode wrote version %d, CodecVersion is %d, want 5", v, backend.CodecVersion)
+	if v := binary.LittleEndian.Uint16(v6[4:]); v != 6 || backend.CodecVersion != 6 {
+		t.Fatalf("Encode wrote version %d, CodecVersion is %d, want 6", v, backend.CodecVersion)
 	}
 
-	t.Run("v5 and v4 share a layout", func(t *testing.T) {
-		// The number moved for the noise pass, not the wire: an ideal v5
-		// artifact relabelled v4 (the version field is outside the crc)
-		// is the artifact a v4 build wrote.
-		v4 := append([]byte(nil), v5...)
-		binary.LittleEndian.PutUint16(v4[4:], 4)
-		y, err := backend.Decode(v4)
-		if err != nil {
-			t.Fatalf("v4 artifact rejected: %v", err)
-		}
-		if err := backend.VerifyExecutableKey(y, x.SourceKey); err != nil {
-			t.Fatalf("v4 artifact fails keyed verification: %v", err)
-		}
-	})
+	// After the 10-byte header, v5's target held MaxLocalQubits between the
+	// node count (ending at byte 34) and the emulation mode, and
+	// DiagMinGates and DiagMaxWidth after the mode.
+	const header, nodesEnd = 10, 34
+	body := v6[header:]
+	old := append(append([]byte(nil), body[:nodesEnd]...), make([]byte, 8)...)
+	old = append(old, body[nodesEnd])
+	old = binary.LittleEndian.AppendUint64(old, 32)
+	old = binary.LittleEndian.AppendUint64(old, 3)
+	old = append(old, body[nodesEnd+1:]...)
+	v5 := binary.LittleEndian.AppendUint16([]byte("QEXE"), 5)
+	v5 = binary.LittleEndian.AppendUint32(v5, crc32.ChecksumIEEE(old))
+	v5 = append(v5, old...)
+	if _, err := backend.Decode(v5); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("v5 artifact decoded with error %v, want the version error", err)
+	}
 
-	t.Run("v4 noisy artifact replays a fresh compile's trajectories", func(t *testing.T) {
-		noisy := prep(8)
-		noisy.Extend(qft.Circuit(8))
-		noisy.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: 0.05})
-		noisy.AttachNoise(3, 1, circuit.Channel{Kind: circuit.AmplitudeDamping, P: 0.2})
-		fresh, err := backend.Compile(noisy, tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// What v4 compiled: the same plan, a unit boundary after every
-		// struck gate — under a global channel, one gate per unit. Gate
-		// units travel as their gate list, so the old schedule encodes
-		// from the new executable's header and plan.
-		old := *fresh
-		old.Units = nil
-		for g := range noisy.Gates {
-			old.Units = append(old.Units, backend.Unit{Gates: noisy.Gates[g : g+1], Lo: g, Hi: g + 1})
-		}
-		data, err := old.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint16(data[4:], 4)
-		y, err := backend.Decode(data)
-		if err != nil {
-			t.Fatalf("v4 noisy artifact rejected: %v", err)
-		}
-		if err := backend.VerifyExecutableKey(y, fresh.SourceKey); err != nil {
-			t.Fatalf("v4 noisy artifact fails keyed verification: %v", err)
-		}
-		if len(y.Units) != noisy.Len() || len(fresh.Units) >= len(y.Units)/2 {
-			t.Fatalf("v4 artifact has %d units, fresh compile %d, of %d gates", len(y.Units), len(fresh.Units), noisy.Len())
-		}
-		for _, seed := range []uint64{1, 7} {
-			opts := noise.Options{Trajectories: 300, Seed: seed, Workers: 2}
-			want, err := noise.Run(fresh, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := noise.Run(y, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Jumps != want.Jumps || want.Jumps == 0 || want.StruckUnits == 0 || got.StruckUnits != 0 {
-				t.Fatalf("seed %d: v4 artifact drew %d jumps (%d struck units), fresh compile %d (%d)",
-					seed, got.Jumps, got.StruckUnits, want.Jumps, want.StruckUnits)
-			}
-			for i := range want.Outcomes {
-				if got.Outcomes[i] != want.Outcomes[i] {
-					t.Fatalf("seed %d: trajectory %d sampled %d from the v4 artifact, %d from the fresh compile",
-						seed, i, got.Outcomes[i], want.Outcomes[i])
-				}
-			}
-		}
-	})
-
-	t.Run("v3 decodes without a noise plan", func(t *testing.T) {
-		y, err := backend.Decode(downgrade(t, v5, 3))
-		if err != nil {
-			t.Fatalf("v3 artifact rejected: %v", err)
-		}
-		if y.Noise != nil {
-			t.Fatalf("v3 artifact decoded a noise plan: %+v", y.Noise)
-		}
-		if y.SourceKey != x.SourceKey {
-			t.Fatalf("v3 source key %.12s…, want %.12s…", y.SourceKey, x.SourceKey)
-		}
-		if err := backend.VerifyExecutableKey(y, x.SourceKey); err != nil {
-			t.Fatalf("v3 artifact fails keyed verification: %v", err)
-		}
-	})
-
-	t.Run("v2 decodes without a source key", func(t *testing.T) {
-		y, err := backend.Decode(downgrade(t, v5, 2))
-		if err != nil {
-			t.Fatalf("v2 artifact rejected: %v", err)
-		}
-		if y.Noise != nil || y.SourceKey != "" {
-			t.Fatalf("v2 artifact decoded key %q, plan %+v", y.SourceKey, y.Noise)
-		}
-		if err := backend.VerifyExecutable(y); err != nil {
-			t.Fatalf("keyless v2 artifact fails verification: %v", err)
-		}
-		// Keyed admission adopts the cache key for a keyless legacy
-		// artifact, so a re-encoded copy pins its provenance.
-		if err := backend.VerifyExecutableKey(y, x.SourceKey); err != nil {
-			t.Fatalf("v2 artifact fails keyed admission: %v", err)
-		}
-		if y.SourceKey != x.SourceKey {
-			t.Fatal("keyed admission did not adopt the key")
-		}
-
-		// The decoded legacy artifact must execute identically.
-		b1, err := backend.New(tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := backend.New(tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b1.Run(x); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b2.Run(y); err != nil {
-			t.Fatal(err)
-		}
-		if d := b1.State().MaxDiff(b2.State()); d > 1e-12 {
-			t.Fatalf("v2-decoded executable diverges by %g", d)
-		}
-	})
-
-	t.Run("versions outside the window rejected", func(t *testing.T) {
-		for _, v := range []uint16{0, 1, backend.CodecVersion + 1} {
-			mut := append([]byte(nil), v5...)
-			binary.LittleEndian.PutUint16(mut[4:], v)
-			if _, err := backend.Decode(mut); err == nil ||
-				!strings.Contains(err.Error(), "version") {
-				t.Fatalf("version %d decoded with error %v", v, err)
-			}
-		}
-	})
+	dir := t.TempDir()
+	path := filepath.Join(dir, x.SourceKey+".qexe")
+	if err := os.WriteFile(path, v5, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache := serve.NewCache(1<<30, dir)
+	defer cache.Close()
+	if n, err := cache.WarmStart(nil); err != nil || n != 0 {
+		t.Fatalf("warm start restored %d artifacts (err %v), want none", n, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("warm start kept the v5 artifact: %v", err)
+	}
 }
 
 // TestCodecNoiseDecodeRejects: structurally corrupt noise sections are

@@ -40,13 +40,12 @@ type parityTarget struct {
 
 // parityTargets is every execution shape Compile can produce for an
 // n-qubit register, in a fixed order so a failing input reports the same
-// first failure on every replay: the two baselines, the auto target, and
-// the fused engine at four widths and both cluster sizes with emulation
-// off and on.
+// first failure on every replay: the baseline, the auto target, and the
+// fused engine at four widths and both cluster sizes with emulation off
+// and on.
 func parityTargets(n uint) []parityTarget {
 	ts := []parityTarget{
 		{"generic", backend.Target{NumQubits: n, Kind: backend.Generic}},
-		{"sparse", backend.Target{NumQubits: n, Kind: backend.Sparse}},
 		{"auto", backend.Target{NumQubits: n, Auto: true}},
 	}
 	for _, mode := range []recognize.Mode{recognize.Off, recognize.Auto} {

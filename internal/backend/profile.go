@@ -42,10 +42,6 @@ type RegionProfile struct {
 	// GateUnits[i] is fuse's sweep-unit estimate of executing the
 	// region's gates at fusion width AutoFuseWidths[i].
 	GateUnits []float64
-
-	// op retains the recognised op so compileAuto can match verdicts
-	// back onto the recognition plan.
-	op *recognize.Op
 }
 
 // Profile is the feature vector the selection model consumes.
@@ -57,7 +53,7 @@ type Profile struct {
 	Depth int
 	// DiagGates counts structurally diagonal gates (phase family);
 	// BranchGates counts dense gates — the ones that can spread
-	// amplitude support, which is what defeats the sparse baseline.
+	// amplitude support, and on a cluster the ones that force remaps.
 	DiagGates   int
 	BranchGates int
 	// Regions lists the recognised regions in schedule order;
@@ -112,7 +108,6 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 				Kind: seg.Op.Kind(), Lo: seg.Lo, Hi: seg.Hi,
 				SupportWidth: uint(len(seg.Op.Support())),
 				GateUnits:    unitsPerWidth(gs),
-				op:           seg.Op,
 			}
 			if q, ok := seg.Op.QFT(); ok {
 				r.FieldWidth = q.Width

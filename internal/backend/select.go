@@ -11,11 +11,13 @@ import (
 
 // The selection pass: the second half of the profile-driven auto target.
 // SelectTarget scores every candidate execution shape — the fused engine
-// at each fusion width, the structure-blind and sparse baselines, and the
-// distributed engine — against a circuit Profile using the calibrated
-// constants of internal/perfmodel, and returns the cheapest together with
-// the full scoring table and the per-region emulate-vs-fuse verdicts that
-// replace the static DiagMinGates/DiagMaxWidth cutoff of explicit targets.
+// at each fusion width and the distributed engine — against a circuit
+// Profile using the calibrated constants of internal/perfmodel, and
+// returns the cheapest together with the full scoring table and the
+// per-region emulate-vs-fuse verdicts that replace the static diagonal
+// cutoff of explicit targets. The structure-blind baseline is a reference
+// to measure against, not an engine the system serves, so it is never a
+// candidate.
 // The pass is pure: costs come from the Measured constants handed in
 // (perfmodel.Active() reads a cache, never a clock), so equal profiles
 // always select the same target and the detrng contract holds.
@@ -61,9 +63,9 @@ type Selection struct {
 
 // SelectTarget scores the candidate shapes for p under the measured
 // model m and picks the cheapest. Candidates are evaluated in a fixed
-// order (fused by ascending width, generic, sparse, cluster) and ties go
-// to the earlier entry, so selection is deterministic; ascending width
-// first means a wider fusion block must strictly win to be chosen.
+// order (fused by ascending width, then cluster) and ties go to the
+// earlier entry, so selection is deterministic; ascending width first
+// means a wider fusion block must strictly win to be chosen.
 func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 	n := p.NumQubits
 	fitsLocal := n <= DefaultAutoMaxLocalQubits
@@ -74,8 +76,7 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 	// residual gate segments at that width plus, per recognised region,
 	// the cheaper of emulating it and fusing its gates.
 	for i, w := range AutoFuseWidths {
-		t := Target{NumQubits: n, Kind: Fused, FuseWidth: w,
-			Emulate: recognize.Auto, DiagMinGates: -1}
+		t := Target{NumQubits: n, Kind: Fused, FuseWidth: w, Emulate: recognize.Auto}
 		c := Candidate{Target: t}
 		if !fitsLocal {
 			c.Cost = math.Inf(1)
@@ -85,21 +86,6 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 		}
 		cands = append(cands, c)
 	}
-
-	// Structure-blind baselines. They exist for measurement, but nothing
-	// stops the model from choosing them when structure genuinely does
-	// not pay — e.g. the sparse engine on a circuit whose support stays
-	// exponentially small.
-	generic := Candidate{Target: Target{NumQubits: n, Kind: Generic}}
-	sparse := Candidate{Target: Target{NumQubits: n, Kind: Sparse}}
-	if !fitsLocal {
-		generic.Cost, generic.Note = math.Inf(1), "exceeds the single-node capacity budget"
-		sparse.Cost, sparse.Note = math.Inf(1), "exceeds the single-node capacity budget"
-	} else {
-		generic.Cost = float64(p.NumGates) * m.GenericGateSecs(n)
-		sparse.Cost = sparseCost(p, m)
-	}
-	cands = append(cands, generic, sparse)
 
 	// Distributed engine: node count is the capacity policy (smallest
 	// power of two keeping every shard within the budget), fusion width
@@ -118,9 +104,8 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 		}
 		local := n - nodeBits(nodes)
 		wi := bestClusterWidth(local)
-		clusterCand.Target = Target{NumQubits: n, Kind: Cluster,
-			Nodes: nodes, MaxLocalQubits: DefaultAutoMaxLocalQubits,
-			FuseWidth: AutoFuseWidths[wi], Emulate: recognize.Auto, DiagMinGates: -1}
+		clusterCand.Target = Target{NumQubits: n, Kind: Cluster, Nodes: nodes,
+			FuseWidth: AutoFuseWidths[wi], Emulate: recognize.Auto}
 		clusterCand.Cost = fusedCost(p, m, wi, true) +
 			float64(estimateClusterRounds(p, local))*m.RemapSecs(n)
 	}
@@ -133,15 +118,8 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 		}
 	}
 
-	sel := Selection{Chosen: cands[best].Target, Cost: cands[best].Cost, Candidates: cands}
-	switch sel.Chosen.Kind {
-	case Fused, Cluster:
-		sel.Verdicts = verdicts(p, m, widthIndex(sel.Chosen.FuseWidth))
-	case Generic, Sparse:
-		// The baselines run structure-blind; regions are dropped, not
-		// judged.
-	}
-	return sel
+	return Selection{Chosen: cands[best].Target, Cost: cands[best].Cost, Candidates: cands,
+		Verdicts: verdicts(p, m, widthIndex(cands[best].Target.FuseWidth))}
 }
 
 // widthIndex maps a fusion width back to its AutoFuseWidths slot.
@@ -209,18 +187,6 @@ func regionCosts(p *Profile, m perfmodel.Measured, r *RegionProfile, wi int) (em
 		emu = m.PermSecs(n)
 	}
 	return emu, m.SweepSecs(r.GateUnits[wi], n)
-}
-
-// sparseCost prices the sparse baseline: every gate touches the live
-// support, which at most doubles per dense (branching) gate — the
-// sparsity estimate 2^min(BranchGates, n).
-func sparseCost(p *Profile, m perfmodel.Measured) float64 {
-	supportBits := uint(p.BranchGates)
-	if supportBits > p.NumQubits {
-		supportBits = p.NumQubits
-	}
-	support := math.Pow(2, float64(supportBits))
-	return float64(p.NumGates) * support * m.SparseNs * 1e-9
 }
 
 // PredictedRounds is the planning estimate of communication rounds a

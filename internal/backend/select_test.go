@@ -7,9 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circuit"
 	"repro/internal/experiments"
+	"repro/internal/gates"
 	"repro/internal/perfmodel"
 	"repro/internal/qft"
+	"repro/internal/revlib"
 )
 
 // The pinned selections run against perfmodel.Default() — the model of
@@ -96,9 +99,55 @@ func TestSelectionReport(t *testing.T) {
 	p, _ := backend.ProfileCircuit(qft.Circuit(16))
 	sel := backend.SelectTarget(p, perfmodel.Default())
 	rep := sel.Report()
-	for _, want := range []string{"auto backend: chose", "candidates:", "generic", "sparse", "regions:", "qft"} {
+	for _, want := range []string{"auto backend: chose", "candidates:", "fused w=8", "cluster", "regions:", "qft"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
+		}
+	}
+	if len(sel.Candidates) != len(backend.AutoFuseWidths)+1 {
+		t.Errorf("%d candidates, want one per fusion width plus the cluster:\n%s", len(sel.Candidates), rep)
+	}
+}
+
+// TestSelectFewDenseGatesStayFused pins the mis-selection a
+// structure-blind candidate priced by its support caused: circuits with
+// few dense gates — a 19-qubit ripple adder on a basis input, a 22-qubit
+// GHZ ladder — were sent to a baseline that runs them orders of magnitude
+// slower, the adder's region dropped. Both stay on the fused engine, the
+// adder emulated.
+func TestSelectFewDenseGatesStayFused(t *testing.T) {
+	adder := circuit.New(19)
+	for _, q := range []uint{0, 3, 4, 8, 9, 11, 16} {
+		adder.Append(gates.X(q))
+	}
+	revlib.Adder(adder, revlib.Seq(0, 9), revlib.Seq(9, 9), 18)
+	for _, tc := range []struct {
+		name    string
+		c       *circuit.Circuit
+		emulate string
+	}{
+		{"adder-n19", adder, "add"},
+		{"ghz-n22", qft.Entangler(22), ""},
+	} {
+		p, _ := backend.ProfileCircuit(tc.c)
+		sel := backend.SelectTarget(p, perfmodel.Default())
+		if sel.Chosen.Kind != backend.Fused {
+			t.Errorf("%s chose %s, want fused:\n%s", tc.name, backend.DescribeTarget(sel.Chosen), sel.Report())
+		}
+		if tc.emulate == "" {
+			continue
+		}
+		found := false
+		for _, v := range sel.Verdicts {
+			if v.Kind == tc.emulate {
+				found = true
+				if !v.Emulate {
+					t.Errorf("%s: %s region not emulated: %s", tc.name, v.Kind, v.Reason)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no %s verdict in %+v", tc.name, tc.emulate, sel.Verdicts)
 		}
 	}
 }

@@ -61,11 +61,9 @@ func VerifyExecutable(x *Executable) error {
 	if x.Target.Workers < 0 || x.Target.Workers > verifyMaxWorkers {
 		return fmt.Errorf("backend: verify: worker cap %d implausible", x.Target.Workers)
 	}
-	// Empty is legal — v2 artifacts predate the SourceKey section and
-	// decode without one. Anything present must be a well-formed
-	// fingerprint; a scrambled key would silently shadow the wrong cache
-	// entry.
-	if x.SourceKey != "" && !validFingerprint(x.SourceKey) {
+	// Compile stamps every executable with its fingerprint; a scrambled or
+	// missing key would silently shadow the wrong cache entry.
+	if !validFingerprint(x.SourceKey) {
 		return fmt.Errorf("backend: verify: source key %q is not a sha256 fingerprint", x.SourceKey)
 	}
 	if err := verifyNoisePlan(x); err != nil {
@@ -128,12 +126,6 @@ func VerifyExecutableKey(x *Executable, key string) error {
 	if err := VerifyExecutable(x); err != nil {
 		return err
 	}
-	if x.SourceKey == "" {
-		// A v2 artifact carries no embedded key; adopt the one it is being
-		// admitted under so re-encoded copies pin their provenance.
-		x.SourceKey = key
-		return nil
-	}
 	if x.SourceKey != key {
 		return fmt.Errorf("backend: verify: artifact was compiled under key %.12s…, served as %.12s…", x.SourceKey, key)
 	}
@@ -173,7 +165,7 @@ func verifyGateUnit(x *Executable, i int, u *Unit) error {
 			}
 			return verifySchedule(x, i, u)
 		}
-	case Generic, Sparse:
+	case Generic:
 		if u.Fused != nil || u.Sched != nil {
 			return fmt.Errorf("backend: verify: unit %d carries derived plans on a structure-blind %s target", i, x.Target.Kind)
 		}

@@ -19,7 +19,7 @@ import (
 
 // verifyWorkload compiles the representative serve artifact — gate-level
 // prep plus a recognised QFT region — under the given target shape.
-func verifyWorkload(t *testing.T, tgt backend.Target) *backend.Executable {
+func verifyWorkload(t testing.TB, tgt backend.Target) *backend.Executable {
 	t.Helper()
 	c := prep(8)
 	c.Extend(qft.Circuit(8))
@@ -49,7 +49,7 @@ func diagWorkload(t *testing.T, tgt backend.Target) *backend.Executable {
 }
 
 // findUnit returns the index of the first unit satisfying pred.
-func findUnit(t *testing.T, x *backend.Executable, what string, pred func(u *backend.Unit) bool) int {
+func findUnit(t testing.TB, x *backend.Executable, what string, pred func(u *backend.Unit) bool) int {
 	t.Helper()
 	for i := range x.Units {
 		if pred(&x.Units[i]) {
@@ -94,67 +94,6 @@ func TestVerifyMutationCorpus(t *testing.T) {
 	local := backend.Target{FuseWidth: 3, Emulate: recognize.Auto}
 	clustered := backend.Target{Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto}
 	isOp := func(u *backend.Unit) bool { return u.Op != nil }
-	isGate := func(u *backend.Unit) bool { return u.Op == nil }
-
-	cases := []struct {
-		name   string
-		target backend.Target
-		mutate func(t *testing.T, x *backend.Executable)
-	}{
-		{"source key not hex", local, func(t *testing.T, x *backend.Executable) {
-			x.SourceKey = strings.Repeat("Z", 64)
-		}},
-		{"source key truncated", local, func(t *testing.T, x *backend.Executable) {
-			x.SourceKey = x.SourceKey[:40]
-		}},
-		{"implausible worker cap", local, func(t *testing.T, x *backend.Executable) {
-			x.Target.Workers = 1 << 21
-		}},
-		{"inverted skip range", local, func(t *testing.T, x *backend.Executable) {
-			x.Skipped = append(x.Skipped, recognize.Skip{Name: "fake", Lo: 5, Hi: 2, Reason: "planted"})
-		}},
-		{"skip range past the circuit", local, func(t *testing.T, x *backend.Executable) {
-			x.Skipped = append(x.Skipped, recognize.Skip{Name: "fake", Lo: 0, Hi: x.NumGates + 1})
-		}},
-		{"non-unitary gate matrix", local, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "gate", isGate)
-			x.Units[i].Gates[0].Matrix[0] *= 1.5
-		}},
-		{"op range disagrees with unit", local, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "op", isOp)
-			x.Units[i].Op.Hi--
-		}},
-		{"foreign substrate on local target", local, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "op", isOp)
-			x.Units[i].Substrate = "bogus"
-		}},
-		{"foreign substrate on cluster target", clustered, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "op", isOp)
-			x.Units[i].Substrate = "bogus"
-		}},
-		{"non-unitary gate on cluster target", clustered, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "gate", isGate)
-			x.Units[i].Gates[0].Matrix[3] = 0
-		}},
-		// A planted noise point at an interior gate is valid wire bytes —
-		// sorted, in range, probability in [0,1]. Whether it is a valid
-		// plan depends on its class and on the unit it lands in: a damping
-		// point must close its unit (its branch needs the state at its own
-		// gate), and no point may fall inside a recognised op (there are no
-		// gates to replay a strike through).
-		{"damping point off its unit's last gate", local, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "multi-gate gate-level", func(u *backend.Unit) bool { return u.Op == nil && u.Hi-u.Lo >= 2 })
-			plantNoise(x, x.Units[i].Hi-2, circuit.AmplitudeDamping)
-		}},
-		{"soft point strictly inside an op", local, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "multi-gate op", func(u *backend.Unit) bool { return u.Op != nil && u.Hi-u.Lo >= 2 })
-			plantNoise(x, x.Units[i].Hi-2, circuit.FlipX)
-		}},
-		{"soft point strictly inside an op on a cluster target", clustered, func(t *testing.T, x *backend.Executable) {
-			i := findUnit(t, x, "multi-gate op", func(u *backend.Unit) bool { return u.Op != nil && u.Hi-u.Lo >= 2 })
-			plantNoise(x, x.Units[i].Lo, circuit.Depolarizing)
-		}},
-	}
 
 	requireRejected := func(t *testing.T, x *backend.Executable) {
 		data, err := x.Encode()
@@ -169,7 +108,7 @@ func TestVerifyMutationCorpus(t *testing.T) {
 			t.Fatal("verifier accepted a semantically corrupt artifact")
 		}
 	}
-	for _, tc := range cases {
+	for _, tc := range verifyMutants() {
 		t.Run(tc.name, func(t *testing.T) {
 			x := verifyWorkload(t, tc.target)
 			tc.mutate(t, x)
@@ -295,6 +234,81 @@ func TestVerifyMutationCorpus(t *testing.T) {
 	}
 }
 
+// verifyMutant is one case of the semantic-corruption corpus: a mutation
+// of a freshly compiled verifyWorkload the codec cannot see.
+type verifyMutant struct {
+	name   string
+	target backend.Target
+	mutate func(t testing.TB, x *backend.Executable)
+}
+
+// verifyMutants is TestVerifyMutationCorpus's table, shared with the
+// decoder fuzz target as seeds: every mutant is a crc-valid artifact.
+func verifyMutants() []verifyMutant {
+	local := backend.Target{FuseWidth: 3, Emulate: recognize.Auto}
+	clustered := backend.Target{Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto}
+	isOp := func(u *backend.Unit) bool { return u.Op != nil }
+	isGate := func(u *backend.Unit) bool { return u.Op == nil }
+	return []verifyMutant{
+		{"source key not hex", local, func(t testing.TB, x *backend.Executable) {
+			x.SourceKey = strings.Repeat("Z", 64)
+		}},
+		{"source key truncated", local, func(t testing.TB, x *backend.Executable) {
+			x.SourceKey = x.SourceKey[:40]
+		}},
+		{"source key missing", local, func(t testing.TB, x *backend.Executable) {
+			x.SourceKey = ""
+		}},
+		{"implausible worker cap", local, func(t testing.TB, x *backend.Executable) {
+			x.Target.Workers = 1 << 21
+		}},
+		{"inverted skip range", local, func(t testing.TB, x *backend.Executable) {
+			x.Skipped = append(x.Skipped, recognize.Skip{Name: "fake", Lo: 5, Hi: 2, Reason: "planted"})
+		}},
+		{"skip range past the circuit", local, func(t testing.TB, x *backend.Executable) {
+			x.Skipped = append(x.Skipped, recognize.Skip{Name: "fake", Lo: 0, Hi: x.NumGates + 1})
+		}},
+		{"non-unitary gate matrix", local, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "gate", isGate)
+			x.Units[i].Gates[0].Matrix[0] *= 1.5
+		}},
+		{"op range disagrees with unit", local, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "op", isOp)
+			x.Units[i].Op.Hi--
+		}},
+		{"foreign substrate on local target", local, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "op", isOp)
+			x.Units[i].Substrate = "bogus"
+		}},
+		{"foreign substrate on cluster target", clustered, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "op", isOp)
+			x.Units[i].Substrate = "bogus"
+		}},
+		{"non-unitary gate on cluster target", clustered, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "gate", isGate)
+			x.Units[i].Gates[0].Matrix[3] = 0
+		}},
+		// A planted noise point at an interior gate is valid wire bytes —
+		// sorted, in range, probability in [0,1]. Whether it is a valid
+		// plan depends on its class and on the unit it lands in: a damping
+		// point must close its unit (its branch needs the state at its own
+		// gate), and no point may fall inside a recognised op (there are no
+		// gates to replay a strike through).
+		{"damping point off its unit's last gate", local, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "multi-gate gate-level", func(u *backend.Unit) bool { return u.Op == nil && u.Hi-u.Lo >= 2 })
+			plantNoise(x, x.Units[i].Hi-2, circuit.AmplitudeDamping)
+		}},
+		{"soft point strictly inside an op", local, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "multi-gate op", func(u *backend.Unit) bool { return u.Op != nil && u.Hi-u.Lo >= 2 })
+			plantNoise(x, x.Units[i].Hi-2, circuit.FlipX)
+		}},
+		{"soft point strictly inside an op on a cluster target", clustered, func(t testing.TB, x *backend.Executable) {
+			i := findUnit(t, x, "multi-gate op", func(u *backend.Unit) bool { return u.Op != nil && u.Hi-u.Lo >= 2 })
+			plantNoise(x, x.Units[i].Lo, circuit.Depolarizing)
+		}},
+	}
+}
+
 // overwriteQubits replaces the one occurrence of the wire form of the
 // qubit list from in an encoded artifact with that of to (of the same
 // length) and recomputes the container checksum.
@@ -343,7 +357,7 @@ func TestVerifyRejectsDirect(t *testing.T) {
 			x.NumQubits = 0
 		}},
 		{"denormalized target", local, func(t *testing.T, x *backend.Executable) {
-			x.Target.DiagMinGates = 0 // normalize fills the default; a compiled artifact always carries it
+			x.Target.Nodes = 0 // normalize fills 1; a compiled artifact always carries it
 		}},
 		{"target width disagrees with register", local, func(t *testing.T, x *backend.Executable) {
 			x.Target.NumQubits--

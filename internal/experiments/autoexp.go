@@ -45,7 +45,7 @@ func QuickAuto() AutoConfig { return AutoConfig{QFTQubits: 16, TileQubits: 12, T
 // autoManualCandidates is the hand-picked field the selector runs
 // against: the default simulator, both common block-fusion widths, the
 // structure-blind baseline, and emulation dispatch at the paper's usual
-// width. (Sparse is excluded: minutes per run at these sizes.)
+// width.
 func autoManualCandidates(n uint) []struct {
 	name string
 	t    backend.Target

@@ -11,7 +11,9 @@ import (
 // TestAutoWithinBudget pins the auto target's acceptance contract on the
 // workloads of the auto sweep, deterministically: under the model of
 // record the selector's pick is priced within 15% of the cheapest priced
-// candidate, strictly below the dearest, and is the pinned target. The
+// candidate, strictly below the dearest where the prices differ (on the
+// QFT every fused width emulates the one region and prices alike), and
+// is the pinned target. The
 // wall-clock side of the contract — the pick also *runs* near the best
 // hand-picked configuration — is a measurement, not a unit test: the
 // sweep itself (qemu-bench -experiment auto) and the benchmark's
@@ -34,7 +36,7 @@ func TestAutoWithinBudget(t *testing.T) {
 			t.Errorf("%s: chosen %s priced %.3g, cheapest candidate %.3g, budget 1.15x",
 				w.Name, backend.DescribeTarget(sel.Chosen), sel.Cost, cheapest)
 		}
-		if sel.Cost >= dearest {
+		if dearest > cheapest && sel.Cost >= dearest {
 			t.Errorf("%s: chosen %s priced %.3g does not beat the dearest candidate %.3g",
 				w.Name, backend.DescribeTarget(sel.Chosen), sel.Cost, dearest)
 		}

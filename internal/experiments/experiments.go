@@ -10,9 +10,11 @@
 // series runs through backend.Compile and Backend.Run (timeTarget) — the
 // path qemu-run and qemu-serve execute — except the raw-kernel baselines
 // the paper's ablations name: gate-by-gate statevec loops (fusion's
-// nofuse), the naive per-gate cluster engine (Figure 4's qHiPSTER-class
-// series, the cluster sweep's naive series) and the sin oracle, a
-// function with no circuit to compile, timed as a raw ApplyPermutation.
+// nofuse, and Figures 5-6's LIQUi|>-class series through
+// ApplyGateSparse), the naive per-gate cluster engine (Figure 4's
+// qHiPSTER-class series, the cluster sweep's naive series) and the sin
+// oracle, a function with no circuit to compile, timed as a raw
+// ApplyPermutation.
 package experiments
 
 import (

@@ -205,7 +205,14 @@ func singleNode(cfg SingleNodeConfig, build func(n uint) *circuit.Circuit) []Sin
 		row.TOurs, _ = timeTarget(circ, oursTarget(n), init)
 		row.TGeneric, _ = timeTarget(circ, backend.Target{NumQubits: n, Kind: backend.Generic}, init)
 		if n <= sparseMax {
-			row.TSparse, _ = timeTarget(circ, backend.Target{NumQubits: n, Kind: backend.Sparse}, init)
+			// The LIQUi|>-class baseline is a raw-kernel loop, no Compile:
+			// every gate as an explicit sparse matrix-vector product.
+			st := init.Clone()
+			row.TSparse = timeIt(shortTime, func() { st.CopyFrom(init) }, func() {
+				for _, g := range circ.Gates {
+					st.ApplyGateSparse(g)
+				}
+			})
 		}
 		rows = append(rows, row)
 	}

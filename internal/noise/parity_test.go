@@ -84,7 +84,6 @@ func parityEngines(n uint) map[string]backend.Target {
 		"fused-w2":   {NumQubits: n, Kind: backend.Fused, FuseWidth: 2, Emulate: recognize.Auto},
 		"fused-w4":   {NumQubits: n, Kind: backend.Fused, FuseWidth: 4},
 		"generic":    {NumQubits: n, Kind: backend.Generic},
-		"sparse":     {NumQubits: n, Kind: backend.Sparse},
 		"cluster-p2": {NumQubits: n, Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto},
 	}
 }
@@ -198,12 +197,10 @@ func FuzzTrajectoryParity(f *testing.F) {
 		}
 		in := parityInput{seed: circSeed, width: 5 + uint(width%4), kind: circuit.ChannelKind(kind % 6), p: p, global: global}
 		target := backend.Target{NumQubits: in.width, FuseWidth: 1 + int(fuseWidth%5)}
-		switch engine % 4 {
+		switch engine % 3 {
 		case 1:
 			target.Kind = backend.Generic
 		case 2:
-			target.Kind = backend.Sparse
-		case 3:
 			target.Kind, target.Nodes, target.Emulate = backend.Cluster, 2, recognize.Auto
 		}
 		c := in.build()

@@ -96,7 +96,7 @@ func (m Measured) Save() error {
 
 // plausible sanity-checks loaded constants.
 func (m Measured) plausible() bool {
-	for _, v := range []float64{m.SweepNs, m.DiagNs, m.PermNs, m.FFTNs, m.GenericNs, m.SparseNs, m.RemapNs} {
+	for _, v := range []float64{m.SweepNs, m.DiagNs, m.PermNs, m.FFTNs, m.RemapNs} {
 		if v <= 0 || v > 1e6 {
 			return false
 		}
@@ -152,12 +152,9 @@ func Calibrate() Measured {
 	m.Source = "calibrated"
 	m.SweepNs = perAmpNs(bestOf(budget, func() { st.ApplyGate(dense) }))
 	m.DiagNs = perAmpNs(bestOf(budget, func() { st.ApplyGate(diag) }))
-	m.GenericNs = perAmpNs(bestOf(budget, func() { st.ApplyGateGeneric(dense) }))
 	m.PermNs = perAmpNs(bestOf(budget, func() {
 		st.ApplyPermutation(func(i uint64) uint64 { return i ^ 1 })
 	}))
-
-	m.SparseNs = perAmpNs(bestOf(budget, func() { st.ApplyGateSparse(dense) }))
 
 	plan, err := fft.NewPlan(uint64(1) << n)
 	if err != nil {

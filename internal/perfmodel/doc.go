@@ -17,7 +17,7 @@
 //
 // Measured holds per-amplitude costs in nanoseconds of the repository's
 // own kernels — dense sweep, diagonal sweep, permutation, FFT butterfly
-// level, structure-blind and sparse baselines, cluster all-to-all — in
+// level, cluster all-to-all — in
 // the sweep-unit convention of internal/fuse (SweepNs prices fuse's 1.0).
 // It is what the profile-driven backend selector (internal/backend)
 // scores candidate targets with: seconds here mean seconds on THIS

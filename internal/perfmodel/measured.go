@@ -32,12 +32,6 @@ type Measured struct {
 	// the QFT emulation substrate costs 2^n * w * FFTNs for a width-w
 	// field transform over the full state.
 	FFTNs float64 `json:"fft_ns"`
-	// GenericNs is ns per amplitude of the structure-blind dense 2x2
-	// kernel (the qHiPSTER-class baseline).
-	GenericNs float64 `json:"generic_ns"`
-	// SparseNs is ns per touched amplitude of the sparse matrix-product
-	// baseline (the LIQUi|>-class path).
-	SparseNs float64 `json:"sparse_ns"`
 	// RemapNs is ns per amplitude of one cluster all-to-all round (remap
 	// or transpose) on the emulated distributed engine.
 	RemapNs float64 `json:"remap_ns"`
@@ -56,14 +50,12 @@ type Measured struct {
 // stage (ISSUE 18).
 func Default() Measured {
 	return Measured{
-		Source:    "default",
-		SweepNs:   1.0,
-		DiagNs:    0.45,
-		PermNs:    1.6,
-		FFTNs:     0.33,
-		GenericNs: 1.9,
-		SparseNs:  24,
-		RemapNs:   2.6,
+		Source:  "default",
+		SweepNs: 1.0,
+		DiagNs:  0.45,
+		PermNs:  1.6,
+		FFTNs:   0.33,
+		RemapNs: 2.6,
 	}
 }
 
@@ -93,10 +85,6 @@ func (m Measured) DiagSecs(n uint) float64 { return amps(n) * m.DiagNs * 1e-9 }
 // RemapSecs is the cost of one all-to-all communication round on the
 // emulated cluster.
 func (m Measured) RemapSecs(n uint) float64 { return amps(n) * m.RemapNs * 1e-9 }
-
-// GenericGateSecs is the cost of one gate through the structure-blind
-// dense kernel.
-func (m Measured) GenericGateSecs(n uint) float64 { return amps(n) * m.GenericNs * 1e-9 }
 
 // TQFT is the measured-model analogue of Eq. 6: gate-level QFT on n
 // qubits across p (emulated) nodes. The n(n+1)/2 gates are almost all

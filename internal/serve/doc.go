@@ -44,10 +44,10 @@
 // which happened. The circuit's noise comes either from qasm "noise"
 // directives or from the request's "noise" field — a global
 // after-each-gate channel spec like "depolarizing:0.001" attached before
-// fingerprinting, so the channel is part of the cache key. Artifacts
-// persist as codec v5; a daemon built before it that shares the cache
-// directory refuses the version and recompiles, rather than meeting a
-// unit with noise points inside it. The whole batch is served from ONE
+// fingerprinting, so the channel is part of the cache key. The codec
+// reads one layout: a daemon of another codec version that shares the
+// cache directory refuses the version and recompiles. The whole batch is
+// served from ONE
 // cache entry and ONE compile, however large N is; the batch's parallel
 // trajectory workers ("workers" field) each pin a transient session
 // state, which is accounted against the same session-memory budget as
@@ -76,7 +76,7 @@
 // version bump policy):
 //
 //	magic "QEXE" | version u16 | crc32 u32
-//	target | gate count | skipped-region list
+//	target | source key | noise plan | gate count | skipped-region list
 //	unit index (type + size per unit)
 //	unit payloads (ops: full lowered payload; gate segments: raw gates)
 //

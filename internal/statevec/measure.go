@@ -108,86 +108,28 @@ func (s *State) lastNonzero() uint64 {
 
 // Sample draws one full-register measurement outcome without collapsing
 // the state, via inverse-CDF sampling over the amplitude weights. This is
-// what a real quantum computer returns per run: n bits.
-//
-// The walk tolerates float drift in the state's norm: the uniform variate
-// is compared against the actually accumulated mass, so an almost-but-not-
-// quite normalised state can never spuriously return Dim()-1 — the
-// fallthrough lands on the highest nonzero-probability outcome instead.
-// Serial and chunk-parallel paths share these semantics (raw uniform
-// against raw accumulated mass), as do ResolveCDF and the distributed
-// sampler of internal/cluster built on it.
+// what a real quantum computer returns per run: n bits. It is
+// SampleMany(1, src)[0] — one uniform, no shuffle variate — and the
+// serial path resolves its uniform in place, allocation-free.
 func (s *State) Sample(src *rng.Source) uint64 {
-	r := src.Float64()
-	if s.parallelism(s.Dim()) <= 1 {
-		return s.sampleSerial(r)
+	if s.parallelism(s.Dim()) > 1 {
+		return s.SampleMany(1, src)[0]
 	}
-	ck, masses, total := s.massChunks()
-	if total == 0 {
-		panic("statevec: sampling from the zero vector")
-	}
-	target := r
-	var acc float64
-	for i := 0; i < ck.n; i++ {
-		if target < acc+masses[i] {
-			lo, hi := ck.bounds(i)
-			t := target - acc
-			var local float64
-			last := uint64(0)
-			haveLast := false
-			for j := lo; j < hi; j++ {
-				a := s.amp[j]
-				p := real(a)*real(a) + imag(a)*imag(a)
-				local += p
-				if p > 0 {
-					last = j
-					haveLast = true
-				}
-				if t < local {
-					return j
-				}
-			}
-			// Rounding pushed the target past the chunk's rescanned mass;
-			// clamp to the chunk's last supported outcome.
-			if haveLast {
-				return last
-			}
-		}
-		acc += masses[i]
-	}
-	return s.lastNonzero()
-}
-
-// sampleSerial is the single-threaded early-exit CDF walk: it stops at the
-// sampled index (half the vector in expectation) instead of paying a full
-// mass pass first.
-func (s *State) sampleSerial(r float64) uint64 {
-	var acc float64
-	last := uint64(0)
-	haveLast := false
-	for i, a := range s.amp {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		acc += p
-		if p > 0 {
-			last = uint64(i)
-			haveLast = true
-		}
-		if r < acc {
-			return uint64(i)
-		}
-	}
-	if haveLast {
-		return last
-	}
-	panic("statevec: sampling from the zero vector")
+	ts, out := [1]float64{src.Float64()}, [1]uint64{}
+	s.sampleManySerial(ts[:], out[:])
+	return out[0]
 }
 
 // SampleMany draws k independent outcomes by sorting uniforms against the
 // cumulative distribution, costing O(2^n + k log k) instead of O(k 2^n).
 // The CDF walk is chunk-parallel via ResolveCDF: per-chunk masses form a
 // prefix sum, each worker then resolves the uniforms that land in its
-// chunk. Like Sample, it clamps fallthrough draws (norm drift) to
-// supported outcomes.
+// chunk. It tolerates float drift in the state's norm: each uniform is
+// compared against the actually accumulated mass, so an almost-but-not-
+// quite normalised state never spuriously returns Dim()-1 — a
+// fallthrough draw lands on the highest supported outcome instead. The
+// distributed sampler of internal/cluster, built on ResolveCDF, shares
+// these semantics.
 func (s *State) SampleMany(k int, src *rng.Source) []uint64 {
 	rs := make([]float64, k)
 	for i := range rs {

@@ -225,6 +225,28 @@ func TestSampleManyMatchesDistribution(t *testing.T) {
 	}
 }
 
+// TestSampleIsSampleManyOfOne: Sample draws exactly what SampleMany(1)
+// draws from an equally seeded stream, on the serial walk and on the
+// chunked one, and leaves the stream at the same place.
+func TestSampleIsSampleManyOfOne(t *testing.T) {
+	s := NewRandom(engineN, rng.New(31))
+	for _, workers := range []int{1, 4} {
+		s.SetParallelism(workers)
+		if got := s.parallelism(s.Dim()); (got > 1) != (workers > 1) {
+			t.Fatalf("workers=%d: state runs %d-way", workers, got)
+		}
+		a, b := rng.New(7), rng.New(7)
+		for i := 0; i < 200; i++ {
+			if x, y := s.Sample(a), s.SampleMany(1, b)[0]; x != y {
+				t.Fatalf("workers=%d draw %d: Sample %d, SampleMany(1) %d", workers, i, x, y)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("workers=%d: Sample and SampleMany(1) consumed the stream differently", workers)
+		}
+	}
+}
+
 // TestEstimateDiagonalStderrUnbiased pins the standard error on a known
 // two-outcome distribution: for 0/1 draws with k ones out of N shots the
 // unbiased sample variance is k(N-k)/(N(N-1)) and the stderr its square

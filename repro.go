@@ -16,7 +16,8 @@
 //
 // The auto target is the paper's thesis as an API, and Compile is the
 // one place it is resolved: compiling for Target{NumQubits: n, Auto:
-// true} profiles the circuit, scores every candidate engine with the
+// true} profiles the circuit, scores the engines it serves — the fused
+// simulator at each fusion width and the distributed cluster — with the
 // calibrated cost model (internal/perfmodel), picks kind, node count,
 // fusion width and the per-region emulate-vs-fuse decisions itself, and
 // stamps the chosen concrete shape on the Executable. OpenFor opens the
@@ -30,14 +31,15 @@
 // cost, and the per-region verdicts.
 //
 // One interface, two engines: the local state vector (the fused
-// simulator and both baselines) and the distributed cluster speak the
-// same Backend interface (Run, RunUnits, ApplyGate, Probability, Sample,
-// State, Close) and execute the same compiled Executables: Compile runs
-// the explicit pass pipeline — recognize emulation regions, apply the
-// cost model, fuse residual gate runs, schedule placement remaps on
-// distributed targets — and Run is pure dispatch, returning a unified
-// Result (emulated regions, fused blocks, communication rounds/bytes,
-// wall time). See internal/backend for the pipeline contract.
+// simulator and the qHiPSTER-class baseline) and the distributed cluster
+// speak the same Backend interface (Run, RunUnits, ApplyGate,
+// Probability, Sample, State, Close) and execute the same compiled
+// Executables: Compile runs the explicit pass pipeline — recognize
+// emulation regions, apply the cost model, fuse residual gate runs,
+// schedule placement remaps on distributed targets — and Run is pure
+// dispatch, returning a unified Result (emulated regions, fused blocks,
+// communication rounds/bytes, wall time). See internal/backend for the
+// pipeline contract.
 //
 // Two execution models are provided over the same 2^n state vector:
 //
@@ -64,8 +66,8 @@ import (
 )
 
 // Backend is the one execution interface over both engines: the local
-// state vector (fused simulator, qhipster-class and sparse baselines) and
-// the distributed cluster. See internal/backend.
+// state vector (fused simulator, qhipster-class baseline) and the
+// distributed cluster. See internal/backend.
 type Backend = backend.Backend
 
 // Target is a backend's execution shape — what Compile needs to build an
@@ -125,16 +127,6 @@ func WithNodes(p int) OpenOption {
 	}
 }
 
-// WithMaxLocalQubits caps the per-node shard size of a distributed
-// backend: the node count is raised (beyond WithNodes if needed) until
-// each node holds at most 2^l amplitudes.
-func WithMaxLocalQubits(l uint) OpenOption {
-	return func(t *backend.Target) {
-		t.MaxLocalQubits = l
-		t.Kind = backend.Cluster
-	}
-}
-
 // WithWorkers caps the state-vector kernel parallelism (per shard on
 // distributed backends); 1 forces the single-threaded variants.
 func WithWorkers(k int) OpenOption {
@@ -145,12 +137,6 @@ func WithWorkers(k int) OpenOption {
 // every gate through the dense 2x2 kernel, no fusion.
 func WithGenericKernels() OpenOption {
 	return func(t *backend.Target) { t.Kind = backend.Generic }
-}
-
-// WithSparseKernels selects the LIQUi|>-class baseline: every gate as an
-// explicit sparse matrix-vector product.
-func WithSparseKernels() OpenOption {
-	return func(t *backend.Target) { t.Kind = backend.Sparse }
 }
 
 // Open returns a Backend over a fresh |0...0> register of n qubits,

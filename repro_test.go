@@ -42,8 +42,8 @@ func TestOpenFacade(t *testing.T) {
 		{"distributed", []repro.OpenOption{repro.WithNodes(4), repro.WithFusion(3)}},
 		{"distributed-emulating", []repro.OpenOption{
 			repro.WithNodes(4), repro.WithEmulation(repro.EmulateAuto)}},
-		{"capped-shards", []repro.OpenOption{
-			repro.WithMaxLocalQubits(7), repro.WithEmulation(repro.EmulateAnnotated)}},
+		{"distributed-annotated", []repro.OpenOption{
+			repro.WithNodes(4), repro.WithEmulation(repro.EmulateAnnotated)}},
 	} {
 		b, err := repro.Open(n, tc.opts...)
 		if err != nil {
