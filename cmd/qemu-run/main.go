@@ -310,6 +310,10 @@ func runTrajectories(numQubits int, x *repro.Executable, trajs, workers int, see
 	// replayed one by one. The share says what the noise cost in fusion.
 	fmt.Printf("  %d units per trajectory, %d struck and replayed gate by gate (%.1f%% of executed gates)\n",
 		len(x.Units), res.StruckUnits, 100*float64(res.ReplayedGates)/float64(max(1, trajs*x.NumGates)))
+	// Until its first noise event a trajectory is the ideal circuit: those
+	// units come from one noise-free run per worker instead.
+	fmt.Printf("  %d of %d trajectory units shared from the noise-free prefix (%.1f%%)\n",
+		res.SharedUnits, trajs*len(x.Units), 100*float64(res.SharedUnits)/float64(max(1, trajs*len(x.Units))))
 	fmt.Printf("  wall %v (%.0f trajectories/s), seed %d\n", res.Wall, rate, seed)
 
 	counts := res.Counts()

@@ -223,6 +223,29 @@ func New(t Target) (Backend, error) {
 	return newLocalBackend(t)
 }
 
+// CopyState makes dst's register a copy of src's, in place: the local
+// engine copies its state vector, the cluster every shard and the qubit
+// placement, with no communication charged. Both backends must run on
+// the same engine at the same width (and node count); their kernel
+// worker counts may differ. It is a function rather than a Backend method
+// so the interface stays what every engine must implement; the
+// trajectory runner forks trajectories off a shared noise-free prefix
+// with it.
+func CopyState(dst, src Backend) error {
+	switch d := dst.(type) {
+	case *local:
+		if s, ok := src.(*local); ok && s.t.NumQubits == d.t.NumQubits {
+			d.st.CopyFrom(s.st)
+			return nil
+		}
+	case *clusterBackend:
+		if s, ok := src.(*clusterBackend); ok {
+			return d.c.CopyFrom(s.c)
+		}
+	}
+	return fmt.Errorf("backend: cannot copy a %s state into a %s backend", src.Target().shape(), dst.Target().shape())
+}
+
 // Execute compiles c for b's target and runs it — the one-shot
 // convenience over Compile + Run. Callers repeating one circuit should
 // Compile once and Run the Executable directly.

@@ -112,6 +112,50 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestCopyState: a register copied into a backend of the same engine and
+// width is the same state, on both engines; a copy across engines, widths
+// or node counts is refused.
+func TestCopyState(t *testing.T) {
+	const n = uint(7)
+	open := func(tg backend.Target) backend.Backend {
+		t.Helper()
+		b, err := backend.New(tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		return b
+	}
+	local := backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: 3}
+	dist := backend.Target{NumQubits: n, Kind: backend.Cluster, Nodes: 4, FuseWidth: 3}
+	for _, tg := range []backend.Target{local, dist} {
+		x, err := backend.Compile(controlledHeavyCircuit(n, 80, 5), tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dst := open(tg), open(tg)
+		if _, err := src.Run(x); err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.CopyState(dst, src); err != nil {
+			t.Fatalf("%s: %v", tg.Kind, err)
+		}
+		if d := dst.State().MaxDiff(src.State()); d != 0 {
+			t.Errorf("%s: the copy differs from its source by %g", tg.Kind, d)
+		}
+	}
+	narrow := local
+	narrow.NumQubits--
+	halved := dist
+	halved.Nodes = 2
+	for _, pair := range [][2]backend.Target{{local, dist}, {dist, local}, {narrow, local}, {halved, dist}} {
+		if err := backend.CopyState(open(pair[0]), open(pair[1])); err == nil {
+			t.Errorf("CopyState into %s n=%d P=%d from %s n=%d P=%d accepted",
+				pair[0].Kind, pair[0].NumQubits, pair[0].Nodes, pair[1].Kind, pair[1].NumQubits, pair[1].Nodes)
+		}
+	}
+}
+
 // TestDistributedProbabilityMatchesSingleNode: every qubit's probability
 // of reading 1, across the local/node-selecting boundary, must agree with
 // the single-node path.

@@ -109,6 +109,14 @@
 //     emulation substrates (four-step FFT, cluster-wide permutations,
 //     shard-local diagonals).
 //
+// CopyState(dst, src) copies one backend's register into another of the
+// same engine and width, in place: the local engine copies its state
+// vector, the cluster every shard and its qubit placement, charging no
+// communication (each node copies its own shard). It is a function over
+// the two engines rather than an interface method, so Backend keeps the 11
+// methods every engine implements; internal/noise uses it to fork
+// trajectories off a shared noise-free prefix.
+//
 // Every Run returns a Result with the same shape everywhere: which
 // regions were emulated (and on what substrate), how much was fused, the
 // communication paid (rounds, messages, bytes — zero on single-node

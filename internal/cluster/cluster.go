@@ -187,6 +187,21 @@ func (c *Cluster) LoadState(st *statevec.State) error {
 	return nil
 }
 
+// CopyFrom makes c's state a copy of src's: every shard and the placement,
+// so a drifted layout stays drifted and the next schedule canonicalises
+// it exactly as src's would. Each node copies its own shard, so the copy
+// crosses no link and charges no communication. Unlike LoadState it keeps
+// src's placement.
+func (c *Cluster) CopyFrom(src *Cluster) error {
+	if src.P != c.P || src.L != c.L {
+		return fmt.Errorf("cluster: cannot copy a %d-node %d-qubit cluster into a %d-node %d-qubit one",
+			src.P, src.NumQubits(), c.P, c.NumQubits())
+	}
+	copy(c.pos, src.pos)
+	c.eachNode(func(p int) { c.nodes[p].CopyFrom(src.nodes[p]) })
+	return nil
+}
+
 // Gather assembles the distributed state into a single state vector in
 // logical qubit order, whatever the current placement (testing and
 // small-scale verification only): logical index bit q reads physical

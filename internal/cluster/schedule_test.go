@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,6 +244,66 @@ func TestScheduledFusedBlocksMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCopyFromKeepsPlacement: after a schedule whose remaps leave the
+// placement drifted, a copy holds the same state, shards and placement, so
+// the remaining units run on the copy exactly as on the original, paying
+// the same communication; the copy itself pays none.
+func TestCopyFromKeepsPlacement(t *testing.T) {
+	const n, p = uint(8), 4
+	head, rest := experiments.Brickwork(n, 3, 7), experiments.Brickwork(n, 4, 3)
+
+	orig, err := cluster.New(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.LoadState(statevec.NewRandom(n, rng.New(21))); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, orig, head, 2)
+	drifted := false
+	for q, pos := range orig.Placement() {
+		drifted = drifted || uint(q) != pos
+	}
+	if !drifted {
+		t.Fatal("the head's remaps left the identity placement; the test needs a drifted one")
+	}
+
+	cp, err := cluster.New(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origAt, cpAt := orig.Stats.Snapshot(), cp.Stats.Snapshot()
+	if err := cp.CopyFrom(orig); err != nil {
+		t.Fatal(err)
+	}
+	if orig.Stats.Snapshot() != origAt || cp.Stats.Snapshot() != cpAt {
+		t.Errorf("CopyFrom charged communication: original %+v → %+v, copy %+v → %+v",
+			origAt, orig.Stats.Snapshot(), cpAt, cp.Stats.Snapshot())
+	}
+	if got, want := cp.Placement(), orig.Placement(); !slices.Equal(got, want) {
+		t.Errorf("copy placement %v, original %v", got, want)
+	}
+
+	schedule(t, orig, rest, 2)
+	schedule(t, cp, rest, 2)
+	if d := cp.Gather().MaxDiff(orig.Gather()); d > 1e-12 {
+		t.Errorf("the remaining units on the copy differ from the original by %g", d)
+	}
+	origPaid, cpPaid := orig.Stats.Snapshot(), cp.Stats.Snapshot()
+	if origPaid.Rounds-origAt.Rounds != cpPaid.Rounds-cpAt.Rounds || origPaid.BytesSent-origAt.BytesSent != cpPaid.BytesSent-cpAt.BytesSent {
+		t.Errorf("the remaining units cost the original %d rounds / %d B, the copy %d / %d",
+			origPaid.Rounds-origAt.Rounds, origPaid.BytesSent-origAt.BytesSent, cpPaid.Rounds-cpAt.Rounds, cpPaid.BytesSent-cpAt.BytesSent)
+	}
+
+	other, err := cluster.New(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.CopyFrom(orig); err == nil {
+		t.Error("a 2-node cluster copied a 4-node one")
 	}
 }
 

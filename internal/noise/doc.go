@@ -28,7 +28,7 @@
 // depolarizing 0.001, one gate long as p → 1), and the units keep their
 // fusion plans and communication schedules.
 //
-// Run replays the shared executable once per trajectory via
+// Run replays the shared executable for every trajectory via
 // Backend.Reset/RunUnits/ApplyGate — compile once, run many — so an
 // N-trajectory batch through a serving cache costs a single compilation.
 // Per unit a trajectory draws the unit's variates first, in plan order.
@@ -42,6 +42,30 @@
 // plan corresponds to. Result.StruckUnits and Result.ReplayedGates say
 // how often that happened. Recognised ops carry no gates to replay, so
 // Compile returns an op with a point before its last gate to gate level.
+//
+// Trajectories share their noise-free prefix. Until its first noise event
+// a trajectory is the ideal circuit — at depolarizing 0.001 on the
+// benchmark's 810-point circuit, 45% of trajectories never leave it — so
+// there is no reason to run those units once per trajectory. A worker
+// first draws, for each trajectory it owns, the variates up to its
+// divergence unit k: the first unit that holds a hard point (whose no-jump
+// K₀ moves the state whatever the draw) or a point whose variate fires,
+// len(Units) when none does. It sorts its trajectories stably by k and
+// keeps a cursor, a second backend of the same shape that advances through
+// the ideal units only as far as the next k. A trajectory copies the
+// cursor's state (backend.CopyState), takes its stream at unit k's first
+// draw and runs units k… the usual way; k = 0 is a Reset and every unit,
+// and k = len(Units) samples the cursor directly. That is exact: the
+// cursor runs the same units through the same kernels on the same target,
+// so its state after unit k−1 is bit for bit what the trajectory would
+// have computed, and every variate is still drawn once, in plan order,
+// before Sample. Result.SharedUnits counts the units taken from the
+// cursor. A worker therefore holds StatesPerWorker = 2 register states,
+// which the serving path reserves against its memory budget. The target's
+// kernel workers are split between the batch's trajectory workers, so a
+// batch does not oversubscribe the machine, and a state left with one
+// kernel worker starts no worker pool, whose finalizer would keep the
+// state alive one garbage collection past its batch.
 //
 // Determinism is draw-for-draw: a master stream seeded from
 // Options.Seed deals one sub-seed per trajectory up front, and every

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/noise/densref"
+	"repro/internal/recognize"
 	"repro/internal/rng"
 )
 
@@ -229,6 +231,88 @@ func TestTrajectoryConcurrency(t *testing.T) {
 	}
 	if total != 128 {
 		t.Fatalf("histogram counts %d of 128 outcomes", total)
+	}
+}
+
+// TestSharedUnits pins what Result.SharedUnits counts: every unit of every
+// trajectory when nothing can fire — an ideal executable, or Pauli points
+// at p = 0 — and none at p = 1, where the first unit always fires.
+func TestSharedUnits(t *testing.T) {
+	const trajectories = 24
+	for _, tc := range []struct {
+		name string
+		p    float64 // < 0: no noise model
+		all  bool    // every unit shared, else none
+	}{{"ideal", -1, true}, {"p=0", 0, true}, {"p=1", 1, false}} {
+		c := circgen.QFTLadders(rng.New(5), 6, 3)
+		if tc.p >= 0 {
+			c.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: tc.p})
+		}
+		x, err := backend.Compile(c, backend.Target{NumQubits: 6, Kind: backend.Fused, FuseWidth: 2, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", tc.name, err)
+		}
+		res, err := Run(x, Options{Trajectories: trajectories, Seed: 8, Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		want := uint64(0)
+		if tc.all {
+			want = uint64(trajectories * len(x.Units))
+		}
+		t.Logf("%s: %d units, %d shared", tc.name, len(x.Units), res.SharedUnits)
+		if res.SharedUnits != want {
+			t.Errorf("%s: %d shared units over %d trajectories of %d units, want %d",
+				tc.name, res.SharedUnits, trajectories, len(x.Units), want)
+		}
+	}
+}
+
+// TestHardPointEndsSharing: a damping point moves the state whatever its
+// variate draws (its no-jump branch applies K₀), so a mid-circuit one ends
+// every trajectory's shared prefix at its unit, on any worker count, and
+// the outcomes stay the gate-by-gate reference's.
+func TestHardPointEndsSharing(t *testing.T) {
+	const n, trajectories, seed = 6, 30, 12
+	// Brickwork, a recognised QFT ladder (a unit of its own), brickwork
+	// again with the damping point in its middle, then a last ladder.
+	c := circgen.Brickwork(rng.New(1), n, 2)
+	c.Extend(circgen.QFTLadders(rng.New(2), n, 1))
+	struck := c.Len() + 5
+	c.Extend(circgen.Brickwork(rng.New(3), n, 2))
+	c.Extend(circgen.QFTLadders(rng.New(4), n, 1))
+	c.AttachNoise(struck, 2, circuit.Channel{Kind: circuit.AmplitudeDamping, P: 0.3})
+	want, wantJumps := referenceRun(t, c, resolvePlan(t, c), trajectories, seed)
+
+	x, err := backend.Compile(c, backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: 2, Emulate: recognize.Auto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for x.Units[k].Hi <= struck {
+		k++
+	}
+	if k < 2 || k == len(x.Units)-1 {
+		t.Fatalf("the damping point lies in unit %d of %d; the test needs a shared prefix of several units and units after it", k, len(x.Units))
+	}
+	t.Logf("the damping point lies in unit %d of %d", k, len(x.Units))
+	for _, workers := range []int{1, 2, 3} {
+		res, err := Run(x, Options{Trajectories: trajectories, Seed: seed, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SharedUnits != uint64(trajectories*k) {
+			t.Errorf("workers=%d: %d shared units, want %d trajectories × %d units before the damping point's",
+				workers, res.SharedUnits, trajectories, k)
+		}
+		for i := range want {
+			if res.Outcomes[i] != want[i] {
+				t.Fatalf("workers=%d: trajectory %d sampled %d, the gate-by-gate reference %d", workers, i, res.Outcomes[i], want[i])
+			}
+		}
+		if res.Jumps != wantJumps {
+			t.Errorf("workers=%d: %d jumps, the reference %d", workers, res.Jumps, wantJumps)
+		}
 	}
 }
 

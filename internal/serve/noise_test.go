@@ -1,9 +1,12 @@
 package serve_test
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
+	"repro/internal/noise"
 	"repro/internal/serve"
 )
 
@@ -160,13 +163,63 @@ func TestTrajectoryBatchBudgetAccounting(t *testing.T) {
 		t.Fatalf("zero-headroom budget admitted a 2-worker batch (err %v)", err)
 	}
 
-	// Triple the budget and the same batch fits: artifact + 2 workers.
-	s2, err := serve.New(serve.Config{CacheBytes: 3 * cost})
+	// The artifact plus what 2 workers pin fits; one state less does not.
+	fits := (1 + 2*noise.StatesPerWorker) * cost
+	short, err := serve.New(serve.Config{CacheBytes: fits - cost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer short.Close()
+	if _, err := short.Run(serve.RunRequest{Qasm: src, Noise: "x:0.1", Trajectories: 8, Workers: 2}); err == nil || !serve.IsBadRequest(err) {
+		t.Fatalf("a budget one state short admitted a 2-worker batch (err %v)", err)
+	}
+	s2, err := serve.New(serve.Config{CacheBytes: fits})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if _, err := s2.Run(serve.RunRequest{Qasm: src, Noise: "x:0.1", Trajectories: 8, Workers: 2}); err != nil {
-		t.Fatalf("3x budget rejected a 2-worker batch: %v", err)
+		t.Fatalf("a budget of the artifact and 2 workers' states rejected a 2-worker batch: %v", err)
+	}
+}
+
+// TestTrajectoryBatchReservation reads the cache's accounting while a batch
+// runs: every trajectory worker holds noise.StatesPerWorker states, so a
+// batch of weight w reserves w × StatesPerWorker sessions beside its
+// artifact, and the reservation returns to zero when the batch ends —
+// after a failing batch too.
+func TestTrajectoryBatchReservation(t *testing.T) {
+	c := testCircuit(4, 0)
+	cost := uint64(16) << c.NumQubits
+	const weight = 3
+	s, err := serve.New(serve.Config{TotalWorkers: weight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	src := qasmOf(t, c)
+
+	var during uint64
+	failBatch := errors.New("batch failed")
+	var fail bool
+	s.SetBatchRunner(func(x *backend.Executable, opts noise.Options) (*noise.Result, error) {
+		during = s.Cache().Stats().Bytes
+		if fail {
+			return nil, failBatch
+		}
+		return noise.Run(x, opts)
+	})
+	for _, fail = range []bool{false, true} {
+		_, err := s.Run(serve.RunRequest{Qasm: src, Noise: "x:0.1", Trajectories: 8, Workers: weight})
+		if fail != errors.Is(err, failBatch) {
+			t.Fatalf("fail=%v: Run returned %v", fail, err)
+		}
+		if want := cost * (1 + weight*noise.StatesPerWorker); during != want {
+			t.Errorf("fail=%v: %d bytes accounted during the batch, want the artifact and %d worker states (%d)",
+				fail, during, weight*noise.StatesPerWorker, want)
+		}
+		if after := s.Cache().Stats().Bytes; after != cost {
+			t.Errorf("fail=%v: %d bytes accounted after the batch, want the artifact's %d alone", fail, after, cost)
+		}
 	}
 }

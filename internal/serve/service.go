@@ -47,6 +47,9 @@ type Service struct {
 	cfg   Config
 	cache *Cache
 	sem   *wsem
+	// runBatch runs a trajectory request's batch: noise.Run, replaced only
+	// by tests that watch the reservation while a batch runs.
+	runBatch func(*backend.Executable, noise.Options) (*noise.Result, error)
 
 	mu       sync.Mutex
 	inflight map[string]*flight // guarded by mu
@@ -79,6 +82,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		cache:    NewCache(cfg.CacheBytes, cfg.PersistDir),
 		sem:      newWsem(cfg.TotalWorkers),
+		runBatch: noise.Run,
 		inflight: make(map[string]*flight),
 	}
 	if _, err := s.cache.WarmStart(s.admitDecoded); err != nil {
@@ -312,15 +316,15 @@ func (s *Service) Run(req RunRequest) (*RunResult, error) {
 
 	x := art.Executable()
 	if batch {
-		// The batch's trajectory workers each pin a fresh session state
-		// beyond the artifact's own; account them against the cache's
-		// session-memory budget for the duration.
-		release, err := s.cache.ReserveSessions(art.Cost(), weight)
+		// The batch's trajectory workers each pin noise.StatesPerWorker
+		// fresh session states beyond the artifact's own; account them
+		// against the cache's session-memory budget for the duration.
+		release, err := s.cache.ReserveSessions(art.Cost(), noise.StatesPerWorker*weight)
 		if err != nil {
 			return nil, badRequest(fmt.Errorf("serve: trajectory batch working set: %w", err))
 		}
 		defer release()
-		tr, err := noise.Run(x, noise.Options{
+		tr, err := s.runBatch(x, noise.Options{
 			Trajectories: req.Trajectories, Seed: req.Seed, Workers: weight,
 		})
 		if err != nil {
