@@ -89,12 +89,13 @@
 // through Lowerable/ApplyOp — the distributed half of the emulation
 // dispatch the unified backend (internal/backend) runs:
 //
-//   - a full-register Fourier op executes as the distributed four-step
-//     FFT (three all-to-all transposition rounds — Eq. 5's "3"),
-//     EmulateQFT being the direct entry point; the noswap variants'
-//     bit reversal is a placement relabelling costing nothing;
+//   - a full-register Fourier op on several nodes executes as the
+//     distributed four-step FFT (three all-to-all transposition rounds —
+//     Eq. 5's "3"), EmulateQFT being the direct entry point; the noswap
+//     variants' bit reversal is a placement relabelling costing nothing;
 //   - a Fourier field of width <= L executes shard-locally after one
-//     remap makes the field node-local;
+//     remap makes the field node-local — on one node the whole register
+//     does, on the node's whole worker pool;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
 //     shortcut, one all-to-all for the whole subroutine: every node
 //     writes each of its amplitudes once, straight to its destination,

@@ -11,12 +11,13 @@ import (
 // dispatch". Each op family maps to the cheapest collective the cluster
 // offers:
 //
-//   - full-register Fourier ops run as the four-step distributed FFT
-//     (three all-to-all transposition rounds, Eq. 5's "3"), with the
-//     noswap variants' bit reversal realised as a zero-communication
-//     placement relabelling;
-//   - narrow Fourier fields (width <= L) run as per-shard transforms
-//     after at most one placement remap makes the field node-local;
+//   - narrow Fourier fields (width <= L; on one node, any field) run as
+//     per-shard transforms after at most one placement remap makes the
+//     field node-local;
+//   - full-register Fourier ops on several nodes run as the four-step
+//     distributed FFT (three all-to-all transposition rounds, Eq. 5's
+//     "3"), with the noswap variants' bit reversal realised as a
+//     zero-communication placement relabelling;
 //   - mid-width Fourier fields (wider than a shard, narrower than the
 //     register) run the four-step factorisation along the field axis
 //     (fieldfft.go): two remap rounds, feasible up to twice the shard
@@ -47,6 +48,12 @@ const (
 // factorisation) must stay on the gate-level scheduled path.
 func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 	if q, ok := op.QFT(); ok {
+		// A field that fits one shard — on one node, the whole register —
+		// transforms shard-locally: the four-step factorisation would add
+		// three transposes and run its row FFTs serially.
+		if q.Width <= L {
+			return SubstrateLocalFFT, true
+		}
 		if q.Width == n {
 			// The four-step N1 x N2 factorisation distributes by rows; both
 			// halves must hold at least one row/column per node.
@@ -55,9 +62,6 @@ func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 				return SubstrateFourStepFFT, true
 			}
 			return "", false
-		}
-		if q.Width <= L {
-			return SubstrateLocalFFT, true
 		}
 		if q.Width-q.Width/2 <= L {
 			// Mid-width: four-step along the field axis; both sub-fields
@@ -126,10 +130,16 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 			c.reverseFieldPlacement(q.Pos, q.Width)
 		}
 		// One remap makes the field bits shard-local at physical positions
-		// [0, width); every node then transforms its own fibres.
+		// [0, width); every node then transforms its own fibres. Several
+		// nodes share the host through the one-goroutine-per-node superstep,
+		// one worker each; a single node uses its whole worker pool.
 		c.remapFieldLocal(q.Pos, q.Width)
+		workers := 1
+		if c.P == 1 {
+			workers = c.nodes[0].Workers()
+		}
 		c.eachNode(func(p int) {
-			q.Plan.TransformField(c.shard(p), 0, q.Inverse, 1)
+			q.Plan.TransformField(c.shard(p), 0, q.Inverse, workers)
 		})
 		if !q.Inverse && q.NoSwap {
 			c.reverseFieldPlacement(q.Pos, q.Width)

@@ -52,7 +52,7 @@ func applyOpBoth(t *testing.T, op *recognize.Op, init *statevec.State, p int, wa
 
 // TestClusterQFTLowerings checks every Fourier shape (forward/inverse,
 // with/without swaps, full register and narrow field) against the
-// single-node shortcut on 2- and 4-node clusters.
+// single-node shortcut on 1-, 2- and 4-node clusters.
 func TestClusterQFTLowerings(t *testing.T) {
 	const n = 8
 	src := rng.New(7)
@@ -65,10 +65,16 @@ func TestClusterQFTLowerings(t *testing.T) {
 		{"qft-noswap", qft.CircuitNoSwap(n)},
 		{"iqft-noswap", qft.CircuitNoSwap(n).Dagger()},
 	}
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{1, 2, 4} {
+		// One node holds the whole register in its shard, so the full
+		// transform runs there too, with no transposes.
+		wantFull := cluster.SubstrateFourStepFFT
+		if p == 1 {
+			wantFull = cluster.SubstrateLocalFFT
+		}
 		for _, tc := range full {
 			op := planOps(t, tc.c, recognize.Annotated)[0]
-			applyOpBoth(t, op, statevec.NewRandom(n, src), p, cluster.SubstrateFourStepFFT)
+			applyOpBoth(t, op, statevec.NewRandom(n, src), p, wantFull)
 		}
 		// Narrow field: a 4-qubit transform inside the 8-qubit register,
 		// running shard-locally after one remap.

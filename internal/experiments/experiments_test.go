@@ -86,17 +86,28 @@ func TestFig2Shape(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	// 2^14 amplitudes per node: at the 2^10 this test used to run at, the
 	// one-node row is a tie on the served path (0.9-1.2x, both sides ~40 µs).
-	rows := Fig3(WeakScalingConfig{LocalQubits: 14, MaxNodes: 4})
+	// Each side's time is its best over three sweeps, so a burst on a shared
+	// host that lands in one side's timing window does not decide a row.
+	cfg := WeakScalingConfig{LocalQubits: 14, MaxNodes: 4}
+	rows := Fig3(cfg)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
+	}
+	for i := 0; i < 2; i++ {
+		for j, r := range Fig3(cfg) {
+			rows[j].TSim = min(rows[j].TSim, r.TSim)
+			rows[j].TEmu = min(rows[j].TEmu, r.TEmu)
+		}
 	}
 	for _, r := range rows {
 		if r.TSim <= 0 || r.TEmu <= 0 {
 			t.Fatal("missing timing")
 		}
-		if r.Speedup <= 1 {
+		speedup := r.TSim / r.TEmu
+		t.Logf("p=%d: QFT simulation %s, FFT emulation %s, %.2fx", r.Nodes, secs(r.TSim), secs(r.TEmu), speedup)
+		if speedup <= 1 {
 			t.Errorf("p=%d: FFT emulation not faster than QFT simulation (%.2fx)",
-				r.Nodes, r.Speedup)
+				r.Nodes, speedup)
 		}
 		if r.ModelTSim <= r.ModelTEmu {
 			t.Errorf("p=%d: model disagrees with the paper's direction", r.Nodes)

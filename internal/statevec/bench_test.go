@@ -37,7 +37,7 @@ func availableBodies() []denseBodyKind {
 }
 
 // BenchmarkDenseBlock is where fuse.denseBlockCost comes from: one dense
-// 2^w block sweep (the diagonal sweep beside it, and at w = 4, 5 and 6 the
+// 2^w block sweep (the diagonal sweep of each body beside it, and at w = 4, 5 and 6 the
 // same width as a factored block of two- and three-qubit factors) on an L1/L2-resident
 // state below the parallel threshold (n=12), an L2-resident one the pool
 // splits (n=16) and an out-of-L2 one (n=20), through every body the host
@@ -129,17 +129,15 @@ func BenchmarkDenseBlock(b *testing.B) {
 						b.Run(fmt.Sprintf("n=%d/w=%d/from=%d/%s", n, w, from, body), func(b *testing.B) {
 							withDenseBody(body, func() { report(b, func() { st.ApplyMatrixN(m, qubits) }) })
 						})
+						b.Run(fmt.Sprintf("n=%d/w=%d/from=%d/diag/%s", n, w, from, body), func(b *testing.B) {
+							withDenseBody(body, func() { report(b, func() { st.ApplyDiagN(d, qubits) }) })
+						})
 					}
 					if factored != nil {
 						b.Run(fmt.Sprintf("n=%d/w=%d/%s/from=%d/%s", n, w, shape.name, from, body), func(b *testing.B) {
 							withDenseBody(body, func() { report(b, func() { st.ApplyFactored(factored, qubits) }) })
 						})
 					}
-				}
-				if from == 1 && dense {
-					b.Run(fmt.Sprintf("n=%d/w=%d/from=%d/diag", n, w, from), func(b *testing.B) {
-						report(b, func() { st.ApplyDiagN(d, qubits) })
-					})
 				}
 			}
 		}

@@ -47,7 +47,7 @@ func denseChunkAsm(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	dim := uint64(1) << lay.w
 	for start < end {
 		count := min(end-start, denseAsmWork>>(2*lay.w))
-		base := lay.groupBase(start)
+		base := spreadAround(start, lay.qmask)
 		if quads := count &^ 3; denseBody == bodyAVX512 && quads != 0 {
 			count = quads
 			denseSweepAVX512(&amp[0], &m[0], &lay.offs[0], dim, lay.qmask, base, count)
@@ -73,7 +73,7 @@ func factorSweepAVX512(amp *complex128, offs *uint64, passes *factorPass, npasse
 func factorChunkAsm(amp []complex128, npasses int, sc *factorScratch, lay *blockLayout, start, end uint64) {
 	for start < end {
 		count := min(end-start, denseAsmWork>>(2*lay.w))
-		base := lay.groupBase(start)
+		base := spreadAround(start, lay.qmask)
 		passes, lanes := &sc.runs[0], uint64(0)
 		if (lay.qmask|base)&3 != 0 {
 			passes, lanes = &sc.lanes[0], 1

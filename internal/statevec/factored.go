@@ -322,7 +322,7 @@ func factorChunkGo(amp []complex128, steps []factorStep, lay *blockLayout, start
 	offs := lay.offs[:1<<lay.w]
 	var tile [1 << MaxMatrixNQubits]complex128
 	var inputs [1 << MaxMatrixNQubits]complex128
-	base := lay.groupBase(start)
+	base := spreadAround(start, lay.qmask)
 	for c := start; c < end; c++ {
 		for x, o := range offs {
 			tile[x] = amp[base|o]
@@ -357,6 +357,6 @@ func factorChunkGo(amp []complex128, steps []factorStep, lay *blockLayout, start
 		for x, o := range offs {
 			amp[base|o] = tile[x]
 		}
-		base = lay.nextGroup(base)
+		base = nextBase(base, lay.qmask)
 	}
 }

@@ -53,6 +53,35 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 			s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6, CarryOut: 7, HasCarryOut: true})
 		}},
 	}
+	// The chunk functions of the controlled and diagonal kernels on a state
+	// the pool splits, each over the chunks of its plan: what every worker
+	// runs allocates nothing (the dispatch's own allocation is the pool's).
+	p := NewZero(15)
+	p.SetParallelism(2)
+	cmask := uint64(1)<<3 | 1<<4
+	qmask := cmask | 1<<1
+	lay := p.layoutFor(qubits[:3])
+	eachChunk := func(groups uint64, f func(lo, hi uint64)) func() {
+		ck := p.chunksFor(groups)
+		if ck.n < 2 {
+			t.Fatalf("%d groups at two workers make %d chunk(s), want a pooled plan", groups, ck.n)
+		}
+		return func() {
+			for i := 0; i < ck.n; i++ {
+				f(ck.bounds(i))
+			}
+		}
+	}
+	groups := p.Dim() >> 3
+	cases = append(cases, []struct {
+		name string
+		run  func()
+	}{
+		{"pooled/ctrlXChunk", eachChunk(groups, func(lo, hi uint64) { ctrlXChunk(p.amp, cmask, qmask, lo, hi) })},
+		{"pooled/ctrlDiagChunk", eachChunk(groups, func(lo, hi uint64) { ctrlDiagChunk(p.amp, 1, -1, cmask, qmask, lo, hi) })},
+		{"pooled/ctrlMatrix2Chunk", eachChunk(groups, func(lo, hi uint64) { ctrlMatrix2Chunk(p.amp, gates.MatH, cmask, qmask, lo, hi) })},
+		{"pooled/diagChunkN", eachChunk(groups, func(lo, hi uint64) { diagChunkN(p.amp, ones, lay, lo, hi) })},
+	}...)
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.run); n != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", c.name, n)

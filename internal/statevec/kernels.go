@@ -1,6 +1,8 @@
 package statevec
 
 import (
+	"math/bits"
+
 	"repro/internal/bitops"
 	"repro/internal/gates"
 )
@@ -80,7 +82,8 @@ func matrix2Chunk(amp []complex128, m gates.Matrix2, k uint, stride, start, end 
 }
 
 // ApplyControlledMatrix2 applies m to qubit k on the subspace where every
-// control qubit reads 1. Controls must not include k.
+// control qubit reads 1. Controls must not include k. It walks only the
+// 2^(n-1-c) pairs whose c distinct controls are satisfied.
 //
 //qemu:hotpath
 func (s *State) ApplyControlledMatrix2(m gates.Matrix2, k uint, controls []uint) {
@@ -89,30 +92,57 @@ func (s *State) ApplyControlledMatrix2(m gates.Matrix2, k uint, controls []uint)
 		return
 	}
 	s.checkTargetControls(k, controls)
-	cmask := bitops.ControlMask(controls)
-	half := s.Dim() >> 1
-	stride := uint64(1) << k
-	if s.parallelism(half) <= 1 {
-		ctrlMatrix2Chunk(s.amp, m, k, stride, cmask, 0, half)
+	cmask, qmask, groups := s.controlGroups(k, controls)
+	if s.parallelism(groups) <= 1 {
+		ctrlMatrix2Chunk(s.amp, m, cmask, qmask, 0, groups)
 		return
 	}
-	s.parallelRange(half, func(start, end uint64) {
-		ctrlMatrix2Chunk(s.amp, m, k, stride, cmask, start, end)
+	s.parallelRange(groups, func(start, end uint64) {
+		ctrlMatrix2Chunk(s.amp, m, cmask, qmask, start, end)
 	})
 }
 
-// ctrlMatrix2Chunk is matrix2Chunk restricted to pairs whose control
-// bits are all set.
-func ctrlMatrix2Chunk(amp []complex128, m gates.Matrix2, k uint, stride, cmask, start, end uint64) {
+// controlGroups returns the index masks of a validated controlled gate —
+// the controls alone, and the controls with the target — and the number
+// of groups the controlled kernels walk: one per assignment of the other
+// qubits. Group c's pair is base|cmask and base|qmask, where base is c
+// spread around qmask's bits (spreadAround) and the group after base is
+// nextBase(base, qmask), so no index is tested against the controls.
+func (s *State) controlGroups(k uint, controls []uint) (cmask, qmask, groups uint64) {
+	cmask = bitops.ControlMask(controls)
+	qmask = cmask | 1<<k
+	return cmask, qmask, s.Dim() >> bits.OnesCount64(qmask)
+}
+
+// spreadAround returns c with a zero bit inserted at every bit of mask:
+// the base index of group c of a kernel that holds mask's qubits fixed.
+func spreadAround(c, mask uint64) uint64 {
+	for m := mask; m != 0; m &= m - 1 {
+		c = bitops.InsertZeroBit(c, uint(bits.TrailingZeros64(m)))
+	}
+	return c
+}
+
+// nextBase steps a group base to the following group's: with mask's bits
+// filled in, adding one carries across them, and clearing them again
+// leaves the incremented counter spread around the holes. A chunk pays
+// spreadAround once and this per group.
+func nextBase(base, mask uint64) uint64 {
+	return ((base | mask) + 1) &^ mask
+}
+
+// ctrlMatrix2Chunk runs the 2x2 butterfly over the control-satisfied pairs
+// of groups [start, end).
+//
+//qemu:hotpath
+func ctrlMatrix2Chunk(amp []complex128, m gates.Matrix2, cmask, qmask, start, end uint64) {
+	base := spreadAround(start, qmask)
 	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		if i0&cmask != cmask {
-			continue
-		}
-		i1 := i0 | stride
+		i0, i1 := base|cmask, base|qmask
 		a0, a1 := amp[i0], amp[i1]
 		amp[i0] = m[0]*a0 + m[1]*a1
 		amp[i1] = m[2]*a0 + m[3]*a1
+		base = nextBase(base, qmask)
 	}
 }
 
@@ -184,9 +214,11 @@ func diagChunk(amp []complex128, d0, d1 complex128, k uint, stride uint64, scale
 }
 
 // ApplyControlledDiag applies diag(d0, d1) on qubit k conditioned on the
-// controls. For the conditional phase shift (d0 == 1) only the amplitudes
-// with target bit 1 AND all control bits 1 are touched: a quarter of the
-// state for one control, an eighth for two, and so on.
+// controls. It walks only the amplitudes whose c distinct controls are
+// satisfied: a half of the state for one control, a quarter for two. For
+// the conditional phase shift (d0 == 1) it touches only those whose
+// target bit is 1 as well — a quarter of the state for one control, an
+// eighth for two, and so on.
 //
 //qemu:hotpath
 func (s *State) ApplyControlledDiag(d0, d1 complex128, k uint, controls []uint) {
@@ -195,36 +227,42 @@ func (s *State) ApplyControlledDiag(d0, d1 complex128, k uint, controls []uint) 
 		return
 	}
 	s.checkTargetControls(k, controls)
-	cmask := bitops.ControlMask(controls)
-	half := s.Dim() >> 1
-	stride := uint64(1) << k
-	scale0 := d0 != 1
-	scale1 := d1 != 1
-	if !scale0 && !scale1 {
+	if d0 == 1 && d1 == 1 {
 		return
 	}
-	if s.parallelism(half) <= 1 {
-		ctrlDiagChunk(s.amp, d0, d1, k, stride, cmask, scale0, scale1, 0, half)
+	cmask, qmask, groups := s.controlGroups(k, controls)
+	if s.parallelism(groups) <= 1 {
+		ctrlDiagChunk(s.amp, d0, d1, cmask, qmask, 0, groups)
 		return
 	}
-	s.parallelRange(half, func(start, end uint64) {
-		ctrlDiagChunk(s.amp, d0, d1, k, stride, cmask, scale0, scale1, start, end)
+	s.parallelRange(groups, func(start, end uint64) {
+		ctrlDiagChunk(s.amp, d0, d1, cmask, qmask, start, end)
 	})
 }
 
-// ctrlDiagChunk is diagChunk restricted to indices whose control bits
-// are all set.
-func ctrlDiagChunk(amp []complex128, d0, d1 complex128, k uint, stride, cmask uint64, scale0, scale1 bool, start, end uint64) {
-	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		if i0&cmask != cmask {
-			continue
+// ctrlDiagChunk scales the control-satisfied amplitudes of groups
+// [start, end) by diag(d0, d1), skipping a branch whose entry is exactly 1;
+// the caller has returned on the identity.
+//
+//qemu:hotpath
+func ctrlDiagChunk(amp []complex128, d0, d1 complex128, cmask, qmask, start, end uint64) {
+	base := spreadAround(start, qmask)
+	switch {
+	case d0 == 1:
+		for c := start; c < end; c++ {
+			amp[base|qmask] *= d1
+			base = nextBase(base, qmask)
 		}
-		if scale0 {
-			amp[i0] *= d0
+	case d1 == 1:
+		for c := start; c < end; c++ {
+			amp[base|cmask] *= d0
+			base = nextBase(base, qmask)
 		}
-		if scale1 {
-			amp[i0|stride] *= d1
+	default:
+		for c := start; c < end; c++ {
+			amp[base|cmask] *= d0
+			amp[base|qmask] *= d1
+			base = nextBase(base, qmask)
 		}
 	}
 }
@@ -232,7 +270,8 @@ func ctrlDiagChunk(amp []complex128, d0, d1 complex128, k uint, stride, cmask ui
 // ApplyControlledX applies a (multi-)controlled NOT by swapping the
 // amplitude pairs whose controls are satisfied — no complex arithmetic at
 // all, where the generic kernel spends a full 2x2 complex multiply per
-// pair. CNOT and Toffoli both land here.
+// pair — and walks only those pairs, a quarter of the state for one
+// control. CNOT and Toffoli both land here.
 //
 //qemu:hotpath
 func (s *State) ApplyControlledX(k uint, controls []uint) {
@@ -241,28 +280,25 @@ func (s *State) ApplyControlledX(k uint, controls []uint) {
 		return
 	}
 	s.checkTargetControls(k, controls)
-	cmask := bitops.ControlMask(controls)
-	half := s.Dim() >> 1
-	stride := uint64(1) << k
-	if s.parallelism(half) <= 1 {
-		ctrlXChunk(s.amp, k, stride, cmask, 0, half)
+	cmask, qmask, groups := s.controlGroups(k, controls)
+	if s.parallelism(groups) <= 1 {
+		ctrlXChunk(s.amp, cmask, qmask, 0, groups)
 		return
 	}
-	s.parallelRange(half, func(start, end uint64) {
-		ctrlXChunk(s.amp, k, stride, cmask, start, end)
+	s.parallelRange(groups, func(start, end uint64) {
+		ctrlXChunk(s.amp, cmask, qmask, start, end)
 	})
 }
 
-// ctrlXChunk is xChunk restricted to pairs whose control bits are all
-// set.
-func ctrlXChunk(amp []complex128, k uint, stride, cmask, start, end uint64) {
+// ctrlXChunk swaps the control-satisfied pairs of groups [start, end).
+//
+//qemu:hotpath
+func ctrlXChunk(amp []complex128, cmask, qmask, start, end uint64) {
+	base := spreadAround(start, qmask)
 	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		if i0&cmask != cmask {
-			continue
-		}
-		i1 := i0 | stride
+		i0, i1 := base|cmask, base|qmask
 		amp[i0], amp[i1] = amp[i1], amp[i0]
+		base = nextBase(base, qmask)
 	}
 }
 

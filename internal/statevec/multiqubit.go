@@ -91,23 +91,47 @@ func (s *State) ApplyDiagN(d []complex128, qubits []uint) {
 	lay := s.layoutFor(qubits)
 	groups := s.Dim() >> lay.w
 	if s.parallelism(groups) <= 1 {
-		diagBlockChunk(s.amp, d, lay, 0, groups)
+		diagChunkN(s.amp, d, lay, 0, groups)
 		return
 	}
 	s.parallelRange(groups, func(start, end uint64) {
-		diagBlockChunk(s.amp, d, lay, start, end)
+		diagChunkN(s.amp, d, lay, start, end)
 	})
 }
 
-// diagBlockChunk scales the amplitudes of groups [start, end) by d.
+// diagChunkN scales groups [start, end) of lay by d through the body this
+// host runs (denseBody): the assembly body takes the whole quads or pairs
+// of groups and diagBlockChunk the rest. The range check is the last guard
+// in front of the unchecked assembly, as in denseChunk.
+//
+//qemu:hotpath
+func diagChunkN(amp, d []complex128, lay *blockLayout, start, end uint64) {
+	if start > end || end > uint64(len(amp))>>lay.w {
+		panic("statevec: diagonal block chunk out of range")
+	}
+	if denseBody != bodyGo {
+		start = diagChunkAsm(amp, d, lay, start, end)
+	}
+	diagBlockChunk(amp, d, lay, start, end)
+}
+
+// diagBlockChunk is the pure-Go body: it scales the amplitudes of groups
+// [start, end) by d. It is the body of hosts without AVX2, the tail of the
+// assembly bodies and their oracle, which they match bit for bit. The
+// complex multiply is written out with each product rounded by an explicit
+// conversion, which the Go spec forbids the compiler to fuse into an FMA:
+// built for GOAMD64=v3 and up it otherwise may, and the bits would then
+// depend on where a chunk's tail falls.
 func diagBlockChunk(amp, d []complex128, lay *blockLayout, start, end uint64) {
 	offs := lay.offs[:len(d)]
-	base := lay.groupBase(start)
+	base := spreadAround(start, lay.qmask)
 	for c := start; c < end; c++ {
 		for x, o := range offs {
-			amp[base|o] *= d[x]
+			p, dx := &amp[base|o], d[x]
+			a, b, e, f := real(*p), imag(*p), real(dx), imag(dx)
+			*p = complex(float64(a*e)-float64(b*f), float64(a*f)+float64(b*e))
 		}
-		base = lay.nextGroup(base)
+		base = nextBase(base, lay.qmask)
 	}
 }
 
@@ -152,23 +176,6 @@ func (s *State) layoutFor(qubits []uint) *blockLayout {
 		lay.offs[x] = lay.offs[x&(x-1)] | 1<<qubits[bits.TrailingZeros(uint(x))]
 	}
 	return lay
-}
-
-// groupBase returns the base index of group c: c spread around the
-// block's qubits, which read zero.
-func (lay *blockLayout) groupBase(c uint64) uint64 {
-	for m := lay.qmask; m != 0; m &= m - 1 {
-		c = bitops.InsertZeroBit(c, uint(bits.TrailingZeros64(m)))
-	}
-	return c
-}
-
-// nextGroup steps a group base to the following group's: with the block's
-// qubits filled in, adding one carries across them, and clearing them
-// again leaves the incremented counter spread around the holes. A chunk
-// pays groupBase once and this per group.
-func (lay *blockLayout) nextGroup(base uint64) uint64 {
-	return ((base | lay.qmask) + 1) &^ lay.qmask
 }
 
 // denseSweep is the shared dense block sweep behind ApplyMatrixN.
@@ -227,7 +234,7 @@ func denseChunkGo(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	offs := lay.offs[:dim]
 	var tile [1 << MaxMatrixNQubits]complex128
 	vec := tile[:dim]
-	base := lay.groupBase(start)
+	base := spreadAround(start, lay.qmask)
 	for c := start; c < end; c++ {
 		for x, o := range offs {
 			vec[x] = amp[base|o]
@@ -253,6 +260,6 @@ func denseChunkGo(amp, m []complex128, lay *blockLayout, start, end uint64) {
 			amp[base|offs[r+2]] = a2
 			amp[base|offs[r+3]] = a3
 		}
-		base = lay.nextGroup(base)
+		base = nextBase(base, lay.qmask)
 	}
 }

@@ -28,8 +28,9 @@
 // # Kernel bodies
 //
 // The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyFactored —
-// has three bodies, and one value, denseBody, decided once at package init
-// from CPUID and XGETBV alone (internal/cpufeat), says which one runs:
+// and the diagonal one, ApplyDiagN, have three bodies each, and one value,
+// denseBody, decided once at package init from CPUID and XGETBV alone
+// (internal/cpufeat), says which one runs:
 // denseSweepAVX512 (dense512_amd64.s) on amd64 hosts whose CPU reports
 // AVX512F and whose OS saves the opmask and ZMM state; denseSweepAVX2
 // (dense_amd64.s) on amd64 hosts with AVX2 and FMA3 and the YMM state
@@ -48,8 +49,8 @@
 // independent chains. The gathered tile is copied to the frame, so the
 // in-place scatter cannot clobber inputs; the matrix is read as the caller
 // passed it. The group loop is inside the assembly and steps the group
-// base with ((base | qmask) + 1) &^ qmask — the same blockLayout
-// arithmetic the pure-Go bodies and ApplyDiagN use — and every width from
+// base with ((base | qmask) + 1) &^ qmask — nextBase, the arithmetic the
+// pure-Go bodies and the controlled kernels use — and every width from
 // 2 to MaxMatrixNQubits goes through the one body, its bounds being data.
 //
 // The two differ where the instruction sets do. The YMM body swaps the
@@ -96,15 +97,40 @@
 // the one wide sweep (n=20, two w=2 sweeps against one w=4: 1.4 sweep
 // units against 1.8 on AVX2, 3.7 against 9.4 in pure Go).
 //
+// The diagonal block sweep, ApplyDiagN, has the same three bodies, chosen
+// by the same denseBody: diagSweepAVX512 and diagSweepAVX2 (diag_amd64.s)
+// and the pure-Go diagBlockChunk. They walk the dense sweep's layout —
+// group bases stepped by the same arithmetic, four groups per ZMM and two
+// per YMM, one per 128-bit lane — but each amplitude is read, multiplied by
+// its entry and written back in place, with no tile. When qubits 0 and 1
+// (for the YMM body qubit 0) are outside the block, a quad (pair) of
+// groups is one 64-byte (32-byte) run for every local state and moves with
+// one load and one store; otherwise the groups are gathered lane by lane.
+// The product is Go's complex multiply, two rounded products and one
+// rounded add or subtract per component with no FMA: the YMM body folds
+// with VADDSUBPD, and the ZMM body, EVEX having no VADDSUBPD, flips the
+// sign of the swapped product's real lanes exactly and adds. So all three
+// bodies agree bit for bit (TestDiagBodiesAgree). Neither assembly body
+// has tail code: diagChunkAsm hands it the whole quads (pairs) of a chunk
+// and diagBlockChunk, also the oracle, runs the last 0-3 groups.
+//
 // The assembly checks no bounds. Its memory safety is exactly: the
-// checkMatrixN / checkFactored validation every exported entry runs
-// before the first amplitude access (distinct in-range qubits,
-// a matrix of 4^w entries, or a Factored, whose constructor has checked
-// that the factors partition the block's bits and sized every table), plus
-// chunk ranges inside [0, 2^(n-w)) — parallelRange's partition,
-// re-checked by denseChunk and factorChunk in front of the call. Goroutine
-// preemption cannot interrupt assembly, so one call does at most
-// denseAsmWork multiply-adds.
+// checkMatrixN / checkFactored / checkDiagN validation every exported
+// entry runs before the first amplitude access (distinct in-range qubits,
+// a matrix of 4^w entries or a diagonal of 2^w, or a Factored, whose
+// constructor has checked that the factors partition the block's bits and
+// sized every table), plus chunk ranges inside [0, 2^(n-w)) —
+// parallelRange's partition, re-checked by denseChunk, factorChunk and
+// diagChunkN in front of the call. Goroutine preemption cannot interrupt
+// assembly, so one call does at most denseAsmWork multiply-adds, or
+// diagAsmWork amplitudes on the diagonal sweep.
+//
+// The one-qubit kernels are plain Go. A controlled one walks only the
+// groups whose controls are satisfied — 2^n / 2^(c+1) of them for c
+// distinct controls — stepping each group's base with nextBase over the
+// controls and the target, so no index is tested against the controls,
+// and a controlled phase touches only the one amplitude of each group it
+// changes.
 //
 // A host runs every body below its own, and the tests use that: they move
 // the unexported denseBody (withDenseBody in bench_test.go), the statevec,
