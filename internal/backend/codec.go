@@ -2,6 +2,7 @@ package backend
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
@@ -58,68 +59,88 @@ const (
 // crcTable is the polynomial the container checksum uses.
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// Encode serialises the executable to its versioned binary form.
+// Encode serialises the executable to its versioned binary form. The
+// output buffer is sized once: every unit payload's length is known before
+// it is written (unitLen), so the index carries the sizes up front and the
+// payloads are encoded straight into place, a 2^14-entry diagonal table
+// included.
 func (x *Executable) Encode() ([]byte, error) {
-	body := binio.NewWriter(nil)
-	encodeTarget(body, x.Target)
-	body.String(x.SourceKey)
+	head := binio.NewWriter(make([]byte, 0, 256))
+	encodeTarget(head, x.Target)
+	head.String(x.SourceKey)
 	if x.Noise != nil {
-		body.U32(uint32(len(x.Noise.Points)))
+		head.U32(uint32(len(x.Noise.Points)))
 		for _, pt := range x.Noise.Points {
-			body.I64(int64(pt.Gate))
-			body.U64(uint64(pt.Qubit))
-			body.U8(uint8(pt.Ch.Kind))
-			body.F64(pt.Ch.P)
+			head.I64(int64(pt.Gate))
+			head.U64(uint64(pt.Qubit))
+			head.U8(uint8(pt.Ch.Kind))
+			head.F64(pt.Ch.P)
 		}
 	} else {
-		body.U32(0)
+		head.U32(0)
 	}
-	body.I64(int64(x.NumGates))
-	body.U32(uint32(len(x.Skipped)))
+	head.I64(int64(x.NumGates))
+	head.U32(uint32(len(x.Skipped)))
 	for _, s := range x.Skipped {
-		body.String(s.Name)
-		body.I64(int64(s.Lo))
-		body.I64(int64(s.Hi))
-		body.String(s.Reason)
+		head.String(s.Name)
+		head.I64(int64(s.Lo))
+		head.I64(int64(s.Hi))
+		head.String(s.Reason)
 	}
 
-	// Unit payloads first, so the index can carry their sizes up front.
-	payloads := make([][]byte, len(x.Units))
+	sizes := make([]int, len(x.Units))
+	total := 0
 	for i := range x.Units {
-		u := &x.Units[i]
-		w := binio.NewWriter(nil)
-		w.I64(int64(u.Lo))
-		w.I64(int64(u.Hi))
-		if u.Op != nil {
-			w.String(u.Substrate)
-			u.Op.EncodeBinary(w)
-		} else {
-			w.U32(uint32(len(u.Gates)))
-			for _, g := range u.Gates {
-				encodeGate(w, g)
-			}
-		}
-		payloads[i] = w.Bytes()
+		sizes[i] = unitLen(&x.Units[i])
+		total += sizes[i]
 	}
-	body.U32(uint32(len(x.Units)))
-	for i := range x.Units {
-		if x.Units[i].Op != nil {
-			body.U8(unitOp)
-		} else {
-			body.U8(unitGates)
-		}
-		body.U64(uint64(len(payloads[i])))
-	}
-	for _, p := range payloads {
-		body.Raw(p)
-	}
-
-	out := binio.NewWriter(make([]byte, 0, body.Len()+10))
+	out := binio.NewWriter(make([]byte, 0, 10+head.Len()+4+9*len(x.Units)+total))
 	out.Raw([]byte(codecMagic))
 	out.U16(CodecVersion)
-	out.U32(crc32.Checksum(body.Bytes(), crcTable))
-	out.Raw(body.Bytes())
-	return out.Bytes(), nil
+	out.U32(0) // the checksum of everything after it, written last
+	out.Raw(head.Bytes())
+	out.U32(uint32(len(x.Units)))
+	for i := range x.Units {
+		if x.Units[i].Op != nil {
+			out.U8(unitOp)
+		} else {
+			out.U8(unitGates)
+		}
+		out.U64(uint64(sizes[i]))
+	}
+	for i := range x.Units {
+		u := &x.Units[i]
+		start := out.Len()
+		out.I64(int64(u.Lo))
+		out.I64(int64(u.Hi))
+		if u.Op != nil {
+			out.String(u.Substrate)
+			u.Op.EncodeBinary(out)
+		} else {
+			out.U32(uint32(len(u.Gates)))
+			for _, g := range u.Gates {
+				encodeGate(out, g)
+			}
+		}
+		if n := out.Len() - start; n != sizes[i] {
+			return nil, fmt.Errorf("backend: unit %d encoded %d bytes, sized %d", i, n, sizes[i])
+		}
+	}
+	buf := out.Bytes()
+	binary.LittleEndian.PutUint32(buf[6:10], crc32.Checksum(buf[10:], crcTable))
+	return buf, nil
+}
+
+// unitLen is the length of u's encoded payload.
+func unitLen(u *Unit) int {
+	if u.Op != nil {
+		return 8 + 8 + 4 + len(u.Substrate) + u.Op.EncodedLen()
+	}
+	n := 8 + 8 + 4
+	for _, g := range u.Gates {
+		n += minGateBytes + len(g.Name) + 8*len(g.Controls)
+	}
+	return n
 }
 
 // Decode parses an encoded executable, rebuilding the derived fusion

@@ -59,6 +59,14 @@ func (op *Op) EncodeBinary(w *binio.Writer) {
 	w.U64(op.value)
 }
 
+// EncodedLen returns the number of bytes EncodeBinary appends.
+func (op *Op) EncodedLen() int {
+	lists := len(op.regA) + len(op.regB) + len(op.regC) + len(op.regR) + len(op.regQ) + len(op.qubits)
+	// The kind and flag bytes, eight u64 scalars, seven u32 counts, then
+	// the lists' elements.
+	return 2 + 8*8 + 7*4 + 8*lists + 16*len(op.diag)
+}
+
 // DecodeOpBinary reads one op from r and validates it against a register
 // of n qubits, rebuilding the derived fft.Plan for Fourier ops. It
 // returns an error (never panics) on truncated, corrupt, or

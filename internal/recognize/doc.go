@@ -24,13 +24,24 @@
 // Every recognised region with at most Options.MaxVerifyQubits of support
 // is verified against the exact unitary of its own gates: for each of the
 // 2^w basis inputs, every amplitude of the shortcut's output must be
-// within 1e-10 of the gates' column (a NaN fails). The column is walked
-// through only the qubits the gates have branched — a diagonal or
+// within 1e-10 of the gates' column (a NaN fails). A diagonal or
 // anti-diagonal gate moves or rephases a basis state, it does not split
-// it — so a column costs the sum over the gates of 2^|branched|: O(gates)
-// for the arithmetic, phase-flip and diagonal families, about 4·2^w for a
-// QFT. A mismatch drops the region back to gate-level execution, so a
-// wrong match can cost performance but never correctness. Larger regions are
+// it, and the check uses that twice:
+//
+//   - The arithmetic, phase-flip and diagonal families map each basis
+//     state to one phased basis state. While the region's gates do too, a
+//     column is one index and one phase, walked at O(gates) with no 2^w
+//     state and compared with the op's image of the input.
+//   - A QFT, a reflection, or a basis-map region whose gates branch a
+//     column pays the dense column: the shortcut applied to a 2^w state,
+//     the column walked through only the qubits the gates have branched,
+//     and a 2^w compare — O(4^w) over all columns.
+//
+// Analyze checks each distinct region once: a region whose op and gates,
+// rewritten onto the compact register of its support, equal an earlier
+// region's bit for bit takes that region's verdict. A mismatch drops the
+// region back to gate-level execution, so a wrong match can cost
+// performance but never correctness. Larger regions are
 // accepted on the strength of the exact structural match (or, for
 // annotations, trusted as asserted — an annotation that lies about a
 // large region is the caller's bug, like any wrong argument).

@@ -568,36 +568,43 @@ func matchDiagonalRun(c *circuit.Circuit, i, hi int, opts Options) *Op {
 		return nil
 	}
 	qubits := make([]uint, 0, width)
-	local := make(map[uint]uint, width)
+	var local [64]uint
 	for q := uint(0); q < 64; q++ {
 		if support&(1<<q) != 0 {
 			local[q] = uint(len(qubits))
 			qubits = append(qubits, q)
 		}
 	}
-	dim := 1 << width
-	d := make([]complex128, dim)
+	return &Op{Lo: i, Hi: j, kind: opDiag, qubits: qubits, diag: diagTable(gs[i:j], &local, width)}
+}
+
+// diagTable folds the diagonal gates gs into one table over width local
+// qubits, qubit q becoming bit local[q]. Each gate walks only the sub-cube
+// its controls select, pairing entry cm|s (target 0) with cm|t|s (target
+// 1), and multiplies each entry by its own diagonal element, in gate order.
+func diagTable(gs []gates.Gate, local *[64]uint, width int) []complex128 {
+	d := make([]complex128, 1<<width)
 	for x := range d {
 		d[x] = 1
 	}
-	for _, g := range gs[i:j] {
+	all := uint64(len(d) - 1)
+	for _, g := range gs {
 		tb := uint64(1) << local[g.Target]
 		var cm uint64
 		for _, q := range g.Controls {
 			cm |= 1 << local[q]
 		}
-		for x := 0; x < dim; x++ {
-			if uint64(x)&cm != cm {
-				continue
-			}
-			if uint64(x)&tb != 0 {
-				d[x] *= g.Matrix[3]
-			} else {
-				d[x] *= g.Matrix[0]
+		m0, m3 := g.Matrix[0], g.Matrix[3]
+		free := all &^ cm &^ tb
+		for s := uint64(0); ; s = (s - free) & free {
+			d[cm|s] *= m0
+			d[cm|tb|s] *= m3
+			if s == free {
+				break
 			}
 		}
 	}
-	return &Op{Lo: i, Hi: j, kind: opDiag, qubits: qubits, diag: d}
+	return d
 }
 
 // --- small helpers ---------------------------------------------------------

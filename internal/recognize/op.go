@@ -212,6 +212,29 @@ func (op *Op) Apply(st *statevec.State) {
 	}
 }
 
+// basisImage returns the op's action on one basis state as the index and
+// phase of the state's image: the permutation's map with phase 1, the
+// diagonal table's entry, the flip pattern's sign. ok is false for the QFT
+// and the reflection, which send a basis state to a superposition.
+func (op *Op) basisImage() (func(uint64) (uint64, complex128), bool) {
+	switch op.kind {
+	case opDiag:
+		return func(b uint64) (uint64, complex128) { return b, op.diag[gather(b, op.qubits)] }, true
+	case opPhaseFlip:
+		return func(b uint64) (uint64, complex128) {
+			if gather(b, op.qubits) == op.value {
+				return b, -1
+			}
+			return b, 1
+		}, true
+	}
+	f, ok := op.Permutation()
+	if !ok {
+		return nil, false
+	}
+	return func(b uint64) (uint64, complex128) { return f(b), 1 }, true
+}
+
 // contiguous reports whether bits is a run of consecutive positions and
 // returns its first.
 func contiguous(bits []uint) (pos uint, ok bool) {

@@ -43,10 +43,11 @@ type Options struct {
 	// column by column, dropping the region on mismatch.
 	Verify bool
 	// MaxVerifyQubits bounds the support width verification can afford:
-	// 2^w columns, each costing the sum over the gates of 2^|branched|,
-	// the qubits the gates have put into superposition so far (O(gates)
-	// for arithmetic and diagonal runs, about 4·2^w for a QFT, gates·2^w
-	// at worst), plus one application of the shortcut.
+	// 2^w columns, each O(gates) with no state for an arithmetic, phase
+	// flip or diagonal region whose gates keep basis states basis states,
+	// and otherwise one application of the shortcut to a 2^w state, a
+	// walk costing the sum over the gates of 2^|branched| (the qubits the
+	// gates have put into superposition so far) and a 2^w compare.
 	MaxVerifyQubits uint
 	// MaxDiagQubits bounds the support of a matched diagonal run (the
 	// precomputed table holds 2^w entries).
@@ -195,9 +196,12 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 		sort.Slice(ops, func(i, j int) bool { return ops[i].Lo < ops[j].Lo })
 	}
 	if opts.Verify {
+		// A region identical to an earlier one — the same compact op and
+		// the same compact gates, bit for bit — takes the earlier verdict.
+		verdicts := map[string]bool{}
 		kept := ops[:0]
 		for _, op := range ops {
-			ok, checked := verifyOp(c, op, opts.MaxVerifyQubits)
+			ok, checked := verifyOnce(verdicts, c, op, opts.MaxVerifyQubits)
 			if !ok {
 				name := op.kind.String()
 				p.Skipped = append(p.Skipped, Skip{Name: name, Lo: op.Lo, Hi: op.Hi,
@@ -211,6 +215,26 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 	}
 	p.Segments = buildSegments(ops, c.Len())
 	return p
+}
+
+// verifyOnce checks op against its own gates (region.holds) unless an
+// identical region already has a verdict in verdicts, keyed by region.key.
+// It returns (keep, checked): keep=false means the op's shortcut disagrees
+// with its gates and must fall back to gate-level; checked=false means the
+// support was too wide to afford the check and the op is accepted on
+// structural trust.
+func verifyOnce(verdicts map[string]bool, c *circuit.Circuit, op *Op, maxQubits uint) (keep, checked bool) {
+	r, checked := compactRegion(c, op, maxQubits)
+	if r == nil {
+		return !checked, checked
+	}
+	key := r.key()
+	keep, seen := verdicts[key]
+	if !seen {
+		keep = r.holds()
+		verdicts[key] = keep
+	}
+	return keep, true
 }
 
 // buildSegments interleaves the (sorted, disjoint) ops with the gate

@@ -1,6 +1,7 @@
 package recognize
 
 import (
+	"repro/internal/binio"
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/statevec"
@@ -9,23 +10,24 @@ import (
 // verifyEps is the per-amplitude tolerance of the unitary cross-check.
 const verifyEps = 1e-10
 
-// verifyOp cross-checks a recognised op against the exact action of the
-// gates it replaces, on a compact register holding only the op's support
-// qubits: for each of the 2^w basis inputs, the op's shortcut applied to
-// |b> must equal the gates' column U|b> in every amplitude. The column is
-// walked (walkColumn) at a cost of sum over gates of 2^|branched| — the
-// qubits the gates have put into superposition so far — which is O(gates)
-// for the permutation and diagonal families and about 4·2^w for a QFT.
-//
-// It returns (keep, checked): keep=false means the op's shortcut disagrees
-// with its gates and must fall back to gate-level; checked=false means the
-// support was too wide to afford the check and the op is accepted on
-// structural trust.
-func verifyOp(c *circuit.Circuit, op *Op, maxQubits uint) (keep, checked bool) {
+// region is a recognised op and the gates it replaces, both rewritten onto
+// the compact register of the op's support: what Analyze checks, and the
+// identity under which it checks each distinct region once.
+type region struct {
+	w  uint
+	op *Op
+	gs []columnGate
+}
+
+// compactRegion builds op's region over c's gates. It returns (nil, false)
+// when the support is empty or wider than maxQubits, and (nil, true) when a
+// gate acts outside the support, in which case the op cannot possibly
+// represent its range.
+func compactRegion(c *circuit.Circuit, op *Op, maxQubits uint) (*region, bool) {
 	support := op.support()
 	w := uint(len(support))
 	if w == 0 || w > maxQubits {
-		return true, false
+		return nil, false
 	}
 	var mask uint64
 	var rank [64]uint
@@ -33,32 +35,83 @@ func verifyOp(c *circuit.Circuit, op *Op, maxQubits uint) (keep, checked bool) {
 		mask |= 1 << q
 		rank[q] = uint(i)
 	}
-	// Every gate of the range must act inside the support, else the op
-	// cannot possibly represent the range.
 	gs, ok := compactGates(c.Gates[op.Lo:op.Hi], mask, &rank)
 	if !ok {
-		return false, true
+		return nil, true
 	}
-	compact := op.remapped(func(q uint) uint { return rank[q] })
-	dim := uint64(1) << w
-	col := make([]complex128, dim)
-	got := statevec.NewZero(w)
-	got.SetParallelism(1)
-	for b := uint64(0); b < dim; b++ {
-		amps := got.Amplitudes()
-		clear(amps)
-		amps[b] = 1
-		compact.Apply(got)
-		walkColumn(col, gs, b)
-		for i, a := range got.Amplitudes() {
-			// Written so that a NaN anywhere fails the check.
-			d := a - col[i]
-			if !(real(d)*real(d)+imag(d)*imag(d) <= verifyEps*verifyEps) {
-				return false, true
+	return &region{w: w, op: op.remapped(func(q uint) uint { return rank[q] }), gs: gs}, true
+}
+
+// holds cross-checks the region's op against the exact action of its
+// gates: for each of the 2^w basis inputs, the op's image of |b> must equal
+// the gates' column U|b> in every amplitude, within verifyEps, a NaN
+// failing. A basis-map op (add, sub, addc, mul, div, diagonal, phaseflip)
+// sends |b> to one phased basis state, so while its gates keep the column
+// one basis state too (walkBasis), a column is an index and a phase
+// compared at O(gates), with no 2^w state. A QFT or a reflection — or a
+// basis-map op one of whose gates branches the column, H·H inside an adder
+// say — pays the dense column from there on: the shortcut applied to a 2^w
+// state and compared amplitude by amplitude with the walked column, O(4^w)
+// over all columns.
+func (r *region) holds() bool {
+	dim := uint64(1) << r.w
+	b := uint64(0)
+	if image, ok := r.op.basisImage(); ok {
+		for ; b < dim; b++ {
+			at, ph, ok := walkBasis(r.gs, b)
+			if !ok {
+				break // a gate branches: this column and the rest go dense
+			}
+			want, wph := image(b)
+			if at != want || !near(ph, wph) {
+				return false
 			}
 		}
 	}
-	return true, true
+	if b == dim {
+		return true
+	}
+	col := make([]complex128, dim)
+	got := statevec.NewZero(r.w)
+	got.SetParallelism(1)
+	for ; b < dim; b++ {
+		amps := got.Amplitudes()
+		clear(amps)
+		amps[b] = 1
+		r.op.Apply(got)
+		walkColumn(col, r.gs, b)
+		for i, a := range got.Amplitudes() {
+			if !near(a, col[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// near reports |a-b| <= verifyEps, written so that a NaN is never near.
+func near(a, b complex128) bool {
+	d := a - b
+	return real(d)*real(d)+imag(d)*imag(d) <= verifyEps*verifyEps
+}
+
+// key is the region's identity for Analyze's verdict memo: the compact op's
+// wire form, its gate range and flags zeroed, then every compact gate's
+// matrix bits, target and controls. Regions with equal keys run the same
+// check on the same bits.
+func (r *region) key() string {
+	op := *r.op
+	op.Lo, op.Hi, op.Annotated, op.Verified = 0, 0, false, false
+	w := binio.NewWriter(make([]byte, 0, op.EncodedLen()+len(r.gs)*(4*16+2*8)))
+	op.EncodeBinary(w)
+	for _, g := range r.gs {
+		for _, v := range g.m {
+			w.C128(v)
+		}
+		w.U64(g.target)
+		w.U64(g.controls)
+	}
+	return string(w.Bytes())
 }
 
 // columnGate is one gate on the compact register: its 2x2 matrix, the bit
@@ -168,4 +221,40 @@ func walkColumn(col []complex128, gs []columnGate, b uint64) {
 			}
 		}
 	}
+}
+
+// walkBasis follows U|b> while it stays one basis state, as walkColumn does
+// before any qubit has branched, keeping only that state's index and phase.
+// ok is false at the first gate that would put a qubit into superposition.
+// The phase is formed factor by factor as walkColumn forms the column's one
+// nonzero entry, so the two agree bit for bit.
+func walkBasis(gs []columnGate, b uint64) (at uint64, ph complex128, ok bool) {
+	ph = 1
+	for i := range gs {
+		g := &gs[i]
+		if b&g.controls != g.controls {
+			continue
+		}
+		v := b&g.target != 0
+		switch {
+		case g.m[1] == 0 && g.m[2] == 0:
+			f := g.m[0]
+			if v {
+				f = g.m[3]
+			}
+			if f != 1 {
+				ph *= f
+			}
+		case g.m[0] == 0 && g.m[3] == 0:
+			f := g.m[2]
+			if v {
+				f = g.m[1]
+			}
+			ph = f * ph
+			b ^= g.target
+		default:
+			return 0, 0, false
+		}
+	}
+	return b, ph, true
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circgen"
@@ -14,6 +16,17 @@ import (
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
+
+// verifyOp is the check Analyze makes of one op, without the memo: the
+// region's op against its own gates (region.holds). It returns (keep,
+// checked) as verifyOnce does.
+func verifyOp(c *circuit.Circuit, op *Op, maxQubits uint) (keep, checked bool) {
+	r, checked := compactRegion(c, op, maxQubits)
+	if r == nil {
+		return !checked, checked
+	}
+	return r.holds(), true
+}
 
 // verifyOpDense is the check verifyOp replaced, kept as its oracle: every
 // basis input gets two fresh states, one run through every gate over all
@@ -300,6 +313,8 @@ func FuzzVerifyColumn(f *testing.F) {
 	f.Add([]byte{7, 0x5a, 0, 0, 0, 12, 1, 40, 0, 2, 0, 12, 3, 90})
 	f.Add([]byte{3, 5, 1, 0, 0, 10, 9, 0, 14, 7, 0, 8, 2, 200})
 	f.Add([]byte{5, 17, 9, 3, 77, 13, 21, 0, 2, 4, 0, 15, 30, 0, 6, 11, 128})
+	// X, CCX and CR only: a basis-map list, so the sparse walk runs too.
+	f.Add([]byte{5, 0x2b, 1, 2, 0, 13, 0x11, 0, 12, 0x0b, 77, 1, 4, 0, 13, 0x13, 0, 12, 0x0c, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -320,7 +335,279 @@ func FuzzVerifyColumn(f *testing.F) {
 		if msg := columnsMatch(w, gs, b); msg != "" {
 			t.Fatalf("%s\ngates: %v", msg, gs)
 		}
+		if msg := basisWalkMatches(w, gs, b); msg != "" {
+			t.Fatalf("%s\ngates: %v", msg, gs)
+		}
 	})
+}
+
+// basisWalkMatches requires walkBasis, wherever it follows U|b> to the end
+// (no gate of gs branches the column), to land on the walked column's one
+// nonzero entry with the same phase bit for bit; it returns a description
+// of the first difference, or "".
+func basisWalkMatches(w uint, gs []gates.Gate, b uint64) string {
+	cgs, ok := compactGates(gs, uint64(1)<<w-1, identityRank())
+	if !ok {
+		return "compactGates rejected an in-register gate list"
+	}
+	at, ph, ok := walkBasis(cgs, b)
+	if !ok {
+		return ""
+	}
+	col := make([]complex128, uint64(1)<<w)
+	walkColumn(col, cgs, b)
+	for i, a := range col {
+		want := complex128(0)
+		if uint64(i) == at {
+			want = ph
+		}
+		if !sameBits(a, want) {
+			return fmt.Sprintf("w=%d b=%d: the sparse walk ends at %d with %v, the column holds %v at %d",
+				w, b, at, ph, a, i)
+		}
+	}
+	return ""
+}
+
+// sameBits reports whether a and b have identical bit patterns.
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestBasisWalkMatchesColumn runs basisWalkMatches over generated gate
+// lists of the structured kinds alone, where most columns never branch.
+func TestBasisWalkMatchesColumn(t *testing.T) {
+	src := rng.New(73)
+	walked := 0
+	for w := uint(1); w <= 8; w++ {
+		for list := 0; list < 4; list++ {
+			gs := randomGates(src, w, 4*int(w)+4, 0)
+			cgs, _ := compactGates(gs, uint64(1)<<w-1, identityRank())
+			for b := uint64(0); b < uint64(1)<<w; b++ {
+				if _, _, ok := walkBasis(cgs, b); ok {
+					walked++
+				}
+				if msg := basisWalkMatches(w, gs, b); msg != "" {
+					t.Fatalf("%s\ngates: %v", msg, gs)
+				}
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no column was walked to the end without branching")
+	}
+}
+
+// TestBranchingBasisMapFallsBack checks basis-map regions whose gates put a
+// qubit into superposition and take it out again — H·H inside an adder, the
+// X conjugation of a phase flip written as H·Z·H — so that the sparse walk
+// stops and the dense column path decides. They are kept as recognised, and
+// with one gate phased by 1e-7 they are rejected (checkVerdicts, against
+// verifyOpDense).
+func TestBranchingBasisMapFallsBack(t *testing.T) {
+	adder := circuit.New(7)
+	revlib.Adder(adder, revlib.Seq(0, 3), revlib.Seq(3, 3), 6)
+	mid := adder.Len() / 2
+	hh := circuit.New(7)
+	hh.Append(adder.Gates[:mid]...)
+	hh.Append(gates.H(4), gates.H(4))
+	hh.Append(adder.Gates[mid:]...)
+	region := adder.Regions[0]
+	region.Hi += 2
+	hh.Annotate(region)
+
+	// The phase flip of |0110>: X on qubits 0 and 3, each as H·Z·H.
+	flip := circuit.New(4)
+	hzh := func(qs ...uint) {
+		for _, q := range qs {
+			flip.Append(gates.H(q), gates.Z(q), gates.H(q))
+		}
+	}
+	hzh(0, 3)
+	flip.Append(gates.Z(0).WithControls(1, 2, 3))
+	hzh(0, 3)
+	flip.Annotate(circuit.Region{Name: "phaseflip", Args: []uint64{4, 0, 1, 2, 3, 0b0110}, Lo: 0, Hi: flip.Len()})
+
+	opts := DefaultOptions(Annotated)
+	opts.Verify = false
+	for name, c := range map[string]*circuit.Circuit{"add-hh": hh, "phaseflip-hzh": flip} {
+		ops := Analyze(c, opts).Ops()
+		if len(ops) != 1 || ops[0].GateCount() != c.Len() {
+			t.Fatalf("%s: want one op over all %d gates, got %v", name, c.Len(), ops)
+		}
+		r, _ := compactRegion(c, ops[0], 8)
+		if _, _, ok := walkBasis(r.gs, 0); ok {
+			t.Fatalf("%s: column 0 never branches, so the dense path is not reached", name)
+		}
+		checkVerdicts(t, name, c, ops[0])
+	}
+}
+
+// TestAnalyzeVerifiesRepeatsOnce runs Analyze over identical QFT regions,
+// one of them shifted up a qubit, interleaved with a copy whose middle
+// controlled phase is off by 1e-7. Every honest copy is kept and Verified;
+// the lying copy is rejected, and so is its later repeat. The memo keys
+// show why: the honest copies share one key wherever they sit, and the
+// copy that differs in one angle has a key of its own.
+func TestAnalyzeVerifiesRepeatsOnce(t *testing.T) {
+	const n, k = 6, 3
+	honest := qft.Circuit(n - 1)
+	lying := qft.Circuit(n - 1)
+	lying.Gates = append([]gates.Gate(nil), lying.Gates...)
+	at := 1
+	if g := lying.Gates[at]; len(g.Controls) != 1 || !g.IsDiagonalOnState() {
+		t.Fatalf("gate %d of the QFT is %v, not a controlled phase", at, g)
+	}
+	lying.Gates[at].Matrix[3] *= cmplx.Exp(complex(0, 1e-7))
+
+	c := circuit.New(n)
+	var lies []int // the first gate of each lying copy
+	for i := 0; i < k; i++ {
+		c.Extend(honest)
+	}
+	lies = append(lies, c.Len())
+	c.Extend(lying)
+	lo := c.Len()
+	c.Append(shifted(honest, 1)...)
+	c.Annotate(circuit.Region{Name: "qft", Args: []uint64{1, n - 1}, Lo: lo, Hi: c.Len()})
+	c.Extend(honest)
+	lies = append(lies, c.Len())
+	c.Extend(lying)
+
+	plan := Analyze(c, DefaultOptions(Annotated))
+	ops := plan.Ops()
+	if len(ops) != k+2 {
+		t.Fatalf("kept %d ops, want the %d honest copies:\n%s", len(ops), k+2, plan.Describe())
+	}
+	for _, op := range ops {
+		if !op.Verified {
+			t.Errorf("%v: kept but not Verified", op)
+		}
+	}
+	if len(plan.Skipped) != len(lies) {
+		t.Fatalf("skipped %v, want the lying copies at %v", plan.Skipped, lies)
+	}
+	for i, sk := range plan.Skipped {
+		if sk.Lo != lies[i] || !strings.Contains(sk.Reason, "verification failed") {
+			t.Errorf("skip %d is %+v, want the lying copy at gate %d rejected by verification", i, sk, lies[i])
+		}
+	}
+
+	opts := DefaultOptions(Annotated)
+	opts.Verify = false
+	var honestKey, lyingKey string
+	for _, op := range Analyze(c, opts).Ops() {
+		r, _ := compactRegion(c, op, opts.MaxVerifyQubits)
+		key, lie := r.key(), slices.Contains(lies, op.Lo)
+		switch {
+		case lie && lyingKey == "":
+			lyingKey = key
+		case !lie && honestKey == "":
+			honestKey = key
+		case lie && key != lyingKey, !lie && key != honestKey:
+			t.Errorf("the copy at gate %d has a key of its own", op.Lo)
+		}
+	}
+	if honestKey == lyingKey {
+		t.Error("the honest and the lying copy share a key")
+	}
+}
+
+// diagTableEveryEntry is the table build matchDiagonalRun replaced, kept as
+// the oracle of diagTable: every gate tests every entry of the table
+// against its controls.
+func diagTableEveryEntry(gs []gates.Gate, qubits []uint) []complex128 {
+	local := make(map[uint]uint, len(qubits))
+	for i, q := range qubits {
+		local[q] = uint(i)
+	}
+	dim := 1 << len(qubits)
+	d := make([]complex128, dim)
+	for x := range d {
+		d[x] = 1
+	}
+	for _, g := range gs {
+		tb := uint64(1) << local[g.Target]
+		var cm uint64
+		for _, q := range g.Controls {
+			cm |= 1 << local[q]
+		}
+		for x := 0; x < dim; x++ {
+			if uint64(x)&cm != cm {
+				continue
+			}
+			if uint64(x)&tb != 0 {
+				d[x] *= g.Matrix[3]
+			} else {
+				d[x] *= g.Matrix[0]
+			}
+		}
+	}
+	return d
+}
+
+// TestDiagTableMatchesEveryEntryOracle draws runs of T, S, Z, CZ, CR, Rz
+// and multi-controlled phases — a third of their phases exactly ±1 or ±i,
+// where a zero's sign is the first thing a reordered product would change
+// — and requires matchDiagonalRun's table to equal the oracle's bit for bit.
+func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
+	src := rng.New(29)
+	exact := []complex128{1, -1, 1i, -1i}
+	phase := func() complex128 {
+		if src.Intn(3) == 0 {
+			return exact[src.Intn(len(exact))]
+		}
+		return cmplx.Exp(complex(0, src.Float64()*2*math.Pi))
+	}
+	opts := DefaultOptions(Auto)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + uint(src.Intn(10))
+		c := circuit.New(n)
+		for count := opts.MinDiagGates + src.Intn(40); c.Len() < count; {
+			perm := src.Perm(int(n))
+			qs := make([]uint, 1+src.Intn(int(n)))
+			for j := range qs {
+				qs[j] = uint(perm[j])
+			}
+			var g gates.Gate
+			switch src.Intn(7) {
+			case 0:
+				g = gates.T(qs[0])
+			case 1:
+				g = gates.S(qs[0])
+			case 2:
+				g = gates.Z(qs[0])
+			case 3:
+				g = gates.Rz(qs[0], src.Float64()*4*math.Pi)
+			case 4:
+				g = gates.Gate{Name: "D", Matrix: gates.Matrix2{phase(), 0, 0, phase()}, Target: qs[0]}
+			case 5:
+				if len(qs) < 2 {
+					continue
+				}
+				if src.Intn(2) == 0 {
+					g = gates.CZ(qs[1], qs[0])
+				} else {
+					g = gates.CR(qs[1], qs[0], src.Float64()*2*math.Pi)
+				}
+			case 6:
+				g = gates.Gate{Name: "MCP", Matrix: gates.Matrix2{1, 0, 0, phase()}, Target: qs[0],
+					Controls: append([]uint(nil), qs[1:]...)}
+			}
+			c.Append(g)
+		}
+		op := matchDiagonalRun(c, 0, c.Len(), opts)
+		if op == nil || op.Hi != c.Len() {
+			t.Fatalf("trial %d: the run of %d diagonal gates was not matched whole: %v", trial, c.Len(), op)
+		}
+		want := diagTableEveryEntry(c.Gates, op.qubits)
+		for x := range want {
+			if !sameBits(op.diag[x], want[x]) {
+				t.Fatalf("trial %d: entry %d is %v, the oracle's %v\ngates: %v", trial, x, op.diag[x], want[x], c.Gates)
+			}
+		}
+	}
 }
 
 // verifyOps are the ops the allocation pin and BenchmarkVerifyOp measure:
