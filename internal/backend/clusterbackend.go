@@ -2,10 +2,10 @@ package backend
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/gates"
+	"repro/internal/perfmodel"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -93,14 +93,12 @@ func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
 // communication the run paid.
 func (b *clusterBackend) Run(x *Executable) (*Result, error) {
 	before := b.c.Stats.Snapshot()
-	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
-	start := time.Now()
+	elapsed := perfmodel.Clock()
 	if err := b.RunUnits(x, 0, len(x.Units)); err != nil {
 		return nil, err
 	}
 	res := x.result()
-	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
-	res.Wall = time.Since(start)
+	res.Wall = elapsed()
 	after := b.c.Stats.Snapshot()
 	res.Comm = Comm{
 		Rounds:    after.Rounds - before.Rounds,

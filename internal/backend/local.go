@@ -3,9 +3,9 @@ package backend
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/gates"
+	"repro/internal/perfmodel"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -96,13 +96,11 @@ func (b *local) RunUnits(x *Executable, lo, hi int) error {
 
 // Run dispatches the whole executable through RunUnits.
 func (b *local) Run(x *Executable) (*Result, error) {
-	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
-	start := time.Now()
+	elapsed := perfmodel.Clock()
 	if err := b.RunUnits(x, 0, len(x.Units)); err != nil {
 		return nil, err
 	}
 	res := x.result()
-	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
-	res.Wall = time.Since(start)
+	res.Wall = elapsed()
 	return res, nil
 }

@@ -12,18 +12,19 @@ import (
 	"repro/internal/recognize"
 )
 
-// fftSpawned is fft's count of the goroutines its passes have started,
-// reached by name: it exists for tests.
+// parOffCaller is par's count of the chunks its workers have run rather
+// than the goroutine that called For, reached by name: it exists for tests.
 //
-//go:linkname fftSpawned repro/internal/fft.spawned
-var fftSpawned atomic.Int64
+//go:linkname parOffCaller repro/internal/par.offCaller
+var parOffCaller atomic.Int64
 
 // TestOneWorkerBackendStaysOnOneGoroutine pins Target.Workers = 1 end to
 // end: a recognised QFT large enough for every kernel to go parallel runs
-// on the calling goroutine alone — the Fourier transform starts none (it
-// used to size itself from GOMAXPROCS whatever the target said) and the
-// state starts no worker pool. Noise trajectories rely on this: their
-// parallelism is across trajectories.
+// on the calling goroutine alone — neither the Fourier transform (it used
+// to size itself from GOMAXPROCS whatever the target said) nor a state
+// kernel hands par's workers a chunk, and no goroutine outlives the run.
+// Noise trajectories rely on this: their parallelism is across
+// trajectories.
 func TestOneWorkerBackendStaysOnOneGoroutine(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2 to tell one worker from the default")
@@ -48,12 +49,12 @@ func TestOneWorkerBackendStaysOnOneGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		goroutines, spawned := runtime.NumGoroutine(), fftSpawned.Load()
+		goroutines, offCaller := runtime.NumGoroutine(), parOffCaller.Load()
 		if _, err := b.Run(x); err != nil {
 			t.Fatal(err)
 		}
-		if got := fftSpawned.Load() - spawned; got != 0 {
-			t.Errorf("%s: the Fourier transform started %d goroutines on a one-worker backend", c.name, got)
+		if got := parOffCaller.Load() - offCaller; got != 0 {
+			t.Errorf("%s: %d chunks left the calling goroutine on a one-worker backend", c.name, got)
 		}
 		if got := runtime.NumGoroutine() - goroutines; got > 0 {
 			t.Errorf("%s: %d goroutines outlive the run on a one-worker backend", c.name, got)

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fuse"
+	"repro/internal/par"
 	"repro/internal/statevec"
 )
 
@@ -78,7 +78,7 @@ type Cluster struct {
 	DiagonalOptimization bool
 
 	// nodes are the per-node shards: L-qubit states whose kernels provide
-	// the validation contract and run on each node's worker pool.
+	// the validation contract and fan out at each node's worker count.
 	nodes []*statevec.State
 	// scratch is the retired buffer set the all-to-all collectives gather
 	// into and swap with the live shards (via AdoptAmplitudes), so a remap
@@ -116,8 +116,8 @@ func New(n uint, p int) (*Cluster, error) {
 	}
 	c.nodes = make([]*statevec.State, p)
 	// Each emulated node gets an even share of the real machine's
-	// parallelism; on few nodes the shards' own worker pools recover the
-	// full hardware width.
+	// parallelism; on few nodes the shards' own fan-out recovers the full
+	// hardware width.
 	w := runtime.GOMAXPROCS(0) / p
 	if w < 1 {
 		w = 1
@@ -145,7 +145,7 @@ func (c *Cluster) shard(p int) []complex128 { return c.nodes[p].Amplitudes() }
 
 // SetNodeParallelism caps the worker count each node's shard kernels use:
 // 1 forces serial per-node execution (the parallelism then comes from the
-// one-goroutine-per-node supersteps), 0 restores the GOMAXPROCS default on
+// node supersteps, eachNode), 0 restores the GOMAXPROCS default on
 // every node. See statevec.State.SetParallelism.
 func (c *Cluster) SetNodeParallelism(w int) {
 	for _, st := range c.nodes {
@@ -240,16 +240,9 @@ func (c *Cluster) installShards(next [][]complex128) {
 	}
 }
 
-// eachNode runs fn(nodeID) on one goroutine per node and waits — the BSP
-// superstep primitive every collective below is built from.
+// eachNode runs fn(nodeID) for every node through par.For and waits — the
+// BSP superstep primitive every collective below is built from. A node's
+// kernels may fan out again inside fn.
 func (c *Cluster) eachNode(fn func(p int)) {
-	var wg sync.WaitGroup
-	wg.Add(c.P)
-	for p := 0; p < c.P; p++ {
-		go func(p int) {
-			defer wg.Done()
-			fn(p)
-		}(p)
-	}
-	wg.Wait()
+	par.For(c.P, fn)
 }

@@ -3,7 +3,7 @@
 // Stampede system — with a communication-avoiding execution engine on top.
 // Each emulated node owns an L-qubit statevec.State shard (2^L contiguous
 // amplitudes), executes its local work through the structure-specialised,
-// pool-parallel statevec kernels, and communicates through an accounted
+// parallel statevec kernels, and communicates through an accounted
 // in-process network.
 //
 // # Qubit placement and the scheduler
@@ -69,7 +69,7 @@
 // # Probability and sampling
 //
 // Probability, Sample and SampleMany run cluster-wide without gathering:
-// every node reduces its shard on its own worker pool (the statevec
+// every node reduces its shard in its own chunks (the statevec
 // parallelReduce machinery), and only the P partial scalars cross node
 // boundaries.
 // Sampling canonicalises the placement so outcomes are logical basis
@@ -95,7 +95,7 @@
 //     variants' bit reversal is a placement relabelling costing nothing;
 //   - a Fourier field of width <= L executes shard-locally after one
 //     remap makes the field node-local — on one node the whole register
-//     does, on the node's whole worker pool;
+//     does, at the node's whole worker count;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
 //     shortcut, one all-to-all for the whole subroutine: every node
 //     writes each of its amplitudes once, straight to its destination,

@@ -131,8 +131,8 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 		}
 		// One remap makes the field bits shard-local at physical positions
 		// [0, width); every node then transforms its own fibres. Several
-		// nodes share the host through the one-goroutine-per-node superstep,
-		// one worker each; a single node uses its whole worker pool.
+		// nodes share the host through the node superstep, one worker
+		// each; a single node uses its whole worker count.
 		c.remapFieldLocal(q.Pos, q.Width)
 		workers := 1
 		if c.P == 1 {

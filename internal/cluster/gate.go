@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"sync"
-
 	"repro/internal/bitops"
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/par"
 	"repro/internal/statevec"
 )
 
@@ -112,43 +111,40 @@ func (c *Cluster) applyNodeDiagonal(g gates.Gate, tbit uint, localControls []uin
 
 // applyNodeTargetExchange handles a gate on a node-selecting position the
 // expensive way: each node pair differing in the target node bit exchanges
-// shards (receive buffers come from the retired scratch set — no
-// allocation), then each member computes its half of the 2x2 update. One
-// communication round per gate.
+// shards, then each member computes its half of the 2x2 update. One
+// communication round per gate. The target bit is never a control bit, and
+// the remaining node control bits agree across a pair, so the pair's 0 side
+// decides whether it takes part.
 func (c *Cluster) applyNodeTargetExchange(g gates.Gate, tbit uint, localControls []uint, nodeControlMask uint64) {
 	cmask := bitops.ControlMask(localControls)
-	local := c.LocalSize()
-	bufs := c.grabScratch()
-	var wg sync.WaitGroup
-	for p0 := 0; p0 < c.P; p0++ {
-		if bitops.Bit(uint64(p0), tbit) == 1 {
-			continue // enumerate pairs from the 0 side
-		}
-		p1 := p0 | (1 << tbit)
-		// The target bit is never a control bit, and the remaining node
-		// control bits agree across the pair, so checking p0 suffices.
-		if uint64(p0)&nodeControlMask != nodeControlMask {
-			continue
-		}
-		wg.Add(1)
-		go func(p0, p1 int) {
-			defer wg.Done()
-			bufA, bufB := bufs[p0], bufs[p1]
-			c.exchangeShards(p0, p1, bufA, bufB)
-			s0, s1 := c.shard(p0), c.shard(p1)
-			// bufA = old shard p0, bufB = old shard p1.
-			m := g.Matrix
-			for i := uint64(0); i < local; i++ {
-				if i&cmask != cmask {
-					continue
-				}
-				a0, a1 := bufA[i], bufB[i]
-				s0[i] = m[0]*a0 + m[1]*a1
-				s1[i] = m[2]*a0 + m[3]*a1
+	m := g.Matrix
+	c.exchangePairs(tbit, nodeControlMask, func(_ int, old0, old1, s0, s1 []complex128) {
+		for i := range s0 {
+			if uint64(i)&cmask != cmask {
+				continue
 			}
-		}(p0, p1)
-	}
-	wg.Wait()
+			a0, a1 := old0[i], old1[i]
+			s0[i] = m[0]*a0 + m[1]*a1
+			s1[i] = m[2]*a0 + m[3]*a1
+		}
+	})
+}
+
+// exchangePairs runs fn for every node pair (p0, p0|1<<tbit) whose p0 has
+// every bit of mask set, once the pair has exchanged shards: old0 and old1
+// are the two shards as they were (receive buffers from the retired
+// scratch set — no allocation), s0 and s1 the live shards the members
+// write their halves of the update to. One communication round.
+func (c *Cluster) exchangePairs(tbit uint, mask uint64, fn func(p0 int, old0, old1, s0, s1 []complex128)) {
+	bufs := c.grabScratch()
+	par.For(c.P, func(p0 int) {
+		if bitops.Bit(uint64(p0), tbit) == 1 || uint64(p0)&mask != mask {
+			return // pairs are enumerated from the 0 side
+		}
+		p1 := p0 | 1<<tbit
+		c.exchangeShards(p0, p1, bufs[p0], bufs[p1])
+		fn(p0, bufs[p0], bufs[p1], c.shard(p0), c.shard(p1))
+	})
 	c.Stats.Rounds.Add(1)
 }
 

@@ -7,10 +7,10 @@ import (
 	"repro/internal/rng"
 )
 
-// nodeReduce runs fn on every node concurrently and returns the per-node
-// results in node order — the cluster-wide reduction superstep. Each
-// node's work runs through its shard's statevec engine, so large shards
-// use the per-node worker pools (parallelReduce) underneath.
+// nodeReduce runs fn on every node in one superstep and returns the
+// per-node results in node order — the cluster-wide reduction. Each node's
+// work runs through its shard's statevec engine, so large shards fan out
+// again (parallelReduce) underneath.
 func nodeReduce(c *Cluster, fn func(p int) float64) []float64 {
 	res := make([]float64, c.P)
 	c.eachNode(func(p int) { res[p] = fn(p) })
@@ -72,7 +72,7 @@ func (c *Cluster) lastSupported() uint64 {
 
 // Sample draws one full-register measurement outcome without collapsing
 // the state: the per-node masses locate the owning shard, which resolves
-// the draw against its local CDF on its own worker pool. The placement is
+// the draw against its local CDF in its own chunks. The placement is
 // canonicalised first so outcomes are logical basis indices and the walk
 // order matches the single-node sampler.
 func (c *Cluster) Sample(src *rng.Source) uint64 {

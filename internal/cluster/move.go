@@ -284,7 +284,7 @@ func (c *Cluster) liveShards() [][]complex128 {
 }
 
 // moveBits fills the dst shards from the live ones under the bit map
-// srcOf, one goroutine per node.
+// srcOf, one superstep chunk per node.
 func (c *Cluster) moveBits(dst [][]complex128, srcOf []uint) {
 	plan := planMove(srcOf, c.L)
 	src := c.liveShards()

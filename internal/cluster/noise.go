@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sync"
 
-	"repro/internal/bitops"
 	"repro/internal/gates"
 	"repro/internal/statevec"
 )
@@ -50,34 +48,18 @@ func (c *Cluster) ApplyKraus(m gates.Matrix2, q uint) float64 {
 // exchanges shards, computes its half of the update, and accumulates the
 // mass of what it wrote. One communication round.
 func (c *Cluster) applyNodeKrausExchange(m gates.Matrix2, tbit uint) float64 {
-	local := c.LocalSize()
-	bufs := c.grabScratch()
 	masses := make([]float64, c.P)
-	var wg sync.WaitGroup
-	for p0 := 0; p0 < c.P; p0++ {
-		if bitops.Bit(uint64(p0), tbit) == 1 {
-			continue // enumerate pairs from the 0 side
+	c.exchangePairs(tbit, 0, func(p0 int, old0, old1, s0, s1 []complex128) {
+		var acc float64
+		for i := range s0 {
+			a0, a1 := old0[i], old1[i]
+			b0 := m[0]*a0 + m[1]*a1
+			b1 := m[2]*a0 + m[3]*a1
+			s0[i], s1[i] = b0, b1
+			acc += real(b0)*real(b0) + imag(b0)*imag(b0) + real(b1)*real(b1) + imag(b1)*imag(b1)
 		}
-		p1 := p0 | (1 << tbit)
-		wg.Add(1)
-		go func(p0, p1 int) {
-			defer wg.Done()
-			bufA, bufB := bufs[p0], bufs[p1]
-			c.exchangeShards(p0, p1, bufA, bufB)
-			s0, s1 := c.shard(p0), c.shard(p1)
-			var acc float64
-			for i := uint64(0); i < local; i++ {
-				a0, a1 := bufA[i], bufB[i]
-				b0 := m[0]*a0 + m[1]*a1
-				b1 := m[2]*a0 + m[3]*a1
-				s0[i], s1[i] = b0, b1
-				acc += real(b0)*real(b0) + imag(b0)*imag(b0) + real(b1)*real(b1) + imag(b1)*imag(b1)
-			}
-			masses[p0] = acc
-		}(p0, p1)
-	}
-	wg.Wait()
-	c.Stats.Rounds.Add(1)
+		masses[p0] = acc
+	})
 	var total float64
 	for _, v := range masses {
 		total += v

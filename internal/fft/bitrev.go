@@ -2,6 +2,7 @@ package fft
 
 import (
 	"repro/internal/bitops"
+	"repro/internal/par"
 )
 
 // tileLog is log2 of the tile side of the blocked bit reversal: tiles of
@@ -49,10 +50,7 @@ func bitReverse(data []complex128, n uint, workers int) {
 	// that do the work of their pair — falls from 7/8 in the first quarter
 	// to 1/8 in the last. Dealing b round-robin gives every worker the
 	// same mix.
-	w := uint64(workers)
-	parallelFor(workers, w, func(k, _ uint64) {
-		reverseTiles(data, n, k, tiles, w)
-	})
+	par.For(workers, func(k int) { reverseTiles(data, n, uint64(k), tiles, uint64(workers)) })
 }
 
 // reverseTiles exchanges tile b with tile rev(b) for b = from, from+step,

@@ -65,9 +65,10 @@
 //
 // # Workers
 //
-// Every entry point that takes a worker count runs on exactly that many
-// goroutines, the caller's included; one worker starts none. Forward uses
-// GOMAXPROCS, ForwardSerial and InverseSerial one.
+// Every entry point that takes a worker count splits each pass into that
+// many chunks of one par.For, the caller's included; one worker stays on
+// the calling goroutine. Forward uses GOMAXPROCS, ForwardSerial and
+// InverseSerial one.
 //
 // Sign convention: Forward uses exp(+2*pi*i*k*l/N), matching the QFT
 // definition in the paper's Eq. 4; Unitary additionally scales by
@@ -79,9 +80,9 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitops"
+	"repro/internal/par"
 )
 
 // Plan holds the stage tiling and twiddle tables of transforms of one
@@ -199,7 +200,7 @@ func (p *Plan) transform(data []complex128, inverse bool, scale float64, workers
 	p.network(data, false, inverse, scale, workers)
 }
 
-// minParallel is the smallest transform that benefits from goroutines.
+// minParallel is the smallest transform that benefits from fanning out.
 const minParallel = 1 << 14
 
 // effective clamps a requested worker count to what this plan's passes
@@ -282,9 +283,9 @@ func (ps *pass) run(workers int) {
 		return
 	}
 	c := *ps
-	parallelFor(workers, size>>blockLog, func(lo, hi uint64) {
-		c.chunk(lo<<blockLog, hi<<blockLog)
-	})
+	blocks := size >> blockLog
+	w := min(uint64(workers), blocks)
+	par.For(int(w), func(k int) { c.chunk(uint64(k)*blocks/w<<blockLog, uint64(k+1)*blocks/w<<blockLog) })
 }
 
 // chunk runs the pass over amplitudes [from, to), whole blocks of a vector
@@ -309,32 +310,4 @@ func (ps *pass) chunk(from, to uint64) {
 			g.run(ps.data, b>>g.stages(), e>>g.stages(), ps.dif, ps.inverse, ps.scale)
 		}
 	}
-}
-
-// spawned counts the goroutines parallelFor has started. Tests read it to
-// pin that one worker means the calling goroutine and no other.
-var spawned atomic.Int64
-
-// parallelFor invokes fn over disjoint contiguous chunks of [0, count) on
-// workers goroutines, the caller's included, and waits for them.
-func parallelFor(workers int, count uint64, fn func(lo, hi uint64)) {
-	w := uint64(workers)
-	if w > count {
-		w = count
-	}
-	if w <= 1 {
-		fn(0, count)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(int(w) - 1)
-	spawned.Add(int64(w) - 1)
-	for k := uint64(1); k < w; k++ {
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(k*count/w, (k+1)*count/w)
-	}
-	fn(0, count/w)
-	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitops"
+	"repro/internal/par"
 )
 
 // TransformField applies the plan's unitary DFT (or its inverse) along the
@@ -38,18 +39,17 @@ func (p *Plan) TransformField(amps []complex128, pos uint, inverse bool, workers
 	if workers <= 1 || total < minParallel {
 		workers = 1
 	}
+	w := min(uint64(workers), outer)
 	if pos == 0 {
 		if workers == 1 {
 			p.fibres(amps, inverse, scale, 0, outer)
 			return
 		}
-		parallelFor(workers, outer, func(lo, hi uint64) {
-			p.fibres(amps, inverse, scale, lo, hi)
-		})
+		par.For(int(w), func(k int) { p.fibres(amps, inverse, scale, uint64(k)*outer/w, uint64(k+1)*outer/w) })
 		return
 	}
-	parallelFor(workers, outer, func(lo, hi uint64) {
-		p.stridedFibres(amps, make([]complex128, size), pos, inverse, scale, lo, hi)
+	par.For(int(w), func(k int) {
+		p.stridedFibres(amps, make([]complex128, size), pos, inverse, scale, uint64(k)*outer/w, uint64(k+1)*outer/w)
 	})
 }
 

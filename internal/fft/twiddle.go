@@ -2,6 +2,8 @@ package fft
 
 import (
 	"math"
+
+	"repro/internal/par"
 )
 
 // stageGroup is one fused execution unit of the butterfly network: radix
@@ -113,9 +115,9 @@ func (p *Plan) build(workers int) {
 				continue
 			}
 			g.tw = make([]complex128, tableLen(g.s))
-			parallelFor(workers, uint64(1)<<g.s, func(lo, hi uint64) {
-				packed(g.tw, g.s, lo, hi)
-			})
+			n := uint64(1) << g.s
+			w := min(uint64(workers), n)
+			par.For(int(w), func(k int) { packed(g.tw, g.s, uint64(k)*n/w, uint64(k+1)*n/w) })
 		}
 	})
 }

@@ -723,7 +723,7 @@ const buildWidth = 4
 // the plan applied through Block.Sweep — the dense kernel bodies — with
 // replays through statevec.ApplyGate. Its blocks are at most buildWidth
 // wide, so the recursion stops one level down. The scratch state runs on
-// the calling goroutine: a compile starts no worker pool.
+// the calling goroutine: a compile hands par's workers no chunk.
 func accumulate(run []item, support uint64, dim int, pos *[64]uint) []complex128 {
 	m := make([]complex128, dim*dim)
 	for i := 0; i < dim; i++ {

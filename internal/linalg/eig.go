@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+
+	"repro/internal/par"
 )
 
 // Eigen holds the eigendecomposition A = V diag(Values) V^{-1}. For the
@@ -52,6 +54,7 @@ func Eig(a *Matrix) (*Eigen, error) {
 func hessenberg(h, q *Matrix) {
 	n := h.Rows
 	v := make([]complex128, n)
+	chunks, size := rowChunks(n)
 	for col := 0; col < n-2; col++ {
 		// Build the reflector annihilating h[col+2:, col].
 		var norm float64
@@ -81,8 +84,8 @@ func hessenberg(h, q *Matrix) {
 		tau := complex(2/vnorm, 0)
 
 		// h <- P h, rows col+1..n: row_i -= tau * v_i * (v† h)_j.
-		parallelFor(n, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
+		par.For(chunks, func(c int) {
+			for j, end := c*size, min((c+1)*size, n); j < end; j++ {
 				var dot complex128
 				for i := col + 1; i < n; i++ {
 					dot += cmplx.Conj(v[i]) * h.At(i, j)
@@ -94,8 +97,8 @@ func hessenberg(h, q *Matrix) {
 			}
 		})
 		// h <- h P, columns col+1..n: col_j -= tau * (h v) * conj(v_j).
-		parallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		par.For(chunks, func(c int) {
+			for i, end := c*size, min((c+1)*size, n); i < end; i++ {
 				row := h.Row(i)
 				var dot complex128
 				for j := col + 1; j < n; j++ {
@@ -108,8 +111,8 @@ func hessenberg(h, q *Matrix) {
 			}
 		})
 		// q <- q P (accumulate the same right-side update).
-		parallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		par.For(chunks, func(c int) {
+			for i, end := c*size, min((c+1)*size, n); i < end; i++ {
 				row := q.Row(i)
 				var dot complex128
 				for j := col + 1; j < n; j++ {

@@ -3,6 +3,8 @@ package linalg
 import (
 	"errors"
 	"math"
+
+	"repro/internal/par"
 )
 
 // padeCoeffs13 are the numerator coefficients of the degree-13 Padé
@@ -127,8 +129,10 @@ func solve(a, b *Matrix) (*Matrix, error) {
 			swapRows(x, p, col)
 		}
 		inv := 1 / lu.At(col, col)
-		parallelFor(n-col-1, func(lo, hi int) {
-			for rr := lo; rr < hi; rr++ {
+		rows := n - col - 1
+		chunks, size := rowChunks(rows)
+		par.For(chunks, func(c int) {
+			for rr, end := c*size, min((c+1)*size, rows); rr < end; rr++ {
 				r := col + 1 + rr
 				f := lu.At(r, col) * inv
 				if f == 0 {

@@ -3,7 +3,8 @@ package linalg
 import (
 	"fmt"
 	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // gemmBlock is the cache-blocking tile edge for the k dimension.
@@ -25,8 +26,9 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 
 func mulInto(out, a, b *Matrix) {
 	n, k, p := a.Rows, a.Cols, b.Cols
-	parallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	chunks, size := rowChunks(n)
+	par.For(chunks, func(c int) {
+		for i, end := c*size, min((c+1)*size, n); i < end; i++ {
 			arow := a.Row(i)
 			orow := out.Row(i)
 			for kk := 0; kk < k; kk += gemmBlock {
@@ -80,7 +82,7 @@ func strassen(a, b *Matrix) *Matrix {
 	// The seven products, computed concurrently: the recursion tree gives
 	// ample parallelism on top of the leaf GEMM's own row parallelism.
 	var p [7]*Matrix
-	tasks := []func() *Matrix{
+	tasks := [7]func() *Matrix{
 		func() *Matrix { return strassen(a11.Add(a22), b11.Add(b22)) },
 		func() *Matrix { return strassen(a21.Add(a22), b11) },
 		func() *Matrix { return strassen(a11, b12.Sub(b22)) },
@@ -89,21 +91,7 @@ func strassen(a, b *Matrix) *Matrix {
 		func() *Matrix { return strassen(a21.Sub(a11), b11.Add(b12)) },
 		func() *Matrix { return strassen(a12.Sub(a22), b21.Add(b22)) },
 	}
-	if n >= 2*strassenCutoff && runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for i, t := range tasks {
-			wg.Add(1)
-			go func(i int, t func() *Matrix) {
-				defer wg.Done()
-				p[i] = t()
-			}(i, t)
-		}
-		wg.Wait()
-	} else {
-		for i, t := range tasks {
-			p[i] = t()
-		}
-	}
+	par.For(len(tasks), func(i int) { p[i] = tasks[i]() })
 
 	c11 := p[0].Add(p[3]).Sub(p[4]).Add(p[6])
 	c12 := p[2].Add(p[4])
@@ -139,28 +127,10 @@ func (m *Matrix) setQuadrant(r0, c0 int, q *Matrix) {
 	}
 }
 
-// parallelFor splits [0, n) across GOMAXPROCS goroutines.
-func parallelFor(n int, fn func(lo, hi int)) {
+// rowChunks plans an n-row loop for par.For: one contiguous chunk per
+// GOMAXPROCS worker, chunk c holding rows [c*size, min((c+1)*size, n)).
+func rowChunks(n int) (chunks, size int) {
 	w := runtime.GOMAXPROCS(0)
-	if n < 2 || w <= 1 {
-		fn(0, n)
-		return
-	}
-	if w > n {
-		w = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(start, end)
-	}
-	wg.Wait()
+	size = max(1, (n+w-1)/w)
+	return (n + size - 1) / size, size
 }

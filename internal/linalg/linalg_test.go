@@ -3,9 +3,11 @@ package linalg
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"sort"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -102,6 +104,32 @@ func TestStrassenMatchesGEMM(t *testing.T) {
 		if d := a.Strassen(b).MaxAbsDiff(a.Mul(b)); d > 1e-8*float64(n) {
 			t.Errorf("n=%d: Strassen differs from GEMM by %g", n, d)
 		}
+	}
+}
+
+// TestRowSplitPanicReachesCaller panics inside the row chunks of a GEMM
+// (a right operand whose data is shorter than its shape says): the caller
+// sees *par.Panic carrying the runtime error, and no goroutine is left
+// behind.
+func TestRowSplitPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	a := randomMatrix(rng.New(8), 16)
+	b := &Matrix{Rows: 16, Cols: 16, Data: make([]complex128, 16)}
+	_ = a.Mul(a) // start par's workers
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			r := recover()
+			if p, ok := r.(*par.Panic); !ok {
+				t.Errorf("recovered %#v, want *par.Panic", r)
+			} else if _, ok := p.Value.(runtime.Error); !ok {
+				t.Errorf("recovered *par.Panic carrying %#v, want a runtime.Error", p.Value)
+			}
+		}()
+		a.Mul(b)
+	}()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutine count went from %d to %d across a row-split panic", before, after)
 	}
 }
 

@@ -8,8 +8,9 @@
 // (Go randomises range order per run by design).
 //
 // The one legitimate wall-clock use — timing a result for reporting —
-// is waived per site with //lint:ignore detrng <reason>, which keeps
-// the allowlist visible in the code it covers. Map ranges that only
+// goes through perfmodel.Clock, outside the contract, which the
+// finding names; a site that must read the clock itself is waived with
+// //lint:ignore detrng <reason>. Map ranges that only
 // collect keys into a slice that is subsequently sorted (the
 // sorted-iteration idiom) are recognised and allowed.
 package detrng
@@ -40,8 +41,8 @@ var Analyzer = &analysis.Analyzer{
 		"In packages statevec, cluster, backend, recognize, fuse and noise: forbids\n" +
 		"time.Now/time.Since calls, any import of math/rand or math/rand/v2,\n" +
 		"and ranging over a map unless the loop only collects keys/values into\n" +
-		"a slice that is later sorted in the same function. Timing/benchmark\n" +
-		"sites are waived with //lint:ignore detrng <reason>.",
+		"a slice that is later sorted in the same function. Reported timings\n" +
+		"go through perfmodel.Clock.",
 	Run: run,
 }
 
@@ -64,7 +65,7 @@ func run(pass *analysis.Pass) (any, error) {
 		switch node := n.(type) {
 		case *ast.CallExpr:
 			if sel, ok := node.Fun.(*ast.SelectorExpr); ok && isTimeFunc(pass, sel) {
-				pass.Reportf(node.Pos(), "wall-clock read (time.%s) in a deterministic package; results must not depend on when they run", sel.Sel.Name)
+				pass.Reportf(node.Pos(), "wall-clock read (time.%s) in a deterministic package; results must not depend on when they run (time a report with perfmodel.Clock)", sel.Sel.Name)
 			}
 		case *ast.FuncDecl:
 			if node.Body != nil {

@@ -61,11 +61,11 @@
 // have computed, and every variate is still drawn once, in plan order,
 // before Sample. Result.SharedUnits counts the units taken from the
 // cursor. A worker therefore holds StatesPerWorker = 2 register states,
-// which the serving path reserves against its memory budget. The target's
-// kernel workers are split between the batch's trajectory workers, so a
-// batch does not oversubscribe the machine, and a state left with one
-// kernel worker starts no worker pool, whose finalizer would keep the
-// state alive one garbage collection past its batch.
+// which the serving path reserves against its memory budget. The
+// trajectory workers are the chunks of one par.For, and the target's
+// kernel workers are split between them (max(1, K/W)), so a kernel that
+// fans out inside a trajectory asks par for no more chunks than its share
+// of the machine.
 //
 // Determinism is draw-for-draw: a master stream seeded from
 // Options.Seed deals one sub-seed per trajectory up front, and every

@@ -12,6 +12,8 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/par"
+	"repro/internal/perfmodel"
 	"repro/internal/rng"
 )
 
@@ -29,7 +31,7 @@ type Options struct {
 	// StatesPerWorker backends of the executable's target shape. 0 means 1
 	// (serial). The target's kernel workers are split between them: each
 	// backend gets max(1, K/Workers), K being Target.Workers (GOMAXPROCS
-	// when 0), so W trajectory workers do not each start a K-wide pool.
+	// when 0), so W trajectory workers do not each fan out K ways.
 	Workers int
 }
 
@@ -151,55 +153,37 @@ func Run(x *backend.Executable, opts Options) (*Result, error) {
 	target.Workers = max(1, kernels/workers)
 
 	res := &Result{Outcomes: make([]uint64, n), Points: len(pts)}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	var mu sync.Mutex
+	errs := make([]error, workers)
+	elapsed := perfmodel.Clock()
+	par.For(workers, func(w int) {
+		// Striped assignment: worker w owns trajectories w, w+W, …
+		// Workers write disjoint outcome slots, so no lock is held on the
+		// hot path.
+		wk, err := newWorker(x, target, pts, off, widest, (n-w+workers-1)/workers)
+		if err != nil {
+			errs[w] = err
+			return
 		}
+		defer wk.close()
+		for i := range wk.forks {
+			t := w + i*workers
+			wk.forks[i] = wk.diverge(t, seeds[t])
+		}
+		if errs[w] = wk.run(res.Outcomes); errs[w] != nil {
+			return
+		}
+		mu.Lock()
+		res.Jumps += wk.jumps
+		res.StruckUnits += wk.struck
+		res.ReplayedGates += wk.replayed
+		res.SharedUnits += wk.shared
 		mu.Unlock()
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Striped assignment: worker w owns trajectories w, w+W, …
-			// Workers write disjoint outcome slots, so no lock is held on
-			// the hot path.
-			wk, err := newWorker(x, target, pts, off, widest, (n-w+workers-1)/workers)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer wk.close()
-			for i := range wk.forks {
-				t := w + i*workers
-				wk.forks[i] = wk.diverge(t, seeds[t])
-			}
-			if err := wk.run(res.Outcomes); err != nil {
-				fail(err)
-				return
-			}
-			mu.Lock()
-			res.Jumps += wk.jumps
-			res.StruckUnits += wk.struck
-			res.ReplayedGates += wk.replayed
-			res.SharedUnits += wk.shared
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	//lint:ignore detrng wall time is reported in Result, never fed into amplitudes
-	res.Wall = time.Since(start)
+	res.Wall = elapsed()
 	return res, nil
 }
 

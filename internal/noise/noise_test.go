@@ -211,7 +211,7 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrajectoryConcurrency exercises the worker pool shape the race
+// TestTrajectoryConcurrency exercises the fan-out shape the race
 // detector cares about: many workers striping a batch, damping channels
 // forcing Probability+ApplyKraus interleavings on every trajectory.
 func TestTrajectoryConcurrency(t *testing.T) {
@@ -231,6 +231,35 @@ func TestTrajectoryConcurrency(t *testing.T) {
 	}
 	if total != 128 {
 		t.Fatalf("histogram counts %d of 128 outcomes", total)
+	}
+}
+
+// TestNestedKernelFanOut runs trajectory workers whose kernels fan out
+// again (14 qubits at two kernel workers each): two trajectory workers
+// must sample what one does.
+func TestNestedKernelFanOut(t *testing.T) {
+	c := circgen.Brickwork(rng.New(17), 14, 4)
+	c.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: 0.02})
+	c.AttachNoise(3, 5, circuit.Channel{Kind: circuit.AmplitudeDamping, P: 0.3})
+	x, err := backend.Compile(c, backend.Target{NumQubits: 14, Kind: backend.Fused, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []uint64
+	for _, workers := range []int{1, 2} {
+		res, err := Run(x, Options{Trajectories: 12, Seed: 23, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = res.Outcomes
+			continue
+		}
+		for i := range ref {
+			if res.Outcomes[i] != ref[i] {
+				t.Fatalf("workers=%d: trajectory %d sampled %d, one worker sampled %d", workers, i, res.Outcomes[i], ref[i])
+			}
+		}
 	}
 }
 

@@ -117,6 +117,14 @@ func Active() Measured {
 // bestOf times fn repeatedly until budget has elapsed and returns the
 // fastest run in seconds — the same robust minimum estimator qemu-bench
 // uses (a GC pause inflates a mean, not a minimum).
+// Clock starts a wall clock and returns its reading: the one clock of the
+// deterministic engine packages, whose reports (backend.Result.Wall,
+// noise.Result.Wall) it times. The detrng analyzer bans any other there.
+func Clock() (elapsed func() time.Duration) {
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
+}
+
 func bestOf(budget time.Duration, fn func()) float64 {
 	var total, best time.Duration
 	for runs := 0; total < budget || runs < 2; runs++ {

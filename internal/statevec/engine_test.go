@@ -5,18 +5,21 @@ import (
 	"math/cmplx"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	_ "unsafe" // go:linkname
 
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
 // engineN is large enough (dim 2^13 > parallelThreshold) that kernels on a
-// multi-worker State actually dispatch to the pool.
+// multi-worker State actually fan out.
 const engineN = 13
 
 // TestPooledKernelsMatchSerial is the engine's core property test: every
-// kernel and reduction must produce the same result (to 1e-12) through the
-// worker pool as through the forced single-threaded path.
+// kernel and reduction must produce the same result (to 1e-12) fanned out
+// as through the forced single-threaded path.
 func TestPooledKernelsMatchSerial(t *testing.T) {
 	src := rng.New(202)
 	trials := 3
@@ -107,8 +110,8 @@ func randomUnitary(src *rng.Source, w uint) []complex128 {
 }
 
 // TestConcurrentIndependentStates drives several States from separate
-// goroutines at once — each with its own worker pool — and verifies every
-// one against a serial twin. Run under -race this is the pool's data-race
+// goroutines at once — all sharing par's workers — and verifies every one
+// against a serial twin. Run under -race this is the fan-out's data-race
 // coverage.
 func TestConcurrentIndependentStates(t *testing.T) {
 	goroutines := 4
@@ -140,42 +143,118 @@ func TestConcurrentIndependentStates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWorkerPoolIsPersistent verifies the tentpole's point: repeated
-// kernels reuse one pool instead of spawning goroutines per call.
+// parOffCaller is par's count of the chunks its workers have run rather
+// than the goroutine that called For, reached by name: it exists for tests.
+//
+//go:linkname parOffCaller repro/internal/par.offCaller
+var parOffCaller atomic.Int64
+
+// TestWorkerPoolIsPersistent verifies that repeated kernels reuse par's
+// process-wide workers instead of starting goroutines per call.
 func TestWorkerPoolIsPersistent(t *testing.T) {
 	s := NewRandom(engineN, rng.New(505))
 	s.SetParallelism(4)
-	s.ApplyHadamard(0) // force pool creation
-	if s.pool == nil {
-		t.Fatal("no pool created for a parallel-sized state")
-	}
-	p := s.pool
+	s.ApplyHadamard(0) // start par's workers
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
 		s.ApplyHadamard(uint(i % engineN))
 		_ = s.Norm()
 	}
-	if s.pool != p {
-		t.Error("pool was recreated between kernels")
-	}
-	after := runtime.NumGoroutine()
-	if after > before+8 {
+	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutine count grew from %d to %d across 400 kernels", before, after)
 	}
 }
 
-// TestSmallStateStaysSerial verifies the engine never spawns a pool below
-// the parallel threshold (DenseUnitary creates thousands of tiny states;
-// they must stay pool-free).
+// TestStatesLeaveNoGoroutines pins that a State owns no goroutines: 100
+// parallel-sized States, each run and dropped with no GC in between, leave
+// at most par's workers behind.
+func TestStatesLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		s := NewRandom(engineN+1, rng.New(uint64(i)))
+		s.SetParallelism(4)
+		s.ApplyHadamard(uint(i % engineN))
+	}
+	if after, pool := runtime.NumGoroutine(), runtime.GOMAXPROCS(0)-1; after > before+pool {
+		t.Errorf("100 dropped States left %d goroutines, want at most par's %d workers", after-before, pool)
+	}
+}
+
+// TestSmallStateStaysSerial verifies the engine never fans out below the
+// parallel threshold (DenseUnitary creates thousands of tiny states; they
+// must stay on the calling goroutine).
 func TestSmallStateStaysSerial(t *testing.T) {
+	before := parOffCaller.Load()
 	s := NewRandom(8, rng.New(606))
+	s.SetParallelism(4)
 	for _, g := range randomGates(rng.New(607), 8, 20) {
 		s.ApplyGate(g)
 	}
 	_ = s.Norm()
 	_ = s.Probability(0)
-	if s.pool != nil {
-		t.Error("a 256-amplitude state spawned a worker pool")
+	if got := parOffCaller.Load() - before; got != 0 {
+		t.Errorf("a 256-amplitude state ran %d chunks off the calling goroutine", got)
+	}
+}
+
+// TestNestedKernelsInChunks runs a parallel kernel inside every chunk of
+// another State's parallel range — the shape of a cluster superstep or a
+// trajectory worker calling a kernel that fans out — and checks each
+// nested result against its serial twin.
+func TestNestedKernelsInChunks(t *testing.T) {
+	outer := NewZero(engineN)
+	outer.SetParallelism(4)
+	ck := outer.chunksFor(outer.Dim())
+	inner := make([]*State, ck.n)
+	for i := range inner {
+		inner[i] = NewRandom(engineN, rng.New(uint64(700+i)))
+		inner[i].SetParallelism(2)
+	}
+	want := make([]*State, ck.n)
+	for i, s := range inner {
+		want[i] = s.Clone()
+		want[i].SetParallelism(1)
+		want[i].ApplyHadamard(3)
+	}
+	outer.parallelRange(outer.Dim(), func(lo, _ uint64) {
+		inner[lo/ck.chunk].ApplyHadamard(3)
+	})
+	for i := range inner {
+		if d := inner[i].MaxDiff(want[i]); d != 0 {
+			t.Errorf("chunk %d: nested kernel differs from serial by %g", i, d)
+		}
+	}
+}
+
+// TestChunkPanicReachesCaller panics in the first and in the last chunk
+// of a parallel range: the caller sees *par.Panic carrying the value, and
+// no goroutine is left behind.
+func TestChunkPanicReachesCaller(t *testing.T) {
+	s := NewZero(engineN)
+	s.SetParallelism(4)
+	ck := s.chunksFor(s.Dim())
+	if ck.n < 2 {
+		t.Fatalf("plan has %d chunk(s), want a parallel one", ck.n)
+	}
+	s.ApplyHadamard(0) // start par's workers
+	before := runtime.NumGoroutine()
+	for _, bad := range []int{0, ck.n - 1} {
+		func() {
+			defer func() {
+				p, ok := recover().(*par.Panic)
+				if !ok || p.Value != "boom" || len(p.Stack) == 0 {
+					t.Errorf("chunk %d: recovered %#v, want *par.Panic{Value: \"boom\"} with a stack", bad, p)
+				}
+			}()
+			s.parallelRange(s.Dim(), func(lo, _ uint64) {
+				if lo/ck.chunk == uint64(bad) {
+					panic("boom")
+				}
+			})
+		}()
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutine count went from %d to %d across two chunk panics", before, after)
 	}
 }
 

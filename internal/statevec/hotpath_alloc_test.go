@@ -10,8 +10,8 @@ import (
 // contract the //qemu:hotpath annotations document and the hotpathalloc
 // analyzer enforces syntactically: once a State exists, the annotated
 // kernels run without touching the heap. The state is kept below
-// parallelThreshold so the serial path is measured (the parallel path
-// amortises its worker pool separately).
+// parallelThreshold so the serial path is measured (the parallel path's
+// closures are pinned below).
 func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	s := NewZero(8)
 	s.SetParallelism(1)
@@ -54,8 +54,8 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		}},
 	}
 	// The chunk functions of the controlled and diagonal kernels on a state
-	// the pool splits, each over the chunks of its plan: what every worker
-	// runs allocates nothing (the dispatch's own allocation is the pool's).
+	// that fans out, each over the chunks of its plan: what every worker
+	// runs allocates nothing (the dispatch's closures are pinned below).
 	p := NewZero(15)
 	p.SetParallelism(2)
 	cmask := uint64(1)<<3 | 1<<4
@@ -85,6 +85,32 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.run); n != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", c.name, n)
+		}
+	}
+}
+
+// TestParallelKernelsAllocateOnlyTheirClosures pins the fan-out's cost on
+// the parallel path: a kernel allocates its closures (the kernel's and
+// parallelRange's; parallelReduce adds the partials slice) and par.For
+// nothing per chunk, so two and four workers read the same count.
+func TestParallelKernelsAllocateOnlyTheirClosures(t *testing.T) {
+	p := NewZero(15)
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"ApplyMatrix2", 2, func() { p.ApplyMatrix2(gates.MatH, 1) }},
+		{"Norm", 3, func() { _ = p.Norm() }},
+	} {
+		var got [2]float64
+		for i, w := range []int{2, 4} {
+			p.SetParallelism(w)
+			c.run() // warm par's workers and job pool
+			got[i] = testing.AllocsPerRun(100, c.run)
+		}
+		if got[0] != got[1] || got[0] > c.max {
+			t.Errorf("%s: %v allocs per call at two workers and %v at four, want the same and at most %v", c.name, got[0], got[1], c.max)
 		}
 	}
 }

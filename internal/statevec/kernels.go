@@ -69,8 +69,8 @@ func (s *State) ApplyMatrix2(m gates.Matrix2, k uint) {
 // [start, end). The kernels dispatch to chunk functions like this one
 // instead of closing over their parameters so the serial path — and
 // the per-chunk work on the parallel path — costs zero allocations: a
-// closure handed to the worker pool escapes and would otherwise
-// heap-allocate on every kernel call, serial or not.
+// closure handed to par.For escapes and would otherwise heap-allocate on
+// every kernel call, serial or not.
 func matrix2Chunk(amp []complex128, m gates.Matrix2, k uint, stride, start, end uint64) {
 	for c := start; c < end; c++ {
 		i0 := bitops.InsertZeroBit(c, k)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bitops"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -81,7 +82,8 @@ func (s *State) Probabilities() []float64 {
 func (s *State) massChunks() (chunks, []float64, float64) {
 	ck := s.chunksFor(s.Dim())
 	masses := make([]float64, ck.n)
-	s.runChunks(ck, func(i int, lo, hi uint64) {
+	par.For(ck.n, func(i int) {
+		lo, hi := ck.bounds(i)
 		var acc float64
 		for _, a := range s.amp[lo:hi] {
 			acc += real(a)*real(a) + imag(a)*imag(a)
@@ -186,7 +188,7 @@ const unresolved = ^uint64(0)
 // the highest supported outcome (float-drift tolerance). Sharded owners
 // (internal/cluster) use it to sample a distributed register: the global
 // uniforms are partitioned by per-shard masses and each shard resolves its
-// targets locally, on its own worker pool.
+// targets locally, in its own chunks.
 func (s *State) ResolveCDF(ts []float64, out []uint64) {
 	if len(ts) == 0 {
 		return
@@ -214,7 +216,8 @@ func (s *State) sampleManyChunked(ts []float64, out []uint64) {
 	for i := range out {
 		out[i] = unresolved
 	}
-	s.runChunks(ck, func(i int, lo, hi uint64) {
+	par.For(ck.n, func(i int) {
+		lo, hi := ck.bounds(i)
 		jlo := sort.SearchFloat64s(ts, prefix[i])
 		jhi := sort.SearchFloat64s(ts, prefix[i+1])
 		if jlo == jhi {

@@ -9,9 +9,9 @@
 //
 // # Execution engine
 //
-// Every kernel and reduction runs through one engine (parallel.go): a
-// persistent worker pool created lazily per State and sized from
-// GOMAXPROCS, fed cache-line-aligned chunks of the amplitude vector.
+// Every kernel and reduction runs through one engine (parallel.go): the
+// process-wide par.For, fed cache-line-aligned chunks of the amplitude
+// vector, as many as the State's worker count.
 // Gate kernels use parallelRange; Norm, MaxDiff, Probability,
 // ExpectationDiagonal and the sampling prefix sums use parallelReduce with
 // per-worker partial accumulators folded in chunk order (deterministic for
@@ -165,8 +165,8 @@ const MaxQubits = 34
 // length exactly 2^n. Methods that mutate the state do so in place.
 //
 // A State is not safe for concurrent use; distinct States are independent
-// (each owns its worker pool and scratch buffer) and may be driven from
-// different goroutines freely.
+// (each owns its scratch buffers; all share par's workers) and may be
+// driven from different goroutines freely.
 type State struct {
 	n   uint
 	amp []complex128
@@ -181,9 +181,6 @@ type State struct {
 	factor *factorScratch
 	// runs is the index scratch of ApplyDiagTable; nil until the first.
 	runs *[MaxQubits]diagRun
-	// pool is the persistent worker pool; nil until the first kernel large
-	// enough to go parallel.
-	pool *workerPool
 	// maxWorkers caps kernel parallelism; 0 means GOMAXPROCS.
 	maxWorkers int
 }
@@ -262,8 +259,7 @@ func (s *State) Amplitude(i uint64) complex128 { return s.amp[i] }
 func (s *State) SetAmplitude(i uint64, a complex128) { s.amp[i] = a }
 
 // Clone returns a deep copy of s. The copy starts with its own (lazily
-// created) worker pool and scratch buffer but inherits the parallelism
-// setting.
+// created) scratch buffers but inherits the parallelism setting.
 func (s *State) Clone() *State {
 	c := &State{n: s.n, amp: make([]complex128, len(s.amp)), maxWorkers: s.maxWorkers}
 	copy(c.amp, s.amp)
