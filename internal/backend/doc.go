@@ -75,7 +75,13 @@
 //     each AutoFuseWidths rung, cluster) with the calibrated constants of
 //     internal/perfmodel and picks the cheapest; for each recognised
 //     region it also rules emulate-vs-fuse by predicted time, replacing
-//     the static diagonal cutoff. The Generic baseline is never a
+//     the static diagonal cutoff. A fused rung w > 1 competes only where
+//     its block matrix is no larger than the state, 4^w ≤ 2^n (2w ≤ n):
+//     a wider block costs more to build, as a 2w-qubit sweep of its
+//     gates, than running those gates once on the register, so the
+//     profile skips its fuse.Cost pass and select lists it at +Inf
+//     ("block matrix outgrows the register"). Explicit targets keep
+//     FuseWidth as the caller's cap. The Generic baseline is never a
 //     candidate: it is the reference the engines are measured against.
 //
 // Both passes are deterministic — pure functions of the circuit and the

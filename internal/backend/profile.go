@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/circuit"
@@ -23,8 +24,19 @@ import (
 // AutoFuseWidths is the fusion-width ladder the selector searches. Width 1
 // is classic same-target fusion; the widths above it are the multi-qubit
 // block sizes whose sweep costs internal/fuse has calibrated constants
-// for.
+// for. On an n-qubit register the ladder stops where a block's matrix
+// would outgrow the state: a rung w > 1 is a candidate only if 4^w ≤ 2^n
+// (autoWidthFits). Explicit targets are not bound by it: their FuseWidth
+// is the caller's cap.
 var AutoFuseWidths = []int{1, 2, 4, 8}
+
+// autoWidthFits reports whether fusion width w is an auto candidate on an
+// n-qubit register: w == 1, or 2w ≤ n, so the 2^w×2^w block matrix holds
+// no more entries than the 2^n state. Past that point fusing loses on
+// both ends: a w-block is built by running its gates over a 2w-qubit
+// register, dearer than running them once on the state, and the sweep
+// reads its 4^w entries for only 2^(n−w) < 2^w groups.
+func autoWidthFits(w int, n uint) bool { return w == 1 || uint(2*w) <= n }
 
 // RegionProfile summarises one recognised region for the selector: what
 // it is, what it spans, and what running its gates WOULD cost at each
@@ -40,7 +52,8 @@ type RegionProfile struct {
 	// SupportWidth counts the qubits the op touches.
 	SupportWidth uint
 	// GateUnits[i] is fuse's sweep-unit estimate of executing the
-	// region's gates at fusion width AutoFuseWidths[i].
+	// region's gates at fusion width AutoFuseWidths[i], +Inf for a rung
+	// the register excludes (autoWidthFits).
 	GateUnits []float64
 }
 
@@ -61,7 +74,8 @@ type Profile struct {
 	Regions         []RegionProfile
 	RecognizedGates int
 	// ResidualUnits[i] is fuse's sweep-unit estimate of the gate
-	// segments OUTSIDE recognised regions at width AutoFuseWidths[i];
+	// segments OUTSIDE recognised regions at width AutoFuseWidths[i]
+	// (+Inf for an excluded rung, even with no residual gates);
 	// GateByGateUnits is the same work applied gate by gate (fuse's
 	// baseline estimate, width-independent).
 	ResidualUnits   []float64
@@ -101,13 +115,18 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 	}
 
 	p.ResidualUnits = make([]float64, len(AutoFuseWidths))
+	for i, w := range AutoFuseWidths {
+		if !autoWidthFits(w, c.NumQubits) {
+			p.ResidualUnits[i] = math.Inf(1) // kept by the sums below
+		}
+	}
 	for _, seg := range plan.Segments {
 		gs := c.Gates[seg.Lo:seg.Hi]
 		if seg.Op != nil {
 			r := RegionProfile{
 				Kind: seg.Op.Kind(), Lo: seg.Lo, Hi: seg.Hi,
 				SupportWidth: uint(len(seg.Op.Support())),
-				GateUnits:    unitsPerWidth(gs),
+				GateUnits:    unitsPerWidth(gs, c.NumQubits),
 			}
 			if q, ok := seg.Op.QFT(); ok {
 				r.FieldWidth = q.Width
@@ -116,7 +135,7 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 			p.RecognizedGates += seg.Hi - seg.Lo
 			continue
 		}
-		units := unitsPerWidth(gs)
+		units := unitsPerWidth(gs, c.NumQubits)
 		for i := range p.ResidualUnits {
 			p.ResidualUnits[i] += units[i]
 		}
@@ -127,14 +146,19 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 	return p, plan
 }
 
-// unitsPerWidth prices the gate slice at every candidate fusion width:
-// the model's sweep-unit cost of each schedule, from fuse's cost-only
-// scheduler — no block matrix is built until Compile fuses the segment at
-// the width that won.
-func unitsPerWidth(gs []gates.Gate) []float64 {
+// unitsPerWidth prices the gate slice at every candidate fusion width of
+// an n-qubit register: the model's sweep-unit cost of each schedule, from
+// fuse's cost-only scheduler — no block matrix is built until Compile
+// fuses the segment at the width that won. A rung the register excludes
+// is not scheduled and costs +Inf.
+func unitsPerWidth(gs []gates.Gate, n uint) []float64 {
 	out := make([]float64, len(AutoFuseWidths))
 	for i, w := range AutoFuseWidths {
-		out[i] = fuse.Cost(gs, w)
+		if autoWidthFits(w, n) {
+			out[i] = fuse.Cost(gs, w)
+		} else {
+			out[i] = math.Inf(1)
+		}
 	}
 	return out
 }

@@ -65,7 +65,10 @@ type Selection struct {
 // model m and picks the cheapest. Candidates are evaluated in a fixed
 // order (fused by ascending width, then cluster) and ties go to the
 // earlier entry, so selection is deterministic; ascending width first
-// means a wider fusion block must strictly win to be chosen.
+// means a wider fusion block must strictly win to be chosen. A fused
+// rung w > 1 competes only where 2w ≤ n — its block matrix no larger
+// than the state; a wider one is listed at +Inf with the note "block
+// matrix outgrows the register".
 func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 	n := p.NumQubits
 	fitsLocal := n <= DefaultAutoMaxLocalQubits
@@ -74,14 +77,21 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 
 	// Fused engine, one candidate per fusion width. Each width prices the
 	// residual gate segments at that width plus, per recognised region,
-	// the cheaper of emulating it and fusing its gates.
+	// the cheaper of emulating it and fusing its gates. A rung whose
+	// 2^w×2^w block would hold more entries than the 2^n state (2w > n,
+	// autoWidthFits) is listed at +Inf with a note, like the cluster on a
+	// register that fits one node.
 	for i, w := range AutoFuseWidths {
 		t := Target{NumQubits: n, Kind: Fused, FuseWidth: w, Emulate: recognize.Auto}
 		c := Candidate{Target: t}
-		if !fitsLocal {
+		switch {
+		case !fitsLocal:
 			c.Cost = math.Inf(1)
 			c.Note = "exceeds the single-node capacity budget"
-		} else {
+		case !autoWidthFits(w, n):
+			c.Cost = math.Inf(1)
+			c.Note = "block matrix outgrows the register"
+		default:
 			c.Cost = fusedCost(p, m, i, false)
 		}
 		cands = append(cands, c)

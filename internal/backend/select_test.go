@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/experiments"
 	"repro/internal/gates"
 	"repro/internal/perfmodel"
 	"repro/internal/qft"
 	"repro/internal/revlib"
+	"repro/internal/rng"
 )
 
 // The pinned selections run against perfmodel.Default() — the model of
@@ -164,13 +166,18 @@ func TestSelectFewDenseGatesStayFused(t *testing.T) {
 // region's gate units were [68 67.92 54.72 39.2], the tiled residual
 // [47.34 37.08 25.8 36.54]. Width 1 and the gate-by-gate sum price no
 // dense block and did not move; neither did either choice.
+//
+// The tiled residual's w=8 rung became +Inf (was 27.9) when the ladder
+// started stopping at 2w ≤ n: on 12 qubits a 2^8×2^8 block holds more
+// entries than the state, so the profile no longer schedules it. The
+// w=4 choice did not move.
 func TestSelectBenchAutoPinned(t *testing.T) {
 	near := func(got, want []float64) bool {
 		if len(got) != len(want) {
 			return false
 		}
 		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
+			if got[i] != want[i] && !(math.Abs(got[i]-want[i]) <= 1e-9) {
 				return false
 			}
 		}
@@ -200,8 +207,101 @@ func TestSelectBenchAutoPinned(t *testing.T) {
 	if len(sel.Verdicts) != 0 {
 		t.Errorf("tiled-n12 verdicts %+v, want none", sel.Verdicts)
 	}
-	if !near(p.ResidualUnits, []float64{47.34, 21.44, 5.7, 27.9}) || math.Abs(p.GateByGateUnits-76.14) > 1e-9 {
-		t.Errorf("tiled-n12 residual %v gate-by-gate %v, want [47.34 21.44 5.7 27.9] and 76.14",
+	if !near(p.ResidualUnits, []float64{47.34, 21.44, 5.7, math.Inf(1)}) || math.Abs(p.GateByGateUnits-76.14) > 1e-9 {
+		t.Errorf("tiled-n12 residual %v gate-by-gate %v, want [47.34 21.44 5.7 +Inf] and 76.14",
 			p.ResidualUnits, p.GateByGateUnits)
+	}
+}
+
+// lyingAdderShape is the compile corpus's lying adder on n qubits:
+// rotation layers around a ripple adder with one extra X in its gate
+// list, annotated as a plain "add", so verification rejects the region
+// and every gate stays on the fused path. n >= 3.
+func lyingAdderShape(src *rng.Source, n uint, minGates int) *circuit.Circuit {
+	w := (n - 1) / 2
+	c := circuit.New(n)
+	for c.Len() < minGates {
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.Ry(q, src.Float64()*3), gates.Rz(q, src.Float64()*3))
+		}
+		sub := circuit.New(n)
+		revlib.Adder(sub, revlib.Seq(0, w), revlib.Seq(w, w), 2*w)
+		lo := c.Len()
+		c.Append(sub.Gates[:len(sub.Gates)/2]...)
+		c.Append(gates.X(1))
+		c.Append(sub.Gates[len(sub.Gates)/2:]...)
+		c.Annotate(circuit.Region{Name: "add", Args: sub.Regions[0].Args, Lo: lo, Hi: c.Len()})
+	}
+	return c
+}
+
+// TestAutoWidthFitsRegister pins the ladder's stop: the auto target never
+// fuses a block whose 2^w×2^w matrix holds more entries than the 2^n
+// state. On every register from 2 to 20 qubits the chosen width is 1 or
+// satisfies 2w ≤ n, an excluded rung is listed at +Inf with its note and
+// priced at +Inf in the profile, and from 16 qubits up the whole ladder
+// competes. On the compile corpus's 8-qubit lying adder no block wider
+// than 4 qubits is built, at Compile or at Decode.
+func TestAutoWidthFitsRegister(t *testing.T) {
+	const note = "block matrix outgrows the register"
+	for n := uint(2); n <= 20; n++ {
+		shapes := map[string]*circuit.Circuit{"brickwork": circgen.Brickwork(rng.New(uint64(n)), n, 400/int(n)+1)}
+		if n >= 3 {
+			shapes["lying-adder"] = lyingAdderShape(rng.New(uint64(n)), n, 400)
+		}
+		for name, c := range shapes {
+			p, _ := backend.ProfileCircuit(c)
+			sel := backend.SelectTarget(p, perfmodel.Default())
+			if w := sel.Chosen.FuseWidth; w != 1 && uint(2*w) > n {
+				t.Errorf("%s n=%d chose fused w=%d, a block larger than the state:\n%s", name, n, w, sel.Report())
+			}
+			for i, w := range backend.AutoFuseWidths {
+				cand := sel.Candidates[i]
+				excluded := w != 1 && uint(2*w) > n
+				if n >= 16 && excluded {
+					t.Fatalf("n=%d excludes w=%d", n, w)
+				}
+				if excluded != (math.IsInf(cand.Cost, 1) && cand.Note == note) {
+					t.Errorf("%s n=%d w=%d: cost %g note %q, excluded=%t", name, n, w, cand.Cost, cand.Note, excluded)
+				}
+				if excluded != math.IsInf(p.ResidualUnits[i], 1) {
+					t.Errorf("%s n=%d w=%d: residual units %g, excluded=%t", name, n, w, p.ResidualUnits[i], excluded)
+				}
+			}
+		}
+	}
+
+	c := lyingAdderShape(rng.New(3), 8, 400)
+	x, err := backend.Compile(c, backend.Target{NumQubits: 8, Auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := x.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := backend.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, x := range map[string]*backend.Executable{"Compile": x, "Decode(Encode(x))": y} {
+		blocks := 0
+		for _, u := range x.Units {
+			if u.Op != nil {
+				t.Fatalf("%s: the lying region was emulated", what)
+			}
+			if u.Fused == nil {
+				continue
+			}
+			for _, b := range u.Fused.Blocks {
+				blocks++
+				if len(b.Qubits) > 4 {
+					t.Errorf("%s: a fused block spans %d qubits %v", what, len(b.Qubits), b.Qubits)
+				}
+			}
+		}
+		if blocks == 0 {
+			t.Errorf("%s: no fused block at all (target %s)", what, backend.DescribeTarget(x.Target))
+		}
 	}
 }

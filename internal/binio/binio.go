@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrShortBuffer is the sticky error a Reader fails with when the input
@@ -84,12 +85,20 @@ func (w *Writer) Uints(vs []uint) {
 	}
 }
 
-// Complexes appends a u32 count prefix followed by each element.
+// Complexes appends a u32 count prefix followed by each element, the same
+// bytes as C128 per element. The buffer grows once and the elements are
+// written through a local slice: appending to w.buf element by element
+// stores the slice header back each time, a GC write barrier per value.
 func (w *Writer) Complexes(vs []complex128) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.C128(v)
+	off := len(w.buf)
+	buf := slices.Grow(w.buf, 16*len(vs))[:off+16*len(vs)]
+	b := buf[off:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(v)))
 	}
+	w.buf = buf
 }
 
 // Reader consumes little-endian values from a byte buffer. The first
@@ -243,18 +252,21 @@ func (r *Reader) Uints() []uint {
 	return out
 }
 
-// Complexes reads a count-prefixed []complex128.
+// Complexes reads a count-prefixed []complex128, taking its 16·n bytes
+// in one step.
 func (r *Reader) Complexes() []complex128 {
 	n := r.sliceLen()
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	b := r.take(16 * n)
+	if b == nil {
+		return nil
+	}
 	out := make([]complex128, n)
 	for i := range out {
-		out[i] = r.C128()
-	}
-	if r.err != nil {
-		return nil
+		out[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:])))
 	}
 	return out
 }
