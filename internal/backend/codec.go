@@ -25,27 +25,31 @@ import (
 //	noise plan   (channel insertion points in plan order; count 0 = ideal)
 //	gate count   | skipped-region list
 //	unit index   (count, then per unit: type byte + payload size)
-//	unit payloads
+//	unit payloads (gate range, then a gate unit's gate stream, or an op
+//	             unit's substrate and op: flags byte, region form, table)
 //
-// Recognised ops serialise their full lowered payload (register bit
-// lists, diagonal tables, Fourier specs — see recognize.Op.EncodeBinary),
-// so decoding never re-runs recognition or brute-force verification, the
-// expensive passes. Gate segments serialise their gate stream; their
+// A recognised op is written as the region annotation it lowers from —
+// name, gate range and args, the bytes Fingerprint hashes for a circuit's
+// regions — plus the 2^w table of a matched diagonal run, and read back
+// through the parser Analyze runs on annotations (recognize.Op.EncodeBinary,
+// recognize.DecodeOpBinary), so decoding never re-runs recognition or
+// brute-force verification, the expensive passes, and an op has one
+// layout and one validator. Gate segments serialise their gate stream; their
 // fusion plans and communication schedules are rebuilt at decode time by
 // the same lowering Compile uses — both are deterministic pure functions
 // of (gates, target), so a decoded executable plans byte-for-byte the
 // same blocks, remaps and rounds as the original.
 //
 // Version bump policy: CodecVersion changes whenever the wire layout of
-// any section changes — including the recognize.Op payload and the opKind
-// numbering — or when pass semantics change such that a rebuilt plan
+// any section changes — including the recognize.Op payload and the region
+// vocabulary — or when pass semantics change such that a rebuilt plan
 // would diverge from the encoded summary. Encode writes and Decode reads
 // exactly one layout: an artifact of any other version is rejected, and a
 // cache warm-start deletes it and recompiles, which is always correct.
 const (
 	codecMagic = "QEXE"
 	// CodecVersion is the one layout Encode writes and Decode reads.
-	CodecVersion = 6
+	CodecVersion = 7
 	// codecMinVersion is the oldest artifact layout Decode reads.
 	codecMinVersion = CodecVersion
 )
@@ -465,13 +469,7 @@ func Fingerprint(c *circuit.Circuit, t Target) (string, error) {
 	}
 	w.U32(uint32(len(c.Regions)))
 	for _, r := range c.Regions {
-		w.String(r.Name)
-		w.I64(int64(r.Lo))
-		w.I64(int64(r.Hi))
-		w.U32(uint32(len(r.Args)))
-		for _, a := range r.Args {
-			w.U64(a)
-		}
+		recognize.EncodeRegion(w, r)
 	}
 	// The noise section appends only when a model is attached, so every
 	// ideal circuit keeps the fingerprint it had before noise existed —

@@ -1,6 +1,10 @@
 package backend_test
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -58,4 +62,29 @@ func FuzzDecodeExecutable(f *testing.F) {
 			t.Fatalf("verified artifact failed to run on its own target: %v", err)
 		}
 	})
+}
+
+// TestDecodeCrasherSeedsReachTheirChecks: each checked-in crasher of
+// FuzzDecodeExecutable is an artifact of the current layout that fails at
+// the count check it was found through, not at the version check a
+// layout change would otherwise stop it at.
+func TestDecodeCrasherSeedsReachTheirChecks(t *testing.T) {
+	for name, want := range map[string]string{
+		"gate-count-past-payload":  "gate count 4294967295 exceeds its payload",
+		"unit-count-past-artifact": "unit count 4294967295 exceeds artifact",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeExecutable", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry (%v)", name, err)
+		}
+		if _, err := backend.Decode([]byte(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Decode returned %v, want %q", name, err, want)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -309,23 +310,47 @@ func verifyMutants() []verifyMutant {
 	}
 }
 
-// overwriteQubits replaces the one occurrence of the wire form of the
-// qubit list from in an encoded artifact with that of to (of the same
-// length) and recomputes the container checksum.
+// overwriteQubits replaces the qubit list from (found once among the
+// register arguments of the artifact's one op) with to, of the same
+// length, in the encoded artifact, and recomputes the container checksum.
+// An op is written as its region form, so the list sits inside the
+// region's args.
 func overwriteQubits(t *testing.T, data []byte, from, to []uint) []byte {
 	t.Helper()
-	wire := func(qs []uint) []byte {
+	x, err := backend.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := x.Units[findUnit(t, x, "op", func(u *backend.Unit) bool { return u.Op != nil })].Op.Region().Args
+	mutated, hits := slices.Clone(args), 0
+	for i := 1; i+len(from) <= len(args); i++ { // args[0] is the width
+		if slices.Equal(args[i:i+len(from)], wideArgs(from)) {
+			copy(mutated[i:], wideArgs(to))
+			hits++
+		}
+	}
+	wire := func(vs []uint64) []byte {
 		w := binio.NewWriter(nil)
-		w.Uints(qs)
+		w.U64s(vs)
 		return w.Bytes()
 	}
-	if n := bytes.Count(data, wire(from)); n != 1 {
-		t.Fatalf("artifact holds the qubit list %v %d times, want once", from, n)
+	if n := bytes.Count(data, wire(args)); hits != 1 || n != 1 {
+		t.Fatalf("the op's args %v hold the qubit list %v %d times and the artifact holds the args %d times, want once each",
+			args, from, hits, n)
 	}
-	data = bytes.Replace(data, wire(from), wire(to), 1)
+	data = bytes.Replace(data, wire(args), wire(mutated), 1)
 	// magic (4) | version (2) | crc32 of the rest (4)
 	binary.LittleEndian.PutUint32(data[6:10], crc32.ChecksumIEEE(data[10:]))
 	return data
+}
+
+// wideArgs converts a qubit list to region args.
+func wideArgs(qs []uint) []uint64 {
+	out := make([]uint64, len(qs))
+	for i, q := range qs {
+		out[i] = uint64(q)
+	}
+	return out
 }
 
 // plantNoise replaces x's noise plan by one point of the given kind after

@@ -85,6 +85,14 @@ func (w *Writer) Uints(vs []uint) {
 	}
 }
 
+// U64s appends a u32 count prefix followed by each element.
+func (w *Writer) U64s(vs []uint64) {
+	w.U32(uint32(len(vs)))
+	for _, v := range vs {
+		w.U64(v)
+	}
+}
+
 // Complexes appends a u32 count prefix followed by each element, the same
 // bytes as C128 per element. The buffer grows once and the elements are
 // written through a local slice: appending to w.buf element by element
@@ -248,6 +256,23 @@ func (r *Reader) Uints() []uint {
 	}
 	if r.err != nil {
 		return nil
+	}
+	return out
+}
+
+// U64s reads a count-prefixed []uint64, taking its 8·n bytes in one step.
+func (r *Reader) U64s() []uint64 {
+	n := r.sliceLen()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	b := r.take(8 * n)
+	if b == nil {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }

@@ -77,3 +77,31 @@ func TestComplexesTruncated(t *testing.T) {
 		}
 	}
 }
+
+// TestU64sRoundTrip reads back what U64s wrote, values past 2^32 and an
+// empty list included, and fails a payload cut at any byte with
+// ErrShortBuffer and nil.
+func TestU64sRoundTrip(t *testing.T) {
+	for _, vs := range [][]uint64{nil, {0}, {1 << 63, math.MaxUint64, 7, 1 << 40}} {
+		w := NewWriter(nil)
+		w.U64s(vs)
+		w.U8(0xa5)
+		r := NewReader(w.Bytes())
+		back := r.U64s()
+		if r.U8() != 0xa5 || r.Err() != nil || len(back) != len(vs) {
+			t.Fatalf("%v: read back %v (err %v)", vs, back, r.Err())
+		}
+		for i := range vs {
+			if back[i] != vs[i] {
+				t.Fatalf("%v: value %d read back as %d", vs, i, back[i])
+			}
+		}
+		full := w.Bytes()[:w.Len()-1]
+		for cut := 0; cut < len(full); cut++ {
+			r := NewReader(full[:cut])
+			if got := r.U64s(); got != nil || !errors.Is(r.Err(), ErrShortBuffer) {
+				t.Fatalf("%v cut at %d of %d: got %v, err %v", vs, cut, len(full), got, r.Err())
+			}
+		}
+	}
+}

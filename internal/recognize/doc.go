@@ -49,7 +49,12 @@
 // # Region vocabulary
 //
 // The Name/Args layouts understood by this package (all argument values
-// are qubit indices unless stated otherwise):
+// are qubit indices unless stated otherwise). The table is also the op
+// payload of a compiled artifact: an op is written as its region form
+// (Op.Region) and read back through the same parser that lowers a
+// circuit's annotations, which checks every width against the register
+// before any arithmetic on it, so a hostile argument is a skipped region
+// or a decode error, never a panic:
 //
 //	qft pos width          exact QFT (paper Eq. 4) on field [pos, pos+width)
 //	iqft pos width         its inverse
@@ -57,6 +62,8 @@
 //	iqft-noswap pos width  its inverse
 //	add w a*w b*w carry    b += a + carry (mod 2^w), Cuccaro semantics
 //	sub w a*w b*w carry    b -= a + carry (mod 2^w)
+//	addc w a*w b*w carry cout   b += a + carry (mod 2^w), the carry out
+//	                       of the top bit XORed into cout
 //	mul m a*m b*m c*m carry   shift-and-add product: for each set bit k of
 //	                       a, the top m-k bits of c gain b's low m-k bits
 //	                       plus carry (revlib.Multiplier's exact action)
@@ -66,6 +73,10 @@
 //	reflect-uniform w q*w  the Householder reflection I - 2|s><s| about
 //	                       the uniform state (Grover's diffusion); must
 //	                       span the full register
+//	diagonal w q*w         wire only, with its 2^w-entry table: a matched
+//	                       run of diagonal gates, q ascending, bit j of a
+//	                       table index reading q[j]; a circuit cannot
+//	                       annotate one (it carries no table)
 //
 // The arithmetic semantics include the carry ancilla so the shortcut is
 // the exact permutation the gate network implements on every basis state,

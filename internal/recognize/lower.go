@@ -35,9 +35,8 @@ const DefaultDiagCutoffGates = 32
 
 // KeepAboveDiagCutoff returns a Plan.Filter predicate implementing the
 // diagonal cost model: every op passes except diagonal runs with fewer
-// than minGates gates whose support fits in maxWidth qubits. Both the
-// unified backend compiler and the distributed simulator apply it, so
-// the two entry points dispatch identically.
+// than minGates gates whose support fits in maxWidth qubits. backend.Compile
+// applies it, for the fused and the cluster targets alike.
 func KeepAboveDiagCutoff(minGates int, maxWidth uint) func(*Op) bool {
 	return func(op *Op) bool {
 		if op.kind != opDiag {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/bitops"
+	"repro/internal/circuit"
 	"repro/internal/fft"
 	"repro/internal/statevec"
 )
@@ -98,14 +99,7 @@ func (op *Op) String() string {
 	var what string
 	switch op.kind {
 	case opQFT:
-		name := "qft"
-		if op.inverse {
-			name = "iqft"
-		}
-		if op.noswap {
-			name += "-noswap"
-		}
-		what = fmt.Sprintf("%s[%d,%d)", name, op.pos, op.pos+op.width)
+		what = fmt.Sprintf("%s[%d,%d)", qftName(op.inverse, op.noswap), op.pos, op.pos+op.width)
 	case opAdd, opSub, opAddc, opMul, opDiv:
 		what = fmt.Sprintf("%s m=%d", op.kind, op.m)
 	case opDiag:
@@ -116,6 +110,69 @@ func (op *Op) String() string {
 		what = fmt.Sprintf("reflect-uniform w=%d", len(op.qubits))
 	}
 	return fmt.Sprintf("%s (gates [%d,%d), %s%s)", what, op.Lo, op.Hi, src, ver)
+}
+
+// qftName is the region name of a Fourier op.
+func qftName(inverse, noswap bool) string {
+	name := "qft"
+	if inverse {
+		name = "iqft"
+	}
+	if noswap {
+		name += "-noswap"
+	}
+	return name
+}
+
+// Region returns the op's region form: the annotation parseRegion lowers
+// back to this op, given the op's diagonal table (DiagTable) for a
+// diagonal run. It is how an artifact writes the op.
+func (op *Op) Region() circuit.Region {
+	name := op.kind.String()
+	args := make([]uint64, 0, 3+len(op.regA)+len(op.regB)+len(op.regC)+
+		len(op.regR)+len(op.regQ)+len(op.qubits))
+	put := func(qs ...uint) {
+		for _, q := range qs {
+			args = append(args, uint64(q))
+		}
+	}
+	switch op.kind {
+	case opQFT:
+		name = qftName(op.inverse, op.noswap)
+		put(op.pos, op.width)
+	case opAdd, opSub:
+		put(op.m)
+		put(op.regA...)
+		put(op.regB...)
+		put(op.carry)
+	case opAddc:
+		put(op.m)
+		put(op.regA...)
+		put(op.regB...)
+		put(op.carry, op.bz)
+	case opMul:
+		put(op.m)
+		put(op.regA...)
+		put(op.regB...)
+		put(op.regC...)
+		put(op.carry)
+	case opDiv:
+		put(op.m)
+		put(op.regR...)
+		put(op.regB...)
+		put(op.regQ...)
+		put(op.bz, op.carry)
+	case opDiag, opPhaseFlip, opReflect:
+		if op.kind == opReflect {
+			name = regionReflect
+		}
+		put(uint(len(op.qubits)))
+		put(op.qubits...)
+		if op.kind == opPhaseFlip {
+			args = append(args, op.value)
+		}
+	}
+	return circuit.Region{Name: name, Args: args, Lo: op.Lo, Hi: op.Hi}
 }
 
 // support returns the sorted set of qubits the op touches.

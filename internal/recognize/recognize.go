@@ -2,6 +2,7 @@ package recognize
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -184,11 +185,12 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 		if r.Hi == r.Lo {
 			continue
 		}
-		op, err := annotatedOp(c, r)
+		op, err := parseRegion(c.NumQubits, r, nil)
 		if err != nil {
 			p.Skipped = append(p.Skipped, Skip{Name: r.Name, Lo: r.Lo, Hi: r.Hi, Reason: err.Error()})
 			continue
 		}
+		op.Annotated = true
 		ops = append(ops, op)
 	}
 	if opts.Mode >= Auto {
@@ -307,175 +309,138 @@ func matchGaps(c *circuit.Circuit, ops []*Op, opts Options) []*Op {
 	return found
 }
 
-// annotatedOp lowers one circuit.Region to an Op, validating its argument
-// layout against the register width.
-func annotatedOp(c *circuit.Circuit, r circuit.Region) (*Op, error) {
-	n := c.NumQubits
-	op := &Op{Lo: r.Lo, Hi: r.Hi, Annotated: true}
+// Region names whose spelling is not their opKind's.
+const (
+	regionReflect  = "reflect-uniform"
+	regionDiagonal = "diagonal"
+)
+
+// regionLayouts gives every region family but the QFT its argument
+// layout after the leading width w: one qubit register per scale entry,
+// of scale·w qubits, then aux single qubits, then extra values that are
+// not qubits.
+var regionLayouts = map[string]struct {
+	kind       opKind
+	scale      []uint64
+	aux, extra int
+}{
+	"add":          {opAdd, []uint64{1, 1}, 1, 0},
+	"sub":          {opSub, []uint64{1, 1}, 1, 0},
+	"addc":         {opAddc, []uint64{1, 1}, 2, 0},
+	"mul":          {opMul, []uint64{1, 1, 1}, 1, 0},
+	"div":          {opDiv, []uint64{2, 1, 1}, 2, 0},
+	"phaseflip":    {opPhaseFlip, []uint64{1}, 0, 1},
+	regionReflect:  {opReflect, []uint64{1}, 0, 0},
+	regionDiagonal: {opDiag, []uint64{1}, 0, 0},
+}
+
+// parseRegion lowers one region form to an Op over a register of n <= 64
+// qubits. It is the one reading and the one check of an op's layout: of a
+// circuit's annotations (Analyze, table nil) and of an artifact's op
+// payloads (DecodeOpBinary, Validate), where a matched diagonal run adds
+// its 2^w table. Every width is compared against n before any arithmetic
+// on it, so no argument wraps an int or sizes an allocation; every qubit
+// must lie below n and be named once.
+func parseRegion(n uint, r circuit.Region, table []complex128) (*Op, error) {
+	if r.Lo < 0 || r.Hi < r.Lo {
+		return nil, fmt.Errorf("%s gate range [%d,%d) invalid", r.Name, r.Lo, r.Hi)
+	}
+	op := &Op{Lo: r.Lo, Hi: r.Hi}
 	args := r.Args
 	switch r.Name {
 	case "qft", "iqft", "qft-noswap", "iqft-noswap":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("%s wants args [pos width], got %d args", r.Name, len(args))
 		}
-		pos, width := uint(args[0]), uint(args[1])
-		if width == 0 || args[0]+args[1] > uint64(n) {
-			return nil, fmt.Errorf("%s field [%d,%d) invalid for %d qubits", r.Name, args[0], args[0]+args[1], n)
+		pos, width := args[0], args[1]
+		if width == 0 || pos > uint64(n) || width > uint64(n)-pos {
+			return nil, fmt.Errorf("%s field of width %d at %d invalid for %d qubits", r.Name, width, pos, n)
 		}
-		op.kind = opQFT
-		op.pos, op.width = pos, width
-		op.inverse = strings.HasPrefix(r.Name, "iqft")
-		op.noswap = strings.HasSuffix(r.Name, "-noswap")
 		plan, err := fft.NewPlan(uint64(1) << width)
 		if err != nil {
 			return nil, err
 		}
-		op.plan = plan
+		op.kind, op.pos, op.width, op.plan = opQFT, uint(pos), uint(width), plan
+		op.inverse = strings.HasPrefix(r.Name, "iqft")
+		op.noswap = strings.HasSuffix(r.Name, "-noswap")
 		return op, nil
-	case "add", "sub":
-		regs, aux, err := splitArgs(args, n, 2, 1)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", r.Name, err)
+	}
+	l, ok := regionLayouts[r.Name]
+	if !ok {
+		return nil, fmt.Errorf("unknown region name %q", r.Name)
+	}
+	if len(args) == 0 {
+		return nil, fmt.Errorf("%s wants a width argument", r.Name)
+	}
+	w := args[0]
+	if w == 0 || w > uint64(n) {
+		return nil, fmt.Errorf("%s width %d out of range for %d qubits", r.Name, w, n)
+	}
+	nq := l.aux
+	for _, s := range l.scale {
+		nq += int(s * w)
+	}
+	if len(args) != 1+nq+l.extra {
+		return nil, fmt.Errorf("%s w=%d wants %d args, got %d", r.Name, w, 1+nq+l.extra, len(args))
+	}
+	qs := make([]uint, nq)
+	var seen uint64
+	for i, q := range args[1 : 1+nq] {
+		if q >= uint64(n) || q >= 64 {
+			return nil, fmt.Errorf("%s qubit %d out of range (register width %d)", r.Name, q, n)
 		}
-		op.kind = opAdd
-		if r.Name == "sub" {
-			op.kind = opSub
+		if seen&(1<<q) != 0 {
+			return nil, fmt.Errorf("%s names qubit %d twice", r.Name, q)
 		}
-		op.regA, op.regB, op.carry = regs[0], regs[1], aux[0]
-		op.m = uint(len(regs[0]))
-		return op, nil
-	case "addc":
-		regs, aux, err := splitArgs(args, n, 2, 2)
-		if err != nil {
-			return nil, fmt.Errorf("addc: %v", err)
-		}
-		op.kind = opAddc
-		op.regA, op.regB, op.carry, op.bz = regs[0], regs[1], aux[0], aux[1]
-		op.m = uint(len(regs[0]))
-		return op, nil
-	case "mul":
-		regs, aux, err := splitArgs(args, n, 3, 1)
-		if err != nil {
-			return nil, fmt.Errorf("mul: %v", err)
-		}
-		op.kind = opMul
-		op.regA, op.regB, op.regC, op.carry = regs[0], regs[1], regs[2], aux[0]
-		op.m = uint(len(regs[0]))
-		return op, nil
-	case "div":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("div wants args [m r*2m b*m q*m bz carry]")
-		}
-		m := args[0]
-		if len(args) != int(4*m+3) {
-			return nil, fmt.Errorf("div m=%d wants %d args, got %d", m, 4*m+3, len(args))
-		}
-		lists, aux, err := takeRegisters(args[1:], n, []uint64{2 * m, m, m}, 2)
-		if err != nil {
-			return nil, fmt.Errorf("div: %v", err)
-		}
-		op.kind = opDiv
-		op.regR, op.regB, op.regQ = lists[0], lists[1], lists[2]
-		op.bz, op.carry = aux[0], aux[1]
-		op.m = uint(m)
-		return op, nil
-	case "phaseflip":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("phaseflip wants args [w q*w value]")
-		}
-		w := args[0]
-		if len(args) != int(w+2) {
-			return nil, fmt.Errorf("phaseflip w=%d wants %d args, got %d", w, w+2, len(args))
-		}
-		lists, _, err := takeRegisters(args[1:len(args)-1], n, []uint64{w}, 0)
-		if err != nil {
-			return nil, fmt.Errorf("phaseflip: %v", err)
-		}
+		seen |= 1 << q
+		qs[i] = uint(q)
+	}
+	// The registers, in layout order, then the single qubits in qs.
+	regs := make([][]uint, len(l.scale))
+	for i, s := range l.scale {
+		regs[i], qs = qs[:s*w:s*w], qs[s*w:]
+	}
+	op.kind = l.kind
+	switch l.kind {
+	case opAdd, opSub:
+		op.regA, op.regB, op.carry = regs[0], regs[1], qs[0]
+	case opAddc:
+		op.regA, op.regB, op.carry, op.bz = regs[0], regs[1], qs[0], qs[1]
+	case opMul:
+		op.regA, op.regB, op.regC, op.carry = regs[0], regs[1], regs[2], qs[0]
+	case opDiv:
+		op.regR, op.regB, op.regQ, op.bz, op.carry = regs[0], regs[1], regs[2], qs[0], qs[1]
+	case opPhaseFlip:
 		value := args[len(args)-1]
 		if w < 64 && value>>w != 0 {
 			return nil, fmt.Errorf("phaseflip value %d exceeds %d bits", value, w)
 		}
-		op.kind = opPhaseFlip
-		op.qubits, op.value = sortedPattern(lists[0], value)
+		op.qubits, op.value = sortedPattern(regs[0], value)
 		return op, nil
-	case "reflect-uniform":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("reflect-uniform wants args [w q*w]")
-		}
-		w := args[0]
-		if len(args) != int(w+1) {
-			return nil, fmt.Errorf("reflect-uniform w=%d wants %d args, got %d", w, w+1, len(args))
-		}
-		lists, _, err := takeRegisters(args[1:], n, []uint64{w}, 0)
-		if err != nil {
-			return nil, fmt.Errorf("reflect-uniform: %v", err)
-		}
+	case opReflect:
 		if uint(w) != n {
 			// The two-pass mean-and-subtract shortcut needs the reflection
 			// to span the whole register; field-local reflections would
 			// need per-fibre sums and are not worth the complexity yet.
 			return nil, fmt.Errorf("reflect-uniform spans %d of %d qubits (full register required)", w, n)
 		}
-		op.kind = opReflect
-		qs := append([]uint(nil), lists[0]...)
-		sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-		op.qubits = qs
+		slices.Sort(regs[0])
+		op.qubits = regs[0]
 		return op, nil
-	default:
-		return nil, fmt.Errorf("unknown region name %q", r.Name)
-	}
-}
-
-// splitArgs decodes the [w reg1*w reg2*w ... aux...] layout shared by the
-// fixed-shape arithmetic annotations.
-func splitArgs(args []uint64, n uint, regs, aux int) ([][]uint, []uint, error) {
-	if len(args) < 1 {
-		return nil, nil, fmt.Errorf("missing width argument")
-	}
-	w := args[0]
-	if len(args) != 1+regs*int(w)+aux {
-		return nil, nil, fmt.Errorf("w=%d wants %d args, got %d", w, 1+regs*int(w)+aux, len(args))
-	}
-	widths := make([]uint64, regs)
-	for i := range widths {
-		widths[i] = w
-	}
-	return takeRegisters(args[1:], n, widths, aux)
-}
-
-// takeRegisters decodes consecutive qubit lists of the given widths plus
-// aux trailing qubit arguments, checking range and global distinctness.
-func takeRegisters(args []uint64, n uint, widths []uint64, aux int) ([][]uint, []uint, error) {
-	var seen uint64
-	take := func(k uint64) ([]uint, error) {
-		out := make([]uint, k)
-		for i := range out {
-			q := args[0]
-			args = args[1:]
-			if q >= uint64(n) || q >= 64 {
-				return nil, fmt.Errorf("qubit %d out of range (register width %d)", q, n)
-			}
-			if seen&(1<<q) != 0 {
-				return nil, fmt.Errorf("duplicate qubit %d", q)
-			}
-			seen |= 1 << q
-			out[i] = uint(q)
+	case opDiag:
+		// Bit j of a table index is qubit j of the list, so the list is
+		// taken as written: ascending, as the matcher builds it.
+		if !slices.IsSorted(regs[0]) {
+			return nil, fmt.Errorf("diagonal qubit list not strictly ascending")
 		}
-		return out, nil
-	}
-	lists := make([][]uint, len(widths))
-	for i, w := range widths {
-		l, err := take(w)
-		if err != nil {
-			return nil, nil, err
+		if w >= 32 || uint64(len(table)) != 1<<w {
+			return nil, fmt.Errorf("diagonal table holds %d entries for %d qubits", len(table), w)
 		}
-		lists[i] = l
+		op.qubits, op.diag = regs[0], table
+		return op, nil
 	}
-	auxList, err := take(uint64(aux))
-	if err != nil {
-		return nil, nil, err
-	}
-	return lists, auxList, nil
+	op.m = uint(w)
+	return op, nil
 }
 
 // sortedPattern sorts the qubit list ascending, permuting the pattern bits

@@ -96,8 +96,8 @@ func near(a, b complex128) bool {
 }
 
 // key is the region's identity for Analyze's verdict memo: the compact op's
-// wire form, its gate range and flags zeroed, then every compact gate's
-// matrix bits, target and controls. Regions with equal keys run the same
+// wire form (its region form and table), its gate range and flags zeroed,
+// then every compact gate's matrix bits, target and controls. Regions with equal keys run the same
 // check on the same bits.
 func (r *region) key() string {
 	op := *r.op

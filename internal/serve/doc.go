@@ -78,7 +78,7 @@
 //	magic "QEXE" | version u16 | crc32 u32
 //	target | source key | noise plan | gate count | skipped-region list
 //	unit index (type + size per unit)
-//	unit payloads (ops: full lowered payload; gate segments: raw gates)
+//	unit payloads (ops: region form and table; gate segments: raw gates)
 //
 // At startup the cache decodes every artifact in the directory back
 // through normal admission, so a restarted daemon serves its first

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/recognize"
@@ -139,5 +140,43 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/run returned %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPCompileOverflowingRegion: a region argument that wraps an int in
+// the width arithmetic is a skipped annotation, not a panic. On the auto
+// target both compiles of it answer 200 within the client's deadline and
+// the second is a cache hit; a panicking compile drops the first
+// connection and leaves its single-flight entry open, so the second hangs.
+func TestHTTPCompileOverflowingRegion(t *testing.T) {
+	s, err := serve.New(serve.Config{Target: backend.Target{Auto: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	body, err := json.Marshal(map[string]string{
+		"qasm": "qubits 3\nregion add 9223372036854775808 0\nx 0\nx 1\nendregion\nh 2\n",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	for i, wantCached := range []bool{false, true} {
+		resp, err := client.Post(srv.URL+"/v1/compile", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("compile %d: %v", i, err)
+		}
+		var cr serve.CompileResult
+		err = json.NewDecoder(resp.Body).Decode(&cr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("compile %d: status %d, decoding %v", i, resp.StatusCode, err)
+		}
+		if cr.Cached != wantCached || cr.EmulatedGates != 0 || cr.Key == "" {
+			t.Fatalf("compile %d: %+v, want cached=%v and nothing emulated", i, cr, wantCached)
+		}
 	}
 }
