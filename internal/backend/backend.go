@@ -265,6 +265,11 @@ type RegionReport struct {
 	Lo, Hi    int
 	Gates     int
 	Annotated bool
+	// Verified is recognize.Op.Verified: the region was proved against its
+	// gates, by identity with the network it names (any width) or column
+	// by column (up to recognize.Options.MaxVerifyQubits of support). A
+	// wider region without identity runs unverified; a lying annotation
+	// that wide is not caught (ROADMAP items 10(b), (c)).
 	Verified  bool
 	Substrate string
 }

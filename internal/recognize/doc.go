@@ -11,9 +11,9 @@
 //   - Annotations. Builders that know what they emit (internal/qft,
 //     internal/revlib, the grover-style experiment circuits) mark gate
 //     ranges with circuit.Region; the qasm frontend exposes the same
-//     markers as `region NAME args...` / `endregion` lines. Annotated
-//     regions are trusted (and still cross-checked against the region's
-//     own gates when the support is small enough to afford it).
+//     markers as `region NAME args...` / `endregion` lines. An
+//     annotation is checked against the region's own gates like any
+//     match (below).
 //   - Pattern matching. Unannotated gate runs are matched structurally:
 //     QFT/inverse-QFT ladders of H + controlled-phase gates (with or
 //     without the final reversal swaps), Cuccaro adder and shift-and-add
@@ -21,12 +21,29 @@
 //     the reference circuit and comparing gate for gate), X-conjugated
 //     multi-controlled-Z phase flips, and runs of diagonal gates.
 //
-// Every recognised region with at most Options.MaxVerifyQubits of support
-// is verified against the exact unitary of its own gates: for each of the
-// 2^w basis inputs, every amplitude of the shortcut's output must be
-// within 1e-10 of the gates' column (a NaN fails). A diagonal or
-// anti-diagonal gate moves or rephases a basis state, it does not split
-// it, and the check uses that twice:
+// Every recognised region is checked against its own gates on the first
+// of three rungs that applies (Options.Verify):
+//
+//  1. Identity, at any width. The gates are, gate for gate at the
+//     matchers' 1e-12 entry tolerance, the reference network the op
+//     names: one of the qft package's four Fourier shapes, generated in
+//     closed form without allocating, or the revlib network of an add,
+//     sub, addc, mul or div, regenerated by its builder
+//     (matchesReference). A QFT, adder, carry-out adder or multiplier the
+//     matchers found has it already: the matcher compared its whole range
+//     with that network, through the same comparator for the QFT.
+//  2. The column walk, up to Options.MaxVerifyQubits of support. For each
+//     of the 2^w basis inputs, every amplitude of the shortcut's output
+//     must be within 1e-10 of the gates' column (a NaN fails). It settles
+//     what has no identity: diagonal runs, phase flips, reflections, a
+//     daggered adder, an annotation whose gates are not its network.
+//  3. Unverified. A wider region without identity is kept as recognised,
+//     its Verified flag unset. A lying annotation wider than
+//     MaxVerifyQubits still compiles to a wrong op; ROADMAP items 10(b)
+//     and 10(c) are to check it.
+//
+// A diagonal or anti-diagonal gate moves or rephases a basis state, it
+// does not split it, and the column walk uses that twice:
 //
 //   - The arithmetic, phase-flip and diagonal families map each basis
 //     state to one phased basis state. While the region's gates do too, a
@@ -41,10 +58,7 @@
 // rewritten onto the compact register of its support, equal an earlier
 // region's bit for bit takes that region's verdict. A mismatch drops the
 // region back to gate-level execution, so a wrong match can cost
-// performance but never correctness. Larger regions are
-// accepted on the strength of the exact structural match (or, for
-// annotations, trusted as asserted — an annotation that lies about a
-// large region is the caller's bug, like any wrong argument).
+// performance but never correctness.
 //
 // # Region vocabulary
 //

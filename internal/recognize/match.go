@@ -1,13 +1,11 @@
 package recognize
 
 import (
-	"math"
 	"math/cmplx"
 
 	"repro/internal/circuit"
 	"repro/internal/fft"
 	"repro/internal/gates"
-	"repro/internal/qft"
 	"repro/internal/revlib"
 )
 
@@ -45,38 +43,15 @@ func matchAt(c *circuit.Circuit, i, hi int, opts Options) *Op {
 
 // --- gate predicates and window comparison ---------------------------------
 
-func closeC(a, b complex128) bool { return cmplx.Abs(a-b) <= matchEps }
+// closeC reports |a-b| <= matchEps, comparing the squared distance so no
+// square root is taken; a NaN or an infinity is never close.
+func closeC(a, b complex128) bool {
+	d := a - b
+	return real(d)*real(d)+imag(d)*imag(d) <= matchEps*matchEps
+}
 
 func sameMatrix(a, b gates.Matrix2) bool {
 	return closeC(a[0], b[0]) && closeC(a[1], b[1]) && closeC(a[2], b[2]) && closeC(a[3], b[3])
-}
-
-// sameGate compares target, control set (order-insensitive) and matrix.
-func sameGate(a, b gates.Gate) bool {
-	if a.Target != b.Target || len(a.Controls) != len(b.Controls) {
-		return false
-	}
-	var am, bm uint64
-	for _, c := range a.Controls {
-		am |= 1 << c
-	}
-	for _, c := range b.Controls {
-		bm |= 1 << c
-	}
-	return am == bm && sameMatrix(a.Matrix, b.Matrix)
-}
-
-// matchWindow reports whether the circuit gates starting at i equal ref.
-func matchWindow(gs []gates.Gate, i, hi int, ref []gates.Gate) bool {
-	if i+len(ref) > hi {
-		return false
-	}
-	for k, r := range ref {
-		if !sameGate(gs[i+k], r) {
-			return false
-		}
-	}
-	return true
 }
 
 func isPlainH(g gates.Gate) bool {
@@ -104,32 +79,15 @@ func isCR(g gates.Gate) (complex128, bool) {
 	return m[3], true
 }
 
-// shifted rebases every gate of c upward by pos.
-func shifted(c *circuit.Circuit, pos uint) []gates.Gate {
-	out := make([]gates.Gate, len(c.Gates))
-	for i, g := range c.Gates {
-		ng := g
-		ng.Target += pos
-		if len(g.Controls) > 0 {
-			cs := make([]uint, len(g.Controls))
-			for j, q := range g.Controls {
-				cs[j] = q + pos
-			}
-			ng.Controls = cs
-		}
-		out[i] = ng
-	}
-	return out
-}
-
 // --- QFT ladders -----------------------------------------------------------
 
 // matchQFT recognises the four Fourier shapes the qft package emits:
 // forward/inverse, with or without the final qubit-reversal swaps, on any
-// contiguous field. A structural walk over the first ladder row proposes
-// the field; the full window is then compared gate for gate against the
-// regenerated reference circuit, so a ladder with one wrong angle or a
-// truncated tail is rejected outright.
+// contiguous field. A structural walk over the first ladder row, or the
+// first CNOT of an inverse's swap network, proposes the field; each
+// candidate is then compared gate for gate with its closed-form network
+// (qftShape.match), so a ladder with one wrong angle or a truncated tail is
+// rejected outright, and a rejected candidate costs its first mismatch.
 func matchQFT(c *circuit.Circuit, i, hi int) *Op {
 	gs := c.Gates
 	g := gs[i]
@@ -146,15 +104,13 @@ func matchQFT(c *circuit.Circuit, i, hi int) *Op {
 			if gs[i+1+k].Controls[0]+want != t {
 				break
 			}
-			if !closeC(phase, cmplx.Exp(complex(0, math.Pi/float64(uint64(1)<<want)))) {
+			if !closeC(phase, crPhase[want]) {
 				break
 			}
 			k++
 		}
 		if k >= 1 && t >= uint(k) {
-			w := uint(k + 1)
-			pos := t - uint(k)
-			if op := tryQFTVariants(c, i, hi, pos, w, false); op != nil {
+			if op := tryQFTVariants(gs, i, hi, t-uint(k), uint(k+1)); op != nil {
 				return op
 			}
 		}
@@ -162,17 +118,17 @@ func matchQFT(c *circuit.Circuit, i, hi int) *Op {
 		// the width is whatever the longest fully matching dagger is.
 		if i+1 < hi {
 			if phase, ok := isCR(gs[i+1]); ok && gs[i+1].Controls[0] == t && gs[i+1].Target == t+1 &&
-				closeC(phase, cmplx.Exp(complex(0, -math.Pi/2))) {
-				var best *Op
+				closeC(phase, cmplx.Conj(crPhase[1])) {
+				bestW, bestEnd := uint(0), 0
 				for w := uint(2); t+w <= c.NumQubits; w++ {
-					ref := shifted(qft.CircuitNoSwap(w).Dagger(), t)
-					if !matchWindow(gs, i, hi, ref) {
+					end, ok := qftShape{pos: t, w: w, inverse: true, noswap: true}.match(gs, i, hi)
+					if !ok {
 						break
 					}
-					best = qftOp(i, i+len(ref), t, w, true, true)
+					bestW, bestEnd = w, end
 				}
-				if best != nil {
-					return best
+				if bestW != 0 {
+					return qftOp(i, bestEnd, t, bestW, true, true)
 				}
 			}
 		}
@@ -185,16 +141,15 @@ func matchQFT(c *circuit.Circuit, i, hi int) *Op {
 		var best *Op
 		for w := uint(2); w <= c.NumQubits; w++ {
 			kl := w/2 - 1
-			if w/2 == 0 || a < kl {
+			if a < kl {
 				continue
 			}
 			pos := a - kl
 			if b != pos+w-1-kl || pos+w > c.NumQubits {
 				continue
 			}
-			ref := shifted(qft.Circuit(w).Dagger(), pos)
-			if matchWindow(gs, i, hi, ref) {
-				best = qftOp(i, i+len(ref), pos, w, true, false)
+			if end, ok := (qftShape{pos: pos, w: w, inverse: true}).match(gs, i, hi); ok {
+				best = qftOp(i, end, pos, w, true, false)
 			}
 		}
 		return best
@@ -204,16 +159,15 @@ func matchQFT(c *circuit.Circuit, i, hi int) *Op {
 
 // tryQFTVariants validates a proposed forward field against the no-swap
 // ladder and, when it matches, prefers the longer with-swaps form.
-func tryQFTVariants(c *circuit.Circuit, i, hi int, pos, w uint, inverse bool) *Op {
-	ladder := shifted(qft.CircuitNoSwap(w), pos)
-	if !matchWindow(c.Gates, i, hi, ladder) {
+func tryQFTVariants(gs []gates.Gate, i, hi int, pos, w uint) *Op {
+	end, ok := qftShape{pos: pos, w: w, noswap: true}.match(gs, i, hi)
+	if !ok {
 		return nil
 	}
-	full := shifted(qft.Circuit(w), pos)
-	if len(full) > len(ladder) && matchWindow(c.Gates, i, hi, full) {
-		return qftOp(i, i+len(full), pos, w, inverse, false)
+	if full, ok := (qftShape{pos: pos, w: w}).match(gs, i, hi); ok && full > end {
+		return qftOp(i, full, pos, w, false, false)
 	}
-	return qftOp(i, i+len(ladder), pos, w, inverse, true)
+	return qftOp(i, end, pos, w, false, true)
 }
 
 func qftOp(lo, hi int, pos, w uint, inverse, noswap bool) *Op {
@@ -273,21 +227,24 @@ func walkMAJSweep(c *circuit.Circuit, i, hi int, ec []uint) (aBits, bBits []uint
 	isXG := func(g gates.Gate, nc int) bool {
 		return sameMatrix(g.Matrix, gates.MatX) && len(g.Controls) == nc
 	}
+	// The first MAJ block is checked before any register is allocated: a
+	// lone CNOT, as in a brickwork layer, costs nothing.
 	g0, sok := stripControl(gs[i], ec)
 	if !sok || !isXG(g0, 1) {
 		return nil, nil, 0, false
 	}
-	aBits = []uint{g0.Controls[0]}
-	bBits = []uint{g0.Target}
+	a0 := g0.Controls[0]
 	g1, sok := stripControl(gs[i+1], ec)
-	if !sok || !isXG(g1, 1) || g1.Controls[0] != aBits[0] {
+	if !sok || !isXG(g1, 1) || g1.Controls[0] != a0 {
 		return nil, nil, 0, false
 	}
 	carry = g1.Target
 	g2, sok := stripControl(gs[i+2], ec)
-	if !sok || !isXG(g2, 2) || g2.Target != aBits[0] {
+	if !sok || !isXG(g2, 2) || g2.Target != a0 {
 		return nil, nil, 0, false
 	}
+	aBits = []uint{a0}
+	bBits = []uint{g0.Target}
 	// Walk further MAJ triples: cnot(a_k, b_k), cnot(a_k, a_{k-1}),
 	// ccx(a_{k-1}, b_k, a_k).
 	for {
@@ -334,7 +291,7 @@ func matchAdderWalk(c *circuit.Circuit, i, hi int, ec []uint) *adderMatch {
 	if len(ec) > 0 {
 		refGates = ref.Controlled(ec...).Gates
 	}
-	if !matchWindow(gs, i, hi, refGates) {
+	if !matchNetwork(gs, i, hi, refGates) {
 		// The walk may have overshot into a longer candidate than the
 		// stream supports; retry shrinking widths.
 		for w > 1 {
@@ -346,7 +303,7 @@ func matchAdderWalk(c *circuit.Circuit, i, hi int, ec []uint) *adderMatch {
 			if len(ec) > 0 {
 				refGates = ref.Controlled(ec...).Gates
 			}
-			if matchWindow(gs, i, hi, refGates) {
+			if matchNetwork(gs, i, hi, refGates) {
 				return &adderMatch{a: aBits, b: bBits, carry: carry, len: len(refGates)}
 			}
 		}
@@ -400,7 +357,7 @@ func matchAdderCarryOut(c *circuit.Circuit, i, hi int) *Op {
 		}
 		ref := circuit.New(maxQubit(a, b, []uint{carry, carryOut}) + 1)
 		revlib.AdderWithCarryOut(ref, revlib.Register(a), revlib.Register(b), carry, carryOut)
-		if !matchWindow(gs, i, hi, ref.Gates) {
+		if !matchNetwork(gs, i, hi, ref.Gates) {
 			continue
 		}
 		return &Op{Lo: i, Hi: i + len(ref.Gates), kind: opAddc,
@@ -553,8 +510,8 @@ func matchDiagonalRun(c *circuit.Circuit, i, hi int, opts Options) *Op {
 		if !g.IsDiagonalOnState() {
 			break
 		}
-		ns := support
-		for _, q := range g.Qubits() {
+		ns := support | 1<<g.Target
+		for _, q := range g.Controls {
 			ns |= 1 << q
 		}
 		nw := popcount(ns)

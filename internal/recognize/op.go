@@ -57,8 +57,12 @@ type Op struct {
 	// Annotated is true when the op came from a circuit.Region marker
 	// rather than the pattern matchers.
 	Annotated bool
-	// Verified is true when the op's unitary was cross-checked against
-	// the exact unitary of the gates it replaces, on every basis input.
+	// Verified is true when Analyze proved the op against the gates it
+	// replaces: the gates are its reference network (identity, any
+	// width), or every column of their unitary equals the op's (up to
+	// MaxVerifyQubits of support). It is false for a wider op without
+	// identity, such as a diagonal run, or a lying annotation, which is
+	// still kept (ROADMAP items 10(b), (c)).
 	Verified bool
 
 	kind opKind

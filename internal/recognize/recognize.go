@@ -39,16 +39,28 @@ func (m Mode) String() string {
 type Options struct {
 	// Mode selects annotation-only or annotation+pattern recognition.
 	Mode Mode
-	// Verify cross-checks every recognised region whose support is at
-	// most MaxVerifyQubits against the exact unitary of its own gates,
-	// column by column, dropping the region on mismatch.
+	// Verify checks every recognised region against its own gates, on
+	// three rungs, and drops the region when a check fails:
+	//  1. Identity, at any width: the gates are, gate for gate, the
+	//     reference network the op names (a QFT shape, or the revlib
+	//     network of add, sub, addc, mul or div). A QFT, add, addc or mul
+	//     the matchers found has it already.
+	//  2. The column walk, up to MaxVerifyQubits of support: every column
+	//     of the gates' unitary against the op's. It settles diagonal runs,
+	//     phase flips, reflections, a daggered adder and an annotation
+	//     whose gates are not its network (a lying one is refuted here).
+	//  3. Otherwise the op is kept unverified: a lying annotation wider
+	//     than MaxVerifyQubits is still trusted (ROADMAP items 10(b), (c)).
 	Verify bool
-	// MaxVerifyQubits bounds the support width verification can afford:
-	// 2^w columns, each O(gates) with no state for an arithmetic, phase
-	// flip or diagonal region whose gates keep basis states basis states,
-	// and otherwise one application of the shortcut to a 2^w state, a
-	// walk costing the sum over the gates of 2^|branched| (the qubits the
-	// gates have put into superposition so far) and a 2^w compare.
+	// MaxVerifyQubits bounds the support width the column walk (rung 2)
+	// can afford: 2^w columns, each O(gates) with no state for an
+	// arithmetic, phase flip or diagonal region whose gates keep basis
+	// states basis states, and otherwise one application of the shortcut
+	// to a 2^w state, a walk costing the sum over the gates of
+	// 2^|branched| (the qubits the gates have put into superposition so
+	// far) and a 2^w compare. Identity (rung 1) has no width bound; a
+	// wider region without it, a lying annotation included, is kept
+	// unverified (ROADMAP items 10(b), (c)).
 	MaxVerifyQubits uint
 	// MaxDiagQubits bounds the support of a matched diagonal run (the
 	// precomputed table holds 2^w entries).
@@ -200,17 +212,17 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 	if opts.Verify {
 		// A region identical to an earlier one — the same compact op and
 		// the same compact gates, bit for bit — takes the earlier verdict.
-		verdicts := map[string]bool{}
+		verdicts := map[string]verdict{}
 		kept := ops[:0]
 		for _, op := range ops {
-			ok, checked := verifyOnce(verdicts, c, op, opts.MaxVerifyQubits)
-			if !ok {
+			v := verifyOnce(verdicts, c, op, opts.MaxVerifyQubits)
+			if v == refuted {
 				name := op.kind.String()
 				p.Skipped = append(p.Skipped, Skip{Name: name, Lo: op.Lo, Hi: op.Hi,
 					Reason: "unitary verification failed; falling back to gate-level"})
 				continue
 			}
-			op.Verified = checked
+			op.Verified = v == proven
 			kept = append(kept, op)
 		}
 		ops = kept
@@ -219,24 +231,63 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 	return p
 }
 
-// verifyOnce checks op against its own gates (region.holds) unless an
-// identical region already has a verdict in verdicts, keyed by region.key.
-// It returns (keep, checked): keep=false means the op's shortcut disagrees
-// with its gates and must fall back to gate-level; checked=false means the
-// support was too wide to afford the check and the op is accepted on
-// structural trust.
-func verifyOnce(verdicts map[string]bool, c *circuit.Circuit, op *Op, maxQubits uint) (keep, checked bool) {
-	r, checked := compactRegion(c, op, maxQubits)
+// verdict is what Analyze's check concludes about one op.
+type verdict uint8
+
+const (
+	// unverified: wider than MaxVerifyQubits with no identity; the op is
+	// kept as recognised.
+	unverified verdict = iota
+	// proven: the gates are the op's reference network, or every column
+	// of their unitary equals the op's.
+	proven
+	// refuted: the op disagrees with its gates and falls back to them.
+	refuted
+)
+
+// verifyOnce settles op on the first rung of Options.Verify's ladder that
+// can: identity with its reference network (already proved when a
+// reference-checking matcher found it, otherwise matchesReference), the
+// column walk (region.holds) up to maxQubits of support, else unverified.
+// A region with an earlier verdict in verdicts, keyed by region.key, takes
+// it; the reference networks commute with the relabelling onto the compact
+// register, so the key decides identity too.
+func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op, maxQubits uint) verdict {
+	if op.matchedAsReference() {
+		return proven
+	}
+	// Identity has no width bound; without a reference network, a region
+	// wider than the column walk reaches is not even compacted.
+	width := maxQubits
+	if op.hasReference() {
+		width = 64
+	}
+	r, inside := compactRegion(c, op, width)
 	if r == nil {
-		return !checked, checked
+		// An empty or unreachable support has nothing to check. A gate
+		// outside the support means the gates cannot be the op: refuted
+		// within the column walk's width, unverified above it.
+		if !inside || uint(len(op.support())) > maxQubits {
+			return unverified
+		}
+		return refuted
 	}
 	key := r.key()
-	keep, seen := verdicts[key]
+	v, seen := verdicts[key]
 	if !seen {
-		keep = r.holds()
-		verdicts[key] = keep
+		switch {
+		case matchesReference(c.Gates, op):
+			v = proven
+		case r.w > maxQubits:
+			v = unverified
+		case r.holds():
+			v = proven
+		default:
+			v = refuted
+		}
+		verdicts[key] = v
 	}
-	return keep, true
+	return v
 }
 
 // buildSegments interleaves the (sorted, disjoint) ops with the gate

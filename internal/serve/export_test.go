@@ -2,6 +2,7 @@ package serve
 
 import (
 	"repro/internal/backend"
+	"repro/internal/circuit"
 	"repro/internal/noise"
 )
 
@@ -17,4 +18,17 @@ func (s *Service) Compiles() uint64 { return s.compiles.Load() }
 // batch fail.
 func (s *Service) SetBatchRunner(run func(*backend.Executable, noise.Options) (*noise.Result, error)) {
 	s.runBatch = run
+}
+
+// SetCompiler replaces the pass pipeline cold requests run, so a test can
+// make it panic.
+func (s *Service) SetCompiler(compile func(*circuit.Circuit, backend.Target) (*backend.Executable, error)) {
+	s.compile = compile
+}
+
+// InFlight returns how many compiles are in flight.
+func (s *Service) InFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inflight)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/circuit"
 	"repro/internal/noise"
 	"repro/internal/qasm"
 	"repro/internal/rng"
@@ -50,6 +51,9 @@ type Service struct {
 	// runBatch runs a trajectory request's batch: noise.Run, replaced only
 	// by tests that watch the reservation while a batch runs.
 	runBatch func(*backend.Executable, noise.Options) (*noise.Result, error)
+	// compile is the pass pipeline: backend.Compile, replaced only by
+	// tests that make it panic.
+	compile func(*circuit.Circuit, backend.Target) (*backend.Executable, error)
 
 	mu       sync.Mutex
 	inflight map[string]*flight // guarded by mu
@@ -83,6 +87,7 @@ func New(cfg Config) (*Service, error) {
 		cache:    NewCache(cfg.CacheBytes, cfg.PersistDir),
 		sem:      newWsem(cfg.TotalWorkers),
 		runBatch: noise.Run,
+		compile:  backend.Compile,
 		inflight: make(map[string]*flight),
 	}
 	if _, err := s.cache.WarmStart(s.admitDecoded); err != nil {
@@ -265,7 +270,8 @@ func (s *Service) AdmitArtifact(data []byte) (*ArtifactResult, error) {
 // with Trajectories set run the stochastic-trajectory path instead:
 // the same cached artifact is replayed once per trajectory with sampled
 // Kraus jumps, so an N-trajectory batch still compiles exactly once.
-func (s *Service) Run(req RunRequest) (*RunResult, error) {
+func (s *Service) Run(req RunRequest) (res *RunResult, err error) {
+	defer recoverPanic(&err)
 	s.requests.Add(1)
 	start := time.Now()
 	batch := req.Trajectories > 0
@@ -410,27 +416,66 @@ func (s *Service) resolve(qasmSrc, noiseSpec string) (art *Artifact, compiled bo
 		f := &flight{done: make(chan struct{})}
 		s.inflight[key] = f
 		s.mu.Unlock()
+		a, err := s.fly(key, f, c, t)
+		return a, err == nil, err
+	}
+}
 
-		x, cerr := backend.Compile(c, t)
-		var a *Artifact
-		if cerr == nil {
-			s.compiles.Add(1)
-			a, cerr = s.cache.Put(key, x)
-			if errors.Is(cerr, ErrTooLarge) || errors.Is(cerr, ErrNoRoom) {
-				// Serve the request from an uncached one-shot session
-				// rather than thrashing the resident working set.
-				a, cerr = Ephemeral(key, x), nil
-			}
-		}
-		f.err = cerr
+// fly runs the compile of the flight f it owns and admits the result. The
+// flight ends however fly returns, a panic included: its waiters see its
+// error (or, when nothing was recorded, retry the cache) and the key is
+// free for the next compile.
+func (s *Service) fly(key string, f *flight, c *circuit.Circuit, t backend.Target) (a *Artifact, err error) {
+	defer func() {
+		f.err = err
 		s.mu.Lock()
 		delete(s.inflight, key)
 		s.mu.Unlock()
 		close(f.done)
-		if cerr != nil {
-			return nil, false, cerr
-		}
-		return a, true, nil
+	}()
+	x, err := s.compileRecovered(c, t)
+	if err != nil {
+		return nil, err
+	}
+	s.compiles.Add(1)
+	a, err = s.cache.Put(key, x)
+	if errors.Is(err, ErrTooLarge) || errors.Is(err, ErrNoRoom) {
+		// Serve the request from an uncached one-shot session rather
+		// than thrashing the resident working set.
+		a, err = Ephemeral(key, x), nil
+	}
+	return a, err
+}
+
+// compileRecovered runs the pass pipeline, turning a panic inside it into
+// a *PanicError.
+func (s *Service) compileRecovered(c *circuit.Circuit, t backend.Target) (x *backend.Executable, err error) {
+	defer recoverPanic(&err)
+	return s.compile(c, t)
+}
+
+// PanicError is a panic recovered inside the service — in the pass
+// pipeline or while serving a run — returned in place of the crash. It is
+// the service's fault, never the client's: the HTTP layer answers 500.
+type PanicError struct {
+	// Value is what was passed to panic; a *par.Panic when a parallel
+	// chunk panicked.
+	Value any
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("serve: internal panic: %v", e.Value) }
+
+// Unwrap returns the panic value when it is an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// recoverPanic, deferred, stores a recovered panic in *err as a
+// *PanicError.
+func recoverPanic(err *error) {
+	if r := recover(); r != nil {
+		*err = &PanicError{Value: r}
 	}
 }
 
