@@ -13,6 +13,11 @@
 //	         [-emulate off|annotated|auto] [-nodes P] [-shots K] [-top N]
 //	         [-seed S] [-noise kind:p -trajectories N [-workers W]] circuit.qc
 //
+// -backend ours (the default) runs the paper's fused simulator, which is
+// the cluster engine on one node (-nodes P shards it across P); -backend
+// generic runs the structure-blind baseline, a gate-by-gate replay
+// through the dense 2x2 kernel kept as the reference, not an engine.
+//
 // -backend auto hands the whole configuration to the profile-driven
 // selector: Compile profiles the circuit, prices the engines it serves
 // (fused at each width of its ladder, cluster) with the calibrated cost
@@ -70,7 +75,7 @@ import (
 
 func main() {
 	var (
-		backendName = flag.String("backend", "ours", "back-end: auto, ours, generic, emulator")
+		backendName = flag.String("backend", "ours", "back-end: auto, ours (the fused simulator: the cluster engine on one node, or on -nodes P), generic (gate-by-gate reference replay), emulator (ours with -emulate auto)")
 		fuseWidth   = flag.Int("fuse-width", 0, "multi-qubit fusion width (0 = classic same-target fusion)")
 		emulate     = flag.String("emulate", "", "emulation dispatch: off, annotated, auto (default off; -backend emulator implies auto)")
 		nodes       = flag.Int("nodes", 0, "shard the register across this many emulated cluster nodes (power of two)")

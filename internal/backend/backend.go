@@ -17,13 +17,16 @@ import (
 type Kind int
 
 const (
-	// Fused is the paper's simulator: structure-specialised kernels with
-	// same-target fusion, optionally multi-qubit block fusion.
+	// Fused is the paper's simulator on one node: structure-specialised
+	// kernels with same-target fusion, optionally multi-qubit block
+	// fusion. It is a name, not an engine: normalize spells it
+	// Cluster{Nodes: 1}, the cluster engine on one node.
 	Fused Kind = iota
 	// Generic is the qHiPSTER-class structure-blind baseline: the
 	// gate-by-gate reference.
 	Generic
-	// Cluster is the distributed engine of internal/cluster.
+	// Cluster is the engine of internal/cluster: the register on Nodes
+	// emulated nodes, one of them for a single-node target.
 	Cluster
 )
 
@@ -41,7 +44,8 @@ func (k Kind) String() string {
 
 // Target describes the execution shape an Executable is compiled for and
 // a Backend is opened with. The zero value plus a NumQubits is a valid
-// single-node fused simulator with emulation off.
+// single-node fused simulator with emulation off; normalize spells it
+// Cluster{Nodes: 1}.
 type Target struct {
 	// NumQubits is the register width.
 	NumQubits uint
@@ -56,7 +60,8 @@ type Target struct {
 	// the executable it returns carries the resolved concrete Target, and
 	// that is what New opens.
 	Auto bool
-	// Kind selects the engine.
+	// Kind selects the engine: Cluster (Fused is its one-node spelling)
+	// or the Generic reference.
 	Kind Kind
 	// FuseWidth >= 2 enables multi-qubit block fusion at that width
 	// (clamped to the shard capacity on Cluster targets); 0 or 1 keeps the
@@ -65,7 +70,8 @@ type Target struct {
 	// Workers caps the state-vector kernel parallelism (per shard on
 	// Cluster targets); 0 uses the GOMAXPROCS default.
 	Workers int
-	// Nodes is the Cluster node count (power of two). Ignored otherwise.
+	// Nodes is the Cluster node count (power of two); 0 means 1. A Fused
+	// or Generic target runs on one node and rejects more.
 	Nodes int
 	// Emulate selects the recognition pass mode: Off (everything gate
 	// level), Annotated (trust circuit.Region markers) or Auto (also
@@ -100,12 +106,16 @@ func (t Target) normalize(n uint) (Target, error) {
 		// measurement into an emulator one.
 		return t, fmt.Errorf("backend: the %s baseline does not support emulation dispatch", t.Kind)
 	}
-	if t.Kind != Cluster {
+	switch t.Kind {
+	case Fused, Generic:
 		if t.Nodes > 1 {
 			return t, fmt.Errorf("backend: %s target cannot shard across %d nodes", t.Kind, t.Nodes)
 		}
 		t.Nodes = 1
-	} else {
+		if t.Kind == Fused {
+			t.Kind = Cluster
+		}
+	case Cluster:
 		if t.Nodes <= 0 {
 			t.Nodes = 1
 		}
@@ -116,27 +126,21 @@ func (t Target) normalize(n uint) (Target, error) {
 			return t, fmt.Errorf("backend: %d nodes need at least %d qubits, have %d",
 				t.Nodes, nodeBits(t.Nodes), n)
 		}
+	default:
+		return t, fmt.Errorf("backend: unknown target kind %d", int(t.Kind))
 	}
 	return t, nil
 }
 
 // effectiveFuseWidth is the widest support the gate path folds into one
-// sweep: the block-fusion width when enabled, else 1 (same-target runs).
+// sweep: the block-fusion width clamped to the shard when enabled, else 1
+// (same-target runs).
 func (t Target) effectiveFuseWidth() uint {
-	w := t.FuseWidth
-	if t.Kind == Cluster {
-		local := t.NumQubits - nodeBits(t.Nodes)
-		if w > int(local) {
-			w = int(local)
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return uint(w)
+	return uint(max(min(t.FuseWidth, int(t.LocalQubits())), 1))
 }
 
-// LocalQubits returns the per-node shard width of a Cluster target.
+// LocalQubits returns the per-node shard width of a normalized target:
+// the register width on one node.
 func (t Target) LocalQubits() uint { return t.NumQubits - nodeBits(t.Nodes) }
 
 // nodeBits returns log2(p) for a power-of-two p.
@@ -157,10 +161,10 @@ func (t Target) shape() string {
 	return fmt.Sprintf("%s P=%d w=%d/%d qubits", t.Kind, t.Nodes, t.effectiveFuseWidth(), t.NumQubits)
 }
 
-// Backend is the one execution interface, implemented by two engines: the
-// local state vector (the Fused and Generic kinds) and the
-// distributed cluster. Both execute the same Executables; Run is pure
-// dispatch.
+// Backend is the one execution interface. Every served target runs on the
+// cluster engine — a single-node target is the cluster at P = 1 — and
+// the Generic baseline on a gate-by-gate reference replay; Run is pure
+// dispatch over the Executable's units.
 type Backend interface {
 	// Target returns the backend's (normalized, concrete) execution shape
 	// — what Compile needs to build an Executable this backend accepts.
@@ -180,9 +184,10 @@ type Backend interface {
 	ApplyKraus(m gates.Matrix2, q uint) float64
 	// ApplyGate executes one gate immediately, outside any schedule.
 	ApplyGate(g gates.Gate)
-	// State returns the state vector. On the distributed backend this
-	// gathers the shards — verification at small sizes, not the hot path;
-	// single-node backends return the live state.
+	// State returns the state vector. On one node it is the live state:
+	// a write through it is what the next Run, Probability or Sample
+	// reads. On several nodes it gathers the shards into a copy —
+	// verification at small sizes, not the hot path.
 	State() *statevec.State
 	// Probability returns P(qubit q reads 1) without collapsing.
 	Probability(q uint) float64
@@ -217,16 +222,16 @@ func New(t Target) (Backend, error) {
 	if t.NumQubits == 0 {
 		return nil, fmt.Errorf("backend: target needs a register width")
 	}
-	if t.Kind == Cluster {
-		return newClusterBackend(t)
+	if t.Kind == Generic {
+		return newLocalBackend(t), nil
 	}
-	return newLocalBackend(t)
+	return newClusterBackend(t)
 }
 
-// CopyState makes dst's register a copy of src's, in place: the local
-// engine copies its state vector, the cluster every shard and the qubit
-// placement, with no communication charged. Both backends must run on
-// the same engine at the same width (and node count); their kernel
+// CopyState makes dst's register a copy of src's, in place: the cluster
+// copies every shard and the qubit placement, with no communication
+// charged, the Generic reference its state vector. Both backends must run
+// on the same engine at the same width (and node count); their kernel
 // worker counts may differ. It is a function rather than a Backend method
 // so the interface stays what every engine must implement; the
 // trajectory runner forks trajectories off a shared noise-free prefix
@@ -258,8 +263,9 @@ func Execute(b Backend, c *circuit.Circuit) (*Result, error) {
 }
 
 // RegionReport describes one recognised region of a Result: what it was,
-// the gate range it replaced, and the substrate it executed on
-// ("statevec" locally; a cluster substrate name on distributed targets).
+// the gate range it replaced, and the substrate it executed on (a name
+// cluster.Lowerable returns: "statevec" for an op run on every shard as
+// on one state).
 type RegionReport struct {
 	Kind      string
 	Lo, Hi    int

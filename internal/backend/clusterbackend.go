@@ -10,9 +10,10 @@ import (
 	"repro/internal/statevec"
 )
 
-// clusterBackend runs Executables on the emulated distributed machine:
-// gate segments through the communication-avoiding placement scheduler,
-// recognised ops through the distributed emulation substrates.
+// clusterBackend runs Executables on the emulated cluster — every served
+// target, a single-node one on one node: gate segments through the
+// communication-avoiding placement scheduler, recognised ops through the
+// substrates cluster.Lowerable names.
 type clusterBackend struct {
 	t      Target
 	c      *cluster.Cluster
@@ -36,9 +37,9 @@ func (b *clusterBackend) Target() Target { return b.t }
 // Measure, LoadState).
 func (b *clusterBackend) Cluster() *cluster.Cluster { return b.c }
 
-// State gathers the shards into one state vector — verification at small
-// sizes, not the hot path.
-func (b *clusterBackend) State() *statevec.State { return b.c.Gather() }
+// State returns the live state on one node and a gathered copy on
+// several (Cluster.State).
+func (b *clusterBackend) State() *statevec.State { return b.c.State() }
 
 func (b *clusterBackend) Probability(q uint) float64 { return b.c.Probability(q) }
 func (b *clusterBackend) ApplyGate(g gates.Gate)     { b.c.ApplyGate(g) }

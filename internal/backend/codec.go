@@ -43,13 +43,15 @@ import (
 // Version bump policy: CodecVersion changes whenever the wire layout of
 // any section changes — including the recognize.Op payload and the region
 // vocabulary — or when pass semantics change such that a rebuilt plan
-// would diverge from the encoded summary. Encode writes and Decode reads
+// would diverge from the encoded summary (v8: a single-node target is the
+// cluster at P = 1, so its gate units carry schedules and its ops cluster
+// substrates). Encode writes and Decode reads
 // exactly one layout: an artifact of any other version is rejected, and a
 // cache warm-start deletes it and recompiles, which is always correct.
 const (
 	codecMagic = "QEXE"
 	// CodecVersion is the one layout Encode writes and Decode reads.
-	CodecVersion = 7
+	CodecVersion = 8
 	// codecMinVersion is the oldest artifact layout Decode reads.
 	codecMinVersion = CodecVersion
 )

@@ -22,8 +22,8 @@ type Unit struct {
 	// Gates is the segment's gate slice (aliasing the source circuit): what
 	// the Generic kind executes, and on every kind what the trajectory
 	// runner replays one gate at a time when a noise point strikes inside
-	// the unit. Fused is its fusion plan (Fused and Cluster kinds); Sched
-	// its communication schedule (Cluster kind).
+	// the unit. Fused is its fusion plan and Sched its communication
+	// schedule, which RunSchedule executes (nil on Generic targets).
 	Gates []gates.Gate
 	Fused *fuse.Plan
 	Sched *cluster.Schedule
@@ -82,10 +82,6 @@ func (x *Executable) FusionStats() fuse.Stats {
 	}
 	return st
 }
-
-// substrateLocal names the single-node execution substrate of a
-// recognised op (the statevec shortcuts of internal/recognize).
-const substrateLocal = "statevec"
 
 // Compile runs the pass pipeline over c for the given target: recognize
 // (emulation regions), the diagonal cost model, distributed lowerability,
@@ -156,6 +152,7 @@ func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {
 	if err != nil {
 		return nil, err
 	}
+	sel.Chosen = resolved
 
 	// Per-region verdicts replace the static diagonal cutoff. Match by gate
 	// range: the verdicts were computed from this same plan.
@@ -169,10 +166,10 @@ func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {
 	return finishCompile(c, resolved, plan, &sel)
 }
 
-// finishCompile is the pipeline's shared back half: distributed
-// lowerability filtering, then fusion and placement scheduling per gate
-// segment. Both the explicit and the auto path end here, so compiled
-// executables are identical however the target was chosen.
+// finishCompile is the pipeline's shared back half: lowerability
+// filtering, then fusion and placement scheduling per gate segment. Both
+// the explicit and the auto path end here, so compiled executables are
+// identical however the target was chosen.
 func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Selection) (*Executable, error) {
 	x := &Executable{NumQubits: c.NumQubits, NumGates: c.Len(), Target: t, Selection: sel}
 
@@ -188,14 +185,12 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 		}, "noise insertion inside the region; gate-level")
 	}
 
-	// Pass 3: distributed lowerability.
-	if t.Kind == Cluster {
-		n, L, P := t.NumQubits, t.LocalQubits(), t.Nodes
-		plan = plan.Filter(func(op *recognize.Op) bool {
-			_, ok := cluster.Lowerable(op, n, L, P)
-			return ok
-		}, "no distributed lowering; gate-level")
-	}
+	// Pass 3: lowerability (a Generic plan holds no ops).
+	n, L, P := t.NumQubits, t.LocalQubits(), t.Nodes
+	plan = plan.Filter(func(op *recognize.Op) bool {
+		_, ok := cluster.Lowerable(op, n, L, P)
+		return ok
+	}, "no distributed lowering; gate-level")
 	x.Skipped = plan.Skipped
 
 	// Passes 4+5: fusion and placement scheduling per gate unit, gate
@@ -204,10 +199,7 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 	// reaches one sweep).
 	for _, seg := range plan.Segments {
 		if seg.Op != nil {
-			sub := substrateLocal
-			if t.Kind == Cluster {
-				sub, _ = cluster.Lowerable(seg.Op, t.NumQubits, t.LocalQubits(), t.Nodes)
-			}
+			sub, _ := cluster.Lowerable(seg.Op, n, L, P)
 			x.addOpUnit(seg.Op, sub, seg.Lo, seg.Hi)
 			continue
 		}
@@ -231,33 +223,28 @@ func (x *Executable) addOpUnit(op *recognize.Op, substrate string, lo, hi int) {
 }
 
 // addGateUnit appends a gate-segment unit, lowering it for the target:
-// fusion planning (Fused and Cluster kinds) and placement scheduling
-// (Cluster kind) — deterministic pure functions of (gates, target), which
-// is what lets the artifact decoder rebuild them instead of shipping
-// them on the wire.
+// the fusion plan at the effective width and its placement schedule at
+// the target's shard width (on one node, L = n: every op local, no remap)
+// — deterministic pure functions of (gates, target), which is what lets
+// the artifact decoder rebuild them instead of shipping them on the wire.
+// The Generic baseline replays the raw gate stream and gets neither.
 func (x *Executable) addGateUnit(gs []gates.Gate, lo, hi int) error {
 	t := x.Target
 	u := Unit{Gates: gs, Lo: lo, Hi: hi}
-	segCirc := &circuit.Circuit{NumQubits: x.NumQubits, Gates: u.Gates}
-	switch t.Kind {
-	case Fused, Cluster:
-		u.Fused = fuse.New(segCirc, int(t.effectiveFuseWidth()))
+	if t.Kind != Generic {
+		u.Fused = fuse.New(&circuit.Circuit{NumQubits: x.NumQubits, Gates: gs}, int(t.effectiveFuseWidth()))
 		for i := range u.Fused.Blocks {
 			if u.Fused.Blocks[i].Fused() {
 				x.FusedBlocks++
 			}
 		}
-		if t.Kind == Cluster {
-			sched, err := cluster.BuildSchedule(u.Fused, t.NumQubits, t.LocalQubits(), true)
-			if err != nil {
-				return err
-			}
-			u.Sched = sched
-			x.PlannedRemaps += sched.Remaps
-			x.PlannedRounds += sched.Rounds
+		sched, err := cluster.BuildSchedule(u.Fused, t.NumQubits, t.LocalQubits(), true)
+		if err != nil {
+			return err
 		}
-	case Generic:
-		// The structure-blind baseline replays the raw gate stream.
+		u.Sched = sched
+		x.PlannedRemaps += sched.Remaps
+		x.PlannedRounds += sched.Rounds
 	}
 	x.Units = append(x.Units, u)
 	return nil

@@ -1,6 +1,6 @@
 // Package backend is the unified execution layer of the repository: one
-// Backend interface, two engines behind it, and one explicit compile
-// pipeline turning circuits into Executables either engine can run.
+// Backend interface, one engine behind it for every served target, and
+// one explicit compile pipeline turning circuits into Executables.
 //
 // The paper's central claim (Häner, Steiger, Smelyanskiy & Troyer, SC
 // 2016) is that a single system should decide, per subroutine, between
@@ -20,15 +20,17 @@
 //     (recognize.DefaultDiagCutoffGates gates, the effective fusion
 //     width); on auto targets (Target.Auto, below) it is a per-region
 //     verdict from the calibrated cost model.
-//  3. lowerability — on distributed targets, ops without a cluster
-//     substrate (see internal/cluster.Lowerable) fall back to gate level,
-//     recorded in the plan's Skipped list.
+//  3. lowerability — every op gets its substrate from
+//     internal/cluster.Lowerable; one without a substrate on the
+//     target's node count falls back to gate level, recorded in the
+//     plan's Skipped list (on one node every op has one).
 //  4. fuse — the residual gate segments are scheduled by the
 //     commutation-aware fusion planner of internal/fuse at the Target's
-//     width (clamped to the shard capacity on distributed targets).
-//  5. placement — on distributed targets each fused segment additionally
-//     gets a communication schedule (internal/cluster.BuildSchedule)
-//     batching remote-qubit work into all-to-all remap rounds.
+//     width, clamped to the shard (the register, on one node).
+//  5. placement — each fused segment gets a communication schedule
+//     (internal/cluster.BuildSchedule at the shard width L) batching
+//     remote-qubit work into all-to-all remap rounds; at L = n, one
+//     node, it is one remap-free step.
 //
 // # Noise
 //
@@ -96,36 +98,44 @@
 // the idiom qemu-run, the serving cache and the trajectory runner share.
 //
 // The resulting Executable is immutable and reusable across runs and
-// across backends of the same Target shape. Backends are deliberately
-// thin: per-engine Run logic is dispatch over the Executable's units —
-// recognised ops apply their shortcut (locally via Op.Apply, distributed
-// via Cluster.ApplyOp), gate segments run their fused plan or schedule.
+// across backends of the same Target shape. The backend is deliberately
+// thin: Run is dispatch over the Executable's units — recognised ops
+// through Cluster.ApplyOp, gate segments through RunSchedule.
 //
-// One interface, two engines: the local state vector runs the first two
-// of the three kinds Target.Kind selects, the distributed cluster the
-// third:
+// One interface, one engine. The paper's emulator has one machine model —
+// gate work through bandwidth-bound kernels on node-local amplitudes, a
+// recognised subroutine as one pass, on a distributed register one global
+// permutation — and every target the system serves runs on it, the
+// cluster of internal/cluster:
 //
-//   - Fused — the paper's simulator: structure-specialised kernels plus
-//     same-target or multi-qubit block fusion (internal/fuse, statevec).
+//   - Cluster — the register sharded across Nodes emulated nodes, gate
+//     segments through the communication-avoiding placement scheduler,
+//     recognised ops through the substrate Lowerable names: the
+//     four-step FFT, cluster-wide permutations, shard-local diagonals,
+//     or, for an op whose support lies in node-local positions, Op.Apply
+//     on every shard as on one state (substrate "statevec").
+//   - Fused — the paper's simulator on one node, and only a name:
+//     normalize spells it Cluster{Nodes: 1}, so both spellings compile to
+//     one artifact under one fingerprint. At P = 1 every op but the
+//     diagonal ones runs as Op.Apply on the one shard, schedules never
+//     remap, and State returns the live shard.
 //   - Generic — the qHiPSTER-class structure-blind baseline: every gate
-//     through the dense 2x2 kernel, the gate-by-gate reference.
-//   - Cluster — the distributed engine: the register sharded across
-//     emulated nodes, gate segments through the communication-avoiding
-//     placement scheduler, recognised ops through the distributed
-//     emulation substrates (four-step FFT, cluster-wide permutations,
-//     shard-local diagonals).
+//     replayed through the dense 2x2 kernel of one state vector. It is a
+//     reference to measure against, not a served engine: it shares no
+//     dispatch with the cluster, so a test or benchmark oracle built on
+//     it checks the engine against independent code.
 //
 // CopyState(dst, src) copies one backend's register into another of the
-// same engine and width, in place: the local engine copies its state
-// vector, the cluster every shard and its qubit placement, charging no
-// communication (each node copies its own shard). It is a function over
-// the two engines rather than an interface method, so Backend keeps the 11
-// methods every engine implements; internal/noise uses it to fork
-// trajectories off a shared noise-free prefix.
+// same engine and width, in place: the cluster every shard and its qubit
+// placement, charging no communication (each node copies its own shard),
+// the Generic reference its state vector. It is a function rather than an
+// interface method, so Backend keeps the 11 methods every backend
+// implements; internal/noise uses it to fork trajectories off a shared
+// noise-free prefix.
 //
 // Every Run returns a Result with the same shape everywhere: which
 // regions were emulated (and on what substrate), how much was fused, the
-// communication paid (rounds, messages, bytes — zero on single-node
-// backends), and wall time. The repro facade's Open, Compile and OpenFor
+// communication paid (rounds, messages, bytes — zero on one node), and
+// wall time. The repro facade's Open, Compile and OpenFor
 // are the public entry points; this package is the machinery behind them.
 package backend

@@ -10,37 +10,28 @@ import (
 	"repro/internal/statevec"
 )
 
-// local is the single-address-space backend family: one state vector,
-// with the gate kernel chosen by the target kind (specialised or generic
-// dense).
+// local is the Generic reference: one state vector, every gate replayed
+// through the dense 2x2 kernel. It is what the engines are measured
+// against, not an engine the system serves, so it shares no dispatch with
+// the cluster.
 type local struct {
 	t      Target
 	st     *statevec.State
-	apply  func(gates.Gate)
 	closed atomic.Bool
 }
 
-func newLocalBackend(t Target) (Backend, error) {
+func newLocalBackend(t Target) *local {
 	st := statevec.New(t.NumQubits)
 	if t.Workers > 0 {
 		st.SetParallelism(t.Workers)
 	}
-	b := &local{t: t, st: st}
-	switch t.Kind {
-	case Fused:
-		b.apply = st.ApplyGate
-	case Generic:
-		b.apply = st.ApplyGateGeneric
-	default:
-		return nil, fmt.Errorf("backend: %s is not a local kind", t.Kind)
-	}
-	return b, nil
+	return &local{t: t, st: st}
 }
 
 func (b *local) Target() Target             { return b.t }
 func (b *local) State() *statevec.State     { return b.st }
 func (b *local) Probability(q uint) float64 { return b.st.Probability(q) }
-func (b *local) ApplyGate(g gates.Gate)     { b.apply(g) }
+func (b *local) ApplyGate(g gates.Gate)     { b.st.ApplyGateGeneric(g) }
 
 // Close implements the Backend contract: idempotent, returns nil, and
 // never fences in-flight Runs — the state vector is garbage-collected, so
@@ -66,10 +57,9 @@ func (b *local) ApplyKraus(m gates.Matrix2, q uint) float64 {
 	return mass
 }
 
-// RunUnits executes units [lo, hi) of the executable against the current
-// state: recognised ops apply their statevec shortcut, gate segments run
-// their fused plan (Fused kind) or replay gate by gate through the kind's
-// kernel.
+// RunUnits replays the gates of units [lo, hi) one at a time against the
+// current state. A Generic executable holds no recognised ops; one that
+// does (a hand-built or unverified artifact) is refused.
 func (b *local) RunUnits(x *Executable, lo, hi int) error {
 	if b.closed.Load() {
 		return ErrClosed
@@ -78,17 +68,11 @@ func (b *local) RunUnits(x *Executable, lo, hi int) error {
 		return err
 	}
 	for i := lo; i < hi; i++ {
-		u := &x.Units[i]
-		if u.Op != nil {
-			u.Op.Apply(b.st)
-			continue
+		if x.Units[i].Op != nil {
+			return fmt.Errorf("backend: unit %d is a recognised op; the %s reference runs gates only", i, b.t.Kind)
 		}
-		if u.Fused != nil {
-			u.Fused.Apply(b.st, b.apply)
-			continue
-		}
-		for _, g := range u.Gates {
-			b.apply(g)
+		for _, g := range x.Units[i].Gates {
+			b.st.ApplyGateGeneric(g)
 		}
 	}
 	return nil

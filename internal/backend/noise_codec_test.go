@@ -153,7 +153,8 @@ func TestCodecNoiseRoundTrip(t *testing.T) {
 // executable with the three target fields v6 dropped — is refused with the
 // version error, and a cache warm start deletes it rather than serving it
 // (recompiling on the next request is always correct). So is the artifact
-// relabelled v6, the layout whose op payload was a struct dump.
+// relabelled v6, the layout whose op payload was a struct dump, and v7,
+// whose single-node targets ran no schedules.
 func TestCodecRejectsV5(t *testing.T) {
 	c := prep(8)
 	c.Extend(qft.Circuit(8))
@@ -161,24 +162,26 @@ func TestCodecRejectsV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v7, err := x.Encode()
+	v8, err := x.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(v7[4:]); v != 7 || backend.CodecVersion != 7 {
-		t.Fatalf("Encode wrote version %d, CodecVersion is %d, want 7", v, backend.CodecVersion)
+	if v := binary.LittleEndian.Uint16(v8[4:]); v != 8 || backend.CodecVersion != 8 {
+		t.Fatalf("Encode wrote version %d, CodecVersion is %d, want 8", v, backend.CodecVersion)
 	}
-	v6 := binary.LittleEndian.AppendUint16([]byte("QEXE"), 6)
-	v6 = append(v6, v7[6:]...)
-	if _, err := backend.Decode(v6); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("v6 artifact decoded with error %v, want the version error", err)
+	for _, version := range []uint16{6, 7} {
+		old := binary.LittleEndian.AppendUint16([]byte("QEXE"), version)
+		old = append(old, v8[6:]...)
+		if _, err := backend.Decode(old); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("v%d artifact decoded with error %v, want the version error", version, err)
+		}
 	}
 
 	// After the 10-byte header, v5's target held MaxLocalQubits between the
 	// node count (ending at byte 34) and the emulation mode, and
 	// DiagMinGates and DiagMaxWidth after the mode.
 	const header, nodesEnd = 10, 34
-	body := v7[header:]
+	body := v8[header:]
 	old := append(append([]byte(nil), body[:nodesEnd]...), make([]byte, 8)...)
 	old = append(old, body[nodesEnd])
 	old = binary.LittleEndian.AppendUint64(old, 32)

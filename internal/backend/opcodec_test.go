@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/binio"
 	"repro/internal/circuit"
+	"repro/internal/cluster"
 	"repro/internal/recognize"
 )
 
@@ -19,7 +20,7 @@ func opArtifact(n uint, flags uint8, reg circuit.Region, table []complex128) []b
 	unit := binio.NewWriter(nil)
 	unit.I64(0)
 	unit.I64(4)
-	unit.String(substrateLocal)
+	unit.String(cluster.SubstrateStatevec)
 	unit.U8(flags)
 	recognize.EncodeRegion(unit, reg)
 	if reg.Name == "diagonal" {

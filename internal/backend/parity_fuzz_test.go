@@ -7,6 +7,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circgen"
 	"repro/internal/circuit"
+	"repro/internal/cluster"
 	"repro/internal/noise"
 	"repro/internal/recognize"
 	"repro/internal/rng"
@@ -78,9 +79,14 @@ func paritySeeds() [][4]uint64 {
 }
 
 // TestParitySeedsReachEveryArithmeticOp keeps the corpus honest: compiled
-// with recognition on, its arithmetic inputs hold an op of each kind.
+// with recognition on, its arithmetic inputs hold an op of each kind, and
+// on two nodes at least one of them runs on the shards as on one state
+// (substrate statevec: its support clear of the node bit), so the P > 1
+// node-local path sits under the parity corpus beside the cluster-wide
+// permutation.
 func TestParitySeedsReachEveryArithmeticOp(t *testing.T) {
 	reached := map[string]int{}
+	substrates := map[string]int{}
 	for _, s := range paritySeeds() {
 		_, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
 		x, err := backend.Compile(c, backend.Target{FuseWidth: 4, Emulate: recognize.Auto})
@@ -92,10 +98,27 @@ func TestParitySeedsReachEveryArithmeticOp(t *testing.T) {
 				reached[op.Kind()]++
 			}
 		}
+		x, err = backend.Compile(c, backend.Target{Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x.Units {
+			if op := x.Units[i].Op; op != nil {
+				if _, ok := op.Permutation(); ok {
+					substrates[x.Units[i].Substrate]++
+				}
+			}
+		}
 	}
 	for _, kind := range []string{"add", "sub", "addc", "mul", "div"} {
 		if reached[kind] == 0 {
 			t.Errorf("no seed compiles to a %s op (ops reached: %v)", kind, reached)
+		}
+	}
+	t.Logf("permutation ops on two nodes by substrate: %v", substrates)
+	for _, sub := range []string{cluster.SubstrateStatevec, cluster.SubstratePermutation} {
+		if substrates[sub] == 0 {
+			t.Errorf("no seed lowers a permutation op to %s on two nodes (substrates reached: %v)", sub, substrates)
 		}
 	}
 }

@@ -205,7 +205,7 @@ func regionCosts(p *Profile, m perfmodel.Measured, r *RegionProfile, wi int) (em
 // resource estimator (internal/circvet) reports before anything is
 // compiled or run.
 func PredictedRounds(p *Profile, t Target) int {
-	if t.Kind != Cluster {
+	if t.Kind != Cluster || t.Nodes <= 1 {
 		return 0
 	}
 	return estimateClusterRounds(p, t.LocalQubits())
@@ -274,12 +274,13 @@ func fmtSecs(s float64) string {
 // estimator (internal/circvet) and its CLI reuse it.
 func DescribeTarget(t Target) string { return describeTarget(t) }
 
-// describeTarget renders a target for the selection report.
+// describeTarget renders a target for the selection report. A single-node
+// target is "fused" however it is spelled: the cluster at P = 1.
 func describeTarget(t Target) string {
-	switch t.Kind {
-	case Fused:
+	switch {
+	case t.Kind == Fused, t.Kind == Cluster && t.Nodes == 1:
 		return fmt.Sprintf("fused w=%d", t.FuseWidth)
-	case Cluster:
+	case t.Kind == Cluster:
 		return fmt.Sprintf("cluster p=%d w=%d", t.Nodes, t.FuseWidth)
 	default:
 		return t.Kind.String()

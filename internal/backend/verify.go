@@ -147,30 +147,26 @@ func verifyGateUnit(x *Executable, i int, u *Unit) error {
 			return fmt.Errorf("backend: verify: unit %d gate %d (%s) matrix is not unitary", i, j, g.Name)
 		}
 	}
-	switch x.Target.Kind {
-	case Fused, Cluster:
-		if u.Fused == nil {
-			return fmt.Errorf("backend: verify: unit %d lacks a fusion plan for a %s target", i, x.Target.Kind)
-		}
-		planned := 0
-		for j := range u.Fused.Blocks {
-			planned += len(u.Fused.Blocks[j].Gates)
-		}
-		if planned != len(u.Gates) {
-			return fmt.Errorf("backend: verify: unit %d fusion plan covers %d of %d gates", i, planned, len(u.Gates))
-		}
-		if x.Target.Kind == Cluster {
-			if u.Sched == nil {
-				return fmt.Errorf("backend: verify: unit %d lacks a communication schedule for a cluster target", i)
-			}
-			return verifySchedule(x, i, u)
-		}
-	case Generic:
+	if x.Target.Kind == Generic {
 		if u.Fused != nil || u.Sched != nil {
 			return fmt.Errorf("backend: verify: unit %d carries derived plans on a structure-blind %s target", i, x.Target.Kind)
 		}
+		return nil
 	}
-	return nil
+	if u.Fused == nil {
+		return fmt.Errorf("backend: verify: unit %d lacks a fusion plan for a %s target", i, x.Target.Kind)
+	}
+	planned := 0
+	for j := range u.Fused.Blocks {
+		planned += len(u.Fused.Blocks[j].Gates)
+	}
+	if planned != len(u.Gates) {
+		return fmt.Errorf("backend: verify: unit %d fusion plan covers %d of %d gates", i, planned, len(u.Gates))
+	}
+	if u.Sched == nil {
+		return fmt.Errorf("backend: verify: unit %d lacks a communication schedule for a %s target", i, x.Target.Kind)
+	}
+	return verifySchedule(x, i, u)
 }
 
 // verifySchedule checks a cluster unit's communication plan: the shape it
@@ -237,16 +233,15 @@ func verifyOpUnit(x *Executable, i int, u *Unit) error {
 	if op.Lo != u.Lo || op.Hi != u.Hi {
 		return fmt.Errorf("backend: verify: unit %d covers [%d,%d) but its op claims [%d,%d)", i, u.Lo, u.Hi, op.Lo, op.Hi)
 	}
-	if x.Target.Kind == Cluster {
-		sub, ok := cluster.Lowerable(op, x.NumQubits, x.Target.LocalQubits(), x.Target.Nodes)
-		if !ok {
-			return fmt.Errorf("backend: verify: unit %d op %s has no distributed lowering for this target", i, op.Kind())
-		}
-		if sub != u.Substrate {
-			return fmt.Errorf("backend: verify: unit %d substrate %q, lowering names %q", i, u.Substrate, sub)
-		}
-	} else if u.Substrate != substrateLocal {
-		return fmt.Errorf("backend: verify: unit %d substrate %q on a single-node target", i, u.Substrate)
+	if x.Target.Kind == Generic {
+		return fmt.Errorf("backend: verify: unit %d is a recognised op on a structure-blind %s target", i, x.Target.Kind)
+	}
+	sub, ok := cluster.Lowerable(op, x.NumQubits, x.Target.LocalQubits(), x.Target.Nodes)
+	if !ok {
+		return fmt.Errorf("backend: verify: unit %d op %s has no distributed lowering for this target", i, op.Kind())
+	}
+	if sub != u.Substrate {
+		return fmt.Errorf("backend: verify: unit %d substrate %q, lowering names %q", i, u.Substrate, sub)
 	}
 	// A phase flip is ±1 by construction; a diagonal run carries its table.
 	// The test is written so that a NaN entry fails it.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fuse"
+	"repro/internal/gates"
 	"repro/internal/par"
 	"repro/internal/statevec"
 )
@@ -93,9 +94,61 @@ type Cluster struct {
 	// blockPhys is applyBlock's scratch: the physical positions of the
 	// block being executed.
 	blockPhys [fuse.MaxWidth]uint
+	// ident is the identity placement Canonicalize installs; srcOf, live,
+	// ctl and the draw arrays are the scratch of Remap, the movers,
+	// ApplyGate and Sample.
+	ident     []uint
+	srcOf     []uint
+	live      [][]complex128
+	ctl       [64]uint
+	draw      [1]float64
+	drawn     [1]uint64
+	moves     map[string]*movePlan
+	diag      diagScratch
+	op        operands
+	runBodyFn func(p int)
 
 	// Stats tracks communication since New; callers diff Snapshots.
 	Stats Stats
+}
+
+// operands holds what the superstep in flight works on. A superstep of
+// the trajectory path hands each a body that captures nothing and reads
+// its operands here, so it allocates nothing.
+type operands struct {
+	body func(c *Cluster, p int)
+
+	// gate is the gate (or Kraus operator, in its Matrix) as the shards
+	// see it, at physical positions; mask selects the nodes whose
+	// node-selecting controls are set; bit is a shard position or a node
+	// bit; want is the branch a mass reads; cmask the local controls of
+	// an exchange.
+	gate  gates.Gate
+	mask  uint64
+	bit   uint
+	want  uint64
+	cmask uint64
+	scale complex128
+	// pair is the update an exchanging node pair computes.
+	pair func(c *Cluster, p0 int, old0, old1, s0, s1 []complex128)
+
+	// block is the fused block in flight and phys the shard positions of
+	// its qubits (or of a diagonal's local members); from is CopyFrom's
+	// source; move and dst are the mover's plan and destination shards.
+	block *fuse.Block
+	phys  []uint
+	from  *Cluster
+	move  *movePlan
+	dst   [][]complex128
+
+	// sums holds one partial result per node, prefix their running sums
+	// and bounds the first sorted draw at or past each; rs and out are
+	// the draws a sampling superstep resolves.
+	sums   []float64
+	prefix []float64
+	bounds []int
+	rs     []float64
+	out    []uint64
 }
 
 // New returns a cluster of p nodes holding the n-qubit basis state |0...0>.
@@ -128,9 +181,17 @@ func New(n uint, p int) (*Cluster, error) {
 	}
 	c.nodes[0].SetAmplitude(0, 1)
 	c.pos = make([]uint, n)
+	c.ident = make([]uint, n)
 	for q := uint(0); q < n; q++ {
-		c.pos[q] = q
+		c.pos[q], c.ident[q] = q, q
 	}
+	c.srcOf = make([]uint, n)
+	c.live = make([][]complex128, p)
+	c.moves = make(map[string]*movePlan)
+	c.op.sums = make([]float64, p)
+	c.op.prefix = make([]float64, p+1)
+	c.op.bounds = make([]int, p+1)
+	c.runBodyFn = c.runBody
 	return c, nil
 }
 
@@ -176,9 +237,7 @@ func (c *Cluster) LoadState(st *statevec.State) error {
 	if st.NumQubits() != c.NumQubits() {
 		return fmt.Errorf("cluster: state has %d qubits, cluster %d", st.NumQubits(), c.NumQubits())
 	}
-	for q := range c.pos {
-		c.pos[q] = uint(q)
-	}
+	copy(c.pos, c.ident)
 	amps := st.Amplitudes()
 	local := c.LocalSize()
 	c.eachNode(func(p int) {
@@ -198,8 +257,21 @@ func (c *Cluster) CopyFrom(src *Cluster) error {
 			src.P, src.NumQubits(), c.P, c.NumQubits())
 	}
 	copy(c.pos, src.pos)
-	c.eachNode(func(p int) { c.nodes[p].CopyFrom(src.nodes[p]) })
+	c.op.from = src
+	c.each(func(c *Cluster, p int) { c.nodes[p].CopyFrom(c.op.from.nodes[p]) })
+	c.op.from = nil
 	return nil
+}
+
+// State returns the register as one state vector. On one node that is
+// the live shard, with the placement canonicalised first: a write through
+// it is a write to the register. On several nodes it is Gather's copy.
+func (c *Cluster) State() *statevec.State {
+	if c.P > 1 {
+		return c.Gather()
+	}
+	c.Canonicalize()
+	return c.nodes[0]
 }
 
 // Gather assembles the distributed state into a single state vector in
@@ -245,4 +317,26 @@ func (c *Cluster) installShards(next [][]complex128) {
 // kernels may fan out again inside fn.
 func (c *Cluster) eachNode(fn func(p int)) {
 	par.For(c.P, fn)
+}
+
+// each is eachNode for the per-gate, per-block and per-sample supersteps:
+// body captures nothing — it is a method expression or a literal that
+// reads its operands from c.op — and par.For gets the func value bound
+// once in New, so the superstep allocates nothing where eachNode
+// allocates the closure it is handed.
+func (c *Cluster) each(body func(c *Cluster, p int)) {
+	c.op.body = body
+	par.For(c.P, c.runBodyFn)
+}
+
+func (c *Cluster) runBody(p int) { c.op.body(c, p) }
+
+// sumNodes returns the per-node partial results of the last reducing
+// superstep, summed in node order.
+func (c *Cluster) sumNodes() float64 {
+	var total float64
+	for _, v := range c.op.sums {
+		total += v
+	}
+	return total
 }

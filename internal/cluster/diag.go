@@ -7,6 +7,25 @@ import (
 	"repro/internal/statevec"
 )
 
+// diagScratch is applyDiagTable's working set, kept on the Cluster so a
+// diagonal block allocates nothing: the table bit and position of each
+// local member (ascending by position) and each node-selecting member,
+// the reduced tables and the lookup tables that build them. The node
+// superstep reads the tables in force from cur, the node-selecting
+// members' node bits from nodePhys[:nn] and the local positions from
+// c.op.phys.
+type diagScratch struct {
+	localBit, localPhys [64]uint
+	nodeBit, nodePhys   [64]uint
+	one                 [1][]complex128
+	tables              [][]complex128
+	entries             []complex128
+	scatter             [8][256]uint64
+
+	cur [][]complex128
+	nn  int
+}
+
 // applyDiagTable multiplies every amplitude by d[x], where bit j of x is
 // logical qubit qubits[j] — the lowering shared by fused diagonal blocks
 // and recognised diagonal ops, communication-free under any placement.
@@ -15,63 +34,76 @@ import (
 // shared by all nodes with the same fixed part, which every node applies
 // through the table kernels of its shard. The reduced tables are laid out
 // once, in ascending physical order (the order ApplyDiagTable requires),
-// so a drifted placement costs a table permutation, not a slower sweep.
+// so a drifted placement costs a table permutation, not a slower sweep;
+// under a placement that keeps the members local and in order, d itself
+// is the one table.
 func (c *Cluster) applyDiagTable(d []complex128, qubits []uint) {
-	// A local member is one table bit and the shard position its qubit
-	// holds; a node member, one table bit and a bit of the node number.
-	type member struct{ bit, phys uint }
-	var localM []member
-	var nodeBit, nodePhys []uint
+	s := &c.diag
+	var nl, nn int
 	for j, q := range qubits {
 		if q >= c.NumQubits() {
 			panic("cluster: qubit out of range")
 		}
-		if p := c.pos[q]; p < c.L {
-			localM = append(localM, member{uint(j), p})
-		} else {
-			nodeBit, nodePhys = append(nodeBit, uint(j)), append(nodePhys, p-c.L)
+		p := c.pos[q]
+		if p >= c.L {
+			s.nodeBit[nn], s.nodePhys[nn] = uint(j), p-c.L
+			nn++
+			continue
 		}
+		// Insertion by position: supports are a few qubits wide.
+		i := nl
+		for ; i > 0 && s.localPhys[i-1] > p; i-- {
+			s.localPhys[i], s.localBit[i] = s.localPhys[i-1], s.localBit[i-1]
+		}
+		s.localPhys[i], s.localBit[i] = p, uint(j)
+		nl++
 	}
-	byPhys := func(a, b int) bool { return localM[a].phys < localM[b].phys }
-	ascending := sort.SliceIsSorted(localM, byPhys)
-	if !ascending {
-		sort.Slice(localM, byPhys)
-	}
-	localPhys := make([]uint, len(localM))
-	localBit := make([]uint, len(localM))
-	for i, m := range localM {
-		localPhys[i], localBit[i] = m.phys, m.bit
+	localBit, localPhys, nodeBit := s.localBit[:nl], s.localPhys[:nl], s.nodeBit[:nn]
+	ascending := true
+	for i, b := range localBit {
+		ascending = ascending && b == uint(i)
 	}
 
-	// reduced[f] is the table over the local members on the nodes whose
+	// tables[f] is the table over the local members on the nodes whose
 	// node-selecting member bits spell f.
-	reduced := [][]complex128{d}
-	if len(nodeBit) > 0 || !ascending {
-		tabs := scatterTables(localBit)
-		reduced = make([][]complex128, 1<<len(nodeBit))
-		for f := range reduced {
+	s.one[0] = d
+	tables := s.one[:]
+	if nn > 0 || !ascending {
+		tabs := scatterTablesInto(s.scatter[:(nl+7)/8], localBit)
+		size := 1 << nl
+		if cap(s.entries) < len(d) {
+			s.entries = make([]complex128, len(d))
+		}
+		if cap(s.tables) < 1<<nn {
+			s.tables = make([][]complex128, 1<<nn)
+		}
+		tables = s.tables[:1<<nn]
+		for f := range tables {
 			fixed := spreadBits(uint64(f), nodeBit)
-			t := make([]complex128, 1<<len(localM))
+			t := s.entries[f*size : (f+1)*size]
 			for k := range t {
 				t[k] = d[fixed|scatterBits(tabs, uint64(k))]
 			}
-			reduced[f] = t
+			tables[f] = t
 		}
 	}
-	c.eachNode(func(p int) {
+	s.cur, s.nn, c.op.phys = tables, nn, localPhys
+	c.each(func(c *Cluster, p int) {
+		s := &c.diag
 		var f uint64
-		for i, b := range nodePhys {
+		for i, b := range s.nodePhys[:s.nn] {
 			f |= bitops.Bit(uint64(p), b) << uint(i)
 		}
-		switch t := reduced[f]; {
-		case len(localPhys) == 0:
+		switch t, phys := s.cur[f], c.op.phys; {
+		case len(phys) == 0:
 			c.nodes[p].Scale(t[0])
-		case len(localPhys) <= statevec.MaxMatrixNQubits:
-			c.nodes[p].ApplyDiagN(t, localPhys)
+		case len(phys) <= statevec.MaxMatrixNQubits:
+			c.nodes[p].ApplyDiagN(t, phys)
 		default:
-			c.nodes[p].ApplyDiagTable(t, localPhys)
+			c.nodes[p].ApplyDiagTable(t, phys)
 		}
 	})
+	s.cur, s.one[0] = nil, nil
 }
 
 // applyPhaseFlip negates the amplitudes whose logical qubits (ascending,

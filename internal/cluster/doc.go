@@ -6,6 +6,16 @@
 // parallel statevec kernels, and communicates through an accounted
 // in-process network.
 //
+// # One node is the single-node engine
+//
+// internal/backend opens every served target on a Cluster, a single-node
+// one on one node, whose shard is the whole register. There schedules are
+// one remap-free step, every op but a diagonal one runs as Op.Apply on
+// the shard (substrate "statevec"), the placement stays the identity,
+// State returns the live shard and sampling is the shard's own. On
+// several nodes the "statevec" substrate serves an arithmetic op whose
+// support lies below L: each shard permutes its own amplitudes.
+//
 // # Qubit placement and the scheduler
 //
 // The engine separates logical qubits from physical positions: positions
@@ -55,8 +65,8 @@
 // multiple of what copying the shards costs (BenchmarkMoveBits beside
 // cluster.exchange_ns_per_amp). Collectives gather into a retired scratch
 // buffer set and swap it with the live shards (statevec.AdoptAmplitudes),
-// so steady-state communication allocates nothing but the move's index
-// tables. Accounting is computed from the bit map, not counted per
+// and a move's index tables are planned once per bit map and kept
+// (planFor), so steady-state communication allocates nothing. Accounting is computed from the bit map, not counted per
 // amplitude (moveTraffic): a source node bit fed by a local destination
 // position takes both values inside every destination shard, one fed by a
 // node position is fixed per destination node, which gives the senders
@@ -73,7 +83,13 @@
 // parallelReduce machinery), and only the P partial scalars cross node
 // boundaries.
 // Sampling canonicalises the placement so outcomes are logical basis
-// indices resolved in the same CDF order as the single-node sampler.
+// indices resolved in the same CDF order as the single-node sampler; on
+// one node it is that sampler.
+//
+// A trajectory calls the cluster per unit, per replayed gate and per
+// noise point, and those calls allocate nothing: their supersteps go
+// through each, whose bodies capture nothing, and their scratch and move
+// plans live on the Cluster.
 //
 // # Validation contract
 //
@@ -94,8 +110,7 @@
 //     Eq. 5's "3"), EmulateQFT being the direct entry point; the noswap
 //     variants' bit reversal is a placement relabelling costing nothing;
 //   - a Fourier field of width <= L executes shard-locally after one
-//     remap makes the field node-local — on one node the whole register
-//     does, at the node's whole worker count;
+//     remap makes the field node-local;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
 //     shortcut, one all-to-all for the whole subroutine: every node
 //     writes each of its amplitudes once, straight to its destination,

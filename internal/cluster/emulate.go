@@ -11,6 +11,10 @@ import (
 // dispatch". Each op family maps to the cheapest collective the cluster
 // offers:
 //
+//   - an op whose support lies in node-local positions runs Op.Apply on
+//     every shard under the canonical placement (substrate statevec, the
+//     single-node kernels): on one node every op but the diagonal ones,
+//     on several nodes the arithmetic ops that leave the node bits alone;
 //   - narrow Fourier fields (width <= L; on one node, any field) run as
 //     per-shard transforms after at most one placement remap makes the
 //     field node-local;
@@ -33,6 +37,7 @@ import (
 // Substrate names reported for each lowering, surfaced through the
 // backend Result so callers can see how a region actually executed.
 const (
+	SubstrateStatevec    = "statevec"
 	SubstrateFourStepFFT = "four-step-fft"
 	SubstrateFieldFFT    = "field-four-step-fft"
 	SubstrateLocalFFT    = "local-fft"
@@ -46,11 +51,33 @@ const (
 // it lowers to. Ops it rejects (a Fourier field needing sub-transforms
 // wider than a shard, or a register too small for the four-step
 // factorisation) must stay on the gate-level scheduled path.
+//
+// Diagonal runs and phase flips keep their placement-free lowering at
+// every node count. Any other op on one node, and an arithmetic op whose
+// support lies below L on several, runs on the shards as it would on one
+// state; both canonicalise the placement first, which the one node never
+// leaves and the permutation lowering needs anyway, so no op pays a remap
+// it did not pay before.
 func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
+	if _, _, ok := op.DiagTable(); ok {
+		return SubstrateDiagonal, true
+	}
+	if _, _, ok := op.PhaseFlip(); ok {
+		return SubstrateDiagonal, true
+	}
+	if P == 1 {
+		return SubstrateStatevec, true
+	}
+	if _, ok := op.Permutation(); ok {
+		if s := op.Support(); s[len(s)-1] < L {
+			return SubstrateStatevec, true
+		}
+		return SubstratePermutation, true
+	}
 	if q, ok := op.QFT(); ok {
-		// A field that fits one shard — on one node, the whole register —
-		// transforms shard-locally: the four-step factorisation would add
-		// three transposes and run its row FFTs serially.
+		// A field that fits one shard transforms shard-locally: the
+		// four-step factorisation would add three transposes and run its
+		// row FFTs serially.
 		if q.Width <= L {
 			return SubstrateLocalFFT, true
 		}
@@ -73,15 +100,6 @@ func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 	if op.ReflectUniform() {
 		return SubstrateReflect, true
 	}
-	if _, _, ok := op.DiagTable(); ok {
-		return SubstrateDiagonal, true
-	}
-	if _, _, ok := op.PhaseFlip(); ok {
-		return SubstrateDiagonal, true
-	}
-	if _, ok := op.Permutation(); ok {
-		return SubstratePermutation, true
-	}
 	return "", false
 }
 
@@ -95,6 +113,9 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 		return "", fmt.Errorf("cluster: %v has no distributed lowering (field wider than a shard?)", op)
 	}
 	switch sub {
+	case SubstrateStatevec:
+		c.Canonicalize()
+		c.eachNode(func(p int) { op.Apply(c.nodes[p]) })
 	case SubstrateFourStepFFT:
 		q, _ := op.QFT()
 		sign := +1
@@ -130,16 +151,12 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 			c.reverseFieldPlacement(q.Pos, q.Width)
 		}
 		// One remap makes the field bits shard-local at physical positions
-		// [0, width); every node then transforms its own fibres. Several
+		// [0, width); every node then transforms its own fibres. The
 		// nodes share the host through the node superstep, one worker
-		// each; a single node uses its whole worker count.
+		// each.
 		c.remapFieldLocal(q.Pos, q.Width)
-		workers := 1
-		if c.P == 1 {
-			workers = c.nodes[0].Workers()
-		}
 		c.eachNode(func(p int) {
-			q.Plan.TransformField(c.shard(p), 0, q.Inverse, workers)
+			q.Plan.TransformField(c.shard(p), 0, q.Inverse, 1)
 		})
 		if !q.Inverse && q.NoSwap {
 			c.reverseFieldPlacement(q.Pos, q.Width)

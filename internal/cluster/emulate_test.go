@@ -66,11 +66,11 @@ func TestClusterQFTLowerings(t *testing.T) {
 		{"iqft-noswap", qft.CircuitNoSwap(n).Dagger()},
 	}
 	for _, p := range []int{1, 2, 4} {
-		// One node holds the whole register in its shard, so the full
-		// transform runs there too, with no transposes.
-		wantFull := cluster.SubstrateFourStepFFT
+		// One node holds the whole register in its shard, so every
+		// transform runs there as it would on one state.
+		wantFull, wantField := cluster.SubstrateFourStepFFT, cluster.SubstrateLocalFFT
 		if p == 1 {
-			wantFull = cluster.SubstrateLocalFFT
+			wantFull, wantField = cluster.SubstrateStatevec, cluster.SubstrateStatevec
 		}
 		for _, tc := range full {
 			op := planOps(t, tc.c, recognize.Annotated)[0]
@@ -81,12 +81,12 @@ func TestClusterQFTLowerings(t *testing.T) {
 		field := circuit.New(n)
 		field.Extend(qft.Circuit(4))
 		op := planOps(t, field, recognize.Annotated)[0]
-		applyOpBoth(t, op, statevec.NewRandom(n, src), p, cluster.SubstrateLocalFFT)
+		applyOpBoth(t, op, statevec.NewRandom(n, src), p, wantField)
 
 		ifield := circuit.New(n)
 		ifield.Extend(qft.CircuitNoSwap(4).Dagger())
 		iop := planOps(t, ifield, recognize.Annotated)[0]
-		applyOpBoth(t, iop, statevec.NewRandom(n, src), p, cluster.SubstrateLocalFFT)
+		applyOpBoth(t, iop, statevec.NewRandom(n, src), p, wantField)
 	}
 }
 
@@ -142,6 +142,25 @@ func TestClusterPermutationAndDiagonalLowerings(t *testing.T) {
 		t.Fatal("addc op not verified by the brute-force check")
 	}
 	applyOpBoth(t, op, statevec.NewRandom(2*w+2, src), 4, cluster.SubstratePermutation)
+
+	// The same adder below the node bits of a wider register runs on
+	// every shard as on one state, and nothing crosses the network.
+	low := circuit.New(2*w + 4)
+	revlib.AdderWithCarryOut(low, revlib.Seq(0, w), revlib.Seq(w, w), 2*w, 2*w+1)
+	lowOp := planOps(t, low, recognize.Auto)[0]
+	for _, p := range []int{1, 2, 4} {
+		applyOpBoth(t, lowOp, statevec.NewRandom(2*w+4, src), p, cluster.SubstrateStatevec)
+		cl, err := cluster.New(2*w+4, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.ApplyOp(lowOp); err != nil {
+			t.Fatal(err)
+		}
+		if st := cl.Stats.Snapshot(); st != (cluster.StatsSnapshot{}) {
+			t.Errorf("node-local addc on P=%d communicated: %+v", p, st)
+		}
+	}
 
 	// Multiplier: annotated mul region.
 	l := revlib.NewMultiplierLayout(2)

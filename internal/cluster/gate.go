@@ -4,7 +4,6 @@ import (
 	"repro/internal/bitops"
 	"repro/internal/circuit"
 	"repro/internal/gates"
-	"repro/internal/par"
 	"repro/internal/statevec"
 )
 
@@ -27,10 +26,10 @@ func (c *Cluster) ApplyGate(g gates.Gate) {
 	c.Stats.Gates.Add(1)
 
 	// Map through the placement; split controls into shard-local positions
-	// and node-selecting bits (a remote control costs nothing: it just
-	// decides which nodes participate).
+	// (in the Cluster's scratch) and node-selecting bits (a remote control
+	// costs nothing: it just decides which nodes participate).
 	t := c.pos[g.Target]
-	var localControls []uint
+	localControls := c.ctl[:0]
 	var nodeControlMask uint64
 	for _, ctl := range g.Controls {
 		if p := c.pos[ctl]; p < c.L {
@@ -67,16 +66,16 @@ func (c *Cluster) Run(circ *circuit.Circuit) {
 // configuration Figure 4 measures against (structure-blind locally, one
 // exchange per remote gate).
 func (c *Cluster) applyLocalTarget(g gates.Gate, t uint, localControls []uint, nodeControlMask uint64) {
-	shardGate := gates.Gate{Name: g.Name, Matrix: g.Matrix, Target: t, Controls: localControls}
-	specialize := c.DiagonalOptimization
-	c.eachNode(func(p int) {
-		if uint64(p)&nodeControlMask != nodeControlMask {
+	c.op.gate = gates.Gate{Name: g.Name, Matrix: g.Matrix, Target: t, Controls: localControls}
+	c.op.mask = nodeControlMask
+	c.each(func(c *Cluster, p int) {
+		if uint64(p)&c.op.mask != c.op.mask {
 			return
 		}
-		if specialize {
-			c.nodes[p].ApplyGate(shardGate)
+		if c.DiagonalOptimization {
+			c.nodes[p].ApplyGate(c.op.gate)
 		} else {
-			c.nodes[p].ApplyGateGeneric(shardGate)
+			c.nodes[p].ApplyGateGeneric(c.op.gate)
 		}
 	})
 }
@@ -86,18 +85,21 @@ func (c *Cluster) applyLocalTarget(g gates.Gate, t uint, localControls []uint, n
 // value bit(p, tbit), so the node multiplies its whole (control-
 // satisfying) shard by d0 or d1.
 func (c *Cluster) applyNodeDiagonal(g gates.Gate, tbit uint, localControls []uint, nodeControlMask uint64) {
-	c.eachNode(func(p int) {
-		if uint64(p)&nodeControlMask != nodeControlMask {
+	c.op.gate = gates.Gate{Matrix: g.Matrix, Controls: localControls}
+	c.op.bit, c.op.mask = tbit, nodeControlMask
+	c.each(func(c *Cluster, p int) {
+		if uint64(p)&c.op.mask != c.op.mask {
 			return
 		}
-		d := g.Matrix[0]
-		if bitops.Bit(uint64(p), tbit) == 1 {
-			d = g.Matrix[3]
+		d := c.op.gate.Matrix[0]
+		if bitops.Bit(uint64(p), c.op.bit) == 1 {
+			d = c.op.gate.Matrix[3]
 		}
 		if d == 1 {
 			return
 		}
-		if len(localControls) == 0 {
+		ctl := c.op.gate.Controls
+		if len(ctl) == 0 {
 			c.nodes[p].Scale(d)
 			return
 		}
@@ -105,7 +107,7 @@ func (c *Cluster) applyNodeDiagonal(g gates.Gate, tbit uint, localControls []uin
 		// phase conditioned on the first local control, with the rest as
 		// kernel controls: diag(1, d) touches only the all-controls-set
 		// subspace.
-		c.nodes[p].ApplyControlledDiag(1, d, localControls[0], localControls[1:])
+		c.nodes[p].ApplyControlledDiag(1, d, ctl[0], ctl[1:])
 	})
 }
 
@@ -116,9 +118,10 @@ func (c *Cluster) applyNodeDiagonal(g gates.Gate, tbit uint, localControls []uin
 // the remaining node control bits agree across a pair, so the pair's 0 side
 // decides whether it takes part.
 func (c *Cluster) applyNodeTargetExchange(g gates.Gate, tbit uint, localControls []uint, nodeControlMask uint64) {
-	cmask := bitops.ControlMask(localControls)
-	m := g.Matrix
-	c.exchangePairs(tbit, nodeControlMask, func(_ int, old0, old1, s0, s1 []complex128) {
+	c.op.gate.Matrix = g.Matrix
+	c.op.cmask = bitops.ControlMask(localControls)
+	c.exchangePairs(tbit, nodeControlMask, func(c *Cluster, _ int, old0, old1, s0, s1 []complex128) {
+		cmask, m := c.op.cmask, &c.op.gate.Matrix
 		for i := range s0 {
 			if uint64(i)&cmask != cmask {
 				continue
@@ -130,21 +133,26 @@ func (c *Cluster) applyNodeTargetExchange(g gates.Gate, tbit uint, localControls
 	})
 }
 
-// exchangePairs runs fn for every node pair (p0, p0|1<<tbit) whose p0 has
-// every bit of mask set, once the pair has exchanged shards: old0 and old1
-// are the two shards as they were (receive buffers from the retired
+// exchangePairs runs pair for every node pair (p0, p0|1<<tbit) whose p0
+// has every bit of mask set, once the pair has exchanged shards: old0 and
+// old1 are the two shards as they were (receive buffers from the retired
 // scratch set — no allocation), s0 and s1 the live shards the members
-// write their halves of the update to. One communication round.
-func (c *Cluster) exchangePairs(tbit uint, mask uint64, fn func(p0 int, old0, old1, s0, s1 []complex128)) {
-	bufs := c.grabScratch()
-	par.For(c.P, func(p0 int) {
-		if bitops.Bit(uint64(p0), tbit) == 1 || uint64(p0)&mask != mask {
+// write their halves of the update to. pair captures nothing; its
+// operands ride in c.op like any superstep body's. One communication
+// round.
+func (c *Cluster) exchangePairs(tbit uint, mask uint64, pair func(c *Cluster, p0 int, old0, old1, s0, s1 []complex128)) {
+	c.op.dst = c.grabScratch()
+	c.op.bit, c.op.mask, c.op.pair = tbit, mask, pair
+	c.each(func(c *Cluster, p0 int) {
+		if bitops.Bit(uint64(p0), c.op.bit) == 1 || uint64(p0)&c.op.mask != c.op.mask {
 			return // pairs are enumerated from the 0 side
 		}
-		p1 := p0 | 1<<tbit
+		p1 := p0 | 1<<c.op.bit
+		bufs := c.op.dst
 		c.exchangeShards(p0, p1, bufs[p0], bufs[p1])
-		fn(p0, bufs[p0], bufs[p1], c.shard(p0), c.shard(p1))
+		c.op.pair(c, p0, bufs[p0], bufs[p1], c.shard(p0), c.shard(p1))
 	})
+	c.op.dst = nil
 	c.Stats.Rounds.Add(1)
 }
 

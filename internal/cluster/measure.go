@@ -1,21 +1,13 @@
 package cluster
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/bitops"
 	"repro/internal/rng"
+	"repro/internal/statevec"
 )
-
-// nodeReduce runs fn on every node in one superstep and returns the
-// per-node results in node order — the cluster-wide reduction. Each node's
-// work runs through its shard's statevec engine, so large shards fan out
-// again (parallelReduce) underneath.
-func nodeReduce(c *Cluster, fn func(p int) float64) []float64 {
-	res := make([]float64, c.P)
-	c.eachNode(func(p int) { res[p] = fn(p) })
-	return res
-}
 
 // Probability returns the probability that measuring logical qubit q
 // yields 1. A node-local qubit reduces within every shard; a
@@ -34,109 +26,96 @@ func (c *Cluster) Probability(q uint) float64 {
 // the branch directly inside every shard (statevec.BranchMass), node-
 // selecting qubits sum the masses of the shards on the outcome's side.
 func (c *Cluster) conditionalMass(q uint, outcome uint64) float64 {
-	outcome &= 1
 	t := c.pos[q]
-	var parts []float64
+	c.op.want = outcome & 1
 	if t < c.L {
-		parts = nodeReduce(c, func(p int) float64 { return c.nodes[p].BranchMass(t, outcome) })
+		c.op.bit = t
+		c.each(func(c *Cluster, p int) { c.op.sums[p] = c.nodes[p].BranchMass(c.op.bit, c.op.want) })
 	} else {
-		tb := t - c.L
-		parts = nodeReduce(c, func(p int) float64 {
-			if bitops.Bit(uint64(p), tb) != outcome {
-				return 0
+		c.op.bit = t - c.L
+		c.each(func(c *Cluster, p int) {
+			c.op.sums[p] = 0
+			if bitops.Bit(uint64(p), c.op.bit) == c.op.want {
+				c.op.sums[p] = c.nodes[p].Mass()
 			}
-			return c.nodes[p].Mass()
 		})
 	}
-	var total float64
-	for _, m := range parts {
-		total += m
-	}
-	return total
-}
-
-// lastSupported returns the highest logical basis index with nonzero
-// probability — the clamp target for float-drift sampling fallthrough.
-// Only called on the canonical placement.
-func (c *Cluster) lastSupported() uint64 {
-	for p := c.P - 1; p >= 0; p-- {
-		shard := c.shard(p)
-		for i := len(shard) - 1; i >= 0; i-- {
-			if shard[i] != 0 {
-				return uint64(p)<<c.L | uint64(i)
-			}
-		}
-	}
-	panic("cluster: sampling from the zero vector")
+	return c.sumNodes()
 }
 
 // Sample draws one full-register measurement outcome without collapsing
 // the state: the per-node masses locate the owning shard, which resolves
 // the draw against its local CDF in its own chunks. The placement is
 // canonicalised first so outcomes are logical basis indices and the walk
-// order matches the single-node sampler.
+// order matches the single-node sampler. The draw and its outcome live in
+// the Cluster's scratch, so on serial shards a call allocates nothing.
 func (c *Cluster) Sample(src *rng.Source) uint64 {
-	out := make([]uint64, 1)
-	c.sampleSorted([]float64{src.Float64()}, out)
-	return out[0]
+	c.draw[0] = src.Float64()
+	c.sampleSorted(c.draw[:], c.drawn[:])
+	return c.drawn[0]
 }
 
-// SampleMany draws k independent outcomes, mirroring the single-node
-// statevec.SampleMany contract (same RNG consumption, same clamp
-// semantics): uniforms are sorted against the distributed CDF, each shard
-// resolves the draws landing in its mass range concurrently, and the
-// results are restored to random order.
+// SampleMany draws k independent outcomes under the single-node
+// statevec.SampleMany contract (statevec.SampleSorted: same RNG
+// consumption, same clamp semantics), each shard resolving the draws
+// that land in its mass range concurrently.
 func (c *Cluster) SampleMany(k int, src *rng.Source) []uint64 {
-	rs := make([]float64, k)
-	for i := range rs {
-		rs[i] = src.Float64()
-	}
-	sort.Float64s(rs)
-	out := make([]uint64, k)
-	c.sampleSorted(rs, out)
-	// Restore random order so callers see i.i.d. draws.
-	for i := k - 1; i > 0; i-- {
-		j := src.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	return statevec.SampleSorted(k, src, c.sampleSorted)
 }
 
-// sampleSorted resolves sorted cumulative targets rs into out: per-node
-// masses form the node-level prefix sum, each node resolves its slice of
-// targets through statevec.ResolveCDF, and fallthrough targets (norm
-// drift past the total mass) clamp to the highest supported outcome.
+// sampleSorted resolves sorted cumulative targets rs into out, consuming
+// rs: per-node masses form the node-level prefix sum and each node
+// resolves its slice of targets through statevec.ResolveCDF. One node is
+// one ResolveCDF, the single-node sampler itself.
 func (c *Cluster) sampleSorted(rs []float64, out []uint64) {
 	c.Canonicalize()
-	masses := nodeReduce(c, func(p int) float64 { return c.nodes[p].Mass() })
-	prefix := make([]float64, c.P+1)
-	for p, m := range masses {
+	if c.P == 1 {
+		c.nodes[0].ResolveCDF(rs, out)
+		return
+	}
+	c.each(func(c *Cluster, p int) { c.op.sums[p] = c.nodes[p].Mass() })
+	prefix, bounds := c.op.prefix, c.op.bounds
+	for p, m := range c.op.sums {
 		prefix[p+1] = prefix[p] + m
 	}
 	if prefix[c.P] == 0 {
 		panic("cluster: sampling from the zero vector")
 	}
-	c.eachNode(func(p int) {
-		lo := sort.SearchFloat64s(rs, prefix[p])
-		hi := sort.SearchFloat64s(rs, prefix[p+1])
-		if lo == hi {
-			return
-		}
-		ts := make([]float64, hi-lo)
-		for i := range ts {
-			ts[i] = rs[lo+i] - prefix[p]
-		}
-		sub := make([]uint64, len(ts))
-		c.nodes[p].ResolveCDF(ts, sub)
-		base := uint64(p) << c.L
-		for i, v := range sub {
-			out[lo+i] = base | v
-		}
-	})
-	if tail := sort.SearchFloat64s(rs, prefix[c.P]); tail < len(rs) {
-		last := c.lastSupported()
-		for i := tail; i < len(rs); i++ {
-			out[i] = last
-		}
+	for p := range bounds {
+		bounds[p] = sort.SearchFloat64s(rs, prefix[p])
+	}
+	// Draws past the total mass (norm drift) clamp to the highest
+	// supported outcome: the last node with mass resolves them as +Inf.
+	last := c.P - 1
+	for c.op.sums[last] == 0 {
+		last--
+	}
+	for i := bounds[c.P]; i < len(rs); i++ {
+		rs[i] = math.Inf(1)
+	}
+	for p := last + 1; p <= c.P; p++ {
+		bounds[p] = len(rs)
+	}
+	c.op.rs, c.op.out = rs, out
+	c.each((*Cluster).resolveNode)
+	c.op.rs, c.op.out = nil, nil
+}
+
+// resolveNode resolves the draws landing in node p's mass range, in
+// place: its targets become offsets into its own mass, its outcomes
+// shard indices, then logical basis indices.
+func (c *Cluster) resolveNode(p int) {
+	lo, hi := c.op.bounds[p], c.op.bounds[p+1]
+	if lo == hi {
+		return
+	}
+	ts, sub := c.op.rs[lo:hi], c.op.out[lo:hi]
+	for i := range ts {
+		ts[i] -= c.op.prefix[p]
+	}
+	c.nodes[p].ResolveCDF(ts, sub)
+	base := uint64(p) << c.L
+	for i := range sub {
+		sub[i] |= base
 	}
 }

@@ -35,7 +35,12 @@ func spreadBits(x uint64, to []uint) uint64 {
 // scatterTables returns byte-chunked lookup tables for spreadBits(·, to):
 // one lookup and OR per 8 bits of x (see scatterBits).
 func scatterTables(to []uint) [][256]uint64 {
-	tabs := make([][256]uint64, (len(to)+7)/8)
+	return scatterTablesInto(make([][256]uint64, (len(to)+7)/8), to)
+}
+
+// scatterTablesInto is scatterTables writing into tabs, which must hold
+// (len(to)+7)/8 tables.
+func scatterTablesInto(tabs [][256]uint64, to []uint) [][256]uint64 {
 	for k := range tabs {
 		chunk := to[8*k : min(8*k+8, len(to))]
 		for b := range tabs[k] {
@@ -77,6 +82,9 @@ type movePlan struct {
 	runLog    uint
 	units     uint64
 	srcTabs   [][256]uint64
+	// crossing and pairs are the move's traffic (moveTraffic), filled in
+	// by planFor.
+	crossing, pairs uint64
 
 	rows      int
 	dstTabs   [][256]uint64
@@ -274,21 +282,48 @@ func moveTraffic(srcOf []uint, localBits uint) (crossing, pairs uint64) {
 	return crossing, pairs
 }
 
-// liveShards returns the nodes' current amplitude slices.
+// liveShards returns the nodes' current amplitude slices, in the Cluster's
+// scratch: valid until the shards are next swapped.
 func (c *Cluster) liveShards() [][]complex128 {
-	shards := make([][]complex128, c.P)
-	for p := range shards {
-		shards[p] = c.shard(p)
+	for p := range c.live {
+		c.live[p] = c.shard(p)
 	}
-	return shards
+	return c.live
+}
+
+// maxMoves bounds how many move plans a Cluster keeps.
+const maxMoves = 64
+
+// planFor returns the move plan of the bit map srcOf, planned once per
+// Cluster: a schedule's remaps and their way back to the canonical layout
+// recur on every run and every trajectory, and a plan's tables cost more
+// to build than a small state costs to move. The map is keyed by srcOf's
+// bytes (positions are below 64) and emptied when it reaches maxMoves.
+func (c *Cluster) planFor(srcOf []uint) *movePlan {
+	var key [64]byte
+	for p, s := range srcOf {
+		key[p] = byte(s)
+	}
+	if m, ok := c.moves[string(key[:len(srcOf)])]; ok {
+		return m
+	}
+	if len(c.moves) >= maxMoves {
+		clear(c.moves)
+	}
+	m := planMove(srcOf, c.L)
+	m.crossing, m.pairs = moveTraffic(srcOf, c.L)
+	c.moves[string(key[:len(srcOf)])] = m
+	return m
 }
 
 // moveBits fills the dst shards from the live ones under the bit map
-// srcOf, one superstep chunk per node.
-func (c *Cluster) moveBits(dst [][]complex128, srcOf []uint) {
-	plan := planMove(srcOf, c.L)
-	src := c.liveShards()
-	c.eachNode(func(w int) { plan.fill(dst, src, w, c.P) })
+// srcOf, one superstep chunk per node, and returns the move's plan.
+func (c *Cluster) moveBits(dst [][]complex128, srcOf []uint) *movePlan {
+	c.op.move, c.op.dst = c.planFor(srcOf), dst
+	c.liveShards()
+	c.each(func(c *Cluster, w int) { c.op.move.fill(c.op.dst, c.live, w, c.P) })
+	c.op.dst = nil
+	return c.op.move
 }
 
 // permuteBits is the all-to-all collective: the state is moved under the
@@ -298,11 +333,10 @@ func (c *Cluster) moveBits(dst [][]complex128, srcOf []uint) {
 // round, however the bits moved.
 func (c *Cluster) permuteBits(srcOf []uint) {
 	next := c.grabScratch() // every destination element is assigned
-	c.moveBits(next, srcOf)
+	m := c.moveBits(next, srcOf)
 	c.installShards(next)
-	crossing, pairs := moveTraffic(srcOf, c.L)
-	c.Stats.BytesSent.Add(crossing * 16)
-	c.Stats.Messages.Add(pairs)
+	c.Stats.BytesSent.Add(m.crossing * 16)
+	c.Stats.Messages.Add(m.pairs)
 	c.Stats.AllToAlls.Add(1)
 	c.Stats.Rounds.Add(1)
 }

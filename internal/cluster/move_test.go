@@ -166,9 +166,9 @@ func TestMoverDoesNotAllocate(t *testing.T) {
 
 // TestApplyBlockAddsNoAllocation pins the //qemu:hotpath contract on the
 // per-block step of RunSchedule: a dense, a factored and a diagonal block
-// allocate at most the one capturing closure eachNode hands par.For, so
-// nothing of their own — the positions live in the Cluster's scratch, the
-// kernels in the shards' layouts.
+// allocate nothing — the superstep's body captures nothing (Cluster.each),
+// the positions and tables live in the Cluster's scratch, the kernels in
+// the shards' layouts.
 func TestApplyBlockAddsNoAllocation(t *testing.T) {
 	c, err := New(12, 4)
 	if err != nil {
@@ -205,12 +205,30 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 			continue
 		}
 		c.applyBlock(b) // first use allocates the shards' block layouts
-		if allocs := testing.AllocsPerRun(50, func() { c.applyBlock(b) }); allocs > 1 {
-			t.Errorf("block on %v: %v allocs per applyBlock, want at most eachNode's closure", b.Qubits, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { c.applyBlock(b) }); allocs != 0 {
+			t.Errorf("block on %v: %v allocs per applyBlock, want 0", b.Qubits, allocs)
 		}
 	}
 	if !kinds["diag"] || !kinds["dense"] || !kinds["factored"] {
 		t.Fatalf("plan held block kinds %v, want a dense, a factored and a diagonal one", kinds)
+	}
+
+	// With the diagonal optimisation on, a diagonal block goes through its
+	// table: under a placement that puts two of its qubits on node bits and
+	// scrambles the rest, every node reads a reduced table from scratch.
+	c.DiagonalOptimization = true
+	placement := identityMap(12)
+	placement[4], placement[10] = 10, 4
+	placement[6], placement[11] = 11, 6
+	placement[5], placement[7] = 7, 5
+	c.Remap(placement)
+	for i := range blocks {
+		if b := &blocks[i]; b.Diag != nil {
+			c.applyBlock(b)
+			if allocs := testing.AllocsPerRun(50, func() { c.applyBlock(b) }); allocs != 0 {
+				t.Errorf("diagonal block on %v under a drifted placement: %v allocs per applyBlock, want 0", b.Qubits, allocs)
+			}
+		}
 	}
 }
 

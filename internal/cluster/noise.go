@@ -11,11 +11,13 @@ import (
 // reusing every shard allocation. The trajectory runner calls it between
 // shots so a P-node batch costs one shard set, not one per trajectory.
 func (c *Cluster) Reset() {
-	c.eachNode(func(p int) { clear(c.shard(p)) })
-	c.nodes[0].SetAmplitude(0, 1)
-	for q := range c.pos {
-		c.pos[q] = uint(q)
-	}
+	c.each(func(c *Cluster, p int) {
+		c.nodes[p].Reset() // cleared at the node's worker count, amplitude 0 set
+		if p > 0 {
+			c.nodes[p].SetAmplitude(0, 0)
+		}
+	})
+	copy(c.pos, c.ident)
 }
 
 // ApplyKraus applies the (generally non-unitary) 2x2 operator m to
@@ -27,29 +29,31 @@ func (c *Cluster) Reset() {
 func (c *Cluster) ApplyKraus(m gates.Matrix2, q uint) float64 {
 	statevec.CheckTargetControls(c.NumQubits(), q, nil)
 	t := c.pos[q]
-	var total float64
+	c.op.gate.Matrix = m
 	if t < c.L {
-		for _, v := range nodeReduce(c, func(p int) float64 { return c.nodes[p].ApplyKraus1(m, t) }) {
-			total += v
-		}
+		c.op.bit = t
+		c.each(func(c *Cluster, p int) { c.op.sums[p] = c.nodes[p].ApplyKraus1(c.op.gate.Matrix, c.op.bit) })
 	} else {
-		total = c.applyNodeKrausExchange(m, t-c.L)
+		c.applyNodeKrausExchange(t - c.L)
 	}
+	total := c.sumNodes()
 	if !(total > 0) {
 		panic("cluster: renormalising zero-mass state")
 	}
-	inv := complex(1/math.Sqrt(total), 0)
-	c.eachNode(func(p int) { c.nodes[p].Scale(inv) })
+	c.op.scale = complex(1/math.Sqrt(total), 0)
+	c.each(func(c *Cluster, p int) { c.nodes[p].Scale(c.op.scale) })
 	return total
 }
 
-// applyNodeKrausExchange mirrors applyNodeTargetExchange for a
-// non-unitary 2x2: each node pair differing in the target node bit
-// exchanges shards, computes its half of the update, and accumulates the
-// mass of what it wrote. One communication round.
-func (c *Cluster) applyNodeKrausExchange(m gates.Matrix2, tbit uint) float64 {
-	masses := make([]float64, c.P)
-	c.exchangePairs(tbit, 0, func(p0 int, old0, old1, s0, s1 []complex128) {
+// applyNodeKrausExchange mirrors applyNodeTargetExchange for the
+// non-unitary 2x2 in c.op.gate.Matrix: each node pair differing in the target
+// node bit exchanges shards, computes its half of the update, and leaves
+// the mass of what it wrote in its 0 side's c.op.sums entry. One
+// communication round.
+func (c *Cluster) applyNodeKrausExchange(tbit uint) {
+	clear(c.op.sums)
+	c.exchangePairs(tbit, 0, func(c *Cluster, p0 int, old0, old1, s0, s1 []complex128) {
+		m := &c.op.gate.Matrix
 		var acc float64
 		for i := range s0 {
 			a0, a1 := old0[i], old1[i]
@@ -58,11 +62,6 @@ func (c *Cluster) applyNodeKrausExchange(m gates.Matrix2, tbit uint) float64 {
 			s0[i], s1[i] = b0, b1
 			acc += real(b0)*real(b0) + imag(b0)*imag(b0) + real(b1)*real(b1) + imag(b1)*imag(b1)
 		}
-		masses[p0] = acc
+		c.op.sums[p0] = acc
 	})
-	var total float64
-	for _, v := range masses {
-		total += v
-	}
-	return total
 }

@@ -16,7 +16,7 @@ func (c *Cluster) Remap(newPos []uint) {
 	}
 	// The bit at destination position newPos[q] comes from source
 	// position pos[q].
-	srcOf := make([]uint, n)
+	srcOf := c.srcOf
 	var seen uint64
 	changed := false
 	for q := uint(0); q < n; q++ {
@@ -48,9 +48,5 @@ func (c *Cluster) Canonicalize() {
 	if c.identityPlacement() {
 		return
 	}
-	ident := make([]uint, c.NumQubits())
-	for q := range ident {
-		ident[q] = uint(q)
-	}
-	c.Remap(ident)
+	c.Remap(c.ident)
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // Op is one unit of a distributed schedule: either a fused block from a
-// fuse.Plan (Block non-nil) or a single gate of an unfused replay run.
+// fuse.Plan (Block non-nil) or a single gate of an unfused replay run
+// (Gate, pointing into its block's Replay).
 type Op struct {
-	Gate  gates.Gate
+	Gate  *gates.Gate
 	Block *fuse.Block
 }
 
@@ -24,7 +25,8 @@ type Step struct {
 	// Remap, when non-nil, is the logical→physical placement to install
 	// before running Ops.
 	Remap []uint
-	// Ops run under the step's placement.
+	// Ops run under the step's placement: a contiguous range of the
+	// schedule's op stream.
 	Ops []Op
 }
 
@@ -88,17 +90,26 @@ func requiredMask(op Op, diagOpt bool) uint64 {
 // (same-target runs already merged) one op each, so the scheduler batches
 // at gate granularity where fusion found no structure.
 func flattenPlan(plan *fuse.Plan) ([]Op, int) {
-	var ops []Op
-	gateCount := 0
+	count, gateCount := 0, 0
 	for i := range plan.Blocks {
 		b := &plan.Blocks[i]
 		gateCount += len(b.Gates)
 		if b.Fused() {
+			count++
+		} else {
+			count += len(b.Replay())
+		}
+	}
+	ops := make([]Op, 0, count)
+	for i := range plan.Blocks {
+		b := &plan.Blocks[i]
+		if b.Fused() {
 			ops = append(ops, Op{Block: b})
 			continue
 		}
-		for _, g := range b.Replay() {
-			ops = append(ops, Op{Gate: g})
+		replay := b.Replay()
+		for j := range replay {
+			ops = append(ops, Op{Gate: &replay[j]})
 		}
 	}
 	return ops, gateCount
@@ -151,6 +162,7 @@ func BuildSchedule(plan *fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) 
 	i := 0
 	for i < len(ops) {
 		var step Step
+		start := i
 		if !satisfied(masks[i]) {
 			remap := planRemap(pos, masks, i, n, L)
 			if ops[i].Block != nil || remapBenefit(pos, remap, masks[i:], L) >= 2 {
@@ -162,15 +174,14 @@ func BuildSchedule(plan *fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) 
 				// a placement change buys nothing over the naive pairwise
 				// exchange and may displace qubits still needed — run the
 				// gate through the exchange path where it stands.
-				step.Ops = append(step.Ops, ops[i])
 				s.ExchangeGates++
 				i++
 			}
 		}
 		for i < len(ops) && satisfied(masks[i]) {
-			step.Ops = append(step.Ops, ops[i])
 			i++
 		}
+		step.Ops = ops[start:i:i]
 		s.Steps = append(s.Steps, step)
 	}
 	s.Rounds = s.Remaps + s.ExchangeGates
@@ -314,7 +325,7 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 			if op.Block != nil {
 				c.applyBlock(op.Block)
 			} else {
-				c.ApplyGate(op.Gate)
+				c.ApplyGate(*op.Gate)
 			}
 		}
 	}
@@ -332,7 +343,7 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 // node-local (the scheduler guarantees it) and runs on each shard through
 // Block.Sweep over the qubits' physical positions — which is why a
 // factored block names its factors by block-local bits, not by qubit. The
-// block adds no allocation to the node fan-out's own.
+// block allocates nothing.
 //
 //qemu:hotpath
 func (c *Cluster) applyBlock(b *fuse.Block) {
@@ -341,8 +352,8 @@ func (c *Cluster) applyBlock(b *fuse.Block) {
 		c.applyDiagTable(b.Diag, b.Qubits)
 		return
 	}
-	phys := c.localPositions(b.Qubits)
-	c.eachNode(func(p int) { b.Sweep(c.nodes[p], phys) })
+	c.op.block, c.op.phys = b, c.localPositions(b.Qubits)
+	c.each(func(c *Cluster, p int) { c.op.block.Sweep(c.nodes[p], c.op.phys) })
 }
 
 // localPositions returns the physical positions of a block's qubits, all

@@ -72,7 +72,7 @@ func autoWorkload(name string, c *circuit.Circuit) AutoRow {
 	var res *backend.Result
 	row.TAuto, res = timeTarget(c, backend.Target{NumQubits: n, Auto: true}, nil)
 	if res.Selection != nil {
-		row.Chosen = fmt.Sprintf("%s w=%d", res.Selection.Chosen.Kind, res.Selection.Chosen.FuseWidth)
+		row.Chosen = backend.DescribeTarget(res.Selection.Chosen)
 	}
 
 	for _, cand := range autoManualCandidates(n) {

@@ -74,10 +74,17 @@
 // fall — the boundaries decide only how early a variate is drawn, and a
 // trajectory's stream has no other reader. The realisation of
 // trajectory t is therefore a pure function of (Seed, t, plan) —
-// independent of Options.Workers, statevec parallelism, the cluster
-// shard count, the fusion width and the unit schedule, up to the last-ulp
-// differences between a fused block and its gates — and the package is
-// under the detrng lint contract like the engines it drives. The tests
-// hold Run to a reference runner that applies the source gates one at a
-// time on the Generic backend and draws at each point as it reaches it.
+// independent of Options.Workers, statevec parallelism, the node count,
+// the fusion width and the unit schedule, up to the last-ulp differences
+// between a fused block and its gates — and the package is under the
+// detrng lint contract like the engine it drives. Every served target
+// runs on that one engine, the cluster (a single-node target is the
+// cluster at P = 1), whose per-trajectory calls — RunUnits, ApplyGate,
+// ApplyKraus, Probability, Reset, CopyState, Sample — allocate nothing of
+// their own on one node or several (a shard kernel that fans out over a
+// large state allocates its chunk closure, as on one state vector). The
+// tests hold Run to a reference runner that
+// applies the source gates one at a time on the Generic reference replay,
+// which shares no dispatch with the cluster, and draws at each point as
+// it reaches it.
 package noise

@@ -217,28 +217,35 @@ func FuzzTrajectoryParity(f *testing.F) {
 // what a batch of one does — every trajectory after the first is free.
 // p = 0.05 keeps both the whole-unit and the replay path in the batch.
 func TestTrajectoryAllocations(t *testing.T) {
-	c := circgen.Brickwork(rng.New(9), 8, 6)
-	c.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: 0.05})
-	c.AttachNoise(5, 2, circuit.Channel{Kind: circuit.AmplitudeDamping, P: 0.1})
-	x, err := backend.Compile(c, backend.Target{NumQubits: 8, Kind: backend.Fused, FuseWidth: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var struck uint64
-	batch := func(n int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			res, err := Run(x, Options{Trajectories: n, Seed: 11, Workers: 1})
+	for _, target := range []backend.Target{
+		{NumQubits: 8, Kind: backend.Fused, FuseWidth: 4, Workers: 1},
+		{NumQubits: 8, Kind: backend.Cluster, Nodes: 2, FuseWidth: 4, Workers: 1},
+	} {
+		t.Run(fmt.Sprintf("%s-p%d", target.Kind, max(target.Nodes, 1)), func(t *testing.T) {
+			c := circgen.Brickwork(rng.New(9), 8, 6)
+			c.SetGlobalNoise(circuit.Channel{Kind: circuit.Depolarizing, P: 0.05})
+			c.AttachNoise(5, 2, circuit.Channel{Kind: circuit.AmplitudeDamping, P: 0.1})
+			x, err := backend.Compile(c, target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			struck = res.StruckUnits
+			var struck uint64
+			batch := func(n int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					res, err := Run(x, Options{Trajectories: n, Seed: 11, Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					struck = res.StruckUnits
+				})
+			}
+			one, forty := batch(1), batch(40)
+			if struck == 0 {
+				t.Fatal("no unit was struck in 40 trajectories; the replay path is not under the pin")
+			}
+			if forty != one {
+				t.Errorf("a 40-trajectory batch allocates %.0f times, a 1-trajectory batch %.0f: trajectories after the first must allocate nothing", forty, one)
+			}
 		})
-	}
-	one, forty := batch(1), batch(40)
-	if struck == 0 {
-		t.Fatal("no unit was struck in 40 trajectories; the replay path is not under the pin")
-	}
-	if forty != one {
-		t.Errorf("a 40-trajectory batch allocates %.0f times, a 1-trajectory batch %.0f: trajectories after the first must allocate nothing", forty, one)
 	}
 }

@@ -26,9 +26,11 @@ func (p *Panic) Error() string { return fmt.Sprintf("par: chunk panicked: %v\n\n
 // tests read it by name (go:linkname).
 var offCaller atomic.Int64
 
-// job is one For call, recycled through jobs so a warm For allocates
-// nothing of its own. Workers join it only while it has chunks to claim,
-// so the caller never waits on a worker that has not started.
+// job is one For call, recycled through free so a warm For allocates
+// nothing of its own — under the race detector too, where a sync.Pool
+// drops a share of what it is handed. Workers join it only while it has
+// chunks to claim, so the caller never waits on a worker that has not
+// started.
 type job struct {
 	fn    func(int)
 	n     int64
@@ -40,10 +42,10 @@ type job struct {
 }
 
 var (
-	jobs    = sync.Pool{New: func() any { return &job{done: make(chan struct{}, 1)} }}
 	mu      sync.Mutex
 	wakeup  = sync.NewCond(&mu)
 	open    []*job // jobs whose caller may still be claiming chunks; under mu
+	free    []*job // finished jobs for the next For; under mu
 	parked  int    // workers waiting on wakeup; under mu
 	started int    // workers started, for the life of the process; under mu
 )
@@ -62,12 +64,17 @@ func For(n int, fn func(i int)) {
 		}
 		return
 	}
-	j := jobs.Get().(*job)
+	want := runtime.GOMAXPROCS(0) - 1
+	mu.Lock()
+	var j *job
+	if k := len(free); k > 0 {
+		j, free = free[k-1], free[:k-1]
+	} else {
+		j = &job{done: make(chan struct{}, 1)}
+	}
 	j.fn, j.n = fn, int64(n)
 	j.next.Store(1)
 	j.refs.Store(1)
-	want := runtime.GOMAXPROCS(0) - 1
-	mu.Lock()
 	for ; started < want; started++ {
 		go work()
 	}
@@ -89,7 +96,9 @@ func For(n int, fn func(i int)) {
 	}
 	p := j.panic.Swap(nil)
 	j.fn = nil
-	jobs.Put(j)
+	mu.Lock()
+	free = append(free, j)
+	mu.Unlock()
 	if p != nil {
 		panic(p)
 	}

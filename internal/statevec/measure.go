@@ -133,13 +133,23 @@ func (s *State) Sample(src *rng.Source) uint64 {
 // distributed sampler of internal/cluster, built on ResolveCDF, shares
 // these semantics.
 func (s *State) SampleMany(k int, src *rng.Source) []uint64 {
+	return SampleSorted(k, src, s.ResolveCDF)
+}
+
+// SampleSorted is the draw order every sampler shares: k uniforms from
+// src, sorted, resolved against a cumulative distribution by resolve (the
+// ResolveCDF contract, which may consume rs), and the outcomes restored to
+// random order with src. Two samplers of one distribution therefore give
+// the same draws from the same stream; internal/cluster resolves against
+// its shards.
+func SampleSorted(k int, src *rng.Source, resolve func(rs []float64, out []uint64)) []uint64 {
 	rs := make([]float64, k)
 	for i := range rs {
 		rs[i] = src.Float64()
 	}
 	sort.Float64s(rs)
 	out := make([]uint64, k)
-	s.ResolveCDF(rs, out)
+	resolve(rs, out)
 	// Restore random order so callers see i.i.d. draws.
 	for i := k - 1; i > 0; i-- {
 		j := src.Intn(i + 1)

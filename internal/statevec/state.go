@@ -323,13 +323,23 @@ func (s *State) AdoptAmplitudes(amps []complex128) []complex128 {
 
 // normSquared returns the total probability mass, reduced in parallel.
 func (s *State) normSquared() float64 {
+	if s.parallelism(s.Dim()) <= 1 {
+		// No closure on the serial path: a sharded owner reads every
+		// shard's mass per sample.
+		return massOf(s.amp)
+	}
 	return parallelReduce(s, s.Dim(), func(start, end uint64) float64 {
-		var acc float64
-		for _, a := range s.amp[start:end] {
-			acc += real(a)*real(a) + imag(a)*imag(a)
-		}
-		return acc
+		return massOf(s.amp[start:end])
 	}, addFloat)
+}
+
+// massOf returns sum |a|^2 over amps.
+func massOf(amps []complex128) float64 {
+	var acc float64
+	for _, a := range amps {
+		acc += real(a)*real(a) + imag(a)*imag(a)
+	}
+	return acc
 }
 
 // Normalize rescales the state to unit norm. It panics on the zero vector.

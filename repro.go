@@ -30,16 +30,16 @@
 // Result.Selection reports the chosen shape, every candidate's predicted
 // cost, and the per-region verdicts.
 //
-// One interface, two engines: the local state vector (the fused
-// simulator and the qHiPSTER-class baseline) and the distributed cluster
-// speak the same Backend interface (Run, RunUnits, ApplyGate,
-// Probability, Sample, State, Close) and execute the same compiled
-// Executables: Compile runs the explicit pass pipeline — recognize
-// emulation regions, apply the cost model, fuse residual gate runs,
-// schedule placement remaps on distributed targets — and Run is pure
-// dispatch, returning a unified Result (emulated regions, fused blocks,
-// communication rounds/bytes, wall time). See internal/backend for the
-// pipeline contract.
+// One interface, one engine: every target runs on the cluster engine —
+// the fused simulator is the cluster on one node — beside the
+// qHiPSTER-class baseline, a gate-by-gate reference replay. Both speak
+// the Backend interface (Run, RunUnits, ApplyGate, Probability, Sample,
+// State, Close) and execute compiled Executables: Compile runs the
+// explicit pass pipeline — recognize emulation regions, apply the cost
+// model, fuse residual gate runs, schedule placement remaps — and Run is
+// pure dispatch, returning a unified Result (emulated regions, fused
+// blocks, communication rounds/bytes, wall time). See internal/backend
+// for the pipeline contract.
 //
 // Two execution models are provided over the same 2^n state vector:
 //
@@ -65,9 +65,9 @@ import (
 	"repro/internal/statevec"
 )
 
-// Backend is the one execution interface over both engines: the local
-// state vector (fused simulator, qhipster-class baseline) and the
-// distributed cluster. See internal/backend.
+// Backend is the one execution interface: the cluster engine (the fused
+// simulator on one node) and the qHiPSTER-class reference replay. See
+// internal/backend.
 type Backend = backend.Backend
 
 // Target is a backend's execution shape — what Compile needs to build an
@@ -117,7 +117,7 @@ func WithEmulation(mode EmulateMode) OpenOption {
 
 // WithNodes shards the register across p emulated cluster nodes (power of
 // two) running the communication-avoiding placement scheduler. p <= 1
-// keeps the single-address-space engine.
+// keeps the register on one node.
 func WithNodes(p int) OpenOption {
 	return func(t *backend.Target) {
 		t.Nodes = p
