@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	qemu-bench [-experiment all|fig1|...|fig6|table2|measure|mathfunc|fusion|emulate|cluster|cluster-emulate|auto|serve|noise]
+//	qemu-bench [-experiment all|fig1|...|fig6|table2|measure|mathfunc|fusion|emulate|cluster|cluster-emulate|auto]
 //	           [-quick] [-max-sim-m M] [-max-emu-m M] [-local-qubits L]
 //	           [-max-nodes P] [-max-qubits N] [-max-measured-n N] [-fuse-width K]
 //
@@ -139,22 +139,6 @@ var table = []experiment{
 		cfg.QFTQubits = cmp.Or(o.maxQubits, cfg.QFTQubits)
 		return experiments.FormatAuto(experiments.Auto(cfg))
 	}},
-	{"serve", func(quick bool, o overrides) string {
-		cfg := experiments.DefaultServe()
-		if quick {
-			cfg = experiments.QuickServe()
-		}
-		cfg.Qubits, cfg.FuseWidth = cmp.Or(o.maxQubits, cfg.Qubits), cmp.Or(o.fuseWidth, cfg.FuseWidth)
-		return experiments.FormatServe(experiments.Serve(cfg))
-	}},
-	{"noise", func(quick bool, o overrides) string {
-		cfg := experiments.DefaultNoise()
-		if quick {
-			cfg = experiments.QuickNoise()
-		}
-		cfg.Qubits, cfg.FuseWidth = cmp.Or(o.maxQubits, cfg.Qubits), cmp.Or(o.fuseWidth, cfg.FuseWidth)
-		return experiments.FormatNoise(experiments.Noise(cfg))
-	}},
 }
 
 // weakScaling sizes the fig3/fig4 sweep.
@@ -193,9 +177,9 @@ func main() {
 	flag.UintVar(&o.maxEmuM, "max-emu-m", 0, "override: largest emulated operand width for fig1/fig2")
 	flag.UintVar(&o.localQubits, "local-qubits", 0, "override: per-node qubits for fig3/fig4")
 	flag.IntVar(&o.maxNodes, "max-nodes", 0, "override: largest emulated node count for fig3/fig4")
-	flag.UintVar(&o.maxQubits, "max-qubits", 0, "override: largest register for fig5/fig6")
+	flag.UintVar(&o.maxQubits, "max-qubits", 0, "override: largest register for fig5/fig6 and the auto sweep's QFT")
 	flag.UintVar(&o.maxMeasuredN, "max-measured-n", 0, "override: largest measured size for table2")
-	flag.IntVar(&o.fuseWidth, "fuse-width", 0, "override: largest fusion width for the fusion sweep")
+	flag.IntVar(&o.fuseWidth, "fuse-width", 0, "override: largest fusion width for the fusion sweep, fusion width for emulate, cluster and cluster-emulate")
 	flag.Parse()
 
 	fmt.Printf("qemu-bench: %d hardware threads (GOMAXPROCS)\n\n", runtime.GOMAXPROCS(0))

@@ -19,7 +19,8 @@
 //
 // The cache budget is expressed either directly in bytes or as
 // -cache-qubits N, the working set of one N-qubit session (16<<N
-// bytes). -persist DIR keeps admitted artifacts on disk as <key>.qexe
+// bytes); a circuit wider than the budget holds is answered 400 unrun.
+// -persist DIR keeps admitted artifacts on disk as <key>.qexe
 // and warm-starts the cache from them on restart.
 //
 // Quickstart:

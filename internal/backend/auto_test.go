@@ -62,7 +62,11 @@ func checkAgainstEmulating(t *testing.T, c *circuit.Circuit, b backend.Backend) 
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if _, err := backend.Execute(ref, c); err != nil {
+	x, err := backend.Compile(c, ref.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(x); err != nil {
 		t.Fatal(err)
 	}
 	if d := b.State().MaxDiff(ref.State()); d > 1e-10 {
@@ -135,7 +139,11 @@ func TestMidWidthFieldLowersToFieldFFT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	res, err := backend.Execute(b, c)
+	x, err := backend.Compile(c, b.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Run(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +163,11 @@ func TestMidWidthFieldLowersToFieldFFT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if _, err := backend.Execute(ref, c); err != nil {
+	x, err = backend.Compile(c, ref.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(x); err != nil {
 		t.Fatal(err)
 	}
 	if d := b.State().MaxDiff(ref.State()); d > 1e-10 {

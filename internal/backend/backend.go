@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/recognize"
 	"repro/internal/rng"
@@ -249,17 +248,6 @@ func CopyState(dst, src Backend) error {
 		}
 	}
 	return fmt.Errorf("backend: cannot copy a %s state into a %s backend", src.Target().shape(), dst.Target().shape())
-}
-
-// Execute compiles c for b's target and runs it — the one-shot
-// convenience over Compile + Run. Callers repeating one circuit should
-// Compile once and Run the Executable directly.
-func Execute(b Backend, c *circuit.Circuit) (*Result, error) {
-	x, err := Compile(c, b.Target())
-	if err != nil {
-		return nil, err
-	}
-	return b.Run(x)
 }
 
 // RegionReport describes one recognised region of a Result: what it was,

@@ -78,7 +78,11 @@ func TestDistributedEmulationParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sres, err := backend.Execute(single, w.c)
+		x, err := backend.Compile(w.c, single.Target())
+		if err != nil {
+			t.Fatalf("%s: single-node run: %v", w.name, err)
+		}
+		sres, err := single.Run(x)
 		if err != nil {
 			t.Fatalf("%s: single-node run: %v", w.name, err)
 		}
@@ -92,7 +96,11 @@ func TestDistributedEmulationParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dres, err := backend.Execute(dist, w.c)
+			x, err := backend.Compile(w.c, dist.Target())
+			if err != nil {
+				t.Fatalf("%s P=%d: distributed run: %v", w.name, p, err)
+			}
+			dres, err := dist.Run(x)
 			if err != nil {
 				t.Fatalf("%s P=%d: distributed run: %v", w.name, p, err)
 			}
@@ -218,7 +226,11 @@ func TestBackendKindsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := backend.Execute(ref, c); err != nil {
+	x, err := backend.Compile(c, ref.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(x); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []backend.Kind{backend.Generic, backend.Cluster} {
@@ -230,7 +242,11 @@ func TestBackendKindsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := backend.Execute(b, c); err != nil {
+		x, err := backend.Compile(c, b.Target())
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if _, err := b.Run(x); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		if d := b.State().MaxDiff(ref.State()); d > 1e-10 {
@@ -330,7 +346,11 @@ func TestBackendMeasurement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := backend.Execute(b, ghz); err != nil {
+		x, err := backend.Compile(ghz, b.Target())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Run(x); err != nil {
 			t.Fatal(err)
 		}
 		for q := uint(0); q < 6; q++ {

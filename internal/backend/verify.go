@@ -11,12 +11,16 @@ import (
 // Structural verification of Executables. The codec's crc32 catches bit
 // rot; Decode catches malformed framing. What neither catches is a
 // *semantically* corrupt artifact whose bytes are internally well-formed
-// — a non-unitary gate matrix, a diagonal table with decayed moduli, a
-// schedule whose placement map drops a qubit, or a perfectly valid
-// artifact sitting under the wrong cache key. VerifyExecutable closes
-// that gap: it re-derives every invariant the execution engines assume
-// from the artifact's own content, so a corrupt-but-crc-valid .qexe is
-// rejected before a serving cache pins a 2^n-amplitude session on it.
+// — a non-unitary gate matrix, a diagonal table with decayed moduli, an
+// op whose gate range or substrate disagrees with its unit, or a
+// perfectly valid artifact sitting under the wrong cache key.
+// VerifyExecutable closes that gap: it re-derives every invariant the
+// execution engines assume from the artifact's own content, so a
+// corrupt-but-crc-valid .qexe is rejected before a serving cache pins a
+// 2^n-amplitude session on it. Fusion plans and communication schedules
+// are never on the wire — Decode rebuilds them through addGateUnit (see
+// codec.go) — so the plan and schedule checks guard the lowering's own
+// output and hand-built executables, not an artifact's bytes.
 
 const (
 	// verifyUnitaryEps bounds ‖U·U†−I‖∞ per gate matrix. Looser than the
@@ -34,10 +38,11 @@ const (
 // decoded) executable: units sorted, disjoint and contiguous over
 // [0, NumGates) with in-range supports; gate matrices unitary; recognised
 // op payloads shape-valid with unit-modulus diagonal tables and the
-// substrate their lowering actually names; cluster schedules with
-// bijective placement maps and internally consistent round accounting;
-// and summary counters that match a recount. It returns nil exactly when
-// the artifact is safe to execute.
+// substrate their lowering actually names; fusion plans covering their
+// unit's gates and cluster schedules with bijective placement maps and
+// internally consistent round accounting (both built by the lowering,
+// never decoded); and summary counters that match a recount. It returns
+// nil exactly when the artifact is safe to execute.
 func VerifyExecutable(x *Executable) error {
 	if x == nil {
 		return fmt.Errorf("backend: verify: nil executable")

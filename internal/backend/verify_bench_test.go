@@ -12,10 +12,9 @@ import (
 	"repro/internal/recognize"
 )
 
-// serveArtifact mirrors the workload of the serve experiment (qemu-bench
-// -experiment serve): an n-qubit H+phase prep layer feeding a recognised QFT,
-// compiled at fuse width 4 — the artifact shape a warm-starting cache
-// decodes.
+// serveArtifact builds a served artifact: an n-qubit H+phase prep layer
+// feeding a recognised QFT, compiled at fuse width 4 — the artifact shape a
+// warm-starting cache decodes.
 func serveArtifact(tb testing.TB, n uint) []byte {
 	tb.Helper()
 	c := circuit.New(n)

@@ -34,6 +34,22 @@ func CompileAutoWorkloads() []CompileWorkload {
 	}
 }
 
+// noiseWorkload builds the noisy corpus circuit: reps cycles of a prep
+// layer, a QFT and its inverse — deep, recognisable structure on a
+// small register.
+func noiseWorkload(n uint, reps int) *circuit.Circuit {
+	c := circuit.New(n)
+	for r := 0; r < reps; r++ {
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.H(q))
+			c.Append(gates.Phase(q, 0.37+float64(q)+float64(r)))
+		}
+		c.Extend(qft.Circuit(n))
+		c.Extend(qft.Circuit(n).Dagger())
+	}
+	return c
+}
+
 // rotationLayer appends one random-axis rotation per qubit.
 func rotationLayer(c *circuit.Circuit, src *rng.Source) {
 	for q := uint(0); q < c.NumQubits; q++ {

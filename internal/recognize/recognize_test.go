@@ -363,7 +363,11 @@ func TestTargetEmulateEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.State().CopyFrom(init)
-		if _, err := backend.Execute(b, c); err != nil {
+		x, err := backend.Compile(c, b.Target())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Run(x); err != nil {
 			t.Fatal(err)
 		}
 		if d := ref.MaxDiff(b.State()); d > eps {

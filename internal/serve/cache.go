@@ -26,11 +26,15 @@ var ErrNoRoom = errors.New("serve: cache full of pinned artifacts")
 // memory its open session pins — the 2^n-amplitude state vector at 16
 // bytes per complex128 — not the encoded artifact size, which is
 // negligible next to it.
-func CostOf(x *backend.Executable) uint64 {
-	if x.NumQubits >= 60 {
+func CostOf(x *backend.Executable) uint64 { return stateCost(x.NumQubits) }
+
+// stateCost is the size of an n-qubit state vector in bytes, saturating
+// at math.MaxUint64.
+func stateCost(n uint) uint64 {
+	if n >= 60 {
 		return math.MaxUint64
 	}
-	return 16 << x.NumQubits
+	return 16 << n
 }
 
 // Artifact is one cached compiled circuit plus its session: a backend

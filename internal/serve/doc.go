@@ -57,16 +57,16 @@
 //
 // The cache is a size-aware LRU. The accounted cost of an artifact is
 // the memory its open session pins — the 2^n-amplitude state vector,
-// 16<<n bytes — not the (much smaller) encoded artifact. Admission is
-// reject-first: an artifact whose cost exceeds the whole budget is
-// refused outright (and the request served from an ephemeral,
-// uncached session) instead of evicting the entire working set for one
-// oversized tenant; an artifact that fits evicts least-recently-used
+// 16<<n bytes — not the (much smaller) encoded artifact. A circuit whose
+// state exceeds the whole budget is refused as a bad request before it is
+// fingerprinted or compiled, so no request opens a state larger than the
+// budget; an artifact that fits evicts least-recently-used
 // entries until it does. Entries pinned by in-flight requests are never
 // evicted, so eviction can never free a session mid-run; if pinned
 // entries leave no reclaimable room, the newcomer is rejected rather
-// than blocking. Stats reports hits, misses, evictions, rejections and
-// exact resident/pinned byte counters.
+// than blocking, and its request is served from an ephemeral, uncached
+// session. Stats reports hits, misses, evictions, rejections and exact
+// resident/pinned byte counters.
 //
 // # On-disk format and warm start
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,6 +141,38 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/run returned %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPRefusesWideRegister: a circuit whose state outgrows the cache
+// budget (16·2^40 bytes against the default 2 GiB) is refused before it is
+// fingerprinted or compiled: /v1/compile and /v1/run answer 4xx with a
+// JSON error naming the budget, nothing is compiled and nothing is left
+// pinned.
+func TestHTTPRefusesWideRegister(t *testing.T) {
+	s, err := serve.New(serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	body := map[string]string{"qasm": "qubits 40\nh 0\ncnot 0 39\n"}
+	for _, path := range []string{"/v1/compile", "/v1/run"} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		code := postJSON(t, srv.URL+path, body, &e)
+		if code < 400 || code >= 500 || !strings.Contains(e.Error, serve.ErrTooLarge.Error()) {
+			t.Fatalf("%s: status %d, error %q; want a 4xx naming the cache budget", path, code, e.Error)
+		}
+	}
+	if n := s.Compiles(); n != 0 {
+		t.Fatalf("refused circuits ran the pass pipeline %d times", n)
+	}
+	if st := s.Stats().Cache; st.Pinned != 0 || st.PinnedBytes != 0 {
+		t.Fatalf("refused circuits left %d artifacts (%d B) pinned", st.Pinned, st.PinnedBytes)
 	}
 }
 

@@ -22,7 +22,8 @@ type Config struct {
 	// each circuit. The zero value is the single-node fused simulator.
 	Target backend.Target
 	// CacheBytes is the session-memory budget of the artifact cache
-	// (CostOf accounting); 0 defaults to 2 GiB (a 27-qubit state).
+	// (CostOf accounting); 0 defaults to 2 GiB (a 27-qubit state). A
+	// circuit whose state alone exceeds it is refused as a bad request.
 	CacheBytes uint64
 	// PersistDir, when non-empty, enables on-disk artifact persistence
 	// and warm starts.
@@ -391,6 +392,10 @@ func (s *Service) resolve(qasmSrc, noiseSpec string) (art *Artifact, compiled bo
 	if err != nil {
 		return nil, false, badRequest(err)
 	}
+	if cost := stateCost(c.NumQubits); cost > s.cfg.CacheBytes {
+		return nil, false, badRequest(fmt.Errorf("%w: a %d-qubit state needs %d bytes, the budget is %d",
+			ErrTooLarge, c.NumQubits, cost, s.cfg.CacheBytes))
+	}
 	if err := noise.Attach(c, noiseSpec); err != nil {
 		return nil, false, badRequest(err)
 	}
@@ -401,10 +406,14 @@ func (s *Service) resolve(qasmSrc, noiseSpec string) (art *Artifact, compiled bo
 		return nil, false, err
 	}
 	for {
+		// Look the key up under s.mu (lock order s.mu → cache): a flight
+		// admits its artifact before it takes s.mu to end, so a flight
+		// that finished since the miss cannot cause a second compile.
+		s.mu.Lock()
 		if a, ok := s.cache.Get(key); ok {
+			s.mu.Unlock()
 			return a, false, nil
 		}
-		s.mu.Lock()
 		if f, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
 			<-f.done
@@ -441,7 +450,10 @@ func (s *Service) fly(key string, f *flight, c *circuit.Circuit, t backend.Targe
 	a, err = s.cache.Put(key, x)
 	if errors.Is(err, ErrTooLarge) || errors.Is(err, ErrNoRoom) {
 		// Serve the request from an uncached one-shot session rather
-		// than thrashing the resident working set.
+		// than thrashing the resident working set. resolve has refused a
+		// state wider than the whole budget, so an open cache lands here
+		// only for ErrNoRoom (every resident entry pinned); ErrTooLarge
+		// here means the cache was closed under the request.
 		a, err = Ephemeral(key, x), nil
 	}
 	return a, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/noise"
 	"repro/internal/qasm"
 	"repro/internal/qft"
 	"repro/internal/recognize"
@@ -50,7 +51,11 @@ func directSamples(t *testing.T, c *circuit.Circuit, tgt backend.Target, shots i
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := backend.Execute(b, c); err != nil {
+	x, err := backend.Compile(c, b.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(x); err != nil {
 		t.Fatal(err)
 	}
 	return b.SampleMany(shots, rng.New(seed))
@@ -257,24 +262,36 @@ func TestServiceEvictionDuringRuns(t *testing.T) {
 	}
 }
 
-// TestServiceOversizedServedEphemerally: a circuit whose session
-// exceeds the whole budget is still served — from an uncached session —
-// and the resident set is never thrashed for it.
-func TestServiceOversizedServedEphemerally(t *testing.T) {
-	s, err := serve.New(serve.Config{Target: backend.Target{}, CacheBytes: 16 << 6})
+// TestServiceNoRoomServedEphemerally: a circuit the cache cannot admit
+// because every resident entry is pinned is still served — from an
+// uncached session — and nothing resident is evicted for it. A trajectory
+// batch fills the budget (its artifact pinned, its worker states
+// reserved), and the shot requests its runner makes meanwhile find no room.
+func TestServiceNoRoomServedEphemerally(t *testing.T) {
+	c := testCircuit(4, 0)
+	cost := uint64(16) << c.NumQubits
+	s, err := serve.New(serve.Config{CacheBytes: (1 + noise.StatesPerWorker) * cost, TotalWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	src := qasmOf(t, testCircuit(8, 0)) // session costs 16<<8 > budget
-	for i := 0; i < 2; i++ {
-		if _, err := s.Run(serve.RunRequest{Qasm: src, Shots: 2, Seed: 1}); err != nil {
-			t.Fatalf("oversized request %d: %v", i, err)
+	src, other := qasmOf(t, c), qasmOf(t, testCircuit(4, 1))
+	var inner error
+	s.SetBatchRunner(func(x *backend.Executable, opts noise.Options) (*noise.Result, error) {
+		for i := 0; i < 2 && inner == nil; i++ {
+			_, inner = s.Run(serve.RunRequest{Qasm: other, Shots: 2, Seed: 1})
 		}
+		return noise.Run(x, opts)
+	})
+	if _, err := s.Run(serve.RunRequest{Qasm: src, Noise: "x:0.1", Trajectories: 4}); err != nil {
+		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Cache.Entries != 0 || st.Cache.Rejected < 2 {
-		t.Fatalf("oversized artifact handling: %+v", st)
+	if inner != nil {
+		t.Fatalf("request with every entry pinned: %v", inner)
+	}
+	st := s.Stats().Cache
+	if st.Entries != 1 || st.Rejected != 2 || st.Evictions != 0 || st.Pinned != 0 {
+		t.Fatalf("no-room artifact handling: %+v", st)
 	}
 }
 
