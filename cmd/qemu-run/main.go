@@ -40,10 +40,12 @@
 //
 // -nodes P shards the register across P emulated cluster nodes running
 // the communication-avoiding scheduler of internal/cluster. Emulation
-// dispatch combines with it: recognised full-register QFT regions execute
-// as the four-step distributed FFT and arithmetic regions as one
-// cluster-wide permutation, with the measured communication (rounds,
-// messages, bytes) reported afterwards.
+// dispatch combines with it: recognised QFT regions wider than a shard
+// execute as the four-step distributed FFT — two all-to-alls, the output
+// order left in the placement for the next canonicalize, which pays Eq.
+// 5's third — and arithmetic regions as one cluster-wide permutation,
+// with the measured communication (rounds, messages, bytes) reported
+// afterwards.
 //
 // With -shots 0 (default) the full amplitude listing of the -top most
 // probable basis states is printed — the emulator's "complete distribution

@@ -169,9 +169,10 @@ func TestDistributedQFTRunsAsFourStepFFT(t *testing.T) {
 		if !found {
 			t.Fatalf("P=%d: QFT region did not execute as the four-step FFT: %+v", p, res.Emulated)
 		}
-		// The four-step factorisation pays three all-to-all transposes.
-		if res.Comm.AllToAlls < 3 {
-			t.Fatalf("P=%d: expected >= 3 all-to-alls from the FFT, got %d", p, res.Comm.AllToAlls)
+		// The four-step factorisation pays two all-to-alls and leaves its
+		// output order in the placement for the next Canonicalize.
+		if res.Comm.AllToAlls < 2 {
+			t.Fatalf("P=%d: expected >= 2 all-to-alls from the FFT, got %d", p, res.Comm.AllToAlls)
 		}
 		// The emulated path skips the region's gates entirely.
 		if got := res.TotalGates - res.EmulatedGates; got >= c.Len() {

@@ -48,6 +48,11 @@ import (
 // substrates). Encode writes and Decode reads
 // exactly one layout: an artifact of any other version is rejected, and a
 // cache warm-start deletes it and recompiles, which is always correct.
+// The Fourier lowering's feasibility rule narrowed without a bump: a v8
+// op unit whose field has more bits on node positions than a shard holds
+// (pos+w-L > L, e.g. field [2,7) of 8 qubits on 32 nodes), which earlier
+// builds lowered, still decodes but fails VerifyExecutable, so a
+// warm-start deletes it and an upload is refused.
 const (
 	codecMagic = "QEXE"
 	// CodecVersion is the one layout Encode writes and Decode reads.

@@ -111,7 +111,9 @@
 //   - Cluster — the register sharded across Nodes emulated nodes, gate
 //     segments through the communication-avoiding placement scheduler,
 //     recognised ops through the substrate Lowerable names: the
-//     four-step FFT, cluster-wide permutations, shard-local diagonals,
+//     distributed Fourier lowering (two all-to-alls, its output order
+//     left in the placement for the next Canonicalize, which pays Eq.
+//     5's third), cluster-wide permutations, shard-local diagonals,
 //     or, for an op whose support lies in node-local positions, Op.Apply
 //     on every shard as on one state (substrate "statevec").
 //   - Fused — the paper's simulator on one node, and only a name:

@@ -17,17 +17,23 @@ import (
 // one unit is an op over gates [0, 4), its payload the given flags byte,
 // region form and (for a diagonal) table — whatever they hold.
 func opArtifact(n uint, flags uint8, reg circuit.Region, table []complex128) []byte {
+	return opArtifactOn(Target{NumQubits: n, FuseWidth: 2, Emulate: recognize.Auto},
+		cluster.SubstrateStatevec, flags, reg, table)
+}
+
+// opArtifactOn is opArtifact on target t, the unit naming substrate sub.
+func opArtifactOn(t Target, sub string, flags uint8, reg circuit.Region, table []complex128) []byte {
 	unit := binio.NewWriter(nil)
 	unit.I64(0)
 	unit.I64(4)
-	unit.String(cluster.SubstrateStatevec)
+	unit.String(sub)
 	unit.U8(flags)
 	recognize.EncodeRegion(unit, reg)
 	if reg.Name == "diagonal" {
 		unit.Complexes(table)
 	}
 	body := binio.NewWriter(nil)
-	encodeTarget(body, Target{NumQubits: n, FuseWidth: 2, Emulate: recognize.Auto})
+	encodeTarget(body, t)
 	body.String(strings.Repeat("0", 64))
 	body.U32(0) // no noise points
 	body.I64(4) // gates
@@ -39,6 +45,31 @@ func opArtifact(n uint, flags uint8, reg circuit.Region, table []complex128) []b
 	out := binary.LittleEndian.AppendUint16([]byte(codecMagic), CodecVersion)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body.Bytes(), crcTable))
 	return append(out, body.Bytes()...)
+}
+
+// TestVerifyRefusesFieldWithTooManyNodeBits pins the one load-time effect
+// of the Fourier lowering's feasibility rule (node field bits n1 =
+// pos+w-L must fit a shard): a v8 artifact holding the field [2,7) of 8
+// qubits on 32 nodes (L = 3, n1 = 4), which the earlier rule lowered as
+// field-four-step-fft, decodes but fails VerifyExecutable, the check a
+// warm start and an artifact upload run; on 16 nodes (L = 4, n1 = 3) the
+// same unit passes.
+func TestVerifyRefusesFieldWithTooManyNodeBits(t *testing.T) {
+	reg := circuit.Region{Name: "qft", Args: []uint64{2, 5}, Lo: 0, Hi: 4}
+	verify := func(nodes int) error {
+		x, err := Decode(opArtifactOn(Target{NumQubits: 8, Kind: Cluster, Nodes: nodes, FuseWidth: 2, Emulate: recognize.Auto},
+			cluster.SubstrateFieldFFT, 0, reg, nil))
+		if err != nil {
+			t.Fatalf("%d nodes: Decode: %v", nodes, err)
+		}
+		return VerifyExecutable(x)
+	}
+	if err := verify(16); err != nil {
+		t.Fatalf("control on 16 nodes: %v", err)
+	}
+	if err := verify(32); err == nil || !strings.Contains(err.Error(), "has no distributed lowering") {
+		t.Fatalf("32 nodes: VerifyExecutable returned %v, want the op refused as having no distributed lowering", err)
+	}
 }
 
 // TestDecodeOpChecks pins every check an op payload passes at Decode —

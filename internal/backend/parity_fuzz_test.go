@@ -19,7 +19,7 @@ import (
 func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
 	src := rng.New(seed)
 	n := 5 + uint(width%6)
-	switch family % 5 {
+	switch family % 6 {
 	case 0:
 		return fmt.Sprintf("brickwork-n%d-s%d", n, seed), circgen.Brickwork(src, n, 2+int(size%6))
 	case 1:
@@ -28,8 +28,10 @@ func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Cir
 		return fmt.Sprintf("phaseruns-n%d-s%d", n, seed), circgen.InterruptedPhaseRuns(src, n, 4+int(size%8))
 	case 3:
 		return fmt.Sprintf("widectl-n%d-s%d", n, seed), circgen.WideControlled(src, n, 2+int(size%3))
-	default:
+	case 4:
 		return fmt.Sprintf("arithmetic-n%d-s%d", n, seed), circgen.Arithmetic(src, n, 1+int(size%3))
+	default:
+		return fmt.Sprintf("fourier-n%d-s%d", n, seed), circgen.FourierSandwich(src, n, 1+int(size%2))
 	}
 }
 
@@ -62,18 +64,23 @@ func parityTargets(n uint) []parityTarget {
 	return ts
 }
 
-// paritySeeds is the checked-in corpus: every family at three widths, sizes
-// spread over the decoded range, then arithmetic inputs at every width so
-// that between them every permutation-family op kind is recognised
-// (TestParitySeedsReachEveryArithmeticOp), multipliers on contiguous
-// registers — the widened field-add sweep — among them.
+// paritySeeds is the checked-in corpus: the first five families at three
+// widths, sizes spread over the decoded range, then arithmetic inputs at
+// every width so that between them every permutation-family op kind is
+// recognised (TestParitySeedsReachEveryArithmeticOp), multipliers on
+// contiguous registers — the widened field-add sweep — among them, then
+// Fourier sandwiches at every width, whose transforms the cluster targets
+// lower across their node bits (TestParitySeedsReachEveryFourierLowering).
 func paritySeeds() [][4]uint64 {
 	var seeds [][4]uint64
 	for i := uint64(0); i < 15; i++ {
-		seeds = append(seeds, [4]uint64{2300 + i, i, i/5*2 + i%2, 3 * i})
+		seeds = append(seeds, [4]uint64{2300 + i, i % 5, i/5*2 + i%2, 3 * i})
 	}
 	for i := uint64(0); i < 6; i++ {
 		seeds = append(seeds, [4]uint64{2400 + i, 4, i, 2})
+	}
+	for i := uint64(0); i < 6; i++ {
+		seeds = append(seeds, [4]uint64{2500 + i, 5, i, i})
 	}
 	return seeds
 }
@@ -119,6 +126,37 @@ func TestParitySeedsReachEveryArithmeticOp(t *testing.T) {
 	for _, sub := range []string{cluster.SubstrateStatevec, cluster.SubstratePermutation} {
 		if substrates[sub] == 0 {
 			t.Errorf("no seed lowers a permutation op to %s on two nodes (substrates reached: %v)", sub, substrates)
+		}
+	}
+}
+
+// TestParitySeedsReachEveryFourierLowering keeps the Fourier seeds
+// honest: compiled for the corpus's cluster targets, their transforms run
+// across the node bits as the full-register and as the mid-width lowering,
+// not only shard-locally.
+func TestParitySeedsReachEveryFourierLowering(t *testing.T) {
+	substrates := map[string]int{}
+	for _, s := range paritySeeds() {
+		if s[1] != 5 {
+			continue
+		}
+		_, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		for _, p := range []int{2, 4} {
+			x, err := backend.Compile(c, backend.Target{NumQubits: c.NumQubits, Kind: backend.Cluster, Nodes: p, FuseWidth: 3, Emulate: recognize.Auto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range x.Units {
+				if op := x.Units[i].Op; op != nil && op.Kind() == "qft" {
+					substrates[x.Units[i].Substrate]++
+				}
+			}
+		}
+	}
+	t.Logf("Fourier ops on two and four nodes by substrate: %v", substrates)
+	for _, sub := range []string{cluster.SubstrateFourStepFFT, cluster.SubstrateFieldFFT} {
+		if substrates[sub] == 0 {
+			t.Errorf("no seed lowers a Fourier op to %s (substrates reached: %v)", sub, substrates)
 		}
 	}
 }

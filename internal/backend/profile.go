@@ -47,8 +47,10 @@ type RegionProfile struct {
 	Kind string
 	// Lo and Hi bound the replaced gate range.
 	Lo, Hi int
-	// FieldWidth is the Fourier field width for qft ops, 0 otherwise.
-	FieldWidth uint
+	// Op is the recognised op: the Fourier cost reads its field width,
+	// and the cluster round estimate prices it by the lowering
+	// cluster.Lowerable names for it.
+	Op *recognize.Op
 	// SupportWidth counts the qubits the op touches.
 	SupportWidth uint
 	// GateUnits[i] is fuse's sweep-unit estimate of executing the
@@ -124,12 +126,9 @@ func ProfileCircuit(c *circuit.Circuit) (*Profile, *recognize.Plan) {
 		gs := c.Gates[seg.Lo:seg.Hi]
 		if seg.Op != nil {
 			r := RegionProfile{
-				Kind: seg.Op.Kind(), Lo: seg.Lo, Hi: seg.Hi,
+				Kind: seg.Op.Kind(), Lo: seg.Lo, Hi: seg.Hi, Op: seg.Op,
 				SupportWidth: uint(len(seg.Op.Support())),
 				GateUnits:    unitsPerWidth(gs, c.NumQubits),
-			}
-			if q, ok := seg.Op.QFT(); ok {
-				r.FieldWidth = q.Width
 			}
 			p.Regions = append(p.Regions, r)
 			p.RecognizedGates += seg.Hi - seg.Lo

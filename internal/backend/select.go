@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/perfmodel"
 	"repro/internal/recognize"
 )
@@ -117,7 +118,7 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 		clusterCand.Target = Target{NumQubits: n, Kind: Cluster, Nodes: nodes,
 			FuseWidth: AutoFuseWidths[wi], Emulate: recognize.Auto}
 		clusterCand.Cost = fusedCost(p, m, wi, true) +
-			float64(estimateClusterRounds(p, local))*m.RemapSecs(n)
+			float64(estimateClusterRounds(p, clusterCand.Target))*m.RemapSecs(n)
 	}
 	cands = append(cands, clusterCand)
 
@@ -186,7 +187,8 @@ func regionCosts(p *Profile, m perfmodel.Measured, r *RegionProfile, wi int) (em
 	n := p.NumQubits
 	switch r.Kind {
 	case "qft":
-		emu = m.FFTSecs(n, r.FieldWidth)
+		q, _ := r.Op.QFT()
+		emu = m.FFTSecs(n, q.Width)
 	case "add", "sub", "addc", "mul", "div":
 		emu = m.PermSecs(n)
 	case "diagonal", "phaseflip":
@@ -208,21 +210,31 @@ func PredictedRounds(p *Profile, t Target) int {
 	if t.Kind != Cluster || t.Nodes <= 1 {
 		return 0
 	}
-	return estimateClusterRounds(p, t.LocalQubits())
+	return estimateClusterRounds(p, t)
 }
 
 // estimateClusterRounds is a coarse planning estimate of the all-to-all
 // rounds a cluster run pays: one canonicalization, the collective rounds
 // of each emulated region, and a placement remap per shard-width run of
-// branching residual gates. It is width-independent, so it never tips
-// the choice between cluster shapes — it exists to keep the cluster
-// candidate's absolute cost honest in the report.
-func estimateClusterRounds(p *Profile, local uint) int {
+// branching residual gates. A Fourier region is priced by its lowering:
+// one remap for a field that fits a shard, two for a wider one, which
+// leaves its output order to the next canonicalization. It is
+// independent of the fusion width, so it never tips the choice between
+// cluster shapes — it exists to keep the cluster candidate's absolute
+// cost honest in the report.
+func estimateClusterRounds(p *Profile, t Target) int {
+	local := t.LocalQubits()
 	rounds := 1
 	for i := range p.Regions {
-		switch p.Regions[i].Kind {
+		r := &p.Regions[i]
+		switch r.Kind {
 		case "qft":
-			rounds += 3 // distributed four-step: three transposes
+			switch sub, _ := cluster.Lowerable(r.Op, p.NumQubits, local, t.Nodes); sub {
+			case cluster.SubstrateLocalFFT:
+				rounds++
+			case cluster.SubstrateFourStepFFT, cluster.SubstrateFieldFFT:
+				rounds += 2
+			}
 		case "add", "sub", "addc", "mul", "div":
 			rounds += 1 // one all-to-all basis permutation
 		}

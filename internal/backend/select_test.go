@@ -305,3 +305,30 @@ func TestAutoWidthFitsRegister(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictedRoundsPricesFourierLowerings pins the cluster round
+// estimate of one Fourier region of each lowering at n = 12 on four nodes
+// (L = 10): one canonicalization, the region's remaps — one for a field
+// that fits a shard, two for a wider one — and one remap per L branching
+// gates (the fields' Hadamards).
+func TestPredictedRoundsPricesFourierLowerings(t *testing.T) {
+	const n = 12
+	target := backend.Target{NumQubits: n, Kind: backend.Cluster, Nodes: 4, FuseWidth: 4}
+	for _, tc := range []struct {
+		name   string
+		pos, w uint
+		want   int
+	}{
+		{"local-fft", 2, 6, 1 + 1 + 0},
+		{"field-four-step-fft", 0, 11, 1 + 2 + 1},
+		{"four-step-fft", 0, n, 1 + 2 + 1},
+	} {
+		p, _ := backend.ProfileCircuit(qft.Field(n, tc.pos, tc.w, false))
+		if len(p.Regions) != 1 {
+			t.Fatalf("%s: %d recognised regions, want 1", tc.name, len(p.Regions))
+		}
+		if got := backend.PredictedRounds(p, target); got != tc.want {
+			t.Errorf("%s: predicted %d rounds, want %d", tc.name, got, tc.want)
+		}
+	}
+}

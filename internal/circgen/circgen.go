@@ -5,9 +5,10 @@
 // the diagonal rule under hoisting, over-wide controlled gates the
 // passthrough path — which makes them the circuits on which a unit run
 // whole differs most from its gates replayed one by one: what the
-// trajectory runner's parity tests (internal/noise) need. One more holds
+// trajectory runner's parity tests (internal/noise) need. Two more hold
 // annotated reversible arithmetic, the circuits the emulator replaces with
-// a permutation of the state.
+// a permutation of the state, and annotated Fourier transforms between
+// rotation layers, which it replaces with an FFT.
 //
 // A family is a pure function of (stream, width, size): equal streams give
 // equal circuits.
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/qft"
 	"repro/internal/revlib"
 	"repro/internal/rng"
 )
@@ -137,6 +139,30 @@ func Arithmetic(src *rng.Source, n uint, ops int) *circuit.Circuit {
 		}
 		regs, aux := Registers(src, n, widths, kind.aux, src.Intn(2) == 0)
 		kind.build(c, regs, aux)
+	}
+	return c
+}
+
+// FourierSandwich is reps rounds of a rotation layer, the QFT of a
+// random field of width n-1 or n (with its swaps or without), a second
+// rotation layer and the field's inverse QFT: annotated Fourier regions
+// wide enough that a cluster lowers them across its node bits, with gates
+// after each that read the output order the lowering leaves. n >= 2.
+func FourierSandwich(src *rng.Source, n uint, reps int) *circuit.Circuit {
+	c := circuit.New(n)
+	rotations := func() {
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.Ry(q, src.Float64()*2), gates.Rz(q, src.Float64()*3))
+		}
+	}
+	for r := 0; r < reps; r++ {
+		w := n - uint(src.Intn(2))
+		pos := uint(src.Intn(int(n-w) + 1))
+		swaps := src.Intn(2) == 0
+		rotations()
+		c.Extend(qft.Field(n, pos, w, swaps))
+		rotations()
+		c.Extend(qft.Field(n, pos, w, swaps).Dagger())
 	}
 	return c
 }

@@ -23,8 +23,9 @@ type Stats struct {
 	// log2(P) communication term is written in).
 	Exchanges atomic.Uint64
 	// AllToAlls counts collective steps in which every node may talk to
-	// every other node: the FFT transpositions (Eq. 5's "3"), emulated
-	// permutations, and the execution engine's placement remaps.
+	// every other node: the Fourier lowering's two node-bit remaps (Eq.
+	// 5's "3" with the Canonicalize its output order is left to),
+	// emulated permutations, and the execution engine's placement remaps.
 	AllToAlls atomic.Uint64
 	// Rounds counts communication rounds: BSP supersteps in which the
 	// network is used at all. A gate-by-gate exchange is one round per
@@ -83,8 +84,8 @@ type Cluster struct {
 	nodes []*statevec.State
 	// scratch is the retired buffer set the all-to-all collectives gather
 	// into and swap with the live shards (via AdoptAmplitudes), so a remap
-	// or transpose reuses 16*2^n bytes instead of allocating them per
-	// call; nil until the first collective.
+	// reuses 16*2^n bytes instead of allocating them per call; nil until
+	// the first collective.
 	scratch [][]complex128
 
 	// pos maps logical qubit → physical position: positions 0..L-1 index

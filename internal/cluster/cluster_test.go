@@ -199,6 +199,10 @@ func TestEmulatedQFTInverseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFFTCountsThreeAllToAlls pins Eq. 5's three all-to-alls and where
+// they fall: the transform pays two and leaves its output order in the
+// placement; the Canonicalize of whatever next reads canonical order pays
+// the third.
 func TestFFTCountsThreeAllToAlls(t *testing.T) {
 	src := rng.New(8)
 	c, _ := cluster.New(10, 4)
@@ -207,8 +211,12 @@ func TestFFTCountsThreeAllToAlls(t *testing.T) {
 	if err := c.EmulateQFT(); err != nil {
 		t.Fatal(err)
 	}
+	if got := c.Stats.AllToAlls.Load(); got != 2 {
+		t.Errorf("distributed FFT used %d all-to-alls, want 2", got)
+	}
+	c.Canonicalize()
 	if got := c.Stats.AllToAlls.Load(); got != 3 {
-		t.Errorf("distributed FFT used %d all-to-alls, want 3 (Eq. 5)", got)
+		t.Errorf("distributed FFT then Canonicalize used %d all-to-alls, want 3 (Eq. 5)", got)
 	}
 }
 

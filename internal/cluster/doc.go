@@ -41,25 +41,26 @@
 // # Exchange contracts
 //
 // Every collective that moves the state — a placement remap (Remap,
-// Canonicalize, the field remaps of the Fourier lowerings), each of the
-// four-step FFT's three transposes (transposing a 2^a x 2^b row-major
-// matrix is the index-bit rotation by b), Gather under a drifted
-// placement — is a permutation of index bits, and one kernel performs
-// them all (move.go): "destination position p reads source position
-// srcOf[p]". It has two regimes, chosen from the bit map alone:
+// Canonicalize, the remaps of the Fourier lowering), Gather under a
+// drifted placement — is a permutation of index bits, and one kernel
+// performs them all (move.go): "destination position p reads source
+// position srcOf[p]". It has two regimes, chosen from the bit map alone:
 //
 //   - the low k >= 2 positions are unchanged: the state moves in runs of
 //     2^k contiguous amplitudes, one source-index computation and one
 //     copy per run — a whole shard per copy when only node positions
 //     move. The scheduler's remaps exchange node positions with a few
-//     local ones and mostly have this shape;
-//   - otherwise (a no-swap QFT's bit reversal, the transposes): a tiled
-//     pass in the manner of fft's blocked bit reversal. A tile spans the
-//     destination's low 5 positions and the destination positions that
-//     feed the source's low 5, so both sides touch memory in contiguous
-//     512-byte rows and the scattered accesses land in a 16 KiB buffer on
-//     the stack; tiles are visited in an order that keeps neighbours
-//     close on both sides.
+//     local ones and mostly have this shape, and so do the Fourier
+//     lowering's two swaps of a field's node bits with the top of the
+//     shard;
+//   - otherwise (a no-swap QFT's bit reversal, the Canonicalize of the
+//     output order a Fourier op leaves — a rotation by the field's node
+//     bits for the full register): a tiled pass in the manner of fft's
+//     blocked bit reversal. A tile spans the destination's low 5
+//     positions and the destination positions that feed the source's low
+//     5, so both sides touch memory in contiguous 512-byte rows and the
+//     scattered accesses land in a 16 KiB buffer on the stack; tiles are
+//     visited in an order that keeps neighbours close on both sides.
 //
 // Either way each amplitude is read once and written once, at a small
 // multiple of what copying the shards costs (BenchmarkMoveBits beside
@@ -105,12 +106,18 @@
 // through Lowerable/ApplyOp — the distributed half of the emulation
 // dispatch the unified backend (internal/backend) runs:
 //
-//   - a full-register Fourier op on several nodes executes as the
-//     distributed four-step FFT (three all-to-all transposition rounds —
-//     Eq. 5's "3"), EmulateQFT being the direct entry point; the noswap
-//     variants' bit reversal is a placement relabelling costing nothing;
-//   - a Fourier field of width <= L executes shard-locally after one
-//     remap makes the field node-local;
+//   - every Fourier op runs through one lowering (fieldfft.go),
+//     EmulateQFT being the direct entry point for the full register. A
+//     field of width <= L executes shard-locally after one remap makes
+//     it node-local. A wider one — the full register on several nodes
+//     (substrate "four-step-fft") or a mid-width field
+//     ("field-four-step-fft") — is the four-step FFT split where the
+//     layout splits it: its node bits are swapped into every shard and
+//     back (two all-to-alls), with a dense DFT block between and a
+//     twiddle and per-shard transform after. It leaves its output order
+//     in the placement, so Eq. 5's third all-to-all is the Canonicalize
+//     of whatever next reads canonical order; the noswap variants' bit
+//     reversal is one more placement relabelling costing nothing;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
 //     shortcut, one all-to-all for the whole subroutine: every node
 //     writes each of its amplitudes once, straight to its destination,
@@ -118,13 +125,13 @@
 //   - diagonal ops multiply shards in place: a diagonal run goes through
 //     its table exactly as a fused diagonal block does (node-selecting
 //     members fix a reduced table per node, the shard applies it with
-//     ApplyDiagN or ApplyDiagTable), as does the field FFT's twiddle (one
-//     entry per field value), and a phase flip negates the matching
+//     ApplyDiagN or ApplyDiagTable), and a phase flip negates the matching
 //     amplitudes; the Grover diffusion (ReflectUniform) needs one scalar
 //     allreduce.
 //
-// The permutation and FFT collectives speak the canonical layout and
-// restore it (one extra remap round at most) when the gate engine left
-// the placement rotated; the diagonal and reflection paths run under any
+// The permutation collective speaks the canonical layout and restores it
+// (one extra remap round at most) when the gate engine or a Fourier op
+// left the placement drifted; the Fourier lowering remaps from whatever
+// placement it finds, and the diagonal and reflection paths run under any
 // placement.
 package cluster

@@ -15,17 +15,15 @@ import (
 //     every shard under the canonical placement (substrate statevec, the
 //     single-node kernels): on one node every op but the diagonal ones,
 //     on several nodes the arithmetic ops that leave the node bits alone;
-//   - narrow Fourier fields (width <= L; on one node, any field) run as
-//     per-shard transforms after at most one placement remap makes the
-//     field node-local;
-//   - full-register Fourier ops on several nodes run as the four-step
-//     distributed FFT (three all-to-all transposition rounds, Eq. 5's
-//     "3"), with the noswap variants' bit reversal realised as a
-//     zero-communication placement relabelling;
-//   - mid-width Fourier fields (wider than a shard, narrower than the
-//     register) run the four-step factorisation along the field axis
-//     (fieldfft.go): two remap rounds, feasible up to twice the shard
-//     width;
+//   - Fourier fields of any width run through one lowering
+//     (fieldfft.go): a field that fits a shard (width <= L; on one node,
+//     any field) as per-shard transforms after at most one remap makes it
+//     node-local, a wider one — the full register included — as the
+//     four-step factorisation that moves only the field's node bits, two
+//     all-to-all rounds, and leaves its output order in the placement, so
+//     Eq. 5's third all-to-all is paid by the next Canonicalize. The
+//     noswap variants' bit reversal is a zero-communication placement
+//     relabelling on top;
 //   - arithmetic ops (add, sub, addc, mul, div) run as one cluster-wide
 //     basis permutation — a single all-to-all, the paper's Section 4.2;
 //   - diagonal ops multiply each shard in place, communication-free under
@@ -48,9 +46,9 @@ const (
 
 // Lowerable reports whether a recognised op can execute on a cluster of
 // shape (n total qubits, L local qubits, P nodes) and names the substrate
-// it lowers to. Ops it rejects (a Fourier field needing sub-transforms
-// wider than a shard, or a register too small for the four-step
-// factorisation) must stay on the gate-level scheduled path.
+// it lowers to. Ops it rejects (a Fourier field with more bits on node
+// positions than a shard holds) must stay on the gate-level scheduled
+// path.
 //
 // Diagonal runs and phase flips keep their placement-free lowering at
 // every node count. Any other op on one node, and an arithmetic op whose
@@ -75,27 +73,19 @@ func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 		return SubstratePermutation, true
 	}
 	if q, ok := op.QFT(); ok {
-		// A field that fits one shard transforms shard-locally: the
-		// four-step factorisation would add three transposes and run its
-		// row FFTs serially.
+		// A field that fits one shard transforms shard-locally.
 		if q.Width <= L {
 			return SubstrateLocalFFT, true
 		}
-		if q.Width == n {
-			// The four-step N1 x N2 factorisation distributes by rows; both
-			// halves must hold at least one row/column per node.
-			n1 := n / 2
-			if uint64(1)<<n1 >= uint64(P) && uint64(1)<<(n-n1) >= uint64(P) {
-				return SubstrateFourStepFFT, true
-			}
+		// A wider one moves its node bits, pos+width-L of them, into a
+		// shard: they must fit there.
+		if q.Pos+q.Width-L > L {
 			return "", false
 		}
-		if q.Width-q.Width/2 <= L {
-			// Mid-width: four-step along the field axis; both sub-fields
-			// must fit a shard.
-			return SubstrateFieldFFT, true
+		if q.Width == n {
+			return SubstrateFourStepFFT, true
 		}
-		return "", false
+		return SubstrateFieldFFT, true
 	}
 	if op.ReflectUniform() {
 		return SubstrateReflect, true
@@ -116,48 +106,17 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 	case SubstrateStatevec:
 		c.Canonicalize()
 		c.eachNode(func(p int) { op.Apply(c.nodes[p]) })
-	case SubstrateFourStepFFT:
+	case SubstrateFourStepFFT, SubstrateFieldFFT, SubstrateLocalFFT:
 		q, _ := op.QFT()
-		sign := +1
-		if q.Inverse {
-			sign = -1
-		}
 		// The noswap variants compose the field bit reversal S after the
 		// forward transform (S·F) or before the inverse (F⁻¹·S). Relabelling
 		// the placement applies S without moving an amplitude.
 		if q.Inverse && q.NoSwap {
 			c.reverseFieldPlacement(q.Pos, q.Width)
 		}
-		if err := c.distributedFFT(sign, true); err != nil {
-			return "", err
-		}
-		if !q.Inverse && q.NoSwap {
-			c.reverseFieldPlacement(q.Pos, q.Width)
-		}
-	case SubstrateFieldFFT:
-		q, _ := op.QFT()
-		if q.Inverse && q.NoSwap {
-			c.reverseFieldPlacement(q.Pos, q.Width)
-		}
 		if err := c.distributedFFTField(q.Pos, q.Width, q.Inverse); err != nil {
 			return "", err
 		}
-		if !q.Inverse && q.NoSwap {
-			c.reverseFieldPlacement(q.Pos, q.Width)
-		}
-	case SubstrateLocalFFT:
-		q, _ := op.QFT()
-		if q.Inverse && q.NoSwap {
-			c.reverseFieldPlacement(q.Pos, q.Width)
-		}
-		// One remap makes the field bits shard-local at physical positions
-		// [0, width); every node then transforms its own fibres. The
-		// nodes share the host through the node superstep, one worker
-		// each.
-		c.remapFieldLocal(q.Pos, q.Width)
-		c.eachNode(func(p int) {
-			q.Plan.TransformField(c.shard(p), 0, q.Inverse, 1)
-		})
 		if !q.Inverse && q.NoSwap {
 			c.reverseFieldPlacement(q.Pos, q.Width)
 		}
@@ -189,35 +148,6 @@ func (c *Cluster) reverseFieldPlacement(pos, w uint) {
 		a, b := pos+j, pos+w-1-j
 		c.pos[a], c.pos[b] = c.pos[b], c.pos[a]
 	}
-}
-
-// remapFieldLocal installs a placement with logical qubit pos+j at
-// physical position j for j < w (one all-to-all remap round, or free when
-// already in place), so a width-w field transform can run shard-locally
-// with stride-1 fibres. Displaced qubits take the slots the field bits
-// vacate.
-func (c *Cluster) remapFieldLocal(pos, w uint) {
-	if w > c.L {
-		panic(fmt.Sprintf("cluster: field of %d qubits cannot be made local on %d-qubit shards", w, c.L))
-	}
-	n := c.NumQubits()
-	newPos := append([]uint(nil), c.pos...)
-	// Owner of each physical slot under the evolving assignment.
-	owner := make([]uint, n)
-	for q := uint(0); q < n; q++ {
-		owner[newPos[q]] = q
-	}
-	for j := uint(0); j < w; j++ {
-		q := pos + j
-		if newPos[q] == j {
-			continue
-		}
-		displaced := owner[j]
-		freed := newPos[q]
-		newPos[displaced], owner[freed] = freed, displaced
-		newPos[q], owner[j] = j, q
-	}
-	c.Remap(newPos)
 }
 
 // ReflectUniform applies the Householder reflection I - 2|s><s| about the

@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
 	"repro/internal/gates"
@@ -269,6 +271,195 @@ func TestClusterDiagonalOpsAnyPlacement(t *testing.T) {
 					t.Errorf("%v on P=%d placement %v diverges by %g", op, p, placement, d)
 				}
 			}
+		}
+	}
+}
+
+// fourierVariant builds one of the four Fourier shapes of the field
+// [pos, pos+w) of an n-qubit register as its recognised op.
+func fourierVariant(t *testing.T, n, pos, w uint, swaps, inverse bool) *recognize.Op {
+	t.Helper()
+	c := qft.Field(n, pos, w, swaps)
+	if inverse {
+		c = c.Dagger()
+	}
+	return planOps(t, c, recognize.Annotated)[0]
+}
+
+// TestFourierLoweringFromDriftedPlacement holds the lowering of every
+// Fourier field wider than a shard — the full register and fields one
+// qubit wider than a shard at either end — at 2, 4 and 8 nodes, odd and
+// even n, both directions with and without swaps, against the single-node
+// transform to 1e-10. Each starts from a shuffled placement and pays two
+// all-to-alls whatever it was: the first remap goes from there straight
+// to the layout that makes the field's node bits local.
+func TestFourierLoweringFromDriftedPlacement(t *testing.T) {
+	src := rng.New(41)
+	for _, n := range []uint{9, 10} {
+		for _, p := range []int{2, 4, 8} {
+			cl, err := cluster.New(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			L := cl.L
+			fields := [][2]uint{{0, n}}
+			if L+1 < n {
+				fields = append(fields, [2]uint{0, L + 1}, [2]uint{n - L - 1, L + 1})
+			}
+			for _, f := range fields {
+				want := cluster.SubstrateFieldFFT
+				if f[1] == n {
+					want = cluster.SubstrateFourStepFFT
+				}
+				for _, swaps := range []bool{true, false} {
+					for _, inverse := range []bool{false, true} {
+						op := fourierVariant(t, n, f[0], f[1], swaps, inverse)
+						init := statevec.NewRandom(n, src)
+						if err := cl.LoadState(init); err != nil {
+							t.Fatal(err)
+						}
+						cl.Remap(shuffledPlacement(n, src))
+						cl.ResetStats()
+						sub, err := cl.ApplyOp(op)
+						if err != nil || sub != want {
+							t.Fatalf("%v on P=%d lowered to %q, %v; want %q", op, p, sub, err, want)
+						}
+						if got := cl.Stats.AllToAlls.Load(); got != 2 {
+							t.Errorf("%v on P=%d paid %d all-to-alls, want 2", op, p, got)
+						}
+						ref := init.Clone()
+						op.Apply(ref)
+						if d := cl.Gather().MaxDiff(ref); d > 1e-10 {
+							t.Errorf("%v (n=%d P=%d) diverges from one node by %g", op, n, p, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEmulateQFTOneNode holds EmulateQFT on one node: a plain transform
+// of the shard, matching the QFT circuit, with no communication and the
+// placement left canonical.
+func TestEmulateQFTOneNode(t *testing.T) {
+	const n = 10
+	c, err := cluster.New(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := loadRandom(t, c, rng.New(43))
+	if err := c.EmulateQFT(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats.Snapshot(); s != (cluster.StatsSnapshot{}) {
+		t.Errorf("one-node EmulateQFT communicated: %+v", s)
+	}
+	got := c.Placement()
+	for q, p := range got {
+		if uint(q) != p {
+			t.Fatalf("one-node EmulateQFT left placement %v", got)
+		}
+	}
+	qft.Circuit(n).Run(st)
+	if d := c.Gather().MaxDiff(st); d > 1e-10 {
+		t.Errorf("one-node EmulateQFT differs from the QFT circuit by %g", d)
+	}
+}
+
+// TestSampleManyAfterFourierOp samples straight after a Fourier op, with
+// its output order still in the placement: the draws must be the
+// single-node sampler's on the same amplitudes, draw for draw.
+func TestSampleManyAfterFourierOp(t *testing.T) {
+	const n = 10
+	src := rng.New(47)
+	for _, p := range []int{2, 4, 8} {
+		cl, err := cluster.New(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []*recognize.Op{
+			fourierVariant(t, n, 0, n, true, false),
+			fourierVariant(t, n, n-cl.L-1, cl.L+1, false, false),
+		} {
+			loadRandom(t, cl, src)
+			if _, err := cl.ApplyOp(op); err != nil {
+				t.Fatal(err)
+			}
+			want := cl.Gather().SampleMany(512, rng.New(uint64(p)))
+			got := cl.SampleMany(512, rng.New(uint64(p)))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v on P=%d: draw %d is |%d>, single node |%d>", op, p, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGateUnitAfterFourierOp runs a scheduled gate segment straight after
+// a Fourier op, from the placement the op leaves: the pair must match the
+// circuit applied gate by gate to 1e-10.
+func TestGateUnitAfterFourierOp(t *testing.T) {
+	const n = 10
+	src := rng.New(53)
+	for _, p := range []int{2, 4, 8} {
+		for _, f := range [][2]uint{{0, n}, {1, n - 1}} {
+			ft := qft.Field(n, f[0], f[1], true)
+			op := planOps(t, ft, recognize.Annotated)[0]
+			rest := circgen.Brickwork(src, n, 3)
+			cl, err := cluster.New(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := loadRandom(t, cl, src)
+			if _, err := cl.ApplyOp(op); err != nil {
+				t.Fatal(err)
+			}
+			schedule(t, cl, rest, 3)
+			ref := init.Clone()
+			circuit.New(n).Extend(ft).Extend(rest).Run(ref)
+			if d := cl.Gather().MaxDiff(ref); d > 1e-10 {
+				t.Errorf("P=%d field %v: op then gates differ from the circuit by %g", p, f, d)
+			}
+		}
+	}
+}
+
+// TestFourierLoweringAllocatesLittle pins what one call of the wide
+// lowering allocates at n = 20 once its plans are warm: the 2^n1-point
+// DFT block (4^n1 entries) and a few placement-sized slices, nothing that
+// grows with the field.
+func TestFourierLoweringAllocatesLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transforms a 20-qubit register on 4 emulated nodes")
+	}
+	const n = 20
+	c, err := cluster.New(n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range [][2]uint{{0, n}, {0, n - 1}} {
+		op := fourierVariant(t, n, f[0], f[1], true, false)
+		n1 := f[0] + f[1] - c.L
+		for i := 0; i < 2; i++ { // plans, scratch and move tables
+			if _, err := c.ApplyOp(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const calls = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := c.ApplyOp(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("field %v: %d bytes per call", f, perCall)
+		if bound := uint64(16)<<(2*n1) + 4<<10; perCall > bound {
+			t.Errorf("field %v: %d bytes per call, want at most %d (4^n1 block entries and placements)", f, perCall, bound)
 		}
 	}
 }

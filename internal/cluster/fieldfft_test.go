@@ -10,16 +10,15 @@ import (
 	"repro/internal/statevec"
 )
 
-// TestFieldFFTParity pins the field-axis four-step factorisation against
-// the single-node field transform to 1e-10, across node counts, field
+// TestFieldFFTParity pins the distributed Fourier lowering against the
+// single-node field transform to 1e-10, across node counts, field
 // positions, widths (odd and even, shard-straddling and not) and both
-// directions. At P=4 the widths above L exercise the mid-width gap the
-// substrate exists for; at P=2 every sub-register field is narrower than
-// the shard, so the test drives the factorisation itself rather than the
-// Lowerable selection. The drifted cases run a full-register qft-noswap
-// first, which leaves the placement bit-reversed: the twiddle table is then
-// indexed by field qubits that sit on node-selecting positions, in
-// descending physical order.
+// directions. At P=4 the widths above L exercise the four-step
+// factorisation; at P=2 every sub-register field fits a shard and runs
+// shard-locally. The drifted cases run a full-register qft-noswap first,
+// which leaves the placement bit-reversed: the first remap then starts
+// from field qubits on node-selecting positions, in descending physical
+// order.
 func TestFieldFFTParity(t *testing.T) {
 	cases := []struct {
 		n       uint
@@ -38,6 +37,11 @@ func TestFieldFFTParity(t *testing.T) {
 		{n: 8, p: 4, pos: 0, w: 7, drifted: true},
 		{n: 9, p: 2, pos: 1, w: 7, inverse: true, drifted: true},
 		{n: 10, p: 4, pos: 2, w: 8, drifted: true},
+		// Seven node bits, past denseDFTBits: the DFT block runs as a
+		// transform of the shard.
+		{n: 14, p: 128, pos: 0, w: 14},
+		{n: 16, p: 128, pos: 2, w: 14, inverse: true},
+		{n: 15, p: 128, pos: 0, w: 15},
 	}
 	for _, tc := range cases {
 		c, err := New(tc.n, tc.p)
@@ -75,8 +79,8 @@ func TestFieldFFTParity(t *testing.T) {
 	}
 }
 
-// TestFieldFFTRejectsTooWide pins the feasibility bound: a field whose
-// larger half exceeds the shard width has no field-axis lowering.
+// TestFieldFFTRejectsTooWide pins the feasibility bound: a field with
+// more bits on node positions than a shard holds has no lowering.
 func TestFieldFFTRejectsTooWide(t *testing.T) {
 	c, err := New(8, 32) // L = 3
 	if err != nil {
@@ -86,6 +90,6 @@ func TestFieldFFTRejectsTooWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.distributedFFTField(0, 7, false); err == nil {
-		t.Error("7-qubit field accepted on 3-qubit shards (needs a 4-qubit half)")
+		t.Error("7-qubit field accepted on 3-qubit shards (4 of its bits are node bits)")
 	}
 }

@@ -3,7 +3,7 @@ package cluster
 import "sort"
 
 // Every collective that moves the state — placement remaps, Canonicalize,
-// the four-step FFT's transposes, Gather under a drifted placement — is a
+// the Fourier lowering's node-bit swaps, Gather under a drifted placement — is a
 // permutation of index bits: destination position p reads source position
 // srcOf[p], so the amplitude at global destination index j (shard offset |
 // node<<L) comes from source index Σ bit(j, p) << srcOf[p]. This file is

@@ -235,27 +235,35 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 // BenchmarkMoveBits reports what one collective round costs per amplitude
 // for the shapes the engine produces: a scheduler remap exchanging high
 // local positions with node positions (runs of 2^14), one reaching down to
-// position 2 (runs of 4), a no-swap QFT's bit reversal and the four-step
-// FFT's transpose (both tiled). An exchanged shard pair, the memcpy floor,
-// is cluster.exchange_ns_per_amp in the benchmark's trace.
+// position 2 (runs of 4), a no-swap QFT's bit reversal (tiled), and the
+// two moves of the Fourier lowering — the swap of the node bits into
+// [L-p, L) (runs of 2^(L-p)) and the canonicalize of the output order it
+// leaves, a rotation by p (tiled). An exchanged shard pair, the memcpy
+// floor, is cluster.exchange_ns_per_amp in the benchmark's trace.
 func BenchmarkMoveBits(b *testing.B) {
-	const n, nodes = 20, 4
+	const n, nodes, p = 20, 4, 2
+	const L = n - p
 	swap := func(a, z uint) []uint {
 		m := identityMap(n)
 		m[a], m[z] = m[z], m[a]
 		return m
 	}
 	reversal := identityMap(n)
+	nodeSwap := identityMap(n)
 	rotation := identityMap(n)
-	for p := range reversal {
-		reversal[p] = n - 1 - uint(p)
-		rotation[p] = (uint(p) + n/2) % n
+	for q := range reversal {
+		reversal[q] = n - 1 - uint(q)
+		rotation[q] = (uint(q) + L) % n
+	}
+	for j := uint(0); j < p; j++ {
+		nodeSwap[L-p+j], nodeSwap[L+j] = L+j, L-p+j
 	}
 	for _, sh := range []moveShape{
 		{"high-swap-k14", swap(14, n-1)},
 		{"k2", swap(2, n-1)},
 		{"bit-reversal", reversal},
-		{"transpose", rotation},
+		{"fourier-node-swap", nodeSwap},
+		{"fourier-canonicalize", rotation},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			c, err := New(n, nodes)

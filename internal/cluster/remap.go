@@ -42,8 +42,10 @@ func (c *Cluster) Remap(newPos []uint) {
 
 // Canonicalize restores the identity placement (logical qubit q at
 // physical position q), paying one remap round if the placement drifted.
-// The emulation collectives (distributed FFT, basis-state permutations)
-// and the samplers require canonical layout; the gate engine does not.
+// Basis-state permutations, schedules and the samplers require the
+// canonical layout; the gate engine, the diagonals and the Fourier
+// lowering do not, and a Fourier op leaves its output order drifted for
+// the next Canonicalize to pay.
 func (c *Cluster) Canonicalize() {
 	if c.identityPlacement() {
 		return

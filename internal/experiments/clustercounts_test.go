@@ -49,11 +49,11 @@ func TestClusterCountsPinned(t *testing.T) {
 		got = append(got, counts{r.Circuit, r.Nodes, r.GateRounds, r.GateBytes, r.EmuRounds, r.EmuBytes})
 	}
 	check("cluster-emulate", []counts{
-		{"qft", 2, 2, 131072, 3, 196608},
-		{"qft-noswap", 2, 2, 131072, 3, 196608},
+		{"qft", 2, 2, 131072, 2, 131072},
+		{"qft-noswap", 2, 2, 131072, 2, 131072},
 		{"multiplier-m4", 2, 1, 65536, 1, 0},
-		{"qft", 4, 3, 589824, 3, 589824},
-		{"qft-noswap", 4, 2, 393216, 3, 589824},
+		{"qft", 4, 3, 589824, 2, 393216},
+		{"qft-noswap", 4, 2, 393216, 2, 393216},
 		// The cluster-wide permutation sends only non-zero amplitudes: from
 		// |0...0> this row moved 0 bytes, from the dense start state the
 		// sweep now uses it moves the 3840 amplitudes that change node.

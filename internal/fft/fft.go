@@ -67,8 +67,7 @@
 //
 // Every entry point that takes a worker count splits each pass into that
 // many chunks of one par.For, the caller's included; one worker stays on
-// the calling goroutine. Forward uses GOMAXPROCS, ForwardSerial and
-// InverseSerial one.
+// the calling goroutine. Forward uses GOMAXPROCS.
 //
 // Sign convention: Forward uses exp(+2*pi*i*k*l/N), matching the QFT
 // definition in the paper's Eq. 4; Unitary additionally scales by
@@ -144,15 +143,6 @@ func newPlan(n uint) *Plan {
 func (p *Plan) Forward(data []complex128) {
 	p.transform(data, false, 1, runtime.GOMAXPROCS(0))
 }
-
-// ForwardSerial is Forward restricted to the calling goroutine. The
-// cluster back-end uses it so each emulated node stays single-threaded.
-func (p *Plan) ForwardSerial(data []complex128) { p.transform(data, false, 1, 1) }
-
-// InverseSerial computes the unnormalised transform with the -i sign
-// convention, in place, on the calling goroutine: InverseSerial(Forward(x))
-// == N*x.
-func (p *Plan) InverseSerial(data []complex128) { p.transform(data, true, 1, 1) }
 
 // unitaryScale is the 1/sqrt(N) of the unitary transforms. It is folded
 // into the head group's butterflies, not a separate pass over the data.

@@ -15,6 +15,14 @@ import (
 	"repro/internal/rng"
 )
 
+// ForwardSerial is Forward restricted to the calling goroutine.
+func (p *Plan) ForwardSerial(data []complex128) { p.transform(data, false, 1, 1) }
+
+// InverseSerial computes the unnormalised transform with the -i sign
+// convention, in place, on the calling goroutine: InverseSerial(Forward(x))
+// == N*x.
+func (p *Plan) InverseSerial(data []complex128) { p.transform(data, true, 1, 1) }
+
 // TestMain runs the suite twice on a host that runs the assembly
 // butterflies: the second pass is on the pure-Go body, the one every other
 // host uses. Benchmark, fuzz and profile invocations run once.

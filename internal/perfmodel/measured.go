@@ -32,8 +32,8 @@ type Measured struct {
 	// the QFT emulation substrate costs 2^n * w * FFTNs for a width-w
 	// field transform over the full state.
 	FFTNs float64 `json:"fft_ns"`
-	// RemapNs is ns per amplitude of one cluster all-to-all round (remap
-	// or transpose) on the emulated distributed engine.
+	// RemapNs is ns per amplitude of one cluster all-to-all round (a
+	// placement remap) on the emulated distributed engine.
 	RemapNs float64 `json:"remap_ns"`
 }
 
@@ -101,11 +101,14 @@ func (m Measured) TQFT(n uint, p int) float64 {
 }
 
 // TFFT is the measured-model analogue of Eq. 5: the emulated transform on
-// n qubits across p nodes (three all-to-all transposes when distributed).
+// n qubits across p nodes. Distributed, it pays two all-to-all remaps,
+// which move only the node bits; Eq. 5's third all-to-all is the
+// canonicalization of the output order, paid by whatever next reads the
+// state in canonical order, not by the transform.
 func (m Measured) TFFT(n uint, p int) float64 {
 	t := m.FFTSecs(n, n)
 	if p > 1 {
-		t += 3 * m.RemapSecs(n)
+		t += 2 * m.RemapSecs(n)
 	}
 	return t
 }

@@ -22,15 +22,7 @@ import (
 // floor(n/2) swaps.
 // The whole circuit is annotated as a "qft" region (args: position 0,
 // width n) so the emulation dispatcher can replace it with the FFT.
-func Circuit(n uint) *circuit.Circuit {
-	c := CircuitNoSwap(n)
-	for k := uint(0); k < n/2; k++ {
-		c.Append(gates.Swap(k, n-1-k)...)
-	}
-	// Annotate absorbs the inner qft-noswap marker of the ladder.
-	c.Annotate(circuit.Region{Name: "qft", Args: []uint64{0, uint64(n)}, Lo: 0, Hi: c.Len()})
-	return c
-}
+func Circuit(n uint) *circuit.Circuit { return Field(n, 0, n, true) }
 
 // CircuitNoSwap returns the QFT without the final reversal swaps: the
 // output appears with qubits in bit-reversed order. Algorithms that can
@@ -38,16 +30,28 @@ func Circuit(n uint) *circuit.Circuit {
 // cheaper variant.
 // The circuit carries a "qft-noswap" region annotation (args: position 0,
 // width n): the QFT composed with the bit-reversal permutation.
-func CircuitNoSwap(n uint) *circuit.Circuit {
+func CircuitNoSwap(n uint) *circuit.Circuit { return Field(n, 0, n, false) }
+
+// Field returns the QFT circuit of the qubit field [pos, pos+w) of an
+// n-qubit register, with its reversal swaps or without: Circuit's gates
+// moved up by pos, annotated "qft" or "qft-noswap" with args (pos, w).
+func Field(n, pos, w uint, swaps bool) *circuit.Circuit {
 	c := circuit.New(n)
-	for i := int(n) - 1; i >= 0; i-- {
-		c.Append(gates.H(uint(i)))
+	for i := int(w) - 1; i >= 0; i-- {
+		c.Append(gates.H(pos + uint(i)))
 		for j := i - 1; j >= 0; j-- {
 			theta := math.Pi / float64(uint64(1)<<uint(i-j))
-			c.Append(gates.CR(uint(j), uint(i), theta))
+			c.Append(gates.CR(pos+uint(j), pos+uint(i), theta))
 		}
 	}
-	c.Annotate(circuit.Region{Name: "qft-noswap", Args: []uint64{0, uint64(n)}, Lo: 0, Hi: c.Len()})
+	name := "qft-noswap"
+	if swaps {
+		for k := uint(0); k < w/2; k++ {
+			c.Append(gates.Swap(pos+k, pos+w-1-k)...)
+		}
+		name = "qft"
+	}
+	c.Annotate(circuit.Region{Name: name, Args: []uint64{uint64(pos), uint64(w)}, Lo: 0, Hi: c.Len()})
 	return c
 }
 

@@ -13,9 +13,10 @@ import (
 // same semantics in substrate-neutral form:
 //
 //   - QFT: the Fourier-family ops as (field, direction, bit-order) plus a
-//     reusable fft.Plan — a distributed engine lowers a full-register
-//     transform to the four-step FFT and a narrow field to per-shard
-//     transforms after one placement remap.
+//     reusable fft.Plan — a distributed engine lowers a field wider than
+//     a shard to the four-step FFT, moving only its node bits (two
+//     all-to-alls, the output order left in the placement), and a narrow
+//     field to per-shard transforms after one placement remap.
 //   - Permutation: the arithmetic family (add, sub, addc, mul, div) as one
 //     classical bijection on basis indices — on a cluster, a single
 //     all-to-all (the paper's Section 4.2 observation).

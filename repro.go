@@ -47,8 +47,10 @@
 //     structure-specialised kernels (what a quantum computer would do);
 //   - emulation replaces whole subroutines with classical shortcuts:
 //     arithmetic becomes a basis-state permutation, the quantum Fourier
-//     transform becomes a classical FFT (the four-step distributed FFT on
-//     the cluster engine), phase estimation becomes dense linear algebra,
+//     transform becomes a classical FFT (on the cluster engine the
+//     four-step FFT: two all-to-alls, with the output order left in the
+//     placement until something reads it, which pays Eq. 5's third),
+//     phase estimation becomes dense linear algebra,
 //     and measurement statistics are read off exactly.
 //
 // The full API lives in the internal packages (backend, recognize,
@@ -110,7 +112,9 @@ func WithFusion(width int) OpenOption {
 // ladders, reversible arithmetic, phase oracles, diagonal runs) execute
 // as classical shortcuts instead of gate by gate — on the distributed
 // engine too, where QFT regions lower to the four-step distributed FFT
-// and arithmetic to cluster-wide permutations.
+// (two all-to-alls; the output order stays in the placement until
+// something reads canonical order) and arithmetic to cluster-wide
+// permutations.
 func WithEmulation(mode EmulateMode) OpenOption {
 	return func(t *backend.Target) { t.Emulate = mode }
 }
