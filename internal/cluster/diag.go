@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/bitops"
-	"repro/internal/statevec"
 )
 
 // diagScratch is applyDiagTable's working set, kept on the Cluster so a
@@ -32,7 +31,7 @@ type diagScratch struct {
 // For node p the node-selecting members fix a partial index into the 2^w
 // table; the local members select within the reduced 2^(w_local) table,
 // shared by all nodes with the same fixed part, which every node applies
-// through the table kernels of its shard. The reduced tables are laid out
+// through its shard's ApplyDiagTable. The reduced tables are laid out
 // once, in ascending physical order (the order ApplyDiagTable requires),
 // so a drifted placement costs a table permutation, not a slower sweep;
 // under a placement that keeps the members local and in order, d itself
@@ -94,12 +93,9 @@ func (c *Cluster) applyDiagTable(d []complex128, qubits []uint) {
 		for i, b := range s.nodePhys[:s.nn] {
 			f |= bitops.Bit(uint64(p), b) << uint(i)
 		}
-		switch t, phys := s.cur[f], c.op.phys; {
-		case len(phys) == 0:
+		if t, phys := s.cur[f], c.op.phys; len(phys) == 0 {
 			c.nodes[p].Scale(t[0])
-		case len(phys) <= statevec.MaxMatrixNQubits:
-			c.nodes[p].ApplyDiagN(t, phys)
-		default:
+		} else {
 			c.nodes[p].ApplyDiagTable(t, phys)
 		}
 	})

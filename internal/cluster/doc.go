@@ -125,7 +125,7 @@
 //   - diagonal ops multiply shards in place: a diagonal run goes through
 //     its table exactly as a fused diagonal block does (node-selecting
 //     members fix a reduced table per node, the shard applies it with
-//     ApplyDiagN or ApplyDiagTable), and a phase flip negates the matching
+//     ApplyDiagTable), and a phase flip negates the matching
 //     amplitudes; the Grover diffusion (ReflectUniform) needs one scalar
 //     allreduce.
 //

@@ -94,7 +94,7 @@
 // candidate through Cost and call New once, at the width that won.
 //
 // Where the prices come from. GateCost and diagBlockCost are hand
-// calibrations of the specialised kernels against an ApplyMatrix2 sweep.
+// calibrations of the specialised kernels against a one-qubit dense sweep.
 // denseBlockCost is measured: it is the "sweeps" column of statevec's
 // BenchmarkDenseBlock for the AVX2/FMA assembly body of the dense sweep —
 // 0.8 / 1.1 / 1.9 sweeps at w = 2 / 3 / 4, where the scalar pure-Go body

@@ -24,10 +24,11 @@ const maxDeferred = 256
 const diagEps = 1e-14
 
 // Cost model. All costs are in "sweep units": 1.0 is one full dense-2x2
-// sweep of the state vector (statevec.ApplyMatrix2). The constants only
-// need to be right in ratio for the scheduler to pick the cheaper of
-// replaying a run gate by gate versus collapsing it into one dense or
-// diagonal block sweep.
+// sweep of the state vector (statevec.ApplyControlledMatrix2 with no
+// controls, what ApplyGate runs for an uncontrolled dense gate other than
+// H). The constants only need to be right in ratio for the scheduler to
+// pick the cheaper of replaying a run gate by gate versus collapsing it
+// into one dense or diagonal block sweep.
 var (
 	// denseBlockCost[w] is one dense 2^w-block sweep through statevec's
 	// AVX2/FMA assembly body, as read when that body landed. The numbers
@@ -35,8 +36,8 @@ var (
 	//
 	//	go test -run xxx -bench BenchmarkDenseBlock ./internal/statevec/
 	//
-	// (median of five runs, 2 vCPUs; the sweep's time over an
-	// ApplyMatrix2 sweep of the same state), per width the dearer of the
+	// (median of five runs, 2 vCPUs; the sweep's time over a one-qubit
+	// dense sweep of the same state), per width the dearer of the
 	// cache-resident n=12 and the n=20 reading, so a block that is chosen
 	// pays in both regimes: n=12 0.80 / 1.10 / 1.90 / 3.49 / 7.0 / 13.1 /
 	// 25.7 for w = 2..8, n=20 0.77 / 0.89 / 1.64 / 3.08 for w = 2..5.
@@ -81,8 +82,8 @@ var (
 // GateCost estimates one gate-by-gate application through the specialised
 // kernels (statevec.ApplyGate), in sweep units. Controls cut the touched
 // fraction of the state, which the controlled kernels exploit: they walk
-// only the groups whose controls are satisfied. Measured against an
-// ApplyMatrix2 sweep of the same state (2 vCPUs, AVX-512 host, n = 12 /
+// only the groups whose controls are satisfied. Measured against a
+// one-qubit dense sweep of the same state (2 vCPUs, AVX-512 host, n = 12 /
 // 16 / 20, medians of 25, two runs) they cost CX 0.15 / 0.26-0.33 / 0.26,
 // CCX 0.07 / 0.13-0.17 / 0.11-0.12, a controlled phase 0.14-0.16 /
 // 0.24-0.30 / 0.17-0.19 (two controls 0.07 / 0.13 / 0.10), a controlled

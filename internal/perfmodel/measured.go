@@ -19,7 +19,8 @@ type Measured struct {
 	// baked-in reference values, "calibrated" for a micro-benchmark run.
 	Source string `json:"source"`
 	// SweepNs is ns per amplitude of one dense 2x2 full-state sweep
-	// (statevec.ApplyMatrix2 via the specialised kernels) — fuse's 1.0.
+	// (ApplyGate of an uncontrolled Rx: ApplyControlledMatrix2 with no
+	// controls) — fuse's 1.0.
 	SweepNs float64 `json:"sweep_ns"`
 	// DiagNs is ns per amplitude of a diagonal sweep (phase kernels,
 	// ApplyDiagN, ApplyDiagTable).

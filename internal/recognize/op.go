@@ -250,10 +250,6 @@ func (op *Op) Apply(st *statevec.State) {
 		f, _ := op.Permutation()
 		st.ApplyPermutation(f)
 	case opDiag:
-		if len(op.qubits) <= statevec.MaxMatrixNQubits {
-			st.ApplyDiagN(op.diag, op.qubits)
-			return
-		}
 		st.ApplyDiagTable(op.diag, op.qubits)
 	case opPhaseFlip:
 		op.applyPhaseFlip(st)

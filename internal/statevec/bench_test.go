@@ -44,8 +44,9 @@ func availableBodies() []denseBodyKind {
 // runs, reported as ns per amplitude, as ns per amplitude per worker — the
 // former times the sweep's chunk count, the figure that is comparable
 // between a serial row and a pooled one — and in sweep units: the sweep's
-// time divided by an ApplyMatrix2 sweep of the same state, the unit the
-// planner prices in. Qubits are spread over the register like the
+// time divided by a one-qubit dense sweep of the same state
+// (ApplyControlledMatrix2 with no controls), the unit the planner prices
+// in. Qubits are spread over the register like the
 // planner's blocks, from qubit 1 up (from=1, the rows the prices were read
 // from) and, for the assembly bodies, from qubit 2 up (from=2): with
 // qubits 0 and 1 outside the block the ZMM body moves one 64-byte run per
@@ -90,7 +91,7 @@ func BenchmarkDenseBlock(b *testing.B) {
 				reps := 8 + int(1e7/amps)
 				t0 := time.Now()
 				for i := 0; i < reps; i++ {
-					st.ApplyMatrix2(gates.MatH, n/2)
+					st.ApplyControlledMatrix2(gates.MatH, n/2, nil)
 				}
 				unit := float64(time.Since(t0).Nanoseconds()) / float64(reps)
 				b.ReportMetric(ns/amps, "ns/amp")

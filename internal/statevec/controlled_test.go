@@ -12,8 +12,9 @@ import (
 
 // The three loops below are the controlled kernels as they were before
 // they walked only the control-satisfied groups: every one of the 2^(n-1)
-// pairs, each tested against the controls. They are the oracles the
-// kernels are held to, bit for bit.
+// pairs, each tested against the controls. With no controls they are the
+// uncontrolled X, diagonal and 2x2 loops the group walk replaced. They are
+// the oracles the kernels are held to, bit for bit.
 
 func ctrlMatrix2Oracle(amp []complex128, m gates.Matrix2, k uint, stride, cmask, start, end uint64) {
 	for c := start; c < end; c++ {
@@ -104,9 +105,6 @@ func checkControlled(t *testing.T, init *State, m gates.Matrix2, d0, d1 complex1
 		if j, ok := sameBits(got, want[i]); !ok {
 			t.Fatalf("%s %s: amplitude %d is %v, the oracle's %v", names[i], what, j, got.amp[j], want[i].amp[j])
 		}
-		if len(controls) == 0 {
-			continue
-		}
 		got.CopyFrom(init)
 		ck := makeChunks(init.Dim()>>bitops.PopCount(qmask), workers)
 		for c := 0; c < ck.n; c++ {
@@ -165,11 +163,11 @@ func controlSets(src *rng.Source, n, k uint) [][]uint {
 }
 
 // TestControlledKernelsMatchOracles is the property test of the controlled
-// kernels: over n = 1..10 and every target, control sets of one to three
-// qubits below, above and around the target, a controlled phase (d0 = 1),
-// a diagonal with d0 != 1 on either side, and one, two and three workers,
-// each kernel equals its oracle bit for bit. Registers of 13-15 qubits
-// take the entry points through the worker pool.
+// kernels: over n = 1..10 and every target, no controls and control sets
+// of one to three qubits below, above and around the target, a controlled
+// phase (d0 = 1), a diagonal with d0 != 1 on either side, and one, two and
+// three workers, each kernel equals its oracle bit for bit. Registers of
+// 13-15 qubits take the entry points through the worker pool.
 func TestControlledKernelsMatchOracles(t *testing.T) {
 	src := rng.New(31)
 	m := gates.Matrix2{src.Complex(), src.Complex(), src.Complex(), src.Complex()}
@@ -189,7 +187,7 @@ func TestControlledKernelsMatchOracles(t *testing.T) {
 	for _, tc := range []struct {
 		n, k     uint
 		controls []uint
-	}{{13, 12, []uint{0}}, {14, 0, []uint{13}}, {14, 6, []uint{2, 11}}, {15, 3, []uint{14, 0}}, {15, 7, []uint{1, 8, 14}}} {
+	}{{13, 5, nil}, {13, 12, []uint{0}}, {14, 0, []uint{13}}, {14, 6, []uint{2, 11}}, {15, 3, []uint{14, 0}}, {15, 7, []uint{1, 8, 14}}} {
 		init := NewRandom(tc.n, src)
 		for _, d := range diags {
 			for _, workers := range []int{1, 2, 3} {
@@ -206,6 +204,7 @@ func TestControlledKernelsMatchOracles(t *testing.T) {
 // workers, with the diagonal a controlled phase or not as the seed says.
 func FuzzControlledKernels(f *testing.F) {
 	f.Add(uint8(4), uint64(1), []byte{1, 0})
+	f.Add(uint8(8), uint64(10), []byte{5})          // no controls
 	f.Add(uint8(9), uint64(2), []byte{0, 8})        // control above
 	f.Add(uint8(9), uint64(3), []byte{8, 0, 3})     // controls below
 	f.Add(uint8(10), uint64(4), []byte{4, 1, 9, 6}) // around

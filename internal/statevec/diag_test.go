@@ -30,8 +30,8 @@ func randomDiag(src *rng.Source, w uint) []complex128 {
 // serial and pooled, the layouts of qubitOrders plus blocks holding qubit 0
 // alone, qubit 1 alone, both and neither (lowLayouts), each body agrees bit
 // for bit with every narrower one the host runs — pure Go included, since
-// every body does Go's complex multiply — and with ApplyDiag gate by gate
-// to 1e-12. Its "chunks" sub-test drives the chunk function over ranges the
+// every body does Go's complex multiply — and with the same phases read
+// off each basis state to 1e-12. Its "chunks" sub-test drives the chunk function over ranges the
 // planner never produces, so the hand-over of a chunk's last groups to the
 // pure-Go body and starts off a quad are covered.
 func TestDiagBodiesAgree(t *testing.T) {

@@ -145,10 +145,8 @@ type diagRun struct {
 	mask  uint64
 }
 
-// checkDiagTable validates a (table, qubits) pair for ApplyDiagTable and
-// splits the qubit list into runs, in State-owned scratch so that the
-// kernel allocates nothing in steady state.
-func (s *State) checkDiagTable(d []complex128, qubits []uint) []diagRun {
+// checkDiagTable validates a (table, qubits) pair for ApplyDiagTable.
+func (s *State) checkDiagTable(d []complex128, qubits []uint) {
 	w := uint(len(qubits))
 	if w == 0 || w > s.n {
 		panic("statevec: ApplyDiagTable width out of range")
@@ -164,6 +162,12 @@ func (s *State) checkDiagTable(d []complex128, qubits []uint) []diagRun {
 			panic("statevec: ApplyDiagTable qubits not strictly ascending")
 		}
 	}
+}
+
+// diagRuns splits a validated ascending qubit list into runs, in
+// State-owned scratch so that the kernel allocates nothing in steady
+// state.
+func (s *State) diagRuns(qubits []uint) []diagRun {
 	if s.runs == nil {
 		s.runs = new([MaxQubits]diagRun)
 	}
@@ -180,15 +184,21 @@ func (s *State) checkDiagTable(d []complex128, qubits []uint) []diagRun {
 
 // ApplyDiagTable multiplies each amplitude by d[x], where x is the value
 // read off the listed qubits (bit j of x is qubits[j]) — ApplyDiagN
-// without the width bound, for strictly ascending qubits: the table index
-// is assembled with one shift and mask per run of consecutive qubits, so a
-// window of adjacent qubits costs one. A 2^w-entry table that fits L2 is
-// read in index order when the window starts at qubit 0 and in runs of
-// equal entries otherwise.
+// without the width bound, for strictly ascending qubits. Up to
+// MaxMatrixNQubits it is ApplyDiagN's block sweep; wider, the table
+// index is assembled with one shift and mask per run of consecutive
+// qubits, so a window of adjacent qubits costs one. A 2^w-entry table
+// that fits L2 is read in index order when the window starts at qubit 0
+// and in runs of equal entries otherwise.
 //
 //qemu:hotpath
 func (s *State) ApplyDiagTable(d []complex128, qubits []uint) {
-	runs := s.checkDiagTable(d, qubits)
+	s.checkDiagTable(d, qubits)
+	if len(qubits) <= MaxMatrixNQubits {
+		s.ApplyDiagN(d, qubits)
+		return
+	}
+	runs := s.diagRuns(qubits)
 	dim := s.Dim()
 	if s.parallelism(dim) <= 1 {
 		diagTableChunk(s.amp, d, runs, 0, dim)

@@ -31,15 +31,22 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	factored := NewFactored(4, []Factor{{Bits: []uint{0, 2}, Matrix: blocks[2]}, {Bits: []uint{3, 1}, Matrix: blocks[2]}})
 	high := []uint{7, 2, 5, 4}
 	ones := []complex128{1, 1, 1, 1, 1, 1, 1, 1}
+	// A table wider than MaxMatrixNQubits takes ApplyDiagTable's run path.
+	wide := NewZero(10)
+	wide.SetParallelism(1)
+	wideOnes := make([]complex128, 1<<9)
+	for i := range wideOnes {
+		wideOnes[i] = 1
+	}
 	cases := []struct {
 		name string
 		run  func()
 	}{
-		{"ApplyMatrix2", func() { s.ApplyMatrix2(gates.MatH, 1) }},
+		{"ApplyControlledMatrix2/no controls", func() { s.ApplyControlledMatrix2(gates.MatH, 1, nil) }},
 		{"ApplyControlledMatrix2", func() { s.ApplyControlledMatrix2(gates.MatH, 1, controls) }},
-		{"ApplyX", func() { s.ApplyX(1) }},
+		{"ApplyControlledX/no controls", func() { s.ApplyControlledX(1, nil) }},
 		{"ApplyControlledX", func() { s.ApplyControlledX(1, controls) }},
-		{"ApplyDiag", func() { s.ApplyDiag(1, -1, 1) }},
+		{"ApplyControlledDiag/no controls", func() { s.ApplyControlledDiag(1, -1, 1, nil) }},
 		{"ApplyControlledDiag", func() { s.ApplyControlledDiag(1, -1, 1, controls) }},
 		{"ApplyHadamard", func() { s.ApplyHadamard(1) }},
 		{"ApplyMatrixN/w=2", func() { s.ApplyMatrixN(blocks[2], qubits[:2]) }},
@@ -49,6 +56,7 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyFactored/runs", func() { s.ApplyFactored(factored, high) }},
 		{"ApplyDiagN", func() { s.ApplyDiagN(ones, qubits[:3]) }},
 		{"ApplyDiagTable", func() { s.ApplyDiagTable(ones, []uint{0, 3, 4}) }},
+		{"ApplyDiagTable/runs", func() { wide.ApplyDiagTable(wideOnes, []uint{0, 1, 2, 4, 5, 6, 7, 8, 9}) }},
 		{"ApplyFieldAdd", func() {
 			s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6, CarryOut: 7, HasCarryOut: true})
 		}},
@@ -100,7 +108,7 @@ func TestParallelKernelsAllocateOnlyTheirClosures(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"ApplyMatrix2", 2, func() { p.ApplyMatrix2(gates.MatH, 1) }},
+		{"ApplyControlledMatrix2/no controls", 2, func() { p.ApplyControlledMatrix2(gates.MatH, 1, nil) }},
 		{"Norm", 3, func() { _ = p.Norm() }},
 	} {
 		var got [2]float64
@@ -122,6 +130,6 @@ func BenchmarkHotpathApplyX(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ApplyX(uint(i) % 16)
+		s.ApplyControlledX(uint(i)%16, nil)
 	}
 }

@@ -46,51 +46,16 @@ func (s *State) checkTarget(k uint) {
 	}
 }
 
-// ApplyMatrix2 applies the dense 2x2 unitary m to qubit k. This is the
-// generic kernel a structure-blind simulator (the qHiPSTER-class baseline)
-// uses for every gate: two reads, two writes and a full complex 2x2
-// multiply per amplitude pair.
-//
-//qemu:hotpath
-func (s *State) ApplyMatrix2(m gates.Matrix2, k uint) {
-	s.checkTarget(k)
-	half := s.Dim() >> 1
-	stride := uint64(1) << k
-	if s.parallelism(half) <= 1 {
-		matrix2Chunk(s.amp, m, k, stride, 0, half)
-		return
-	}
-	s.parallelRange(half, func(start, end uint64) {
-		matrix2Chunk(s.amp, m, k, stride, start, end)
-	})
-}
-
-// matrix2Chunk runs the dense 2x2 butterfly over flat indices
-// [start, end). The kernels dispatch to chunk functions like this one
-// instead of closing over their parameters so the serial path — and
-// the per-chunk work on the parallel path — costs zero allocations: a
-// closure handed to par.For escapes and would otherwise heap-allocate on
-// every kernel call, serial or not.
-func matrix2Chunk(amp []complex128, m gates.Matrix2, k uint, stride, start, end uint64) {
-	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		i1 := i0 | stride
-		a0, a1 := amp[i0], amp[i1]
-		amp[i0] = m[0]*a0 + m[1]*a1
-		amp[i1] = m[2]*a0 + m[3]*a1
-	}
-}
-
 // ApplyControlledMatrix2 applies m to qubit k on the subspace where every
-// control qubit reads 1. Controls must not include k. It walks only the
-// 2^(n-1-c) pairs whose c distinct controls are satisfied.
+// control qubit reads 1. Controls must not include k; nil controls apply m
+// to every pair. It walks only the 2^(n-1-c) pairs whose c distinct
+// controls are satisfied, with two reads, two writes and a full complex
+// 2x2 multiply per pair. With no controls it is the generic kernel a
+// structure-blind simulator (the qHiPSTER-class baseline) runs for every
+// gate.
 //
 //qemu:hotpath
 func (s *State) ApplyControlledMatrix2(m gates.Matrix2, k uint, controls []uint) {
-	if len(controls) == 0 {
-		s.ApplyMatrix2(m, k)
-		return
-	}
 	s.checkTargetControls(k, controls)
 	cmask, qmask, groups := s.controlGroups(k, controls)
 	if s.parallelism(groups) <= 1 {
@@ -132,7 +97,11 @@ func nextBase(base, mask uint64) uint64 {
 }
 
 // ctrlMatrix2Chunk runs the 2x2 butterfly over the control-satisfied pairs
-// of groups [start, end).
+// of groups [start, end). The kernels dispatch to chunk functions like
+// this one instead of closing over their parameters so the serial path —
+// and the per-chunk work on the parallel path — costs zero allocations: a
+// closure handed to par.For escapes and would otherwise heap-allocate on
+// every kernel call, serial or not.
 //
 //qemu:hotpath
 func ctrlMatrix2Chunk(amp []complex128, m gates.Matrix2, cmask, qmask, start, end uint64) {
@@ -146,86 +115,18 @@ func ctrlMatrix2Chunk(amp []complex128, m gates.Matrix2, cmask, qmask, start, en
 	}
 }
 
-// ApplyX applies a NOT to qubit k by swapping amplitude pairs — no complex
-// arithmetic at all. One of the specialised kernels that distinguish the
-// paper's simulator from the generic baseline.
-//
-//qemu:hotpath
-func (s *State) ApplyX(k uint) {
-	s.checkTarget(k)
-	half := s.Dim() >> 1
-	stride := uint64(1) << k
-	if s.parallelism(half) <= 1 {
-		xChunk(s.amp, k, stride, 0, half)
-		return
-	}
-	s.parallelRange(half, func(start, end uint64) {
-		xChunk(s.amp, k, stride, start, end)
-	})
-}
-
-// xChunk swaps the amplitude pairs of a NOT over flat indices
-// [start, end).
-func xChunk(amp []complex128, k uint, stride, start, end uint64) {
-	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		i1 := i0 | stride
-		amp[i0], amp[i1] = amp[i1], amp[i0]
-	}
-}
-
-// ApplyDiag applies the diagonal gate diag(d0, d1) to qubit k: a single
-// multiply per amplitude, no pairing, no swaps. Entries equal to exactly 1
-// are skipped entirely, so a phase gate touches only half the vector — this
-// is the "read and write only a quarter of the state" optimisation of
-// Section 3.2 once a control is added.
-//
-//qemu:hotpath
-func (s *State) ApplyDiag(d0, d1 complex128, k uint) {
-	s.checkTarget(k)
-	half := s.Dim() >> 1
-	stride := uint64(1) << k
-	scale0 := d0 != 1
-	scale1 := d1 != 1
-	if !scale0 && !scale1 {
-		return
-	}
-	if s.parallelism(half) <= 1 {
-		diagChunk(s.amp, d0, d1, k, stride, scale0, scale1, 0, half)
-		return
-	}
-	s.parallelRange(half, func(start, end uint64) {
-		diagChunk(s.amp, d0, d1, k, stride, scale0, scale1, start, end)
-	})
-}
-
-// diagChunk scales the selected branches of diag(d0, d1) over flat
-// indices [start, end).
-func diagChunk(amp []complex128, d0, d1 complex128, k uint, stride uint64, scale0, scale1 bool, start, end uint64) {
-	for c := start; c < end; c++ {
-		i0 := bitops.InsertZeroBit(c, k)
-		if scale0 {
-			amp[i0] *= d0
-		}
-		if scale1 {
-			amp[i0|stride] *= d1
-		}
-	}
-}
-
 // ApplyControlledDiag applies diag(d0, d1) on qubit k conditioned on the
-// controls. It walks only the amplitudes whose c distinct controls are
-// satisfied: a half of the state for one control, a quarter for two. For
-// the conditional phase shift (d0 == 1) it touches only those whose
-// target bit is 1 as well — a quarter of the state for one control, an
-// eighth for two, and so on.
+// controls (nil controls: on every amplitude): one multiply per amplitude,
+// no pairing, no swaps. It walks only the amplitudes whose c distinct
+// controls are satisfied: all of the state with no control, a half for
+// one, a quarter for two. An entry equal to exactly 1 is skipped, so the
+// phase shift (d0 == 1) touches only the amplitudes whose target bit is 1
+// as well — a half of the state with no control, a quarter for one, an
+// eighth for two: the "read and write only a quarter of the state"
+// optimisation of Section 3.2.
 //
 //qemu:hotpath
 func (s *State) ApplyControlledDiag(d0, d1 complex128, k uint, controls []uint) {
-	if len(controls) == 0 {
-		s.ApplyDiag(d0, d1, k)
-		return
-	}
 	s.checkTargetControls(k, controls)
 	if d0 == 1 && d1 == 1 {
 		return
@@ -270,15 +171,11 @@ func ctrlDiagChunk(amp []complex128, d0, d1 complex128, cmask, qmask, start, end
 // ApplyControlledX applies a (multi-)controlled NOT by swapping the
 // amplitude pairs whose controls are satisfied — no complex arithmetic at
 // all, where the generic kernel spends a full 2x2 complex multiply per
-// pair — and walks only those pairs, a quarter of the state for one
-// control. CNOT and Toffoli both land here.
+// pair — and walks only those pairs: all of the state with no control, a
+// quarter for one. X, CNOT and Toffoli all land here.
 //
 //qemu:hotpath
 func (s *State) ApplyControlledX(k uint, controls []uint) {
-	if len(controls) == 0 {
-		s.ApplyX(k)
-		return
-	}
 	s.checkTargetControls(k, controls)
 	cmask, qmask, groups := s.controlGroups(k, controls)
 	if s.parallelism(groups) <= 1 {

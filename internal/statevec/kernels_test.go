@@ -28,11 +28,11 @@ func TestKernelValidation(t *testing.T) {
 	d0, d1 := complex(1, 0), complex(0, 1)
 	m := gates.MatH
 	cases := map[string]func(s *State){
-		"ApplyMatrix2/target-oob":   func(s *State) { s.ApplyMatrix2(m, 3) },
-		"ApplyX/target-oob":         func(s *State) { s.ApplyX(3) },
-		"ApplyHadamard/target-oob":  func(s *State) { s.ApplyHadamard(3) },
-		"ApplyDiag/target-oob":      func(s *State) { s.ApplyDiag(d0, d1, 3) },
-		"ApplyDiag/target-oob-noop": func(s *State) { s.ApplyDiag(1, 1, 3) },
+		"ApplyControlledMatrix2/no-controls/target-oob":   func(s *State) { s.ApplyControlledMatrix2(m, 3, nil) },
+		"ApplyControlledX/no-controls/target-oob":         func(s *State) { s.ApplyControlledX(3, nil) },
+		"ApplyHadamard/target-oob":                        func(s *State) { s.ApplyHadamard(3) },
+		"ApplyControlledDiag/no-controls/target-oob":      func(s *State) { s.ApplyControlledDiag(d0, d1, 3, nil) },
+		"ApplyControlledDiag/no-controls/target-oob-noop": func(s *State) { s.ApplyControlledDiag(1, 1, 3, nil) },
 
 		"ApplyControlledMatrix2/target-oob":        func(s *State) { s.ApplyControlledMatrix2(m, 3, []uint{0}) },
 		"ApplyControlledMatrix2/control-oob":       func(s *State) { s.ApplyControlledMatrix2(m, 0, []uint{3}) },

@@ -25,7 +25,7 @@ var workerSettings = []struct {
 }{{"serial", 1}, {"pooled", 4}}
 
 // TestApplyKraus1ReturnsPostMass: a non-unitary 2x2 operator must leave
-// the state ApplyMatrix2 leaves, and the mass returned from the same sweep
+// the state ApplyControlledMatrix2 with no controls leaves, and the mass returned from the same sweep
 // must be the mass of that state.
 func TestApplyKraus1ReturnsPostMass(t *testing.T) {
 	for _, ws := range workerSettings {
@@ -37,10 +37,10 @@ func TestApplyKraus1ReturnsPostMass(t *testing.T) {
 				k := gates.Matrix2{src.Complex(), src.Complex(), src.Complex(), src.Complex()}
 				q := uint(src.Intn(engineN))
 				want := s.Clone()
-				want.ApplyMatrix2(k, q)
+				want.ApplyControlledMatrix2(k, q, nil)
 				mass := s.ApplyKraus1(k, q)
 				if d := s.MaxDiff(want); d > eps {
-					t.Fatalf("trial %d q=%d: Kraus state differs from ApplyMatrix2 by %g", trial, q, d)
+					t.Fatalf("trial %d q=%d: Kraus state differs from ApplyControlledMatrix2 by %g", trial, q, d)
 				}
 				if wm := want.Mass(); math.Abs(mass-wm) > 1e-12*wm {
 					t.Fatalf("trial %d q=%d: returned mass %v, state holds %v", trial, q, mass, wm)

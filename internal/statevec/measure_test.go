@@ -87,7 +87,7 @@ func TestExpectationDiagonalZ(t *testing.T) {
 	if got := s.ExpectationDiagonal(zObservable(0)); math.Abs(got-1) > eps {
 		t.Errorf("<Z> on |0> = %v, want 1", got)
 	}
-	s.ApplyX(0)
+	s.ApplyControlledX(0, nil)
 	if got := s.ExpectationDiagonal(zObservable(0)); math.Abs(got+1) > eps {
 		t.Errorf("<Z> on |1> = %v, want -1", got)
 	}

@@ -52,7 +52,8 @@ func (s *State) checkBlockQubits(qubits []uint, kernel string) {
 // qubits listed in qubits, in a single parallel sweep of the state vector.
 // Bit j of the local 2^w-dimensional index corresponds to qubits[j], so the
 // qubit order chooses the basis convention of the block; at w=1 it is
-// ApplyMatrix2, at w=2 the tuned pair kernel (matrix4).
+// the one-qubit dense sweep (ApplyControlledMatrix2 with no controls), at
+// w=2 the tuned pair kernel (matrix4).
 //
 // This is the execution half of multi-qubit gate fusion (internal/fuse):
 // a run of gates whose combined support fits in w qubits is folded into one
@@ -67,8 +68,8 @@ func (s *State) checkBlockQubits(qubits []uint, kernel string) {
 func (s *State) ApplyMatrixN(m []complex128, qubits []uint) {
 	switch s.checkMatrixN(m, qubits) {
 	case 1:
-		// Delegate to the tuned pair kernel.
-		s.ApplyMatrix2([4]complex128{m[0], m[1], m[2], m[3]}, qubits[0])
+		// Delegate to the one-qubit dense sweep.
+		s.ApplyControlledMatrix2([4]complex128{m[0], m[1], m[2], m[3]}, qubits[0], nil)
 	case 2:
 		// The two-qubit kernel picks the body at this width. Its local
 		// value convention (bit of q1 << 1 | bit of q0) matches bit j =
@@ -242,7 +243,7 @@ func denseChunkGo(amp, m []complex128, lay *blockLayout, start, end uint64) {
 		// Four rows at a time: independent accumulators break the
 		// multiply-add dependency chain that otherwise serialises the
 		// mat-vec at complex-FMA latency (dim >= 4 always holds here:
-		// w=1 delegates to ApplyMatrix2).
+		// w=1 delegates to ApplyControlledMatrix2).
 		for r := 0; r < dim; r += 4 {
 			r0 := m[(r+0)*dim : (r+1)*dim]
 			r1 := m[(r+1)*dim : (r+2)*dim]

@@ -233,11 +233,11 @@ func TestAdoptAmplitudes(t *testing.T) {
 
 func TestApplyXBasis(t *testing.T) {
 	s := New(3) // |000>
-	s.ApplyX(1)
+	s.ApplyControlledX(1, nil)
 	if s.Amplitude(0b010) != 1 {
 		t.Fatal("X(1)|000> != |010>")
 	}
-	s.ApplyX(1)
+	s.ApplyControlledX(1, nil)
 	if s.Amplitude(0) != 1 {
 		t.Fatal("X self-inverse failed")
 	}

@@ -62,8 +62,8 @@ func TestApplyMatrixNPairKroneckerOfSingles(t *testing.T) {
 	q0, q1 := uint(1), uint(3)
 	st := NewRandom(n, src)
 	want := st.Clone()
-	want.ApplyMatrix2(a, q0)
-	want.ApplyMatrix2(b, q1)
+	want.ApplyControlledMatrix2(a, q0, nil)
+	want.ApplyControlledMatrix2(b, q1, nil)
 	got := st.Clone()
 	got.ApplyMatrixN(m[:], []uint{q0, q1})
 	if d := got.MaxDiff(want); d > eps {
