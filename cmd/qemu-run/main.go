@@ -1,15 +1,15 @@
 // Command qemu-run executes a circuit file (the qasm text format of
 // internal/qasm) on a chosen back-end and reports the resulting state or
 // measurement statistics. It is a thin shell over the repro facade: the
-// flags name a Target (fused simulator, the structure-blind baseline,
-// emulation dispatch, the distributed engine, or auto), the
-// circuit compiles for it through the one pass pipeline, repro.OpenFor
-// opens the backend the executable runs on, and every configuration
-// reports the same Result.
+// flags spell a Target field for field (fusion width, emulation mode,
+// node count, the structure-blind baseline, or auto), the circuit
+// compiles for it through the one pass pipeline, which validates it,
+// repro.OpenFor opens the backend the executable runs on, and every
+// configuration reports the same Result.
 //
 // Usage:
 //
-//	qemu-run [-backend auto|ours|generic|emulator] [-fuse-width K]
+//	qemu-run [-backend auto|ours|generic] [-fuse-width K]
 //	         [-emulate off|annotated|auto] [-nodes P] [-shots K] [-top N]
 //	         [-seed S] [-noise kind:p -trajectories N [-workers W]] circuit.qc
 //
@@ -35,8 +35,7 @@
 // -emulate annotated|auto turns on emulation dispatch: the circuit is
 // analysed by internal/recognize and recognised subroutines
 // (region-annotated or pattern-matched QFTs, reversible arithmetic, phase
-// oracles) execute as classical shortcuts. -backend emulator is shorthand
-// for -emulate auto.
+// oracles) execute as classical shortcuts.
 //
 // -nodes P shards the register across P emulated cluster nodes running
 // the communication-avoiding scheduler of internal/cluster. Emulation
@@ -70,16 +69,18 @@ import (
 	"sort"
 
 	"repro"
+	"repro/internal/backend"
 	"repro/internal/qasm"
+	"repro/internal/recognize"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
 
 func main() {
 	var (
-		backendName = flag.String("backend", "ours", "back-end: auto, ours (the fused simulator: the cluster engine on one node, or on -nodes P), generic (gate-by-gate reference replay), emulator (ours with -emulate auto)")
+		backendName = flag.String("backend", "ours", "back-end: auto, ours (the fused simulator: the cluster engine on one node, or on -nodes P), generic (gate-by-gate reference replay)")
 		fuseWidth   = flag.Int("fuse-width", 0, "multi-qubit fusion width (0 = classic same-target fusion)")
-		emulate     = flag.String("emulate", "", "emulation dispatch: off, annotated, auto (default off; -backend emulator implies auto)")
+		emulate     = flag.String("emulate", "", "emulation dispatch: off, annotated, auto (default off)")
 		nodes       = flag.Int("nodes", 0, "shard the register across this many emulated cluster nodes (power of two)")
 		shots       = flag.Int("shots", 0, "number of measurement samples to draw (0 = none)")
 		top         = flag.Int("top", 16, "number of basis states to list")
@@ -100,75 +101,48 @@ func main() {
 	}
 }
 
-// target translates the flag surface into the Target the circuit is
-// compiled for: the Open options' shape, or an auto target.
+// target builds the Target the circuit is compiled for straight from the
+// flags. normalize (inside Compile) validates the shape; what stays here
+// is what only the flags can see: pins that contradict each other.
 func target(n uint, backendName string, fuseWidth int, emulate string, nodes int) (repro.Target, error) {
-	t := repro.Target{NumQubits: n}
-	set := func(o repro.OpenOption) { o(&t) }
-	baseline := false
-	emulatorBackend := false
+	mode := recognize.Off
+	if emulate != "" {
+		m, err := recognize.ParseMode(emulate)
+		if err != nil {
+			return repro.Target{}, fmt.Errorf("-emulate: %v", err)
+		}
+		mode = m
+	}
+	t := repro.Target{NumQubits: n, FuseWidth: fuseWidth, Nodes: nodes, Emulate: mode}
+	auto := repro.Target{NumQubits: n, Auto: true}
 	switch backendName {
 	case "auto":
-		// Fully profile-driven: the compiler picks engine kind, fusion
-		// width and node count, so shape pins contradict it.
+		// Fully profile-driven: the compiler picks engine shape, fusion
+		// width and the per-region verdicts, so shape pins contradict it.
 		if fuseWidth >= 2 {
 			return t, fmt.Errorf("-fuse-width contradicts -backend auto (auto picks the width)")
 		}
 		if nodes > 1 {
 			return t, fmt.Errorf("-nodes contradicts -backend auto (auto picks the node count)")
 		}
-		if emulate == "off" || emulate == "annotated" {
+		if emulate != "" && mode != recognize.Auto {
 			return t, fmt.Errorf("-emulate %s contradicts -backend auto (auto decides per region)", emulate)
 		}
-		t.Auto = true
-		return t, nil
+		return auto, nil
 	case "ours", "":
 		// -emulate auto with no shape pins means "decide for me": route
 		// through the profile-driven selector so the report explains the
 		// choice instead of silently defaulting the engine shape.
-		if emulate == "auto" && fuseWidth < 2 && nodes <= 1 {
-			t.Auto = true
-			return t, nil
+		if mode == recognize.Auto && fuseWidth < 2 && nodes <= 1 {
+			return auto, nil
 		}
-	case "emulator":
-		emulatorBackend = true
 	case "generic":
-		set(repro.WithGenericKernels())
-		baseline = true
-	default:
-		return t, fmt.Errorf("unknown backend %q (auto, ours, generic, emulator)", backendName)
-	}
-	if fuseWidth >= 2 {
-		if baseline {
+		if fuseWidth >= 2 {
 			return t, fmt.Errorf("-fuse-width applies to the ours back-end, not %q", backendName)
 		}
-		set(repro.WithFusion(fuseWidth))
-	}
-	if emulate != "" && baseline {
-		return t, fmt.Errorf("-emulate applies to the ours back-end, not %q", backendName)
-	}
-	switch emulate {
-	case "":
-		// -backend emulator is emulation; default its mode to auto.
-		if emulatorBackend {
-			set(repro.WithEmulation(repro.EmulateAuto))
-		}
-	case "off":
-		if emulatorBackend {
-			return t, fmt.Errorf("-backend emulator contradicts -emulate off (use -backend ours)")
-		}
-	case "annotated":
-		set(repro.WithEmulation(repro.EmulateAnnotated))
-	case "auto":
-		set(repro.WithEmulation(repro.EmulateAuto))
+		t.Kind = backend.Generic
 	default:
-		return t, fmt.Errorf("unknown -emulate mode %q (off, annotated, auto)", emulate)
-	}
-	if nodes > 1 {
-		if baseline {
-			return t, fmt.Errorf("-nodes applies to the ours back-end, not %q", backendName)
-		}
-		set(repro.WithNodes(nodes))
+		return t, fmt.Errorf("unknown backend %q (auto, ours, generic)", backendName)
 	}
 	return t, nil
 }

@@ -70,16 +70,12 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, err := parseEmulate(*emulate)
+	mode, err := recognize.ParseMode(*emulate)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "qemu-serve: -emulate:", err)
 		os.Exit(2)
 	}
-	tgt := backend.Target{FuseWidth: *fuseWidth, Emulate: mode}
-	if *nodes > 1 {
-		tgt.Kind = backend.Cluster
-		tgt.Nodes = *nodes
-	}
+	tgt := backend.Target{FuseWidth: *fuseWidth, Nodes: *nodes, Emulate: mode}
 	// With nothing pinned, each circuit picks its own engine: the daemon
 	// compiles through the profile-driven selector, so a QFT-heavy client
 	// gets emulation dispatch while a dense ansatz gets wide fusion —
@@ -114,12 +110,12 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	kind := tgt.Kind.String()
-	if tgt.Auto {
-		kind = "auto"
+	shape := "auto"
+	if !tgt.Auto {
+		shape = backend.DescribeTarget(tgt)
 	}
 	fmt.Printf("qemu-serve listening on %s (cache %s, target %s)\n",
-		*addr, formatBytes(svc.Stats().Cache.Budget), kind)
+		*addr, formatBytes(svc.Stats().Cache.Budget), shape)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -135,18 +131,6 @@ func main() {
 		cancel()
 	}
 	svc.Close()
-}
-
-func parseEmulate(s string) (recognize.Mode, error) {
-	switch s {
-	case "off":
-		return recognize.Off, nil
-	case "annotated":
-		return recognize.Annotated, nil
-	case "auto", "":
-		return recognize.Auto, nil
-	}
-	return recognize.Off, fmt.Errorf("qemu-serve: unknown -emulate mode %q", s)
 }
 
 func formatBytes(b uint64) string {

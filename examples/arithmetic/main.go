@@ -32,7 +32,7 @@ func main() {
 	revlib.Multiplier(circ, layout.A, layout.B, layout.C, layout.CarryAnc)
 
 	// Path 1: gate-level simulation of the reversible circuit.
-	simB, err := repro.Open(n)
+	simB, err := repro.Open(repro.Target{NumQubits: n})
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// Path 2: the emulating backend replaces the region with one
 	// permutation.
-	emuB, err := repro.Open(n, repro.WithEmulation(repro.EmulateAnnotated))
+	emuB, err := repro.Open(repro.Target{NumQubits: n, Emulate: repro.EmulateAnnotated})
 	if err != nil {
 		panic(err)
 	}
@@ -77,7 +77,7 @@ func main() {
 	dcirc.Append(gates.X(1), gates.X(2)) // a = 6
 	dcirc.Append(gates.X(2*dm + 2))      // b = 4
 	revlib.Divider(dcirc, dl)
-	divB, err := repro.Open(dl.NumQubits(), repro.WithEmulation(repro.EmulateAnnotated))
+	divB, err := repro.Open(repro.Target{NumQubits: dl.NumQubits(), Emulate: repro.EmulateAnnotated})
 	if err != nil {
 		panic(err)
 	}

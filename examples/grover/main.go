@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("circuit: %d gates\n", circ.Len())
 
 	// Gate-level baseline.
-	simB, err := repro.Open(n, repro.WithFusion(3))
+	simB, err := repro.Open(repro.Target{NumQubits: n, FuseWidth: 3})
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// Emulation dispatch: oracles become phase flips, diffusions become
 	// reflections.
-	emuB, err := repro.Open(n, repro.WithEmulation(repro.EmulateAuto))
+	emuB, err := repro.Open(repro.Target{NumQubits: n, Emulate: repro.EmulateAuto})
 	if err != nil {
 		panic(err)
 	}

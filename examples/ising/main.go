@@ -64,7 +64,7 @@ func main() {
 	}
 	qpeCirc.Extend(qpe.InverseQFTOn(n, bits, total))
 
-	b, err := repro.Open(total, repro.WithFusion(3))
+	b, err := repro.Open(repro.Target{NumQubits: total, FuseWidth: 3})
 	if err != nil {
 		panic(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 		return v
 	}
 
-	b, err := repro.Open(n + 1)
+	b, err := repro.Open(repro.Target{NumQubits: n + 1})
 	if err != nil {
 		panic(err)
 	}

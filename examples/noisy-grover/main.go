@@ -45,7 +45,7 @@ func main() {
 			panic(err)
 		}
 
-		b, err := repro.Open(n, repro.WithFusion(3))
+		b, err := repro.Open(repro.Target{NumQubits: n, FuseWidth: 3})
 		if err != nil {
 			panic(err)
 		}

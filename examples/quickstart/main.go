@@ -26,7 +26,7 @@ func main() {
 
 	// Gate-level simulation: the default backend runs every gate through
 	// the structure-specialised kernels.
-	s, err := repro.Open(n)
+	s, err := repro.Open(repro.Target{NumQubits: n})
 	if err != nil {
 		panic(err)
 	}

@@ -40,8 +40,8 @@ func factorOnce(N, a uint64) {
 	// Inverse QFT on the counting register: the gate-level circuit carries
 	// an "iqft" region. Compiled for the auto target, Compile profiles it,
 	// prices every engine and picks the shape itself — here a fused engine
-	// with the Fourier region dispatched to the FFT, the same choice
-	// WithEmulation(EmulateAnnotated) used to hard-code — and the state is
+	// with the Fourier region dispatched to the FFT, the same choice an
+	// explicit Emulate: EmulateAnnotated target would make — and the state is
 	// prepared on the backend opened for that shape.
 	iqft := repro.NewCircuit(total)
 	iqft.Extend(qft.Circuit(t).Dagger())

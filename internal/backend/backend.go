@@ -16,10 +16,10 @@ import (
 type Kind int
 
 const (
-	// Fused is the paper's simulator on one node: structure-specialised
-	// kernels with same-target fusion, optionally multi-qubit block
-	// fusion. It is a name, not an engine: normalize spells it
-	// Cluster{Nodes: 1}, the cluster engine on one node.
+	// Fused is the paper's simulator: structure-specialised kernels with
+	// same-target fusion, optionally multi-qubit block fusion. It is a
+	// name, not an engine: normalize spells it Cluster, and Nodes picks
+	// the node count under either name.
 	Fused Kind = iota
 	// Generic is the qHiPSTER-class structure-blind baseline: the
 	// gate-by-gate reference.
@@ -59,8 +59,8 @@ type Target struct {
 	// the executable it returns carries the resolved concrete Target, and
 	// that is what New opens.
 	Auto bool
-	// Kind selects the engine: Cluster (Fused is its one-node spelling)
-	// or the Generic reference.
+	// Kind selects the engine: Cluster (Fused is another name for it) or
+	// the Generic reference.
 	Kind Kind
 	// FuseWidth >= 2 enables multi-qubit block fusion at that width
 	// (clamped to the shard capacity on Cluster targets); 0 or 1 keeps the
@@ -69,8 +69,9 @@ type Target struct {
 	// Workers caps the state-vector kernel parallelism (per shard on
 	// Cluster targets); 0 uses the GOMAXPROCS default.
 	Workers int
-	// Nodes is the Cluster node count (power of two); 0 means 1. A Fused
-	// or Generic target runs on one node and rejects more.
+	// Nodes is the node count (power of two) of a Fused or Cluster
+	// target; 0 means 1. A Generic target runs on one node and rejects
+	// more.
 	Nodes int
 	// Emulate selects the recognition pass mode: Off (everything gate
 	// level), Annotated (trust circuit.Region markers) or Auto (also
@@ -106,15 +107,8 @@ func (t Target) normalize(n uint) (Target, error) {
 		return t, fmt.Errorf("backend: the %s baseline does not support emulation dispatch", t.Kind)
 	}
 	switch t.Kind {
-	case Fused, Generic:
-		if t.Nodes > 1 {
-			return t, fmt.Errorf("backend: %s target cannot shard across %d nodes", t.Kind, t.Nodes)
-		}
-		t.Nodes = 1
-		if t.Kind == Fused {
-			t.Kind = Cluster
-		}
-	case Cluster:
+	case Fused, Cluster:
+		t.Kind = Cluster
 		if t.Nodes <= 0 {
 			t.Nodes = 1
 		}
@@ -125,6 +119,11 @@ func (t Target) normalize(n uint) (Target, error) {
 			return t, fmt.Errorf("backend: %d nodes need at least %d qubits, have %d",
 				t.Nodes, nodeBits(t.Nodes), n)
 		}
+	case Generic:
+		if t.Nodes > 1 {
+			return t, fmt.Errorf("backend: the %s baseline cannot shard across %d nodes", t.Kind, t.Nodes)
+		}
+		t.Nodes = 1
 	default:
 		return t, fmt.Errorf("backend: unknown target kind %d", int(t.Kind))
 	}
@@ -261,7 +260,7 @@ type RegionReport struct {
 	Annotated bool
 	// Verified is recognize.Op.Verified: the region was proved against its
 	// gates, by identity with the network it names (any width) or column
-	// by column (up to recognize.Options.MaxVerifyQubits of support). A
+	// by column (up to recognize.MaxVerifyQubits of support). A
 	// wider region without identity runs unverified; a lying annotation
 	// that wide is not caught (ROADMAP items 10(b), (c)).
 	Verified  bool

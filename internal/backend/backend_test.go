@@ -257,11 +257,25 @@ func TestBackendKindsAgree(t *testing.T) {
 }
 
 // TestBaselinesRejectEmulation: the structure-blind baseline exists to
-// measure gate-by-gate execution; combining it with emulation dispatch
-// must fail loudly instead of silently running the shortcuts.
+// measure gate-by-gate execution on one state vector; combining it with
+// emulation dispatch or with more nodes must fail loudly wherever the
+// target is normalized, instead of silently running something else.
 func TestBaselinesRejectEmulation(t *testing.T) {
-	if _, err := backend.New(backend.Target{NumQubits: 6, Kind: backend.Generic, Emulate: recognize.Auto}); err == nil {
-		t.Fatal("generic baseline accepted emulation dispatch")
+	c := prep(6)
+	for _, tgt := range []backend.Target{
+		{NumQubits: 6, Kind: backend.Generic, Emulate: recognize.Auto},
+		{NumQubits: 6, Kind: backend.Generic, Emulate: recognize.Annotated},
+		{NumQubits: 6, Kind: backend.Generic, Nodes: 2},
+	} {
+		if _, err := backend.New(tgt); err == nil {
+			t.Errorf("New accepted %+v", tgt)
+		}
+		if _, err := backend.Compile(c, tgt); err == nil {
+			t.Errorf("Compile accepted %+v", tgt)
+		}
+		if _, err := backend.Fingerprint(c, tgt); err == nil {
+			t.Errorf("Fingerprint accepted %+v", tgt)
+		}
 	}
 }
 

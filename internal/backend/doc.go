@@ -116,11 +116,12 @@
 //     5's third), cluster-wide permutations, shard-local diagonals,
 //     or, for an op whose support lies in node-local positions, Op.Apply
 //     on every shard as on one state (substrate "statevec").
-//   - Fused — the paper's simulator on one node, and only a name:
-//     normalize spells it Cluster{Nodes: 1}, so both spellings compile to
-//     one artifact under one fingerprint. At P = 1 every op but the
-//     diagonal ones runs as Op.Apply on the one shard, schedules never
-//     remap, and State returns the live shard.
+//   - Fused — the paper's simulator, and only a name: normalize spells
+//     it Cluster, and Nodes picks the node count under either name, so
+//     {Kind: Fused, Nodes: P} and {Kind: Cluster, Nodes: P} compile to
+//     one artifact under one fingerprint. Nodes 0 or 1 is one node: every
+//     op but the diagonal ones runs as Op.Apply on the one shard,
+//     schedules never remap, and State returns the live shard.
 //   - Generic — the qHiPSTER-class structure-blind baseline: every gate
 //     replayed through the dense 2x2 kernel of one state vector. It is a
 //     reference to measure against, not a served engine: it shares no

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/rng"
 )
@@ -80,5 +81,87 @@ func TestSingleNodeStateIsLive(t *testing.T) {
 			t.Errorf("%v: P(q0=1) = %g after writing |%d> through State, want 1", tgt.Kind, p, basis)
 		}
 		b.Close()
+	}
+}
+
+// TestTargetFingerprintsPinned pins the serving cache's keys: one fixed
+// circuit fingerprints to the same hex under every spelling of its
+// shapes, so artifacts persisted under these keys stay addressable.
+func TestTargetFingerprintsPinned(t *testing.T) {
+	c := prep(8)
+	c.Extend(qft.Circuit(8))
+	for _, tc := range []struct {
+		name string
+		t    backend.Target
+		want string
+	}{
+		{"fused w=4", backend.Target{Kind: backend.Fused, FuseWidth: 4},
+			"d22b4c6c9522fb313b56d3e90cca0baea3f6fd9411862bb847c7038be03df6aa"},
+		{"cluster P=1 w=4", backend.Target{Kind: backend.Cluster, Nodes: 1, FuseWidth: 4},
+			"d22b4c6c9522fb313b56d3e90cca0baea3f6fd9411862bb847c7038be03df6aa"},
+		{"cluster P=4 emulating", backend.Target{Kind: backend.Cluster, Nodes: 4, Emulate: recognize.Auto},
+			"baac43f9c9744e2ecb2eb2cfffde55f5c061f97afea3d63dc51190cff22da272"},
+		{"generic", backend.Target{Kind: backend.Generic},
+			"a4516aeee05e108262907fab6f6f58371bc5ff268b89a8ff17d24ce919949e2c"},
+		{"auto", backend.Target{Auto: true},
+			"e3239c2911046bbff7dfa7a2f3ae4b3c2eeab2ebc6f0fcdb5781563d0289820c"},
+	} {
+		got, err := backend.Fingerprint(c, tc.t)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFusedNodesIsCluster: Nodes picks the node count under either name.
+// {Kind: Fused, Nodes: 4} opens, normalizes and fingerprints as
+// {Kind: Cluster, Nodes: 4}, and runs to bit-identical amplitudes.
+func TestFusedNodesIsCluster(t *testing.T) {
+	c := prep(8)
+	c.Extend(qft.Circuit(8))
+	for _, mode := range []recognize.Mode{recognize.Off, recognize.Auto} {
+		fused := backend.Target{NumQubits: 8, Kind: backend.Fused, Nodes: 4, FuseWidth: 3, Emulate: mode}
+		cl := fused
+		cl.Kind = backend.Cluster
+		var keys [2]string
+		var shapes [2]backend.Target
+		var amps [2][]complex128
+		for i, tgt := range []backend.Target{fused, cl} {
+			var err error
+			if keys[i], err = backend.Fingerprint(c, tgt); err != nil {
+				t.Fatal(err)
+			}
+			b, err := backend.New(tgt)
+			if err != nil {
+				t.Fatalf("%v: %v", tgt.Kind, err)
+			}
+			shapes[i] = b.Target()
+			x, err := backend.Compile(c, tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Run(x); err != nil {
+				t.Fatal(err)
+			}
+			amps[i] = b.State().Amplitudes()
+			b.Close()
+		}
+		if shapes[0] != shapes[1] {
+			t.Errorf("%v: fused P=4 normalizes to %+v, cluster P=4 to %+v", mode, shapes[0], shapes[1])
+		}
+		if shapes[0].Nodes != 4 {
+			t.Errorf("%v: fused P=4 opened on %d nodes", mode, shapes[0].Nodes)
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("%v: fingerprints differ: fused %.12s…, cluster %.12s…", mode, keys[0], keys[1])
+		}
+		for i := range amps[0] {
+			if amps[0][i] != amps[1][i] {
+				t.Fatalf("%v: amplitude %d is %v under fused P=4, %v under cluster P=4", mode, i, amps[0][i], amps[1][i])
+			}
+		}
 	}
 }

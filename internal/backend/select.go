@@ -104,7 +104,7 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 	// when the register exceeds one node — in-process emulation of more
 	// nodes conserves total work, so sharding a register that fits is
 	// pure overhead.
-	clusterCand := Candidate{Target: Target{NumQubits: n, Kind: Cluster}}
+	clusterCand := Candidate{Target: Target{NumQubits: n, Kind: Cluster, Nodes: 2}}
 	if fitsLocal {
 		clusterCand.Cost = math.Inf(1)
 		clusterCand.Note = "register fits a single node"
@@ -207,7 +207,7 @@ func regionCosts(p *Profile, m perfmodel.Measured, r *RegionProfile, wi int) (em
 // resource estimator (internal/circvet) reports before anything is
 // compiled or run.
 func PredictedRounds(p *Profile, t Target) int {
-	if t.Kind != Cluster || t.Nodes <= 1 {
+	if t.Nodes <= 1 {
 		return 0
 	}
 	return estimateClusterRounds(p, t)
@@ -286,16 +286,17 @@ func fmtSecs(s float64) string {
 // estimator (internal/circvet) and its CLI reuse it.
 func DescribeTarget(t Target) string { return describeTarget(t) }
 
-// describeTarget renders a target for the selection report. A single-node
-// target is "fused" however it is spelled: the cluster at P = 1.
+// describeTarget renders a target for the selection report. Nodes names
+// the engine's shape, whichever Kind spells it: one node is "fused", more
+// are "cluster".
 func describeTarget(t Target) string {
 	switch {
-	case t.Kind == Fused, t.Kind == Cluster && t.Nodes == 1:
-		return fmt.Sprintf("fused w=%d", t.FuseWidth)
-	case t.Kind == Cluster:
+	case t.Kind == Generic:
+		return t.Kind.String()
+	case t.Nodes > 1:
 		return fmt.Sprintf("cluster p=%d w=%d", t.Nodes, t.FuseWidth)
 	default:
-		return t.Kind.String()
+		return fmt.Sprintf("fused w=%d", t.FuseWidth)
 	}
 }
 

@@ -33,10 +33,6 @@ type Stats struct {
 	// many deferred remote-qubit gates it unblocks. This is the scheduler's
 	// objective function.
 	Rounds atomic.Uint64
-	// Gates counts original gates applied: fused blocks and merged
-	// replay runs are trued up to the gate count of the source circuit,
-	// so naive and scheduled runs of one circuit report the same number.
-	Gates atomic.Uint64
 }
 
 // Snapshot returns a plain-value copy of the counters.
@@ -47,7 +43,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Exchanges: s.Exchanges.Load(),
 		AllToAlls: s.AllToAlls.Load(),
 		Rounds:    s.Rounds.Load(),
-		Gates:     s.Gates.Load(),
 	}
 }
 
@@ -58,7 +53,6 @@ type StatsSnapshot struct {
 	Exchanges uint64
 	AllToAlls uint64
 	Rounds    uint64
-	Gates     uint64
 }
 
 // Cluster is a P-node emulated machine holding an n-qubit state. Each node

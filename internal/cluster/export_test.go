@@ -8,5 +8,4 @@ func (c *Cluster) ResetStats() {
 	c.Stats.Exchanges.Store(0)
 	c.Stats.AllToAlls.Store(0)
 	c.Stats.Rounds.Store(0)
-	c.Stats.Gates.Store(0)
 }

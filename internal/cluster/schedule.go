@@ -58,11 +58,6 @@ type Schedule struct {
 	Rounds int
 	// Gates counts the original gates across all ops.
 	Gates int
-	// countedGates is what executing the ops attributes to Stats.Gates
-	// (merged replay gates count once, fused blocks their originals);
-	// RunSchedule adds the shortfall so both engines report original
-	// gate counts.
-	countedGates int
 }
 
 // requiredMask returns the logical qubits an op needs node-local as a
@@ -146,13 +141,6 @@ func BuildSchedule(plan *fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) 
 	}
 
 	s := &Schedule{NumQubits: n, LocalQubits: L, DiagonalOptimization: diagOpt, Gates: gateCount}
-	for _, op := range ops {
-		if op.Block != nil {
-			s.countedGates += len(op.Block.Gates)
-		} else {
-			s.countedGates++
-		}
-	}
 	pos := make([]uint, n)
 	for q := range pos {
 		pos[q] = uint(q)
@@ -329,11 +317,6 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 			}
 		}
 	}
-	// True Stats.Gates up to the original gate count: replay gates with
-	// same-target runs merged were attributed once per merge.
-	if d := s.Gates - s.countedGates; d > 0 {
-		c.Stats.Gates.Add(uint64(d))
-	}
 }
 
 // applyBlock executes one fused block under the current placement.
@@ -347,7 +330,6 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 //
 //qemu:hotpath
 func (c *Cluster) applyBlock(b *fuse.Block) {
-	c.Stats.Gates.Add(uint64(len(b.Gates)))
 	if b.Diag != nil && c.DiagonalOptimization {
 		c.applyDiagTable(b.Diag, b.Qubits)
 		return

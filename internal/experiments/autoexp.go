@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/qft"
 	"repro/internal/recognize"
+	"repro/internal/statevec"
 )
 
 // The auto experiment measures the profile-driven backend selector
@@ -42,10 +43,11 @@ func DefaultAuto() AutoConfig { return AutoConfig{QFTQubits: 18, TileQubits: 14,
 // QuickAuto is the CI-budget variant.
 func QuickAuto() AutoConfig { return AutoConfig{QFTQubits: 16, TileQubits: 12, TileReps: 3} }
 
-// autoManualCandidates is the hand-picked field the selector runs
-// against: the default simulator, both common block-fusion widths, the
-// structure-blind baseline, and emulation dispatch at the paper's usual
-// width.
+// autoManualCandidates is the hand-picked field of engine shapes the
+// selector runs against: the default simulator, both common block-fusion
+// widths, and emulation dispatch at the paper's usual width. The
+// structure-blind baseline joins the field as a raw-kernel loop
+// (autoWorkload).
 func autoManualCandidates(n uint) []struct {
 	name string
 	t    backend.Target
@@ -57,7 +59,6 @@ func autoManualCandidates(n uint) []struct {
 		{"fused-w1", backend.Target{NumQubits: n, Kind: backend.Fused}},
 		{"fused-w4", backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: 4}},
 		{"fused-w8", backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: 8}},
-		{"generic", backend.Target{NumQubits: n, Kind: backend.Generic}},
 		{"emulate-w4", backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: 4,
 			Emulate: recognize.Auto}},
 	}
@@ -75,15 +76,19 @@ func autoWorkload(name string, c *circuit.Circuit) AutoRow {
 		row.Chosen = backend.DescribeTarget(res.Selection.Chosen)
 	}
 
-	for _, cand := range autoManualCandidates(n) {
-		sec, _ := timeTarget(c, cand.t, nil)
+	manual := func(name string, sec float64) {
 		if row.TBest == 0 || sec < row.TBest {
-			row.TBest, row.Best = sec, cand.name
+			row.TBest, row.Best = sec, name
 		}
 		if sec > row.TWorst {
-			row.TWorst, row.Worst = sec, cand.name
+			row.TWorst, row.Worst = sec, name
 		}
 	}
+	for _, cand := range autoManualCandidates(n) {
+		sec, _ := timeTarget(c, cand.t, nil)
+		manual(cand.name, sec)
+	}
+	manual("generic", timeGates(c, statevec.New(n), (*statevec.State).ApplyGateGeneric))
 	row.VsBest = row.TAuto / row.TBest
 	return row
 }

@@ -9,9 +9,10 @@
 // qemu-bench command and the tests share one implementation. Every timed
 // series runs through backend.Compile and Backend.Run (timeTarget) — the
 // path qemu-run and qemu-serve execute — except the raw-kernel baselines
-// the paper's ablations name: gate-by-gate statevec loops (fusion's
-// nofuse, and Figures 5-6's LIQUi|>-class series through
-// ApplyGateSparse), the naive per-gate cluster engine (Figure 4's
+// the paper's ablations name: gate-by-gate statevec loops (timeGates:
+// fusion's nofuse, Figures 5-6's qHiPSTER-class series through
+// ApplyGateGeneric and LIQUi|>-class series through ApplyGateSparse, the
+// auto table's generic row), the naive per-gate cluster engine (Figure 4's
 // qHiPSTER-class series, the cluster sweep's naive series) and the sin
 // oracle, a function with no circuit to compile, timed as a raw
 // ApplyPermutation.
@@ -25,6 +26,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
+	"repro/internal/gates"
 	"repro/internal/statevec"
 )
 
@@ -75,14 +77,12 @@ func timeTarget(c *circuit.Circuit, t backend.Target, init *statevec.State) (flo
 	defer b.Close()
 	var load func()
 	if init != nil {
-		load = func() { b.State().CopyFrom(init) }
-		if cb, ok := b.(interface{ Cluster() *cluster.Cluster }); ok {
-			// LoadState also resets the placement, so no run pays for
-			// canonicalising the layout the previous one ended in.
-			load = func() {
-				if err := cb.Cluster().LoadState(init); err != nil {
-					panic(err)
-				}
+		// LoadState also resets the placement, so no run pays for
+		// canonicalising the layout the previous one ended in.
+		cl := b.(interface{ Cluster() *cluster.Cluster }).Cluster()
+		load = func() {
+			if err := cl.LoadState(init); err != nil {
+				panic(err)
 			}
 		}
 	}
@@ -99,6 +99,18 @@ func timeTarget(c *circuit.Circuit, t backend.Target, init *statevec.State) (flo
 		run()
 	}
 	return timeIt(shortTime, load, run), res
+}
+
+// timeGates times a raw gate-by-gate loop of c through apply, every run
+// from a copy of init loaded outside the timed region: the paper's
+// baselines, with no Compile.
+func timeGates(c *circuit.Circuit, init *statevec.State, apply func(*statevec.State, gates.Gate)) float64 {
+	st := init.Clone()
+	return timeIt(shortTime, func() { st.CopyFrom(init) }, func() {
+		for _, g := range c.Gates {
+			apply(st, g)
+		}
+	})
 }
 
 // oursWidth is the block-fusion width every "ours" series compiles at: the

@@ -317,8 +317,7 @@ func Fusion(cfg FusionConfig) []FusionRow {
 		row := FusionRow{Name: w.name, Qubits: n, Gates: w.c.Len()}
 		// nofuse is the raw-kernel baseline: the specialised kernels gate
 		// by gate, no Compile. Every fused series is a compiled target.
-		st := init.Clone()
-		row.TNoFuse = timeIt(shortTime, func() { st.CopyFrom(init) }, func() { w.c.Run(st) })
+		row.TNoFuse = timeGates(w.c, init, (*statevec.State).ApplyGate)
 		fused := func(width int) float64 {
 			sec, _ := timeTarget(w.c, backend.Target{NumQubits: n, Kind: backend.Fused, FuseWidth: width}, init)
 			return sec

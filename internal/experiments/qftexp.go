@@ -203,16 +203,13 @@ func singleNode(cfg SingleNodeConfig, build func(n uint) *circuit.Circuit) []Sin
 		row := SingleNodeRow{Qubits: n}
 
 		row.TOurs, _ = timeTarget(circ, oursTarget(n), init)
-		row.TGeneric, _ = timeTarget(circ, backend.Target{NumQubits: n, Kind: backend.Generic}, init)
+		// The baselines are raw-kernel loops, no Compile: the
+		// qHiPSTER-class one every gate through the dense 2x2 kernel, the
+		// LIQUi|>-class one every gate as an explicit sparse
+		// matrix-vector product.
+		row.TGeneric = timeGates(circ, init, (*statevec.State).ApplyGateGeneric)
 		if n <= sparseMax {
-			// The LIQUi|>-class baseline is a raw-kernel loop, no Compile:
-			// every gate as an explicit sparse matrix-vector product.
-			st := init.Clone()
-			row.TSparse = timeIt(shortTime, func() { st.CopyFrom(init) }, func() {
-				for _, g := range circ.Gates {
-					st.ApplyGateSparse(g)
-				}
-			})
+			row.TSparse = timeGates(circ, init, (*statevec.State).ApplyGateSparse)
 		}
 		rows = append(rows, row)
 	}

@@ -32,7 +32,7 @@
 //     (matchesReference). A QFT, adder, carry-out adder or multiplier the
 //     matchers found has it already: the matcher compared its whole range
 //     with that network, through the same comparator for the QFT.
-//  2. The column walk, up to Options.MaxVerifyQubits of support. For each
+//  2. The column walk, up to MaxVerifyQubits of support. For each
 //     of the 2^w basis inputs, every amplitude of the shortcut's output
 //     must be within 1e-10 of the gates' column (a NaN fails). It settles
 //     what has no identity: diagonal runs, phase flips, reflections, a

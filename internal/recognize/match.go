@@ -19,7 +19,7 @@ const matchEps = 1e-12
 // start of the next annotated region). Matchers are ordered largest
 // structure first so a multiplier is not consumed as its first controlled
 // adder, and a QFT is not nibbled apart into diagonal runs.
-func matchAt(c *circuit.Circuit, i, hi int, opts Options) *Op {
+func matchAt(c *circuit.Circuit, i, hi int) *Op {
 	if op := matchQFT(c, i, hi); op != nil {
 		return op
 	}
@@ -35,7 +35,7 @@ func matchAt(c *circuit.Circuit, i, hi int, opts Options) *Op {
 	if op := matchPhaseFlip(c, i, hi); op != nil {
 		return op
 	}
-	if op := matchDiagonalRun(c, i, hi, opts); op != nil {
+	if op := matchDiagonalRun(c, i, hi); op != nil {
 		return op
 	}
 	return nil
@@ -500,7 +500,7 @@ func matchPhaseFlip(c *circuit.Circuit, i, hi int) *Op {
 
 // matchDiagonalRun folds a run of diagonal-on-state gates over a bounded
 // support into one precomputed diagonal — the fused-oracle shortcut.
-func matchDiagonalRun(c *circuit.Circuit, i, hi int, opts Options) *Op {
+func matchDiagonalRun(c *circuit.Circuit, i, hi int) *Op {
 	gs := c.Gates
 	var support uint64
 	width := 0
@@ -515,13 +515,13 @@ func matchDiagonalRun(c *circuit.Circuit, i, hi int, opts Options) *Op {
 			ns |= 1 << q
 		}
 		nw := popcount(ns)
-		if nw > int(opts.MaxDiagQubits) {
+		if nw > MaxDiagQubits {
 			break
 		}
 		support, width = ns, nw
 		j++
 	}
-	if j-i < opts.MinDiagGates || width == 0 {
+	if j-i < MinDiagGates || width == 0 {
 		return nil
 	}
 	qubits := make([]uint, 0, width)

@@ -35,6 +35,17 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode reads a mode by its String name: off, annotated or auto —
+// the spelling of the CLIs' -emulate flags.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{Off, Annotated, Auto} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return Off, fmt.Errorf("unknown emulation mode %q (off, annotated, auto)", s)
+}
+
 // Options tune the recognition pass.
 type Options struct {
 	// Mode selects annotation-only or annotation+pattern recognition.
@@ -52,27 +63,31 @@ type Options struct {
 	//  3. Otherwise the op is kept unverified: a lying annotation wider
 	//     than MaxVerifyQubits is still trusted (ROADMAP items 10(b), (c)).
 	Verify bool
-	// MaxVerifyQubits bounds the support width the column walk (rung 2)
-	// can afford: 2^w columns, each O(gates) with no state for an
-	// arithmetic, phase flip or diagonal region whose gates keep basis
-	// states basis states, and otherwise one application of the shortcut
-	// to a 2^w state, a walk costing the sum over the gates of
+}
+
+const (
+	// MaxVerifyQubits bounds the support width the column walk (rung 2 of
+	// Options.Verify) can afford: 2^w columns, each O(gates) with no state
+	// for an arithmetic, phase flip or diagonal region whose gates keep
+	// basis states basis states, and otherwise one application of the
+	// shortcut to a 2^w state, a walk costing the sum over the gates of
 	// 2^|branched| (the qubits the gates have put into superposition so
 	// far) and a 2^w compare. Identity (rung 1) has no width bound; a
 	// wider region without it, a lying annotation included, is kept
 	// unverified (ROADMAP items 10(b), (c)).
-	MaxVerifyQubits uint
+	MaxVerifyQubits = 8
 	// MaxDiagQubits bounds the support of a matched diagonal run (the
 	// precomputed table holds 2^w entries).
-	MaxDiagQubits uint
+	MaxDiagQubits = 16
 	// MinDiagGates is the shortest diagonal run worth replacing; shorter
 	// runs are left to the fusion scheduler.
-	MinDiagGates int
-}
+	MinDiagGates = 4
+)
 
-// DefaultOptions returns the tuning the simulator dispatch uses.
+// DefaultOptions returns the tuning the simulator dispatch uses: mode,
+// with every region verified.
 func DefaultOptions(mode Mode) Options {
-	return Options{Mode: mode, Verify: true, MaxVerifyQubits: 8, MaxDiagQubits: 16, MinDiagGates: 4}
+	return Options{Mode: mode, Verify: true}
 }
 
 // Segment is one step of an emulation-dispatch plan: either a recognised
@@ -206,7 +221,7 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 		ops = append(ops, op)
 	}
 	if opts.Mode >= Auto {
-		ops = append(ops, matchGaps(c, ops, opts)...)
+		ops = append(ops, matchGaps(c, ops)...)
 		sort.Slice(ops, func(i, j int) bool { return ops[i].Lo < ops[j].Lo })
 	}
 	if opts.Verify {
@@ -215,7 +230,7 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 		verdicts := map[string]verdict{}
 		kept := ops[:0]
 		for _, op := range ops {
-			v := verifyOnce(verdicts, c, op, opts.MaxVerifyQubits)
+			v := verifyOnce(verdicts, c, op)
 			if v == refuted {
 				name := op.kind.String()
 				p.Skipped = append(p.Skipped, Skip{Name: name, Lo: op.Lo, Hi: op.Hi,
@@ -248,17 +263,18 @@ const (
 // verifyOnce settles op on the first rung of Options.Verify's ladder that
 // can: identity with its reference network (already proved when a
 // reference-checking matcher found it, otherwise matchesReference), the
-// column walk (region.holds) up to maxQubits of support, else unverified.
+// column walk (region.holds) up to MaxVerifyQubits of support, else
+// unverified.
 // A region with an earlier verdict in verdicts, keyed by region.key, takes
 // it; the reference networks commute with the relabelling onto the compact
 // register, so the key decides identity too.
-func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op, maxQubits uint) verdict {
+func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op) verdict {
 	if op.matchedAsReference() {
 		return proven
 	}
 	// Identity has no width bound; without a reference network, a region
 	// wider than the column walk reaches is not even compacted.
-	width := maxQubits
+	width := uint(MaxVerifyQubits)
 	if op.hasReference() {
 		width = 64
 	}
@@ -267,7 +283,7 @@ func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op, maxQubi
 		// An empty or unreachable support has nothing to check. A gate
 		// outside the support means the gates cannot be the op: refuted
 		// within the column walk's width, unverified above it.
-		if !inside || uint(len(op.support())) > maxQubits {
+		if !inside || len(op.support()) > MaxVerifyQubits {
 			return unverified
 		}
 		return refuted
@@ -278,7 +294,7 @@ func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op, maxQubi
 		switch {
 		case matchesReference(c.Gates, op):
 			v = proven
-		case r.w > maxQubits:
+		case r.w > MaxVerifyQubits:
 			v = unverified
 		case r.holds():
 			v = proven
@@ -337,14 +353,14 @@ func (p *Plan) Filter(keep func(*Op) bool, reason string) *Plan {
 // matchGaps runs the pattern matchers over the gate ranges not covered by
 // annotated ops. ops must cover disjoint ranges (circuit.Annotate's
 // invariant).
-func matchGaps(c *circuit.Circuit, ops []*Op, opts Options) []*Op {
+func matchGaps(c *circuit.Circuit, ops []*Op) []*Op {
 	sorted := append([]*Op(nil), ops...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
 	var found []*Op
 	cur := 0
 	scan := func(lo, hi int) {
 		for i := lo; i < hi; {
-			if op := matchAt(c, i, hi, opts); op != nil {
+			if op := matchAt(c, i, hi); op != nil {
 				found = append(found, op)
 				i = op.Hi
 				continue

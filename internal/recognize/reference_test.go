@@ -392,7 +392,7 @@ func TestMatchingAllocations(t *testing.T) {
 	matched := 0
 	allocs := testing.AllocsPerRun(5, func() {
 		for _, i := range cnots {
-			if matchAt(c, i, c.Len(), opts) != nil {
+			if matchAt(c, i, c.Len()) != nil {
 				matched++
 			}
 		}

@@ -239,7 +239,7 @@ func TestVerifyMatchesDenseOracle(t *testing.T) {
 			for _, n := range []uint{5, 8} {
 				c := f.build(rng.New(uint64(n)), n)
 				for _, op := range Analyze(c, opts).Ops() {
-					if uint(len(op.support())) > opts.MaxVerifyQubits {
+					if len(op.support()) > MaxVerifyQubits {
 						continue
 					}
 					kinds[op.Kind()]++
@@ -498,7 +498,7 @@ func TestAnalyzeVerifiesRepeatsOnce(t *testing.T) {
 	opts.Verify = false
 	var honestKey, lyingKey string
 	for _, op := range Analyze(c, opts).Ops() {
-		r, _ := compactRegion(c, op, opts.MaxVerifyQubits)
+		r, _ := compactRegion(c, op, MaxVerifyQubits)
 		key, lie := r.key(), slices.Contains(lies, op.Lo)
 		switch {
 		case lie && lyingKey == "":
@@ -560,11 +560,10 @@ func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 		}
 		return cmplx.Exp(complex(0, src.Float64()*2*math.Pi))
 	}
-	opts := DefaultOptions(Auto)
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + uint(src.Intn(10))
 		c := circuit.New(n)
-		for count := opts.MinDiagGates + src.Intn(40); c.Len() < count; {
+		for count := MinDiagGates + src.Intn(40); c.Len() < count; {
 			perm := src.Perm(int(n))
 			qs := make([]uint, 1+src.Intn(int(n)))
 			for j := range qs {
@@ -597,7 +596,7 @@ func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 			}
 			c.Append(g)
 		}
-		op := matchDiagonalRun(c, 0, c.Len(), opts)
+		op := matchDiagonalRun(c, 0, c.Len())
 		if op == nil || op.Hi != c.Len() {
 			t.Fatalf("trial %d: the run of %d diagonal gates was not matched whole: %v", trial, c.Len(), op)
 		}

@@ -6,13 +6,19 @@
 // # The entrypoint
 //
 // Open is the constructor for every execution engine you configure by
-// hand:
+// hand. It takes a Target, the one spelling of an execution shape:
 //
-//	b, err := repro.Open(n)                                    // the paper's fused simulator
-//	b, err := repro.Open(n, repro.WithFusion(4))               // multi-qubit block fusion
-//	b, err := repro.Open(n, repro.WithEmulation(repro.EmulateAuto)) // emulation dispatch
-//	b, err := repro.Open(n, repro.WithNodes(8),                // distributed engine,
-//	    repro.WithEmulation(repro.EmulateAuto))                //   emulating subroutines
+//	b, err := repro.Open(repro.Target{NumQubits: n})               // the paper's fused simulator
+//	b, err := repro.Open(repro.Target{NumQubits: n, FuseWidth: 4}) // multi-qubit block fusion
+//	b, err := repro.Open(repro.Target{NumQubits: n,                // emulation dispatch
+//	    Emulate: repro.EmulateAuto})
+//	b, err := repro.Open(repro.Target{NumQubits: n, Nodes: 8,      // distributed engine,
+//	    Emulate: repro.EmulateAuto})                               //   emulating subroutines
+//
+// Nodes picks the engine's shape: one node (0 or 1) is the fused
+// simulator, more shard the register across that many emulated cluster
+// nodes. Workers caps the kernel parallelism (per shard on several
+// nodes); 1 forces the single-threaded variants.
 //
 // The auto target is the paper's thesis as an API, and Compile is the
 // one place it is resolved: compiling for Target{NumQubits: n, Auto:
@@ -31,15 +37,16 @@
 // cost, and the per-region verdicts.
 //
 // One interface, one engine: every target runs on the cluster engine —
-// the fused simulator is the cluster on one node — beside the
-// qHiPSTER-class baseline, a gate-by-gate reference replay. Both speak
-// the Backend interface (Run, RunUnits, ApplyGate, Probability, Sample,
-// State, Close) and execute compiled Executables: Compile runs the
-// explicit pass pipeline — recognize emulation regions, apply the cost
-// model, fuse residual gate runs, schedule placement remaps — and Run is
-// pure dispatch, returning a unified Result (emulated regions, fused
-// blocks, communication rounds/bytes, wall time). See internal/backend
-// for the pipeline contract.
+// the fused simulator is the cluster on one node. The Backend interface
+// (Run, RunUnits, ApplyGate, Probability, Sample, State, Close) executes
+// compiled Executables: Compile runs the explicit pass pipeline —
+// recognize emulation regions, apply the cost model, fuse residual gate
+// runs, schedule placement remaps — and Run is pure dispatch, returning a
+// unified Result (emulated regions, fused blocks, communication
+// rounds/bytes, wall time). See internal/backend for the pipeline
+// contract; the qHiPSTER-class baseline, a gate-by-gate reference replay
+// the engine is measured against, lives there and in qemu-run's -backend
+// generic, not in this facade.
 //
 // Two execution models are provided over the same 2^n state vector:
 //
@@ -67,9 +74,8 @@ import (
 	"repro/internal/statevec"
 )
 
-// Backend is the one execution interface: the cluster engine (the fused
-// simulator on one node) and the qHiPSTER-class reference replay. See
-// internal/backend.
+// Backend is the one execution interface over the cluster engine (the
+// fused simulator on one node). See internal/backend.
 type Backend = backend.Backend
 
 // Target is a backend's execution shape — what Compile needs to build an
@@ -97,62 +103,11 @@ type Candidate = backend.Candidate
 // RegionVerdict is the cost model's per-region emulate-vs-fuse decision.
 type RegionVerdict = backend.RegionVerdict
 
-// OpenOption configures Open.
-type OpenOption func(*backend.Target)
-
-// WithFusion enables multi-qubit block fusion at the given width (>= 2);
-// 0 or 1 keeps the classic same-target fusion. On distributed backends
-// the width is clamped to the per-node shard capacity.
-func WithFusion(width int) OpenOption {
-	return func(t *backend.Target) { t.FuseWidth = width }
-}
-
-// WithEmulation selects the emulation-dispatch mode: recognised
-// subroutines (annotated regions; in Auto mode also pattern-matched QFT
-// ladders, reversible arithmetic, phase oracles, diagonal runs) execute
-// as classical shortcuts instead of gate by gate — on the distributed
-// engine too, where QFT regions lower to the four-step distributed FFT
-// (two all-to-alls; the output order stays in the placement until
-// something reads canonical order) and arithmetic to cluster-wide
-// permutations.
-func WithEmulation(mode EmulateMode) OpenOption {
-	return func(t *backend.Target) { t.Emulate = mode }
-}
-
-// WithNodes shards the register across p emulated cluster nodes (power of
-// two) running the communication-avoiding placement scheduler. p <= 1
-// keeps the register on one node.
-func WithNodes(p int) OpenOption {
-	return func(t *backend.Target) {
-		t.Nodes = p
-		if p > 1 {
-			t.Kind = backend.Cluster
-		}
-	}
-}
-
-// WithWorkers caps the state-vector kernel parallelism (per shard on
-// distributed backends); 1 forces the single-threaded variants.
-func WithWorkers(k int) OpenOption {
-	return func(t *backend.Target) { t.Workers = k }
-}
-
-// WithGenericKernels selects the qHiPSTER-class structure-blind baseline:
-// every gate through the dense 2x2 kernel, no fusion.
-func WithGenericKernels() OpenOption {
-	return func(t *backend.Target) { t.Kind = backend.Generic }
-}
-
-// Open returns a Backend over a fresh |0...0> register of n qubits,
-// configured by the options; see the package comment for the
-// option-to-engine mapping.
-func Open(n uint, opts ...OpenOption) (Backend, error) {
-	t := backend.Target{NumQubits: n, Kind: backend.Fused}
-	for _, o := range opts {
-		o(&t)
-	}
-	return backend.New(t)
-}
+// Open returns a Backend of shape t over a fresh |0...0> register of
+// t.NumQubits qubits; see the package comment for the shapes. An auto
+// target names no engine: Compile it and open the executable with
+// OpenFor.
+func Open(t Target) (Backend, error) { return backend.New(t) }
 
 // OpenFor returns a Backend over a fresh |0...0> register shaped for x:
 // the concrete target x was compiled for, or resolved to when it was
@@ -272,7 +227,7 @@ type State = statevec.State
 // internal/recognize.
 type EmulateMode = recognize.Mode
 
-// Emulation-dispatch modes for WithEmulation.
+// Emulation-dispatch modes for Target.Emulate.
 const (
 	EmulateOff       = recognize.Off
 	EmulateAnnotated = recognize.Annotated

@@ -9,8 +9,8 @@ import (
 	"repro/internal/qft"
 )
 
-// TestOpenFacade drives the unified entrypoint: one constructor for the
-// fused simulator, the baselines and the distributed engine, all running
+// TestOpenFacade drives the unified entrypoint: one constructor, one
+// Target, for the fused simulator and the distributed engine, all running
 // the same compiled executable shape and reporting a uniform Result.
 func TestOpenFacade(t *testing.T) {
 	const n = 9
@@ -20,7 +20,7 @@ func TestOpenFacade(t *testing.T) {
 	}
 	circ.Extend(qft.Circuit(n))
 
-	ref, err := repro.Open(n)
+	ref, err := repro.Open(repro.Target{NumQubits: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +34,15 @@ func TestOpenFacade(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		opts []repro.OpenOption
+		t    repro.Target
 	}{
-		{"fusion", []repro.OpenOption{repro.WithFusion(4)}},
-		{"emulating", []repro.OpenOption{repro.WithEmulation(repro.EmulateAuto)}},
-		{"generic", []repro.OpenOption{repro.WithGenericKernels()}},
-		{"distributed", []repro.OpenOption{repro.WithNodes(4), repro.WithFusion(3)}},
-		{"distributed-emulating", []repro.OpenOption{
-			repro.WithNodes(4), repro.WithEmulation(repro.EmulateAuto)}},
-		{"distributed-annotated", []repro.OpenOption{
-			repro.WithNodes(4), repro.WithEmulation(repro.EmulateAnnotated)}},
+		{"fusion", repro.Target{NumQubits: n, FuseWidth: 4}},
+		{"emulating", repro.Target{NumQubits: n, Emulate: repro.EmulateAuto}},
+		{"distributed", repro.Target{NumQubits: n, Nodes: 4, FuseWidth: 3}},
+		{"distributed-emulating", repro.Target{NumQubits: n, Nodes: 4, Emulate: repro.EmulateAuto}},
+		{"distributed-annotated", repro.Target{NumQubits: n, Nodes: 4, Emulate: repro.EmulateAnnotated}},
 	} {
-		b, err := repro.Open(n, tc.opts...)
+		b, err := repro.Open(tc.t)
 		if err != nil {
 			t.Fatalf("%s: Open failed: %v", tc.name, err)
 		}
@@ -92,9 +89,9 @@ func TestOpenFacade(t *testing.T) {
 // mode and emulates the QFT region.
 func TestOpenDistributedEmulationNoLongerErrors(t *testing.T) {
 	for _, mode := range []repro.EmulateMode{repro.EmulateOff, repro.EmulateAnnotated, repro.EmulateAuto} {
-		b, err := repro.Open(10, repro.WithNodes(2), repro.WithEmulation(mode))
+		b, err := repro.Open(repro.Target{NumQubits: 10, Nodes: 2, Emulate: mode})
 		if err != nil {
-			t.Fatalf("Open(10, WithNodes(2), WithEmulation(%v)) errored: %v", mode, err)
+			t.Fatalf("Open(Target{NumQubits: 10, Nodes: 2, Emulate: %v}) errored: %v", mode, err)
 		}
 		res, err := repro.Compile(qft.Circuit(10), b.Target())
 		if err != nil {
@@ -114,7 +111,7 @@ func TestOpenDistributedEmulationNoLongerErrors(t *testing.T) {
 func TestCircuitFacade(t *testing.T) {
 	c := repro.NewCircuit(3)
 	c.Append(gates.H(0), gates.CNOT(0, 1), gates.Toffoli(0, 1, 2))
-	b, err := repro.Open(3)
+	b, err := repro.Open(repro.Target{NumQubits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
