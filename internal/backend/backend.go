@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"time"
 
+	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/recognize"
 	"repro/internal/rng"
@@ -63,8 +64,9 @@ type Target struct {
 	// the Generic reference.
 	Kind Kind
 	// FuseWidth >= 2 enables multi-qubit block fusion at that width
-	// (clamped to the shard capacity on Cluster targets); 0 or 1 keeps the
-	// classic same-target fusion. Ignored by Generic.
+	// (normalized to at most the shard capacity and fuse.MaxWidth on
+	// Cluster targets); 0 or 1 keeps the classic same-target fusion.
+	// Ignored (normalized to 0) by Generic.
 	FuseWidth int
 	// Workers caps the state-vector kernel parallelism (per shard on
 	// Cluster targets); 0 uses the GOMAXPROCS default.
@@ -119,11 +121,19 @@ func (t Target) normalize(n uint) (Target, error) {
 			return t, fmt.Errorf("backend: %d nodes need at least %d qubits, have %d",
 				t.Nodes, nodeBits(t.Nodes), n)
 		}
+		// Widths that run identically share one spelling, so they share a
+		// cache key: a negative width is 0, and a width past what a block
+		// can span — the shard, or fuse.MaxWidth — is that cap. 0 and 1
+		// stay apart although both run same-target fusion: a pinned
+		// P = 4 key (TestTargetFingerprintsPinned) is spelled with 0, and
+		// the auto selector reports its one-qubit rung as w=1.
+		t.FuseWidth = min(max(t.FuseWidth, 0), int(min(t.LocalQubits(), fuse.MaxWidth)))
 	case Generic:
 		if t.Nodes > 1 {
 			return t, fmt.Errorf("backend: the %s baseline cannot shard across %d nodes", t.Kind, t.Nodes)
 		}
 		t.Nodes = 1
+		t.FuseWidth = 0 // the reference replay fuses nothing
 	default:
 		return t, fmt.Errorf("backend: unknown target kind %d", int(t.Kind))
 	}

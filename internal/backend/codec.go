@@ -52,7 +52,18 @@ import (
 // op unit whose field has more bits on node positions than a shard holds
 // (pos+w-L > L, e.g. field [2,7) of 8 qubits on 32 nodes), which earlier
 // builds lowered, still decodes but fails VerifyExecutable, so a
-// warm-start deletes it and an upload is refused.
+// warm-start deletes it and an upload is refused. The one-node lowering
+// of Fourier ops and reflections followed that precedent: at P = 1 they
+// lower to local-fft and reflect, where earlier v8 builds named statevec,
+// so such a v8 unit fails VerifyExecutable's substrate check in the same
+// way.
+//
+// Cache keys: Fingerprint hashes the normalized target, and
+// Target.normalize canonicalises FuseWidth without a bump — a negative
+// width keys as 0, one past min(L, fuse.MaxWidth) as that cap, a Generic
+// target's as 0. A key of a target already in that form is unchanged; an
+// artifact persisted under the key of a non-canonical width is simply no
+// longer looked up, and still decodes with its target normalized.
 const (
 	codecMagic = "QEXE"
 	// CodecVersion is the one layout Encode writes and Decode reads.

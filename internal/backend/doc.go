@@ -119,9 +119,13 @@
 //   - Fused — the paper's simulator, and only a name: normalize spells
 //     it Cluster, and Nodes picks the node count under either name, so
 //     {Kind: Fused, Nodes: P} and {Kind: Cluster, Nodes: P} compile to
-//     one artifact under one fingerprint. Nodes 0 or 1 is one node: every
-//     op but the diagonal ones runs as Op.Apply on the one shard,
-//     schedules never remap, and State returns the live shard.
+//     one artifact under one fingerprint. Nodes 0 or 1 is one node: the
+//     same lowerings at P = 1 — a Fourier op runs one butterfly network
+//     over the shard and leaves its output order in the placement (a
+//     transform and its inverse pay no reordering pass), reflections and
+//     diagonals run placement-free, arithmetic runs as Op.Apply on the one
+//     shard — schedules never remap nor canonicalise, nothing is charged
+//     to a network, and State returns the live shard.
 //   - Generic — the qHiPSTER-class structure-blind baseline: every gate
 //     replayed through the dense 2x2 kernel of one state vector. It is a
 //     reference to measure against, not a served engine: it shares no

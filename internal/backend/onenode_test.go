@@ -116,6 +116,49 @@ func TestTargetFingerprintsPinned(t *testing.T) {
 	}
 }
 
+// TestFuseWidthKeysAreCanonical: fusion widths that run identically
+// share one cache key — a negative width and 0, widths at and past the
+// register on 8 qubits, a Generic target with and without a width — and
+// normalize to one target; 0 and 1 stay distinct keys.
+func TestFuseWidthKeysAreCanonical(t *testing.T) {
+	c := prep(8)
+	c.Extend(qft.Circuit(8))
+	key := func(tgt backend.Target) string {
+		t.Helper()
+		k, err := backend.Fingerprint(c, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	for _, pair := range [][2]backend.Target{
+		{{Kind: backend.Cluster, FuseWidth: -3}, {Kind: backend.Cluster, FuseWidth: 0}},
+		{{Kind: backend.Fused, FuseWidth: 8}, {Kind: backend.Fused, FuseWidth: 20}},
+		{{Kind: backend.Cluster, Nodes: 4, FuseWidth: 6}, {Kind: backend.Cluster, Nodes: 4, FuseWidth: 7}},
+		{{Kind: backend.Generic}, {Kind: backend.Generic, FuseWidth: 4}},
+	} {
+		if a, b := key(pair[0]), key(pair[1]); a != b {
+			t.Errorf("widths %d and %d (%v, %d nodes) key apart: %.12s… and %.12s…",
+				pair[0].FuseWidth, pair[1].FuseWidth, pair[0].Kind, pair[0].Nodes, a, b)
+		}
+		var shapes [2]backend.Target
+		for i, tgt := range pair {
+			b, err := backend.New(backend.Target{NumQubits: 8, Kind: tgt.Kind, Nodes: tgt.Nodes, FuseWidth: tgt.FuseWidth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes[i] = b.Target()
+			b.Close()
+		}
+		if shapes[0] != shapes[1] {
+			t.Errorf("widths %d and %d normalize to %+v and %+v", pair[0].FuseWidth, pair[1].FuseWidth, shapes[0], shapes[1])
+		}
+	}
+	if key(backend.Target{Kind: backend.Fused, FuseWidth: 0}) == key(backend.Target{Kind: backend.Fused, FuseWidth: 1}) {
+		t.Error("widths 0 and 1 share a key; the pinned keys spell them apart")
+	}
+}
+
 // TestFusedNodesIsCluster: Nodes picks the node count under either name.
 // {Kind: Fused, Nodes: 4} opens, normalizes and fingerprints as
 // {Kind: Cluster, Nodes: 4}, and runs to bit-identical amplitudes.

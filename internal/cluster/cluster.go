@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/fft"
 	"repro/internal/fuse"
 	"repro/internal/gates"
 	"repro/internal/par"
@@ -136,6 +137,14 @@ type operands struct {
 	move  *movePlan
 	dst   [][]complex128
 
+	// plan, order and inverse are the Fourier transform a shard-local
+	// field lowering runs, at physical bit `bit`; shares is how many
+	// disjoint destination shares a move is split into.
+	plan    *fft.Plan
+	order   fft.Order
+	inverse bool
+	shares  int
+
 	// sums holds one partial result per node, prefix their running sums
 	// and bounds the first sorted draw at or past each; rs and out are
 	// the draws a sampling superstep resolves.
@@ -145,6 +154,11 @@ type operands struct {
 	rs     []float64
 	out    []uint64
 }
+
+// minChunk is the fewest amplitudes a one-node collective (a move, the
+// reflection) hands each worker: below it one worker does the whole
+// shard, since a fan-out costs more than it saves.
+const minChunk = 1 << 14
 
 // New returns a cluster of p nodes holding the n-qubit basis state |0...0>.
 // p must be a power of two with log2(p) <= n.

@@ -9,10 +9,17 @@
 // # One node is the single-node engine
 //
 // internal/backend opens every served target on a Cluster, a single-node
-// one on one node, whose shard is the whole register. There schedules are
-// one remap-free step, every op but a diagonal one runs as Op.Apply on
-// the shard (substrate "statevec"), the placement stays the identity,
-// State returns the live shard and sampling is the shard's own. On
+// one on one node, whose shard is the whole register, and one node takes
+// the lowerings of several at P = 1. There schedules are one remap-free
+// step that runs through the placement as it stands; a Fourier op runs
+// one butterfly network over the shard in the order the placement gives
+// and leaves its output order there (the register's bit reversal after a
+// QFT of natural-order input, undone by the inverse's network); the
+// reflection and the diagonals run placement-free, and only an
+// arithmetic op runs as Op.Apply on the shard (substrate "statevec")
+// after canonicalising. State returns the live shard, canonicalised
+// first, and sampling is the shard's own. A move on one node crosses no
+// link: it charges nothing and splits over the shard's workers. On
 // several nodes the "statevec" substrate serves an arithmetic op whose
 // support lies below L: each shard permutes its own amplitudes.
 //
@@ -53,14 +60,20 @@
 //     local ones and mostly have this shape, and so do the Fourier
 //     lowering's two swaps of a field's node bits with the top of the
 //     shard;
-//   - otherwise (a no-swap QFT's bit reversal, the Canonicalize of the
-//     output order a Fourier op leaves — a rotation by the field's node
-//     bits for the full register): a tiled pass in the manner of fft's
-//     blocked bit reversal. A tile spans the destination's low 5
+//   - otherwise (a bit reversal a noswap relabel left, the Canonicalize
+//     of the output order a four-step Fourier op leaves — a rotation by
+//     the field's node bits for the full register): a tiled pass in the
+//     manner of fft's blocked bit reversal. A tile spans the destination's low 5
 //     positions and the destination positions that feed the source's low
 //     5, so both sides touch memory in contiguous 512-byte rows and the
 //     scattered accesses land in a 16 KiB buffer on the stack; tiles are
 //     visited in an order that keeps neighbours close on both sides.
+//
+// A Canonicalize whose only drift is a field reversed at physical
+// [0, w) — what a shard-local Fourier op's DIF network leaves — skips the
+// mover: every shard undoes it in place with fft.Reverse, a blocked
+// reversal five times cheaper than the out-of-place tiled move
+// (BenchmarkMoveBits' one-node rows), with no round charged.
 //
 // Either way each amplitude is read once and written once, at a small
 // multiple of what copying the shards costs (BenchmarkMoveBits beside
@@ -108,8 +121,11 @@
 //
 //   - every Fourier op runs through one lowering (fieldfft.go),
 //     EmulateQFT being the direct entry point for the full register. A
-//     field of width <= L executes shard-locally after one remap makes
-//     it node-local. A wider one — the full register on several nodes
+//     field of width <= L executes shard-locally: where it lies when it
+//     is ascending and node-local, as one network when it sits at
+//     physical [0, w) (DIF on natural order, the placement then records
+//     the field reversed; DIT on a recorded reversal, which it restores),
+//     else after one remap makes it node-local. A wider one — the full register on several nodes
 //     (substrate "four-step-fft") or a mid-width field
 //     ("field-four-step-fft") — is the four-step FFT split where the
 //     layout splits it: its node bits are swapped into every shard and
@@ -127,11 +143,13 @@
 //     members fix a reduced table per node, the shard applies it with
 //     ApplyDiagTable), and a phase flip negates the matching
 //     amplitudes; the Grover diffusion (ReflectUniform) needs one scalar
-//     allreduce.
+//     allreduce, split over the node's workers, and no round on one node.
 //
 // The permutation collective speaks the canonical layout and restores it
 // (one extra remap round at most) when the gate engine or a Fourier op
 // left the placement drifted; the Fourier lowering remaps from whatever
-// placement it finds, and the diagonal and reflection paths run under any
-// placement.
+// placement it finds, the diagonal and reflection paths run under any
+// placement, and a schedule with no remap whose ops are all node-local
+// under the placement in force (every schedule on one node) runs under it
+// without canonicalising.
 package cluster

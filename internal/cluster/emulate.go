@@ -3,34 +3,41 @@ package cluster
 import (
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/recognize"
 )
 
 // This file lowers recognised emulation shortcuts (internal/recognize)
 // onto the distributed substrate — the ROADMAP's "distributed emulation
 // dispatch". Each op family maps to the cheapest collective the cluster
-// offers:
+// offers, and one node is the same machine with P = 1:
 //
-//   - an op whose support lies in node-local positions runs Op.Apply on
-//     every shard under the canonical placement (substrate statevec, the
-//     single-node kernels): on one node every op but the diagonal ones,
-//     on several nodes the arithmetic ops that leave the node bits alone;
+//   - an arithmetic op whose support lies in node-local positions runs
+//     Op.Apply on every shard under the canonical placement (substrate
+//     statevec, the single-node kernels): on one node every arithmetic
+//     op, on several the ones that leave the node bits alone;
 //   - Fourier fields of any width run through one lowering
-//     (fieldfft.go): a field that fits a shard (width <= L; on one node,
-//     any field) as per-shard transforms after at most one remap makes it
-//     node-local, a wider one — the full register included — as the
+//     (fieldfft.go), on one node as on several. A field that fits a shard
+//     (width <= L; on one node, any field) transforms per shard in the
+//     order its placement gives: ascending at physical [0, w) it runs the
+//     DIF network and the placement records the field reversed, recorded
+//     reversed there it runs the DIT network and the placement is
+//     restored — a transform pair pays two networks and no reordering
+//     pass. A wider one — the full register on several nodes — is the
 //     four-step factorisation that moves only the field's node bits, two
 //     all-to-all rounds, and leaves its output order in the placement, so
 //     Eq. 5's third all-to-all is paid by the next Canonicalize. The
 //     noswap variants' bit reversal is a zero-communication placement
 //     relabelling on top;
-//   - arithmetic ops (add, sub, addc, mul, div) run as one cluster-wide
-//     basis permutation — a single all-to-all, the paper's Section 4.2;
+//   - arithmetic ops that touch node bits (add, sub, addc, mul, div) run
+//     as one cluster-wide basis permutation — a single all-to-all, the
+//     paper's Section 4.2;
 //   - diagonal ops multiply each shard in place, communication-free under
 //     any placement: diagonal runs through their table (applyDiagTable,
 //     the lowering fused diagonal blocks use), phase flips by negating
 //     the matching amplitudes;
-//   - the Grover diffusion needs one scalar allreduce (P partial sums).
+//   - the Grover diffusion needs one scalar allreduce (P partial sums),
+//     under any placement; one node reduces with no round at all.
 
 // Substrate names reported for each lowering, surfaced through the
 // backend Result so callers can see how a region actually executed.
@@ -50,21 +57,17 @@ const (
 // positions than a shard holds) must stay on the gate-level scheduled
 // path.
 //
-// Diagonal runs and phase flips keep their placement-free lowering at
-// every node count. Any other op on one node, and an arithmetic op whose
-// support lies below L on several, runs on the shards as it would on one
-// state; both canonicalise the placement first, which the one node never
-// leaves and the permutation lowering needs anyway, so no op pays a remap
-// it did not pay before.
+// One node is the cluster at P = 1 with L = n: an arithmetic op's support
+// always lies below L (statevec), a Fourier field always fits the shard
+// (local-fft), and diagonals and the reflection keep their placement-free
+// lowerings. Only the statevec substrate canonicalises the placement
+// first, which the permutation lowering needs anyway.
 func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 	if _, _, ok := op.DiagTable(); ok {
 		return SubstrateDiagonal, true
 	}
 	if _, _, ok := op.PhaseFlip(); ok {
 		return SubstrateDiagonal, true
-	}
-	if P == 1 {
-		return SubstrateStatevec, true
 	}
 	if _, ok := op.Permutation(); ok {
 		if s := op.Support(); s[len(s)-1] < L {
@@ -153,30 +156,55 @@ func (c *Cluster) reverseFieldPlacement(pos, w uint) {
 // ReflectUniform applies the Householder reflection I - 2|s><s| about the
 // uniform state to the whole register: a' = a - 2(Σa)/N. The global sum is
 // one scalar allreduce (P partial sums); the update is shard-local. Both
-// passes are placement-independent.
+// passes are placement-independent, and each shard's sum and update are
+// split into chunks over the node's workers, so one node reflects at its
+// whole worker count. One node shares its sum with nobody: no round.
 func (c *Cluster) ReflectUniform() {
-	sums := make([]complex128, c.P)
-	c.eachNode(func(p int) {
-		var s complex128
-		for _, a := range c.shard(p) {
-			s += a
-		}
-		sums[p] = s
-	})
+	chunks := c.reflectChunks()
+	part := func(k int) []complex128 {
+		size, i := c.LocalSize(), uint64(k%chunks)
+		return c.shard(k / chunks)[i*size/uint64(chunks) : (i+1)*size/uint64(chunks)]
+	}
+	sums := make([]complex128, c.P*chunks)
+	par.For(len(sums), func(k int) { sums[k] = sumAmps(part(k)) })
 	var total complex128
 	for _, s := range sums {
 		total += s
 	}
 	mu := total * complex(2/float64(uint64(1)<<c.NumQubits()), 0)
-	c.eachNode(func(p int) {
-		shard := c.shard(p)
-		for i := range shard {
-			shard[i] -= mu
-		}
-	})
+	par.For(len(sums), func(k int) { subtractAmps(part(k), mu) })
+	if c.P == 1 {
+		return
+	}
 	// Allreduce accounting: every node shares one 16-byte partial sum.
 	p64 := uint64(c.P)
 	c.Stats.BytesSent.Add(16 * p64 * (p64 - 1))
 	c.Stats.Messages.Add(p64 * (p64 - 1))
 	c.Stats.Rounds.Add(1)
+}
+
+// sumAmps returns the sum of amps.
+//
+//qemu:hotpath
+func sumAmps(amps []complex128) complex128 {
+	var s complex128
+	for _, a := range amps {
+		s += a
+	}
+	return s
+}
+
+// subtractAmps subtracts mu from every amplitude of amps.
+//
+//qemu:hotpath
+func subtractAmps(amps []complex128, mu complex128) {
+	for i := range amps {
+		amps[i] -= mu
+	}
+}
+
+// reflectChunks is how many chunks ReflectUniform splits each shard into:
+// the node's worker count, kept to at least minChunk amplitudes each.
+func (c *Cluster) reflectChunks() int {
+	return int(min(uint64(c.nodes[0].Workers()), max(c.LocalSize()/minChunk, 1)))
 }

@@ -69,10 +69,10 @@ func TestClusterQFTLowerings(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		// One node holds the whole register in its shard, so every
-		// transform runs there as it would on one state.
+		// transform is shard-local there.
 		wantFull, wantField := cluster.SubstrateFourStepFFT, cluster.SubstrateLocalFFT
 		if p == 1 {
-			wantFull, wantField = cluster.SubstrateStatevec, cluster.SubstrateStatevec
+			wantFull = cluster.SubstrateLocalFFT
 		}
 		for _, tc := range full {
 			op := planOps(t, tc.c, recognize.Annotated)[0]
@@ -339,9 +339,10 @@ func TestFourierLoweringFromDriftedPlacement(t *testing.T) {
 	}
 }
 
-// TestEmulateQFTOneNode holds EmulateQFT on one node: a plain transform
-// of the shard, matching the QFT circuit, with no communication and the
-// placement left canonical.
+// TestEmulateQFTOneNode holds EmulateQFT on one node: one DIF network
+// over the shard, matching the QFT circuit, with no communication and its
+// output order left in the placement as the full-register reversal; the
+// Canonicalize that follows undoes it in place, still for free.
 func TestEmulateQFTOneNode(t *testing.T) {
 	const n = 10
 	c, err := cluster.New(n, 1)
@@ -352,18 +353,22 @@ func TestEmulateQFTOneNode(t *testing.T) {
 	if err := c.EmulateQFT(); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats.Snapshot(); s != (cluster.StatsSnapshot{}) {
-		t.Errorf("one-node EmulateQFT communicated: %+v", s)
-	}
 	got := c.Placement()
 	for q, p := range got {
-		if uint(q) != p {
-			t.Fatalf("one-node EmulateQFT left placement %v", got)
+		if n-1-uint(q) != p {
+			t.Fatalf("one-node EmulateQFT left placement %v, want the reversal", got)
 		}
 	}
 	qft.Circuit(n).Run(st)
 	if d := c.Gather().MaxDiff(st); d > 1e-10 {
 		t.Errorf("one-node EmulateQFT differs from the QFT circuit by %g", d)
+	}
+	c.Canonicalize()
+	if d := c.State().MaxDiff(st); d > 1e-10 {
+		t.Errorf("canonicalised one-node EmulateQFT differs from the QFT circuit by %g", d)
+	}
+	if s := c.Stats.Snapshot(); s != (cluster.StatsSnapshot{}) {
+		t.Errorf("one-node EmulateQFT and Canonicalize communicated: %+v", s)
 	}
 }
 
@@ -460,6 +465,50 @@ func TestFourierLoweringAllocatesLittle(t *testing.T) {
 		t.Logf("field %v: %d bytes per call", f, perCall)
 		if bound := uint64(16)<<(2*n1) + 4<<10; perCall > bound {
 			t.Errorf("field %v: %d bytes per call, want at most %d (4^n1 block entries and placements)", f, perCall, bound)
+		}
+	}
+}
+
+// TestReflectUniformChunks holds the reflection, split over each shard's
+// workers, against a' = a - 2(Σa)/N computed serially: one and two
+// nodes, one and three workers per node (a share count that does not
+// divide the shard), under a shuffled placement. The allreduce charges
+// P(P-1) messages of 16 bytes and one round on several nodes and nothing
+// on one.
+func TestReflectUniformChunks(t *testing.T) {
+	const n = 16
+	src := rng.New(61)
+	for _, p := range []int{1, 2} {
+		for _, workers := range []int{1, 3} {
+			c, err := cluster.New(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetNodeParallelism(workers)
+			init := loadRandom(t, c, src)
+			c.Remap(shuffledPlacement(n, src))
+			c.ResetStats()
+			c.ReflectUniform()
+			amps := init.Amplitudes()
+			var sum complex128
+			for _, a := range amps {
+				sum += a
+			}
+			mu := sum * complex(2/float64(len(amps)), 0)
+			for i := range amps {
+				amps[i] -= mu
+			}
+			if d := c.Gather().MaxDiff(init); d > 1e-12 {
+				t.Errorf("P=%d workers=%d: differs from the serial reflection by %g", p, workers, d)
+			}
+			want := cluster.StatsSnapshot{}
+			if p > 1 {
+				p64 := uint64(p)
+				want = cluster.StatsSnapshot{BytesSent: 16 * p64 * (p64 - 1), Messages: p64 * (p64 - 1), Rounds: 1}
+			}
+			if got := c.Stats.Snapshot(); got != want {
+				t.Errorf("P=%d workers=%d: stats %+v, want %+v", p, workers, got, want)
+			}
 		}
 	}
 }

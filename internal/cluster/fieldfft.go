@@ -11,8 +11,21 @@ import (
 // The distributed Fourier lowering: one function for every Fourier field
 // [pos, pos+w) of the register, the full register included.
 //
-// A field that fits a shard (w <= L) is made node-local by at most one
-// remap and transformed fibre by fibre on every shard.
+// A field that fits a shard (w <= L) transforms fibre by fibre on every
+// shard, in the order the placement gives it (fieldOrder):
+//
+//   - ascending at physical [0, w): the DIF network alone (S·F, natural in,
+//     bit-reversed out), and the placement records the field reversed;
+//   - recorded reversed at [0, w): the DIT network alone (F·S), and the
+//     placement is restored — so a transform and its inverse, on one node
+//     or on several, pay two networks and no reordering pass;
+//   - ascending and node-local higher up: a natural-order transform where
+//     the field lies;
+//   - anything else: one remap makes the field node-local at [0, w), then
+//     a natural-order transform.
+//
+// Whatever next needs the canonical layout and finds only a field
+// reversed at [0, w) undoes it shard by shard in place (Canonicalize).
 //
 // A wider field is the four-step factorisation (Bailey's FFT) with the
 // split N = 2^n1 * 2^n2 chosen by the layout: n1 = pos+w-L field bits sit
@@ -50,9 +63,10 @@ const denseDFTBits = 6
 
 // EmulateQFT performs the quantum Fourier transform of the paper's Eq. 4
 // on the whole register — the emulator's Figure 3 path on the cluster
-// substrate. On one node it is a plain transform of the shard; on several
-// it is the distributed lowering above, two all-to-alls with the output
-// order left in the placement.
+// substrate. On one node it is one DIF network over the shard, the
+// output order left in the placement; on several it is the distributed
+// lowering above, two all-to-alls with the output order left in the
+// placement.
 func (c *Cluster) EmulateQFT() error { return c.distributedFFTField(0, c.NumQubits(), false) }
 
 // distributedFFTField applies the unitary Fourier transform (inverse:
@@ -64,11 +78,23 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 		if err != nil {
 			return err
 		}
-		// One remap makes the field bits shard-local at physical
-		// positions [0, w), so the fibres are stride-1.
-		c.remapFieldLocal(pos, w)
-		workers := c.shardWorkers()
-		c.eachNode(func(p int) { plan.TransformField(c.shard(p), 0, inverse, workers) })
+		c.op.bit, c.op.inverse, c.op.plan, c.op.order = 0, inverse, plan, fft.Natural
+		switch base, order := c.fieldOrder(pos, w); {
+		case order == fieldAscending && base == 0:
+			c.op.order = fft.ReversedOut
+		case order == fieldAscending:
+			c.op.bit = base
+		case order == fieldReversed:
+			c.op.order = fft.ReversedIn
+		default:
+			c.remapFieldLocal(pos, w)
+		}
+		c.each(transformShard)
+		if c.op.order != fft.Natural {
+			// DIF leaves the field reversed; DIT restores a reversed one.
+			c.reverseFieldPlacement(pos, w)
+		}
+		c.op.plan = nil
 		return nil
 	}
 	L := c.L
@@ -130,6 +156,45 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 		}
 	}
 	return nil
+}
+
+// Field orders fieldOrder reports.
+const (
+	fieldOther     = iota
+	fieldAscending // logical pos+j at physical base+j, all node-local
+	fieldReversed  // logical pos+j at physical w-1-j
+)
+
+// fieldOrder reports how the logical field [pos, pos+w) lies under the
+// current placement: ascending from physical base with every bit
+// node-local, reversed at physical [0, w), or neither. A one-qubit field
+// at physical 0 is ascending.
+func (c *Cluster) fieldOrder(pos, w uint) (base uint, order int) {
+	base = c.pos[pos]
+	ascending, reversed := base+w <= c.L, base == w-1
+	for j := uint(1); j < w; j++ {
+		p := c.pos[pos+j]
+		ascending = ascending && p == base+j
+		reversed = reversed && p == w-1-j
+	}
+	switch {
+	case ascending:
+		return base, fieldAscending
+	case reversed:
+		return 0, fieldReversed
+	}
+	return 0, fieldOther
+}
+
+// transformShard transforms node p's shard along the field at physical
+// [c.op.bit, c.op.bit+w) in c.op.order with c.op.plan: contiguous fibres
+// at bit 0, strided ones above (natural order only).
+func transformShard(c *Cluster, p int) {
+	if c.op.bit == 0 {
+		c.op.plan.Transform(c.shard(p), c.op.inverse, c.op.order, c.shardWorkers())
+		return
+	}
+	c.op.plan.TransformField(c.shard(p), c.op.bit, c.op.inverse, c.shardWorkers())
 }
 
 // remapFieldLocal installs a placement with logical qubit pos+j at

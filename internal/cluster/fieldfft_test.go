@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fft"
+	"repro/internal/fuse"
+	"repro/internal/gates"
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/rng"
@@ -91,5 +95,67 @@ func TestFieldFFTRejectsTooWide(t *testing.T) {
 	}
 	if err := c.distributedFFTField(0, 7, false); err == nil {
 		t.Error("7-qubit field accepted on 3-qubit shards (4 of its bits are node bits)")
+	}
+}
+
+// TestOneNodeFourierSandwichMovesNothing pins the one-node sandwich
+// QFT · rotations · QFT⁻¹: the QFT leaves the register's bit reversal in
+// the placement, the rotation schedule runs under it without
+// canonicalising, and the inverse restores the identity — two networks,
+// no reordering pass, no scratch shard set, no communication, and the
+// state of the three circuits run gate by gate.
+func TestOneNodeFourierSandwichMovesNothing(t *testing.T) {
+	const n = 12
+	c, err := New(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(5)
+	st := statevec.NewRandom(n, src)
+	if err := c.LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	opOf := func(circ *circuit.Circuit) *recognize.Op {
+		return recognize.Analyze(circ, recognize.DefaultOptions(recognize.Annotated)).Ops()[0]
+	}
+	rot := circuit.New(n)
+	for q := uint(0); q < n; q++ {
+		rot.Append(gates.Ry(q, src.Float64()), gates.Rz(q, src.Float64()))
+	}
+	sched, err := BuildSchedule(fuse.New(rot, 4), n, n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := make([]uint, n)
+	for q := range reversed {
+		reversed[q] = n - 1 - uint(q)
+	}
+	if _, err := c.ApplyOp(opOf(qft.Circuit(n))); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.pos, reversed) {
+		t.Fatalf("after the QFT: placement %v, want the reversal", c.pos)
+	}
+	c.RunSchedule(sched)
+	if !slices.Equal(c.pos, reversed) {
+		t.Fatalf("after the rotations: placement %v, want the reversal", c.pos)
+	}
+	if _, err := c.ApplyOp(opOf(qft.InverseCircuit(n))); err != nil {
+		t.Fatal(err)
+	}
+	if !c.identityPlacement() {
+		t.Fatalf("after the inverse: placement %v, want the identity", c.pos)
+	}
+	if c.scratch != nil {
+		t.Error("the one-node sandwich allocated a scratch shard set")
+	}
+	if s := c.Stats.Snapshot(); s != (StatsSnapshot{}) {
+		t.Errorf("the one-node sandwich communicated: %+v", s)
+	}
+	qft.Circuit(n).Run(st)
+	rot.Run(st)
+	qft.InverseCircuit(n).Run(st)
+	if d := c.State().MaxDiff(st); d > 1e-10 {
+		t.Errorf("differs from the circuits run gate by gate by %g", d)
 	}
 }

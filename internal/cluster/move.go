@@ -1,6 +1,10 @@
 package cluster
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/par"
+)
 
 // Every collective that moves the state — placement remaps, Canonicalize,
 // the Fourier lowering's node-bit swaps, Gather under a drifted placement — is a
@@ -175,17 +179,16 @@ func planMove(srcOf []uint, localBits uint) *movePlan {
 	return m
 }
 
-// fill performs worker w's share (of `workers` equal shares) of the move
-// from the src shards into the dst shards. Shares are disjoint on the
-// destination side, so the workers of one move may run concurrently. This
-// is the loop that moves the entire state once per collective round: it
-// must not allocate.
+// fill performs share w (of `shares` equal shares) of the move from the
+// src shards into the dst shards. Shares are disjoint on the destination
+// side, so the shares of one move may run concurrently. This is the loop
+// that moves the entire state once per collective round: it must not
+// allocate.
 //
 //qemu:hotpath
-func (m *movePlan) fill(dst, src [][]complex128, w, workers int) {
-	per := max(m.units/uint64(workers), 1)
-	lo := uint64(w) * per
-	hi := min(lo+per, m.units)
+func (m *movePlan) fill(dst, src [][]complex128, w, shares int) {
+	lo := uint64(w) * m.units / uint64(shares)
+	hi := uint64(w+1) * m.units / uint64(shares)
 	if m.rows == 0 {
 		m.copyRuns(dst, src, lo, hi)
 		return
@@ -317,24 +320,35 @@ func (c *Cluster) planFor(srcOf []uint) *movePlan {
 }
 
 // moveBits fills the dst shards from the live ones under the bit map
-// srcOf, one superstep chunk per node, and returns the move's plan.
+// srcOf and returns the move's plan: one superstep chunk per node on
+// several nodes, one per worker of the shard on one.
 func (c *Cluster) moveBits(dst [][]complex128, srcOf []uint) *movePlan {
-	c.op.move, c.op.dst = c.planFor(srcOf), dst
+	m := c.planFor(srcOf)
+	c.op.move, c.op.dst = m, dst
+	c.op.shares = c.P
+	if c.P == 1 {
+		c.op.shares = int(min(uint64(c.nodes[0].Workers()), max(c.LocalSize()/minChunk, 1), m.units))
+	}
 	c.liveShards()
-	c.each(func(c *Cluster, w int) { c.op.move.fill(c.op.dst, c.live, w, c.P) })
+	c.op.body = func(c *Cluster, w int) { c.op.move.fill(c.op.dst, c.live, w, c.op.shares) }
+	par.For(c.op.shares, c.runBodyFn)
 	c.op.dst = nil
-	return c.op.move
+	return m
 }
 
 // permuteBits is the all-to-all collective: the state is moved under the
 // bit map srcOf into the retired scratch set, which becomes the live one,
 // and the network is charged for every amplitude that changed nodes,
 // coalesced into one message per communicating (src, dst) pair — one
-// round, however the bits moved.
+// round, however the bits moved. One node has no network: its moves
+// charge nothing.
 func (c *Cluster) permuteBits(srcOf []uint) {
 	next := c.grabScratch() // every destination element is assigned
 	m := c.moveBits(next, srcOf)
 	c.installShards(next)
+	if c.P == 1 {
+		return
+	}
 	c.Stats.BytesSent.Add(m.crossing * 16)
 	c.Stats.Messages.Add(m.pairs)
 	c.Stats.AllToAlls.Add(1)

@@ -94,7 +94,7 @@ func referenceMove(in []complex128, srcOf []uint, L uint) (out []complex128, cro
 // TestMoveBitsMatchesReference drives the collective over generated bit
 // maps on every cluster shape: amplitudes must equal the element-wise
 // reference exactly, and the four communication counters must equal the
-// per-element count.
+// per-element count — zero on one node, where nothing crosses a link.
 func TestMoveBitsMatchesReference(t *testing.T) {
 	src := rng.New(20)
 	sizes := []uint{6, 7, 9, 11, 14}
@@ -126,8 +126,49 @@ func TestMoveBitsMatchesReference(t *testing.T) {
 				}
 				got := c.Stats.Snapshot()
 				wantStats := StatsSnapshot{BytesSent: crossing * 16, Messages: pairs, AllToAlls: 1, Rounds: 1}
+				if p == 1 {
+					wantStats = StatsSnapshot{} // one node has no network
+				}
 				if got != wantStats {
 					t.Errorf("%s: stats %+v, want %+v", name, got, wantStats)
+				}
+			}
+		}
+	}
+}
+
+// TestFillSharesCoverTheMove splits one move into 1, 2, 3 and 5 shares,
+// as a one-node move splits over its shard's workers: in either regime
+// the shares together must write every destination amplitude exactly as
+// the element-wise reference, a share count that does not divide the
+// units included.
+func TestFillSharesCoverTheMove(t *testing.T) {
+	const n = 11
+	src := rng.New(22)
+	for _, p := range []int{1, 4} {
+		c, err := New(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range moveShapes(n, c.L, src) {
+			st := statevec.NewRandom(n, src)
+			if err := c.LoadState(st); err != nil {
+				t.Fatal(err)
+			}
+			want, _, _ := referenceMove(st.Amplitudes(), sh.srcOf, c.L)
+			m := planMove(sh.srcOf, c.L)
+			for _, shares := range []int{1, 2, 3, 5} {
+				dst := c.grabScratch()
+				for node := range dst {
+					clear(dst[node])
+				}
+				for w := 0; w < shares; w++ {
+					m.fill(dst, c.liveShards(), w, shares)
+				}
+				for j, a := range want {
+					if got := dst[uint64(j)>>c.L][uint64(j)&(c.LocalSize()-1)]; got != a {
+						t.Fatalf("P=%d %s in %d shares: amplitude %d is %v, want %v", p, sh.name, shares, j, got, a)
+					}
 				}
 			}
 		}
@@ -238,8 +279,10 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 // position 2 (runs of 4), a no-swap QFT's bit reversal (tiled), and the
 // two moves of the Fourier lowering — the swap of the node bits into
 // [L-p, L) (runs of 2^(L-p)) and the canonicalize of the output order it
-// leaves, a rotation by p (tiled). An exchanged shard pair, the memcpy
-// floor, is cluster.exchange_ns_per_amp in the benchmark's trace.
+// leaves, a rotation by p (tiled) — and, on one node, the reversal a
+// shard-local Fourier op leaves, in place against the mover. An
+// exchanged shard pair, the memcpy floor, is
+// cluster.exchange_ns_per_amp in the benchmark's trace.
 func BenchmarkMoveBits(b *testing.B) {
 	const n, nodes, p = 20, 4, 2
 	const L = n - p
@@ -278,6 +321,33 @@ func BenchmarkMoveBits(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.permuteBits(sh.srcOf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uint64(1)<<n), "ns/amp")
+		})
+	}
+	// One node holding the whole register, with the full-register
+	// reversal a Fourier op's DIF network leaves in the placement: undone
+	// in place by Canonicalize (fft's blocked reversal) against the
+	// out-of-place mover, both at the shard's worker count.
+	for _, path := range []string{"canonicalize", "mover"} {
+		b.Run("one-node-reversal/"+path, func(b *testing.B) {
+			c, err := New(n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.LoadState(statevec.NewRandom(n, rng.New(1))); err != nil {
+				b.Fatal(err)
+			}
+			c.permuteBits(reversal) // allocates the scratch set
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if path == "mover" {
+					c.permuteBits(reversal)
+					continue
+				}
+				c.reverseFieldPlacement(0, n)
+				c.Canonicalize()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uint64(1)<<n), "ns/amp")
 		})

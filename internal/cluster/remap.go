@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fft"
+)
 
 // Remap installs a new logical→physical placement with one batched
 // all-to-all (permuteBits): each amplitude is read and written exactly
@@ -45,10 +49,38 @@ func (c *Cluster) Remap(newPos []uint) {
 // Basis-state permutations, schedules and the samplers require the
 // canonical layout; the gate engine, the diagonals and the Fourier
 // lowering do not, and a Fourier op leaves its output order drifted for
-// the next Canonicalize to pay.
+// the next Canonicalize to pay. When the only drift is a field reversed
+// at physical [0, w) — what a shard-local Fourier op leaves — every shard
+// reverses its fibres in place with fft's blocked reversal, which moves
+// nothing between nodes and costs no round.
 func (c *Cluster) Canonicalize() {
 	if c.identityPlacement() {
 		return
 	}
+	if w, ok := c.reversedLowField(); ok {
+		c.op.bit = w
+		c.each(func(c *Cluster, p int) { fft.Reverse(c.shard(p), c.op.bit, c.shardWorkers()) })
+		copy(c.pos, c.ident)
+		return
+	}
 	c.Remap(c.ident)
+}
+
+// reversedLowField reports whether the placement is the identity but for
+// the logical field [0, w), w >= 2, lying reversed at physical [0, w).
+func (c *Cluster) reversedLowField() (uint, bool) {
+	w := c.pos[0] + 1
+	if w < 2 || w > c.L {
+		return 0, false
+	}
+	for q, p := range c.pos {
+		want := uint(q)
+		if want < w {
+			want = w - 1 - want
+		}
+		if p != want {
+			return 0, false
+		}
+	}
+	return w, true
 }

@@ -58,6 +58,10 @@ type Schedule struct {
 	Rounds int
 	// Gates counts the original gates across all ops.
 	Gates int
+	// local is the union of the ops' required masks: the qubits that must
+	// be node-local for every op of a remap-free schedule to run where it
+	// stands.
+	local uint64
 }
 
 // requiredMask returns the logical qubits an op needs node-local as a
@@ -131,6 +135,7 @@ func flattenPlan(plan *fuse.Plan) ([]Op, int) {
 // callers clamp their fusion width to the cluster's local capacity.
 func BuildSchedule(plan *fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) {
 	ops, gateCount := flattenPlan(plan)
+	s := &Schedule{NumQubits: n, LocalQubits: L, DiagonalOptimization: diagOpt, Gates: gateCount}
 	masks := make([]uint64, len(ops))
 	for i, op := range ops {
 		m := requiredMask(op, diagOpt)
@@ -138,9 +143,9 @@ func BuildSchedule(plan *fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) 
 			return nil, fmt.Errorf("cluster: op needs %d local qubits, nodes hold %d (lower the fusion width or the node count)", w, L)
 		}
 		masks[i] = m
+		s.local |= m
 	}
 
-	s := &Schedule{NumQubits: n, LocalQubits: L, DiagonalOptimization: diagOpt, Gates: gateCount}
 	pos := make([]uint, n)
 	for q := range pos {
 		pos[q] = uint(q)
@@ -293,8 +298,11 @@ func planRemap(pos []uint, masks []uint64, i int, n, L uint) []uint {
 
 // RunSchedule executes a schedule built for this cluster's shape: one
 // remap round per step that has one, then that step's ops with no
-// communication at all. The placement is canonicalised first, since
-// schedules are planned from the identity layout.
+// communication at all. Schedules are planned from the identity layout,
+// so the placement is canonicalised first — unless the schedule has no
+// remap and every op it holds is node-local under the current placement,
+// which always holds on one node: then the ops run through the placement
+// as it stands, and a Fourier op's output order survives a gate unit.
 func (c *Cluster) RunSchedule(s *Schedule) {
 	if s.NumQubits != c.NumQubits() || s.LocalQubits != c.L {
 		panic(fmt.Sprintf("cluster: schedule built for n=%d L=%d, cluster has n=%d L=%d",
@@ -303,7 +311,9 @@ func (c *Cluster) RunSchedule(s *Schedule) {
 	if s.DiagonalOptimization != c.DiagonalOptimization {
 		panic("cluster: schedule and cluster disagree on DiagonalOptimization")
 	}
-	c.Canonicalize()
+	if s.Remaps > 0 || !placementSatisfies(c.pos, s.local, c.L) {
+		c.Canonicalize()
+	}
 	for i := range s.Steps {
 		step := &s.Steps[i]
 		if step.Remap != nil {

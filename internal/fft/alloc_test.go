@@ -17,10 +17,12 @@ func TestTransformDoesNotAllocate(t *testing.T) {
 		data := make([]complex128, p.size)
 		data[1] = 1
 		for name, run := range map[string]func([]complex128){
-			"ForwardSerial":      p.ForwardSerial,
-			"InverseSerial":      p.InverseSerial,
-			"Unitary":            func(d []complex128) { p.Unitary(d, 1) },
-			"UnitaryBitReversed": func(d []complex128) { p.UnitaryBitReversed(d, 1) },
+			"ForwardSerial": p.ForwardSerial,
+			"InverseSerial": p.InverseSerial,
+			"Unitary":       func(d []complex128) { p.Unitary(d, 1) },
+			"ReversedOut":   func(d []complex128) { p.Transform(d, false, ReversedOut, 1) },
+			"ReversedIn":    func(d []complex128) { p.Transform(d, true, ReversedIn, 1) },
+			"Reverse":       func(d []complex128) { Reverse(d, lg, 1) },
 		} {
 			if n := testing.AllocsPerRun(20, func() { run(data) }); n != 0 {
 				t.Errorf("size 2^%d %s: %v allocs per run, want 0", lg, name, n)
@@ -30,8 +32,9 @@ func TestTransformDoesNotAllocate(t *testing.T) {
 }
 
 // TestTransformFieldInPlace pins the contiguous-fibre path of
-// TransformField: a field starting at bit 0 is transformed where it lies,
-// with no gather buffer and no allocation per call.
+// TransformField and Transform: a field starting at bit 0 is transformed
+// where it lies, in every order, and reversed fibre by fibre, with no
+// gather buffer and no allocation per call.
 func TestTransformFieldInPlace(t *testing.T) {
 	p, err := NewPlan(1 << 6)
 	if err != nil {
@@ -43,6 +46,14 @@ func TestTransformFieldInPlace(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { p.TransformField(amps, 0, inverse, 1) }); n != 0 {
 			t.Errorf("inverse=%v: %v allocs per run, want 0", inverse, n)
 		}
+		for _, order := range []Order{ReversedOut, ReversedIn} {
+			if n := testing.AllocsPerRun(20, func() { p.Transform(amps, inverse, order, 1) }); n != 0 {
+				t.Errorf("inverse=%v order=%d: %v allocs per run, want 0", inverse, order, n)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { Reverse(amps, 6, 1) }); n != 0 {
+		t.Errorf("Reverse: %v allocs per run, want 0", n)
 	}
 }
 

@@ -23,9 +23,11 @@ func withBody(asm bool, f func()) {
 // perfmodel.Default().FFTNs comes from: at n = 20, on one and two workers
 // and through both bodies, ns per amplitude of every pass of the network
 // taken alone (each group as a full pass, DIT and DIF), of the blocked
-// pass that runs the small-span groups together, of the reordering pass
-// and of the whole natural-order transform — beside an ApplyHadamard
-// sweep of a state of the same size, the bandwidth yardstick.
+// pass that runs the small-span groups together, of the reordering pass,
+// of the whole natural-order and ReversedOut transforms, and of a
+// transform and its inverse in natural order against the reordered pair
+// (ReversedOut, then ReversedIn) — beside an ApplyHadamard sweep of a
+// state of the same size, the bandwidth yardstick.
 //
 //	go test -run xxx -bench BenchmarkFFTStages ./internal/fft/
 func BenchmarkFFTStages(b *testing.B) {
@@ -83,8 +85,23 @@ func BenchmarkFFTStages(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/unitary/workers=%d", body.name, workers), func(b *testing.B) {
 					report(b, func() { p.Unitary(data, workers) })
 				})
-				b.Run(fmt.Sprintf("%s/unitary-bitreversed/workers=%d", body.name, workers), func(b *testing.B) {
-					report(b, func() { p.UnitaryBitReversed(data, workers) })
+				b.Run(fmt.Sprintf("%s/reversed-out/workers=%d", body.name, workers), func(b *testing.B) {
+					report(b, func() { p.Transform(data, false, ReversedOut, workers) })
+				})
+				// A transform and its inverse: in natural order on both
+				// sides, and as the reordered pair a caller that tracks
+				// the order runs (two networks, no reordering pass).
+				b.Run(fmt.Sprintf("%s/pair-natural/workers=%d", body.name, workers), func(b *testing.B) {
+					report(b, func() {
+						p.Transform(data, false, Natural, workers)
+						p.Transform(data, true, Natural, workers)
+					})
+				})
+				b.Run(fmt.Sprintf("%s/pair-reordered/workers=%d", body.name, workers), func(b *testing.B) {
+					report(b, func() {
+						p.Transform(data, false, ReversedOut, workers)
+						p.Transform(data, true, ReversedIn, workers)
+					})
 				})
 			})
 		}

@@ -1,6 +1,8 @@
 package fft
 
 import (
+	"fmt"
+
 	"repro/internal/bitops"
 	"repro/internal/par"
 )
@@ -15,6 +17,44 @@ const tileSide = 1 << tileLog
 
 // tile is the stack buffer one tile is staged in.
 type tile [tileSide * tileSide]complex128
+
+// Reverse reverses the low w index bits of amps in place: within every
+// contiguous fibre of 2^w amplitudes, offset k and offset rev(k) trade
+// places. It is the reordering pass of a Natural transform on its own —
+// what turns a ReversedOut result into natural order — run over the whole
+// vector on the given number of workers, or fibre by fibre with the
+// fibres shared out over them. len(amps) must be a multiple of 2^w.
+func Reverse(amps []complex128, w uint, workers int) {
+	size := uint64(1) << w
+	total := uint64(len(amps))
+	if total < size || total%size != 0 {
+		panic(fmt.Sprintf("fft: reversal of %d-bit fibres does not tile %d amplitudes", w, total))
+	}
+	if workers < 1 || total < minParallel {
+		workers = 1
+	}
+	if total == size {
+		bitReverse(amps, w, workers)
+		return
+	}
+	outer := total >> w
+	if workers == 1 {
+		reverseFibres(amps, w, 0, outer)
+		return
+	}
+	k := min(uint64(workers), outer)
+	par.For(int(k), func(i int) { reverseFibres(amps, w, uint64(i)*outer/k, uint64(i+1)*outer/k) })
+}
+
+// reverseFibres reverses fibres [lo, hi) of 2^w amplitudes on the calling
+// goroutine.
+//
+//qemu:hotpath
+func reverseFibres(amps []complex128, w uint, lo, hi uint64) {
+	for o := lo; o < hi; o++ {
+		bitReverse(amps[o<<w:(o+1)<<w], w, 1)
+	}
+}
 
 // bitReverse permutes data, of length 2^n, into bit-reversed order in
 // place, on the given number of workers.

@@ -30,12 +30,20 @@
 //
 // # Reversal
 //
-// The natural-order entry points put one reordering pass in front of the
-// DIT network: bitReverse (bitrev.go), which exchanges 2^q x 2^q tiles
-// through two stack buffers so that memory is only ever touched in
-// contiguous runs, in parallel over tiles. The *BitReversed entry points
-// skip it — they are the operators of the QFT circuit without its final
-// swaps.
+// Each network works in one pair of orders: decimation in time reads
+// bit-reversed input and writes natural order, decimation in frequency
+// reads natural order and writes bit-reversed output. Transform exposes
+// all three orders a caller can want (Order): Natural puts one reordering
+// pass, bitReverse (bitrev.go), in front of the DIT network; ReversedOut is
+// the DIF network alone (S·F, S the bit reversal); ReversedIn is the DIT
+// network alone (F·S). Each runs forward or inverse, over the whole vector
+// or over its contiguous fibres, and a ReversedOut transform is undone by
+// a ReversedIn one, so a caller that can keep track of the order — the
+// cluster records it in its qubit placement — pays two networks and no
+// reordering pass for a transform and its inverse. bitReverse exchanges
+// 2^q x 2^q tiles through two stack buffers so that memory is only ever
+// touched in contiguous runs, in parallel over tiles; Reverse is that pass
+// on its own, for a caller that must restore natural order.
 //
 // # Sharing
 //
@@ -138,10 +146,29 @@ func newPlan(n uint) *Plan {
 	return &Plan{n: n, size: 1 << n, groups: stageGroups(n)}
 }
 
+// Order selects which side of a transform is in bit-reversed index order.
+type Order uint8
+
+const (
+	// Natural reads and writes natural order: the reordering pass, then
+	// the DIT network.
+	Natural Order = iota
+	// ReversedOut reads natural order and writes the result bit-reversed,
+	// S·F: the DIF network alone. It is the operator of the QFT circuit
+	// without its final reversal swaps (qft.CircuitNoSwap).
+	ReversedOut
+	// ReversedIn reads bit-reversed input and writes natural order, F·S:
+	// the DIT network alone. It undoes ReversedOut of the opposite
+	// direction, and is the operator of qft.CircuitNoSwap(n).Dagger() when
+	// inverse.
+	ReversedIn
+)
+
 // Forward computes the unnormalised transform with the +i sign convention,
 // in place, on GOMAXPROCS workers. len(data) must equal the plan size.
 func (p *Plan) Forward(data []complex128) {
-	p.transform(data, false, 1, runtime.GOMAXPROCS(0))
+	p.check(data)
+	p.apply(data, false, Natural, 1, runtime.GOMAXPROCS(0))
 }
 
 // unitaryScale is the 1/sqrt(N) of the unitary transforms. It is folded
@@ -152,28 +179,33 @@ func (p *Plan) unitaryScale() float64 { return 1 / math.Sqrt(float64(p.size)) }
 // workers: Forward scaled by 1/sqrt(N). Applying it to a state vector
 // performs the paper's Eq. 4.
 func (p *Plan) Unitary(data []complex128, workers int) {
-	p.transform(data, false, p.unitaryScale(), workers)
+	p.check(data)
+	p.apply(data, false, Natural, p.unitaryScale(), workers)
 }
 
-// UnitaryBitReversed computes the unitary transform composed with the
-// bit-reversal permutation S: data <- S·F·data, with no reordering pass
-// at all — it is the decimation-in-frequency network, whose naturally
-// bit-reversed output is exactly what the composition asks for. This is
-// the operator of the QFT circuit without its final reversal swaps
-// (qft.CircuitNoSwap), which is why the emulation dispatcher wants it as
-// a primitive.
-func (p *Plan) UnitaryBitReversed(data []complex128, workers int) {
-	p.check(data)
-	p.network(data, true, false, p.unitaryScale(), workers)
-}
-
-// UnitaryInverseFromBitReversed computes F⁻¹·S: the inverse unitary
-// transform consuming bit-reversed input — the decimation-in-time stages
-// with the reordering pass elided. It is the exact inverse of
-// UnitaryBitReversed and the operator of qft.CircuitNoSwap.Dagger().
-func (p *Plan) UnitaryInverseFromBitReversed(data []complex128, workers int) {
-	p.check(data)
-	p.network(data, false, true, p.unitaryScale(), workers)
+// Transform applies the unitary transform (inverse: its adjoint) in the
+// given order to every contiguous fibre of the plan's size in amps — the
+// whole vector when len(amps) is the plan size, else len(amps)/size
+// fibres shared out over the workers. It is TransformField at pos 0 with
+// a choice of order.
+func (p *Plan) Transform(amps []complex128, inverse bool, order Order, workers int) {
+	total := uint64(len(amps))
+	if total < p.size || total%p.size != 0 {
+		panic(fmt.Sprintf("fft: field transform of size %d does not tile %d amplitudes", p.size, total))
+	}
+	scale := p.unitaryScale()
+	if total == p.size {
+		p.apply(amps, inverse, order, scale, workers)
+		return
+	}
+	p.build(workers)
+	outer := total >> p.n
+	if workers <= 1 || total < minParallel {
+		p.fibres(amps, inverse, order, scale, 0, outer)
+		return
+	}
+	w := min(uint64(workers), outer)
+	par.For(int(w), func(k int) { p.fibres(amps, inverse, order, scale, uint64(k)*outer/w, uint64(k+1)*outer/w) })
 }
 
 func (p *Plan) check(data []complex128) {
@@ -182,12 +214,13 @@ func (p *Plan) check(data []complex128) {
 	}
 }
 
-// transform is the natural-order transform: the reordering pass, then the
-// decimation-in-time network.
-func (p *Plan) transform(data []complex128, inverse bool, scale float64, workers int) {
-	p.check(data)
-	bitReverse(data, p.n, p.effective(workers))
-	p.network(data, false, inverse, scale, workers)
+// apply runs one transform of the plan's size in the given order: the
+// reordering pass and the DIT network for Natural, one network otherwise.
+func (p *Plan) apply(data []complex128, inverse bool, order Order, scale float64, workers int) {
+	if order == Natural {
+		bitReverse(data, p.n, p.effective(workers))
+	}
+	p.network(data, order == ReversedOut, inverse, scale, workers)
 }
 
 // minParallel is the smallest transform that benefits from fanning out.

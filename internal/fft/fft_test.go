@@ -16,12 +16,12 @@ import (
 )
 
 // ForwardSerial is Forward restricted to the calling goroutine.
-func (p *Plan) ForwardSerial(data []complex128) { p.transform(data, false, 1, 1) }
+func (p *Plan) ForwardSerial(data []complex128) { p.check(data); p.apply(data, false, Natural, 1, 1) }
 
 // InverseSerial computes the unnormalised transform with the -i sign
 // convention, in place, on the calling goroutine: InverseSerial(Forward(x))
 // == N*x.
-func (p *Plan) InverseSerial(data []complex128) { p.transform(data, true, 1, 1) }
+func (p *Plan) InverseSerial(data []complex128) { p.check(data); p.apply(data, true, Natural, 1, 1) }
 
 // TestMain runs the suite twice on a host that runs the assembly
 // butterflies: the second pass is on the pure-Go body, the one every other
@@ -87,11 +87,11 @@ func DFT(data []complex128, sign int) []complex128 {
 
 // inverse runs the unnormalised transform with the -i sign convention, in
 // natural order, on two workers: inverse(Forward(x)) == N*x.
-func inverse(p *Plan, data []complex128) { p.transform(data, true, 1, 2) }
+func inverse(p *Plan, data []complex128) { p.check(data); p.apply(data, true, Natural, 1, 2) }
 
 // unitaryInverse is the inverse QFT: inverse scaled by 1/sqrt(N).
 func unitaryInverse(p *Plan, data []complex128, workers int) {
-	p.transform(data, true, p.unitaryScale(), workers)
+	p.Transform(data, true, Natural, workers)
 }
 
 func mustPlan(t testing.TB, size uint64) *Plan {
@@ -217,31 +217,51 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
-// TestBitReversedEntryPoints pins the zero-reorder transforms the
-// emulation dispatcher uses: UnitaryBitReversed must equal the unitary
-// transform composed with the bit-reversal permutation, and
-// UnitaryInverseFromBitReversed must be its exact inverse — across sizes
-// covering every stage-group tiling (lone radix-2, radix-4 head,
-// radix-8 runs).
+// TestBitReversedEntryPoints pins the reordered orders of Transform
+// against the natural-order transform: ReversedOut must equal it composed
+// with the bit reversal S of every fibre, ReversedIn must equal it applied
+// to S·x, and a ReversedIn of the opposite direction must undo a
+// ReversedOut exactly — forward and inverse, over the whole vector and
+// over four contiguous fibres, across sizes covering every stage-group
+// tiling (lone radix-2, radix-4 head, radix-8 runs). Reverse must be S.
 func TestBitReversedEntryPoints(t *testing.T) {
-	for n := uint(1); n <= 10; n++ {
+	for n := uint(0); n <= 10; n++ {
 		size := uint64(1) << n
 		p := mustPlan(t, size)
-		orig := randomVector(rng.New(7+uint64(n)), int(size))
-		want := clone(orig)
-		p.Unitary(want, 1)
-		perm := make([]complex128, size)
-		for i := uint64(0); i < size; i++ {
-			perm[bitops.ReverseBits(i, n)] = want[i]
-		}
-		got := clone(orig)
-		p.UnitaryBitReversed(got, 2)
-		if d := maxDiff(got, perm); d > 1e-12 {
-			t.Fatalf("n=%d: UnitaryBitReversed differs from S·F by %g", n, d)
-		}
-		p.UnitaryInverseFromBitReversed(got, 2)
-		if d := maxDiff(got, orig); d > 1e-11 {
-			t.Fatalf("n=%d: inverse round trip differs by %g", n, d)
+		for _, fibres := range []uint64{1, 4} {
+			orig := randomVector(rng.New(7+uint64(n)), int(size*fibres))
+			// rev is S on every fibre, by the definition.
+			rev := func(v []complex128) []complex128 {
+				out := make([]complex128, len(v))
+				for i := range v {
+					o, k := uint64(i)>>n, uint64(i)&(size-1)
+					out[o<<n|bitops.ReverseBits(k, n)] = v[i]
+				}
+				return out
+			}
+			got := clone(orig)
+			Reverse(got, n, 2)
+			if d := maxDiff(got, rev(orig)); d != 0 {
+				t.Fatalf("n=%d fibres=%d: Reverse differs from S by %g", n, fibres, d)
+			}
+			for _, inv := range []bool{false, true} {
+				natural := clone(orig)
+				p.Transform(natural, inv, Natural, 2)
+				got := clone(orig)
+				p.Transform(got, inv, ReversedOut, 2)
+				if d := maxDiff(got, rev(natural)); d > 1e-12 {
+					t.Fatalf("n=%d fibres=%d inverse=%v: ReversedOut differs from S·F by %g", n, fibres, inv, d)
+				}
+				p.Transform(got, !inv, ReversedIn, 2)
+				if d := maxDiff(got, orig); d > 1e-11 {
+					t.Fatalf("n=%d fibres=%d inverse=%v: ReversedIn does not undo ReversedOut: off by %g", n, fibres, inv, d)
+				}
+				got = rev(orig)
+				p.Transform(got, inv, ReversedIn, 2)
+				if d := maxDiff(got, natural); d > 1e-12 {
+					t.Fatalf("n=%d fibres=%d inverse=%v: ReversedIn differs from F·S by %g", n, fibres, inv, d)
+				}
+			}
 		}
 	}
 }
@@ -552,8 +572,12 @@ func TestWorkerCountIsExact(t *testing.T) {
 	p.InverseSerial(x)
 	p.Unitary(x, 1)
 	unitaryInverse(p, x, 1)
-	p.UnitaryBitReversed(x, 1)
-	p.UnitaryInverseFromBitReversed(x, 1)
+	for _, order := range []Order{ReversedOut, ReversedIn} {
+		p.Transform(x, false, order, 1)
+		field.Transform(x, true, order, 1)
+	}
+	Reverse(x, n, 1)
+	Reverse(x, 6, 1)
 	field.TransformField(x, 0, false, 1)
 	field.TransformField(x, 3, true, 1)
 	if got := parOffCaller.Load() - before; got != 0 {
@@ -606,12 +630,18 @@ func TestTransformField(t *testing.T) {
 
 // FuzzTransform draws size, entry point, worker count and data from the
 // input and checks, for whichever transform it picked, that it agrees
-// between the two bodies and that its inverse undoes it.
+// between the two bodies and that its inverse undoes it. The entry points
+// are the natural-order ones and the two reordered orders of Transform in
+// both directions, over the whole vector and over the contiguous fibres
+// of a field half as wide, each paired with the order of the opposite
+// direction that undoes it (ReversedOut with ReversedIn and back).
 func FuzzTransform(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(1), []byte("seed"))
 	f.Add(uint8(11), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(13), uint8(2), uint8(3), []byte{0xff, 0, 0x80})
 	f.Add(uint8(15), uint8(3), uint8(2), []byte{})
+	f.Add(uint8(14), uint8(5), uint8(2), []byte{7, 1, 200})
+	f.Add(uint8(9), uint8(10), uint8(3), []byte{3, 0, 9, 77})
 	f.Fuzz(func(t *testing.T, lg, entry, workers uint8, raw []byte) {
 		n := uint(lg % 17)
 		w := int(workers%4) + 1
@@ -627,28 +657,39 @@ func FuzzTransform(f *testing.F) {
 		// Each entry point with the one that undoes it and the factor the
 		// pair leaves behind.
 		type transform func([]complex128)
-		pairs := []struct {
+		type pair struct {
 			do, undo transform
 			factor   float64
-		}{
+		}
+		pairs := []pair{
 			{p.Forward, func(d []complex128) { inverse(p, d) }, float64(p.size)},
 			{p.InverseSerial, p.ForwardSerial, float64(p.size)},
 			{func(d []complex128) { p.Unitary(d, w) }, func(d []complex128) { unitaryInverse(p, d, w) }, 1},
-			{func(d []complex128) { p.UnitaryBitReversed(d, w) }, func(d []complex128) { p.UnitaryInverseFromBitReversed(d, w) }, 1},
 			{func(d []complex128) { p.TransformField(d, 0, false, w) }, func(d []complex128) { p.TransformField(d, 0, true, w) }, 1},
 		}
-		pair := pairs[int(entry)%len(pairs)]
+		// The reordered orders, each paired with the one of the opposite
+		// direction that undoes it, over the whole vector and over the
+		// contiguous fibres of a field half as wide.
+		half := mustPlan(t, 1<<(n/2))
+		for _, q := range []*Plan{p, half} {
+			for _, inv := range []bool{false, true} {
+				pairs = append(pairs,
+					pair{func(d []complex128) { q.Transform(d, inv, ReversedOut, w) }, func(d []complex128) { q.Transform(d, !inv, ReversedIn, w) }, 1},
+					pair{func(d []complex128) { q.Transform(d, inv, ReversedIn, w) }, func(d []complex128) { q.Transform(d, !inv, ReversedOut, w) }, 1})
+			}
+		}
+		pr := pairs[int(entry)%len(pairs)]
 		got := clone(x)
-		pair.do(got)
+		pr.do(got)
 		pure := clone(x)
-		withBody(false, func() { pair.do(pure) })
+		withBody(false, func() { pr.do(pure) })
 		tol := 1e-12 * float64(p.size)
 		if d := maxDiff(got, pure); d > tol {
 			t.Fatalf("n=%d entry=%d workers=%d: bodies differ by %g", n, entry, w, d)
 		}
-		pair.undo(got)
+		pr.undo(got)
 		for i := range got {
-			got[i] /= complex(pair.factor, 0)
+			got[i] /= complex(pr.factor, 0)
 		}
 		if d := maxDiff(got, x); d > tol {
 			t.Fatalf("n=%d entry=%d workers=%d: round trip off by %g", n, entry, w, d)

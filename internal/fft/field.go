@@ -18,8 +18,8 @@ import (
 // their Fourier regions through it.
 //
 // With pos = 0 a fibre is a contiguous run of amps and is transformed
-// where it lies; otherwise each worker gathers its fibres through one
-// buffer of the plan's size.
+// where it lies (Transform in Natural order); otherwise each worker
+// gathers its fibres through one buffer of the plan's size.
 func (p *Plan) TransformField(amps []complex128, pos uint, inverse bool, workers int) {
 	size := p.size
 	total := uint64(len(amps))
@@ -29,9 +29,8 @@ func (p *Plan) TransformField(amps []complex128, pos uint, inverse bool, workers
 	if pos+p.n > bitops.Log2(total) {
 		panic(fmt.Sprintf("fft: field [%d,%d) exceeds index width %d", pos, pos+p.n, bitops.Log2(total)))
 	}
-	scale := p.unitaryScale()
-	if total == size {
-		p.transform(amps, inverse, scale, workers)
+	if pos == 0 {
+		p.Transform(amps, inverse, Natural, workers)
 		return
 	}
 	p.build(workers)
@@ -40,26 +39,19 @@ func (p *Plan) TransformField(amps []complex128, pos uint, inverse bool, workers
 		workers = 1
 	}
 	w := min(uint64(workers), outer)
-	if pos == 0 {
-		if workers == 1 {
-			p.fibres(amps, inverse, scale, 0, outer)
-			return
-		}
-		par.For(int(w), func(k int) { p.fibres(amps, inverse, scale, uint64(k)*outer/w, uint64(k+1)*outer/w) })
-		return
-	}
+	scale := p.unitaryScale()
 	par.For(int(w), func(k int) {
 		p.stridedFibres(amps, make([]complex128, size), pos, inverse, scale, uint64(k)*outer/w, uint64(k+1)*outer/w)
 	})
 }
 
 // fibres transforms the contiguous fibres [lo, hi) of the field at bit 0
-// where they lie, on the calling goroutine.
+// where they lie, in the given order, on the calling goroutine.
 //
 //qemu:hotpath
-func (p *Plan) fibres(amps []complex128, inverse bool, scale float64, lo, hi uint64) {
+func (p *Plan) fibres(amps []complex128, inverse bool, order Order, scale float64, lo, hi uint64) {
 	for o := lo; o < hi; o++ {
-		p.transform(amps[o*p.size:(o+1)*p.size], inverse, scale, 1)
+		p.apply(amps[o*p.size:(o+1)*p.size], inverse, order, scale, 1)
 	}
 }
 
@@ -74,7 +66,7 @@ func (p *Plan) stridedFibres(amps, buf []complex128, pos uint, inverse bool, sca
 		for k := range buf {
 			buf[k] = amps[rest|uint64(k)*stride]
 		}
-		p.transform(buf, inverse, scale, 1)
+		p.apply(buf, inverse, Natural, scale, 1)
 		for k, v := range buf {
 			amps[rest|uint64(k)*stride] = v
 		}

@@ -333,18 +333,18 @@ func (op *Op) fieldAdd() (statevec.FieldAdd, bool) {
 
 func (op *Op) applyQFT(st *statevec.State) {
 	amps, workers := st.Amplitudes(), st.Workers()
-	full := op.pos == 0 && op.width == st.NumQubits()
 	// CircuitNoSwap is the reversal swaps composed after the exact QFT
 	// (the swap network is an involution), so the noswap variants are the
-	// transform with the field bit reversal composed on the output side.
-	// On the full register that is the plan's bit-reversed-order entry
-	// points, which run the butterfly network with no reordering pass.
-	if full && op.noswap {
+	// transform with the field bit reversal composed on the output side:
+	// S·F forward, F⁻¹·S inverse. On a field at bit 0 those are the
+	// plan's reordered orders, which run the butterfly network with no
+	// reordering pass.
+	if op.pos == 0 && op.noswap {
+		order := fft.ReversedOut
 		if op.inverse {
-			op.plan.UnitaryInverseFromBitReversed(amps, workers)
-		} else {
-			op.plan.UnitaryBitReversed(amps, workers)
+			order = fft.ReversedIn
 		}
+		op.plan.Transform(amps, op.inverse, order, workers)
 		return
 	}
 	reverse := func() {
