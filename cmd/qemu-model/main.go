@@ -70,8 +70,8 @@ func main() {
 		m.Name, m.FLOPSPeak/1e9, m.EffFFT*100, m.BMemNode/1e9, m.BNetNode/1e9)
 
 	meas := perfmodel.Active()
-	fmt.Printf("measured model (%s): sweep %.2f, diag %.2f, perm %.2f, fft %.2f, remap %.2f ns/amp\n\n",
-		meas.Source, meas.SweepNs, meas.DiagNs, meas.PermNs, meas.FFTNs, meas.RemapNs)
+	fmt.Printf("measured model (%s): sweep %.2f, diag %.2f, perm %.2f, fft %.2f, remap %.2f, fill %.2f ns/amp\n\n",
+		meas.Source, meas.SweepNs, meas.DiagNs, meas.PermNs, meas.FFTNs, meas.RemapNs, meas.FillNs)
 
 	pts := m.WeakScaling(*minQ, *maxQ)
 	var rows [][]string

@@ -207,6 +207,9 @@ func run(path, backendName string, fuseWidth int, emulate string, nodes, shots, 
 
 	// The unified Result: emulated regions, fused blocks, communication.
 	fmt.Printf("run: %v\n", res)
+	if res.Prefix != nil {
+		fmt.Printf("  %v\n", res.Prefix)
+	}
 	for _, r := range res.Emulated {
 		fmt.Printf("  emulated %v\n", r)
 	}

@@ -319,11 +319,33 @@ type Result struct {
 	PlannedRemaps int
 	// Comm is the communication the run actually paid.
 	Comm Comm
+	// Prefix describes the first unit's product prefix, nil when the
+	// executable has none.
+	Prefix *PrefixReport
 	// Selection, on executables compiled for an Auto target, is the
 	// profile-driven choice that produced the execution shape: the
 	// chosen target, every candidate's predicted cost, and the
 	// per-region verdicts. Nil on explicitly-targeted compiles.
 	Selection *Selection
+}
+
+// PrefixReport describes an executable's product prefix: its gates, the
+// widths of its clusters and the bytes its fill holds, and on a Result
+// whether the run filled it (a fresh register) or ran its gates.
+type PrefixReport struct {
+	Gates  int
+	Widths []int
+	Bytes  int
+	Filled bool
+}
+
+func (p *PrefixReport) String() string {
+	how := "ran as gates (register not fresh)"
+	if p.Filled {
+		how = "filled"
+	}
+	return fmt.Sprintf("product prefix: %d gates in clusters of %v qubits (%d B of fill tables), %s",
+		p.Gates, p.Widths, p.Bytes, how)
 }
 
 func (r *Result) String() string {

@@ -69,25 +69,42 @@ func (b *clusterBackend) ApplyKraus(m gates.Matrix2, q uint) float64 {
 
 // RunUnits executes units [lo, hi) against the current distributed state:
 // recognised ops lower through Cluster.ApplyOp, gate segments execute
-// their precompiled communication schedules.
+// their precompiled communication schedules. A unit with a product
+// prefix starts a fresh register with the prefix's fill and then runs the
+// remainder's schedule; any other register runs the prefix's schedule,
+// which holds the remainder too.
 func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
+	_, err := b.runUnits(x, lo, hi)
+	return err
+}
+
+// runUnits is RunUnits, reporting whether a product prefix filled.
+func (b *clusterBackend) runUnits(x *Executable, lo, hi int) (filled bool, err error) {
 	if b.closed.Load() {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	if err := checkShape(x.Target, b.t); err != nil {
-		return err
+		return false, err
 	}
 	for i := lo; i < hi; i++ {
 		u := &x.Units[i]
 		if u.Op != nil {
 			if _, err := b.c.ApplyOp(u.Op); err != nil {
-				return err
+				return filled, err
 			}
 			continue
 		}
+		if p := u.Prefix; p != nil {
+			if !b.c.Fresh() {
+				b.c.RunSchedule(p.Sched())
+				continue
+			}
+			b.c.FillProduct(p.Fill)
+			filled = true
+		}
 		b.c.RunSchedule(u.Sched)
 	}
-	return nil
+	return filled, nil
 }
 
 // Run dispatches the whole executable through RunUnits, reporting the
@@ -95,11 +112,15 @@ func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
 func (b *clusterBackend) Run(x *Executable) (*Result, error) {
 	before := b.c.Stats.Snapshot()
 	elapsed := perfmodel.Clock()
-	if err := b.RunUnits(x, 0, len(x.Units)); err != nil {
+	filled, err := b.runUnits(x, 0, len(x.Units))
+	if err != nil {
 		return nil, err
 	}
 	res := x.result()
 	res.Wall = elapsed()
+	if res.Prefix != nil {
+		res.Prefix.Filled = filled
+	}
 	after := b.c.Stats.Snapshot()
 	res.Comm = Comm{
 		Rounds:    after.Rounds - before.Rounds,

@@ -27,6 +27,11 @@ type Unit struct {
 	Gates []gates.Gate
 	Fused *fuse.Plan
 	Sched *cluster.Schedule
+	// Prefix, on the first unit of a noise-free cluster executable when it
+	// is a gate unit, is the segment's commuting product prefix (prefix.go);
+	// Fused and Sched then plan the remainder, the unit's other gates. Nil
+	// when the segment has none or the cost model prices it no cheaper.
+	Prefix *Prefix
 	// Lo and Hi bound the unit's gate range in the source circuit.
 	Lo, Hi int
 }
@@ -48,7 +53,8 @@ type Executable struct {
 	PlannedRemaps int
 	// PlannedRounds is the scheduler's total communication round budget
 	// for the gate segments (remaps + exchange gates); recognised ops add
-	// their own collective rounds at run time.
+	// their own collective rounds at run time. Both counts leave out a
+	// product prefix's schedule: a run from |0...0> fills instead.
 	PlannedRounds int
 	// Noise is the compiled insertion-point plan of the source circuit's
 	// noise model, aligned to the unit schedule (a hard point's gate closes
@@ -72,7 +78,8 @@ type Executable struct {
 }
 
 // FusionStats sums the fusion plans' statistics over the executable's
-// gate units: what the planner made of everything that is not emulated.
+// gate units: what the planner made of everything that is not emulated
+// or, in a product prefix, filled.
 func (x *Executable) FusionStats() fuse.Stats {
 	var st fuse.Stats
 	for i := range x.Units {
@@ -144,7 +151,8 @@ func Compile(c *circuit.Circuit, t Target) (*Executable, error) {
 // the shared back half.
 func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {
 	prof, plan := ProfileCircuit(c)
-	sel := SelectTarget(prof, perfmodel.Active())
+	m := perfmodel.Active()
+	sel := SelectTarget(prof, m)
 
 	resolved := sel.Chosen
 	resolved.Workers = t.Workers
@@ -163,7 +171,12 @@ func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {
 	plan = plan.Filter(func(op *recognize.Op) bool {
 		return emulate[[2]int{op.Lo, op.Hi}]
 	}, "auto cost model: fused gate path predicted faster")
-	return finishCompile(c, resolved, plan, &sel)
+	x, err := finishCompile(c, resolved, plan, &sel)
+	if err != nil {
+		return nil, err
+	}
+	sel.priceFill(x, m)
+	return x, nil
 }
 
 // finishCompile is the pipeline's shared back half: lowerability
@@ -179,6 +192,7 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 	// strike through — and its gates then fuse like any other segment;
 	// ops struck only after their last gate keep their shortcuts.
 	noise := resolveNoise(c)
+	x.Noise = noise
 	if noise != nil {
 		plan = plan.Filter(func(op *recognize.Op) bool {
 			return len(noise.PointsIn(op.Lo, op.Hi-1)) == 0
@@ -210,7 +224,6 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 			return nil, err
 		}
 	}
-	x.Noise = noise
 	return x, nil
 }
 
@@ -227,16 +240,24 @@ func (x *Executable) addOpUnit(op *recognize.Op, substrate string, lo, hi int) {
 // the target's shard width (on one node, L = n: every op local, no remap)
 // — deterministic pure functions of (gates, target), which is what lets
 // the artifact decoder rebuild them instead of shipping them on the wire.
-// The Generic baseline replays the raw gate stream and gets neither.
+// The first unit of a noise-free executable also splits off its product
+// prefix (prefix.go) when the cost model says the fill pays, and then
+// plans only the remainder: the prefix's gates are planned once, on the
+// first run from a register that is not fresh. The Generic baseline
+// replays the raw gate stream and gets none of it.
 func (x *Executable) addGateUnit(gs []gates.Gate, lo, hi int) error {
 	t := x.Target
 	u := Unit{Gates: gs, Lo: lo, Hi: hi}
 	if t.Kind != Generic {
-		u.Fused = fuse.New(&circuit.Circuit{NumQubits: x.NumQubits, Gates: gs}, int(t.effectiveFuseWidth()))
-		for i := range u.Fused.Blocks {
-			if u.Fused.Blocks[i].Fused() {
-				x.FusedBlocks++
-			}
+		w := int(t.effectiveFuseWidth())
+		var rest []int
+		if len(x.Units) == 0 && x.Noise == nil {
+			u.Prefix, rest = productPrefix(gs, x.NumQubits, t.LocalQubits(), w)
+		}
+		if u.Prefix == nil {
+			u.Fused = x.countFused(fuse.New(&circuit.Circuit{NumQubits: x.NumQubits, Gates: gs}, w))
+		} else {
+			u.Fused = x.countFused(fuse.NewOf(gs, rest, w))
 		}
 		sched, err := cluster.BuildSchedule(u.Fused, t.NumQubits, t.LocalQubits(), true)
 		if err != nil {
@@ -245,9 +266,22 @@ func (x *Executable) addGateUnit(gs []gates.Gate, lo, hi int) error {
 		u.Sched = sched
 		x.PlannedRemaps += sched.Remaps
 		x.PlannedRounds += sched.Rounds
+		if u.Prefix != nil {
+			u.Prefix.rest = u.Fused
+		}
 	}
 	x.Units = append(x.Units, u)
 	return nil
+}
+
+// countFused adds a fusion plan's fused blocks to the summary count.
+func (x *Executable) countFused(plan *fuse.Plan) *fuse.Plan {
+	for i := range plan.Blocks {
+		if plan.Blocks[i].Fused() {
+			x.FusedBlocks++
+		}
+	}
+	return plan
 }
 
 // result builds the compile-time part of a Result; Run fills Wall and
@@ -260,6 +294,13 @@ func (x *Executable) result() *Result {
 		FusedBlocks:   x.FusedBlocks,
 		PlannedRemaps: x.PlannedRemaps,
 		Selection:     x.Selection,
+	}
+	if len(x.Units) > 0 && x.Units[0].Prefix != nil {
+		p := x.Units[0].Prefix
+		r.Prefix = &PrefixReport{Gates: len(p.Index), Bytes: p.Fill.Bytes()}
+		for _, c := range p.Clusters {
+			r.Prefix.Widths = append(r.Prefix.Widths, len(c))
+		}
 	}
 	for _, u := range x.Units {
 		if u.Op == nil {

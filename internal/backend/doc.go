@@ -32,6 +32,32 @@
 //     remote-qubit work into all-to-all remap rounds; at L = n, one
 //     node, it is one remap-free step.
 //
+// # The product prefix
+//
+// Between passes 3 and 4 the first unit, when it is a gate segment of a
+// noise-free cluster executable, splits off its commuting product prefix
+// (prefix.go): the gates whose qubits no earlier remainder gate touched,
+// grouped by interaction into clusters of at most ⌊n/2⌋ qubits. They
+// commute past every remainder gate before them, so the unit is the prefix
+// and then the remainder. The split is taken when fuse.FillCost plus the
+// remainder's fuse.CostOf is below the whole segment's fuse.Cost; then the
+// lowering simulates each cluster's vector once, lays their product out
+// for the shards (statevec.Product), and plans the remainder alone
+// (fuse.NewOf): Unit.Fused and Unit.Sched. Prefix.Sched plans the prefix's
+// gates, once, on the first run that needs them, and schedules their
+// blocks followed by the remainder's as one run (cluster.BuildScheduleOf).
+// Run reads the cluster's fresh flag (set by New and Reset, cleared by
+// every write, kept by CopyState): a fresh register gets the fill and then
+// the remainder's schedule, any other register Prefix.Sched. The Generic
+// reference, an executable with a noise plan and every later unit never
+// hold a prefix.
+// Decode rebuilds it through addGateUnit as Compile does, so artifacts and
+// fingerprints do not see it; VerifyExecutable checks it (disjoint
+// clusters within the cap, each prefix gate inside one cluster and clear
+// of every earlier remainder gate, the index ascending, unit-norm cluster
+// states). The auto selector ranks candidates without it and takes what
+// the fill saves off the chosen one's predicted cost (Selection.Cost).
+//
 // # Noise
 //
 // A circuit with a NoiseModel compiles through one more pass, between the
@@ -100,7 +126,8 @@
 // The resulting Executable is immutable and reusable across runs and
 // across backends of the same Target shape. The backend is deliberately
 // thin: Run is dispatch over the Executable's units — recognised ops
-// through Cluster.ApplyOp, gate segments through RunSchedule.
+// through Cluster.ApplyOp, gate segments through RunSchedule (after the
+// product prefix's fill on a fresh register).
 //
 // One interface, one engine. The paper's emulator has one machine model —
 // gate work through bandwidth-bound kernels on node-local amplitudes, a

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
+	"repro/internal/gates"
 	"repro/internal/noise"
 	"repro/internal/recognize"
 	"repro/internal/rng"
@@ -19,7 +20,11 @@ import (
 func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
 	src := rng.New(seed)
 	n := 5 + uint(width%6)
-	switch family % 6 {
+	switch family % 8 {
+	case 6:
+		return fmt.Sprintf("halves-n%d-s%d", n, seed), halvesPairs(src, n, 1+int(size%3))
+	case 7:
+		return fmt.Sprintf("chain-n%d-s%d", n, seed), chainLayers(src, n, int(n/2)+int(size%2))
 	case 0:
 		return fmt.Sprintf("brickwork-n%d-s%d", n, seed), circgen.Brickwork(src, n, 2+int(size%6))
 	case 1:
@@ -33,6 +38,51 @@ func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Cir
 	default:
 		return fmt.Sprintf("fourier-n%d-s%d", n, seed), circgen.FourierSandwich(src, n, 1+int(size%2))
 	}
+}
+
+// halvesPairs is a product-prefix family: layers of one-qubit rotations,
+// each followed by CNOTs or CZs joining the qubits of the low half to
+// those of the high half in a random pairing, so the first unit's
+// clusters double per layer until they would pass ⌊n/2⌋ qubits.
+func halvesPairs(src *rng.Source, n uint, layers int) *circuit.Circuit {
+	c := circuit.New(n)
+	half := int(n / 2)
+	for l := 0; l < layers; l++ {
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.Ry(q, 0.2+3*src.Float64()), gates.Rz(q, 0.2+3*src.Float64()))
+		}
+		for lo, hi := range src.Perm(half) {
+			a, b := uint(lo), uint(half+hi)
+			if src.Intn(2) == 0 {
+				c.Append(gates.CNOT(a, b))
+			} else {
+				c.Append(gates.CZ(b, a))
+			}
+		}
+	}
+	return c
+}
+
+// chainLayers is a product-prefix family: a layer of one-qubit rotations,
+// a CNOT chain over the first `width` qubits — one cluster of that many
+// qubits, or of ⌊n/2⌋ and a remainder gate where width passes it — then
+// another one-qubit layer and a brickwork layer that join everything.
+func chainLayers(src *rng.Source, n uint, width int) *circuit.Circuit {
+	c := circuit.New(n)
+	layer := func() {
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.Ry(q, 0.2+3*src.Float64()))
+		}
+	}
+	layer()
+	for q := uint(1); q < uint(width) && q < n; q++ {
+		c.Append(gates.CNOT(q-1, q))
+	}
+	layer()
+	for q := uint(0); q+1 < n; q++ {
+		c.Append(gates.CNOT(q, q+1))
+	}
+	return c
 }
 
 // parityTarget is one named execution shape.
@@ -70,7 +120,11 @@ func parityTargets(n uint) []parityTarget {
 // recognised (TestParitySeedsReachEveryArithmeticOp), multipliers on
 // contiguous registers — the widened field-add sweep — among them, then
 // Fourier sandwiches at every width, whose transforms the cluster targets
-// lower across their node bits (TestParitySeedsReachEveryFourierLowering).
+// lower across their node bits (TestParitySeedsReachEveryFourierLowering),
+// then inputs whose first segment's product prefix reaches the cluster cap
+// ⌊n/2⌋ exactly and one qubit past it: two-layer brickworks, pairs across
+// the halves and one-qubit layers around a chain, at 8, 9 and 10 qubits
+// (TestParitySeedsReachThePrefixCap).
 func paritySeeds() [][4]uint64 {
 	var seeds [][4]uint64
 	for i := uint64(0); i < 15; i++ {
@@ -82,7 +136,64 @@ func paritySeeds() [][4]uint64 {
 	for i := uint64(0); i < 6; i++ {
 		seeds = append(seeds, [4]uint64{2500 + i, 5, i, i})
 	}
+	for i := uint64(0); i < 6; i++ {
+		seeds = append(seeds,
+			[4]uint64{2600 + i, 0, 3 + i%3, 0},       // brickwork, two layers
+			[4]uint64{2700 + i, 6, 3 + i%3, 1 + i/3}, // halves, two and three layers
+			[4]uint64{2800 + i, 7, 3 + i%3, i / 3})   // chain at ⌊n/2⌋, then one past
+	}
 	return seeds
+}
+
+// TestParitySeedsReachThePrefixCap keeps the product-prefix seeds honest:
+// compiled at fused w=4, every brickwork, halves and chain seed fills a
+// prefix, some first unit holds a cluster of exactly ⌊n/2⌋ qubits, and
+// the chain's CNOTs (gates n, n+1, ... after its first one-qubit layer)
+// are in the prefix up to the cap and not past it.
+func TestParitySeedsReachThePrefixCap(t *testing.T) {
+	atCap, past := 0, 0
+	for _, s := range paritySeeds() {
+		if s[0] < 2600 {
+			continue
+		}
+		name, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		x, err := backend.Compile(c, backend.Target{FuseWidth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := x.Units[0].Prefix
+		if p == nil {
+			t.Errorf("%s: no product prefix", name)
+			continue
+		}
+		capQubits := int(c.NumQubits / 2)
+		for _, qs := range p.Clusters {
+			if len(qs) == capQubits {
+				atCap++
+				break
+			}
+		}
+		if s[1] != 7 {
+			continue
+		}
+		in := map[int]bool{}
+		for _, i := range p.Index {
+			in[i] = true
+		}
+		n := int(c.NumQubits)
+		width := capQubits + int(s[3]%2)
+		for k := 1; k < width; k++ {
+			if want := k < capQubits; in[n+k-1] != want {
+				t.Errorf("%s: chain CNOT %d in the prefix: %v, want %v", name, k, in[n+k-1], want)
+			}
+		}
+		if width > capQubits {
+			past++
+		}
+	}
+	if atCap == 0 || past == 0 {
+		t.Errorf("%d seeds fill a prefix cluster of ⌊n/2⌋ qubits and %d chains ask for one more; want some of each", atCap, past)
+	}
 }
 
 // TestParitySeedsReachEveryArithmeticOp keeps the corpus honest: compiled

@@ -53,13 +53,17 @@ type RegionVerdict struct {
 }
 
 // Selection is the explainable output of the auto target's search: the
-// chosen shape, its predicted cost, every candidate's score, and the
-// per-region verdicts applied during compilation.
+// chosen shape, its predicted cost from a fresh register (the candidate's
+// score less what its product prefix fill saves), every candidate's score,
+// and the per-region verdicts applied during compilation.
 type Selection struct {
-	Chosen     Target
-	Cost       float64
-	Candidates []Candidate
-	Verdicts   []RegionVerdict
+	Chosen Target
+	Cost   float64
+	// PrefixSaving is what the product prefix fill takes off the chosen
+	// candidate's score in Cost (priceFill).
+	PrefixSaving float64
+	Candidates   []Candidate
+	Verdicts     []RegionVerdict
 }
 
 // SelectTarget scores the candidate shapes for p under the measured
@@ -131,6 +135,22 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 
 	return Selection{Chosen: cands[best].Target, Cost: cands[best].Cost, Candidates: cands,
 		Verdicts: verdicts(p, m, widthIndex(cands[best].Target.FuseWidth))}
+}
+
+// priceFill takes off the selection's predicted cost what a fresh run of
+// the compiled executable saves by filling its product prefix instead of
+// sweeping the prefix's gates: the units the prefix takes off its segment
+// less the fill, when the fill is the cheaper. Selection.Cost is then the
+// prediction for a run from |0...0>. The candidates were ranked without
+// it, so the choice — and every artifact — is the one the ranking made
+// before the prefix existed.
+func (s *Selection) priceFill(x *Executable, m perfmodel.Measured) {
+	if len(x.Units) == 0 || x.Units[0].Prefix == nil {
+		return
+	}
+	p := x.Units[0].Prefix
+	s.PrefixSaving = max(m.SweepSecs(p.Units, x.NumQubits)-m.FillSecs(p.Fill.Qubits()), 0)
+	s.Cost -= s.PrefixSaving
 }
 
 // widthIndex maps a fusion width back to its AutoFuseWidths slot.
@@ -305,7 +325,11 @@ func describeTarget(t Target) string {
 // prints this verbatim for auto targets.
 func (s *Selection) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "auto backend: chose %s (predicted %s)\n", describeTarget(s.Chosen), fmtSecs(s.Cost))
+	fmt.Fprintf(&b, "auto backend: chose %s (predicted %s", describeTarget(s.Chosen), fmtSecs(s.Cost))
+	if s.PrefixSaving > 0 {
+		fmt.Fprintf(&b, " from |0...0>, %s under its score: the product prefix fills", fmtSecs(s.PrefixSaving))
+	}
+	b.WriteString(")\n")
 	b.WriteString("  candidates:\n")
 	for _, c := range s.Candidates {
 		fmt.Fprintf(&b, "    %-16s %10s", describeTarget(c.Target), fmtSecs(c.Cost))

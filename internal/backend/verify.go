@@ -3,8 +3,10 @@ package backend
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 
+	"repro/internal/bitops"
 	"repro/internal/cluster"
 )
 
@@ -153,10 +155,17 @@ func verifyGateUnit(x *Executable, i int, u *Unit) error {
 		}
 	}
 	if x.Target.Kind == Generic {
-		if u.Fused != nil || u.Sched != nil {
+		if u.Fused != nil || u.Sched != nil || u.Prefix != nil {
 			return fmt.Errorf("backend: verify: unit %d carries derived plans on a structure-blind %s target", i, x.Target.Kind)
 		}
 		return nil
+	}
+	rest := len(u.Gates)
+	if u.Prefix != nil {
+		if err := verifyPrefix(x, i, u); err != nil {
+			return err
+		}
+		rest -= len(u.Prefix.Index)
 	}
 	if u.Fused == nil {
 		return fmt.Errorf("backend: verify: unit %d lacks a fusion plan for a %s target", i, x.Target.Kind)
@@ -165,20 +174,19 @@ func verifyGateUnit(x *Executable, i int, u *Unit) error {
 	for j := range u.Fused.Blocks {
 		planned += len(u.Fused.Blocks[j].Gates)
 	}
-	if planned != len(u.Gates) {
-		return fmt.Errorf("backend: verify: unit %d fusion plan covers %d of %d gates", i, planned, len(u.Gates))
+	if planned != rest {
+		return fmt.Errorf("backend: verify: unit %d fusion plan covers %d of %d gates", i, planned, rest)
 	}
 	if u.Sched == nil {
 		return fmt.Errorf("backend: verify: unit %d lacks a communication schedule for a %s target", i, x.Target.Kind)
 	}
-	return verifySchedule(x, i, u)
+	return verifySchedule(x, i, u.Sched, rest)
 }
 
 // verifySchedule checks a cluster unit's communication plan: the shape it
 // was built for, bijective placement maps, and round/gate accounting that
 // matches a recount of its own steps.
-func verifySchedule(x *Executable, i int, u *Unit) error {
-	s := u.Sched
+func verifySchedule(x *Executable, i int, s *cluster.Schedule, gateCount int) error {
 	if s.NumQubits != x.NumQubits || s.LocalQubits != x.Target.LocalQubits() {
 		return fmt.Errorf("backend: verify: unit %d schedule built for shape (%d,%d), target is (%d,%d)",
 			i, s.NumQubits, s.LocalQubits, x.NumQubits, x.Target.LocalQubits())
@@ -200,8 +208,82 @@ func verifySchedule(x *Executable, i int, u *Unit) error {
 		return fmt.Errorf("backend: verify: unit %d schedule round accounting inconsistent (%d rounds != %d remaps + %d exchanges)",
 			i, s.Rounds, s.Remaps, s.ExchangeGates)
 	}
-	if s.Gates != len(u.Gates) {
-		return fmt.Errorf("backend: verify: unit %d schedule covers %d gates, unit holds %d", i, s.Gates, len(u.Gates))
+	if s.Gates != gateCount {
+		return fmt.Errorf("backend: verify: unit %d schedule covers %d gates, its run holds %d", i, s.Gates, gateCount)
+	}
+	return nil
+}
+
+// verifyPrefix checks a unit's product prefix: only the first unit of a
+// noise-free cluster executable holds one; its clusters are disjoint,
+// ascending, at most prefixCap wide and in unit-norm states that the fill
+// covers; and its gates, offsets into the unit in ascending (source)
+// order, each lie inside one cluster and share no qubit with an earlier
+// remainder gate — the condition that lets them run first. Its plan is
+// built on first use (Prefix.Sched), from the same gates.
+func verifyPrefix(x *Executable, i int, u *Unit) error {
+	p := u.Prefix
+	if i != 0 || x.Noise != nil {
+		return fmt.Errorf("backend: verify: unit %d carries a product prefix; only the first unit of a noise-free executable may", i)
+	}
+	n := x.NumQubits
+	if len(p.Index) == 0 || len(p.Clusters) == 0 || len(p.Vectors) != len(p.Clusters) || p.Fill == nil {
+		return fmt.Errorf("backend: verify: unit %d product prefix is incomplete (%d gates, %d clusters, %d vectors)",
+			i, len(p.Index), len(p.Clusters), len(p.Vectors))
+	}
+	var owner [64]int // 1 + the cluster holding each qubit, 0 for none
+	var covered uint64
+	for ci, qs := range p.Clusters {
+		if len(qs) == 0 || len(qs) > prefixCap(n) {
+			return fmt.Errorf("backend: verify: unit %d prefix cluster %d is %d qubits wide, at most %d on %d qubits",
+				i, ci, len(qs), prefixCap(n), n)
+		}
+		for t, q := range qs {
+			if q >= n || covered&(1<<q) != 0 || (t > 0 && q <= qs[t-1]) {
+				return fmt.Errorf("backend: verify: unit %d prefix cluster %d qubits %v are not ascending, in range and disjoint from the others", i, ci, qs)
+			}
+			covered |= 1 << q
+			owner[q] = ci + 1
+		}
+		v := p.Vectors[ci]
+		if len(v) != 1<<len(qs) {
+			return fmt.Errorf("backend: verify: unit %d prefix cluster %d holds %d amplitudes for %d qubits", i, ci, len(v), len(qs))
+		}
+		var norm float64
+		for _, a := range v {
+			norm += real(a)*real(a) + imag(a)*imag(a)
+		}
+		if !(math.Abs(norm-1) <= verifyUnitaryEps) {
+			return fmt.Errorf("backend: verify: unit %d prefix cluster %d state has norm² %g", i, ci, norm)
+		}
+	}
+	if p.Fill.NumQubits() != n || p.Fill.Qubits() != uint(bits.OnesCount64(covered)) {
+		return fmt.Errorf("backend: verify: unit %d prefix fill does not lay out its clusters", i)
+	}
+	for k, j := range p.Index {
+		if j < 0 || j >= len(u.Gates) || (k > 0 && j <= p.Index[k-1]) {
+			return fmt.Errorf("backend: verify: unit %d prefix index is not an ascending list of the unit's %d gates", i, len(u.Gates))
+		}
+	}
+	var closed uint64
+	k := 0
+	for j := range u.Gates {
+		g := &u.Gates[j]
+		mask := bitops.ControlMask(g.Controls) | 1<<g.Target
+		if k == len(p.Index) || p.Index[k] != j {
+			closed |= mask
+			continue
+		}
+		k++
+		if mask&closed != 0 {
+			return fmt.Errorf("backend: verify: unit %d prefix gate %d shares a qubit with an earlier remainder gate", i, j)
+		}
+		c := owner[g.Target]
+		for m := mask; m != 0; m &= m - 1 {
+			if owner[bits.TrailingZeros64(m)] != c || c == 0 {
+				return fmt.Errorf("backend: verify: unit %d prefix gate %d does not lie inside one cluster", i, j)
+			}
+		}
 	}
 	return nil
 }
@@ -234,6 +316,9 @@ func verifyOpUnit(x *Executable, i int, u *Unit) error {
 	op := u.Op
 	if err := op.Validate(x.NumQubits); err != nil {
 		return fmt.Errorf("backend: verify: unit %d op payload: %w", i, err)
+	}
+	if u.Prefix != nil {
+		return fmt.Errorf("backend: verify: unit %d is a recognised op and carries a product prefix", i)
 	}
 	if op.Lo != u.Lo || op.Hi != u.Hi {
 		return fmt.Errorf("backend: verify: unit %d covers [%d,%d) but its op claims [%d,%d)", i, u.Lo, u.Hi, op.Lo, op.Hi)

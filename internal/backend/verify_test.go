@@ -3,6 +3,7 @@ package backend_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/revlib"
+	"repro/internal/statevec"
 )
 
 // verifyWorkload compiles the representative serve artifact — gate-level
@@ -359,6 +361,94 @@ func plantNoise(x *backend.Executable, g int, kind circuit.ChannelKind) {
 	x.Noise = &backend.NoisePlan{Points: []backend.NoisePoint{{
 		Gate: g, Qubit: 0, Ch: circuit.Channel{Kind: kind, P: 0.5},
 	}}}
+}
+
+// TestVerifyRejectsPrefixMutants corrupts the product prefix of a first
+// gate unit, one invariant per case. The prefix is derived, never on the
+// wire, so like the plans and schedules it can only be corrupted in
+// memory; each mutant breaks exactly the invariant its name gives.
+func TestVerifyRejectsPrefixMutants(t *testing.T) {
+	const n = 8
+	local := backend.Target{NumQubits: n, FuseWidth: 3, Emulate: recognize.Auto}
+	clustered := backend.Target{NumQubits: n, Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto}
+	// lastRemainder is the offset of unit 0's last gate outside the
+	// prefix: it follows remainder gates on its qubits.
+	lastRemainder := func(u *backend.Unit) int {
+		in := map[int]bool{}
+		for _, i := range u.Prefix.Index {
+			in[i] = true
+		}
+		for j := len(u.Gates) - 1; j >= 0; j-- {
+			if !in[j] {
+				return j
+			}
+		}
+		return -1
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(t *testing.T, x *backend.Executable)
+	}{
+		{"prefix cluster wider than half the register", "qubits wide, at most", func(t *testing.T, x *backend.Executable) {
+			p := x.Units[0].Prefix
+			wide := statevec.New(n/2 + 1).Amplitudes()
+			p.Clusters = [][]uint{{0, 1, 2, 3, 4}}
+			p.Vectors = [][]complex128{wide}
+		}},
+		{"overlapping prefix clusters", "disjoint", func(t *testing.T, x *backend.Executable) {
+			p := x.Units[0].Prefix
+			p.Clusters[1], p.Vectors[1] = p.Clusters[0], p.Vectors[0]
+		}},
+		{"prefix gate across two clusters", "does not lie inside one cluster", func(t *testing.T, x *backend.Executable) {
+			// Cluster 0 (the CNOTs pairing the halves and a CZ joined its
+			// qubits) split into one cluster per qubit, each left in |0>.
+			p := x.Units[0].Prefix
+			var clusters [][]uint
+			var vectors [][]complex128
+			for _, q := range p.Clusters[0] {
+				clusters = append(clusters, []uint{q})
+				vectors = append(vectors, []complex128{1, 0})
+			}
+			p.Clusters = append(clusters, p.Clusters[1:]...)
+			p.Vectors = append(vectors, p.Vectors[1:]...)
+		}},
+		{"prefix gate after a remainder gate on its qubit", "shares a qubit with an earlier remainder gate", func(t *testing.T, x *backend.Executable) {
+			u := &x.Units[0]
+			u.Prefix.Index = append(u.Prefix.Index, lastRemainder(u))
+		}},
+		{"prefix gates out of source order", "not an ascending list", func(t *testing.T, x *backend.Executable) {
+			ix := x.Units[0].Prefix.Index
+			ix[0], ix[1] = ix[1], ix[0]
+		}},
+		{"prefix cluster state not normalised", "state has norm", func(t *testing.T, x *backend.Executable) {
+			x.Units[0].Prefix.Vectors[0][0] *= 2
+		}},
+		{"prefix beside a noise plan", "noise-free", func(t *testing.T, x *backend.Executable) {
+			plantNoise(x, x.Units[0].Hi-1, circuit.FlipX)
+		}},
+		{"prefix on a later unit", "recognised op and carries a product prefix", func(t *testing.T, x *backend.Executable) {
+			x.Units[len(x.Units)-1].Prefix = x.Units[0].Prefix
+		}},
+	} {
+		for _, target := range []backend.Target{local, clustered} {
+			t.Run(fmt.Sprintf("%s/P=%d", tc.name, max(target.Nodes, 1)), func(t *testing.T) {
+				x, err := backend.Compile(prefixWorkload(n), target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := backend.VerifyExecutable(x); err != nil {
+					t.Fatalf("unmutated executable rejected: %v", err)
+				}
+				if x.Units[0].Prefix == nil || len(x.Units[0].Prefix.Clusters) < 2 {
+					t.Fatal("workload compiled without a product prefix of two clusters")
+				}
+				tc.mutate(t, x)
+				if err := backend.VerifyExecutable(x); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("verifier answered %v, want an error naming %q", err, tc.want)
+				}
+			})
+		}
+	}
 }
 
 // TestVerifyRejectsDirect exercises the invariants the codec masks: these

@@ -87,6 +87,11 @@ type Cluster struct {
 	// bits inside a shard, positions L..n-1 select the node. The identity
 	// placement (pos[q] == q) is the layout LoadState and Gather speak.
 	pos []uint
+	// fresh is set while the register holds |0...0> in the identity
+	// placement, as New and Reset leave it: every path that writes the
+	// state or moves the placement clears it, and CopyFrom copies it.
+	// FillProduct requires it.
+	fresh bool
 	// blockPhys is applyBlock's scratch: the physical positions of the
 	// block being executed.
 	blockPhys [fuse.MaxWidth]uint
@@ -137,6 +142,9 @@ type operands struct {
 	move  *movePlan
 	dst   [][]complex128
 
+	// product is the product state FillProduct writes.
+	product *statevec.Product
+
 	// plan, order and inverse are the Fourier transform a shard-local
 	// field lowering runs, at physical bit `bit`; shares is how many
 	// disjoint destination shares a move is split into.
@@ -175,6 +183,7 @@ func New(n uint, p int) (*Cluster, error) {
 		L:                    n - nodeBits,
 		NodeBits:             nodeBits,
 		DiagonalOptimization: true,
+		fresh:                true,
 	}
 	c.nodes = make([]*statevec.State, p)
 	// Each emulated node gets an even share of the real machine's
@@ -247,6 +256,7 @@ func (c *Cluster) LoadState(st *statevec.State) error {
 		return fmt.Errorf("cluster: state has %d qubits, cluster %d", st.NumQubits(), c.NumQubits())
 	}
 	copy(c.pos, c.ident)
+	c.fresh = false
 	amps := st.Amplitudes()
 	local := c.LocalSize()
 	c.eachNode(func(p int) {
@@ -266,6 +276,7 @@ func (c *Cluster) CopyFrom(src *Cluster) error {
 			src.P, src.NumQubits(), c.P, c.NumQubits())
 	}
 	copy(c.pos, src.pos)
+	c.fresh = src.fresh
 	c.op.from = src
 	c.each(func(c *Cluster, p int) { c.nodes[p].CopyFrom(c.op.from.nodes[p]) })
 	c.op.from = nil
@@ -274,12 +285,14 @@ func (c *Cluster) CopyFrom(src *Cluster) error {
 
 // State returns the register as one state vector. On one node that is
 // the live shard, with the placement canonicalised first: a write through
-// it is a write to the register. On several nodes it is Gather's copy.
+// it is a write to the register, so the register no longer counts as
+// fresh. On several nodes it is Gather's copy.
 func (c *Cluster) State() *statevec.State {
 	if c.P > 1 {
 		return c.Gather()
 	}
 	c.Canonicalize()
+	c.fresh = false
 	return c.nodes[0]
 }
 

@@ -105,6 +105,7 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("cluster: %v has no distributed lowering (field wider than a shard?)", op)
 	}
+	c.fresh = false
 	switch sub {
 	case SubstrateStatevec:
 		c.Canonicalize()
@@ -160,6 +161,7 @@ func (c *Cluster) reverseFieldPlacement(pos, w uint) {
 // split into chunks over the node's workers, so one node reflects at its
 // whole worker count. One node shares its sum with nobody: no round.
 func (c *Cluster) ReflectUniform() {
+	c.fresh = false
 	chunks := c.reflectChunks()
 	part := func(k int) []complex128 {
 		size, i := c.LocalSize(), uint64(k%chunks)

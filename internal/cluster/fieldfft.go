@@ -67,7 +67,10 @@ const denseDFTBits = 6
 // output order left in the placement; on several it is the distributed
 // lowering above, two all-to-alls with the output order left in the
 // placement.
-func (c *Cluster) EmulateQFT() error { return c.distributedFFTField(0, c.NumQubits(), false) }
+func (c *Cluster) EmulateQFT() error {
+	c.fresh = false
+	return c.distributedFFTField(0, c.NumQubits(), false)
+}
 
 // distributedFFTField applies the unitary Fourier transform (inverse:
 // its adjoint) to the logical field [pos, pos+w), whatever the current

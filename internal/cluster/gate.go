@@ -23,6 +23,7 @@ func (c *Cluster) ApplyGate(g gates.Gate) {
 	// qubits, so the full validation contract — same panics, same
 	// messages — is enforced here on the logical indices first.
 	statevec.CheckTargetControls(c.NumQubits(), g.Target, g.Controls)
+	c.fresh = false
 
 	// Map through the placement; split controls into shard-local positions
 	// (in the Cluster's scratch) and node-selecting bits (a remote control

@@ -18,6 +18,7 @@ func (c *Cluster) Reset() {
 		}
 	})
 	copy(c.pos, c.ident)
+	c.fresh = true
 }
 
 // ApplyKraus applies the (generally non-unitary) 2x2 operator m to
@@ -28,6 +29,7 @@ func (c *Cluster) Reset() {
 // pairwise shard-exchange round, like any non-diagonal remote gate.
 func (c *Cluster) ApplyKraus(m gates.Matrix2, q uint) float64 {
 	statevec.CheckTargetControls(c.NumQubits(), q, nil)
+	c.fresh = false
 	t := c.pos[q]
 	c.op.gate.Matrix = m
 	if t < c.L {

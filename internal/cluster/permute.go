@@ -16,6 +16,7 @@ package cluster
 func (c *Cluster) ApplyPermutation(f func(uint64) uint64) {
 	// f speaks logical basis indices; restore the canonical layout first.
 	c.Canonicalize()
+	c.fresh = false
 	L, mask := c.L, c.LocalSize()-1
 	next := c.grabScratch()
 	crossing := make([]uint64, c.P)

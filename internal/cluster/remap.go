@@ -40,6 +40,7 @@ func (c *Cluster) Remap(newPos []uint) {
 	if !changed {
 		return
 	}
+	c.fresh = false
 	c.permuteBits(srcOf)
 	copy(c.pos, newPos)
 }

@@ -186,6 +186,19 @@ func TestMeasure34Shape(t *testing.T) {
 	_ = FormatMeasure(rows)
 }
 
+// TestMeasure34ErrorIsRepeatable holds the sampled estimate's error to
+// one value per (register, shots): it is drawn outside the timed loop, so
+// how many repetitions the timing ran does not move it.
+func TestMeasure34ErrorIsRepeatable(t *testing.T) {
+	a := Measure34(10, []int{100, 1000})
+	b := Measure34(10, []int{100, 1000})
+	for i := range a {
+		if a[i].Error != b[i].Error {
+			t.Errorf("shots %d: |error| %g then %g", a[i].Shots, a[i].Error, b[i].Error)
+		}
+	}
+}
+
 func TestMathFuncShape(t *testing.T) {
 	rows := MathFunc(4, 6)
 	if len(rows) != 3 {

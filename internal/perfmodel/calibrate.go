@@ -96,7 +96,7 @@ func (m Measured) Save() error {
 
 // plausible sanity-checks loaded constants.
 func (m Measured) plausible() bool {
-	for _, v := range []float64{m.SweepNs, m.DiagNs, m.PermNs, m.FFTNs, m.RemapNs} {
+	for _, v := range []float64{m.SweepNs, m.DiagNs, m.PermNs, m.FFTNs, m.RemapNs, m.FillNs} {
 		if v <= 0 || v > 1e6 {
 			return false
 		}
@@ -189,5 +189,32 @@ func Calibrate() Measured {
 		cl.Remap(placements[round&1])
 		round++
 	}))
+
+	// The product fill over clusters that cover every qubit, each
+	// straddling the rows, so every amplitude is written; filling again
+	// overwrites the whole register, so only freshness is restored.
+	clusters := [][]uint{{0, n - 1}, {1, 2, n - 3, n - 2}}
+	rest := []uint{}
+	for q := uint(3); q < n-3; q++ {
+		rest = append(rest, q)
+	}
+	clusters = append(clusters, rest)
+	vecs := make([][]complex128, len(clusters))
+	for i, qs := range clusters {
+		vecs[i] = statevec.NewRandom(uint(len(qs)), src).Amplitudes()
+	}
+	fill, err := cluster.New(n, 1)
+	if err != nil {
+		panic(fmt.Sprintf("perfmodel: calibration cluster: %v", err))
+	}
+	// A fill needs a fresh register, so it is timed after a Reset and the
+	// Reset's own time taken off; the floor keeps a noisy difference from
+	// pricing the fill at nothing.
+	product := statevec.NewProduct(n, n, clusters, vecs)
+	both := perAmpNs(bestOf(budget, func() {
+		fill.Reset()
+		fill.FillProduct(product)
+	}))
+	m.FillNs = max(both-perAmpNs(bestOf(budget, fill.Reset)), both/10)
 	return m
 }

@@ -36,6 +36,10 @@ type Measured struct {
 	// RemapNs is ns per amplitude of one cluster all-to-all round (a
 	// placement remap) on the emulated distributed engine.
 	RemapNs float64 `json:"remap_ns"`
+	// FillNs is ns per written amplitude of the product state fill a
+	// fresh register starts a gate unit's product prefix with
+	// (statevec.FillProduct).
+	FillNs float64 `json:"fill_ns"`
 }
 
 // Default returns the baked-in reference constants, calibrated once on a
@@ -49,6 +53,10 @@ type Measured struct {
 // 6.1-6.7 ns per amplitude, 0.30-0.34 per stage, beside a 0.92-1.1 ns
 // Hadamard sweep. It was 0.7 while the transform measured 1.1-1.6 per
 // stage (ISSUE 18).
+//
+// FillNs follows cluster's BenchmarkMoveBits product-fill rows (n = 20,
+// two workers, gate-sweep's three straddling clusters): 1.9-2.7 ns per
+// amplitude beside 2.3-3.9 for a dense one-qubit sweep, so 0.8 of SweepNs.
 func Default() Measured {
 	return Measured{
 		Source:  "default",
@@ -57,6 +65,7 @@ func Default() Measured {
 		PermNs:  1.6,
 		FFTNs:   0.33,
 		RemapNs: 2.6,
+		FillNs:  0.8,
 	}
 }
 
@@ -86,6 +95,10 @@ func (m Measured) DiagSecs(n uint) float64 { return amps(n) * m.DiagNs * 1e-9 }
 // RemapSecs is the cost of one all-to-all communication round on the
 // emulated cluster.
 func (m Measured) RemapSecs(n uint) float64 { return amps(n) * m.RemapNs * 1e-9 }
+
+// FillSecs is the cost of a product state fill whose clusters cover
+// `qubits` qubits: it writes the 2^qubits amplitudes they make nonzero.
+func (m Measured) FillSecs(qubits uint) float64 { return amps(qubits) * m.FillNs * 1e-9 }
 
 // TQFT is the measured-model analogue of Eq. 6: gate-level QFT on n
 // qubits across p (emulated) nodes. The n(n+1)/2 gates are almost all

@@ -38,6 +38,9 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	for i := range wideOnes {
 		wideOnes[i] = 1
 	}
+	// A product of a cluster inside the rows and one across them, filled
+	// in two shares.
+	product := NewProduct(8, 8, [][]uint{{0, 1}, {2, 7}}, [][]complex128{{0.5, 0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5}})
 	cases := []struct {
 		name string
 		run  func()
@@ -57,6 +60,7 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyDiagN", func() { s.ApplyDiagN(ones, qubits[:3]) }},
 		{"ApplyDiagTable", func() { s.ApplyDiagTable(ones, []uint{0, 3, 4}) }},
 		{"ApplyDiagTable/runs", func() { wide.ApplyDiagTable(wideOnes, []uint{0, 1, 2, 4, 5, 6, 7, 8, 9}) }},
+		{"FillProduct", func() { s.FillProduct(product, 0, 0, 2); s.FillProduct(product, 0, 1, 2) }},
 		{"ApplyFieldAdd", func() {
 			s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6, CarryOut: 7, HasCarryOut: true})
 		}},
