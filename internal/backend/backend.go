@@ -319,8 +319,8 @@ type Result struct {
 	PlannedRemaps int
 	// Comm is the communication the run actually paid.
 	Comm Comm
-	// Prefix describes the first unit's product prefix, nil when the
-	// executable has none.
+	// Prefix describes the executable's product prefix, nil when it has
+	// none.
 	Prefix *PrefixReport
 	// Selection, on executables compiled for an Auto target, is the
 	// profile-driven choice that produced the execution shape: the
@@ -330,22 +330,25 @@ type Result struct {
 }
 
 // PrefixReport describes an executable's product prefix: its gates, the
-// widths of its clusters and the bytes its fill holds, and on a Result
-// whether the run filled it (a fresh register) or ran its gates.
+// units its span covers and the recognised ops it absorbed, the widths of
+// its clusters and the bytes its fill holds, and on a Result whether the
+// run filled it (a fresh register) or ran the spanned units.
 type PrefixReport struct {
-	Gates  int
-	Widths []int
-	Bytes  int
-	Filled bool
+	Gates    int
+	Spanned  int
+	Absorbed int
+	Widths   []int
+	Bytes    int
+	Filled   bool
 }
 
 func (p *PrefixReport) String() string {
-	how := "ran as gates (register not fresh)"
+	how := "ran unit by unit (register not fresh)"
 	if p.Filled {
 		how = "filled"
 	}
-	return fmt.Sprintf("product prefix: %d gates in clusters of %v qubits (%d B of fill tables), %s",
-		p.Gates, p.Widths, p.Bytes, how)
+	return fmt.Sprintf("product prefix: %d gates and %d ops over %d units in clusters of %v qubits (%d B of fill tables), %s",
+		p.Gates, p.Absorbed, p.Spanned, p.Widths, p.Bytes, how)
 }
 
 func (r *Result) String() string {

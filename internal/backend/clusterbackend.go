@@ -69,10 +69,10 @@ func (b *clusterBackend) ApplyKraus(m gates.Matrix2, q uint) float64 {
 
 // RunUnits executes units [lo, hi) against the current distributed state:
 // recognised ops lower through Cluster.ApplyOp, gate segments execute
-// their precompiled communication schedules. A unit with a product
-// prefix starts a fresh register with the prefix's fill and then runs the
-// remainder's schedule; any other register runs the prefix's schedule,
-// which holds the remainder too.
+// their precompiled communication schedules. A call that runs a product
+// prefix's whole span [0, End) on a fresh register starts with the
+// prefix's fill and runs the span's remainder; any other runs each spanned
+// unit as its own lowering, the ops through ApplyOp.
 func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
 	_, err := b.runUnits(x, lo, hi)
 	return err
@@ -86,21 +86,25 @@ func (b *clusterBackend) runUnits(x *Executable, lo, hi int) (filled bool, err e
 	if err := checkShape(x.Target, b.t); err != nil {
 		return false, err
 	}
+	p := x.prefix()
 	for i := lo; i < hi; i++ {
 		u := &x.Units[i]
+		if i == 0 && p != nil && hi >= p.End && b.c.Fresh() {
+			b.c.FillProduct(p.Fill)
+			b.c.RunSchedule(u.Sched)
+			filled = true
+			i = p.End - 1
+			continue
+		}
 		if u.Op != nil {
 			if _, err := b.c.ApplyOp(u.Op); err != nil {
 				return filled, err
 			}
 			continue
 		}
-		if p := u.Prefix; p != nil {
-			if !b.c.Fresh() {
-				b.c.RunSchedule(p.Sched())
-				continue
-			}
-			b.c.FillProduct(p.Fill)
-			filled = true
+		if p != nil && i < p.End {
+			b.c.RunSchedule(p.unitSched(i, u.Gates))
+			continue
 		}
 		b.c.RunSchedule(u.Sched)
 	}

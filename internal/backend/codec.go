@@ -314,7 +314,9 @@ func Decode(data []byte) (*Executable, error) {
 			if ur.Remaining() != 0 {
 				return nil, fmt.Errorf("backend: unit %d has %d trailing bytes", i, ur.Remaining())
 			}
-			x.addOpUnit(op, substrate, lo, hi)
+			if err := x.addOpUnit(op, substrate, lo, hi); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		nGates := int(ur.U32())
@@ -341,6 +343,9 @@ func Decode(data []byte) (*Executable, error) {
 		if err := x.addGateUnit(gs, lo, hi); err != nil {
 			return nil, err
 		}
+	}
+	if err := x.closeCarry(); err != nil {
+		return nil, err
 	}
 	if cursor != x.NumGates {
 		return nil, fmt.Errorf("backend: units cover %d of %d gates", cursor, x.NumGates)

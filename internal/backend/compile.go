@@ -28,9 +28,10 @@ type Unit struct {
 	Fused *fuse.Plan
 	Sched *cluster.Schedule
 	// Prefix, on the first unit of a noise-free cluster executable when it
-	// is a gate unit, is the segment's commuting product prefix (prefix.go);
-	// Fused and Sched then plan the remainder, the unit's other gates. Nil
-	// when the segment has none or the cost model prices it no cheaper.
+	// is a gate unit, is a fresh run's product prefix over units [0,
+	// Prefix.End) (prefix.go); Fused and Sched then plan the span's
+	// remainder, and the span's other gate units carry neither. Nil when
+	// there is none or the cost model prices it no cheaper.
 	Prefix *Prefix
 	// Lo and Hi bound the unit's gate range in the source circuit.
 	Lo, Hi int
@@ -53,8 +54,8 @@ type Executable struct {
 	PlannedRemaps int
 	// PlannedRounds is the scheduler's total communication round budget
 	// for the gate segments (remaps + exchange gates); recognised ops add
-	// their own collective rounds at run time. Both counts leave out a
-	// product prefix's schedule: a run from |0...0> fills instead.
+	// their own collective rounds at run time. Both counts are a run from
+	// |0...0>'s: a product prefix's span counts its remainder's schedule.
 	PlannedRounds int
 	// Noise is the compiled insertion-point plan of the source circuit's
 	// noise model, aligned to the unit schedule (a hard point's gate closes
@@ -75,11 +76,15 @@ type Executable struct {
 	// state, and is not serialized by the artifact codec — a decoded
 	// executable runs identically without it.
 	Selection *Selection
+
+	// carry grows the product prefix while units are appended; nil once
+	// the lowering has closed it (closeCarry).
+	carry *carry
 }
 
 // FusionStats sums the fusion plans' statistics over the executable's
 // gate units: what the planner made of everything that is not emulated
-// or, in a product prefix, filled.
+// or, in a product prefix's span, filled.
 func (x *Executable) FusionStats() fuse.Stats {
 	var st fuse.Stats
 	for i := range x.Units {
@@ -214,7 +219,9 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 	for _, seg := range plan.Segments {
 		if seg.Op != nil {
 			sub, _ := cluster.Lowerable(seg.Op, n, L, P)
-			x.addOpUnit(seg.Op, sub, seg.Lo, seg.Hi)
+			if err := x.addOpUnit(seg.Op, sub, seg.Lo, seg.Hi); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		err := noise.splitSegment(seg.Lo, seg.Hi, func(lo, hi int) error {
@@ -224,15 +231,25 @@ func finishCompile(c *circuit.Circuit, t Target, plan *recognize.Plan, sel *Sele
 			return nil, err
 		}
 	}
+	if err := x.closeCarry(); err != nil {
+		return nil, err
+	}
 	return x, nil
 }
 
 // addOpUnit appends a recognised-shortcut unit, maintaining the summary
-// counters. It is shared by Compile and the artifact decoder
-// (codec.go), so both construct identical executables.
-func (x *Executable) addOpUnit(op *recognize.Op, substrate string, lo, hi int) {
+// counters. An op the product prefix cannot absorb ends its span first.
+// It is shared by Compile and the artifact decoder (codec.go), so both
+// construct identical executables.
+func (x *Executable) addOpUnit(op *recognize.Op, substrate string, lo, hi int) error {
+	if x.carry != nil && !x.carry.absorb(len(x.Units), op) {
+		if err := x.closeCarry(); err != nil {
+			return err
+		}
+	}
 	x.Units = append(x.Units, Unit{Op: op, Substrate: substrate, Lo: lo, Hi: hi})
 	x.EmulatedGates += hi - lo
+	return nil
 }
 
 // addGateUnit appends a gate-segment unit, lowering it for the target:
@@ -240,38 +257,95 @@ func (x *Executable) addOpUnit(op *recognize.Op, substrate string, lo, hi int) {
 // the target's shard width (on one node, L = n: every op local, no remap)
 // — deterministic pure functions of (gates, target), which is what lets
 // the artifact decoder rebuild them instead of shipping them on the wire.
-// The first unit of a noise-free executable also splits off its product
-// prefix (prefix.go) when the cost model says the fill pays, and then
-// plans only the remainder: the prefix's gates are planned once, on the
-// first run from a register that is not fresh. The Generic baseline
-// replays the raw gate stream and gets none of it.
+// The first unit of a noise-free executable opens the product prefix's
+// carry (prefix.go), and while it is open a gate unit only grows it: the
+// unit is planned when the carry closes, and not at all when the prefix's
+// span takes it. The Generic baseline replays the raw gate stream and gets
+// none of it.
 func (x *Executable) addGateUnit(gs []gates.Gate, lo, hi int) error {
-	t := x.Target
 	u := Unit{Gates: gs, Lo: lo, Hi: hi}
-	if t.Kind != Generic {
-		w := int(t.effectiveFuseWidth())
-		var rest []int
+	if x.Target.Kind != Generic {
 		if len(x.Units) == 0 && x.Noise == nil {
-			u.Prefix, rest = productPrefix(gs, x.NumQubits, t.LocalQubits(), w)
+			x.carry = newCarry(x.NumQubits)
 		}
-		if u.Prefix == nil {
-			u.Fused = x.countFused(fuse.New(&circuit.Circuit{NumQubits: x.NumQubits, Gates: gs}, w))
-		} else {
-			u.Fused = x.countFused(fuse.NewOf(gs, rest, w))
-		}
-		sched, err := cluster.BuildSchedule(u.Fused, t.NumQubits, t.LocalQubits(), true)
-		if err != nil {
+		if x.carry != nil {
+			x.carry.addGates(len(x.Units), gs, lo)
+		} else if err := x.planUnit(&u); err != nil {
 			return err
-		}
-		u.Sched = sched
-		x.PlannedRemaps += sched.Remaps
-		x.PlannedRounds += sched.Rounds
-		if u.Prefix != nil {
-			u.Prefix.rest = u.Fused
 		}
 	}
 	x.Units = append(x.Units, u)
 	return nil
+}
+
+// closeCarry ends the product prefix's carry once the lowering has
+// appended the units it may span: unit 0 takes the prefix, when the cost
+// model says the fill pays, with the span's remainder for its plan, and
+// every gate unit the carry held back past the span is planned on its own.
+// Compile and Decode call it after their last unit.
+func (x *Executable) closeCarry() error {
+	c := x.carry
+	if c == nil {
+		return nil
+	}
+	x.carry = nil
+	L, w := x.Target.LocalQubits(), int(x.Target.effectiveFuseWidth())
+	held := len(x.Units)
+	start := 0
+	if p, rest := x.productPrefix(c, L, w); p != nil {
+		u := &x.Units[0]
+		u.Prefix = p
+		u.Fused = x.countFused(fuse.NewOf(rest, w))
+		sched, err := cluster.BuildSchedule(u.Fused, x.NumQubits, L, true)
+		if err != nil {
+			return err
+		}
+		x.setSched(u, sched)
+		start = p.End
+	}
+	for k := start; k < held; k++ {
+		if u := &x.Units[k]; u.Op == nil {
+			if err := x.planUnit(u); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// planUnit gives gate unit u its own lowering (lowerSegment).
+func (x *Executable) planUnit(u *Unit) error {
+	plan, sched, err := lowerSegment(u.Gates, x.NumQubits, x.Target.LocalQubits(), int(x.Target.effectiveFuseWidth()))
+	if err != nil {
+		return err
+	}
+	u.Fused = x.countFused(plan)
+	x.setSched(u, sched)
+	return nil
+}
+
+// lowerSegment plans a gate segment on its own: the fusion plan at width
+// w and its placement schedule for n qubits in L-qubit shards.
+func lowerSegment(gs []gates.Gate, n, L uint, w int) (*fuse.Plan, *cluster.Schedule, error) {
+	plan := fuse.New(&circuit.Circuit{NumQubits: n, Gates: gs}, w)
+	s, err := cluster.BuildSchedule(plan, n, L, true)
+	return plan, s, err
+}
+
+// setSched attaches a gate unit's schedule, adding its rounds and remaps
+// to the summary counts.
+func (x *Executable) setSched(u *Unit, s *cluster.Schedule) {
+	u.Sched = s
+	x.PlannedRemaps += s.Remaps
+	x.PlannedRounds += s.Rounds
+}
+
+// prefix returns the executable's product prefix, nil when it has none.
+func (x *Executable) prefix() *Prefix {
+	if len(x.Units) == 0 {
+		return nil
+	}
+	return x.Units[0].Prefix
 }
 
 // countFused adds a fusion plan's fused blocks to the summary count.
@@ -295,9 +369,13 @@ func (x *Executable) result() *Result {
 		PlannedRemaps: x.PlannedRemaps,
 		Selection:     x.Selection,
 	}
-	if len(x.Units) > 0 && x.Units[0].Prefix != nil {
-		p := x.Units[0].Prefix
-		r.Prefix = &PrefixReport{Gates: len(p.Index), Bytes: p.Fill.Bytes()}
+	if p := x.prefix(); p != nil {
+		r.Prefix = &PrefixReport{Gates: len(p.Index), Spanned: p.End, Bytes: p.Fill.Bytes()}
+		for _, u := range x.Units[:p.End] {
+			if u.Op != nil {
+				r.Prefix.Absorbed++
+			}
+		}
 		for _, c := range p.Clusters {
 			r.Prefix.Widths = append(r.Prefix.Widths, len(c))
 		}

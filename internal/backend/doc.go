@@ -34,29 +34,41 @@
 //
 // # The product prefix
 //
-// Between passes 3 and 4 the first unit, when it is a gate segment of a
-// noise-free cluster executable, splits off its commuting product prefix
-// (prefix.go): the gates whose qubits no earlier remainder gate touched,
-// grouped by interaction into clusters of at most ⌊n/2⌋ qubits. They
-// commute past every remainder gate before them, so the unit is the prefix
-// and then the remainder. The split is taken when fuse.FillCost plus the
-// remainder's fuse.CostOf is below the whole segment's fuse.Cost; then the
-// lowering simulates each cluster's vector once, lays their product out
-// for the shards (statevec.Product), and plans the remainder alone
-// (fuse.NewOf): Unit.Fused and Unit.Sched. Prefix.Sched plans the prefix's
-// gates, once, on the first run that needs them, and schedules their
-// blocks followed by the remainder's as one run (cluster.BuildScheduleOf).
+// Between passes 3 and 4 a noise-free cluster executable whose first unit
+// is a gate segment grows a product prefix over a span of units [0, End)
+// (prefix.go): the gates of the span's segments whose qubits no earlier
+// remainder gate touched, grouped by interaction into clusters of at most
+// ⌊n/2⌋ qubits, and every recognised op of the span, whose support joins
+// the clusters it touches as a gate's qubits would. An op that would pass
+// the cap or touch a closed qubit ends the span before it, and the span
+// stops at the last unit that joined the prefix. Everything in the prefix
+// commutes past every remainder gate before it, so the span is the prefix
+// and then the remainder. The carry is taken when fuse.FillCost plus the
+// remainder's fuse.CostOf is below the span's segments' fuse.Cost plus one
+// sweep per absorbed op; then the lowering simulates each cluster's vector
+// once (an op through recognize.Op.ApplyOn on the cluster's compact
+// register: as the op, never as its source gates, which Decode does not
+// have), lays their product out for the shards (statevec.Product), and
+// plans the span's remainder alone (fuse.NewOf) into unit 0's Fused and
+// Sched. The span's other gate units are not planned at all.
 // Run reads the cluster's fresh flag (set by New and Reset, cleared by
-// every write, kept by CopyState): a fresh register gets the fill and then
-// the remainder's schedule, any other register Prefix.Sched. The Generic
-// reference, an executable with a noise plan and every later unit never
-// hold a prefix.
-// Decode rebuilds it through addGateUnit as Compile does, so artifacts and
-// fingerprints do not see it; VerifyExecutable checks it (disjoint
-// clusters within the cap, each prefix gate inside one cluster and clear
-// of every earlier remainder gate, the index ascending, unit-norm cluster
-// states). The auto selector ranks candidates without it and takes what
-// the fill saves off the chosen one's predicted cost (Selection.Cost).
+// every write, kept by CopyState): a fresh register, in a call that runs
+// the whole span, gets the fill and then the remainder's schedule; any
+// other register, or a call that stops inside the span, runs each spanned
+// unit as its own lowering — a gate unit its whole-segment plan, planned
+// once on first use (Prefix.unitSched), an op through ApplyOp. The Generic
+// reference, an executable with a noise plan and an executable whose first
+// unit is an op never hold a prefix.
+// Decode rebuilds it through addGateUnit, addOpUnit and closeCarry as
+// Compile does, so artifacts and fingerprints do not see it;
+// VerifyExecutable checks it (the span within the unit list, disjoint
+// clusters within the cap, each prefix gate and each spanned op inside one
+// cluster and clear of every earlier remainder gate, the remainder exactly
+// the span's other gates in source order, unit-norm cluster states, no plan
+// on a spanned unit past the first). The auto selector ranks candidates
+// without it and takes what the fill saves — the span's gate units' share
+// and its absorbed ops' modelled cost — off the chosen one's predicted
+// cost (Selection.Cost).
 //
 // # Noise
 //

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gates"
 	"repro/internal/noise"
+	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/rng"
 	"repro/internal/statevec"
@@ -20,7 +21,15 @@ import (
 func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
 	src := rng.New(seed)
 	n := 5 + uint(width%6)
-	switch family % 8 {
+	switch family % 10 {
+	case 8, 9:
+		kind, place := carriedKinds[size%3], carriedPlaces[size/3%3]
+		how := "annotated"
+		if family%10 == 9 {
+			how = "matched"
+		}
+		return fmt.Sprintf("carried-%s-%s-%s-n%d-s%d", how, kind, place, n, seed),
+			carriedOp(src, n, kind, place, family%10 == 8)
 	case 6:
 		return fmt.Sprintf("halves-n%d-s%d", n, seed), halvesPairs(src, n, 1+int(size%3))
 	case 7:
@@ -85,6 +94,88 @@ func chainLayers(src *rng.Source, n uint, width int) *circuit.Circuit {
 	return c
 }
 
+// The carried family's op kinds and placements: the op's support fits a
+// prefix cluster, passes ⌊n/2⌋ by one qubit, or holds a qubit an earlier
+// remainder gate closed.
+var (
+	carriedKinds  = [3]string{"diagonal", "phaseflip", "qft"}
+	carriedPlaces = [3]string{"fits", "past-cap", "closed"}
+)
+
+// carriedOp is a product-prefix family that carries the prefix into a
+// recognised op: a one-qubit layer, then (placement "closed") a CNOT chain
+// joining the top ⌊n/2⌋ qubits into one cluster and a CNOT from it to
+// qubit 0, a remainder gate; then the op on qubits [0, k), k = ⌊n/2⌋ or
+// one more ("past-cap"): a diagonal run (matched whatever annotate says:
+// a diagonal is never annotated), an X-conjugated multi-controlled Z or a
+// QFT, annotated as a region or left to the matchers; then a one-qubit
+// layer and a CNOT brickwork layer that join everything.
+func carriedOp(src *rng.Source, n uint, kind, place string, annotate bool) *circuit.Circuit {
+	c := circuit.New(n)
+	half := n / 2
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Ry(q, 0.2+3*src.Float64()))
+	}
+	if place == "closed" {
+		for q := n - 1; q > n-half; q-- {
+			c.Append(gates.CNOT(q, q-1))
+		}
+		c.Append(gates.CNOT(n-1, 0))
+	}
+	k := half
+	if place == "past-cap" {
+		k++
+	}
+	lo := c.Len()
+	switch kind {
+	case "diagonal":
+		for q := uint(0); q+1 < k; q++ {
+			c.Append(gates.CZ(q, q+1))
+		}
+		for q := uint(0); q < k; q++ {
+			c.Append(gates.Phase(q, 0.2+3*src.Float64()))
+		}
+		c.Append(gates.T(0))
+	case "phaseflip":
+		value := uint64(src.Intn(1 << k))
+		args := []uint64{uint64(k)}
+		controls := make([]uint, 0, k-1)
+		for q := uint(0); q < k; q++ {
+			args = append(args, uint64(q))
+			if q > 0 {
+				controls = append(controls, q)
+			}
+		}
+		flips := func() {
+			for q := uint(0); q < k; q++ {
+				if value>>q&1 == 0 {
+					c.Append(gates.X(q))
+				}
+			}
+		}
+		flips()
+		c.Append(gates.Z(0).WithControls(controls...))
+		flips()
+		if annotate {
+			c.Annotate(circuit.Region{Name: "phaseflip", Args: append(args, value), Lo: lo, Hi: c.Len()})
+		}
+	default:
+		f := qft.Field(n, 0, k, true)
+		if annotate {
+			c.Extend(f)
+		} else {
+			c.Append(f.Gates...)
+		}
+	}
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Rx(q, 0.2+3*src.Float64()))
+	}
+	for q := uint(0); q+1 < n; q++ {
+		c.Append(gates.CNOT(q, q+1))
+	}
+	return c
+}
+
 // parityTarget is one named execution shape.
 type parityTarget struct {
 	name string
@@ -124,7 +215,9 @@ func parityTargets(n uint) []parityTarget {
 // then inputs whose first segment's product prefix reaches the cluster cap
 // ⌊n/2⌋ exactly and one qubit past it: two-layer brickworks, pairs across
 // the halves and one-qubit layers around a chain, at 8, 9 and 10 qubits
-// (TestParitySeedsReachThePrefixCap).
+// (TestParitySeedsReachThePrefixCap), then the carried family's every op
+// kind and placement, annotated and matched, at 8, 9 and 10 qubits
+// (TestParitySeedsReachTheCarry).
 func paritySeeds() [][4]uint64 {
 	var seeds [][4]uint64
 	for i := uint64(0); i < 15; i++ {
@@ -142,7 +235,52 @@ func paritySeeds() [][4]uint64 {
 			[4]uint64{2700 + i, 6, 3 + i%3, 1 + i/3}, // halves, two and three layers
 			[4]uint64{2800 + i, 7, 3 + i%3, i / 3})   // chain at ⌊n/2⌋, then one past
 	}
+	for i := uint64(0); i < 9; i++ {
+		seeds = append(seeds,
+			[4]uint64{2900 + i, 8, 3 + i%3, i}, // annotated
+			[4]uint64{3000 + i, 9, 5 - i%3, i}) // matched
+	}
 	return seeds
+}
+
+// TestParitySeedsReachTheCarry keeps the carried seeds honest: compiled
+// for the corpus's two-node cluster shape with recognition on, each seed's
+// op is recognised; it joins the prefix's span exactly when its placement
+// fits a cluster, and then the span runs on into the gate unit after it;
+// otherwise the span ends before it.
+func TestParitySeedsReachTheCarry(t *testing.T) {
+	absorbed := map[string]int{}
+	for _, s := range paritySeeds() {
+		if s[1] < 8 {
+			continue
+		}
+		name, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		x, err := backend.Compile(c, backend.Target{NumQubits: c.NumQubits, Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(x.Units) != 3 || x.Units[1].Op == nil {
+			t.Errorf("%s: %d units; want a gate unit, the op and a gate unit", name, len(x.Units))
+			continue
+		}
+		p := x.Units[0].Prefix
+		end := 0
+		if p != nil {
+			end = p.End
+		}
+		kind, place := carriedKinds[s[3]%3], carriedPlaces[s[3]/3%3]
+		if want := map[bool]int{true: 3, false: 1}[place == "fits"]; end != want {
+			t.Errorf("%s: the prefix spans %d units, want %d", name, end, want)
+		}
+		if end == 3 {
+			absorbed[kind]++
+		}
+	}
+	for _, kind := range carriedKinds {
+		if absorbed[kind] == 0 {
+			t.Errorf("no seed's prefix absorbs a %s op (absorbed: %v)", kind, absorbed)
+		}
+	}
 }
 
 // TestParitySeedsReachThePrefixCap keeps the product-prefix seeds honest:

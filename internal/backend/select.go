@@ -139,17 +139,29 @@ func SelectTarget(p *Profile, m perfmodel.Measured) Selection {
 
 // priceFill takes off the selection's predicted cost what a fresh run of
 // the compiled executable saves by filling its product prefix instead of
-// sweeping the prefix's gates: the units the prefix takes off its segment
-// less the fill, when the fill is the cheaper. Selection.Cost is then the
-// prediction for a run from |0...0>. The candidates were ranked without
-// it, so the choice — and every artifact — is the one the ranking made
-// before the prefix existed.
+// running its span: the units the prefix takes off the span's gate
+// segments and the modelled cost of every op it absorbed, less the fill,
+// when the fill is the cheaper. Selection.Cost is then the prediction for
+// a run from |0...0>. The candidates were ranked without it, so the
+// choice — and every artifact — is the one the ranking made before the
+// prefix existed.
 func (s *Selection) priceFill(x *Executable, m perfmodel.Measured) {
-	if len(x.Units) == 0 || x.Units[0].Prefix == nil {
+	p := x.prefix()
+	if p == nil {
 		return
 	}
-	p := x.Units[0].Prefix
-	s.PrefixSaving = max(m.SweepSecs(p.Units, x.NumQubits)-m.FillSecs(p.Fill.Qubits()), 0)
+	saving := m.SweepSecs(p.Units, x.NumQubits) - m.FillSecs(p.Fill.Qubits())
+	for _, u := range x.Units[:p.End] {
+		if u.Op == nil {
+			continue
+		}
+		for _, v := range s.Verdicts {
+			if v.Lo == u.Lo && v.Hi == u.Hi {
+				saving += v.EmulateSecs
+			}
+		}
+	}
+	s.PrefixSaving = max(saving, 0)
 	s.Cost -= s.PrefixSaving
 }
 

@@ -82,6 +82,10 @@ func VerifyExecutable(x *Executable) error {
 		}
 	}
 
+	prefix := x.prefix()
+	if prefix != nil && (prefix.End < 1 || prefix.End > len(x.Units)) {
+		return fmt.Errorf("backend: verify: product prefix span ends at unit %d, outside the executable's %d units", prefix.End, len(x.Units))
+	}
 	cursor := 0
 	emulated, fusedBlocks, remaps, rounds := 0, 0, 0, 0
 	for i := range x.Units {
@@ -98,7 +102,7 @@ func VerifyExecutable(x *Executable) error {
 			emulated += u.Hi - u.Lo
 			continue
 		}
-		if err := verifyGateUnit(x, i, u); err != nil {
+		if err := verifyGateUnit(x, i, u, prefix != nil && i > 0 && i < prefix.End); err != nil {
 			return err
 		}
 		if u.Fused != nil {
@@ -122,6 +126,9 @@ func VerifyExecutable(x *Executable) error {
 			x.EmulatedGates, x.FusedBlocks, x.PlannedRemaps, x.PlannedRounds,
 			emulated, fusedBlocks, remaps, rounds)
 	}
+	if prefix != nil {
+		return verifyPrefix(x, prefix)
+	}
 	return nil
 }
 
@@ -141,8 +148,10 @@ func VerifyExecutableKey(x *Executable, key string) error {
 
 // verifyGateUnit checks one gate segment: gate count vs range, supports
 // in-register with pairwise-distinct qubits, unitary matrices, and the
-// derived plans the target kind requires.
-func verifyGateUnit(x *Executable, i int, u *Unit) error {
+// derived plans the target kind requires — none on a unit inside a
+// product prefix's span past its first (spanned), whose own lowering is
+// planned on first use.
+func verifyGateUnit(x *Executable, i int, u *Unit, spanned bool) error {
 	if len(u.Gates) != u.Hi-u.Lo {
 		return fmt.Errorf("backend: verify: unit %d holds %d gates for range [%d,%d)", i, len(u.Gates), u.Lo, u.Hi)
 	}
@@ -160,12 +169,18 @@ func verifyGateUnit(x *Executable, i int, u *Unit) error {
 		}
 		return nil
 	}
+	if u.Prefix != nil && (i != 0 || x.Noise != nil) {
+		return fmt.Errorf("backend: verify: unit %d carries a product prefix; only the first unit of a noise-free executable may", i)
+	}
+	if spanned {
+		if u.Fused != nil || u.Sched != nil {
+			return fmt.Errorf("backend: verify: unit %d lies inside the product prefix's span and carries a plan of its own", i)
+		}
+		return nil
+	}
 	rest := len(u.Gates)
 	if u.Prefix != nil {
-		if err := verifyPrefix(x, i, u); err != nil {
-			return err
-		}
-		rest -= len(u.Prefix.Index)
+		rest = len(u.Prefix.Rest)
 	}
 	if u.Fused == nil {
 		return fmt.Errorf("backend: verify: unit %d lacks a fusion plan for a %s target", i, x.Target.Kind)
@@ -214,76 +229,113 @@ func verifySchedule(x *Executable, i int, s *cluster.Schedule, gateCount int) er
 	return nil
 }
 
-// verifyPrefix checks a unit's product prefix: only the first unit of a
-// noise-free cluster executable holds one; its clusters are disjoint,
-// ascending, at most prefixCap wide and in unit-norm states that the fill
-// covers; and its gates, offsets into the unit in ascending (source)
-// order, each lie inside one cluster and share no qubit with an earlier
-// remainder gate — the condition that lets them run first. Its plan is
-// built on first use (Prefix.Sched), from the same gates.
-func verifyPrefix(x *Executable, i int, u *Unit) error {
-	p := u.Prefix
-	if i != 0 || x.Noise != nil {
-		return fmt.Errorf("backend: verify: unit %d carries a product prefix; only the first unit of a noise-free executable may", i)
-	}
+// verifyPrefix checks the product prefix on unit 0, once every unit has
+// passed its own checks: its clusters are disjoint, ascending, at most
+// prefixCap wide and in unit-norm states that the fill covers; its span
+// [0, End) lies within the unit list; walking the span in source order,
+// every gate is either the next prefix gate (Index) or the next remainder
+// gate (Rest), so the remainder is exactly the span's other gates in
+// source order; and each prefix gate and each op of the span — all of
+// them absorbed — lies inside one cluster and shares no qubit with an
+// earlier remainder gate, the condition that lets it run first. The
+// spanned units' own plans are built on first use (Prefix.unitSched), from
+// the same gates.
+func verifyPrefix(x *Executable, p *Prefix) error {
 	n := x.NumQubits
 	if len(p.Index) == 0 || len(p.Clusters) == 0 || len(p.Vectors) != len(p.Clusters) || p.Fill == nil {
-		return fmt.Errorf("backend: verify: unit %d product prefix is incomplete (%d gates, %d clusters, %d vectors)",
-			i, len(p.Index), len(p.Clusters), len(p.Vectors))
+		return fmt.Errorf("backend: verify: product prefix is incomplete (%d gates, %d clusters, %d vectors)",
+			len(p.Index), len(p.Clusters), len(p.Vectors))
 	}
 	var owner [64]int // 1 + the cluster holding each qubit, 0 for none
 	var covered uint64
 	for ci, qs := range p.Clusters {
 		if len(qs) == 0 || len(qs) > prefixCap(n) {
-			return fmt.Errorf("backend: verify: unit %d prefix cluster %d is %d qubits wide, at most %d on %d qubits",
-				i, ci, len(qs), prefixCap(n), n)
+			return fmt.Errorf("backend: verify: prefix cluster %d is %d qubits wide, at most %d on %d qubits",
+				ci, len(qs), prefixCap(n), n)
 		}
 		for t, q := range qs {
 			if q >= n || covered&(1<<q) != 0 || (t > 0 && q <= qs[t-1]) {
-				return fmt.Errorf("backend: verify: unit %d prefix cluster %d qubits %v are not ascending, in range and disjoint from the others", i, ci, qs)
+				return fmt.Errorf("backend: verify: prefix cluster %d qubits %v are not ascending, in range and disjoint from the others", ci, qs)
 			}
 			covered |= 1 << q
 			owner[q] = ci + 1
 		}
 		v := p.Vectors[ci]
 		if len(v) != 1<<len(qs) {
-			return fmt.Errorf("backend: verify: unit %d prefix cluster %d holds %d amplitudes for %d qubits", i, ci, len(v), len(qs))
+			return fmt.Errorf("backend: verify: prefix cluster %d holds %d amplitudes for %d qubits", ci, len(v), len(qs))
 		}
 		var norm float64
 		for _, a := range v {
 			norm += real(a)*real(a) + imag(a)*imag(a)
 		}
 		if !(math.Abs(norm-1) <= verifyUnitaryEps) {
-			return fmt.Errorf("backend: verify: unit %d prefix cluster %d state has norm² %g", i, ci, norm)
+			return fmt.Errorf("backend: verify: prefix cluster %d state has norm² %g", ci, norm)
 		}
 	}
 	if p.Fill.NumQubits() != n || p.Fill.Qubits() != uint(bits.OnesCount64(covered)) {
-		return fmt.Errorf("backend: verify: unit %d prefix fill does not lay out its clusters", i)
+		return fmt.Errorf("backend: verify: prefix fill does not lay out its clusters")
 	}
-	for k, j := range p.Index {
-		if j < 0 || j >= len(u.Gates) || (k > 0 && j <= p.Index[k-1]) {
-			return fmt.Errorf("backend: verify: unit %d prefix index is not an ascending list of the unit's %d gates", i, len(u.Gates))
-		}
-	}
-	var closed uint64
-	k := 0
-	for j := range u.Gates {
-		g := &u.Gates[j]
-		mask := bitops.ControlMask(g.Controls) | 1<<g.Target
-		if k == len(p.Index) || p.Index[k] != j {
-			closed |= mask
-			continue
-		}
-		k++
-		if mask&closed != 0 {
-			return fmt.Errorf("backend: verify: unit %d prefix gate %d shares a qubit with an earlier remainder gate", i, j)
-		}
-		c := owner[g.Target]
-		for m := mask; m != 0; m &= m - 1 {
-			if owner[bits.TrailingZeros64(m)] != c || c == 0 {
-				return fmt.Errorf("backend: verify: unit %d prefix gate %d does not lie inside one cluster", i, j)
+	span := x.Units[:p.End]
+	hi := span[len(span)-1].Hi
+	for _, list := range []struct {
+		name string
+		at   []int
+	}{{"prefix index", p.Index}, {"remainder", p.Rest}} {
+		for k, j := range list.at {
+			if j < 0 || j >= hi || (k > 0 && j <= list.at[k-1]) {
+				return fmt.Errorf("backend: verify: %s is not an ascending list of the span's %d gates", list.name, hi)
 			}
 		}
+	}
+	// inside reports whether the qubits of mask lie inside one cluster.
+	inside := func(mask uint64) bool {
+		c := owner[bits.TrailingZeros64(mask)]
+		for m := mask; m != 0; m &= m - 1 {
+			if owner[bits.TrailingZeros64(m)] != c {
+				return false
+			}
+		}
+		return c != 0
+	}
+	var closed uint64
+	k, r := 0, 0
+	for i := range span {
+		u := &span[i]
+		if u.Op != nil {
+			mask := supportMask(u.Op)
+			if mask&closed != 0 {
+				return fmt.Errorf("backend: verify: unit %d op in the prefix's span shares a qubit with an earlier remainder gate", i)
+			}
+			if mask == 0 || !inside(mask) {
+				return fmt.Errorf("backend: verify: unit %d op in the prefix's span does not lie inside one cluster", i)
+			}
+			continue
+		}
+		for j := range u.Gates {
+			g := &u.Gates[j]
+			mask := bitops.ControlMask(g.Controls) | 1<<g.Target
+			switch s := u.Lo + j; {
+			case k < len(p.Index) && p.Index[k] == s:
+				k++
+				if mask&closed != 0 {
+					return fmt.Errorf("backend: verify: prefix gate %d shares a qubit with an earlier remainder gate", s)
+				}
+				if !inside(mask) {
+					return fmt.Errorf("backend: verify: prefix gate %d does not lie inside one cluster", s)
+				}
+			case r < len(p.Rest) && p.Rest[r] == s:
+				r++
+				closed |= mask
+			default:
+				return fmt.Errorf("backend: verify: gate %d of the prefix's span is in neither the prefix nor, in source order, the remainder", s)
+			}
+		}
+	}
+	if k != len(p.Index) || r != len(p.Rest) {
+		return fmt.Errorf("backend: verify: prefix and remainder list %d and %d gates the span does not hold", len(p.Index)-k, len(p.Rest)-r)
+	}
+	if len(p.own) != p.End {
+		return fmt.Errorf("backend: verify: product prefix holds %d unit lowerings for a span of %d units", len(p.own), p.End)
 	}
 	return nil
 }

@@ -451,6 +451,72 @@ func TestVerifyRejectsPrefixMutants(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsSpanMutants corrupts the span of a product prefix
+// carried past its first unit (carriedWorkload: a gate unit, an absorbed
+// diagonal, a gate unit, then the QFT), one check per case, each held to
+// its own message.
+func TestVerifyRejectsSpanMutants(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(t *testing.T, x *backend.Executable)
+	}{
+		{"span past the unit list", "span ends at unit", func(t *testing.T, x *backend.Executable) {
+			x.Units[0].Prefix.End = len(x.Units) + 1
+		}},
+		{"span over an op on a closed qubit", "op in the prefix's span shares a qubit with an earlier remainder gate", func(t *testing.T, x *backend.Executable) {
+			// The whole-register QFT after the span touches the qubits the
+			// CNOT across the halves closed.
+			x.Units[0].Prefix.End++
+		}},
+		{"span op across two clusters", "op in the prefix's span does not lie inside one cluster", func(t *testing.T, x *backend.Executable) {
+			// The same four gates' diagonal on qubits 0, 1, 2 and 4, where
+			// qubit 4 is in another cluster.
+			c := carriedWorkload(n)
+			c.Gates[n+2] = gates.CZ(1, 4)
+			y, err := backend.Compile(c, x.Target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op := y.Units[1].Op; op == nil || op.Lo != x.Units[1].Lo || op.Hi != x.Units[1].Hi {
+				t.Fatalf("variant's unit 1 is %v, want a diagonal over gates [%d,%d)", op, x.Units[1].Lo, x.Units[1].Hi)
+			}
+			x.Units[1].Op = y.Units[1].Op
+		}},
+		{"remainder holds a prefix gate", "in neither the prefix nor, in source order, the remainder", func(t *testing.T, x *backend.Executable) {
+			// The gate before the remainder's first is a prefix gate: listing
+			// it instead keeps the list ascending and its length.
+			x.Units[0].Prefix.Rest[0]--
+		}},
+		{"remainder out of source order", "remainder is not an ascending list", func(t *testing.T, x *backend.Executable) {
+			r := x.Units[0].Prefix.Rest
+			r[0], r[1] = r[1], r[0]
+		}},
+		{"spanned unit planned", "lies inside the product prefix's span and carries a plan of its own", func(t *testing.T, x *backend.Executable) {
+			x.Units[2].Fused, x.Units[2].Sched = x.Units[0].Fused, x.Units[0].Sched
+		}},
+	} {
+		for _, p := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/P=%d", tc.name, p), func(t *testing.T) {
+				x, err := backend.Compile(carriedWorkload(n), backend.Target{NumQubits: n, Kind: backend.Cluster, Nodes: p, FuseWidth: 3, Emulate: recognize.Auto})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := backend.VerifyExecutable(x); err != nil {
+					t.Fatalf("unmutated executable rejected: %v", err)
+				}
+				if pre := x.Units[0].Prefix; pre == nil || pre.End != 3 || len(x.Units) != 4 {
+					t.Fatal("workload compiled without a prefix spanning three of four units")
+				}
+				tc.mutate(t, x)
+				if err := backend.VerifyExecutable(x); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("verifier answered %v, want an error naming %q", err, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // TestVerifyRejectsDirect exercises the invariants the codec masks: these
 // corruptions cannot travel through Encode/Decode (the decoder normalizes
 // targets and rebuilds plans), but an in-memory executable handed to the

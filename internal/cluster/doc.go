@@ -44,8 +44,6 @@
 // circuit thus executes as long communication-free stretches separated by
 // a minimal number of batched remap rounds — Stats.Rounds counts them,
 // and the qemu-bench cluster experiment compares both engines.
-// BuildScheduleOf schedules several plans run one after the other as one
-// stream, so a remap batches ops on both sides of a seam.
 //
 // # The fresh register and the product fill
 //
@@ -56,12 +54,13 @@
 // the caller may write through it) clears the flag, and CopyFrom copies it
 // from its source; reads (Probability, sampling, a multi-node State's
 // gathered copy) keep it. FillProduct turns a fresh register into a
-// product state (statevec.Product: a gate unit's commuting product prefix,
-// internal/backend) by one superstep in which every node writes its own
-// shard at its worker count — no message, no remap, and only the
-// amplitudes the product makes nonzero, since the rest already hold the
-// zero a fresh register has. It refuses a register that is not fresh;
-// the backend runs the prefix's gates there instead.
+// product state (statevec.Product: a fresh run's product prefix, which in
+// internal/backend may span several units and the recognised ops among
+// them) by one superstep in which every node writes its own shard at its
+// worker count — no message, no remap, and only the amplitudes the
+// product makes nonzero, since the rest already hold the zero a fresh
+// register has. It refuses a register that is not fresh; the backend runs
+// each spanned unit's own lowering there instead.
 //
 // # Exchange contracts
 //

@@ -84,36 +84,31 @@ func requiredMask(op Op, diagOpt bool) uint64 {
 	return uint64(1) << op.Gate.Target
 }
 
-// flattenPlans turns fusion plans, run one after the other, into the
-// scheduler's op stream: fused blocks stay whole (one op), unfused runs
-// contribute their replay gates (same-target runs already merged) one op
-// each, so the scheduler batches at gate granularity where fusion found no
-// structure.
-func flattenPlans(plans []*fuse.Plan) ([]Op, int) {
+// flattenPlan turns a fusion plan into the scheduler's op stream: fused
+// blocks stay whole (one op), unfused runs contribute their replay gates
+// (same-target runs already merged) one op each, so the scheduler batches
+// at gate granularity where fusion found no structure.
+func flattenPlan(plan *fuse.Plan) ([]Op, int) {
 	count, gateCount := 0, 0
-	for _, plan := range plans {
-		for i := range plan.Blocks {
-			b := &plan.Blocks[i]
-			gateCount += len(b.Gates)
-			if b.Fused() {
-				count++
-			} else {
-				count += len(b.Replay())
-			}
+	for i := range plan.Blocks {
+		b := &plan.Blocks[i]
+		gateCount += len(b.Gates)
+		if b.Fused() {
+			count++
+		} else {
+			count += len(b.Replay())
 		}
 	}
 	ops := make([]Op, 0, count)
-	for _, plan := range plans {
-		for i := range plan.Blocks {
-			b := &plan.Blocks[i]
-			if b.Fused() {
-				ops = append(ops, Op{Block: b})
-				continue
-			}
-			replay := b.Replay()
-			for j := range replay {
-				ops = append(ops, Op{Gate: &replay[j]})
-			}
+	for i := range plan.Blocks {
+		b := &plan.Blocks[i]
+		if b.Fused() {
+			ops = append(ops, Op{Block: b})
+			continue
+		}
+		replay := b.Replay()
+		for j := range replay {
+			ops = append(ops, Op{Gate: &replay[j]})
 		}
 	}
 	return ops, gateCount
@@ -139,15 +134,7 @@ func flattenPlans(plans []*fuse.Plan) ([]Op, int) {
 // BuildSchedule fails if any single op needs more than L local qubits —
 // callers clamp their fusion width to the cluster's local capacity.
 func BuildSchedule(plan *fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) {
-	return BuildScheduleOf([]*fuse.Plan{plan}, n, L, diagOpt)
-}
-
-// BuildScheduleOf is BuildSchedule over several plans run one after the
-// other, as one op stream: a remap may batch ops on both sides of a seam.
-// A gate unit's product prefix schedules its blocks and the remainder's
-// this way.
-func BuildScheduleOf(plans []*fuse.Plan, n, L uint, diagOpt bool) (*Schedule, error) {
-	ops, gateCount := flattenPlans(plans)
+	ops, gateCount := flattenPlan(plan)
 	s := &Schedule{NumQubits: n, LocalQubits: L, DiagonalOptimization: diagOpt, Gates: gateCount}
 	masks := make([]uint64, len(ops))
 	for i, op := range ops {

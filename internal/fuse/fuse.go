@@ -312,12 +312,11 @@ func itemsOf(gs []gates.Gate) []item {
 	return queue
 }
 
-// pickedItems builds the scheduler's stream for the gates gs[i], i in
-// pick.
-func pickedItems(gs []gates.Gate, pick []int) []item {
-	queue := make([]item, len(pick))
-	for k, i := range pick {
-		queue[k] = itemOf(&gs[i])
+// pickedItems builds the scheduler's stream for the gates gs points at.
+func pickedItems(gs []*gates.Gate) []item {
+	queue := make([]item, len(gs))
+	for k, g := range gs {
+		queue[k] = itemOf(g)
 	}
 	return queue
 }
@@ -410,11 +409,11 @@ func clampWidth(width int) int {
 // O(4^w * 16) per fused sweep of that plan and O(4^w) per replayed gate.
 func New(c *circuit.Circuit, width int) *Plan { return newPlan(itemsOf(c.Gates), width) }
 
-// NewOf is New over the gates gs[i] for i in pick, in that order: a run
-// picked out of a longer segment — a gate unit's product prefix, or the
-// remainder beside it — planned without copying its gates.
-func NewOf(gs []gates.Gate, pick []int, width int) *Plan {
-	return newPlan(pickedItems(gs, pick), width)
+// NewOf is New over the gates gs points at, in that order: a run picked
+// out of longer segments — the remainder of a product prefix's span —
+// planned without copying its gates.
+func NewOf(gs []*gates.Gate, width int) *Plan {
+	return newPlan(pickedItems(gs), width)
 }
 
 func newPlan(queue []item, width int) *Plan {
@@ -432,9 +431,9 @@ func newPlan(queue []item, width int) *Plan {
 // returns exactly New(c, width).Stats().EstChosen for a circuit c over gs.
 func Cost(gs []gates.Gate, width int) float64 { return queueCost(itemsOf(gs), width) }
 
-// CostOf is Cost over the gates NewOf(gs, pick, width) plans.
-func CostOf(gs []gates.Gate, pick []int, width int) float64 {
-	return queueCost(pickedItems(gs, pick), width)
+// CostOf is Cost over the gates NewOf(gs, width) plans.
+func CostOf(gs []*gates.Gate, width int) float64 {
+	return queueCost(pickedItems(gs), width)
 }
 
 func queueCost(queue []item, width int) float64 {

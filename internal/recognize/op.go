@@ -269,6 +269,35 @@ func (op *Op) Apply(st *statevec.State) {
 	}
 }
 
+// ApplyOn executes the shortcut against a compact register: st holds the
+// qubits listed in ascending order, qubits[t] as bit t, and the op's
+// support must lie among them. It is Apply on the op's remapped form, the
+// one the verifier runs. A reflection acts on every amplitude of the
+// state it is handed, so it needs the register to be exactly its support.
+func (op *Op) ApplyOn(st *statevec.State, qubits []uint) {
+	if uint(len(qubits)) != st.NumQubits() {
+		panic(fmt.Sprintf("recognize: compact register of %d qubits lists %d", st.NumQubits(), len(qubits)))
+	}
+	var rank [64]uint
+	var held uint64
+	for t, q := range qubits {
+		if q >= 64 || (t > 0 && q <= qubits[t-1]) {
+			panic(fmt.Sprintf("recognize: compact register qubits %v are not ascending", qubits))
+		}
+		rank[q], held = uint(t), held|1<<q
+	}
+	support := op.support()
+	for _, q := range support {
+		if held&(1<<q) == 0 {
+			panic(fmt.Sprintf("recognize: %s op's qubit %d is not in the compact register %v", op.Kind(), q, qubits))
+		}
+	}
+	if op.kind == opReflect && len(support) != len(qubits) {
+		panic("recognize: a reflection applies only to a register that is exactly its support")
+	}
+	op.remapped(func(q uint) uint { return rank[q] }).Apply(st)
+}
+
 // basisImage returns the op's action on one basis state as the index and
 // phase of the state's image: the permutation's map with phase 1, the
 // diagonal table's entry, the flip pattern's sign. ok is false for the QFT
