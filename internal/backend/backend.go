@@ -330,13 +330,15 @@ type Result struct {
 }
 
 // PrefixReport describes an executable's product prefix: its gates, the
-// units its span covers and the recognised ops it absorbed, the widths of
-// its clusters and the bytes its fill holds, and on a Result whether the
-// run filled it (a fresh register) or ran the spanned units.
+// units its span covers, the recognised ops it absorbed and the factors
+// they joined it as (an op that does not split is one), the widths of its
+// clusters and the bytes its fill holds, and on a Result whether the run
+// filled it (a fresh register) or ran the spanned units.
 type PrefixReport struct {
 	Gates    int
 	Spanned  int
 	Absorbed int
+	Factors  int
 	Widths   []int
 	Bytes    int
 	Filled   bool
@@ -347,8 +349,8 @@ func (p *PrefixReport) String() string {
 	if p.Filled {
 		how = "filled"
 	}
-	return fmt.Sprintf("product prefix: %d gates and %d ops over %d units in clusters of %v qubits (%d B of fill tables), %s",
-		p.Gates, p.Absorbed, p.Spanned, p.Widths, p.Bytes, how)
+	return fmt.Sprintf("product prefix: %d gates and %d ops (%d factors) over %d units in clusters of %v qubits (%d B of fill tables), %s",
+		p.Gates, p.Absorbed, p.Factors, p.Spanned, p.Widths, p.Bytes, how)
 }
 
 func (r *Result) String() string {

@@ -87,13 +87,14 @@ func TestSolveAllocationBudget(t *testing.T) {
 // span covers are planned only for a register that is not fresh. Since the
 // prefix, 29 of gate-sweep's 31 (264 of 496 multiplies per amplitude; 45
 // of 50 and 440 of 800 when the prefix's 107 gates were planned with the
-// rest). In cluster-shard's brickwork half, 7 of the 10 blocks of the
-// remainder (104 of 160) since the prefix's span carried through the
-// recognised four-gate diagonal into the 146-gate unit behind it: 104 of
-// the span's 169 gates are filled, 65 planned. Before, 16 of 23 (240 of
-// 368) when only the 23-gate first unit was prefix, and 21 of 28 before
-// that. The shapes are fixed by the generators' shape streams, not by the
-// seed.
+// rest). In cluster-shard's brickwork half, 2 of the 4 blocks of the
+// remainder (48 of 64) since the recognised four-CZ diagonal joined the
+// prefix as its four pair factors instead of one eight-qubit cluster. 7 of
+// 10 (104 of 160) when it joined whole and the prefix's span carried
+// through it into the 146-gate unit behind it: 104 of the span's 169 gates
+// were filled, 65 planned. Before, 16 of 23 (240 of 368) when only the
+// 23-gate first unit was prefix, and 21 of 28 before that. The shapes are
+// fixed by the generators' shape streams, not by the seed.
 func TestFactoredBlocksPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name                   string
@@ -107,7 +108,7 @@ func TestFactoredBlocksPinned(t *testing.T) {
 			31, 29, 496, 264},
 		{"cluster-shard", experiments.ClusterShard(20, 6, 3),
 			backend.Target{NumQubits: 20, Kind: backend.Cluster, Nodes: 4, FuseWidth: 4, Emulate: recognize.Auto, Workers: 2},
-			10, 7, 160, 104},
+			4, 2, 64, 48},
 	} {
 		x, err := backend.Compile(tc.c, tc.target)
 		if err != nil {
@@ -142,8 +143,11 @@ func TestFactoredBlocksPinned(t *testing.T) {
 // prefix's span carried through the recognised diagonal after unit 0 into
 // the 146-gate brickwork unit behind it: 104 of the span's 169 gates fill,
 // and the 65 left plan one remap where the unit's whole segment planned
-// five. The diagonal's eight-qubit support joins four pair clusters into
-// one, which caps how much of the brickwork the prefix takes.
+// five. They moved from 3 rounds, 1 planned remap and 37748736 bytes when
+// the diagonal — four CZs on disjoint pairs — joined the prefix as its four
+// pair factors (recognize.Op.Factors) instead of merging four pair
+// clusters into one of eight qubits: the brickwork's remainder plans no
+// remap, and a run pays only the QFT's two all-to-alls.
 func TestClusterShardCommPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 20-qubit circuit on 4 emulated nodes")
@@ -162,8 +166,8 @@ func TestClusterShardCommPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Comm.Rounds != 3 || res.PlannedRemaps != 1 || res.Comm.BytesSent != 37748736 {
-		t.Errorf("rounds %d, planned remaps %d, bytes sent %d; want 3, 1, 37748736",
+	if res.Comm.Rounds != 2 || res.PlannedRemaps != 0 || res.Comm.BytesSent != 25165824 {
+		t.Errorf("rounds %d, planned remaps %d, bytes sent %d; want 2, 0, 25165824",
 			res.Comm.Rounds, res.PlannedRemaps, res.Comm.BytesSent)
 	}
 }

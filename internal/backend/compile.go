@@ -370,11 +370,9 @@ func (x *Executable) result() *Result {
 		Selection:     x.Selection,
 	}
 	if p := x.prefix(); p != nil {
-		r.Prefix = &PrefixReport{Gates: len(p.Index), Spanned: p.End, Bytes: p.Fill.Bytes()}
-		for _, u := range x.Units[:p.End] {
-			if u.Op != nil {
-				r.Prefix.Absorbed++
-			}
+		r.Prefix = &PrefixReport{Gates: len(p.Index), Spanned: p.End, Absorbed: len(p.factors), Bytes: p.Fill.Bytes()}
+		for _, fs := range p.factors {
+			r.Prefix.Factors += len(fs)
 		}
 		for _, c := range p.Clusters {
 			r.Prefix.Widths = append(r.Prefix.Widths, len(c))

@@ -39,16 +39,24 @@
 // (prefix.go): the gates of the span's segments whose qubits no earlier
 // remainder gate touched, grouped by interaction into clusters of at most
 // ⌊n/2⌋ qubits, and every recognised op of the span, whose support joins
-// the clusters it touches as a gate's qubits would. An op that would pass
-// the cap or touch a closed qubit ends the span before it, and the span
+// the clusters it touches as a gate's qubits would. A diagonal that is a
+// product of diagonals on disjoint qubit blocks (recognize.Op.Factors: a
+// mixed-product test at base point 0 proposes the blocks, an exact rebuild
+// of the table at 1e-12 proves them) joins factor by factor, all or none,
+// so four CZs on disjoint pairs join four pair clusters, not one of eight
+// qubits; the rebuild runs only once every proposed block has joined. An
+// op (or a factor) that would pass the cap or touch a closed qubit ends
+// the span before it, and the span
 // stops at the last unit that joined the prefix. Everything in the prefix
 // commutes past every remainder gate before it, so the span is the prefix
 // and then the remainder. The carry is taken when fuse.FillCost plus the
 // remainder's fuse.CostOf is below the span's segments' fuse.Cost plus one
 // sweep per absorbed op; then the lowering simulates each cluster's vector
-// once (an op through recognize.Op.ApplyOn on the cluster's compact
-// register: as the op, never as its source gates, which Decode does not
-// have), lays their product out for the shards (statevec.Product), and
+// once (an op, or each factor on its own cluster, through
+// recognize.Op.ApplyOn on the cluster's compact register: as the op, never
+// as its source gates, which Decode does not have, and Decode derives the
+// same factors from the decoded table), lays their product out for the
+// shards (statevec.Product), and
 // plans the span's remainder alone (fuse.NewOf) into unit 0's Fused and
 // Sched. The span's other gate units are not planned at all.
 // Run reads the cluster's fresh flag (set by New and Reset, cleared by
@@ -56,14 +64,15 @@
 // the whole span, gets the fill and then the remainder's schedule; any
 // other register, or a call that stops inside the span, runs each spanned
 // unit as its own lowering — a gate unit its whole-segment plan, planned
-// once on first use (Prefix.unitSched), an op through ApplyOp. The Generic
+// once on first use (Prefix.unitSched), an op whole through ApplyOp. The Generic
 // reference, an executable with a noise plan and an executable whose first
 // unit is an op never hold a prefix.
 // Decode rebuilds it through addGateUnit, addOpUnit and closeCarry as
 // Compile does, so artifacts and fingerprints do not see it;
 // VerifyExecutable checks it (the span within the unit list, disjoint
-// clusters within the cap, each prefix gate and each spanned op inside one
-// cluster and clear of every earlier remainder gate, the remainder exactly
+// clusters within the cap, each prefix gate and each spanned op — each of
+// its factors, for one that splits — inside one cluster and clear of every
+// earlier remainder gate, the remainder exactly
 // the span's other gates in source order, unit-norm cluster states, no plan
 // on a spanned unit past the first). The auto selector ranks candidates
 // without it and takes what the fill saves — the span's gate units' share

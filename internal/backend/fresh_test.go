@@ -60,6 +60,61 @@ func carriedWorkload(n uint) *circuit.Circuit {
 	return c.Extend(qft.Circuit(n))
 }
 
+// factoredWorkload is a circuit whose product prefix carries through a
+// diagonal only factor by factor: a one-qubit layer, a matched diagonal of
+// CZs on the pairs (0,1), (2,3) and (4,5) with a phase on each of their
+// qubits — six qubits, past ⌊n/2⌋ = 4 at n = 8, in three factors that fit
+// — then a second layer and a CNOT brickwork layer, whose gates join the
+// pairs up to the cap and are the remainder's past it, before a
+// recognised QFT on the whole register ends the span.
+func factoredWorkload(n uint) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Ry(q, 0.3+0.4*float64(q)))
+	}
+	c.Append(gates.CZ(0, 1), gates.CZ(2, 3), gates.CZ(4, 5))
+	for q := uint(0); q < 6; q++ {
+		c.Append(gates.Phase(q, 0.2+0.3*float64(q)))
+	}
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Rx(q, 0.7+0.1*float64(q)))
+	}
+	for q := uint(1); q+1 < n; q += 2 {
+		c.Append(gates.CNOT(q, q+1))
+	}
+	return c.Extend(qft.Circuit(n))
+}
+
+// TestFactoredWorkloadShape keeps factoredWorkload honest on every node
+// count the matrix runs: the prefix spans the gate unit, the diagonal —
+// absorbed as its three factors, though its support passes the cap — and
+// the gate unit after it.
+func TestFactoredWorkloadShape(t *testing.T) {
+	const n = 8
+	for _, p := range []int{1, 2, 4} {
+		x, err := backend.Compile(factoredWorkload(n), backend.Target{NumQubits: n, Kind: backend.Cluster, Nodes: p, FuseWidth: 3, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre := x.Units[0].Prefix
+		if pre == nil || pre.End != 3 || len(x.Units) != 4 || x.Units[1].Op == nil || len(x.Units[1].Op.Support()) <= n/2 {
+			t.Fatalf("P=%d: %d units, prefix %+v; want a prefix over a gate unit, a diagonal past the cap and a gate unit, then the QFT", p, len(x.Units), pre)
+		}
+		b, err := backend.New(x.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.Run(x)
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res.Prefix; r.Absorbed != 1 || r.Factors != 3 || !r.Filled {
+			t.Errorf("P=%d: %v; want one op absorbed as three factors, filled", p, r)
+		}
+	}
+}
+
 // TestCarriedWorkloadShape keeps carriedWorkload honest on every node
 // count the matrix runs: the prefix spans three units, the diagonal among
 // them absorbed, its clusters reach the cap, and the gate that joins the
@@ -94,7 +149,8 @@ func TestCarriedWorkloadShape(t *testing.T) {
 // TestFreshRegisterMatrix holds every way a register can reach a Run to
 // the circuit applied gate by gate from the same start state, at 1e-10
 // and draw for draw, on one, two and four nodes, for a prefix of the first
-// unit alone and for one carried through an op into the unit after it:
+// unit alone, for one carried through an op into the unit after it, and
+// for one carried through a diagonal factor by factor:
 // the product prefix fills exactly when the register is fresh — after New,
 // Reset, a read of a gathered State, or a copy of a fresh register — and
 // the call runs the prefix's whole span; otherwise every spanned unit runs
@@ -104,7 +160,7 @@ func TestFreshRegisterMatrix(t *testing.T) {
 	for _, w := range []struct {
 		name string
 		c    *circuit.Circuit
-	}{{"unit 0", prefixWorkload(n)}, {"carried", carriedWorkload(n)}} {
+	}{{"unit 0", prefixWorkload(n)}, {"carried", carriedWorkload(n)}, {"factored", factoredWorkload(n)}} {
 		for _, p := range []int{1, 2, 4} {
 			freshMatrix(t, fmt.Sprintf("%s/P=%d", w.name, p), w.c, p)
 		}

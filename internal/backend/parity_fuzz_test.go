@@ -21,7 +21,10 @@ import (
 func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
 	src := rng.New(seed)
 	n := 5 + uint(width%6)
-	switch family % 10 {
+	switch family % 11 {
+	case 10:
+		place := czPairPlaces[size%3]
+		return fmt.Sprintf("czpairs-%s-n%d-s%d", place, n, seed), czPairs(src, n, place)
 	case 8, 9:
 		kind, place := carriedKinds[size%3], carriedPlaces[size/3%3]
 		how := "annotated"
@@ -176,6 +179,56 @@ func carriedOp(src *rng.Source, n uint, kind, place string, annotate bool) *circ
 	return c
 }
 
+// The CZ-pair family's placements: every factor of the diagonal fits a
+// prefix cluster though its whole support passes ⌊n/2⌋, one factor passes
+// ⌊n/2⌋ by one qubit, or a factor holds a qubit an earlier remainder gate
+// closed.
+var czPairPlaces = [3]string{"factors-fit", "factor-past-cap", "factor-closed"}
+
+// czPairs is a product-prefix family whose diagonal joins the prefix only
+// factor by factor (recognize.Op.Factors): a one-qubit layer, then
+// (placement "factor-closed") the carried family's CNOT chain over the top
+// ⌊n/2⌋ qubits and the remainder CNOT from it to qubit 0; then a matched
+// diagonal run of CZs on the pairs (0,1), (2,3), ... over ⌊n/4⌋+1 pairs —
+// or ("factor-past-cap") of a CZ chain over qubits [0, ⌊n/2⌋] and a CZ on
+// the next pair — with a phase on each of its qubits; then a one-qubit
+// layer and a CNOT brickwork layer that join everything.
+func czPairs(src *rng.Source, n uint, place string) *circuit.Circuit {
+	c := circuit.New(n)
+	half := n / 2
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Ry(q, 0.2+3*src.Float64()))
+	}
+	if place == "factor-closed" {
+		for q := n - 1; q > n-half; q-- {
+			c.Append(gates.CNOT(q, q-1))
+		}
+		c.Append(gates.CNOT(n-1, 0))
+	}
+	k := 2 * (half/2 + 1)
+	if place == "factor-past-cap" {
+		k = half + 3
+		for q := uint(0); q < half; q++ {
+			c.Append(gates.CZ(q, q+1))
+		}
+		c.Append(gates.CZ(half+1, half+2))
+	} else {
+		for q := uint(0); q+1 < k; q += 2 {
+			c.Append(gates.CZ(q, q+1))
+		}
+	}
+	for q := uint(0); q < k; q++ {
+		c.Append(gates.Phase(q, 0.2+3*src.Float64()))
+	}
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Rx(q, 0.2+3*src.Float64()))
+	}
+	for q := uint(0); q+1 < n; q++ {
+		c.Append(gates.CNOT(q, q+1))
+	}
+	return c
+}
+
 // parityTarget is one named execution shape.
 type parityTarget struct {
 	name string
@@ -217,7 +270,8 @@ func parityTargets(n uint) []parityTarget {
 // the halves and one-qubit layers around a chain, at 8, 9 and 10 qubits
 // (TestParitySeedsReachThePrefixCap), then the carried family's every op
 // kind and placement, annotated and matched, at 8, 9 and 10 qubits
-// (TestParitySeedsReachTheCarry).
+// (TestParitySeedsReachTheCarry), then the CZ-pair family's every
+// placement at 8, 9 and 10 qubits (TestParitySeedsReachTheFactors).
 func paritySeeds() [][4]uint64 {
 	var seeds [][4]uint64
 	for i := uint64(0); i < 15; i++ {
@@ -240,7 +294,53 @@ func paritySeeds() [][4]uint64 {
 			[4]uint64{2900 + i, 8, 3 + i%3, i}, // annotated
 			[4]uint64{3000 + i, 9, 5 - i%3, i}) // matched
 	}
+	for i := uint64(0); i < 9; i++ {
+		seeds = append(seeds, [4]uint64{3100 + i, 10, 3 + i/3, i % 3})
+	}
 	return seeds
+}
+
+// TestParitySeedsReachTheFactors keeps the CZ-pair seeds honest: compiled
+// for the corpus's two-node cluster shape with recognition on, each seed's
+// diagonal is recognised and splits into its CZ blocks; its whole support
+// passes ⌊n/2⌋, so it joins the prefix only factor by factor, and it does
+// exactly when its placement is "factors-fit", the span then running on
+// into the gate unit after it; otherwise the span ends before it.
+func TestParitySeedsReachTheFactors(t *testing.T) {
+	reached := map[string]int{}
+	for _, s := range paritySeeds() {
+		if s[1] != 10 {
+			continue
+		}
+		name, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		x, err := backend.Compile(c, backend.Target{NumQubits: c.NumQubits, Kind: backend.Cluster, Nodes: 2, FuseWidth: 3, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(x.Units) != 3 || x.Units[1].Op == nil || x.Units[1].Op.Kind() != "diagonal" {
+			t.Errorf("%s: %d units; want a gate unit, a diagonal and a gate unit", name, len(x.Units))
+			continue
+		}
+		op := x.Units[1].Op
+		if len(op.Support()) <= int(c.NumQubits/2) || len(op.Factors()) < 2 {
+			t.Errorf("%s: the diagonal on %v splits into %d factors; want a support past ⌊n/2⌋ and a split",
+				name, op.Support(), len(op.Factors()))
+		}
+		place := czPairPlaces[s[3]%3]
+		end := 0
+		if p := x.Units[0].Prefix; p != nil {
+			end = p.End
+		}
+		if want := map[bool]int{true: 3, false: 1}[place == "factors-fit"]; end != want {
+			t.Errorf("%s: the prefix spans %d units, want %d", name, end, want)
+		}
+		reached[place]++
+	}
+	for _, place := range czPairPlaces {
+		if reached[place] == 0 {
+			t.Errorf("no seed places a CZ-pair diagonal %s (reached: %v)", place, reached)
+		}
+	}
 }
 
 // TestParitySeedsReachTheCarry keeps the carried seeds honest: compiled
@@ -251,7 +351,7 @@ func paritySeeds() [][4]uint64 {
 func TestParitySeedsReachTheCarry(t *testing.T) {
 	absorbed := map[string]int{}
 	for _, s := range paritySeeds() {
-		if s[1] < 8 {
+		if s[1] != 8 && s[1] != 9 {
 			continue
 		}
 		name, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))

@@ -19,13 +19,15 @@ import (
 // span's gate segments that act only on qubits no earlier remainder gate
 // has touched, grouped by interaction into clusters, and every recognised
 // op of the span, whose support joins the clusters it touches as a gate's
-// qubits would. Each prefix gate and op commutes past every remainder gate
-// before it (their supports are disjoint), so the span is the prefix
-// followed by the remainder, each in source order. The lowering simulates
-// each cluster's vector once — an op as the op, on its cluster's compact
-// register — and a fresh register (cluster.Cluster.Fresh) starts as their
-// product, written in one fill: the prefix's gates never sweep the state,
-// and the span's ops never run.
+// qubits would — a diagonal that is a product of diagonals on disjoint
+// blocks (recognize.Op.Factors) joins block by block. Each prefix gate and
+// op commutes past every remainder gate before it (their supports are
+// disjoint), so the span is the prefix followed by the remainder, each in
+// source order. The lowering simulates each cluster's vector once — an op
+// or factor as itself, on its cluster's compact register — and a fresh
+// register (cluster.Cluster.Fresh) starts as their product, written in one
+// fill: the prefix's gates never sweep the state, and the span's ops never
+// run.
 
 // maxClusterQubits bounds a prefix cluster whatever the register width: a
 // cluster's vector is simulated at lowering, 16·2^k bytes of it.
@@ -57,6 +59,9 @@ type Prefix struct {
 	Fill  *statevec.Product
 	Units float64
 
+	// factors lists each absorbed op's factors (recognize.Op.Factors), in
+	// unit order: what the clusters' vectors applied.
+	factors [][]*recognize.Op
 	// own[k] is spanned unit k's own lowering, for a register that is not
 	// fresh.
 	own   []ownLowering
@@ -97,8 +102,9 @@ func prefixCap(n uint) int { return int(min(n/2, maxClusterQubits)) }
 // joins it when none of its qubits was touched by an earlier remainder
 // gate and the clusters it joins together stay within prefixCap qubits;
 // otherwise it is a remainder gate and its qubits are closed to the prefix
-// from then on. An op joins the same way, with its support for qubits, and
-// one that cannot ends the span before it.
+// from then on. An op joins the same way, with its support (or each of its
+// factors' supports) for qubits, and one that cannot ends the span before
+// it.
 type carry struct {
 	capQubits int
 	closed    uint64
@@ -108,6 +114,8 @@ type carry struct {
 	// prefix; restEnd counts the remainder gates up to there.
 	index, rest  []int
 	end, restEnd int
+	// factors lists each absorbed op's factors, in unit order.
+	factors [][]*recognize.Op
 }
 
 func newCarry(n uint) *carry { return &carry{capQubits: prefixCap(n)} }
@@ -146,12 +154,32 @@ func (c *carry) addGates(k int, gs []gates.Gate, lo int) {
 	}
 }
 
-// absorb joins op unit k to the prefix, or reports that it cannot.
+// absorb joins op unit k to the prefix, or reports that it cannot. A
+// diagonal that splits (recognize.Op.Factors) joins factor by factor, each
+// factor's support as a gate's qubits would, and all or none of them: the
+// rebuild that proves the split runs only once every proposed block has
+// joined. Any factor that cannot join means the whole support cannot
+// either; a proposal the rebuild refutes joins by its whole support.
 func (c *carry) absorb(k int, op *recognize.Op) bool {
-	mask := supportMask(op)
-	if mask == 0 || !c.join(mask) {
-		return false
+	fs := []*recognize.Op{op}
+	if blocks := op.FactorSupports(); blocks != nil {
+		saved := c.of
+		for _, m := range blocks {
+			if !c.join(m) {
+				c.of = saved
+				return false
+			}
+		}
+		if fs = op.Factors(); len(fs) == 1 {
+			c.of = saved
+		}
 	}
+	if len(fs) == 1 {
+		if mask := supportMask(op); mask == 0 || !c.join(mask) {
+			return false
+		}
+	}
+	c.factors = append(c.factors, fs)
 	c.end, c.restEnd = k+1, len(c.rest)
 	return true
 }
@@ -211,25 +239,26 @@ func (x *Executable) productPrefix(c *carry, L uint, w int) (*Prefix, []*gates.G
 		return nil, nil
 	}
 	p := &Prefix{End: c.end, Index: c.index, Rest: rest, Units: units,
-		own: make([]ownLowering, c.end), width: w, n: n, L: L}
+		factors: c.factors, own: make([]ownLowering, c.end), width: w, n: n, L: L}
 	for _, m := range supports {
 		var qs []uint
 		for b := m; b != 0; b &= b - 1 {
 			qs = append(qs, uint(bits.TrailingZeros64(b)))
 		}
 		p.Clusters = append(p.Clusters, qs)
-		p.Vectors = append(p.Vectors, clusterVector(span, p.Index, qs, m))
+		p.Vectors = append(p.Vectors, clusterVector(span, p.Index, p.factors, qs, m))
 	}
 	p.Fill = statevec.NewProduct(n, L, p.Clusters, p.Vectors)
 	return p, restGates
 }
 
 // clusterVector simulates, from |0...0>, the span's prefix gates (index,
-// by source gate number, ascending) and ops that act on cluster qs
-// (support mask), in source order, qubit qs[t] as bit t: the gates
-// through the dense controlled kernel (ApplyGate's structure dispatch
-// costs more than it saves on a vector this small), the ops as the ops.
-func clusterVector(span []Unit, index []int, qs []uint, mask uint64) []complex128 {
+// by source gate number, ascending) and the factors of its ops (factors,
+// one list per op unit) that act on cluster qs (support mask), in source
+// order, qubit qs[t] as bit t: the gates through the dense controlled
+// kernel (ApplyGate's structure dispatch costs more than it saves on a
+// vector this small), the factors as ops.
+func clusterVector(span []Unit, index []int, factors [][]*recognize.Op, qs []uint, mask uint64) []complex128 {
 	var local [64]uint
 	for t, q := range qs {
 		local[q] = uint(t)
@@ -237,13 +266,16 @@ func clusterVector(span []Unit, index []int, qs []uint, mask uint64) []complex12
 	st := statevec.New(uint(len(qs)))
 	st.SetParallelism(1)
 	var controls []uint
-	k := 0
+	k, o := 0, 0
 	for i := range span {
 		u := &span[i]
 		if u.Op != nil {
-			if supportMask(u.Op)&mask != 0 {
-				u.Op.ApplyOn(st, qs)
+			for _, f := range factors[o] {
+				if supportMask(f)&mask != 0 {
+					f.ApplyOn(st, qs)
+				}
 			}
+			o++
 			continue
 		}
 		for ; k < len(index) && index[k] < u.Hi; k++ {

@@ -236,8 +236,10 @@ func verifySchedule(x *Executable, i int, s *cluster.Schedule, gateCount int) er
 // every gate is either the next prefix gate (Index) or the next remainder
 // gate (Rest), so the remainder is exactly the span's other gates in
 // source order; and each prefix gate and each op of the span — all of
-// them absorbed — lies inside one cluster and shares no qubit with an
-// earlier remainder gate, the condition that lets it run first. The
+// them absorbed, a diagonal that splits by each of its factors
+// (recognize.Op.Factors, derived again from the op) — lies inside one
+// cluster and shares no qubit with an earlier remainder gate, the
+// condition that lets it run first. The
 // spanned units' own plans are built on first use (Prefix.unitSched), from
 // the same gates.
 func verifyPrefix(x *Executable, p *Prefix) error {
@@ -302,12 +304,19 @@ func verifyPrefix(x *Executable, p *Prefix) error {
 	for i := range span {
 		u := &span[i]
 		if u.Op != nil {
-			mask := supportMask(u.Op)
-			if mask&closed != 0 {
-				return fmt.Errorf("backend: verify: unit %d op in the prefix's span shares a qubit with an earlier remainder gate", i)
-			}
-			if mask == 0 || !inside(mask) {
-				return fmt.Errorf("backend: verify: unit %d op in the prefix's span does not lie inside one cluster", i)
+			fs := u.Op.Factors()
+			for _, f := range fs {
+				mask := supportMask(f)
+				switch {
+				case len(fs) == 1 && mask&closed != 0:
+					return fmt.Errorf("backend: verify: unit %d op in the prefix's span shares a qubit with an earlier remainder gate", i)
+				case len(fs) == 1 && (mask == 0 || !inside(mask)):
+					return fmt.Errorf("backend: verify: unit %d op in the prefix's span does not lie inside one cluster", i)
+				case mask&closed != 0:
+					return fmt.Errorf("backend: verify: unit %d op's factor on qubits %v holds a qubit an earlier remainder gate closed", i, f.Support())
+				case !inside(mask):
+					return fmt.Errorf("backend: verify: unit %d op's factor on qubits %v straddles prefix clusters", i, f.Support())
+				}
 			}
 			continue
 		}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/qft"
 	"repro/internal/recognize"
 	"repro/internal/revlib"
+	"repro/internal/rng"
 	"repro/internal/statevec"
 )
 
@@ -454,7 +455,11 @@ func TestVerifyRejectsPrefixMutants(t *testing.T) {
 // TestVerifyRejectsSpanMutants corrupts the span of a product prefix
 // carried past its first unit (carriedWorkload: a gate unit, an absorbed
 // diagonal, a gate unit, then the QFT), one check per case, each held to
-// its own message.
+// its own message. Two diagonal mutants swap in the op carriedWorkload
+// compiles to with one of its four gates replaced (spannedVariant): one
+// that does not split and one that does, whose factors the verifier checks
+// one by one; a third extends a CZ-pair diagonal's span (czPairs) over a
+// factor on a closed qubit.
 func TestVerifyRejectsSpanMutants(t *testing.T) {
 	const n = 8
 	for _, tc := range []struct {
@@ -470,18 +475,28 @@ func TestVerifyRejectsSpanMutants(t *testing.T) {
 			x.Units[0].Prefix.End++
 		}},
 		{"span op across two clusters", "op in the prefix's span does not lie inside one cluster", func(t *testing.T, x *backend.Executable) {
-			// The same four gates' diagonal on qubits 0, 1, 2 and 4, where
+			// A chain of CZs on qubits 0 to 4, which does not split, where
 			// qubit 4 is in another cluster.
-			c := carriedWorkload(n)
-			c.Gates[n+2] = gates.CZ(1, 4)
-			y, err := backend.Compile(c, x.Target)
+			x.Units[1].Op = spannedVariant(t, x, n+3, gates.CZ(3, 4))
+		}},
+		{"span factor across two clusters", "op's factor on qubits [0 1 4] straddles prefix clusters", func(t *testing.T, x *backend.Executable) {
+			// CZ(0,1)·CZ(1,4) times CZ(2,3)·T(3): the second factor lies in
+			// the first cluster, the first reaches qubit 4 in the other.
+			x.Units[1].Op = spannedVariant(t, x, n+2, gates.CZ(1, 4))
+		}},
+		{"span factor on a closed qubit", "op's factor on qubits [0 1] holds a qubit an earlier remainder gate closed", func(t *testing.T, x *backend.Executable) {
+			// The CZ-pair diagonal whose first factor holds qubit 0, which
+			// the CNOT before it closed: its span ends before the op until
+			// the mutant extends it over the op.
+			y, err := backend.Compile(czPairs(rng.New(1), n, "factor-closed"), x.Target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if op := y.Units[1].Op; op == nil || op.Lo != x.Units[1].Lo || op.Hi != x.Units[1].Hi {
-				t.Fatalf("variant's unit 1 is %v, want a diagonal over gates [%d,%d)", op, x.Units[1].Lo, x.Units[1].Hi)
+			if p := y.Units[0].Prefix; p == nil || p.End != 1 || len(y.Units) < 2 || y.Units[1].Op == nil {
+				t.Fatal("the CZ-pair variant compiled without a prefix that stops before its diagonal")
 			}
-			x.Units[1].Op = y.Units[1].Op
+			y.Units[0].Prefix.End++
+			*x = *y
 		}},
 		{"remainder holds a prefix gate", "in neither the prefix nor, in source order, the remainder", func(t *testing.T, x *backend.Executable) {
 			// The gate before the remainder's first is a prefix gate: listing
@@ -515,6 +530,23 @@ func TestVerifyRejectsSpanMutants(t *testing.T) {
 			})
 		}
 	}
+}
+
+// spannedVariant compiles carriedWorkload for x's target with gate i
+// replaced by g and returns its unit 1, which must be a diagonal over the
+// same gates as x's.
+func spannedVariant(t *testing.T, x *backend.Executable, i int, g gates.Gate) *recognize.Op {
+	t.Helper()
+	c := carriedWorkload(x.NumQubits)
+	c.Gates[i] = g
+	y, err := backend.Compile(c, x.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := y.Units[1].Op; op == nil || op.Kind() != "diagonal" || op.Lo != x.Units[1].Lo || op.Hi != x.Units[1].Hi {
+		t.Fatalf("variant's unit 1 is %v, want a diagonal over gates [%d,%d)", op, x.Units[1].Lo, x.Units[1].Hi)
+	}
+	return y.Units[1].Op
 }
 
 // TestVerifyRejectsDirect exercises the invariants the codec masks: these

@@ -262,28 +262,25 @@ const (
 
 // verifyOnce settles op on the first rung of Options.Verify's ladder that
 // can: identity with its reference network (already proved when a
-// reference-checking matcher found it, otherwise matchesReference), the
-// column walk (region.holds) up to MaxVerifyQubits of support, else
-// unverified.
-// A region with an earlier verdict in verdicts, keyed by region.key, takes
-// it; the reference networks commute with the relabelling onto the compact
-// register, so the key decides identity too.
+// reference-checking matcher found it, otherwise matchesReference, at any
+// width), the column walk (region.holds) up to MaxVerifyQubits of support,
+// else unverified. Only a region that goes on to the column walk is
+// compacted and keyed: a region with an earlier verdict in verdicts, keyed
+// by region.key, takes it. Identity is settled before the memo — the
+// walk costs less than the key of the region it walks (a 240-gate QFT's
+// is ~38 KB) — and that loses nothing, since the reference networks
+// commute with the relabelling onto the compact register: two regions
+// with one key are both their network or both not.
 func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op) verdict {
-	if op.matchedAsReference() {
+	if op.matchedAsReference() || op.hasReference() && matchesReference(c.Gates, op) {
 		return proven
 	}
-	// Identity has no width bound; without a reference network, a region
-	// wider than the column walk reaches is not even compacted.
-	width := uint(MaxVerifyQubits)
-	if op.hasReference() {
-		width = 64
-	}
-	r, inside := compactRegion(c, op, width)
+	r, inside := compactRegion(c, op, MaxVerifyQubits)
 	if r == nil {
-		// An empty or unreachable support has nothing to check. A gate
-		// outside the support means the gates cannot be the op: refuted
-		// within the column walk's width, unverified above it.
-		if !inside || len(op.support()) > MaxVerifyQubits {
+		// An empty support, or one wider than the column walk reaches, has
+		// nothing to check. A gate outside the support means the gates
+		// cannot be the op: refuted.
+		if !inside {
 			return unverified
 		}
 		return refuted
@@ -291,15 +288,9 @@ func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op) verdict
 	key := r.key()
 	v, seen := verdicts[key]
 	if !seen {
-		switch {
-		case matchesReference(c.Gates, op):
+		v = refuted
+		if r.holds() {
 			v = proven
-		case r.w > MaxVerifyQubits:
-			v = unverified
-		case r.holds():
-			v = proven
-		default:
-			v = refuted
 		}
 		verdicts[key] = v
 	}
