@@ -213,6 +213,10 @@ func run(path, backendName string, fuseWidth int, emulate string, nodes, shots, 
 	for _, r := range res.Emulated {
 		fmt.Printf("  emulated %v\n", r)
 	}
+	if len(res.Emulated) > 0 {
+		fmt.Printf("  one-pass ops: %d composed op pairs, %d reflections on a carried sum\n",
+			res.ComposedPairs, res.CarriedSums)
+	}
 	for _, sk := range res.Skipped {
 		fmt.Printf("  region %s [%d,%d) skipped: %s\n", sk.Name, sk.Lo, sk.Hi, sk.Reason)
 	}

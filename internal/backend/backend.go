@@ -322,6 +322,12 @@ type Result struct {
 	// Prefix describes the executable's product prefix, nil when it has
 	// none.
 	Prefix *PrefixReport
+	// ComposedPairs counts the adjacent op pairs the run executed as one
+	// pass (an arithmetic op and a diagonal table), CarriedSums the
+	// reflections it ran in one pass on an amplitude sum carried from the
+	// units before them.
+	ComposedPairs int
+	CarriedSums   int
 	// Selection, on executables compiled for an Auto target, is the
 	// profile-driven choice that produced the execution shape: the
 	// chosen target, every candidate's predicted cost, and the

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gates"
 	"repro/internal/perfmodel"
+	"repro/internal/recognize"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -68,47 +69,82 @@ func (b *clusterBackend) ApplyKraus(m gates.Matrix2, q uint) float64 {
 }
 
 // RunUnits executes units [lo, hi) against the current distributed state:
-// recognised ops lower through Cluster.ApplyOp, gate segments execute
+// recognised ops lower through Cluster.ApplyOpSum, gate segments execute
 // their precompiled communication schedules. A call that runs a product
 // prefix's whole span [0, End) on a fresh register starts with the
 // prefix's fill and runs the span's remainder; any other runs each spanned
-// unit as its own lowering, the ops through ApplyOp.
+// unit as its own lowering. Two adjacent op units of the window that
+// compose (Cluster.ApplyOpPair) run as one pass, and a reflection whose
+// amplitude sum the window has carried to it runs one pass; the results
+// are the same either way, so a window that cuts a pair or a chain only
+// runs them apart.
 func (b *clusterBackend) RunUnits(x *Executable, lo, hi int) error {
 	_, err := b.runUnits(x, lo, hi)
 	return err
 }
 
-// runUnits is RunUnits, reporting whether a product prefix filled.
-func (b *clusterBackend) runUnits(x *Executable, lo, hi int) (filled bool, err error) {
+// runStats is what runUnits reports of how it ran a window.
+type runStats struct {
+	// filled is set when a product prefix filled.
+	filled bool
+	// composed counts the op pairs run as one pass, carried the
+	// reflections run in one pass on a carried sum.
+	composed, carried int
+}
+
+// runUnits is RunUnits, reporting how the window ran. The amplitude sum
+// it carries is loop-local, what the unit before left: a fill whose
+// remainder is empty knows it (the product of the clusters' sums),
+// ApplyOpSum says what each op leaves, and every other unit leaves none.
+func (b *clusterBackend) runUnits(x *Executable, lo, hi int) (st runStats, err error) {
 	if b.closed.Load() {
-		return false, ErrClosed
+		return st, ErrClosed
 	}
 	if err := checkShape(x.Target, b.t); err != nil {
-		return false, err
+		return st, err
 	}
 	p := x.prefix()
+	var sum cluster.Sum
 	for i := lo; i < hi; i++ {
 		u := &x.Units[i]
+		carried := sum
+		sum = cluster.Sum{}
 		if i == 0 && p != nil && hi >= p.End && b.c.Fresh() {
 			b.c.FillProduct(p.Fill)
 			b.c.RunSchedule(u.Sched)
-			filled = true
+			st.filled = true
+			if len(p.Rest) == 0 {
+				sum = cluster.Sum{Value: p.Fill.Sum(), Known: true}
+			}
 			i = p.End - 1
 			continue
 		}
-		if u.Op != nil {
-			if _, err := b.c.ApplyOp(u.Op); err != nil {
-				return filled, err
+		if u.Op == nil {
+			if p != nil && i < p.End {
+				b.c.RunSchedule(p.unitSched(i, u.Gates))
+				continue
 			}
+			b.c.RunSchedule(u.Sched)
 			continue
 		}
-		if p != nil && i < p.End {
-			b.c.RunSchedule(p.unitSched(i, u.Gates))
+		var next *recognize.Op
+		if i+1 < hi {
+			next = x.Units[i+1].Op
+		}
+		if next != nil && b.c.ApplyOpPair(u.Op, next) {
+			st.composed++
+			i++
 			continue
 		}
-		b.c.RunSchedule(u.Sched)
+		var onePass bool
+		if sum, onePass, err = b.c.ApplyOpSum(u.Op, next, carried); err != nil {
+			return st, err
+		}
+		if onePass {
+			st.carried++
+		}
 	}
-	return filled, nil
+	return st, nil
 }
 
 // Run dispatches the whole executable through RunUnits, reporting the
@@ -116,15 +152,16 @@ func (b *clusterBackend) runUnits(x *Executable, lo, hi int) (filled bool, err e
 func (b *clusterBackend) Run(x *Executable) (*Result, error) {
 	before := b.c.Stats.Snapshot()
 	elapsed := perfmodel.Clock()
-	filled, err := b.runUnits(x, 0, len(x.Units))
+	st, err := b.runUnits(x, 0, len(x.Units))
 	if err != nil {
 		return nil, err
 	}
 	res := x.result()
 	res.Wall = elapsed()
 	if res.Prefix != nil {
-		res.Prefix.Filled = filled
+		res.Prefix.Filled = st.filled
 	}
+	res.ComposedPairs, res.CarriedSums = st.composed, st.carried
 	after := b.c.Stats.Snapshot()
 	res.Comm = Comm{
 		Rounds:    after.Rounds - before.Rounds,

@@ -147,8 +147,20 @@
 // The resulting Executable is immutable and reusable across runs and
 // across backends of the same Target shape. The backend is deliberately
 // thin: Run is dispatch over the Executable's units — recognised ops
-// through Cluster.ApplyOp, gate segments through RunSchedule (after the
-// product prefix's fill on a fresh register).
+// through Cluster.ApplyOpSum, gate segments through RunSchedule (after the
+// product prefix's fill on a fresh register). Within one RunUnits window
+// it pays one pass per emulated step where the lowerings allow: two
+// adjacent op units that compose (an arithmetic op with a field-add
+// kernel beside a diagonal table, both shard-local) run as one sweep
+// (Cluster.ApplyOpPair), and the window carries the register's amplitude
+// sum in a loop-local variable — known after a fill whose remainder is
+// empty, kept by a phase flip and by a reflection whose next unit is a
+// flip or a reflection, lost at any other unit — so a reflection it
+// reaches runs one pass. Neither is a new trust claim: the composed sweep
+// is the two ops bit for bit, and the carried sum only skips a pass that
+// would recompute it. A window that cuts a pair or a
+// chain runs them apart; Result counts the pairs composed
+// (ComposedPairs) and the reflections run on a carried sum (CarriedSums).
 //
 // One interface, one engine. The paper's emulator has one machine model —
 // gate work through bandwidth-bound kernels on node-local amplitudes, a

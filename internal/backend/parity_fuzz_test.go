@@ -21,7 +21,10 @@ import (
 func parityCircuit(seed uint64, family, width, size uint8) (string, *circuit.Circuit) {
 	src := rng.New(seed)
 	n := 5 + uint(width%6)
-	switch family % 11 {
+	switch family % 12 {
+	case 11:
+		start := [2]string{"hadamard", "rotations"}[size%2]
+		return fmt.Sprintf("grovermix-%s-n%d-s%d", start, n, seed), circgen.GroverMix(src, n, size%2 == 1)
 	case 10:
 		place := czPairPlaces[size%3]
 		return fmt.Sprintf("czpairs-%s-n%d-s%d", place, n, seed), czPairs(src, n, place)
@@ -271,7 +274,9 @@ func parityTargets(n uint) []parityTarget {
 // (TestParitySeedsReachThePrefixCap), then the carried family's every op
 // kind and placement, annotated and matched, at 8, 9 and 10 qubits
 // (TestParitySeedsReachTheCarry), then the CZ-pair family's every
-// placement at 8, 9 and 10 qubits (TestParitySeedsReachTheFactors).
+// placement at 8, 9 and 10 qubits (TestParitySeedsReachTheFactors), then
+// the Grover-mix family from both starts at every width
+// (TestParitySeedsReachTheOnePassOps).
 func paritySeeds() [][4]uint64 {
 	var seeds [][4]uint64
 	for i := uint64(0); i < 15; i++ {
@@ -296,6 +301,9 @@ func paritySeeds() [][4]uint64 {
 	}
 	for i := uint64(0); i < 9; i++ {
 		seeds = append(seeds, [4]uint64{3100 + i, 10, 3 + i/3, i % 3})
+	}
+	for i := uint64(0); i < 6; i++ {
+		seeds = append(seeds, [4]uint64{3200 + i, 11, i, i % 2})
 	}
 	return seeds
 }
@@ -340,6 +348,73 @@ func TestParitySeedsReachTheFactors(t *testing.T) {
 		if reached[place] == 0 {
 			t.Errorf("no seed places a CZ-pair diagonal %s (reached: %v)", place, reached)
 		}
+	}
+}
+
+// TestParitySeedsReachTheOnePassOps keeps the Grover-mix seeds honest:
+// run whole on one node with recognition on, every seed composes its
+// adder with the diagonal after it and its subtractor with the diagonal
+// before it, and runs its first reflection on the sum carried from the
+// fill through the phase flip; a run cut between the composed ops, or
+// between the flip and the reflection, runs them apart.
+func TestParitySeedsReachTheOnePassOps(t *testing.T) {
+	for _, s := range paritySeeds() {
+		if s[1] != 11 {
+			continue
+		}
+		name, c := parityCircuit(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		x, err := backend.Compile(c, backend.Target{NumQubits: c.NumQubits, FuseWidth: 4, Emulate: recognize.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := backend.New(x.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		composed, carried, err := backend.RunUnitsCounted(b, x, 0, len(x.Units))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if composed != 2 || carried < 1 {
+			t.Errorf("%s: %d pairs composed and %d reflections on a carried sum; want 2 and at least 1", name, composed, carried)
+		}
+		// Cut the run in two right before each reflection and between the
+		// ops of each pair: the cut pair runs apart, and the reflection,
+		// starting its window, on a sum of its own.
+		for i := 1; i < len(x.Units); i++ {
+			prev, next := x.Units[i-1].Op, x.Units[i].Op
+			if prev == nil || next == nil {
+				continue
+			}
+			_, arith := prev.FieldAdd()
+			if _, ok := next.FieldAdd(); ok {
+				arith = true
+			}
+			_, _, diag := prev.DiagTable()
+			if _, _, ok := next.DiagTable(); ok {
+				diag = true
+			}
+			pair, reflect := arith && diag, next.ReflectUniform()
+			if !pair && !reflect {
+				continue
+			}
+			b.Reset()
+			c1, r1, err := backend.RunUnitsCounted(b, x, 0, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2, r2, err := backend.RunUnitsCounted(b, x, i, len(x.Units))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pair && c1+c2 != composed-1 {
+				t.Errorf("%s: a cut before unit %d composes %d pairs, want %d", name, i, c1+c2, composed-1)
+			}
+			if reflect && r1+r2 != carried-1 {
+				t.Errorf("%s: a cut before unit %d carries %d reflections, want %d", name, i, r1+r2, carried-1)
+			}
+		}
+		b.Close()
 	}
 }
 

@@ -16,6 +16,7 @@ package circgen
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -164,6 +165,83 @@ func FourierSandwich(src *rng.Source, n uint, reps int) *circuit.Circuit {
 		rotations()
 		c.Extend(qft.Field(n, pos, w, swaps).Dagger())
 	}
+	return c
+}
+
+// GroverMix is the chain of recognised ops the emulator runs in one pass
+// each: a Hadamard layer (or, with rotations, a layer of random Ry), an
+// annotated Grover iteration (phase flip and reflection about the uniform
+// state) whose reflection follows the fill and the flip, a second one whose
+// phase flip is left to the matcher, then an annotated adder directly
+// followed by a run of diagonal gates the matcher finds, a Ry layer, and a
+// second diagonal run directly followed by an annotated subtractor — each
+// arithmetic op beside a diagonal, in both orders. The operands are the
+// fields [0, w) and [w, 2w), w = ⌊(n-1)/2⌋, with qubit 2w as the carry;
+// the diagonal runs hold n+32 gates, past the emulation cutoff. n >= 5.
+func GroverMix(src *rng.Source, n uint, rotations bool) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := uint(0); q < n; q++ {
+		if rotations {
+			c.Append(gates.Ry(q, 0.2+2*src.Float64()))
+		} else {
+			c.Append(gates.H(q))
+		}
+	}
+	all := make([]uint64, 0, n+2)
+	all = append(all, uint64(n))
+	controls := make([]uint, 0, n-1)
+	for q := uint(0); q < n; q++ {
+		all = append(all, uint64(q))
+		if q > 0 {
+			controls = append(controls, q)
+		}
+	}
+	mcz := gates.Z(0).WithControls(controls...)
+	for it := 0; it < 2; it++ {
+		marked, lo := src.Uint64n(1<<n), c.Len()
+		for pass := 0; pass < 2; pass++ {
+			for q := uint(0); q < n; q++ {
+				if marked>>q&1 == 0 {
+					c.Append(gates.X(q))
+				}
+			}
+			if pass == 0 {
+				c.Append(mcz)
+			}
+		}
+		if it == 0 {
+			c.Annotate(circuit.Region{Name: "phaseflip", Args: append(slices.Clip(all), marked), Lo: lo, Hi: c.Len()})
+		}
+		lo = c.Len()
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.H(q), gates.X(q))
+		}
+		c.Append(mcz)
+		for q := uint(0); q < n; q++ {
+			c.Append(gates.X(q), gates.H(q))
+		}
+		c.Annotate(circuit.Region{Name: "reflect-uniform", Args: all, Lo: lo, Hi: c.Len()})
+	}
+	w := (n - 1) / 2
+	diagonals := func() {
+		width := min(n, 6)
+		pos := uint(src.Intn(int(n-width) + 1))
+		for range n + 32 {
+			a := pos + uint(src.Intn(int(width)))
+			if b := pos + uint(src.Intn(int(width))); b != a {
+				c.Append(gates.CR(a, b, 0.1+3*src.Float64()))
+				continue
+			}
+			c.Append(gates.Rz(a, 0.1+3*src.Float64()))
+		}
+	}
+	revlib.Adder(c, revlib.Seq(0, w), revlib.Seq(w, w), 2*w)
+	diagonals()
+	for q := uint(0); q < n; q++ {
+		c.Append(gates.Ry(q, 0.2+2*src.Float64()))
+	}
+	diagonals()
+	revlib.Subtractor(c, revlib.Seq(0, w), revlib.Seq(w, w), 2*w)
 	return c
 }
 

@@ -103,10 +103,10 @@ func (c *Cluster) applyDiagTable(d []complex128, qubits []uint) {
 }
 
 // applyPhaseFlip negates the amplitudes whose logical qubits (ascending,
-// LSB first) spell value. Only the nodes whose node-selecting members
-// match take part, and each touches just the matching 2^(L - w_local)
-// amplitudes of its shard.
-func (c *Cluster) applyPhaseFlip(qubits []uint, value uint64) {
+// LSB first) spell value and returns the sum of what it negated, as they
+// were. Only the nodes whose node-selecting members match take part, and
+// each touches just the matching 2^(L - w_local) amplitudes of its shard.
+func (c *Cluster) applyPhaseFlip(qubits []uint, value uint64) complex128 {
 	var nodeMask, nodeWant, localWant uint64
 	var localPhys []uint
 	for j, q := range qubits {
@@ -124,14 +124,23 @@ func (c *Cluster) applyPhaseFlip(qubits []uint, value uint64) {
 	}
 	sort.Slice(localPhys, func(a, b int) bool { return localPhys[a] < localPhys[b] })
 	others := c.LocalSize() >> uint(len(localPhys))
+	flipped := make([]complex128, c.P)
 	c.eachNode(func(p int) {
 		if uint64(p)&nodeMask != nodeWant {
 			return
 		}
 		shard := c.shard(p)
+		var s complex128
 		for o := uint64(0); o < others; o++ {
 			i := bitops.InsertZeroBits(o, localPhys...) | localWant
+			s += shard[i]
 			shard[i] = -shard[i]
 		}
+		flipped[p] = s
 	})
+	var total complex128
+	for _, s := range flipped {
+		total += s
+	}
+	return total
 }

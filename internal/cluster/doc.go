@@ -60,7 +60,26 @@
 // worker count — no message, no remap, and only the amplitudes the
 // product makes nonzero, since the rest already hold the zero a fresh
 // register has. It refuses a register that is not fresh; the backend runs
-// each spanned unit's own lowering there instead.
+// each spanned unit's own lowering there instead. The first fill of a
+// product has it build, once, what a fill writes from: every cluster that
+// lies wholly inside a row multiplied into one in-row factor, so a layer
+// of one-qubit clusters is written once per amplitude, not expanded
+// cluster by cluster.
+//
+// # One pass per step
+//
+// Two lowerings let a caller that runs ops back to back pay one pass where
+// they would pay two. ApplyOpSum carries the register's amplitude sum
+// (Sum) from op to op: a fresh fill knows it (statevec.Product.Sum, the
+// product of the clusters' sums), a phase flip takes off twice what it
+// negates, and a reflection with the sum known runs its update pass alone,
+// accumulating the sum it leaves as it writes when the caller's next op
+// carries it on; every other op leaves it unknown. The sum lives with the
+// caller, never on the register.
+// ApplyOpPair runs an arithmetic op with a field-add kernel and a
+// diagonal table, adjacent in either order and both below L, as one
+// statevec.State.ApplyFieldAddDiag sweep per shard, which is the two ops
+// apart bit for bit.
 //
 // # Exchange contracts
 //
@@ -159,8 +178,9 @@
 //     its table exactly as a fused diagonal block does (node-selecting
 //     members fix a reduced table per node, the shard applies it with
 //     ApplyDiagTable), and a phase flip negates the matching
-//     amplitudes; the Grover diffusion (ReflectUniform) needs one scalar
-//     allreduce, split over the node's workers, and no round on one node.
+//     amplitudes; the Grover diffusion needs one scalar allreduce, split
+//     over the node's workers, and no round on one node — one pass on a
+//     sum carried to it (ApplyOpSum), two otherwise.
 //
 // The permutation collective speaks the canonical layout and restores it
 // (one extra remap round at most) when the gate engine or a Fourier op

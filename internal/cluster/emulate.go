@@ -103,8 +103,55 @@ func Lowerable(op *recognize.Op, n, L uint, P int) (string, bool) {
 func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 	sub, ok := Lowerable(op, c.NumQubits(), c.L, c.P)
 	if !ok {
-		return "", fmt.Errorf("cluster: %v has no distributed lowering (field wider than a shard?)", op)
+		return "", noLowering(op)
 	}
+	_, _, err := c.apply(op, sub, nil, Sum{})
+	return sub, err
+}
+
+// noLowering is the error of an op Lowerable rejects.
+func noLowering(op *recognize.Op) error {
+	return fmt.Errorf("cluster: %v has no distributed lowering (field wider than a shard?)", op)
+}
+
+// Sum is the register's amplitude sum as a caller carries it from op to
+// op: Value is the sum when Known is set. A fresh run's product fill knows
+// it (statevec.Product.Sum), and the ops ApplyOpSum names keep it; it
+// lives with the caller, not on the register, so nothing else has to
+// clear it.
+type Sum struct {
+	Value complex128
+	Known bool
+}
+
+// ApplyOpSum is ApplyOp on a register whose amplitude sum is s, with next
+// the op the caller runs right after it (nil when a gate or nothing
+// follows). It returns the sum after the op, and whether the op ran in one
+// pass on s. A phase flip takes off twice the sum of what it negates. A
+// reflection with s known skips its sum pass and runs its update pass
+// alone; it adds up the sum it leaves as it writes only when next is an op
+// that carries the sum on (a phase flip or a reflection). Every other op
+// leaves the sum unknown.
+func (c *Cluster) ApplyOpSum(op, next *recognize.Op, s Sum) (after Sum, onePass bool, err error) {
+	sub, ok := Lowerable(op, c.NumQubits(), c.L, c.P)
+	if !ok {
+		return Sum{}, false, noLowering(op)
+	}
+	return c.apply(op, sub, next, s)
+}
+
+// carriesSum reports whether op turns a known amplitude sum into the sum
+// it leaves: a phase flip or a reflection.
+func carriesSum(op *recognize.Op) bool {
+	if op == nil {
+		return false
+	}
+	_, _, flip := op.PhaseFlip()
+	return flip || op.ReflectUniform()
+}
+
+// apply runs op on substrate sub, as ApplyOpSum describes.
+func (c *Cluster) apply(op *recognize.Op, sub string, next *recognize.Op, s Sum) (Sum, bool, error) {
 	c.fresh = false
 	switch sub {
 	case SubstrateStatevec:
@@ -119,25 +166,53 @@ func (c *Cluster) ApplyOp(op *recognize.Op) (string, error) {
 			c.reverseFieldPlacement(q.Pos, q.Width)
 		}
 		if err := c.distributedFFTField(q.Pos, q.Width, q.Inverse); err != nil {
-			return "", err
+			return Sum{}, false, err
 		}
 		if !q.Inverse && q.NoSwap {
 			c.reverseFieldPlacement(q.Pos, q.Width)
 		}
 	case SubstrateReflect:
-		c.ReflectUniform()
+		return c.reflect(s, carriesSum(next)), s.Known, nil
 	case SubstrateDiagonal:
 		if d, qubits, ok := op.DiagTable(); ok {
 			c.applyDiagTable(d, qubits)
-		} else {
-			qubits, value, _ := op.PhaseFlip()
-			c.applyPhaseFlip(qubits, value)
+			break
 		}
+		qubits, value, _ := op.PhaseFlip()
+		flipped := c.applyPhaseFlip(qubits, value)
+		return Sum{s.Value - 2*flipped, s.Known}, false, nil
 	case SubstratePermutation:
 		f, _ := op.Permutation()
 		c.ApplyPermutation(f)
 	}
-	return sub, nil
+	return Sum{}, false, nil
+}
+
+// ApplyOpPair runs two adjacent ops as one pass when they compose: an
+// arithmetic op with a field-add kernel (recognize.Op.FieldAdd) and a
+// diagonal table, in either order, both shard-local — the arithmetic op's
+// support and the table's qubits below L. Each shard then runs
+// statevec.State.ApplyFieldAddDiag under the canonical placement, which
+// is ApplyOp(first) and ApplyOp(second) bit for bit. It reports whether it
+// ran; a pair that does not compose is left for the caller to run apart.
+// The pair leaves the amplitude sum unknown.
+func (c *Cluster) ApplyOpPair(first, second *recognize.Op) bool {
+	arith, diag, diagFirst := first, second, false
+	if _, _, ok := first.DiagTable(); ok {
+		arith, diag, diagFirst = second, first, true
+	}
+	add, ok := arith.FieldAdd()
+	d, qubits, isDiag := diag.DiagTable()
+	if !ok || !isDiag || qubits[len(qubits)-1] >= c.L {
+		return false
+	}
+	if sub, _ := Lowerable(arith, c.NumQubits(), c.L, c.P); sub != SubstrateStatevec {
+		return false
+	}
+	c.fresh = false
+	c.Canonicalize()
+	c.eachNode(func(p int) { c.nodes[p].ApplyFieldAddDiag(add, d, qubits, diagFirst) })
+	return true
 }
 
 // reverseFieldPlacement applies the bit-reversal permutation of the
@@ -154,13 +229,18 @@ func (c *Cluster) reverseFieldPlacement(pos, w uint) {
 	}
 }
 
-// ReflectUniform applies the Householder reflection I - 2|s><s| about the
-// uniform state to the whole register: a' = a - 2(Σa)/N. The global sum is
-// one scalar allreduce (P partial sums); the update is shard-local. Both
-// passes are placement-independent, and each shard's sum and update are
-// split into chunks over the node's workers, so one node reflects at its
-// whole worker count. One node shares its sum with nobody: no round.
-func (c *Cluster) ReflectUniform() {
+// reflect applies the Householder reflection I - 2|s><s| about the
+// uniform state to the whole register, a' = a - 2(Σa)/N, on a register
+// whose amplitude sum is s. Unknown, the sum is one scalar allreduce (P
+// partial sums); known, that pass is skipped and the reflection is its
+// update pass alone, shard-local. With keep set the update adds up the sum
+// it leaves as it writes, and reflect returns it; otherwise it returns the
+// sum unknown. Both passes are placement-independent, and each shard's
+// share is split into chunks over the node's workers, so one node reflects
+// at its whole worker count. One node shares its sum with nobody: no
+// round. Several pay the round either way: a carried sum's last change (a
+// phase flip's) lies on the nodes that made it and is shared here.
+func (c *Cluster) reflect(s Sum, keep bool) Sum {
 	c.fresh = false
 	chunks := c.reflectChunks()
 	part := func(k int) []complex128 {
@@ -168,21 +248,32 @@ func (c *Cluster) ReflectUniform() {
 		return c.shard(k / chunks)[i*size/uint64(chunks) : (i+1)*size/uint64(chunks)]
 	}
 	sums := make([]complex128, c.P*chunks)
-	par.For(len(sums), func(k int) { sums[k] = sumAmps(part(k)) })
-	var total complex128
-	for _, s := range sums {
-		total += s
+	total := s.Value
+	if !s.Known {
+		par.For(len(sums), func(k int) { sums[k] = sumAmps(part(k)) })
+		total = 0
+		for _, v := range sums {
+			total += v
+		}
 	}
 	mu := total * complex(2/float64(uint64(1)<<c.NumQubits()), 0)
-	par.For(len(sums), func(k int) { subtractAmps(part(k), mu) })
-	if c.P == 1 {
-		return
+	after := Sum{Known: keep}
+	if keep {
+		par.For(len(sums), func(k int) { sums[k] = subtractSumAmps(part(k), mu) })
+		for _, v := range sums {
+			after.Value += v
+		}
+	} else {
+		par.For(len(sums), func(k int) { subtractAmps(part(k), mu) })
 	}
-	// Allreduce accounting: every node shares one 16-byte partial sum.
-	p64 := uint64(c.P)
-	c.Stats.BytesSent.Add(16 * p64 * (p64 - 1))
-	c.Stats.Messages.Add(p64 * (p64 - 1))
-	c.Stats.Rounds.Add(1)
+	if c.P > 1 {
+		// Allreduce accounting: every node shares one 16-byte partial sum.
+		p64 := uint64(c.P)
+		c.Stats.BytesSent.Add(16 * p64 * (p64 - 1))
+		c.Stats.Messages.Add(p64 * (p64 - 1))
+		c.Stats.Rounds.Add(1)
+	}
+	return after
 }
 
 // sumAmps returns the sum of amps.
@@ -205,7 +296,19 @@ func subtractAmps(amps []complex128, mu complex128) {
 	}
 }
 
-// reflectChunks is how many chunks ReflectUniform splits each shard into:
+// subtractSumAmps is subtractAmps, returning the sum of what it wrote.
+//
+//qemu:hotpath
+func subtractSumAmps(amps []complex128, mu complex128) complex128 {
+	var s complex128
+	for i := range amps {
+		amps[i] -= mu
+		s += amps[i]
+	}
+	return s
+}
+
+// reflectChunks is how many chunks reflect splits each shard into:
 // the node's worker count, kept to at least minChunk amplitudes each.
 func (c *Cluster) reflectChunks() int {
 	return int(min(uint64(c.nodes[0].Workers()), max(c.LocalSize()/minChunk, 1)))

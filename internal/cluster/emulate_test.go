@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/circgen"
@@ -512,3 +514,155 @@ func TestReflectUniformChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestOpSumCarriesThroughFlipAndReflection holds the carried amplitude sum
+// to the register's: a phase flip on a known sum, a reflection on it (one
+// pass) and a reflection on an unknown one (two) each leave the state the
+// two-pass lowering leaves, to 1e-12, and return the sum the register
+// then holds when the next op carries it on; the reflection pays its
+// allreduce round on several nodes either way, reports one pass exactly
+// when its sum was known, and returns the sum unknown before an op that
+// does not carry it (an add, or none) — as does the add itself.
+func TestOpSumCarriesThroughFlipAndReflection(t *testing.T) {
+	const n = 10
+	src := rng.New(67)
+	c := circuit.New(n)
+	c.Extend(circgen.GroverMix(src, n, true))
+	ops := planOps(t, c, recognize.Annotated)
+	var flip, reflect, add *recognize.Op
+	for _, op := range ops {
+		switch op.Kind() {
+		case "phaseflip":
+			flip = op
+		case "reflect":
+			reflect = op
+		case "add":
+			add = op
+		}
+	}
+	sumOf := func(st *statevec.State) complex128 {
+		var s complex128
+		for _, a := range st.Amplitudes() {
+			s += a
+		}
+		return s
+	}
+	steps := []struct {
+		op    *recognize.Op
+		known bool
+	}{{flip, true}, {reflect, true}, {flip, true}, {reflect, false}, {reflect, true},
+		{flip, true}, {reflect, true}, {add, true}, {reflect, false}}
+	for _, p := range []int{1, 2, 4} {
+		cl, err := cluster.New(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init := loadRandom(t, cl, src)
+		cl.Remap(shuffledPlacement(n, src))
+		ref := init.Clone()
+		s := cluster.Sum{Value: sumOf(init), Known: true}
+		for k, step := range steps {
+			if !step.known {
+				s = cluster.Sum{}
+			}
+			var next *recognize.Op
+			if k+1 < len(steps) {
+				next = steps[k+1].op
+			}
+			cl.ResetStats()
+			after, onePass, err := cl.ApplyOpSum(step.op, next, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step.op.Apply(ref)
+			if d := cl.Gather().MaxDiff(ref); d > 1e-12 {
+				t.Fatalf("P=%d step %d %v on a known sum %v: differs from the op by %g", p, k, step.op, s.Known, d)
+			}
+			if want := step.op == reflect && s.Known; onePass != want {
+				t.Errorf("P=%d step %d %v: one pass %v, want %v", p, k, step.op, onePass, want)
+			}
+			if step.op == add || step.op == reflect && (next == nil || next == add) {
+				if after.Known {
+					t.Errorf("P=%d step %d %v before %v: returns a known sum", p, k, step.op, next)
+				}
+				s = after
+				continue
+			}
+			if want := sumOf(ref); !after.Known || cmplxAbs(after.Value-want) > 1e-12 {
+				t.Errorf("P=%d step %d %v: carried sum %v, the register's %v", p, k, step.op, after, want)
+			}
+			if rounds := cl.Stats.Snapshot().Rounds; step.op == reflect && rounds != uint64(min(p-1, 1)) {
+				t.Errorf("P=%d: the reflection paid %d rounds", p, rounds)
+			}
+			s = after
+		}
+	}
+}
+
+// TestOpPairMatchesOpsApart holds ApplyOpPair to ApplyOp on each op, bit
+// for bit, for the Grover mix's adder then diagonal and diagonal then
+// subtractor, on one, two and four nodes, under a shuffled placement: a
+// pair whose supports lie below L composes, and any other is refused, the
+// register untouched.
+func TestOpPairMatchesOpsApart(t *testing.T) {
+	const n = 10
+	src := rng.New(71)
+	composed := 0
+	for seed := range uint64(8) {
+		ops := planOps(t, circgen.GroverMix(rng.New(seed), n, false), recognize.Auto)
+		var pairs [][2]*recognize.Op
+		for i := 1; i < len(ops); i++ {
+			if ops[i-1].Hi == ops[i].Lo {
+				pairs = append(pairs, [2]*recognize.Op{ops[i-1], ops[i]})
+			}
+		}
+		for _, pair := range pairs {
+			diag, arith := pair[0], pair[1]
+			if _, _, ok := diag.DiagTable(); !ok {
+				diag, arith = arith, diag
+			}
+			_, _, isDiag := diag.DiagTable()
+			if _, ok := arith.FieldAdd(); !ok || !isDiag {
+				continue
+			}
+			for _, p := range []int{1, 2, 4} {
+				cl, err := cluster.New(n, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				init := loadRandom(t, cl, src)
+				placement := shuffledPlacement(n, src)
+				cl.Remap(placement)
+				ran := cl.ApplyOpPair(pair[0], pair[1])
+				apart, err := cluster.New(n, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := apart.LoadState(init); err != nil {
+					t.Fatal(err)
+				}
+				apart.Remap(placement)
+				top := max(slices.Max(diag.Support()), slices.Max(arith.Support()))
+				if want := top < cl.L; ran != want {
+					t.Fatalf("seed %d P=%d: %v then %v composed: %v, want %v", seed, p, pair[0], pair[1], ran, want)
+				}
+				if ran {
+					composed++
+					apart.ApplyOp(pair[0])
+					apart.ApplyOp(pair[1])
+				}
+				got, want := cl.Gather().Amplitudes(), apart.Gather().Amplitudes()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d P=%d: %v then %v: amplitude %d is %v, apart %v", seed, p, pair[0], pair[1], i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if composed == 0 {
+		t.Error("no pair composed")
+	}
+}
+
+func cmplxAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }

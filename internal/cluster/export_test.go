@@ -9,3 +9,7 @@ func (c *Cluster) ResetStats() {
 	c.Stats.AllToAlls.Store(0)
 	c.Stats.Rounds.Store(0)
 }
+
+// ReflectUniform is the reflection on a register whose sum is unknown:
+// its sum pass, then its update pass.
+func (c *Cluster) ReflectUniform() { c.reflect(Sum{}, false) }

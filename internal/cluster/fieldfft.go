@@ -230,24 +230,36 @@ func (c *Cluster) remapFieldLocal(pos, w uint) {
 }
 
 // twiddleRuns multiplies run f2 of shard — the 2^pos amplitudes at
-// offsets [f2<<pos, (f2+1)<<pos) — by exp(i·step·f2). Successive factors
-// advance by one rotation, re-anchored every 256 runs against roundoff
-// drift.
+// offsets [f2<<pos, (f2+1)<<pos) — by exp(i·step·f2). The factor is a
+// table entry exp(i·step·k) for the run's place k in its block of 256
+// times the block's base exp(i·step·(f2-k)): no factor waits on the one
+// before it, and none is more than two roundings from exact.
 //
 //qemu:hotpath
 func twiddleRuns(shard []complex128, pos uint, step float64) {
 	run := uint64(1) << pos
-	rot := cmplx.Rect(1, step)
-	var w complex128
-	for f2 := uint64(0); f2<<pos < uint64(len(shard)); f2++ {
-		if f2&255 == 0 {
-			w = cmplx.Rect(1, step*float64(f2))
+	runs := uint64(len(shard)) >> pos
+	var tab [256]complex128
+	for k := range min(runs, uint64(len(tab))) {
+		tab[k] = cmplx.Rect(1, step*float64(k))
+	}
+	for f2 := uint64(0); f2 < runs; f2 += uint64(len(tab)) {
+		base := cmplx.Rect(1, step*float64(f2))
+		ws := tab[:min(runs-f2, uint64(len(tab)))]
+		if run == 1 {
+			// One amplitude a run, the field at bit 0: a plain sweep.
+			for k, a := range shard[f2 : f2+uint64(len(ws))] {
+				shard[f2+uint64(k)] = a * (base * ws[k])
+			}
+			continue
 		}
-		amps := shard[f2<<pos:][:run]
-		for i := range amps {
-			amps[i] *= w
+		for k, t := range ws {
+			w := base * t
+			amps := shard[(f2+uint64(k))<<pos:][:run]
+			for i := range amps {
+				amps[i] *= w
+			}
 		}
-		w *= rot
 	}
 }
 

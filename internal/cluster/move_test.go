@@ -354,28 +354,40 @@ func BenchmarkMoveBits(b *testing.B) {
 	}
 	// The product state fill a fresh register starts a gate unit's product
 	// prefix with, over the clusters of gate-sweep's prefix (2, 8 and 10
-	// qubits, every one straddling the rows), on one node and on four,
-	// beside a copy of the whole register: the fill is held to at most two
-	// copies' ns/amp. Every amplitude is in the product, so each fill
-	// overwrites the last one whole and the register only needs marking
-	// fresh again.
-	fill := productOf(n, [][]uint{{0, 18}, {1, 2, 4, 9, 10, 13, 15, 17}, {3, 5, 6, 7, 8, 11, 12, 14, 16, 19}})
-	for _, nodes := range []int{1, 4} {
-		b.Run(fmt.Sprintf("product-fill/p=%d", nodes), func(b *testing.B) {
-			c, err := New(n, nodes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.FillProduct(statevec.NewProduct(n, c.L, fill.qubits, fill.amps))
-			p := statevec.NewProduct(n, c.L, fill.qubits, fill.amps)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.fresh = true
-				c.FillProduct(p)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uint64(1)<<n), "ns/amp")
-		})
+	// qubits, every one straddling the rows) and over emulate-mix's H^n
+	// (20 one-qubit clusters: those inside a row merge into one factor
+	// before the first fill), on one node and on four, beside a copy of
+	// the whole register: each fill is held to at most two copies'
+	// ns/amp. Every amplitude is in the product, so each fill overwrites
+	// the last one whole and the register only needs marking fresh again.
+	ones := make([][]uint, n)
+	for q := range ones {
+		ones[q] = []uint{uint(q)}
+	}
+	for _, fill := range []struct {
+		name string
+		p    product
+	}{
+		{"product-fill", productOf(n, [][]uint{{0, 18}, {1, 2, 4, 9, 10, 13, 15, 17}, {3, 5, 6, 7, 8, 11, 12, 14, 16, 19}})},
+		{"product-fill-ones", productOf(n, ones)},
+	} {
+		for _, nodes := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/p=%d", fill.name, nodes), func(b *testing.B) {
+				c, err := New(n, nodes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := statevec.NewProduct(n, c.L, fill.p.qubits, fill.p.amps)
+				c.FillProduct(p) // the first fill builds the merged factor
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.fresh = true
+					c.FillProduct(p)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uint64(1)<<n), "ns/amp")
+			})
+		}
 	}
 	b.Run("copy", func(b *testing.B) {
 		src := statevec.NewRandom(n, rng.New(1))

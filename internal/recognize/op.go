@@ -243,7 +243,7 @@ func (op *Op) Apply(st *statevec.State) {
 	case opQFT:
 		op.applyQFT(st)
 	case opAdd, opSub, opAddc, opMul, opDiv:
-		if add, ok := op.fieldAdd(); ok {
+		if add, ok := op.FieldAdd(); ok {
 			st.ApplyFieldAdd(add)
 			return
 		}
@@ -335,10 +335,11 @@ func contiguous(bits []uint) (pos uint, ok bool) {
 	return bits[0], true
 }
 
-// fieldAdd returns the closure-free kernel form of an add, sub, addc or
-// mul whose registers are contiguous fields; ok is false for div and for
-// any other placement, which keep the general permutation path.
-func (op *Op) fieldAdd() (statevec.FieldAdd, bool) {
+// FieldAdd returns the closure-free kernel form of an add, sub, addc or
+// mul whose registers are contiguous fields; ok is false for div, for any
+// other placement, which keep the general permutation path, and for every
+// other kind.
+func (op *Op) FieldAdd() (statevec.FieldAdd, bool) {
 	aPos, aOK := contiguous(op.regA)
 	bPos, bOK := contiguous(op.regB)
 	if op.kind == opDiv || !aOK || !bOK {

@@ -227,10 +227,10 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 	if opts.Verify {
 		// A region identical to an earlier one — the same compact op and
 		// the same compact gates, bit for bit — takes the earlier verdict.
-		verdicts := map[string]verdict{}
+		verdicts, refs := map[string]verdict{}, references{}
 		kept := ops[:0]
 		for _, op := range ops {
-			v := verifyOnce(verdicts, c, op)
+			v := verifyOnce(verdicts, refs, c, op)
 			if v == refuted {
 				name := op.kind.String()
 				p.Skipped = append(p.Skipped, Skip{Name: name, Lo: op.Lo, Hi: op.Hi,
@@ -263,16 +263,17 @@ const (
 // verifyOnce settles op on the first rung of Options.Verify's ladder that
 // can: identity with its reference network (already proved when a
 // reference-checking matcher found it, otherwise matchesReference, at any
-// width), the column walk (region.holds) up to MaxVerifyQubits of support,
-// else unverified. Only a region that goes on to the column walk is
+// width, an arithmetic network built once per region form in refs), the
+// column walk (region.holds) up to MaxVerifyQubits of support, else
+// unverified. Only a region that goes on to the column walk is
 // compacted and keyed: a region with an earlier verdict in verdicts, keyed
 // by region.key, takes it. Identity is settled before the memo — the
 // walk costs less than the key of the region it walks (a 240-gate QFT's
 // is ~38 KB) — and that loses nothing, since the reference networks
 // commute with the relabelling onto the compact register: two regions
 // with one key are both their network or both not.
-func verifyOnce(verdicts map[string]verdict, c *circuit.Circuit, op *Op) verdict {
-	if op.matchedAsReference() || op.hasReference() && matchesReference(c.Gates, op) {
+func verifyOnce(verdicts map[string]verdict, refs references, c *circuit.Circuit, op *Op) verdict {
+	if op.matchedAsReference() || op.hasReference() && matchesReference(c.Gates, op, refs) {
 		return proven
 	}
 	r, inside := compactRegion(c, op, MaxVerifyQubits)

@@ -53,21 +53,58 @@ func (w *window) take(r refGate) bool {
 // and reports whether the gates [op.Lo, op.Hi) of gs are that network,
 // gate for gate at matchEps, stopping at the first difference. A Fourier
 // op's network is generated in closed form (qftShape.walk, no allocation);
-// an arithmetic op's is regenerated by the revlib builder its region names.
-// A diagonal run, a phase flip and a reflection have no reference network.
-func matchesReference(gs []gates.Gate, op *Op) bool {
+// an arithmetic op's is regenerated by the revlib builder its region names
+// (references.network: once per region form in refs, or now when refs is
+// nil). A diagonal run, a phase flip and a reflection have no reference
+// network.
+func matchesReference(gs []gates.Gate, op *Op, refs references) bool {
 	win := window{gs: gs, at: op.Lo, hi: op.Hi}
-	return op.walkReference(win.take) && win.at == op.Hi
+	return op.walkReference(refs, win.take) && win.at == op.Hi
+}
+
+// references holds the arithmetic reference networks one Analyze has
+// built, by region form (formKey): a circuit that repeats an annotated
+// arithmetic region regenerates its network once, not at every occurrence.
+type references map[string][]gates.Gate
+
+// network returns op's arithmetic reference network: the one refs holds
+// for op's form, else built now, and kept in refs unless refs is nil.
+func (refs references) network(op *Op) []gates.Gate {
+	if refs == nil {
+		return op.builtReference()
+	}
+	var buf [128]byte
+	key := op.formKey(buf[:0])
+	ref, ok := refs[string(key)]
+	if !ok {
+		ref = op.builtReference()
+		refs[string(key)] = ref
+	}
+	return ref
+}
+
+// formKey appends what builtReference reads of an arithmetic op — its
+// kind, width, registers and single qubits, one byte each — to buf.
+func (op *Op) formKey(buf []byte) []byte {
+	buf = append(buf, byte(op.kind), byte(op.m), byte(op.carry), byte(op.bz))
+	for _, reg := range [...][]uint{op.regA, op.regB, op.regC, op.regR, op.regQ} {
+		buf = append(buf, byte(len(reg)))
+		for _, q := range reg {
+			buf = append(buf, byte(q))
+		}
+	}
+	return buf
 }
 
 // walkReference hands visit the gates of op's reference network in order,
-// as qftShape.walk does. It returns false at once for an op with none.
-func (op *Op) walkReference(visit func(refGate) bool) bool {
+// as qftShape.walk does, an arithmetic network taken as refs.network
+// gives it. It returns false at once for an op with none.
+func (op *Op) walkReference(refs references, visit func(refGate) bool) bool {
 	switch {
 	case op.kind == opQFT:
 		return qftShape{pos: op.pos, w: op.width, inverse: op.inverse, noswap: op.noswap}.walk(visit)
 	case op.hasReference():
-		return walkGates(op.builtReference(), visit)
+		return walkGates(refs.network(op), visit)
 	}
 	return false
 }

@@ -132,7 +132,7 @@ func familyWidths(regs []uint, aux, w uint) ([]uint, uint) {
 // referenceGates materialises the network op's walk hands out.
 func referenceGates(op *Op) []gates.Gate {
 	var gs []gates.Gate
-	op.walkReference(func(r refGate) bool {
+	op.walkReference(nil, func(r refGate) bool {
 		g := gates.Gate{Matrix: r.m, Target: r.target}
 		for cm := r.controls; cm != 0; cm &= cm - 1 {
 			g.Controls = append(g.Controls, uint(bits.TrailingZeros64(cm)))
@@ -190,6 +190,7 @@ func TestCloseC(t *testing.T) {
 func TestReferenceNetworksMatchOps(t *testing.T) {
 	src := rng.New(36)
 	covered := map[string][]uint{}
+	refs := references{}
 	for _, f := range referenceFamilies {
 		fourier := strings.Contains(f.name, "qft")
 		for w := uint(1); w <= f.maxW; w++ {
@@ -209,7 +210,7 @@ func TestReferenceNetworksMatchOps(t *testing.T) {
 				t.Fatalf("%s w=%d: %v", f.name, w, err)
 			}
 			what := fmt.Sprintf("%s w=%d on %v", f.name, w, c.Regions[0].Args)
-			if !matchesReference(c.Gates, op) {
+			if !matchesReference(c.Gates, op, refs) {
 				t.Fatalf("%s: the builder's network is not the walked reference", what)
 			}
 			net := circuit.New(n)
@@ -252,6 +253,7 @@ func TestMatchedOpsAreTheirReference(t *testing.T) {
 	opts := DefaultOptions(Auto)
 	opts.Verify = false
 	kinds := map[string]int{}
+	refs := references{}
 	for _, c := range circuits {
 		stripped := &circuit.Circuit{NumQubits: c.NumQubits, Gates: c.Gates}
 		for _, op := range Analyze(stripped, opts).Ops() {
@@ -259,7 +261,7 @@ func TestMatchedOpsAreTheirReference(t *testing.T) {
 				continue
 			}
 			kinds[op.Kind()]++
-			if !matchesReference(stripped.Gates, op) {
+			if !matchesReference(stripped.Gates, op, refs) {
 				t.Errorf("%v: matched, but not its reference network", op)
 			}
 		}
@@ -276,8 +278,11 @@ func TestMatchedOpsAreTheirReference(t *testing.T) {
 // into place and annotated; a mutation — none, drop, duplicate, swap with
 // the next, rephase by 1e-3…1e-13, or retarget one gate — is applied to
 // the window. matchesReference must agree with matchWindow against
-// shifted(builder…); for the Fourier shapes the matcher's open-ended
-// qftShape.match must agree with it too.
+// shifted(builder…), both building the network afresh and taking it from a
+// cache every input of the run shares — whose network for the op's form
+// must be the one built afresh, so two forms that share a key fail; for
+// the Fourier shapes the matcher's open-ended qftShape.match must agree
+// with it too.
 func FuzzReferenceWindow(f *testing.F) {
 	for fam := range referenceFamilies {
 		f.Add(uint8(fam), uint8(3), uint8(1), uint8(0), uint8(0), uint8(0))
@@ -285,6 +290,7 @@ func FuzzReferenceWindow(f *testing.F) {
 	}
 	f.Add(uint8(1), uint8(9), uint8(3), uint8(3), uint8(2), uint8(0))
 	f.Add(uint8(8), uint8(2), uint8(0), uint8(5), uint8(40), uint8(1))
+	refs := references{}
 	f.Fuzz(func(t *testing.T, family, width, offset, mutation, at, param uint8) {
 		fam := referenceFamilies[int(family)%len(referenceFamilies)]
 		w := 1 + uint(width)%fam.maxW
@@ -336,9 +342,17 @@ func FuzzReferenceWindow(f *testing.F) {
 			t.Fatalf("%s w=%d at %d: %v", fam.name, w, off, err)
 		}
 		want := len(ref) == len(win) && matchWindow(gs, op.Lo, op.Hi, ref)
-		if got := matchesReference(gs, op); got != want {
-			t.Fatalf("%s w=%d at %d, mutation %d at gate %d: comparator says %v, materialised %v",
-				fam.name, w, off, mutation%6, k, got, want)
+		for _, cache := range []references{nil, refs} {
+			if got := matchesReference(gs, op, cache); got != want {
+				t.Fatalf("%s w=%d at %d, mutation %d at gate %d, cached %v: comparator says %v, materialised %v",
+					fam.name, w, off, mutation%6, k, cache != nil, got, want)
+			}
+		}
+		if op.kind != opQFT {
+			cached, built := refs.network(op), op.builtReference()
+			if len(cached) != len(built) || !matchWindow(cached, 0, len(cached), built) {
+				t.Fatalf("%s w=%d at %d: the cached network of form %x is another form's", fam.name, w, off, op.formKey(nil))
+			}
 		}
 		if op.kind == opQFT {
 			s := qftShape{pos: op.pos, w: op.width, inverse: op.inverse, noswap: op.noswap}
@@ -350,6 +364,51 @@ func FuzzReferenceWindow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReferenceCacheKeysEveryQubit holds references.network to a fresh
+// build on ops that differ in one qubit: each arithmetic family's builder
+// region at width 2, then that region with each qubit argument in turn
+// moved to the one qubit the region leaves free. Every variant shares one
+// cache with the original and must get its own network back, so a form
+// key that leaves out a register or an ancilla fails.
+func TestReferenceCacheKeysEveryQubit(t *testing.T) {
+	const w = 2
+	for _, fam := range referenceFamilies {
+		if strings.Contains(fam.name, "qft") {
+			continue
+		}
+		widths, support := familyWidths(fam.regs, fam.aux, w)
+		free := support
+		b := circuit.New(support + 1)
+		var regs []revlib.Register
+		next := uint(0)
+		for _, rw := range widths {
+			regs = append(regs, revlib.Seq(next, rw))
+			next += rw
+		}
+		fam.build(b, regs, []uint{next, next + 1}[:fam.aux])
+		region := b.Regions[0]
+		refs := references{}
+		for j := range region.Args {
+			v := region
+			v.Args = slices.Clone(region.Args)
+			if j > 0 {
+				v.Args[j] = uint64(free) // Args[0] is the width: j = 0 is the region itself
+			}
+			op, err := parseRegion(free+1, v, nil)
+			if err != nil {
+				t.Fatalf("%s with argument %d at qubit %d: %v", fam.name, j, free, err)
+			}
+			cached, built := refs.network(op), op.builtReference()
+			if len(cached) != len(built) || !matchWindow(cached, 0, len(cached), built) {
+				t.Errorf("%s with argument %d at qubit %d: the cache gave another form's network", fam.name, j, free)
+			}
+		}
+		if len(refs) != len(region.Args) {
+			t.Errorf("%s: %d forms cached for %d regions", fam.name, len(refs), len(region.Args))
+		}
+	}
 }
 
 // brickworkShape is the benchmark's brickwork filler: a rotation about a
@@ -476,7 +535,7 @@ func TestAnalyzeRungs(t *testing.T) {
 		if ops[0].Verified != tc.verified {
 			t.Errorf("%s: Verified = %v, want %v", tc.name, ops[0].Verified, tc.verified)
 		}
-		if got := matchesReference(tc.c.Gates, ops[0]); got != tc.identity {
+		if got := matchesReference(tc.c.Gates, ops[0], nil); got != tc.identity {
 			t.Errorf("%s: identity with its reference = %v, want %v", tc.name, got, tc.identity)
 		}
 	}

@@ -228,3 +228,75 @@ func diagTableChunk(amp, d []complex128, runs []diagRun, start, end uint64) {
 		amp[i] *= d[x]
 	}
 }
+
+// ApplyFieldAddDiag applies the field addition op and the diagonal table d
+// over qubits (as ApplyDiagTable reads them) in one out-of-place sweep:
+// with diagFirst the diagonal runs first, out[f(i)] = amp[i]·d[x(i)];
+// otherwise the addition does, out[f(i)] = amp[i]·d[x(f(i))]. Every
+// amplitude is multiplied by the entry the diagonal alone would multiply
+// it by, so the result is ApplyFieldAdd's and ApplyDiagTable's, in either
+// order, bit for bit — one pass where the two pay two.
+//
+//qemu:hotpath
+func (s *State) ApplyFieldAddDiag(op FieldAdd, d []complex128, qubits []uint, diagFirst bool) {
+	s.checkFieldAdd(op)
+	s.checkDiagTable(d, qubits)
+	runs := s.diagRuns(qubits)
+	dim := s.Dim()
+	out := s.scratchBuf()
+	if s.parallelism(dim) <= 1 {
+		fieldAddDiagChunk(out, s.amp, d, runs, op, diagFirst, 0, dim)
+	} else {
+		amp := s.amp
+		s.parallelRange(dim, func(start, end uint64) {
+			fieldAddDiagChunk(out, amp, d, runs, op, diagFirst, start, end)
+		})
+	}
+	s.amp, s.scratch = out, s.amp
+}
+
+// fieldAddDiagChunk moves amp[i] to out[f(i)] for i in [start, end), as
+// fieldAddChunk does, multiplied by the table entry of i (diagFirst) or of
+// f(i). The multiplier form scales the addend by M's field and every
+// other form by one, so one loop serves both.
+//
+//qemu:hotpath
+func fieldAddDiagChunk(out, amp, d []complex128, runs []diagRun, op FieldAdd, diagFirst bool, start, end uint64) {
+	mask := bitops.Mask(op.Width)
+	aPos, bPos, cin, w := op.APos&63, op.BPos&63, op.CarryIn&63, op.Width&63
+	mPos, mMask, mOne := op.MulPos&63, uint64(0), uint64(1)
+	if op.HasMul {
+		mMask, mOne = mask, 0
+	}
+	var neg, coutBit, before uint64
+	if op.Subtract {
+		neg = ^uint64(0)
+	}
+	if op.HasCarryOut {
+		coutBit = 1 << op.CarryOut
+	}
+	if diagFirst {
+		before = ^uint64(0)
+	}
+	if len(runs) == 1 {
+		shift, rmask := runs[0].shift&63, runs[0].mask
+		for i := start; i < end; i++ {
+			av := ((i>>aPos)&mask + (i>>cin)&1) * ((i>>mPos)&mMask | mOne)
+			sum := (i>>bPos)&mask + (av ^ neg) + neg&1
+			j := i&^(mask<<bPos) | (sum&mask)<<bPos ^ (sum>>w&1)*coutBit
+			out[j] = amp[i] * d[(i&before|j&^before)>>shift&rmask]
+		}
+		return
+	}
+	for i := start; i < end; i++ {
+		av := ((i>>aPos)&mask + (i>>cin)&1) * ((i>>mPos)&mMask | mOne)
+		sum := (i>>bPos)&mask + (av ^ neg) + neg&1
+		j := i&^(mask<<bPos) | (sum&mask)<<bPos ^ (sum>>w&1)*coutBit
+		at := i&before | j&^before
+		var x uint64
+		for _, r := range runs {
+			x |= at >> r.shift & r.mask
+		}
+		out[j] = amp[i] * d[x]
+	}
+}

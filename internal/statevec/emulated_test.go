@@ -218,3 +218,63 @@ func TestWorkers(t *testing.T) {
 		t.Errorf("Workers() = %d without a cap", s.Workers())
 	}
 }
+
+// TestFieldAddDiagMatchesSequential holds the composed kernel to the two
+// kernels it replaces, bit for bit: add, sub, addc and mul, each with the
+// diagonal after it and before it, on tables of ApplyDiagN's width and
+// beyond it, over one run of qubits and several, serial and in parallel
+// chunks, through every dense body the host has.
+func TestFieldAddDiagMatchesSequential(t *testing.T) {
+	src := rng.New(47)
+	kinds := []struct {
+		name string
+		is   func(FieldAdd) bool
+	}{
+		{"add", func(op FieldAdd) bool { return !op.Subtract && !op.HasCarryOut && !op.HasMul }},
+		{"sub", func(op FieldAdd) bool { return op.Subtract && !op.HasMul }},
+		{"addc", func(op FieldAdd) bool { return op.HasCarryOut }},
+		{"mul", func(op FieldAdd) bool { return op.HasMul }},
+	}
+	for _, workers := range []int{1, 2} {
+		const n = 15
+		init := NewRandom(n, src)
+		for _, kind := range kinds {
+			op := randomFieldAdd(src, n)
+			for !kind.is(op) {
+				op = randomFieldAdd(src, n)
+			}
+			for _, w := range []uint{3, MaxMatrixNQubits + 2} {
+				for _, runs := range []int{1, 2} {
+					qubits := ascendingRuns(src, n, w, runs)
+					d := randomPhases(src, w)
+					for _, diagFirst := range []bool{false, true} {
+						for body := hostBody; ; body-- {
+							got, want := NewZero(n), NewZero(n)
+							got.SetParallelism(workers)
+							want.SetParallelism(workers)
+							got.CopyFrom(init)
+							want.CopyFrom(init)
+							withDenseBody(body, func() {
+								if diagFirst {
+									want.ApplyDiagTable(d, qubits)
+								}
+								want.ApplyFieldAdd(op)
+								if !diagFirst {
+									want.ApplyDiagTable(d, qubits)
+								}
+								got.ApplyFieldAddDiag(op, d, qubits, diagFirst)
+							})
+							if i, ok := sameBits(got, want); !ok {
+								t.Fatalf("%s %+v, diagonal on %v first=%v, %d workers, %s body: amplitude %d is %v, want %v",
+									kind.name, op, qubits, diagFirst, workers, body, i, got.amp[i], want.amp[i])
+							}
+							if body == bodyGo {
+								break
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

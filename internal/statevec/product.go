@@ -3,6 +3,8 @@ package statevec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // productRowBits is the widest row FillProduct builds a product state in:
@@ -14,8 +16,10 @@ const productRowBits = 10
 // of qubits, each in a state of its own, every other qubit in |0>. The
 // register is read as rows of 2^rowBits consecutive amplitudes: a
 // cluster's qubits below rowBits index within a row, the rest select the
-// row. It is immutable after NewProduct and safe to share across States
-// and goroutines.
+// row. What NewProduct lays out does not change after it; the merged
+// in-row factor a fill writes from is built lazily, once, on the first
+// FillProduct or Sum, so a Product is safe to share across States and
+// goroutines.
 type Product struct {
 	n       uint
 	rowBits uint
@@ -26,6 +30,19 @@ type Product struct {
 	// rowMask is the union of the clusters' row-selecting positions, as
 	// row-index bits: every other row of a fresh register stays zero.
 	rowMask uint64
+
+	// merge builds fill and sum on first use (FillProduct, Sum), so a
+	// product that is compiled, decoded or verified but never filled does
+	// not pay for them.
+	merge sync.Once
+	// fill is factors with every cluster that lies wholly inside a row
+	// multiplied into one in-row factor, in factors' order: a row then
+	// writes each of that factor's amplitudes once instead of expanding
+	// cluster by cluster.
+	fill []productFactor
+	// sum is the sum of the product's amplitudes: the product of each
+	// cluster's sum.
+	sum complex128
 }
 
 // productFactor is one cluster as a row sees it.
@@ -87,6 +104,61 @@ func NewProduct(n, maxRowBits uint, qubits [][]uint, amps [][]complex128) *Produ
 	return p
 }
 
+// Sum returns the sum of the product's amplitudes over the whole register:
+// the product of each cluster's sum, every other amplitude being zero.
+func (p *Product) Sum() complex128 {
+	p.merge.Do(p.build)
+	return p.sum
+}
+
+// build multiplies every cluster that lies wholly inside a row into one
+// in-row factor: a fill of row 0 from those clusters alone (fillRow), read
+// back at the merged factor's offsets. The merged factor takes its place
+// by in-row width; clusters that select rows keep their own factors.
+func (p *Product) build() {
+	p.sum = 1
+	for i := range p.factors {
+		var s complex128
+		for _, a := range p.factors[i].amps {
+			s += a
+		}
+		p.sum *= s
+	}
+	var in Product
+	for _, f := range p.factors {
+		if f.low > 0 && len(f.rows) == 0 {
+			in.fill = append(in.fill, f)
+		}
+	}
+	if len(in.fill) < 2 {
+		p.fill = p.factors
+		return
+	}
+	row := make([]complex128, 1<<p.rowBits)
+	in.fillRow(row, 0)
+	merged := productFactor{}
+	for _, f := range in.fill {
+		merged.mask |= f.mask
+		merged.low += f.low
+	}
+	merged.amps = make([]complex128, 1<<merged.low)
+	merged.dep = make([]uint32, 1<<merged.low)
+	for k := range merged.dep {
+		merged.dep[k] = uint32(deposit(uint64(k), merged.mask))
+		merged.amps[k] = row[merged.dep[k]]
+	}
+	for _, f := range p.factors {
+		if f.low == 0 || len(f.rows) > 0 {
+			p.fill = append(p.fill, f)
+		}
+	}
+	i := len(p.fill)
+	for i > 0 && p.fill[i-1].low > merged.low {
+		i--
+	}
+	p.fill = slices.Insert(p.fill, i, merged)
+}
+
 // deposit scatters the low bits of v to the set positions of mask.
 func deposit(v, mask uint64) uint64 {
 	var out uint64
@@ -102,8 +174,9 @@ func deposit(v, mask uint64) uint64 {
 // NumQubits returns the register width the product was laid out for.
 func (p *Product) NumQubits() uint { return p.n }
 
-// Bytes is what the product holds: the clusters' states and the row
-// offset tables.
+// Bytes is what the product holds as laid out: the clusters' states and
+// the row offset tables. The merged in-row factor built for the fills is
+// not counted, so the figure is the same before a fill and after.
 func (p *Product) Bytes() int {
 	b := 0
 	for i := range p.factors {
@@ -142,6 +215,7 @@ func (s *State) FillProduct(p *Product, node uint64, part, parts int) {
 	if s.n < p.rowBits || s.n > p.n || node >= 1<<(p.n-s.n) {
 		panic("statevec: product does not fit the shard")
 	}
+	p.merge.Do(p.build)
 	shardRows := s.n - p.rowBits
 	nodeRow := node << shardRows
 	if nodeRow&^p.rowMask != 0 {
@@ -158,17 +232,17 @@ func (s *State) FillProduct(p *Product, node uint64, part, parts int) {
 }
 
 // fillRow writes the nonzero amplitudes of global row h into row: the
-// clusters with no in-row qubit fold into one scalar, then each other
-// cluster's slice for this row expands the written set in place, the
-// set's entries read before they are overwritten.
+// factors with no in-row qubit fold into one scalar, then each other
+// factor's slice for this row expands the written set in place, the set's
+// entries read before they are overwritten.
 //
 //qemu:hotpath
 func (p *Product) fillRow(row []complex128, h uint64) {
 	scale := complex(1, 0)
 	var written uint64 // row offsets already holding their final factor
 	first := true
-	for i := range p.factors {
-		f := &p.factors[i]
+	for i := range p.fill {
+		f := &p.fill[i]
 		var sel uint64
 		for t, b := range f.rows {
 			sel |= (h >> b & 1) << t

@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/gates"
@@ -30,8 +31,10 @@ func randomCluster(src *rng.Source, qs []uint) ([]complex128, []gates.Gate) {
 
 // TestFillProductMatchesGates holds the fill to the state its clusters'
 // gates make from |0...0>, on one state and on shards, at every share
-// count, over clusters inside rows, across the row boundary and wholly
-// above it, with qubits left out.
+// count, over clusters inside rows — several of them, which merge into
+// one factor, beside clusters that do not — across the row boundary and
+// wholly above it, with qubits left out; and the product's Sum to the
+// sum of that state's amplitudes.
 func TestFillProductMatchesGates(t *testing.T) {
 	src := rng.New(7)
 	for _, tc := range []struct {
@@ -47,6 +50,8 @@ func TestFillProductMatchesGates(t *testing.T) {
 		{"shards", 13, 11, [][]uint{{0, 12}, {1, 10, 11}, {5}}},
 		{"shards left out", 13, 11, [][]uint{{0, 11}, {3}}},
 		{"narrow shards", 8, 6, [][]uint{{0, 7}, {2, 3, 6}}},
+		{"one-qubit layer", 13, 11, [][]uint{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {10}, {11}, {12}}},
+		{"merged beside straddling", 14, 14, [][]uint{{0}, {1, 4}, {2, 11}, {3}, {5, 6, 9}, {7, 12}, {8}, {10, 13}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := New(tc.n)
@@ -59,6 +64,13 @@ func TestFillProductMatchesGates(t *testing.T) {
 				}
 			}
 			p := NewProduct(tc.n, tc.shard, tc.clusters, amps)
+			var sum complex128
+			for _, a := range want.Amplitudes() {
+				sum += a
+			}
+			if d := cmplx.Abs(p.Sum() - sum); d > 1e-12 {
+				t.Errorf("Sum is %v, the state's amplitudes sum to %v", p.Sum(), sum)
+			}
 			for _, parts := range []int{1, 2, 3} {
 				got := NewZero(tc.n)
 				nodes := 1 << (tc.n - tc.shard)
