@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/noise"
 	"repro/internal/qasm"
@@ -169,6 +171,58 @@ func TestClusterShardCommPinned(t *testing.T) {
 	if res.Comm.Rounds != 2 || res.PlannedRemaps != 0 || res.Comm.BytesSent != 25165824 {
 		t.Errorf("rounds %d, planned remaps %d, bytes sent %d; want 2, 0, 25165824",
 			res.Comm.Rounds, res.PlannedRemaps, res.Comm.BytesSent)
+	}
+}
+
+// TestClusterShardSampleCommPinned pins what one SampleMany(1024) costs
+// the network on cluster-shard's final placement at P = 4, where the QFT
+// leaves logical qubits 0 and 1 on the node bits and 2..19 at local
+// positions 0..17. The draws are read under that placement: the 2^14
+// block tables reduce in one round (3 x 2^14 x 8 = 393 216 B) and the
+// walk reads the other three nodes' 48 weights (8 B each) of each of the
+// 927 blocks that hold a draw, in another. Sampling used to canonicalise first: one
+// all-to-all of 12 582 912 B, three quarters of the state.
+func TestClusterShardSampleCommPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 20-qubit circuit on 4 emulated nodes")
+	}
+	target := backend.Target{NumQubits: 20, Kind: backend.Cluster, Nodes: 4, FuseWidth: 4, Emulate: recognize.Auto, Workers: 2}
+	x, err := backend.Compile(experiments.ClusterShard(20, 6, 3), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := backend.New(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, err := b.Run(x); err != nil {
+		t.Fatal(err)
+	}
+	c := b.(interface{ Cluster() *cluster.Cluster }).Cluster()
+	want := []uint{18, 19}
+	for q := uint(2); q < 20; q++ {
+		want = append(want, q-2)
+	}
+	if got := c.Placement(); !slices.Equal(got, want) {
+		t.Fatalf("placement after the run is %v, want %v", got, want)
+	}
+	before := c.Stats.Snapshot()
+	b.SampleMany(1024, rng.New(3<<20))
+	after := c.Stats.Snapshot()
+	got := cluster.StatsSnapshot{
+		BytesSent: after.BytesSent - before.BytesSent,
+		Messages:  after.Messages - before.Messages,
+		Exchanges: after.Exchanges - before.Exchanges,
+		AllToAlls: after.AllToAlls - before.AllToAlls,
+		Rounds:    after.Rounds - before.Rounds,
+	}
+	pinned := cluster.StatsSnapshot{BytesSent: 393216 + 927*48*8, Messages: 3 + 3, Rounds: 2}
+	if got != pinned {
+		t.Errorf("SampleMany(1024) on cluster-shard's placement communicated %+v, want %+v", got, pinned)
+	}
+	if p := c.Placement(); !slices.Equal(p, want) {
+		t.Errorf("sampling moved the placement to %v", p)
 	}
 }
 

@@ -25,8 +25,9 @@ type Stats struct {
 	Exchanges atomic.Uint64
 	// AllToAlls counts collective steps in which every node may talk to
 	// every other node: the Fourier lowering's two node-bit remaps (Eq.
-	// 5's "3" with the Canonicalize its output order is left to),
-	// emulated permutations, and the execution engine's placement remaps.
+	// 5's third is the Canonicalize of whatever next reads canonical
+	// order; sampling reads under the placement and pays none), emulated
+	// permutations, and the execution engine's placement remaps.
 	AllToAlls atomic.Uint64
 	// Rounds counts communication rounds: BSP supersteps in which the
 	// network is used at all. A gate-by-gate exchange is one round per
@@ -96,8 +97,9 @@ type Cluster struct {
 	// block being executed.
 	blockPhys [fuse.MaxWidth]uint
 	// ident is the identity placement Canonicalize installs; srcOf, live,
-	// ctl and the draw arrays are the scratch of Remap, the movers,
-	// ApplyGate and Sample.
+	// ctl, the draw arrays and smp are the scratch of Remap, the movers
+	// and the sampler's walk, ApplyGate, Sample and the multi-node
+	// sampler.
 	ident     []uint
 	srcOf     []uint
 	live      [][]complex128
@@ -106,6 +108,7 @@ type Cluster struct {
 	drawn     [1]uint64
 	moves     map[string]*movePlan
 	diag      diagScratch
+	smp       *blockSampler
 	op        operands
 	runBodyFn func(p int)
 
@@ -153,14 +156,8 @@ type operands struct {
 	inverse bool
 	shares  int
 
-	// sums holds one partial result per node, prefix their running sums
-	// and bounds the first sorted draw at or past each; rs and out are
-	// the draws a sampling superstep resolves.
-	sums   []float64
-	prefix []float64
-	bounds []int
-	rs     []float64
-	out    []uint64
+	// sums holds one partial result per node.
+	sums []float64
 }
 
 // minChunk is the fewest amplitudes a one-node collective (a move, the
@@ -207,8 +204,6 @@ func New(n uint, p int) (*Cluster, error) {
 	c.live = make([][]complex128, p)
 	c.moves = make(map[string]*movePlan)
 	c.op.sums = make([]float64, p)
-	c.op.prefix = make([]float64, p+1)
-	c.op.bounds = make([]int, p+1)
 	c.runBodyFn = c.runBody
 	return c, nil
 }

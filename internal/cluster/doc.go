@@ -128,13 +128,21 @@
 //
 // # Probability and sampling
 //
-// Probability, Sample and SampleMany run cluster-wide without gathering:
-// every node reduces its shard in its own chunks (the statevec
-// parallelReduce machinery), and only the P partial scalars cross node
-// boundaries.
-// Sampling canonicalises the placement so outcomes are logical basis
-// indices resolved in the same CDF order as the single-node sampler; on
-// one node it is that sampler.
+// Probability, Sample and SampleMany run cluster-wide without gathering
+// and under any placement. Probability reduces every shard in its own
+// chunks (the statevec parallelReduce machinery), and only the P partial
+// scalars cross node boundaries. Sampling on several nodes reads the
+// state where it lies: a block is 2^b consecutive logical indices (b = 6,
+// raised with n to keep 2^(n-b) <= 2^14 blocks), every node sums its
+// shard into a partial table of block masses through the placement, the
+// P tables are reduced (one round, (P-1)·2^(n-b)·8 bytes), and only the
+// blocks that hold a draw are walked, in logical order, reading each
+// weight on the node that holds it (a second round, 8 bytes per remote
+// weight). Outcomes are logical basis indices resolved under the
+// single-node contract (statevec.SampleSorted: same RNG consumption, same
+// clamp) and the placement is left as it was. On one node sampling
+// canonicalises (a relabel's reversal in place, no network) and is the
+// single-node sampler.
 //
 // A trajectory calls the cluster per unit, per replayed gate and per
 // noise point, and those calls allocate nothing: their supersteps go

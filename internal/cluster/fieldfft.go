@@ -49,10 +49,11 @@ import (
 //	    that as the placement, moving nothing.
 //
 // So the transform pays two all-to-alls. The third of Eq. 5 is paid by
-// whatever next needs the canonical layout — a gate schedule, the
-// sampler, a permutation — as its Canonicalize; another Fourier op, a
-// diagonal or Gather reads the relabelled placement as it is. The
-// lowering needs n1 <= L, which for the full register is P <= 2^(n/2).
+// whatever next needs the canonical layout — a gate schedule, a
+// permutation — as its Canonicalize; another Fourier op, a diagonal, the
+// probabilities, the multi-node sampler or Gather reads the relabelled
+// placement as it is. The lowering needs n1 <= L, which for the full
+// register is P <= 2^(n/2).
 
 // denseDFTBits is the most node bits whose DFT runs as one dense block.
 // A block costs 2^n1 multiplies per amplitude against the n1 butterflies

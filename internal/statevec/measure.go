@@ -130,8 +130,7 @@ func (s *State) Sample(src *rng.Source) uint64 {
 // compared against the actually accumulated mass, so an almost-but-not-
 // quite normalised state never spuriously returns Dim()-1 — a
 // fallthrough draw lands on the highest supported outcome instead. The
-// distributed sampler of internal/cluster, built on ResolveCDF, shares
-// these semantics.
+// distributed sampler of internal/cluster shares these semantics.
 func (s *State) SampleMany(k int, src *rng.Source) []uint64 {
 	return SampleSorted(k, src, s.ResolveCDF)
 }
@@ -195,10 +194,8 @@ const unresolved = ^uint64(0)
 // the amplitude-weight CDF, writing the matched basis indices to out
 // (len(out) must equal len(ts)). A target t selects the first index whose
 // running mass sum exceeds t; targets at or beyond the total mass clamp to
-// the highest supported outcome (float-drift tolerance). Sharded owners
-// (internal/cluster) use it to sample a distributed register: the global
-// uniforms are partitioned by per-shard masses and each shard resolves its
-// targets locally, in its own chunks.
+// the highest supported outcome (float-drift tolerance). A one-node
+// cluster (internal/cluster) samples through it.
 func (s *State) ResolveCDF(ts []float64, out []uint64) {
 	if len(ts) == 0 {
 		return
