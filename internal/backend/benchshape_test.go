@@ -176,8 +176,8 @@ func TestClusterShardCommPinned(t *testing.T) {
 
 // TestClusterShardSampleCommPinned pins what one SampleMany(1024) costs
 // the network on cluster-shard's final placement at P = 4, where the QFT
-// leaves logical qubits 0 and 1 on the node bits and 2..19 at local
-// positions 0..17. The draws are read under that placement: the 2^14
+// leaves logical qubits 0 and 1 on the node bits and 2..19 reversed at
+// local positions 17..0. The draws are read under that placement: the 2^14
 // block tables reduce in one round (3 x 2^14 x 8 = 393 216 B) and the
 // walk reads the other three nodes' 48 weights (8 B each) of each of the
 // 927 blocks that hold a draw, in another. Sampling used to canonicalise first: one
@@ -202,7 +202,7 @@ func TestClusterShardSampleCommPinned(t *testing.T) {
 	c := b.(interface{ Cluster() *cluster.Cluster }).Cluster()
 	want := []uint{18, 19}
 	for q := uint(2); q < 20; q++ {
-		want = append(want, q-2)
+		want = append(want, 19-q)
 	}
 	if got := c.Placement(); !slices.Equal(got, want) {
 		t.Fatalf("placement after the run is %v, want %v", got, want)

@@ -24,9 +24,10 @@ type Stats struct {
 	// log2(P) communication term is written in).
 	Exchanges atomic.Uint64
 	// AllToAlls counts collective steps in which every node may talk to
-	// every other node: the Fourier lowering's two node-bit remaps (Eq.
-	// 5's third is the Canonicalize of whatever next reads canonical
-	// order; sampling reads under the placement and pays none), emulated
+	// every other node: the Fourier lowering's node-bit remap and its
+	// computing exchange (one fewer from its own output order; Eq. 5's
+	// third is the Canonicalize of whatever next reads canonical order;
+	// sampling reads under the placement and pays none), emulated
 	// permutations, and the execution engine's placement remaps.
 	AllToAlls atomic.Uint64
 	// Rounds counts communication rounds: BSP supersteps in which the
@@ -99,9 +100,11 @@ type Cluster struct {
 	// ident is the identity placement Canonicalize installs; srcOf, live,
 	// ctl, the draw arrays and smp are the scratch of Remap, the movers
 	// and the sampler's walk, ApplyGate, Sample and the multi-node
-	// sampler.
+	// sampler; swapped, dft and lastPlan that of the four-step Fourier
+	// lowering (fieldfft.go).
 	ident     []uint
 	srcOf     []uint
+	swapped   []uint
 	live      [][]complex128
 	ctl       [64]uint
 	draw      [1]float64
@@ -111,6 +114,11 @@ type Cluster struct {
 	smp       *blockSampler
 	op        operands
 	runBodyFn func(p int)
+	dft       dftScratch
+	lastPlan  struct {
+		log  uint
+		plan *fft.Plan
+	}
 
 	// Stats tracks communication since New; callers diff Snapshots.
 	Stats Stats
@@ -201,6 +209,7 @@ func New(n uint, p int) (*Cluster, error) {
 		c.pos[q], c.ident[q] = q, q
 	}
 	c.srcOf = make([]uint, n)
+	c.swapped = make([]uint, n)
 	c.live = make([][]complex128, p)
 	c.moves = make(map[string]*movePlan)
 	c.op.sums = make([]float64, p)
@@ -232,16 +241,6 @@ func (c *Cluster) SetNodeParallelism(w int) {
 // a node-selecting (remote) qubit.
 func (c *Cluster) Placement() []uint {
 	return append([]uint(nil), c.pos...)
-}
-
-// identityPlacement reports whether logical and physical qubits coincide.
-func (c *Cluster) identityPlacement() bool {
-	for q, p := range c.pos {
-		if uint(q) != p {
-			return false
-		}
-	}
-	return true
 }
 
 // LoadState scatters a full state vector across the shards and resets the

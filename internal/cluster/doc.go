@@ -84,32 +84,38 @@
 // # Exchange contracts
 //
 // Every collective that moves the state — a placement remap (Remap,
-// Canonicalize, the remaps of the Fourier lowering), Gather under a
-// drifted placement — is a permutation of index bits, and one kernel
-// performs them all (move.go): "destination position p reads source
-// position srcOf[p]". It has two regimes, chosen from the bit map alone:
+// Canonicalize, the Fourier lowering's remap), Gather under a drifted
+// placement — is a permutation of index bits, and one kernel performs
+// them all (move.go): "destination position p reads source position
+// srcOf[p]". The one exception is the Fourier lowering's computing
+// exchange, which moves what its swap back would and computes on the way
+// (fieldfft.go). The mover has two regimes, chosen from the bit map
+// alone:
 //
 //   - the low k >= 2 positions are unchanged: the state moves in runs of
 //     2^k contiguous amplitudes, one source-index computation and one
 //     copy per run — a whole shard per copy when only node positions
 //     move. The scheduler's remaps exchange node positions with a few
-//     local ones and mostly have this shape, and so do the Fourier
-//     lowering's two swaps of a field's node bits with the top of the
-//     shard;
+//     local ones and mostly have this shape, and so does the Fourier
+//     lowering's swap of a field's node bits with the top of the shard;
 //   - otherwise (a bit reversal a noswap relabel left, the Canonicalize
 //     of the output order a four-step Fourier op leaves — a rotation by
-//     the field's node bits for the full register): a tiled pass in the
-//     manner of fft's blocked bit reversal. A tile spans the destination's low 5
-//     positions and the destination positions that feed the source's low
-//     5, so both sides touch memory in contiguous 512-byte rows and the
-//     scattered accesses land in a 16 KiB buffer on the stack; tiles are
-//     visited in an order that keeps neighbours close on both sides.
+//     the field's node bits once its reversed bits are undone): a tiled
+//     pass in the manner of fft's blocked bit reversal. A tile spans the
+//     destination's low 5 positions and the destination positions that
+//     feed the source's low 5, so both sides touch memory in contiguous
+//     512-byte rows and the scattered accesses land in a 16 KiB buffer on
+//     the stack; tiles are visited in an order that keeps neighbours
+//     close on both sides.
 //
-// A Canonicalize whose only drift is a field reversed at physical
-// [0, w) — what a shard-local Fourier op's DIF network leaves — skips the
-// mover: every shard undoes it in place with fft.Reverse, a blocked
-// reversal five times cheaper than the out-of-place tiled move
-// (BenchmarkMoveBits' one-node rows), with no round charged.
+// A remap or Canonicalize that finds a descending run of logical qubits
+// at physical [0, m) — the field a shard-local Fourier op's DIF network
+// leaves reversed, or the reversed k2 bits of a four-step — and does not
+// keep it there undoes it first, every shard in place with fft.Reverse,
+// a blocked reversal several times cheaper than letting the tiled move
+// reverse it (BenchmarkMoveBits' one-node rows and its fourier-output
+// row), with no round charged; when that was the only drift, nothing
+// else moves.
 //
 // Either way each amplitude is read once and written once, at a small
 // multiple of what copying the shards costs (BenchmarkMoveBits beside
@@ -134,8 +140,10 @@
 // scalars cross node boundaries. Sampling on several nodes reads the
 // state where it lies: a block is 2^b consecutive logical indices (b = 6,
 // raised with n to keep 2^(n-b) <= 2^14 blocks), every node sums its
-// shard into a partial table of block masses through the placement, the
-// P tables are reduced (one round, (P-1)·2^(n-b)·8 bytes), and only the
+// shard into a partial table of block masses through the placement (in
+// runs when the in-block positions are the shard's low ones, across
+// segments when they are its top ones, as in the four-step's output
+// order), the P tables are reduced (one round, (P-1)·2^(n-b)·8 bytes), and only the
 // blocks that hold a draw are walked, in logical order, reading each
 // weight on the node that holds it (a second round, 8 bytes per remote
 // weight). Outcomes are logical basis indices resolved under the
@@ -169,15 +177,20 @@
 //     is ascending and node-local, as one network when it sits at
 //     physical [0, w) (DIF on natural order, the placement then records
 //     the field reversed; DIT on a recorded reversal, which it restores),
-//     else after one remap makes it node-local. A wider one — the full register on several nodes
-//     (substrate "four-step-fft") or a mid-width field
-//     ("field-four-step-fft") — is the four-step FFT split where the
-//     layout splits it: its node bits are swapped into every shard and
-//     back (two all-to-alls), with a dense DFT block between and a
-//     twiddle and per-shard transform after. It leaves its output order
-//     in the placement, so Eq. 5's third all-to-all is the Canonicalize
-//     of whatever next reads canonical order; the noswap variants' bit
-//     reversal is one more placement relabelling costing nothing;
+//     else after one remap makes it node-local. A wider one — the full
+//     register on several nodes (substrate "four-step-fft") or a
+//     mid-width field ("field-four-step-fft") — is the four-step FFT
+//     split where the layout splits it: its node bits are swapped into
+//     every shard (one all-to-all), and a computing exchange takes the
+//     node-bit DFT and the twiddle on its way back (the second), after
+//     which every shard runs one network over its own bits — DIF at
+//     pos 0, leaving those bits reversed in the placement. A transform
+//     that finds its field in that output order (a QFT⁻¹ after a QFT)
+//     skips the first swap and runs the DIT network: one all-to-all. The
+//     output order stays in the placement, so Eq. 5's third all-to-all
+//     is the Canonicalize of whatever next reads canonical order; the
+//     noswap variants' bit reversal is one more placement relabelling
+//     costing nothing;
 //   - arithmetic ops run through ApplyPermutation — the Section 4.2
 //     shortcut, one all-to-all for the whole subroutine: every node
 //     writes each of its amplitudes once, straight to its destination,

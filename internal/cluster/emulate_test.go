@@ -433,10 +433,10 @@ func TestGateUnitAfterFourierOp(t *testing.T) {
 	}
 }
 
-// TestFourierLoweringAllocatesLittle pins what one call of the wide
-// lowering allocates at n = 20 once its plans are warm: the 2^n1-point
-// DFT block (4^n1 entries) and a few placement-sized slices, nothing that
-// grows with the field.
+// TestFourierLoweringAllocatesLittle bounds what one call of the wide
+// lowering allocates at n = 20 once its plans are warm: nothing that
+// grows with the field (TestFourStepDoesNotAllocate pins the full
+// register's call at zero).
 func TestFourierLoweringAllocatesLittle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transforms a 20-qubit register on 4 emulated nodes")

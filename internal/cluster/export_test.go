@@ -13,3 +13,13 @@ func (c *Cluster) ResetStats() {
 // ReflectUniform is the reflection on a register whose sum is unknown:
 // its sum pass, then its update pass.
 func (c *Cluster) ReflectUniform() { c.reflect(Sum{}, false) }
+
+// identityPlacement reports whether logical and physical qubits coincide.
+func (c *Cluster) identityPlacement() bool {
+	for q, p := range c.pos {
+		if uint(q) != p {
+			return false
+		}
+	}
+	return true
+}

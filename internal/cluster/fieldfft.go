@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/bitops"
 	"repro/internal/fft"
 )
 
@@ -30,44 +31,49 @@ import (
 // A wider field is the four-step factorisation (Bailey's FFT) with the
 // split N = 2^n1 * 2^n2 chosen by the layout: n1 = pos+w-L field bits sit
 // on node positions, the other n2 = L-pos at shard positions [pos, L).
+// Field index f = f2 + 2^n2·f1 and output index k = k1 + 2^n1·k2 give
+// exp(±2πi·f·k/2^w) = DFT_n1(f1→k1) · exp(±2πi·k1·f2/2^w) · DFT_n2(f2→k2).
 // Only the n1 node bits are ever remote, so only they move:
 //
 //	(1) one remap, from whatever placement the register is in, swaps
 //	    them with the qubits at shard positions [L-n1, L); from the
 //	    canonical layout the low L-n1 positions stay put, so the mover
-//	    copies whole runs;
-//	(2) every shard applies the unitary 2^n1-point DFT there — one dense
-//	    block up to denseDFTBits node bits, a transform of the shard
-//	    beyond — turning the high field index f1 into k1;
-//	(3) a second remap, the same swap, restores the canonical layout;
-//	(4) node p, whose low n1 node bits now read k1, multiplies in its
-//	    twiddle exp(±2πi·k1·f2/2^w), f2 being the shard offset >> pos,
-//	    and transforms its own f2 fibres into k2 (one TransformField of
-//	    2^n2 points at pos);
-//	(5) the output index k = k1 + 2^n1·k2 has its low n1 bits on node
-//	    positions and its high n2 bits at [pos, L): the lowering leaves
-//	    that as the placement, moving nothing.
+//	    copies whole runs, and a reversed run at the bottom of the shards
+//	    is undone in place before anything moves (Remap). A field at
+//	    pos 0 that lies as step (4) leaves it — a QFT⁻¹ after a QFT —
+//	    skips this step: its node bits sit reversed at shard positions
+//	    [0, n1) already;
+//	(2) one computing exchange (exchangeDFT): every shard holds all 2^n1
+//	    values of f1 for each of its positions, computes their DFT into
+//	    k1, multiplies output k1 by its twiddle exp(±2πi·k1·f2/2^w) and
+//	    writes it straight to node k1's scratch shard in contiguous rows:
+//	    where the swap back to the canonical layout would have put it,
+//	    or, after the skipped step (1), with f2 bit-reversed at [0, L).
+//	    It moves, and is charged, what that swap back moves;
+//	(3) every shard transforms its own f2 fibres into k2 (2^n2 points at
+//	    pos): at pos 0 as one network, DIF on natural f2 (bit-reversed
+//	    out) or DIT on reversed f2 (natural out), higher up in natural
+//	    order;
+//	(4) the output index has its low n1 bits on node positions and its
+//	    high n2 bits at [pos, L) — reversed after the DIF network — and
+//	    the lowering leaves that as the placement, moving nothing.
 //
-// So the transform pays two all-to-alls. The third of Eq. 5 is paid by
-// whatever next needs the canonical layout — a gate schedule, a
-// permutation — as its Canonicalize; another Fourier op, a diagonal, the
-// probabilities, the multi-node sampler or Gather reads the relabelled
-// placement as it is. The lowering needs n1 <= L, which for the full
-// register is P <= 2^(n/2).
-
-// denseDFTBits is the most node bits whose DFT runs as one dense block.
-// A block costs 2^n1 multiplies per amplitude against the n1 butterflies
-// of a strided shard transform; timed on EmulateQFT (2 vCPUs, AVX-512)
-// the block is as fast or faster up to n1 = 6 (n = 22, P = 64: 69-71 ms
-// against 82-94 ms) and 1.1-2.5x slower at n1 = 7 and 8.
-const denseDFTBits = 6
+// So the transform pays two all-to-alls and one network over the state,
+// with the node-bit DFT and the twiddle riding the second exchange; a
+// transform entering from its own output order pays one all-to-all. The
+// third all-to-all of Eq. 5 is paid by whatever next needs the canonical
+// layout — a gate schedule, a permutation — as its Canonicalize, which
+// undoes reversed k2 bits in place first; another Fourier op, a
+// diagonal, the probabilities, the multi-node sampler or Gather reads the
+// relabelled placement as it is. The lowering needs n1 <= L, which for
+// the full register is P <= 2^(n/2).
 
 // EmulateQFT performs the quantum Fourier transform of the paper's Eq. 4
 // on the whole register — the emulator's Figure 3 path on the cluster
 // substrate. On one node it is one DIF network over the shard, the
 // output order left in the placement; on several it is the distributed
-// lowering above, two all-to-alls with the output order left in the
-// placement.
+// lowering above, two all-to-alls (one from its own output order) and one
+// network, with the output order left in the placement.
 func (c *Cluster) EmulateQFT() error {
 	c.fresh = false
 	return c.distributedFFTField(0, c.NumQubits(), false)
@@ -82,17 +88,19 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 		if err != nil {
 			return err
 		}
-		c.op.bit, c.op.inverse, c.op.plan, c.op.order = 0, inverse, plan, fft.Natural
-		switch base, order := c.fieldOrder(pos, w); {
-		case order == fieldAscending && base == 0:
-			c.op.order = fft.ReversedOut
-		case order == fieldAscending:
-			c.op.bit = base
-		case order == fieldReversed:
-			c.op.order = fft.ReversedIn
+		bit, order := uint(0), fft.Natural
+		switch base, lies := c.fieldOrder(pos, w); {
+		case lies == fieldAscending && base == 0:
+			order = fft.ReversedOut
+		case lies == fieldAscending:
+			bit = base
+		case lies == fieldReversed:
+			order = fft.ReversedIn
 		default:
 			c.remapFieldLocal(pos, w)
 		}
+		// Set after the remap, whose in-place reversal uses c.op.
+		c.op.bit, c.op.inverse, c.op.plan, c.op.order = bit, inverse, plan, order
 		c.each(transformShard)
 		if c.op.order != fft.Natural {
 			// DIF leaves the field reversed; DIT restores a reversed one.
@@ -108,58 +116,395 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 			pos, pos+w, n1, L)
 	}
 	n2 := w - n1
-	plan, err := fft.NewPlan(uint64(1) << n2)
+	plan, err := c.shardPlan(n2)
 	if err != nil {
 		return err
 	}
-	sign := 1.0
-	if inverse {
-		sign = -1
-	}
 
-	// (1)-(3): the node field bits, logical L+j, trade places with the
-	// logical qubits at shard positions L-n1+j; the 2^n1-point DFT runs
-	// there; the swap is undone.
-	swapped := append([]uint(nil), c.ident...)
-	block := make([]uint, n1)
+	// (1): the node field bits, logical L+j, trade places with the logical
+	// qubits at shard positions L-n1+j — unless the field lies as the DIF
+	// network of a four-step at pos 0 leaves it, with them local already.
+	swapped := c.swapped
+	copy(swapped, c.ident)
 	for j := uint(0); j < n1; j++ {
 		swapped[L+j], swapped[L-n1+j] = L-n1+j, L+j
-		block[j] = L - n1 + j
 	}
-	c.Remap(swapped)
-	if n1 <= denseDFTBits {
-		dft := unitaryDFT(n1, sign)
-		c.eachNode(func(p int) { c.nodes[p].ApplyMatrixN(dft, block) })
-	} else {
-		blockPlan, err := fft.NewPlan(uint64(1) << n1)
-		if err != nil {
-			return err
-		}
-		c.eachNode(func(p int) { blockPlan.TransformField(c.shard(p), L-n1, inverse, 1) })
+	reversed := pos == 0 && c.fourStepOutput(w, n1)
+	if !reversed {
+		c.Remap(swapped)
 	}
-	c.Canonicalize()
 
-	// (4): twiddle and shard transform, node by node.
-	theta := sign * 2 * math.Pi / float64(uint64(1)<<w)
-	workers := c.shardWorkers()
-	c.eachNode(func(p int) {
-		shard := c.shard(p)
-		if k1 := uint64(p) & (1<<n1 - 1); k1 != 0 {
-			twiddleRuns(shard, pos, theta*float64(k1))
-		}
-		plan.TransformField(shard, pos, inverse, workers)
-	})
+	// (2): the node-bit DFT and the twiddle on the way to node k1.
+	if err := c.exchangeDFT(pos, w, n1, inverse, reversed); err != nil {
+		return err
+	}
 
-	// (5): logical field bit j < n1 is k1's bit j, at node position L+j;
-	// bit n1+j is k2's bit j, at shard position pos+j.
+	// (3): the shard transform of f2 into k2: DIT on the reversed f2 the
+	// reversed entry leaves, DIF at pos 0 otherwise.
+	c.op.bit, c.op.inverse, c.op.plan, c.op.order = pos, inverse, plan, fft.Natural
+	switch {
+	case reversed:
+		c.op.order = fft.ReversedIn
+	case pos == 0:
+		c.op.order = fft.ReversedOut
+	}
+	c.each(transformShard)
+	c.op.plan = nil
+
+	// (4): logical field bit j < n1 is k1's bit j, at node position L+j;
+	// bit n1+j is k2's bit j, at shard position pos+j — or, reversed by
+	// the DIF network, n2-1-j.
+	copy(c.pos, c.ident)
 	for j := uint(0); j < w; j++ {
-		if j < n1 {
+		switch {
+		case j < n1:
 			c.pos[pos+j] = L + j
-		} else {
+		case pos == 0 && !reversed:
+			c.pos[j] = n2 - 1 - (j - n1)
+		default:
 			c.pos[pos+j] = pos + j - n1
 		}
 	}
 	return nil
+}
+
+// fourStepOutput reports whether the placement is the one a four-step of
+// the field [0, w) with n1 node bits leaves through the DIF network:
+// logical j < n1 at node position L+j, logical n1+j at shard position
+// L-1-j, every qubit above the field in place.
+func (c *Cluster) fourStepOutput(w, n1 uint) bool {
+	for q, p := range c.pos {
+		want := uint(q)
+		switch j := uint(q); {
+		case j < n1:
+			want = c.L + j
+		case j < w:
+			want = c.L - 1 - (j - n1)
+		}
+		if p != want {
+			return false
+		}
+	}
+	return true
+}
+
+// shardPlan returns the plan of the 2^k-point shard transform, kept for
+// the next call: fft shares its plans only up to 2^20 points, and a wider
+// one would build its tables again on every call.
+func (c *Cluster) shardPlan(k uint) (*fft.Plan, error) {
+	if c.lastPlan.plan == nil || c.lastPlan.log != k {
+		plan, err := fft.NewPlan(uint64(1) << k)
+		if err != nil {
+			return nil, err
+		}
+		c.lastPlan.plan, c.lastPlan.log = plan, k
+	}
+	return c.lastPlan.plan, nil
+}
+
+// dftBlockAmps is how many outputs the computing exchange produces per
+// block of positions: a block's inputs, twiddle table rows and outputs
+// stay in L1 and L2 while it is written out.
+const dftBlockAmps = 1 << 10
+
+// dftScratch is the computing exchange's state: the shape and twiddle
+// table of the call in flight, and each node's block buffer and
+// destination rows, kept across calls so that a transform after the first
+// allocates nothing.
+type dftScratch struct {
+	// n1 node bits, rowLog = L-n1 (log2 of the positions R of a source
+	// node), the field's pos, and block positions per block.
+	n1, rowLog, pos uint
+	block           uint64
+	// reversed marks the entry in the placement a four-step at pos 0
+	// leaves (exchangeDFT).
+	inverse, reversed bool
+	// Output k1 at block entry i is multiplied by
+	// scale·exp(i·theta·k1·f2) · tab[k1·block+i], f2 the twiddle index of
+	// the block's first position.
+	scale, theta float64
+	// tab is built for the exchange tabFor names, and roots with it:
+	// roots[m] = exp(2πi·m/2^n1), the forward radix-2 stages' twiddles.
+	tab    []complex128
+	roots  []complex128
+	tabFor tabKey
+	// bufs[p] is node p's block buffer; rows holds 2^n1 destination rows
+	// per node; dst is the scratch set.
+	bufs [][]complex128
+	rows [][]complex128
+	dst  [][]complex128
+}
+
+// tabKey names the exchange a twiddle table was built for.
+type tabKey struct {
+	w, n1, pos        uint
+	inverse, reversed bool
+}
+
+// exchangeDFT is the four-step's computing exchange. It starts from one
+// of two layouts, in both of which every node holds all 2^n1 values of f1
+// for each of its R = 2^(L-n1) positions:
+//
+//   - the swapped layout step (1) leaves: f1 at shard positions [L-n1, L),
+//     so node s holds f1 at offset o + R·f1 for each position o < R, and
+//     its low n1 node bits are the qubits the swap displaced;
+//   - reversed: the placement a four-step of this field at pos 0 leaves,
+//     where the field's top n1 bits lie reversed at shard positions
+//     [0, n1) and its other L bits reversed above them and in order on
+//     the node bits — a QFT⁻¹ after a QFT, say. Node s holds f1 at offset
+//     F·u + rev(f1) for each position u < R, the bits of u are f2's high
+//     bits reversed and the node's low bits its low ones.
+//
+// Each node computes, position by position, the unitary 2^n1-point DFT of
+// f1 into k1, multiplies output k1 by exp(±2πi·k1·f2/2^w), and writes it to
+// node k1 (the high node bits kept) as one contiguous row: at offset
+// R·s_lo + o, which is the canonical layout the swap back would have
+// installed, or at offset R·rev(s_lo) + u, which leaves f2 bit-reversed at
+// shard positions [0, L) for the DIT network. Either way the exchange
+// moves what that swap moves and is charged as it (moveTraffic is the same
+// for both maps: n1 source node bits feed local positions, the rest stay).
+func (c *Cluster) exchangeDFT(pos, w, n1 uint, inverse, reversed bool) error {
+	d := &c.dft
+	F := uint64(1) << n1
+	d.n1, d.rowLog, d.pos, d.inverse, d.reversed = n1, c.L-n1, pos, inverse, reversed
+	d.block = min(uint64(1)<<d.rowLog, max(uint64(dftBlockAmps)>>n1, 1))
+	d.scale = 1 / math.Sqrt(float64(F))
+	sign := 1.0
+	if inverse {
+		sign = -1
+	}
+	d.theta = sign * 2 * math.Pi / float64(uint64(1)<<w)
+	// Within a block position i's twiddle index is f2 + i>>pos: a block
+	// lies within a run of 2^pos positions or holds whole ones. On the
+	// reversed entry (pos 0) it is f2 + 2^n1·rev(i) over the L-n1 bits
+	// of a position, whose low log2(block) land reversed on top of f2.
+	if key := (tabKey{w, n1, pos, inverse, reversed}); key != d.tabFor {
+		need := F * d.block
+		if uint64(cap(d.tab)) < need {
+			d.tab = make([]complex128, need)
+		}
+		d.tab = d.tab[:need]
+		blockLog := bitops.Log2(d.block)
+		for k1 := range F {
+			for i := range d.block {
+				idx := i >> pos
+				if reversed {
+					idx = bitops.ReverseBits(i, blockLog) << (c.L - blockLog)
+				}
+				d.tab[k1*d.block+i] = cmplx.Rect(1, d.theta*float64(k1*idx))
+			}
+		}
+		d.roots = d.roots[:0]
+		for m := range F / 2 {
+			d.roots = append(d.roots, cmplx.Rect(1, 2*math.Pi*float64(m)/float64(F)))
+		}
+		d.tabFor = key
+	}
+	if need := F * d.block; len(d.bufs) == 0 || uint64(len(d.bufs[0])) < need {
+		d.bufs = make([][]complex128, c.P)
+		for p := range d.bufs {
+			d.bufs[p] = make([]complex128, need)
+		}
+	}
+	if need := uint64(c.P) * F; uint64(len(d.rows)) < need {
+		d.rows = make([][]complex128, need)
+	}
+
+	c.fresh = false
+	d.dst = c.grabScratch()
+	c.each(exchangeNode)
+	c.installShards(d.dst)
+	d.dst = nil
+	c.charge(c.planFor(c.swapped))
+	return nil
+}
+
+// exchangeNode is node s's share of exchangeDFT, a block of positions at
+// a time: up to three node bits on the natural entry, the f1 values are
+// read where they lie; otherwise the block's f1 rows are gathered into
+// the node's buffer (de-interleaved on the reversed entry) and, past three
+// node bits, run through the radix-2 stages of spans 8 and above. Every
+// 8 rows left (or all 2^n1 of fewer) then finish in registers
+// (exchangeRadix).
+//
+//qemu:hotpath
+func exchangeNode(c *Cluster, s int) {
+	d := &c.dft
+	src := c.shard(s)
+	n1, F, R := d.n1, uint64(1)<<d.n1, uint64(1)<<d.rowLog
+	lo, hi := uint64(s)&(F-1), uint64(s)>>n1
+	off := lo * R
+	if d.reversed {
+		off = bitops.ReverseBits(lo, n1) * R
+	}
+	rows := d.rows[uint64(s)*F:][:F]
+	for k1 := range rows {
+		rows[k1] = d.dst[uint64(k1)|hi<<n1][off:][:R]
+	}
+	C := d.block
+	in := d.bufs[s][:F*C]
+	var lanes [8][]complex128
+	for o := uint64(0); o < R; o += C {
+		f2 := (o + lo*R) >> d.pos
+		if d.reversed {
+			f2 = lo | bitops.ReverseBits(o, d.rowLog)<<n1
+		}
+		if n1 <= 3 && !d.reversed {
+			for f1 := range F {
+				lanes[f1] = src[f1*R+o:][:C]
+			}
+			exchangeRadix(d, &lanes, rows, o, f2, 0)
+			continue
+		}
+		gatherRows(d, src, in, o)
+		difStages(d, in)
+		sub := min(F, 8)
+		for g := range F / sub {
+			for m := range sub {
+				lanes[m] = in[(g*sub+m)*C:][:C]
+			}
+			exchangeRadix(d, &lanes, rows, o, f2, bitops.ReverseBits(g, n1-min(n1, 3)))
+		}
+	}
+}
+
+// gatherRows copies the block at o's f1 rows into in, row f1 holding the
+// f1 values of its positions.
+//
+//qemu:hotpath
+func gatherRows(d *dftScratch, src, in []complex128, o uint64) {
+	F, R, C := uint64(1)<<d.n1, uint64(1)<<d.rowLog, d.block
+	for f1 := range F {
+		lane := in[f1*C:][:C]
+		if !d.reversed {
+			copy(lane, src[f1*R+o:][:C])
+			continue
+		}
+		at := bitops.ReverseBits(f1, d.n1)
+		for i := range lane {
+			lane[i] = src[(o+uint64(i))*F+at]
+		}
+	}
+}
+
+// difStages runs the forward radix-2 decimation-in-frequency stages of
+// span 8 and above over the rows in in: afterwards every 8 consecutive
+// rows (all of them, for fewer) hold the input of an independent forward
+// DFT, whose output m is the whole transform's output m·2^(n1-3) +
+// rev(g) for group g.
+//
+//qemu:hotpath
+func difStages(d *dftScratch, in []complex128) {
+	F, C := uint64(1)<<d.n1, d.block
+	for span := F / 2; span >= 8; span /= 2 {
+		for first := uint64(0); first < F; first += 2 * span {
+			for j := range span {
+				a, b := in[(first+j)*C:][:C], in[(first+j+span)*C:][:C]
+				if j == 0 {
+					for i, x := range a {
+						y := b[i]
+						a[i], b[i] = x+y, x-y
+					}
+					continue
+				}
+				w := d.roots[j*(F/(2*span))]
+				for i, x := range a {
+					y := b[i]
+					a[i], b[i] = x+y, (x-y)*w
+				}
+			}
+		}
+	}
+}
+
+// outputRow is the row forward output k goes to: k, or -k mod 2^n1 for
+// the inverse, whose output k is the forward's -k.
+func (d *dftScratch) outputRow(k uint64) uint64 {
+	if d.inverse {
+		return -k & (uint64(1)<<d.n1 - 1)
+	}
+	return k
+}
+
+// exchangeRadix finishes, in registers, the forward DFTs of up to 8 lanes
+// of the block at o: their output m is the register's output
+// m·2^(n1-3) + g (output m alone for fewer than three node bits), and goes
+// to its row times its twiddle, a table entry times the row's block base.
+//
+//qemu:hotpath
+func exchangeRadix(d *dftScratch, lanes *[8][]complex128, rows [][]complex128, o, f2, g uint64) {
+	F, C, sc := uint64(len(rows)), d.block, d.scale
+	sub := min(F, 8)
+	var out, tw [8][]complex128
+	var base [8]complex128
+	for m := range sub {
+		r := d.outputRow(m*(F/sub) + g)
+		out[m], tw[m] = rows[r][o:][:C], d.tab[r*C:][:C]
+		base[m] = cmplx.Rect(sc, d.theta*float64(r*f2))
+	}
+	switch sub {
+	case 2:
+		s0, s1 := lanes[0][:C], lanes[1][:C]
+		d0, d1, t1, b1 := out[0][:C], out[1][:C], tw[1][:C], base[1]
+		for i, a := range s0 {
+			b := s1[i]
+			y := a + b
+			d0[i] = complex(sc*real(y), sc*imag(y))
+			d1[i] = (a - b) * (b1 * t1[i])
+		}
+	case 4:
+		s0, s1, s2, s3 := lanes[0][:C], lanes[1][:C], lanes[2][:C], lanes[3][:C]
+		d0, d1, d2, d3 := out[0][:C], out[1][:C], out[2][:C], out[3][:C]
+		t1, t2, t3 := tw[1][:C], tw[2][:C], tw[3][:C]
+		b1, b2, b3 := base[1], base[2], base[3]
+		for i, a := range s0 {
+			b, e, g := s1[i], s2[i], s3[i]
+			p, q := a+e, a-e
+			r, v := b+g, b-g
+			v = complex(-imag(v), real(v)) // i·(x1-x3)
+			y := p + r
+			d0[i] = complex(sc*real(y), sc*imag(y))
+			d1[i] = (q + v) * (b1 * t1[i])
+			d2[i] = (p - r) * (b2 * t2[i])
+			d3[i] = (q - v) * (b3 * t3[i])
+		}
+	case 8:
+		// Radix 2 then two 4-point DFTs: the even outputs transform
+		// a = x[j]+x[j+4], the odd ones c = (x[j]-x[j+4])·ω^j, ω = e^(iπ/4).
+		// Output 0 is the register's output g, twiddled unless g is 0.
+		h := 1 / math.Sqrt2
+		s0, s1, s2, s3 := lanes[0][:C], lanes[1][:C], lanes[2][:C], lanes[3][:C]
+		s4, s5, s6, s7 := lanes[4][:C], lanes[5][:C], lanes[6][:C], lanes[7][:C]
+		d0, d1, d2, d3 := out[0][:C], out[1][:C], out[2][:C], out[3][:C]
+		d4, d5, d6, d7 := out[4][:C], out[5][:C], out[6][:C], out[7][:C]
+		t0, t1, t2, t3 := tw[0][:C], tw[1][:C], tw[2][:C], tw[3][:C]
+		t4, t5, t6, t7 := tw[4][:C], tw[5][:C], tw[6][:C], tw[7][:C]
+		for i, x0 := range s0 {
+			x1, x2, x3 := s1[i], s2[i], s3[i]
+			x4, x5, x6, x7 := s4[i], s5[i], s6[i], s7[i]
+			a0, c0 := x0+x4, x0-x4
+			a1, c1 := x1+x5, x1-x5
+			a2, c2 := x2+x6, x2-x6
+			a3, c3 := x3+x7, x3-x7
+			c1 = complex((real(c1)-imag(c1))*h, (real(c1)+imag(c1))*h)
+			c2 = complex(-imag(c2), real(c2))
+			c3 = complex(-(real(c3)+imag(c3))*h, (real(c3)-imag(c3))*h)
+			p, q := a0+a2, a0-a2
+			r, v := a1+a3, a1-a3
+			v = complex(-imag(v), real(v))
+			d0[i] = (p + r) * (base[0] * t0[i])
+			d2[i] = (q + v) * (base[2] * t2[i])
+			d4[i] = (p - r) * (base[4] * t4[i])
+			d6[i] = (q - v) * (base[6] * t6[i])
+			p, q = c0+c2, c0-c2
+			r, v = c1+c3, c1-c3
+			v = complex(-imag(v), real(v))
+			d1[i] = (p + r) * (base[1] * t1[i])
+			d3[i] = (q + v) * (base[3] * t3[i])
+			d5[i] = (p - r) * (base[5] * t5[i])
+			d7[i] = (q - v) * (base[7] * t7[i])
+		}
+	}
 }
 
 // Field orders fieldOrder reports.
@@ -228,55 +573,6 @@ func (c *Cluster) remapFieldLocal(pos, w uint) {
 		newPos[q], owner[j] = j, q
 	}
 	c.Remap(newPos)
-}
-
-// twiddleRuns multiplies run f2 of shard — the 2^pos amplitudes at
-// offsets [f2<<pos, (f2+1)<<pos) — by exp(i·step·f2). The factor is a
-// table entry exp(i·step·k) for the run's place k in its block of 256
-// times the block's base exp(i·step·(f2-k)): no factor waits on the one
-// before it, and none is more than two roundings from exact.
-//
-//qemu:hotpath
-func twiddleRuns(shard []complex128, pos uint, step float64) {
-	run := uint64(1) << pos
-	runs := uint64(len(shard)) >> pos
-	var tab [256]complex128
-	for k := range min(runs, uint64(len(tab))) {
-		tab[k] = cmplx.Rect(1, step*float64(k))
-	}
-	for f2 := uint64(0); f2 < runs; f2 += uint64(len(tab)) {
-		base := cmplx.Rect(1, step*float64(f2))
-		ws := tab[:min(runs-f2, uint64(len(tab)))]
-		if run == 1 {
-			// One amplitude a run, the field at bit 0: a plain sweep.
-			for k, a := range shard[f2 : f2+uint64(len(ws))] {
-				shard[f2+uint64(k)] = a * (base * ws[k])
-			}
-			continue
-		}
-		for k, t := range ws {
-			w := base * t
-			amps := shard[(f2+uint64(k))<<pos:][:run]
-			for i := range amps {
-				amps[i] *= w
-			}
-		}
-	}
-}
-
-// unitaryDFT returns the 2^k-point unitary DFT as a dense row-major
-// matrix, entry (r, c) = exp(sign·2πi·r·c/2^k)/√2^k.
-func unitaryDFT(k uint, sign float64) []complex128 {
-	dim := uint64(1) << k
-	scale := 1 / math.Sqrt(float64(dim))
-	theta := sign * 2 * math.Pi / float64(dim)
-	m := make([]complex128, dim*dim)
-	for r := uint64(0); r < dim; r++ {
-		for col := uint64(0); col < dim; col++ {
-			m[r*dim+col] = cmplx.Rect(scale, theta*float64(r*col%dim))
-		}
-	}
-	return m
 }
 
 // shardWorkers is the worker count of a per-shard transform: on several

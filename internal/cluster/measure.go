@@ -123,12 +123,19 @@ func (c *Cluster) sampleSorted(rs []float64, out []uint64) {
 const (
 	blockLog         = 6
 	maxBlockTableLog = 14
+	// topChunk is how many table entries a node builds at a time when
+	// the in-block positions are the top ones (8 KiB of masses).
+	topChunk = 1 << 10
 )
 
 // blockSampler is the multi-node sampler's scratch: allocated on the
 // first draw, its lookups rebuilt from the placement on every call.
 type blockSampler struct {
 	b, runLog, loBits uint
+	// topLog > 0 when the local positions that vary inside a block are
+	// the top topLog ones and every other local position names the block,
+	// in physical order: the four-step's output order.
+	topLog uint
 	// parts holds the nodes' partial tables, stride entries apart; table
 	// is their sum, one mass per block in logical order.
 	parts, table []float64
@@ -198,6 +205,12 @@ func (s *blockSampler) place(pos []uint, localBits uint) {
 	for s.runLog < localBits && !named[s.runLog] {
 		s.runLog++
 	}
+	s.topLog = localBits - rank
+	for t := range rank {
+		if !named[t] {
+			s.topLog = 0
+		}
+	}
 	runBits := localBits - s.runLog
 	s.loBits = (runBits + 1) / 2
 	for x := range s.lo[:1<<s.loBits] {
@@ -217,14 +230,20 @@ func (s *blockSampler) place(pos []uint, localBits uint) {
 
 // sumBlocks is node p's share of the reduction: its shard, run by run,
 // into its partial table. A segment of 2^loBits runs shares its hi
-// entry, so a run costs one lookup.
+// entry, so a run costs one lookup. When the in-block positions are the
+// top ones instead (topLog), each entry is summed across the segments
+// they select.
 //
 //qemu:hotpath
 func (c *Cluster) sumBlocks(p int) {
 	s := c.smp
 	tab := s.parts[p*s.stride:][:s.stride]
-	clear(tab)
 	amps := c.shard(p)
+	if s.topLog > 0 {
+		sumSegments(tab, amps)
+		return
+	}
+	clear(tab)
 	runLog := s.runLog
 	lo := s.lo[:1<<s.loBits]
 	segLog := s.loBits + runLog
@@ -238,6 +257,37 @@ func (c *Cluster) sumBlocks(p int) {
 		}
 		for l, at := range lo {
 			tab[base|at] += runMass(seg[l<<runLog:][:1<<runLog])
+		}
+	}
+}
+
+// sumSegments sets tab[j] to the summed weights of offset j of each
+// len(tab)-amplitude segment of amps, a chunk of the table at a time and
+// up to four segments per pass, so the table is written once and amps is
+// read in contiguous stretches.
+//
+//qemu:hotpath
+func sumSegments(tab []float64, amps []complex128) {
+	seg := len(tab)
+	for c0 := 0; c0 < seg; c0 += topChunk {
+		chunk := tab[c0:min(c0+topChunk, seg)]
+		clear(chunk)
+		if 4*seg > len(amps) {
+			for g := 0; g < len(amps); g += seg {
+				for j, a := range amps[g+c0:][:len(chunk)] {
+					chunk[j] += real(a)*real(a) + imag(a)*imag(a)
+				}
+			}
+			continue
+		}
+		for h := 0; h < len(amps); h += 4 * seg {
+			a0, a1 := amps[h+c0:][:len(chunk)], amps[h+seg+c0:][:len(chunk)]
+			a2, a3 := amps[h+2*seg+c0:][:len(chunk)], amps[h+3*seg+c0:][:len(chunk)]
+			for j, a := range a0 {
+				b, d, e := a1[j], a2[j], a3[j]
+				chunk[j] += real(a)*real(a) + imag(a)*imag(a) + real(b)*real(b) + imag(b)*imag(b) +
+					real(d)*real(d) + imag(d)*imag(d) + real(e)*real(e) + imag(e)*imag(e)
+			}
 		}
 	}
 }

@@ -346,6 +346,12 @@ func (c *Cluster) permuteBits(srcOf []uint) {
 	next := c.grabScratch() // every destination element is assigned
 	m := c.moveBits(next, srcOf)
 	c.installShards(next)
+	c.charge(m)
+}
+
+// charge counts one all-to-all round carrying the move m's traffic:
+// nothing on one node, which has no network.
+func (c *Cluster) charge(m *movePlan) {
 	if c.P == 1 {
 		return
 	}

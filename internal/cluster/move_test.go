@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fuse"
 	"repro/internal/gates"
+	"repro/internal/qft"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
@@ -273,14 +274,105 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 	}
 }
 
+// TestFourStepDoesNotAllocate pins the //qemu:hotpath contract on the
+// distributed QFT: once its move plans, scratch shards and twiddle tables
+// exist, EmulateQFT allocates nothing — from the identity, from its own
+// output (the reversed entry) and from the natural-order output that one
+// leaves — on two, four and eight nodes (inline butterflies for one and
+// two node bits, the blocked path for three). Its supersteps go through
+// Cluster.each and the swapped placement lives in the Cluster.
+func TestFourStepDoesNotAllocate(t *testing.T) {
+	for _, p := range []int{2, 4, 8} {
+		c, err := New(12, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.LoadState(statevec.NewRandom(12, rng.New(3))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // one call from each entry placement
+			if err := c.EmulateQFT(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(12, func() {
+			if err := c.EmulateQFT(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("P=%d: %v allocs per EmulateQFT, want 0", p, allocs)
+		}
+		if allocs := testing.AllocsPerRun(12, func() {
+			c.Canonicalize()
+			if err := c.EmulateQFT(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("P=%d: %v allocs per Canonicalize and EmulateQFT, want 0", p, allocs)
+		}
+	}
+}
+
+// TestCanonicalizeUndoesLowRunInPlace pins where Canonicalize reverses
+// a descending run at the bottom of the shards: in place, never in the
+// mover. On one node the QFT's reversal is the only drift, so nothing is
+// moved and no scratch shard set is made; on four nodes the four-step's
+// output order becomes the natural one before the mover is planned, so
+// the only map it plans is the rotation by the node bits.
+func TestCanonicalizeUndoesLowRunInPlace(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		const n = 12
+		c, err := New(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := statevec.NewRandom(n, rng.New(5))
+		if err := c.LoadState(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EmulateQFT(); err != nil {
+			t.Fatal(err)
+		}
+		clear(c.moves)
+		c.Canonicalize()
+		if !c.identityPlacement() {
+			t.Fatalf("P=%d: Canonicalize left placement %v", p, c.pos)
+		}
+		if p == 1 {
+			if c.scratch != nil || len(c.moves) != 0 {
+				t.Errorf("P=1: Canonicalize of the QFT's reversal used the mover")
+			}
+		} else {
+			n1 := c.NodeBits
+			rotation := make([]byte, n) // srcOf of the natural output order
+			for q := uint(0); q < n; q++ {
+				if q < n1 {
+					rotation[q] = byte(c.L + q)
+				} else {
+					rotation[q] = byte(q - n1)
+				}
+			}
+			if _, ok := c.moves[string(rotation)]; !ok || len(c.moves) != 1 {
+				t.Errorf("P=%d: Canonicalize planned %d moves, want only the rotation by the node bits", p, len(c.moves))
+			}
+		}
+		qft.Circuit(n).Run(st)
+		if d := c.Gather().MaxDiff(st); d > 1e-10 {
+			t.Errorf("P=%d: canonicalised QFT differs from the circuit by %g", p, d)
+		}
+	}
+}
+
 // BenchmarkMoveBits reports what one collective round costs per amplitude
 // for the shapes the engine produces: a scheduler remap exchanging high
 // local positions with node positions (runs of 2^14), one reaching down to
 // position 2 (runs of 4), a no-swap QFT's bit reversal (tiled), and the
 // two moves of the Fourier lowering — the swap of the node bits into
 // [L-p, L) (runs of 2^(L-p)) and the canonicalize of the output order it
-// leaves, a rotation by p (tiled) — and, on one node, the reversal a
-// shard-local Fourier op leaves, in place against the mover. An
+// leaves, a rotation by p (tiled) — Canonicalize from the output order
+// of the four-step (its reversed run in place, then that rotation) and,
+// on one node, the reversal a shard-local Fourier op leaves, in place
+// against the mover. An
 // exchanged shard pair, the memcpy floor, is
 // cluster.exchange_ns_per_amp in the benchmark's trace.
 func BenchmarkMoveBits(b *testing.B) {
@@ -325,6 +417,36 @@ func BenchmarkMoveBits(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uint64(1)<<n), "ns/amp")
 		})
 	}
+	// Canonicalize from the placement the four-step leaves (logical 0 and
+	// 1 on the node bits, the rest reversed below them): the reversed run
+	// is undone in place, then the rotation by p moves. Setting the
+	// placement relabels the random register without moving it.
+	b.Run("fourier-output/canonicalize", func(b *testing.B) {
+		c, err := New(n, nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.LoadState(statevec.NewRandom(n, rng.New(1))); err != nil {
+			b.Fatal(err)
+		}
+		out := identityMap(n)
+		for q := range out {
+			if q < p {
+				out[q] = L + uint(q)
+			} else {
+				out[q] = n - 1 - uint(q)
+			}
+		}
+		copy(c.pos, out)
+		c.Canonicalize() // allocates the scratch set and plans the move
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(c.pos, out)
+			c.Canonicalize()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(uint64(1)<<n), "ns/amp")
+	})
 	// One node holding the whole register, with the full-register
 	// reversal a Fourier op's DIF network leaves in the placement: undone
 	// in place by Canonicalize (fft's blocked reversal) against the

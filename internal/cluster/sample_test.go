@@ -19,9 +19,12 @@ import (
 var samplePlacements = []string{"qft", "qft-field", "remap", "gates"}
 
 // driftPlacement moves cl, holding a loaded state, to a placement of the
-// named kind: a relabelled QFT of the whole register (its output order
-// left in the placement), one of a field at pos > 0 one qubit wider than
-// a shard, a random Remap, or a scheduled brickwork unit. It reports
+// named kind: a QFT of the whole register (its output order left in the
+// placement: the four-step's, on several nodes), a relabelled one of a
+// field at pos > 0 one qubit wider than a shard, a random Remap, or a
+// scheduled brickwork unit. The whole register's QFT keeps its swaps: on
+// two nodes the no-swap relabel would cancel the four-step's reversed
+// output bits and leave the identity. It reports
 // false where the kind does not apply to cl's shape: a field needs two
 // qubits and a lowering, a gate unit a local qubit.
 func driftPlacement(t *testing.T, cl *cluster.Cluster, kind string, src *rng.Source) bool {
@@ -37,7 +40,7 @@ func driftPlacement(t *testing.T, cl *cluster.Cluster, kind string, src *rng.Sou
 		if w < 2 {
 			return false
 		}
-		op := planOps(t, qft.Field(n, pos, w, false), recognize.Annotated)[0]
+		op := planOps(t, qft.Field(n, pos, w, kind == "qft"), recognize.Annotated)[0]
 		if _, ok := cluster.Lowerable(op, n, cl.L, cl.P); !ok {
 			return false
 		}
@@ -326,7 +329,7 @@ var drawSink []uint64
 
 // BenchmarkSampleUnderPlacement times SampleMany(1024) at P = 4 under
 // the placement a full-register QFT leaves (logical 0 and 1 on the node
-// bits, the rest in order) and under a random one, beside Canonicalize
+// bits, the rest reversed below them) and under a random one, beside Canonicalize
 // from the same placement (what the sampler paid before its walk when it
 // canonicalised) and CopyFrom, every node copying its shard in the same
 // superstep fan-out (the read floor), all in ns per amplitude.
@@ -334,7 +337,7 @@ func BenchmarkSampleUnderPlacement(b *testing.B) {
 	for _, n := range []uint{20, 22} {
 		postQFT := []uint{n - 2, n - 1}
 		for q := uint(2); q < n; q++ {
-			postQFT = append(postQFT, q-2)
+			postQFT = append(postQFT, n-1-q)
 		}
 		cl, err := cluster.New(n, 4)
 		if err != nil {
