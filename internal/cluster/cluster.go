@@ -25,9 +25,9 @@ type Stats struct {
 	Exchanges atomic.Uint64
 	// AllToAlls counts collective steps in which every node may talk to
 	// every other node: the Fourier lowering's node-bit remap and its
-	// computing exchange (one fewer from its own output order; Eq. 5's
-	// third is the Canonicalize of whatever next reads canonical order;
-	// sampling reads under the placement and pays none), emulated
+	// computing exchange (Eq. 5's third is the Canonicalize of whatever
+	// next reads canonical order; sampling reads under the placement and
+	// pays none), emulated
 	// permutations, and the execution engine's placement remaps.
 	AllToAlls atomic.Uint64
 	// Rounds counts communication rounds: BSP supersteps in which the
@@ -100,7 +100,7 @@ type Cluster struct {
 	// ident is the identity placement Canonicalize installs; srcOf, live,
 	// ctl, the draw arrays and smp are the scratch of Remap, the movers
 	// and the sampler's walk, ApplyGate, Sample and the multi-node
-	// sampler; swapped, dft and lastPlan that of the four-step Fourier
+	// sampler; swapped and dft that of the four-step Fourier
 	// lowering (fieldfft.go).
 	ident     []uint
 	srcOf     []uint
@@ -115,10 +115,6 @@ type Cluster struct {
 	op        operands
 	runBodyFn func(p int)
 	dft       dftScratch
-	lastPlan  struct {
-		log  uint
-		plan *fft.Plan
-	}
 
 	// Stats tracks communication since New; callers diff Snapshots.
 	Stats Stats

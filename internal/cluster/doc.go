@@ -184,9 +184,7 @@
 //     every shard (one all-to-all), and a computing exchange takes the
 //     node-bit DFT and the twiddle on its way back (the second), after
 //     which every shard runs one network over its own bits — DIF at
-//     pos 0, leaving those bits reversed in the placement. A transform
-//     that finds its field in that output order (a QFT⁻¹ after a QFT)
-//     skips the first swap and runs the DIT network: one all-to-all. The
+//     pos 0, leaving those bits reversed in the placement. The
 //     output order stays in the placement, so Eq. 5's third all-to-all
 //     is the Canonicalize of whatever next reads canonical order; the
 //     noswap variants' bit reversal is one more placement relabelling

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"repro/internal/bitops"
 	"repro/internal/fft"
 )
 
@@ -39,28 +38,24 @@ import (
 //	    them with the qubits at shard positions [L-n1, L); from the
 //	    canonical layout the low L-n1 positions stay put, so the mover
 //	    copies whole runs, and a reversed run at the bottom of the shards
-//	    is undone in place before anything moves (Remap). A field at
-//	    pos 0 that lies as step (4) leaves it — a QFT⁻¹ after a QFT —
-//	    skips this step: its node bits sit reversed at shard positions
-//	    [0, n1) already;
+//	    — the output order of step (4), say — is undone in place before
+//	    anything moves (Remap);
 //	(2) one computing exchange (exchangeDFT): every shard holds all 2^n1
 //	    values of f1 for each of its positions, computes their DFT into
-//	    k1, multiplies output k1 by its twiddle exp(±2πi·k1·f2/2^w) and
-//	    writes it straight to node k1's scratch shard in contiguous rows:
-//	    where the swap back to the canonical layout would have put it,
-//	    or, after the skipped step (1), with f2 bit-reversed at [0, L).
-//	    It moves, and is charged, what that swap back moves;
+//	    k1 (in registers up to two node bits, with the shared fft plan
+//	    beyond), multiplies output k1 by its twiddle exp(±2πi·k1·f2/2^w)
+//	    and writes it straight to node k1's scratch shard in contiguous
+//	    rows, where the swap back to the canonical layout would have put
+//	    it. It moves, and is charged, what that swap back moves;
 //	(3) every shard transforms its own f2 fibres into k2 (2^n2 points at
-//	    pos): at pos 0 as one network, DIF on natural f2 (bit-reversed
-//	    out) or DIT on reversed f2 (natural out), higher up in natural
-//	    order;
+//	    pos): at pos 0 as the DIF network alone (bit-reversed out),
+//	    higher up in natural order;
 //	(4) the output index has its low n1 bits on node positions and its
 //	    high n2 bits at [pos, L) — reversed after the DIF network — and
 //	    the lowering leaves that as the placement, moving nothing.
 //
 // So the transform pays two all-to-alls and one network over the state,
-// with the node-bit DFT and the twiddle riding the second exchange; a
-// transform entering from its own output order pays one all-to-all. The
+// with the node-bit DFT and the twiddle riding the second exchange. The
 // third all-to-all of Eq. 5 is paid by whatever next needs the canonical
 // layout — a gate schedule, a permutation — as its Canonicalize, which
 // undoes reversed k2 bits in place first; another Fourier op, a
@@ -72,8 +67,8 @@ import (
 // on the whole register — the emulator's Figure 3 path on the cluster
 // substrate. On one node it is one DIF network over the shard, the
 // output order left in the placement; on several it is the distributed
-// lowering above, two all-to-alls (one from its own output order) and one
-// network, with the output order left in the placement.
+// lowering above, two all-to-alls and one network, with the output order
+// left in the placement.
 func (c *Cluster) EmulateQFT() error {
 	c.fresh = false
 	return c.distributedFFTField(0, c.NumQubits(), false)
@@ -116,36 +111,29 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 			pos, pos+w, n1, L)
 	}
 	n2 := w - n1
-	plan, err := c.shardPlan(n2)
+	plan, err := fft.NewPlan(uint64(1) << n2)
 	if err != nil {
 		return err
 	}
 
 	// (1): the node field bits, logical L+j, trade places with the logical
-	// qubits at shard positions L-n1+j — unless the field lies as the DIF
-	// network of a four-step at pos 0 leaves it, with them local already.
+	// qubits at shard positions L-n1+j.
 	swapped := c.swapped
 	copy(swapped, c.ident)
 	for j := uint(0); j < n1; j++ {
 		swapped[L+j], swapped[L-n1+j] = L-n1+j, L+j
 	}
-	reversed := pos == 0 && c.fourStepOutput(w, n1)
-	if !reversed {
-		c.Remap(swapped)
-	}
+	c.Remap(swapped)
 
 	// (2): the node-bit DFT and the twiddle on the way to node k1.
-	if err := c.exchangeDFT(pos, w, n1, inverse, reversed); err != nil {
+	if err := c.exchangeDFT(pos, w, n1, inverse); err != nil {
 		return err
 	}
 
-	// (3): the shard transform of f2 into k2: DIT on the reversed f2 the
-	// reversed entry leaves, DIF at pos 0 otherwise.
+	// (3): the shard transform of f2 into k2, the DIF network alone at
+	// pos 0.
 	c.op.bit, c.op.inverse, c.op.plan, c.op.order = pos, inverse, plan, fft.Natural
-	switch {
-	case reversed:
-		c.op.order = fft.ReversedIn
-	case pos == 0:
+	if pos == 0 {
 		c.op.order = fft.ReversedOut
 	}
 	c.each(transformShard)
@@ -159,47 +147,13 @@ func (c *Cluster) distributedFFTField(pos, w uint, inverse bool) error {
 		switch {
 		case j < n1:
 			c.pos[pos+j] = L + j
-		case pos == 0 && !reversed:
+		case pos == 0:
 			c.pos[j] = n2 - 1 - (j - n1)
 		default:
 			c.pos[pos+j] = pos + j - n1
 		}
 	}
 	return nil
-}
-
-// fourStepOutput reports whether the placement is the one a four-step of
-// the field [0, w) with n1 node bits leaves through the DIF network:
-// logical j < n1 at node position L+j, logical n1+j at shard position
-// L-1-j, every qubit above the field in place.
-func (c *Cluster) fourStepOutput(w, n1 uint) bool {
-	for q, p := range c.pos {
-		want := uint(q)
-		switch j := uint(q); {
-		case j < n1:
-			want = c.L + j
-		case j < w:
-			want = c.L - 1 - (j - n1)
-		}
-		if p != want {
-			return false
-		}
-	}
-	return true
-}
-
-// shardPlan returns the plan of the 2^k-point shard transform, kept for
-// the next call: fft shares its plans only up to 2^20 points, and a wider
-// one would build its tables again on every call.
-func (c *Cluster) shardPlan(k uint) (*fft.Plan, error) {
-	if c.lastPlan.plan == nil || c.lastPlan.log != k {
-		plan, err := fft.NewPlan(uint64(1) << k)
-		if err != nil {
-			return nil, err
-		}
-		c.lastPlan.plan, c.lastPlan.log = plan, k
-	}
-	return c.lastPlan.plan, nil
 }
 
 // dftBlockAmps is how many outputs the computing exchange produces per
@@ -216,18 +170,17 @@ type dftScratch struct {
 	// node), the field's pos, and block positions per block.
 	n1, rowLog, pos uint
 	block           uint64
-	// reversed marks the entry in the placement a four-step at pos 0
-	// leaves (exchangeDFT).
-	inverse, reversed bool
+	inverse         bool
 	// Output k1 at block entry i is multiplied by
 	// scale·exp(i·theta·k1·f2) · tab[k1·block+i], f2 the twiddle index of
-	// the block's first position.
+	// the block's first position; scale is 1 where plan, unitary already,
+	// transforms the block.
 	scale, theta float64
-	// tab is built for the exchange tabFor names, and roots with it:
-	// roots[m] = exp(2πi·m/2^n1), the forward radix-2 stages' twiddles.
-	tab    []complex128
-	roots  []complex128
-	tabFor tabKey
+	tab          []complex128
+	tabFor       tabKey
+	// plan is the shared 2^n1-point plan past two node bits, nil up to
+	// two (exchangeRadix).
+	plan *fft.Plan
 	// bufs[p] is node p's block buffer; rows holds 2^n1 destination rows
 	// per node; dst is the scratch set.
 	bufs [][]complex128
@@ -237,66 +190,50 @@ type dftScratch struct {
 
 // tabKey names the exchange a twiddle table was built for.
 type tabKey struct {
-	w, n1, pos        uint
-	inverse, reversed bool
+	w, n1, pos uint
+	inverse    bool
 }
 
-// exchangeDFT is the four-step's computing exchange. It starts from one
-// of two layouts, in both of which every node holds all 2^n1 values of f1
-// for each of its R = 2^(L-n1) positions:
-//
-//   - the swapped layout step (1) leaves: f1 at shard positions [L-n1, L),
-//     so node s holds f1 at offset o + R·f1 for each position o < R, and
-//     its low n1 node bits are the qubits the swap displaced;
-//   - reversed: the placement a four-step of this field at pos 0 leaves,
-//     where the field's top n1 bits lie reversed at shard positions
-//     [0, n1) and its other L bits reversed above them and in order on
-//     the node bits — a QFT⁻¹ after a QFT, say. Node s holds f1 at offset
-//     F·u + rev(f1) for each position u < R, the bits of u are f2's high
-//     bits reversed and the node's low bits its low ones.
-//
-// Each node computes, position by position, the unitary 2^n1-point DFT of
-// f1 into k1, multiplies output k1 by exp(±2πi·k1·f2/2^w), and writes it to
-// node k1 (the high node bits kept) as one contiguous row: at offset
-// R·s_lo + o, which is the canonical layout the swap back would have
-// installed, or at offset R·rev(s_lo) + u, which leaves f2 bit-reversed at
-// shard positions [0, L) for the DIT network. Either way the exchange
-// moves what that swap moves and is charged as it (moveTraffic is the same
-// for both maps: n1 source node bits feed local positions, the rest stay).
-func (c *Cluster) exchangeDFT(pos, w, n1 uint, inverse, reversed bool) error {
+// exchangeDFT is the four-step's computing exchange. It starts from the
+// swapped layout step (1) leaves, f1 at shard positions [L-n1, L): node s
+// holds all 2^n1 values of f1 for each of its R = 2^(L-n1) positions o,
+// at offset o + R·f1, and its low n1 node bits are the qubits the swap
+// displaced. Each node computes, position by position, the unitary
+// 2^n1-point DFT of f1 into k1, multiplies output k1 by
+// exp(±2πi·k1·f2/2^w), and writes it to node k1 (the high node bits kept)
+// as one contiguous row at offset R·s_lo + o: the canonical layout the
+// swap back would have installed. The exchange moves what that swap moves
+// and is charged as it.
+func (c *Cluster) exchangeDFT(pos, w, n1 uint, inverse bool) error {
 	d := &c.dft
 	F := uint64(1) << n1
-	d.n1, d.rowLog, d.pos, d.inverse, d.reversed = n1, c.L-n1, pos, inverse, reversed
+	d.n1, d.rowLog, d.pos, d.inverse = n1, c.L-n1, pos, inverse
 	d.block = min(uint64(1)<<d.rowLog, max(uint64(dftBlockAmps)>>n1, 1))
-	d.scale = 1 / math.Sqrt(float64(F))
+	d.scale, d.plan = 1/math.Sqrt(float64(F)), nil
+	if n1 > 2 {
+		plan, err := fft.NewPlan(F)
+		if err != nil {
+			return err
+		}
+		d.scale, d.plan = 1, plan
+	}
 	sign := 1.0
 	if inverse {
 		sign = -1
 	}
 	d.theta = sign * 2 * math.Pi / float64(uint64(1)<<w)
 	// Within a block position i's twiddle index is f2 + i>>pos: a block
-	// lies within a run of 2^pos positions or holds whole ones. On the
-	// reversed entry (pos 0) it is f2 + 2^n1·rev(i) over the L-n1 bits
-	// of a position, whose low log2(block) land reversed on top of f2.
-	if key := (tabKey{w, n1, pos, inverse, reversed}); key != d.tabFor {
+	// lies within a run of 2^pos positions or holds whole ones.
+	if key := (tabKey{w, n1, pos, inverse}); key != d.tabFor {
 		need := F * d.block
 		if uint64(cap(d.tab)) < need {
 			d.tab = make([]complex128, need)
 		}
 		d.tab = d.tab[:need]
-		blockLog := bitops.Log2(d.block)
 		for k1 := range F {
 			for i := range d.block {
-				idx := i >> pos
-				if reversed {
-					idx = bitops.ReverseBits(i, blockLog) << (c.L - blockLog)
-				}
-				d.tab[k1*d.block+i] = cmplx.Rect(1, d.theta*float64(k1*idx))
+				d.tab[k1*d.block+i] = cmplx.Rect(1, d.theta*float64(k1*(i>>pos)))
 			}
-		}
-		d.roots = d.roots[:0]
-		for m := range F / 2 {
-			d.roots = append(d.roots, cmplx.Rect(1, 2*math.Pi*float64(m)/float64(F)))
 		}
 		d.tabFor = key
 	}
@@ -320,12 +257,8 @@ func (c *Cluster) exchangeDFT(pos, w, n1 uint, inverse, reversed bool) error {
 }
 
 // exchangeNode is node s's share of exchangeDFT, a block of positions at
-// a time: up to three node bits on the natural entry, the f1 values are
-// read where they lie; otherwise the block's f1 rows are gathered into
-// the node's buffer (de-interleaved on the reversed entry) and, past three
-// node bits, run through the radix-2 stages of spans 8 and above. Every
-// 8 rows left (or all 2^n1 of fewer) then finish in registers
-// (exchangeRadix).
+// a time: up to two node bits in registers (exchangeRadix), beyond that
+// through the shared plan (exchangeBlock).
 //
 //qemu:hotpath
 func exchangeNode(c *Cluster, s int) {
@@ -333,118 +266,43 @@ func exchangeNode(c *Cluster, s int) {
 	src := c.shard(s)
 	n1, F, R := d.n1, uint64(1)<<d.n1, uint64(1)<<d.rowLog
 	lo, hi := uint64(s)&(F-1), uint64(s)>>n1
-	off := lo * R
-	if d.reversed {
-		off = bitops.ReverseBits(lo, n1) * R
-	}
 	rows := d.rows[uint64(s)*F:][:F]
 	for k1 := range rows {
-		rows[k1] = d.dst[uint64(k1)|hi<<n1][off:][:R]
+		rows[k1] = d.dst[uint64(k1)|hi<<n1][lo*R:][:R]
 	}
 	C := d.block
-	in := d.bufs[s][:F*C]
-	var lanes [8][]complex128
 	for o := uint64(0); o < R; o += C {
 		f2 := (o + lo*R) >> d.pos
-		if d.reversed {
-			f2 = lo | bitops.ReverseBits(o, d.rowLog)<<n1
-		}
-		if n1 <= 3 && !d.reversed {
-			for f1 := range F {
-				lanes[f1] = src[f1*R+o:][:C]
-			}
-			exchangeRadix(d, &lanes, rows, o, f2, 0)
+		if d.plan == nil {
+			exchangeRadix(d, src, rows, o, f2)
 			continue
 		}
-		gatherRows(d, src, in, o)
-		difStages(d, in)
-		sub := min(F, 8)
-		for g := range F / sub {
-			for m := range sub {
-				lanes[m] = in[(g*sub+m)*C:][:C]
-			}
-			exchangeRadix(d, &lanes, rows, o, f2, bitops.ReverseBits(g, n1-min(n1, 3)))
-		}
+		exchangeBlock(d, src, d.bufs[s][:F*C], rows, o, f2)
 	}
 }
 
-// gatherRows copies the block at o's f1 rows into in, row f1 holding the
-// f1 values of its positions.
-//
-//qemu:hotpath
-func gatherRows(d *dftScratch, src, in []complex128, o uint64) {
-	F, R, C := uint64(1)<<d.n1, uint64(1)<<d.rowLog, d.block
-	for f1 := range F {
-		lane := in[f1*C:][:C]
-		if !d.reversed {
-			copy(lane, src[f1*R+o:][:C])
-			continue
-		}
-		at := bitops.ReverseBits(f1, d.n1)
-		for i := range lane {
-			lane[i] = src[(o+uint64(i))*F+at]
-		}
-	}
-}
-
-// difStages runs the forward radix-2 decimation-in-frequency stages of
-// span 8 and above over the rows in in: afterwards every 8 consecutive
-// rows (all of them, for fewer) hold the input of an independent forward
-// DFT, whose output m is the whole transform's output m·2^(n1-3) +
-// rev(g) for group g.
-//
-//qemu:hotpath
-func difStages(d *dftScratch, in []complex128) {
-	F, C := uint64(1)<<d.n1, d.block
-	for span := F / 2; span >= 8; span /= 2 {
-		for first := uint64(0); first < F; first += 2 * span {
-			for j := range span {
-				a, b := in[(first+j)*C:][:C], in[(first+j+span)*C:][:C]
-				if j == 0 {
-					for i, x := range a {
-						y := b[i]
-						a[i], b[i] = x+y, x-y
-					}
-					continue
-				}
-				w := d.roots[j*(F/(2*span))]
-				for i, x := range a {
-					y := b[i]
-					a[i], b[i] = x+y, (x-y)*w
-				}
-			}
-		}
-	}
-}
-
-// outputRow is the row forward output k goes to: k, or -k mod 2^n1 for
-// the inverse, whose output k is the forward's -k.
-func (d *dftScratch) outputRow(k uint64) uint64 {
-	if d.inverse {
-		return -k & (uint64(1)<<d.n1 - 1)
-	}
-	return k
-}
-
-// exchangeRadix finishes, in registers, the forward DFTs of up to 8 lanes
-// of the block at o: their output m is the register's output
-// m·2^(n1-3) + g (output m alone for fewer than three node bits), and goes
+// exchangeRadix computes, in registers, the 2- or 4-point DFT of the
+// block at o, reading each f1 value where it lies, and writes output k1
 // to its row times its twiddle, a table entry times the row's block base.
+// The butterflies are the forward ones; the inverse's output k is the
+// forward's output -k mod 2^n1.
 //
 //qemu:hotpath
-func exchangeRadix(d *dftScratch, lanes *[8][]complex128, rows [][]complex128, o, f2, g uint64) {
-	F, C, sc := uint64(len(rows)), d.block, d.scale
-	sub := min(F, 8)
-	var out, tw [8][]complex128
-	var base [8]complex128
-	for m := range sub {
-		r := d.outputRow(m*(F/sub) + g)
+func exchangeRadix(d *dftScratch, src []complex128, rows [][]complex128, o, f2 uint64) {
+	F, R, C, sc := uint64(len(rows)), uint64(1)<<d.rowLog, d.block, d.scale
+	var out, tw [4][]complex128
+	var base [4]complex128
+	for m := range F {
+		r := m
+		if d.inverse {
+			r = -m & (F - 1)
+		}
 		out[m], tw[m] = rows[r][o:][:C], d.tab[r*C:][:C]
 		base[m] = cmplx.Rect(sc, d.theta*float64(r*f2))
 	}
-	switch sub {
+	switch F {
 	case 2:
-		s0, s1 := lanes[0][:C], lanes[1][:C]
+		s0, s1 := src[o:][:C], src[R+o:][:C]
 		d0, d1, t1, b1 := out[0][:C], out[1][:C], tw[1][:C], base[1]
 		for i, a := range s0 {
 			b := s1[i]
@@ -453,7 +311,7 @@ func exchangeRadix(d *dftScratch, lanes *[8][]complex128, rows [][]complex128, o
 			d1[i] = (a - b) * (b1 * t1[i])
 		}
 	case 4:
-		s0, s1, s2, s3 := lanes[0][:C], lanes[1][:C], lanes[2][:C], lanes[3][:C]
+		s0, s1, s2, s3 := src[o:][:C], src[R+o:][:C], src[2*R+o:][:C], src[3*R+o:][:C]
 		d0, d1, d2, d3 := out[0][:C], out[1][:C], out[2][:C], out[3][:C]
 		t1, t2, t3 := tw[1][:C], tw[2][:C], tw[3][:C]
 		b1, b2, b3 := base[1], base[2], base[3]
@@ -468,41 +326,28 @@ func exchangeRadix(d *dftScratch, lanes *[8][]complex128, rows [][]complex128, o
 			d2[i] = (p - r) * (b2 * t2[i])
 			d3[i] = (q - v) * (b3 * t3[i])
 		}
-	case 8:
-		// Radix 2 then two 4-point DFTs: the even outputs transform
-		// a = x[j]+x[j+4], the odd ones c = (x[j]-x[j+4])·ω^j, ω = e^(iπ/4).
-		// Output 0 is the register's output g, twiddled unless g is 0.
-		h := 1 / math.Sqrt2
-		s0, s1, s2, s3 := lanes[0][:C], lanes[1][:C], lanes[2][:C], lanes[3][:C]
-		s4, s5, s6, s7 := lanes[4][:C], lanes[5][:C], lanes[6][:C], lanes[7][:C]
-		d0, d1, d2, d3 := out[0][:C], out[1][:C], out[2][:C], out[3][:C]
-		d4, d5, d6, d7 := out[4][:C], out[5][:C], out[6][:C], out[7][:C]
-		t0, t1, t2, t3 := tw[0][:C], tw[1][:C], tw[2][:C], tw[3][:C]
-		t4, t5, t6, t7 := tw[4][:C], tw[5][:C], tw[6][:C], tw[7][:C]
-		for i, x0 := range s0 {
-			x1, x2, x3 := s1[i], s2[i], s3[i]
-			x4, x5, x6, x7 := s4[i], s5[i], s6[i], s7[i]
-			a0, c0 := x0+x4, x0-x4
-			a1, c1 := x1+x5, x1-x5
-			a2, c2 := x2+x6, x2-x6
-			a3, c3 := x3+x7, x3-x7
-			c1 = complex((real(c1)-imag(c1))*h, (real(c1)+imag(c1))*h)
-			c2 = complex(-imag(c2), real(c2))
-			c3 = complex(-(real(c3)+imag(c3))*h, (real(c3)-imag(c3))*h)
-			p, q := a0+a2, a0-a2
-			r, v := a1+a3, a1-a3
-			v = complex(-imag(v), real(v))
-			d0[i] = (p + r) * (base[0] * t0[i])
-			d2[i] = (q + v) * (base[2] * t2[i])
-			d4[i] = (p - r) * (base[4] * t4[i])
-			d6[i] = (q - v) * (base[6] * t6[i])
-			p, q = c0+c2, c0-c2
-			r, v = c1+c3, c1-c3
-			v = complex(-imag(v), real(v))
-			d1[i] = (p + r) * (base[1] * t1[i])
-			d3[i] = (q + v) * (base[3] * t3[i])
-			d5[i] = (p - r) * (base[5] * t5[i])
-			d7[i] = (q - v) * (base[7] * t7[i])
+	}
+}
+
+// exchangeBlock transforms the block at o with the shared 2^n1-point
+// plan: each position's f1 values are gathered into one contiguous fibre
+// of in, the fibres are transformed in place, and output k1 of each is
+// written to its row times its twiddle.
+//
+//qemu:hotpath
+func exchangeBlock(d *dftScratch, src, in []complex128, rows [][]complex128, o, f2 uint64) {
+	F, R, C := uint64(len(rows)), uint64(1)<<d.rowLog, d.block
+	for f1 := range F {
+		for i, a := range src[f1*R+o:][:C] {
+			in[uint64(i)*F+f1] = a
+		}
+	}
+	d.plan.Transform(in, d.inverse, fft.Natural, 1)
+	for k1, row := range rows {
+		out, tw := row[o:][:C], d.tab[uint64(k1)*C:][:C]
+		b := cmplx.Rect(1, d.theta*float64(uint64(k1)*f2))
+		for i := range out {
+			out[i] = in[uint64(i)*F+uint64(k1)] * (b * tw[i])
 		}
 	}
 }

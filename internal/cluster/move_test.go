@@ -276,11 +276,10 @@ func TestApplyBlockAddsNoAllocation(t *testing.T) {
 
 // TestFourStepDoesNotAllocate pins the //qemu:hotpath contract on the
 // distributed QFT: once its move plans, scratch shards and twiddle tables
-// exist, EmulateQFT allocates nothing — from the identity, from its own
-// output (the reversed entry) and from the natural-order output that one
-// leaves — on two, four and eight nodes (inline butterflies for one and
-// two node bits, the blocked path for three). Its supersteps go through
-// Cluster.each and the swapped placement lives in the Cluster.
+// exist, EmulateQFT allocates nothing — from the identity and from its
+// own output order — on two, four and eight nodes (inline butterflies for
+// one and two node bits, the shared plan for three). Its supersteps go
+// through Cluster.each and the swapped placement lives in the Cluster.
 func TestFourStepDoesNotAllocate(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		c, err := New(12, p)
@@ -290,7 +289,7 @@ func TestFourStepDoesNotAllocate(t *testing.T) {
 		if err := c.LoadState(statevec.NewRandom(12, rng.New(3))); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ { // one call from each entry placement
+		for i := 0; i < 2; i++ { // one call from each entry placement
 			if err := c.EmulateQFT(); err != nil {
 				t.Fatal(err)
 			}

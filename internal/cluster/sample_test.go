@@ -19,14 +19,14 @@ import (
 var samplePlacements = []string{"qft", "qft-field", "remap", "gates"}
 
 // driftPlacement moves cl, holding a loaded state, to a placement of the
-// named kind: a QFT of the whole register (its output order left in the
-// placement: the four-step's, on several nodes), a relabelled one of a
-// field at pos > 0 one qubit wider than a shard, a random Remap, or a
-// scheduled brickwork unit. The whole register's QFT keeps its swaps: on
-// two nodes the no-swap relabel would cancel the four-step's reversed
-// output bits and leave the identity. It reports
-// false where the kind does not apply to cl's shape: a field needs two
-// qubits and a lowering, a gate unit a local qubit.
+// named kind: a relabelled QFT of the whole register (its output order
+// left in the placement), one of a field at pos > 0 one qubit wider than
+// a shard, a random Remap, or a scheduled brickwork unit. Where the whole
+// register's relabel cancels the output order and leaves the identity —
+// on one node, and on two, where the four-step reverses every shard bit
+// below the node bit — the QFT with swaps follows it. It reports false
+// where the kind does not apply to cl's shape: a field needs two qubits
+// and a lowering, a gate unit a local qubit.
 func driftPlacement(t *testing.T, cl *cluster.Cluster, kind string, src *rng.Source) bool {
 	t.Helper()
 	n := cl.NumQubits()
@@ -40,12 +40,18 @@ func driftPlacement(t *testing.T, cl *cluster.Cluster, kind string, src *rng.Sou
 		if w < 2 {
 			return false
 		}
-		op := planOps(t, qft.Field(n, pos, w, kind == "qft"), recognize.Annotated)[0]
+		op := planOps(t, qft.Field(n, pos, w, false), recognize.Annotated)[0]
 		if _, ok := cluster.Lowerable(op, n, cl.L, cl.P); !ok {
 			return false
 		}
 		if _, err := cl.ApplyOp(op); err != nil {
 			t.Fatal(err)
+		}
+		if kind == "qft" && canonical(cl) {
+			swaps := planOps(t, qft.Field(n, 0, n, true), recognize.Annotated)[0]
+			if _, err := cl.ApplyOp(swaps); err != nil {
+				t.Fatal(err)
+			}
 		}
 	case "remap":
 		cl.Remap(shuffledPlacement(n, src))
@@ -196,12 +202,17 @@ func sampleCase(t *testing.T, n uint, p int, kind string, mass float64, oneNode 
 		what += fmt.Sprintf(", mass on node %d", node)
 	}
 	checkDraws(t, cl, 512, seed, what)
-	for q, t := range cl.Placement() {
-		if uint(q) != t {
-			return true
+	return !canonical(cl)
+}
+
+// canonical reports whether cl's placement is the identity.
+func canonical(cl *cluster.Cluster) bool {
+	for q, p := range cl.Placement() {
+		if uint(q) != p {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // TestSampleUnderPlacement holds the multi-node sampler, which reads the
