@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/bitops"
 	"repro/internal/fft"
 )
 
@@ -330,19 +331,21 @@ func exchangeRadix(d *dftScratch, src []complex128, rows [][]complex128, o, f2 u
 }
 
 // exchangeBlock transforms the block at o with the shared 2^n1-point
-// plan: each position's f1 values are gathered into one contiguous fibre
-// of in, the fibres are transformed in place, and output k1 of each is
-// written to its row times its twiddle.
+// plan: each position's f1 values are gathered, bit-reversed, into one
+// contiguous fibre of in, the fibres run the DIT network alone (natural
+// out, no reordering pass), and output k1 of each is written to its row
+// times its twiddle.
 //
 //qemu:hotpath
 func exchangeBlock(d *dftScratch, src, in []complex128, rows [][]complex128, o, f2 uint64) {
 	F, R, C := uint64(len(rows)), uint64(1)<<d.rowLog, d.block
 	for f1 := range F {
+		at := bitops.ReverseBits(f1, d.n1)
 		for i, a := range src[f1*R+o:][:C] {
-			in[uint64(i)*F+f1] = a
+			in[uint64(i)*F+at] = a
 		}
 	}
-	d.plan.Transform(in, d.inverse, fft.Natural, 1)
+	d.plan.Transform(in, d.inverse, fft.ReversedIn, 1)
 	for k1, row := range rows {
 		out, tw := row[o:][:C], d.tab[uint64(k1)*C:][:C]
 		b := cmplx.Rect(1, d.theta*float64(uint64(k1)*f2))
