@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fft"
@@ -289,7 +290,13 @@ func (c *Cluster) State() *statevec.State {
 // Gather assembles the distributed state into a single state vector in
 // logical qubit order, whatever the current placement (testing and
 // small-scale verification only): logical index bit q reads physical
-// position pos[q], a move like any other, into the flat buffer.
+// position pos[q], a move like any other, into the flat buffer. A
+// reversed run at the bottom of the shards — a Fourier op's output order,
+// physical j holding logical top-j — would make that move reverse low
+// bits, at several times the cost of fft's blocked reversal (undoLowRun).
+// So the move takes the run as it lies, into a buffer whose low top+1
+// bits are the logical ones reversed, and one reversal of the buffer puts
+// them in order. The shards and the placement are left as they were.
 func (c *Cluster) Gather() *statevec.State {
 	st := statevec.NewZero(c.NumQubits())
 	amps := st.Amplitudes()
@@ -298,7 +305,17 @@ func (c *Cluster) Gather() *statevec.State {
 	for p := range flat {
 		flat[p] = amps[uint64(p)*local : (uint64(p)+1)*local]
 	}
-	c.moveBits(flat, c.pos)
+	m, top := c.lowRun()
+	if m < 2 {
+		c.moveBits(flat, c.pos)
+		return st
+	}
+	srcOf := slices.Clone(c.pos)
+	for q := uint(0); q <= top; q++ {
+		srcOf[q] = c.pos[top-q]
+	}
+	c.moveBits(flat, srcOf)
+	fft.Reverse(amps, top+1, st.Workers())
 	return st
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -308,6 +309,55 @@ func TestFourStepDoesNotAllocate(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("P=%d: %v allocs per Canonicalize and EmulateQFT, want 0", p, allocs)
+		}
+	}
+}
+
+// TestGatherLeavesTheRegisterAlone pins Gather and State after a
+// relabelled QFT, whose output order is a reversed run at the bottom of
+// the shards: on two, four and eight nodes they must equal the mover run
+// straight under the placement bit for bit, and leave the placement and
+// every shard bit for bit as they found them — the sampler tests read the
+// placement between draws.
+func TestGatherLeavesTheRegisterAlone(t *testing.T) {
+	const n = 12
+	for _, p := range []int{2, 4, 8} {
+		c, err := New(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.LoadState(statevec.NewRandom(n, rng.New(uint64(p)))); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EmulateQFT(); err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := c.lowRun(); m < 2 {
+			t.Fatalf("P=%d: the QFT left no reversed run at the bottom of the shards (placement %v)", p, c.pos)
+		}
+		pos := slices.Clone(c.pos)
+		shards := make([][]complex128, p)
+		for i := range shards {
+			shards[i] = slices.Clone(c.shard(i))
+		}
+		want := make([]complex128, 1<<n)
+		flat := make([][]complex128, p)
+		for i := range flat {
+			flat[i] = want[uint64(i)*c.LocalSize():][:c.LocalSize()]
+		}
+		c.moveBits(flat, c.pos)
+		for name, gather := range map[string]func() *statevec.State{"Gather": c.Gather, "State": c.State} {
+			if got := gather().Amplitudes(); !slices.Equal(got, want) {
+				t.Errorf("P=%d %s: differs from the move under the placement", p, name)
+			}
+			if !slices.Equal(c.pos, pos) {
+				t.Errorf("P=%d %s: placement %v became %v", p, name, pos, c.pos)
+			}
+			for i := range shards {
+				if !slices.Equal(c.shard(i), shards[i]) {
+					t.Errorf("P=%d %s: shard %d changed", p, name, i)
+				}
+			}
 		}
 	}
 }

@@ -20,23 +20,29 @@ func withBody(asm bool, f func()) {
 }
 
 // BenchmarkFFTStages is the table CHANGES.md quotes and where
-// perfmodel.Default().FFTNs comes from: at n = 20, on one and two workers
-// and through both bodies, ns per amplitude of every pass of the network
-// taken alone (each group as a full pass, DIT and DIF), of the blocked
-// pass that runs the small-span groups together, of the reordering pass,
-// of the whole natural-order and ReversedOut transforms, and of a
-// transform and its inverse in natural order against the reordered pair
-// (ReversedOut, then ReversedIn) — beside an ApplyHadamard sweep of a
-// state of the same size, the bandwidth yardstick.
+// perfmodel.Default().FFTNs comes from: at n = 18, 19 and 20 — a radix-8,
+// radix-2 and radix-4 head — on one and two workers and through both
+// bodies, ns per amplitude of every pass of the network taken alone (each
+// group as a full pass, DIT and DIF), of the blocked pass that runs the
+// small-span groups together, of the reordering pass, of the whole
+// natural-order and ReversedOut transforms, and of a transform and its
+// inverse in natural order against the reordered pair (ReversedOut, then
+// ReversedIn) — beside an ApplyHadamard sweep of a state of the same size,
+// the bandwidth yardstick.
 //
 //	go test -run xxx -bench BenchmarkFFTStages ./internal/fft/
 func BenchmarkFFTStages(b *testing.B) {
-	const n = 20
+	for _, n := range []uint{18, 19, 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchStages(b, n) })
+	}
+}
+
+func benchStages(b *testing.B, n uint) {
 	p, err := NewPlan(1 << n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := statevec.NewRandom(n, rng.New(n))
+	st := statevec.NewRandom(n, rng.New(uint64(n)))
 	data := st.Amplitudes()
 	amps := float64(len(data))
 	report := func(b *testing.B, f func()) {

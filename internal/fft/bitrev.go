@@ -30,9 +30,7 @@ func Reverse(amps []complex128, w uint, workers int) {
 	if total < size || total%size != 0 {
 		panic(fmt.Sprintf("fft: reversal of %d-bit fibres does not tile %d amplitudes", w, total))
 	}
-	if workers < 1 || total < minParallel {
-		workers = 1
-	}
+	workers = effective(total, workers)
 	if total == size {
 		bitReverse(amps, w, workers)
 		return

@@ -5,16 +5,20 @@ package fft
 // (decimation-in-frequency) butterflies, inverse the conjugate twiddles.
 // scale multiplies the outputs of the head group (s = 0) and is ignored
 // elsewhere: the network is linear, so one group applying it scales the
-// transform. Radix-8 butterflies of span two or more go through whichever
-// body this host runs.
+// transform. Every group but the radix-2 head goes through whichever body
+// this host runs. The assembly takes butterflies in pairs, so a head
+// range with an odd end — a lone 4- or 8-point vector has one — runs on
+// the Go head.
 func (g *stageGroup) run(data []complex128, lo, hi uint64, dif, inverse bool, scale float64) {
 	switch {
 	case g.radix == 2:
 		head2(data, lo, hi, scale)
+	case g.s == 0 && useButterflyAsm && (lo|hi)&1 == 0:
+		headAsm(g, data, lo, hi, dif, inverse, scale)
 	case g.radix == 4:
 		head4(data, lo, hi, dif, inverse, scale)
 	case g.s == 0:
-		butterfly8Go(data, g.tw, 0, lo, hi, dif, inverse, scale)
+		head8(data, g.tw[twW3b], lo, hi, dif, inverse, scale)
 	case useButterflyAsm:
 		butterfly8Asm(data, g.tw, g.s, lo, hi, dif, inverse)
 	default:
@@ -64,6 +68,63 @@ func head4(data []complex128, lo, hi uint64, dif, inverse bool, scale float64) {
 		}
 		quads[i], quads[i+1] = scaled(o0, scale), scaled(o1, scale)
 		quads[i+2], quads[i+3] = scaled(o2, scale), scaled(o3, scale)
+	}
+}
+
+// head8 is the radix-8 head: butterfly8Go at span one, on the adjacent
+// octuples [lo, hi), with its twiddles folded in. At s = 0 every factor
+// of the table is 1 but w3b, which is W_8 (conjugated when inverse), so
+// what is left is the additions, quarter turns and two multiplies by w;
+// taking w from the group's table makes the result bit for bit
+// butterfly8Go's.
+func head8(data []complex128, w complex128, lo, hi uint64, dif, inverse bool, scale float64) {
+	sg := 1.0
+	if inverse {
+		sg = -1
+		w = complex(real(w), -imag(w))
+	}
+	octs := data[8*lo : 8*hi]
+	for i := 0; i+7 < len(octs); i += 8 {
+		o := (*[8]complex128)(octs[i:])
+		x0, x1, x2, x3, x4, x5, x6, x7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+		var c0, c1, c2, c3, c4, c5, c6, c7 complex128
+		if dif {
+			a0, a4 := x0+x4, x0-x4
+			a1, a5 := x1+x5, (x1-x5)*w
+			a2, a6 := x2+x6, rot(x2-x6, sg)
+			a3, a7 := x3+x7, rot(x3-x7, sg)*w
+			b0, b2 := a0+a2, a0-a2
+			b1, b3 := a1+a3, rot(a1-a3, sg)
+			b4, b6 := a4+a6, a4-a6
+			b5, b7 := a5+a7, rot(a5-a7, sg)
+			c0, c1 = b0+b1, b0-b1
+			c2, c3 = b2+b3, b2-b3
+			c4, c5 = b4+b5, b4-b5
+			c6, c7 = b6+b7, b6-b7
+		} else {
+			a0, a1 := x0+x1, x0-x1
+			a2, a3 := x2+x3, x2-x3
+			a4, a5 := x4+x5, x4-x5
+			a6, a7 := x6+x7, x6-x7
+			b0, b2 := a0+a2, a0-a2
+			tt := rot(a3, sg)
+			b1, b3 := a1+tt, a1-tt
+			b4, b6 := a4+a6, a4-a6
+			tt = rot(a7, sg)
+			b5, b7 := a5+tt, a5-tt
+			c0, c4 = b0+b4, b0-b4
+			tt = w * b5
+			c1, c5 = b1+tt, b1-tt
+			tt = rot(b6, sg)
+			c2, c6 = b2+tt, b2-tt
+			tt = rot(w*b7, sg)
+			c3, c7 = b3+tt, b3-tt
+		}
+		if scale != 1 {
+			c0, c1, c2, c3 = scaled(c0, scale), scaled(c1, scale), scaled(c2, scale), scaled(c3, scale)
+			c4, c5, c6, c7 = scaled(c4, scale), scaled(c5, scale), scaled(c6, scale), scaled(c7, scale)
+		}
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
 	}
 }
 

@@ -37,7 +37,8 @@
 // pass, bitReverse (bitrev.go), in front of the DIT network; ReversedOut is
 // the DIF network alone (S·F, S the bit reversal); ReversedIn is the DIT
 // network alone (F·S). Each runs forward or inverse, over the whole vector
-// or over its contiguous fibres, and a ReversedOut transform is undone by
+// or over its contiguous fibres (each pass once across all of them, see
+// Transform), and a ReversedOut transform is undone by
 // a ReversedIn one, so a caller that can keep track of the order — the
 // cluster records it in its qubit placement — pays two networks and no
 // reordering pass for a transform and its inverse. bitReverse exchanges
@@ -60,22 +61,28 @@
 //
 // # Bodies
 //
-// The radix-8 butterflies at spans of two or more have two bodies. On
-// amd64 hosts whose CPU reports AVX2 and FMA3 and whose OS saves the YMM
-// state (internal/cpufeat, asked once at package init) they run the
-// assembly in butterfly_amd64.s, vectorised over adjacent offsets: two
+// The butterflies have two bodies. On amd64 hosts whose CPU reports AVX2
+// and FMA3 and whose OS saves the YMM state (internal/cpufeat, asked once
+// at package init) they run assembly: the radix-8 groups at spans of two
+// or more in butterfly_amd64.s, vectorised over adjacent offsets — two
 // complexes per YMM register, a complex multiply as one VMULPD and one
-// VFMADDSUB. Everywhere else, and as the oracle in tests, they run the
-// pure-Go butterflies of butterfly.go. The span-one head group is pure Go
-// on every host: its two lanes would come from different butterflies,
-// which is a different body. Nothing else selects a body: no option,
-// environment variable or build tag beyond the GOARCH constraint.
+// VFMADDSUB — and the radix-8 and radix-4 heads in head_amd64.s, where
+// one register holds the same leg of two adjacent butterflies. Everywhere
+// else, and as the oracle in tests, they run the pure-Go butterflies of
+// butterfly.go. A head is the span-one group, whose twiddles are powers of
+// i and, at radix 8, W_8: both bodies fold them in (head2, head4, head8)
+// instead of reading a table, so the head costs what the other groups
+// cost. The radix-2 head is Go on every host. Nothing else selects a
+// body: no option, environment variable or build tag beyond the GOARCH
+// constraint. The assembly fuses the multiply by W_8, so the two bodies
+// agree to the last bits, not bit for bit.
 //
 // # Workers
 //
 // Every entry point that takes a worker count splits each pass into that
 // many chunks of one par.For, the caller's included; one worker stays on
-// the calling goroutine. Forward uses GOMAXPROCS.
+// the calling goroutine; a vector below minParallel amplitudes, counting
+// every fibre of a Transform, runs on one. Forward uses GOMAXPROCS.
 //
 // Sign convention: Forward uses exp(+2*pi*i*k*l/N), matching the QFT
 // definition in the paper's Eq. 4; Unitary additionally scales by
@@ -186,26 +193,17 @@ func (p *Plan) Unitary(data []complex128, workers int) {
 // Transform applies the unitary transform (inverse: its adjoint) in the
 // given order to every contiguous fibre of the plan's size in amps — the
 // whole vector when len(amps) is the plan size, else len(amps)/size
-// fibres shared out over the workers. It is TransformField at pos 0 with
-// a choice of order.
+// fibres. A group of the network only ever pairs amplitudes inside one
+// span of its radix times its stride, so each pass runs once over all the
+// fibres together, on as many workers as their total length can use; a
+// Natural transform reverses each fibre first. It is TransformField at pos
+// 0 with a choice of order.
 func (p *Plan) Transform(amps []complex128, inverse bool, order Order, workers int) {
 	total := uint64(len(amps))
 	if total < p.size || total%p.size != 0 {
 		panic(fmt.Sprintf("fft: field transform of size %d does not tile %d amplitudes", p.size, total))
 	}
-	scale := p.unitaryScale()
-	if total == p.size {
-		p.apply(amps, inverse, order, scale, workers)
-		return
-	}
-	p.build(workers)
-	outer := total >> p.n
-	if workers <= 1 || total < minParallel {
-		p.fibres(amps, inverse, order, scale, 0, outer)
-		return
-	}
-	w := min(uint64(workers), outer)
-	par.For(int(w), func(k int) { p.fibres(amps, inverse, order, scale, uint64(k)*outer/w, uint64(k+1)*outer/w) })
+	p.apply(amps, inverse, order, p.unitaryScale(), workers)
 }
 
 func (p *Plan) check(data []complex128) {
@@ -214,22 +212,24 @@ func (p *Plan) check(data []complex128) {
 	}
 }
 
-// apply runs one transform of the plan's size in the given order: the
-// reordering pass and the DIT network for Natural, one network otherwise.
+// apply transforms the contiguous fibres of the plan's size in data in
+// the given order: the reordering pass and the DIT network for Natural,
+// one network otherwise.
 func (p *Plan) apply(data []complex128, inverse bool, order Order, scale float64, workers int) {
 	if order == Natural {
-		bitReverse(data, p.n, p.effective(workers))
+		Reverse(data, p.n, workers)
 	}
 	p.network(data, order == ReversedOut, inverse, scale, workers)
 }
 
-// minParallel is the smallest transform that benefits from fanning out.
+// minParallel is the smallest vector a pass benefits from fanning out
+// over.
 const minParallel = 1 << 14
 
-// effective clamps a requested worker count to what this plan's passes
-// can use: one below minParallel.
-func (p *Plan) effective(workers int) int {
-	if workers < 1 || p.size < minParallel {
+// effective clamps a requested worker count to what a pass over total
+// amplitudes can use: one below minParallel.
+func effective(total uint64, workers int) int {
+	if workers < 1 || total < minParallel {
 		return 1
 	}
 	return workers
@@ -250,18 +250,20 @@ func (p *Plan) blocked() int {
 	return k
 }
 
-// network runs the butterfly network over data: decimation in time
-// (bit-reversed input, natural output, groups in order) or, with dif, its
-// transpose, decimation in frequency (natural input, bit-reversed output,
-// groups backwards). The groups whose span fits a 2^blockLog block run
-// block by block in one pass — first in DIT, last in DIF — and the rest
-// one full pass each.
+// network runs the butterfly network over every fibre of the plan's size
+// in data: decimation in time (bit-reversed input, natural output, groups
+// in order) or, with dif, its transpose, decimation in frequency (natural
+// input, bit-reversed output, groups backwards). The groups whose span
+// fits a 2^blockLog block run block by block in one pass — first in DIT,
+// last in DIF — and the rest one full pass each.
 func (p *Plan) network(data []complex128, dif, inverse bool, scale float64, workers int) {
 	if p.size == 1 {
-		data[0] *= complex(scale, 0)
+		for i := range data {
+			data[i] *= complex(scale, 0)
+		}
 		return
 	}
-	workers = p.effective(workers)
+	workers = effective(uint64(len(data)), workers)
 	p.build(workers)
 	k := p.blocked()
 	inner, outer := p.groups[:k], p.groups[k:]

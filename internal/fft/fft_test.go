@@ -276,12 +276,12 @@ var networks = []struct {
 }
 
 // TestButterflyBodiesAgree runs every network through both bodies of the
-// radix-8 butterflies — sizes 2^1..2^16, so every head radix and every
-// span from 2 up, and 2^20 on one, two and three workers — and requires
-// agreement to 1e-12; up to 2^10 both must also match the O(N^2) DFT.
-// Then single groups over ranges that start and end on odd multiples of
-// the assembly's two-butterfly step, which must leave everything outside
-// the range alone.
+// butterflies — sizes 2^1..2^16, so every head radix and every span, and
+// 2^20 on one, two and three workers — and requires agreement to 1e-12;
+// up to 2^10 both must also match the O(N^2) DFT. Then single groups,
+// the head of each radix included, over ranges that start and end on odd
+// multiples of the assembly's two-butterfly step (and one with an odd
+// end), which must leave everything outside the range alone.
 func TestButterflyBodiesAgree(t *testing.T) {
 	if !useButterflyAsm {
 		t.Skip("one body on this host (or this is the pure-Go pass)")
@@ -337,30 +337,56 @@ func TestButterflyBodiesAgree(t *testing.T) {
 		}
 	}
 
-	p := mustPlan(t, 1<<13)
-	x := randomVector(rng.New(13), 1<<13)
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		if g.s == 0 {
-			continue
-		}
-		count := p.size >> 3
-		for _, r := range [][2]uint64{{2, count - 2}, {6, 6}, {6, 8}, {2 * 37, 2 * 211}, {count - 2, count}} {
-			for _, nw := range networks {
-				asm, pure := clone(x), clone(x)
-				g.run(asm, r[0], r[1], nw.dif, nw.inverse, 1)
-				withBody(false, func() { g.run(pure, r[0], r[1], nw.dif, nw.inverse, 1) })
-				if d := maxDiff(asm, pure); d > 1e-12 {
-					t.Errorf("s=%d [%d,%d) %s: bodies differ by %g", g.s, r[0], r[1], nw.name, d)
-				}
-				touched := 0
-				for i := range asm {
-					if asm[i] != x[i] {
-						touched++
+	// Sizes 2^12, 2^13, 2^14 open with a radix-8, radix-2 and radix-4
+	// head; the heads scale their outputs.
+	for _, n := range []uint{12, 13, 14} {
+		p := mustPlan(t, 1<<n)
+		x := randomVector(rng.New(uint64(n)), 1<<n)
+		for gi := range p.groups {
+			g := &p.groups[gi]
+			count := p.size >> g.stages()
+			ranges := [][2]uint64{{2, count - 2}, {6, 6}, {6, 8}, {2 * 37, 2 * 211}, {count - 2, count}}
+			if g.s == 0 {
+				ranges = append(ranges, [2]uint64{6, 9})
+			}
+			for _, r := range ranges {
+				for _, nw := range networks {
+					asm, pure := clone(x), clone(x)
+					g.run(asm, r[0], r[1], nw.dif, nw.inverse, 0.75)
+					withBody(false, func() { g.run(pure, r[0], r[1], nw.dif, nw.inverse, 0.75) })
+					if d := maxDiff(asm, pure); d > 1e-12 {
+						t.Errorf("n=%d s=%d radix=%d [%d,%d) %s: bodies differ by %g", n, g.s, g.radix, r[0], r[1], nw.name, d)
+					}
+					touched := 0
+					for i := range asm {
+						if asm[i] != x[i] {
+							touched++
+						}
+					}
+					if want := g.radix * int(r[1]-r[0]); touched > want {
+						t.Errorf("n=%d s=%d radix=%d [%d,%d) %s: %d amplitudes changed, range holds %d", n, g.s, g.radix, r[0], r[1], nw.name, touched, want)
 					}
 				}
-				if want := int(8 * (r[1] - r[0])); touched > want {
-					t.Errorf("s=%d [%d,%d) %s: %d amplitudes changed, range holds %d", g.s, r[0], r[1], nw.name, touched, want)
+			}
+		}
+	}
+}
+
+// TestHead8IsButterfly8 pins the radix-8 head to the generic pure-Go body
+// at span one, bit for bit: folding the twiddles that are 1 away must not
+// change a single result, in any network, scaled or not.
+func TestHead8IsButterfly8(t *testing.T) {
+	p := mustPlan(t, 1<<9)
+	g := &p.groups[0]
+	x := randomVector(rng.New(9), 1<<9)
+	for _, nw := range networks {
+		for _, scale := range []float64{1, p.unitaryScale()} {
+			head, generic := clone(x), clone(x)
+			head8(head, g.tw[twW3b], 3, 61, nw.dif, nw.inverse, scale)
+			butterfly8Go(generic, g.tw, 0, 3, 61, nw.dif, nw.inverse, scale)
+			for i := range head {
+				if head[i] != generic[i] {
+					t.Fatalf("%s scale=%g: amplitude %d is %v, butterfly8Go gives %v", nw.name, scale, i, head[i], generic[i])
 				}
 			}
 		}
@@ -375,14 +401,22 @@ func TestButterflyAsmRejectsBadRanges(t *testing.T) {
 	}
 	p := mustPlan(t, 1<<9)
 	data := make([]complex128, 1<<9)
-	g := p.groups[1]
+	g, head := p.groups[1], &p.groups[0]
 	for name, f := range map[string]func(){
-		"odd start":   func() { butterfly8Asm(data, g.tw, g.s, 1, 4, false, false) },
-		"odd end":     func() { butterfly8Asm(data, g.tw, g.s, 0, 3, false, false) },
-		"past end":    func() { butterfly8Asm(data, g.tw, g.s, 0, 66, false, false) },
-		"backwards":   func() { butterfly8Asm(data, g.tw, g.s, 4, 2, false, false) },
-		"span one":    func() { butterfly8Asm(data, p.groups[0].tw, 0, 0, 2, false, false) },
-		"short table": func() { butterfly8Asm(data, g.tw[:twRun], g.s, 0, 2, false, false) },
+		"odd start":      func() { butterfly8Asm(data, g.tw, g.s, 1, 4, false, false) },
+		"odd end":        func() { butterfly8Asm(data, g.tw, g.s, 0, 3, false, false) },
+		"past end":       func() { butterfly8Asm(data, g.tw, g.s, 0, 66, false, false) },
+		"backwards":      func() { butterfly8Asm(data, g.tw, g.s, 4, 2, false, false) },
+		"span one":       func() { butterfly8Asm(data, p.groups[0].tw, 0, 0, 2, false, false) },
+		"short table":    func() { butterfly8Asm(data, g.tw[:twRun], g.s, 0, 2, false, false) },
+		"head odd start": func() { headAsm(head, data, 1, 4, false, false, 1) },
+		"head odd end":   func() { headAsm(head, data, 0, 3, false, false, 1) },
+		"head past end":  func() { headAsm(head, data, 0, 66, false, false, 1) },
+		"head backwards": func() { headAsm(head, data, 4, 2, false, false, 1) },
+		"head no table":  func() { headAsm(&stageGroup{radix: 8}, data, 0, 2, false, false, 1) },
+		"head at span 2": func() { headAsm(&g, data, 0, 2, false, false, 1) },
+		"head radix 2":   func() { headAsm(&mustPlan(t, 1<<10).groups[0], data, 0, 2, false, false, 1) },
+		"head4 past end": func() { headAsm(&mustPlan(t, 1<<8).groups[0], data, 0, 130, false, false, 1) },
 	} {
 		func() {
 			defer func() {
@@ -628,21 +662,63 @@ func TestTransformField(t *testing.T) {
 	}
 }
 
-// FuzzTransform draws size, entry point, worker count and data from the
-// input and checks, for whichever transform it picked, that it agrees
-// between the two bodies and that its inverse undoes it. The entry points
-// are the natural-order ones and the two reordered orders of Transform in
-// both directions, over the whole vector and over the contiguous fibres
-// of a field half as wide, each paired with the order of the opposite
-// direction that undoes it (ReversedOut with ReversedIn and back).
+// TestFibresAreOneNetwork pins Transform over many contiguous fibres —
+// each pass run once across all of them — to the fibres transformed one
+// at a time, bit for bit: fibre sizes 2^1..2^13 (every head radix, and
+// fibres below, at and above the blocked pass's block), 2, 8 and 64 of
+// them, in every order and direction, on one and three workers.
+func TestFibresAreOneNetwork(t *testing.T) {
+	for w := uint(1); w <= 13; w++ {
+		p := mustPlan(t, 1<<w)
+		for _, k := range []uint{1, 3, 6} {
+			if w+k > 16 {
+				continue
+			}
+			x := randomVector(rng.New(uint64(w<<8|k)), 1<<(w+k))
+			// A lone 8-point fibre is a range of one head butterfly, which
+			// runs on the Go head; the fibres together run on the
+			// assembly, whose W_8 multiply is fused.
+			tol := 0.0
+			if w == 3 && useButterflyAsm {
+				tol = 1e-15
+			}
+			for _, order := range []Order{Natural, ReversedOut, ReversedIn} {
+				for _, inv := range []bool{false, true} {
+					want := clone(x)
+					for o := uint64(0); o < 1<<k; o++ {
+						p.Transform(want[o<<w:(o+1)<<w], inv, order, 1)
+					}
+					for _, workers := range []int{1, 3} {
+						got := clone(x)
+						p.Transform(got, inv, order, workers)
+						if d := maxDiff(got, want); d > tol {
+							t.Errorf("w=%d fibres=%d order=%d inverse=%v workers=%d: differs from one fibre at a time by %g", w, 1<<k, order, inv, workers, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTransform draws size, entry point, worker count, fibre count and
+// data from the input and checks, for whichever transform it picked, that
+// it agrees between the two bodies and that its inverse undoes it. The
+// entry points are the natural-order ones over the whole vector, and
+// every order of Transform in both directions, over the whole vector and
+// over its contiguous fibres, each paired with the transform that undoes
+// it (ReversedOut with ReversedIn of the opposite direction and back).
+// Over fibres the result must also equal the fibres transformed one at a
+// time.
 func FuzzTransform(f *testing.F) {
-	f.Add(uint8(4), uint8(0), uint8(1), []byte("seed"))
-	f.Add(uint8(11), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint8(13), uint8(2), uint8(3), []byte{0xff, 0, 0x80})
-	f.Add(uint8(15), uint8(3), uint8(2), []byte{})
-	f.Add(uint8(14), uint8(5), uint8(2), []byte{7, 1, 200})
-	f.Add(uint8(9), uint8(10), uint8(3), []byte{3, 0, 9, 77})
-	f.Fuzz(func(t *testing.T, lg, entry, workers uint8, raw []byte) {
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), []byte("seed"))
+	f.Add(uint8(11), uint8(1), uint8(2), uint8(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(13), uint8(2), uint8(3), uint8(0), []byte{0xff, 0, 0x80})
+	f.Add(uint8(15), uint8(3), uint8(2), uint8(7), []byte{})
+	f.Add(uint8(14), uint8(5), uint8(2), uint8(11), []byte{7, 1, 200})
+	f.Add(uint8(9), uint8(10), uint8(3), uint8(6), []byte{3, 0, 9, 77})
+	f.Add(uint8(16), uint8(13), uint8(3), uint8(13), []byte{5, 9})
+	f.Fuzz(func(t *testing.T, lg, entry, workers, fibres uint8, raw []byte) {
 		n := uint(lg % 17)
 		w := int(workers%4) + 1
 		p := mustPlan(t, 1<<n)
@@ -654,28 +730,37 @@ func FuzzTransform(f *testing.F) {
 			}
 			x[i] = complex(float64(re)-128, float64(im)-128) / 128
 		}
-		// Each entry point with the one that undoes it and the factor the
-		// pair leaves behind.
+		// Each entry point with the one that undoes it, the factor the
+		// pair leaves behind and, over fibres, the transform of one fibre.
 		type transform func([]complex128)
 		type pair struct {
 			do, undo transform
 			factor   float64
+			one      transform
 		}
 		pairs := []pair{
-			{p.Forward, func(d []complex128) { inverse(p, d) }, float64(p.size)},
-			{p.InverseSerial, p.ForwardSerial, float64(p.size)},
-			{func(d []complex128) { p.Unitary(d, w) }, func(d []complex128) { unitaryInverse(p, d, w) }, 1},
-			{func(d []complex128) { p.TransformField(d, 0, false, w) }, func(d []complex128) { p.TransformField(d, 0, true, w) }, 1},
+			{p.Forward, func(d []complex128) { inverse(p, d) }, float64(p.size), nil},
+			{p.InverseSerial, p.ForwardSerial, float64(p.size), nil},
+			{func(d []complex128) { p.Unitary(d, w) }, func(d []complex128) { unitaryInverse(p, d, w) }, 1, nil},
+			{func(d []complex128) { p.TransformField(d, 0, false, w) }, func(d []complex128) { p.TransformField(d, 0, true, w) }, 1, nil},
 		}
-		// The reordered orders, each paired with the one of the opposite
-		// direction that undoes it, over the whole vector and over the
-		// contiguous fibres of a field half as wide.
-		half := mustPlan(t, 1<<(n/2))
-		for _, q := range []*Plan{p, half} {
+		// Every order, over the whole vector and over 2^k contiguous
+		// fibres.
+		k := uint(fibres) % (n + 1)
+		q := mustPlan(t, 1<<(n-k))
+		undoes := map[Order]Order{Natural: Natural, ReversedOut: ReversedIn, ReversedIn: ReversedOut}
+		for _, r := range []*Plan{p, q} {
 			for _, inv := range []bool{false, true} {
-				pairs = append(pairs,
-					pair{func(d []complex128) { q.Transform(d, inv, ReversedOut, w) }, func(d []complex128) { q.Transform(d, !inv, ReversedIn, w) }, 1},
-					pair{func(d []complex128) { q.Transform(d, inv, ReversedIn, w) }, func(d []complex128) { q.Transform(d, !inv, ReversedOut, w) }, 1})
+				for _, order := range []Order{Natural, ReversedOut, ReversedIn} {
+					pr := pair{
+						func(d []complex128) { r.Transform(d, inv, order, w) },
+						func(d []complex128) { r.Transform(d, !inv, undoes[order], w) }, 1, nil,
+					}
+					if r == q {
+						pr.one = func(d []complex128) { q.Transform(d, inv, order, 1) }
+					}
+					pairs = append(pairs, pr)
+				}
 			}
 		}
 		pr := pairs[int(entry)%len(pairs)]
@@ -685,14 +770,23 @@ func FuzzTransform(f *testing.F) {
 		withBody(false, func() { pr.do(pure) })
 		tol := 1e-12 * float64(p.size)
 		if d := maxDiff(got, pure); d > tol {
-			t.Fatalf("n=%d entry=%d workers=%d: bodies differ by %g", n, entry, w, d)
+			t.Fatalf("n=%d entry=%d workers=%d fibres=%d: bodies differ by %g", n, entry, w, 1<<k, d)
+		}
+		if pr.one != nil {
+			want := clone(x)
+			for o := uint64(0); o < 1<<k; o++ {
+				pr.one(want[o*q.size : (o+1)*q.size])
+			}
+			if d := maxDiff(got, want); d > tol {
+				t.Fatalf("n=%d entry=%d workers=%d fibres=%d: differs from one fibre at a time by %g", n, entry, w, 1<<k, d)
+			}
 		}
 		pr.undo(got)
 		for i := range got {
 			got[i] /= complex(pr.factor, 0)
 		}
 		if d := maxDiff(got, x); d > tol {
-			t.Fatalf("n=%d entry=%d workers=%d: round trip off by %g", n, entry, w, d)
+			t.Fatalf("n=%d entry=%d workers=%d fibres=%d: round trip off by %g", n, entry, w, 1<<k, d)
 		}
 	})
 }

@@ -35,24 +35,11 @@ func (p *Plan) TransformField(amps []complex128, pos uint, inverse bool, workers
 	}
 	p.build(workers)
 	outer := total >> p.n
-	if workers <= 1 || total < minParallel {
-		workers = 1
-	}
-	w := min(uint64(workers), outer)
+	w := min(uint64(effective(total, workers)), outer)
 	scale := p.unitaryScale()
 	par.For(int(w), func(k int) {
 		p.stridedFibres(amps, make([]complex128, size), pos, inverse, scale, uint64(k)*outer/w, uint64(k+1)*outer/w)
 	})
-}
-
-// fibres transforms the contiguous fibres [lo, hi) of the field at bit 0
-// where they lie, in the given order, on the calling goroutine.
-//
-//qemu:hotpath
-func (p *Plan) fibres(amps []complex128, inverse bool, order Order, scale float64, lo, hi uint64) {
-	for o := lo; o < hi; o++ {
-		p.apply(amps[o*p.size:(o+1)*p.size], inverse, order, scale, 1)
-	}
 }
 
 // stridedFibres transforms fibres [lo, hi) of the field at pos > 0 on the

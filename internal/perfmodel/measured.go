@@ -49,10 +49,16 @@ type Measured struct {
 // selector.
 //
 // FFTNs follows fft's BenchmarkFFTStages (n = 20, two workers, the
-// AVX2/FMA butterflies): the natural-order unitary transform runs at
+// AVX2/FMA butterflies): the natural-order unitary transform ran at
 // 6.1-6.7 ns per amplitude, 0.30-0.34 per stage, beside a 0.92-1.1 ns
 // Hadamard sweep. It was 0.7 while the transform measured 1.1-1.6 per
-// stage (ISSUE 18).
+// stage. Re-taken after the radix-4 head got its vector body, on a host
+// where the Hadamard sweep read 1.4 ns: the transform reads 7.2-7.6 ns
+// per amplitude, 0.36-0.38 per stage (10.2-15.0 before it in the same
+// session). The price is left at 0.33, so the auto choice and the pinned
+// selections stay as they were; pricing a transform as it runs now —
+// without its reordering pass where the placement carries the order —
+// is ROADMAP item 3.
 //
 // FillNs follows cluster's BenchmarkMoveBits product-fill rows (n = 20,
 // two workers, gate-sweep's three straddling clusters): 1.9-2.7 ns per
