@@ -1,20 +1,17 @@
 // Command qemu-model evaluates the paper's analytic performance models
 // (Eqs. 5 and 6) at full paper scale, printing the Figure 3 weak-scaling
 // prediction and the asymptotic QPE cross-over bounds of Section 3.3 —
-// and, next to the analytic columns, the calibrated measured model the
-// auto-target selector prices candidates with.
+// and, next to the analytic columns, the measured model the auto-target
+// selector prices candidates with (perfmodel.Active, one table on every
+// host).
 //
 // Usage:
 //
 //	qemu-model [-min-qubits N] [-max-qubits N] [-eff-fft F] [-bmem B] [-bnet B]
-//	           [-calibrate] [-calibration-path FILE]
 //
-// -calibrate runs the micro-benchmarks of internal/perfmodel against the
-// live kernels (about a second) and writes the constants to the
-// calibration cache, where every Compile for an auto target (`qemu-run
-// -backend auto` among them) picks them up. -calibration-path overrides
-// the cache location (equivalent to setting QEMU_CALIBRATION_FILE); CI
-// uses it to keep headless runs out of the user cache directory.
+// The weak-scaling line runs on 2^(n - min-qubits) nodes, so min-qubits
+// must be at least 1 and no greater than max-qubits, and the span at most
+// 62 qubits; anything else exits 2.
 package main
 
 import (
@@ -28,31 +25,17 @@ import (
 
 func main() {
 	var (
-		minQ      = flag.Uint("min-qubits", 28, "weak-scaling start (1 node)")
-		maxQ      = flag.Uint("max-qubits", 36, "weak-scaling end")
-		effFFT    = flag.Float64("eff-fft", 0, "override FFT efficiency (fraction of peak)")
-		bmem      = flag.Float64("bmem", 0, "override per-node memory bandwidth (bytes/s)")
-		bnet      = flag.Float64("bnet", 0, "override per-node network bandwidth (bytes/s)")
-		calibrate = flag.Bool("calibrate", false, "micro-benchmark the live kernels and write the calibration cache")
-		calPath   = flag.String("calibration-path", "", "calibration cache file (default: QEMU_CALIBRATION_FILE, else the user cache dir)")
+		minQ   = flag.Uint("min-qubits", 28, "weak-scaling start (1 node)")
+		maxQ   = flag.Uint("max-qubits", 36, "weak-scaling end")
+		effFFT = flag.Float64("eff-fft", 0, "override FFT efficiency (fraction of peak)")
+		bmem   = flag.Float64("bmem", 0, "override per-node memory bandwidth (bytes/s)")
+		bnet   = flag.Float64("bnet", 0, "override per-node network bandwidth (bytes/s)")
 	)
 	flag.Parse()
-
-	if *calPath != "" {
-		// The env var is the single source of truth for the cache location;
-		// the flag is a convenience spelling of it.
-		if err := os.Setenv("QEMU_CALIBRATION_FILE", *calPath); err != nil {
-			fmt.Fprintln(os.Stderr, "qemu-model:", err)
-			os.Exit(1)
-		}
-	}
-	if *calibrate {
-		meas := perfmodel.Calibrate()
-		if err := meas.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "qemu-model: saving calibration:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("calibrated against the live kernels; cached at %s\n", perfmodel.Path())
+	if *minQ < 1 || *minQ > *maxQ || *maxQ-*minQ > perfmodel.MaxWeakScalingSpan {
+		fmt.Fprintf(os.Stderr, "qemu-model: -min-qubits %d -max-qubits %d: want 1 <= min <= max and max - min <= %d (the node count 2^(max-min) must fit an int)\n",
+			*minQ, *maxQ, perfmodel.MaxWeakScalingSpan)
+		os.Exit(2)
 	}
 
 	m := perfmodel.Stampede()
@@ -70,8 +53,8 @@ func main() {
 		m.Name, m.FLOPSPeak/1e9, m.EffFFT*100, m.BMemNode/1e9, m.BNetNode/1e9)
 
 	meas := perfmodel.Active()
-	fmt.Printf("measured model (%s): sweep %.2f, diag %.2f, perm %.2f, fft %.2f, remap %.2f, fill %.2f ns/amp\n\n",
-		meas.Source, meas.SweepNs, meas.DiagNs, meas.PermNs, meas.FFTNs, meas.RemapNs, meas.FillNs)
+	fmt.Printf("measured model: sweep %.2f, diag %.2f, perm %.2f, fft %.2f, remap %.2f, fill %.2f ns/amp\n\n",
+		meas.SweepNs, meas.DiagNs, meas.PermNs, meas.FFTNs, meas.RemapNs, meas.FillNs)
 
 	pts := m.WeakScaling(*minQ, *maxQ)
 	var rows [][]string
@@ -87,7 +70,7 @@ func main() {
 		})
 	}
 	fmt.Println("Figure 3 model: distributed QFT simulation (Eq. 6) vs FFT emulation (Eq. 5),")
-	fmt.Println("with the calibrated measured model's predictions for this machine alongside")
+	fmt.Println("with the measured model's predictions alongside")
 	fmt.Println(experiments.Table(
 		[]string{"qubits", "nodes", "T_QFT (Eq.6)", "T_FFT (Eq.5)", "speedup",
 			"T_QFT (meas)", "T_FFT (meas)"}, rows))

@@ -20,8 +20,8 @@
 //
 // -backend auto hands the whole configuration to the profile-driven
 // selector: Compile profiles the circuit, prices the engines it serves
-// (fused at each width of its ladder, cluster) with the calibrated cost
-// model and resolves the auto target to the cheapest; the backend is
+// (fused at each width of its ladder, cluster) with the cost model
+// and resolves the auto target to the cheapest; the backend is
 // opened for that shape, and the full selection report is printed —
 // chosen target, candidate costs, per-region emulate-vs-fuse verdicts.
 // `-emulate auto` with no -fuse-width or -nodes pins routes through the

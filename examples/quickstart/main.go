@@ -39,7 +39,7 @@ func main() {
 	}
 
 	// The same program compiled for the auto target: Compile profiles the
-	// circuit, prices every engine with the calibrated cost model and
+	// circuit, prices every engine with the cost model and
 	// picks the cheapest — engine kind, fusion width and node count are
 	// all decided for you — and OpenFor opens a backend of the chosen
 	// shape (this tiny circuit has nothing recognisable, so both paths

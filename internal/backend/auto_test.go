@@ -1,6 +1,9 @@
 package backend_test
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,7 +92,7 @@ func TestAutoCompileEndToEnd(t *testing.T) {
 
 	brick := circgen.Brickwork(rng.New(1), 16, 6)
 	prof, _ := backend.ProfileCircuit(brick)
-	if sel := backend.SelectTarget(prof, perfmodel.Default()); sel.Chosen.FuseWidth < 2 {
+	if sel := backend.SelectTarget(prof, perfmodel.Active()); sel.Chosen.FuseWidth < 2 {
 		t.Fatalf("brickwork selects %+v; the scenario needs block fusion", sel.Chosen)
 	}
 	b, _ = runAuto(t, brick, func(b backend.Backend) { b.Probability(0) })
@@ -172,5 +175,50 @@ func TestMidWidthFieldLowersToFieldFFT(t *testing.T) {
 	}
 	if d := b.State().MaxDiff(ref.State()); d > 1e-10 {
 		t.Fatalf("field-FFT state diverges from single node by %g", d)
+	}
+}
+
+// TestAutoSelectionIgnoresTheHost compiles one auto circuit under two
+// environments: an empty user cache directory, and one holding a
+// qemu-repro/calibration.json of plausible constants unlike the model's,
+// named by QEMU_CALIBRATION_FILE too, the cache older builds read. The
+// selector prices from one table on every host, so both selections — the
+// chosen shape, its predicted cost and every region verdict — are equal.
+func TestAutoSelectionIgnoresTheHost(t *testing.T) {
+	c := qft.Circuit(14)
+	compile := func() *backend.Selection {
+		t.Helper()
+		x, err := backend.Compile(c, backend.Target{NumQubits: c.NumQubits, Auto: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.Selection
+	}
+
+	t.Setenv("QEMU_CALIBRATION_FILE", "")
+	t.Setenv("XDG_CACHE_HOME", t.TempDir())
+	clean := compile()
+
+	cache := t.TempDir()
+	file := filepath.Join(cache, "qemu-repro", "calibration.json")
+	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := `{"source": "calibrated", "sweep_ns": 1.01, "diag_ns": 0.65, "perm_ns": 1.04, "fft_ns": 0.31, "remap_ns": 0.67, "fill_ns": 1.04}`
+	if err := os.WriteFile(file, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("XDG_CACHE_HOME", cache)
+	t.Setenv("QEMU_CALIBRATION_FILE", file)
+	cached := compile()
+
+	if clean.Chosen != cached.Chosen {
+		t.Errorf("chosen target moved with the host's files: %+v, then %+v", clean.Chosen, cached.Chosen)
+	}
+	if clean.Cost != cached.Cost {
+		t.Errorf("predicted cost moved with the host's files: %g s, then %g s", clean.Cost, cached.Cost)
+	}
+	if len(clean.Verdicts) == 0 || !reflect.DeepEqual(clean.Verdicts, cached.Verdicts) {
+		t.Errorf("region verdicts moved with the host's files (or none were made):\n%+v\n%+v", clean.Verdicts, cached.Verdicts)
 	}
 }

@@ -51,7 +51,7 @@ type Target struct {
 	NumQubits uint
 	// Auto delegates every remaining knob to the profile-driven selector:
 	// Compile profiles the circuit, scores candidate shapes with the
-	// calibrated cost model (internal/perfmodel) and compiles for the
+	// cost model (internal/perfmodel) and compiles for the
 	// cheapest — kind, node count, fusion width and per-region
 	// emulate-vs-fuse decisions all come from the model. When set, the
 	// fields below (except Workers) are ignored and normalize clears

@@ -151,7 +151,7 @@ func Compile(c *circuit.Circuit, t Target) (*Executable, error) {
 
 // compileAuto is the auto target's front half of the pipeline: profile
 // the circuit (one recognition pass, reused below), score the candidate
-// shapes with the calibrated model, and filter the recognition plan by
+// shapes with the perfmodel table, and filter the recognition plan by
 // the per-region verdicts before handing the resolved concrete target to
 // the shared back half.
 func compileAuto(c *circuit.Circuit, t Target) (*Executable, error) {

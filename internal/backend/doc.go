@@ -19,7 +19,7 @@
 //     alternative. On explicit targets this is a fixed diagonal cutoff
 //     (recognize.DefaultDiagCutoffGates gates, the effective fusion
 //     width); on auto targets (Target.Auto, below) it is a per-region
-//     verdict from the calibrated cost model.
+//     verdict from the cost model.
 //  3. lowerability — every op gets its substrate from
 //     internal/cluster.Lowerable; one without a substrate on the
 //     target's node count falls back to gate level, recorded in the
@@ -121,7 +121,7 @@
 //     pass 4 then builds one fuse.Plan per gate segment, at the width
 //     that won.
 //   - select — SelectTarget prices a fixed candidate list (fused at
-//     each AutoFuseWidths rung, cluster) with the calibrated constants of
+//     each AutoFuseWidths rung, cluster) with the constants of
 //     internal/perfmodel and picks the cheapest; for each recognised
 //     region it also rules emulate-vs-fuse by predicted time, replacing
 //     the static diagonal cutoff. A fused rung w > 1 competes only where
@@ -134,8 +134,8 @@
 //     candidate: it is the reference the engines are measured against.
 //
 // Both passes are deterministic — pure functions of the circuit and the
-// model constants (perfmodel.Active never times anything; calibration is
-// an explicit offline step). The resolved concrete Target lands on the
+// model constants (perfmodel.Active is one fixed table: it reads no
+// file and times nothing). The resolved concrete Target lands on the
 // Executable, and the full Selection — chosen target, every candidate's
 // predicted cost, per-region verdicts — rides along on Executable and
 // Result so a choice is always explainable (qemu-run prints it).

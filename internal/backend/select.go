@@ -13,14 +13,14 @@ import (
 // The selection pass: the second half of the profile-driven auto target.
 // SelectTarget scores every candidate execution shape — the fused engine
 // at each fusion width and the distributed engine — against a circuit
-// Profile using the calibrated constants of internal/perfmodel, and
+// Profile using the constants of internal/perfmodel, and
 // returns the cheapest together with the full scoring table and the
 // per-region emulate-vs-fuse verdicts that replace the static diagonal
 // cutoff of explicit targets. The structure-blind baseline is a reference
 // to measure against, not an engine the system serves, so it is never a
 // candidate.
 // The pass is pure: costs come from the Measured constants handed in
-// (perfmodel.Active() reads a cache, never a clock), so equal profiles
+// (perfmodel.Active() is one fixed table: no file, no clock), so equal profiles
 // always select the same target and the detrng contract holds.
 
 // DefaultAutoMaxLocalQubits is the auto target's per-node capacity
@@ -30,7 +30,7 @@ import (
 const DefaultAutoMaxLocalQubits uint = 28
 
 // Candidate is one scored execution shape. Cost is the model's predicted
-// wall time in seconds on this machine's calibration; +Inf marks a shape
+// wall time in seconds under the model's constants; +Inf marks a shape
 // the capacity policy rules out, with Note saying why.
 type Candidate struct {
 	Target Target

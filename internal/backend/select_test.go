@@ -17,16 +17,16 @@ import (
 	"repro/internal/rng"
 )
 
-// The pinned selections run against perfmodel.Default() — the model of
-// record — so they are machine-independent: no calibration cache, no
-// timing, just the deterministic profile -> select pipeline.
+// The pinned selections run against perfmodel.Active() — one table on
+// every host — so they are machine-independent: no timing, just the
+// deterministic profile -> select pipeline.
 
 // TestSelectQFTEmulates pins the canonical emulation win: a full QFT at
 // n=20 stays on a local engine with the Fourier region dispatched to the
 // classical FFT, not run gate by gate.
 func TestSelectQFTEmulates(t *testing.T) {
 	p, _ := backend.ProfileCircuit(qft.Circuit(20))
-	sel := backend.SelectTarget(p, perfmodel.Default())
+	sel := backend.SelectTarget(p, perfmodel.Active())
 	if sel.Chosen.Kind != backend.Fused {
 		t.Fatalf("QFT n=20 chose %s, want fused", sel.Chosen.Kind)
 	}
@@ -45,7 +45,7 @@ func TestSelectQFTEmulates(t *testing.T) {
 func TestSelectShallowBrickworkFusesWide(t *testing.T) {
 	c := experiments.TiledAnsatz(12, 4, 3, 1, 5)
 	p, _ := backend.ProfileCircuit(c)
-	sel := backend.SelectTarget(p, perfmodel.Default())
+	sel := backend.SelectTarget(p, perfmodel.Active())
 	if sel.Chosen.Kind != backend.Fused || sel.Chosen.FuseWidth != 4 {
 		t.Fatalf("shallow 4-qubit brickwork n=12 chose %s w=%d, want fused w=4",
 			sel.Chosen.Kind, sel.Chosen.FuseWidth)
@@ -58,7 +58,7 @@ func TestSelectShallowBrickworkFusesWide(t *testing.T) {
 // outscored.
 func TestSelectWideRegisterClusters(t *testing.T) {
 	p, _ := backend.ProfileCircuit(qft.Circuit(30))
-	sel := backend.SelectTarget(p, perfmodel.Default())
+	sel := backend.SelectTarget(p, perfmodel.Active())
 	if sel.Chosen.Kind != backend.Cluster {
 		t.Fatalf("n=30 chose %s, want cluster", sel.Chosen.Kind)
 	}
@@ -79,10 +79,10 @@ func TestSelectWideRegisterClusters(t *testing.T) {
 func TestSelectDeterministic(t *testing.T) {
 	c := experiments.Brickwork(12, 4, 11)
 	p1, _ := backend.ProfileCircuit(c)
-	s1 := backend.SelectTarget(p1, perfmodel.Default())
+	s1 := backend.SelectTarget(p1, perfmodel.Active())
 	for i := 0; i < 3; i++ {
 		p2, _ := backend.ProfileCircuit(c)
-		s2 := backend.SelectTarget(p2, perfmodel.Default())
+		s2 := backend.SelectTarget(p2, perfmodel.Active())
 		if !reflect.DeepEqual(p1, p2) {
 			t.Fatal("profiles of the same circuit differ")
 		}
@@ -99,7 +99,7 @@ func TestSelectDeterministic(t *testing.T) {
 // chosen target, one line per candidate, verdict lines.
 func TestSelectionReport(t *testing.T) {
 	p, _ := backend.ProfileCircuit(qft.Circuit(16))
-	sel := backend.SelectTarget(p, perfmodel.Default())
+	sel := backend.SelectTarget(p, perfmodel.Active())
 	rep := sel.Report()
 	for _, want := range []string{"auto backend: chose", "candidates:", "fused w=8", "cluster", "regions:", "qft"} {
 		if !strings.Contains(rep, want) {
@@ -132,7 +132,7 @@ func TestSelectFewDenseGatesStayFused(t *testing.T) {
 		{"ghz-n22", qft.Entangler(22), ""},
 	} {
 		p, _ := backend.ProfileCircuit(tc.c)
-		sel := backend.SelectTarget(p, perfmodel.Default())
+		sel := backend.SelectTarget(p, perfmodel.Active())
 		if sel.Chosen.Kind != backend.Fused {
 			t.Errorf("%s chose %s, want fused:\n%s", tc.name, backend.DescribeTarget(sel.Chosen), sel.Report())
 		}
@@ -185,7 +185,7 @@ func TestSelectBenchAutoPinned(t *testing.T) {
 	}
 
 	p, _ := backend.ProfileCircuit(qft.CircuitNoSwap(16))
-	sel := backend.SelectTarget(p, perfmodel.Default())
+	sel := backend.SelectTarget(p, perfmodel.Active())
 	if sel.Chosen.Kind != backend.Fused || sel.Chosen.FuseWidth != 1 {
 		t.Errorf("qft-noswap-n16 chose %s w=%d, want fused w=1", sel.Chosen.Kind, sel.Chosen.FuseWidth)
 	}
@@ -200,7 +200,7 @@ func TestSelectBenchAutoPinned(t *testing.T) {
 	}
 
 	p, _ = backend.ProfileCircuit(experiments.TiledAnsatz(12, 4, 3, 1, 5))
-	sel = backend.SelectTarget(p, perfmodel.Default())
+	sel = backend.SelectTarget(p, perfmodel.Active())
 	if sel.Chosen.Kind != backend.Fused || sel.Chosen.FuseWidth != 4 {
 		t.Errorf("tiled-n12 chose %s w=%d, want fused w=4", sel.Chosen.Kind, sel.Chosen.FuseWidth)
 	}
@@ -251,7 +251,7 @@ func TestAutoWidthFitsRegister(t *testing.T) {
 		}
 		for name, c := range shapes {
 			p, _ := backend.ProfileCircuit(c)
-			sel := backend.SelectTarget(p, perfmodel.Default())
+			sel := backend.SelectTarget(p, perfmodel.Active())
 			if w := sel.Chosen.FuseWidth; w != 1 && uint(2*w) > n {
 				t.Errorf("%s n=%d chose fused w=%d, a block larger than the state:\n%s", name, n, w, sel.Report())
 			}

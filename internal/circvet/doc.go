@@ -28,7 +28,7 @@
 //     state).
 //
 // EstimateResources complements the passes with the static cost picture:
-// state bytes, depth, gate mix, and the calibrated model's predicted
+// state bytes, depth, gate mix, and the cost model's predicted
 // target, wall time, sweep units and communication rounds.
 //
 // The Analyzer/Pass/Finding shape deliberately mirrors

@@ -13,7 +13,7 @@ import (
 // The static resource estimator answers "what will this circuit cost?"
 // without compiling or running it: dense state-vector footprint, depth,
 // gate mix, the regions the emulation dispatcher would shortcut, and the
-// calibrated cost model's verdict — predicted wall time, fused sweep
+// cost model's verdict — predicted wall time, fused sweep
 // units, and communication rounds on the shape the auto selector would
 // pick. It is a read-only drive of the same profile and selection passes
 // Compile uses (backend.ProfileCircuit, backend.SelectTarget under
@@ -37,8 +37,8 @@ type Resources struct {
 	// with classical shortcuts; RecognizedGates is their total coverage.
 	Regions         []RegionSummary `json:"regions,omitempty"`
 	RecognizedGates int             `json:"recognized_gates"`
-	// Chosen describes the target the auto selector picks under the
-	// active calibration, PredictedSecs its modelled wall time.
+	// Chosen describes the target the auto selector picks,
+	// PredictedSecs its modelled wall time.
 	Chosen        string  `json:"chosen"`
 	PredictedSecs float64 `json:"predicted_secs"`
 	// SweepUnits is fuse's sweep-unit estimate of the residual (non-
@@ -57,8 +57,8 @@ type RegionSummary struct {
 	SupportWidth uint   `json:"support_width"`
 }
 
-// EstimateResources profiles c and prices it under the active
-// calibration without compiling or running anything.
+// EstimateResources profiles c and prices it under the cost model
+// without compiling or running anything.
 func EstimateResources(c *circuit.Circuit) Resources {
 	prof, _ := backend.ProfileCircuit(c)
 	sel := backend.SelectTarget(prof, perfmodel.Active())

@@ -23,7 +23,7 @@ func TestAutoWithinBudget(t *testing.T) {
 	want := map[string]string{"qft-noswap-n16": "fused w=1", "tiled-n12": "fused w=4"}
 	for _, w := range autoWorkloads(QuickAuto()) {
 		p, _ := backend.ProfileCircuit(w.Circuit)
-		sel := backend.SelectTarget(p, perfmodel.Default())
+		sel := backend.SelectTarget(p, perfmodel.Active())
 		cheapest, dearest := math.Inf(1), 0.0
 		for _, cand := range sel.Candidates {
 			if math.IsInf(cand.Cost, 1) {

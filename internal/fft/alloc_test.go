@@ -19,7 +19,7 @@ func TestTransformDoesNotAllocate(t *testing.T) {
 		for name, run := range map[string]func([]complex128){
 			"ForwardSerial": p.ForwardSerial,
 			"InverseSerial": p.InverseSerial,
-			"Unitary":       func(d []complex128) { p.Unitary(d, 1) },
+			"Natural":       func(d []complex128) { p.Transform(d, false, Natural, 1) },
 			"ReversedOut":   func(d []complex128) { p.Transform(d, false, ReversedOut, 1) },
 			"ReversedIn":    func(d []complex128) { p.Transform(d, true, ReversedIn, 1) },
 			"Reverse":       func(d []complex128) { Reverse(d, lg, 1) },

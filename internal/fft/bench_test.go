@@ -20,7 +20,7 @@ func withBody(asm bool, f func()) {
 }
 
 // BenchmarkFFTStages is the table CHANGES.md quotes and where
-// perfmodel.Default().FFTNs comes from: at n = 18, 19 and 20 — a radix-8,
+// perfmodel.Active().FFTNs comes from: at n = 18, 19 and 20 — a radix-8,
 // radix-2 and radix-4 head — on one and two workers and through both
 // bodies, ns per amplitude of every pass of the network taken alone (each
 // group as a full pass, DIT and DIF), of the blocked pass that runs the
@@ -89,7 +89,7 @@ func benchStages(b *testing.B, n uint) {
 					})
 				}
 				b.Run(fmt.Sprintf("%s/unitary/workers=%d", body.name, workers), func(b *testing.B) {
-					report(b, func() { p.Unitary(data, workers) })
+					report(b, func() { p.Transform(data, false, Natural, workers) })
 				})
 				b.Run(fmt.Sprintf("%s/reversed-out/workers=%d", body.name, workers), func(b *testing.B) {
 					report(b, func() { p.Transform(data, false, ReversedOut, workers) })

@@ -85,8 +85,8 @@
 // every fibre of a Transform, runs on one. Forward uses GOMAXPROCS.
 //
 // Sign convention: Forward uses exp(+2*pi*i*k*l/N), matching the QFT
-// definition in the paper's Eq. 4; Unitary additionally scales by
-// 1/sqrt(N) so that Forward(Unitary) is exactly the QFT matrix.
+// definition in the paper's Eq. 4; Transform additionally scales by
+// 1/sqrt(N), so in Natural order it is exactly the QFT matrix.
 package fft
 
 import (
@@ -181,14 +181,6 @@ func (p *Plan) Forward(data []complex128) {
 // unitaryScale is the 1/sqrt(N) of the unitary transforms. It is folded
 // into the head group's butterflies, not a separate pass over the data.
 func (p *Plan) unitaryScale() float64 { return 1 / math.Sqrt(float64(p.size)) }
-
-// Unitary computes the unitary (QFT) transform on the given number of
-// workers: Forward scaled by 1/sqrt(N). Applying it to a state vector
-// performs the paper's Eq. 4.
-func (p *Plan) Unitary(data []complex128, workers int) {
-	p.check(data)
-	p.apply(data, false, Natural, p.unitaryScale(), workers)
-}
 
 // Transform applies the unitary transform (inverse: its adjoint) in the
 // given order to every contiguous fibre of the plan's size in amps — the

@@ -157,7 +157,7 @@ func TestUnitaryPreservesNorm(t *testing.T) {
 	for _, v := range x {
 		normIn += real(v)*real(v) + imag(v)*imag(v)
 	}
-	p.Unitary(x, 2)
+	p.Transform(x, false, Natural, 2)
 	var normOut float64
 	for _, v := range x {
 		normOut += real(v)*real(v) + imag(v)*imag(v)
@@ -167,7 +167,7 @@ func TestUnitaryPreservesNorm(t *testing.T) {
 	}
 	unitaryInverse(p, x, 2)
 	if d := maxDiff(x, orig); d > 1e-12 {
-		t.Errorf("the inverse QFT does not undo Unitary: %g", d)
+		t.Errorf("the inverse QFT does not undo the unitary transform: %g", d)
 	}
 }
 
@@ -552,7 +552,7 @@ func TestPlanShared(t *testing.T) {
 			// A transform on the shared plan, racing the other callers.
 			x := make([]complex128, size)
 			x[1] = 1
-			p.Unitary(x, 2)
+			p.Transform(x, false, Natural, 2)
 			plans[i] = p
 		}()
 	}
@@ -604,7 +604,7 @@ func TestWorkerCountIsExact(t *testing.T) {
 	before := parOffCaller.Load()
 	p.ForwardSerial(x)
 	p.InverseSerial(x)
-	p.Unitary(x, 1)
+	p.Transform(x, false, Natural, 1)
 	unitaryInverse(p, x, 1)
 	for _, order := range []Order{ReversedOut, ReversedIn} {
 		p.Transform(x, false, order, 1)
@@ -618,7 +618,7 @@ func TestWorkerCountIsExact(t *testing.T) {
 		t.Errorf("one worker ran %d chunks off the calling goroutine", got)
 	}
 	before = parOffCaller.Load()
-	p.Unitary(x, 3)
+	p.Transform(x, false, Natural, 3)
 	// The reordering pass, the blocked pass, and one per remaining group.
 	passes := int64(2 + len(p.groups) - p.blocked())
 	if got := parOffCaller.Load() - before; got > 2*passes {
@@ -645,7 +645,7 @@ func TestTransformField(t *testing.T) {
 				if inverse {
 					unitaryInverse(p, fibre, 1)
 				} else {
-					p.Unitary(fibre, 1)
+					p.Transform(fibre, false, Natural, 1)
 				}
 				for k, v := range fibre {
 					want[rest|uint64(k)<<pos] = v
@@ -741,7 +741,7 @@ func FuzzTransform(f *testing.F) {
 		pairs := []pair{
 			{p.Forward, func(d []complex128) { inverse(p, d) }, float64(p.size), nil},
 			{p.InverseSerial, p.ForwardSerial, float64(p.size), nil},
-			{func(d []complex128) { p.Unitary(d, w) }, func(d []complex128) { unitaryInverse(p, d, w) }, 1, nil},
+			{func(d []complex128) { p.Transform(d, false, Natural, w) }, func(d []complex128) { unitaryInverse(p, d, w) }, 1, nil},
 			{func(d []complex128) { p.TransformField(d, 0, false, w) }, func(d []complex128) { p.TransformField(d, 0, true, w) }, 1, nil},
 		}
 		// Every order, over the whole vector and over 2^k contiguous

@@ -32,8 +32,9 @@ var reachAllowed = map[string]string{
 	"linalg.Matrix.MaxAbsDiff":    "test helper: the matrix comparisons of linalg and ising",
 	"linalg.Matrix.Scale":         "test helper: builds -iH dt for Expm in the ising tests",
 
-	"statevec.Factored.Dense": "oracle: the dense product the factored bodies and fuse's factored blocks are checked against",
-	"recognize.Plan.Describe": "test helper: the recognize and experiments tests print a plan with it on failure",
+	"cluster.Cluster.Placement": "test observer: the backend and cluster tests read a register's placement with it",
+	"statevec.Factored.Dense":   "oracle: the dense product the factored bodies and fuse's factored blocks are checked against",
+	"recognize.Plan.Describe":   "test helper: the recognize and experiments tests print a plan with it on failure",
 }
 
 // TestInternalCodeIsReachable type-checks the module and the benchmark

@@ -13,30 +13,20 @@
 // machine — these numbers reproduce Figure 3's trend at 28-36 qubits and
 // are independent of the box running this code.
 //
-// # Calibrated mode (this machine's kernels)
+// # Measured mode (the repository's kernels)
 //
 // Measured holds per-amplitude costs in nanoseconds of the repository's
 // own kernels — dense sweep, diagonal sweep, permutation, FFT butterfly
-// level, cluster all-to-all — in
-// the sweep-unit convention of internal/fuse (SweepNs prices fuse's 1.0).
-// It is what the profile-driven backend selector (internal/backend)
-// scores candidate targets with: seconds here mean seconds on THIS
-// machine. Measured.TQFT/TFFT mirror Eqs. 6/5 in calibrated form, which
+// level, cluster all-to-all, product fill — in the sweep-unit convention
+// of internal/fuse (SweepNs prices fuse's 1.0). It is what the
+// profile-driven backend selector (internal/backend) scores candidate
+// targets with. Measured.TQFT/TFFT mirror Eqs. 6/5 in measured form, which
 // `qemu-model` prints next to the analytic predictions.
 //
-// # Calibration cache
-//
-// Constants come from one run of micro-benchmarks over the live kernels
-// (Calibrate, about a second at 2^18 amplitudes), cached as JSON at
-// $QEMU_CALIBRATION_FILE or <user cache dir>/qemu-repro/calibration.json.
-// Active() — the selector's entry point — loads the cache or falls back
-// to the baked-in Default() constants; it never times anything itself,
-// keeping backend selection deterministic and inside the detrng contract
-// (wall-clock reads are confined to this package). To (re-)calibrate:
-//
-//	qemu-model -calibrate            # measure, print, and cache
-//	rm "$(qemu-model -calibration-path)"   # or just delete the cache
-//
-// CI runs the calibration smoke step headlessly with
-// QEMU_CALIBRATION_FILE pointed into the workspace.
+// Active() — the selector's entry point — returns one baked-in table on
+// every host and reads no file, so a selection, and the artifact a
+// fingerprint names, depend on the circuit alone. Clock, the one wall
+// clock of the deterministic engine packages (the detrng analyzer names
+// it), times their reports; nothing here feeds a timing back into a
+// selection.
 package perfmodel

@@ -1,10 +1,13 @@
 package perfmodel
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
-// Measured is the calibrated half of the performance model: per-amplitude
+// Measured is the measured half of the performance model: per-amplitude
 // kernel costs in nanoseconds, the same role Eqs. 5 and 6 play analytically
-// but anchored to this machine's statevec/fft/cluster kernels instead of
+// but anchored to the repository's statevec/fft/cluster kernels instead of
 // Stampede's datasheet. The unit convention follows internal/fuse: one
 // "sweep" is a full pass over the 2^n-amplitude state by the dense 2x2
 // kernel, so SweepNs is the ns-per-amplitude price of fuse's sweep unit and
@@ -12,40 +15,37 @@ import "math"
 // 2^n * SweepNs.
 //
 // Absolute values vary box to box; the backend selector only needs the
-// ratios to be right, which is why the baked-in Default constants are a
-// usable fallback when no calibration has run (see calibrate.go).
+// ratios to be right, so one table (Active) serves every host and a
+// selection depends on the circuit alone.
 type Measured struct {
-	// Source records where the constants came from: "default" for the
-	// baked-in reference values, "calibrated" for a micro-benchmark run.
-	Source string `json:"source"`
 	// SweepNs is ns per amplitude of one dense 2x2 full-state sweep
 	// (ApplyGate of an uncontrolled Rx: ApplyControlledMatrix2 with no
 	// controls) — fuse's 1.0.
-	SweepNs float64 `json:"sweep_ns"`
+	SweepNs float64
 	// DiagNs is ns per amplitude of a diagonal sweep (phase kernels,
 	// ApplyDiagN, ApplyDiagTable).
-	DiagNs float64 `json:"diag_ns"`
+	DiagNs float64
 	// PermNs is ns per amplitude of a basis-state permutation
 	// (gather/scatter through the scratch buffer) — the arithmetic
 	// emulation substrate.
-	PermNs float64 `json:"perm_ns"`
+	PermNs float64
 	// FFTNs is ns per amplitude per log2(size) of the classical FFT —
 	// the QFT emulation substrate costs 2^n * w * FFTNs for a width-w
 	// field transform over the full state.
-	FFTNs float64 `json:"fft_ns"`
+	FFTNs float64
 	// RemapNs is ns per amplitude of one cluster all-to-all round (a
 	// placement remap) on the emulated distributed engine.
-	RemapNs float64 `json:"remap_ns"`
+	RemapNs float64
 	// FillNs is ns per written amplitude of the product state fill a
 	// fresh register starts a gate unit's product prefix with
 	// (statevec.FillProduct).
-	FillNs float64 `json:"fill_ns"`
+	FillNs float64
 }
 
-// Default returns the baked-in reference constants, calibrated once on a
-// multi-core x86-64 box with the default parallel kernels. They are the
-// model of record for the deterministic selection tests and the fallback
-// when no calibration cache exists; only their ratios matter to the
+// Active returns the constants the backend selector prices candidates
+// with: one table on every host, so a fingerprint names the same artifact
+// wherever it was compiled. They were measured once on a multi-core x86-64
+// box with the default parallel kernels; only their ratios matter to the
 // selector.
 //
 // FFTNs follows fft's BenchmarkFFTStages (n = 20, two workers, the
@@ -63,9 +63,8 @@ type Measured struct {
 // FillNs follows cluster's BenchmarkMoveBits product-fill rows (n = 20,
 // two workers, gate-sweep's three straddling clusters): 1.9-2.7 ns per
 // amplitude beside 2.3-3.9 for a dense one-qubit sweep, so 0.8 of SweepNs.
-func Default() Measured {
+func Active() Measured {
 	return Measured{
-		Source:  "default",
 		SweepNs: 1.0,
 		DiagNs:  0.45,
 		PermNs:  1.6,
@@ -73,6 +72,14 @@ func Default() Measured {
 		RemapNs: 2.6,
 		FillNs:  0.8,
 	}
+}
+
+// Clock starts a wall clock and returns its reading: the one clock of the
+// deterministic engine packages, whose reports (backend.Result.Wall,
+// noise.Result.Wall) it times. The detrng analyzer bans any other there.
+func Clock() (elapsed func() time.Duration) {
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
 }
 
 // amps returns 2^n as a float.

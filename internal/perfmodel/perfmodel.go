@@ -1,6 +1,9 @@
 package perfmodel
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Machine describes the hardware parameters entering Eqs. 5 and 6.
 type Machine struct {
@@ -77,9 +80,17 @@ type WeakScalingPoint struct {
 	Speedup float64
 }
 
+// MaxWeakScalingSpan is the widest nMax - nMin WeakScaling takes: the
+// node count 2^(n-nMin) must fit an int.
+const MaxWeakScalingSpan = 62
+
 // WeakScaling evaluates the models along the paper's weak-scaling line:
 // qubits from nMin to nMax with 2^(n-nMin) nodes (constant per-node state).
+// It panics when nMax - nMin exceeds MaxWeakScalingSpan.
 func (m Machine) WeakScaling(nMin, nMax uint) []WeakScalingPoint {
+	if nMax > nMin && nMax-nMin > MaxWeakScalingSpan {
+		panic(fmt.Sprintf("perfmodel: weak-scaling span %d..%d needs 2^%d nodes, past an int (at most %d qubits of span)", nMin, nMax, nMax-nMin, MaxWeakScalingSpan))
+	}
 	var pts []WeakScalingPoint
 	for n := nMin; n <= nMax; n++ {
 		p := 1 << (n - nMin)

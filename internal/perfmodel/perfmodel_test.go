@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +48,31 @@ func TestWeakScalingShape(t *testing.T) {
 			t.Errorf("point %d has %d nodes", i, pt.Nodes)
 		}
 	}
+}
+
+func TestWeakScalingSpanFitsAnInt(t *testing.T) {
+	// The widest span ends on 2^62 nodes with finite times; one qubit more
+	// would need 2^63 nodes, which wraps an int, so it panics instead.
+	m := Stampede()
+	pts := m.WeakScaling(1, 1+MaxWeakScalingSpan)
+	last := pts[len(pts)-1]
+	if last.Nodes != 1<<62 {
+		t.Errorf("span %d ends on %d nodes, want 2^62", MaxWeakScalingSpan, last.Nodes)
+	}
+	for _, pt := range pts {
+		for _, v := range []float64{pt.TFFT, pt.TQFT, pt.Speedup} {
+			if math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
+				t.Fatalf("n=%d on %d nodes: %+v is not finite and positive", pt.Qubits, pt.Nodes, pt)
+			}
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "perfmodel:") {
+			t.Errorf("span 63 recovered %q, want a perfmodel: panic", msg)
+		}
+	}()
+	m.WeakScaling(1, 2+MaxWeakScalingSpan)
 }
 
 func TestCommunicationRatioLog2P(t *testing.T) {

@@ -24,7 +24,7 @@
 // one place it is resolved: compiling for Target{NumQubits: n, Auto:
 // true} profiles the circuit, scores the engines it serves — the fused
 // simulator at each fusion width and the distributed cluster — with the
-// calibrated cost model (internal/perfmodel), picks kind, node count,
+// cost model (internal/perfmodel), picks kind, node count,
 // fusion width and the per-region emulate-vs-fuse decisions itself, and
 // stamps the chosen concrete shape on the Executable. OpenFor opens the
 // backend an executable runs on, whatever target it was compiled for:
