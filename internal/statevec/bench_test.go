@@ -144,3 +144,75 @@ func BenchmarkDenseBlock(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFieldAdd times the field add's two kernels — the tiled pass
+// ApplyFieldAdd and ApplyFieldAddDiag choose and the per-amplitude scatter
+// they keep for the layouts the tiles cannot take — on emulate-mix's adder
+// (addend [0, w), target [w, 2w), carry-in 2w, w = (n-1)/2: the packed
+// tiles) and on its mirror (target below the addend: whole-block
+// rotations), without a table and with a diagonal of min(14, n) qubits
+// after the add, at n = 12 (in L1/L2, and at parallelThreshold, so two
+// workers fan out) and n = 20, on one and two workers. Each row
+// reports ns/amp and, timed right behind it on the same workers, the
+// ns/amp of copying the state: the floor a one-pass permutation can reach.
+//
+//	go test -run xxx -bench BenchmarkFieldAdd ./internal/statevec/
+func BenchmarkFieldAdd(b *testing.B) {
+	for _, n := range []uint{12, 20} {
+		src := rng.New(uint64(n))
+		w := (n - 1) / 2
+		layouts := []struct {
+			name string
+			op   FieldAdd
+		}{
+			{"target-above", FieldAdd{APos: 0, BPos: w, Width: w, CarryIn: 2 * w}},
+			{"addend-above", FieldAdd{APos: w, BPos: 0, Width: w, CarryIn: 2 * w}},
+		}
+		dw := min(14, n)
+		qubits := make([]uint, dw)
+		for j := range qubits {
+			qubits[j] = n - dw + uint(j)
+		}
+		d := randomPhases(src, dw)
+		for _, workers := range []int{1, 2} {
+			st := NewRandom(n, src)
+			st.SetParallelism(workers)
+			amps := float64(st.Dim())
+			for _, lay := range layouts {
+				for _, table := range []bool{false, true} {
+					name := lay.name
+					if table {
+						name += "+diag"
+					}
+					for _, kernel := range []string{"tiled", "scatter"} {
+						b.Run(fmt.Sprintf("n=%d/%s/%s/workers=%d", n, name, kernel, workers), func(b *testing.B) {
+							var tab []complex128
+							if table {
+								tab = d
+							}
+							b.ReportAllocs()
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								if kernel == "tiled" {
+									st.fieldAddTab(lay.op, tab, qubits)
+								} else {
+									st.fieldScatter(lay.op, tab, qubits, false)
+								}
+							}
+							b.StopTimer()
+							ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+							b.ReportMetric(ns/amps, "ns/amp")
+							reps := 8 + int(1e7/amps)
+							out := st.scratchBuf()
+							t0 := time.Now()
+							for i := 0; i < reps; i++ {
+								st.parallelRange(st.Dim(), func(lo, hi uint64) { copy(out[lo:hi], st.amp[lo:hi]) })
+							}
+							b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(reps)/amps, "copy_ns/amp")
+						})
+					}
+				}
+			}
+		}
+	}
+}

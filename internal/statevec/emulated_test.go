@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitops"
@@ -277,4 +278,227 @@ func TestFieldAddDiagMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fieldAddTab runs ApplyFieldAddDiag with the table d after the add, or
+// ApplyFieldAdd when d is nil.
+func (s *State) fieldAddTab(op FieldAdd, d []complex128, qubits []uint) {
+	if d == nil {
+		s.ApplyFieldAdd(op)
+		return
+	}
+	s.ApplyFieldAddDiag(op, d, qubits, false)
+}
+
+// fieldScatter is fieldAdd with the tiled kernel left out: the scatter on
+// every layout, the kernel the tiled one is timed and checked against.
+func (s *State) fieldScatter(op FieldAdd, d []complex128, qubits []uint, diagFirst bool) {
+	s.checkFieldAdd(op)
+	p := fieldPass{out: s.scratchBuf(), amp: s.amp, op: op, diagFirst: diagFirst}
+	if d != nil {
+		s.checkDiagTable(d, qubits)
+		p.d, p.runs = d, s.diagRuns(qubits)
+	}
+	s.parallelRange(s.Dim(), func(start, end uint64) { p.scatter(start, end) })
+	s.amp, s.scratch = p.out, s.amp
+}
+
+// fieldKernel names the kernel fieldAdd runs op on at n qubits — the
+// scatter, a rotation of whole rows or of tiles, or a pack keeping every
+// row of the field or a narrower window of them — and the tile's log2
+// width.
+func fieldKernel(op FieldAdd, n uint) (string, uint) {
+	p := fieldPass{op: op}
+	switch {
+	case !p.plan(n):
+		return "scatter", 0
+	case p.pack && p.window < op.Width:
+		return "window", p.tile
+	case p.pack:
+		return "pack", p.tile
+	case p.tile == op.BPos:
+		return "rows", p.tile
+	}
+	return "rotate", p.tile
+}
+
+// TestFieldAddPlan pins which kernel takes which layout: each form of the
+// tiled kernel, and the scatter on each layout its doc comment keeps it
+// for.
+func TestFieldAddPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      uint
+		op     FieldAdd
+		kernel string
+		tile   uint
+	}{
+		{"emulate-mix's adder", 20, FieldAdd{APos: 0, BPos: 9, Width: 9, CarryIn: 18}, "window", 6},
+		{"its mirror", 20, FieldAdd{APos: 9, BPos: 0, Width: 9, CarryIn: 18}, "rows", 0},
+		{"multiplier below", 20, FieldAdd{APos: 14, BPos: 8, Width: 6, CarryIn: 0, MulPos: 2, HasMul: true}, "pack", 6},
+		{"carry-in at the tile's width", 20, FieldAdd{APos: 12, BPos: 9, Width: 3, CarryIn: 6}, "rotate", 6},
+		{"carry-in under the tile's width", 20, FieldAdd{APos: 12, BPos: 9, Width: 3, CarryIn: 5}, "window", 6},
+		{"narrow rotation, wide rows", 20, FieldAdd{APos: 2, BPos: 8, Width: 6, CarryIn: 18}, "window", 6},
+		{"carry-out", 20, FieldAdd{APos: 0, BPos: 9, Width: 9, CarryIn: 18, CarryOut: 19, HasCarryOut: true}, "scatter", 0},
+		{"rows of two amplitudes", 20, FieldAdd{APos: 0, BPos: 1, Width: 1, CarryIn: 2}, "scatter", 0},
+		{"a wide target over a carry-in", 31, FieldAdd{APos: 16, BPos: 2, Width: 14, CarryIn: 0}, "window", 2},
+		{"a wide product", 34, FieldAdd{APos: 0, BPos: 22, Width: 11, CarryIn: 33, MulPos: 11, HasMul: true}, "pack", 4},
+		{"a wide target over a set shift", 31, FieldAdd{APos: 16, BPos: 2, Width: 14, CarryIn: 30}, "rows", 2},
+		{"blocks of two amplitudes", 20, FieldAdd{APos: 1, BPos: 0, Width: 1, CarryIn: 2}, "scatter", 0},
+		{"blocks of four amplitudes", 20, FieldAdd{APos: 2, BPos: 0, Width: 2, CarryIn: 4}, "rows", 0},
+	} {
+		if err := tc.op.Check(tc.n); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if kernel, tile := fieldKernel(tc.op, tc.n); kernel != tc.kernel || tile != tc.tile {
+			t.Errorf("%s: %s with tile 2^%d, want %s with 2^%d", tc.name, kernel, tile, tc.kernel, tc.tile)
+		}
+	}
+}
+
+// checkFieldAdd holds ApplyFieldAdd, or ApplyFieldAddDiag with the table d
+// on qubits before or after the add, to the reference: fieldAddReference
+// through ApplyPermutation and ApplyDiagTable, bit for bit.
+func checkFieldAdd(t *testing.T, init *State, op FieldAdd, d []complex128, qubits []uint, diagFirst bool, workers int) {
+	t.Helper()
+	got, want := init.Clone(), init.Clone()
+	got.SetParallelism(workers)
+	if d != nil && diagFirst {
+		want.ApplyDiagTable(d, qubits)
+	}
+	want.ApplyPermutation(fieldAddReference(op))
+	if d != nil && !diagFirst {
+		want.ApplyDiagTable(d, qubits)
+	}
+	if d == nil {
+		got.ApplyFieldAdd(op)
+	} else {
+		got.ApplyFieldAddDiag(op, d, qubits, diagFirst)
+	}
+	if i, ok := sameBits(got, want); !ok {
+		kernel, tile := fieldKernel(op, init.n)
+		t.Fatalf("n=%d %+v (%s, tile 2^%d), table %v on %v first=%v, %d workers: amplitude %d is %v, want %v",
+			init.n, op, kernel, tile, d != nil, qubits, diagFirst, workers, i, got.amp[i], want.amp[i])
+	}
+}
+
+// randomQubits returns w distinct ascending qubits below n.
+func randomQubits(src *rng.Source, n, w uint) []uint {
+	qs := make([]uint, 0, w)
+	for _, q := range src.Perm(int(n))[:w] {
+		qs = append(qs, uint(q))
+	}
+	slices.Sort(qs)
+	return qs
+}
+
+// TestFieldAddKernelsMatchReference is the tiled kernel's property test:
+// random add, sub, addc and mul layouts in every orientation, on registers
+// from 5 to 16 qubits (rows shorter than, as long as and longer than a
+// tile; fewer units than workers and more), with no table or one before or
+// after the add, at one to four workers, then one layout of each form at
+// 17 qubits with a 14-qubit table, against the reference bit for bit. It
+// fails unless every kernel form was reached.
+func TestFieldAddKernelsMatchReference(t *testing.T) {
+	src := rng.New(53)
+	reached := map[string]int{}
+	for trial := 0; trial < 400; trial++ {
+		n := 5 + uint(src.Intn(8))
+		if trial%20 == 0 {
+			n = 14 + uint(src.Intn(3))
+		}
+		op := randomFieldAdd(src, n)
+		kernel, _ := fieldKernel(op, n)
+		reached[kernel]++
+		init := NewRandom(n, src)
+		var d []complex128
+		var qubits []uint
+		table := trial % 3
+		if table > 0 {
+			w := 1 + uint(src.Intn(int(min(n, 12))))
+			qubits, d = randomQubits(src, n, w), randomPhases(src, w)
+		}
+		checkFieldAdd(t, init, op, d, qubits, table == 1, 1+trial%4)
+	}
+	// Random placements seldom cut a rotation inside the rows; these do,
+	// beside one layout of each other form, each with every table and
+	// worker count.
+	for _, op := range []FieldAdd{
+		{APos: 13, BPos: 10, Width: 3, CarryIn: 9},
+		{APos: 9, BPos: 12, Width: 3, CarryIn: 15, Subtract: true},
+		{APos: 12, BPos: 10, Width: 2, CarryIn: 14, MulPos: 8, HasMul: true},
+		{APos: 0, BPos: 7, Width: 7, CarryIn: 14},
+		{APos: 0, BPos: 8, Width: 8, CarryIn: 16},
+		{APos: 0, BPos: 8, Width: 8, CarryIn: 16, Subtract: true},
+		{APos: 5, BPos: 0, Width: 5, CarryIn: 15, MulPos: 10, HasMul: true},
+		{APos: 0, BPos: 7, Width: 7, CarryIn: 14, CarryOut: 15, HasCarryOut: true},
+	} {
+		const n = 17
+		kernel, _ := fieldKernel(op, n)
+		reached[kernel]++
+		init := NewRandom(n, src)
+		qubits := []uint{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
+		d := randomPhases(src, uint(len(qubits)))
+		for workers := 1; workers <= 4; workers++ {
+			checkFieldAdd(t, init, op, nil, nil, false, workers)
+			checkFieldAdd(t, init, op, d, qubits, true, workers)
+			checkFieldAdd(t, init, op, d, qubits, false, workers)
+		}
+	}
+	for _, kernel := range []string{"scatter", "pack", "window", "rows", "rotate"} {
+		if reached[kernel] == 0 {
+			t.Errorf("no trial reached the %s kernel: %v", kernel, reached)
+		}
+	}
+}
+
+// FuzzFieldAdd draws the layout from the input — register size, width,
+// the three fields' and the carry-in's positions (so A, M and the carry-in
+// fall below and above B), add, sub, addc or mul, no table or one before
+// or after the add, one to four workers — and holds the kernel fieldAdd
+// picks to the reference bit for bit. Layouts Check rejects are skipped.
+func FuzzFieldAdd(f *testing.F) {
+	// n = 3 + nRaw%15, w = 1 + wRaw%(n/2); kind: 0 add, 1 sub, 2 addc, 3
+	// mul, 4 mul-sub; table: 0 none, 1 first, 2 after; 1 + workers%4.
+	seed := func(n, w, a, b, c, m, kind, table, workers uint8, s uint64) {
+		f.Add(n-3, w-1, a, b, c, m, kind, table, workers-1, s)
+	}
+	seed(17, 8, 0, 8, 16, 0, 0, 2, 2, 1)  // emulate-mix's shape: a window of 64 of 256 rows
+	seed(16, 7, 0, 7, 14, 0, 0, 1, 3, 2)  // a pack of every row
+	seed(16, 7, 7, 0, 14, 0, 1, 1, 1, 3)  // its mirror: whole rows
+	seed(15, 4, 4, 8, 12, 0, 3, 2, 4, 4)  // a product below the target
+	seed(14, 3, 10, 4, 2, 0, 1, 1, 1, 5)  // a carry-in inside the tile: a window of two rows
+	seed(16, 3, 13, 10, 9, 0, 0, 1, 3, 6) // a rotation inside the rows
+	seed(16, 3, 0, 12, 15, 0, 0, 2, 2, 7) // rows longer than a tile
+	seed(12, 4, 0, 4, 8, 0, 2, 2, 2, 8)   // addc: the scatter
+	seed(6, 2, 0, 2, 4, 0, 1, 0, 4, 9)    // fewer units than workers
+	f.Fuzz(func(t *testing.T, nRaw, wRaw, aRaw, bRaw, cRaw, mRaw, kind, table, workers uint8, seed uint64) {
+		n := 3 + uint(nRaw)%15
+		w := 1 + uint(wRaw)%(n/2)
+		span := int(n - w + 1)
+		op := FieldAdd{
+			Width: w, APos: uint(aRaw) % uint(span), BPos: uint(bRaw) % uint(span),
+			CarryIn: uint(cRaw) % n, MulPos: uint(mRaw) % uint(span),
+		}
+		switch kind % 5 {
+		case 1:
+			op.Subtract = true
+		case 2:
+			op.HasCarryOut, op.CarryOut = true, (op.CarryIn+1+uint(mRaw))%n
+		case 3, 4:
+			op.HasMul, op.Subtract = true, kind%5 == 4
+		}
+		if op.Check(n) != nil {
+			return
+		}
+		src := rng.New(seed)
+		init := NewRandom(n, src)
+		var d []complex128
+		var qubits []uint
+		if table%3 > 0 {
+			dw := 1 + uint(src.Intn(int(min(n, 12))))
+			qubits, d = randomQubits(src, n, dw), randomPhases(src, dw)
+		}
+		checkFieldAdd(t, init, op, d, qubits, table%3 == 1, 1+int(workers)%4)
+	})
 }

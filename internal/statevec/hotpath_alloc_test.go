@@ -61,8 +61,12 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"ApplyDiagTable", func() { s.ApplyDiagTable(ones, []uint{0, 3, 4}) }},
 		{"ApplyDiagTable/runs", func() { wide.ApplyDiagTable(wideOnes, []uint{0, 1, 2, 4, 5, 6, 7, 8, 9}) }},
 		{"FillProduct", func() { s.FillProduct(product, 0, 0, 2); s.FillProduct(product, 0, 1, 2) }},
-		{"ApplyFieldAdd", func() {
+		{"ApplyFieldAdd/scatter", func() {
 			s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6, CarryOut: 7, HasCarryOut: true})
+		}},
+		{"ApplyFieldAdd/tiled", func() { s.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 3, Width: 3, CarryIn: 6}) }},
+		{"ApplyFieldAddDiag/tiled", func() {
+			s.ApplyFieldAddDiag(FieldAdd{APos: 3, BPos: 0, Width: 3, CarryIn: 6}, ones, []uint{2, 4, 7}, true)
 		}},
 	}
 	// The chunk functions of the controlled and diagonal kernels on a state
@@ -93,6 +97,13 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		{"pooled/ctrlDiagChunk", eachChunk(groups, func(lo, hi uint64) { ctrlDiagChunk(p.amp, 1, -1, cmask, qmask, lo, hi) })},
 		{"pooled/ctrlMatrix2Chunk", eachChunk(groups, func(lo, hi uint64) { ctrlMatrix2Chunk(p.amp, gates.MatH, cmask, qmask, lo, hi) })},
 		{"pooled/diagChunkN", eachChunk(groups, func(lo, hi uint64) { diagChunkN(p.amp, ones, lay, lo, hi) })},
+		// The tiled field add hands par.For a chunk function bound once, so
+		// its pooled path allocates nothing at all: emulate-mix's adder,
+		// packed, and its mirror, in whole-row rotations.
+		{"pooled/ApplyFieldAdd", func() { p.ApplyFieldAdd(FieldAdd{APos: 0, BPos: 7, Width: 7, CarryIn: 14}) }},
+		{"pooled/ApplyFieldAddDiag", func() {
+			p.ApplyFieldAddDiag(FieldAdd{APos: 7, BPos: 0, Width: 7, CarryIn: 14}, ones, []uint{2, 9, 13}, false)
+		}},
 	}...)
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.run); n != 0 {

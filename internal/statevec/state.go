@@ -181,6 +181,8 @@ type State struct {
 	factor *factorScratch
 	// runs is the index scratch of ApplyDiagTable; nil until the first.
 	runs *[MaxQubits]diagRun
+	// field is the tiled field add's slabs; nil until the first.
+	field *fieldScratch
 	// maxWorkers caps kernel parallelism; 0 means GOMAXPROCS.
 	maxWorkers int
 }
