@@ -11,15 +11,16 @@ const raceEnabled = true
 // ratio between a simulation on the assembly kernel bodies and an emulation
 // in Go would measure the detector. The race build therefore runs every
 // kernel on its pure-Go body: statevec's block sweeps (body 0; see
-// statevec's denseBodyKind) and fft's radix-8 butterflies, both reached by
-// name because nothing exported selects a body.
+// statevec's denseBodyKind) and fft's radix-8 butterflies (body 0; see
+// fft's bodyKind), both reached by name because nothing exported selects
+// a body.
 //
 //go:linkname denseBody repro/internal/statevec.denseBody
 var denseBody uint8
 
-//go:linkname useButterflyAsm repro/internal/fft.useButterflyAsm
-var useButterflyAsm bool
+//go:linkname butterflyBody repro/internal/fft.butterflyBody
+var butterflyBody uint8
 
 func init() {
-	denseBody, useButterflyAsm = 0, false
+	denseBody, butterflyBody = 0, 0
 }

@@ -8,11 +8,22 @@ import (
 	"repro/internal/cpufeat"
 )
 
-// useButterflyAsm selects the body of every group but the radix-2 head:
-// the AVX2/FMA assembly when the CPU and the OS support it, the pure-Go
-// butterflies otherwise. It is decided once, here; tests flip
-// it to run the two bodies side by side.
-var useButterflyAsm = cpufeat.HasAVX2FMA()
+// butterflyBody selects the body of every group but the radix-2 head:
+// the AVX-512 assembly (with the AVX2 one beside it) when the CPU and the
+// OS support AVX-512F, the AVX2/FMA assembly when they support that, the
+// pure-Go butterflies otherwise. It is decided once, here, from
+// CPUID/XGETBV alone; tests flip it to run the bodies side by side.
+var butterflyBody = hostButterflyBody()
+
+func hostButterflyBody() bodyKind {
+	switch {
+	case cpufeat.HasAVX512():
+		return bodyAVX512
+	case cpufeat.HasAVX2FMA():
+		return bodyAVX2
+	}
+	return bodyGo
+}
 
 // butterfly8DITAVX2 and butterfly8DIFAVX2 are the assembly body
 // (butterfly_amd64.s): the radix-8 butterflies with even flat index t in
@@ -24,6 +35,17 @@ func butterfly8DITAVX2(data, tw *complex128, masks *[8]uint64, h, lo, hi uint64)
 
 //go:noescape
 func butterfly8DIFAVX2(data, tw *complex128, masks *[8]uint64, h, lo, hi uint64)
+
+// butterfly8DITAVX512 and butterfly8DIFAVX512 are the ZMM body
+// (butterfly512_amd64.s): the same butterflies, flat index t in [lo, hi)
+// a multiple of 4, four per iteration, h >= 4. They check no bounds:
+// callers go through butterfly8AVX512.
+//
+//go:noescape
+func butterfly8DITAVX512(data, tw *complex128, masks *[8]uint64, h, lo, hi uint64)
+
+//go:noescape
+func butterfly8DIFAVX512(data, tw *complex128, masks *[8]uint64, h, lo, hi uint64)
 
 // head8DITAVX2, head8DIFAVX2, head4DITAVX2 and head4DIFAVX2 are the
 // assembly body of the radix-8 and radix-4 heads (head_amd64.s): the
@@ -62,23 +84,58 @@ const butterflyAsmWork = 1 << 15
 
 // butterfly8Asm runs the assembly body over the butterflies [lo, hi) of
 // the radix-8 group at stage s >= 1. The checks are the whole
-// memory-safety argument of the assembly, which has none: an even range
-// inside the vector's size/8 butterflies (so both lanes of an iteration
-// are real butterflies of one block) and a table of h/2 runs.
+// memory-safety argument of the AVX2 assembly, which has none: an even
+// range inside the vector's size/8 butterflies (so both lanes of an
+// iteration are real butterflies of one block) and the group's whole
+// table. On the AVX-512 body the part of the range aligned to 4 at spans
+// of four or more goes to butterfly8AVX512, and the AVX2 body takes the
+// rest: the span-two group and a range's unaligned ends.
 func butterfly8Asm(data, tw []complex128, s uint, lo, hi uint64, dif, inverse bool) {
-	h := uint64(1) << s
-	if s == 0 || lo&1 != 0 || hi&1 != 0 || lo > hi || hi > uint64(len(data))/8 || uint64(len(tw)) < h/2*twRun {
+	if s == 0 || lo&1 != 0 || hi&1 != 0 || lo > hi || hi > uint64(len(data))/8 || uint64(len(tw)) < tableLen(s) {
 		panic(fmt.Sprintf("fft: assembly butterflies [%d,%d) at stage %d out of range", lo, hi, s))
 	}
+	if butterflyBody == bodyAVX512 && s >= 2 {
+		if a, b := (lo+3)&^3, hi&^3; a < b {
+			butterflyCalls(bodyAVX2, data, tw, s, lo, a, dif, inverse)
+			butterfly8AVX512(data, tw, s, a, b, dif, inverse)
+			lo = b
+		}
+	}
+	butterflyCalls(bodyAVX2, data, tw, s, lo, hi, dif, inverse)
+}
+
+// butterfly8AVX512 runs the ZMM body over the butterflies [lo, hi) of the
+// radix-8 group at stage s >= 2. Its checks are, as butterfly8Asm's, the
+// whole memory-safety argument of that assembly: a range aligned to 4
+// (so the four lanes of an iteration are real butterflies of one block)
+// inside the vector's size/8 butterflies, a span of at least four and the
+// group's whole table.
+func butterfly8AVX512(data, tw []complex128, s uint, lo, hi uint64, dif, inverse bool) {
+	if s < 2 || (lo|hi)&3 != 0 || lo > hi || hi > uint64(len(data))/8 || uint64(len(tw)) < tableLen(s) {
+		panic(fmt.Sprintf("fft: AVX-512 butterflies [%d,%d) at stage %d out of range", lo, hi, s))
+	}
+	butterflyCalls(bodyAVX512, data, tw, s, lo, hi, dif, inverse)
+}
+
+// butterflyCalls hands [lo, hi) to the unchecked DIF or DIT function of
+// the given assembly body in calls of at most butterflyAsmWork
+// butterflies, a multiple of 4.
+func butterflyCalls(body bodyKind, data, tw []complex128, s uint, lo, hi uint64, dif, inverse bool) {
 	masks := &directionMasks[0]
 	if inverse {
 		masks = &directionMasks[1]
 	}
+	h := uint64(1) << s
 	for lo < hi {
 		end := min(hi, lo+butterflyAsmWork)
-		if dif {
+		switch {
+		case body == bodyAVX512 && dif:
+			butterfly8DIFAVX512(&data[0], &tw[0], masks, h, lo, end)
+		case body == bodyAVX512:
+			butterfly8DITAVX512(&data[0], &tw[0], masks, h, lo, end)
+		case dif:
 			butterfly8DIFAVX2(&data[0], &tw[0], masks, h, lo, end)
-		} else {
+		default:
 			butterfly8DITAVX2(&data[0], &tw[0], masks, h, lo, end)
 		}
 		lo = end

@@ -6,17 +6,19 @@
 // Both loops step the flat butterfly index t (R8) by two up to hi (R9):
 // offset j = t & (h-1), first leg i0 = (t-j)<<3 | j, legs h apart. One
 // YMM register holds the same leg of the butterflies at offsets j and
-// j+1 — adjacent amplitudes, since j is even and h >= 2 — and one run of
-// the packed table (128 bytes at tw + 64 j) holds their four stored
-// twiddles, each as a [re_j, im_j, re_j+1, im_j+1] quadruple.
+// j+1 — adjacent amplitudes, since j is even and h >= 2 — and the run of
+// the packed table that serves j (256 bytes at tw + 64 (j &^ 3)) holds
+// their four stored twiddles, each as a [re_j, im_j, re_j+1, im_j+1]
+// quadruple 16 (j & 2) bytes into the factor's 64-byte slot.
 //
 // Registers: AX data, BX tw, R10 h-1, R11 the leg stride in bytes, R12
 // three strides; per iteration DX/SI the addresses of legs 0 and 4, DI
-// the table run. Y0-Y8 hold the eight legs and one spare that rotates
-// through them (a butterfly writes its difference to the spare and frees
-// an input); Y9/Y10 and Y11/Y12 the duplicated real and imaginary parts
-// of up to two twiddles, Y13 the multiply's scratch, Y14 the conjugation
-// mask and Y15 the quarter-turn mask (directionMasks).
+// the table run plus the pair's lane, R13 scratch. Y0-Y8 hold the eight
+// legs and one spare that rotates through them (a butterfly writes its
+// difference to the spare and frees an input); Y9/Y10 and Y11/Y12 the
+// duplicated real and imaginary parts of up to two twiddles, Y13 the
+// multiply's scratch, Y14 the conjugation mask and Y15 the quarter-turn
+// mask (directionMasks).
 
 // ADDRESS computes DX, SI and DI for the iteration at t = R8.
 #define ADDRESS \
@@ -29,7 +31,12 @@
 	SHLQ $4, DX          \
 	ADDQ AX, DX          \
 	LEAQ (DX)(R11*4), SI \
+	MOVQ CX, R13         \
+	ANDQ $2, R13         \
+	SHLQ $4, R13         \
+	ANDQ $-4, CX         \
 	SHLQ $6, CX          \
+	ADDQ R13, CX         \
 	LEAQ (BX)(CX*1), DI
 
 #define LOADLEGS \
@@ -102,7 +109,7 @@ ditloop:
 
 	// Legs 0-7 are now Y0 Y8 Y2 Y1 Y4 Y3 Y6 Y5. Span 2h on (0,2) (1,3)
 	// (4,6) (5,7): w2a, and w2b = a quarter turn of it.
-	TWIDDLE(32, Y9, Y10)
+	TWIDDLE(64, Y9, Y10)
 	CMUL(Y2, Y9, Y10)
 	CMUL(Y1, Y9, Y10)
 	ROT(Y1)
@@ -116,8 +123,8 @@ ditloop:
 
 	// Legs 0-7 are now Y0 Y8 Y7 Y2 Y4 Y3 Y1 Y6. Span 4h on (0,4) (1,5)
 	// (2,6) (3,7): w3a, w3b and their quarter turns.
-	TWIDDLE(64, Y9, Y10)
-	TWIDDLE(96, Y11, Y12)
+	TWIDDLE(128, Y9, Y10)
+	TWIDDLE(192, Y11, Y12)
 	CMUL(Y4, Y9, Y10)
 	CMUL(Y3, Y11, Y12)
 	CMUL(Y1, Y9, Y10)
@@ -171,8 +178,8 @@ difloop:
 	LOADLEGS
 
 	// Span 4h on (0,4) (1,5) (2,6) (3,7).
-	TWIDDLE(64, Y9, Y10)
-	TWIDDLE(96, Y11, Y12)
+	TWIDDLE(128, Y9, Y10)
+	TWIDDLE(192, Y11, Y12)
 	BFLY(Y0, Y4, Y8)
 	CMUL(Y8, Y9, Y10)
 	BFLY(Y1, Y5, Y4)
@@ -186,7 +193,7 @@ difloop:
 
 	// Legs 0-7 are now Y0 Y1 Y2 Y3 Y8 Y4 Y5 Y6. Span 2h on (0,2) (1,3)
 	// (4,6) (5,7).
-	TWIDDLE(32, Y9, Y10)
+	TWIDDLE(64, Y9, Y10)
 	BFLY(Y0, Y2, Y7)
 	CMUL(Y7, Y9, Y10)
 	BFLY(Y1, Y3, Y2)

@@ -18,9 +18,11 @@
 // # Twiddles
 //
 // Each radix-8 group owns one table laid out in the order its butterflies
-// read it (twiddle.go): for each pair of adjacent offsets j, j+1 the four
+// read it (twiddle.go): for each four adjacent offsets j..j+3 the four
 // factors a butterfly cannot derive — w1, w2a, w3a, w3b — lie in one
-// 128-byte run, and consecutive butterflies read consecutive runs. The
+// 256-byte run, each factor a 64-byte quadruple (one ZMM load, or one YMM
+// load per pair of offsets), and consecutive butterflies read consecutive
+// runs. The
 // other three factors of a radix-8 butterfly are exact quarter-turn
 // rotations of those and are applied as a swap and a sign; the inverse
 // direction conjugates in the butterfly instead of keeping a second
@@ -61,21 +63,28 @@
 //
 // # Bodies
 //
-// The butterflies have two bodies. On amd64 hosts whose CPU reports AVX2
-// and FMA3 and whose OS saves the YMM state (internal/cpufeat, asked once
-// at package init) they run assembly: the radix-8 groups at spans of two
-// or more in butterfly_amd64.s, vectorised over adjacent offsets — two
+// The butterflies have three bodies, and butterflyBody, set once at
+// package init from CPUID/XGETBV (internal/cpufeat), picks the highest the
+// host supports. On amd64 hosts whose CPU reports AVX2 and FMA3 and whose
+// OS saves the YMM state they run assembly: the radix-8 groups at spans of
+// two or more in butterfly_amd64.s, vectorised over adjacent offsets — two
 // complexes per YMM register, a complex multiply as one VMULPD and one
 // VFMADDSUB — and the radix-8 and radix-4 heads in head_amd64.s, where
-// one register holds the same leg of two adjacent butterflies. Everywhere
-// else, and as the oracle in tests, they run the pure-Go butterflies of
-// butterfly.go. A head is the span-one group, whose twiddles are powers of
-// i and, at radix 8, W_8: both bodies fold them in (head2, head4, head8)
-// instead of reading a table, so the head costs what the other groups
-// cost. The radix-2 head is Go on every host. Nothing else selects a
-// body: no option, environment variable or build tag beyond the GOARCH
-// constraint. The assembly fuses the multiply by W_8, so the two bodies
-// agree to the last bits, not bit for bit.
+// one register holds the same leg of two adjacent butterflies. Where the
+// CPU also reports AVX-512F and the OS saves the ZMM state, the radix-8
+// groups at spans of four or more run butterfly512_amd64.s instead over
+// the part of each range aligned to 4: the same instruction sequence on
+// four offsets per ZMM register, one 64-byte twiddle load each, so it
+// agrees with the AVX2 body bit for bit; the span-two group, a range's
+// unaligned ends and the heads stay on the AVX2 body. Everywhere else,
+// and as the oracle in tests, they run the pure-Go butterflies of
+// butterfly.go. A head is the span-one group, whose twiddles are powers
+// of i and, at radix 8, W_8: every body folds them in (head2, head4,
+// head8) instead of reading a table, so the head costs what the other
+// groups cost. The radix-2 head is Go on every host. Nothing else selects
+// a body: no option, environment variable or build tag beyond the GOARCH
+// constraint. The assembly fuses the multiply by W_8, so the assembly
+// bodies agree with pure Go to the last bits, not bit for bit.
 //
 // # Workers
 //

@@ -23,17 +23,47 @@ func (p *Plan) ForwardSerial(data []complex128) { p.check(data); p.apply(data, f
 // == N*x.
 func (p *Plan) InverseSerial(data []complex128) { p.check(data); p.apply(data, true, Natural, 1, 1) }
 
-// TestMain runs the suite twice on a host that runs the assembly
-// butterflies: the second pass is on the pure-Go body, the one every other
-// host uses. Benchmark, fuzz and profile invocations run once.
+// TestMain runs the suite once per body this host runs, its own first
+// and the pure-Go one, which every other host uses, last. Benchmark, fuzz
+// and profile invocations run once, on the host's body.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 && useButterflyAsm && plainTestRun() {
-		useButterflyAsm = false
-		fmt.Println("second pass: radix-8 butterflies on the pure-Go body")
-		code = m.Run()
+	flag.Parse()
+	bodies := availableBodies()
+	if !plainTestRun() {
+		bodies = bodies[:1]
+	}
+	code := 0
+	for i, body := range bodies {
+		butterflyBody = body
+		fmt.Printf("pass %d of %d: radix-8 butterflies on the %s body\n", i+1, len(bodies), body)
+		if code = m.Run(); code != 0 {
+			break
+		}
 	}
 	os.Exit(code)
+}
+
+// onHostPass skips a test that compares the bodies itself unless this is
+// the suite's pass on the host's own body and that body is assembly.
+func onHostPass(t *testing.T) {
+	t.Helper()
+	switch {
+	case hostBody == bodyGo:
+		t.Skip("this CPU has no assembly body")
+	case butterflyBody != hostBody:
+		t.Skipf("compares the bodies itself: ran in the %s pass", hostBody)
+	}
+}
+
+// sameBits reports whether a and b hold the same bits at every index.
+func sameBits(a, b []complex128) bool {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 // plainTestRun reports whether this binary was asked for tests only.
@@ -275,16 +305,25 @@ var networks = []struct {
 	{"dif", true, false}, {"dif-inverse", true, true},
 }
 
-// TestButterflyBodiesAgree runs every network through both bodies of the
-// butterflies — sizes 2^1..2^16, so every head radix and every span, and
-// 2^20 on one, two and three workers — and requires agreement to 1e-12;
-// up to 2^10 both must also match the O(N^2) DFT. Then single groups,
+// TestButterflyBodiesAgree runs every network through every body this
+// host runs — sizes 2^1..2^16, so every head radix and every span, and
+// 2^20 on one, two and three workers — and requires the two assembly
+// bodies to agree bit for bit and each to agree with pure Go to 1e-12; up
+// to 2^10 every body must also match the O(N^2) DFT. Then single groups,
 // the head of each radix included, over ranges that start and end on odd
-// multiples of the assembly's two-butterfly step (and one with an odd
-// end), which must leave everything outside the range alone.
+// multiples of the AVX2 body's two-butterfly step, on multiples of the
+// AVX-512 body's four, and (heads) on an odd end; each must leave
+// everything outside the range alone, and where the range is aligned to
+// 4 at a span of four or more the AVX-512 entry itself must give the
+// AVX2 body's bits.
 func TestButterflyBodiesAgree(t *testing.T) {
-	if !useButterflyAsm {
-		t.Skip("one body on this host (or this is the pure-Go pass)")
+	onHostPass(t)
+	bodies := availableBodies()
+	fmt.Printf("fft bodies on this host: %v\n", bodies)
+	if hostBody < bodyAVX512 {
+		t.Run("body=avx512", func(t *testing.T) {
+			t.Skip("this CPU lacks the avx512 body: nothing is held to the AVX2 body bit for bit")
+		})
 	}
 	type job struct {
 		n       uint
@@ -302,11 +341,19 @@ func TestButterflyBodiesAgree(t *testing.T) {
 		x := randomVector(rng.New(uint64(j.n)), 1<<j.n)
 		scale := p.unitaryScale()
 		for _, nw := range networks {
-			asm, pure := clone(x), clone(x)
-			p.network(asm, nw.dif, nw.inverse, scale, j.workers)
-			withBody(false, func() { p.network(pure, nw.dif, nw.inverse, scale, j.workers) })
-			if d := maxDiff(asm, pure); d > 1e-12 {
-				t.Errorf("n=%d workers=%d %s: bodies differ by %g", j.n, j.workers, nw.name, d)
+			out := make(map[bodyKind][]complex128)
+			for _, body := range bodies {
+				out[body] = clone(x)
+				withBody(body, func() { p.network(out[body], nw.dif, nw.inverse, scale, j.workers) })
+			}
+			pure := out[bodyGo]
+			if zmm, avx2 := out[bodyAVX512], out[bodyAVX2]; zmm != nil && !sameBits(zmm, avx2) {
+				t.Errorf("n=%d workers=%d %s: the AVX-512 body differs from the AVX2 one by %g", j.n, j.workers, nw.name, maxDiff(zmm, avx2))
+			}
+			for _, body := range bodies[:len(bodies)-1] {
+				if d := maxDiff(out[body], pure); d > 1e-12 {
+					t.Errorf("n=%d workers=%d %s: the %s body differs from pure Go by %g", j.n, j.workers, nw.name, body, d)
+				}
 			}
 			if j.n > 10 {
 				continue
@@ -328,43 +375,59 @@ func TestButterflyBodiesAgree(t *testing.T) {
 			if nw.dif {
 				bitReverse(want, j.n, 1)
 			}
-			if d := maxDiff(asm, want); d > 1e-10 {
-				t.Errorf("n=%d %s: assembly body differs from the DFT by %g", j.n, nw.name, d)
-			}
-			if d := maxDiff(pure, want); d > 1e-10 {
-				t.Errorf("n=%d %s: pure-Go body differs from the DFT by %g", j.n, nw.name, d)
+			for _, body := range bodies {
+				if d := maxDiff(out[body], want); d > 1e-10 {
+					t.Errorf("n=%d %s: the %s body differs from the DFT by %g", j.n, nw.name, body, d)
+				}
 			}
 		}
 	}
 
 	// Sizes 2^12, 2^13, 2^14 open with a radix-8, radix-2 and radix-4
-	// head; the heads scale their outputs.
+	// head; the heads scale their outputs. 2^13 has the span-two group,
+	// 2^14 the span-four one.
 	for _, n := range []uint{12, 13, 14} {
 		p := mustPlan(t, 1<<n)
 		x := randomVector(rng.New(uint64(n)), 1<<n)
 		for gi := range p.groups {
 			g := &p.groups[gi]
 			count := p.size >> g.stages()
-			ranges := [][2]uint64{{2, count - 2}, {6, 6}, {6, 8}, {2 * 37, 2 * 211}, {count - 2, count}}
+			ranges := [][2]uint64{{2, count - 2}, {6, 6}, {6, 8}, {2 * 37, 2 * 211}, {count - 2, count}, {4, count - 4}, {8, 16}, {0, count}}
 			if g.s == 0 {
 				ranges = append(ranges, [2]uint64{6, 9})
 			}
 			for _, r := range ranges {
 				for _, nw := range networks {
-					asm, pure := clone(x), clone(x)
-					g.run(asm, r[0], r[1], nw.dif, nw.inverse, 0.75)
-					withBody(false, func() { g.run(pure, r[0], r[1], nw.dif, nw.inverse, 0.75) })
-					if d := maxDiff(asm, pure); d > 1e-12 {
-						t.Errorf("n=%d s=%d radix=%d [%d,%d) %s: bodies differ by %g", n, g.s, g.radix, r[0], r[1], nw.name, d)
+					out := make(map[bodyKind][]complex128)
+					for _, body := range bodies {
+						out[body] = clone(x)
+						withBody(body, func() { g.run(out[body], r[0], r[1], nw.dif, nw.inverse, 0.75) })
 					}
-					touched := 0
-					for i := range asm {
-						if asm[i] != x[i] {
-							touched++
+					where := fmt.Sprintf("n=%d s=%d radix=%d [%d,%d) %s", n, g.s, g.radix, r[0], r[1], nw.name)
+					pure, avx2 := out[bodyGo], out[bodyAVX2]
+					if zmm := out[bodyAVX512]; zmm != nil && !sameBits(zmm, avx2) {
+						t.Errorf("%s: the AVX-512 body differs from the AVX2 one by %g", where, maxDiff(zmm, avx2))
+					}
+					if d := maxDiff(avx2, pure); d > 1e-12 {
+						t.Errorf("%s: the assembly bodies differ from pure Go by %g", where, d)
+					}
+					if hostBody == bodyAVX512 && g.s >= 2 && (r[0]|r[1])&3 == 0 {
+						zmm := clone(x)
+						butterfly8AVX512(zmm, g.tw, g.s, r[0], r[1], nw.dif, nw.inverse)
+						if !sameBits(zmm, avx2) {
+							t.Errorf("%s: butterfly8AVX512 differs from the AVX2 body by %g", where, maxDiff(zmm, avx2))
 						}
 					}
-					if want := g.radix * int(r[1]-r[0]); touched > want {
-						t.Errorf("n=%d s=%d radix=%d [%d,%d) %s: %d amplitudes changed, range holds %d", n, g.s, g.radix, r[0], r[1], nw.name, touched, want)
+					for _, body := range bodies {
+						touched := 0
+						for i, v := range out[body] {
+							if v != x[i] {
+								touched++
+							}
+						}
+						if want := g.radix * int(r[1]-r[0]); touched > want {
+							t.Errorf("%s: the %s body changed %d amplitudes, range holds %d", where, body, touched, want)
+						}
 					}
 				}
 			}
@@ -394,21 +457,21 @@ func TestHead8IsButterfly8(t *testing.T) {
 }
 
 // TestButterflyAsmRejectsBadRanges pins the checks in front of the
-// unchecked assembly.
+// unchecked assembly: the AVX2 entries' and, on a host that runs it, the
+// AVX-512 entry's.
 func TestButterflyAsmRejectsBadRanges(t *testing.T) {
-	if !useButterflyAsm {
-		t.Skip("no assembly body on this host (or this is the pure-Go pass)")
-	}
+	onHostPass(t)
 	p := mustPlan(t, 1<<9)
 	data := make([]complex128, 1<<9)
 	g, head := p.groups[1], &p.groups[0]
-	for name, f := range map[string]func(){
+	two := mustPlan(t, 1<<10).groups[1] // the span-two group
+	cases := map[string]func(){
 		"odd start":      func() { butterfly8Asm(data, g.tw, g.s, 1, 4, false, false) },
 		"odd end":        func() { butterfly8Asm(data, g.tw, g.s, 0, 3, false, false) },
 		"past end":       func() { butterfly8Asm(data, g.tw, g.s, 0, 66, false, false) },
 		"backwards":      func() { butterfly8Asm(data, g.tw, g.s, 4, 2, false, false) },
 		"span one":       func() { butterfly8Asm(data, p.groups[0].tw, 0, 0, 2, false, false) },
-		"short table":    func() { butterfly8Asm(data, g.tw[:twRun], g.s, 0, 2, false, false) },
+		"short table":    func() { butterfly8Asm(data, g.tw[:tableLen(g.s)-1], g.s, 0, 2, false, false) },
 		"head odd start": func() { headAsm(head, data, 1, 4, false, false, 1) },
 		"head odd end":   func() { headAsm(head, data, 0, 3, false, false, 1) },
 		"head past end":  func() { headAsm(head, data, 0, 66, false, false, 1) },
@@ -417,7 +480,22 @@ func TestButterflyAsmRejectsBadRanges(t *testing.T) {
 		"head at span 2": func() { headAsm(&g, data, 0, 2, false, false, 1) },
 		"head radix 2":   func() { headAsm(&mustPlan(t, 1<<10).groups[0], data, 0, 2, false, false, 1) },
 		"head4 past end": func() { headAsm(&mustPlan(t, 1<<8).groups[0], data, 0, 130, false, false, 1) },
-	} {
+	}
+	if hostBody == bodyAVX512 {
+		for name, f := range map[string]func(){
+			"zmm start off 4": func() { butterfly8AVX512(data, g.tw, g.s, 2, 8, false, false) },
+			"zmm end off 4":   func() { butterfly8AVX512(data, g.tw, g.s, 0, 6, false, false) },
+			"zmm past end":    func() { butterfly8AVX512(data, g.tw, g.s, 0, 68, false, false) },
+			"zmm backwards":   func() { butterfly8AVX512(data, g.tw, g.s, 8, 4, false, false) },
+			"zmm span two":    func() { butterfly8AVX512(data, two.tw, two.s, 0, 4, false, false) },
+			"zmm span one":    func() { butterfly8AVX512(data, head.tw, 0, 0, 4, false, false) },
+			"zmm short table": func() { butterfly8AVX512(data, g.tw[:tableLen(g.s)-1], g.s, 0, 4, false, true) },
+			"zmm no table":    func() { butterfly8AVX512(data, nil, g.s, 0, 4, true, false) },
+		} {
+			cases[name] = f
+		}
+	}
+	for name, f := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -427,13 +505,21 @@ func TestButterflyAsmRejectsBadRanges(t *testing.T) {
 			f()
 		}()
 	}
+	// The checks let every legal range through.
+	butterfly8Asm(data, g.tw, g.s, 2, 64, true, false)
+	if hostBody == bodyAVX512 {
+		butterfly8AVX512(data, g.tw, g.s, 4, 64, true, false)
+		butterfly8AVX512(data, g.tw, g.s, 8, 8, false, true)
+	}
 }
 
-// TestPackedTwiddlesMatchStrided checks the access-ordered tables entry by
-// entry against the single strided table they replace — tw[k] =
+// TestPackedTwiddlesMatchStrided checks the access-ordered tables — runs
+// of four offsets, each factor a 64-byte quadruple — entry by entry
+// against the single strided table they replace — tw[k] =
 // exp(2 pi i k / size) read at j*(size>>(stage+1)) — which they must equal
-// bit for bit (the angles are the same floats), and the derived factors
-// against the entries they stand in for.
+// bit for bit (the angles are the same floats), the derived factors
+// against the entries they stand in for, and that from span four on the
+// runs tile the table with neither a gap nor an overlap.
 func TestPackedTwiddlesMatchStrided(t *testing.T) {
 	for _, n := range []uint{3, 4, 5, 9, 10, 11, 14} {
 		p := mustPlan(t, 1<<n)
@@ -449,12 +535,17 @@ func TestPackedTwiddlesMatchStrided(t *testing.T) {
 				continue
 			}
 			h := uint64(1) << g.s
-			if got, want := uint64(len(g.tw)), max(h/2, 1)*twRun; got != want {
+			if got, want := uint64(len(g.tw)), max(h/4, 1)*twRun; got != want {
 				t.Fatalf("n=%d s=%d: table holds %d entries, want %d", n, g.s, got, want)
 			}
 			w1step, w2step, w3step := p.size>>(g.s+1), p.size>>(g.s+2), p.size>>(g.s+3)
+			reads := make([]int, len(g.tw))
 			for j := uint64(0); j < h; j++ {
 				run := runOf(g.tw, j)
+				base := len(g.tw) - len(run)
+				for _, f := range []int{twW1, twW2a, twW3a, twW3b} {
+					reads[base+f]++
+				}
 				for _, c := range []struct {
 					name      string
 					got, want complex128
@@ -480,6 +571,11 @@ func TestPackedTwiddlesMatchStrided(t *testing.T) {
 					if cmplx.Abs(c.got-c.want) > 1e-15 {
 						t.Fatalf("n=%d s=%d j=%d %s: derived %v, strided %v", n, g.s, j, c.name, c.got, c.want)
 					}
+				}
+			}
+			for i, r := range reads {
+				if r > 1 || (r == 0 && h >= 4) {
+					t.Fatalf("n=%d s=%d: table entry %d is read by %d offsets", n, g.s, i, r)
 				}
 			}
 		}
@@ -679,7 +775,7 @@ func TestFibresAreOneNetwork(t *testing.T) {
 			// runs on the Go head; the fibres together run on the
 			// assembly, whose W_8 multiply is fused.
 			tol := 0.0
-			if w == 3 && useButterflyAsm {
+			if w == 3 && butterflyBody != bodyGo {
 				tol = 1e-15
 			}
 			for _, order := range []Order{Natural, ReversedOut, ReversedIn} {
@@ -701,9 +797,10 @@ func TestFibresAreOneNetwork(t *testing.T) {
 	}
 }
 
-// FuzzTransform draws size, entry point, worker count, fibre count and
-// data from the input and checks, for whichever transform it picked, that
-// it agrees between the two bodies and that its inverse undoes it. The
+// FuzzTransform draws size, entry point, worker count, fibre count, body
+// and data from the input and checks, for whichever transform it picked,
+// that it agrees on the drawn body with pure Go (and, on the AVX-512
+// body, bit for bit with the AVX2 one) and that its inverse undoes it. The
 // entry points are the natural-order ones over the whole vector, and
 // every order of Transform in both directions, over the whole vector and
 // over its contiguous fibres, each paired with the transform that undoes
@@ -711,14 +808,14 @@ func TestFibresAreOneNetwork(t *testing.T) {
 // Over fibres the result must also equal the fibres transformed one at a
 // time.
 func FuzzTransform(f *testing.F) {
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), []byte("seed"))
-	f.Add(uint8(11), uint8(1), uint8(2), uint8(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint8(13), uint8(2), uint8(3), uint8(0), []byte{0xff, 0, 0x80})
-	f.Add(uint8(15), uint8(3), uint8(2), uint8(7), []byte{})
-	f.Add(uint8(14), uint8(5), uint8(2), uint8(11), []byte{7, 1, 200})
-	f.Add(uint8(9), uint8(10), uint8(3), uint8(6), []byte{3, 0, 9, 77})
-	f.Add(uint8(16), uint8(13), uint8(3), uint8(13), []byte{5, 9})
-	f.Fuzz(func(t *testing.T, lg, entry, workers, fibres uint8, raw []byte) {
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), uint8(0), []byte("seed"))
+	f.Add(uint8(11), uint8(1), uint8(2), uint8(5), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(13), uint8(2), uint8(3), uint8(0), uint8(2), []byte{0xff, 0, 0x80})
+	f.Add(uint8(15), uint8(3), uint8(2), uint8(7), uint8(0), []byte{})
+	f.Add(uint8(14), uint8(5), uint8(2), uint8(11), uint8(1), []byte{7, 1, 200})
+	f.Add(uint8(9), uint8(10), uint8(3), uint8(6), uint8(2), []byte{3, 0, 9, 77})
+	f.Add(uint8(16), uint8(13), uint8(3), uint8(13), uint8(0), []byte{5, 9})
+	f.Fuzz(func(t *testing.T, lg, entry, workers, fibres, bodyPick uint8, raw []byte) {
 		n := uint(lg % 17)
 		w := int(workers%4) + 1
 		p := mustPlan(t, 1<<n)
@@ -764,13 +861,21 @@ func FuzzTransform(f *testing.F) {
 			}
 		}
 		pr := pairs[int(entry)%len(pairs)]
+		body := bodyKind(int(bodyPick) % (int(hostBody) + 1))
 		got := clone(x)
-		pr.do(got)
+		withBody(body, func() { pr.do(got) })
 		pure := clone(x)
-		withBody(false, func() { pr.do(pure) })
+		withBody(bodyGo, func() { pr.do(pure) })
 		tol := 1e-12 * float64(p.size)
 		if d := maxDiff(got, pure); d > tol {
-			t.Fatalf("n=%d entry=%d workers=%d fibres=%d: bodies differ by %g", n, entry, w, 1<<k, d)
+			t.Fatalf("n=%d entry=%d workers=%d fibres=%d: the %s body differs from pure Go by %g", n, entry, w, 1<<k, body, d)
+		}
+		if body == bodyAVX512 {
+			avx2 := clone(x)
+			withBody(bodyAVX2, func() { pr.do(avx2) })
+			if !sameBits(got, avx2) {
+				t.Fatalf("n=%d entry=%d workers=%d fibres=%d: the AVX-512 body differs from the AVX2 one by %g", n, entry, w, 1<<k, maxDiff(got, avx2))
+			}
 		}
 		if pr.one != nil {
 			want := clone(x)

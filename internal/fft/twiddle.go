@@ -49,21 +49,23 @@ func stageGroups(n uint) []stageGroup {
 	return gs
 }
 
-// Offsets of the four stored factors inside the run of a pair of adjacent
-// butterfly offsets (j, j+1), j even: the factor for j at the offset, the
-// one for j+1 right behind it — one YMM load each.
+// Offsets of the four stored factors inside the run of four adjacent
+// butterfly offsets j..j+3, j a multiple of 4: the factor for offset j+k
+// at the factor's offset plus k. A run is 256 bytes, each factor one
+// 64-byte quadruple of complexes — one ZMM load for four offsets, or one
+// YMM load for the pair at j or j+2.
 const (
 	twW1  = 0
-	twW2a = 2
-	twW3a = 4
-	twW3b = 6
-	twRun = 8 // complexes per pair of offsets
+	twW2a = 4
+	twW3a = 8
+	twW3b = 12
+	twRun = 16 // complexes per four offsets
 )
 
 // runOf returns the run of table tw that serves offset j, starting at
 // j's own lane: the tw* constants index it.
 func runOf(tw []complex128, j uint64) []complex128 {
-	return tw[j>>1*twRun+j&1:]
+	return tw[j>>2*twRun+j&3:]
 }
 
 // packed builds the access-ordered table of the radix-8 group at stage s
@@ -77,9 +79,9 @@ func runOf(tw []complex128, j uint64) []complex128 {
 //
 // of which w2b = i·w2a, w3c = i·w3a and w3d = i·w3b exactly, so only w1,
 // w2a, w3a, w3b are stored; the inverse transform uses their conjugates.
-// Run j/2 of the table holds them for offsets j and j+1, interleaved as
-// the tw* constants say, so butterflies at consecutive offsets read
-// consecutive memory. Every entry is one exact Sincos of
+// Run j/4 of the table holds them for offsets j..j+3, grouped as the tw*
+// constants say, so butterflies at consecutive offsets read consecutive
+// memory. Every entry is one exact Sincos of
 // 2 pi k / 8h — what cmplx.Exp would return for the same angle.
 func packed(tw []complex128, s uint, lo, hi uint64) {
 	h := uint64(1) << s
@@ -98,9 +100,9 @@ func packed(tw []complex128, s uint, lo, hi uint64) {
 }
 
 // tableLen is the length of the radix-8 table at stage s: one run per
-// pair of offsets, and one run for the single offset of s = 0.
+// four offsets, and one whole run for the one or two offsets of s < 2.
 func tableLen(s uint) uint64 {
-	return max(uint64(1)<<s/2, 1) * twRun
+	return max(uint64(1)<<s/4, 1) * twRun
 }
 
 // build fills the plan's twiddle tables on first use, on the given number

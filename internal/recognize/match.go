@@ -536,16 +536,71 @@ func matchDiagonalRun(c *circuit.Circuit, i, hi int) *Op {
 }
 
 // diagTable folds the diagonal gates gs into one table over width local
-// qubits, qubit q becoming bit local[q]. Each gate walks only the sub-cube
-// its controls select, pairing entry cm|s (target 0) with cm|t|s (target
-// 1), and multiplies each entry by its own diagonal element, in gate order.
+// qubits, qubit q becoming bit local[q]. The gates commute, so the table
+// is built in product form first: each one-qubit gate multiplies into a
+// pair of factors of its bit (bit clear, bit set), and each controlled
+// phase — one control, its first element exactly 1 — into a phase of its
+// pair of bits, applied where both are set. The table then grows by
+// doubling over the bits: at bit k the upper half is the lower half times
+// that bit's set factor and its phases with the lower bits set in each
+// entry (itself built by doubling, one multiply per entry), and the lower
+// half takes the clear factor. Every other gate walks only the sub-cube
+// its controls select afterwards, pairing entry cm|s (target 0) with
+// cm|t|s (target 1). It is the gate-order product to rounding, not bit
+// for bit.
 func diagTable(gs []gates.Gate, local *[64]uint, width int) []complex128 {
+	var factor [MaxDiagQubits][2]complex128
+	var phase [MaxDiagQubits][MaxDiagQubits]complex128 // [high][low]
+	for k := range width {
+		factor[k] = [2]complex128{1, 1}
+		for j := range k {
+			phase[k][j] = 1
+		}
+	}
+	var walk []gates.Gate
+	for _, g := range gs {
+		t := local[g.Target]
+		switch {
+		case len(g.Controls) == 0:
+			factor[t][0] *= g.Matrix[0]
+			factor[t][1] *= g.Matrix[3]
+		case len(g.Controls) == 1 && g.Matrix[0] == 1:
+			hi, lo := t, local[g.Controls[0]]
+			if hi < lo {
+				hi, lo = lo, hi
+			}
+			phase[hi][lo] *= g.Matrix[3]
+		default:
+			walk = append(walk, g)
+		}
+	}
 	d := make([]complex128, 1<<width)
-	for x := range d {
-		d[x] = 1
+	d[0] = 1
+	for k := range width {
+		lower, upper := d[:1<<k], d[1<<k:2<<k]
+		upper[0] = factor[k][1]
+		for j := range k {
+			half := upper[:1<<j]
+			p := phase[k][j]
+			if p == 1 {
+				copy(upper[1<<j:], half)
+				continue
+			}
+			for x, v := range half {
+				upper[1<<j|x] = v * p
+			}
+		}
+		for x, v := range lower {
+			upper[x] *= v
+		}
+		if f := factor[k][0]; f != 1 {
+			for x := range lower {
+				lower[x] *= f
+			}
+		}
 	}
 	all := uint64(len(d) - 1)
-	for _, g := range gs {
+	for _, g := range walk {
 		tb := uint64(1) << local[g.Target]
 		var cm uint64
 		for _, q := range g.Controls {

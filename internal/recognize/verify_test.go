@@ -514,9 +514,9 @@ func TestAnalyzeVerifiesRepeatsOnce(t *testing.T) {
 	}
 }
 
-// diagTableEveryEntry is the table build matchDiagonalRun replaced, kept as
-// the oracle of diagTable: every gate tests every entry of the table
-// against its controls.
+// diagTableEveryEntry is the gate-order walk, kept as the oracle of
+// diagTable: every gate, in order, tests every entry of the table against
+// its controls.
 func diagTableEveryEntry(gs []gates.Gate, qubits []uint) []complex128 {
 	local := make(map[uint]uint, len(qubits))
 	for i, q := range qubits {
@@ -547,10 +547,11 @@ func diagTableEveryEntry(gs []gates.Gate, qubits []uint) []complex128 {
 	return d
 }
 
-// TestDiagTableMatchesEveryEntryOracle draws runs of T, S, Z, CZ, CR, Rz
-// and multi-controlled phases — a third of their phases exactly ±1 or ±i,
-// where a zero's sign is the first thing a reordered product would change
-// — and requires matchDiagonalRun's table to equal the oracle's bit for bit.
+// TestDiagTableMatchesEveryEntryOracle draws runs of T, S, Z, CZ, CR, Rz,
+// controlled diagonals whose first element is not 1 and multi-controlled
+// phases — a third of their phases exactly ±1 or ±i — over every width
+// from 1 to 16, and requires matchDiagonalRun's table, built in product
+// form, to equal the gate-order oracle's to 1e-12 in every entry.
 func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 	src := rng.New(29)
 	exact := []complex128{1, -1, 1i, -1i}
@@ -560,8 +561,8 @@ func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 		}
 		return cmplx.Exp(complex(0, src.Float64()*2*math.Pi))
 	}
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + uint(src.Intn(10))
+	for trial := 0; trial < 320; trial++ {
+		n := 1 + uint(trial%16)
 		c := circuit.New(n)
 		for count := MinDiagGates + src.Intn(40); c.Len() < count; {
 			perm := src.Perm(int(n))
@@ -570,7 +571,7 @@ func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 				qs[j] = uint(perm[j])
 			}
 			var g gates.Gate
-			switch src.Intn(7) {
+			switch src.Intn(8) {
 			case 0:
 				g = gates.T(qs[0])
 			case 1:
@@ -593,6 +594,12 @@ func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 			case 6:
 				g = gates.Gate{Name: "MCP", Matrix: gates.Matrix2{1, 0, 0, phase()}, Target: qs[0],
 					Controls: append([]uint(nil), qs[1:]...)}
+			case 7:
+				if len(qs) < 2 {
+					continue
+				}
+				g = gates.Gate{Name: "CD", Matrix: gates.Matrix2{phase(), 0, 0, phase()}, Target: qs[0],
+					Controls: []uint{qs[1]}}
 			}
 			c.Append(g)
 		}
@@ -602,7 +609,7 @@ func TestDiagTableMatchesEveryEntryOracle(t *testing.T) {
 		}
 		want := diagTableEveryEntry(c.Gates, op.qubits)
 		for x := range want {
-			if !sameBits(op.diag[x], want[x]) {
+			if d := cmplx.Abs(op.diag[x] - want[x]); !(d <= 1e-12) {
 				t.Fatalf("trial %d: entry %d is %v, the oracle's %v\ngates: %v", trial, x, op.diag[x], want[x], c.Gates)
 			}
 		}
