@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/experiments"
 	"repro/internal/fuse"
@@ -126,7 +127,7 @@ func BenchmarkAblationCircuitLowering(b *testing.B) {
 // BenchmarkFusionPlanning isolates the scheduler cost Compile pays per
 // gate segment.
 func BenchmarkFusionPlanning(b *testing.B) {
-	circ := experiments.Brickwork(24, 16, 42)
+	circ := circgen.Brickwork(rng.New(42), 24, 16)
 	b.Run(fmt.Sprintf("gates=%d/w4", circ.Len()), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = fuse.New(circ, 4)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circgen"
 	"repro/internal/circuit"
+	"repro/internal/cpufeat"
 	"repro/internal/gates"
 	"repro/internal/revlib"
 	"repro/internal/rng"
@@ -56,10 +57,10 @@ func TestWideBlockMatrixDeterministic(t *testing.T) {
 		"brickwork": circgen.Brickwork(rng.New(27), 8, 20),
 		"adder":     adder,
 	} {
-		host := denseBody
-		build := func(body uint8) (*backend.Executable, []byte) {
-			denseBody = body
-			defer func() { denseBody = host }()
+		host := activeBody
+		build := func(body cpufeat.Body) (*backend.Executable, []byte) {
+			activeBody = body
+			defer func() { activeBody = host }()
 			x, err := backend.Compile(c, tgt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -81,12 +82,12 @@ func TestWideBlockMatrixDeterministic(t *testing.T) {
 		}
 		again, _ := build(host)
 		for body := int(host); body >= 0; body-- {
-			z, zdata := build(uint8(body))
-			cases := map[string]*backend.Executable{fmt.Sprintf("body %d", body): z}
+			z, zdata := build(cpufeat.Body(body))
+			cases := map[string]*backend.Executable{fmt.Sprintf("the %s body", cpufeat.Body(body)): z}
 			if body == int(host) {
 				cases["a second build"], cases["Decode(Encode(x))"] = again, y
 			}
-			pureGo := body == 0 && host != 0
+			pureGo := body == 0 && host != cpufeat.Go
 			for what, got := range cases {
 				matrices, forms := wideBlocks(got)
 				if forms != wantForms || !bytes.Equal(zdata, data) {
@@ -98,7 +99,7 @@ func TestWideBlockMatrixDeterministic(t *testing.T) {
 						d := v - w
 						same := math.Float64bits(real(v)) == math.Float64bits(real(w)) && math.Float64bits(imag(v)) == math.Float64bits(imag(w))
 						if !same && !(pureGo && math.Abs(real(d)) <= 1e-12 && math.Abs(imag(d)) <= 1e-12) {
-							t.Fatalf("%s: %s: block %d entry %d is %v, body %d built %v", name, what, i, j, v, host, w)
+							t.Fatalf("%s: %s: block %d entry %d is %v, the %s body built %v", name, what, i, j, v, host, w)
 						}
 					}
 				}

@@ -77,7 +77,7 @@ func TestSelectWideRegisterClusters(t *testing.T) {
 // and selection are pure functions of the circuit, so repeated runs agree
 // exactly — costs, ordering, verdicts, report text.
 func TestSelectDeterministic(t *testing.T) {
-	c := experiments.Brickwork(12, 4, 11)
+	c := circgen.Brickwork(rng.New(11), 12, 4)
 	p1, _ := backend.ProfileCircuit(c)
 	s1 := backend.SelectTarget(p1, perfmodel.Active())
 	for i := 0; i < 3; i++ {

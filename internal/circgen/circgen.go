@@ -1,5 +1,6 @@
 // Package circgen holds the seeded circuit families the property tests
-// and fuzz targets generate their inputs from. Each stresses one decision
+// and fuzz targets generate their inputs from, and the paper sweeps
+// (internal/experiments) their brickwork. Each stresses one decision
 // of the fusion planner — brickwork the dense/re-tile choice, QFT ladders
 // the deferral of diagonal tails, phase runs with far-apart interrupters
 // the diagonal rule under hoisting, over-wide controlled gates the

@@ -172,13 +172,19 @@ func TestClusterPermutationAndDiagonalLowerings(t *testing.T) {
 	mop := planOps(t, mul, recognize.Annotated)[0]
 	applyOpBoth(t, mop, statevec.NewRandom(l.NumQubits(), src), 2, cluster.SubstratePermutation)
 
-	// Grover pieces: reflect-uniform (annotated) and an X-conjugated
-	// phase flip (matched) lower to the reflection and diagonal paths.
+	// Grover pieces: reflect-uniform (annotated over its gates, H·X on
+	// every qubit around a multi-controlled Z) lowers to the reflection
+	// path.
 	refl := circuit.New(6)
-	refl.Extend(qft.Entangler(6)) // any gates; region drives the lowering
+	for q := uint(0); q < 6; q++ {
+		refl.Append(gates.H(q), gates.X(q))
+	}
+	refl.Append(gates.Z(0).WithControls(1, 2, 3, 4, 5))
+	for q := uint(0); q < 6; q++ {
+		refl.Append(gates.X(q), gates.H(q))
+	}
 	refl.Annotate(circuit.Region{Name: "reflect-uniform",
 		Args: []uint64{6, 0, 1, 2, 3, 4, 5}, Lo: 0, Hi: refl.Len()})
-	// Verification would reject the lying annotation; lower it untrusted.
 	ops := recognize.Analyze(refl, recognize.Options{Mode: recognize.Annotated}).Ops()
 	if len(ops) != 1 {
 		t.Fatalf("reflect region not lowered: %d ops", len(ops))
@@ -231,16 +237,27 @@ func TestClusterDiagonalOpsAnyPlacement(t *testing.T) {
 		}
 		ops = append(ops, op)
 
-		// The same support as a phase flip of a random pattern; the gates
-		// under the annotation do not matter to an unverified lowering.
+		// The same support as a phase flip of a random pattern, annotated
+		// over its gates: X where the pattern reads 0 around a
+		// multi-controlled Z.
 		flip := circuit.New(n)
-		flip.Append(gates.H(0))
 		args := []uint64{uint64(len(support))}
 		for _, q := range support {
 			args = append(args, uint64(q))
 		}
-		args = append(args, uint64(src.Intn(1<<len(support))))
-		flip.Annotate(circuit.Region{Name: "phaseflip", Args: args, Lo: 0, Hi: 1})
+		pattern := uint64(src.Intn(1 << len(support)))
+		args = append(args, pattern)
+		flipZeros := func() {
+			for j, q := range support {
+				if pattern>>j&1 == 0 {
+					flip.Append(gates.X(q))
+				}
+			}
+		}
+		flipZeros()
+		flip.Append(gates.Z(support[0]).WithControls(support[1:]...))
+		flipZeros()
+		flip.Annotate(circuit.Region{Name: "phaseflip", Args: args, Lo: 0, Hi: flip.Len()})
 		flips := recognize.Analyze(flip, recognize.Options{Mode: recognize.Annotated}).Ops()
 		if len(flips) != 1 || flips[0].Kind() != "phaseflip" {
 			t.Fatalf("phaseflip region on %v not lowered", support)

@@ -315,9 +315,10 @@ func FuzzClusterSample(f *testing.F) {
 // TestSampleAllocations pins what a draw allocates on a drifted
 // placement with serial shards, once the sampler's scratch is sized:
 // Sample nothing, SampleMany(1024) only statevec.SampleSorted's draws and
-// outcomes.
+// outcomes. One node samples through statevec.ResolveCDF's one-chunk walk,
+// and a serial State's own Sample walks in place, allocating nothing.
 func TestSampleAllocations(t *testing.T) {
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{1, 2, 4} {
 		cl, err := cluster.New(12, p)
 		if err != nil {
 			t.Fatal(err)
@@ -332,6 +333,12 @@ func TestSampleAllocations(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { cl.SampleMany(1024, src) }); a != 2 {
 			t.Errorf("P=%d: SampleMany(1024) allocates %v times, want 2", p, a)
 		}
+	}
+	src := rng.New(5)
+	st := statevec.NewRandom(12, src)
+	st.SetParallelism(1)
+	if a := testing.AllocsPerRun(20, func() { st.Sample(src) }); a != 0 {
+		t.Errorf("serial State.Sample allocates %v times, want 0", a)
 	}
 }
 

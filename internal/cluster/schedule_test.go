@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
@@ -138,7 +139,7 @@ func TestScheduleFewerRoundsThanNaive(t *testing.T) {
 		name string
 		mk   func(n uint) *circuit.Circuit
 	}{
-		{"brickwork", func(n uint) *circuit.Circuit { return experiments.Brickwork(n, 6, 7) }},
+		{"brickwork", func(n uint) *circuit.Circuit { return circgen.Brickwork(rng.New(7), n, 6) }},
 		{"random", func(n uint) *circuit.Circuit { return experiments.RandomCircuit(n, 200, 11) }},
 	}
 	for _, w := range workloads {
@@ -213,7 +214,7 @@ func TestScheduleDiagOffConstrains(t *testing.T) {
 // node-local capacity cannot be placed and must fail scheduling.
 func TestScheduleTooWideBlockErrors(t *testing.T) {
 	n := uint(6)
-	circ := experiments.Brickwork(n, 4, 3)
+	circ := circgen.Brickwork(rng.New(3), n, 4)
 	plan := fuse.New(circ, 4)
 	if _, err := cluster.BuildSchedule(plan, n, 3, true); err == nil {
 		t.Fatal("4-qubit dense blocks on 3-local-qubit nodes scheduled without error")
@@ -228,7 +229,7 @@ func TestScheduleTooWideBlockErrors(t *testing.T) {
 func TestScheduledFusedBlocksMatchReference(t *testing.T) {
 	n := uint(9)
 	for _, seed := range []uint64{1, 2} {
-		circ := experiments.Brickwork(n, 5, seed)
+		circ := circgen.Brickwork(rng.New(seed), n, 5)
 		circ.Extend(qft.CircuitNoSwap(n))
 		for _, width := range []int{2, 3, 4} {
 			for _, p := range []int{2, 4, 8} {
@@ -250,7 +251,7 @@ func TestScheduledFusedBlocksMatchReference(t *testing.T) {
 // the same communication; the copy itself pays none.
 func TestCopyFromKeepsPlacement(t *testing.T) {
 	const n, p = uint(8), 4
-	head, rest := experiments.Brickwork(n, 3, 7), experiments.Brickwork(n, 4, 3)
+	head, rest := circgen.Brickwork(rng.New(7), n, 3), circgen.Brickwork(rng.New(3), n, 4)
 
 	orig, err := cluster.New(n, p)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
 	"repro/internal/qft"
@@ -66,7 +67,7 @@ func Cluster(cfg ClusterConfig) []ClusterRow {
 			// CNOTs on node-selecting qubits, which the naive engine
 			// pays per gate and the scheduler folds into its remaps.
 			{"qft", qft.Circuit(n)},
-			{"brickwork", Brickwork(n, 8, 42)},
+			{"brickwork", circgen.Brickwork(rng.New(42), n, 8)},
 			{"random", RandomCircuit(n, 400, 43)},
 		}
 		for _, w := range workloads {

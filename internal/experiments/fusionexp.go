@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/backend"
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/fuse"
 	"repro/internal/gates"
@@ -20,26 +21,6 @@ func DeepQFT(n uint, r int) *circuit.Circuit {
 	c := circuit.New(n)
 	for i := 0; i < r; i++ {
 		c.Extend(qft.Circuit(n))
-	}
-	return c
-}
-
-// Brickwork builds the standard hardware-efficient ansatz: layers of random
-// single-qubit rotations on every qubit followed by a brick pattern of
-// nearest-neighbour CNOTs. Dense, local and fusion-friendly — the shape
-// variational and supremacy-style circuits take.
-func Brickwork(n uint, layers int, seed uint64) *circuit.Circuit {
-	src := rng.New(seed)
-	c := circuit.New(n)
-	for l := 0; l < layers; l++ {
-		for q := uint(0); q < n; q++ {
-			c.Append(gates.Rx(q, src.Float64()*math.Pi))
-			c.Append(gates.Rz(q, src.Float64()*math.Pi))
-		}
-		start := uint(l % 2)
-		for q := start; q+1 < n; q += 2 {
-			c.Append(gates.CNOT(q, q+1))
-		}
 	}
 	return c
 }
@@ -306,7 +287,7 @@ func Fusion(cfg FusionConfig) []FusionRow {
 		c    *circuit.Circuit
 	}{
 		{"deep QFT x3", DeepQFT(n, 3)},
-		{"brickwork", Brickwork(n, 16, 42)},
+		{"brickwork", circgen.Brickwork(rng.New(42), n, 16)},
 		{"tiled ansatz", TiledAnsatz(n, 4, 3, 3, 44)},
 		{"random", RandomCircuit(n, 600, 43)},
 	}

@@ -2,7 +2,11 @@
 
 package experiments
 
-import _ "unsafe" // go:linkname
+import (
+	_ "unsafe" // go:linkname
+
+	"repro/internal/cpufeat"
+)
 
 // raceEnabled reports whether the test binary runs under the race detector.
 const raceEnabled = true
@@ -10,17 +14,13 @@ const raceEnabled = true
 // The race detector instruments Go code and not assembly, so a wall-clock
 // ratio between a simulation on the assembly kernel bodies and an emulation
 // in Go would measure the detector. The race build therefore runs every
-// kernel on its pure-Go body: statevec's block sweeps (body 0; see
-// statevec's denseBodyKind) and fft's radix-8 butterflies (body 0; see
-// fft's bodyKind), both reached by name because nothing exported selects
-// a body.
+// kernel, statevec's block sweeps and fft's butterflies, on the Go body,
+// through cpufeat's one switch, reached by name because nothing exported
+// moves it.
 //
-//go:linkname denseBody repro/internal/statevec.denseBody
-var denseBody uint8
-
-//go:linkname butterflyBody repro/internal/fft.butterflyBody
-var butterflyBody uint8
+//go:linkname activeBody repro/internal/cpufeat.active
+var activeBody cpufeat.Body
 
 func init() {
-	denseBody, butterflyBody = 0, 0
+	activeBody = cpufeat.Go
 }

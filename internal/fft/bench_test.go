@@ -4,33 +4,41 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
+	"repro/internal/cpufeat"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/statevec"
 )
 
+// activeBody is the kernel body the butterflies and heads run, cpufeat's
+// one switch, reached by name because nothing exported moves it.
+//
+//go:linkname activeBody repro/internal/cpufeat.active
+var activeBody cpufeat.Body
+
 // withBody runs f with the butterflies on the given body, restoring the
 // selection afterwards. It is how tests and benchmarks reach the bodies
 // the host would not pick; the body must be one of availableBodies.
-func withBody(body bodyKind, f func()) {
+func withBody(body cpufeat.Body, f func()) {
 	if body > hostBody {
 		panic("fft: this host cannot run the " + body.String() + " body")
 	}
-	saved := butterflyBody
-	butterflyBody = body
-	defer func() { butterflyBody = saved }()
+	saved := activeBody
+	activeBody = body
+	defer func() { activeBody = saved }()
 	f()
 }
 
 // hostBody is the selection made at init, before any test moved it.
-var hostBody = butterflyBody
+var hostBody = cpufeat.Active()
 
 // availableBodies lists the bodies this host runs, the host's own first.
-func availableBodies() []bodyKind {
-	var bodies []bodyKind
+func availableBodies() []cpufeat.Body {
+	var bodies []cpufeat.Body
 	for b := int(hostBody); b >= 0; b-- {
-		bodies = append(bodies, bodyKind(b))
+		bodies = append(bodies, cpufeat.Body(b))
 	}
 	return bodies
 }
@@ -58,7 +66,7 @@ func BenchmarkFFTStages(b *testing.B) {
 }
 
 // benchBodyNames are the bodies' names in BenchmarkFFTStages' rows.
-var benchBodyNames = [...]string{bodyGo: "go", bodyAVX2: "asm", bodyAVX512: "zmm"}
+var benchBodyNames = [...]string{cpufeat.Go: "go", cpufeat.AVX2: "asm", cpufeat.AVX512: "zmm"}
 
 func benchStages(b *testing.B, n uint) {
 	p, err := NewPlan(1 << n)

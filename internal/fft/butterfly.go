@@ -1,44 +1,31 @@
 package fft
 
+import "repro/internal/cpufeat"
+
 // run executes the group's butterflies with flat index t in [lo, hi):
 // block t>>s, offset j = t&(h-1). dif selects the transposed
 // (decimation-in-frequency) butterflies, inverse the conjugate twiddles.
 // scale multiplies the outputs of the head group (s = 0) and is ignored
 // elsewhere: the network is linear, so one group applying it scales the
 // transform. Every group but the radix-2 head goes through whichever body
-// this host runs (butterflyBody). The assembly heads take butterflies in
+// this host runs (cpufeat.Active). The assembly heads take butterflies in
 // pairs, so a head range with an odd end — a lone 4- or 8-point vector
 // has one — runs on the Go head.
 func (g *stageGroup) run(data []complex128, lo, hi uint64, dif, inverse bool, scale float64) {
 	switch {
 	case g.radix == 2:
 		head2(data, lo, hi, scale)
-	case g.s == 0 && butterflyBody != bodyGo && (lo|hi)&1 == 0:
+	case g.s == 0 && cpufeat.Active() != cpufeat.Go && (lo|hi)&1 == 0:
 		headAsm(g, data, lo, hi, dif, inverse, scale)
 	case g.radix == 4:
 		head4(data, lo, hi, dif, inverse, scale)
 	case g.s == 0:
 		head8(data, g.tw[twW3b], lo, hi, dif, inverse, scale)
-	case butterflyBody != bodyGo:
+	case cpufeat.Active() != cpufeat.Go:
 		butterfly8Asm(data, g.tw, g.s, lo, hi, dif, inverse)
 	default:
 		butterfly8Go(data, g.tw, g.s, lo, hi, dif, inverse, 1)
 	}
-}
-
-// bodyKind names a body of the butterflies. The order is the order of
-// preference: a host runs the highest it supports (butterflyBody), and
-// the test suites count down from there.
-type bodyKind uint8
-
-const (
-	bodyGo     bodyKind = iota // butterfly8Go and the Go heads: any host
-	bodyAVX2                   // butterfly_amd64.s, head_amd64.s: AVX2 and FMA3
-	bodyAVX512                 // butterfly512_amd64.s at spans >= 4: AVX-512F as well
-)
-
-func (b bodyKind) String() string {
-	return [...]string{"pure-Go", "avx2", "avx512"}[b]
 }
 
 // scaled returns s·x for a real s.

@@ -8,23 +8,6 @@ import (
 	"repro/internal/cpufeat"
 )
 
-// butterflyBody selects the body of every group but the radix-2 head:
-// the AVX-512 assembly (with the AVX2 one beside it) when the CPU and the
-// OS support AVX-512F, the AVX2/FMA assembly when they support that, the
-// pure-Go butterflies otherwise. It is decided once, here, from
-// CPUID/XGETBV alone; tests flip it to run the bodies side by side.
-var butterflyBody = hostButterflyBody()
-
-func hostButterflyBody() bodyKind {
-	switch {
-	case cpufeat.HasAVX512():
-		return bodyAVX512
-	case cpufeat.HasAVX2FMA():
-		return bodyAVX2
-	}
-	return bodyGo
-}
-
 // butterfly8DITAVX2 and butterfly8DIFAVX2 are the assembly body
 // (butterfly_amd64.s): the radix-8 butterflies with even flat index t in
 // [lo, hi), two per iteration. They check no bounds: callers go through
@@ -94,14 +77,14 @@ func butterfly8Asm(data, tw []complex128, s uint, lo, hi uint64, dif, inverse bo
 	if s == 0 || lo&1 != 0 || hi&1 != 0 || lo > hi || hi > uint64(len(data))/8 || uint64(len(tw)) < tableLen(s) {
 		panic(fmt.Sprintf("fft: assembly butterflies [%d,%d) at stage %d out of range", lo, hi, s))
 	}
-	if butterflyBody == bodyAVX512 && s >= 2 {
+	if cpufeat.Active() == cpufeat.AVX512 && s >= 2 {
 		if a, b := (lo+3)&^3, hi&^3; a < b {
-			butterflyCalls(bodyAVX2, data, tw, s, lo, a, dif, inverse)
+			butterflyCalls(cpufeat.AVX2, data, tw, s, lo, a, dif, inverse)
 			butterfly8AVX512(data, tw, s, a, b, dif, inverse)
 			lo = b
 		}
 	}
-	butterflyCalls(bodyAVX2, data, tw, s, lo, hi, dif, inverse)
+	butterflyCalls(cpufeat.AVX2, data, tw, s, lo, hi, dif, inverse)
 }
 
 // butterfly8AVX512 runs the ZMM body over the butterflies [lo, hi) of the
@@ -114,13 +97,13 @@ func butterfly8AVX512(data, tw []complex128, s uint, lo, hi uint64, dif, inverse
 	if s < 2 || (lo|hi)&3 != 0 || lo > hi || hi > uint64(len(data))/8 || uint64(len(tw)) < tableLen(s) {
 		panic(fmt.Sprintf("fft: AVX-512 butterflies [%d,%d) at stage %d out of range", lo, hi, s))
 	}
-	butterflyCalls(bodyAVX512, data, tw, s, lo, hi, dif, inverse)
+	butterflyCalls(cpufeat.AVX512, data, tw, s, lo, hi, dif, inverse)
 }
 
 // butterflyCalls hands [lo, hi) to the unchecked DIF or DIT function of
 // the given assembly body in calls of at most butterflyAsmWork
 // butterflies, a multiple of 4.
-func butterflyCalls(body bodyKind, data, tw []complex128, s uint, lo, hi uint64, dif, inverse bool) {
+func butterflyCalls(body cpufeat.Body, data, tw []complex128, s uint, lo, hi uint64, dif, inverse bool) {
 	masks := &directionMasks[0]
 	if inverse {
 		masks = &directionMasks[1]
@@ -129,9 +112,9 @@ func butterflyCalls(body bodyKind, data, tw []complex128, s uint, lo, hi uint64,
 	for lo < hi {
 		end := min(hi, lo+butterflyAsmWork)
 		switch {
-		case body == bodyAVX512 && dif:
+		case body == cpufeat.AVX512 && dif:
 			butterfly8DIFAVX512(&data[0], &tw[0], masks, h, lo, end)
-		case body == bodyAVX512:
+		case body == cpufeat.AVX512:
 			butterfly8DITAVX512(&data[0], &tw[0], masks, h, lo, end)
 		case dif:
 			butterfly8DIFAVX2(&data[0], &tw[0], masks, h, lo, end)

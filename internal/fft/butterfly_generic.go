@@ -2,10 +2,6 @@
 
 package fft
 
-// butterflyBody is bodyGo off amd64: the pure-Go butterflies are the
-// only body.
-var butterflyBody = bodyGo
-
 func butterfly8Asm(data, tw []complex128, s uint, lo, hi uint64, dif, inverse bool) {
 	panic("fft: no assembly butterfly body on this architecture")
 }

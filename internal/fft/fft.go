@@ -63,9 +63,9 @@
 //
 // # Bodies
 //
-// The butterflies have three bodies, and butterflyBody, set once at
-// package init from CPUID/XGETBV (internal/cpufeat), picks the highest the
-// host supports. On amd64 hosts whose CPU reports AVX2 and FMA3 and whose
+// The butterflies have three bodies, and cpufeat.Active, set once at
+// package init from CPUID/XGETBV and shared with statevec's block sweeps,
+// picks the highest the host supports. On amd64 hosts whose CPU reports AVX2 and FMA3 and whose
 // OS saves the YMM state they run assembly: the radix-8 groups at spans of
 // two or more in butterfly_amd64.s, vectorised over adjacent offsets — two
 // complexes per YMM register, a complex multiply as one VMULPD and one

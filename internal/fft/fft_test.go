@@ -12,6 +12,7 @@ import (
 	_ "unsafe" // go:linkname
 
 	"repro/internal/bitops"
+	"repro/internal/cpufeat"
 	"repro/internal/rng"
 )
 
@@ -34,7 +35,7 @@ func TestMain(m *testing.M) {
 	}
 	code := 0
 	for i, body := range bodies {
-		butterflyBody = body
+		activeBody = body
 		fmt.Printf("pass %d of %d: radix-8 butterflies on the %s body\n", i+1, len(bodies), body)
 		if code = m.Run(); code != 0 {
 			break
@@ -48,9 +49,9 @@ func TestMain(m *testing.M) {
 func onHostPass(t *testing.T) {
 	t.Helper()
 	switch {
-	case hostBody == bodyGo:
+	case hostBody == cpufeat.Go:
 		t.Skip("this CPU has no assembly body")
-	case butterflyBody != hostBody:
+	case activeBody != hostBody:
 		t.Skipf("compares the bodies itself: ran in the %s pass", hostBody)
 	}
 }
@@ -320,7 +321,7 @@ func TestButterflyBodiesAgree(t *testing.T) {
 	onHostPass(t)
 	bodies := availableBodies()
 	fmt.Printf("fft bodies on this host: %v\n", bodies)
-	if hostBody < bodyAVX512 {
+	if hostBody < cpufeat.AVX512 {
 		t.Run("body=avx512", func(t *testing.T) {
 			t.Skip("this CPU lacks the avx512 body: nothing is held to the AVX2 body bit for bit")
 		})
@@ -341,13 +342,13 @@ func TestButterflyBodiesAgree(t *testing.T) {
 		x := randomVector(rng.New(uint64(j.n)), 1<<j.n)
 		scale := p.unitaryScale()
 		for _, nw := range networks {
-			out := make(map[bodyKind][]complex128)
+			out := make(map[cpufeat.Body][]complex128)
 			for _, body := range bodies {
 				out[body] = clone(x)
 				withBody(body, func() { p.network(out[body], nw.dif, nw.inverse, scale, j.workers) })
 			}
-			pure := out[bodyGo]
-			if zmm, avx2 := out[bodyAVX512], out[bodyAVX2]; zmm != nil && !sameBits(zmm, avx2) {
+			pure := out[cpufeat.Go]
+			if zmm, avx2 := out[cpufeat.AVX512], out[cpufeat.AVX2]; zmm != nil && !sameBits(zmm, avx2) {
 				t.Errorf("n=%d workers=%d %s: the AVX-512 body differs from the AVX2 one by %g", j.n, j.workers, nw.name, maxDiff(zmm, avx2))
 			}
 			for _, body := range bodies[:len(bodies)-1] {
@@ -398,20 +399,20 @@ func TestButterflyBodiesAgree(t *testing.T) {
 			}
 			for _, r := range ranges {
 				for _, nw := range networks {
-					out := make(map[bodyKind][]complex128)
+					out := make(map[cpufeat.Body][]complex128)
 					for _, body := range bodies {
 						out[body] = clone(x)
 						withBody(body, func() { g.run(out[body], r[0], r[1], nw.dif, nw.inverse, 0.75) })
 					}
 					where := fmt.Sprintf("n=%d s=%d radix=%d [%d,%d) %s", n, g.s, g.radix, r[0], r[1], nw.name)
-					pure, avx2 := out[bodyGo], out[bodyAVX2]
-					if zmm := out[bodyAVX512]; zmm != nil && !sameBits(zmm, avx2) {
+					pure, avx2 := out[cpufeat.Go], out[cpufeat.AVX2]
+					if zmm := out[cpufeat.AVX512]; zmm != nil && !sameBits(zmm, avx2) {
 						t.Errorf("%s: the AVX-512 body differs from the AVX2 one by %g", where, maxDiff(zmm, avx2))
 					}
 					if d := maxDiff(avx2, pure); d > 1e-12 {
 						t.Errorf("%s: the assembly bodies differ from pure Go by %g", where, d)
 					}
-					if hostBody == bodyAVX512 && g.s >= 2 && (r[0]|r[1])&3 == 0 {
+					if hostBody == cpufeat.AVX512 && g.s >= 2 && (r[0]|r[1])&3 == 0 {
 						zmm := clone(x)
 						butterfly8AVX512(zmm, g.tw, g.s, r[0], r[1], nw.dif, nw.inverse)
 						if !sameBits(zmm, avx2) {
@@ -481,7 +482,7 @@ func TestButterflyAsmRejectsBadRanges(t *testing.T) {
 		"head radix 2":   func() { headAsm(&mustPlan(t, 1<<10).groups[0], data, 0, 2, false, false, 1) },
 		"head4 past end": func() { headAsm(&mustPlan(t, 1<<8).groups[0], data, 0, 130, false, false, 1) },
 	}
-	if hostBody == bodyAVX512 {
+	if hostBody == cpufeat.AVX512 {
 		for name, f := range map[string]func(){
 			"zmm start off 4": func() { butterfly8AVX512(data, g.tw, g.s, 2, 8, false, false) },
 			"zmm end off 4":   func() { butterfly8AVX512(data, g.tw, g.s, 0, 6, false, false) },
@@ -507,7 +508,7 @@ func TestButterflyAsmRejectsBadRanges(t *testing.T) {
 	}
 	// The checks let every legal range through.
 	butterfly8Asm(data, g.tw, g.s, 2, 64, true, false)
-	if hostBody == bodyAVX512 {
+	if hostBody == cpufeat.AVX512 {
 		butterfly8AVX512(data, g.tw, g.s, 4, 64, true, false)
 		butterfly8AVX512(data, g.tw, g.s, 8, 8, false, true)
 	}
@@ -775,7 +776,7 @@ func TestFibresAreOneNetwork(t *testing.T) {
 			// runs on the Go head; the fibres together run on the
 			// assembly, whose W_8 multiply is fused.
 			tol := 0.0
-			if w == 3 && butterflyBody != bodyGo {
+			if w == 3 && activeBody != cpufeat.Go {
 				tol = 1e-15
 			}
 			for _, order := range []Order{Natural, ReversedOut, ReversedIn} {
@@ -861,18 +862,18 @@ func FuzzTransform(f *testing.F) {
 			}
 		}
 		pr := pairs[int(entry)%len(pairs)]
-		body := bodyKind(int(bodyPick) % (int(hostBody) + 1))
+		body := cpufeat.Body(int(bodyPick) % (int(hostBody) + 1))
 		got := clone(x)
 		withBody(body, func() { pr.do(got) })
 		pure := clone(x)
-		withBody(bodyGo, func() { pr.do(pure) })
+		withBody(cpufeat.Go, func() { pr.do(pure) })
 		tol := 1e-12 * float64(p.size)
 		if d := maxDiff(got, pure); d > tol {
 			t.Fatalf("n=%d entry=%d workers=%d fibres=%d: the %s body differs from pure Go by %g", n, entry, w, 1<<k, body, d)
 		}
-		if body == bodyAVX512 {
+		if body == cpufeat.AVX512 {
 			avx2 := clone(x)
-			withBody(bodyAVX2, func() { pr.do(avx2) })
+			withBody(cpufeat.AVX2, func() { pr.do(avx2) })
 			if !sameBits(got, avx2) {
 				t.Fatalf("n=%d entry=%d workers=%d fibres=%d: the AVX-512 body differs from the AVX2 one by %g", n, entry, w, 1<<k, maxDiff(got, avx2))
 			}

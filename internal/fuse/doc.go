@@ -114,6 +114,10 @@
 // which matters on machines where the state still fits in cache and a
 // dense block must win on arithmetic rather than memory traffic.
 //
-// Execution lives in the sim package (Options.FuseWidth) on top of the
-// statevec.ApplyMatrixN / ApplyFactored / ApplyDiagN kernels.
+// internal/backend runs a compiled plan's gate segments through
+// cluster.RunSchedule, on one node or several, and that runs each fused
+// block through Block.Sweep, the one place that knows a block's forms, on
+// top of the statevec.ApplyMatrixN / ApplyFactored / ApplyDiagN kernels.
+// Plan.Apply runs a plan on a single state; this package uses it to build
+// a wide block's matrix from narrower blocks.
 package fuse

@@ -5,9 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/circgen"
 	"repro/internal/circuit"
 	"repro/internal/experiments"
 	"repro/internal/fuse"
+	"repro/internal/rng"
 )
 
 // TestBenchFusionPlansPinned pins the schedules of the four circuits of the
@@ -37,7 +39,7 @@ func TestBenchFusionPlansPinned(t *testing.T) {
 			{382, 69, 0, 313, 205.44},  // was {382 3 0 379 232.78}
 			{178, 46, 0, 132, 174.62},  // was {251 3 0 248 233.39}
 			{111, 27, 84, 0, 135.30}}}, // was {189 3 84 102 191.02}
-		{"brickwork", experiments.Brickwork(n, 16, 42), [3]want{
+		{"brickwork", circgen.Brickwork(rng.New(42), n, 16), [3]want{
 			{127, 120, 0, 7, 98.94},  // was {127 120 0 7 206.94}
 			{98, 93, 0, 5, 104.40},   // was {188 88 0 100 245.14}
 			{67, 60, 0, 7, 116.94}}}, // was {137 105 0 32 232.30}

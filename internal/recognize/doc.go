@@ -22,7 +22,7 @@
 //     multi-controlled-Z phase flips, and runs of diagonal gates.
 //
 // Every recognised region is checked against its own gates on the first
-// of three rungs that applies (Options.Verify):
+// of three rungs that applies (Analyze):
 //
 //  1. Identity, at any width. The gates are, gate for gate at the
 //     matchers' 1e-12 entry tolerance, the reference network the op

@@ -5,23 +5,24 @@ import (
 	"os"
 	"testing"
 	_ "unsafe" // go:linkname
+
+	"repro/internal/cpufeat"
 )
 
-// butterflyBody is fft's butterfly-body selection, reached by name because
-// nothing exported selects a body. Its values and their names are fft's
-// bodyKind (butterfly.go) and live only there: all this file relies on is
-// that a host runs every body below its own, down to 0, the pure-Go one
-// every other host uses — so the suite runs once per body, and the
-// recognised Fourier regions are checked against their gates through each.
+// activeBody is the kernel body statevec's block sweeps and fft's
+// butterflies run, cpufeat's one switch, reached by name because nothing
+// exported moves it. A host runs every body below its own, down to Go, the
+// one every other host uses, so the suite runs once per body, and the
+// recognised regions are checked against their gates through each.
 //
-//go:linkname butterflyBody repro/internal/fft.butterflyBody
-var butterflyBody uint8
+//go:linkname activeBody repro/internal/cpufeat.active
+var activeBody cpufeat.Body
 
 func TestMain(m *testing.M) {
-	host, code := butterflyBody, 0
-	for pass := uint8(0); pass <= host && code == 0; pass++ {
-		butterflyBody = host - pass
-		fmt.Printf("pass %d of %d: radix-8 butterflies on fft body %d\n", pass+1, host+1, butterflyBody)
+	host, code := activeBody, 0
+	for pass := cpufeat.Body(0); pass <= host && code == 0; pass++ {
+		activeBody = host - pass
+		fmt.Printf("pass %d of %d: kernels on the %s body\n", pass+1, host+1, activeBody)
 		code = m.Run()
 	}
 	os.Exit(code)

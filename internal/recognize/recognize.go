@@ -50,24 +50,11 @@ func ParseMode(s string) (Mode, error) {
 type Options struct {
 	// Mode selects annotation-only or annotation+pattern recognition.
 	Mode Mode
-	// Verify checks every recognised region against its own gates, on
-	// three rungs, and drops the region when a check fails:
-	//  1. Identity, at any width: the gates are, gate for gate, the
-	//     reference network the op names (a QFT shape, or the revlib
-	//     network of add, sub, addc, mul or div). A QFT, add, addc or mul
-	//     the matchers found has it already.
-	//  2. The column walk, up to MaxVerifyQubits of support: every column
-	//     of the gates' unitary against the op's. It settles diagonal runs,
-	//     phase flips, reflections, a daggered adder and an annotation
-	//     whose gates are not its network (a lying one is refuted here).
-	//  3. Otherwise the op is kept unverified: a lying annotation wider
-	//     than MaxVerifyQubits is still trusted (ROADMAP items 10(b), (c)).
-	Verify bool
 }
 
 const (
 	// MaxVerifyQubits bounds the support width the column walk (rung 2 of
-	// Options.Verify) can afford: 2^w columns, each O(gates) with no state
+	// Analyze's check) can afford: 2^w columns, each O(gates) with no state
 	// for an arithmetic, phase flip or diagonal region whose gates keep
 	// basis states basis states, and otherwise one application of the
 	// shortcut to a 2^w state, a walk costing the sum over the gates of
@@ -84,10 +71,9 @@ const (
 	MinDiagGates = 4
 )
 
-// DefaultOptions returns the tuning the simulator dispatch uses: mode,
-// with every region verified.
+// DefaultOptions returns the options the simulator dispatch uses for mode.
 func DefaultOptions(mode Mode) Options {
-	return Options{Mode: mode, Verify: true}
+	return Options{Mode: mode}
 }
 
 // Segment is one step of an emulation-dispatch plan: either a recognised
@@ -193,15 +179,22 @@ func (p *Plan) Ops() []*Op {
 
 // Analyze builds the emulation-dispatch plan for c: annotated regions are
 // lowered first (Mode >= Annotated), the gaps are pattern-matched in Auto
-// mode, and everything recognised is verified against its own gates where
-// the support is small enough. The remaining ranges execute gate-level.
+// mode, and everything recognised is checked against its own gates, on
+// the first of the package comment's three rungs that applies, and
+// dropped when a check fails. The remaining ranges execute gate-level.
 func Analyze(c *circuit.Circuit, opts Options) *Plan {
+	return analyze(c, opts.Mode, true)
+}
+
+// analyze is Analyze with the check optional; tests that need the ops a
+// check would drop turn it off.
+func analyze(c *circuit.Circuit, mode Mode, verify bool) *Plan {
 	p := &Plan{NumQubits: c.NumQubits, NumGates: c.Len()}
 	// The matchers and op layouts index qubits in single-word bitmasks;
 	// a register wider than 64 qubits (unrunnable on the dense state
 	// vector anyway) stays entirely gate-level rather than risking
 	// silently wrong masks.
-	if opts.Mode == Off || c.NumQubits > 64 {
+	if mode == Off || c.NumQubits > 64 {
 		if c.Len() > 0 {
 			p.Segments = []Segment{{Lo: 0, Hi: c.Len()}}
 		}
@@ -220,11 +213,11 @@ func Analyze(c *circuit.Circuit, opts Options) *Plan {
 		op.Annotated = true
 		ops = append(ops, op)
 	}
-	if opts.Mode >= Auto {
+	if mode >= Auto {
 		ops = append(ops, matchGaps(c, ops)...)
 		sort.Slice(ops, func(i, j int) bool { return ops[i].Lo < ops[j].Lo })
 	}
-	if opts.Verify {
+	if verify {
 		// A region identical to an earlier one — the same compact op and
 		// the same compact gates, bit for bit — takes the earlier verdict.
 		verdicts, refs := map[string]verdict{}, references{}
@@ -260,7 +253,7 @@ const (
 	refuted
 )
 
-// verifyOnce settles op on the first rung of Options.Verify's ladder that
+// verifyOnce settles op on the first rung of Analyze's ladder that
 // can: identity with its reference network (already proved when a
 // reference-checking matcher found it, otherwise matchesReference, at any
 // width, an arithmetic network built once per region form in refs), the

@@ -250,13 +250,11 @@ func TestMatchedOpsAreTheirReference(t *testing.T) {
 		circuits = append(circuits, circgen.Arithmetic(rng.New(seed), 12, 8),
 			circgen.QFTLadders(rng.New(seed), 9, 2))
 	}
-	opts := DefaultOptions(Auto)
-	opts.Verify = false
 	kinds := map[string]int{}
 	refs := references{}
 	for _, c := range circuits {
 		stripped := &circuit.Circuit{NumQubits: c.NumQubits, Gates: c.Gates}
-		for _, op := range Analyze(stripped, opts).Ops() {
+		for _, op := range analyze(stripped, Auto, false).Ops() {
 			if !op.matchedAsReference() {
 				continue
 			}

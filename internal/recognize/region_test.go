@@ -105,9 +105,8 @@ func FuzzRegionArgs(f *testing.F) {
 		n := 1 + uint(width)%20
 		c := regionCircuit(n, fuzzRegionNames[int(name)%len(fuzzRegionNames)], fuzzArgs(data))
 		Analyze(c, DefaultOptions(Annotated))
-		opts := DefaultOptions(Annotated)
-		opts.Verify = false // keep the ops the one-X-per-qubit gates would fail
-		for _, op := range Analyze(c, opts).Ops() {
+		// Unverified: keep the ops the one-X-per-qubit gates would fail.
+		for _, op := range analyze(c, Annotated, false).Ops() {
 			if err := op.Validate(n); err != nil {
 				t.Fatalf("%v: accepted by Analyze, rejected by Validate: %v", op, err)
 			}

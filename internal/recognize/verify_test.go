@@ -232,13 +232,11 @@ func TestVerifyMatchesDenseOracle(t *testing.T) {
 			{"annotated-iqft-noswap", func(_ *rng.Source, n uint) *circuit.Circuit { return qft.CircuitNoSwap(n).Dagger() }},
 			{"reflect", func(_ *rng.Source, n uint) *circuit.Circuit { return diffusion(n) }},
 		}
-		opts := DefaultOptions(Auto)
-		opts.Verify = false
 		kinds := map[string]int{}
 		for _, f := range families {
 			for _, n := range []uint{5, 8} {
 				c := f.build(rng.New(uint64(n)), n)
-				for _, op := range Analyze(c, opts).Ops() {
+				for _, op := range analyze(c, Auto, false).Ops() {
 					if len(op.support()) > MaxVerifyQubits {
 						continue
 					}
@@ -429,10 +427,8 @@ func TestBranchingBasisMapFallsBack(t *testing.T) {
 	hzh(0, 3)
 	flip.Annotate(circuit.Region{Name: "phaseflip", Args: []uint64{4, 0, 1, 2, 3, 0b0110}, Lo: 0, Hi: flip.Len()})
 
-	opts := DefaultOptions(Annotated)
-	opts.Verify = false
 	for name, c := range map[string]*circuit.Circuit{"add-hh": hh, "phaseflip-hzh": flip} {
-		ops := Analyze(c, opts).Ops()
+		ops := analyze(c, Annotated, false).Ops()
 		if len(ops) != 1 || ops[0].GateCount() != c.Len() {
 			t.Fatalf("%s: want one op over all %d gates, got %v", name, c.Len(), ops)
 		}
@@ -494,10 +490,8 @@ func TestAnalyzeVerifiesRepeatsOnce(t *testing.T) {
 		}
 	}
 
-	opts := DefaultOptions(Annotated)
-	opts.Verify = false
 	var honestKey, lyingKey string
-	for _, op := range Analyze(c, opts).Ops() {
+	for _, op := range analyze(c, Annotated, false).Ops() {
 		r, _ := compactRegion(c, op, MaxVerifyQubits)
 		key, lie := r.key(), slices.Contains(lies, op.Lo)
 		switch {
@@ -630,8 +624,6 @@ func verifyOps(tb testing.TB, w uint) map[string]struct {
 	}
 	adder := circuit.New(7)
 	revlib.Adder(adder, revlib.Seq(0, 3), revlib.Seq(3, 3), 6)
-	opts := DefaultOptions(Auto)
-	opts.Verify = false
 	out := map[string]struct {
 		c  *circuit.Circuit
 		op *Op
@@ -640,7 +632,7 @@ func verifyOps(tb testing.TB, w uint) map[string]struct {
 		fmt.Sprintf("qft%d", w): qft.Circuit(w), fmt.Sprintf("diag%d", w): diag,
 		"add-m3": adder, fmt.Sprintf("reflect%d", w): diffusion(w),
 	} {
-		ops := Analyze(c, opts).Ops()
+		ops := analyze(c, Auto, false).Ops()
 		if len(ops) != 1 || ops[0].GateCount() != c.Len() {
 			tb.Fatalf("%s: want one op over all %d gates, got %v", name, c.Len(), ops)
 		}

@@ -5,33 +5,41 @@ import (
 	"math/cmplx"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
+	"repro/internal/cpufeat"
 	"repro/internal/gates"
 	"repro/internal/rng"
 )
+
+// activeBody is the kernel body every sweep runs, cpufeat's one switch,
+// reached by name because nothing exported moves it.
+//
+//go:linkname activeBody repro/internal/cpufeat.active
+var activeBody cpufeat.Body
 
 // withDenseBody runs f with the dense block sweep on the given body,
 // restoring the host's selection afterwards. It is how tests and
 // benchmarks reach the bodies the host would not pick; the body must be
 // one of availableBodies.
-func withDenseBody(body denseBodyKind, f func()) {
+func withDenseBody(body cpufeat.Body, f func()) {
 	if body > hostBody {
 		panic("statevec: this host cannot run the " + body.String() + " body")
 	}
-	saved := denseBody
-	denseBody = body
-	defer func() { denseBody = saved }()
+	saved := activeBody
+	activeBody = body
+	defer func() { activeBody = saved }()
 	f()
 }
 
 // hostBody is the selection made at init, before any test moved it.
-var hostBody = denseBody
+var hostBody = cpufeat.Active()
 
 // availableBodies lists the bodies this host runs, the host's own first.
-func availableBodies() []denseBodyKind {
-	var bodies []denseBodyKind
+func availableBodies() []cpufeat.Body {
+	var bodies []cpufeat.Body
 	for b := int(hostBody); b >= 0; b-- {
-		bodies = append(bodies, denseBodyKind(b))
+		bodies = append(bodies, cpufeat.Body(b))
 	}
 	return bodies
 }
@@ -123,7 +131,7 @@ func BenchmarkDenseBlock(b *testing.B) {
 					qubits[j] = from + uint(j)*(n-1-from)/(w-1)
 				}
 				for _, body := range availableBodies() {
-					if from == 2 && body == bodyGo {
+					if from == 2 && body == cpufeat.Go {
 						continue
 					}
 					if dense {

@@ -4,20 +4,6 @@ package statevec
 
 import "repro/internal/cpufeat"
 
-// denseBody is decided once, here, from CPUID/XGETBV alone; tests run the
-// bodies below the host's choice side by side (withDenseBody).
-var denseBody = hostDenseBody()
-
-func hostDenseBody() denseBodyKind {
-	switch {
-	case cpufeat.HasAVX512():
-		return bodyAVX512
-	case cpufeat.HasAVX2FMA():
-		return bodyAVX2
-	}
-	return bodyGo
-}
-
 // denseSweepAVX2 is the two-groups-per-YMM assembly body (dense_amd64.s):
 // any count >= 1. It checks no bounds: callers go through denseChunkAsm.
 //
@@ -48,7 +34,7 @@ func denseChunkAsm(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	for start < end {
 		count := min(end-start, denseAsmWork>>(2*lay.w))
 		base := spreadAround(start, lay.qmask)
-		if quads := count &^ 3; denseBody == bodyAVX512 && quads != 0 {
+		if quads := count &^ 3; cpufeat.Active() == cpufeat.AVX512 && quads != 0 {
 			count = quads
 			denseSweepAVX512(&amp[0], &m[0], &lay.offs[0], dim, lay.qmask, base, count)
 		} else {

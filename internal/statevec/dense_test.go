@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/gates"
 	"repro/internal/rng"
 )
@@ -25,7 +26,7 @@ func TestMain(m *testing.M) {
 	}
 	code := 0
 	for i, body := range bodies {
-		denseBody = body
+		activeBody = body
 		fmt.Printf("pass %d of %d: dense block sweep on the %s body\n", i+1, len(bodies), body)
 		if code = m.Run(); code != 0 {
 			break
@@ -195,11 +196,11 @@ var chunkRanges = [][2]uint64{
 // CPU lacks is a skip with a message, so a log shows what a host
 // exercised. The comparisons below run every body themselves, so they run
 // in TestMain's first pass only.
-func eachDenseBody(t *testing.T, f func(t *testing.T, body denseBodyKind)) {
-	if denseBody != hostBody {
+func eachDenseBody(t *testing.T, f func(t *testing.T, body cpufeat.Body)) {
+	if activeBody != hostBody {
 		t.Skipf("compares the bodies itself: ran in the %s pass", hostBody)
 	}
-	for _, body := range []denseBodyKind{bodyAVX512, bodyAVX2, bodyGo} {
+	for _, body := range []cpufeat.Body{cpufeat.AVX512, cpufeat.AVX2, cpufeat.Go} {
 		t.Run("body="+body.String(), func(t *testing.T) {
 			if body > hostBody {
 				t.Skipf("this CPU lacks the %s body", body)
@@ -225,9 +226,9 @@ func sameBits(a, b *State) (uint64, bool) {
 // narrower one: the two assembly bodies do the same operations in the
 // same order with the same roundings, so they must agree exactly; pure Go
 // rounds each product before adding, so it agrees to 1e-12.
-func compareBodies(t *testing.T, what string, body, oracle denseBodyKind, got, want *State) {
+func compareBodies(t *testing.T, what string, body, oracle cpufeat.Body, got, want *State) {
 	t.Helper()
-	if oracle != bodyGo {
+	if oracle != cpufeat.Go {
 		if i, ok := sameBits(got, want); !ok {
 			t.Fatalf("%s: %s and %s differ at amplitude %d: %v vs %v", what, body, oracle, i, got.amp[i], want.amp[i])
 		}
@@ -244,7 +245,7 @@ func compareBodies(t *testing.T, what string, body, oracle denseBodyKind, got, w
 // with applying a block's gates one by one. Each body's "factored"
 // sub-test does the same for ApplyFactored (factoredBodiesAgree).
 func TestDenseBodiesAgree(t *testing.T) {
-	eachDenseBody(t, func(t *testing.T, body denseBodyKind) {
+	eachDenseBody(t, func(t *testing.T, body cpufeat.Body) {
 		src := rng.New(2016)
 		got, want := New(1), New(1)
 		check := func(name string, init *State, qubits []uint, m []complex128, seq []gates.Gate, workers int) {
@@ -257,7 +258,7 @@ func TestDenseBodiesAgree(t *testing.T) {
 			want.SetParallelism(workers)
 			got.CopyFrom(init)
 			withDenseBody(body, func() { got.ApplyMatrixN(m, qubits) })
-			for oracle := body; oracle > bodyGo; {
+			for oracle := body; oracle > cpufeat.Go; {
 				oracle--
 				want.CopyFrom(init)
 				withDenseBody(oracle, func() { want.ApplyMatrixN(m, qubits) })
@@ -313,7 +314,7 @@ func TestDenseBodiesAgree(t *testing.T) {
 // on one body: every shape in factorShapes, registers from a single group
 // (fewer than one quad) up, every layout of qubitOrders, bits dealt to the
 // factors in order and shuffled, and two pooled sizes.
-func factoredBodiesAgree(t *testing.T, src *rng.Source, body denseBodyKind) {
+func factoredBodiesAgree(t *testing.T, src *rng.Source, body cpufeat.Body) {
 	got, want := New(1), New(1)
 	cases := func(n uint, widths []uint, workers []int) {
 		init := NewRandom(n, src)
@@ -332,7 +333,7 @@ func factoredBodiesAgree(t *testing.T, src *rng.Source, body denseBodyKind) {
 					got.CopyFrom(init)
 					withDenseBody(body, func() { got.ApplyFactored(f, qubits) })
 					want.CopyFrom(init)
-					withDenseBody(bodyGo, func() { want.ApplyMatrixN(product, qubits) })
+					withDenseBody(cpufeat.Go, func() { want.ApplyMatrixN(product, qubits) })
 					if d := got.MaxDiff(want); d > 1e-12 {
 						t.Fatalf("%s: factored on %s differs from the dense product by %g", what, body, d)
 					}
@@ -369,8 +370,8 @@ func factoredBodiesAgree(t *testing.T, src *rng.Source, body denseBodyKind) {
 // factored sweep of every shape in factorShapes goes over the same ranges
 // and layouts.
 func TestDenseChunkRanges(t *testing.T) {
-	eachDenseBody(t, func(t *testing.T, body denseBodyKind) {
-		if body == bodyGo {
+	eachDenseBody(t, func(t *testing.T, body cpufeat.Body) {
+		if body == cpufeat.Go {
 			t.Skip("the pure-Go body is the oracle here")
 		}
 		src := rng.New(77)
@@ -382,8 +383,8 @@ func TestDenseChunkRanges(t *testing.T) {
 					m[i] = src.Complex()
 				}
 				// chunk runs groups [lo, hi) of st through one body.
-				chunk := func(body denseBodyKind, st *State, lo, hi uint64) {
-					if body == bodyGo {
+				chunk := func(body cpufeat.Body, st *State, lo, hi uint64) {
+					if body == cpufeat.Go {
 						denseChunkGo(st.amp, m, st.layoutFor(qubits), lo, hi)
 						return
 					}
@@ -394,7 +395,7 @@ func TestDenseChunkRanges(t *testing.T) {
 					got := init.Clone()
 					chunk(body, got, r[0], r[1])
 					what := fmt.Sprintf("w=%d qubits=%v groups [%d,%d)", w, qubits, r[0], r[1])
-					for oracle := body; oracle > bodyGo; {
+					for oracle := body; oracle > cpufeat.Go; {
 						oracle--
 						want := init.Clone()
 						chunk(oracle, want, r[0], r[1])
@@ -403,7 +404,7 @@ func TestDenseChunkRanges(t *testing.T) {
 				}
 			}
 		}
-		if body != bodyAVX512 {
+		if body != cpufeat.AVX512 {
 			return // the only body with an in-tile factored sweep of its own
 		}
 		t.Run("factored", func(t *testing.T) { factoredChunkRanges(t, src) })
@@ -495,7 +496,7 @@ func TestFactoredMutationsAreCaught(t *testing.T) {
 		inTile := init.Clone()
 		factorChunkGo(inTile.amp, f.steps, inTile.layoutFor(qubits), 0, inTile.Dim()>>f.w)
 		got := []*State{whole, inTile}
-		if hostBody == bodyAVX512 {
+		if hostBody == cpufeat.AVX512 {
 			zmm := init.Clone()
 			lay := zmm.layoutFor(qubits)
 			factorChunk(zmm.amp, f.steps, zmm.factorPasses(f, lay), lay, 0, zmm.Dim()>>f.w)
@@ -505,7 +506,7 @@ func TestFactoredMutationsAreCaught(t *testing.T) {
 	}
 	reference := func(init *State, m []complex128, qubits []uint) *State {
 		want := init.Clone()
-		withDenseBody(bodyGo, func() { want.ApplyMatrixN(m, qubits) })
+		withDenseBody(cpufeat.Go, func() { want.ApplyMatrixN(m, qubits) })
 		return want
 	}
 
@@ -740,7 +741,7 @@ func FuzzApplyMatrixN(f *testing.F) {
 		var want *State
 		if fits {
 			want = init.Clone()
-			withDenseBody(bodyGo, func() { want.ApplyMatrixN(product, qubits) })
+			withDenseBody(cpufeat.Go, func() { want.ApplyMatrixN(product, qubits) })
 		}
 		for _, body := range availableBodies() {
 			got := init.Clone()

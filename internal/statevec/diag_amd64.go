@@ -2,6 +2,8 @@
 
 package statevec
 
+import "repro/internal/cpufeat"
+
 // diagSweepAVX2 is the two-groups-per-YMM body of the diagonal block sweep
 // (diag_amd64.s): count must be a positive multiple of 2. It checks no
 // bounds: callers go through diagChunkAsm.
@@ -28,7 +30,7 @@ const diagAsmWork = 1 << 18
 //qemu:hotpath
 func diagChunkAsm(amp, d []complex128, lay *blockLayout, start, end uint64) uint64 {
 	unit := uint64(2)
-	if denseBody == bodyAVX512 {
+	if cpufeat.Active() == cpufeat.AVX512 {
 		unit = 4
 	}
 	stop := start + (end-start)&^(unit-1)

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/rng"
 )
 
@@ -35,7 +36,7 @@ func randomDiag(src *rng.Source, w uint) []complex128 {
 // planner never produces, so the hand-over of a chunk's last groups to the
 // pure-Go body and starts off a quad are covered.
 func TestDiagBodiesAgree(t *testing.T) {
-	eachDenseBody(t, func(t *testing.T, body denseBodyKind) {
+	eachDenseBody(t, func(t *testing.T, body cpufeat.Body) {
 		src := rng.New(1973)
 		got, want := New(1), New(1)
 		check := func(init *State, qubits []uint, d []complex128, workers int) {
@@ -48,7 +49,7 @@ func TestDiagBodiesAgree(t *testing.T) {
 			want.SetParallelism(workers)
 			got.CopyFrom(init)
 			withDenseBody(body, func() { got.ApplyDiagN(d, qubits) })
-			for oracle := body; oracle > bodyGo; {
+			for oracle := body; oracle > cpufeat.Go; {
 				oracle--
 				want.CopyFrom(init)
 				withDenseBody(oracle, func() { want.ApplyDiagN(d, qubits) })

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitops"
+	"repro/internal/cpufeat"
 	"repro/internal/rng"
 )
 
@@ -269,7 +270,7 @@ func TestFieldAddDiagMatchesSequential(t *testing.T) {
 								t.Fatalf("%s %+v, diagonal on %v first=%v, %d workers, %s body: amplitude %d is %v, want %v",
 									kind.name, op, qubits, diagFirst, workers, body, i, got.amp[i], want.amp[i])
 							}
-							if body == bodyGo {
+							if body == cpufeat.Go {
 								break
 							}
 						}

@@ -1,6 +1,10 @@
 package statevec
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cpufeat"
+)
 
 // Factor is one Kronecker factor of a dense 2^w block: a 2^k x 2^k
 // row-major unitary on k of the block's w local bit positions. Bit j of
@@ -194,7 +198,7 @@ func (s *State) checkFactored(f *Factored, qubits []uint) {
 //qemu:hotpath
 func (s *State) ApplyFactored(f *Factored, qubits []uint) {
 	s.checkFactored(f, qubits)
-	if denseBody != bodyAVX512 {
+	if cpufeat.Active() != cpufeat.AVX512 {
 		var sub [MaxMatrixNQubits]uint
 		for i := range f.steps {
 			st := &f.steps[i]

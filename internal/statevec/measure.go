@@ -76,27 +76,6 @@ func (s *State) Probabilities() []float64 {
 	return p
 }
 
-// massChunks computes the per-chunk probability masses of the amplitude
-// vector under the State's chunk plan — the parallel prefix-sum skeleton
-// the inverse-CDF samplers walk — and their total.
-func (s *State) massChunks() (chunks, []float64, float64) {
-	ck := s.chunksFor(s.Dim())
-	masses := make([]float64, ck.n)
-	par.For(ck.n, func(i int) {
-		lo, hi := ck.bounds(i)
-		var acc float64
-		for _, a := range s.amp[lo:hi] {
-			acc += real(a)*real(a) + imag(a)*imag(a)
-		}
-		masses[i] = acc
-	})
-	var total float64
-	for _, m := range masses {
-		total += m
-	}
-	return ck, masses, total
-}
-
 // lastNonzero returns the highest basis index with nonzero probability. It
 // panics on the zero vector.
 func (s *State) lastNonzero() uint64 {
@@ -111,14 +90,15 @@ func (s *State) lastNonzero() uint64 {
 // Sample draws one full-register measurement outcome without collapsing
 // the state, via inverse-CDF sampling over the amplitude weights. This is
 // what a real quantum computer returns per run: n bits. It is
-// SampleMany(1, src)[0] — one uniform, no shuffle variate — and the
-// serial path resolves its uniform in place, allocation-free.
+// SampleMany(1, src)[0] — one uniform, no shuffle variate — and on a
+// one-chunk plan it walks the CDF in place, allocation-free.
 func (s *State) Sample(src *rng.Source) uint64 {
-	if s.parallelism(s.Dim()) > 1 {
+	if s.chunksFor(s.Dim()).n > 1 {
 		return s.SampleMany(1, src)[0]
 	}
-	ts, out := [1]float64{src.Float64()}, [1]uint64{}
-	s.sampleManySerial(ts[:], out[:])
+	ts, out := [1]float64{src.Float64()}, [1]uint64{unresolved}
+	walkCDF(s.amp, 0, 0, ts[:], out[:])
+	s.clampUnresolved(out[:])
 	return out[0]
 }
 
@@ -157,37 +137,7 @@ func SampleSorted(k int, src *rng.Source, resolve func(rs []float64, out []uint6
 	return out
 }
 
-// sampleManySerial resolves the sorted uniforms rs in one early-exit pass.
-func (s *State) sampleManySerial(rs []float64, out []uint64) {
-	k := len(rs)
-	var acc float64
-	last := uint64(0)
-	haveLast := false
-	idx := 0
-	for i, a := range s.amp {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		acc += p
-		if p > 0 {
-			last = uint64(i)
-			haveLast = true
-		}
-		for idx < k && rs[idx] < acc {
-			out[idx] = uint64(i)
-			idx++
-		}
-		if idx == k {
-			return
-		}
-	}
-	if !haveLast {
-		panic("statevec: sampling from the zero vector")
-	}
-	for ; idx < k; idx++ {
-		out[idx] = last
-	}
-}
-
-// unresolved marks a draw no chunk resolved (pure rounding fallthrough).
+// unresolved marks a draw no walk resolved (pure rounding fallthrough).
 const unresolved = ^uint64(0)
 
 // ResolveCDF resolves sorted ascending cumulative-mass targets ts against
@@ -196,67 +146,88 @@ const unresolved = ^uint64(0)
 // running mass sum exceeds t; targets at or beyond the total mass clamp to
 // the highest supported outcome (float-drift tolerance). A one-node
 // cluster (internal/cluster) samples through it.
+//
+// The State's chunk plan decides how: one chunk is one walk from mass 0;
+// more are the parallel prefix-sum walk — per-chunk masses form a prefix
+// sum, the targets are partitioned by it, and each chunk walks its own
+// targets from its prefix, concurrently.
 func (s *State) ResolveCDF(ts []float64, out []uint64) {
 	if len(ts) == 0 {
 		return
 	}
-	if s.parallelism(s.Dim()) <= 1 {
-		s.sampleManySerial(ts, out)
-		return
-	}
-	s.sampleManyChunked(ts, out)
-}
-
-// sampleManyChunked resolves the sorted cumulative targets with the
-// parallel prefix-sum walk: per-chunk masses form a prefix sum, the
-// targets are partitioned by it, and each chunk's slice is resolved
-// concurrently.
-func (s *State) sampleManyChunked(ts []float64, out []uint64) {
-	ck, masses, total := s.massChunks()
-	if total == 0 {
-		panic("statevec: sampling from the zero vector")
-	}
-	prefix := make([]float64, ck.n+1)
-	for i, m := range masses {
-		prefix[i+1] = prefix[i] + m
-	}
 	for i := range out {
 		out[i] = unresolved
+	}
+	ck := s.chunksFor(s.Dim())
+	if ck.n <= 1 {
+		walkCDF(s.amp, 0, 0, ts, out)
+		s.clampUnresolved(out)
+		return
+	}
+	prefix := make([]float64, ck.n+1)
+	par.For(ck.n, func(i int) {
+		lo, hi := ck.bounds(i)
+		var acc float64
+		for _, a := range s.amp[lo:hi] {
+			acc += real(a)*real(a) + imag(a)*imag(a)
+		}
+		prefix[i+1] = acc
+	})
+	for i := range ck.n {
+		prefix[i+1] += prefix[i]
 	}
 	par.For(ck.n, func(i int) {
 		lo, hi := ck.bounds(i)
 		jlo := sort.SearchFloat64s(ts, prefix[i])
 		jhi := sort.SearchFloat64s(ts, prefix[i+1])
-		if jlo == jhi {
+		walkCDF(s.amp[lo:hi], lo, prefix[i], ts[jlo:jhi], out[jlo:jhi])
+	})
+	s.clampUnresolved(out)
+}
+
+// walkCDF resolves the sorted targets ts against amp, whose first
+// amplitude is basis state base, with the running mass starting at acc:
+// out[i] is the first index at which the mass exceeds ts[i]. It stops once
+// every target is resolved. Targets the mass never exceeds take the last
+// supported index the walk saw; if it saw none, they stay as they were.
+//
+//qemu:hotpath
+func walkCDF(amp []complex128, base uint64, acc float64, ts []float64, out []uint64) {
+	idx := 0
+	last, haveLast := uint64(0), false
+	for j, a := range amp {
+		if idx == len(ts) {
 			return
 		}
-		local := prefix[i]
-		idx := jlo
-		last := uint64(0)
-		haveLast := false
-		for j := lo; j < hi && idx < jhi; j++ {
-			a := s.amp[j]
-			p := real(a)*real(a) + imag(a)*imag(a)
-			local += p
-			if p > 0 {
-				last = j
-				haveLast = true
-			}
-			for idx < jhi && ts[idx] < local {
-				out[idx] = j
-				idx++
-			}
+		p := real(a)*real(a) + imag(a)*imag(a)
+		acc += p
+		if p > 0 {
+			last, haveLast = base+uint64(j), true
 		}
-		if haveLast {
-			for ; idx < jhi; idx++ {
-				out[idx] = last
-			}
+		for idx < len(ts) && ts[idx] < acc {
+			out[idx] = base + uint64(j)
+			idx++
 		}
-	})
+	}
+	if haveLast {
+		for ; idx < len(ts); idx++ {
+			out[idx] = last
+		}
+	}
+}
+
+// clampUnresolved gives every draw no walk resolved the highest supported
+// outcome. It panics on the zero vector, where nothing resolves.
+func (s *State) clampUnresolved(out []uint64) {
+	last, found := uint64(0), false
 	for i, v := range out {
-		if v == unresolved {
-			out[i] = s.lastNonzero()
+		if v != unresolved {
+			continue
 		}
+		if !found {
+			last, found = s.lastNonzero(), true
+		}
+		out[i] = last
 	}
 }
 

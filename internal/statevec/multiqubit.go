@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitops"
+	"repro/internal/cpufeat"
 )
 
 // MaxMatrixNQubits bounds the width of a generic multi-qubit block. At
@@ -101,7 +102,7 @@ func (s *State) ApplyDiagN(d []complex128, qubits []uint) {
 }
 
 // diagChunkN scales groups [start, end) of lay by d through the body this
-// host runs (denseBody): the assembly body takes the whole quads or pairs
+// host runs (cpufeat.Active): the assembly body takes the whole quads or pairs
 // of groups and diagBlockChunk the rest. The range check is the last guard
 // in front of the unchecked assembly, as in denseChunk.
 //
@@ -110,7 +111,7 @@ func diagChunkN(amp, d []complex128, lay *blockLayout, start, end uint64) {
 	if start > end || end > uint64(len(amp))>>lay.w {
 		panic("statevec: diagonal block chunk out of range")
 	}
-	if denseBody != bodyGo {
+	if cpufeat.Active() != cpufeat.Go {
 		start = diagChunkAsm(amp, d, lay, start, end)
 	}
 	diagBlockChunk(amp, d, lay, start, end)
@@ -197,30 +198,14 @@ func (s *State) denseSweep(m []complex128, qubits []uint) {
 	})
 }
 
-// denseBodyKind names a body of the dense block sweep. The order is the
-// order of what a host needs: every body below the host's own also runs
-// there (the ZMM body's tails are the YMM body's), which is what lets the
-// test suites count down from denseBody.
-type denseBodyKind uint8
-
-const (
-	bodyGo     denseBodyKind = iota // denseChunkGo, matrix4Chunk: any host
-	bodyAVX2                        // denseSweepAVX2: AVX2 and FMA3
-	bodyAVX512                      // denseSweepAVX512: AVX-512F as well
-)
-
-func (b denseBodyKind) String() string {
-	return [...]string{"go", "avx2", "avx512"}[b]
-}
-
 // denseChunk applies m to groups [start, end) of lay through the body
-// this host runs (denseBody). The range check is the last guard in front
+// this host runs (cpufeat.Active). The range check is the last guard in front
 // of the unchecked assembly; a violation is a bug in the chunk planner.
 func denseChunk(amp, m []complex128, lay *blockLayout, start, end uint64) {
 	if start > end || end > uint64(len(amp))>>lay.w {
 		panic("statevec: dense block chunk out of range")
 	}
-	if denseBody == bodyGo {
+	if cpufeat.Active() == cpufeat.Go {
 		denseChunkGo(amp, m, lay, start, end)
 	} else {
 		denseChunkAsm(amp, m, lay, start, end)

@@ -29,8 +29,8 @@
 //
 // The dense 2^w block sweep — ApplyMatrixN at w >= 2 and ApplyFactored —
 // and the diagonal one, ApplyDiagN, have three bodies each, and one value,
-// denseBody, decided once at package init from CPUID and XGETBV alone
-// (internal/cpufeat), says which one runs:
+// cpufeat.Active, decided once at package init from CPUID and XGETBV alone
+// and shared with fft's butterflies, says which one runs:
 // denseSweepAVX512 (dense512_amd64.s) on amd64 hosts whose CPU reports
 // AVX512F and whose OS saves the opmask and ZMM state; denseSweepAVX2
 // (dense_amd64.s) on amd64 hosts with AVX2 and FMA3 and the YMM state
@@ -98,7 +98,7 @@
 // units against 1.8 on AVX2, 3.7 against 9.4 in pure Go).
 //
 // The diagonal block sweep, ApplyDiagN, has the same three bodies, chosen
-// by the same denseBody: diagSweepAVX512 and diagSweepAVX2 (diag_amd64.s)
+// by the same cpufeat.Active: diagSweepAVX512 and diagSweepAVX2 (diag_amd64.s)
 // and the pure-Go diagBlockChunk. They walk the dense sweep's layout —
 // group bases stepped by the same arithmetic, four groups per ZMM and two
 // per YMM, one per 128-bit lane — but each amplitude is read, multiplied by
@@ -133,11 +133,11 @@
 // changes.
 //
 // A host runs every body below its own, and the tests use that: they move
-// the unexported denseBody (withDenseBody in bench_test.go), the statevec,
-// fuse and backend suites run one pass per available body (their
-// TestMain), and the comparison tests hold every body against every
-// narrower one, so an AVX-512 host still executes the code an AVX2-only or
-// a plain host runs.
+// cpufeat's unexported active body by name (withDenseBody in
+// bench_test.go), the statevec, fft, fuse, recognize and backend suites
+// run one pass per available body (their TestMain), and the comparison
+// tests hold every body against every narrower one, so an AVX-512 host
+// still executes the code an AVX2-only or a plain host runs.
 //
 // # Validation contract
 //

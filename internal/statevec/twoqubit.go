@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"repro/internal/bitops"
+	"repro/internal/cpufeat"
 )
 
 // matrix4 is the width-2 dense sweep behind ApplyMatrixN, for a validated
@@ -9,7 +10,7 @@ import (
 // << 1) | bit of q0. It runs the shared assembly sweep where one runs, the
 // tuned pure-Go butterfly otherwise.
 func (s *State) matrix4(m *[16]complex128, q0, q1 uint) {
-	if denseBody != bodyGo {
+	if cpufeat.Active() != cpufeat.Go {
 		qubits := [2]uint{q0, q1}
 		s.denseSweep(m[:], qubits[:])
 		return
